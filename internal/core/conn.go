@@ -14,6 +14,7 @@ import (
 	"anywheredb/internal/dtt"
 	"anywheredb/internal/exec"
 	"anywheredb/internal/flightrec"
+	"anywheredb/internal/mem"
 	"anywheredb/internal/mvcc"
 	"anywheredb/internal/opt"
 	"anywheredb/internal/sqlparse"
@@ -128,10 +129,9 @@ func (c *Conn) Close() error {
 	return nil
 }
 
-// execCtx builds the execution context for one statement.
-func (c *Conn) execCtx(task interface {
-	Finish()
-}) *exec.Ctx {
+// execCtx builds the execution context for one statement under its
+// memory-governor task (nil for DML, which runs ungoverned).
+func (c *Conn) execCtx(task *mem.Task) *exec.Ctx {
 	workers := c.Workers
 	if workers <= 0 {
 		workers = c.db.opts.Workers
@@ -145,6 +145,7 @@ func (c *Conn) execCtx(task interface {
 		St:             c.db.st,
 		Clk:            c.db.clk,
 		Context:        c.stmtCtx,
+		Task:           task,
 		Tx:             tx,
 		Snap:           c.curSnap,
 		Workers:        workers,
@@ -184,7 +185,7 @@ func (c *Conn) Exec(sql string, params ...val.Value) (Result, error) {
 // ExecContext runs a statement under a context: cancellation and deadline
 // expiry are observed at batch boundaries and abort the statement.
 func (c *Conn) ExecContext(ctx context.Context, sql string, params ...val.Value) (Result, error) {
-	res, _, err := c.run(ctx, sql, params, false)
+	res, _, err := c.run(ctx, sql, params)
 	return res, err
 }
 
@@ -193,7 +194,7 @@ func (c *Conn) ExecContext(ctx context.Context, sql string, params ...val.Value)
 // cannot choose between Exec and Query up front. rows is nil when the
 // statement produced none.
 func (c *Conn) RunContext(ctx context.Context, sql string, params ...val.Value) (Result, *Rows, error) {
-	return c.run(ctx, sql, params, true)
+	return c.run(ctx, sql, params)
 }
 
 // Query runs a statement returning rows.
@@ -203,7 +204,7 @@ func (c *Conn) Query(sql string, params ...val.Value) (*Rows, error) {
 
 // QueryContext runs a statement returning rows under a context.
 func (c *Conn) QueryContext(ctx context.Context, sql string, params ...val.Value) (*Rows, error) {
-	_, rows, err := c.run(ctx, sql, params, true)
+	_, rows, err := c.run(ctx, sql, params)
 	if err != nil {
 		return nil, err
 	}
@@ -221,7 +222,7 @@ func (c *Conn) interrupted() error {
 	return c.stmtCtx.Err()
 }
 
-func (c *Conn) run(ctx context.Context, sql string, params []val.Value, wantRows bool) (res Result, rows *Rows, err error) {
+func (c *Conn) run(ctx context.Context, sql string, params []val.Value) (res Result, rows *Rows, err error) {
 	if c.closed {
 		return Result{}, nil, fmt.Errorf("core: connection closed")
 	}
@@ -375,17 +376,11 @@ func (c *Conn) run(ctx context.Context, sql string, params []val.Value, wantRows
 		err = c.alterTableStore(s)
 	case *sqlparse.Insert:
 		res, err = c.execInsert(s, params)
-	case *sqlparse.Update:
-		var dplan *opt.Plan
-		res, dplan, err = c.execUpdate(s, params)
-		if err == nil && dplan != nil {
-			rows = &Rows{plan: dplan}
-		}
-	case *sqlparse.Delete:
-		var dplan *opt.Plan
-		res, dplan, err = c.execDelete(s, params)
-		if err == nil && dplan != nil {
-			rows = &Rows{plan: dplan}
+	case *sqlparse.Update, *sqlparse.Delete:
+		var plan *opt.Plan
+		res, plan, err = c.execModify(s, params, true)
+		if err == nil {
+			rows = &Rows{plan: plan}
 		}
 	case *sqlparse.Select:
 		rows, err = c.execSelect(sql, s, params)
@@ -393,7 +388,7 @@ func (c *Conn) run(ctx context.Context, sql string, params []val.Value, wantRows
 			res.RowsAffected = int64(rows.Count())
 		}
 	case *sqlparse.Explain:
-		rows, err = c.execExplain(sql, s, params)
+		rows, err = c.execExplain(s, params)
 		if rows != nil {
 			res.RowsAffected = int64(rows.Count())
 		}
@@ -417,7 +412,6 @@ func (c *Conn) run(ctx context.Context, sql string, params []val.Value, wantRows
 		n := res.RowsAffected
 		tr.TraceStatement(sql, params, c.db.clk.Now()-start, n)
 	}
-	_ = wantRows
 	return res, rows, nil
 }
 
@@ -468,25 +462,32 @@ func (c *Conn) autoTxn() (*txn.Txn, func(err error) error) {
 // zero lock-manager calls — a statement-lifetime snapshot in autocommit and
 // read-write transactions (Self = the open transaction, so a transaction's
 // reads see its own uncommitted writes), or the transaction-lifetime
-// snapshot of BEGIN READ ONLY. INSERT ... SELECT reads its source under a
-// statement snapshot too. UPDATE / DELETE never get one: they must target
-// the latest committed rows, which their row X locks then protect.
+// snapshot of BEGIN READ ONLY. INSERT ... SELECT reads its source, and
+// UPDATE / DELETE their subqueries, under a statement snapshot too. The
+// target rows of UPDATE / DELETE are never read under it: they must be the
+// latest committed rows, which their row X locks then protect.
 //
 // LockingReads engine (the E23 2PL baseline): no snapshots anywhere; an
 // autocommit query instead runs inside a short read-only transaction so
 // table scans take shared locks, released at statement end.
 func (c *Conn) beginReadPath(stmt sqlparse.Statement, sp *flightrec.Span) func() {
+	if ex, ok := stmt.(*sqlparse.Explain); ok {
+		stmt = ex.Stmt
+	}
 	isQuery := false
 	switch s := stmt.(type) {
 	case *sqlparse.Select:
 		isQuery = true
-	case *sqlparse.Explain:
-		if _, ok := s.Stmt.(*sqlparse.Select); !ok {
-			return nil
-		}
-		isQuery = true
 	case *sqlparse.Insert:
 		if s.Query == nil {
+			return nil
+		}
+	case *sqlparse.Update:
+		if !s.Subquery {
+			return nil
+		}
+	case *sqlparse.Delete:
+		if !s.Subquery {
 			return nil
 		}
 	default:

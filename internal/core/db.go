@@ -104,10 +104,6 @@ type Options struct {
 	// batching then comes only from committers piling up behind an
 	// in-flight fsync, which preserves single-user latency semantics.
 	CommitFlushDelay time.Duration
-	// SerialWALFlush disables group commit (every committer performs its
-	// own write+sync under the log mutex) — the pre-group-commit
-	// behaviour, kept as the measured baseline for experiment E20.
-	SerialWALFlush bool
 
 	// Injector, when non-nil, is consulted on every storage and WAL
 	// operation and at named crashpoints (fault injection / torture).
@@ -322,7 +318,6 @@ func Open(opts Options) (*DB, error) {
 	}
 	log, err := wal.OpenOptions(logPath, wal.Options{
 		CommitFlushDelay: opts.CommitFlushDelay,
-		SerialFlush:      opts.SerialWALFlush,
 	})
 	if err != nil {
 		st.Close()

@@ -3,12 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"anywheredb/internal/exec"
 	"anywheredb/internal/flightrec"
-	"anywheredb/internal/mem"
 	"anywheredb/internal/opt"
 	"anywheredb/internal/sqlparse"
 	"anywheredb/internal/table"
@@ -22,7 +20,6 @@ func (c *Conn) execSelect(sql string, s *sqlparse.Select, params []val.Value) (*
 	task := c.db.memG.Begin()
 	defer task.Finish()
 	ctx := c.execCtx(task)
-	ctx.Task = task
 
 	benv := &opt.BuildEnv{Env: c.optEnv(), Res: c.db, Ctx: ctx, Params: params}
 
@@ -105,326 +102,18 @@ func (c *Conn) noteEnum(plan *opt.Plan) {
 	}
 }
 
-// dmlPlan builds the minimal access-path plan for a heuristic-bypass
-// UPDATE/DELETE so EXPLAIN and Rows.Plan() work uniformly: an index probe
-// or table scan, with the table's live row count as the estimate.
-func dmlPlan(tbl *table.Table, acc *simpleAccess) *opt.Plan {
-	var root exec.Operator
-	est := float64(tbl.RowCount())
-	if acc.index != nil {
-		root = &exec.IndexScan{Table: tbl, Index: acc.index, Lo: acc.key, Hi: acc.key, HiInc: true}
-		// An equality probe touches a fraction of the table; without
-		// per-key statistics assume a single match cluster.
-		if est > 1 {
-			est = math.Sqrt(est)
-		}
-	} else {
-		root = &exec.TableScan{Table: tbl}
+// buildDML compiles an INSERT ... VALUES, UPDATE or DELETE through opt's
+// heuristic bypass, charging the compile to the span's optimize phase. The
+// returned context is the statement's read context: subqueries inside the
+// statement have already run under it.
+func (c *Conn) buildDML(stmt sqlparse.Statement, params []val.Value) (*opt.DML, *exec.Ctx, error) {
+	ctx := c.execCtx(nil)
+	optStart := time.Now()
+	d, err := opt.BuildDML(stmt, &opt.BuildEnv{Env: c.optEnv(), Res: c.db, Ctx: ctx, Params: params})
+	if sp := c.curSpan; sp != nil {
+		sp.AddPhase(flightrec.PhaseOptimize, time.Since(optStart).Microseconds())
 	}
-	cols := make([]string, len(tbl.Columns))
-	for i, col := range tbl.Columns {
-		cols[i] = col.Name
-	}
-	return &opt.Plan{
-		Root:    root,
-		Columns: cols,
-		EstRows: map[exec.Operator]float64{root: est},
-	}
-}
-
-// simpleWhere recognizes the single-table DML shapes that bypass the
-// cost-based optimizer (§4.1): a conjunction of col-op-literal predicates.
-// It returns an access plan: an index-equality probe when possible, else a
-// scan, plus a residual filter closure.
-type simpleAccess struct {
-	index  *table.Index
-	key    []byte
-	filter func(row []val.Value) (bool, error)
-}
-
-// bindSimpleWhere compiles WHERE for heuristic DML against a single table.
-func bindSimpleWhere(tbl *table.Table, where sqlparse.Expr, params []val.Value) (*simpleAccess, error) {
-	acc := &simpleAccess{}
-	var preds []func(row []val.Value) (bool, error)
-
-	var visit func(e sqlparse.Expr) error
-	visit = func(e sqlparse.Expr) error {
-		if b, ok := e.(*sqlparse.BinOp); ok && b.Op == "AND" {
-			if err := visit(b.L); err != nil {
-				return err
-			}
-			return visit(b.R)
-		}
-		p, idxCol, idxVal, err := compileSimplePred(tbl, e, params)
-		if err != nil {
-			return err
-		}
-		// First equality on an indexed leading column becomes the access
-		// path.
-		if idxCol >= 0 && acc.index == nil {
-			for _, ix := range tbl.Indexes {
-				if len(ix.Cols) > 0 && ix.Cols[0] == idxCol {
-					acc.index = ix
-					acc.key = val.EncodeKey([]val.Value{idxVal})
-					break
-				}
-			}
-		}
-		preds = append(preds, p)
-		return nil
-	}
-	if where != nil {
-		if err := visit(where); err != nil {
-			return nil, err
-		}
-	}
-	acc.filter = func(row []val.Value) (bool, error) {
-		for _, p := range preds {
-			ok, err := p(row)
-			if err != nil || !ok {
-				return false, err
-			}
-		}
-		return true, nil
-	}
-	return acc, nil
-}
-
-// compileSimplePred compiles one heuristic predicate. When it is an
-// equality on a column it also reports (colIdx, value) for index matching.
-func compileSimplePred(tbl *table.Table, e sqlparse.Expr, params []val.Value) (func([]val.Value) (bool, error), int, val.Value, error) {
-	evalScalar := func(x sqlparse.Expr, row []val.Value) (val.Value, error) {
-		return evalSimpleScalar(tbl, x, row, params)
-	}
-	switch x := e.(type) {
-	case *sqlparse.BinOp:
-		op := x.Op
-		return func(row []val.Value) (bool, error) {
-				l, err := evalScalar(x.L, row)
-				if err != nil {
-					return false, err
-				}
-				r, err := evalScalar(x.R, row)
-				if err != nil {
-					return false, err
-				}
-				if l.IsNull() || r.IsNull() {
-					return false, nil
-				}
-				n := val.Compare(l, r)
-				switch op {
-				case "=":
-					return n == 0, nil
-				case "<>":
-					return n != 0, nil
-				case "<":
-					return n < 0, nil
-				case "<=":
-					return n <= 0, nil
-				case ">":
-					return n > 0, nil
-				case ">=":
-					return n >= 0, nil
-				}
-				return false, fmt.Errorf("core: operator %q in simple WHERE", op)
-			}, simpleEqIndexCol(tbl, x, params), simpleEqIndexVal(tbl, x, params),
-			nil
-	case *sqlparse.IsNull:
-		return func(row []val.Value) (bool, error) {
-			v, err := evalScalar(x.E, row)
-			if err != nil {
-				return false, err
-			}
-			return v.IsNull() != x.Neg, nil
-		}, -1, val.Null, nil
-	case *sqlparse.Like:
-		return func(row []val.Value) (bool, error) {
-			v, err := evalScalar(x.E, row)
-			if err != nil {
-				return false, err
-			}
-			p, err := evalScalar(x.Pattern, row)
-			if err != nil {
-				return false, err
-			}
-			if v.IsNull() || p.IsNull() {
-				return false, nil
-			}
-			return val.LikeMatch(v.String(), p.String()) != x.Neg, nil
-		}, -1, val.Null, nil
-	case *sqlparse.Between:
-		return func(row []val.Value) (bool, error) {
-			v, err := evalScalar(x.E, row)
-			if err != nil {
-				return false, err
-			}
-			lo, err := evalScalar(x.Lo, row)
-			if err != nil {
-				return false, err
-			}
-			hi, err := evalScalar(x.Hi, row)
-			if err != nil {
-				return false, err
-			}
-			if v.IsNull() || lo.IsNull() || hi.IsNull() {
-				return false, nil
-			}
-			in := val.Compare(v, lo) >= 0 && val.Compare(v, hi) <= 0
-			return in != x.Neg, nil
-		}, -1, val.Null, nil
-	case *sqlparse.InList:
-		return func(row []val.Value) (bool, error) {
-			v, err := evalScalar(x.E, row)
-			if err != nil {
-				return false, err
-			}
-			if v.IsNull() {
-				return false, nil
-			}
-			for _, le := range x.List {
-				lv, err := evalScalar(le, row)
-				if err != nil {
-					return false, err
-				}
-				if !lv.IsNull() && val.Compare(v, lv) == 0 {
-					return !x.Neg, nil
-				}
-			}
-			return x.Neg, nil
-		}, -1, val.Null, nil
-	}
-	return nil, -1, val.Null, fmt.Errorf("core: unsupported predicate %T in simple WHERE", e)
-}
-
-func simpleEqIndexCol(tbl *table.Table, b *sqlparse.BinOp, params []val.Value) int {
-	if b.Op != "=" {
-		return -1
-	}
-	if c, ok := b.L.(*sqlparse.ColRef); ok {
-		if _, isLit := constOf(b.R, params); isLit {
-			return tbl.ColumnIndex(c.Col)
-		}
-	}
-	if c, ok := b.R.(*sqlparse.ColRef); ok {
-		if _, isLit := constOf(b.L, params); isLit {
-			return tbl.ColumnIndex(c.Col)
-		}
-	}
-	return -1
-}
-
-func simpleEqIndexVal(tbl *table.Table, b *sqlparse.BinOp, params []val.Value) val.Value {
-	if _, ok := b.L.(*sqlparse.ColRef); ok {
-		if v, isLit := constOf(b.R, params); isLit {
-			return v
-		}
-	}
-	if _, ok := b.R.(*sqlparse.ColRef); ok {
-		if v, isLit := constOf(b.L, params); isLit {
-			return v
-		}
-	}
-	return val.Null
-}
-
-func constOf(e sqlparse.Expr, params []val.Value) (val.Value, bool) {
-	switch x := e.(type) {
-	case *sqlparse.Lit:
-		return x.Val, true
-	case *sqlparse.Param:
-		if x.Idx-1 < len(params) {
-			return params[x.Idx-1], true
-		}
-	case *sqlparse.UnOp:
-		if x.Op == "-" {
-			if v, ok := constOf(x.E, params); ok {
-				if v.Kind == val.KInt {
-					return val.NewInt(-v.I), true
-				}
-				return val.NewDouble(-v.AsFloat()), true
-			}
-		}
-	}
-	return val.Null, false
-}
-
-func evalSimpleScalar(tbl *table.Table, e sqlparse.Expr, row []val.Value, params []val.Value) (val.Value, error) {
-	if v, ok := constOf(e, params); ok {
-		return v, nil
-	}
-	switch x := e.(type) {
-	case *sqlparse.ColRef:
-		ci := tbl.ColumnIndex(x.Col)
-		if ci < 0 {
-			return val.Null, fmt.Errorf("core: column %q not found", x.Col)
-		}
-		return row[ci], nil
-	case *sqlparse.BinOp:
-		l, err := evalSimpleScalar(tbl, x.L, row, params)
-		if err != nil {
-			return val.Null, err
-		}
-		r, err := evalSimpleScalar(tbl, x.R, row, params)
-		if err != nil {
-			return val.Null, err
-		}
-		a := exec.Arith{Op: x.Op[0], L: exec.Const{V: l}, R: exec.Const{V: r}}
-		return a.Eval(nil)
-	}
-	return val.Null, fmt.Errorf("core: unsupported expression %T", e)
-}
-
-// collectTargets gathers the RIDs and rows matching a simple WHERE.
-func collectTargets(tbl *table.Table, acc *simpleAccess) ([]table.RID, [][]val.Value, error) {
-	var rids []table.RID
-	var rows [][]val.Value
-	if acc.index != nil {
-		it, err := acc.index.Tree.Seek(acc.key)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer it.Close()
-		for ; it.Valid() && hasKeyPrefix(it.Key(), acc.key); it.Next() {
-			rid := table.RIDFromBytes(it.Value())
-			row, err := tbl.Get(rid)
-			if err != nil {
-				return nil, nil, err
-			}
-			ok, err := acc.filter(row)
-			if err != nil {
-				return nil, nil, err
-			}
-			if ok {
-				rids = append(rids, rid)
-				rows = append(rows, row)
-			}
-		}
-		return rids, rows, it.Err()
-	}
-	err := tbl.Scan(func(rid table.RID, row []val.Value) (bool, error) {
-		ok, err := acc.filter(row)
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			rids = append(rids, rid)
-			rows = append(rows, row)
-		}
-		return true, nil
-	})
-	return rids, rows, err
-}
-
-func hasKeyPrefix(k, p []byte) bool {
-	if len(k) < len(p) {
-		return false
-	}
-	for i := range p {
-		if k[i] != p[i] {
-			return false
-		}
-	}
-	return true
+	return d, ctx, err
 }
 
 // execInsert handles INSERT ... VALUES and INSERT ... SELECT.
@@ -454,11 +143,7 @@ func (c *Conn) execInsert(s *sqlparse.Insert, params []val.Value) (Result, error
 	buildRow := func(values []val.Value) []val.Value {
 		row := make([]val.Value, len(tbl.Columns))
 		for ci := range row {
-			if len(s.Cols) == 0 {
-				if ci < len(values) {
-					row[ci] = values[ci]
-				}
-			} else if colIdx[ci] >= 0 && colIdx[ci] < len(values) {
+			if colIdx[ci] >= 0 && colIdx[ci] < len(values) {
 				row[ci] = values[colIdx[ci]]
 			}
 		}
@@ -473,21 +158,12 @@ func (c *Conn) execInsert(s *sqlparse.Insert, params []val.Value) (Result, error
 		}
 		sourceRows = rows.rows
 	} else {
-		for _, exprRow := range s.Rows {
-			values := make([]val.Value, len(exprRow))
-			for i, e := range exprRow {
-				v, ok := constOf(e, params)
-				if !ok {
-					// Allow simple arithmetic over constants.
-					ev, err := evalSimpleScalar(tbl, e, nil, params)
-					if err != nil {
-						return Result{}, fmt.Errorf("core: INSERT values must be constants: %w", err)
-					}
-					v = ev
-				}
-				values[i] = v
-			}
-			sourceRows = append(sourceRows, values)
+		d, ctx, err := c.buildDML(s, params)
+		if err != nil {
+			return Result{}, err
+		}
+		if sourceRows, err = exec.Drain(ctx, d.Plan.Root); err != nil {
+			return Result{}, err
 		}
 	}
 
@@ -506,130 +182,67 @@ func (c *Conn) execInsert(s *sqlparse.Insert, params []val.Value) (Result, error
 	return Result{RowsAffected: n}, done(nil)
 }
 
-// execUpdate handles single-table UPDATE via the heuristic bypass. The
-// returned plan is the minimal access path so EXPLAIN introspection works
-// for DML as well as queries.
-func (c *Conn) execUpdate(s *sqlparse.Update, params []val.Value) (Result, *opt.Plan, error) {
-	tbl, ok := c.db.Table(s.Table)
-	if !ok {
-		return Result{}, nil, fmt.Errorf("core: table %q not found", s.Table)
-	}
-	sp := c.curSpan
-	optStart := time.Now()
-	acc, err := bindSimpleWhere(tbl, s.Where, params)
+// execModify handles single-table UPDATE and DELETE. The returned plan is
+// the instrumented tree that found the target rows; with run false (plain
+// EXPLAIN) the statement is compiled but not executed.
+func (c *Conn) execModify(stmt sqlparse.Statement, params []val.Value, run bool) (Result, *opt.Plan, error) {
+	d, ctx, err := c.buildDML(stmt, params)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	plan := dmlPlan(tbl, acc)
-	if sp != nil {
-		sp.AddPhase(flightrec.PhaseOptimize, time.Since(optStart).Microseconds())
+	if !run {
+		return Result{}, d.Plan, nil
 	}
+	d.Plan.Root = exec.Instrument(d.Plan.Root)
+	sp := c.curSpan
 	execStart := time.Now()
 	defer func() {
 		if sp != nil {
 			sp.AddPhase(flightrec.PhaseExecute, time.Since(execStart).Microseconds())
 		}
 	}()
-	setCols := make([]int, len(s.Set))
-	for i, sc := range s.Set {
-		ci := tbl.ColumnIndex(sc.Col)
-		if ci < 0 {
-			return Result{}, nil, fmt.Errorf("core: column %q not found", sc.Col)
-		}
-		setCols[i] = ci
-	}
-	rids, _, err := collectTargets(tbl, acc)
+	// Targets are the latest committed rows, read with no snapshot and no
+	// transaction: handing the scan the statement's transaction would take
+	// a table-level Shared lock and serialize writers of disjoint rows. The
+	// row X locks below protect what the scan found. The scan also stays
+	// out of the reorganizer's scan/write ratio (ScanObs).
+	ctx.Tx, ctx.Snap, ctx.ScanObs = nil, nil, nil
+	rids, err := exec.DrainRIDs(ctx, d.Plan.Root)
 	if err != nil {
 		return Result{}, nil, err
 	}
+	_, isUpdate := stmt.(*sqlparse.Update)
 	tx, done := c.autoTxn()
 	var n int64
 	for _, rid := range rids {
 		if err := c.interrupted(); err != nil {
 			return Result{}, nil, done(err)
 		}
-		// Re-check the predicate and re-evaluate the SET expressions
-		// against the row as it stands under the X lock: the scanned image
-		// can be stale by the time the lock is granted, and computing from
-		// it would lose concurrent committed updates.
-		_, updated, err := tbl.UpdateChecked(tx, rid, acc.filter,
-			func(old []val.Value) ([]val.Value, error) {
-				newRow := append([]val.Value(nil), old...)
-				for k, sc := range s.Set {
-					v, err := evalSimpleScalar(tbl, sc.Expr, old, params)
-					if err != nil {
-						return nil, err
-					}
-					newRow[setCols[k]] = v
-				}
-				return newRow, nil
-			})
+		// Re-check the predicate (and, for UPDATE, re-evaluate the SET
+		// expressions) against the row as it stands under the X lock: the
+		// scanned image can be stale by the time the lock is granted, and
+		// computing from it would lose concurrent committed updates.
+		var hit bool
+		if isUpdate {
+			_, hit, err = d.Table.UpdateChecked(tx, rid, d.Match, d.NewRow)
+		} else {
+			hit, err = d.Table.DeleteChecked(tx, rid, d.Match)
+		}
+		if errors.Is(err, table.ErrNotFound) {
+			continue // deleted since the scan
+		}
 		if err != nil {
-			if errors.Is(err, table.ErrNotFound) {
-				continue // deleted since the scan: nothing to update
-			}
 			return Result{}, nil, done(err)
 		}
-		if updated {
+		if hit {
 			n++
 		}
 	}
-	c.db.flight.Access().NoteWrite(s.Table)
-	return Result{RowsAffected: n}, plan, done(nil)
-}
-
-// execDelete handles single-table DELETE via the heuristic bypass.
-func (c *Conn) execDelete(s *sqlparse.Delete, params []val.Value) (Result, *opt.Plan, error) {
-	tbl, ok := c.db.Table(s.Table)
-	if !ok {
-		return Result{}, nil, fmt.Errorf("core: table %q not found", s.Table)
-	}
-	sp := c.curSpan
-	optStart := time.Now()
-	acc, err := bindSimpleWhere(tbl, s.Where, params)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	plan := dmlPlan(tbl, acc)
-	if sp != nil {
-		sp.AddPhase(flightrec.PhaseOptimize, time.Since(optStart).Microseconds())
-	}
-	execStart := time.Now()
-	defer func() {
-		if sp != nil {
-			sp.AddPhase(flightrec.PhaseExecute, time.Since(execStart).Microseconds())
-		}
-	}()
-	rids, _, err := collectTargets(tbl, acc)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	tx, done := c.autoTxn()
-	var n int64
-	for _, rid := range rids {
-		if err := c.interrupted(); err != nil {
-			return Result{}, nil, done(err)
-		}
-		// Same staleness guard as UPDATE: only delete rows that still
-		// match the predicate once the X lock is held.
-		deleted, err := tbl.DeleteChecked(tx, rid, acc.filter)
-		if err != nil {
-			if errors.Is(err, table.ErrNotFound) {
-				continue
-			}
-			return Result{}, nil, done(err)
-		}
-		if deleted {
-			n++
-		}
-	}
-	c.db.flight.Access().NoteWrite(s.Table)
-	return Result{RowsAffected: n}, plan, done(nil)
+	c.db.flight.Access().NoteWrite(d.Table.Name)
+	return Result{RowsAffected: n}, d.Plan, done(nil)
 }
 
 // PlanCacheStats exposes the connection's plan cache counters.
 func (c *Conn) PlanCacheStats() (hits, misses, verifications, invalidations uint64) {
 	return c.planCache.Stats()
 }
-
-var _ = mem.ErrHardLimit // referenced by docs/tests

@@ -20,48 +20,18 @@ var explainColumns = []string{"operator", "est_rows", "actual_rows", "invocation
 // execExplain runs EXPLAIN [ANALYZE] <stmt>. Plain EXPLAIN optimizes the
 // statement and prints the plan tree without executing it; ANALYZE also
 // runs the statement with an instrumented tree and prints per-node actuals.
-func (c *Conn) execExplain(sql string, s *sqlparse.Explain, params []val.Value) (*Rows, error) {
+// DML goes through the same execModify as the bare statement, so what is
+// printed is the tree that ran.
+func (c *Conn) execExplain(s *sqlparse.Explain, params []val.Value) (*Rows, error) {
 	switch inner := s.Stmt.(type) {
 	case *sqlparse.Select:
 		return c.explainSelect(inner, params, s.Analyze)
-	case *sqlparse.Update:
-		tbl, ok := c.db.Table(inner.Table)
-		if !ok {
-			return nil, fmt.Errorf("core: table %q not found", inner.Table)
-		}
-		acc, err := bindSimpleWhere(tbl, inner.Where, params)
+	case *sqlparse.Update, *sqlparse.Delete:
+		_, plan, err := c.execModify(inner, params, s.Analyze)
 		if err != nil {
 			return nil, err
 		}
-		plan := dmlPlan(tbl, acc)
-		var affected int64 = -1
-		if s.Analyze {
-			res, _, err := c.execUpdate(inner, params)
-			if err != nil {
-				return nil, err
-			}
-			affected = res.RowsAffected
-		}
-		return explainRows(plan, s.Analyze, affected), nil
-	case *sqlparse.Delete:
-		tbl, ok := c.db.Table(inner.Table)
-		if !ok {
-			return nil, fmt.Errorf("core: table %q not found", inner.Table)
-		}
-		acc, err := bindSimpleWhere(tbl, inner.Where, params)
-		if err != nil {
-			return nil, err
-		}
-		plan := dmlPlan(tbl, acc)
-		var affected int64 = -1
-		if s.Analyze {
-			res, _, err := c.execDelete(inner, params)
-			if err != nil {
-				return nil, err
-			}
-			affected = res.RowsAffected
-		}
-		return explainRows(plan, s.Analyze, affected), nil
+		return explainRows(plan, s.Analyze), nil
 	}
 	return nil, fmt.Errorf("core: EXPLAIN does not support %T", s.Stmt)
 }
@@ -72,7 +42,6 @@ func (c *Conn) explainSelect(s *sqlparse.Select, params []val.Value, analyze boo
 	task := c.db.memG.Begin()
 	defer task.Finish()
 	ctx := c.execCtx(task)
-	ctx.Task = task
 
 	benv := &opt.BuildEnv{Env: c.optEnv(), Res: c.db, Ctx: ctx, Params: params}
 	sp := c.curSpan
@@ -96,14 +65,11 @@ func (c *Conn) explainSelect(s *sqlparse.Select, params []val.Value, analyze boo
 			return nil, err
 		}
 	}
-	return explainRows(plan, analyze, -1), nil
+	return explainRows(plan, analyze), nil
 }
 
-// explainRows renders a plan tree into EXPLAIN's tabular shape. dmlRows,
-// when >= 0, is the row count a heuristic-bypass DML statement affected
-// (the bypass executes outside the operator tree, so the root's actuals
-// come from the statement result instead of a Stat wrapper).
-func explainRows(plan *opt.Plan, analyze bool, dmlRows int64) *Rows {
+// explainRows renders a plan tree into EXPLAIN's tabular shape.
+func explainRows(plan *opt.Plan, analyze bool) *Rows {
 	var out []exec.Row
 	var walk func(op exec.Operator, depth int)
 	walk = func(op exec.Operator, depth int) {
@@ -122,8 +88,6 @@ func explainRows(plan *opt.Plan, analyze bool, dmlRows int64) *Rows {
 				actInv = val.NewInt(st.Invocations)
 				actUS = val.NewInt(st.VTimeMicros)
 				actMem = val.NewInt(int64(st.MemPeakPages))
-			} else if depth == 0 && dmlRows >= 0 {
-				actRows = val.NewInt(dmlRows)
 			}
 		}
 		out = append(out, exec.Row{val.NewStr(label), est, actRows, actInv, actUS, actMem})

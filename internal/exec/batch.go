@@ -1,6 +1,9 @@
 package exec
 
-import "anywheredb/internal/val"
+import (
+	"anywheredb/internal/table"
+	"anywheredb/internal/val"
+)
 
 // Batch execution protocol. Operators exchange vectors of rows instead of
 // one row per virtual call: the per-row costs of the Volcano protocol (an
@@ -60,10 +63,14 @@ func (c *Ctx) BatchSize() int {
 // retain the Rows slice itself.
 type Batch struct {
 	Rows []Row
+	// RIDs, when non-empty, is parallel to Rows: the heap address of each
+	// row. Only scans built WithRIDs fill it and only Filter carries it
+	// upward — the shape of a DML target-collection tree.
+	RIDs []table.RID
 }
 
 // Reset empties the batch, keeping its capacity.
-func (b *Batch) Reset() { b.Rows = b.Rows[:0] }
+func (b *Batch) Reset() { b.Rows, b.RIDs = b.Rows[:0], b.RIDs[:0] }
 
 // Add appends one row.
 func (b *Batch) Add(r Row) { b.Rows = append(b.Rows, r) }
@@ -261,28 +268,43 @@ func (it *RowIterator) Next(ctx *Ctx) (Row, error) {
 // Close closes the underlying operator.
 func (it *RowIterator) Close(ctx *Ctx) error { return it.Op.Close(ctx) }
 
-// Drain runs an operator to completion, returning all rows. If Open fails
-// partway through a tree, Close still runs so operators release their
-// buffer-pool pins and temp pages.
+// Drain runs an operator to completion, returning all rows.
 func Drain(ctx *Ctx, op Operator) ([]Row, error) {
+	var out []Row
+	err := drainEach(ctx, op, func(b *Batch) { out = append(out, b.Rows...) })
+	return out, err
+}
+
+// DrainRIDs runs a DML target-collection tree (a WithRIDs scan, optionally
+// under a Filter) to completion, returning the heap address of every row
+// it produced.
+func DrainRIDs(ctx *Ctx, op Operator) ([]table.RID, error) {
+	var out []table.RID
+	err := drainEach(ctx, op, func(b *Batch) { out = append(out, b.RIDs...) })
+	return out, err
+}
+
+// drainEach feeds every batch op produces to each. If Open fails partway
+// through a tree, Close still runs so operators release their buffer-pool
+// pins and temp pages.
+func drainEach(ctx *Ctx, op Operator, each func(*Batch)) error {
 	if err := op.Open(ctx); err != nil {
 		op.Close(ctx)
-		return nil, err
+		return err
 	}
 	defer op.Close(ctx)
-	var out []Row
 	var b Batch
 	for {
 		if err := ctx.Interrupted(); err != nil {
-			return nil, err
+			return err
 		}
 		if err := op.NextBatch(ctx, &b); err != nil {
-			return nil, err
+			return err
 		}
 		if b.Len() == 0 {
-			return out, nil
+			return nil
 		}
 		ctx.noteBatch(b.Len())
-		out = append(out, b.Rows...)
+		each(&b)
 	}
 }

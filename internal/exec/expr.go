@@ -8,6 +8,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 
 	"anywheredb/internal/val"
 )
@@ -112,6 +113,23 @@ func (n Neg) Eval(r Row) (val.Value, error) {
 		return val.NewInt(-v.I), nil
 	}
 	return val.NewDouble(-v.AsFloat()), nil
+}
+
+// Abs is ABS(e).
+type Abs struct{ E Expr }
+
+func (a Abs) Eval(r Row) (val.Value, error) {
+	v, err := a.E.Eval(r)
+	if err != nil || v.IsNull() {
+		return val.Null, err
+	}
+	if v.Kind == val.KInt {
+		if v.I < 0 {
+			return val.NewInt(-v.I), nil
+		}
+		return v, nil
+	}
+	return val.NewDouble(math.Abs(v.AsFloat())), nil
 }
 
 // Bool3 is SQL three-valued logic: False, True, or Unknown.

@@ -120,11 +120,14 @@ type TableScan struct {
 	// NoColumnar forces the heap path even on a columnar table (DML target
 	// collection needs RIDs; differential harnesses need the baseline).
 	NoColumnar bool
+	// WithRIDs fills Batch.RIDs beside every batch of rows (DML target
+	// collection). Columnar rows carry no heap address, so it requires
+	// NoColumnar.
+	WithRIDs bool
 
 	rows []Row // materialized page batch
 	pos  int
 	rids []table.RID // parallel to rows on the heap path; empty on columnar
-	cur  table.RID
 	flat []val.Value // columnar decode buffer backing rows' storage
 
 	segsTotal   int
@@ -255,18 +258,13 @@ func (s *TableScan) openColumnar(ctx *Ctx, cs *table.ColState) error {
 func (s *TableScan) NextBatch(ctx *Ctx, out *Batch) error {
 	copyChunk(ctx, out, s.rows, &s.pos)
 	if n := out.Len(); n > 0 {
-		if s.pos <= len(s.rids) {
-			s.cur = s.rids[s.pos-1]
+		if s.WithRIDs {
+			out.RIDs = append(out.RIDs, s.rids[s.pos-n:s.pos]...)
 		}
 		ctx.ChargeRows(n)
 	}
 	return nil
 }
-
-// RIDOf reports the RID of the most recently returned row. Only meaningful
-// on the heap path (NoColumnar or a row-only table); columnar rows carry
-// no heap address.
-func (s *TableScan) RIDOf() table.RID { return s.cur }
 
 // SegmentStats reports how many segments the last Open saw and how many
 // the zone maps skipped (EXPLAIN ANALYZE display).
@@ -287,11 +285,13 @@ type IndexScan struct {
 	Lo    []byte // encoded key lower bound, inclusive; nil = from start
 	Hi    []byte // encoded key upper bound; nil = to end
 	HiInc bool
+	// WithRIDs fills Batch.RIDs beside every batch of rows (DML target
+	// collection).
+	WithRIDs bool
 
 	rows []Row
 	rids []table.RID
 	pos  int
-	cur  table.RID
 }
 
 func (s *IndexScan) Open(ctx *Ctx) error {
@@ -478,14 +478,13 @@ func hasPrefix(k, p []byte) bool {
 func (s *IndexScan) NextBatch(ctx *Ctx, out *Batch) error {
 	copyChunk(ctx, out, s.rows, &s.pos)
 	if n := out.Len(); n > 0 {
-		s.cur = s.rids[s.pos-1]
+		if s.WithRIDs {
+			out.RIDs = append(out.RIDs, s.rids[s.pos-n:s.pos]...)
+		}
 		ctx.ChargeRows(n)
 	}
 	return nil
 }
-
-// RIDOf reports the RID of the most recently returned row.
-func (s *IndexScan) RIDOf() table.RID { return s.cur }
 
 func (s *IndexScan) Close(ctx *Ctx) error { return nil }
 
@@ -538,9 +537,13 @@ func (f *Filter) NextBatch(ctx *Ctx, out *Batch) error {
 			return err
 		}
 		f.tested += float64(f.in.Len())
+		rids := f.in.RIDs
 		for i, v := range f.verdicts {
 			if v == True {
 				out.Add(f.in.Rows[i])
+				if len(rids) > 0 {
+					out.RIDs = append(out.RIDs, rids[i])
+				}
 			}
 		}
 	}

@@ -8,8 +8,8 @@
 // (E14), the Index Consultant (E15), the CE-mode governor (E16), sharded
 // buffer-pool scalability (E17), vectored-executor throughput (E18),
 // crash-recovery torture under fault injection (E19), group-commit
-// throughput vs the serial flush baseline (E20), the always-on flight
-// recorder's overhead and fidelity (E21), columnar segment scans with
+// throughput (E20), the always-on flight recorder's overhead and fidelity
+// (E21), columnar segment scans with
 // zone-map predicate skipping vs the row heap (E22), MVCC snapshot
 // reads vs the locking-read baseline under write churn (E23), the
 // network server's admission control under 4× overload (E24), and

@@ -526,7 +526,9 @@ func (b *blockBuilder) accessOp(st Step, isFirst bool) (exec.Operator, error) {
 		// Sargable equality on the index prefix.
 		for _, cj := range q.LocalConjunctsOf(st.Quant, true) {
 			col, lit, opName, ok := colOpLitConj(q, cj)
-			if !ok || opName != "=" || col.C != st.Index.Cols[0] {
+			// `col = NULL` is never true, but a NULL key would probe the
+			// index's NULL entries: leave it to the Filter.
+			if !ok || opName != "=" || col.C != st.Index.Cols[0] || lit.IsNull() {
 				continue
 			}
 			key := val.EncodeKey([]val.Value{lit})
@@ -1492,6 +1494,13 @@ func (b *blockBuilder) compileScalarWithLayout(e sqlparse.Expr, layout []int, of
 				return nil, err
 			}
 			return propertyExpr{arg: arg, fn: b.benv.Env.Property}, nil
+		}
+		if x.Name == "ABS" && len(x.Args) == 1 && !x.Star && !x.Distinct {
+			arg, err := b.compileScalarWithLayout(x.Args[0], layout, offsets)
+			if err != nil {
+				return nil, err
+			}
+			return exec.Abs{E: arg}, nil
 		}
 		return nil, fmt.Errorf("opt: unknown function %q", x.Name)
 	}

@@ -88,43 +88,8 @@ func (t *Tracer) SaveTo(conn *core.Conn, tableName string) error {
 type Finding struct {
 	Kind      string // "client-side-join", "option", ...
 	Detail    string
-	Statement string // normalized statement, when applicable
+	Statement string // sqlparse.Fingerprint of the statement, when applicable
 	Count     int
-}
-
-// Normalize rewrites a statement with literals replaced by '?', so that
-// statements differing only by a constant compare equal.
-func Normalize(sql string) string {
-	var sb strings.Builder
-	i := 0
-	for i < len(sql) {
-		c := sql[i]
-		switch {
-		case c == '\'':
-			sb.WriteByte('?')
-			i++
-			for i < len(sql) {
-				if sql[i] == '\'' {
-					if i+1 < len(sql) && sql[i+1] == '\'' {
-						i += 2
-						continue
-					}
-					i++
-					break
-				}
-				i++
-			}
-		case c >= '0' && c <= '9':
-			sb.WriteByte('?')
-			for i < len(sql) && (sql[i] >= '0' && sql[i] <= '9' || sql[i] == '.') {
-				i++
-			}
-		default:
-			sb.WriteByte(c)
-			i++
-		}
-	}
-	return strings.Join(strings.Fields(sb.String()), " ")
 }
 
 // ClientSideJoinThreshold is how many identical statements (modulo one
@@ -144,7 +109,7 @@ func Analyze(events []Event, options map[string]string) []Finding {
 		if !strings.HasPrefix(up, "SELECT") {
 			continue
 		}
-		groups[Normalize(e.SQL)]++
+		groups[sqlparse.Fingerprint(e.SQL)]++
 	}
 	type grp struct {
 		norm string

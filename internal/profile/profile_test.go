@@ -64,23 +64,6 @@ func TestTracerCaptures(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	a := Normalize("SELECT * FROM t WHERE id = 42 AND name = 'bob'")
-	b := Normalize("SELECT * FROM t WHERE id = 7 AND name = 'alice'")
-	if a != b {
-		t.Fatalf("%q != %q", a, b)
-	}
-	c := Normalize("SELECT * FROM t WHERE other = 3")
-	if a == c {
-		t.Fatal("different statements should not normalize equal")
-	}
-	// Escaped quotes stay inside the literal.
-	d := Normalize("SELECT 'o''brien'")
-	if strings.Contains(d, "brien") {
-		t.Fatalf("literal leaked: %q", d)
-	}
-}
-
 func TestClientSideJoinDetection(t *testing.T) {
 	_, c, tr := setup(t)
 	seed(t, c, 200)

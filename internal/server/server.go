@@ -39,8 +39,8 @@ type Options struct {
 	// BufSize is the per-connection buffered reader/writer size (the
 	// bounded send/receive buffers). Default 64KiB.
 	BufSize int
-	// AdmissionOff disables the admission gate — the experiment baseline,
-	// like Options.SerialWALFlush for group commit.
+	// AdmissionOff disables the admission gate — the experiment baseline
+	// of E24.
 	AdmissionOff bool
 
 	// RouteRead, when non-nil, is consulted for every statement that

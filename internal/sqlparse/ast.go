@@ -70,12 +70,17 @@ type Update struct {
 	Table string
 	Set   []SetClause
 	Where Expr
+	// Subquery reports that SET or WHERE contains a subquery, which reads
+	// like a query while the statement's own targets do not.
+	Subquery bool
 }
 
 // Delete is DELETE FROM t [WHERE ...].
 type Delete struct {
 	Table string
 	Where Expr
+	// Subquery reports that WHERE contains a subquery (see Update).
+	Subquery bool
 }
 
 // Begin, Commit, Rollback control transactions. BEGIN READ ONLY starts a

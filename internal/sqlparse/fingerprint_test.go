@@ -52,6 +52,24 @@ func TestFingerprint(t *testing.T) {
 	}
 }
 
+func TestFingerprintKeepsShapesApart(t *testing.T) {
+	for _, pair := range [][2]string{
+		// Different predicates.
+		{"SELECT * FROM t WHERE id = 42 AND name = 'bob'", "SELECT * FROM t WHERE other = 3"},
+		// Digits inside an identifier are part of the name, not a literal:
+		// two tables must not fold into one digest row.
+		{"SELECT v FROM acct1 WHERE id = 5", "SELECT v FROM acct2 WHERE id = 5"},
+	} {
+		if a, b := Fingerprint(pair[0]), Fingerprint(pair[1]); a == b {
+			t.Errorf("%q and %q share fingerprint %q", pair[0], pair[1], a)
+		}
+	}
+	// An escaped quote stays inside its literal.
+	if got := Fingerprint("SELECT 'o''brien'"); got != "SELECT ?" {
+		t.Errorf("escaped quote leaked: %q", got)
+	}
+}
+
 func TestFingerprintPreservesArity(t *testing.T) {
 	a := Fingerprint("SELECT a FROM t WHERE b IN (1, 2)")
 	b := Fingerprint("SELECT a FROM t WHERE b IN (1, 2, 3)")

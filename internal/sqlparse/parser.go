@@ -52,6 +52,8 @@ type parser struct {
 	src  string
 	// params counts ? placeholders seen.
 	params int
+	// subqueries counts IN (SELECT ...) and EXISTS (...) predicates seen.
+	subqueries int
 }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
@@ -403,6 +405,7 @@ func (p *parser) parseUpdate() (Statement, error) {
 		}
 		up.Where = w
 	}
+	up.Subquery = p.subqueries > 0
 	return up, nil
 }
 
@@ -422,6 +425,7 @@ func (p *parser) parseDelete() (Statement, error) {
 		}
 		del.Where = w
 	}
+	del.Subquery = p.subqueries > 0
 	return del, nil
 }
 
@@ -720,6 +724,7 @@ func (p *parser) parsePredicate() (Expr, error) {
 		if _, err := p.expect(tokOp, ")"); err != nil {
 			return nil, err
 		}
+		p.subqueries++
 		return &Exists{Sub: sub}, nil
 	}
 	l, err := p.parseAdditive()
@@ -776,6 +781,7 @@ func (p *parser) parsePredicate() (Expr, error) {
 			if _, err := p.expect(tokOp, ")"); err != nil {
 				return nil, err
 			}
+			p.subqueries++
 			return &InSelect{E: l, Sub: sub, Neg: neg}, nil
 		}
 		var list []Expr

@@ -298,29 +298,6 @@ func TestFlushedLSNInvariant(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSerialFlushMode checks the pre-group-commit baseline still works:
-// every FlushTo write+syncs the whole pending buffer under the mutex.
-func TestSerialFlushMode(t *testing.T) {
-	dir := t.TempDir()
-	l, err := OpenOptions(filepath.Join(dir, "s.log"), Options{SerialFlush: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	for i := 0; i < 5; i++ {
-		lsn := l.Append(&Record{Type: RecCommit, Txn: uint64(i + 1)})
-		if err := l.FlushTo(lsn); err != nil {
-			t.Fatal(err)
-		}
-		if got := l.FlushedLSN(); got != lsn {
-			t.Fatalf("serial FlushedLSN %d, want %d", got, lsn)
-		}
-	}
-	if got := l.flushes.Load(); got != 5 {
-		t.Fatalf("serial mode performed %d flushes, want 5 (one per commit)", got)
-	}
-}
-
 // TestTruncateDrainsInflightFlush truncates while a slow flush is in
 // flight and checks nothing corrupts: truncate must wait for the leader.
 func TestTruncateDrainsInflightFlush(t *testing.T) {

@@ -111,11 +111,6 @@ type Options struct {
 	// lowest-latency setting; batching then arises only from committers
 	// that pile up behind an in-flight fsync).
 	CommitFlushDelay time.Duration
-	// SerialFlush disables the leader/follower protocol: every FlushTo
-	// performs its own write+sync with the log mutex held, which is the
-	// pre-group-commit behaviour. Kept as the measured baseline for
-	// experiment E20; not intended for production use.
-	SerialFlush bool
 }
 
 // flushGroup is one in-flight group commit. The leader creates it, seals
@@ -439,7 +434,7 @@ func (l *Log) Flush() error {
 // on that group gets the error, and the sealed bytes return to the pending
 // buffer — the records are not durable, the tail has not advanced, and a
 // later flush (e.g. of the rollback records failed committers append) may
-// still land them, exactly as the serial path behaved. Transient flush
+// still land them. Transient flush
 // faults are retried with bounded exponential backoff; a crashing flush
 // may land a torn prefix, which the recovery Scan drops at the first
 // incomplete frame.
@@ -459,16 +454,6 @@ func (l *Log) FlushTo(lsn LSN) error {
 	l.mu.Lock()
 	if lsn > l.end {
 		lsn = l.end
-	}
-	if l.opts.SerialFlush {
-		defer l.mu.Unlock()
-		if l.closed {
-			return ErrClosed
-		}
-		if len(l.buffer) > 0 {
-			blockStart, blocked = time.Now(), true
-		}
-		return l.flushSerialLocked()
 	}
 	for {
 		if l.tail >= lsn {
@@ -619,29 +604,6 @@ func (l *Log) SetTruncateBarrier(f func(epoch uint64, end LSN)) {
 		return
 	}
 	l.truncBarrier.Store(&f)
-}
-
-// flushSerialLocked is the pre-group-commit flush: write+sync the whole
-// pending buffer with l.mu held (Options.SerialFlush, the E20 baseline).
-func (l *Log) flushSerialLocked() error {
-	if len(l.buffer) == 0 {
-		return nil
-	}
-	base, out := l.tail, l.buffer
-	if err := faultinject.Retry(l.pol, l.stats, func() error {
-		return l.flushOnce(base, out)
-	}); err != nil {
-		return err
-	}
-	l.tail += uint64(len(l.buffer))
-	l.durTail.Store(l.tail)
-	l.buffer = l.buffer[:0]
-	l.flushes.Add(1)
-	if h := l.commitsPerFlush.Load(); h != nil {
-		h.Observe(1)
-	}
-	l.tailBroadcastLocked()
-	return nil
 }
 
 // flushOnce attempts one write+sync of b at offset base, consulting the

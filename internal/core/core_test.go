@@ -123,6 +123,37 @@ func TestDMLAndTransactions(t *testing.T) {
 	}
 }
 
+// TestRollbackRestoresAmongGrowingNeighbours: a transaction empties a row's
+// place (a DELETE, or an UPDATE that outgrows the page and moves), another
+// connection's committed UPDATE grows a row in the same page, and the first
+// rolls back. The rollback restores the row where it was, so the neighbour
+// must not have taken its bytes: both rows survive.
+func TestRollbackRestoresAmongGrowingNeighbours(t *testing.T) {
+	for _, empty := range []string{
+		"UPDATE t SET pad = '" + strings.Repeat("q", 1500) + "' WHERE id = 1",
+		"DELETE FROM t WHERE id = 1",
+	} {
+		db := openDB(t, Options{})
+		c1, c2 := conn(t, db), conn(t, db)
+		mustExec(t, c1, "CREATE TABLE t (id INT, pad VARCHAR(2000))")
+		pad := strings.Repeat("p", 180)
+		for id := 1; id <= 40; id++ {
+			mustExec(t, c1, "INSERT INTO t VALUES (?, ?)", val.NewInt(int64(id)), val.NewStr(pad))
+		}
+		mustExec(t, c1, "BEGIN")
+		mustExec(t, c1, empty)
+		mustExec(t, c2, "UPDATE t SET pad = ? WHERE id = 2", val.NewStr(strings.Repeat("g", 340)))
+		mustExec(t, c1, "ROLLBACK")
+		if n := mustQuery(t, c1, "SELECT id FROM t").Count(); n != 40 {
+			t.Errorf("%.6s: %d rows after rollback, want 40", empty, n)
+		}
+		rows := mustQuery(t, c1, "SELECT id, pad FROM t WHERE id <= 2 ORDER BY id").All()
+		if len(rows) != 2 || rows[0][1].S != pad || len(rows[1][1].S) != 340 {
+			t.Errorf("%.6s: ids 1 and 2 after rollback: %d rows", empty, len(rows))
+		}
+	}
+}
+
 func TestIndexedDMLBypass(t *testing.T) {
 	db := openDB(t, Options{})
 	c := conn(t, db)
@@ -416,6 +447,16 @@ func TestErrorPaths(t *testing.T) {
 		t.Error("nested BEGIN should fail")
 	}
 	mustExec(t, c, "ROLLBACK")
+
+	// A correlated subquery is refused by SELECT as by DML (SELECT used to
+	// drop the conjunct and return every row).
+	seedEmp(t, c, 5)
+	const correlated = "WHERE EXISTS (SELECT 1 FROM dept WHERE dept.did = emp.did)"
+	for _, sql := range []string{"SELECT ename FROM emp " + correlated, "DELETE FROM emp " + correlated} {
+		if _, err := c.Exec(sql); err == nil || !strings.Contains(err.Error(), "correlated subqueries are not supported") {
+			t.Errorf("%q: %v, want the correlated-subquery error", sql, err)
+		}
+	}
 }
 
 func TestConnClosedRejects(t *testing.T) {

@@ -249,21 +249,19 @@ type DB struct {
 	pcVerifies  *telemetry.Counter
 	pcInvalid   *telemetry.Counter
 
-	// Columnar-storage counters and the reorganizer's stop plumbing.
+	// Columnar-storage counters.
 	colSkipped    *telemetry.Counter
 	colDecoded    *telemetry.Counter
 	colPromotions *telemetry.Counter
 	colInvalid    *telemetry.Counter
-	reorgStop     chan struct{}
-	reorgDone     chan struct{}
-	reorgHalt     sync.Once
 
-	// MVCC counters and the version vacuum's stop plumbing.
+	// MVCC counters.
 	snapReads  *telemetry.Counter
 	vacReclaim *telemetry.Counter
-	vacStop    chan struct{}
-	vacDone    chan struct{}
-	vacHalt    sync.Once
+
+	// background holds the stop functions of the periodic loops (storage
+	// reorganizer, version vacuum) in the order shutdown stops them.
+	background []func()
 
 	// colsegDrops carries table IDs whose columnar snapshot recovery
 	// invalidated (RecColSegDrop records, plus any table with loser
@@ -584,44 +582,53 @@ func Open(opts Options) (*DB, error) {
 		return n
 	})
 
+	// The background storage reorganizer (a periodic pass over the flight
+	// recorder's access digests: §1's workload-driven physical design,
+	// applied to storage format) and version vacuum (a periodic sweep
+	// freeing row versions below the oldest-snapshot watermark). Shutdown
+	// stops them in this order.
 	if opts.ReorgInterval > 0 && !opts.ReplicaMode {
-		db.reorgStop = make(chan struct{})
-		db.reorgDone = make(chan struct{})
-		go db.reorgLoop(opts.ReorgInterval)
+		db.background = append(db.background, runEvery(opts.ReorgInterval, func() { db.ReorgOnce() }))
 	}
 	if opts.VacuumInterval > 0 {
-		db.vacStop = make(chan struct{})
-		db.vacDone = make(chan struct{})
-		go db.vacuumLoop(opts.VacuumInterval)
+		db.background = append(db.background, runEvery(opts.VacuumInterval, func() { db.VacuumOnce() }))
 	}
 	return db, nil
 }
 
-// vacuumLoop is the background version vacuum: a periodic sweep freeing
-// row versions below the oldest-snapshot watermark.
-func (db *DB) vacuumLoop(every time.Duration) {
-	defer close(db.vacDone)
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-db.vacStop:
-			return
-		case <-t.C:
-			db.VacuumOnce()
+// runEvery calls fn every interval from a goroutine of its own. The
+// returned stop ends the loop and returns once fn is not running and will
+// not run again; calling it more than once is harmless.
+func runEvery(interval time.Duration, fn func()) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-t.C:
+				fn()
+			}
 		}
+	}()
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			close(quit)
+			<-done
+		})
 	}
 }
 
-// stopVacuum halts the background vacuum and waits for an in-flight sweep,
-// so shutdown never races a chain unlink.
-func (db *DB) stopVacuum() {
-	db.vacHalt.Do(func() {
-		if db.vacStop != nil {
-			close(db.vacStop)
-			<-db.vacDone
-		}
-	})
+// stopBackground halts the periodic loops and waits for a pass in flight,
+// so shutdown never races a promotion's checkpoint or a chain unlink.
+func (db *DB) stopBackground() {
+	for _, stop := range db.background {
+		stop()
+	}
 }
 
 // VacuumOnce runs one version-vacuum sweep over every table and reports
@@ -650,34 +657,6 @@ func (db *DB) VacuumOnce() int {
 		db.vacReclaim.Add(uint64(reclaimed))
 	}
 	return reclaimed
-}
-
-// reorgLoop is the background storage reorganizer: a periodic pass over
-// the flight recorder's access digests (§1's workload-driven physical
-// design, applied to storage format).
-func (db *DB) reorgLoop(every time.Duration) {
-	defer close(db.reorgDone)
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-db.reorgStop:
-			return
-		case <-t.C:
-			db.ReorgOnce()
-		}
-	}
-}
-
-// stopReorg halts the background reorganizer and waits for an in-flight
-// pass to finish, so shutdown never races a promotion's checkpoint.
-func (db *DB) stopReorg() {
-	db.reorgHalt.Do(func() {
-		if db.reorgStop != nil {
-			close(db.reorgStop)
-			<-db.reorgDone
-		}
-	})
 }
 
 // ReorgOnce runs one storage-reorganizer pass and reports how many tables
@@ -1469,8 +1448,7 @@ func (db *DB) Close() error {
 	}
 	db.closed = true
 	db.mu.Unlock()
-	db.stopReorg()
-	db.stopVacuum()
+	db.stopBackground()
 	if db.degraded.Load() {
 		db.log.CloseNoFlush()
 		return db.st.CloseNoSync()
@@ -1491,8 +1469,7 @@ func (db *DB) Crash() {
 	db.mu.Lock()
 	db.closed = true
 	db.mu.Unlock()
-	db.stopReorg()
-	db.stopVacuum()
+	db.stopBackground()
 	db.log.CloseNoFlush()
 	_ = db.st.CloseNoSync()
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"anywheredb/internal/faultinject"
+	"anywheredb/internal/table"
 	"anywheredb/internal/val"
 )
 
@@ -328,6 +329,68 @@ func TestConcurrentCrashDurability(t *testing.T) {
 		if !present[a] {
 			t.Fatalf("acknowledged commit (%d,%d) lost in recovery; %d acked, %d present",
 				a.w, a.seq, len(acked), len(present))
+		}
+	}
+}
+
+// TestMovedUpdateRollbackSurvivesCrash rolls back an UPDATE that moved its
+// row (the new image outgrew the page), lets the rolled-back pages reach
+// disk, crashes, and recovers. Live rollback must leave the pages exactly
+// where recovery's undo of the logged delete/insert pair expects them — the
+// row back at its original RID — or recovery restores a second copy.
+func TestMovedUpdateRollbackSurvivesCrash(t *testing.T) {
+	for _, paranoid := range []bool{false, true} {
+		dir := t.TempDir()
+		pad := strings.Repeat("p", 180)
+		{
+			db := openDB(t, Options{Dir: dir})
+			c := conn(t, db)
+			mustExec(t, c, "CREATE TABLE t (id INT, pad VARCHAR(2000))")
+			for id := 1; id <= 40; id++ {
+				mustExec(t, c, "INSERT INTO t VALUES (?, ?)", val.NewInt(int64(id)), val.NewStr(pad))
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db := openDB(t, Options{Dir: dir})
+		c := conn(t, db)
+		tbl, _ := db.Table("t")
+		ridOf := func() table.RID {
+			var at table.RID
+			if err := tbl.Scan(func(rid table.RID, row []val.Value) (bool, error) {
+				if row[0].I == 1 {
+					at = rid
+				}
+				return true, nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return at
+		}
+		home := ridOf()
+		mustExec(t, c, "BEGIN")
+		mustExec(t, c, "UPDATE t SET pad = ? WHERE id = 1", val.NewStr(strings.Repeat("q", 1500)))
+		if ridOf() == home {
+			t.Fatal("the UPDATE did not move its row; test proves nothing")
+		}
+		mustExec(t, c, "ROLLBACK")
+		if got := ridOf(); got != home {
+			t.Errorf("paranoid=%v: rollback left the row at %v, not its original %v", paranoid, got, home)
+		}
+		if err := db.Pool().FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		db.Crash()
+
+		re := openDB(t, Options{Dir: dir, ParanoidRecovery: paranoid})
+		rc := conn(t, re)
+		if n := mustQuery(t, rc, "SELECT id FROM t").Count(); n != 40 {
+			t.Errorf("paranoid=%v: %d rows after recovery, want 40", paranoid, n)
+		}
+		rows := mustQuery(t, rc, "SELECT pad FROM t WHERE id = 1").All()
+		if len(rows) != 1 || rows[0][0].S != pad {
+			t.Errorf("paranoid=%v: id 1 has %d copies after recovery, want 1 with the original pad", paranoid, len(rows))
 		}
 	}
 }

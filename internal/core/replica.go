@@ -1,26 +1,23 @@
 // Replica streaming apply: the bridge between shipped WAL records and the
 // live engine. A database opened with Options.ReplicaMode feeds every
 // record of the primary's stream — in LSN order — through an Applier, which
-// replays the physical change at the shipped page/slot, maintains the
-// logical state (row counts, histograms, columnar invalidations), and keeps
-// the change invisible to local snapshot readers until the transaction's
-// commit record arrives (MVCC version chains with the primary's transaction
-// id as writer, published with a local CSN at commit). Readers on the
+// runs the table's own mutation kernels at the shipped page/slot (so row
+// counts, histograms and columnar invalidations follow as they do for local
+// DML) under a transaction adopted for the primary's, which keeps the
+// change invisible to local snapshot readers until the transaction's commit
+// record arrives (MVCC version chains with the primary's transaction id as
+// writer, published with a local CSN at commit). Readers on the
 // replica therefore always see a transaction-consistent prefix of the
 // primary's history, even mid-transaction, even if the primary dies
 // mid-stream.
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
-	"anywheredb/internal/mvcc"
-	"anywheredb/internal/store"
 	"anywheredb/internal/table"
 	"anywheredb/internal/txn"
-	"anywheredb/internal/val"
 	"anywheredb/internal/wal"
 )
 
@@ -36,10 +33,6 @@ var ErrUnknownTable = errors.New("core: shipped record names an unknown table (r
 // (IngestRaw).
 func (db *DB) WAL() *wal.Log { return db.log }
 
-// TxnManager exposes the transaction manager (replication: applied-
-// transaction registration and commit-horizon publication).
-func (db *DB) TxnManager() *txn.Manager { return db.txns }
-
 // Dir reports the data directory ("" for a memory-backed instance). The
 // replication layer reads the store files from it when serving a full
 // resync; memory-backed databases cannot act as replication primaries.
@@ -53,19 +46,13 @@ func (db *DB) TableByID(id uint64) (*table.Table, bool) {
 	return t, t != nil
 }
 
-// applyTxn is one primary transaction mid-replay: the version entries to
-// stamp at commit, and the compensations to run (in reverse) at rollback.
-type applyTxn struct {
-	entries []*mvcc.Entry
-	undo    []func() error
-}
-
 // Applier replays a primary's WAL records on a replica. It is not safe for
 // concurrent use: records must arrive in LSN order, from one goroutine —
 // exactly the shape of a shipping stream.
 type Applier struct {
-	db   *DB
-	txns map[uint64]*applyTxn
+	db *DB
+	// txns holds the local stand-in of every primary transaction mid-replay.
+	txns map[uint64]*txn.Txn
 
 	// Records and Commits count applied records and published commits (the
 	// replication layer publishes them as telemetry).
@@ -75,136 +62,61 @@ type Applier struct {
 
 // NewApplier builds a streaming applier for a replica-mode database.
 func (db *DB) NewApplier() *Applier {
-	return &Applier{db: db, txns: map[uint64]*applyTxn{}}
+	return &Applier{db: db, txns: map[uint64]*txn.Txn{}}
 }
 
-// txn returns the in-flight state for a primary transaction, registering it
-// with the transaction manager on first sight (a stream can legitimately
-// start mid-transaction only after a resync, but being lenient here costs
-// nothing and keeps vacuum's writer-gone rule safe either way).
-func (a *Applier) txn(id uint64) *applyTxn {
-	at, ok := a.txns[id]
+// txn returns the stand-in for a primary transaction, adopting it on first
+// sight (a stream can legitimately start mid-transaction only after a
+// resync, but being lenient here costs nothing and keeps vacuum's
+// writer-gone rule safe either way).
+func (a *Applier) txn(id uint64) *txn.Txn {
+	tx, ok := a.txns[id]
 	if !ok {
-		at = &applyTxn{}
-		a.txns[id] = at
-		a.db.txns.BeginApplied(id)
+		tx = a.db.txns.Adopt(id)
+		a.txns[id] = tx
 	}
-	return at
+	return tx
 }
 
 // InFlight reports the number of primary transactions currently mid-replay.
 func (a *Applier) InFlight() int { return len(a.txns) }
 
-// Apply replays one shipped record. Data records accumulate under their
-// transaction; RecCommit publishes the transaction's versions at the next
-// local CSN; RecRollback compensates in reverse order. RecPageImage and
-// RecCheckpoint are skipped: a shipped page image may contain another
-// transaction's uncommitted steal-written bytes, and the physiological
-// records alone reconstruct every page (images still protect the replica's
-// own local write-backs, which log fresh ones).
+// Apply replays one shipped record. Data records run the table's mutation
+// kernels under their transaction's stand-in; RecCommit commits it (its
+// versions are published at the next local CSN) and RecRollback rolls it
+// back (its compensations run in reverse) — the code a local transaction
+// settles through. RecPageImage and RecCheckpoint are skipped: a shipped
+// page image may contain another transaction's uncommitted steal-written
+// bytes, and the physiological records alone reconstruct every page (images
+// still protect the replica's own local write-backs, which log fresh ones).
 func (a *Applier) Apply(r *wal.Record) error {
 	a.Records++
 	switch r.Type {
 	case wal.RecBegin:
 		a.txn(r.Txn)
 		return nil
-	case wal.RecCommit:
-		at, ok := a.txns[r.Txn]
+	case wal.RecCommit, wal.RecRollback:
+		tx, ok := a.txns[r.Txn]
 		if !ok {
 			return nil // empty transaction, or one begun before a resync
 		}
-		// Publish before deregistering: vacuum must see the writer as
-		// active until every entry carries its CSN (the same ordering as a
-		// local commit's publish-then-finish).
-		a.db.txns.PublishApplied(at.entries)
-		a.db.txns.FinishApplied(r.Txn)
 		delete(a.txns, r.Txn)
+		if r.Type == wal.RecRollback {
+			return tx.Rollback()
+		}
 		a.Commits++
-		return nil
-	case wal.RecRollback:
-		at, ok := a.txns[r.Txn]
-		if !ok {
-			return nil
-		}
-		var firstErr error
-		for i := len(at.undo) - 1; i >= 0; i-- {
-			if err := at.undo[i](); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		a.db.txns.FinishApplied(r.Txn)
-		delete(a.txns, r.Txn)
-		return firstErr
+		return tx.Commit()
 	case wal.RecCheckpoint, wal.RecPageImage:
 		return nil
 	}
-
 	tbl, ok := a.db.TableByID(r.Table)
 	if !ok {
 		return fmt.Errorf("%w: table id %d", ErrUnknownTable, r.Table)
 	}
-	// A shipped record can target a page past the replica's file size (the
-	// primary allocated it after the copy): make it addressable first, as
-	// recovery does.
-	a.db.st.EnsureAllocated(r.Page)
-
-	switch r.Type {
-	case wal.RecPageLink:
-		if len(r.After) < 8 {
-			return nil
-		}
-		next := store.PageID(binary.LittleEndian.Uint64(r.After))
-		a.db.st.EnsureAllocated(next)
-		return tbl.ApplyPageLink(r.Page, next)
-	case wal.RecColSegDrop:
-		tbl.ApplyColSegDrop()
-		return nil
-	case wal.RecInsert:
-		row, err := val.DecodeRow(r.After)
-		if err != nil {
-			return err
-		}
-		rid := table.RID{Page: r.Page, Slot: int(r.Slot)}
-		at := a.txn(r.Txn)
-		e, err := tbl.ApplyInsert(rid, row, r.After, r.Txn)
-		if err != nil {
-			return err
-		}
-		at.entries = append(at.entries, e)
-		at.undo = append(at.undo, func() error { return tbl.ApplyUndoInsert(rid, row) })
-		return nil
-	case wal.RecUpdate:
-		oldRow, err := val.DecodeRow(r.Before)
-		if err != nil {
-			return err
-		}
-		newRow, err := val.DecodeRow(r.After)
-		if err != nil {
-			return err
-		}
-		rid := table.RID{Page: r.Page, Slot: int(r.Slot)}
-		at := a.txn(r.Txn)
-		e, err := tbl.ApplyUpdate(rid, oldRow, newRow, r.After, r.Txn)
-		if err != nil {
-			return err
-		}
-		at.entries = append(at.entries, e)
-		at.undo = append(at.undo, func() error { return tbl.ApplyUndoUpdate(rid, oldRow, newRow) })
-		return nil
-	case wal.RecDelete:
-		row, err := val.DecodeRow(r.Before)
-		if err != nil {
-			return err
-		}
-		rid := table.RID{Page: r.Page, Slot: int(r.Slot)}
-		at := a.txn(r.Txn)
-		e, err := tbl.ApplyDelete(rid, row, r.Txn)
-		if err != nil {
-			return err
-		}
-		at.entries = append(at.entries, e)
-		at.undo = append(at.undo, func() error { return tbl.ApplyUndoDelete(rid, row) })
-		return nil
+	if r.Type == wal.RecPageLink || r.Type == wal.RecColSegDrop {
+		// Structural records change no row, so there is nothing to settle:
+		// no stand-in is adopted on their account.
+		return tbl.Apply(nil, r)
 	}
-	return fmt.Errorf("core: unexpected shipped record type %v", r.Type)
+	return tbl.Apply(a.txn(r.Txn), r)
 }

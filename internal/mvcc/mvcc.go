@@ -46,6 +46,9 @@ type Entry struct {
 	// Bytes approximates the entry's memory footprint for undo-arena
 	// accounting (sys.transactions undo_bytes).
 	Bytes int64
+	// Cell is the length of the heap cell that held Row (zero when Exists
+	// is false): the page space a rollback of Writer's change needs back.
+	Cell int
 
 	csn  atomic.Uint64
 	prev *Entry
@@ -155,6 +158,22 @@ func (s *Store) Head(id RowID) *Entry {
 	e := s.chains[id]
 	s.mu.RUnlock()
 	return e
+}
+
+// Unsettled reports whether the chain at id holds a write whose transaction
+// has not settled (committed and published, or rolled back and reclaimed),
+// and the largest heap cell such a write replaced: what a rollback may yet
+// have to put back at id.
+func (s *Store) Unsettled(id RowID) (cell int, ok bool) {
+	s.mu.RLock()
+	for e := s.chains[id]; e != nil; e = e.prev {
+		if e.csn.Load() == 0 {
+			ok = true
+			cell = max(cell, e.Cell)
+		}
+	}
+	s.mu.RUnlock()
+	return cell, ok
 }
 
 // SlotsOnPage returns the slots of page that have version chains, sorted.

@@ -141,6 +141,33 @@ func TestSlotsAndRowIDs(t *testing.T) {
 	}
 }
 
+// TestUnsettled: only entries whose writer has not published a commit hold
+// anything back, and what they hold is the largest cell one of them replaced.
+func TestUnsettled(t *testing.T) {
+	s := NewStore()
+	id := RowID{Page: 4, Slot: 2}
+	if cell, ok := s.Unsettled(id); ok || cell != 0 {
+		t.Fatalf("no chain: %d %v", cell, ok)
+	}
+	committed := &Entry{Writer: 1, Row: row(1), Exists: true, Cell: 900}
+	committed.SetCSN(1)
+	s.Push(id, committed)
+	if cell, ok := s.Unsettled(id); ok || cell != 0 {
+		t.Fatalf("published writer only: %d %v", cell, ok)
+	}
+	shrink, shrinkMore := &Entry{Writer: 2, Row: row(2), Exists: true, Cell: 400}, &Entry{Writer: 2, Row: row(3), Exists: true, Cell: 50}
+	s.Push(id, shrink)
+	s.Push(id, shrinkMore)
+	if cell, ok := s.Unsettled(id); !ok || cell != 400 {
+		t.Fatalf("in-flight writer: %d %v, want 400 true", cell, ok)
+	}
+	shrink.SetCSN(2)
+	shrinkMore.SetCSN(2)
+	if cell, ok := s.Unsettled(id); ok || cell != 0 {
+		t.Fatalf("after publish: %d %v", cell, ok)
+	}
+}
+
 // TestConcurrentPushResolveVacuum races writers, readers, and vacuum on one
 // hot row; the race detector is the assertion.
 func TestConcurrentPushResolveVacuum(t *testing.T) {

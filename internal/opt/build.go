@@ -488,6 +488,29 @@ func (b *blockBuilder) buildPipeline(order []Step, plan *Plan) (exec.Operator, e
 		placedSet[st.Quant] = true
 		plan.EstRows[root] = card
 	}
+
+	// A WHERE conjunct that references no quantifier (1 = 0, ? = 1, an
+	// uncorrelated EXISTS) belongs to no access path and no join: together
+	// they gate the whole pipeline, as one Filter at its root.
+	var gate sqlparse.Expr
+	for _, cj := range q.Conj {
+		if len(cj.Quants) > 0 || cj.FromOn {
+			continue
+		}
+		if gate == nil {
+			gate = cj.Expr
+		} else {
+			gate = &sqlparse.BinOp{Op: "AND", L: gate, R: cj.Expr}
+		}
+	}
+	if gate != nil {
+		p, err := b.compilePred(gate, nil)
+		if err != nil {
+			return nil, err
+		}
+		root = &exec.Filter{Input: root, Pred: p}
+		plan.EstRows[root] = card
+	}
 	return root, nil
 }
 

@@ -278,6 +278,11 @@ func TestUncorrelatedSubqueries(t *testing.T) {
 		t.Fatalf("EXISTS rows %d", len(rows))
 	}
 	rows, _ = runSQL(t, db,
+		"SELECT ename FROM emp WHERE EXISTS (SELECT * FROM dept WHERE dname = 'nope') AND eid < 3")
+	if len(rows) != 0 {
+		t.Fatalf("false EXISTS rows %d", len(rows))
+	}
+	rows, _ = runSQL(t, db,
 		"SELECT ename FROM emp WHERE NOT EXISTS (SELECT * FROM dept WHERE dname = 'nope') AND eid < 3")
 	if len(rows) != 3 {
 		t.Fatalf("NOT EXISTS rows %d", len(rows))

@@ -377,9 +377,7 @@ func (p *Primary) serve(nc net.Conn) {
 				p.stAcks.Inc()
 				p.ackBroadcastLocked(true)
 			case msgReadAddr:
-				r := &reader{b: payload}
-				addr := r.str()
-				if r.err == nil {
+				if addr, _, err := server.ReadString(payload); err == nil {
 					rs.mu.Lock()
 					rs.readAddr = addr
 					rs.mu.Unlock()
@@ -544,7 +542,7 @@ func (p *Primary) snapshot(rs *replicaState, bw *bufio.Writer) (prefixEnd, logID
 		if retry {
 			continue
 		}
-		if err := p.sendMsg(rs, bw, msgSnapEnd, appendUvarint(nil, pos)); err != nil {
+		if err := p.sendMsg(rs, bw, msgSnapEnd, server.AppendUvarint(nil, pos)); err != nil {
 			return 0, 0, 0, err
 		}
 		return pos, logID, epoch, nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -208,6 +209,59 @@ func TestRollbackNeverVisibleOnReplica(t *testing.T) {
 	rows := waitRows(t, r.DB(), "SELECT k FROM kv", 1)
 	if rows[0][0].I != 3 {
 		t.Fatalf("replica shows %v, want only the committed row 3", rows)
+	}
+}
+
+// TestMovedUpdateRollbackNoResync rolls back, on the primary, an UPDATE
+// that moved its row (it outgrew the page) and then updates the row again.
+// The replica undoes the shipped delete/insert pair exactly, so the row is
+// back at its original RID there; the primary's live rollback must agree,
+// or its next in-place update ships a RID the replica holds no row at and
+// the replica can only resync.
+func TestMovedUpdateRollbackNoResync(t *testing.T) {
+	db, p := startPrimary(t, PrimaryOptions{})
+	defer db.Close()
+	defer p.Close()
+	c, _ := db.Connect()
+	defer c.Close()
+	mustExec(t, c, "CREATE TABLE t (id INT, pad VARCHAR(2000))")
+	for id := 1; id <= 40; id++ {
+		mustExec(t, c, "INSERT INTO t VALUES (?, ?)", val.NewInt(int64(id)), val.NewStr(strings.Repeat("p", 180)))
+	}
+
+	r := startReplica(t, p, "r1")
+	defer r.Stop()
+
+	mustExec(t, c, "BEGIN")
+	mustExec(t, c, "UPDATE t SET pad = ? WHERE id = 1", val.NewStr(strings.Repeat("q", 1500)))
+	mustExec(t, c, "ROLLBACK")
+	mustExec(t, c, "UPDATE t SET pad = 'again' WHERE id = 1")
+
+	const all = "SELECT id, pad FROM t ORDER BY id"
+	pc, err := db.Connect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	prim, err := pc.Query(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprint(prim.All())
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		// r.DB() afresh each round: a resync would replace the engine.
+		got := fmt.Sprint(waitRows(t, r.DB(), all, 40))
+		if got == want {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replica rows never matched the primary's:\n got %s\nwant %s", got, want)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if r.Resyncs() != 1 {
+		t.Fatalf("resyncs = %d, want 1 (a rolled-back move must not force a resync)", r.Resyncs())
 	}
 }
 

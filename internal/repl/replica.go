@@ -288,7 +288,7 @@ func (r *Replica) session() error {
 	addr := r.readAddr
 	r.mu.Unlock()
 	if addr != "" {
-		if err := send(msgReadAddr, appendString(nil, addr)); err != nil {
+		if err := send(msgReadAddr, server.AppendString(nil, addr)); err != nil {
 			return err
 		}
 	}
@@ -504,11 +504,10 @@ restart:
 		case msgSnapWAL:
 			prefix = append(prefix, payload...)
 		case msgSnapEnd:
-			rd := &reader{b: payload}
-			prefixEnd := rd.uvarint()
-			if rd.err != nil {
+			prefixEnd, _, err := server.ReadUvarint(payload)
+			if err != nil {
 				closeFiles()
-				return rd.err
+				return err
 			}
 			if uint64(len(prefix)) != prefixEnd {
 				closeFiles()

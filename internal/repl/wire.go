@@ -40,7 +40,6 @@
 package repl
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"anywheredb/internal/server"
@@ -66,55 +65,6 @@ const (
 // client protocol.
 const replProtoVersion = 1
 
-func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-// reader consumes a payload sequentially; the first malformed field poisons
-// every later read, so callers check err once at the end.
-type reader struct {
-	b   []byte
-	err error
-}
-
-func (r *reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.err = fmt.Errorf("repl: truncated uvarint")
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *reader) str() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if uint64(len(r.b)) < n {
-		r.err = fmt.Errorf("repl: truncated string")
-		return ""
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
-}
-
-// rest returns whatever follows the structured fields (raw chunk bytes).
-func (r *reader) rest() []byte {
-	if r.err != nil {
-		return nil
-	}
-	return r.b
-}
-
 // helloMsg is the replica's opening message: who it is and where its
 // in-memory stream position stands (all-zero = no position, snapshot me).
 type helloMsg struct {
@@ -127,25 +77,36 @@ type helloMsg struct {
 }
 
 func (m helloMsg) encode() []byte {
-	b := appendUvarint(nil, m.Version)
-	b = appendString(b, m.Token)
-	b = appendString(b, m.Name)
-	b = appendUvarint(b, m.LogID)
-	b = appendUvarint(b, m.Epoch)
-	return appendUvarint(b, m.LSN)
+	b := server.AppendUvarint(nil, m.Version)
+	b = server.AppendString(b, m.Token)
+	b = server.AppendString(b, m.Name)
+	b = server.AppendUvarint(b, m.LogID)
+	b = server.AppendUvarint(b, m.Epoch)
+	return server.AppendUvarint(b, m.LSN)
 }
 
-func decodeHello(payload []byte) (helloMsg, error) {
-	r := &reader{b: payload}
-	m := helloMsg{
-		Version: r.uvarint(),
-		Token:   r.str(),
-		Name:    r.str(),
-		LogID:   r.uvarint(),
-		Epoch:   r.uvarint(),
-		LSN:     r.uvarint(),
+func decodeHello(b []byte) (m helloMsg, err error) {
+	if m.Version, b, err = server.ReadUvarint(b); err != nil {
+		return m, err
 	}
-	return m, r.err
+	if m.Token, b, err = server.ReadString(b); err != nil {
+		return m, err
+	}
+	if m.Name, b, err = server.ReadString(b); err != nil {
+		return m, err
+	}
+	err = readUvarints(b, &m.LogID, &m.Epoch, &m.LSN)
+	return m, err
+}
+
+// readUvarints decodes one uvarint from the front of b into each of into.
+func readUvarints(b []byte, into ...*uint64) (err error) {
+	for _, p := range into {
+		if *p, b, err = server.ReadUvarint(b); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ackMsg reports replica progress: durable is the primary-stream LSN whose
@@ -160,15 +121,14 @@ type ackMsg struct {
 }
 
 func (m ackMsg) encode() []byte {
-	b := appendUvarint(nil, m.Epoch)
-	b = appendUvarint(b, m.Durable)
-	return appendUvarint(b, m.Applied)
+	b := server.AppendUvarint(nil, m.Epoch)
+	b = server.AppendUvarint(b, m.Durable)
+	return server.AppendUvarint(b, m.Applied)
 }
 
-func decodeAck(payload []byte) (ackMsg, error) {
-	r := &reader{b: payload}
-	m := ackMsg{Epoch: r.uvarint(), Durable: r.uvarint(), Applied: r.uvarint()}
-	return m, r.err
+func decodeAck(payload []byte) (m ackMsg, err error) {
+	err = readUvarints(payload, &m.Epoch, &m.Durable, &m.Applied)
+	return m, err
 }
 
 // snapFileMsg carries one chunk of a store file during a full resync.
@@ -179,16 +139,17 @@ type snapFileMsg struct {
 }
 
 func (m snapFileMsg) encode() []byte {
-	b := appendString(nil, m.Name)
-	b = appendUvarint(b, m.Off)
+	b := server.AppendString(nil, m.Name)
+	b = server.AppendUvarint(b, m.Off)
 	return append(b, m.Chunk...)
 }
 
-func decodeSnapFile(payload []byte) (snapFileMsg, error) {
-	r := &reader{b: payload}
-	m := snapFileMsg{Name: r.str(), Off: r.uvarint()}
-	m.Chunk = r.rest()
-	return m, r.err
+func decodeSnapFile(b []byte) (m snapFileMsg, err error) {
+	if m.Name, b, err = server.ReadString(b); err != nil {
+		return m, err
+	}
+	m.Off, m.Chunk, err = server.ReadUvarint(b)
+	return m, err
 }
 
 // shipMsg carries raw sealed WAL frames starting at StartLSN. Chunks are
@@ -199,15 +160,13 @@ type shipMsg struct {
 }
 
 func (m shipMsg) encode() []byte {
-	b := appendUvarint(nil, m.StartLSN)
+	b := server.AppendUvarint(nil, m.StartLSN)
 	return append(b, m.Frames...)
 }
 
-func decodeShip(payload []byte) (shipMsg, error) {
-	r := &reader{b: payload}
-	m := shipMsg{StartLSN: r.uvarint()}
-	m.Frames = r.rest()
-	return m, r.err
+func decodeShip(payload []byte) (m shipMsg, err error) {
+	m.StartLSN, m.Frames, err = server.ReadUvarint(payload)
+	return m, err
 }
 
 // epochMsg announces a primary log truncation: the old epoch ended at
@@ -218,31 +177,29 @@ type epochMsg struct {
 }
 
 func (m epochMsg) encode() []byte {
-	b := appendUvarint(nil, m.NewEpoch)
-	return appendUvarint(b, m.OldEnd)
+	b := server.AppendUvarint(nil, m.NewEpoch)
+	return server.AppendUvarint(b, m.OldEnd)
 }
 
-func decodeEpoch(payload []byte) (epochMsg, error) {
-	r := &reader{b: payload}
-	m := epochMsg{NewEpoch: r.uvarint(), OldEnd: r.uvarint()}
-	return m, r.err
+func decodeEpoch(payload []byte) (m epochMsg, err error) {
+	err = readUvarints(payload, &m.NewEpoch, &m.OldEnd)
+	return m, err
 }
 
 // snapBegin / snapEnd payloads are two and one uvarints.
 
 func encodeSnapBegin(logID, epoch uint64) []byte {
-	return appendUvarint(appendUvarint(nil, logID), epoch)
+	return server.AppendUvarint(server.AppendUvarint(nil, logID), epoch)
 }
 
 func decodeSnapBegin(payload []byte) (logID, epoch uint64, err error) {
-	r := &reader{b: payload}
-	logID, epoch = r.uvarint(), r.uvarint()
-	return logID, epoch, r.err
+	err = readUvarints(payload, &logID, &epoch)
+	return logID, epoch, err
 }
 
 func encodeErr(code byte, msg string) []byte {
 	b := []byte{code}
-	return appendString(b, msg)
+	return server.AppendString(b, msg)
 }
 
 // wireErr turns a received MsgError payload into an error.

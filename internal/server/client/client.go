@@ -124,7 +124,7 @@ type Stmt struct {
 
 // Prepare registers sql on the server and returns its handle.
 func (c *Client) Prepare(sql string) (*Stmt, error) {
-	if err := c.writeFrame(server.MsgPrepare, server.EncodeString(sql)); err != nil {
+	if err := c.writeFrame(server.MsgPrepare, server.AppendString(nil, sql)); err != nil {
 		return nil, err
 	}
 	typ, payload, err := c.readFrame()
@@ -143,7 +143,7 @@ func (c *Client) Prepare(sql string) (*Stmt, error) {
 
 // Close releases the prepared statement on the server.
 func (st *Stmt) Close() error {
-	if err := st.c.writeFrame(server.MsgCloseStmt, server.EncodeUvarint(st.id)); err != nil {
+	if err := st.c.writeFrame(server.MsgCloseStmt, server.AppendUvarint(nil, st.id)); err != nil {
 		return err
 	}
 	_, _, err := st.c.readFrame() // done ack

@@ -56,12 +56,6 @@ func EncodeExec(stmtID uint64, sql string, deadlineUS uint64, params []val.Value
 	return execMsg{StmtID: stmtID, SQL: sql, DeadlineUS: deadlineUS, Params: params}.encode()
 }
 
-// EncodeString encodes one length-prefixed string payload (prepare).
-func EncodeString(s string) []byte { return appendString(nil, s) }
-
-// EncodeUvarint encodes one uvarint payload (close-stmt, prepare-ok).
-func EncodeUvarint(v uint64) []byte { return appendUvarint(nil, v) }
-
 // DecodeRowHeader decodes a row-header payload into column names.
 func DecodeRowHeader(payload []byte) ([]string, error) { return decodeRowHeader(payload) }
 

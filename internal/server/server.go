@@ -298,8 +298,8 @@ func (s *Server) serveConn(nc net.Conn) {
 		return
 	}
 
-	b := appendUvarint(nil, ProtoVersion)
-	b = appendUvarint(b, c.id)
+	b := AppendUvarint(nil, ProtoVersion)
+	b = AppendUvarint(b, c.id)
 	if c.send(msgHelloOK, b) != nil || c.flush() != nil {
 		return
 	}
@@ -348,7 +348,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		case msgQuit:
 			return
 		case msgPrepare:
-			sql, _, err := readString(req.payload)
+			sql, _, err := ReadString(req.payload)
 			if err != nil {
 				c.sendErr(codeProtocol, "bad prepare frame")
 				c.flush()
@@ -356,18 +356,18 @@ func (s *Server) serveConn(nc net.Conn) {
 			}
 			c.nextStmt++
 			c.stmts[c.nextStmt] = sql
-			if c.send(msgPrepareOK, appendUvarint(nil, c.nextStmt)) != nil || c.flush() != nil {
+			if c.send(msgPrepareOK, AppendUvarint(nil, c.nextStmt)) != nil || c.flush() != nil {
 				return
 			}
 		case msgCloseStmt:
-			id, _, err := readUvarint(req.payload)
+			id, _, err := ReadUvarint(req.payload)
 			if err != nil {
 				c.sendErr(codeProtocol, "bad close frame")
 				c.flush()
 				return
 			}
 			delete(c.stmts, id)
-			if c.send(msgDone, appendUvarint(nil, 0)) != nil || c.flush() != nil {
+			if c.send(msgDone, AppendUvarint(nil, 0)) != nil || c.flush() != nil {
 				return
 			}
 		case msgExec:
@@ -402,7 +402,7 @@ func (c *srvConn) runStatement(m execMsg) error {
 			if err != nil {
 				return err
 			}
-			return c.flush()
+			return c.finish()
 		}
 	}
 
@@ -417,7 +417,7 @@ func (c *srvConn) runStatement(m execMsg) error {
 		if err := c.sendErr(codeRetry, "server draining"); err != nil {
 			return err
 		}
-		return c.flush()
+		return c.finish()
 	}
 	s.inflight.Add(1)
 	s.mu.Unlock()
@@ -432,7 +432,6 @@ func (c *srvConn) runStatement(m execMsg) error {
 	c.curMu.Unlock()
 	c.state.Store(int32(connActive))
 	defer func() {
-		c.state.Store(int32(connIdle))
 		c.curMu.Lock()
 		c.cancel = nil
 		c.curMu.Unlock()
@@ -472,7 +471,7 @@ func (c *srvConn) runStatement(m execMsg) error {
 			if werr := c.sendErr(code, text); werr != nil {
 				return werr
 			}
-			return c.flush()
+			return c.finish()
 		}
 		release = rel
 	}
@@ -494,7 +493,7 @@ func (c *srvConn) runStatement(m execMsg) error {
 		if werr := c.sendErr(code, err.Error()); werr != nil {
 			return werr
 		}
-		return c.flush()
+		return c.finish()
 	}
 
 	var cols []string
@@ -504,6 +503,14 @@ func (c *srvConn) runStatement(m execMsg) error {
 		all = rows.All()
 	}
 	return c.streamResult(cols, all, res.RowsAffected)
+}
+
+// finish flushes the last frame of a statement's answer. The connection is
+// marked idle first: once the client can hold the answer, sys.connections
+// must not still show the statement as running.
+func (c *srvConn) finish() error {
+	c.state.Store(int32(connIdle))
+	return c.flush()
 }
 
 // streamResult streams one statement result: header, then row batches
@@ -530,7 +537,7 @@ func (c *srvConn) streamResult(cols []string, all [][]val.Value, affected int64)
 	if err := c.send(msgDone, appendVarint(nil, affected)); err != nil {
 		return err
 	}
-	return c.flush()
+	return c.finish()
 }
 
 // classify maps an execution error to a wire status. Transient faults,

@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -316,7 +317,7 @@ func TestServerDrain(t *testing.T) {
 
 	// An in-flight statement started before drain must complete and be
 	// acknowledged. Use the slow query and wait (via the embedded view of
-	// sys.connections) until it is actually executing.
+	// sys.connections) until that statement, not just any, is executing.
 	slowC := dial(t, srv, client.Options{})
 	inflight := make(chan error, 1)
 	go func() {
@@ -329,11 +330,15 @@ func TestServerDrain(t *testing.T) {
 	}
 	defer econn.Close()
 	for start := time.Now(); ; {
-		rows, err := econn.Query("select state from sys.connections where state = 'active'")
+		rows, err := econn.Query("select fingerprint from sys.connections where state = 'active'")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rows.Count() > 0 {
+		running := false
+		for _, r := range rows.All() {
+			running = running || strings.HasPrefix(q, strings.TrimSuffix(r[0].S, "…"))
+		}
+		if running {
 			break
 		}
 		if time.Since(start) > 10*time.Second {

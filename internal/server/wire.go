@@ -98,8 +98,13 @@ func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
 }
 
 // --- payload primitives ----------------------------------------------------
+//
+// The uvarint and string forms are exported: the replication stream
+// (internal/repl) builds its payloads from the same primitives, so the fuzz
+// targets here cover both protocols.
 
-func appendUvarint(b []byte, v uint64) []byte {
+// AppendUvarint appends v as a uvarint.
+func AppendUvarint(b []byte, v uint64) []byte {
 	return binary.AppendUvarint(b, v)
 }
 
@@ -107,12 +112,14 @@ func appendVarint(b []byte, v int64) []byte {
 	return binary.AppendVarint(b, v)
 }
 
-func appendString(b []byte, s string) []byte {
+// AppendString appends s as a uvarint length and its bytes.
+func AppendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
 }
 
-func readUvarint(b []byte) (uint64, []byte, error) {
+// ReadUvarint decodes one uvarint from the front of b and returns the rest.
+func ReadUvarint(b []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(b)
 	if n <= 0 {
 		return 0, nil, errFrameTruncated
@@ -128,8 +135,10 @@ func readVarint(b []byte) (int64, []byte, error) {
 	return v, b[n:], nil
 }
 
-func readString(b []byte) (string, []byte, error) {
-	n, rest, err := readUvarint(b)
+// ReadString decodes one length-prefixed string from the front of b and
+// returns the rest.
+func ReadString(b []byte) (string, []byte, error) {
+	n, rest, err := ReadUvarint(b)
 	if err != nil {
 		return "", nil, err
 	}
@@ -162,7 +171,7 @@ func appendValue(b []byte, v val.Value) []byte {
 		return append(b, f[:]...)
 	case val.KStr:
 		b = append(b, wireStr)
-		return appendString(b, v.S)
+		return AppendString(b, v.S)
 	default:
 		return append(b, wireNull)
 	}
@@ -190,7 +199,7 @@ func readValue(b []byte) (val.Value, []byte, error) {
 		f := math.Float64frombits(binary.LittleEndian.Uint64(b[:8]))
 		return val.NewDouble(f), b[8:], nil
 	case wireStr:
-		s, rest, err := readString(b)
+		s, rest, err := ReadString(b)
 		if err != nil {
 			return val.Null, nil, err
 		}
@@ -209,7 +218,7 @@ func appendValues(b []byte, vs []val.Value) []byte {
 }
 
 func readValues(b []byte) ([]val.Value, []byte, error) {
-	n, b, err := readUvarint(b)
+	n, b, err := ReadUvarint(b)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -238,23 +247,23 @@ type helloMsg struct {
 }
 
 func (m helloMsg) encode() []byte {
-	b := appendUvarint(nil, m.Version)
-	b = appendString(b, m.Token)
-	b = appendString(b, m.ClientName)
-	return appendUvarint(b, m.DeadlineUS)
+	b := AppendUvarint(nil, m.Version)
+	b = AppendString(b, m.Token)
+	b = AppendString(b, m.ClientName)
+	return AppendUvarint(b, m.DeadlineUS)
 }
 
 func decodeHello(b []byte) (m helloMsg, err error) {
-	if m.Version, b, err = readUvarint(b); err != nil {
+	if m.Version, b, err = ReadUvarint(b); err != nil {
 		return m, err
 	}
-	if m.Token, b, err = readString(b); err != nil {
+	if m.Token, b, err = ReadString(b); err != nil {
 		return m, err
 	}
-	if m.ClientName, b, err = readString(b); err != nil {
+	if m.ClientName, b, err = ReadString(b); err != nil {
 		return m, err
 	}
-	m.DeadlineUS, _, err = readUvarint(b)
+	m.DeadlineUS, _, err = ReadUvarint(b)
 	return m, err
 }
 
@@ -266,20 +275,20 @@ type execMsg struct {
 }
 
 func (m execMsg) encode() []byte {
-	b := appendUvarint(nil, m.StmtID)
-	b = appendString(b, m.SQL)
-	b = appendUvarint(b, m.DeadlineUS)
+	b := AppendUvarint(nil, m.StmtID)
+	b = AppendString(b, m.SQL)
+	b = AppendUvarint(b, m.DeadlineUS)
 	return appendValues(b, m.Params)
 }
 
 func decodeExec(b []byte) (m execMsg, err error) {
-	if m.StmtID, b, err = readUvarint(b); err != nil {
+	if m.StmtID, b, err = ReadUvarint(b); err != nil {
 		return m, err
 	}
-	if m.SQL, b, err = readString(b); err != nil {
+	if m.SQL, b, err = ReadString(b); err != nil {
 		return m, err
 	}
-	if m.DeadlineUS, b, err = readUvarint(b); err != nil {
+	if m.DeadlineUS, b, err = ReadUvarint(b); err != nil {
 		return m, err
 	}
 	m.Params, _, err = readValues(b)
@@ -293,7 +302,7 @@ type errMsg struct {
 
 func (m errMsg) encode() []byte {
 	b := []byte{m.Code}
-	return appendString(b, m.Message)
+	return AppendString(b, m.Message)
 }
 
 func decodeErr(b []byte) (m errMsg, err error) {
@@ -301,20 +310,20 @@ func decodeErr(b []byte) (m errMsg, err error) {
 		return m, errFrameTruncated
 	}
 	m.Code = b[0]
-	m.Message, _, err = readString(b[1:])
+	m.Message, _, err = ReadString(b[1:])
 	return m, err
 }
 
 func encodeRowHeader(cols []string) []byte {
-	b := appendUvarint(nil, uint64(len(cols)))
+	b := AppendUvarint(nil, uint64(len(cols)))
 	for _, c := range cols {
-		b = appendString(b, c)
+		b = AppendString(b, c)
 	}
 	return b
 }
 
 func decodeRowHeader(b []byte) ([]string, error) {
-	n, b, err := readUvarint(b)
+	n, b, err := ReadUvarint(b)
 	if err != nil {
 		return nil, err
 	}
@@ -324,7 +333,7 @@ func decodeRowHeader(b []byte) ([]string, error) {
 	cols := make([]string, 0, n)
 	for i := uint64(0); i < n; i++ {
 		var c string
-		if c, b, err = readString(b); err != nil {
+		if c, b, err = ReadString(b); err != nil {
 			return nil, err
 		}
 		cols = append(cols, c)
@@ -333,7 +342,7 @@ func decodeRowHeader(b []byte) ([]string, error) {
 }
 
 func encodeRowBatch(rows [][]val.Value) []byte {
-	b := appendUvarint(nil, uint64(len(rows)))
+	b := AppendUvarint(nil, uint64(len(rows)))
 	for _, r := range rows {
 		b = appendValues(b, r)
 	}
@@ -341,7 +350,7 @@ func encodeRowBatch(rows [][]val.Value) []byte {
 }
 
 func decodeRowBatch(b []byte) ([][]val.Value, error) {
-	n, b, err := readUvarint(b)
+	n, b, err := ReadUvarint(b)
 	if err != nil {
 		return nil, err
 	}

@@ -1,168 +1,87 @@
-// Streaming-apply surface: the physical and logical row maintenance a WAL
-// log-shipping replica needs to replay a primary's data records in arrival
-// (LSN) order. Each Apply* method mirrors one record type: it performs the
-// page mutation at exactly the shipped location, pushes the version-chain
-// entry that hides the still-uncommitted change from local snapshot readers
-// (Writer = the primary's transaction id), and maintains histograms and the
-// row counter. Index trees are deliberately untouched — a replica attaches
+// Streaming-apply surface: what a WAL log-shipping replica needs to replay
+// a primary's data records in arrival (LSN) order. Row changes run the same
+// mutation kernels as forward DML (see table.go), under the transaction
+// that stands for the primary's (txn.Manager.Adopt); the only differences
+// are the ones the log dictates. The location is the shipped one, not the
+// chain tail. An update that does not fit in place is an error, never a
+// move: the primary ships a move as a delete/insert pair. And chain growth
+// and columnar drops arrive as records of their own instead of being
+// decided here. Index trees are untouched only because a replica attaches
 // none (a btree split would allocate pages that collide with ids the
-// primary assigns later in the stream); the loops below run over whatever
-// Indexes holds and so no-op on a replica.
-//
-// The ApplyUndo* methods are the compensations run, in reverse order, when
-// a RecRollback arrives: they restore the heap pre-image without pushing
-// versions (the rolled-back writer's entries are left for vacuum's
-// writer-gone rule, exactly like a local rollback).
+// primary assigns later in the stream); the kernels maintain whatever
+// Indexes holds.
 
 package table
 
 import (
+	"encoding/binary"
 	"fmt"
 
-	"anywheredb/internal/mvcc"
 	"anywheredb/internal/page"
 	"anywheredb/internal/store"
+	"anywheredb/internal/txn"
 	"anywheredb/internal/val"
+	"anywheredb/internal/wal"
 )
 
-// applyPage runs fn on rid's page under the exclusive latch, initialising a
-// never-written page first (a shipped record can target a page the replica
-// has only zero-filled).
-func (t *Table) applyPage(pid store.PageID, fn func(p page.Buf) error) error {
-	f, err := t.pool.Get(pid)
-	if err != nil {
-		return err
-	}
-	f.Lock()
-	if f.Data.Type() == page.TypeFree {
-		f.Data.Init(page.TypeTable)
-		f.Data.SetOwner(t.ID)
-	}
-	err = fn(f.Data)
-	if err == nil {
-		f.MarkDirty()
-	}
-	f.Unlock()
-	t.pool.Unpin(f, err == nil)
-	return err
-}
-
-// ApplyInsert replays a shipped insert at exactly rid, on behalf of primary
-// transaction writer. It returns the version entry hiding the row, for CSN
-// stamping when the transaction's commit record arrives.
-func (t *Table) ApplyInsert(rid RID, row []val.Value, enc []byte, writer uint64) (*mvcc.Entry, error) {
-	var e *mvcc.Entry
-	err := t.applyPage(rid.Page, func(p page.Buf) error {
-		if cur := p.Cell(rid.Slot); cur != nil {
-			return fmt.Errorf("table %s: apply insert at occupied %v", t.Name, rid)
+// Apply replays one shipped record of this table on behalf of tx. The
+// change stays invisible to snapshot readers, and tx holds its inverse,
+// until the caller settles tx with the shipped commit or rollback. Chain
+// growth and columnar drops change no row and use no tx.
+func (t *Table) Apply(tx *txn.Txn, r *wal.Record) error {
+	// A shipped record can target a page past the replica's file size (the
+	// primary allocated it after the copy): make it addressable first, as
+	// recovery does.
+	t.st.EnsureAllocated(r.Page)
+	rid := RID{Page: r.Page, Slot: int(r.Slot)}
+	var err error
+	switch r.Type {
+	case wal.RecPageLink:
+		if len(r.After) < 8 {
+			return nil
 		}
-		if !p.InsertSparse(rid.Slot, enc) {
-			return fmt.Errorf("table %s: apply insert could not place %v", t.Name, rid)
-		}
-		// Push the not-exists marker under the page latch, as insertBytes
-		// does: a snapshot reader that can see the new cell must also find
-		// the chain entry that hides it.
-		e = &mvcc.Entry{Writer: writer, Row: nil, Exists: false, Bytes: mvcc.SizeOf(nil)}
-		t.versions.Push(mvcc.RowID{Page: rid.Page, Slot: rid.Slot}, e)
+		return t.ApplyPageLink(r.Page, store.PageID(binary.LittleEndian.Uint64(r.After)))
+	case wal.RecColSegDrop:
+		t.ApplyColSegDrop()
 		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, h := range t.Hists {
-		h.NoteInsert(row[i])
-	}
-	for _, ix := range t.Indexes {
-		if err := ix.Tree.Insert(ix.Key(row), rid.Bytes()); err != nil {
-			return nil, err
+	case wal.RecInsert:
+		var row []val.Value
+		if row, err = val.DecodeRow(r.After); err == nil {
+			_, err = t.insertRow(tx, &rid, row, r.After)
 		}
-	}
-	t.rows.Add(1)
-	return e, nil
-}
-
-// ApplyUpdate replays a shipped in-place update at rid (a moving update
-// ships as a delete/insert pair, never as RecUpdate).
-func (t *Table) ApplyUpdate(rid RID, oldRow, newRow []val.Value, enc []byte, writer uint64) (*mvcc.Entry, error) {
-	t.invalidateColumnar(nil)
-	var e *mvcc.Entry
-	err := t.applyPage(rid.Page, func(p page.Buf) error {
-		if p.Cell(rid.Slot) == nil {
-			return fmt.Errorf("table %s: apply update at empty %v", t.Name, rid)
-		}
-		e = &mvcc.Entry{Writer: writer, Row: oldRow, Exists: true, Bytes: mvcc.SizeOf(oldRow)}
-		t.versions.Push(mvcc.RowID{Page: rid.Page, Slot: rid.Slot}, e)
-		if !p.Update(rid.Slot, enc) {
-			return fmt.Errorf("table %s: apply update did not fit at %v", t.Name, rid)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, h := range t.Hists {
-		if val.Compare(oldRow[i], newRow[i]) != 0 || oldRow[i].IsNull() != newRow[i].IsNull() {
-			h.NoteDelete(oldRow[i])
-			h.NoteInsert(newRow[i])
-		}
-	}
-	for _, ix := range t.Indexes {
-		oldKey, newKey := ix.Key(oldRow), ix.Key(newRow)
-		if string(oldKey) != string(newKey) {
-			if _, err := ix.Tree.Delete(oldKey, rid.Bytes()); err != nil {
-				return nil, err
-			}
-			if err := ix.Tree.Insert(newKey, rid.Bytes()); err != nil {
-				return nil, err
+	case wal.RecUpdate:
+		var oldRow, newRow []val.Value
+		if oldRow, err = val.DecodeRow(r.Before); err == nil {
+			if newRow, err = val.DecodeRow(r.After); err == nil {
+				err = t.updateRow(tx, rid, oldRow, newRow, r.After)
 			}
 		}
+	case wal.RecDelete:
+		var row []val.Value
+		if row, err = val.DecodeRow(r.Before); err == nil {
+			err = t.deleteRow(tx, rid, row)
+		}
+	default:
+		return fmt.Errorf("table %s: unexpected shipped record type %v", t.Name, r.Type)
 	}
-	return e, nil
-}
-
-// ApplyDelete replays a shipped delete of rid; row is the shipped pre-image.
-func (t *Table) ApplyDelete(rid RID, row []val.Value, writer uint64) (*mvcc.Entry, error) {
-	t.invalidateColumnar(nil)
-	var e *mvcc.Entry
-	err := t.applyPage(rid.Page, func(p page.Buf) error {
-		if p.Cell(rid.Slot) == nil {
-			return fmt.Errorf("table %s: apply delete at empty %v", t.Name, rid)
-		}
-		e = &mvcc.Entry{Writer: writer, Row: row, Exists: true, Bytes: mvcc.SizeOf(row)}
-		t.versions.Push(mvcc.RowID{Page: rid.Page, Slot: rid.Slot}, e)
-		if !p.Delete(rid.Slot) {
-			return fmt.Errorf("table %s: apply delete failed at %v", t.Name, rid)
-		}
-		return nil
-	})
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("table %s: apply %v at %v: %w", t.Name, r.Type, rid, err)
 	}
-	for i, h := range t.Hists {
-		h.NoteDelete(row[i])
-	}
-	for _, ix := range t.Indexes {
-		if _, err := ix.Tree.Delete(ix.Key(row), rid.Bytes()); err != nil {
-			return nil, err
-		}
-	}
-	t.rows.Add(-1)
-	return e, nil
+	return nil
 }
 
 // ApplyPageLink replays shipped heap-chain growth: prev's next pointer is
 // set to next, next is initialised as a table page, and the in-memory chain
 // bookkeeping (tail pointer, page count) follows.
 func (t *Table) ApplyPageLink(prev, next store.PageID) error {
-	if err := t.applyPage(prev, func(p page.Buf) error {
-		if p.Next() != uint64(next) {
-			p.SetNext(uint64(next))
-		}
+	t.st.EnsureAllocated(next)
+	if err := t.withPage(prev, func(p page.Buf) error {
+		p.SetNext(uint64(next))
 		return nil
 	}); err != nil {
 		return err
 	}
-	if err := t.applyPage(next, func(p page.Buf) error { return nil }); err != nil {
+	if err := t.withPage(next, func(p page.Buf) error { return nil }); err != nil {
 		return err
 	}
 	t.mu.Lock()
@@ -178,91 +97,4 @@ func (t *Table) ApplyPageLink(prev, next store.PageID) error {
 // snapshot is dropped (no page frees — the primary owns the free list).
 func (t *Table) ApplyColSegDrop() {
 	t.invalidateColumnar(nil)
-}
-
-// ApplyUndoInsert compensates an applied insert during streamed rollback.
-func (t *Table) ApplyUndoInsert(rid RID, row []val.Value) error {
-	err := t.applyPage(rid.Page, func(p page.Buf) error {
-		if p.Cell(rid.Slot) == nil {
-			return nil // never applied (or already undone): idempotent
-		}
-		p.Delete(rid.Slot)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for i, h := range t.Hists {
-		h.NoteDelete(row[i])
-	}
-	for _, ix := range t.Indexes {
-		if _, err := ix.Tree.Delete(ix.Key(row), rid.Bytes()); err != nil {
-			return err
-		}
-	}
-	t.rows.Add(-1)
-	return nil
-}
-
-// ApplyUndoDelete restores a deleted row during streamed rollback.
-func (t *Table) ApplyUndoDelete(rid RID, row []val.Value) error {
-	enc := val.EncodeRow(row)
-	err := t.applyPage(rid.Page, func(p page.Buf) error {
-		if p.Cell(rid.Slot) != nil {
-			return nil
-		}
-		if !p.InsertSparse(rid.Slot, enc) {
-			return fmt.Errorf("table %s: undo delete could not restore %v", t.Name, rid)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for i, h := range t.Hists {
-		h.NoteInsert(row[i])
-	}
-	for _, ix := range t.Indexes {
-		if err := ix.Tree.Insert(ix.Key(row), rid.Bytes()); err != nil {
-			return err
-		}
-	}
-	t.rows.Add(1)
-	return nil
-}
-
-// ApplyUndoUpdate restores the pre-image of an in-place update during
-// streamed rollback.
-func (t *Table) ApplyUndoUpdate(rid RID, oldRow, newRow []val.Value) error {
-	enc := val.EncodeRow(oldRow)
-	err := t.applyPage(rid.Page, func(p page.Buf) error {
-		if p.Cell(rid.Slot) == nil {
-			return fmt.Errorf("table %s: undo update at empty %v", t.Name, rid)
-		}
-		if !p.Update(rid.Slot, enc) {
-			return fmt.Errorf("table %s: undo update did not fit at %v", t.Name, rid)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for i, h := range t.Hists {
-		if val.Compare(oldRow[i], newRow[i]) != 0 || oldRow[i].IsNull() != newRow[i].IsNull() {
-			h.NoteDelete(newRow[i])
-			h.NoteInsert(oldRow[i])
-		}
-	}
-	for _, ix := range t.Indexes {
-		oldKey, newKey := ix.Key(oldRow), ix.Key(newRow)
-		if string(oldKey) != string(newKey) {
-			if _, err := ix.Tree.Delete(newKey, rid.Bytes()); err != nil {
-				return err
-			}
-			if err := ix.Tree.Insert(oldKey, rid.Bytes()); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

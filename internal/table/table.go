@@ -216,8 +216,273 @@ func (t *Table) ResidentFraction() float64 {
 	return fr
 }
 
-// Insert adds a row, maintaining indexes and histograms, and logging for
-// recovery/rollback. tx may be nil for non-transactional bulk load.
+// The mutation kernels. Every change to a heap row — forward DML, each
+// rollback compensation, and a replica replaying the primary's log — is one
+// of insertRow, updateRow or deleteRow. A kernel does the page change, pushes
+// the version-chain entry that hides the change from snapshot readers until
+// tx commits, keeps histograms, indexes and the row count in step, and
+// registers its own inverse on tx: the same kernel run the other way with a
+// nil transaction, which changes the heap without creating versions. The
+// inverses are the exact inverses of the logged records (remove at the RID
+// that was filled, restore at the RID that was emptied), so a live rollback,
+// recovery's undo pass and a replica's rollback all leave the same pages.
+// Kernels take no locks and log no data record; their callers do.
+
+// errNoRoom is updateRow's report that the new image does not fit in the
+// row's page. Update turns it into a move; everywhere else it is an error.
+var errNoRoom = errors.New("table: row does not fit in its page")
+
+// withPage runs fn on a heap page under its exclusive latch and marks the
+// page dirty when fn succeeds. A never-written page is initialised first (a
+// shipped record can target a page the replica has only zero-filled).
+func (t *Table) withPage(pid store.PageID, fn func(p page.Buf) error) error {
+	f, err := t.pool.Get(pid)
+	if err != nil {
+		return err
+	}
+	f.Lock()
+	if f.Data.Type() == page.TypeFree {
+		f.Data.Init(page.TypeTable)
+		f.Data.SetOwner(t.ID)
+	}
+	err = fn(f.Data)
+	if err == nil {
+		f.MarkDirty()
+	}
+	f.Unlock()
+	t.pool.Unpin(f, err == nil)
+	return err
+}
+
+// insertRow places enc (the encoding of row) at the chain tail, or at
+// exactly *at when the location is already decided: by the log on a replica,
+// by the delete being compensated in a rollback.
+func (t *Table) insertRow(tx *txn.Txn, at *RID, row []val.Value, enc []byte) (RID, error) {
+	var rid RID
+	var err error
+	if at == nil {
+		rid, err = t.insertBytes(tx, enc)
+	} else {
+		rid = *at
+		err = t.withPage(rid.Page, func(p page.Buf) error {
+			// InsertSparse: slots below this one may belong to transactions
+			// whose inserts were never replayed here.
+			if !p.InsertSparse(rid.Slot, enc) {
+				return fmt.Errorf("table %s: slot %v is occupied or its page is full", t.Name, rid)
+			}
+			t.pushVersion(tx, rid, nil, 0)
+			return nil
+		})
+	}
+	if err != nil {
+		return RID{}, err
+	}
+	if tx != nil {
+		tx.OnRollback(func() error { return t.deleteRow(nil, rid, row) })
+	}
+	for i, h := range t.Hists {
+		h.NoteInsert(row[i])
+	}
+	for _, ix := range t.Indexes {
+		if err := ix.Tree.Insert(ix.Key(row), rid.Bytes()); err != nil {
+			return RID{}, err
+		}
+	}
+	t.rows.Add(1)
+	return rid, nil
+}
+
+// insertBytes places the encoded row into the chain's tail, growing it as
+// needed. When the chain grows under a transaction, the new linkage is
+// logged as a RecPageLink record so recovery can rebuild the chain even if
+// only some of the affected pages reached disk. tx may be nil (bulk load).
+func (t *Table) insertBytes(tx *txn.Txn, enc []byte) (RID, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	f, err := t.pool.Get(t.last)
+	if err != nil {
+		return RID{}, err
+	}
+	f.Lock()
+	reserve, slot := t.owed(f.ID, f.Data, -1)
+	if len(enc) <= f.Data.FreeSpace()-reserve && f.Data.InsertSparse(slot, enc) {
+		f.MarkDirty()
+		id := f.ID
+		// Push the insert marker ("no row existed here before this txn")
+		// while still holding the page latch: a snapshot reader that can
+		// see the new cell must also find the chain entry that hides it.
+		t.pushVersion(tx, RID{Page: id, Slot: slot}, nil, 0)
+		f.Unlock()
+		t.pool.Unpin(f, true)
+		return RID{Page: id, Slot: slot}, nil
+	}
+	// Tail full: extend the chain.
+	nf, err := t.pool.NewPage(t.file, page.TypeTable)
+	if err != nil {
+		f.Unlock()
+		t.pool.Unpin(f, false)
+		return RID{}, err
+	}
+	nf.Data.SetOwner(t.ID)
+	f.Data.SetNext(uint64(nf.ID))
+	f.MarkDirty()
+	f.Unlock()
+	t.pool.Unpin(f, true)
+	if tx != nil {
+		tx.Log(&wal.Record{Type: wal.RecPageLink, Table: t.ID, Page: f.ID, After: pageIDBytes(nf.ID)})
+	}
+	t.last = nf.ID
+	t.pages.Add(1)
+	nf.Lock()
+	slot = nf.Data.Insert(enc)
+	id := nf.ID
+	if slot >= 0 {
+		t.pushVersion(tx, RID{Page: id, Slot: slot}, nil, 0)
+	}
+	nf.Unlock()
+	t.pool.Unpin(nf, true)
+	if slot < 0 {
+		return RID{}, fmt.Errorf("table %s: fresh page rejected %d bytes", t.Name, len(enc))
+	}
+	return RID{Page: id, Slot: slot}, nil
+}
+
+// owed reports what page p owes to writes that have not settled. A rollback
+// puts a row back exactly where it was and as large as it was, so until the
+// writer settles, the bytes its delete, move or shrinking update gave up stay
+// free (reserve) and a slot it emptied stays empty (slot is the first one a
+// new row may take). own is the slot the caller is rewriting, whose claim is
+// the caller's to use up (-1 for none). Every transactional write that
+// consumes page space asks here first; compensations do not, they take back
+// what was kept for them. The record of an unsettled write is its version
+// chain entry, so this costs nothing while the table has no chains.
+func (t *Table) owed(pid store.PageID, p page.Buf, own int) (reserve, slot int) {
+	slot = p.NumSlots()
+	chains := !t.versions.Empty()
+	for s := slot - 1; s >= 0; s-- {
+		cell := p.Cell(s)
+		was, held := 0, false
+		if chains {
+			was, held = t.versions.Unsettled(mvcc.RowID{Page: pid, Slot: s})
+		}
+		if cell == nil && !held {
+			slot = s
+		}
+		if s != own && was > len(cell) {
+			reserve += was - len(cell)
+		}
+	}
+	return reserve, slot
+}
+
+// pushVersion prepends a pre-image entry to rid's version chain on behalf
+// of tx: pre is the row the write replaced and cell the length of its heap
+// cell (nil and zero for an insert: no row existed). No-op for
+// non-transactional work (bulk load, rollback undo — compensations restore
+// state rather than create new versions).
+func (t *Table) pushVersion(tx *txn.Txn, rid RID, pre []val.Value, cell int) {
+	if tx == nil {
+		return
+	}
+	e := &mvcc.Entry{Writer: tx.ID(), Row: pre, Exists: cell > 0, Bytes: mvcc.SizeOf(pre), Cell: cell}
+	id := mvcc.RowID{Page: rid.Page, Slot: rid.Slot}
+	t.versions.Push(id, e)
+	tx.NoteVersion(t.versions, id, e)
+}
+
+// updateRow replaces the row at rid in place: newEnc is the encoding of
+// newRow, oldRow the image being replaced. It fails with errNoRoom, having
+// changed nothing, when the page cannot hold the new image without taking
+// bytes another transaction's rollback needs back.
+func (t *Table) updateRow(tx *txn.Txn, rid RID, oldRow, newRow []val.Value, newEnc []byte) error {
+	// Sealed column segments may cover this row: drop them (WAL-logged
+	// through tx, so ahead of the caller's data record) so that no scan —
+	// live or replayed — can see the stale columnar image.
+	t.invalidateColumnar(tx)
+	err := t.withPage(rid.Page, func(p page.Buf) error {
+		was := len(p.Cell(rid.Slot))
+		if was == 0 {
+			return ErrNotFound
+		}
+		if grow := len(newEnc) - was; grow > 0 && tx != nil {
+			if reserve, _ := t.owed(rid.Page, p, rid.Slot); reserve > 0 && grow > p.FreeSpace()-reserve {
+				return errNoRoom
+			}
+		}
+		if !p.Update(rid.Slot, newEnc) {
+			return errNoRoom
+		}
+		// Under the latch that changed the cell: a snapshot reader that can
+		// see the new bytes must also find the pre-image that hides them.
+		t.pushVersion(tx, rid, oldRow, was)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if tx != nil {
+		tx.OnRollback(func() error { return t.updateRow(nil, rid, newRow, oldRow, val.EncodeRow(oldRow)) })
+	}
+	for i, h := range t.Hists {
+		if val.Compare(oldRow[i], newRow[i]) != 0 || oldRow[i].IsNull() != newRow[i].IsNull() {
+			h.NoteDelete(oldRow[i])
+			h.NoteInsert(newRow[i])
+		}
+	}
+	for _, ix := range t.Indexes {
+		oldKey, newKey := ix.Key(oldRow), ix.Key(newRow)
+		if string(oldKey) != string(newKey) {
+			if _, err := ix.Tree.Delete(oldKey, rid.Bytes()); err != nil {
+				return err
+			}
+			if err := ix.Tree.Insert(newKey, rid.Bytes()); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// deleteRow removes the row at rid; row is its current image.
+func (t *Table) deleteRow(tx *txn.Txn, rid RID, row []val.Value) error {
+	// As in updateRow: sealed segments may cover this row. (A compensated
+	// insert always lives in the delta tail, but a build may have sealed the
+	// chain between insert and rollback; invalidating then is conservative.)
+	t.invalidateColumnar(tx)
+	err := t.withPage(rid.Page, func(p page.Buf) error {
+		was := len(p.Cell(rid.Slot))
+		if !p.Delete(rid.Slot) {
+			return ErrNotFound
+		}
+		// Under the latch that removed the cell: a snapshot reader either
+		// sees the live cell, or resurrects it from here.
+		t.pushVersion(tx, rid, row, was)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if tx != nil {
+		tx.OnRollback(func() error {
+			_, err := t.insertRow(nil, &rid, row, val.EncodeRow(row))
+			return err
+		})
+	}
+	for i, h := range t.Hists {
+		h.NoteDelete(row[i])
+	}
+	for _, ix := range t.Indexes {
+		if _, err := ix.Tree.Delete(ix.Key(row), rid.Bytes()); err != nil {
+			return err
+		}
+	}
+	t.rows.Add(-1)
+	return nil
+}
+
+// Forward DML: lock, run the kernel, log what it did.
+
+// Insert adds a row. tx may be nil for non-transactional bulk load.
 func (t *Table) Insert(tx *txn.Txn, row []val.Value) (RID, error) {
 	if len(row) != len(t.Columns) {
 		return RID{}, fmt.Errorf("table %s: %d values for %d columns", t.Name, len(row), len(t.Columns))
@@ -246,135 +511,19 @@ func (t *Table) Insert(tx *txn.Txn, row []val.Value) (RID, error) {
 			return RID{}, err
 		}
 	}
-	rid, err := t.insertBytes(tx, enc)
+	rid, err := t.insertRow(tx, nil, row, enc)
 	if err != nil {
 		return RID{}, err
 	}
 	if tx != nil {
 		if err := tx.Lock(t.ID, rid.Bytes(), lock.Exclusive); err != nil {
-			_ = t.removeRow(rid)
+			// Nothing is logged yet, so back the row out here and now.
+			_ = tx.UndoLast()
 			return RID{}, err
 		}
 		tx.Log(&wal.Record{Type: wal.RecInsert, Table: t.ID, Page: rid.Page, Slot: uint32(rid.Slot), After: enc})
-		tx.OnRollback(func() error { return t.undoInsert(rid, row) })
 	}
-	for i, h := range t.Hists {
-		h.NoteInsert(row[i])
-	}
-	for _, ix := range t.Indexes {
-		if err := ix.Tree.Insert(ix.Key(row), rid.Bytes()); err != nil {
-			return RID{}, err
-		}
-	}
-	t.rows.Add(1)
 	return rid, nil
-}
-
-// insertBytes places the encoded row into the chain's tail, growing it as
-// needed. When the chain grows under a transaction, the new linkage is
-// logged as a RecPageLink record so recovery can rebuild the chain even if
-// only some of the affected pages reached disk. tx may be nil (bulk load).
-func (t *Table) insertBytes(tx *txn.Txn, enc []byte) (RID, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	f, err := t.pool.Get(t.last)
-	if err != nil {
-		return RID{}, err
-	}
-	f.Lock()
-	slot := f.Data.Insert(enc)
-	if slot >= 0 {
-		f.MarkDirty()
-		id := f.ID
-		// Push the insert marker ("no row existed here before this txn")
-		// while still holding the page latch: a snapshot reader that can
-		// see the new cell must also find the chain entry that hides it.
-		t.pushVersion(tx, RID{Page: id, Slot: slot}, nil, false)
-		f.Unlock()
-		t.pool.Unpin(f, true)
-		return RID{Page: id, Slot: slot}, nil
-	}
-	// Tail full: extend the chain.
-	nf, err := t.pool.NewPage(t.file, page.TypeTable)
-	if err != nil {
-		f.Unlock()
-		t.pool.Unpin(f, false)
-		return RID{}, err
-	}
-	nf.Data.SetOwner(t.ID)
-	f.Data.SetNext(uint64(nf.ID))
-	f.MarkDirty()
-	f.Unlock()
-	t.pool.Unpin(f, true)
-	if tx != nil {
-		var next [8]byte
-		binary.LittleEndian.PutUint64(next[:], uint64(nf.ID))
-		tx.Log(&wal.Record{Type: wal.RecPageLink, Table: t.ID, Page: f.ID, After: next[:]})
-	}
-	t.last = nf.ID
-	t.pages.Add(1)
-	nf.Lock()
-	slot = nf.Data.Insert(enc)
-	id := nf.ID
-	if slot >= 0 {
-		t.pushVersion(tx, RID{Page: id, Slot: slot}, nil, false)
-	}
-	nf.Unlock()
-	t.pool.Unpin(nf, true)
-	if slot < 0 {
-		return RID{}, fmt.Errorf("table %s: fresh page rejected %d bytes", t.Name, len(enc))
-	}
-	return RID{Page: id, Slot: slot}, nil
-}
-
-// pushVersion prepends a pre-image entry to rid's version chain on behalf
-// of tx. No-op for non-transactional work (bulk load, rollback undo —
-// compensations restore state rather than create new versions).
-func (t *Table) pushVersion(tx *txn.Txn, rid RID, pre []val.Value, exists bool) {
-	if tx == nil {
-		return
-	}
-	e := &mvcc.Entry{Writer: tx.ID(), Row: pre, Exists: exists, Bytes: mvcc.SizeOf(pre)}
-	id := mvcc.RowID{Page: rid.Page, Slot: rid.Slot}
-	t.versions.Push(id, e)
-	tx.NoteVersion(t.versions, id, e)
-}
-
-// undoInsert compensates an insert during rollback.
-func (t *Table) undoInsert(rid RID, row []val.Value) error {
-	// The compensated insert always lives in the delta tail, but a build
-	// may have sealed the chain between insert and rollback; invalidate
-	// conservatively rather than reason about the boundary.
-	t.invalidateColumnar(nil)
-	if err := t.removeRow(rid); err != nil {
-		return err
-	}
-	for i, h := range t.Hists {
-		h.NoteDelete(row[i])
-	}
-	for _, ix := range t.Indexes {
-		if _, err := ix.Tree.Delete(ix.Key(row), rid.Bytes()); err != nil {
-			return err
-		}
-	}
-	t.rows.Add(-1)
-	return nil
-}
-
-// removeRow deletes the physical row.
-func (t *Table) removeRow(rid RID) error {
-	f, err := t.pool.Get(rid.Page)
-	if err != nil {
-		return err
-	}
-	defer t.pool.Unpin(f, true)
-	f.Lock()
-	defer f.Unlock()
-	if !f.Data.Delete(rid.Slot) {
-		return ErrNotFound
-	}
-	f.MarkDirty()
-	return nil
 }
 
 // Get reads a row by RID.
@@ -393,7 +542,21 @@ func (t *Table) Get(rid RID) ([]val.Value, error) {
 	return val.DecodeRow(cell)
 }
 
-// Delete removes a row, maintaining indexes, histograms, and undo.
+// lockRow takes tx's write locks on the row at rid and reads the row as it
+// stands under them, so the image a caller saves, checks or logs cannot be
+// stale.
+func (t *Table) lockRow(tx *txn.Txn, rid RID) ([]val.Value, error) {
+	if tx != nil {
+		if err := tx.Lock(t.ID, nil, lock.IntentExclusive); err != nil {
+			return nil, err
+		}
+		if err := tx.Lock(t.ID, rid.Bytes(), lock.Exclusive); err != nil {
+			return nil, err
+		}
+	}
+	return t.Get(rid)
+}
+
 // UpdateChecked updates rid by deriving the replacement row from the
 // current committed row under the row's exclusive lock. check sees the
 // fresh row and may veto the write (the caller's WHERE predicate no longer
@@ -405,15 +568,7 @@ func (t *Table) Get(rid RID) ([]val.Value, error) {
 func (t *Table) UpdateChecked(tx *txn.Txn, rid RID,
 	check func(row []val.Value) (bool, error),
 	compute func(row []val.Value) ([]val.Value, error)) (RID, bool, error) {
-	if tx != nil {
-		if err := tx.Lock(t.ID, nil, lock.IntentExclusive); err != nil {
-			return RID{}, false, err
-		}
-		if err := tx.Lock(t.ID, rid.Bytes(), lock.Exclusive); err != nil {
-			return RID{}, false, err
-		}
-	}
-	old, err := t.Get(rid)
+	old, err := t.lockRow(tx, rid)
 	if err != nil {
 		return RID{}, false, err
 	}
@@ -427,7 +582,7 @@ func (t *Table) UpdateChecked(tx *txn.Txn, rid RID,
 	if err != nil {
 		return RID{}, false, err
 	}
-	newRID, err := t.Update(tx, rid, newRow)
+	newRID, err := t.updateLocked(tx, rid, old, newRow)
 	return newRID, err == nil, err
 }
 
@@ -436,15 +591,7 @@ func (t *Table) UpdateChecked(tx *txn.Txn, rid RID,
 // UpdateChecked). Reports whether the row was deleted.
 func (t *Table) DeleteChecked(tx *txn.Txn, rid RID,
 	check func(row []val.Value) (bool, error)) (bool, error) {
-	if tx != nil {
-		if err := tx.Lock(t.ID, nil, lock.IntentExclusive); err != nil {
-			return false, err
-		}
-		if err := tx.Lock(t.ID, rid.Bytes(), lock.Exclusive); err != nil {
-			return false, err
-		}
-	}
-	row, err := t.Get(rid)
+	row, err := t.lockRow(tx, rid)
 	if err != nil {
 		return false, err
 	}
@@ -454,168 +601,77 @@ func (t *Table) DeleteChecked(tx *txn.Txn, rid RID,
 			return false, err
 		}
 	}
-	if err := t.Delete(tx, rid); err != nil {
+	if err := t.deleteLocked(tx, rid, row); err != nil {
 		return false, err
 	}
 	return true, nil
 }
 
+// Delete removes a row.
 func (t *Table) Delete(tx *txn.Txn, rid RID) error {
-	// Lock before reading the pre-image, so the saved version cannot be
-	// stale by the time it lands on the chain.
-	if tx != nil {
-		if err := tx.Lock(t.ID, nil, lock.IntentExclusive); err != nil {
-			return err
-		}
-		if err := tx.Lock(t.ID, rid.Bytes(), lock.Exclusive); err != nil {
-			return err
-		}
-	}
-	row, err := t.Get(rid)
+	row, err := t.lockRow(tx, rid)
 	if err != nil {
 		return err
 	}
-	// The row may be covered by sealed column segments: drop them (WAL-
-	// logged before the delete record) so no scan — live or replayed —
-	// can see the stale columnar image.
-	t.invalidateColumnar(tx)
-	// Chain the pre-image before the cell disappears: a snapshot reader
-	// either sees the live cell, or resurrects it from here.
-	t.pushVersion(tx, rid, row, true)
-	if err := t.removeRow(rid); err != nil {
-		return err
-	}
-	enc := val.EncodeRow(row)
-	if tx != nil {
-		tx.Log(&wal.Record{Type: wal.RecDelete, Table: t.ID, Page: rid.Page, Slot: uint32(rid.Slot), Before: enc})
-		tx.OnRollback(func() error { return t.undoDelete(rid, row) })
-	}
-	for i, h := range t.Hists {
-		h.NoteDelete(row[i])
-	}
-	for _, ix := range t.Indexes {
-		if _, err := ix.Tree.Delete(ix.Key(row), rid.Bytes()); err != nil {
-			return err
-		}
-	}
-	t.rows.Add(-1)
-	return nil
+	return t.deleteLocked(tx, rid, row)
 }
 
-// undoDelete restores a deleted row at its original RID.
-func (t *Table) undoDelete(rid RID, row []val.Value) error {
-	f, err := t.pool.Get(rid.Page)
-	if err != nil {
+// deleteLocked deletes the row at rid, whose image row was read under tx's
+// lock on it.
+func (t *Table) deleteLocked(tx *txn.Txn, rid RID, row []val.Value) error {
+	if err := t.deleteRow(tx, rid, row); err != nil {
 		return err
 	}
-	f.Lock()
-	ok := f.Data.InsertAt(rid.Slot, val.EncodeRow(row))
-	f.MarkDirty()
-	f.Unlock()
-	t.pool.Unpin(f, true)
-	if !ok {
-		return fmt.Errorf("table %s: undo delete could not restore %v", t.Name, rid)
+	if tx != nil {
+		tx.Log(&wal.Record{Type: wal.RecDelete, Table: t.ID, Page: rid.Page, Slot: uint32(rid.Slot), Before: val.EncodeRow(row)})
 	}
-	for i, h := range t.Hists {
-		h.NoteInsert(row[i])
-	}
-	for _, ix := range t.Indexes {
-		if err := ix.Tree.Insert(ix.Key(row), rid.Bytes()); err != nil {
-			return err
-		}
-	}
-	t.rows.Add(1)
 	return nil
 }
 
 // Update replaces a row. If the new encoding no longer fits in place the
 // row moves and the returned RID differs.
 func (t *Table) Update(tx *txn.Txn, rid RID, newRow []val.Value) (RID, error) {
-	if len(newRow) != len(t.Columns) {
-		return RID{}, fmt.Errorf("table %s: %d values for %d columns", t.Name, len(newRow), len(t.Columns))
-	}
-	if tx != nil {
-		if err := tx.Lock(t.ID, nil, lock.IntentExclusive); err != nil {
-			return RID{}, err
-		}
-		if err := tx.Lock(t.ID, rid.Bytes(), lock.Exclusive); err != nil {
-			return RID{}, err
-		}
-	}
-	oldRow, err := t.Get(rid)
+	oldRow, err := t.lockRow(tx, rid)
 	if err != nil {
 		return RID{}, err
+	}
+	return t.updateLocked(tx, rid, oldRow, newRow)
+}
+
+// updateLocked replaces the row at rid, whose image oldRow was read under
+// tx's lock on it.
+func (t *Table) updateLocked(tx *txn.Txn, rid RID, oldRow, newRow []val.Value) (RID, error) {
+	if len(newRow) != len(t.Columns) {
+		return RID{}, fmt.Errorf("table %s: %d values for %d columns", t.Name, len(newRow), len(t.Columns))
 	}
 	newEnc := val.EncodeRow(newRow)
 	if len(newEnc) > page.Size-page.HeaderSize-8 {
 		return RID{}, ErrRowTooLarge
 	}
-	// As in Delete: sealed segments may cover this row.
-	t.invalidateColumnar(tx)
-	// One pre-image entry at the original location covers both outcomes:
-	// updated in place (chain hides the new bytes) or moved away (chain
-	// resurrects the row where the cell used to be, and insertBytes chains
-	// a not-exists marker at the new location).
-	t.pushVersion(tx, rid, oldRow, true)
-
-	newRID := rid
-	f, err := t.pool.Get(rid.Page)
+	err := t.updateRow(tx, rid, oldRow, newRow, newEnc)
+	if err == nil {
+		if tx != nil {
+			tx.Log(&wal.Record{Type: wal.RecUpdate, Table: t.ID, Page: rid.Page, Slot: uint32(rid.Slot),
+				Before: val.EncodeRow(oldRow), After: newEnc})
+		}
+		return rid, nil
+	}
+	if !errors.Is(err, errNoRoom) {
+		return RID{}, err
+	}
+	// Move: a delete and an insert, logged as that pair. A single RecUpdate
+	// at the new location would leave the old cell's removal unlogged: if
+	// the old page never reached disk before a crash, redo would resurrect
+	// the original row beside the moved copy.
+	if err := t.deleteLocked(tx, rid, oldRow); err != nil {
+		return RID{}, err
+	}
+	newRID, err := t.insertRow(tx, nil, newRow, newEnc)
 	if err != nil {
 		return RID{}, err
 	}
-	f.Lock()
-	inPlace := f.Data.Update(rid.Slot, newEnc)
-	if inPlace {
-		f.MarkDirty()
-	}
-	f.Unlock()
-	t.pool.Unpin(f, inPlace)
-	if !inPlace {
-		// Move: delete + reinsert, logged as a delete/insert pair. A single
-		// RecUpdate at the new location would leave the old cell's removal
-		// unlogged: if the old page never reached disk before a crash, redo
-		// would resurrect the original row beside the moved copy.
-		if err := t.removeRow(rid); err != nil {
-			return RID{}, err
-		}
-		if tx != nil {
-			tx.Log(&wal.Record{Type: wal.RecDelete, Table: t.ID, Page: rid.Page, Slot: uint32(rid.Slot),
-				Before: val.EncodeRow(oldRow)})
-		}
-		newRID, err = t.insertBytes(tx, newEnc)
-		if err != nil {
-			return RID{}, err
-		}
-		if tx != nil {
-			tx.Log(&wal.Record{Type: wal.RecInsert, Table: t.ID, Page: newRID.Page, Slot: uint32(newRID.Slot),
-				After: newEnc})
-		}
-	} else if tx != nil {
-		tx.Log(&wal.Record{Type: wal.RecUpdate, Table: t.ID, Page: newRID.Page, Slot: uint32(newRID.Slot),
-			Before: val.EncodeRow(oldRow), After: newEnc})
-	}
 	if tx != nil {
-		tx.OnRollback(func() error {
-			_, err := t.Update(nil, newRID, oldRow)
-			return err
-		})
-	}
-	for i, h := range t.Hists {
-		if val.Compare(oldRow[i], newRow[i]) != 0 || oldRow[i].IsNull() != newRow[i].IsNull() {
-			h.NoteDelete(oldRow[i])
-			h.NoteInsert(newRow[i])
-		}
-	}
-	for _, ix := range t.Indexes {
-		oldKey, newKey := ix.Key(oldRow), ix.Key(newRow)
-		if string(oldKey) != string(newKey) || newRID != rid {
-			if _, err := ix.Tree.Delete(oldKey, rid.Bytes()); err != nil {
-				return RID{}, err
-			}
-			if err := ix.Tree.Insert(newKey, newRID.Bytes()); err != nil {
-				return RID{}, err
-			}
-		}
+		tx.Log(&wal.Record{Type: wal.RecInsert, Table: t.ID, Page: newRID.Page, Slot: uint32(newRID.Slot), After: newEnc})
 	}
 	return newRID, nil
 }

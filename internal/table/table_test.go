@@ -3,6 +3,7 @@ package table
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"anywheredb/internal/buffer"
@@ -159,6 +160,150 @@ func TestRollbackUpdate(t *testing.T) {
 	got, err := tbl.Get(rid)
 	if err != nil || got[1].S != "orig" || got[2].F != 100 {
 		t.Fatalf("update not rolled back: %v %v", got, err)
+	}
+}
+
+// TestInsertLeavesUnsettledDeleteAlone interleaves a delete that is later
+// rolled back with another transaction's insert into the same page. The
+// rollback restores the row at exactly its old RID, so the insert may take
+// neither the deleted row's slot nor the bytes it gave up.
+func TestInsertLeavesUnsettledDeleteAlone(t *testing.T) {
+	for _, size := range []int{6, 1000} { // small rows contend for the slot, page-filling ones for the space
+		tbl, _, _, tm := setup(t)
+		pad := strings.Repeat("v", size)
+		tx := tm.Begin()
+		var rids []RID
+		for i := int64(0); i < 4; i++ {
+			rid, err := tbl.Insert(tx, row(i, pad, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rids = append(rids, rid)
+		}
+		tx.Commit()
+		victim := rids[1]
+
+		deleter, inserter := tm.Begin(), tm.Begin()
+		if err := tbl.Delete(deleter, victim); err != nil {
+			t.Fatal(err)
+		}
+		rid, err := tbl.Insert(inserter, row(9, pad[:size*9/10], 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rid == victim {
+			t.Fatalf("size %d: insert reused %v, the slot of a row whose delete has not settled", size, victim)
+		}
+		if err := deleter.Rollback(); err != nil {
+			t.Fatalf("size %d: rollback of the delete: %v", size, err)
+		}
+		if err := inserter.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := tbl.Get(victim); err != nil || got[0].I != 1 {
+			t.Fatalf("size %d: rolled-back delete did not restore its row: %v %v", size, got, err)
+		}
+		if got, err := tbl.Get(rid); err != nil || got[0].I != 9 {
+			t.Fatalf("size %d: committed insert lost: %v %v", size, got, err)
+		}
+		if tbl.RowCount() != 5 {
+			t.Fatalf("size %d: rows %d, want 5", size, tbl.RowCount())
+		}
+
+		// Once a delete has settled its slot is free again (where the page
+		// is still the chain's tail: inserts go nowhere else).
+		if rid.Page == victim.Page {
+			tx = tm.Begin()
+			tbl.Delete(tx, victim)
+			tx.Commit()
+			tx = tm.Begin()
+			if rid, _ := tbl.Insert(tx, row(10, pad, 0)); rid != victim {
+				t.Fatalf("size %d: insert went to %v, not the settled delete's slot %v", size, rid, victim)
+			}
+			tx.Commit()
+		}
+	}
+}
+
+// TestGrowLeavesUnsettledWritesAlone is the same interleaving with an
+// in-place update as the other transaction: whatever a delete, a moving
+// update or a shrinking update gave up in a nearly full page is not there
+// for a neighbour to grow into until the writer settles. The neighbour moves
+// instead, and the writer's rollback finds its row's place as it left it.
+func TestGrowLeavesUnsettledWritesAlone(t *testing.T) {
+	pad := strings.Repeat("v", 900) // four rows fill a page to within 400 bytes
+	giveUp := map[string]func(tbl *Table, tx *txn.Txn, rid RID) error{
+		"delete": func(tbl *Table, tx *txn.Txn, rid RID) error { return tbl.Delete(tx, rid) },
+		"move": func(tbl *Table, tx *txn.Txn, rid RID) error {
+			moved, err := tbl.Update(tx, rid, row(1, strings.Repeat("m", 3000), 0))
+			if err == nil && moved.Page == rid.Page {
+				err = fmt.Errorf("update to 3000 bytes stayed in page %v", rid.Page)
+			}
+			return err
+		},
+		"shrink": func(tbl *Table, tx *txn.Txn, rid RID) error {
+			_, err := tbl.Update(tx, rid, row(1, "s", 0))
+			return err
+		},
+	}
+	for name, write := range giveUp {
+		tbl, _, _, tm := setup(t)
+		tx := tm.Begin()
+		var rids []RID
+		for i := int64(0); i < 4; i++ {
+			rid, err := tbl.Insert(tx, row(i, pad, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rids = append(rids, rid)
+		}
+		tx.Commit()
+		victim, neighbour := rids[1], rids[2]
+
+		writer, grower := tm.Begin(), tm.Begin()
+		if err := write(tbl, writer, victim); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		grown, err := tbl.Update(grower, neighbour, row(2, pad+pad[:600], 0))
+		if err != nil {
+			t.Fatalf("%s: growing the neighbour: %v", name, err)
+		}
+		if grown.Page == victim.Page {
+			t.Fatalf("%s: neighbour grew in place into bytes the writer's rollback needs", name)
+		}
+		if err := writer.Rollback(); err != nil {
+			t.Fatalf("%s: rollback: %v", name, err)
+		}
+		if err := grower.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := tbl.Get(victim); err != nil || got[0].I != 1 || got[1].S != pad {
+			t.Fatalf("%s: rollback did not restore the row at %v: %v", name, victim, err)
+		}
+		if got, err := tbl.Get(grown); err != nil || got[0].I != 2 || len(got[1].S) != 1500 {
+			t.Fatalf("%s: committed update lost: %v", name, err)
+		}
+		if tbl.RowCount() != 4 {
+			t.Fatalf("%s: rows %d, want 4", name, tbl.RowCount())
+		}
+	}
+
+	// What a transaction gave up is its own to take back: shrink, then grow
+	// again past what the page has free, and the row stays where it is.
+	tbl, _, _, tm := setup(t)
+	tx := tm.Begin()
+	var rid RID
+	for i := int64(0); i < 4; i++ {
+		rid, _ = tbl.Insert(tx, row(i, pad, 0))
+	}
+	tx.Commit()
+	tx = tm.Begin()
+	tbl.Update(tx, rid, row(3, "s", 0))
+	if back, err := tbl.Update(tx, rid, row(3, pad, 0)); err != nil || back != rid {
+		t.Fatalf("regrowing a row its own transaction shrank: %v, %v (was %v)", back, err, rid)
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -29,13 +29,6 @@ type Manager struct {
 	next   uint64
 	active map[uint64]*Txn
 
-	// applied tracks primary transaction ids currently being replayed by a
-	// replica's streaming applier. They have no *Txn — the applier drives
-	// them record by record — but vacuum's writer-gone rule must still see
-	// them as in flight, or it would reclaim their uncommitted version
-	// entries mid-replay.
-	applied map[uint64]struct{}
-
 	// commitMu serializes commit publication so the commit sequence is
 	// dense and every snapshot watermark is a consistent prefix: a commit
 	// stamps all its version entries with the next CSN, then advances
@@ -105,7 +98,7 @@ func (m *Manager) flushTo(id uint64, lsn wal.LSN) error {
 // single-user (embedded, exclusive) database.
 func NewManager(log *wal.Log, locks *lock.Manager) *Manager {
 	return &Manager{log: log, locks: locks, next: 1, active: map[uint64]*Txn{},
-		applied: map[uint64]struct{}{}, snaps: map[uint64]snapState{}}
+		snaps: map[uint64]snapState{}}
 }
 
 // StartIDsAt raises the local id sequence floor to base. A replica calls it
@@ -152,49 +145,31 @@ func (m *Manager) Active() int {
 	return len(m.active)
 }
 
+// Adopt registers and returns the local stand-in for primary transaction
+// id, whose records a replica is replaying from the shipped log. It is a
+// real transaction: it owns the version entries and compensations the
+// table's mutation kernels register, sits in the active registry (vacuum's
+// writer-gone rule and sys.transactions see it), and settles through
+// Commit and Rollback like any other. But it takes no locks — the
+// primary's locks already ordered the stream — and logs nothing: its
+// frames, including the commit or rollback record that settles it, are in
+// the local log before they are applied.
+func (m *Manager) Adopt(id uint64) *Txn {
+	t := &Txn{id: id, m: m, shipped: true, began: time.Now()}
+	m.mu.Lock()
+	m.active[id] = t
+	m.mu.Unlock()
+	return t
+}
+
 // IsActive reports whether the given transaction is still in flight.
 // Vacuum uses it to distinguish a rolled-back version entry (writer gone,
 // CSN never published) from one whose writer may yet commit.
 func (m *Manager) IsActive(id uint64) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.active[id]; ok {
-		return true
-	}
-	_, ok := m.applied[id]
+	_, ok := m.active[id]
 	return ok
-}
-
-// BeginApplied registers a primary transaction id a streaming applier is
-// replaying, so IsActive covers it (see the applied field).
-func (m *Manager) BeginApplied(id uint64) {
-	m.mu.Lock()
-	m.applied[id] = struct{}{}
-	m.mu.Unlock()
-}
-
-// FinishApplied deregisters an applied transaction after its commit has
-// been published (or its rollback undone).
-func (m *Manager) FinishApplied(id uint64) {
-	m.mu.Lock()
-	delete(m.applied, id)
-	m.mu.Unlock()
-}
-
-// PublishApplied stamps a replayed transaction's version entries with the
-// next commit sequence number and advances the published horizon — the
-// applier-side twin of Txn.publish, with the same dense-CSN invariant.
-func (m *Manager) PublishApplied(entries []*mvcc.Entry) {
-	if len(entries) == 0 {
-		return
-	}
-	m.commitMu.Lock()
-	csn := m.commitSeq.Load() + 1
-	for _, e := range entries {
-		e.SetCSN(csn)
-	}
-	m.commitSeq.Store(csn)
-	m.commitMu.Unlock()
 }
 
 // CommitSeq returns the published commit horizon.
@@ -344,6 +319,9 @@ type Txn struct {
 	done  bool
 	ro    bool
 	began time.Time
+	// shipped marks a transaction adopted from a primary's log stream (see
+	// Manager.Adopt): no locks, no log records, no flush.
+	shipped bool
 
 	// entries are the version-chain pre-images this transaction pushed;
 	// Commit stamps them all with one CSN, then eagerly reclaims the ones
@@ -434,6 +412,9 @@ func (t *Txn) reclaim() {
 
 // Log appends a data record to the WAL on this transaction's behalf.
 func (t *Txn) Log(rec *wal.Record) {
+	if t.shipped {
+		return
+	}
 	rec.Txn = t.id
 	t.m.log.Append(rec)
 }
@@ -444,22 +425,53 @@ func (t *Txn) OnRollback(f func() error) {
 	t.undo = append(t.undo, f)
 }
 
-// Lock acquires a long-term lock for the transaction. With no lock manager
-// (single-user database) it is a no-op.
-func (t *Txn) Lock(obj uint64, key []byte, mode lock.Mode) error {
-	if t.m.locks == nil {
+// UndoLast runs and discards the most recently registered compensation: a
+// statement that fails after a change was made, but before it was logged,
+// backs that one change out without ending the transaction.
+func (t *Txn) UndoLast() error {
+	last := len(t.undo) - 1
+	f := t.undo[last]
+	t.undo = t.undo[:last]
+	return f()
+}
+
+// undoAll runs every compensation, newest first, and reports the first
+// failure.
+func (t *Txn) undoAll() error {
+	var firstErr error
+	for len(t.undo) > 0 {
+		if err := t.UndoLast(); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
+}
+
+// locks returns the lock manager this transaction locks through: none for
+// a single-user database or a shipped transaction.
+func (t *Txn) locks() *lock.Manager {
+	if t.shipped {
 		return nil
 	}
-	return t.m.locks.Lock(t.id, obj, key, mode)
+	return t.m.locks
+}
+
+// Lock acquires a long-term lock for the transaction. With no lock manager
+// it is a no-op.
+func (t *Txn) Lock(obj uint64, key []byte, mode lock.Mode) error {
+	if lm := t.locks(); lm != nil {
+		return lm.Lock(t.id, obj, key, mode)
+	}
+	return nil
 }
 
 // LockCtx is Lock under a context: a cancelled statement context aborts
 // the lock wait instead of parking until the deadlock timeout.
 func (t *Txn) LockCtx(ctx context.Context, obj uint64, key []byte, mode lock.Mode) error {
-	if t.m.locks == nil {
-		return nil
+	if lm := t.locks(); lm != nil {
+		return lm.LockCtx(ctx, t.id, obj, key, mode)
 	}
-	return t.m.locks.LockCtx(ctx, t.id, obj, key, mode)
+	return nil
 }
 
 // Commit makes the transaction durable: commit record, group flush, lock
@@ -484,6 +496,12 @@ func (t *Txn) Commit() error {
 	if t.ro {
 		// Nothing was logged and nothing can have changed: just release
 		// locks (if the locking-read path took any) and deregister.
+		t.finish()
+		return nil
+	}
+	if t.shipped {
+		// The shipped commit record is already durable in the local log.
+		t.publish()
 		t.finish()
 		return nil
 	}
@@ -518,9 +536,7 @@ func (t *Txn) Commit() error {
 // in-memory state is about to be discarded anyway, and recovery will undo
 // from the log.
 func (t *Txn) compensate() {
-	for i := len(t.undo) - 1; i >= 0; i-- {
-		_ = t.undo[i]()
-	}
+	_ = t.undoAll()
 	t.m.log.Append(&wal.Record{Type: wal.RecRollback, Txn: t.id})
 }
 
@@ -535,13 +551,20 @@ func (t *Txn) Rollback() error {
 		t.finish()
 		return nil
 	}
-	var firstErr error
-	for i := len(t.undo) - 1; i >= 0; i-- {
-		if err := t.undo[i](); err != nil && firstErr == nil {
-			firstErr = err
-		}
+	if t.shipped {
+		// The shipped rollback record is already in the local log.
+		err := t.undoAll()
+		t.finish()
+		return err
 	}
+	// The record goes into the log ahead of the compensations, not after
+	// them: whatever another transaction does with the page space they hand
+	// back is then logged behind it, and a replica, which runs the same
+	// compensations when it reaches this record, has that space too.
+	// Recovery undoes a rolled-back transaction from the log like any other
+	// loser, so the order makes no difference to it.
 	lsn := t.m.log.Append(&wal.Record{Type: wal.RecRollback, Txn: t.id})
+	firstErr := t.undoAll()
 	if err := t.m.flushTo(t.id, lsn); err != nil && firstErr == nil {
 		firstErr = err
 	}
@@ -555,8 +578,8 @@ func (t *Txn) finish() {
 		// it here unpins the versions it held against vacuum.
 		t.m.ReleaseSnapshot(s)
 	}
-	if t.m.locks != nil {
-		_ = t.m.locks.ReleaseAll(t.id)
+	if lm := t.locks(); lm != nil {
+		_ = lm.ReleaseAll(t.id)
 	}
 	// Deregister after publish (Commit) and after undo (Rollback): vacuum
 	// checks liveness before reading an entry's CSN, so a writer observed

@@ -6,6 +6,7 @@ import (
 
 	"anywheredb/internal/buffer"
 	"anywheredb/internal/lock"
+	"anywheredb/internal/mvcc"
 	"anywheredb/internal/store"
 	"anywheredb/internal/wal"
 )
@@ -68,13 +69,26 @@ func TestRollbackRunsUndoInReverse(t *testing.T) {
 	m, log := setup(t)
 	tx := m.Begin()
 	var order []int
+	var atFirstUndo []wal.RecType
 	tx.OnRollback(func() error { order = append(order, 1); return nil })
-	tx.OnRollback(func() error { order = append(order, 2); return nil })
+	tx.OnRollback(func() error {
+		order = append(order, 2)
+		if err := log.Flush(); err != nil {
+			return err
+		}
+		atFirstUndo = logTypes(t, log)
+		return nil
+	})
 	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
 	}
 	if len(order) != 2 || order[0] != 2 || order[1] != 1 {
 		t.Fatalf("undo order %v, want [2 1]", order)
+	}
+	// The rollback record is logged before the first compensation frees
+	// anything another transaction could use and log.
+	if n := len(atFirstUndo); n == 0 || atFirstUndo[n-1] != wal.RecRollback {
+		t.Fatalf("log when the first compensation ran: %v, want the rollback record last", atFirstUndo)
 	}
 	types := logTypes(t, log)
 	if types[len(types)-1] != wal.RecRollback {
@@ -162,3 +176,63 @@ func TestUndoErrorReported(t *testing.T) {
 type errFake struct{}
 
 func (errFake) Error() string { return "fake undo failure" }
+
+// TestAdoptedTxnSettlesWithoutLogOrLocks covers the stand-in a replica
+// adopts for a primary's transaction: it is active until it settles (so
+// vacuum leaves its versions alone), settles through Commit/Rollback like a
+// local transaction — publishing a CSN, running compensations in reverse —
+// and yet writes no log record and asks the lock manager for nothing, even
+// for a row a local transaction holds.
+func TestAdoptedTxnSettlesWithoutLogOrLocks(t *testing.T) {
+	m, log := setup(t)
+	holder := m.Begin()
+	if err := holder.Lock(7, []byte("row"), lock.Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	base := len(logTypes(t, log))
+
+	tx := m.Adopt(900)
+	if tx.ID() != 900 || !m.IsActive(900) {
+		t.Fatalf("adopted txn id %d, active %v", tx.ID(), m.IsActive(900))
+	}
+	if err := tx.Lock(7, []byte("row"), lock.Exclusive); err != nil {
+		t.Fatalf("adopted txn waited on a local lock: %v", err)
+	}
+	tx.Log(&wal.Record{Type: wal.RecInsert, Table: 7, After: []byte("r")})
+	store, id, e := mvcc.NewStore(), mvcc.RowID{Page: 1, Slot: 0}, &mvcc.Entry{Writer: 900}
+	store.Push(id, e)
+	tx.NoteVersion(store, id, e)
+	before := m.CommitSeq()
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if e.CSN() != before+1 || m.CommitSeq() != before+1 {
+		t.Fatalf("commit published CSN %d at horizon %d, want %d", e.CSN(), m.CommitSeq(), before+1)
+	}
+	if m.IsActive(900) || !store.Empty() {
+		t.Fatalf("after commit: active %v, versions left %d", m.IsActive(900), store.Count())
+	}
+
+	tx = m.Adopt(901)
+	var order []int
+	tx.OnRollback(func() error { order = append(order, 1); return nil })
+	tx.OnRollback(func() error { order = append(order, 2); return nil })
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 2 || order[0] != 2 || order[1] != 1 || m.IsActive(901) {
+		t.Fatalf("rollback ran compensations %v, still active %v", order, m.IsActive(901))
+	}
+	if err := log.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(logTypes(t, log)); n != base {
+		t.Fatalf("adopted transactions wrote %d log records", n-base)
+	}
+	if err := holder.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -368,8 +368,8 @@ func TestDifferentialColumnarVsRow(t *testing.T) {
 			columnarize()
 			continue
 		}
-		want := renderRows(mustQuery(t, rc, q.sql), q.ordered)
-		got := renderRows(mustQuery(t, cc, q.sql), q.ordered)
+		want := renderRows(mustQuery(t, rc, q.sql, q.params...), q.ordered)
+		got := renderRows(mustQuery(t, cc, q.sql, q.params...), q.ordered)
 		diffCompare(t, q, "columnar", got, want)
 	}
 

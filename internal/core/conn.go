@@ -172,7 +172,6 @@ func (c *Conn) optEnv() *opt.Env {
 		SoftLimitPages: func() int {
 			return db.pool.SizePages() / db.memG.MPL()
 		},
-		Quota:    db.opts.OptimizerQuota,
 		Property: db.reg.Value,
 	}
 }
@@ -288,11 +287,7 @@ func (c *Conn) run(ctx context.Context, sql string, params []val.Value) (res Res
 	if c.db.degraded.Load() {
 		// Read-only degraded mode: refuse anything that would write. The
 		// application can still query, roll back, and shut down cleanly.
-		switch stmt.(type) {
-		case *sqlparse.Begin, *sqlparse.CreateTable, *sqlparse.CreateIndex,
-			*sqlparse.DropTable, *sqlparse.LoadTable, *sqlparse.Insert,
-			*sqlparse.Update, *sqlparse.Delete, *sqlparse.Calibrate,
-			*sqlparse.AlterTableStore:
+		if _, begin := stmt.(*sqlparse.Begin); begin || sqlparse.Writes(stmt) {
 			return Result{}, nil, ErrReadOnly
 		}
 	}
@@ -302,16 +297,14 @@ func (c *Conn) run(ctx context.Context, sql string, params []val.Value) (res Res
 		// point); a read-write BEGIN is refused up front rather than at its
 		// first write, so applications learn they are on a replica before
 		// queueing work behind a doomed transaction.
-		if werr := rejectOnReplica(stmt); werr != nil {
-			return Result{}, nil, werr
+		if b, begin := stmt.(*sqlparse.Begin); (begin && !b.ReadOnly) || sqlparse.Writes(stmt) {
+			return Result{}, nil, ErrReplica
 		}
 	}
 
-	if c.tx != nil && c.tx.ReadOnly() {
+	if c.tx != nil && c.tx.ReadOnly() && sqlparse.Writes(stmt) {
 		// BEGIN READ ONLY: refuse anything that would write before it runs.
-		if werr := rejectInReadOnlyTxn(stmt); werr != nil {
-			return Result{}, nil, werr
-		}
+		return Result{}, nil, ErrReadOnlyTxn
 	}
 
 	if fin := c.beginReadPath(stmt, sp); fin != nil {
@@ -383,7 +376,7 @@ func (c *Conn) run(ctx context.Context, sql string, params []val.Value) (res Res
 			rows = &Rows{plan: plan}
 		}
 	case *sqlparse.Select:
-		rows, err = c.execSelect(sql, s, params)
+		rows, err = c.execSelect(sql, s, params, true)
 		if rows != nil {
 			res.RowsAffected = int64(rows.Count())
 		}
@@ -548,43 +541,6 @@ func (c *Conn) acquireSnapshot(self uint64, sp *flightrec.Span) *mvcc.Snapshot {
 		}
 	}
 	return snap
-}
-
-// rejectOnReplica returns ErrReplica for statements a read replica cannot
-// run: anything that would write, plus read-write BEGIN. BEGIN READ ONLY,
-// queries, EXPLAIN, COMMIT/ROLLBACK (of read-only transactions) pass.
-func rejectOnReplica(stmt sqlparse.Statement) error {
-	switch s := stmt.(type) {
-	case *sqlparse.Begin:
-		if !s.ReadOnly {
-			return ErrReplica
-		}
-	case *sqlparse.Insert, *sqlparse.Update, *sqlparse.Delete,
-		*sqlparse.CreateTable, *sqlparse.CreateIndex, *sqlparse.DropTable,
-		*sqlparse.LoadTable, *sqlparse.AlterTableStore, *sqlparse.Calibrate:
-		return ErrReplica
-	case *sqlparse.Explain:
-		if s.Analyze {
-			return rejectOnReplica(s.Stmt)
-		}
-	}
-	return nil
-}
-
-// rejectInReadOnlyTxn returns an error for statements that would write
-// inside a BEGIN READ ONLY transaction.
-func rejectInReadOnlyTxn(stmt sqlparse.Statement) error {
-	switch s := stmt.(type) {
-	case *sqlparse.Insert, *sqlparse.Update, *sqlparse.Delete,
-		*sqlparse.CreateTable, *sqlparse.CreateIndex, *sqlparse.DropTable,
-		*sqlparse.LoadTable, *sqlparse.AlterTableStore, *sqlparse.Calibrate:
-		return ErrReadOnlyTxn
-	case *sqlparse.Explain:
-		if s.Analyze {
-			return rejectInReadOnlyTxn(s.Stmt)
-		}
-	}
-	return nil
 }
 
 // --- DDL -------------------------------------------------------------------

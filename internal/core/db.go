@@ -95,8 +95,6 @@ type Options struct {
 	// AutoShutdown closes the database when the last connection closes
 	// (the embedded-deployment behaviour of §1).
 	AutoShutdown bool
-	// OptimizerQuota overrides the optimizer governor's visit quota.
-	OptimizerQuota int
 
 	// CommitFlushDelay is the WAL group-commit gather window: a flush
 	// leader lingers this long before sealing the batch, trading commit
@@ -119,9 +117,6 @@ type Options struct {
 	// costs paid) — this is the overhead baseline experiment E21 measures
 	// against.
 	DisableFlightRecorder bool
-	// FlightRecorderSize is the span ring-buffer capacity (0 selects
-	// flightrec.DefaultRingSize, rounded up to a power of two).
-	FlightRecorderSize int
 	// ParanoidRecovery re-applies the recovery plan a second time after
 	// redo/undo and verifies the replay was idempotent (the logical page
 	// content must not change). Torture tests run with this on.
@@ -135,9 +130,6 @@ type Options struct {
 	// ReorgMinRows is the smallest table the reorganizer will promote
 	// (default 1024 — below that the heap scan is already cheap).
 	ReorgMinRows int
-	// ReorgScanWriteRatio is the scans-per-write threshold for promotion
-	// (default 8). A table must also have been scanned at least once.
-	ReorgScanWriteRatio float64
 
 	// ReplicaMode opens the database as a log-shipping read replica: SQL
 	// writes are refused (ErrReplica), the storage reorganizer never runs,
@@ -193,9 +185,6 @@ func (o *Options) fill() {
 	}
 	if o.ReorgMinRows <= 0 {
 		o.ReorgMinRows = 1024
-	}
-	if o.ReorgScanWriteRatio <= 0 {
-		o.ReorgScanWriteRatio = 8
 	}
 	if o.VacuumInterval == 0 {
 		o.VacuumInterval = 250 * time.Millisecond
@@ -469,7 +458,7 @@ func Open(opts Options) (*DB, error) {
 	// identical enabled or disabled (E21's baseline); wall-clock µs since
 	// open is the span/wait timebase.
 	openedAt := time.Now()
-	db.flight = flightrec.New(opts.FlightRecorderSize, func() int64 {
+	db.flight = flightrec.New(flightrec.DefaultRingSize, func() int64 {
 		return time.Since(openedAt).Microseconds()
 	})
 	db.flight.SetEnabled(!opts.DisableFlightRecorder)
@@ -659,9 +648,13 @@ func (db *DB) VacuumOnce() int {
 	return reclaimed
 }
 
+// reorgScanWriteRatio is the scans-per-write threshold at which the
+// reorganizer promotes a table to columnar storage.
+const reorgScanWriteRatio = 8
+
 // ReorgOnce runs one storage-reorganizer pass and reports how many tables
 // were promoted to columnar storage. A table is promoted when the observed
-// workload is scan-heavy (scans/writes ≥ ReorgScanWriteRatio, at least one
+// workload is scan-heavy (scans/writes ≥ reorgScanWriteRatio, at least one
 // scan) and the table is big enough to matter; the access digests are
 // reset after a promotion so later ratios reflect the new workload phase.
 func (db *DB) ReorgOnce() int {
@@ -683,7 +676,7 @@ func (db *DB) ReorgOnce() int {
 		if writes == 0 {
 			writes = 1
 		}
-		if float64(st.Scans)/float64(writes) < db.opts.ReorgScanWriteRatio {
+		if float64(st.Scans)/float64(writes) < reorgScanWriteRatio {
 			continue
 		}
 		if err := db.promoteColumnar(tbl); err != nil {

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -27,8 +29,17 @@ type diffQuery struct {
 	// actual_rows are compared only for limit-free queries.
 	skipExplain bool
 	// dml: compare RowsAffected instead of a result set.
-	dml bool
+	dml    bool
+	params []val.Value
+	// same is an independently compiled statement that must return the same
+	// rows: an aggregated expression is checked against the same expression
+	// over a pre-aggregated CTE, where it is an ordinary scalar.
+	same string
 }
+
+// orderByUnprojected sorts by a column the projection drops: the sort has to
+// sit below the projection on every build path, cached or fresh.
+const orderByUnprojected = "SELECT eid FROM emp WHERE did = 2 ORDER BY salary DESC"
 
 var diffWorkload = []diffQuery{
 	// Scans and filters.
@@ -47,7 +58,24 @@ var diffWorkload = []diffQuery{
 	{sql: "SELECT COUNT(*), SUM(salary), MIN(eid), MAX(eid) FROM emp"},
 	{sql: "SELECT did, COUNT(*) AS n, AVG(salary) FROM emp GROUP BY did ORDER BY did", ordered: true},
 	{sql: "SELECT did, COUNT(*) AS n FROM emp GROUP BY did HAVING COUNT(*) > 30 ORDER BY n DESC, did", ordered: true},
-	// Sorting, with and without LIMIT.
+	// Predicates and functions over aggregates: select items and HAVING
+	// compile through the same expression compiler as WHERE.
+	{sql: "SELECT did, NOT (COUNT(*) > 1) FROM emp WHERE eid < 7 GROUP BY did",
+		same: "WITH g (did, n) AS (SELECT did, COUNT(*) FROM emp WHERE eid < 7 GROUP BY did) SELECT did, NOT (n > 1) FROM g"},
+	{sql: "SELECT did, SUM(salary) > 2007 AND COUNT(*) > 1 FROM emp WHERE eid < 8 GROUP BY did",
+		same: "WITH g (did, s, n) AS (SELECT did, SUM(salary), COUNT(*) FROM emp WHERE eid < 8 GROUP BY did) SELECT did, s > 2007 AND n > 1 FROM g"},
+	{sql: "SELECT did, COUNT(*) FROM emp WHERE eid < 13 GROUP BY did HAVING COUNT(*) BETWEEN ? AND ?", params: ints(3, 5),
+		same: "WITH g (did, n) AS (SELECT did, COUNT(*) FROM emp WHERE eid < 13 GROUP BY did) SELECT did, n FROM g WHERE n BETWEEN 3 AND 5"},
+	{sql: "SELECT did FROM emp WHERE eid < 13 GROUP BY did HAVING COUNT(*) IN (2, 7)",
+		same: "WITH g (did, n) AS (SELECT did, COUNT(*) FROM emp WHERE eid < 13 GROUP BY did) SELECT did FROM g WHERE n IN (2, 7)"},
+	{sql: "SELECT d.did, SUM(b.eid) FROM dept d LEFT OUTER JOIN badge b ON d.did = b.eid GROUP BY d.did HAVING SUM(b.eid) IS NOT NULL",
+		same: "WITH g (did, s) AS (SELECT d.did, SUM(b.eid) FROM dept d LEFT OUTER JOIN badge b ON d.did = b.eid GROUP BY d.did) SELECT did, s FROM g WHERE s IS NOT NULL"},
+	{sql: "SELECT did, ABS(SUM(0 - salary)) FROM emp GROUP BY did",
+		same: "WITH g (did, s) AS (SELECT did, SUM(0 - salary) FROM emp GROUP BY did) SELECT did, ABS(s) FROM g"},
+	// Sorting, with and without LIMIT; by an alias, and by a column that is
+	// not projected.
+	{sql: "SELECT eid AS k FROM emp WHERE did = 2 ORDER BY k DESC", ordered: true},
+	{sql: orderByUnprojected, ordered: true},
 	{sql: "SELECT eid, salary FROM emp ORDER BY salary DESC, eid", ordered: true},
 	{sql: "SELECT eid FROM emp ORDER BY eid LIMIT 10", ordered: true, skipExplain: true},
 	{sql: "SELECT eid FROM emp WHERE did = 1 LIMIT 5", skipExplain: true},
@@ -182,18 +210,21 @@ func TestDifferentialRowVsBatch(t *testing.T) {
 			continue
 		}
 
-		want := renderRows(mustQuery(t, base.c, q.sql), q.ordered)
+		want := renderRows(mustQuery(t, base.c, q.sql, q.params...), q.ordered)
 		for _, e := range engines[1:] {
-			got := renderRows(mustQuery(t, e.c, q.sql), q.ordered)
+			got := renderRows(mustQuery(t, e.c, q.sql, q.params...), q.ordered)
 			diffCompare(t, q, e.name, got, want)
+		}
+		if q.same != "" {
+			diffCompare(t, q, "vs "+q.same, want, renderRows(mustQuery(t, base.c, q.same), q.ordered))
 		}
 
 		if q.skipExplain {
 			continue
 		}
-		wantEx := renderExplain(mustQuery(t, base.c, "EXPLAIN ANALYZE "+q.sql))
+		wantEx := renderExplain(mustQuery(t, base.c, "EXPLAIN ANALYZE "+q.sql, q.params...))
 		for _, e := range engines[1:] {
-			gotEx := renderExplain(mustQuery(t, e.c, "EXPLAIN ANALYZE "+q.sql))
+			gotEx := renderExplain(mustQuery(t, e.c, "EXPLAIN ANALYZE "+q.sql, q.params...))
 			diffCompare(t, diffQuery{sql: "EXPLAIN ANALYZE " + q.sql}, e.name, gotEx, wantEx)
 		}
 	}
@@ -230,14 +261,14 @@ func TestDifferentialLockingVsSnapshot(t *testing.T) {
 			}
 			continue
 		}
-		want := renderRows(mustQuery(t, lc, q.sql), q.ordered)
-		got := renderRows(mustQuery(t, sc, q.sql), q.ordered)
+		want := renderRows(mustQuery(t, lc, q.sql, q.params...), q.ordered)
+		got := renderRows(mustQuery(t, sc, q.sql, q.params...), q.ordered)
 		diffCompare(t, q, "snapshot-reads", got, want)
 		if q.skipExplain {
 			continue
 		}
-		wantEx := renderExplain(mustQuery(t, lc, "EXPLAIN ANALYZE "+q.sql))
-		gotEx := renderExplain(mustQuery(t, sc, "EXPLAIN ANALYZE "+q.sql))
+		wantEx := renderExplain(mustQuery(t, lc, "EXPLAIN ANALYZE "+q.sql, q.params...))
+		gotEx := renderExplain(mustQuery(t, sc, "EXPLAIN ANALYZE "+q.sql, q.params...))
 		diffCompare(t, diffQuery{sql: "EXPLAIN ANALYZE " + q.sql}, "snapshot-reads", gotEx, wantEx)
 	}
 
@@ -250,8 +281,8 @@ func TestDifferentialLockingVsSnapshot(t *testing.T) {
 		if q.dml {
 			continue
 		}
-		want := renderRows(mustQuery(t, lc, q.sql), q.ordered)
-		got := renderRows(mustQuery(t, sc, q.sql), q.ordered)
+		want := renderRows(mustQuery(t, lc, q.sql, q.params...), q.ordered)
+		got := renderRows(mustQuery(t, sc, q.sql, q.params...), q.ordered)
 		diffCompare(t, q, "ro-txn", got, want)
 	}
 	mustExec(t, lc, "ROLLBACK")
@@ -412,6 +443,7 @@ func TestDifferentialDMLVsSelect(t *testing.T) {
 			c := conn(t, db)
 			dmlDiffSeed(t, c, cfg.indexed)
 			all := renderRows(mustQuery(t, c, "SELECT id FROM tgt"), false)
+			probes := 0
 
 			for _, p := range dmlPredCorpus {
 				where := ""
@@ -446,6 +478,18 @@ func TestDifferentialDMLVsSelect(t *testing.T) {
 				}
 				mustExec(t, c, "UPDATE tgt SET mark = 0")
 
+				// One estimate: where both statements probe an index, they
+				// expect the same number of rows from it.
+				selScan, selEst := indexScanLine(mustQuery(t, c, "EXPLAIN SELECT id FROM tgt"+where, p.params...))
+				updScan, updEst := indexScanLine(mustQuery(t, c, "EXPLAIN "+upd, p.params...))
+				if selScan != "" && updScan != "" {
+					probes++
+					if selScan != updScan || selEst != updEst {
+						t.Errorf("%q: SELECT probes %s expecting %s rows, UPDATE %s expecting %s",
+							p.sql, selScan, selEst, updScan, updEst)
+					}
+				}
+
 				// DELETE inside a transaction, rolled back: what survives is
 				// the complement of the SELECT.
 				del := "DELETE FROM tgt" + where
@@ -478,6 +522,10 @@ func TestDifferentialDMLVsSelect(t *testing.T) {
 				mustExec(t, c, "ROLLBACK")
 			}
 
+			if cfg.indexed && !cfg.columnar && probes < 8 {
+				t.Errorf("only %d corpus predicates probed an index in both SELECT and UPDATE", probes)
+			}
+
 			// A bound parameter must still reach the row through the index.
 			if cfg.indexed {
 				plan := renderExplain(mustQuery(t, c, "EXPLAIN UPDATE tgt SET mark = 0 WHERE id = ?", val.NewInt(9)))
@@ -487,6 +535,210 @@ func TestDifferentialDMLVsSelect(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// indexScanLine finds the IndexScan of an EXPLAIN result: its label and
+// est_rows ("" when the plan has none).
+func indexScanLine(rows *Rows) (label, est string) {
+	for _, r := range rows.All() {
+		if l := strings.TrimSpace(r[0].String()); strings.HasPrefix(l, "IndexScan(") {
+			return l, r[1].String()
+		}
+	}
+	return "", ""
+}
+
+// --- Literal vs parameter, cached vs fresh ---------------------------------
+
+var constantRE = regexp.MustCompile(`'[^']*'|\?|LIMIT \d+|\b\d+(\.\d+)?\b`)
+
+// liftConstants rewrites a statement the way a client binding parameters
+// would send it: every string and numeric literal becomes `?` and its value
+// a parameter (already-bound `?`s keep their place in the order). LIMIT's
+// count is syntax, not a value, and stays.
+func liftConstants(t *testing.T, sql string, bound []val.Value) (string, []val.Value) {
+	t.Helper()
+	var params []val.Value
+	lifted := constantRE.ReplaceAllStringFunc(sql, func(m string) string {
+		switch {
+		case m == "?":
+			params, bound = append(params, bound[0]), bound[1:]
+		case strings.HasPrefix(m, "LIMIT"):
+			return m
+		case m[0] == '\'':
+			params = append(params, val.NewStr(m[1:len(m)-1]))
+		case strings.Contains(m, "."):
+			f, err := strconv.ParseFloat(m, 64)
+			if err != nil {
+				t.Fatalf("lift %q: %v", sql, err)
+			}
+			params = append(params, val.NewDouble(f))
+		default:
+			n, err := strconv.ParseInt(m, 10, 64)
+			if err != nil {
+				t.Fatalf("lift %q: %v", sql, err)
+			}
+			params = append(params, val.NewInt(n))
+		}
+		return "?"
+	})
+	return lifted, params
+}
+
+// TestDifferentialLiteralVsParam holds a parameter to being its value: each
+// corpus statement with its constants lifted to `?` returns the same rows
+// (or affects the same number) as the literal form, and plans the same tree
+// with the same estimates — an index probe for an indexed `id = ?`.
+func TestDifferentialLiteralVsParam(t *testing.T) {
+	litC, parC := conn(t, openDB(t, Options{})), conn(t, openDB(t, Options{}))
+	diffSeed(t, litC)
+	diffSeed(t, parC)
+	dmlDiffSeed(t, litC, true)
+	dmlDiffSeed(t, parC, true)
+
+	corpus := append([]diffQuery(nil), diffWorkload...)
+	for _, p := range dmlPredCorpus {
+		if p.sql != "" {
+			corpus = append(corpus, diffQuery{sql: "SELECT id FROM tgt WHERE " + p.sql, params: p.params})
+		}
+	}
+	for _, q := range corpus {
+		lifted, params := liftConstants(t, q.sql, q.params)
+		if q.dml {
+			want, got := mustExec(t, litC, q.sql, q.params...), mustExec(t, parC, lifted, params...)
+			if got.RowsAffected != want.RowsAffected {
+				t.Errorf("%q: affected %d, literal form %d", lifted, got.RowsAffected, want.RowsAffected)
+			}
+			continue
+		}
+		want := renderRows(mustQuery(t, litC, q.sql, q.params...), q.ordered)
+		got := renderRows(mustQuery(t, parC, lifted, params...), q.ordered)
+		diffCompare(t, diffQuery{sql: lifted}, "parameters", got, want)
+		wantEx := renderExplain(mustQuery(t, litC, "EXPLAIN "+q.sql, q.params...))
+		gotEx := renderExplain(mustQuery(t, parC, "EXPLAIN "+lifted, params...))
+		diffCompare(t, diffQuery{sql: "EXPLAIN " + lifted}, "parameters", gotEx, wantEx)
+	}
+
+	scan, _ := indexScanLine(mustQuery(t, parC, "EXPLAIN SELECT a FROM tgt WHERE id = ?", val.NewInt(9)))
+	if scan != "IndexScan(tgt.tgt_pk)" {
+		t.Errorf("EXPLAIN SELECT ... WHERE id = ?: index scan %q, want IndexScan(tgt.tgt_pk)", scan)
+	}
+}
+
+// TestDifferentialCachedVsFresh runs each corpus SELECT six times on one
+// connection — three training optimizations, then plan-cache hits, one of
+// them a verification — and holds every run to a fresh connection's first:
+// same rows, and exactly one Sort in the tree when the statement has ORDER
+// BY, whichever path built it.
+func TestDifferentialCachedVsFresh(t *testing.T) {
+	db := openDB(t, Options{})
+	c := conn(t, db)
+	diffSeed(t, c)
+
+	sorts := func(q diffQuery, path string, plan *Rows) {
+		t.Helper()
+		n := 0
+		for _, line := range renderExplain(plan) {
+			if strings.HasPrefix(strings.TrimSpace(line), "Sort|") {
+				n++
+			}
+		}
+		if want := strings.Count(q.sql, "ORDER BY"); n != want {
+			t.Errorf("%s: %q: %d Sort operators, want %d:\n%s", path, q.sql, n, want, strings.Join(renderExplain(plan), "\n"))
+		}
+	}
+	for _, q := range diffWorkload {
+		if q.dml {
+			mustExec(t, c, q.sql, q.params...)
+			continue
+		}
+		fresh := conn(t, db)
+		want := renderRows(mustQuery(t, fresh, q.sql, q.params...), q.ordered)
+		fresh.Close()
+
+		hits := counter(t, db, "opt.plancache.hits")
+		for run := 1; run <= 6; run++ {
+			rows := mustQuery(t, c, q.sql, q.params...)
+			sorts(q, fmt.Sprintf("run %d", run), explainRows(rows.Plan(), false))
+			diffCompare(t, q, fmt.Sprintf("cached(run %d)", run), renderRows(rows, q.ordered), want)
+		}
+		if hits = counter(t, db, "opt.plancache.hits") - hits; q.sql == orderByUnprojected && hits < 2 {
+			t.Errorf("%q: %d plan-cache hits in six runs, want >= 2", q.sql, hits)
+		}
+		// EXPLAIN shares the statement's cache entry: the first one below is
+		// the entry's second verification, the second a plain hit.
+		for i := 0; i < 2; i++ {
+			sorts(q, "EXPLAIN", mustQuery(t, c, "EXPLAIN "+q.sql, q.params...))
+		}
+	}
+	if n := counter(t, db, "opt.plancache.invalidations"); n != 0 {
+		t.Errorf("%d plan-cache invalidations on an unchanging schema", n)
+	}
+}
+
+// loadPairs creates a two-INT-column table of n rows, large enough (with
+// statistics) that an equality on an indexed column plans as an index probe.
+func loadPairs(t *testing.T, c *Conn, name, cols string, n int, row func(i int) (int, int)) {
+	t.Helper()
+	mustExec(t, c, fmt.Sprintf("CREATE TABLE %s (%s)", name, cols))
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "INSERT INTO %s VALUES ", name)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		a, b := row(i)
+		fmt.Fprintf(&sb, "(%d, %d)", a, b)
+	}
+	mustExec(t, c, sb.String())
+}
+
+// TestInsertSelectIsNotPlanCached: the plan cache is keyed on statement
+// text, and INSERT ... SELECT used to file every source query on the
+// connection under the empty key — so once one had trained, the next ran
+// on its join order, index pointer included.
+func TestInsertSelectIsNotPlanCached(t *testing.T) {
+	c := conn(t, openDB(t, Options{}))
+	loadPairs(t, c, "a", "id INT, v INT", 400, func(i int) (int, int) { return i, i * 10 })
+	loadPairs(t, c, "b", "k INT, w INT", 400, func(i int) (int, int) { return i % 40, 1000 + i })
+	mustExec(t, c, "CREATE TABLE x (p INT, q INT)")
+	mustExec(t, c, "CREATE UNIQUE INDEX a_id ON a (id)")
+	mustExec(t, c, "CREATE INDEX b_k ON b (k)")
+	mustExec(t, c, "CREATE STATISTICS a")
+	mustExec(t, c, "CREATE STATISTICS b")
+	for i := 0; i < 6; i++ {
+		mustExec(t, c, "INSERT INTO x SELECT id, v FROM a WHERE id = 7")
+	}
+	mustExec(t, c, "DELETE FROM x")
+	if res := mustExec(t, c, "INSERT INTO x SELECT k, w FROM b WHERE k = 3"); res.RowsAffected != 10 {
+		t.Errorf("INSERT ... SELECT FROM b inserted %d rows, want 10", res.RowsAffected)
+	}
+	got := renderRows(mustQuery(t, c, "SELECT p, q FROM x"), false)
+	want := renderRows(mustQuery(t, c, "SELECT k, w FROM b WHERE k = 3"), false)
+	diffCompare(t, diffQuery{sql: "INSERT INTO x SELECT k, w FROM b WHERE k = 3"}, "inserted", got, want)
+}
+
+// TestPlanCacheRevalidatesIndexes: a cached join order names indexes by
+// pointer. Dropping and re-creating a table and index under the same names
+// must not leave the connection probing the dropped table's tree.
+func TestPlanCacheRevalidatesIndexes(t *testing.T) {
+	db := openDB(t, Options{})
+	c := conn(t, db)
+	for _, scale := range []int{10, 1000} {
+		loadPairs(t, c, "t", "id INT, v INT", 400, func(i int) (int, int) { return i, i * scale })
+		mustExec(t, c, "CREATE UNIQUE INDEX t_id ON t (id)")
+		mustExec(t, c, "CREATE STATISTICS t")
+		for run := 0; run < 6; run++ {
+			got := mustQuery(t, c, "SELECT v FROM t WHERE id = 7").All()
+			if len(got) != 1 || got[0][0].I != int64(7*scale) {
+				t.Fatalf("scale %d, run %d: %v, want %d", scale, run, got, 7*scale)
+			}
+		}
+		mustExec(t, c, "DROP TABLE t")
+	}
+	if hits := counter(t, db, "opt.plancache.hits"); hits < 3 {
+		t.Errorf("%d plan-cache hits: the statement never ran on a cached order", hits)
 	}
 }
 

@@ -13,10 +13,15 @@ import (
 	"anywheredb/internal/val"
 )
 
-// execSelect optimizes (or reuses a cached plan for) and runs a query.
-// Each statement runs under a memory-governor task whose quotas follow
-// Eq. 4/5; exceeding the hard limit terminates the statement.
-func (c *Conn) execSelect(sql string, s *sqlparse.Select, params []val.Value) (*Rows, error) {
+// execSelect is the one place a SELECT plan is built: it serves the bare
+// statement, EXPLAIN [ANALYZE] (run = ANALYZE) and INSERT ... SELECT. key is
+// the statement's plan-cache key, its SQL text; INSERT ... SELECT passes
+// none and is never cached, because the cache is keyed on a whole
+// statement's text and the text of its source query alone is not one. With
+// run false the plan is built but not executed. Each statement runs under a
+// memory-governor task whose quotas follow Eq. 4/5; exceeding the hard
+// limit terminates the statement.
+func (c *Conn) execSelect(key string, s *sqlparse.Select, params []val.Value, run bool) (*Rows, error) {
 	task := c.db.memG.Begin()
 	defer task.Finish()
 	ctx := c.execCtx(task)
@@ -26,46 +31,38 @@ func (c *Conn) execSelect(sql string, s *sqlparse.Select, params []val.Value) (*
 	sp := c.curSpan
 	optStart := time.Now()
 
-	var plan *opt.Plan
-	var err error
-	cacheable := len(s.With) == 0 && s.Union == nil && s.From != nil
-
+	// A hit hands the cached join order to the build, which skips
+	// enumeration if the order still fits the catalog; a verifying hit
+	// withholds it so the statement is re-optimized and compared.
+	cacheable := key != "" && len(s.With) == 0 && s.Union == nil && s.From != nil
+	var steps []opt.Step
+	var hit, verify bool
 	if cacheable {
-		if steps, hit, verify := c.planCache.Lookup(sql); hit {
+		if steps, hit, verify = c.planCache.Lookup(key); hit {
 			c.db.pcHits.Inc()
-			if verify {
-				// Periodic freshness check: re-optimize and compare.
-				c.db.pcVerifies.Inc()
-				fresh, ferr := opt.BuildSelect(s, benv)
-				if ferr == nil && fresh.Enum != nil {
-					c.noteEnum(fresh)
-					if c.planCache.Verify(sql, fresh.Enum.Order) {
-						plan = fresh // identical plan; use it
-					}
-				}
-			}
-			if plan == nil {
-				plan, err = opt.BuildSelectWithOrder(s, benv, steps)
-				if err != nil {
-					// Cached skeleton no longer builds (schema drift):
-					// invalidate and re-optimize.
-					c.planCache.Invalidate(sql)
-					c.db.pcInvalid.Inc()
-					plan = nil
-				}
-			}
 		} else {
 			c.db.pcMisses.Inc()
 		}
-	}
-	if plan == nil {
-		plan, err = opt.BuildSelect(s, benv)
-		if err != nil {
-			return nil, err
+		if verify {
+			c.db.pcVerifies.Inc()
+			steps = nil
 		}
+	}
+	plan, err := opt.BuildSelect(s, benv, steps)
+	if err != nil {
+		return nil, err
+	}
+	if plan.Enum != nil {
 		c.noteEnum(plan)
-		if cacheable && plan.Enum != nil {
-			c.planCache.Offer(sql, plan.Enum.Order)
+		if verify {
+			c.planCache.Verify(key, plan.Enum.Order)
+		} else if cacheable {
+			if hit {
+				// The cached order no longer fits (schema drift): start over.
+				c.planCache.Invalidate(key)
+				c.db.pcInvalid.Inc()
+			}
+			c.planCache.Offer(key, plan.Enum.Order)
 			c.db.pcTrainings.Inc()
 		}
 	}
@@ -77,6 +74,9 @@ func (c *Conn) execSelect(sql string, s *sqlparse.Select, params []val.Value) (*
 	execStart := time.Now()
 	if sp != nil {
 		sp.AddPhase(flightrec.PhaseOptimize, execStart.Sub(optStart).Microseconds())
+	}
+	if !run {
+		return &Rows{plan: plan}, nil
 	}
 	rows, err := exec.Drain(ctx, plan.Root)
 	if sp != nil {
@@ -152,7 +152,7 @@ func (c *Conn) execInsert(s *sqlparse.Insert, params []val.Value) (Result, error
 
 	var sourceRows [][]val.Value
 	if s.Query != nil {
-		rows, err := c.execSelect("", s.Query, params)
+		rows, err := c.execSelect("", s.Query, params, true)
 		if err != nil {
 			return Result{}, err
 		}

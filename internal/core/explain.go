@@ -3,10 +3,8 @@ package core
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"anywheredb/internal/exec"
-	"anywheredb/internal/flightrec"
 	"anywheredb/internal/opt"
 	"anywheredb/internal/sqlparse"
 	"anywheredb/internal/val"
@@ -20,12 +18,17 @@ var explainColumns = []string{"operator", "est_rows", "actual_rows", "invocation
 // execExplain runs EXPLAIN [ANALYZE] <stmt>. Plain EXPLAIN optimizes the
 // statement and prints the plan tree without executing it; ANALYZE also
 // runs the statement with an instrumented tree and prints per-node actuals.
-// DML goes through the same execModify as the bare statement, so what is
-// printed is the tree that ran.
+// Both kinds of statement go through the same execSelect / execModify as
+// the bare statement — a SELECT under its own plan-cache entry — so what is
+// printed is the tree that runs.
 func (c *Conn) execExplain(s *sqlparse.Explain, params []val.Value) (*Rows, error) {
 	switch inner := s.Stmt.(type) {
 	case *sqlparse.Select:
-		return c.explainSelect(inner, params, s.Analyze)
+		rows, err := c.execSelect(s.Text, inner, params, s.Analyze)
+		if err != nil {
+			return nil, err
+		}
+		return explainRows(rows.plan, s.Analyze), nil
 	case *sqlparse.Update, *sqlparse.Delete:
 		_, plan, err := c.execModify(inner, params, s.Analyze)
 		if err != nil {
@@ -34,38 +37,6 @@ func (c *Conn) execExplain(s *sqlparse.Explain, params []val.Value) (*Rows, erro
 		return explainRows(plan, s.Analyze), nil
 	}
 	return nil, fmt.Errorf("core: EXPLAIN does not support %T", s.Stmt)
-}
-
-// explainSelect optimizes (bypassing the plan cache so estimates are fresh)
-// and, under ANALYZE, executes the instrumented tree.
-func (c *Conn) explainSelect(s *sqlparse.Select, params []val.Value, analyze bool) (*Rows, error) {
-	task := c.db.memG.Begin()
-	defer task.Finish()
-	ctx := c.execCtx(task)
-
-	benv := &opt.BuildEnv{Env: c.optEnv(), Res: c.db, Ctx: ctx, Params: params}
-	sp := c.curSpan
-	optStart := time.Now()
-	plan, err := opt.BuildSelect(s, benv)
-	if err != nil {
-		return nil, err
-	}
-	if sp != nil {
-		sp.AddPhase(flightrec.PhaseOptimize, time.Since(optStart).Microseconds())
-	}
-	c.noteEnum(plan)
-	if analyze {
-		plan.Root = exec.Instrument(plan.Root)
-		execStart := time.Now()
-		_, err := exec.Drain(ctx, plan.Root)
-		if sp != nil {
-			sp.AddPhase(flightrec.PhaseExecute, time.Since(execStart).Microseconds())
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return explainRows(plan, analyze), nil
 }
 
 // explainRows renders a plan tree into EXPLAIN's tabular shape.

@@ -155,8 +155,10 @@ func TestDegradedModeReadOnly(t *testing.T) {
 	if !db.Degraded() {
 		t.Fatal("permanent WAL failure did not latch degraded mode")
 	}
-	if _, err := c.Exec("INSERT INTO t VALUES (3)"); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("degraded write: want ErrReadOnly, got %v", err)
+	for _, write := range []string{"INSERT INTO t VALUES (3)", "EXPLAIN ANALYZE DELETE FROM t WHERE id = 1"} {
+		if _, err := c.Exec(write); !errors.Is(err, ErrReadOnly) {
+			t.Fatalf("degraded %q: want ErrReadOnly, got %v", write, err)
+		}
 	}
 	if n := mustQuery(t, c, "SELECT id FROM t").Count(); n != 1 {
 		t.Fatalf("degraded read returned %d rows, want 1", n)

@@ -124,7 +124,7 @@ func E5RankPreservation() (*Report, error) {
 	ctx := &exec.Ctx{Pool: db.Pool(), St: db.Store(), Clk: db.Clock(), Workers: 1, CPURowCost: 1, Task: task}
 	benv := &opt.BuildEnv{Env: env, Res: db, Ctx: ctx}
 
-	q, err := opt.Bind(sel, db, nil)
+	q, err := opt.Bind(sel, db, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +161,7 @@ func E5RankPreservation() (*Report, error) {
 		}
 		// Estimated cost via the cost model.
 		est := opt.CostOfOrder(q, order, env)
-		plan, err := opt.BuildSelectWithOrder(sel, benv, order)
+		plan, err := opt.BuildSelect(sel, benv, order)
 		if err != nil {
 			return nil, err
 		}
@@ -339,7 +339,7 @@ func E8GovernorQuota() (*Report, error) {
 			NoRedistribution: noRedist,
 		}
 		benv := &opt.BuildEnv{Env: env, Res: db, Ctx: ctx}
-		plan, err := opt.BuildSelect(sel, benv)
+		plan, err := opt.BuildSelect(sel, benv, nil)
 		if err != nil {
 			return err
 		}

@@ -8,6 +8,7 @@ package opt
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"anywheredb/internal/sqlparse"
@@ -86,6 +87,10 @@ type Query struct {
 	binder  *binder
 	Net     map[int]map[int]bool // equijoin connectivity graph
 	Catalog Resolver
+	// Params are the statement's bound parameters. A plan is built per
+	// execution with the values in hand, so to the optimizer a parameter is
+	// its value: constOf treats `?` exactly like a literal.
+	Params []val.Value
 
 	// Memoized estimates: join histograms and local cardinalities are
 	// stable for the duration of one optimization, and the enumerator
@@ -138,9 +143,10 @@ func (b *binder) resolve(c *sqlparse.ColRef) (int, int, error) {
 
 // Bind performs semantic analysis of a SELECT: it flattens the FROM tree
 // into quantifiers, gathers WHERE and ON conjuncts, and classifies them.
-// cteSources maps CTE names to materialized rows.
-func Bind(sel *sqlparse.Select, res Resolver, cteSources map[string]*MaterializedCTE) (*Query, error) {
-	q := &Query{Select: sel, Net: map[int]map[int]bool{}, Catalog: res}
+// cteSources maps CTE names to materialized rows; params are the bound
+// parameter values.
+func Bind(sel *sqlparse.Select, res Resolver, cteSources map[string]*MaterializedCTE, params []val.Value) (*Query, error) {
+	q := &Query{Select: sel, Net: map[int]map[int]bool{}, Catalog: res, Params: params}
 	b := &binder{}
 	q.binder = b
 
@@ -395,6 +401,10 @@ func (q *Query) Selectivity(cj *Conjunct) float64 {
 	switch x := cj.Expr.(type) {
 	case *sqlparse.BinOp:
 		if col, lit, op, ok := colOpLit(q, x); ok {
+			if op == "=" && q.uniqueCol(col) {
+				// A UNIQUE index on the column alone: at most one row.
+				return 1 / math.Max(q.Quants[col.Q].Cardinality(), 1)
+			}
 			h := q.histOf(col)
 			if h == nil {
 				return defaultSel(op)
@@ -428,8 +438,8 @@ func (q *Query) Selectivity(cj *Conjunct) float64 {
 		return 0.05
 	case *sqlparse.Between:
 		if col, ok := singleCol(q, x.E); ok {
-			lo, lok := litOf(x.Lo)
-			hi, hok := litOf(x.Hi)
+			lo, lok := q.constOf(x.Lo)
+			hi, hok := q.constOf(x.Hi)
 			if lok && hok {
 				if h := q.histOf(col); h != nil {
 					s := h.SelRange(&lo, &hi, true, true)
@@ -443,7 +453,7 @@ func (q *Query) Selectivity(cj *Conjunct) float64 {
 		return 0.1
 	case *sqlparse.Like:
 		if col, ok := singleCol(q, x.E); ok {
-			if pat, pok := litOf(x.Pattern); pok {
+			if pat, pok := q.constOf(x.Pattern); pok {
 				if ss := q.strStatsOf(col); ss != nil {
 					if s, found := ss.EstimateLike(pat.S); found {
 						if x.Neg {
@@ -460,7 +470,7 @@ func (q *Query) Selectivity(cj *Conjunct) float64 {
 			if h := q.histOf(col); h != nil {
 				s := 0.0
 				for _, le := range x.List {
-					if lit, lok := litOf(le); lok {
+					if lit, lok := q.constOf(le); lok {
 						s += h.SelEq(lit)
 					}
 				}
@@ -492,37 +502,86 @@ func singleCol(q *Query, e sqlparse.Expr) (colRefID, bool) {
 	return colRefID{qi, ci}, true
 }
 
-func litOf(e sqlparse.Expr) (val.Value, bool) {
+// constOf recognises an expression whose value is known at build time: a
+// literal, a bound parameter, or the negation of a numeric one.
+func (q *Query) constOf(e sqlparse.Expr) (val.Value, bool) {
 	switch x := e.(type) {
 	case *sqlparse.Lit:
 		return x.Val, true
+	case *sqlparse.Param:
+		if i := x.Idx - 1; i >= 0 && i < len(q.Params) {
+			return q.Params[i], true
+		}
 	case *sqlparse.UnOp:
 		if x.Op == "-" {
-			if v, ok := litOf(x.E); ok {
-				if v.Kind == val.KInt {
-					return val.NewInt(-v.I), true
-				}
-				return val.NewDouble(-v.AsFloat()), true
+			switch v, _ := q.constOf(x.E); v.Kind {
+			case val.KInt:
+				return val.NewInt(-v.I), true
+			case val.KDouble:
+				return val.NewDouble(-v.F), true
 			}
 		}
 	}
 	return val.Null, false
 }
 
-// colOpLit matches col <op> literal (either orientation, normalizing the
+// colOpLit matches col <op> constant (either orientation, normalizing the
 // operator).
 func colOpLit(q *Query, b *sqlparse.BinOp) (colRefID, val.Value, string, bool) {
 	if col, ok := singleCol(q, b.L); ok {
-		if lit, lok := litOf(b.R); lok {
+		if lit, lok := q.constOf(b.R); lok {
 			return col, lit, b.Op, true
 		}
 	}
 	if col, ok := singleCol(q, b.R); ok {
-		if lit, lok := litOf(b.L); lok {
+		if lit, lok := q.constOf(b.L); lok {
 			return col, lit, flipOp(b.Op), true
 		}
 	}
 	return colRefID{}, val.Null, "", false
+}
+
+// uniqueCol reports whether a UNIQUE index covers exactly column c.
+func (q *Query) uniqueCol(c colRefID) bool {
+	if t := q.Quants[c.Q].Table; t != nil {
+		for _, ix := range t.Indexes {
+			if ix.Unique && len(ix.Cols) == 1 && ix.Cols[0] == c.C {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// equalityProbe finds quantifier qi's index access path: the first local
+// conjunct `col = constant` (either orientation) whose column leads an
+// index, with that index and the constant. A NULL constant is never
+// probed: `col = NULL` is true of no row, but a NULL key would fetch the
+// index's NULL entries.
+func (q *Query) equalityProbe(qi int) (*table.Index, val.Value, *Conjunct) {
+	t := q.Quants[qi].Table
+	if t == nil {
+		return nil, val.Null, nil
+	}
+	for _, cj := range q.LocalConjunctsOf(qi, true) {
+		col, lit, op, ok := colOpLitConj(q, cj)
+		if !ok || op != "=" || lit.IsNull() {
+			continue
+		}
+		for _, ix := range t.Indexes {
+			if len(ix.Cols) > 0 && ix.Cols[0] == col.C {
+				return ix, lit, cj
+			}
+		}
+	}
+	return nil, val.Null, nil
+}
+
+// probeRows estimates the rows an equality probe through conjunct cj of
+// quantifier qi fetches: what EXPLAIN prints at an IndexScan, for SELECT and
+// DML alike.
+func (q *Query) probeRows(qi int, cj *Conjunct) float64 {
+	return math.Max(q.Quants[qi].Cardinality()*q.Selectivity(cj), 1)
 }
 
 func flipOp(op string) string {

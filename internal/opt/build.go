@@ -3,6 +3,7 @@ package opt
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"anywheredb/internal/exec"
@@ -26,9 +27,6 @@ type Plan struct {
 	// next to the actuals). Keys are the operators as built; look up with
 	// exec.Unwrap when the tree has been instrumented.
 	EstRows map[exec.Operator]float64
-	// orderHandled marks that ORDER BY was applied inside the block (below
-	// or above the projection), so buildQueryBlock must not re-apply it.
-	orderHandled bool
 }
 
 // BuildEnv carries everything plan construction needs.
@@ -41,8 +39,11 @@ type BuildEnv struct {
 	Params []val.Value
 }
 
-// BuildSelect optimizes and builds a SELECT statement.
-func BuildSelect(sel *sqlparse.Select, benv *BuildEnv) (*Plan, error) {
+// BuildSelect optimizes and builds a SELECT statement. order is an optional
+// cached join order for the statement's first block: enumeration is skipped
+// when it still fits the freshly bound query (Plan.Enum is then nil), and
+// runs as usual when it does not.
+func BuildSelect(sel *sqlparse.Select, benv *BuildEnv, order []Step) (*Plan, error) {
 	benv.Env.fill()
 	ctes := map[string]*MaterializedCTE{}
 	for _, cte := range sel.With {
@@ -52,46 +53,13 @@ func BuildSelect(sel *sqlparse.Select, benv *BuildEnv) (*Plan, error) {
 		}
 		ctes[strings.ToLower(cte.Name)] = m
 	}
-	return buildQueryBlock(sel, benv, ctes)
-}
-
-// BuildSelectWithOrder builds a SELECT using a previously chosen join
-// order (a cached plan skeleton), skipping enumeration entirely. It only
-// applies to single-block queries without CTEs or unions — exactly the
-// shape the plan cache serves; anything else falls back to a fresh
-// optimization.
-func BuildSelectWithOrder(sel *sqlparse.Select, benv *BuildEnv, order []Step) (*Plan, error) {
-	benv.Env.fill()
-	if len(sel.With) > 0 || sel.Union != nil || sel.From == nil {
-		return BuildSelect(sel, benv)
-	}
-	forced := order
-	plan, err := buildSingleForced(sel, benv, map[string]*MaterializedCTE{}, forced)
-	if err != nil {
-		return nil, err
-	}
-	if len(sel.OrderBy) > 0 {
-		b := &blockBuilder{benv: benv, sel: sel}
-		keys := make([]exec.SortKey, 0, len(sel.OrderBy))
-		for _, oi := range sel.OrderBy {
-			e, err := b.compileOutputExpr(oi.Expr, plan)
-			if err != nil {
-				return nil, err
-			}
-			keys = append(keys, exec.SortKey{Expr: e, Desc: oi.Desc})
-		}
-		plan.Root = &exec.Sort{Input: plan.Root, Keys: keys}
-	}
-	if sel.Limit >= 0 {
-		plan.Root = &exec.Limit{Input: plan.Root, N: sel.Limit}
-	}
-	return plan, nil
+	return buildQueryBlock(sel, benv, ctes, order)
 }
 
 // buildCTE evaluates one CTE (recursive or not) into rows.
 func buildCTE(cte *sqlparse.CTE, benv *BuildEnv, outer map[string]*MaterializedCTE) (*MaterializedCTE, error) {
 	if !cte.Recursive {
-		p, err := buildQueryBlock(cte.Query, benv, outer)
+		p, err := buildQueryBlock(cte.Query, benv, outer, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -109,7 +77,7 @@ func buildCTE(cte *sqlparse.CTE, benv *BuildEnv, outer map[string]*MaterializedC
 	base.Union = nil
 	recursive := cte.Query.Union
 
-	basePlan, err := buildQueryBlock(&base, benv, outer)
+	basePlan, err := buildQueryBlock(&base, benv, outer, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +95,7 @@ func buildCTE(cte *sqlparse.CTE, benv *BuildEnv, outer map[string]*MaterializedC
 				inner[k] = v
 			}
 			inner[strings.ToLower(cte.Name)] = &MaterializedCTE{Cols: cols, Rows: prev.RowsData}
-			p, err := buildQueryBlock(recursive, benv, inner)
+			p, err := buildQueryBlock(recursive, benv, inner, nil)
 			if err != nil {
 				return &errOp{err}
 			}
@@ -170,43 +138,49 @@ func (e *errOp) Open(*exec.Ctx) error                   { return e.err }
 func (e *errOp) NextBatch(*exec.Ctx, *exec.Batch) error { return e.err }
 func (e *errOp) Close(*exec.Ctx) error                  { return nil }
 
-// buildQueryBlock handles one SELECT block plus its UNION chain.
-func buildQueryBlock(sel *sqlparse.Select, benv *BuildEnv, ctes map[string]*MaterializedCTE) (*Plan, error) {
-	plan, err := buildSingle(sel, benv, ctes)
+// buildQueryBlock handles one SELECT block plus its UNION chain. ORDER BY
+// and LIMIT (the parser hangs them on the first block) are attached here
+// and nowhere else: a single block sorts its rows before they are projected,
+// so a key may name an alias, an output position or any input column; a
+// UNION chain sorts its output columns.
+func buildQueryBlock(sel *sqlparse.Select, benv *BuildEnv, ctes map[string]*MaterializedCTE, order []Step) (*Plan, error) {
+	b, root, err := buildSingle(sel, benv, ctes, order)
 	if err != nil {
 		return nil, err
 	}
+	plan := b.plan
+	sortKey := b.sortKeyExpr
 	if sel.Union != nil {
 		rest := *sel.Union
-		restPlan, err := buildQueryBlock(&rest, benv, ctes)
+		restPlan, err := buildQueryBlock(&rest, benv, ctes, nil)
 		if err != nil {
 			return nil, err
 		}
-		var root exec.Operator = &exec.UnionAll{Inputs: []exec.Operator{plan.Root, restPlan.Root}}
+		root = &exec.UnionAll{Inputs: []exec.Operator{b.project(root), restPlan.Root}}
 		if !sel.UnionAll {
 			root = &exec.HashDistinct{Input: root}
 		}
-		plan.Root = root
 		plan.HashJoins = append(plan.HashJoins, restPlan.HashJoins...)
+		sortKey = b.outputColExpr
 	}
-	// ORDER BY / LIMIT attach to the whole chain (parser hangs them on the
-	// first block). Single blocks sort inside buildSingle, where input
-	// columns not in the projection are still addressable.
-	if len(sel.OrderBy) > 0 && !plan.orderHandled {
-		b := &blockBuilder{benv: benv, sel: sel}
+	if len(sel.OrderBy) > 0 {
 		keys := make([]exec.SortKey, 0, len(sel.OrderBy))
 		for _, oi := range sel.OrderBy {
-			e, err := b.compileOutputExpr(oi.Expr, plan)
+			e, err := sortKey(oi.Expr)
 			if err != nil {
 				return nil, err
 			}
 			keys = append(keys, exec.SortKey{Expr: e, Desc: oi.Desc})
 		}
-		plan.Root = &exec.Sort{Input: plan.Root, Keys: keys}
+		root = &exec.Sort{Input: root, Keys: keys}
+	}
+	if sel.Union == nil {
+		root = b.project(root)
 	}
 	if sel.Limit >= 0 {
-		plan.Root = &exec.Limit{Input: plan.Root, N: sel.Limit}
+		root = &exec.Limit{Input: root, N: sel.Limit}
 	}
+	plan.Root = root
 	return plan, nil
 }
 
@@ -215,176 +189,148 @@ type blockBuilder struct {
 	benv *BuildEnv
 	sel  *sqlparse.Select
 	q    *Query
+	plan *Plan
 	// layout is the quantifier order of the current pipeline; offsets maps
 	// quantifier index -> starting row ordinal.
 	layout  []int
 	offsets map[int]int
 	widths  map[int]int
-	// groupCols maps canonical group-by expression strings to output
-	// ordinals after aggregation; aggCols maps canonical aggregate calls.
+	// Once the block is aggregated, expressions compile against the
+	// HashGroupBy's output: groupCols maps canonical group-by expression
+	// strings to its ordinals, aggCols canonical aggregate calls.
 	groupCols  map[string]int
 	aggCols    map[string]int
 	aggregated bool
-	aggWidth   int
+	// exprs are the block's projection, compiled against its unprojected
+	// rows; plan.Columns names them.
+	exprs []exec.Expr
 }
 
-func buildSingle(sel *sqlparse.Select, benv *BuildEnv, ctes map[string]*MaterializedCTE) (*Plan, error) {
-	b := &blockBuilder{benv: benv, sel: sel}
+// buildSingle builds one block up to, not including, its projection: the
+// join pipeline, aggregation and HAVING. It returns the unprojected root.
+func buildSingle(sel *sqlparse.Select, benv *BuildEnv, ctes map[string]*MaterializedCTE, order []Step) (*blockBuilder, exec.Operator, error) {
+	b := &blockBuilder{benv: benv, sel: sel, plan: &Plan{}}
 
-	// SELECT without FROM: a single Values row.
+	var root exec.Operator
 	if sel.From == nil {
-		exprs := make([]exec.Expr, 0, len(sel.Items))
-		names := make([]string, 0, len(sel.Items))
-		for i, item := range sel.Items {
-			if item.Star {
-				return nil, fmt.Errorf("opt: SELECT * requires FROM")
-			}
-			e, err := b.compileScalar(item.Expr, nil)
-			if err != nil {
-				return nil, err
-			}
-			exprs = append(exprs, e)
-			names = append(names, itemName(item, i))
-		}
-		var root exec.Operator = &exec.Values{Rows: [][]exec.Expr{exprs}}
+		// SELECT without FROM: one empty row under the projection.
+		root = &exec.Values{Rows: [][]exec.Expr{{}}}
 		if sel.Where != nil {
 			p, err := b.compilePred(sel.Where, nil)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			root = &exec.Filter{Input: root, Pred: p}
 		}
-		return &Plan{Root: root, Columns: names}, nil
-	}
-
-	q, err := Bind(sel, benv.Res, ctes)
-	if err != nil {
-		return nil, err
-	}
-	b.q = q
-
-	res, err := Enumerate(q, benv.Env)
-	if err != nil {
-		return nil, err
-	}
-	return b.finishPlan(res, res.Order)
-}
-
-// buildSingleForced is buildSingle with a pre-chosen join order (cached
-// plan skeleton); enumeration is skipped.
-func buildSingleForced(sel *sqlparse.Select, benv *BuildEnv, ctes map[string]*MaterializedCTE, order []Step) (*Plan, error) {
-	b := &blockBuilder{benv: benv, sel: sel}
-	q, err := Bind(sel, benv.Res, ctes)
-	if err != nil {
-		return nil, err
-	}
-	b.q = q
-	if len(order) != len(q.Quants) {
-		return nil, fmt.Errorf("opt: cached order covers %d of %d quantifiers", len(order), len(q.Quants))
-	}
-	return b.finishPlan(nil, order)
-}
-
-// finishPlan builds the physical plan above the chosen join order.
-func (b *blockBuilder) finishPlan(res *EnumResult, order []Step) (*Plan, error) {
-	sel := b.sel
-	q := b.q
-	plan := &Plan{Enum: res}
-	if res != nil {
-		plan.Cost = res.Cost
-	}
-	root, err := b.buildPipeline(order, plan)
-	if err != nil {
-		return nil, err
-	}
-
-	// Aggregation.
-	root, err = b.buildAggregation(root)
-	if err != nil {
-		return nil, err
-	}
-
-	// HAVING.
-	if sel.Having != nil {
-		p, err := b.compileOutputPred(sel.Having)
+	} else {
+		q, err := Bind(sel, benv.Res, ctes, benv.Params)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		root = &exec.Filter{Input: root, Pred: p}
+		b.q = q
+		if !q.validOrder(order) {
+			res, err := Enumerate(q, benv.Env)
+			if err != nil {
+				return nil, nil, err
+			}
+			b.plan.Enum, b.plan.Cost, order = res, res.Cost, res.Order
+		}
+		if root, err = b.buildPipeline(order); err != nil {
+			return nil, nil, err
+		}
+		if root, err = b.buildAggregation(root); err != nil {
+			return nil, nil, err
+		}
+		if sel.Having != nil {
+			p, err := b.compilePred(sel.Having, b.offsets)
+			if err != nil {
+				return nil, nil, err
+			}
+			root = &exec.Filter{Input: root, Pred: p}
+		}
 	}
 
-	// Projection.
-	var exprs []exec.Expr
-	var names []string
 	for i, item := range sel.Items {
 		if item.Star {
+			if sel.From == nil {
+				return nil, nil, fmt.Errorf("opt: SELECT * requires FROM")
+			}
 			for _, qi := range b.layout {
-				qt := q.Quants[qi]
-				for ci, col := range qt.Columns() {
-					exprs = append(exprs, exec.Col{Idx: b.offsets[qi] + ci})
-					names = append(names, col.Name)
+				for ci, col := range b.q.Quants[qi].Columns() {
+					b.exprs = append(b.exprs, exec.Col{Idx: b.offsets[qi] + ci})
+					b.plan.Columns = append(b.plan.Columns, col.Name)
 				}
 			}
 			continue
 		}
-		e, err := b.compileOutputExprInternal(item.Expr)
+		e, err := b.compileScalar(item.Expr, b.offsets)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		exprs = append(exprs, e)
-		names = append(names, itemName(item, i))
+		b.exprs = append(b.exprs, e)
+		b.plan.Columns = append(b.plan.Columns, itemName(item, i))
 	}
-	// ORDER BY for a single block: keys may reference projection aliases,
-	// output positions, or any input column (sorted below the projection).
-	if len(sel.OrderBy) > 0 && sel.Union == nil {
-		keys := make([]exec.SortKey, 0, len(sel.OrderBy))
-		ok := true
-		for _, oi := range sel.OrderBy {
-			e, err := b.sortKeyExpr(oi.Expr, sel.Items, names)
-			if err != nil {
-				ok = false
-				break
-			}
-			keys = append(keys, exec.SortKey{Expr: e, Desc: oi.Desc})
-		}
-		if ok {
-			root = &exec.Sort{Input: root, Keys: keys}
-			plan.orderHandled = true
-		}
-		// On failure, fall through: buildQueryBlock tries output-column
-		// resolution and reports the error.
-	}
-
-	root = &exec.Project{Input: root, Exprs: exprs}
-
-	if sel.Distinct {
-		root = &exec.HashDistinct{Input: root}
-	}
-
-	plan.Root = root
-	plan.Columns = names
-	return plan, nil
+	return b, root, nil
 }
 
-// sortKeyExpr compiles an ORDER BY key against the pre-projection row:
-// aliases resolve to their select expressions, integer literals to output
-// positions, everything else against the pipeline (or aggregated) layout.
-func (b *blockBuilder) sortKeyExpr(e sqlparse.Expr, items []sqlparse.SelectItem, names []string) (exec.Expr, error) {
+// project puts the block's projection (and DISTINCT) over its rows.
+func (b *blockBuilder) project(root exec.Operator) exec.Operator {
+	root = &exec.Project{Input: root, Exprs: b.exprs}
+	if b.sel.Distinct {
+		root = &exec.HashDistinct{Input: root}
+	}
+	return root
+}
+
+// validOrder reports whether a cached join order still fits the freshly
+// bound query: one step per quantifier, and every index it names is — by
+// pointer — an index of that quantifier's current table (a dropped and
+// re-created table or index is a different one under the same name).
+func (q *Query) validOrder(order []Step) bool {
+	if len(order) != len(q.Quants) {
+		return false
+	}
+	seen := make([]bool, len(q.Quants))
+	for _, st := range order {
+		if st.Quant < 0 || st.Quant >= len(seen) || seen[st.Quant] {
+			return false
+		}
+		seen[st.Quant] = true
+		if st.Index == nil {
+			continue
+		}
+		if t := q.Quants[st.Quant].Table; t == nil || !slices.Contains(t.Indexes, st.Index) {
+			return false
+		}
+	}
+	return true
+}
+
+// sortKeyExpr compiles a single block's ORDER BY key against its
+// unprojected rows: an integer literal is an output position and a bare
+// name matching a select item is that item; anything else is an expression
+// over the pipeline (or aggregated) row.
+func (b *blockBuilder) sortKeyExpr(e sqlparse.Expr) (exec.Expr, error) {
 	if lit, ok := e.(*sqlparse.Lit); ok && lit.Val.Kind == val.KInt {
-		idx := int(lit.Val.I) - 1
-		if idx < 0 || idx >= len(items) || items[idx].Star {
+		if lit.Val.I < 1 || lit.Val.I > int64(len(b.exprs)) {
 			return nil, fmt.Errorf("opt: ORDER BY position %d out of range", lit.Val.I)
 		}
-		return b.compileOutputExprInternal(items[idx].Expr)
+		return b.exprs[lit.Val.I-1], nil
 	}
 	if c, ok := e.(*sqlparse.ColRef); ok && c.Table == "" {
-		for i, name := range names {
-			if strings.EqualFold(name, c.Col) && !items[i].Star && items[i].Expr != nil {
-				return b.compileOutputExprInternal(items[i].Expr)
+		pos := 0
+		for i, item := range b.sel.Items {
+			if item.Star {
+				pos += b.width()
+				continue
 			}
+			if strings.EqualFold(itemName(item, i), c.Col) {
+				return b.exprs[pos], nil
+			}
+			pos++
 		}
 	}
-	return b.compileOutputExprInternal(e)
+	return b.compileScalar(e, b.offsets)
 }
 
 func itemName(item sqlparse.SelectItem, i int) string {
@@ -398,8 +344,8 @@ func itemName(item sqlparse.SelectItem, i int) string {
 }
 
 // buildPipeline assembles the left-deep join tree for the chosen order.
-func (b *blockBuilder) buildPipeline(order []Step, plan *Plan) (exec.Operator, error) {
-	q := b.q
+func (b *blockBuilder) buildPipeline(order []Step) (exec.Operator, error) {
+	q, plan := b.q, b.plan
 	b.offsets = map[int]int{}
 	b.widths = map[int]int{}
 	var root exec.Operator
@@ -408,9 +354,7 @@ func (b *blockBuilder) buildPipeline(order []Step, plan *Plan) (exec.Operator, e
 	// Replay the enumerator's cardinality recurrence alongside construction
 	// so every pipeline step carries its estimated output rows (EXPLAIN
 	// prints these against the actuals).
-	if plan.EstRows == nil {
-		plan.EstRows = map[exec.Operator]float64{}
-	}
+	plan.EstRows = map[exec.Operator]float64{}
 	env := b.benv.Env
 	placedSet := map[int]bool{}
 	card := 1.0
@@ -420,7 +364,7 @@ func (b *blockBuilder) buildPipeline(order []Step, plan *Plan) (exec.Operator, e
 		width := len(qt.Columns())
 
 		if stepIdx == 0 {
-			acc, err := b.accessOp(st, true)
+			acc, err := b.accessOp(st)
 			if err != nil {
 				return nil, err
 			}
@@ -429,7 +373,7 @@ func (b *blockBuilder) buildPipeline(order []Step, plan *Plan) (exec.Operator, e
 			b.offsets[st.Quant] = 0
 			b.widths[st.Quant] = width
 		} else {
-			joined, err := b.joinStep(root, st, plan, stepIdx, applied)
+			joined, err := b.joinStep(root, st, stepIdx, applied)
 			if err != nil {
 				return nil, err
 			}
@@ -456,7 +400,7 @@ func (b *blockBuilder) buildPipeline(order []Step, plan *Plan) (exec.Operator, e
 			if !ready {
 				continue
 			}
-			p, err := b.compilePred(cj.Expr, nil)
+			p, err := b.compilePred(cj.Expr, b.offsets)
 			if err != nil {
 				return nil, err
 			}
@@ -471,7 +415,7 @@ func (b *blockBuilder) buildPipeline(order []Step, plan *Plan) (exec.Operator, e
 				if applied[cj] || cj.Class != LocalPred || cj.FromOn || !cj.Quants[st.Quant] {
 					continue
 				}
-				p, err := b.compilePred(cj.Expr, nil)
+				p, err := b.compilePred(cj.Expr, b.offsets)
 				if err != nil {
 					return nil, err
 				}
@@ -504,7 +448,7 @@ func (b *blockBuilder) buildPipeline(order []Step, plan *Plan) (exec.Operator, e
 		}
 	}
 	if gate != nil {
-		p, err := b.compilePred(gate, nil)
+		p, err := b.compilePred(gate, b.offsets)
 		if err != nil {
 			return nil, err
 		}
@@ -534,45 +478,34 @@ func (b *blockBuilder) width() int {
 // accessOp builds the access operator for one quantifier including its
 // local predicates (with feedback observers wired to the self-managing
 // histograms).
-func (b *blockBuilder) accessOp(st Step, isFirst bool) (exec.Operator, error) {
+func (b *blockBuilder) accessOp(st Step) (exec.Operator, error) {
 	q := b.q
 	qt := q.Quants[st.Quant]
-	localLayout := []int{st.Quant}
 	localOffsets := map[int]int{st.Quant: 0}
 
 	var op exec.Operator
-	usedIndexEq := false
-	var usedIndexConj *Conjunct
+	var probed *Conjunct
 	if qt.Table == nil {
 		op = &exec.Materialized{RowsData: qt.Rows}
-	} else if st.Index != nil && st.Method == MethodScan {
+	} else if st.Index != nil {
 		// Sargable equality on the index prefix.
-		for _, cj := range q.LocalConjunctsOf(st.Quant, true) {
-			col, lit, opName, ok := colOpLitConj(q, cj)
-			// `col = NULL` is never true, but a NULL key would probe the
-			// index's NULL entries: leave it to the Filter.
-			if !ok || opName != "=" || col.C != st.Index.Cols[0] || lit.IsNull() {
-				continue
-			}
+		if ix, lit, cj := q.equalityProbe(st.Quant); ix == st.Index {
 			key := val.EncodeKey([]val.Value{lit})
-			op = &exec.IndexScan{Table: qt.Table, Index: st.Index, Lo: key, Hi: key, HiInc: true}
-			usedIndexEq = true
-			usedIndexConj = cj
-			break
+			op = &exec.IndexScan{Table: qt.Table, Index: ix, Lo: key, Hi: key, HiInc: true}
+			b.plan.EstRows[op] = q.probeRows(st.Quant, cj)
+			probed = cj
 		}
-		if op == nil {
-			op = b.tableScanOp(st)
-		}
-	} else {
+	}
+	if op == nil {
 		op = b.tableScanOp(st)
 	}
 
 	// Residual local predicates.
 	for _, cj := range q.LocalConjunctsOf(st.Quant, true) {
-		if usedIndexEq && cj == usedIndexConj {
+		if cj == probed {
 			continue
 		}
-		p, err := b.compilePredWithLayout(cj.Expr, localLayout, localOffsets)
+		p, err := b.compilePred(cj.Expr, localOffsets)
 		if err != nil {
 			return nil, err
 		}
@@ -645,8 +578,8 @@ func (b *blockBuilder) observerFor(cj *Conjunct) exec.Observer {
 		if !ok || x.Neg {
 			return nil
 		}
-		lo, lok := litOf(x.Lo)
-		hi, hok := litOf(x.Hi)
+		lo, lok := q.constOf(x.Lo)
+		hi, hok := q.constOf(x.Hi)
 		if !lok || !hok {
 			return nil
 		}
@@ -660,7 +593,7 @@ func (b *blockBuilder) observerFor(cj *Conjunct) exec.Observer {
 		if !ok || x.Neg {
 			return nil
 		}
-		pat, pok := litOf(x.Pattern)
+		pat, pok := q.constOf(x.Pattern)
 		if !pok {
 			return nil
 		}
@@ -680,7 +613,7 @@ func (b *blockBuilder) observerFor(cj *Conjunct) exec.Observer {
 // joinStep builds the join placing st.Quant onto the accumulated tree.
 // Conjuncts it consumes (join keys, NLJ predicates) are recorded in
 // applied so the caller does not re-filter them.
-func (b *blockBuilder) joinStep(acc exec.Operator, st Step, plan *Plan, depthIdx int, applied map[*Conjunct]bool) (exec.Operator, error) {
+func (b *blockBuilder) joinStep(acc exec.Operator, st Step, depthIdx int, applied map[*Conjunct]bool) (exec.Operator, error) {
 	q := b.q
 	qt := q.Quants[st.Quant]
 	width := len(qt.Columns())
@@ -712,7 +645,7 @@ func (b *blockBuilder) joinStep(acc exec.Operator, st Step, plan *Plan, depthIdx
 		if len(accKeys) == 0 {
 			return nil, fmt.Errorf("opt: hash join without keys")
 		}
-		right, err := b.accessOp(Step{Quant: st.Quant, Method: MethodScan}, false)
+		right, err := b.accessOp(Step{Quant: st.Quant, Method: MethodScan})
 		if err != nil {
 			return nil, err
 		}
@@ -737,7 +670,7 @@ func (b *blockBuilder) joinStep(acc exec.Operator, st Step, plan *Plan, depthIdx
 				hj.INLMaxBuildRows = b.inlThreshold(qt.Table, ix)
 			}
 		}
-		plan.HashJoins = append(plan.HashJoins, hj)
+		b.plan.HashJoins = append(b.plan.HashJoins, hj)
 		return hj, nil
 
 	case MethodINL:
@@ -756,13 +689,7 @@ func (b *blockBuilder) joinStep(acc exec.Operator, st Step, plan *Plan, depthIdx
 				applied[cj] = true
 				continue
 			}
-			layout := append(append([]int(nil), b.layout...), st.Quant)
-			offsets := map[int]int{}
-			for k, v := range b.offsets {
-				offsets[k] = v
-			}
-			offsets[st.Quant] = b.width()
-			p, err := b.compilePredWithLayout(cj.Expr, layout, offsets)
+			p, err := b.compilePred(cj.Expr, b.offsetsWith(st.Quant))
 			if err != nil {
 				return nil, err
 			}
@@ -784,7 +711,7 @@ func (b *blockBuilder) joinStep(acc exec.Operator, st Step, plan *Plan, depthIdx
 		}, nil
 
 	default: // MethodNLJ
-		right, err := b.accessOp(Step{Quant: st.Quant, Method: MethodScan}, false)
+		right, err := b.accessOp(Step{Quant: st.Quant, Method: MethodScan})
 		if err != nil {
 			return nil, err
 		}
@@ -811,13 +738,7 @@ func (b *blockBuilder) joinStep(acc exec.Operator, st Step, plan *Plan, depthIdx
 				continue
 			}
 			applied[cj] = true
-			layout := append(append([]int(nil), b.layout...), st.Quant)
-			offsets := map[int]int{}
-			for k, v := range b.offsets {
-				offsets[k] = v
-			}
-			offsets[st.Quant] = b.width()
-			p, err := b.compilePredWithLayout(cj.Expr, layout, offsets)
+			p, err := b.compilePred(cj.Expr, b.offsetsWith(st.Quant))
 			if err != nil {
 				return nil, err
 			}
@@ -835,20 +756,25 @@ func (b *blockBuilder) joinStep(acc exec.Operator, st Step, plan *Plan, depthIdx
 	}
 }
 
+// offsetsWith is the row layout of the accumulated pipeline joined with
+// quantifier qi (acc ⊕ q).
+func (b *blockBuilder) offsetsWith(qi int) map[int]int {
+	offsets := map[int]int{qi: b.width()}
+	for k, v := range b.offsets {
+		offsets[k] = v
+	}
+	return offsets
+}
+
 // altResidual compiles the ON residual predicate for INL-style probes: the
 // local ON predicates of the null-supplied quantifier bound at the probe
 // row offset (acc ⊕ q).
 func (b *blockBuilder) altResidual(qi int) exec.Pred {
 	q := b.q
 	var pred exec.Pred
-	layout := append(append([]int(nil), b.layout...), qi)
-	offsets := map[int]int{}
-	for k, v := range b.offsets {
-		offsets[k] = v
-	}
-	offsets[qi] = b.width()
+	offsets := b.offsetsWith(qi)
 	for _, cj := range q.LocalConjunctsOf(qi, true) {
-		p, err := b.compilePredWithLayout(cj.Expr, layout, offsets)
+		p, err := b.compilePred(cj.Expr, offsets)
 		if err != nil {
 			continue
 		}
@@ -933,71 +859,59 @@ func (b *blockBuilder) inlThreshold(t *table.Table, ix *table.Index) int64 {
 
 // --- Aggregation ----------------------------------------------------------
 
-// buildAggregation inserts a HashGroupBy when the block aggregates.
+// buildAggregation inserts a HashGroupBy when the block aggregates. From
+// here on the block's expressions compile against the aggregated row.
 func (b *blockBuilder) buildAggregation(root exec.Operator) (exec.Operator, error) {
 	sel := b.sel
-	hasAgg := false
+	// Everything evaluated above the GROUP BY: select items, HAVING, and
+	// (not themselves making the block aggregated) ORDER BY keys.
+	var above []sqlparse.Expr
 	for _, item := range sel.Items {
-		if item.Star {
-			continue
-		}
-		if containsAggregate(item.Expr) {
-			hasAgg = true
+		if !item.Star {
+			above = append(above, item.Expr)
 		}
 	}
-	if sel.Having != nil && containsAggregate(sel.Having) {
-		hasAgg = true
+	if sel.Having != nil {
+		above = append(above, sel.Having)
+	}
+	hasAgg := false
+	for _, e := range above {
+		hasAgg = hasAgg || containsAggregate(e)
 	}
 	if len(sel.GroupBy) == 0 && !hasAgg {
 		return root, nil
 	}
-	b.aggregated = true
-	b.groupCols = map[string]int{}
-	b.aggCols = map[string]int{}
+	for _, oi := range sel.OrderBy {
+		above = append(above, oi.Expr)
+	}
+	groupCols, aggCols := map[string]int{}, map[string]int{}
 
 	var keys []exec.Expr
 	for i, ge := range sel.GroupBy {
-		e, err := b.compileScalarPipeline(ge)
+		e, err := b.compileScalar(ge, b.offsets)
 		if err != nil {
 			return nil, err
 		}
 		keys = append(keys, e)
-		b.groupCols[exprKey(ge)] = i
+		groupCols[exprKey(ge)] = i
 	}
 
 	var aggs []exec.AggSpec
 	addAgg := func(fc *sqlparse.FuncCall) error {
 		k := exprKey(fc)
-		if _, ok := b.aggCols[k]; ok {
+		if _, ok := aggCols[k]; ok {
 			return nil
 		}
 		spec, err := b.aggSpec(fc)
 		if err != nil {
 			return err
 		}
-		b.aggCols[k] = len(keys) + len(aggs)
+		aggCols[k] = len(keys) + len(aggs)
 		aggs = append(aggs, spec)
 		return nil
 	}
-	var collect func(e sqlparse.Expr) error
-	collect = func(e sqlparse.Expr) error {
-		return walkAggregates(e, addAgg)
-	}
-	for _, item := range sel.Items {
-		if item.Star {
-			continue
-		}
-		if err := collect(item.Expr); err != nil {
-			return nil, err
-		}
-	}
-	if sel.Having != nil {
-		if err := collect(sel.Having); err != nil {
-			return nil, err
-		}
-	}
-	for _, oi := range sel.OrderBy {
-		if err := collect(oi.Expr); err != nil {
+	for _, e := range above {
+		if err := walkAggregates(e, addAgg); err != nil {
 			return nil, err
 		}
 	}
@@ -1008,9 +922,8 @@ func (b *blockBuilder) buildAggregation(root exec.Operator) (exec.Operator, erro
 	if soft := b.benv.Env.SoftLimitPages(); soft > 0 {
 		maxGroups = soft * 64 // ≈ groups per page × quota pages
 	}
-	g := &exec.HashGroupBy{Input: root, Keys: keys, Aggs: aggs, MaxGroupsInMemory: maxGroups}
-	b.aggWidth = len(keys) + len(aggs)
-	return g, nil
+	b.aggregated, b.groupCols, b.aggCols = true, groupCols, aggCols
+	return &exec.HashGroupBy{Input: root, Keys: keys, Aggs: aggs, MaxGroupsInMemory: maxGroups}, nil
 }
 
 func (b *blockBuilder) aggSpec(fc *sqlparse.FuncCall) (exec.AggSpec, error) {
@@ -1035,7 +948,7 @@ func (b *blockBuilder) aggSpec(fc *sqlparse.FuncCall) (exec.AggSpec, error) {
 	if len(fc.Args) != 1 {
 		return exec.AggSpec{}, fmt.Errorf("opt: %s takes one argument", fc.Name)
 	}
-	arg, err := b.compileScalarPipeline(fc.Args[0])
+	arg, err := b.compileScalar(fc.Args[0], b.offsets)
 	if err != nil {
 		return exec.AggSpec{}, err
 	}
@@ -1078,6 +991,22 @@ func walkAggregates(e sqlparse.Expr, fn func(*sqlparse.FuncCall) error) error {
 			return err
 		}
 		return walkAggregates(x.Hi, fn)
+	case *sqlparse.Like:
+		if err := walkAggregates(x.E, fn); err != nil {
+			return err
+		}
+		return walkAggregates(x.Pattern, fn)
+	case *sqlparse.InList:
+		if err := walkAggregates(x.E, fn); err != nil {
+			return err
+		}
+		for _, le := range x.List {
+			if err := walkAggregates(le, fn); err != nil {
+				return err
+			}
+		}
+	case *sqlparse.InSelect:
+		return walkAggregates(x.E, fn)
 	}
 	return nil
 }
@@ -1111,135 +1040,36 @@ func exprKey(e sqlparse.Expr) string {
 		}
 		return x.Name + "(" + d + star + strings.Join(parts, ",") + ")"
 	case *sqlparse.IsNull:
-		return exprKey(x.E) + " isnull"
+		return fmt.Sprintf("%s isnull/%t", exprKey(x.E), x.Neg)
 	case *sqlparse.Between:
-		return exprKey(x.E) + " between " + exprKey(x.Lo) + " and " + exprKey(x.Hi)
+		return fmt.Sprintf("%s between/%t %s and %s", exprKey(x.E), x.Neg, exprKey(x.Lo), exprKey(x.Hi))
 	case *sqlparse.Like:
-		return exprKey(x.E) + " like " + exprKey(x.Pattern)
+		return fmt.Sprintf("%s like/%t %s", exprKey(x.E), x.Neg, exprKey(x.Pattern))
 	}
-	return fmt.Sprintf("%T", e)
+	// Anything else (IN lists, subqueries) matches only itself.
+	return fmt.Sprintf("%T@%p", e, e)
 }
 
 // --- Expression compilation ----------------------------------------------
 
-// compileScalarPipeline compiles against the current pipeline layout.
-func (b *blockBuilder) compileScalarPipeline(e sqlparse.Expr) (exec.Expr, error) {
-	return b.compileScalarWithLayout(e, b.layout, b.offsets)
-}
-
-// compileOutputExprInternal compiles select items: after aggregation they
-// reference group keys and aggregate results; otherwise the pipeline.
-func (b *blockBuilder) compileOutputExprInternal(e sqlparse.Expr) (exec.Expr, error) {
-	if !b.aggregated {
-		return b.compileScalarPipeline(e)
-	}
-	return b.compileAggOutput(e)
-}
-
-// compileOutputExpr compiles ORDER BY expressions over a completed plan's
-// output columns (by alias or ordinal).
-func (b *blockBuilder) compileOutputExpr(e sqlparse.Expr, plan *Plan) (exec.Expr, error) {
-	// ORDER BY <int literal> = output ordinal; ORDER BY alias = column.
+// outputColExpr compiles a UNION chain's ORDER BY key: an output position
+// or an output column name.
+func (b *blockBuilder) outputColExpr(e sqlparse.Expr) (exec.Expr, error) {
+	cols := b.plan.Columns
 	if lit, ok := e.(*sqlparse.Lit); ok && lit.Val.Kind == val.KInt {
-		idx := int(lit.Val.I) - 1
-		if idx < 0 || idx >= len(plan.Columns) {
+		if lit.Val.I < 1 || lit.Val.I > int64(len(cols)) {
 			return nil, fmt.Errorf("opt: ORDER BY position %d out of range", lit.Val.I)
 		}
-		return exec.Col{Idx: idx}, nil
+		return exec.Col{Idx: int(lit.Val.I) - 1}, nil
 	}
 	if c, ok := e.(*sqlparse.ColRef); ok && c.Table == "" {
-		for i, name := range plan.Columns {
+		for i, name := range cols {
 			if strings.EqualFold(name, c.Col) {
 				return exec.Col{Idx: i}, nil
 			}
 		}
 	}
 	return nil, fmt.Errorf("opt: ORDER BY must reference an output column or position")
-}
-
-// compileAggOutput compiles an expression over the aggregated layout.
-func (b *blockBuilder) compileAggOutput(e sqlparse.Expr) (exec.Expr, error) {
-	if idx, ok := b.groupCols[exprKey(e)]; ok {
-		return exec.Col{Idx: idx}, nil
-	}
-	if idx, ok := b.aggCols[exprKey(e)]; ok {
-		return exec.Col{Idx: idx}, nil
-	}
-	switch x := e.(type) {
-	case *sqlparse.Lit:
-		return exec.Const{V: x.Val}, nil
-	case *sqlparse.Param:
-		return b.paramExpr(x)
-	case *sqlparse.BinOp:
-		l, err := b.compileAggOutput(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := b.compileAggOutput(x.R)
-		if err != nil {
-			return nil, err
-		}
-		if isCmp(x.Op) {
-			return exec.PredExpr{P: exec.Cmp{Op: x.Op, L: l, R: r}}, nil
-		}
-		return exec.Arith{Op: x.Op[0], L: l, R: r}, nil
-	case *sqlparse.UnOp:
-		inner, err := b.compileAggOutput(x.E)
-		if err != nil {
-			return nil, err
-		}
-		return exec.Neg{E: inner}, nil
-	case *sqlparse.ColRef:
-		return nil, fmt.Errorf("opt: column %q must appear in GROUP BY or an aggregate", x.Col)
-	}
-	return nil, fmt.Errorf("opt: unsupported aggregated expression %T", e)
-}
-
-// compileOutputPred compiles HAVING over the aggregated layout.
-func (b *blockBuilder) compileOutputPred(e sqlparse.Expr) (exec.Pred, error) {
-	switch x := e.(type) {
-	case *sqlparse.BinOp:
-		switch x.Op {
-		case "AND":
-			l, err := b.compileOutputPred(x.L)
-			if err != nil {
-				return nil, err
-			}
-			r, err := b.compileOutputPred(x.R)
-			if err != nil {
-				return nil, err
-			}
-			return exec.And{L: l, R: r}, nil
-		case "OR":
-			l, err := b.compileOutputPred(x.L)
-			if err != nil {
-				return nil, err
-			}
-			r, err := b.compileOutputPred(x.R)
-			if err != nil {
-				return nil, err
-			}
-			return exec.Or{L: l, R: r}, nil
-		}
-		l, err := b.compileAggOutput(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := b.compileAggOutput(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return exec.Cmp{Op: x.Op, L: l, R: r}, nil
-	case *sqlparse.UnOp:
-		if x.Op == "NOT" {
-			p, err := b.compileOutputPred(x.E)
-			if err != nil {
-				return nil, err
-			}
-			return exec.Not{P: p}, nil
-		}
-	}
-	return nil, fmt.Errorf("opt: unsupported HAVING predicate %T", e)
 }
 
 func isCmp(op string) bool {
@@ -1258,21 +1088,19 @@ func (b *blockBuilder) paramExpr(p *sqlparse.Param) (exec.Expr, error) {
 	return exec.Const{V: b.benv.Params[idx]}, nil
 }
 
-// compilePred compiles a predicate over the current pipeline layout.
-func (b *blockBuilder) compilePred(e sqlparse.Expr, _ []int) (exec.Pred, error) {
-	return b.compilePredWithLayout(e, b.layout, b.offsets)
-}
-
-func (b *blockBuilder) compilePredWithLayout(e sqlparse.Expr, layout []int, offsets map[int]int) (exec.Pred, error) {
+// compilePred compiles a predicate over the row layout offsets describes
+// (quantifier index -> first ordinal) or, once the block is aggregated,
+// over the aggregated row.
+func (b *blockBuilder) compilePred(e sqlparse.Expr, offsets map[int]int) (exec.Pred, error) {
 	switch x := e.(type) {
 	case *sqlparse.BinOp:
 		switch x.Op {
 		case "AND", "OR":
-			l, err := b.compilePredWithLayout(x.L, layout, offsets)
+			l, err := b.compilePred(x.L, offsets)
 			if err != nil {
 				return nil, err
 			}
-			r, err := b.compilePredWithLayout(x.R, layout, offsets)
+			r, err := b.compilePred(x.R, offsets)
 			if err != nil {
 				return nil, err
 			}
@@ -1282,11 +1110,11 @@ func (b *blockBuilder) compilePredWithLayout(e sqlparse.Expr, layout []int, offs
 			return exec.Or{L: l, R: r}, nil
 		}
 		if isCmp(x.Op) {
-			l, err := b.compileScalarWithLayout(x.L, layout, offsets)
+			l, err := b.compileScalar(x.L, offsets)
 			if err != nil {
 				return nil, err
 			}
-			r, err := b.compileScalarWithLayout(x.R, layout, offsets)
+			r, err := b.compileScalar(x.R, offsets)
 			if err != nil {
 				return nil, err
 			}
@@ -1295,7 +1123,7 @@ func (b *blockBuilder) compilePredWithLayout(e sqlparse.Expr, layout []int, offs
 		return nil, fmt.Errorf("opt: %q is not a predicate", x.Op)
 	case *sqlparse.UnOp:
 		if x.Op == "NOT" {
-			p, err := b.compilePredWithLayout(x.E, layout, offsets)
+			p, err := b.compilePred(x.E, offsets)
 			if err != nil {
 				return nil, err
 			}
@@ -1303,43 +1131,43 @@ func (b *blockBuilder) compilePredWithLayout(e sqlparse.Expr, layout []int, offs
 		}
 		return nil, fmt.Errorf("opt: %q is not a predicate", x.Op)
 	case *sqlparse.IsNull:
-		inner, err := b.compileScalarWithLayout(x.E, layout, offsets)
+		inner, err := b.compileScalar(x.E, offsets)
 		if err != nil {
 			return nil, err
 		}
 		return exec.IsNullPred{E: inner, Neg: x.Neg}, nil
 	case *sqlparse.Between:
-		inner, err := b.compileScalarWithLayout(x.E, layout, offsets)
+		inner, err := b.compileScalar(x.E, offsets)
 		if err != nil {
 			return nil, err
 		}
-		lo, err := b.compileScalarWithLayout(x.Lo, layout, offsets)
+		lo, err := b.compileScalar(x.Lo, offsets)
 		if err != nil {
 			return nil, err
 		}
-		hi, err := b.compileScalarWithLayout(x.Hi, layout, offsets)
+		hi, err := b.compileScalar(x.Hi, offsets)
 		if err != nil {
 			return nil, err
 		}
 		return exec.BetweenPred{E: inner, Lo: lo, Hi: hi, Neg: x.Neg}, nil
 	case *sqlparse.Like:
-		inner, err := b.compileScalarWithLayout(x.E, layout, offsets)
+		inner, err := b.compileScalar(x.E, offsets)
 		if err != nil {
 			return nil, err
 		}
-		pat, err := b.compileScalarWithLayout(x.Pattern, layout, offsets)
+		pat, err := b.compileScalar(x.Pattern, offsets)
 		if err != nil {
 			return nil, err
 		}
 		return exec.LikePred{E: inner, Pattern: pat, Neg: x.Neg}, nil
 	case *sqlparse.InList:
-		inner, err := b.compileScalarWithLayout(x.E, layout, offsets)
+		inner, err := b.compileScalar(x.E, offsets)
 		if err != nil {
 			return nil, err
 		}
 		var list []exec.Expr
 		for _, le := range x.List {
-			ce, err := b.compileScalarWithLayout(le, layout, offsets)
+			ce, err := b.compileScalar(le, offsets)
 			if err != nil {
 				return nil, err
 			}
@@ -1347,7 +1175,7 @@ func (b *blockBuilder) compilePredWithLayout(e sqlparse.Expr, layout []int, offs
 		}
 		return exec.InListPred{E: inner, List: list, Neg: x.Neg}, nil
 	case *sqlparse.InSelect:
-		return b.compileInSelect(x, layout, offsets)
+		return b.compileInSelect(x, offsets)
 	case *sqlparse.Exists:
 		return b.compileExists(x)
 	}
@@ -1357,12 +1185,12 @@ func (b *blockBuilder) compilePredWithLayout(e sqlparse.Expr, layout []int, offs
 // compileInSelect materializes an uncorrelated IN-subquery into a hash set
 // — effectively converting the subquery into a (semi) hash join, the
 // cost-based rewriting of §4.1 in its simplest form.
-func (b *blockBuilder) compileInSelect(x *sqlparse.InSelect, layout []int, offsets map[int]int) (exec.Pred, error) {
-	inner, err := b.compileScalarWithLayout(x.E, layout, offsets)
+func (b *blockBuilder) compileInSelect(x *sqlparse.InSelect, offsets map[int]int) (exec.Pred, error) {
+	inner, err := b.compileScalar(x.E, offsets)
 	if err != nil {
 		return nil, err
 	}
-	sub, err := BuildSelect(x.Sub, b.benv)
+	sub, err := BuildSelect(x.Sub, b.benv, nil)
 	if err != nil {
 		return nil, fmt.Errorf("opt: IN subquery: %w (correlated subqueries are not supported)", err)
 	}
@@ -1427,7 +1255,7 @@ func (p *setMembershipPred) Test(r exec.Row) (exec.Bool3, error) {
 func (b *blockBuilder) compileExists(x *sqlparse.Exists) (exec.Pred, error) {
 	limited := *x.Sub
 	limited.Limit = 1
-	sub, err := BuildSelect(&limited, b.benv)
+	sub, err := BuildSelect(&limited, b.benv, nil)
 	if err != nil {
 		return nil, fmt.Errorf("opt: EXISTS subquery: %w (correlated subqueries are not supported)", err)
 	}
@@ -1448,11 +1276,20 @@ func (p constPred) Test(exec.Row) (exec.Bool3, error) {
 	return exec.False, nil
 }
 
-func (b *blockBuilder) compileScalar(e sqlparse.Expr, _ []int) (exec.Expr, error) {
-	return b.compileScalarWithLayout(e, nil, nil)
-}
-
-func (b *blockBuilder) compileScalarWithLayout(e sqlparse.Expr, layout []int, offsets map[int]int) (exec.Expr, error) {
+// compileScalar is compilePred's counterpart for value expressions. The one
+// place a column is resolved: above a GROUP BY an expression that is a
+// grouping key or an aggregate call is that column of the aggregated row,
+// and any other bare column is an error.
+func (b *blockBuilder) compileScalar(e sqlparse.Expr, offsets map[int]int) (exec.Expr, error) {
+	if b.aggregated {
+		k := exprKey(e)
+		if idx, ok := b.groupCols[k]; ok {
+			return exec.Col{Idx: idx}, nil
+		}
+		if idx, ok := b.aggCols[k]; ok {
+			return exec.Col{Idx: idx}, nil
+		}
+	}
 	switch x := e.(type) {
 	case *sqlparse.Lit:
 		return exec.Const{V: x.Val}, nil
@@ -1461,6 +1298,9 @@ func (b *blockBuilder) compileScalarWithLayout(e sqlparse.Expr, layout []int, of
 	case *sqlparse.ColRef:
 		if b.q == nil {
 			return nil, fmt.Errorf("opt: column %q without FROM", x.Col)
+		}
+		if b.aggregated {
+			return nil, fmt.Errorf("opt: column %q must appear in GROUP BY or an aggregate", x.Col)
 		}
 		qi, ci, err := b.q.binder.resolve(x)
 		if err != nil {
@@ -1473,30 +1313,30 @@ func (b *blockBuilder) compileScalarWithLayout(e sqlparse.Expr, layout []int, of
 		return exec.Col{Idx: off + ci}, nil
 	case *sqlparse.BinOp:
 		if isCmp(x.Op) || x.Op == "AND" || x.Op == "OR" {
-			p, err := b.compilePredWithLayout(x, layout, offsets)
+			p, err := b.compilePred(x, offsets)
 			if err != nil {
 				return nil, err
 			}
 			return exec.PredExpr{P: p}, nil
 		}
-		l, err := b.compileScalarWithLayout(x.L, layout, offsets)
+		l, err := b.compileScalar(x.L, offsets)
 		if err != nil {
 			return nil, err
 		}
-		r, err := b.compileScalarWithLayout(x.R, layout, offsets)
+		r, err := b.compileScalar(x.R, offsets)
 		if err != nil {
 			return nil, err
 		}
 		return exec.Arith{Op: x.Op[0], L: l, R: r}, nil
 	case *sqlparse.UnOp:
 		if x.Op == "-" {
-			inner, err := b.compileScalarWithLayout(x.E, layout, offsets)
+			inner, err := b.compileScalar(x.E, offsets)
 			if err != nil {
 				return nil, err
 			}
 			return exec.Neg{E: inner}, nil
 		}
-		p, err := b.compilePredWithLayout(x, layout, offsets)
+		p, err := b.compilePred(x, offsets)
 		if err != nil {
 			return nil, err
 		}
@@ -1512,14 +1352,14 @@ func (b *blockBuilder) compileScalarWithLayout(e sqlparse.Expr, layout []int, of
 			if b.benv.Env.Property == nil {
 				return nil, fmt.Errorf("opt: PROPERTY is not available in this context")
 			}
-			arg, err := b.compileScalarWithLayout(x.Args[0], layout, offsets)
+			arg, err := b.compileScalar(x.Args[0], offsets)
 			if err != nil {
 				return nil, err
 			}
 			return propertyExpr{arg: arg, fn: b.benv.Env.Property}, nil
 		}
 		if x.Name == "ABS" && len(x.Args) == 1 && !x.Star && !x.Distinct {
-			arg, err := b.compileScalarWithLayout(x.Args[0], layout, offsets)
+			arg, err := b.compileScalar(x.Args[0], offsets)
 			if err != nil {
 				return nil, err
 			}
@@ -1528,7 +1368,7 @@ func (b *blockBuilder) compileScalarWithLayout(e sqlparse.Expr, layout []int, of
 		return nil, fmt.Errorf("opt: unknown function %q", x.Name)
 	}
 	// Predicates used as scalars.
-	p, err := b.compilePredWithLayout(e, layout, offsets)
+	p, err := b.compilePred(e, offsets)
 	if err != nil {
 		return nil, err
 	}

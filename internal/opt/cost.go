@@ -211,8 +211,6 @@ type Step struct {
 	Quant  int
 	Method Method
 	Index  *table.Index // access or probe index; nil = sequential
-	// SargLo/SargHi describe the index range for first-quantifier access.
-	SargEq bool
 }
 
 // stepCost prices placing quantifier qi by the given method after an

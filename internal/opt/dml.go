@@ -2,7 +2,6 @@ package opt
 
 import (
 	"fmt"
-	"math"
 
 	"anywheredb/internal/exec"
 	"anywheredb/internal/sqlparse"
@@ -75,15 +74,20 @@ func buildValues(values [][]sqlparse.Expr, benv *BuildEnv) (*DML, error) {
 }
 
 func buildModify(name string, where sqlparse.Expr, set []sqlparse.SetClause, benv *BuildEnv) (*DML, error) {
-	tbl, ok := benv.Res.Table(name)
-	if !ok {
+	// The target binds as the block `FROM name WHERE where`: one quantifier,
+	// so there is nothing to enumerate, but the shared expression compiler,
+	// access-path matcher and histogram estimate all apply.
+	from := &sqlparse.Select{From: &sqlparse.BaseTable{Name: name}, Where: where}
+	q, err := Bind(from, benv.Res, nil, benv.Params)
+	if err != nil {
+		return nil, err
+	}
+	tbl := q.Quants[0].Table
+	if tbl == nil {
 		return nil, fmt.Errorf("opt: table %q not found", name)
 	}
-	// The target table is a one-quantifier block: enough for the shared
-	// expression compiler to resolve columns, with nothing to enumerate.
-	quants := []*Quant{{Alias: name, Table: tbl}}
-	b := &blockBuilder{benv: benv, q: &Query{Quants: quants, binder: &binder{quants: quants}}}
-	layout, offsets := []int{0}, map[int]int{0: 0}
+	b := &blockBuilder{benv: benv, q: q}
+	offsets := map[int]int{0: 0}
 	d := &DML{Table: tbl}
 
 	for _, sc := range set {
@@ -91,7 +95,7 @@ func buildModify(name string, where sqlparse.Expr, set []sqlparse.SetClause, ben
 		if ci < 0 {
 			return nil, fmt.Errorf("opt: column %q not found", sc.Col)
 		}
-		e, err := b.compileScalarWithLayout(sc.Expr, layout, offsets)
+		e, err := b.compileScalar(sc.Expr, offsets)
 		if err != nil {
 			return nil, err
 		}
@@ -101,11 +105,10 @@ func buildModify(name string, where sqlparse.Expr, set []sqlparse.SetClause, ben
 
 	var root exec.Operator
 	rows := float64(tbl.RowCount())
-	if ix, key := b.eqProbe(tbl, where); ix != nil {
+	if ix, lit, cj := q.equalityProbe(0); ix != nil {
+		key := val.EncodeKey([]val.Value{lit})
 		root = &exec.IndexScan{Table: tbl, Index: ix, Lo: key, Hi: key, HiInc: true, WithRIDs: true}
-		// An equality probe touches a fraction of the table; without
-		// per-key statistics assume a single match cluster.
-		rows = math.Sqrt(math.Max(rows, 1))
+		rows = q.probeRows(0, cj)
 	} else {
 		root = &exec.TableScan{Table: tbl, NoColumnar: true, WithRIDs: true}
 	}
@@ -113,7 +116,7 @@ func buildModify(name string, where sqlparse.Expr, set []sqlparse.SetClause, ben
 	if where != nil {
 		// The Filter keeps the probe's own conjunct: it and the re-check
 		// are one compiled predicate.
-		pred, err := b.compilePredWithLayout(where, layout, offsets)
+		pred, err := b.compilePred(where, offsets)
 		if err != nil {
 			return nil, err
 		}
@@ -125,49 +128,4 @@ func buildModify(name string, where sqlparse.Expr, set []sqlparse.SetClause, ben
 	}
 	d.Plan.Root = root
 	return d, nil
-}
-
-// eqProbe finds the first conjunct `col = constant-or-parameter` (either
-// orientation) of where whose column leads an index of tbl, and encodes
-// its key.
-func (b *blockBuilder) eqProbe(tbl *table.Table, where sqlparse.Expr) (*table.Index, []byte) {
-	x, ok := where.(*sqlparse.BinOp)
-	if !ok {
-		return nil, nil
-	}
-	if x.Op == "AND" {
-		if ix, key := b.eqProbe(tbl, x.L); ix != nil {
-			return ix, key
-		}
-		return b.eqProbe(tbl, x.R)
-	}
-	if x.Op != "=" {
-		return nil, nil
-	}
-	col, okc := singleCol(b.q, x.L)
-	v, okv := b.constOf(x.R)
-	if !okc || !okv {
-		col, okc = singleCol(b.q, x.R)
-		v, okv = b.constOf(x.L)
-	}
-	if !okc || !okv {
-		return nil, nil
-	}
-	for _, ix := range tbl.Indexes {
-		if len(ix.Cols) > 0 && ix.Cols[0] == col.C {
-			return ix, val.EncodeKey([]val.Value{v})
-		}
-	}
-	return nil, nil
-}
-
-// constOf is litOf extended to bound parameters.
-func (b *blockBuilder) constOf(e sqlparse.Expr) (val.Value, bool) {
-	if p, ok := e.(*sqlparse.Param); ok {
-		if i := p.Idx - 1; i >= 0 && i < len(b.benv.Params) {
-			return b.benv.Params[i], true
-		}
-		return val.Null, false
-	}
-	return litOf(e)
 }

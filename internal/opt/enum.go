@@ -194,12 +194,10 @@ func (e *enumerator) candidates(placed map[int]bool, prefix []Step, cost, card f
 			st := Step{Quant: qi, Method: MethodScan}
 			c, oc := e.env.stepCost(e.q, placed, card, st)
 			out = append(out, candidate{step: st, cost: cost + c, card: oc, conn: true})
-			if qt.Table != nil {
-				if ix := e.sargableIndex(qi); ix != nil {
-					st := Step{Quant: qi, Method: MethodScan, Index: ix, SargEq: true}
-					c, oc := e.env.stepCost(e.q, placed, card, st)
-					out = append(out, candidate{step: st, cost: cost + c, card: oc, conn: true})
-				}
+			if ix, _, _ := e.q.equalityProbe(qi); ix != nil {
+				st := Step{Quant: qi, Method: MethodScan, Index: ix}
+				c, oc := e.env.stepCost(e.q, placed, card, st)
+				out = append(out, candidate{step: st, cost: cost + c, card: oc, conn: true})
 			}
 			continue
 		}
@@ -269,27 +267,6 @@ func (e *enumerator) connected(placed map[int]bool, qi int) bool {
 		}
 	}
 	return false
-}
-
-// sargableIndex finds an index whose leading column carries an equality
-// local predicate of quantifier qi.
-func (e *enumerator) sargableIndex(qi int) *table.Index {
-	qt := e.q.Quants[qi]
-	if qt.Table == nil {
-		return nil
-	}
-	for _, cj := range e.q.LocalConjunctsOf(qi, true) {
-		col, _, op, ok := colOpLitConj(e.q, cj)
-		if !ok || op != "=" {
-			continue
-		}
-		for _, ix := range qt.Table.Indexes {
-			if len(ix.Cols) > 0 && ix.Cols[0] == col.C {
-				return ix
-			}
-		}
-	}
-	return nil
 }
 
 // joinIndex finds an index on qi whose leading columns are covered by

@@ -114,7 +114,7 @@ func runSQL(t testing.TB, db *testDB, sql string) ([]exec.Row, *Plan) {
 	if err != nil {
 		t.Fatalf("parse %q: %v", sql, err)
 	}
-	plan, err := BuildSelect(stmt.(*sqlparse.Select), benv(db))
+	plan, err := BuildSelect(stmt.(*sqlparse.Select), benv(db), nil)
 	if err != nil {
 		t.Fatalf("build %q: %v", sql, err)
 	}
@@ -330,7 +330,7 @@ func TestParams(t *testing.T) {
 	stmt, _ := sqlparse.Parse("SELECT eid FROM emp WHERE eid = ?")
 	be := benv(db)
 	be.Params = []val.Value{val.NewInt(7)}
-	plan, err := BuildSelect(stmt.(*sqlparse.Select), be)
+	plan, err := BuildSelect(stmt.(*sqlparse.Select), be, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestGovernorQuotaBoundsVisits(t *testing.T) {
 
 	limited := benv(db)
 	limited.Env.Quota = 200
-	p1, err := BuildSelect(sel, limited)
+	p1, err := BuildSelect(sel, limited, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestGovernorQuotaBoundsVisits(t *testing.T) {
 
 	unlimited := benv(db)
 	unlimited.Env.DisableGovernor = true
-	p2, err := BuildSelect(sel, unlimited)
+	p2, err := BuildSelect(sel, unlimited, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,12 +428,12 @@ func TestPruningReducesSearch(t *testing.T) {
 
 	pruned := benv(db)
 	pruned.Env.DisableGovernor = true
-	p1, _ := BuildSelect(sel, pruned)
+	p1, _ := BuildSelect(sel, pruned, nil)
 
 	unpruned := benv(db)
 	unpruned.Env.DisableGovernor = true
 	unpruned.Env.DisablePruning = true
-	p2, _ := BuildSelect(sel, unpruned)
+	p2, _ := BuildSelect(sel, unpruned, nil)
 
 	if p1.Enum.Visits >= p2.Enum.Visits {
 		t.Fatalf("pruned %d visits should be fewer than unpruned %d",
@@ -456,7 +456,7 @@ func TestCartesianDeferred(t *testing.T) {
 		db.mkTable(t, name, []table.Column{{Name: "k", Kind: val.KInt}}, rows)
 	}
 	stmt, _ := sqlparse.Parse("SELECT COUNT(*) FROM a, b, c WHERE a.k = b.k")
-	plan, err := BuildSelect(stmt.(*sqlparse.Select), benv(db))
+	plan, err := BuildSelect(stmt.(*sqlparse.Select), benv(db), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +490,7 @@ func TestHundredWayJoinSmallMemory(t *testing.T) {
 	stmt, _ := sqlparse.Parse(sql)
 	be := benv(db)
 	be.Env.Quota = 2000
-	plan, err := BuildSelect(stmt.(*sqlparse.Select), be)
+	plan, err := BuildSelect(stmt.(*sqlparse.Select), be, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -637,7 +637,7 @@ func TestCostModelOrdersPlansSanely(t *testing.T) {
 		t.Fatal(err)
 	}
 	stmt, _ := sqlparse.Parse("SELECT ename FROM emp WHERE eid = 4321")
-	plan, err := BuildSelect(stmt.(*sqlparse.Select), benv(db))
+	plan, err := BuildSelect(stmt.(*sqlparse.Select), benv(db), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -681,11 +681,11 @@ func TestEnumerateDeterministic(t *testing.T) {
 	db, sql := chainDB(t, 6, 15)
 	stmt, _ := sqlparse.Parse(sql)
 	sel := stmt.(*sqlparse.Select)
-	p1, err := BuildSelect(sel, benv(db))
+	p1, err := BuildSelect(sel, benv(db), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := BuildSelect(sel, benv(db))
+	p2, err := BuildSelect(sel, benv(db), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,10 +174,6 @@ func IndexConsultant(db *core.DB, events []Event, env *opt.Env) ([]Recommendatio
 	}
 
 	// Parse the SELECT statements once.
-	type stmt struct {
-		sel    *sqlparse.Select
-		params []val.Value
-	}
 	var stmts []stmt
 	for _, e := range events {
 		parsed, err := sqlparse.Parse(e.SQL)
@@ -203,7 +199,7 @@ func IndexConsultant(db *core.DB, events []Event, env *opt.Env) ([]Recommendatio
 		var total float64
 		for _, s := range stmts {
 			benv := &opt.BuildEnv{Env: env, Res: db, Ctx: ctx, Params: s.params}
-			plan, err := opt.BuildSelect(s.sel, benv)
+			plan, err := opt.BuildSelect(s.sel, benv, nil)
 			if err != nil {
 				continue // statements that no longer bind are skipped
 			}
@@ -219,11 +215,7 @@ func IndexConsultant(db *core.DB, events []Event, env *opt.Env) ([]Recommendatio
 
 	// Candidate specifications: generalized at first (a set of columns),
 	// tightened to a physical column order when materialized.
-	sels := make([]*sqlparse.Select, len(stmts))
-	for i := range stmts {
-		sels[i] = stmts[i].sel
-	}
-	specs := gatherSpecs(db, sels)
+	specs := gatherSpecs(db, stmts)
 	var recs []Recommendation
 	virtualID := uint64(1 << 40)
 	for _, spec := range specs {
@@ -259,6 +251,12 @@ func IndexConsultant(db *core.DB, events []Event, env *opt.Env) ([]Recommendatio
 	return recs, nil
 }
 
+// stmt is one traced SELECT with the parameters it ran with.
+type stmt struct {
+	sel    *sqlparse.Select
+	params []val.Value
+}
+
 type indexSpec struct {
 	table string
 	cols  []int
@@ -266,11 +264,11 @@ type indexSpec struct {
 
 // gatherSpecs walks each statement's bound predicate set collecting the
 // virtual index specifications the optimizer would want.
-func gatherSpecs(db *core.DB, sels []*sqlparse.Select) []indexSpec {
+func gatherSpecs(db *core.DB, stmts []stmt) []indexSpec {
 	seen := map[string]bool{}
 	var out []indexSpec
-	for _, sel := range sels {
-		q, err := opt.Bind(sel, db, nil)
+	for _, s := range stmts {
+		q, err := opt.Bind(s.sel, db, nil, s.params)
 		if err != nil {
 			continue
 		}

@@ -101,34 +101,48 @@ func TestOptionFindings(t *testing.T) {
 }
 
 func TestIndexConsultant(t *testing.T) {
-	db, c, tr := setup(t)
-	seed(t, c, 5000)
-	// A workload probing by cust — no index exists on cust.
-	for i := 0; i < 12; i++ {
-		if _, err := c.Query(fmt.Sprintf("SELECT amount FROM orders WHERE cust = %d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	recs, err := IndexConsultant(db, tr.Events(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) == 0 {
-		t.Fatal("expected an index recommendation on orders(cust)")
-	}
-	r := recs[0]
-	if r.Table != "orders" || len(r.Columns) != 1 || r.Columns[0] != "cust" {
-		t.Fatalf("recommendation %+v", r)
-	}
-	if r.BenefitFrac < MinBenefit {
-		t.Fatalf("benefit %g", r.BenefitFrac)
-	}
-	// Virtual indexes must not persist.
-	tbl, _ := db.Table("orders")
-	for _, ix := range tbl.Indexes {
-		if strings.HasPrefix(ix.Name, "__virtual_") {
-			t.Fatal("virtual index leaked")
-		}
+	// A workload probing by cust — no index exists on cust — as literal SQL
+	// and as the prepared statement a wire client sends.
+	for name, probe := range map[string]func(c *core.Conn, i int) error{
+		"literal": func(c *core.Conn, i int) error {
+			_, err := c.Query(fmt.Sprintf("SELECT amount FROM orders WHERE cust = %d", i))
+			return err
+		},
+		"parameters": func(c *core.Conn, i int) error {
+			_, err := c.Query("SELECT amount FROM orders WHERE cust = ?", val.NewInt(int64(i)))
+			return err
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			db, c, tr := setup(t)
+			seed(t, c, 5000)
+			for i := 0; i < 12; i++ {
+				if err := probe(c, i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			recs, err := IndexConsultant(db, tr.Events(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(recs) == 0 {
+				t.Fatal("expected an index recommendation on orders(cust)")
+			}
+			r := recs[0]
+			if r.Table != "orders" || len(r.Columns) != 1 || r.Columns[0] != "cust" {
+				t.Fatalf("recommendation %+v", r)
+			}
+			if r.BenefitFrac < MinBenefit {
+				t.Fatalf("benefit %g", r.BenefitFrac)
+			}
+			// Virtual indexes must not persist.
+			tbl, _ := db.Table("orders")
+			for _, ix := range tbl.Indexes {
+				if strings.HasPrefix(ix.Name, "__virtual_") {
+					t.Fatal("virtual index leaked")
+				}
+			}
+		})
 	}
 }
 

@@ -24,6 +24,14 @@ import (
 	"anywheredb/internal/wal"
 )
 
+const (
+	// chunkSize is the shipping read window.
+	chunkSize = 256 << 10
+	// maxRouteLagBytes is the apply lag beyond which a replica is not
+	// offered read traffic.
+	maxRouteLagBytes = 4 << 20
+)
+
 // PrimaryOptions configures the primary side of log shipping. Every field
 // has a working default; there are no placement or routing knobs.
 type PrimaryOptions struct {
@@ -40,11 +48,6 @@ type PrimaryOptions struct {
 	// on expiry the group degrades to an async ack (counted in
 	// repl.sync_degraded) instead of wedging the commit path. Default 2s.
 	SyncTimeout time.Duration
-	// ChunkSize is the shipping read window (default 256KiB).
-	ChunkSize int
-	// MaxRouteLagBytes is the apply lag beyond which a replica is not
-	// offered read traffic (default 4MiB).
-	MaxRouteLagBytes uint64
 	// DrainTimeout bounds the pre-truncate barrier: connected replicas get
 	// this long to drain the dying epoch before the truncate proceeds and
 	// stragglers fall back to a full resync. Default 1s.
@@ -57,12 +60,6 @@ func (o *PrimaryOptions) fill() {
 	}
 	if o.SyncTimeout <= 0 {
 		o.SyncTimeout = 2 * time.Second
-	}
-	if o.ChunkSize <= 0 {
-		o.ChunkSize = 256 << 10
-	}
-	if o.MaxRouteLagBytes == 0 {
-		o.MaxRouteLagBytes = 4 << 20
 	}
 	if o.DrainTimeout <= 0 {
 		o.DrainTimeout = time.Second
@@ -444,7 +441,7 @@ func (p *Primary) ship(rs *replicaState, bw *bufio.Writer, h helloMsg, sessionDo
 		if p.closed.Load() {
 			return
 		}
-		b, err := w.ReadChunk(logID, epoch, pos, p.opts.ChunkSize)
+		b, err := w.ReadChunk(logID, epoch, pos, chunkSize)
 		switch {
 		case err == wal.ErrEpoch:
 			// The log truncated. If the barrier saw us drain the old epoch
@@ -523,7 +520,7 @@ func (p *Primary) snapshot(rs *replicaState, bw *bufio.Writer) (prefixEnd, logID
 		pos := uint64(0)
 		retry := false
 		for {
-			b, rerr := w.ReadChunk(logID, epoch, pos, p.opts.ChunkSize)
+			b, rerr := w.ReadChunk(logID, epoch, pos, chunkSize)
 			if rerr == wal.ErrEpoch {
 				retry = true // truncated under us: restart the whole snapshot
 				break
@@ -564,7 +561,7 @@ func (p *Primary) sendStoreFiles(rs *replicaState, bw *bufio.Writer) error {
 		names = append(names, e.Name())
 	}
 	sort.Strings(names)
-	buf := make([]byte, p.opts.ChunkSize)
+	buf := make([]byte, chunkSize)
 	for _, name := range names {
 		f, err := os.Open(filepath.Join(p.db.Dir(), name))
 		if err != nil {
@@ -746,7 +743,7 @@ func (p *Primary) pickReplica() *replicaState {
 		rs.mu.Lock()
 		ok := !rs.syncing && rs.readAddr != ""
 		rs.mu.Unlock()
-		if ok && p.lagOf(rs) <= p.opts.MaxRouteLagBytes {
+		if ok && p.lagOf(rs) <= maxRouteLagBytes {
 			cands = append(cands, rs)
 		}
 	}

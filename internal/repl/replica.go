@@ -16,6 +16,14 @@ import (
 	"anywheredb/internal/wal"
 )
 
+const (
+	// ackInterval is the progress-heartbeat period: acks also ride every
+	// applied chunk, so this only bounds idle staleness.
+	ackInterval = 200 * time.Millisecond
+	// retryInterval is the reconnect backoff after a lost primary.
+	retryInterval = 500 * time.Millisecond
+)
+
 // ReplicaOptions configures one read replica process.
 type ReplicaOptions struct {
 	// Dir is the replica's own data directory. Its contents are disposable:
@@ -35,12 +43,6 @@ type ReplicaOptions struct {
 	// Core is the template for the replica's database instance (MPL, pool
 	// size, device, flight recorder...). Dir and ReplicaMode are overridden.
 	Core core.Options
-	// AckInterval is the progress-heartbeat period (default 200ms): acks
-	// also ride every applied chunk, so this only bounds idle staleness.
-	AckInterval time.Duration
-	// RetryInterval is the reconnect backoff after a lost primary
-	// (default 500ms).
-	RetryInterval time.Duration
 	// DialTimeout bounds each connect attempt (default 5s).
 	DialTimeout time.Duration
 }
@@ -48,12 +50,6 @@ type ReplicaOptions struct {
 func (o *ReplicaOptions) fill() {
 	if o.ReadListen == "" {
 		o.ReadListen = "127.0.0.1:0"
-	}
-	if o.AckInterval <= 0 {
-		o.AckInterval = 200 * time.Millisecond
-	}
-	if o.RetryInterval <= 0 {
-		o.RetryInterval = 500 * time.Millisecond
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
@@ -206,7 +202,7 @@ func (r *Replica) run() {
 			// Session errors are expected operation (primary restarting,
 			// network blip): back off and retry.
 			select {
-			case <-time.After(r.opts.RetryInterval):
+			case <-time.After(retryInterval):
 			case <-r.stop:
 				return
 			}
@@ -299,7 +295,7 @@ func (r *Replica) session() error {
 	hbDone := make(chan struct{})
 	defer close(hbDone)
 	go func() {
-		t := time.NewTicker(r.opts.AckInterval)
+		t := time.NewTicker(ackInterval)
 		defer t.Stop()
 		for {
 			select {

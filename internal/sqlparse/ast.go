@@ -97,6 +97,24 @@ type Rollback struct{}
 type Explain struct {
 	Analyze bool
 	Stmt    Statement
+	// Text is the source text of Stmt: what the bare statement would have
+	// been submitted as, so EXPLAIN can consult the same plan-cache entry.
+	Text string
+}
+
+// Writes reports whether running stmt can change the database: DML, DDL,
+// bulk load, calibration — and EXPLAIN ANALYZE of any of them, since
+// ANALYZE runs its statement. (BEGIN is neither; callers that refuse
+// transactions decide that themselves.)
+func Writes(stmt Statement) bool {
+	switch s := stmt.(type) {
+	case *Insert, *Update, *Delete, *CreateTable, *CreateIndex, *DropTable,
+		*LoadTable, *AlterTableStore, *Calibrate:
+		return true
+	case *Explain:
+		return s.Analyze && Writes(s.Stmt)
+	}
+	return false
 }
 
 // SelectItem is one projection: an expression with an optional alias, or *.

@@ -96,6 +96,7 @@ func (p *parser) parseStatement() (Statement, error) {
 	switch {
 	case p.accept(tokKeyword, "EXPLAIN"):
 		analyze := p.accept(tokKeyword, "ANALYZE")
+		text := p.src[p.cur().pos:]
 		inner, err := p.parseStatement()
 		if err != nil {
 			return nil, err
@@ -103,7 +104,7 @@ func (p *parser) parseStatement() (Statement, error) {
 		if _, nested := inner.(*Explain); nested {
 			return nil, p.errf("EXPLAIN cannot be nested")
 		}
-		return &Explain{Analyze: analyze, Stmt: inner}, nil
+		return &Explain{Analyze: analyze, Stmt: inner, Text: text}, nil
 	case p.at(tokKeyword, "SELECT"), p.at(tokKeyword, "WITH"):
 		return p.parseSelect()
 	case p.accept(tokKeyword, "CREATE"):

@@ -246,6 +246,37 @@ func TestTxnStatements(t *testing.T) {
 	}
 }
 
+func TestExplainTextAndWrites(t *testing.T) {
+	for _, c := range []struct {
+		sql, text string
+		writes    bool
+	}{
+		{"EXPLAIN SELECT a FROM t WHERE a = ?", "SELECT a FROM t WHERE a = ?", false},
+		{"explain  analyze\n SELECT a FROM t", "SELECT a FROM t", false},
+		{"EXPLAIN DELETE FROM t WHERE a = 1", "DELETE FROM t WHERE a = 1", false},
+		{"EXPLAIN ANALYZE DELETE FROM t WHERE a = 1", "DELETE FROM t WHERE a = 1", true},
+		{"EXPLAIN ANALYZE UPDATE t SET a = 1", "UPDATE t SET a = 1", true},
+	} {
+		ex := mustParse(t, c.sql).(*Explain)
+		if ex.Text != c.text {
+			t.Errorf("%q: inner text %q, want %q", c.sql, ex.Text, c.text)
+		}
+		if Writes(ex) != c.writes {
+			t.Errorf("%q: Writes = %v, want %v", c.sql, !c.writes, c.writes)
+		}
+	}
+	for sql, writes := range map[string]bool{
+		"SELECT 1": false, "BEGIN": false, "COMMIT": false, "CREATE STATISTICS t": false,
+		"INSERT INTO t VALUES (1)": true, "UPDATE t SET a = 1": true, "DELETE FROM t": true,
+		"CREATE TABLE t (a INT)": true, "CREATE INDEX i ON t (a)": true, "DROP TABLE t": true,
+		"LOAD TABLE t FROM 'f'": true, "ALTER TABLE t STORE COLUMNAR": true, "CALIBRATE DATABASE": true,
+	} {
+		if Writes(mustParse(t, sql)) != writes {
+			t.Errorf("Writes(%q) = %v, want %v", sql, !writes, writes)
+		}
+	}
+}
+
 func TestDropAndLoad(t *testing.T) {
 	if mustParse(t, "DROP TABLE t").(*DropTable).Name != "t" {
 		t.Fatal("drop")

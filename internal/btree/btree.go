@@ -66,28 +66,28 @@ const (
 	maxCell = (page.Size - page.HeaderSize - 16) / 2
 )
 
-// entry is a decoded cell.
-type entry struct {
-	key []byte
-	val []byte
+// A cell is uvarint(len(key)) key uvarint(len(value)) value. Nodes are read
+// where they lie: cellKey and cellKV return slices of the page, valid only
+// while the caller holds the frame's latch.
+
+func appendCell(b, key, value []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(key)))
+	b = append(b, key...)
+	b = binary.AppendUvarint(b, uint64(len(value)))
+	return append(b, value...)
 }
 
-func encodeEntry(e entry) []byte {
-	b := binary.AppendUvarint(nil, uint64(len(e.key)))
-	b = append(b, e.key...)
-	b = binary.AppendUvarint(b, uint64(len(e.val)))
-	b = append(b, e.val...)
-	return b
-}
-
-func decodeEntry(c []byte) entry {
+func cellKey(c []byte) []byte {
 	kl, n := binary.Uvarint(c)
-	c = c[n:]
-	key := c[:kl]
-	c = c[kl:]
+	return c[n : n+int(kl)]
+}
+
+func cellKV(c []byte) (key, value []byte) {
+	kl, n := binary.Uvarint(c)
+	key = c[n : n+int(kl)]
+	c = c[n+int(kl):]
 	vl, n := binary.Uvarint(c)
-	c = c[n:]
-	return entry{key: key, val: c[:vl]}
+	return key, c[n : n+int(vl)]
 }
 
 // Create allocates an empty tree (a single leaf root) in the given file.
@@ -124,50 +124,53 @@ func setFlags(p page.Buf, f byte) { p[1] = f }
 func flags(p page.Buf) byte       { return p[1] }
 func isLeaf(p page.Buf) bool      { return flags(p)&flagLeaf != 0 }
 
-// readEntries decodes a node's cells in slot order (slot order is key
-// order by construction). Entries are copied out of the page: callers
-// rewrite the page (which zeroes it) while still holding them.
-func readEntries(p page.Buf) []entry {
-	n := p.NumSlots()
-	es := make([]entry, 0, n)
-	for i := 0; i < n; i++ {
-		c := p.Cell(i)
-		if c != nil {
-			e := decodeEntry(c)
-			es = append(es, entry{
-				key: append([]byte(nil), e.key...),
-				val: append([]byte(nil), e.val...),
-			})
+// bound says which end of a run of equal keys a node search lands on.
+type bound bool
+
+const (
+	// lower finds the first cell with key ≥ k. Seek, Search and Delete use
+	// it at every level: a separator equal to k sends them left, because a
+	// leaf split copies its right half's first key up and the left half may
+	// end in the same key, so the run of k can start left of its separator.
+	lower bound = false
+	// upper finds the first cell with key > k. Insert uses it at every
+	// level, so a duplicate lands after the existing run of its key.
+	upper bound = true
+)
+
+// searchNode binary-searches a node's cells in place (slot order is key
+// order: nodes change only through page.InsertOrdered and RemoveOrdered)
+// and returns the position of the first cell at or past the bound. It is
+// the only node search in the package and allocates nothing.
+func searchNode(p page.Buf, key []byte, b bound) int {
+	lo, hi := 0, p.NumSlots()
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		c := bytes.Compare(cellKey(p.Cell(mid)), key)
+		if c < 0 || (c == 0 && b == upper) {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	return es
+	return lo
 }
 
-// writeEntries rewrites a node with the given entries in order, preserving
-// type, flags, next pointer, and owner.
-func writeEntries(p page.Buf, es []entry) error {
-	fl := flags(p)
-	next := p.Next()
-	owner := p.Owner()
-	p.Init(page.TypeIndex)
-	setFlags(p, fl)
-	p.SetNext(next)
-	p.SetOwner(owner)
-	for _, e := range es {
-		if p.Insert(encodeEntry(e)) < 0 {
-			return fmt.Errorf("btree: node overflow writing %d entries", len(es))
-		}
+// childFor returns the child of internal node p that the bound leads to:
+// the cell before the bound's position, or the leftmost child (kept in the
+// page's next field) when the position is 0.
+func childFor(p page.Buf, key []byte, b bound) store.PageID {
+	pos := searchNode(p, key, b)
+	if pos == 0 {
+		return store.PageID(p.Next())
 	}
-	return nil
+	_, v := cellKV(p.Cell(pos - 1))
+	return pageIDFromBytes(v)
 }
 
-func nodeBytes(es []entry) int {
-	n := 0
-	for _, e := range es {
-		n += len(encodeEntry(e)) + 4
-	}
-	return n
-}
+// images recycles the page-sized scratch copies a split redistributes from
+// and an Iterator reads its current leaf from.
+var images = sync.Pool{New: func() any { return new([page.Size]byte) }}
 
 // Insert adds a (key, value) pair. Duplicate keys are permitted.
 func (t *Tree) Insert(key, value []byte) error {
@@ -189,7 +192,7 @@ func (t *Tree) Insert(key, value []byte) error {
 		f.Data.SetOwner(t.objID)
 		setFlags(f.Data, 0)
 		f.Data.SetNext(uint64(t.root)) // leftmost child
-		if f.Data.Insert(encodeEntry(entry{key: split.sepKey, val: pageIDBytes(split.right)})) < 0 {
+		if !f.Data.InsertOrdered(0, appendCell(nil, split.sepKey, pageIDBytes(split.right))) {
 			t.pool.Unpin(f, true)
 			return fmt.Errorf("btree: root split insert failed")
 		}
@@ -215,19 +218,6 @@ func pageIDFromBytes(b []byte) store.PageID {
 	return store.PageID(binary.LittleEndian.Uint64(b))
 }
 
-// childFor finds the child page covering key in an internal node.
-func childFor(es []entry, next uint64, key []byte) store.PageID {
-	child := store.PageID(next)
-	for _, e := range es {
-		if bytes.Compare(e.key, key) <= 0 {
-			child = pageIDFromBytes(e.val)
-		} else {
-			break
-		}
-	}
-	return child
-}
-
 func (t *Tree) insertAt(id store.PageID, key, value []byte) (*splitResult, error) {
 	f, err := t.pool.Get(id)
 	if err != nil {
@@ -236,88 +226,54 @@ func (t *Tree) insertAt(id store.PageID, key, value []byte) (*splitResult, error
 	f.Lock()
 	leaf := isLeaf(f.Data)
 	if !leaf {
-		es := readEntries(f.Data)
-		child := childFor(es, f.Data.Next(), key)
+		child := childFor(f.Data, key, upper)
 		f.Unlock()
 		t.pool.Unpin(f, false)
 		split, err := t.insertAt(child, key, value)
 		if err != nil || split == nil {
 			return nil, err
 		}
-		// Insert separator into this node.
-		f, err = t.pool.Get(id)
-		if err != nil {
+		// The child split: its separator goes into this node.
+		if f, err = t.pool.Get(id); err != nil {
 			return nil, err
 		}
 		f.Lock()
-		es = readEntries(f.Data)
-		sep := entry{key: split.sepKey, val: pageIDBytes(split.right)}
-		es = insertSorted(es, sep)
-		res, err := t.writeMaybeSplit(f, es, false)
-		f.Unlock()
-		t.pool.Unpin(f, true)
-		return res, err
+		key, value = split.sepKey, pageIDBytes(split.right)
 	}
-
-	// Leaf insert.
-	es := readEntries(f.Data)
-	e := entry{key: key, val: value}
-	pos := insertPos(es, key)
-	// Real-time statistics: distinct keys and clustering.
-	t.noteInsert(es, pos, e)
-	es = append(es, entry{})
-	copy(es[pos+1:], es[pos:])
-	es[pos] = e
-	res, err := t.writeMaybeSplit(f, es, true)
+	pos := searchNode(f.Data, key, upper)
+	if leaf {
+		t.noteInsert(f.Data, pos, key, value)
+	}
+	res, err := t.insertCell(f, pos, key, value)
 	f.Unlock()
 	t.pool.Unpin(f, true)
-	if err == nil {
+	if err == nil && leaf {
 		t.Stats.Entries.Add(1)
 	}
 	return res, err
 }
 
-// insertPos returns the position of the first entry with key > k (upper
-// bound), so duplicates append after existing equals.
-func insertPos(es []entry, k []byte) int {
-	lo, hi := 0, len(es)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(es[mid].key, k) <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-func insertSorted(es []entry, e entry) []entry {
-	pos := insertPos(es, e.key)
-	es = append(es, entry{})
-	copy(es[pos+1:], es[pos:])
-	es[pos] = e
-	return es
-}
-
-func (t *Tree) noteInsert(es []entry, pos int, e entry) {
+// noteInsert keeps the real-time statistics (distinct keys, clustering) by
+// reading the new entry's two neighbours in place.
+func (t *Tree) noteInsert(p page.Buf, pos int, key, value []byte) {
 	distinct := true
-	if pos > 0 && bytes.Equal(es[pos-1].key, e.key) {
+	if pos < p.NumSlots() && bytes.Equal(cellKey(p.Cell(pos)), key) {
 		distinct = false
 	}
-	if pos < len(es) && bytes.Equal(es[pos].key, e.key) {
-		distinct = false
+	if pos > 0 {
+		prevKey, prevVal := cellKV(p.Cell(pos - 1))
+		if bytes.Equal(prevKey, key) {
+			distinct = false
+		}
+		// Clustering: compare the table page of the new entry's RID with its
+		// predecessor's. Values that are not RIDs simply skew toward clustered.
+		t.Stats.TotalPairs.Add(1)
+		if ridPage(prevVal) == ridPage(value) {
+			t.Stats.ClusteredPairs.Add(1)
+		}
 	}
 	if distinct {
 		t.Stats.Distinct.Add(1)
-	}
-	// Clustering: compare the table page of the new entry's RID with its
-	// predecessor's. Values that are not RIDs simply skew toward clustered.
-	if pos > 0 {
-		t.Stats.TotalPairs.Add(1)
-		if ridPage(es[pos-1].val) == ridPage(e.val) {
-			t.Stats.ClusteredPairs.Add(1)
-		}
 	}
 }
 
@@ -328,55 +284,155 @@ func ridPage(v []byte) uint64 {
 	return binary.LittleEndian.Uint64(v) >> 8 // ignore slot byte-ish low bits
 }
 
-// writeMaybeSplit writes entries back, splitting the node if they do not
-// fit. The caller holds the frame latch and unpins afterwards.
-func (t *Tree) writeMaybeSplit(f *buffer.Frame, es []entry, leaf bool) (*splitResult, error) {
-	if nodeBytes(es) <= page.Size-page.HeaderSize-8 {
-		return nil, writeEntries(f.Data, es)
+// insertCell adds (key, value) to the node in f at position pos, moving no
+// other cell, and splits the node when the cell does not fit. The caller
+// holds the frame latch and unpins afterwards.
+func (t *Tree) insertCell(f *buffer.Frame, pos int, key, value []byte) (*splitResult, error) {
+	var buf [128]byte
+	cell := appendCell(buf[:0], key, value)
+	// A node is full 8 bytes early, as it always has been: where nodes split
+	// decides the tree's height.
+	if len(cell)+8 <= f.Data.FreeSpace() {
+		if !f.Data.InsertOrdered(pos, cell) {
+			return nil, fmt.Errorf("btree: node overflow inserting a %d-byte cell", len(cell))
+		}
+		return nil, nil
 	}
-	// Split: left keeps the first half, right gets the rest.
-	mid := len(es) / 2
-	leftEs, rightEs := es[:mid], es[mid:]
+	return t.split(f, pos, cell)
+}
 
+// split redistributes the node in f plus the new cell at pos over f and a
+// new right sibling: the left half stays, the rest moves. Both pages are
+// written once, from a scratch image of the old node.
+func (t *Tree) split(f *buffer.Frame, pos int, cell []byte) (*splitResult, error) {
 	rf, err := t.pool.NewPage(t.file, page.TypeIndex)
 	if err != nil {
 		return nil, err
 	}
-	rf.Data.SetOwner(t.objID)
-	var sepKey []byte
+	defer t.pool.Unpin(rf, true)
+	img := images.Get().(*[page.Size]byte)
+	defer images.Put(img)
+	copy(img[:], f.Data)
+	old := page.Buf(img[:])
+	// at is the i-th cell of the old node with the new cell in its place.
+	at := func(i int) []byte {
+		switch {
+		case i < pos:
+			return old.Cell(i)
+		case i == pos:
+			return cell
+		}
+		return old.Cell(i - 1)
+	}
+	n := old.NumSlots() + 1
+	mid := n / 2
+	leaf := isLeaf(old)
+
+	left, right := f.Data, rf.Data
+	left.Init(page.TypeIndex)
+	for _, p := range []page.Buf{left, right} {
+		setFlags(p, flags(old))
+		p.SetOwner(old.Owner())
+	}
+	sepKey, sepVal := cellKV(at(mid))
+	sepKey = append([]byte(nil), sepKey...)
+	from := mid
 	if leaf {
-		setFlags(rf.Data, flagLeaf)
 		// Maintain the leaf sibling chain.
-		rf.Data.SetNext(f.Data.Next())
-		sepKey = append([]byte(nil), rightEs[0].key...)
-		if err := writeEntries(rf.Data, rightEs); err != nil {
-			t.pool.Unpin(rf, true)
-			return nil, err
-		}
-		if err := writeEntries(f.Data, leftEs); err != nil {
-			t.pool.Unpin(rf, true)
-			return nil, err
-		}
-		f.Data.SetNext(uint64(rf.ID))
+		right.SetNext(old.Next())
+		left.SetNext(uint64(rf.ID))
 		t.Stats.LeafPages.Add(1)
 	} else {
-		setFlags(rf.Data, 0)
-		// The middle entry's key moves up; its child becomes the right
+		// The middle cell's key moves up; its child becomes the right
 		// node's leftmost child.
-		sepKey = append([]byte(nil), rightEs[0].key...)
-		rf.Data.SetNext(uint64(pageIDFromBytes(rightEs[0].val)))
-		if err := writeEntries(rf.Data, rightEs[1:]); err != nil {
-			t.pool.Unpin(rf, true)
-			return nil, err
-		}
-		if err := writeEntries(f.Data, leftEs); err != nil {
-			t.pool.Unpin(rf, true)
-			return nil, err
+		right.SetNext(uint64(pageIDFromBytes(sepVal)))
+		left.SetNext(old.Next())
+		from = mid + 1
+	}
+	for i := 0; i < mid; i++ {
+		if !left.InsertOrdered(i, at(i)) {
+			return nil, fmt.Errorf("btree: left half of a split overflows at cell %d of %d", i, n)
 		}
 	}
-	right := rf.ID
-	t.pool.Unpin(rf, true)
-	return &splitResult{sepKey: sepKey, right: right}, nil
+	for i := from; i < n; i++ {
+		if !right.InsertOrdered(i-from, at(i)) {
+			return nil, fmt.Errorf("btree: right half of a split overflows at cell %d of %d", i, n)
+		}
+	}
+	return &splitResult{sepKey: sepKey, right: rf.ID}, nil
+}
+
+// descend pins and latches (exclusively when write is set) the leaf that
+// key's lower bound leads to.
+func (t *Tree) descend(key []byte, write bool) (*buffer.Frame, error) {
+	id := t.root
+	for {
+		f, err := t.pool.Get(id)
+		if err != nil {
+			return nil, err
+		}
+		latch(f, write)
+		if isLeaf(f.Data) {
+			return f, nil
+		}
+		id = childFor(f.Data, key, lower)
+		t.release(f, write)
+	}
+}
+
+func latch(f *buffer.Frame, write bool) {
+	if write {
+		f.Lock()
+	} else {
+		f.RLock()
+	}
+}
+
+// release unlatches and unpins a frame latched by latch. The page is marked
+// dirty only by the caller that changed it.
+func (t *Tree) release(f *buffer.Frame, write bool) {
+	if write {
+		f.Unlock()
+	} else {
+		f.RUnlock()
+	}
+	t.pool.Unpin(f, false)
+}
+
+// seekLeaf returns the latched leaf holding the first entry with key ≥ k
+// and that entry's position, following the sibling chain past leaves that
+// hold no such entry (k is greater than every key of the leaf its lower
+// bound leads to, or the leaf has been emptied by deletes). The frame is
+// nil when the tree holds no such entry.
+func (t *Tree) seekLeaf(k []byte, write bool) (*buffer.Frame, int, error) {
+	f, err := t.descend(k, write)
+	if err != nil {
+		return nil, 0, err
+	}
+	pos := searchNode(f.Data, k, lower)
+	for pos >= f.Data.NumSlots() {
+		if f, err = t.nextLeaf(f, write); f == nil {
+			return nil, 0, err
+		}
+		pos = 0
+	}
+	return f, pos, nil
+}
+
+// nextLeaf releases leaf f and returns its right sibling latched the same
+// way, or nil at the end of the chain.
+func (t *Tree) nextLeaf(f *buffer.Frame, write bool) (*buffer.Frame, error) {
+	next := f.Data.Next()
+	t.release(f, write)
+	if next == 0 {
+		return nil, nil
+	}
+	f, err := t.pool.Get(store.PageID(next))
+	if err != nil {
+		return nil, err
+	}
+	latch(f, write)
+	return f, nil
 }
 
 // Delete removes one entry matching key and (if value is non-nil) value.
@@ -385,166 +441,125 @@ func (t *Tree) writeMaybeSplit(f *buffer.Frame, es []entry, leaf bool) (*splitRe
 func (t *Tree) Delete(key, value []byte) (bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	id := t.root
-	// Descend to the leaf.
-	for {
-		f, err := t.pool.Get(id)
-		if err != nil {
-			return false, err
-		}
-		f.Lock()
-		if isLeaf(f.Data) {
-			es := readEntries(f.Data)
-			for i, e := range es {
-				if bytes.Equal(e.key, key) && (value == nil || bytes.Equal(e.val, value)) {
-					es = append(es[:i], es[i+1:]...)
-					err := writeEntries(f.Data, es)
-					f.Unlock()
-					t.pool.Unpin(f, true)
-					if err == nil {
-						t.Stats.Entries.Add(-1)
-					}
-					return true, err
-				}
-				if bytes.Compare(e.key, key) > 0 {
-					break
-				}
+	f, pos, err := t.seekLeaf(key, true)
+	// The run of equal keys may continue over any number of siblings.
+	for ; f != nil; pos = 0 {
+		for ; pos < f.Data.NumSlots(); pos++ {
+			k, v := cellKV(f.Data.Cell(pos))
+			if !bytes.Equal(k, key) {
+				t.release(f, true)
+				return false, nil
 			}
-			f.Unlock()
-			t.pool.Unpin(f, false)
-			return false, nil
+			if value == nil || bytes.Equal(v, value) {
+				f.Data.RemoveOrdered(pos)
+				f.MarkDirty()
+				t.release(f, true)
+				t.Stats.Entries.Add(-1)
+				return true, nil
+			}
 		}
-		es := readEntries(f.Data)
-		next := childFor(es, f.Data.Next(), key)
-		f.Unlock()
-		t.pool.Unpin(f, false)
-		id = next
+		f, err = t.nextLeaf(f, true)
 	}
+	return false, err
 }
 
 // Search returns the value of the first entry with exactly this key.
 func (t *Tree) Search(key []byte) ([]byte, bool, error) {
-	it, err := t.Seek(key)
-	if err != nil {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	f, pos, err := t.seekLeaf(key, false)
+	if f == nil {
 		return nil, false, err
 	}
-	defer it.Close()
-	if !it.Valid() || !bytes.Equal(it.Key(), key) {
+	defer t.release(f, false)
+	k, v := cellKV(f.Data.Cell(pos))
+	if !bytes.Equal(k, key) {
 		return nil, false, nil
 	}
-	return append([]byte(nil), it.Value()...), true, nil
+	return append([]byte(nil), v...), true, nil
 }
 
-// Iterator walks leaf entries in key order.
+// Iterator walks leaf entries in key order. It reads from its own image of
+// the current leaf — cells and sibling pointer copied together under the
+// leaf's latch — and holds no pin or latch between calls, so a concurrent
+// split of that leaf can neither hide an entry from the scan nor show it
+// one twice. Key and Value alias the image: they are valid until the next
+// call to Next or Close.
 type Iterator struct {
-	t       *Tree
-	frame   *buffer.Frame
-	entries []entry
-	pos     int
-	err     error
+	t   *Tree
+	img *[page.Size]byte // nil once the scan is exhausted or closed
+	pos int
+	err error
 }
 
 // Seek positions an iterator at the first entry with key ≥ k.
 func (t *Tree) Seek(k []byte) (*Iterator, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	id := t.root
-	for {
-		f, err := t.pool.Get(id)
-		if err != nil {
-			return nil, err
-		}
-		f.RLock()
-		if isLeaf(f.Data) {
-			es := readEntries(f.Data)
-			// First entry >= k (lower bound).
-			pos := 0
-			for pos < len(es) && bytes.Compare(es[pos].key, k) < 0 {
-				pos++
-			}
-			it := &Iterator{t: t, frame: f, entries: copyEntries(es), pos: pos}
-			f.RUnlock()
-			if pos >= len(es) {
-				it.advancePage()
-			}
-			return it, nil
-		}
-		es := readEntries(f.Data)
-		next := childFor(es, f.Data.Next(), k)
-		f.RUnlock()
-		t.pool.Unpin(f, false)
-		id = next
+	f, pos, err := t.seekLeaf(k, false)
+	if err != nil {
+		return nil, err
 	}
+	it := &Iterator{t: t, pos: pos}
+	if f != nil {
+		it.img = images.Get().(*[page.Size]byte)
+		copy(it.img[:], f.Data)
+		t.release(f, false)
+	}
+	return it, nil
 }
 
 // First positions an iterator at the smallest key.
 func (t *Tree) First() (*Iterator, error) { return t.Seek(nil) }
 
-func copyEntries(es []entry) []entry {
-	out := make([]entry, len(es))
-	for i, e := range es {
-		out[i] = entry{key: append([]byte(nil), e.key...), val: append([]byte(nil), e.val...)}
-	}
-	return out
-}
+func (it *Iterator) leaf() page.Buf { return page.Buf(it.img[:]) }
 
 // Valid reports whether the iterator is positioned on an entry.
-func (it *Iterator) Valid() bool { return it.err == nil && it.frame != nil && it.pos < len(it.entries) }
+func (it *Iterator) Valid() bool { return it.img != nil }
 
 // Key returns the current entry's key.
-func (it *Iterator) Key() []byte { return it.entries[it.pos].key }
+func (it *Iterator) Key() []byte { return cellKey(it.leaf().Cell(it.pos)) }
 
 // Value returns the current entry's value.
-func (it *Iterator) Value() []byte { return it.entries[it.pos].val }
+func (it *Iterator) Value() []byte {
+	_, v := cellKV(it.leaf().Cell(it.pos))
+	return v
+}
 
 // Err reports any error encountered while iterating.
 func (it *Iterator) Err() error { return it.err }
 
 // Next advances to the following entry, crossing leaf pages via the
-// sibling chain.
+// sibling chain and skipping leaves emptied by deletes.
 func (it *Iterator) Next() {
 	if !it.Valid() {
 		return
 	}
 	it.pos++
-	if it.pos >= len(it.entries) {
-		it.advancePage()
-	}
-}
-
-func (it *Iterator) advancePage() {
-	for it.frame != nil {
-		it.frame.RLock()
-		next := it.frame.Data.Next()
-		it.frame.RUnlock()
-		it.t.pool.Unpin(it.frame, false)
-		it.frame = nil
+	for it.pos >= it.leaf().NumSlots() {
+		next := it.leaf().Next()
 		if next == 0 {
+			it.Close()
 			return
 		}
 		f, err := it.t.pool.Get(store.PageID(next))
 		if err != nil {
 			it.err = err
+			it.Close()
 			return
 		}
 		f.RLock()
-		es := copyEntries(readEntries(f.Data))
-		f.RUnlock()
-		it.frame = f
-		it.entries = es
+		copy(it.img[:], f.Data)
+		it.t.release(f, false)
 		it.pos = 0
-		if len(es) > 0 {
-			return
-		}
-		// Empty leaf (all entries deleted): keep walking.
 	}
 }
 
-// Close releases the iterator's pin.
+// Close releases the iterator's leaf image.
 func (it *Iterator) Close() {
-	if it.frame != nil {
-		it.t.pool.Unpin(it.frame, false)
-		it.frame = nil
+	if it.img != nil {
+		images.Put(it.img)
+		it.img = nil
 	}
 }
 
@@ -557,8 +572,11 @@ func (t *Tree) rebuildStats() {
 	}
 	defer it.Close()
 	var prevKey, prevVal []byte
-	leaves := map[store.PageID]bool{}
+	leaves := int64(0) // leaves holding an entry: the scan enters each at position 0
 	for ; it.Valid(); it.Next() {
+		if it.pos == 0 {
+			leaves++
+		}
 		t.Stats.Entries.Add(1)
 		if prevKey == nil || !bytes.Equal(prevKey, it.Key()) {
 			t.Stats.Distinct.Add(1)
@@ -571,15 +589,8 @@ func (t *Tree) rebuildStats() {
 		}
 		prevKey = append(prevKey[:0], it.Key()...)
 		prevVal = append(prevVal[:0], it.Value()...)
-		if it.frame != nil {
-			leaves[it.frame.ID] = true
-		}
 	}
-	if len(leaves) == 0 {
-		t.Stats.LeafPages.Store(1)
-	} else {
-		t.Stats.LeafPages.Store(int64(len(leaves)))
-	}
+	t.Stats.LeafPages.Store(max(leaves, 1))
 	// Height: descend leftmost.
 	h := int64(1)
 	id := t.root

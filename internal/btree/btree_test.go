@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"anywheredb/internal/buffer"
 	"anywheredb/internal/store"
+	"anywheredb/internal/val"
 )
 
 func newTree(t *testing.T, frames int) (*Tree, *buffer.Pool, *store.Store) {
@@ -273,7 +275,9 @@ func TestLeafPageStat(t *testing.T) {
 }
 
 // Property test: a random mix of inserts and deletes always matches a
-// reference map.
+// reference. Keys come from a small domain and are never unique, so runs of
+// duplicates straddle leaf splits and Delete(key, value) has to find one
+// particular entry anywhere in a run.
 func TestQuickAgainstReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -284,51 +288,270 @@ func TestQuickAgainstReference(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ref := map[string]string{}
-		for op := 0; op < 400; op++ {
-			key := fmt.Sprintf("k%04d", rng.Intn(200))
-			if rng.Intn(3) != 0 {
-				val := fmt.Sprintf("v%d", rng.Intn(1000))
-				if old, ok := ref[key]; ok {
-					tr.Delete([]byte(key), []byte(old))
-				}
-				ref[key] = val
-				if err := tr.Insert([]byte(key), []byte(val)); err != nil {
+		ref := map[string][]string{} // key → values, in insertion order
+		n := 0
+		for op := 0; op < 3000; op++ {
+			key := fmt.Sprintf("k%02d", rng.Intn(12))
+			if vals := ref[key]; len(vals) > 0 && rng.Intn(3) == 0 {
+				i := rng.Intn(len(vals))
+				if ok, err := tr.Delete([]byte(key), []byte(vals[i])); err != nil || !ok {
+					t.Logf("seed %d: Delete(%s, %s) = %v, %v", seed, key, vals[i], ok, err)
 					return false
 				}
-			} else {
-				if old, ok := ref[key]; ok {
-					ok2, _ := tr.Delete([]byte(key), []byte(old))
-					if !ok2 {
-						return false
-					}
-					delete(ref, key)
-				}
+				ref[key] = append(vals[:i:i], vals[i+1:]...)
+				n--
+				continue
 			}
+			val := fmt.Sprintf("v%06d-%s", op, pad[:rng.Intn(len(pad))])
+			if err := tr.Insert([]byte(key), []byte(val)); err != nil {
+				return false
+			}
+			ref[key] = append(ref[key], val)
+			n++
 		}
-		// Verify contents and order.
+		if tr.Stats.Height.Load() < 2 || tr.Stats.Entries.Load() != int64(n) {
+			t.Logf("seed %d: height %d, entries %d, want %d", seed, tr.Stats.Height.Load(), tr.Stats.Entries.Load(), n)
+			return false
+		}
+		// A full scan and a Seek per key both see every entry, keys in order
+		// and each key's values in insertion order.
 		var keys []string
 		for kk := range ref {
 			keys = append(keys, kk)
 		}
 		sort.Strings(keys)
-		it, err := tr.First()
+		full, err := tr.First()
 		if err != nil {
 			return false
 		}
-		defer it.Close()
+		defer full.Close()
 		for _, kk := range keys {
-			if !it.Valid() {
+			it, err := tr.Seek([]byte(kk))
+			if err != nil {
 				return false
 			}
-			if string(it.Key()) != kk || string(it.Value()) != ref[kk] {
-				return false
+			for _, want := range ref[kk] {
+				for _, s := range []*Iterator{full, it} {
+					if !s.Valid() || string(s.Key()) != kk || string(s.Value()) != want {
+						t.Logf("seed %d: scan of %s lost %s", seed, kk, want)
+						it.Close()
+						return false
+					}
+					s.Next()
+				}
 			}
-			it.Next()
+			it.Close()
 		}
-		return !it.Valid()
+		return !full.Valid()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+const pad = "................................................................"
+
+// TestDuplicatesAcrossLeaves is the regression test for the descent that
+// went right on separator == key in Seek and Delete as well as in Insert: a
+// run of duplicates that a leaf split had cut in two was visible only from
+// its right half. 16 keys × 1 250 interleaved duplicates put every key's
+// run over several leaves.
+func TestDuplicatesAcrossLeaves(t *testing.T) {
+	tr, _, _ := newTree(t, 512)
+	const keys, dups = 16, 1250
+	for d := 0; d < dups; d++ {
+		for i := 0; i < keys; i++ {
+			if err := tr.Insert(k(i), v(d)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < keys; i++ {
+		it, err := tr.Seek(k(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for ; it.Valid() && bytes.Equal(it.Key(), k(i)); it.Next() {
+			if !bytes.Equal(it.Value(), v(n)) {
+				t.Fatalf("key %d: entry %d is out of insertion order", i, n)
+			}
+			n++
+		}
+		it.Close()
+		if n != dups {
+			t.Fatalf("Seek(%d) + scan saw %d of %d duplicates", i, n, dups)
+		}
+		if got, ok, err := tr.Search(k(i)); err != nil || !ok || !bytes.Equal(got, v(0)) {
+			t.Fatalf("Search(%d) = %x, %v, %v; want the first duplicate", i, got, ok, err)
+		}
+	}
+	missed := 0
+	for d := dups - 1; d >= 0; d-- {
+		for i := 0; i < keys; i++ {
+			if ok, err := tr.Delete(k(i), v(d)); err != nil {
+				t.Fatal(err)
+			} else if !ok {
+				missed++
+			}
+		}
+	}
+	if missed != 0 {
+		t.Fatalf("Delete(key, value) missed %d of %d entries", missed, keys*dups)
+	}
+	if n := tr.Stats.Entries.Load(); n != 0 {
+		t.Fatalf("Stats.Entries = %d after deleting everything", n)
+	}
+	if it, _ := tr.First(); it.Valid() {
+		t.Fatal("the emptied tree still yields an entry")
+	}
+}
+
+// TestScannersVsWriters runs 4 writers on disjoint key ranges against 4
+// scanners. A scanner's view of one writer's range must be sorted and, as
+// every writer inserts its keys in ascending order, a gap-free prefix: a
+// leaf split under the scan may neither hide an entry nor show one twice.
+func TestScannersVsWriters(t *testing.T) {
+	tr, _, _ := newTree(t, 512)
+	const writers, perWriter = 4, 1500
+	key := func(w, i int) []byte { return []byte(fmt.Sprintf("w%d-%06d", w, i)) }
+	var wg, scanners sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				if err := tr.Insert(key(w, i), v(i)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	for s := 0; s < writers; s++ {
+		scanners.Add(1)
+		go func(w int) {
+			defer scanners.Done()
+			for done := false; !done; {
+				select {
+				case <-stop:
+					done = true // one last scan after the writers finished
+				default:
+				}
+				it, err := tr.Seek(key(w, 0))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				n := 0
+				for ; it.Valid() && bytes.HasPrefix(it.Key(), key(w, 0)[:3]); it.Next() {
+					if !bytes.Equal(it.Key(), key(w, n)) {
+						t.Errorf("scanner %d: entry %d is %s", w, n, it.Key())
+						it.Close()
+						return
+					}
+					n++
+				}
+				it.Close()
+				if done && n != perWriter {
+					t.Errorf("scanner %d: final scan saw %d of %d", w, n, perWriter)
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	close(stop)
+	scanners.Wait()
+}
+
+// kvKey and kvRID are the benchmark's kv schema as the table layer encodes
+// it: an integer primary key and a 12-byte record id.
+func kvKey(i int) []byte { return val.EncodeKey([]val.Value{val.NewInt(int64(i))}) }
+func kvRID(i int) []byte {
+	var b [12]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(store.MakePageID(store.MainFile, uint64(1+i/100))))
+	binary.LittleEndian.PutUint32(b[8:], uint32(i%100))
+	return b[:]
+}
+
+func kvTree(tb testing.TB, n int) *Tree {
+	st, err := store.Open(store.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { st.Close() })
+	tr, err := Create(buffer.New(st, 4, 1024, 1024), st, store.MainFile, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := tr.Insert(kvKey(i), kvRID(i)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return tr
+}
+
+// TestAllocationGuards pins what the in-place node access buys: a descent
+// allocates nothing, so an operation allocates only what it hands back.
+func TestAllocationGuards(t *testing.T) {
+	const n = 20000
+	tr := kvTree(t, n)
+	hit, miss := kvKey(n/2), kvKey(2*n)
+	var fresh [][2][]byte // AllocsPerRun(100, …) makes 101 calls
+	for i := n; i <= n+100; i++ {
+		fresh = append(fresh, [2][]byte{kvKey(i), kvRID(i)})
+	}
+	i := 0
+	for _, c := range []struct {
+		name string
+		max  float64
+		fn   func()
+	}{
+		{"Search hit", 1, func() { tr.Search(hit) }},
+		{"Search miss", 0, func() { tr.Search(miss) }},
+		{"Seek+Close", 1, func() {
+			it, _ := tr.Seek(hit)
+			it.Close()
+		}},
+		// 100 runs append 100 cells to the last leaf: at most one split,
+		// whose few allocations vanish in the average.
+		{"leaf Insert", 1, func() { tr.Insert(fresh[i][0], fresh[i][1]); i++ }},
+	} {
+		if got := testing.AllocsPerRun(100, c.fn); got > c.max {
+			t.Errorf("%s: %.2f allocations per run, want ≤ %v", c.name, got, c.max)
+		}
+	}
+}
+
+var sink []byte
+
+func BenchmarkTreeSearch(b *testing.B) {
+	const n = 20000
+	tr := kvTree(b, n)
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = kvKey(i * 7919 % n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, ok, err := tr.Search(keys[i%n])
+		if err != nil || !ok {
+			b.Fatal(ok, err)
+		}
+		sink = v
+	}
+}
+
+func BenchmarkTreeInsertSequential(b *testing.B) {
+	tr := kvTree(b, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tr.Insert(kvKey(i), kvRID(i)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -897,7 +897,7 @@ func (db *DB) VirtualRows(name string) ([]table.Column, []exec.Row, bool) {
 			if t.ReadOnly {
 				state = "read-only"
 			}
-			held, _ := db.locks.Held(t.ID)
+			held := db.locks.HeldCount(t.ID)
 			rows = append(rows, exec.Row{
 				val.NewInt(int64(t.ID)), val.NewStr(state),
 				val.NewInt(t.AgeUS), val.NewInt(int64(t.SnapshotCSN)),

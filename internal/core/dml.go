@@ -168,15 +168,25 @@ func (c *Conn) execInsert(s *sqlparse.Insert, params []val.Value) (Result, error
 	}
 
 	tx, done := c.autoTxn()
+	// The insert loop is the statement's execute phase: table, index and
+	// lock work. done is outside it; the commit it runs has its own phase.
+	execStart := time.Now()
 	var n int64
+	var err error
 	for _, values := range sourceRows {
-		if err := c.interrupted(); err != nil {
-			return Result{}, done(err)
+		if err = c.interrupted(); err != nil {
+			break
 		}
-		if _, err := tbl.Insert(tx, buildRow(values)); err != nil {
-			return Result{}, done(err)
+		if _, err = tbl.Insert(tx, buildRow(values)); err != nil {
+			break
 		}
 		n++
+	}
+	if sp := c.curSpan; sp != nil {
+		sp.AddPhase(flightrec.PhaseExecute, time.Since(execStart).Microseconds())
+	}
+	if err != nil {
+		return Result{}, done(err)
 	}
 	c.db.flight.Access().NoteWrite(s.Table)
 	return Result{RowsAffected: n}, done(nil)

@@ -6,11 +6,14 @@ package lock
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"iter"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,48 +54,52 @@ func (m Mode) String() string {
 // deadlock resolution policy.
 var ErrTimeout = errors.New("lock: wait timeout (possible deadlock)")
 
-// entry is one lock record stored in a bucket page.
-type entry struct {
-	obj  uint64
-	key  []byte
-	txn  uint64
-	mode Mode
+// A lock record is one cell of a bucket page:
+// uvarint(obj) uvarint(txn) mode uvarint(len(key)) key.
+// Buckets are read where they lie; cellFields' key aliases the page and is
+// valid only under the frame's latch.
+
+func appendCell(b []byte, obj, txn uint64, mode Mode, key []byte) []byte {
+	b = binary.AppendUvarint(b, obj)
+	b = binary.AppendUvarint(b, txn)
+	b = append(b, byte(mode))
+	b = binary.AppendUvarint(b, uint64(len(key)))
+	return append(b, key...)
 }
 
-func encodeEntry(e entry) []byte {
-	b := binary.AppendUvarint(nil, e.obj)
-	b = binary.AppendUvarint(b, e.txn)
-	b = append(b, byte(e.mode))
-	b = binary.AppendUvarint(b, uint64(len(e.key)))
-	b = append(b, e.key...)
-	return b
-}
-
-func decodeEntry(c []byte) entry {
-	var e entry
-	var n int
-	e.obj, n = binary.Uvarint(c)
+func cellFields(c []byte) (obj, txn uint64, mode Mode, key []byte) {
+	obj, n := binary.Uvarint(c)
 	c = c[n:]
-	e.txn, n = binary.Uvarint(c)
-	c = c[n:]
-	e.mode = Mode(c[0])
-	c = c[1:]
+	txn, n = binary.Uvarint(c)
+	mode = Mode(c[n])
+	c = c[n+1:]
 	kl, n := binary.Uvarint(c)
-	c = c[n:]
-	e.key = append([]byte(nil), c[:kl]...)
-	return e
+	return obj, txn, mode, c[n : n+int(kl)]
 }
+
+// maxDepth bounds the directory at 2^20 slots.
+const maxDepth = 20
 
 // Manager is the lock manager. It is safe for concurrent use.
 type Manager struct {
 	pool *buffer.Pool
 	st   *store.Store
 
-	mu        sync.Mutex
-	dir       []store.PageID // extensible hashing directory
-	depth     uint           // global depth
-	localDep  map[store.PageID]uint
-	broadcast chan struct{} // closed and replaced whenever locks are released
+	mu       sync.Mutex
+	dir      []store.PageID // extensible hashing directory
+	depth    uint           // global depth
+	localDep map[store.PageID]uint
+	// atDepth counts the buckets at each local depth: the directory halves
+	// while none sits at the global depth.
+	atDepth [maxDepth + 1]int
+	// held lists, per transaction, the hash of every lock record it owns
+	// (one per cell, so a hash repeats when a transaction holds S and IX on
+	// one object). Release finds the transaction's buckets through it and
+	// never walks the directory.
+	held map[uint64][]uint64
+	// broadcast is closed by the next release. It is nil until a waiter
+	// asks for it, so a release with nobody waiting allocates nothing.
+	broadcast chan struct{}
 	// Timeout bounds lock waits; exceeded waits fail with ErrTimeout.
 	Timeout time.Duration
 
@@ -103,18 +110,22 @@ type Manager struct {
 	// through this.
 	waitObs atomic.Pointer[func(txn uint64, us int64)]
 
-	acquires atomic.Uint64 // granted lock requests (including re-entrant)
-	waits    atomic.Uint64 // requests that blocked at least once
-	timeouts atomic.Uint64 // waits that expired (deadlock resolution)
-	releases atomic.Uint64 // Unlock + ReleaseAll calls
+	acquires      atomic.Uint64 // granted lock requests (including re-entrant)
+	waits         atomic.Uint64 // requests that blocked at least once
+	wakeups       atomic.Uint64 // times a blocked request was woken by a release to re-check
+	timeouts      atomic.Uint64 // waits that expired (deadlock resolution)
+	releases      atomic.Uint64 // Unlock + ReleaseAll calls
+	releaseErrors atomic.Uint64 // ReleaseAll calls that failed part-way
 }
 
 // AttachTelemetry publishes the manager's counters into reg under "lock.".
 func (m *Manager) AttachTelemetry(reg *telemetry.Registry) {
 	reg.GaugeFunc("lock.acquires", func() int64 { return int64(m.acquires.Load()) })
 	reg.GaugeFunc("lock.waits", func() int64 { return int64(m.waits.Load()) })
+	reg.GaugeFunc("lock.wakeups", func() int64 { return int64(m.wakeups.Load()) })
 	reg.GaugeFunc("lock.timeouts", func() int64 { return int64(m.timeouts.Load()) })
 	reg.GaugeFunc("lock.releases", func() int64 { return int64(m.releases.Load()) })
+	reg.GaugeFunc("lock.release_errors", func() int64 { return int64(m.releaseErrors.Load()) })
 	reg.GaugeFunc("lock.buckets", func() int64 { return int64(m.Buckets()) })
 }
 
@@ -132,11 +143,11 @@ func (m *Manager) SetWaitObserver(f func(txn uint64, us int64)) {
 // NewManager creates a lock manager with a single bucket.
 func NewManager(pool *buffer.Pool, st *store.Store) (*Manager, error) {
 	m := &Manager{
-		pool:      pool,
-		st:        st,
-		localDep:  make(map[store.PageID]uint),
-		broadcast: make(chan struct{}),
-		Timeout:   2 * time.Second,
+		pool:     pool,
+		st:       st,
+		localDep: make(map[store.PageID]uint),
+		held:     make(map[uint64][]uint64),
+		Timeout:  2 * time.Second,
 	}
 	f, err := pool.NewPage(store.TempFile, page.TypeLockTable)
 	if err != nil {
@@ -145,169 +156,171 @@ func NewManager(pool *buffer.Pool, st *store.Store) (*Manager, error) {
 	id := f.ID
 	pool.Unpin(f, true)
 	m.dir = []store.PageID{id}
-	m.depth = 0
 	m.localDep[id] = 0
+	m.atDepth[0] = 1
 	return m, nil
 }
 
+// hashLock is FNV-1a over the object id and the key.
 func hashLock(obj uint64, key []byte) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], obj)
-	h.Write(b[:])
-	h.Write(key)
-	return h.Sum64()
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for i := 0; i < 8; i++ {
+		h = (h ^ (obj >> (8 * i) & 0xff)) * prime
+	}
+	for _, b := range key {
+		h = (h ^ uint64(b)) * prime
+	}
+	return h
 }
 
 func (m *Manager) bucketFor(h uint64) store.PageID {
 	return m.dir[h&((1<<m.depth)-1)]
 }
 
-// readBucket returns the entries of a bucket page.
-func (m *Manager) readBucket(id store.PageID) ([]entry, error) {
-	f, err := m.pool.Get(id)
+// latchBucket pins and exclusively latches the bucket h hashes to.
+func (m *Manager) latchBucket(h uint64) (*buffer.Frame, error) {
+	f, err := m.pool.Get(m.bucketFor(h))
 	if err != nil {
 		return nil, err
 	}
-	defer m.pool.Unpin(f, false)
-	f.RLock()
-	defer f.RUnlock()
-	var es []entry
-	for i := 0; i < f.Data.NumSlots(); i++ {
-		if c := f.Data.Cell(i); c != nil {
-			es = append(es, decodeEntry(c))
-		}
-	}
-	return es, nil
+	f.Lock()
+	return f, nil
 }
 
-// writeBucket rewrites a bucket page with the given entries; it reports
-// false if they no longer fit (caller must split).
-func (m *Manager) writeBucket(id store.PageID, es []entry) (bool, error) {
-	f, err := m.pool.Get(id)
+func (m *Manager) unlatch(f *buffer.Frame, dirty bool) {
+	f.Unlock()
+	m.pool.Unpin(f, dirty)
+}
+
+// tryLock makes one attempt at the request with the bucket pinned once: it
+// compares the request with the bucket's cells in place and, when nothing
+// conflicts, adds exactly one cell (after deleting the cells an upgrade to
+// Exclusive subsumes). It reports false when a conflicting holder exists.
+// Called with m.mu held.
+func (m *Manager) tryLock(txn, obj uint64, key []byte, mode Mode) (bool, error) {
+	h := hashLock(obj, key)
+	f, err := m.latchBucket(h)
 	if err != nil {
 		return false, err
 	}
-	defer m.pool.Unpin(f, true)
-	f.Lock()
-	defer f.Unlock()
-	f.Data.Init(page.TypeLockTable)
-	for _, e := range es {
-		if f.Data.Insert(encodeEntry(e)) < 0 {
-			return false, nil
+	p := f.Data
+	var weaker [2]int // slots of txn's own S and IX cells on this object
+	nWeaker, conflict := 0, false
+	for i, n := 0, p.NumSlots(); i < n; i++ {
+		c := p.Cell(i)
+		if c == nil {
+			continue
+		}
+		o, holder, has, k := cellFields(c)
+		if o != obj || !bytes.Equal(k, key) {
+			continue
+		}
+		if holder != txn {
+			// S-S and IX-IX coexist; every other pair conflicts.
+			conflict = conflict || mode == Exclusive || has == Exclusive || has != mode
+			continue
+		}
+		// Exclusive subsumes every mode; S and IX cover only themselves (a
+		// transaction holding both is effectively SIX).
+		if has == Exclusive || has == mode {
+			m.unlatch(f, false)
+			return true, nil
+		}
+		weaker[nWeaker] = i
+		nWeaker++
+	}
+	if conflict {
+		m.unlatch(f, false)
+		return false, nil
+	}
+	if mode == Exclusive && nWeaker > 0 {
+		// Upgrade: X subsumes our weaker locks. S and IX are not ordered, so
+		// a transaction adding one while holding the other keeps both cells.
+		for _, slot := range weaker[:nWeaker] {
+			p.Delete(slot)
+		}
+		m.forget(txn, h, nWeaker)
+	}
+	var buf [64]byte
+	cell := appendCell(buf[:0], obj, txn, mode, key)
+	for f.Data.Insert(cell) < 0 {
+		// The bucket is full: split it (extensible hashing — local depth
+		// grows; past the global depth the directory doubles) and go on in
+		// whichever half the request now hashes to.
+		err := m.splitBucket(f, h)
+		m.unlatch(f, true)
+		if err != nil {
+			return false, err
+		}
+		if f, err = m.latchBucket(h); err != nil {
+			return false, err
 		}
 	}
+	m.unlatch(f, true)
+	hs := m.held[txn]
+	if hs == nil {
+		hs = make([]uint64, 0, 4) // a one-row statement holds two or three locks
+	}
+	m.held[txn] = append(hs, h)
 	return true, nil
 }
 
-// addEntry inserts a lock record, splitting buckets as needed (extensible
-// hashing: local depth grows; when it exceeds global depth the directory
-// doubles). Called with m.mu held.
-func (m *Manager) addEntry(e entry) error {
-	for {
-		h := hashLock(e.obj, e.key)
-		id := m.bucketFor(h)
-		es, err := m.readBucket(id)
-		if err != nil {
-			return err
+// forget drops n occurrences of h from txn's held list.
+func (m *Manager) forget(txn, h uint64, n int) {
+	hs := m.held[txn]
+	kept := hs[:0]
+	for _, x := range hs {
+		if x == h && n > 0 {
+			n--
+			continue
 		}
-		es = append(es, e)
-		ok, err := m.writeBucket(id, es)
-		if err != nil {
-			return err
-		}
-		if ok {
-			return nil
-		}
-		// Restore without the new entry, then split and retry.
-		if _, err := m.writeBucket(id, es[:len(es)-1]); err != nil {
-			return err
-		}
-		if err := m.splitBucket(id); err != nil {
-			return err
-		}
+		kept = append(kept, x)
 	}
+	if len(kept) == 0 {
+		delete(m.held, txn)
+		return
+	}
+	m.held[txn] = kept
 }
 
-func (m *Manager) splitBucket(id store.PageID) error {
+// splitBucket moves the cells of the latched bucket f, which h hashes to,
+// whose hash has bit (local depth) set into a new sibling bucket. Called
+// with m.mu held.
+func (m *Manager) splitBucket(f *buffer.Frame, h uint64) error {
+	id := f.ID
 	ld := m.localDep[id]
-	if ld == m.depth {
-		// Double the directory.
-		if m.depth >= 20 {
-			return fmt.Errorf("lock: hash directory too deep")
+	if ld >= maxDepth {
+		return fmt.Errorf("lock: hash directory too deep")
+	}
+	sf, err := m.pool.NewPage(store.TempFile, page.TypeLockTable)
+	if err != nil {
+		return err
+	}
+	sib := sf.ID
+	for i, n := 0, f.Data.NumSlots(); i < n; i++ {
+		c := f.Data.Cell(i)
+		if c == nil {
+			continue
 		}
+		if obj, _, _, key := cellFields(c); hashLock(obj, key)>>ld&1 == 1 {
+			sf.Data.Insert(c) // cannot fail: every cell came out of one page
+			f.Data.Delete(i)
+		}
+	}
+	m.pool.Unpin(sf, true)
+	if ld == m.depth {
 		m.dir = append(m.dir, m.dir...)
 		m.depth++
 	}
-	// Allocate the sibling bucket.
-	f, err := m.pool.NewPage(store.TempFile, page.TypeLockTable)
-	if err != nil {
-		return err
-	}
-	sib := f.ID
-	m.pool.Unpin(f, true)
-	newLD := ld + 1
-	m.localDep[id] = newLD
-	m.localDep[sib] = newLD
-
-	// Redistribute entries between id and sib on bit ld.
-	es, err := m.readBucket(id)
-	if err != nil {
-		return err
-	}
-	var keep, move []entry
-	for _, e := range es {
-		if hashLock(e.obj, e.key)>>ld&1 == 1 {
-			move = append(move, e)
-		} else {
-			keep = append(keep, e)
-		}
-	}
-	if _, err := m.writeBucket(id, keep); err != nil {
-		return err
-	}
-	if _, err := m.writeBucket(sib, move); err != nil {
-		return err
-	}
-	// Update directory pointers: slots whose bit ld is 1 and that pointed
-	// at id now point at sib.
-	for i := range m.dir {
-		if m.dir[i] == id && uint(i)>>ld&1 == 1 {
-			m.dir[i] = sib
-		}
+	m.localDep[id], m.localDep[sib] = ld+1, ld+1
+	m.atDepth[ld]--
+	m.atDepth[ld+1] += 2
+	// Directory slots that pointed at id and have bit ld set now point at sib.
+	for i := int(h&(1<<ld-1)) | 1<<ld; i < len(m.dir); i += 1 << (ld + 1) {
+		m.dir[i] = sib
 	}
 	return nil
-}
-
-// compatible reports whether txn may take mode given the existing holders.
-func compatible(es []entry, obj uint64, key []byte, txn uint64, mode Mode) bool {
-	for _, e := range es {
-		if e.obj != obj || !bytes.Equal(e.key, key) || e.txn == txn {
-			continue
-		}
-		if mode == Exclusive || e.mode == Exclusive {
-			return false
-		}
-		// Both in {S, IX}: S-S and IX-IX coexist, S-IX conflicts.
-		if mode != e.mode {
-			return false
-		}
-	}
-	return true
-}
-
-// held reports whether txn already holds a lock of at least the given mode.
-func held(es []entry, obj uint64, key []byte, txn uint64, mode Mode) bool {
-	for _, e := range es {
-		if e.obj == obj && bytes.Equal(e.key, key) && e.txn == txn {
-			// Exclusive subsumes every mode; S and IX cover only themselves
-			// (a txn holding both is effectively SIX).
-			if e.mode == Exclusive || e.mode == mode {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // newWaitTimer builds the single wait-deadline timer a contended Lock call
@@ -360,42 +373,22 @@ func (m *Manager) LockCtx(ctx context.Context, txn, obj uint64, key []byte, mode
 			}
 		}
 		m.mu.Lock()
-		h := hashLock(obj, key)
-		id := m.bucketFor(h)
-		es, err := m.readBucket(id)
-		if err != nil {
-			m.mu.Unlock()
-			return err
+		if !blockStart.IsZero() {
+			// Counted under the mutex that also hands out the next broadcast
+			// channel: whoever sees the count move and then releases a lock
+			// wakes this waiter again.
+			m.wakeups.Add(1)
 		}
-		if held(es, obj, key, txn, mode) {
+		granted, err := m.tryLock(txn, obj, key, mode)
+		if granted || err != nil {
 			m.mu.Unlock()
-			m.acquires.Add(1)
-			return nil
-		}
-		if compatible(es, obj, key, txn, mode) {
-			// Upgrade to Exclusive: drop our weaker locks first, since X
-			// subsumes them. S and IX are not ordered, so a txn adding one
-			// while holding the other keeps both entries (the SIX shape).
-			if mode == Exclusive {
-				kept := es[:0]
-				for _, e := range es {
-					if !(e.obj == obj && bytes.Equal(e.key, key) && e.txn == txn) {
-						kept = append(kept, e)
-					}
-				}
-				if len(kept) != len(es) {
-					if _, err := m.writeBucket(id, kept); err != nil {
-						m.mu.Unlock()
-						return err
-					}
-				}
-			}
-			err := m.addEntry(entry{obj: obj, key: append([]byte(nil), key...), txn: txn, mode: mode})
-			m.mu.Unlock()
-			if err == nil {
+			if granted {
 				m.acquires.Add(1)
 			}
 			return err
+		}
+		if m.broadcast == nil {
+			m.broadcast = make(chan struct{})
 		}
 		ch := m.broadcast
 		m.mu.Unlock()
@@ -411,8 +404,8 @@ func (m *Manager) LockCtx(ctx context.Context, txn, obj uint64, key []byte, mode
 		}
 		if blockStart.IsZero() {
 			blockStart = time.Now()
+			m.waits.Add(1)
 		}
-		m.waits.Add(1)
 		select {
 		case <-ch:
 			// Locks were released somewhere; retry.
@@ -425,23 +418,89 @@ func (m *Manager) LockCtx(ctx context.Context, txn, obj uint64, key []byte, mode
 	}
 }
 
+// release deletes txn's cells from the bucket h hashes to — those on
+// (obj, key), or every one when all is set — with the bucket pinned once,
+// and reports how many it deleted. A bucket it leaves empty is coalesced.
+// Called with m.mu held.
+func (m *Manager) release(h, txn uint64, all bool, obj uint64, key []byte) (int, error) {
+	f, err := m.latchBucket(h)
+	if err != nil {
+		return 0, err
+	}
+	p := f.Data
+	deleted, kept := 0, 0
+	for i, n := 0, p.NumSlots(); i < n; i++ {
+		c := p.Cell(i)
+		if c == nil {
+			continue
+		}
+		o, holder, _, k := cellFields(c)
+		if holder == txn && (all || (o == obj && bytes.Equal(k, key))) {
+			p.Delete(i)
+			deleted++
+		} else {
+			kept++
+		}
+	}
+	m.unlatch(f, deleted > 0)
+	if deleted > 0 && kept == 0 {
+		return deleted, m.coalesce(h)
+	}
+	return deleted, nil
+}
+
+// coalesce folds the empty bucket h hashes to into its buddy — the bucket
+// whose directory pattern differs in the top bit of their common local
+// depth — frees its page, halves the directory while no bucket sits at the
+// global depth, and goes on with the surviving bucket while that is empty
+// too: what one bulk transaction grew shrinks back when it ends.
+func (m *Manager) coalesce(h uint64) error {
+	for {
+		id := m.bucketFor(h)
+		ld := m.localDep[id]
+		if ld == 0 {
+			return nil
+		}
+		pattern := int(h & (1<<ld - 1))
+		buddy := m.dir[pattern^1<<(ld-1)]
+		if m.localDep[buddy] != ld {
+			return nil // the buddy has split further; nothing to fold into
+		}
+		for i := pattern; i < len(m.dir); i += 1 << ld {
+			m.dir[i] = buddy
+		}
+		delete(m.localDep, id)
+		m.localDep[buddy] = ld - 1
+		m.atDepth[ld] -= 2
+		m.atDepth[ld-1]++
+		for m.depth > 0 && m.atDepth[m.depth] == 0 {
+			m.depth--
+			m.dir = m.dir[:1<<m.depth]
+		}
+		m.pool.Discard(id)
+		if err := m.st.Free(id); err != nil {
+			return err
+		}
+		f, err := m.latchBucket(h)
+		if err != nil {
+			return err
+		}
+		empty := f.Data.LiveCells() == 0
+		m.unlatch(f, false)
+		if !empty {
+			return nil
+		}
+	}
+}
+
 // Unlock releases one lock held by txn.
 func (m *Manager) Unlock(txn, obj uint64, key []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	h := hashLock(obj, key)
-	id := m.bucketFor(h)
-	es, err := m.readBucket(id)
+	n, err := m.release(h, txn, false, obj, key)
+	m.forget(txn, h, n)
 	if err != nil {
-		return err
-	}
-	kept := es[:0]
-	for _, e := range es {
-		if !(e.obj == obj && bytes.Equal(e.key, key) && e.txn == txn) {
-			kept = append(kept, e)
-		}
-	}
-	if _, err := m.writeBucket(id, kept); err != nil {
 		return err
 	}
 	m.releases.Add(1)
@@ -449,32 +508,43 @@ func (m *Manager) Unlock(txn, obj uint64, key []byte) error {
 	return nil
 }
 
-// ReleaseAll drops every lock held by txn (commit/rollback).
-func (m *Manager) ReleaseAll(txn uint64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	seen := map[store.PageID]bool{}
-	for _, id := range m.dir {
-		if seen[id] {
-			continue
-		}
-		seen[id] = true
-		es, err := m.readBucket(id)
-		if err != nil {
-			return err
-		}
-		kept := es[:0]
-		for _, e := range es {
-			if e.txn != txn {
-				kept = append(kept, e)
-			}
-		}
-		if len(kept) != len(es) {
-			if _, err := m.writeBucket(id, kept); err != nil {
-				return err
+// perBucket yields one hash (and its index) per distinct bucket that the
+// hashes of hs map to. It sorts hs by low bits first, the order in which
+// the directory assigns hashes to buckets, so the hashes of one bucket are
+// adjacent whatever the directory's depth — and stay so while the loop
+// body coalesces buckets, which merges neighbours in exactly that order.
+func (m *Manager) perBucket(hs []uint64) iter.Seq2[int, uint64] {
+	return func(yield func(int, uint64) bool) {
+		slices.SortFunc(hs, func(a, b uint64) int { return cmp.Compare(bits.Reverse64(a), bits.Reverse64(b)) })
+		var last store.PageID
+		for i, h := range hs {
+			if id := m.bucketFor(h); i == 0 || id != last {
+				last = id
+				if !yield(i, h) {
+					return
+				}
 			}
 		}
 	}
+}
+
+// ReleaseAll drops every lock held by txn (commit/rollback): one pin per
+// distinct bucket on its held list, never the directory. When a bucket
+// cannot be read, the locks not yet released stay on the held list and the
+// error is returned, so calling ReleaseAll again finishes the job.
+func (m *Manager) ReleaseAll(txn uint64) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	hs := m.held[txn]
+	for i, h := range m.perBucket(hs) {
+		if _, err := m.release(h, txn, true, 0, nil); err != nil {
+			m.held[txn] = hs[i:]
+			m.releaseErrors.Add(1)
+			m.wake()
+			return err
+		}
+	}
+	delete(m.held, txn)
 	m.releases.Add(1)
 	m.wake()
 	return nil
@@ -482,42 +552,47 @@ func (m *Manager) ReleaseAll(txn uint64) error {
 
 // wake signals waiters that locks were released. Called with m.mu held.
 func (m *Manager) wake() {
-	close(m.broadcast)
-	m.broadcast = make(chan struct{})
+	if m.broadcast != nil {
+		close(m.broadcast)
+		m.broadcast = nil
+	}
 }
 
-// Held counts the locks held by txn (for tests and monitoring).
+// Held counts the lock records txn owns in the bucket pages, reading each
+// bucket on its held list once (for tests and monitoring).
 func (m *Manager) Held(txn uint64) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := 0
-	seen := map[store.PageID]bool{}
-	for _, id := range m.dir {
-		if seen[id] {
-			continue
-		}
-		seen[id] = true
-		es, err := m.readBucket(id)
+	total := 0
+	for _, h := range m.perBucket(m.held[txn]) {
+		f, err := m.latchBucket(h)
 		if err != nil {
 			return 0, err
 		}
-		for _, e := range es {
-			if e.txn == txn {
-				n++
+		for i, n := 0, f.Data.NumSlots(); i < n; i++ {
+			if c := f.Data.Cell(i); c != nil {
+				if _, holder, _, _ := cellFields(c); holder == txn {
+					total++
+				}
 			}
 		}
+		m.unlatch(f, false)
 	}
-	return n, nil
+	return total, nil
 }
 
-// Buckets reports the number of bucket pages (grows without any
-// configuration as lock volume grows).
+// HeldCount is the length of txn's held list: what Held counts, without
+// reading a page.
+func (m *Manager) HeldCount(txn uint64) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.held[txn])
+}
+
+// Buckets reports the number of bucket pages (grows and shrinks with lock
+// volume, without any configuration).
 func (m *Manager) Buckets() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	seen := map[store.PageID]bool{}
-	for _, id := range m.dir {
-		seen[id] = true
-	}
-	return len(seen)
+	return len(m.localDep)
 }

@@ -2,6 +2,7 @@ package lock
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sync"
@@ -160,6 +161,207 @@ func TestManyLocksGrowBuckets(t *testing.T) {
 	}
 }
 
+// TestDirectoryShrinksAfterBulkRelease: what one bulk transaction grew must
+// not tax every later commit. Releasing it coalesces the emptied buckets,
+// halves the directory and frees the pages, and a second bulk transaction
+// reuses them instead of growing the temporary file.
+func TestDirectoryShrinksAfterBulkRelease(t *testing.T) {
+	m := newManager(t)
+	bulk := func(txn uint64) {
+		t.Helper()
+		for i := 0; i < 5000; i++ {
+			if err := m.Lock(txn, 3, []byte(fmt.Sprintf("row-%d", i)), Exclusive); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if m.Buckets() < 8 {
+			t.Fatalf("buckets = %d during the bulk transaction", m.Buckets())
+		}
+		// A bystander's lock survives the coalescing around it.
+		if err := m.Lock(99, 3, []byte("bystander"), Shared); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.ReleaseAll(txn); err != nil {
+			t.Fatal(err)
+		}
+		if n, _ := m.Held(99); n != 1 {
+			t.Fatalf("bystander holds %d locks after the bulk release", n)
+		}
+		if err := m.Lock(txn+1, 3, []byte("bystander"), Exclusive); err != ErrTimeout {
+			t.Fatalf("X against the bystander's S: %v", err)
+		}
+		if err := m.ReleaseAll(99); err != nil {
+			t.Fatal(err)
+		}
+		if b := m.Buckets(); b > 2 {
+			t.Fatalf("buckets = %d after the bulk release, want ≤ 2", b)
+		}
+		if len(m.dir) > 2 || len(m.held) != 0 {
+			t.Fatalf("directory has %d slots, held lists %d transactions", len(m.dir), len(m.held))
+		}
+	}
+	m.Timeout = 20 * time.Millisecond
+	bulk(1)
+	pages := m.st.PageCount(store.TempFile)
+	bulk(3)
+	if got := m.st.PageCount(store.TempFile); got > pages {
+		t.Fatalf("temporary file grew from %d to %d pages over a second bulk transaction", pages, got)
+	}
+}
+
+// TestHeldListTracksCells: the held list has one hash per lock record, so
+// the O(1) count and the count read from the pages agree through S+IX on
+// one object, an upgrade that subsumes both, and Unlock.
+func TestHeldListTracksCells(t *testing.T) {
+	m := newManager(t)
+	check := func(want int) {
+		t.Helper()
+		inPages, err := m.Held(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inPages != want || m.HeldCount(1) != want {
+			t.Fatalf("pages hold %d records, held list %d, want %d", inPages, m.HeldCount(1), want)
+		}
+	}
+	m.Lock(1, 10, nil, Shared)
+	m.Lock(1, 10, nil, IntentExclusive)
+	m.Lock(1, 10, []byte("row"), Shared)
+	m.Lock(1, 10, []byte("row"), Shared) // re-entrant: no new record
+	check(3)
+	m.Lock(1, 10, nil, Exclusive) // subsumes the S and the IX
+	check(2)
+	if err := m.Unlock(1, 10, []byte("row")); err != nil {
+		t.Fatal(err)
+	}
+	check(1)
+	if err := m.Unlock(1, 10, nil); err != nil {
+		t.Fatal(err)
+	}
+	check(0)
+	if len(m.held) != 0 {
+		t.Fatalf("%d held lists left behind", len(m.held))
+	}
+}
+
+// TestReleaseAllResumesAfterReadError: when a bucket page cannot be read
+// back, ReleaseAll reports it, counts it, and keeps the unreleased locks on
+// the held list, so that calling it again finishes the release.
+func TestReleaseAllResumesAfterReadError(t *testing.T) {
+	var failReads atomic.Bool
+	st, err := store.Open(store.Options{Fault: func(op string, id store.PageID) error {
+		if op == "read" && failReads.Load() {
+			return fmt.Errorf("injected read fault on %v", id)
+		}
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	// Four frames: most of the bucket pages live in the temporary file.
+	m, err := NewManager(buffer.New(st, 4, 4, 4), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 3000
+	for i := 0; i < n; i++ {
+		if err := m.Lock(1, 3, []byte(fmt.Sprintf("row-%d", i)), Exclusive); err != nil {
+			t.Fatal(err)
+		}
+	}
+	failReads.Store(true)
+	if err := m.ReleaseAll(1); err == nil {
+		t.Fatal("ReleaseAll succeeded with every bucket read failing")
+	}
+	failReads.Store(false)
+	if left := m.HeldCount(1); left == 0 || left > n {
+		t.Fatalf("held list has %d entries after the failed release", left)
+	}
+	if got := m.releaseErrors.Load(); got != 1 {
+		t.Fatalf("lock.release_errors = %d, want 1", got)
+	}
+	if err := m.ReleaseAll(1); err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	if held, err := m.Held(1); err != nil || held != 0 || m.HeldCount(1) != 0 {
+		t.Fatalf("after the retry: %d records, %v", held, err)
+	}
+	m.Timeout = 20 * time.Millisecond
+	for i := 0; i < n; i += 97 {
+		if err := m.Lock(2, 3, []byte(fmt.Sprintf("row-%d", i)), Exclusive); err != nil {
+			t.Fatalf("row-%d is still locked: %v", i, err)
+		}
+	}
+}
+
+// kvRow is a row lock's key in the benchmark's kv schema: the 12-byte
+// record id the table layer locks.
+func kvRow(i int) []byte {
+	var b [12]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(store.MakePageID(store.MainFile, uint64(1+i/100))))
+	binary.LittleEndian.PutUint32(b[8:], uint32(i%100))
+	return b[:]
+}
+
+// TestAllocationGuards pins what in-place bucket access buys: a lock call
+// allocates its transaction's held list and nothing per cell compared.
+func TestAllocationGuards(t *testing.T) {
+	m := newManager(t)
+	row := kvRow(7)
+	// Other holders' records in the bucket must not cost anything either.
+	for i := 0; i < 50; i++ {
+		if err := m.Lock(uint64(100+i), 5, kvRow(1000+i), Exclusive); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Lock(1, 5, row, Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { m.Lock(1, 5, row, Exclusive) }); n != 0 {
+		t.Errorf("re-entrant Lock: %v allocations, want 0", n)
+	}
+	m.ReleaseAll(1)
+	if n := testing.AllocsPerRun(100, func() {
+		m.Lock(2, 5, row, Exclusive)
+		m.ReleaseAll(2)
+	}); n > 3 {
+		t.Errorf("Lock + ReleaseAll of one row: %v allocations, want ≤ 3", n)
+	}
+}
+
+// BenchmarkLockAcquireRelease is the lock work of a one-row write statement
+// in the kv schema: intent on the table, X on the row, release at commit.
+func BenchmarkLockAcquireRelease(b *testing.B) {
+	st, err := store.Open(store.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	m, err := NewManager(buffer.New(st, 4, 128, 256), st)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := make([][]byte, 1024)
+	for i := range rows {
+		rows[i] = kvRow(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		txn := uint64(i + 1)
+		if err := m.Lock(txn, 5, nil, IntentExclusive); err != nil {
+			b.Fatal(err)
+		}
+		if err := m.Lock(txn, 5, rows[i%len(rows)], Exclusive); err != nil {
+			b.Fatal(err)
+		}
+		if err := m.ReleaseAll(txn); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestConcurrentDisjointLocks(t *testing.T) {
 	m := newManager(t)
 	var wg sync.WaitGroup
@@ -218,29 +420,29 @@ func TestLockWaitSingleTimer(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- m.Lock(2, 10, hot, Exclusive) }()
 
-	// Wait for the contender to block, then force wake-retry iterations by
-	// releasing unrelated locks (every release broadcasts). m.waits counts
-	// one increment per wait iteration.
-	waitFor := func(n uint64) {
+	// Wait for the contender to block (lock.waits: once per blocked call),
+	// then force wake-retry iterations by releasing unrelated locks (every
+	// release broadcasts; lock.wakeups counts one per woken re-check).
+	waitFor := func(c *atomic.Uint64, n uint64) {
 		deadline := time.Now().Add(10 * time.Second)
-		for m.waits.Load() < n {
+		for c.Load() < n {
 			if time.Now().After(deadline) {
-				t.Fatalf("contender reached %d waits, want %d", m.waits.Load(), n)
+				t.Fatalf("contender reached count %d, want %d", c.Load(), n)
 			}
 			time.Sleep(100 * time.Microsecond)
 		}
 	}
-	waitFor(1)
+	waitFor(&m.waits, 1)
 	const spuriousWakes = 200
 	for i := 0; i < spuriousWakes; i++ {
-		target := m.waits.Load() + 1
+		target := m.wakeups.Load() + 1
 		if err := m.Lock(3, 99, []byte("cold"), Shared); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.Unlock(3, 99, []byte("cold")); err != nil {
 			t.Fatal(err)
 		}
-		waitFor(target)
+		waitFor(&m.wakeups, target)
 	}
 
 	if err := m.ReleaseAll(1); err != nil {
@@ -251,6 +453,10 @@ func TestLockWaitSingleTimer(t *testing.T) {
 	}
 	if got := created.Load(); got != 1 {
 		t.Fatalf("contended Lock created %d timers across %d wake-ups, want exactly 1", got, spuriousWakes)
+	}
+	// One blocked call, however often it was woken.
+	if w, k := m.waits.Load(), m.wakeups.Load(); w != 1 || k != spuriousWakes+1 {
+		t.Fatalf("lock.waits = %d, lock.wakeups = %d; want 1 and %d", w, k, spuriousWakes+1)
 	}
 }
 

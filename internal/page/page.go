@@ -297,28 +297,60 @@ func (p Buf) Update(i int, cell []byte) bool {
 }
 
 // Compact rewrites live cells contiguously at the end of the page,
-// reclaiming garbage left by deletes and updates.
+// reclaiming garbage left by deletes and updates. Cells are copied out of
+// one scratch image of the page, so compaction allocates nothing.
 func (p Buf) Compact() {
-	type live struct {
-		slot int
-		data []byte
-	}
-	var cells []live
-	for i := 0; i < p.NumSlots(); i++ {
-		if c := p.Cell(i); c != nil {
-			d := make([]byte, len(c))
-			copy(d, c)
-			cells = append(cells, live{i, d})
-		}
-	}
+	var old [Size]byte
+	copy(old[:], p)
 	start := uint16(len(p))
-	for _, c := range cells {
-		start -= uint16(len(c.data))
-		copy(p[start:], c.data)
-		p.setSlot(c.slot, start, uint16(len(c.data)))
+	for i, n := 0, p.NumSlots(); i < n; i++ {
+		off, sz := p.slot(i)
+		if off == 0 {
+			continue
+		}
+		start -= sz
+		copy(p[start:], old[off:off+sz])
+		p.setSlot(i, start, sz)
 	}
 	p.setCellStart(start)
 	p.setGarbage(0)
+}
+
+// InsertOrdered places a cell at slot position pos and shifts the slots at
+// and after pos up by one, so a page whose slot order is its key order
+// keeps it with one cell written. It reports false when pos is out of range
+// or the cell does not fit. Ordered pages must be changed only through
+// InsertOrdered and RemoveOrdered: neither leaves a deleted slot behind,
+// and InsertOrdered does not expect one.
+func (p Buf) InsertOrdered(pos int, cell []byte) bool {
+	n := p.NumSlots()
+	if pos < 0 || pos > n || len(cell) > p.FreeSpace() {
+		return false
+	}
+	if int(p.cellStart())-(HeaderSize+(n+1)*slotSize) < len(cell) {
+		p.Compact()
+	}
+	copy(p[p.slotPos(pos+1):p.slotPos(n+1)], p[p.slotPos(pos):p.slotPos(n)])
+	p.setNumSlots(n + 1)
+	start := p.cellStart() - uint16(len(cell))
+	copy(p[start:], cell)
+	p.setCellStart(start)
+	p.setSlot(pos, start, uint16(len(cell)))
+	return true
+}
+
+// RemoveOrdered deletes the cell at slot position pos and shifts the slots
+// after it down by one, the inverse of InsertOrdered.
+func (p Buf) RemoveOrdered(pos int) bool {
+	n := p.NumSlots()
+	if pos < 0 || pos >= n {
+		return false
+	}
+	_, sz := p.slot(pos)
+	copy(p[p.slotPos(pos):p.slotPos(n-1)], p[p.slotPos(pos+1):p.slotPos(n)])
+	p.setNumSlots(n - 1)
+	p.setGarbage(p.garbage() + sz)
+	return true
 }
 
 // LiveCells reports the number of non-deleted cells.

@@ -225,6 +225,64 @@ func TestQuickRandomOps(t *testing.T) {
 	}
 }
 
+// Property: a page changed only through InsertOrdered and RemoveOrdered is
+// a reference slice — same cells, same positions, no deleted slot — through
+// any sequence of the two, compactions included, and refuses a cell exactly
+// when FreeSpace says it does not fit.
+func TestQuickOrderedOps(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		p := newPage(TypeIndex)
+		var ref [][]byte
+		for op := 0; op < 600; op++ {
+			if len(ref) > 0 && rng.Intn(5) < 2 {
+				pos := rng.Intn(len(ref))
+				if !p.RemoveOrdered(pos) {
+					return false
+				}
+				ref = append(ref[:pos], ref[pos+1:]...)
+			} else {
+				c := make([]byte, 1+rng.Intn(150))
+				rng.Read(c)
+				pos := rng.Intn(len(ref) + 1)
+				fits := len(c) <= p.FreeSpace()
+				if p.InsertOrdered(pos, c) != fits {
+					t.Logf("seed %d: %d-byte cell, FreeSpace %d", seed, len(c), p.FreeSpace())
+					return false
+				}
+				if fits {
+					ref = append(ref[:pos], append([][]byte{c}, ref[pos:]...)...)
+				}
+			}
+			if p.NumSlots() != len(ref) || p.LiveCells() != len(ref) {
+				return false
+			}
+			for i, want := range ref {
+				if !bytes.Equal(p.Cell(i), want) {
+					t.Logf("seed %d: position %d corrupted after op %d", seed, i, op)
+					return false
+				}
+			}
+		}
+		return !p.InsertOrdered(len(ref)+1, []byte{1}) && !p.RemoveOrdered(len(ref))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestCompactAllocatesNothing(t *testing.T) {
+	p := newPage(TypeTable)
+	for p.Insert(make([]byte, 40)) != -1 {
+	}
+	for i := 0; i < p.NumSlots(); i += 2 {
+		p.Delete(i)
+	}
+	if n := testing.AllocsPerRun(10, p.Compact); n != 0 {
+		t.Fatalf("Compact made %v allocations", n)
+	}
+}
+
 func TestFreeSpaceAccounting(t *testing.T) {
 	p := newPage(TypeTable)
 	before := p.FreeSpace()

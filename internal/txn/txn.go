@@ -579,7 +579,13 @@ func (t *Txn) finish() {
 		t.m.ReleaseSnapshot(s)
 	}
 	if lm := t.locks(); lm != nil {
-		_ = lm.ReleaseAll(t.id)
+		// A failed release (a bucket page that could not be read back) keeps
+		// the unreleased locks on the manager's held list, so one retry can
+		// finish it. A second failure leaves them to the waiters' timeouts;
+		// lock.release_errors counts both.
+		if err := lm.ReleaseAll(t.id); err != nil {
+			_ = lm.ReleaseAll(t.id)
+		}
 	}
 	// Deregister after publish (Commit) and after undo (Rollback): vacuum
 	// checks liveness before reading an entry's CSN, so a writer observed

@@ -20,8 +20,9 @@
 //     operators that evict their largest partition under pressure,
 //     low-memory fallbacks, and intra-query parallelism whose worker count
 //     can change mid-query;
-//   - a per-connection plan cache with a training period and
-//     decaying-logarithmic re-verification.
+//   - statements read once into an object shared by every connection
+//     (text, fingerprint, AST), each carrying a plan cache slot with a
+//     training period and decaying-logarithmic re-verification.
 //
 // Open a database, connect, and speak SQL:
 //

@@ -599,7 +599,10 @@ func (p *Pool) NewPage(fl store.FileID, t page.Type) (*Frame, error) {
 		s.table[id] = f
 		s.mu.Unlock()
 		p.touch(f)
+		// Under the content latch: ResidentPages' scan already sees the frame.
+		f.mu.Lock()
 		f.Data.Init(t)
+		f.mu.Unlock()
 		return f, nil
 	}
 }
@@ -995,13 +998,17 @@ func (p *Pool) ResidentPages(owner uint64) int {
 	for _, s := range p.shards {
 		s.rlock()
 		for _, f := range s.frames {
-			if !f.valid || f.Data == nil {
+			// A frame still being read from the store is skipped, not
+			// waited for: the loader fills Data under the loading mark (set
+			// with valid, under the shard's write lock), not the latch.
+			if !f.valid || f.Data == nil || f.loading.Load() {
 				continue
 			}
 			// The owner field is page content, so reading it needs the
 			// content latch; TryRLock keeps this scan non-blocking — a
-			// frame latched exclusively is mid-modification, and skipping
-			// it only perturbs a residency estimate.
+			// frame latched exclusively is mid-modification (or a new page
+			// being formatted), and skipping it only perturbs a residency
+			// estimate.
 			if !f.mu.TryRLock() {
 				continue
 			}

@@ -297,6 +297,53 @@ func TestResidentPages(t *testing.T) {
 	}
 }
 
+// TestResidentPagesVsLoads runs the residency scan — which reads page
+// content, the owner field, of frames it does not pin — against misses
+// filling frames from the store and new pages being formatted. The scan
+// must neither block on them nor read a buffer they are writing; only the
+// race detector can see the second half.
+func TestResidentPagesVsLoads(t *testing.T) {
+	p, _ := testPool(t, 4, 8, 8)
+	var ids []store.PageID
+	for i := 0; i < 64; i++ {
+		ids = append(ids, mkPage(t, p, "resident"))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 400; i++ {
+				var f *Frame
+				var err error
+				if g == 0 && i%4 == 0 {
+					f, err = p.NewPage(store.MainFile, page.TypeTable)
+				} else {
+					f, err = p.Get(ids[(g*13+i)%len(ids)]) // 8 frames, 64 pages: mostly misses
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				p.Unpin(f, false)
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for scans := 0; ; scans++ {
+		p.ResidentPages(0)
+		select {
+		case <-done:
+			if scans == 0 {
+				t.Fatal("the scan never overlapped the loaders")
+			}
+			return
+		default:
+		}
+	}
+}
+
 func TestConcurrentGets(t *testing.T) {
 	p, _ := testPool(t, 2, 32, 64)
 	var ids []store.PageID

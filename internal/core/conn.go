@@ -24,13 +24,12 @@ import (
 	"anywheredb/internal/val"
 )
 
-// Conn is one connection: an explicit-transaction scope and a plan cache
-// (plans are cached on an LRU basis for each connection, §4.1).
+// Conn is one connection: an explicit-transaction scope. Statements, and
+// the plans cached with them (§4.1), are shared DB-wide through DB.Prepare.
 type Conn struct {
-	db        *DB
-	tx        *txn.Txn // explicit transaction, nil = autocommit
-	planCache *opt.PlanCache
-	closed    bool
+	db     *DB
+	tx     *txn.Txn // explicit transaction, nil = autocommit
+	closed bool
 	// stmtCtx is the context of the statement currently running on this
 	// connection (a Conn serves one statement at a time). Operators and
 	// DML loops poll it at batch boundaries.
@@ -184,16 +183,14 @@ func (c *Conn) Exec(sql string, params ...val.Value) (Result, error) {
 // ExecContext runs a statement under a context: cancellation and deadline
 // expiry are observed at batch boundaries and abort the statement.
 func (c *Conn) ExecContext(ctx context.Context, sql string, params ...val.Value) (Result, error) {
-	res, _, err := c.run(ctx, sql, params)
+	res, _, err := c.RunContext(ctx, sql, params...)
 	return res, err
 }
 
-// RunContext runs one statement and returns both its result and any rows.
-// This is the shape the network server needs: it does not parse SQL, so it
-// cannot choose between Exec and Query up front. rows is nil when the
-// statement produced none.
+// RunContext runs one statement and returns both its result and any rows:
+// Prepare + Run, as every entry that takes SQL text is.
 func (c *Conn) RunContext(ctx context.Context, sql string, params ...val.Value) (Result, *Rows, error) {
-	return c.run(ctx, sql, params)
+	return c.Run(ctx, c.db.Prepare(sql), params)
 }
 
 // Query runs a statement returning rows.
@@ -203,7 +200,7 @@ func (c *Conn) Query(sql string, params ...val.Value) (*Rows, error) {
 
 // QueryContext runs a statement returning rows under a context.
 func (c *Conn) QueryContext(ctx context.Context, sql string, params ...val.Value) (*Rows, error) {
-	_, rows, err := c.run(ctx, sql, params)
+	_, rows, err := c.RunContext(ctx, sql, params...)
 	if err != nil {
 		return nil, err
 	}
@@ -221,7 +218,11 @@ func (c *Conn) interrupted() error {
 	return c.stmtCtx.Err()
 }
 
-func (c *Conn) run(ctx context.Context, sql string, params []val.Value) (res Result, rows *Rows, err error) {
+// Run is the one execution entry: it runs a prepared statement and returns
+// both its result and any rows (nil when the statement produced none). This
+// is the shape the network server needs — it holds statement handles and
+// cannot choose between Exec and Query up front.
+func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value) (res Result, rows *Rows, err error) {
 	if c.closed {
 		return Result{}, nil, fmt.Errorf("core: connection closed")
 	}
@@ -241,11 +242,12 @@ func (c *Conn) run(ctx context.Context, sql string, params []val.Value) (res Res
 	}
 	c.stmtCtx = ctx
 
-	// Flight-recorder span: opened before parsing so even malformed
-	// statements land in the digest table, sealed on every exit path. The
-	// buffer hit/miss fields are window deltas over the engine-wide pool
-	// counters.
-	sp := c.db.flight.Begin(sql)
+	// Flight-recorder span: opened even for malformed statements, so they
+	// too land in the digest table; sealed on every exit path. The text was
+	// read at Prepare: the first execution's span takes that time as its
+	// parse phase (and into its total), later ones have none. The buffer
+	// hit/miss fields are window deltas over the engine-wide pool counters.
+	sp := c.db.flight.Begin(st.Text, st.Fingerprint)
 	c.curSpan = sp
 	var wallStart time.Time
 	var poolBase buffer.Stats
@@ -253,6 +255,8 @@ func (c *Conn) run(ctx context.Context, sql string, params []val.Value) (res Res
 	if sp != nil {
 		wallStart = time.Now()
 		poolBase = c.db.pool.Stats()
+		parseUS := st.parseUS.Swap(0)
+		sp.AddPhase(flightrec.PhaseParse, parseUS)
 		defer func() {
 			c.curSpan = nil
 			if boundTxn != 0 {
@@ -262,21 +266,16 @@ func (c *Conn) run(ctx context.Context, sql string, params []val.Value) (res Res
 			if err != nil {
 				errText = err.Error()
 			}
-			st := c.db.pool.Stats()
-			sp.BufferHits = int64(st.Hits - poolBase.Hits)
-			sp.BufferMisses = int64(st.Misses - poolBase.Misses)
-			c.db.flight.Finish(sp, time.Since(wallStart).Microseconds(),
+			pst := c.db.pool.Stats()
+			sp.BufferHits = int64(pst.Hits - poolBase.Hits)
+			sp.BufferMisses = int64(pst.Misses - poolBase.Misses)
+			c.db.flight.Finish(sp, parseUS+time.Since(wallStart).Microseconds(),
 				res.RowsAffected, errText)
 		}()
 	}
 
-	parseStart := wallStart
-	stmt, err := sqlparse.Parse(sql)
-	if sp != nil {
-		sp.AddPhase(flightrec.PhaseParse, time.Since(parseStart).Microseconds())
-	}
-	if err != nil {
-		return Result{}, nil, err
+	if st.Err != nil {
+		return Result{}, nil, st.Err
 	}
 	if sp != nil && c.tx != nil {
 		// An explicit transaction is already open: statement waits carrying
@@ -284,35 +283,31 @@ func (c *Conn) run(ctx context.Context, sql string, params []val.Value) (res Res
 		boundTxn = c.tx.ID()
 		c.db.flight.BindTxn(boundTxn, sp)
 	}
-	if c.db.degraded.Load() {
-		// Read-only degraded mode: refuse anything that would write. The
-		// application can still query, roll back, and shut down cleanly.
-		if _, begin := stmt.(*sqlparse.Begin); begin || sqlparse.Writes(stmt) {
-			return Result{}, nil, ErrReadOnly
-		}
+	// Read-only degraded mode: refuse anything that would write. The
+	// application can still query, roll back, and shut down cleanly.
+	if c.db.degraded.Load() && (st.kind == kindBegin || st.kind == kindBeginRO || st.writes) {
+		return Result{}, nil, ErrReadOnly
 	}
-	if c.db.opts.ReplicaMode {
-		// Replica latch: the only SQL a replica runs is reads. BEGIN READ
-		// ONLY is allowed (snapshot transactions are the replica's whole
-		// point); a read-write BEGIN is refused up front rather than at its
-		// first write, so applications learn they are on a replica before
-		// queueing work behind a doomed transaction.
-		if b, begin := stmt.(*sqlparse.Begin); (begin && !b.ReadOnly) || sqlparse.Writes(stmt) {
-			return Result{}, nil, ErrReplica
-		}
+	// Replica latch: the only SQL a replica runs is reads. BEGIN READ ONLY is
+	// allowed (snapshot transactions are the replica's whole point); a
+	// read-write BEGIN is refused up front rather than at its first write,
+	// so applications learn they are on a replica before queueing work
+	// behind a doomed transaction.
+	if c.db.opts.ReplicaMode && (st.kind == kindBegin || st.writes) {
+		return Result{}, nil, ErrReplica
 	}
 
-	if c.tx != nil && c.tx.ReadOnly() && sqlparse.Writes(stmt) {
+	if c.tx != nil && c.tx.ReadOnly() && st.writes {
 		// BEGIN READ ONLY: refuse anything that would write before it runs.
 		return Result{}, nil, ErrReadOnlyTxn
 	}
 
-	if fin := c.beginReadPath(stmt, sp); fin != nil {
+	if fin := c.beginReadPath(st.kind, sp); fin != nil {
 		defer fin()
 	}
 
 	start := c.db.clk.Now()
-	switch s := stmt.(type) {
+	switch s := st.AST.(type) {
 	case *sqlparse.Begin:
 		if c.tx != nil {
 			return Result{}, nil, fmt.Errorf("core: transaction already open")
@@ -368,7 +363,7 @@ func (c *Conn) run(ctx context.Context, sql string, params []val.Value) (res Res
 	case *sqlparse.AlterTableStore:
 		err = c.alterTableStore(s)
 	case *sqlparse.Insert:
-		res, err = c.execInsert(s, params)
+		res, err = c.execInsert(st, s, params)
 	case *sqlparse.Update, *sqlparse.Delete:
 		var plan *opt.Plan
 		res, plan, err = c.execModify(s, params, true)
@@ -376,7 +371,7 @@ func (c *Conn) run(ctx context.Context, sql string, params []val.Value) (res Res
 			rows = &Rows{plan: plan}
 		}
 	case *sqlparse.Select:
-		rows, err = c.execSelect(sql, s, params, true)
+		rows, err = c.execSelect(st, s, params, true)
 		if rows != nil {
 			res.RowsAffected = int64(rows.Count())
 		}
@@ -386,7 +381,7 @@ func (c *Conn) run(ctx context.Context, sql string, params []val.Value) (res Res
 			res.RowsAffected = int64(rows.Count())
 		}
 	default:
-		err = fmt.Errorf("core: unsupported statement %T", stmt)
+		err = fmt.Errorf("core: unsupported statement %T", s)
 	}
 	if err != nil {
 		// A permanent I/O failure on the write path latches read-only
@@ -403,7 +398,7 @@ func (c *Conn) run(ctx context.Context, sql string, params []val.Value) (res Res
 
 	if tr := c.tracerRef(); tr != nil {
 		n := res.RowsAffected
-		tr.TraceStatement(sql, params, c.db.clk.Now()-start, n)
+		tr.TraceStatement(st.Text, params, c.db.clk.Now()-start, n)
 	}
 	return res, rows, nil
 }
@@ -463,29 +458,11 @@ func (c *Conn) autoTxn() (*txn.Txn, func(err error) error) {
 // LockingReads engine (the E23 2PL baseline): no snapshots anywhere; an
 // autocommit query instead runs inside a short read-only transaction so
 // table scans take shared locks, released at statement end.
-func (c *Conn) beginReadPath(stmt sqlparse.Statement, sp *flightrec.Span) func() {
-	if ex, ok := stmt.(*sqlparse.Explain); ok {
-		stmt = ex.Stmt
-	}
-	isQuery := false
-	switch s := stmt.(type) {
-	case *sqlparse.Select:
-		isQuery = true
-	case *sqlparse.Insert:
-		if s.Query == nil {
-			return nil
-		}
-	case *sqlparse.Update:
-		if !s.Subquery {
-			return nil
-		}
-	case *sqlparse.Delete:
-		if !s.Subquery {
-			return nil
-		}
-	default:
+func (c *Conn) beginReadPath(kind stmtKind, sp *flightrec.Span) func() {
+	if kind != kindQuery && kind != kindSubquery {
 		return nil
 	}
+	isQuery := kind == kindQuery
 
 	if c.db.opts.LockingReads {
 		if !isQuery || c.tx != nil {

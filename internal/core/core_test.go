@@ -17,7 +17,10 @@ func openDB(t testing.TB, opts Options) *DB {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { db.Close() })
+	t.Cleanup(func() {
+		checkStmtTable(t, db)
+		db.Close()
+	})
 	return db
 }
 
@@ -318,7 +321,7 @@ func TestPlanCacheAcrossRepeats(t *testing.T) {
 			t.Fatalf("iter %d: %v", i, rows.All()[0][0])
 		}
 	}
-	hits, misses, _, _ := c.PlanCacheStats()
+	hits, misses := counter(t, db, "opt.plancache.hits"), counter(t, db, "opt.plancache.misses")
 	if hits == 0 {
 		t.Fatalf("plan cache never hit (hits=%d misses=%d)", hits, misses)
 	}

@@ -8,6 +8,7 @@
 package core
 
 import (
+	"container/list"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -30,7 +31,6 @@ import (
 	"anywheredb/internal/flightrec"
 	"anywheredb/internal/lock"
 	"anywheredb/internal/mem"
-	"anywheredb/internal/opt"
 	"anywheredb/internal/osenv"
 	"anywheredb/internal/page"
 	"anywheredb/internal/stats"
@@ -238,6 +238,11 @@ type DB struct {
 	pcVerifies  *telemetry.Counter
 	pcInvalid   *telemetry.Counter
 
+	// stmts interns statement objects by text (see Prepare); parses counts
+	// the texts actually read.
+	stmts  stmtTable
+	parses *telemetry.Counter
+
 	// Columnar-storage counters.
 	colSkipped    *telemetry.Counter
 	colDecoded    *telemetry.Counter
@@ -291,6 +296,7 @@ type StatementTracer interface {
 func Open(opts Options) (*DB, error) {
 	opts.fill()
 	db := &DB{opts: opts, clk: opts.Clock, tables: map[string]*table.Table{}}
+	db.stmts.byText = map[string]*list.Element{}
 	db.inj = faultinject.Counted(opts.Injector, &db.faultStats)
 
 	st, err := store.Open(store.Options{Dir: opts.Dir, Device: opts.Device, Injector: db.inj})
@@ -525,6 +531,10 @@ func Open(opts Options) (*DB, error) {
 	db.pcTrainings = db.reg.Counter("opt.plancache.trainings")
 	db.pcVerifies = db.reg.Counter("opt.plancache.verifications")
 	db.pcInvalid = db.reg.Counter("opt.plancache.invalidations")
+	db.parses = db.reg.Counter("sqlparse.parses")
+	db.reg.GaugeFunc("core.stmt_cache.entries", db.stmts.entries.Load)
+	db.reg.GaugeFunc("core.stmt_cache.bytes", db.stmts.bytes.Load)
+	db.reg.GaugeFunc("core.stmt_cache.evictions", db.stmts.evictions.Load)
 	db.colSkipped = db.reg.Counter("colseg.segments_skipped")
 	db.colDecoded = db.reg.Counter("colseg.decode_rows")
 	db.colPromotions = db.reg.Counter("colseg.reorg_promotions")
@@ -1503,8 +1513,5 @@ func (db *DB) Connect() (*Conn, error) {
 		return nil, fmt.Errorf("core: database is closed")
 	}
 	db.conns++
-	return &Conn{
-		db:        db,
-		planCache: opt.NewPlanCache(32, 3),
-	}, nil
+	return &Conn{db: db}, nil
 }

@@ -694,31 +694,6 @@ func loadPairs(t *testing.T, c *Conn, name, cols string, n int, row func(i int) 
 	mustExec(t, c, sb.String())
 }
 
-// TestInsertSelectIsNotPlanCached: the plan cache is keyed on statement
-// text, and INSERT ... SELECT used to file every source query on the
-// connection under the empty key — so once one had trained, the next ran
-// on its join order, index pointer included.
-func TestInsertSelectIsNotPlanCached(t *testing.T) {
-	c := conn(t, openDB(t, Options{}))
-	loadPairs(t, c, "a", "id INT, v INT", 400, func(i int) (int, int) { return i, i * 10 })
-	loadPairs(t, c, "b", "k INT, w INT", 400, func(i int) (int, int) { return i % 40, 1000 + i })
-	mustExec(t, c, "CREATE TABLE x (p INT, q INT)")
-	mustExec(t, c, "CREATE UNIQUE INDEX a_id ON a (id)")
-	mustExec(t, c, "CREATE INDEX b_k ON b (k)")
-	mustExec(t, c, "CREATE STATISTICS a")
-	mustExec(t, c, "CREATE STATISTICS b")
-	for i := 0; i < 6; i++ {
-		mustExec(t, c, "INSERT INTO x SELECT id, v FROM a WHERE id = 7")
-	}
-	mustExec(t, c, "DELETE FROM x")
-	if res := mustExec(t, c, "INSERT INTO x SELECT k, w FROM b WHERE k = 3"); res.RowsAffected != 10 {
-		t.Errorf("INSERT ... SELECT FROM b inserted %d rows, want 10", res.RowsAffected)
-	}
-	got := renderRows(mustQuery(t, c, "SELECT p, q FROM x"), false)
-	want := renderRows(mustQuery(t, c, "SELECT k, w FROM b WHERE k = 3"), false)
-	diffCompare(t, diffQuery{sql: "INSERT INTO x SELECT k, w FROM b WHERE k = 3"}, "inserted", got, want)
-}
-
 // TestPlanCacheRevalidatesIndexes: a cached join order names indexes by
 // pointer. Dropping and re-creating a table and index under the same names
 // must not leave the connection probing the dropped table's tree.

@@ -14,14 +14,13 @@ import (
 )
 
 // execSelect is the one place a SELECT plan is built: it serves the bare
-// statement, EXPLAIN [ANALYZE] (run = ANALYZE) and INSERT ... SELECT. key is
-// the statement's plan-cache key, its SQL text; INSERT ... SELECT passes
-// none and is never cached, because the cache is keyed on a whole
-// statement's text and the text of its source query alone is not one. With
-// run false the plan is built but not executed. Each statement runs under a
-// memory-governor task whose quotas follow Eq. 4/5; exceeding the hard
-// limit terminates the statement.
-func (c *Conn) execSelect(key string, s *sqlparse.Select, params []val.Value, run bool) (*Rows, error) {
+// statement, EXPLAIN [ANALYZE] (run = ANALYZE) and INSERT ... SELECT. st is
+// the statement whose plan slot the query trains and hits: the SELECT's own
+// (EXPLAIN passes the one of the statement it explains), or the INSERT's
+// for its source query. With run false the plan is built but not executed.
+// Each statement runs under a memory-governor task whose quotas follow
+// Eq. 4/5; exceeding the hard limit terminates the statement.
+func (c *Conn) execSelect(st *Stmt, s *sqlparse.Select, params []val.Value, run bool) (*Rows, error) {
 	task := c.db.memG.Begin()
 	defer task.Finish()
 	ctx := c.execCtx(task)
@@ -34,11 +33,11 @@ func (c *Conn) execSelect(key string, s *sqlparse.Select, params []val.Value, ru
 	// A hit hands the cached join order to the build, which skips
 	// enumeration if the order still fits the catalog; a verifying hit
 	// withholds it so the statement is re-optimized and compared.
-	cacheable := key != "" && len(s.With) == 0 && s.Union == nil && s.From != nil
+	cacheable := len(s.With) == 0 && s.Union == nil && s.From != nil
 	var steps []opt.Step
 	var hit, verify bool
 	if cacheable {
-		if steps, hit, verify = c.planCache.Lookup(key); hit {
+		if steps, hit, verify = st.plan.Lookup(); hit {
 			c.db.pcHits.Inc()
 		} else {
 			c.db.pcMisses.Inc()
@@ -55,14 +54,17 @@ func (c *Conn) execSelect(key string, s *sqlparse.Select, params []val.Value, ru
 	if plan.Enum != nil {
 		c.noteEnum(plan)
 		if verify {
-			c.planCache.Verify(key, plan.Enum.Order)
+			if !st.plan.Verify(plan.Enum.Order) {
+				c.db.pcInvalid.Inc()
+			}
 		} else if cacheable {
 			if hit {
 				// The cached order no longer fits (schema drift): start over.
-				c.planCache.Invalidate(key)
+				st.plan.Invalidate(plan.Enum.Order)
 				c.db.pcInvalid.Inc()
+			} else {
+				st.plan.Offer(plan.Enum.Order)
 			}
-			c.planCache.Offer(key, plan.Enum.Order)
 			c.db.pcTrainings.Inc()
 		}
 	}
@@ -117,7 +119,7 @@ func (c *Conn) buildDML(stmt sqlparse.Statement, params []val.Value) (*opt.DML, 
 }
 
 // execInsert handles INSERT ... VALUES and INSERT ... SELECT.
-func (c *Conn) execInsert(s *sqlparse.Insert, params []val.Value) (Result, error) {
+func (c *Conn) execInsert(st *Stmt, s *sqlparse.Insert, params []val.Value) (Result, error) {
 	tbl, ok := c.db.Table(s.Table)
 	if !ok {
 		return Result{}, fmt.Errorf("core: table %q not found", s.Table)
@@ -152,7 +154,7 @@ func (c *Conn) execInsert(s *sqlparse.Insert, params []val.Value) (Result, error
 
 	var sourceRows [][]val.Value
 	if s.Query != nil {
-		rows, err := c.execSelect("", s.Query, params, true)
+		rows, err := c.execSelect(st, s.Query, params, true)
 		if err != nil {
 			return Result{}, err
 		}
@@ -250,9 +252,4 @@ func (c *Conn) execModify(stmt sqlparse.Statement, params []val.Value, run bool)
 	}
 	c.db.flight.Access().NoteWrite(d.Table.Name)
 	return Result{RowsAffected: n}, d.Plan, done(nil)
-}
-
-// PlanCacheStats exposes the connection's plan cache counters.
-func (c *Conn) PlanCacheStats() (hits, misses, verifications, invalidations uint64) {
-	return c.planCache.Stats()
 }

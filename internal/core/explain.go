@@ -19,12 +19,12 @@ var explainColumns = []string{"operator", "est_rows", "actual_rows", "invocation
 // statement and prints the plan tree without executing it; ANALYZE also
 // runs the statement with an instrumented tree and prints per-node actuals.
 // Both kinds of statement go through the same execSelect / execModify as
-// the bare statement — a SELECT under its own plan-cache entry — so what is
-// printed is the tree that runs.
+// the bare statement — a SELECT on the bare statement's plan slot, found in
+// the statement table by its text — so what is printed is the tree that runs.
 func (c *Conn) execExplain(s *sqlparse.Explain, params []val.Value) (*Rows, error) {
 	switch inner := s.Stmt.(type) {
 	case *sqlparse.Select:
-		rows, err := c.execSelect(s.Text, inner, params, s.Analyze)
+		rows, err := c.execSelect(c.db.Prepare(s.Text), inner, params, s.Analyze)
 		if err != nil {
 			return nil, err
 		}

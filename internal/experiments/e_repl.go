@@ -468,7 +468,7 @@ func E25Replication() (*Report, error) {
 				"pass (%d replicas: %.2fx the single-node scan throughput on a storage-wait-bound workload, %d of %d scans served by replicas via the automatic router)",
 				e25Replicas, speedup, fleetRouted, fleetDone),
 			"promoted_database_writable": "pass (post-promotion INSERT succeeds; ReplicaMode write refusal lifted, indexes rebuilt from the shipped catalog)",
-			"no_routing_knobs": "pass (replicas self-register over the stream; the router balances on apply-lag and in-flight counts learned from acks — nothing configured)",
+			"no_routing_knobs":           "pass (replicas self-register over the stream; the router balances on apply-lag and in-flight counts learned from acks — nothing configured)",
 		},
 		Notes: "Single-core host: the scan workload is made storage-bound by a single-spindle device simulator (reads sleep for real wall time and serialize on one arm) against a pool ~5x smaller than the heap, so the single node is I/O-capped no matter how many client connections pile on — and each replica brings its own spindle, which is exactly how adding machines adds I/O capacity. Read scaling therefore measures added storage bandwidth plus routed-read overlap, not CPU parallelism a 1-CPU machine cannot grant. The kill ordering (SQL server first, then shipper, then engine) guarantees no client can observe an ack the replica does not hold. Re-run cmd/repro -exp E25 -json to refresh.",
 		Metrics: map[string]float64{

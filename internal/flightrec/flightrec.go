@@ -34,7 +34,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"anywheredb/internal/sqlparse"
 	"anywheredb/internal/telemetry"
 )
 
@@ -324,16 +323,17 @@ func (c *Collector) Access() *AccessTable { return c.access }
 // SpansRecorded reports the number of finished spans.
 func (c *Collector) SpansRecorded() int64 { return c.spans.Load() }
 
-// Begin opens a span for one statement. It returns nil when the recorder
-// is disabled; every downstream site must tolerate a nil span.
-func (c *Collector) Begin(sql string) *Span {
+// Begin opens a span for one statement: its text and the fingerprint its
+// preparation derived (the recorder never reads SQL). It returns nil when the
+// recorder is disabled; every downstream site must tolerate a nil span.
+func (c *Collector) Begin(sql, fingerprint string) *Span {
 	if !c.enabled.Load() {
 		return nil
 	}
 	sp := &Span{
 		Seq:         c.seq.Add(1),
 		SQL:         sql,
-		Fingerprint: sqlparse.Fingerprint(sql),
+		Fingerprint: fingerprint,
 		StartUS:     c.now(),
 	}
 	c.active.Add(1)

@@ -6,12 +6,18 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"anywheredb/internal/sqlparse"
 )
+
+// begin opens a span the way core does: the caller supplies the
+// fingerprint, the recorder never reads SQL.
+func begin(c *Collector, sql string) *Span { return c.Begin(sql, sqlparse.Fingerprint(sql)) }
 
 func TestSpanLifecycle(t *testing.T) {
 	var clock atomic.Int64
 	c := New(8, clock.Load)
-	sp := c.Begin("SELECT a FROM t WHERE b = 42")
+	sp := begin(c, "SELECT a FROM t WHERE b = 42")
 	if sp == nil {
 		t.Fatal("Begin returned nil with recorder enabled")
 	}
@@ -44,7 +50,7 @@ func TestSpanLifecycle(t *testing.T) {
 func TestDisabledRecorder(t *testing.T) {
 	c := New(8, nil)
 	c.SetEnabled(false)
-	if sp := c.Begin("SELECT 1"); sp != nil {
+	if sp := begin(c, "SELECT 1"); sp != nil {
 		t.Fatal("Begin returned a span while disabled")
 	}
 	c.Finish(nil, 0, 0, "") // must tolerate nil
@@ -56,7 +62,7 @@ func TestDisabledRecorder(t *testing.T) {
 func TestRingWrapKeepsNewest(t *testing.T) {
 	c := New(4, nil)
 	for i := 0; i < 10; i++ {
-		sp := c.Begin("SELECT 1")
+		sp := begin(c, "SELECT 1")
 		c.Finish(sp, int64(i), 0, "")
 	}
 	rec := c.Recent()
@@ -78,7 +84,7 @@ func TestDigestCollapsesLiterals(t *testing.T) {
 		"select A from T where B = 'x'",
 	}
 	for _, s := range stmts {
-		c.Finish(c.Begin(s), 10, 1, "")
+		c.Finish(begin(c, s), 10, 1, "")
 	}
 	ds := c.Digests().Snapshot()
 	if len(ds) != 1 {
@@ -133,7 +139,7 @@ func TestWaitsSnapshot(t *testing.T) {
 
 func TestTxnBinding(t *testing.T) {
 	c := New(8, nil)
-	sp := c.Begin("UPDATE t SET a = 1")
+	sp := begin(c, "UPDATE t SET a = 1")
 	c.BindTxn(7, sp)
 	if got := c.SpanOfTxn(7); got != sp {
 		t.Fatal("SpanOfTxn did not resolve")
@@ -141,7 +147,7 @@ func TestTxnBinding(t *testing.T) {
 	if got := c.SoleSpan(); got != sp {
 		t.Fatal("SoleSpan did not resolve the only live span")
 	}
-	sp2 := c.Begin("SELECT 1")
+	sp2 := begin(c, "SELECT 1")
 	if got := c.SoleSpan(); got != nil {
 		t.Fatal("SoleSpan resolved with two live spans")
 	}
@@ -155,7 +161,7 @@ func TestTxnBinding(t *testing.T) {
 
 func TestDump(t *testing.T) {
 	c := New(8, nil)
-	sp := c.Begin("SELECT a FROM t WHERE b = 9")
+	sp := begin(c, "SELECT a FROM t WHERE b = 9")
 	sp.AddWait(WaitBufferIO, 12)
 	c.Finish(sp, 34, 2, "")
 	c.ObserveWait(WaitBufferIO, 12)
@@ -212,7 +218,7 @@ func TestRingStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				clock.Add(1)
-				sp := c.Begin("SELECT a FROM t WHERE b = 1")
+				sp := begin(c, "SELECT a FROM t WHERE b = 1")
 				sp.AddPhase(PhaseExecute, int64(i))
 				sp.AddWait(WaitKind(i%int(NumWaitKinds)), int64(i))
 				c.ObserveWait(WaitKind(i%int(NumWaitKinds)), int64(i))

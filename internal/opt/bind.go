@@ -307,66 +307,19 @@ func (q *Query) analyze(e sqlparse.Expr) (*Conjunct, error) {
 	return cj, nil
 }
 
-// collectQuants walks an expression recording referenced quantifiers.
-func (q *Query) collectQuants(e sqlparse.Expr, out map[int]bool) error {
-	switch x := e.(type) {
-	case nil:
-		return nil
-	case *sqlparse.ColRef:
-		qi, _, err := q.binder.resolve(x)
-		if err != nil {
-			return err
-		}
-		out[qi] = true
-	case *sqlparse.Lit, *sqlparse.Param:
-	case *sqlparse.BinOp:
-		if err := q.collectQuants(x.L, out); err != nil {
-			return err
-		}
-		return q.collectQuants(x.R, out)
-	case *sqlparse.UnOp:
-		return q.collectQuants(x.E, out)
-	case *sqlparse.IsNull:
-		return q.collectQuants(x.E, out)
-	case *sqlparse.Between:
-		if err := q.collectQuants(x.E, out); err != nil {
-			return err
-		}
-		if err := q.collectQuants(x.Lo, out); err != nil {
-			return err
-		}
-		return q.collectQuants(x.Hi, out)
-	case *sqlparse.Like:
-		if err := q.collectQuants(x.E, out); err != nil {
-			return err
-		}
-		return q.collectQuants(x.Pattern, out)
-	case *sqlparse.InList:
-		if err := q.collectQuants(x.E, out); err != nil {
-			return err
-		}
-		for _, le := range x.List {
-			if err := q.collectQuants(le, out); err != nil {
-				return err
+// collectQuants records the quantifiers e references; of a subquery
+// predicate only the probe expression (correlation is detected at build time).
+func (q *Query) collectQuants(e sqlparse.Expr, out map[int]bool) (err error) {
+	sqlparse.WalkExpr(e, func(n sqlparse.Expr) bool {
+		if c, ok := n.(*sqlparse.ColRef); ok {
+			var qi int
+			if qi, _, err = q.binder.resolve(c); err == nil {
+				out[qi] = true
 			}
 		}
-	case *sqlparse.InSelect:
-		// Correlation is detected at build time; the outer reference set
-		// here covers only the probe expression.
-		return q.collectQuants(x.E, out)
-	case *sqlparse.Exists:
-		// Treated as a filter over its correlated quantifiers at build
-		// time; no outer columns directly.
-	case *sqlparse.FuncCall:
-		for _, a := range x.Args {
-			if err := q.collectQuants(a, out); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("opt: unsupported expression %T", e)
-	}
-	return nil
+		return err == nil
+	})
+	return err
 }
 
 // LocalConjunctsOf returns the local conjuncts of quantifier qi, excluding

@@ -963,52 +963,17 @@ func containsAggregate(e sqlparse.Expr) bool {
 
 var aggNames = map[string]bool{"COUNT": true, "SUM": true, "MIN": true, "MAX": true, "AVG": true}
 
-func walkAggregates(e sqlparse.Expr, fn func(*sqlparse.FuncCall) error) error {
-	switch x := e.(type) {
-	case *sqlparse.FuncCall:
-		if aggNames[x.Name] {
-			return fn(x)
+// walkAggregates calls fn for each aggregate call in e, outermost first
+// and without looking inside one, stopping at fn's first error.
+func walkAggregates(e sqlparse.Expr, fn func(*sqlparse.FuncCall) error) (err error) {
+	sqlparse.WalkExpr(e, func(n sqlparse.Expr) bool {
+		if fc, ok := n.(*sqlparse.FuncCall); ok && aggNames[fc.Name] && err == nil {
+			err = fn(fc)
+			return false
 		}
-		for _, a := range x.Args {
-			if err := walkAggregates(a, fn); err != nil {
-				return err
-			}
-		}
-	case *sqlparse.BinOp:
-		if err := walkAggregates(x.L, fn); err != nil {
-			return err
-		}
-		return walkAggregates(x.R, fn)
-	case *sqlparse.UnOp:
-		return walkAggregates(x.E, fn)
-	case *sqlparse.IsNull:
-		return walkAggregates(x.E, fn)
-	case *sqlparse.Between:
-		if err := walkAggregates(x.E, fn); err != nil {
-			return err
-		}
-		if err := walkAggregates(x.Lo, fn); err != nil {
-			return err
-		}
-		return walkAggregates(x.Hi, fn)
-	case *sqlparse.Like:
-		if err := walkAggregates(x.E, fn); err != nil {
-			return err
-		}
-		return walkAggregates(x.Pattern, fn)
-	case *sqlparse.InList:
-		if err := walkAggregates(x.E, fn); err != nil {
-			return err
-		}
-		for _, le := range x.List {
-			if err := walkAggregates(le, fn); err != nil {
-				return err
-			}
-		}
-	case *sqlparse.InSelect:
-		return walkAggregates(x.E, fn)
-	}
-	return nil
+		return err == nil
+	})
+	return err
 }
 
 // exprKey renders an expression canonically for matching group-by items

@@ -1,56 +1,30 @@
 package opt
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 )
 
-// PlanCache caches access plans for statements inside stored procedures,
-// user-defined functions, and triggers (§4.1). The engine re-optimizes
-// every statement at each invocation — except that a statement's plan is
-// cached, per connection on an LRU basis, once successive optimizations
-// during a training period produce identical plans. To keep cached plans
-// fresh, the statement is periodically re-verified at intervals taken from
-// a decaying logarithmic scale (the 2ᵏ-th uses); a verification mismatch
-// evicts the plan and restarts training.
-type PlanCache struct {
-	mu       sync.Mutex
-	capacity int
-	training int
-	entries  map[string]*cacheEntry
-	order    *list.List // LRU: front = most recent
+// planTraining is the number of identical consecutive optimizations after
+// which a statement's plan is cached.
+const planTraining = 3
 
-	hits, misses, verifications, invalidations uint64
-}
-
-type cacheEntry struct {
-	key        string
+// PlanSlot caches the access plan of one statement (§4.1). The engine
+// re-optimizes every statement at each invocation — except that a
+// statement's plan is cached once successive optimizations during a
+// training period produce identical plans. To keep the cached plan fresh,
+// the statement is re-verified at intervals taken from a decaying
+// logarithmic scale (the 2ᵏ-th uses); a mismatch drops the plan and
+// restarts training. The slot belongs to the statement object, shared by
+// every connection running that text; the zero value is untrained.
+type PlanSlot struct {
+	mu         sync.Mutex
 	sig        string
 	steps      []Step
 	trainCount int
 	cached     bool
 	uses       uint64
 	nextVerify uint64
-	elem       *list.Element
-}
-
-// NewPlanCache builds a cache holding up to capacity plans; training is
-// the number of identical consecutive optimizations required before a
-// plan is cached (default 3 when ≤ 0).
-func NewPlanCache(capacity, training int) *PlanCache {
-	if capacity <= 0 {
-		capacity = 32
-	}
-	if training <= 0 {
-		training = 3
-	}
-	return &PlanCache{
-		capacity: capacity,
-		training: training,
-		entries:  map[string]*cacheEntry{},
-		order:    list.New(),
-	}
 }
 
 // Signature renders a plan skeleton for identity comparison.
@@ -67,111 +41,59 @@ func Signature(steps []Step) string {
 }
 
 // Lookup checks for a cached plan. When hit is true, steps is the cached
-// skeleton; verify additionally asks the caller to re-optimize this time
-// and call Verify with the fresh result.
-func (c *PlanCache) Lookup(sql string) (steps []Step, hit, verify bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[sql]
-	if !ok || !e.cached {
-		c.misses++
+// skeleton (shared: read-only); verify additionally asks the caller to
+// re-optimize this time and call Verify with the fresh result.
+func (s *PlanSlot) Lookup() (steps []Step, hit, verify bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.cached {
 		return nil, false, false
 	}
-	c.order.MoveToFront(e.elem)
-	e.uses++
-	c.hits++
-	if e.uses >= e.nextVerify {
-		c.verifications++
-		return e.steps, true, true
-	}
-	return e.steps, true, false
+	s.uses++
+	return s.steps, true, s.uses >= s.nextVerify
 }
 
 // Offer records the result of an optimization. During training, identical
 // consecutive plans move the statement toward cached status; any change
 // restarts the count.
-func (c *PlanCache) Offer(sql string, steps []Step) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sig := Signature(steps)
-	e, ok := c.entries[sql]
-	if !ok {
-		c.evictIfFullLocked()
-		e = &cacheEntry{key: sql, sig: sig, steps: append([]Step(nil), steps...), trainCount: 1}
-		e.elem = c.order.PushFront(e)
-		c.entries[sql] = e
-		if e.trainCount >= c.training {
-			e.cached = true
-			e.nextVerify = 2
-		}
+func (s *PlanSlot) Offer(steps []Step) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if sig := Signature(steps); s.trainCount == 0 || s.sig != sig {
+		s.retrain(sig, steps)
 		return
 	}
-	c.order.MoveToFront(e.elem)
-	if e.sig != sig {
-		e.sig = sig
-		e.steps = append([]Step(nil), steps...)
-		e.trainCount = 1
-		e.cached = false
-		return
-	}
-	e.trainCount++
-	if !e.cached && e.trainCount >= c.training {
-		e.cached = true
-		e.uses = 0
-		e.nextVerify = 2
+	s.trainCount++
+	if !s.cached && s.trainCount >= planTraining {
+		s.cached = true
+		s.uses = 0
+		s.nextVerify = 2
 	}
 }
 
 // Verify reconciles a cached plan with a fresh optimization: a match
 // doubles the verification interval (decaying frequency on a logarithmic
-// scale); a mismatch invalidates the cached plan and restarts training.
-func (c *PlanCache) Verify(sql string, fresh []Step) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[sql]
-	if !ok {
+// scale); a mismatch drops the cached plan and restarts training.
+func (s *PlanSlot) Verify(fresh []Step) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if sig := Signature(fresh); sig != s.sig {
+		s.retrain(sig, fresh)
 		return false
 	}
-	if Signature(fresh) == e.sig {
-		e.nextVerify = e.uses * 2
-		if e.nextVerify <= e.uses {
-			e.nextVerify = e.uses + 1
-		}
-		return true
-	}
-	c.invalidations++
-	e.sig = Signature(fresh)
-	e.steps = append([]Step(nil), fresh...)
-	e.cached = false
-	e.trainCount = 1
-	return false
+	s.nextVerify = max(s.uses*2, s.uses+1)
+	return true
 }
 
-// Invalidate removes a statement from the cache (schema change, etc.).
-func (c *PlanCache) Invalidate(sql string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[sql]; ok {
-		c.order.Remove(e.elem)
-		delete(c.entries, sql)
-	}
+// Invalidate drops a plan whose join order no longer fits the catalog and
+// restarts training from the fresh optimization that found it so.
+func (s *PlanSlot) Invalidate(fresh []Step) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.retrain(Signature(fresh), fresh)
 }
 
-func (c *PlanCache) evictIfFullLocked() {
-	for len(c.entries) >= c.capacity {
-		back := c.order.Back()
-		if back == nil {
-			return
-		}
-		e := back.Value.(*cacheEntry)
-		c.order.Remove(back)
-		delete(c.entries, e.key)
-	}
-}
-
-// Stats reports cache activity.
-func (c *PlanCache) Stats() (hits, misses, verifications, invalidations uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.verifications, c.invalidations
+func (s *PlanSlot) retrain(sig string, steps []Step) {
+	s.sig, s.steps = sig, append([]Step(nil), steps...)
+	s.trainCount, s.cached = 1, false
 }

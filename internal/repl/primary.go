@@ -17,7 +17,6 @@ import (
 	"anywheredb/internal/flightrec"
 	"anywheredb/internal/server"
 	"anywheredb/internal/server/client"
-	"anywheredb/internal/sqlparse"
 	"anywheredb/internal/table"
 	"anywheredb/internal/telemetry"
 	"anywheredb/internal/val"
@@ -691,10 +690,10 @@ func (p *Primary) lagOf(rs *replicaState) uint64 {
 // RouteRead implements server.Options.RouteRead: forward a read-only
 // statement to the least-loaded caught-up replica. Anything that is not a
 // plain SELECT — or that touches local-only state (sys.* tables, PROPERTY)
-// — runs locally. Any forwarding failure falls back to local execution, so
-// routing never turns a healthy statement into an error.
-func (p *Primary) RouteRead(sql string, params []val.Value) (*server.RoutedResult, bool) {
-	if p.closed.Load() || !routableRead(sql) {
+// — runs locally (Stmt.Routable). Any forwarding failure falls back to
+// local execution, so routing never turns a healthy statement into an error.
+func (p *Primary) RouteRead(st *core.Stmt, params []val.Value) (*server.RoutedResult, bool) {
+	if p.closed.Load() || !st.Routable {
 		return nil, false
 	}
 	rs := p.pickReplica()
@@ -708,7 +707,7 @@ func (p *Primary) RouteRead(sql string, params []val.Value) (*server.RoutedResul
 		p.stFallback.Inc()
 		return nil, false
 	}
-	rows, err := cl.Query(sql, params...)
+	rows, err := cl.Query(st.Text, params...)
 	rs.releaseClient(cl, err == nil)
 	if err != nil {
 		p.stFallback.Inc()
@@ -716,21 +715,6 @@ func (p *Primary) RouteRead(sql string, params []val.Value) (*server.RoutedResul
 	}
 	p.stRouted.Inc()
 	return &server.RoutedResult{Cols: rows.Cols, Rows: rows.Data}, true
-}
-
-// routableRead accepts only plain SELECTs that read user tables: virtual
-// sys.* tables and PROPERTY() reflect this instance, not the replica.
-func routableRead(sql string) bool {
-	low := strings.ToLower(sql)
-	if strings.Contains(low, "sys.") || strings.Contains(low, "property(") {
-		return false
-	}
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return false
-	}
-	_, ok := stmt.(*sqlparse.Select)
-	return ok
 }
 
 // pickReplica chooses the routing target: among replicas that serve reads

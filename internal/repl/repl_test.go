@@ -390,7 +390,7 @@ func TestReadRoutingPicksReplicaAndFallsBack(t *testing.T) {
 	mustExec(t, c, "INSERT INTO kv VALUES (42)")
 
 	// Routing with no replicas: handled=false, statement runs locally.
-	if _, handled := p.RouteRead("SELECT k FROM kv", nil); handled {
+	if _, handled := p.RouteRead(db.Prepare("SELECT k FROM kv"), nil); handled {
 		t.Fatal("route with no replicas should fall through")
 	}
 
@@ -400,7 +400,7 @@ func TestReadRoutingPicksReplicaAndFallsBack(t *testing.T) {
 
 	waitRouted := time.Now().Add(5 * time.Second)
 	for {
-		if rr, handled := p.RouteRead("SELECT k FROM kv", nil); handled {
+		if rr, handled := p.RouteRead(db.Prepare("SELECT k FROM kv"), nil); handled {
 			if len(rr.Rows) != 1 || rr.Rows[0][0].I != 42 {
 				t.Fatalf("routed read returned %v", rr.Rows)
 			}
@@ -416,13 +416,13 @@ func TestReadRoutingPicksReplicaAndFallsBack(t *testing.T) {
 	}
 
 	// Writes and introspection never route.
-	if _, handled := p.RouteRead("INSERT INTO kv VALUES (1)", nil); handled {
+	if _, handled := p.RouteRead(db.Prepare("INSERT INTO kv VALUES (1)"), nil); handled {
 		t.Fatal("write statement routed")
 	}
-	if _, handled := p.RouteRead("SELECT * FROM sys.replicas", nil); handled {
+	if _, handled := p.RouteRead(db.Prepare("SELECT * FROM sys.replicas"), nil); handled {
 		t.Fatal("sys.* statement routed")
 	}
-	if _, handled := p.RouteRead("SELECT PROPERTY('CurrIO')", nil); handled {
+	if _, handled := p.RouteRead(db.Prepare("SELECT PROPERTY('CurrIO')"), nil); handled {
 		t.Fatal("PROPERTY statement routed")
 	}
 }
@@ -582,4 +582,82 @@ func TestReplicaSoakKillPrimary(t *testing.T) {
 		}
 	}
 	mustExec(t, nc, "INSERT INTO soak VALUES (-1, -1)")
+}
+
+// TestReadRoutingJudgesTheStatementNotItsText: over the wire, against a
+// primary with a caught-up replica, statements that read instance state
+// stay home however they are spelled — the old substring test let
+// "PROPERTY (" and "sys . properties" through, and never looked inside a CTE
+// or a subquery for anything but the letters — while a user-table query
+// whose literal merely mentions sys. is routed like any other.
+func TestReadRoutingJudgesTheStatementNotItsText(t *testing.T) {
+	db, p := startPrimary(t, PrimaryOptions{})
+	defer db.Close()
+	defer p.Close()
+	srv, err := server.Start(db, server.Options{RouteRead: p.RouteRead})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := client.Dial(srv.Addr().String(), client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, sql := range []string{"CREATE TABLE kv (k INT, s VARCHAR(20))", "INSERT INTO kv VALUES (1, 'sys.x'), (2, 'kv')"} {
+		if _, err := c.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	r := startReplica(t, p, "r1")
+	defer r.Stop()
+	waitRows(t, r.DB(), "SELECT k FROM kv", 2)
+
+	routed := func() int64 { v, _ := db.Telemetry().Value("repl.reads_routed"); return v }
+	query := func(sql string) [][]val.Value {
+		t.Helper()
+		rows, err := c.Query(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return rows.Data
+	}
+	for deadline := time.Now().Add(5 * time.Second); routed() == 0; {
+		query("SELECT k FROM kv")
+		if time.Now().After(deadline) {
+			t.Fatal("no read was ever routed to the caught-up replica")
+		}
+	}
+
+	// The first four are answered with the primary's own repl.reads_routed (a
+	// replica routes nothing: its answer would be 0); the last counts the row
+	// whose s names a table.
+	for i, sql := range []string{
+		"SELECT PROPERTY ('repl.reads_routed')",
+		"SELECT value FROM sys . properties WHERE name = 'repl.reads_routed'",
+		"WITH p (n, v) AS (SELECT name, value FROM sys.properties) SELECT v FROM p WHERE n = 'repl.reads_routed'",
+		"SELECT value FROM sys.properties WHERE name = 'repl.reads_routed' AND 'kv' IN (SELECT s FROM kv, sys.tables)",
+		"SELECT COUNT(*) FROM kv WHERE s IN (SELECT name FROM sys.tables)",
+	} {
+		before := routed()
+		want := before
+		if i == 4 {
+			want = 1
+		}
+		got := query(sql)
+		if n := routed() - before; n != 0 {
+			t.Errorf("%q was answered by the replica", sql)
+		}
+		if len(got) != 1 || got[0][0].I != want {
+			t.Errorf("%q = %v, want %d", sql, got, want)
+		}
+	}
+
+	before := routed()
+	if got := query("SELECT k FROM kv WHERE s = 'sys.x'"); len(got) != 1 || got[0][0].I != 1 {
+		t.Errorf("literal 'sys.x': %v", got)
+	}
+	if n := routed() - before; n != 1 {
+		t.Errorf("a user-table query with 'sys.x' in a literal was routed %d times, want 1", n)
+	}
 }

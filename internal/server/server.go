@@ -51,7 +51,7 @@ type Options struct {
 	// this instance spending an admission slot or an executor on it. A
 	// handled=false return runs the statement locally, so a router that
 	// cannot place a statement degrades to normal service, never an error.
-	RouteRead func(sql string, params []val.Value) (*RoutedResult, bool)
+	RouteRead func(st *core.Stmt, params []val.Value) (*RoutedResult, bool)
 }
 
 // RoutedResult is a statement result produced by an external read router
@@ -207,7 +207,7 @@ type srvConn struct {
 	name     string        // client-reported name
 	started  time.Time
 
-	stmts    map[uint64]string // prepared statements
+	stmts    map[uint64]*core.Stmt // prepared statements
 	nextStmt uint64
 
 	curMu  sync.Mutex
@@ -216,7 +216,7 @@ type srvConn struct {
 	state atomic.Int32
 	nRun  atomic.Int64
 	bytes atomic.Int64
-	fp    atomic.Value // string: fingerprint of the current / last statement
+	fp    atomic.Value // string: Stmt.Fingerprint of the current / last statement
 }
 
 func (c *srvConn) cancelCurrent() {
@@ -238,7 +238,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		br:      bufio.NewReaderSize(nc, s.opts.BufSize),
 		bw:      bufio.NewWriterSize(nc, s.opts.BufSize),
 		started: time.Now(),
-		stmts:   map[uint64]string{},
+		stmts:   map[uint64]*core.Stmt{},
 	}
 	c.fp.Store("")
 
@@ -354,8 +354,9 @@ func (s *Server) serveConn(nc net.Conn) {
 				c.flush()
 				return
 			}
+			// Read once, here; a parse error surfaces when the handle runs.
 			c.nextStmt++
-			c.stmts[c.nextStmt] = sql
+			c.stmts[c.nextStmt] = s.db.Prepare(sql)
 			if c.send(msgPrepareOK, AppendUvarint(nil, c.nextStmt)) != nil || c.flush() != nil {
 				return
 			}
@@ -393,17 +394,14 @@ func (s *Server) serveConn(nc net.Conn) {
 // is connection-fatal (a write failed or the client is too slow).
 func (c *srvConn) runStatement(m execMsg) error {
 	s := c.s
-	sql := m.SQL
-	if m.StmtID != 0 {
-		var ok bool
-		sql, ok = c.stmts[m.StmtID]
-		if !ok {
-			err := c.sendErr(codeProtocol, fmt.Sprintf("unknown statement id %d", m.StmtID))
-			if err != nil {
-				return err
-			}
-			return c.finish()
+	st := c.stmts[m.StmtID]
+	if m.StmtID == 0 {
+		st = s.db.Prepare(m.SQL) // ad hoc: the same read a prepare does
+	} else if st == nil {
+		if err := c.sendErr(codeProtocol, fmt.Sprintf("unknown statement id %d", m.StmtID)); err != nil {
+			return err
 		}
+		return c.finish()
 	}
 
 	// The drain check and the in-flight registration are one atomic step
@@ -438,14 +436,14 @@ func (c *srvConn) runStatement(m execMsg) error {
 		cancel()
 	}()
 
-	c.fp.Store(fingerprint(sql))
+	c.fp.Store(st.Fingerprint)
 
 	// Read routing, ahead of admission: a statement the router can serve on
 	// a replica never competes for this instance's admission width. Only
 	// statements outside an explicit transaction are offered — an open
 	// transaction's snapshot lives here.
 	if rt := s.opts.RouteRead; rt != nil && !c.core.InTxn() {
-		if rr, handled := rt(sql, m.Params); handled {
+		if rr, handled := rt(st, m.Params); handled {
 			s.stStmts.Inc()
 			c.nRun.Add(1)
 			return c.streamResult(rr.Cols, rr.Rows, rr.RowsAffected)
@@ -477,7 +475,7 @@ func (c *srvConn) runStatement(m execMsg) error {
 	}
 
 	start := time.Now()
-	res, rows, err := c.core.RunContext(ctx, sql, m.Params...)
+	res, rows, err := c.core.Run(ctx, st, m.Params)
 	latUS := time.Since(start).Microseconds()
 	if release != nil {
 		release(latUS)
@@ -553,16 +551,6 @@ func classify(err error) (code byte, retryable bool) {
 	default:
 		return codeError, false
 	}
-}
-
-// fingerprint compresses a statement for sys.connections: its head,
-// whitespace-normalized enough for eyeballing.
-func fingerprint(sql string) string {
-	const max = 48
-	if len(sql) > max {
-		return sql[:max] + "…"
-	}
-	return sql
 }
 
 func (c *srvConn) send(typ byte, payload []byte) error {

@@ -3,12 +3,15 @@ package server_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"anywheredb/internal/core"
+	"anywheredb/internal/flightrec"
 	"anywheredb/internal/server"
 	"anywheredb/internal/server/client"
 	"anywheredb/internal/val"
@@ -336,7 +339,7 @@ func TestServerDrain(t *testing.T) {
 		}
 		running := false
 		for _, r := range rows.All() {
-			running = running || strings.HasPrefix(q, strings.TrimSuffix(r[0].S, "…"))
+			running = running || r[0].S == db.Prepare(q).Fingerprint
 		}
 		if running {
 			break
@@ -552,5 +555,129 @@ func TestServerManySequentialConnections(t *testing.T) {
 	}
 	if rows.Data[0][0].I != 50 {
 		t.Fatalf("count = %v, want 50", rows.Data[0][0])
+	}
+}
+
+// TestServerReadsStatementTextOnce: a statement prepared once and executed
+// a thousand times, and the same text sent ad hoc a thousand times, are
+// each read exactly once — msgPrepare and ad-hoc msgExec go through the same
+// DB.Prepare — and only the first execution's span carries a parse phase.
+func TestServerReadsStatementTextOnce(t *testing.T) {
+	// Long enough that reading it takes whole microseconds.
+	var sb strings.Builder
+	sb.WriteString("select count(*) from p where a >= ? and a not in (1000")
+	for i := 1001; i < 1400; i++ {
+		fmt.Fprintf(&sb, ", %d", i)
+	}
+	sb.WriteString(")")
+	text := sb.String()
+
+	for _, arm := range []string{"prepared", "ad hoc"} {
+		t.Run(arm, func(t *testing.T) {
+			db, srv := startServer(t, core.Options{}, server.Options{})
+			c := dial(t, srv, client.Options{})
+			mustExec(t, c, "create table p (a int)")
+			mustExec(t, c, "insert into p values (0), (1), (2), (3), (4), (5), (6), (7), (8), (9)")
+
+			parses, spans := counterVal(db, "sqlparse.parses"), db.FlightRecorder().SpansRecorded()
+			query := func(p val.Value) (*client.Rows, error) { return c.Query(text, p) }
+			if arm == "prepared" {
+				st, err := c.Prepare(text)
+				if err != nil {
+					t.Fatal(err)
+				}
+				query = func(p val.Value) (*client.Rows, error) { return st.Query(p) }
+				if n := db.FlightRecorder().SpansRecorded() - spans; n != 0 {
+					t.Errorf("a prepare opened %d spans", n)
+				}
+			}
+			var firstParseUS int64
+			for i := 0; i < 1000; i++ {
+				rows, err := query(val.NewInt(int64(i % 10)))
+				if err != nil || rows.Data[0][0].I != int64(10-i%10) {
+					t.Fatalf("execution %d: %v, %v", i, rows, err)
+				}
+				if i == 0 {
+					recent := db.FlightRecorder().Recent()
+					firstParseUS = recent[len(recent)-1].PhaseUS(flightrec.PhaseParse)
+				}
+			}
+			if n := counterVal(db, "sqlparse.parses") - parses; n != 1 {
+				t.Errorf("1000 executions read the text %d times, want 1", n)
+			}
+			if n := db.FlightRecorder().SpansRecorded() - spans; n != 1000 {
+				t.Errorf("1000 executions recorded %d spans", n)
+			}
+			if firstParseUS <= 0 {
+				t.Errorf("the first execution's parse phase is %d us", firstParseUS)
+			}
+			for _, sp := range db.FlightRecorder().Recent() {
+				if sp.SQL != text {
+					t.Fatalf("unexpected span %q", sp.SQL)
+				}
+				if us := sp.PhaseUS(flightrec.PhaseParse); us != 0 {
+					t.Errorf("span %d: parse phase %d us on a later execution", sp.Seq, us)
+				}
+			}
+		})
+	}
+}
+
+// TestServerPreparedHandleOutlivesEviction: a handle the server holds is
+// the statement itself, not a key into the statement table, so it keeps
+// running after the table has evicted its text.
+func TestServerPreparedHandleOutlivesEviction(t *testing.T) {
+	db, srv := startServer(t, core.Options{}, server.Options{})
+	c := dial(t, srv, client.Options{})
+	mustExec(t, c, "create table p (a int)")
+	mustExec(t, c, "insert into p values (1), (2), (3)")
+	st, err := c.Prepare("select count(*) from p where a >= ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := db.Prepare("select count(*) from p where a >= ?")
+	for i := 0; counterVal(db, "core.stmt_cache.evictions") == 0 || db.Prepare(held.Text) == held; i++ {
+		db.Prepare(fmt.Sprintf("select %d, '%s'", i, strings.Repeat("x", 4000)))
+		if i > 1000 {
+			t.Fatal("the statement table never evicted the prepared text")
+		}
+	}
+	rows, err := st.Query(val.NewInt(2))
+	if err != nil || rows.Data[0][0].I != 2 {
+		t.Fatalf("evicted handle: %v, %v", rows, err)
+	}
+	// A text that does not parse prepares fine and fails when executed, with
+	// the parser's error, exactly as it does ad hoc.
+	bad, err := c.Prepare("select from where")
+	if err != nil {
+		t.Fatalf("prepare of malformed text: %v", err)
+	}
+	_, adhocErr := c.Query("select from where")
+	if _, err := bad.Query(); err == nil || adhocErr == nil || err.Error() != adhocErr.Error() {
+		t.Errorf("malformed handle: %v; ad hoc: %v", err, adhocErr)
+	}
+}
+
+// TestSysConnectionsFingerprintJoinsSysStatements: sys.connections shows the
+// running statement by the same fingerprint sys.statements aggregates on —
+// no literal values, no multi-byte rune cut in half — so the two join.
+func TestSysConnectionsFingerprintJoinsSysStatements(t *testing.T) {
+	db, srv := startServer(t, core.Options{}, server.Options{})
+	c := dial(t, srv, client.Options{})
+	const q = "select c.fingerprint, s.calls from sys.connections c, sys.statements s " +
+		"where c.fingerprint = s.fingerprint and c.state = 'active' and 'héllo wörld, ünïcode all the way past forty-eight bytes' <> 'x' and 12345 = 12345"
+	var rows *client.Rows
+	for i := 0; i < 2; i++ { // the first run files the digest row the second joins to
+		var err error
+		if rows, err = c.Query(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(rows.Data) != 1 || rows.Data[0][1].I != 1 {
+		t.Fatalf("join of the running statement with its own digest: %v", rows.Data)
+	}
+	fp := rows.Data[0][0].S
+	if fp != db.Prepare(q).Fingerprint || !utf8.ValidString(fp) || strings.Contains(fp, "llo") || strings.Contains(fp, "12345") {
+		t.Errorf("sys.connections.fingerprint = %q, want %q", fp, db.Prepare(q).Fingerprint)
 	}
 }

@@ -98,7 +98,8 @@ type Explain struct {
 	Analyze bool
 	Stmt    Statement
 	// Text is the source text of Stmt: what the bare statement would have
-	// been submitted as, so EXPLAIN can consult the same plan-cache entry.
+	// been submitted as, so EXPLAIN can find that statement's object — and
+	// with it its cached plan — in the statement table.
 	Text string
 }
 
@@ -115,6 +116,42 @@ func Writes(stmt Statement) bool {
 		return s.Analyze && Writes(s.Stmt)
 	}
 	return false
+}
+
+// WalkExpr visits e and — where visit returns true — its operands, depth
+// first. It stays within one query block: the operand of an IN (SELECT ...)
+// is visited, the subquery itself, like that of an EXISTS, is not entered.
+func WalkExpr(e Expr, visit func(Expr) bool) {
+	if e == nil || !visit(e) {
+		return
+	}
+	switch x := e.(type) {
+	case *BinOp:
+		WalkExpr(x.L, visit)
+		WalkExpr(x.R, visit)
+	case *UnOp:
+		WalkExpr(x.E, visit)
+	case *IsNull:
+		WalkExpr(x.E, visit)
+	case *Between:
+		WalkExpr(x.E, visit)
+		WalkExpr(x.Lo, visit)
+		WalkExpr(x.Hi, visit)
+	case *Like:
+		WalkExpr(x.E, visit)
+		WalkExpr(x.Pattern, visit)
+	case *InList:
+		WalkExpr(x.E, visit)
+		for _, v := range x.List {
+			WalkExpr(v, visit)
+		}
+	case *InSelect:
+		WalkExpr(x.E, visit)
+	case *FuncCall:
+		for _, a := range x.Args {
+			WalkExpr(a, visit)
+		}
+	}
 }
 
 // SelectItem is one projection: an expression with an optional alias, or *.
@@ -152,6 +189,11 @@ type Select struct {
 	Limit    int64 // -1 = none
 	Union    *Select
 	UnionAll bool
+	// InstanceState, on a SELECT statement's outermost block: the statement
+	// reads state of the instance running it, not of the database — a sys.*
+	// table or a PROPERTY() call, anywhere in its blocks, CTEs and
+	// subqueries — so a read replica would answer with its own values.
+	InstanceState bool
 }
 
 func (*CreateTable) stmtNode()      {}

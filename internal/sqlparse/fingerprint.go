@@ -19,10 +19,18 @@ import "strings"
 func Fingerprint(sql string) string {
 	toks, err := lex(sql)
 	if err != nil {
-		return strings.Join(strings.Fields(strings.ToLower(sql)), " ")
+		return fallbackFingerprint(sql)
 	}
+	return fingerprintTokens(toks)
+}
+
+func fallbackFingerprint(sql string) string {
+	return strings.Join(strings.Fields(strings.ToLower(sql)), " ")
+}
+
+func fingerprintTokens(toks []token) string {
 	var sb strings.Builder
-	sb.Grow(len(sql))
+	sb.Grow(toks[len(toks)-1].pos) // the EOF token's: the source's length
 	for _, t := range toks {
 		if t.kind == tokEOF {
 			break

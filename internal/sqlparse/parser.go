@@ -34,6 +34,22 @@ func Parse(src string) (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
+	return parseTokens(toks, src)
+}
+
+// Prepare reads a statement's text once: one lexer pass feeds the parser and
+// the fingerprint. stmt and err are Parse(src)'s, fingerprint is
+// Fingerprint(src) — for text that does not lex, the fallback one.
+func Prepare(src string) (stmt Statement, fingerprint string, err error) {
+	toks, err := lex(src)
+	if err != nil {
+		return nil, fallbackFingerprint(src), err
+	}
+	stmt, err = parseTokens(toks, src)
+	return stmt, fingerprintTokens(toks), err
+}
+
+func parseTokens(toks []token, src string) (Statement, error) {
 	p := &parser{toks: toks, src: src}
 	stmt, err := p.parseStatement()
 	if err != nil {
@@ -42,6 +58,9 @@ func Parse(src string) (Statement, error) {
 	p.accept(tokOp, ";")
 	if !p.at(tokEOF, "") {
 		return nil, p.errf("unexpected %q after statement", p.cur().text)
+	}
+	if sel, ok := stmt.(*Select); ok {
+		sel.InstanceState = p.instanceState
 	}
 	return stmt, nil
 }
@@ -54,6 +73,8 @@ type parser struct {
 	params int
 	// subqueries counts IN (SELECT ...) and EXISTS (...) predicates seen.
 	subqueries int
+	// instanceState: a sys.* table or PROPERTY() call seen (Select.InstanceState).
+	instanceState bool
 }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
@@ -650,6 +671,7 @@ func (p *parser) parseTableRef() (FromItem, error) {
 		if err != nil {
 			return nil, err
 		}
+		p.instanceState = p.instanceState || strings.EqualFold(name, "sys")
 		name = name + "." + second
 	}
 	bt := &BaseTable{Name: name}
@@ -928,6 +950,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		// Function call?
 		if p.accept(tokOp, "(") {
 			fc := &FuncCall{Name: strings.ToUpper(name)}
+			p.instanceState = p.instanceState || fc.Name == "PROPERTY"
 			if p.accept(tokOp, "*") {
 				fc.Star = true
 			} else if !p.at(tokOp, ")") {

@@ -31,6 +31,9 @@ type diffQuery struct {
 	// dml: compare RowsAffected instead of a result set.
 	dml    bool
 	params []val.Value
+	// shape is an operator label EXPLAIN ANALYZE must show: the statement is
+	// in the corpus to run through that operator.
+	shape string
 	// same is an independently compiled statement that must return the same
 	// rows: an aggregated expression is checked against the same expression
 	// over a pre-aggregated CTE, where it is an ordinary scalar.
@@ -47,11 +50,15 @@ var diffWorkload = []diffQuery{
 	{sql: "SELECT eid FROM emp WHERE did = 3 AND eid < 150"},
 	// Projection expressions.
 	{sql: "SELECT eid, salary * 2, ename FROM emp WHERE eid < 50"},
-	// Hash join, index-nested-loop join (emp_pk), and a three-way join.
-	{sql: "SELECT ename, dname FROM emp, dept WHERE emp.did = dept.did AND salary < 1050"},
-	{sql: "SELECT ename FROM emp, dept WHERE emp.did = dept.did AND eid = 77"},
+	// Hash join, nested-loop join, and a three-way join.
+	{sql: "SELECT ename, dname FROM emp, dept WHERE emp.did = dept.did AND salary < 1050", shape: "HashJoin|"},
+	{sql: "SELECT ename FROM emp, dept WHERE emp.did = dept.did AND eid = 77", shape: "NestedLoopJoin|"},
 	{sql: "SELECT e.ename, d.dname, b.tag FROM emp e, dept d, badge b " +
 		"WHERE e.did = d.did AND e.eid = b.eid AND b.tag = 'gold'"},
+	// Index-nested-loop join, planned; and chosen at run time by a hash join
+	// whose build side (eid + 0 defeats the histogram) turns out small.
+	{sql: "SELECT b.tag, e.ename FROM badge b, emp e WHERE b.eid = e.eid AND b.eid < 5", shape: "IndexNLJoin(emp.emp_pk)|"},
+	{sql: "SELECT b.tag, e.ename FROM badge b, emp e WHERE b.eid = e.eid AND b.eid + 0 < 5", shape: "HashJoin[->INL]|"},
 	// Left outer join through explicit JOIN syntax.
 	{sql: "SELECT d.dname, b.tag FROM dept d LEFT OUTER JOIN badge b ON d.did = b.eid"},
 	// Aggregation, grouping, HAVING.
@@ -223,6 +230,9 @@ func TestDifferentialRowVsBatch(t *testing.T) {
 			continue
 		}
 		wantEx := renderExplain(mustQuery(t, base.c, "EXPLAIN ANALYZE "+q.sql, q.params...))
+		if plan := strings.Join(wantEx, "\n"); !strings.Contains(plan, q.shape) {
+			t.Errorf("%q does not run through %s:\n%s", q.sql, q.shape, plan)
+		}
 		for _, e := range engines[1:] {
 			gotEx := renderExplain(mustQuery(t, e.c, "EXPLAIN ANALYZE "+q.sql, q.params...))
 			diffCompare(t, diffQuery{sql: "EXPLAIN ANALYZE " + q.sql}, e.name, gotEx, wantEx)
@@ -271,6 +281,45 @@ func TestDifferentialLockingVsSnapshot(t *testing.T) {
 		gotEx := renderExplain(mustQuery(t, sc, "EXPLAIN ANALYZE "+q.sql, q.params...))
 		diffCompare(t, diffQuery{sql: "EXPLAIN ANALYZE " + q.sql}, "snapshot-reads", gotEx, wantEx)
 	}
+
+	// The same queries beside an open writer: while a transaction holds
+	// uncommitted changes of every kind to every table, a snapshot read
+	// returns what it returned before the transaction began.
+	var before [][]string
+	for _, q := range diffWorkload {
+		if !q.dml {
+			before = append(before, renderRows(mustQuery(t, sc, q.sql, q.params...), q.ordered))
+		}
+	}
+	w := conn(t, snapDB)
+	mustExec(t, w, "BEGIN")
+	for _, dirty := range []string{
+		"UPDATE emp SET salary = salary + 1000, ename = 'dirty' WHERE did = 1",
+		"DELETE FROM emp WHERE eid < 20",
+		"UPDATE emp SET eid = eid + 10000, did = 4 WHERE did = 3",
+		"INSERT INTO emp VALUES (4, 'dirty', 2, 9000.5), (950, 'dirty', 0, 1.5)",
+		"UPDATE dept SET dname = 'dirty' WHERE did = 2",
+		"DELETE FROM dept WHERE did = 4",
+		"UPDATE dept SET did = 77 WHERE did = 0",
+		"INSERT INTO dept VALUES (3, 'dirty')",
+		"UPDATE badge SET tag = 'gold' WHERE tag = 'silver'",
+		"DELETE FROM badge WHERE eid = 0",
+		"UPDATE badge SET eid = eid + 1 WHERE eid > 100",
+		"INSERT INTO badge VALUES (2, 'gold'), (3, 'dirty')",
+	} {
+		if res := mustExec(t, w, dirty); res.RowsAffected == 0 {
+			t.Fatalf("%q changed nothing", dirty)
+		}
+	}
+	for _, q := range diffWorkload {
+		if q.dml {
+			continue
+		}
+		got := renderRows(mustQuery(t, sc, q.sql, q.params...), q.ordered)
+		diffCompare(t, q, "beside an open writer", got, before[0])
+		before = before[1:]
+	}
+	mustExec(t, w, "ROLLBACK")
 
 	// The same queries inside explicit transactions: BEGIN on the locking
 	// engine (repeatable reads via 2PL) vs BEGIN READ ONLY on the snapshot

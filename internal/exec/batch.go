@@ -228,46 +228,6 @@ func testCmpColConst(c Cmp, idx int, k val.Value, in []Row, dst []Bool3) ([]Bool
 	return dst, true, nil
 }
 
-// --- Row adapter -----------------------------------------------------------
-
-// RowIterator adapts a batch operator to row-at-a-time iteration for the
-// few call sites that genuinely need one row per step (cursors over
-// partial results, differential tests, row-path benchmarks). It is the
-// only sanctioned way to drive an operator per-row; everything inside the
-// engine exchanges batches.
-type RowIterator struct {
-	Op Operator
-
-	buf Batch
-	pos int
-}
-
-// Open opens the underlying operator.
-func (it *RowIterator) Open(ctx *Ctx) error {
-	it.buf.Reset()
-	it.pos = 0
-	return it.Op.Open(ctx)
-}
-
-// Next returns the next row, or (nil, nil) at end of input.
-func (it *RowIterator) Next(ctx *Ctx) (Row, error) {
-	for it.pos >= it.buf.Len() {
-		if err := it.Op.NextBatch(ctx, &it.buf); err != nil {
-			return nil, err
-		}
-		it.pos = 0
-		if it.buf.Len() == 0 {
-			return nil, nil
-		}
-	}
-	r := it.buf.Rows[it.pos]
-	it.pos++
-	return r, nil
-}
-
-// Close closes the underlying operator.
-func (it *RowIterator) Close(ctx *Ctx) error { return it.Op.Close(ctx) }
-
 // Drain runs an operator to completion, returning all rows.
 func Drain(ctx *Ctx, op Operator) ([]Row, error) {
 	var out []Row

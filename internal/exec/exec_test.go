@@ -299,7 +299,7 @@ func TestHashJoinINLLeftOuter(t *testing.T) {
 	ctx, _ := testCtx(t, 256)
 	inner := mkTable(t, ctx, "inner2", 100, 100)
 	ix, _ := inner.AddIndex(902, "by_id2", []int{0}, false)
-	left := rowsOp(intRow(5), intRow(5000))
+	left := rowsOp(intRow(5000), Row{val.Null}, intRow(5), intRow(7))
 	j := &HashJoin{
 		Left: left, Right: &TableScan{Table: inner},
 		LeftKeys: []Expr{Col{0}}, RightKeys: []Expr{Col{0}},
@@ -308,17 +308,14 @@ func TestHashJoinINLLeftOuter(t *testing.T) {
 		Alt:             &IndexAlt{Table: inner, Index: ix},
 	}
 	rows := drain(t, ctx, j)
-	if j.Mode() != "inl" || len(rows) != 2 {
+	if j.Mode() != "inl" || len(rows) != 4 {
 		t.Fatalf("mode=%s rows=%d", j.Mode(), len(rows))
 	}
-	foundPad := false
-	for _, r := range rows {
-		if r[0].I == 5000 && r[1].IsNull() {
-			foundPad = true
+	// Build order, with the unmatched and the NULL-keyed row padded.
+	for i, want := range []string{"[5000 NULL NULL NULL]", "[NULL NULL NULL NULL]", "[5 5 5 inner2-5]", "[7 7 7 inner2-7]"} {
+		if got := fmt.Sprint(rows[i]); got != want {
+			t.Errorf("row %d: %s, want %s", i, got, want)
 		}
-	}
-	if !foundPad {
-		t.Fatal("unmatched outer row not padded in INL mode")
 	}
 }
 

@@ -65,7 +65,7 @@ type HashJoin struct {
 	leftWidth  int
 	registered bool
 	ctx        *Ctx
-	inl        *inlState
+	inl        *IndexNLJoin // the alternate strategy, once switched to
 	// accounted tracks heap pages charged to the governor. The heap itself
 	// is unaccounted (task=nil) because governor callbacks can re-enter
 	// this operator; charging happens at safe points via syncMem.
@@ -186,6 +186,7 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 	j.probeDone = false
 	j.spillQueue = nil
 	j.spillCount = 0
+	j.inl = nil
 	j.ctx = ctx
 	if ctx.Task != nil && !j.registered {
 		ctx.Task.Register(j, j.Depth)
@@ -228,8 +229,7 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 	// optimizer annotated an alternate index strategy and the build turned
 	// out small enough, use index nested loops instead of probing.
 	if j.Alt != nil && j.buildRows <= j.INLMaxBuildRows && j.SpilledPartitions() == 0 {
-		j.mode = "inl"
-		return nil
+		return j.switchToINL(ctx)
 	}
 	j.rightOpen = true
 	if err := j.Right.Open(ctx); err != nil {
@@ -391,8 +391,8 @@ func (j *HashJoin) popEmitQ(out *Batch, target int) {
 }
 
 func (j *HashJoin) NextBatch(ctx *Ctx, out *Batch) error {
-	if j.mode == "inl" {
-		return j.nextINLBatch(ctx, out)
+	if j.inl != nil {
+		return j.inl.NextBatch(ctx, out)
 	}
 	out.Reset()
 	target := ctx.BatchSize()
@@ -652,97 +652,37 @@ func (j *HashJoin) emitUnmatched(ctx *Ctx) error {
 	return nil
 }
 
-// nextINLBatch drives the alternate index-nested-loops strategy: the build
-// rows (already in the heap) become the outer side, probing the index.
-func (j *HashJoin) nextINLBatch(ctx *Ctx, out *Batch) error {
-	out.Reset()
-	if j.inl == nil {
-		j.inl = &inlState{}
-		// Collect build rows from the heap in insertion order.
-		for _, p := range j.parts {
-			for _, refs := range p.ht {
-				for _, br := range refs {
-					b, err := j.h.Row(br.ref)
-					if err != nil {
-						return err
-					}
-					row, err := val.DecodeRow(b)
-					if err != nil {
-						return err
-					}
-					j.inl.outer = append(j.inl.outer, row)
-				}
-			}
-		}
-	}
-	s := j.inl
-	target := ctx.BatchSize()
-	charged := 0
-	defer func() { ctx.ChargeRows(charged) }()
-	for {
-		for s.qpos < len(s.queue) && out.Len() < target {
-			out.Add(s.queue[s.qpos])
-			s.qpos++
-		}
-		if s.qpos >= len(s.queue) {
-			s.queue = s.queue[:0]
-			s.qpos = 0
-		}
-		if out.Len() >= target || s.pos >= len(s.outer) {
-			return nil
-		}
-		orow := s.outer[s.pos]
-		s.pos++
-		keys, ok, err := evalKeys(j.LeftKeys, orow)
-		if err != nil {
-			return err
-		}
-		matched := false
-		if ok {
-			key := val.EncodeKey(keys)
-			it, err := j.Alt.Index.Tree.Seek(key)
-			if err != nil {
-				return err
-			}
-			for ; it.Valid() && hasPrefix(it.Key(), key); it.Next() {
-				rid := table.RIDFromBytes(it.Value())
-				irow, err := j.Alt.Table.Get(rid)
+// switchToINL abandons the hash table for the alternate strategy: the build
+// rows, in build order, become the outer side of an index-nested-loops join.
+func (j *HashJoin) switchToINL(ctx *Ctx) error {
+	outer := make([]Row, j.buildRows)
+	for _, p := range j.parts {
+		for _, refs := range p.ht {
+			for _, br := range refs {
+				b, err := j.h.Row(br.ref)
 				if err != nil {
-					it.Close()
 					return err
 				}
-				o := concatRows(orow, irow)
-				if j.Alt.Pred != nil {
-					v, err := j.Alt.Pred.Test(o)
-					if err != nil {
-						it.Close()
-						return err
-					}
-					if v != True {
-						continue
-					}
+				if outer[br.idx], err = val.DecodeRow(b); err != nil {
+					return err
 				}
-				matched = true
-				s.queue = append(s.queue, o)
 			}
-			if err := it.Err(); err != nil {
-				it.Close()
-				return err
-			}
-			it.Close()
 		}
-		if !matched && j.LeftOuter {
-			s.queue = append(s.queue, padRight(orow, j.RightWidth))
-		}
-		charged++
 	}
-}
-
-type inlState struct {
-	outer []Row
-	pos   int
-	queue []Row
-	qpos  int
+	// A build row with a NULL key was stored only if the join preserves it.
+	kept := outer[:0]
+	for _, row := range outer {
+		if row != nil {
+			kept = append(kept, row)
+		}
+	}
+	j.mode = "inl"
+	j.inl = &IndexNLJoin{
+		Left: &Materialized{RowsData: kept}, LeftKeys: j.LeftKeys,
+		Table: j.Alt.Table, Index: j.Alt.Index, Pred: j.Alt.Pred,
+		LeftOuter: j.LeftOuter, RightWidth: j.RightWidth,
+	}
+	return j.inl.Open(ctx)
 }
 
 func (j *HashJoin) Close(ctx *Ctx) error {
@@ -765,10 +705,15 @@ func (j *HashJoin) Close(ctx *Ctx) error {
 		}
 	}
 	j.parts = nil
-	j.inl = nil
 	var first error
+	if j.inl != nil {
+		first = j.inl.Close(ctx)
+		j.inl = nil
+	}
 	if j.leftOpen {
-		first = j.Left.Close(ctx)
+		if err := j.Left.Close(ctx); err != nil && first == nil {
+			first = err
+		}
 		j.leftOpen = false
 	}
 	if j.rightOpen {
@@ -864,7 +809,8 @@ func (n *NestedLoopJoin) Close(ctx *Ctx) error {
 }
 
 // IndexNLJoin probes an index on the right table for each left row (the
-// static index-nested-loops join method).
+// static index-nested-loops join method, and what a HashJoin becomes when
+// it switches strategy).
 type IndexNLJoin struct {
 	Left       Operator
 	LeftKeys   []Expr
@@ -874,17 +820,16 @@ type IndexNLJoin struct {
 	LeftOuter  bool
 	RightWidth int
 
-	queue []Row
-	qpos  int
-	in    Batch
-	ipos  int
-	eof   bool
+	queue  []Row
+	qpos   int
+	in     Batch
+	ranges []keyRange
+	hits   []indexHit
+	eof    bool
 }
 
 func (n *IndexNLJoin) Open(ctx *Ctx) error {
 	n.queue, n.qpos = nil, 0
-	n.in.Reset()
-	n.ipos = 0
 	n.eof = false
 	return n.Left.Open(ctx)
 }
@@ -892,8 +837,6 @@ func (n *IndexNLJoin) Open(ctx *Ctx) error {
 func (n *IndexNLJoin) NextBatch(ctx *Ctx, out *Batch) error {
 	out.Reset()
 	target := ctx.BatchSize()
-	charged := 0
-	defer func() { ctx.ChargeRows(charged) }()
 	for {
 		if err := ctx.Interrupted(); err != nil {
 			return err
@@ -906,63 +849,66 @@ func (n *IndexNLJoin) NextBatch(ctx *Ctx, out *Batch) error {
 			n.queue = n.queue[:0]
 			n.qpos = 0
 		}
-		if out.Len() >= target {
+		if out.Len() >= target || n.eof {
 			return nil
 		}
-		if n.ipos >= n.in.Len() {
-			if n.eof {
-				return nil
-			}
-			if err := n.Left.NextBatch(ctx, &n.in); err != nil {
-				return err
-			}
-			n.ipos = 0
-			if n.in.Len() == 0 {
-				n.eof = true
-				return nil
-			}
+		if err := n.Left.NextBatch(ctx, &n.in); err != nil {
+			return err
 		}
-		lrow := n.in.Rows[n.ipos]
-		n.ipos++
-		charged++
+		if n.in.Len() == 0 {
+			n.eof = true
+			return nil
+		}
+		ctx.ChargeRows(n.in.Len())
+		if err := n.joinBatch(ctx); err != nil {
+			return err
+		}
+	}
+}
+
+// joinBatch queues the join of one batch of left rows: one probe of the
+// index, with one key prefix per left row whose key is not NULL.
+func (n *IndexNLJoin) joinBatch(ctx *Ctx) error {
+	n.ranges = n.ranges[:0]
+	for i, lrow := range n.in.Rows {
 		keys, ok, err := evalKeys(n.LeftKeys, lrow)
 		if err != nil {
 			return err
 		}
-		matched := false
 		if ok {
 			key := val.EncodeKey(keys)
-			it, err := n.Index.Tree.Seek(key)
-			if err != nil {
-				return err
-			}
-			for ; it.Valid() && hasPrefix(it.Key(), key); it.Next() {
-				rid := table.RIDFromBytes(it.Value())
-				irow, err := n.Table.Get(rid)
+			n.ranges = append(n.ranges, keyRange{lo: key, hi: key, hiInc: true, of: i})
+		}
+	}
+	var err error
+	if n.hits, err = probeIndex(ctx, n.Table, n.Index, n.ranges, n.hits[:0]); err != nil {
+		return err
+	}
+	hits := n.hits
+	for i, lrow := range n.in.Rows {
+		matched := false
+		for ; len(hits) > 0 && hits[0].of == i; hits = hits[1:] {
+			o := concatRows(lrow, hits[0].row)
+			if n.Pred != nil {
+				v, err := n.Pred.Test(o)
 				if err != nil {
-					it.Close()
 					return err
 				}
-				o := concatRows(lrow, irow)
-				if n.Pred != nil {
-					v, err := n.Pred.Test(o)
-					if err != nil {
-						it.Close()
-						return err
-					}
-					if v != True {
-						continue
-					}
+				if v != True {
+					continue
 				}
-				matched = true
-				n.queue = append(n.queue, o)
 			}
-			it.Close()
+			matched = true
+			n.queue = append(n.queue, o)
 		}
 		if !matched && n.LeftOuter {
 			n.queue = append(n.queue, padRight(lrow, n.RightWidth))
 		}
 	}
+	return nil
 }
 
-func (n *IndexNLJoin) Close(ctx *Ctx) error { return n.Left.Close(ctx) }
+func (n *IndexNLJoin) Close(ctx *Ctx) error {
+	n.queue, n.ranges, n.hits = nil, nil, nil
+	return n.Left.Close(ctx)
+}

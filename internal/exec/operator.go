@@ -2,11 +2,9 @@ package exec
 
 import (
 	"context"
-	"sort"
 
 	"anywheredb/internal/buffer"
 	"anywheredb/internal/flightrec"
-	"anywheredb/internal/lock"
 	"anywheredb/internal/mem"
 	"anywheredb/internal/mvcc"
 	"anywheredb/internal/store"
@@ -90,7 +88,7 @@ func (c *Ctx) ChargeRows(n int) {
 // NextBatch resets out, then fills it with up to ctx.BatchSize() rows; an
 // empty batch means end of input. The Batch container belongs to the
 // caller and is recycled between calls, while the Row values placed in it
-// stay valid until Close. Use RowIterator for row-at-a-time consumption.
+// stay valid until Close.
 type Operator interface {
 	Open(ctx *Ctx) error
 	NextBatch(ctx *Ctx, out *Batch) error
@@ -127,21 +125,11 @@ type TableScan struct {
 
 	rows []Row // materialized page batch
 	pos  int
-	rids []table.RID // parallel to rows on the heap path; empty on columnar
+	rids []table.RID // parallel to rows, WithRIDs only
 	flat []val.Value // columnar decode buffer backing rows' storage
 
 	segsTotal   int
 	segsSkipped int
-}
-
-// lockForRead takes the locking-read table lock when the statement runs
-// without a snapshot inside a transaction. Snapshot reads skip the lock
-// manager entirely — that is the point of MVCC.
-func lockForRead(ctx *Ctx, t *table.Table) error {
-	if ctx.Snap != nil || ctx.Tx == nil {
-		return nil
-	}
-	return ctx.Tx.LockCtx(ctx.Context, t.ID, nil, lock.Shared)
 }
 
 func (s *TableScan) Open(ctx *Ctx) error {
@@ -152,46 +140,46 @@ func (s *TableScan) Open(ctx *Ctx) error {
 	if err := lockForRead(ctx, s.Table); err != nil {
 		return err
 	}
-	if !s.NoColumnar {
-		if cs := s.Table.Columnar(); cs != nil {
-			// Under a snapshot the sealed segments are usable only while
-			// the table has no version chains: vacuum cannot reclaim an
-			// entry some live snapshot still needs, so an empty store
-			// (checked after grabbing cs — writers invalidate before they
-			// chain) proves every sealed row is visible to every live
-			// snapshot.
-			if ctx.Snap == nil || s.Table.VersionsEmpty() {
-				return s.openColumnar(ctx, cs)
-			}
+	// Where the heap part of the scan starts: at the chain head, or behind
+	// the sealed segments once they are decoded. Under a snapshot the
+	// segments are usable only while the table has no version chains:
+	// vacuum cannot reclaim an entry some live snapshot still needs, so an
+	// empty store (checked after grabbing cs — writers invalidate before
+	// they chain) proves every sealed row is visible to every live snapshot.
+	// cs is immutable, so a concurrent invalidation cannot disturb a scan
+	// already holding it.
+	start := s.Table.FirstPage()
+	if cs := s.Table.Columnar(); cs != nil && !s.NoColumnar && (ctx.Snap == nil || s.Table.VersionsEmpty()) {
+		if err := s.decodeSegments(ctx, cs); err != nil {
+			return err
 		}
+		start = cs.DeltaStart
 	}
+	// The heap part stays version-aware even behind segments: a writer may
+	// begin chaining delta-tail rows mid-scan though the store was empty
+	// above.
 	n := 0
-	emit := func(rid table.RID, row Row) (bool, error) {
+	err := s.Table.ScanFrom(start, ctx.Snap, func(rid table.RID, row Row) (bool, error) {
 		if n++; n%interruptEvery == 0 {
 			if err := ctx.Interrupted(); err != nil {
 				return false, err
 			}
 		}
 		s.rows = append(s.rows, row)
-		s.rids = append(s.rids, rid)
+		if s.WithRIDs {
+			s.rids = append(s.rids, rid)
+		}
 		return true, nil
-	}
-	var err error
-	if ctx.Snap != nil {
-		err = s.Table.ScanSnapshot(ctx.Snap, emit)
-	} else {
-		err = s.Table.Scan(emit)
-	}
+	})
 	if err == nil && ctx.ScanObs != nil {
 		ctx.ScanObs(s.Table.Name, int64(len(s.rows)))
 	}
 	return err
 }
 
-// openColumnar materializes the scan from sealed segments plus the heap
-// delta tail. The snapshot cs is immutable, so a concurrent invalidation
-// cannot disturb a scan already holding it.
-func (s *TableScan) openColumnar(ctx *Ctx, cs *table.ColState) error {
+// decodeSegments materializes the rows of cs's sealed segments, skipping
+// those whose zone maps refute the pushed-down hint.
+func (s *TableScan) decodeSegments(ctx *Ctx, cs *table.ColState) error {
 	ncols := len(s.Table.Columns)
 	s.segsTotal = len(cs.Segs)
 	// First pass: zone-map skip decisions and the exact decode footprint,
@@ -229,30 +217,7 @@ func (s *TableScan) openColumnar(ctx *Ctx, cs *table.ColState) error {
 	if ctx.ColSegDecodeRows != nil && total > 0 {
 		ctx.ColSegDecodeRows.Add(uint64(total))
 	}
-	// Delta tail: rows inserted after the segments were sealed live only
-	// in the heap and are scanned the classic way. Under a snapshot the
-	// tail stays version-aware — a writer may begin chaining rows here
-	// mid-scan even though the store was empty at Open.
-	n := 0
-	emit := func(_ table.RID, row Row) (bool, error) {
-		if n++; n%interruptEvery == 0 {
-			if err := ctx.Interrupted(); err != nil {
-				return false, err
-			}
-		}
-		s.rows = append(s.rows, row)
-		return true, nil
-	}
-	var err error
-	if ctx.Snap != nil {
-		err = s.Table.ScanSnapshotFrom(cs.DeltaStart, ctx.Snap, emit)
-	} else {
-		err = s.Table.ScanFrom(cs.DeltaStart, emit)
-	}
-	if err == nil && ctx.ScanObs != nil {
-		ctx.ScanObs(s.Table.Name, int64(len(s.rows)))
-	}
-	return err
+	return nil
 }
 
 func (s *TableScan) NextBatch(ctx *Ctx, out *Batch) error {
@@ -284,205 +249,35 @@ type IndexScan struct {
 	Index *table.Index
 	Lo    []byte // encoded key lower bound, inclusive; nil = from start
 	Hi    []byte // encoded key upper bound; nil = to end
+	// HiInc makes Hi inclusive as a prefix: on a multi-column index every
+	// key beginning with Hi counts as equal to it.
 	HiInc bool
 	// WithRIDs fills Batch.RIDs beside every batch of rows (DML target
 	// collection).
 	WithRIDs bool
 
-	rows []Row
-	rids []table.RID
+	hits []indexHit
 	pos  int
 }
 
 func (s *IndexScan) Open(ctx *Ctx) error {
-	s.rows = s.rows[:0]
-	s.rids = s.rids[:0]
 	s.pos = 0
-	if err := lockForRead(ctx, s.Table); err != nil {
-		return err
-	}
-	var it interface {
-		Valid() bool
-		Key() []byte
-		Value() []byte
-		Next()
-		Close()
-		Err() error
-	}
 	var err error
-	if s.Lo != nil {
-		it, err = s.Index.Tree.Seek(s.Lo)
-	} else {
-		it, err = s.Index.Tree.First()
-	}
-	if err != nil {
-		return err
-	}
-	defer it.Close()
-	// Under a snapshot the index is only a guide, not the truth: it tracks
-	// the newest row versions, so every probed row re-resolves through its
-	// version chain, its key is recomputed from the visible version and
-	// re-checked against the range, and rows the current index no longer
-	// points at (deleted, moved, or re-keyed by writers the snapshot does
-	// not see) are recovered from the version store afterwards.
-	var keys [][]byte
-	var visited map[table.RID]bool
-	if ctx.Snap != nil {
-		visited = make(map[table.RID]bool)
-	}
-	n := 0
-	for ; it.Valid(); it.Next() {
-		if n++; n%interruptEvery == 0 {
-			if err := ctx.Interrupted(); err != nil {
-				return err
-			}
-		}
-		if s.Hi != nil {
-			c := compareBytes(it.Key(), s.Hi)
-			if c > 0 || (c == 0 && !s.HiInc) {
-				// Past the range end... but for multi-column prefixes, a key
-				// beginning with Hi counts as equal when HiInc.
-				if !(s.HiInc && hasPrefix(it.Key(), s.Hi)) {
-					break
-				}
-			}
-		}
-		rid := table.RIDFromBytes(it.Value())
-		if ctx.Snap == nil {
-			row, err := s.Table.Get(rid)
-			if err != nil {
-				return err
-			}
-			s.rows = append(s.rows, row)
-			s.rids = append(s.rids, rid)
-			continue
-		}
-		visited[rid] = true
-		row, ok, err := s.Table.GetVersioned(rid, ctx.Snap)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue // not visible to the snapshot (e.g. uncommitted insert)
-		}
-		key := s.Index.Key(row)
-		if !s.keyInRange(key) {
-			continue // visible version has a different key, outside the range
-		}
-		s.rows = append(s.rows, row)
-		s.rids = append(s.rids, rid)
-		keys = append(keys, key)
-	}
-	if err := it.Err(); err != nil {
-		return err
-	}
-	if ctx.Snap == nil || s.Table.VersionsEmpty() {
-		return nil
-	}
-	for _, rid := range s.Table.VersionRIDs() {
-		if visited[rid] {
-			continue
-		}
-		row, ok, err := s.Table.GetVersioned(rid, ctx.Snap)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		key := s.Index.Key(row)
-		if !s.keyInRange(key) {
-			continue
-		}
-		s.rows = append(s.rows, row)
-		s.rids = append(s.rids, rid)
-		keys = append(keys, key)
-	}
-	// Restore key order across probed and recovered rows.
-	sortByKey(keys, s.rows, s.rids)
-	return nil
-}
-
-// keyInRange checks a recomputed key against the scan's [Lo, Hi] bounds,
-// with the same prefix nuance the probe loop applies to Hi.
-func (s *IndexScan) keyInRange(key []byte) bool {
-	if s.Lo != nil && compareBytes(key, s.Lo) < 0 {
-		return false
-	}
-	if s.Hi != nil {
-		c := compareBytes(key, s.Hi)
-		if c > 0 || (c == 0 && !s.HiInc) {
-			if !(s.HiInc && hasPrefix(key, s.Hi)) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// sortByKey co-sorts rows and rids by their recomputed index keys (stable,
-// so equal keys keep probe order).
-func sortByKey(keys [][]byte, rows []Row, rids []table.RID) {
-	if len(keys) < 2 {
-		return
-	}
-	idx := make([]int, len(keys))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return compareBytes(keys[idx[a]], keys[idx[b]]) < 0 })
-	rowsOut := make([]Row, len(rows))
-	ridsOut := make([]table.RID, len(rids))
-	for i, j := range idx {
-		rowsOut[i] = rows[j]
-		ridsOut[i] = rids[j]
-	}
-	copy(rows, rowsOut)
-	copy(rids, ridsOut)
-}
-
-func compareBytes(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
-}
-
-func hasPrefix(k, p []byte) bool {
-	if len(k) < len(p) {
-		return false
-	}
-	for i := range p {
-		if k[i] != p[i] {
-			return false
-		}
-	}
-	return true
+	s.hits, err = probeIndex(ctx, s.Table, s.Index, []keyRange{{lo: s.Lo, hi: s.Hi, hiInc: s.HiInc}}, s.hits[:0])
+	return err
 }
 
 func (s *IndexScan) NextBatch(ctx *Ctx, out *Batch) error {
-	copyChunk(ctx, out, s.rows, &s.pos)
-	if n := out.Len(); n > 0 {
+	out.Reset()
+	n := min(ctx.BatchSize(), len(s.hits)-s.pos)
+	for _, h := range s.hits[s.pos : s.pos+n] {
+		out.Rows = append(out.Rows, h.row)
 		if s.WithRIDs {
-			out.RIDs = append(out.RIDs, s.rids[s.pos-n:s.pos]...)
+			out.RIDs = append(out.RIDs, h.rid)
 		}
-		ctx.ChargeRows(n)
 	}
+	s.pos += n
+	ctx.ChargeRows(n)
 	return nil
 }
 

@@ -55,7 +55,7 @@ func (s applySide) state(t *testing.T, snap *mvcc.Snapshot) string {
 	t.Helper()
 	var sb strings.Builder
 	n := 0
-	if err := s.tbl.ScanSnapshot(snap, func(rid RID, r []val.Value) (bool, error) {
+	if err := s.tbl.ScanFrom(s.tbl.FirstPage(), snap, func(rid RID, r []val.Value) (bool, error) {
 		fmt.Fprintf(&sb, "%v=%v\n", rid, r)
 		n++
 		return true, nil

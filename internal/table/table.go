@@ -526,20 +526,15 @@ func (t *Table) Insert(tx *txn.Txn, row []val.Value) (RID, error) {
 	return rid, nil
 }
 
-// Get reads a row by RID.
+// Get reads the newest content of the row at rid, which must exist: the
+// read lockRow does under the row's exclusive lock. Everything that reads
+// without that lock calls Fetch.
 func (t *Table) Get(rid RID) ([]val.Value, error) {
-	f, err := t.pool.Get(rid.Page)
-	if err != nil {
-		return nil, err
+	row, ok, err := t.Fetch(rid, nil)
+	if err == nil && !ok {
+		err = ErrNotFound
 	}
-	defer t.pool.Unpin(f, false)
-	f.RLock()
-	defer f.RUnlock()
-	cell := f.Data.Cell(rid.Slot)
-	if cell == nil {
-		return nil, ErrNotFound
-	}
-	return val.DecodeRow(cell)
+	return row, err
 }
 
 // lockRow takes tx's write locks on the row at rid and reads the row as it
@@ -679,31 +674,17 @@ func (t *Table) updateLocked(tx *txn.Txn, rid RID, oldRow, newRow []val.Value) (
 // Scan calls fn for every live row in chain order. fn returns false to
 // stop early.
 func (t *Table) Scan(fn func(rid RID, row []val.Value) (bool, error)) error {
-	t.mu.Lock()
-	cur := t.first
-	t.mu.Unlock()
-	return t.scanRange(cur, 0, nil, fn)
+	return t.ScanFrom(t.FirstPage(), nil, fn)
 }
 
-// ScanFrom scans live rows starting at a chain page (the columnar delta
-// tail begins at ColState.DeltaStart).
-func (t *Table) ScanFrom(start store.PageID, fn func(rid RID, row []val.Value) (bool, error)) error {
-	return t.scanRange(start, 0, nil, fn)
-}
-
-// ScanSnapshot scans the version of every row visible to snap, in chain
-// order, without any lock-manager interaction: rows a concurrent writer has
-// touched resolve through their version chains, and rows it deleted or
-// moved are resurrected from their pre-images.
-func (t *Table) ScanSnapshot(snap *mvcc.Snapshot, fn func(rid RID, row []val.Value) (bool, error)) error {
-	t.mu.Lock()
-	cur := t.first
-	t.mu.Unlock()
-	return t.scanRange(cur, 0, snap, fn)
-}
-
-// ScanSnapshotFrom is ScanSnapshot starting at a chain page.
-func (t *Table) ScanSnapshotFrom(start store.PageID, snap *mvcc.Snapshot, fn func(rid RID, row []val.Value) (bool, error)) error {
+// ScanFrom is the one chain scan: from chain page start (FirstPage for the
+// whole table, ColState.DeltaStart for the columnar delta tail) to the end,
+// in chain order. A nil snap yields every live row. Otherwise it yields the
+// version of every row visible to snap, with no lock-manager interaction:
+// rows a concurrent writer has touched resolve through their version
+// chains, and rows it deleted or moved are resurrected from their
+// pre-images.
+func (t *Table) ScanFrom(start store.PageID, snap *mvcc.Snapshot, fn func(rid RID, row []val.Value) (bool, error)) error {
 	return t.scanRange(start, 0, snap, fn)
 }
 
@@ -801,10 +782,11 @@ func (t *Table) applySnapshot(pg store.PageID, items []scanItem, snap *mvcc.Snap
 // copyRow detaches a row that may alias a shared chain pre-image.
 func copyRow(r []val.Value) []val.Value { return append([]val.Value(nil), r...) }
 
-// GetVersioned reads the version of the row at rid visible to snap. The
-// bool result distinguishes "no visible row" from an error. A nil snap
-// reads the latest content, like Get, but without ErrNotFound.
-func (t *Table) GetVersioned(rid RID, snap *mvcc.Snapshot) ([]val.Value, bool, error) {
+// Fetch is the one row read: the version of the row at rid visible to snap,
+// or with a nil snap its newest content. ok is false when there is no such
+// row — the cell is gone, or snap does not see it — which is not an error:
+// whoever named rid (an index entry, an earlier scan) may be out of date.
+func (t *Table) Fetch(rid RID, snap *mvcc.Snapshot) ([]val.Value, bool, error) {
 	f, err := t.pool.Get(rid.Page)
 	if err != nil {
 		return nil, false, err
@@ -826,10 +808,7 @@ func (t *Table) GetVersioned(rid RID, snap *mvcc.Snapshot) ([]val.Value, bool, e
 			row = copyRow(row)
 		}
 	}
-	if !exists {
-		return nil, false, nil
-	}
-	return row, true, nil
+	return row, exists, nil
 }
 
 // VersionsEmpty reports whether the table has no live version chains —

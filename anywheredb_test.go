@@ -87,7 +87,22 @@ func TestErrorTaxonomy(t *testing.T) {
 		Seed:           1,
 		PermanentAfter: map[faultinject.Op]int{faultinject.OpWALFlush: 1},
 	})
-	db, err := Open(Options{Dir: t.TempDir(), Injector: sched})
+	// The schema goes in while the device still works: CREATE TABLE is
+	// durable when it returns, which takes log flushes.
+	dir := t.TempDir()
+	seed, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err := seed.Connect(); err != nil {
+		t.Fatal(err)
+	} else if _, err := c.Exec("CREATE TABLE t (id INT)"); err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(Options{Dir: dir, Injector: sched})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,9 +112,6 @@ func TestErrorTaxonomy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Exec("CREATE TABLE t (id INT)"); err != nil {
-		t.Fatal(err)
-	}
 	var werr error
 	for i := 0; i < 5 && werr == nil; i++ {
 		_, werr = conn.Exec("INSERT INTO t VALUES (1)")

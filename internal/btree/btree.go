@@ -97,8 +97,10 @@ func Create(pool *buffer.Pool, st *store.Store, file store.FileID, objID uint64)
 	if err != nil {
 		return nil, err
 	}
+	f.Lock() // a new frame is already in ResidentPages' sight
 	f.Data.SetOwner(objID)
 	setFlags(f.Data, flagLeaf)
+	f.Unlock()
 	t.root = f.ID
 	pool.Unpin(f, true)
 	t.Stats.LeafPages.Store(1)
@@ -118,6 +120,48 @@ func (t *Tree) Root() store.PageID {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.root
+}
+
+// Drop returns the pages of the tree rooted at root to their file and
+// reports how many it freed. The tree must have no users. It may be one a
+// crash left behind: its pages then date from different moments, and a
+// child pointer can name a page that has since become something else. So a
+// page is followed and freed only if it is an index page owned by owner,
+// and only once; what the walk cannot reach stays lost to the file.
+func Drop(pool *buffer.Pool, st *store.Store, root store.PageID, owner uint64) int {
+	seen := map[store.PageID]bool{}
+	var pages []store.PageID
+	for stack := []store.PageID{root}; len(stack) > 0; {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if id == 0 || seen[id] || id.File() != root.File() || id.Index() >= st.PageCount(id.File()) {
+			continue
+		}
+		seen[id] = true
+		f, err := pool.Get(id)
+		if err != nil {
+			continue
+		}
+		f.RLock()
+		ok := f.Data.Type() == page.TypeIndex && f.Data.Owner() == owner
+		if ok && !isLeaf(f.Data) {
+			stack = append(stack, store.PageID(f.Data.Next())) // leftmost child
+			for i := 0; i < f.Data.NumSlots(); i++ {
+				_, child := cellKV(f.Data.Cell(i))
+				stack = append(stack, pageIDFromBytes(child))
+			}
+		}
+		f.RUnlock()
+		pool.Unpin(f, false)
+		if ok {
+			pages = append(pages, id)
+		}
+	}
+	for _, id := range pages {
+		pool.Discard(id)
+	}
+	_ = st.Free(pages...)
+	return len(pages)
 }
 
 func setFlags(p page.Buf, f byte) { p[1] = f }
@@ -189,10 +233,13 @@ func (t *Tree) Insert(key, value []byte) error {
 		if err != nil {
 			return err
 		}
+		f.Lock()
 		f.Data.SetOwner(t.objID)
 		setFlags(f.Data, 0)
 		f.Data.SetNext(uint64(t.root)) // leftmost child
-		if !f.Data.InsertOrdered(0, appendCell(nil, split.sepKey, pageIDBytes(split.right))) {
+		ok := f.Data.InsertOrdered(0, appendCell(nil, split.sepKey, pageIDBytes(split.right)))
+		f.Unlock()
+		if !ok {
 			t.pool.Unpin(f, true)
 			return fmt.Errorf("btree: root split insert failed")
 		}
@@ -310,6 +357,8 @@ func (t *Tree) split(f *buffer.Frame, pos int, cell []byte) (*splitResult, error
 		return nil, err
 	}
 	defer t.pool.Unpin(rf, true)
+	rf.Lock() // f is latched by the caller
+	defer rf.Unlock()
 	img := images.Get().(*[page.Size]byte)
 	defer images.Put(img)
 	copy(img[:], f.Data)

@@ -555,3 +555,120 @@ func BenchmarkTreeInsertSequential(b *testing.B) {
 		}
 	}
 }
+
+// wideKey keeps the fan-out low, so a few thousand keys make a tree with
+// internal nodes below the root.
+func wideKey(i int) []byte { return []byte(fmt.Sprintf("key-%06d-%0200d", i, 0)) }
+
+// fillTree inserts n keys and returns the pages the tree occupies (every
+// page of the store but the header: the tree is the only tenant).
+func fillTree(t *testing.T, tr *Tree, st *store.Store, n int) int {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if err := tr.Insert(wideKey(i), v(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return int(st.PageCount(store.MainFile)) - 1
+}
+
+// TestDropIntact: dropping a tree frees every one of its pages, and a tree
+// of the same size built afterwards fits in them.
+func TestDropIntact(t *testing.T) {
+	tr, pool, st := newTree(t, 256)
+	pages := fillTree(t, tr, st, 3000)
+	if tr.Stats.Height.Load() < 3 {
+		t.Fatalf("height %d: the test wants internal nodes below the root", tr.Stats.Height.Load())
+	}
+	if got := Drop(pool, st, tr.Root(), 1); got != pages {
+		t.Fatalf("Drop freed %d pages, the tree had %d", got, pages)
+	}
+	free, err := st.FreeList(store.MainFile)
+	if err != nil || len(free) != pages {
+		t.Fatalf("free chain holds %d pages (err %v), want %d", len(free), err, pages)
+	}
+	tr2, err := Create(pool, st, store.MainFile, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := fillTree(t, tr2, st, 3000); again != pages {
+		t.Fatalf("file grew to %d pages rebuilding a %d-page tree", again, pages)
+	}
+	for i := 0; i < 3000; i += 97 {
+		if got, ok, err := tr2.Search(wideKey(i)); err != nil || !ok || !bytes.Equal(got, v(i)) {
+			t.Fatalf("rebuilt tree lost key %d (ok=%v err=%v)", i, ok, err)
+		}
+	}
+}
+
+// TestDropTorn: a tree a crash left behind has pages from different
+// moments. Drop must stop at a page that is no longer this tree's, survive
+// pointers that loop or lead out of the file, and free no page twice.
+func TestDropTorn(t *testing.T) {
+	tr, pool, st := newTree(t, 256)
+	pages := fillTree(t, tr, st, 800)
+	if h := tr.Stats.Height.Load(); h != 3 {
+		t.Fatalf("height %d: the page arithmetic below wants the root's children to be parents of leaves", h)
+	}
+	root := tr.Root()
+
+	// The root's children, read the way Drop reads them.
+	f, err := pool.Get(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kids := []store.PageID{store.PageID(f.Data.Next())}
+	for i := 0; i < f.Data.NumSlots(); i++ {
+		_, child := cellKV(f.Data.Cell(i))
+		kids = append(kids, pageIDFromBytes(child))
+	}
+	pool.Unpin(f, false)
+	if len(kids) < 3 {
+		t.Fatalf("root has %d children, the test wants 3", len(kids))
+	}
+
+	// kids[0] now belongs to another object: not followed, not freed.
+	foreign, err := pool.Get(kids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign.Lock()
+	lost := 1 + foreign.Data.NumSlots() + 1 // the node and its subtree of leaves
+	foreign.Data.SetOwner(99)
+	foreign.Unlock()
+	pool.Unpin(foreign, true)
+	// kids[1]'s leftmost pointer loops back to the root; kids[2]'s leads out
+	// of the file.
+	for i, next := range []uint64{uint64(root), uint64(store.MakePageID(store.MainFile, 1<<40))} {
+		f, err := pool.Get(kids[1+i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Lock()
+		f.Data.SetNext(next)
+		f.Unlock()
+		pool.Unpin(f, true)
+		lost++ // the leftmost leaf each of them pointed at
+	}
+
+	got := Drop(pool, st, root, 1)
+	if got != pages-lost {
+		t.Fatalf("Drop freed %d pages, want %d (%d in the tree, %d unreachable)", got, pages-lost, pages, lost)
+	}
+	free, err := st.FreeList(store.MainFile)
+	if err != nil || len(free) != got {
+		t.Fatalf("free chain holds %d pages (err %v), want %d: a page was freed twice or not at all", len(free), err, got)
+	}
+	seen := map[store.PageID]bool{}
+	for _, id := range free {
+		if seen[id] || id == kids[0] {
+			t.Fatalf("page %v on the free chain twice, or foreign", id)
+		}
+		seen[id] = true
+	}
+	if f, err := pool.Get(kids[0]); err != nil || f.Data.Owner() != 99 {
+		t.Fatalf("the foreign page was touched (err %v)", err)
+	} else {
+		pool.Unpin(f, false)
+	}
+}

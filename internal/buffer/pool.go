@@ -280,9 +280,6 @@ func (p *Pool) shardOf(id store.PageID) *shard {
 // atomic mirror and takes no lock.
 func (p *Pool) SizePages() int { return int(p.limitAtom.Load()) }
 
-// Shards reports the stripe count.
-func (p *Pool) Shards() int { return len(p.shards) }
-
 // Bounds reports the pool's immutable lower and upper size bounds.
 func (p *Pool) Bounds() (minFrames, maxFrames int) { return p.minSize, p.maxSize }
 

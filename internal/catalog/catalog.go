@@ -71,9 +71,9 @@ type Catalog struct {
 	pool *buffer.Pool
 	st   *store.Store
 
-	mu   sync.Mutex
-	s    state
-	root store.PageID
+	mu    sync.Mutex
+	s     state
+	chain []store.PageID // the pages holding the saved image, root first
 }
 
 // Create allocates a fresh catalog in the main file and saves it. Call
@@ -84,11 +84,10 @@ func Create(pool *buffer.Pool, st *store.Store) (*Catalog, error) {
 	if err != nil {
 		return nil, err
 	}
-	root := f.ID
+	c := &Catalog{pool: pool, st: st, chain: []store.PageID{f.ID}}
 	pool.Unpin(f, true)
-	c := &Catalog{pool: pool, st: st, root: root}
 	c.s = state{NextID: 1, Tables: map[string]*TableMeta{}, Options: map[string]string{}}
-	return c, c.Save()
+	return c, c.Save(nil)
 }
 
 // RootPage is where Create places the catalog in the main file.
@@ -96,10 +95,9 @@ var RootPage = store.MakePageID(store.MainFile, 1)
 
 // Load reads the catalog from its root page chain.
 func Load(pool *buffer.Pool, st *store.Store) (*Catalog, error) {
-	c := &Catalog{pool: pool, st: st, root: RootPage}
+	c := &Catalog{pool: pool, st: st}
 	var blob []byte
-	cur := c.root
-	for cur != 0 {
+	for cur := RootPage; cur != 0; {
 		f, err := pool.Get(cur)
 		if err != nil {
 			return nil, err
@@ -113,10 +111,10 @@ func Load(pool *buffer.Pool, st *store.Store) (*Catalog, error) {
 		if cell := f.Data.Cell(0); cell != nil {
 			blob = append(blob, cell...)
 		}
-		next := f.Data.Next()
+		c.chain = append(c.chain, cur)
+		cur = store.PageID(f.Data.Next())
 		f.RUnlock()
 		pool.Unpin(f, false)
-		cur = store.PageID(next)
 	}
 	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&c.s); err != nil {
 		return nil, fmt.Errorf("catalog: decode: %w", err)
@@ -131,7 +129,14 @@ func Load(pool *buffer.Pool, st *store.Store) (*Catalog, error) {
 }
 
 // Save serializes the catalog into its page chain, extending it as needed.
-func (c *Catalog) Save() error {
+// Pages reach the file one at a time, and a crash between two of those
+// writes would chain pages of two catalog versions together, which no Load
+// can decode. So before it changes the first page of a multi-page chain,
+// Save hands the new images to logChain (nil: the caller does not need
+// this). The engine logs them as one set, and recovery — which restores
+// logged images before the catalog is read — yields the new chain whole or
+// leaves the old alone.
+func (c *Catalog) Save(logChain func(ids []store.PageID, images []page.Buf) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var buf bytes.Buffer
@@ -141,29 +146,10 @@ func (c *Catalog) Save() error {
 	blob := buf.Bytes()
 	const chunk = page.Size - page.HeaderSize - 64
 
-	// Gather the existing chain for reuse.
-	var existing []store.PageID
-	cur := c.root
-	for cur != 0 {
-		f, err := c.pool.Get(cur)
-		if err != nil {
-			return err
-		}
-		f.RLock()
-		next := f.Data.Next()
-		f.RUnlock()
-		c.pool.Unpin(f, false)
-		existing = append(existing, cur)
-		cur = store.PageID(next)
-	}
-
-	// Split the blob into chunks and write them, reusing chain pages and
-	// allocating more if needed. Surplus pages return to the free chain.
-	nChunks := (len(blob) + chunk - 1) / chunk
-	if nChunks == 0 {
-		nChunks = 1
-	}
-	ids := existing
+	// Split the blob into page images, reusing chain pages and allocating
+	// more if needed.
+	nChunks := max((len(blob)+chunk-1)/chunk, 1)
+	ids := c.chain
 	for len(ids) < nChunks {
 		f, err := c.pool.NewPage(store.MainFile, page.TypeCatalog)
 		if err != nil {
@@ -172,31 +158,39 @@ func (c *Catalog) Save() error {
 		ids = append(ids, f.ID)
 		c.pool.Unpin(f, true)
 	}
-	for i := 0; i < nChunks; i++ {
-		lo := i * chunk
-		hi := lo + chunk
-		if hi > len(blob) {
-			hi = len(blob)
+	images := make([]page.Buf, nChunks)
+	for i := range images {
+		img := page.Buf(make([]byte, page.Size))
+		img.Init(page.TypeCatalog)
+		if i+1 < nChunks {
+			img.SetNext(uint64(ids[i+1]))
 		}
+		img.Insert(blob[i*chunk : min((i+1)*chunk, len(blob))])
+		images[i] = img
+	}
+	// A chain of one page changes in one page write.
+	if len(ids) > 1 && logChain != nil {
+		if err := logChain(ids[:nChunks], images); err != nil {
+			return err
+		}
+	}
+	for i, img := range images {
 		f, err := c.pool.Get(ids[i])
 		if err != nil {
 			return err
 		}
 		f.Lock()
-		f.Data.Init(page.TypeCatalog)
-		if i+1 < nChunks {
-			f.Data.SetNext(uint64(ids[i+1]))
-		}
-		f.Data.Insert(blob[lo:hi])
+		copy(f.Data, img)
 		f.MarkDirty()
 		f.Unlock()
 		c.pool.Unpin(f, true)
 	}
+	// Surplus pages return to the free chain.
+	c.chain = ids[:nChunks:nChunks]
 	for _, id := range ids[nChunks:] {
 		c.pool.Discard(id)
-		_ = c.st.Free(id)
 	}
-	return nil
+	return c.st.Free(ids[nChunks:]...)
 }
 
 // NextID hands out a fresh object id.
@@ -208,26 +202,29 @@ func (c *Catalog) NextID() uint64 {
 	return id
 }
 
-// PutTable installs or replaces a table's metadata.
-func (c *Catalog) PutTable(tm *TableMeta) {
+// SetTables replaces the set of tables: the checkpoint derives every entry
+// from the live table it describes, so a table that is gone is simply not
+// in tms.
+func (c *Catalog) SetTables(tms []*TableMeta) {
+	tables := make(map[string]*TableMeta, len(tms))
+	for _, tm := range tms {
+		tables[tm.Name] = tm
+	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.Tables[tm.Name] = tm
+	c.s.Tables = tables
+	c.mu.Unlock()
 }
 
-// GetTable looks a table up by name.
+// GetTable looks a table up by name. The result is the caller's own copy.
 func (c *Catalog) GetTable(name string) (*TableMeta, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	tm, ok := c.s.Tables[name]
-	return tm, ok
-}
-
-// DropTable removes a table's metadata.
-func (c *Catalog) DropTable(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.s.Tables, name)
+	if !ok {
+		return nil, false
+	}
+	cp := *tm
+	return &cp, true
 }
 
 // TableNames lists tables (unordered).

@@ -27,8 +27,8 @@ func setup(t *testing.T, dir string) (*Catalog, *buffer.Pool, *store.Store) {
 func TestCreateLandsOnRootPage(t *testing.T) {
 	c, _, st := setup(t, "")
 	defer st.Close()
-	if c.root != RootPage {
-		t.Fatalf("catalog root %v, want %v", c.root, RootPage)
+	if c.chain[0] != RootPage {
+		t.Fatalf("catalog root %v, want %v", c.chain[0], RootPage)
 	}
 }
 
@@ -36,7 +36,7 @@ func TestTableRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	c, pool, st := setup(t, dir)
 	id := c.NextID()
-	c.PutTable(&TableMeta{
+	c.SetTables([]*TableMeta{{
 		ID:   id,
 		Name: "orders",
 		Columns: []ColumnMeta{
@@ -48,9 +48,9 @@ func TestTableRoundTrip(t *testing.T) {
 			{ID: 2, Name: "pk", Cols: []int{0}, Unique: true, Root: store.MakePageID(store.MainFile, 9)},
 		},
 		Hists: [][]byte{nil, []byte{1, 2, 3}},
-	})
+	}})
 	c.SetOption("blocking_timeout", "5s")
-	if err := c.Save(); err != nil {
+	if err := c.Save(nil); err != nil {
 		t.Fatal(err)
 	}
 	pool.FlushAll()
@@ -91,14 +91,16 @@ func TestLargeCatalogSpansPages(t *testing.T) {
 	dir := t.TempDir()
 	c, pool, st := setup(t, dir)
 	// Enough tables to exceed one page worth of gob.
+	var tms []*TableMeta
 	for i := 0; i < 200; i++ {
 		cols := make([]ColumnMeta, 10)
 		for j := range cols {
 			cols[j] = ColumnMeta{Name: fmt.Sprintf("column_%d_%d", i, j), Kind: val.KInt}
 		}
-		c.PutTable(&TableMeta{ID: uint64(i + 1), Name: fmt.Sprintf("table_%03d", i), Columns: cols})
+		tms = append(tms, &TableMeta{ID: uint64(i + 1), Name: fmt.Sprintf("table_%03d", i), Columns: cols})
 	}
-	if err := c.Save(); err != nil {
+	c.SetTables(tms)
+	if err := c.Save(nil); err != nil {
 		t.Fatal(err)
 	}
 	pool.FlushAll()
@@ -115,10 +117,8 @@ func TestLargeCatalogSpansPages(t *testing.T) {
 		t.Fatalf("tables after reload: %d", len(c2.TableNames()))
 	}
 	// Shrink: drop most tables, save, reload.
-	for i := 1; i < 200; i++ {
-		c2.DropTable(fmt.Sprintf("table_%03d", i))
-	}
-	if err := c2.Save(); err != nil {
+	c2.SetTables(tms[:1])
+	if err := c2.Save(nil); err != nil {
 		t.Fatal(err)
 	}
 	pool2.FlushAll()

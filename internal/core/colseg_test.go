@@ -218,7 +218,7 @@ func TestColumnarCrashMidBuild(t *testing.T) {
 
 	sched := faultinject.NewSchedule(faultinject.Config{
 		Seed:        7,
-		Crashpoints: map[string]int{"colseg.build": 1},
+		Crashpoints: map[string]int{"ddl.before_checkpoint": 1},
 	})
 	db, err := Open(Options{Dir: dir, Injector: sched, ParanoidRecovery: true})
 	if err != nil {
@@ -229,7 +229,7 @@ func TestColumnarCrashMidBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := c.Exec("ALTER TABLE fact STORE COLUMNAR"); err == nil {
-		t.Fatal("ALTER should fail at the colseg.build crashpoint")
+		t.Fatal("ALTER should fail at the ddl.before_checkpoint crashpoint")
 	}
 	if !sched.Crashed() {
 		t.Fatal("crashpoint did not fire")

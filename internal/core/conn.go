@@ -10,16 +10,12 @@ import (
 	"time"
 
 	"anywheredb/internal/buffer"
-	"anywheredb/internal/catalog"
-	"anywheredb/internal/dtt"
 	"anywheredb/internal/exec"
 	"anywheredb/internal/flightrec"
 	"anywheredb/internal/mem"
 	"anywheredb/internal/mvcc"
 	"anywheredb/internal/opt"
 	"anywheredb/internal/sqlparse"
-	"anywheredb/internal/store"
-	"anywheredb/internal/table"
 	"anywheredb/internal/txn"
 	"anywheredb/internal/val"
 )
@@ -361,7 +357,7 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value) (res Resul
 	case *sqlparse.LoadTable:
 		res, err = c.loadTable(s)
 	case *sqlparse.AlterTableStore:
-		err = c.alterTableStore(s)
+		err = c.ddl(s.Table, false, storeLayout(s.Columnar))
 	case *sqlparse.Insert:
 		res, err = c.execInsert(st, s, params)
 	case *sqlparse.Update, *sqlparse.Delete:
@@ -411,36 +407,6 @@ func (c *Conn) tracerRef() StatementTracer {
 		return *p
 	}
 	return nil
-}
-
-// autoTxn returns the transaction for a DML statement and a done func:
-// inside an explicit transaction it is that transaction; otherwise a fresh
-// one committed (or rolled back) at statement end. An autocommit
-// transaction is bound to the current span for wait attribution, and its
-// commit (or rollback) flush is charged to the span's commit phase.
-func (c *Conn) autoTxn() (*txn.Txn, func(err error) error) {
-	if c.tx != nil {
-		return c.tx, func(err error) error { return err }
-	}
-	t := c.db.txns.Begin()
-	sp := c.curSpan
-	c.db.flight.BindTxn(t.ID(), sp)
-	return t, func(err error) error {
-		var commitStart time.Time
-		if sp != nil {
-			commitStart = time.Now()
-		}
-		if err != nil {
-			t.Rollback()
-		} else {
-			err = t.Commit()
-		}
-		if sp != nil {
-			sp.AddPhase(flightrec.PhaseCommit, time.Since(commitStart).Microseconds())
-			c.db.flight.UnbindTxn(t.ID())
-		}
-		return err
-	}
 }
 
 // beginReadPath prepares the read path for one statement and returns the
@@ -520,137 +486,6 @@ func (c *Conn) acquireSnapshot(self uint64, sp *flightrec.Span) *mvcc.Snapshot {
 	return snap
 }
 
-// --- DDL -------------------------------------------------------------------
-
-func (c *Conn) createTable(s *sqlparse.CreateTable) error {
-	db := c.db
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, exists := db.tables[s.Name]; exists {
-		return fmt.Errorf("core: table %q already exists", s.Name)
-	}
-	cols := make([]table.Column, len(s.Cols))
-	metaCols := make([]catalog.ColumnMeta, len(s.Cols))
-	for i, cd := range s.Cols {
-		cols[i] = table.Column{Name: cd.Name, Kind: cd.Kind}
-		metaCols[i] = catalog.ColumnMeta{Name: cd.Name, Kind: cd.Kind}
-	}
-	id := db.cat.NextID()
-	tbl, err := table.Create(db.pool, db.st, store.MainFile, id, s.Name, cols)
-	if err != nil {
-		return err
-	}
-	tbl.OnColsegDrop = func() {
-		if db.colInvalid != nil {
-			db.colInvalid.Inc()
-		}
-	}
-	db.tables[s.Name] = tbl
-	db.cat.PutTable(&catalog.TableMeta{ID: id, Name: s.Name, Columns: metaCols, First: tbl.FirstPage()})
-	return db.cat.Save()
-}
-
-// alterTableStore switches a table's physical layout: STORE COLUMNAR
-// builds (and persists) a segment snapshot, STORE ROW drops it. Either way
-// the heap stays authoritative; a checkpoint makes the catalog pointer
-// durable so the snapshot survives restart.
-func (c *Conn) alterTableStore(s *sqlparse.AlterTableStore) error {
-	tbl, ok := c.db.Table(s.Table)
-	if !ok {
-		return fmt.Errorf("core: table %q not found", s.Table)
-	}
-	if !s.Columnar {
-		tx, done := c.autoTxn()
-		tbl.DropColumnar(tx)
-		if err := done(nil); err != nil {
-			return err
-		}
-		return c.db.Checkpoint()
-	}
-	return c.storeColumnar(tbl)
-}
-
-// storeColumnar runs one columnar build for ALTER / LOAD ... STORE
-// COLUMNAR. The crashpoint sits between the committed build and the
-// checkpoint that publishes it: a crash there must leave the table fully
-// readable from the row heap (the torture suite schedules exactly that).
-func (c *Conn) storeColumnar(tbl *table.Table) error {
-	tx, done := c.autoTxn()
-	// Re-ALTER of an already-columnar table: reclaim the old persisted
-	// chain first, or it would leak when the new snapshot replaces it.
-	tbl.DropColumnar(tx)
-	_, err := tbl.BuildColumnar(tx, true)
-	if err := done(err); err != nil {
-		return err
-	}
-	if inj := c.db.inj; inj != nil {
-		if err := inj.Crashpoint("colseg.build"); err != nil {
-			return err
-		}
-	}
-	return c.db.Checkpoint()
-}
-
-func (c *Conn) createIndex(s *sqlparse.CreateIndex) error {
-	db := c.db
-	tbl, ok := db.Table(s.Table)
-	if !ok {
-		return fmt.Errorf("core: table %q not found", s.Table)
-	}
-	if tbl.IndexByName(s.Name) != nil {
-		return fmt.Errorf("core: index %q already exists", s.Name)
-	}
-	cols := make([]int, len(s.Cols))
-	for i, name := range s.Cols {
-		ci := tbl.ColumnIndex(name)
-		if ci < 0 {
-			return fmt.Errorf("core: column %q not found", name)
-		}
-		cols[i] = ci
-	}
-	id := db.cat.NextID()
-	if _, err := tbl.AddIndex(id, s.Name, cols, s.Unique); err != nil {
-		return err
-	}
-	// Index creation grows the database; the cache governor reacts with
-	// its fast sampling period (§2).
-	db.cacheG.NoteDBGrowth()
-	return nil
-}
-
-func (c *Conn) createStatistics(s *sqlparse.CreateStatistics) error {
-	tbl, ok := c.db.Table(s.Table)
-	if !ok {
-		return fmt.Errorf("core: table %q not found", s.Table)
-	}
-	return tbl.RebuildStatistics()
-}
-
-func (c *Conn) dropTable(s *sqlparse.DropTable) error {
-	db := c.db
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, ok := db.tables[s.Name]; !ok {
-		return fmt.Errorf("core: table %q not found", s.Name)
-	}
-	delete(db.tables, s.Name)
-	db.cat.DropTable(s.Name)
-	return db.cat.Save()
-}
-
-// calibrate runs CALIBRATE DATABASE: the read DTT curve is measured from
-// the device and the write curve approximated from it; the model is stored
-// in the catalog (§4.2).
-func (c *Conn) calibrate() error {
-	db := c.db
-	m := dtt.Calibrate(db.st.Device(), db.clk, dtt.CalibrateConfig{Seed: 1})
-	db.mu.Lock()
-	db.dttMod = m
-	db.mu.Unlock()
-	db.cat.SetDTT(m.Encode())
-	return db.cat.Save()
-}
-
 // loadTable bulk-loads CSV data; statistics are built during the load
 // (§3.2).
 func (c *Conn) loadTable(s *sqlparse.LoadTable) (Result, error) {
@@ -668,7 +503,7 @@ func (c *Conn) loadTable(s *sqlparse.LoadTable) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	tx, done := c.autoTxn()
+	tx, done := c.db.autoTxn(c.tx, c.curSpan)
 	var n int64
 	for _, rec := range recs {
 		if err := c.interrupted(); err != nil {
@@ -694,7 +529,7 @@ func (c *Conn) loadTable(s *sqlparse.LoadTable) (Result, error) {
 		return Result{}, err
 	}
 	if s.StoreColumnar {
-		if err := c.storeColumnar(tbl); err != nil {
+		if err := c.ddl(s.Table, false, storeLayout(true)); err != nil {
 			return Result{}, err
 		}
 	}

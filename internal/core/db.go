@@ -9,6 +9,7 @@ package core
 
 import (
 	"container/list"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -20,7 +21,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"anywheredb/internal/btree"
 	"anywheredb/internal/buffer"
 	"anywheredb/internal/cachegov"
 	"anywheredb/internal/catalog"
@@ -33,7 +33,6 @@ import (
 	"anywheredb/internal/mem"
 	"anywheredb/internal/osenv"
 	"anywheredb/internal/page"
-	"anywheredb/internal/stats"
 	"anywheredb/internal/store"
 	"anywheredb/internal/table"
 	"anywheredb/internal/telemetry"
@@ -257,13 +256,6 @@ type DB struct {
 	// reorganizer, version vacuum) in the order shutdown stops them.
 	background []func()
 
-	// colsegDrops carries table IDs whose columnar snapshot recovery
-	// invalidated (RecColSegDrop records, plus any table with loser
-	// records — belt and braces) from recover(), which runs before the
-	// catalog exists, to the attach loop, which clears the stale catalog
-	// pointers.
-	colsegDrops map[uint64]bool
-
 	// virtMu guards the registered virtual-table providers: layers above
 	// core (the network server) publish introspection tables here without
 	// core depending on them.
@@ -279,6 +271,9 @@ type DB struct {
 	tables map[string]*table.Table
 	conns  int
 	closed bool
+	// ckptMu makes checkpoints take turns: one truncating the log under
+	// another's page flush would discard the images that flush relies on.
+	ckptMu sync.Mutex
 
 	// Tracer, when non-nil, records every statement (Application
 	// Profiling, §5). Atomic so the per-statement read never touches the
@@ -346,10 +341,11 @@ func Open(opts Options) (*DB, error) {
 	// repair torn writes to catalog and lock pages just as they do data
 	// pages, so catalog.Load and lock.NewManager must not run until the
 	// plan has been applied. (Recovery itself needs only store+pool+log.)
-	recovered := false
+	// It writes nothing it does not have to: the checkpoint below is what
+	// makes the recovered state the new baseline and clears the log.
+	plan, replayed := &wal.RecoveryPlan{}, false
 	if !fresh {
-		recovered, err = db.recover()
-		if err != nil {
+		if plan, replayed, err = db.recover(); err != nil {
 			return failOpen(err)
 		}
 	}
@@ -387,36 +383,19 @@ func Open(opts Options) (*DB, error) {
 	// Attach tables from the catalog and recover statistics. Recovery has
 	// already run: the page chains Attach walks reflect every replayed
 	// RecPageLink, and torn pages were restored from their logged images.
-	// Columnar snapshots that replay invalidated are dropped from the
-	// catalog before attach, so a table never comes up with segments its
-	// heap has since diverged from.
+	// After a non-trivial replay the index trees (not WAL-logged) may be
+	// stale relative to the heaps and are rebuilt from heap scans, and a
+	// columnar snapshot the replay invalidated is not attached. Promotion of
+	// a replica forces the rebuild: the catalog's roots predate the shipped
+	// stream. The checkpoint then makes all of it durable and clears the log.
+	replayed = replayed || opts.RebuildIndexesOnOpen
 	for _, name := range db.cat.TableNames() {
 		tm, _ := db.cat.GetTable(name)
-		if tm.Storage == catalog.StorageColumnar && db.colsegDrops[tm.ID] {
-			tm.Storage = catalog.StorageRow
-			tm.SegHead = 0
-			tm.SegDeltaStart = 0
-			db.cat.PutTable(tm)
-		}
-		if err := db.attachTable(tm); err != nil {
+		if err := db.attachTable(tm, replayed, plan.ColSegDrops[tm.ID]); err != nil {
 			return failOpen(err)
 		}
 	}
-
-	// After a non-trivial replay the index trees (not WAL-logged) may be
-	// stale relative to the heaps: rebuild them from heap scans, then
-	// checkpoint so the recovered state is durable and the log is clear.
-	// RebuildIndexesOnOpen forces the same pass unconditionally (replica
-	// promotion: the catalog's roots predate the shipped stream).
-	if opts.RebuildIndexesOnOpen {
-		recovered = true
-	}
-	if recovered {
-		for _, tbl := range db.tables {
-			if err := tbl.RebuildIndexes(); err != nil {
-				return failOpen(err)
-			}
-		}
+	if replayed {
 		if err := db.Checkpoint(); err != nil {
 			return failOpen(err)
 		}
@@ -689,7 +668,7 @@ func (db *DB) ReorgOnce() int {
 		if float64(st.Scans)/float64(writes) < reorgScanWriteRatio {
 			continue
 		}
-		if err := db.promoteColumnar(tbl); err != nil {
+		if err := db.schemaChange(context.Background(), nil, nil, st.Table, false, storeLayout(true)); err != nil {
 			continue // racing writer or I/O trouble; retry next pass
 		}
 		promoted++
@@ -699,20 +678,6 @@ func (db *DB) ReorgOnce() int {
 		db.flight.Access().Reset()
 	}
 	return promoted
-}
-
-// promoteColumnar builds, persists, and checkpoints a columnar snapshot
-// for one table under a fresh transaction.
-func (db *DB) promoteColumnar(tbl *table.Table) error {
-	tx := db.txns.Begin()
-	if _, err := tbl.BuildColumnar(tx, true); err != nil {
-		tx.Rollback()
-		return err
-	}
-	if err := tx.Commit(); err != nil {
-		return err
-	}
-	return db.Checkpoint()
 }
 
 // noteScan feeds executor scan feedback into the per-table access digests.
@@ -965,78 +930,27 @@ func (db *DB) heapBytes() int64 {
 	return int64(db.memG.ActiveRequests()+1) * 64 * page.Size / 8
 }
 
-// attachTable wires a catalog entry to a live table.
-func (db *DB) attachTable(tm *catalog.TableMeta) error {
-	cols := make([]table.Column, len(tm.Columns))
-	for i, c := range tm.Columns {
-		cols[i] = table.Column{Name: c.Name, Kind: c.Kind}
-	}
-	tbl, err := table.Attach(db.pool, db.st, tm.ID, tm.Name, cols, tm.First)
-	if err != nil {
-		return err
-	}
-	for i, enc := range tm.Hists {
-		if enc == nil || i >= len(tbl.Hists) {
-			continue
-		}
-		if h, err := stats.DecodeHistogram(enc); err == nil {
-			tbl.Hists[i] = h
-		}
-	}
-	// A replica attaches no index trees: it must never allocate pages in
-	// main.db (a btree split would collide with primary-assigned ids), and
-	// the primary's tree pages go stale the moment the stream applies a
-	// logical change. Reads heap-scan under snapshots; the catalog keeps
-	// the index definitions for promotion (Checkpoint preserves them).
-	if !db.opts.ReplicaMode {
-		for _, im := range tm.Indexes {
-			tree := btree.Attach(db.pool, db.st, im.Root, im.ID)
-			tbl.Indexes = append(tbl.Indexes, &table.Index{
-				ID: im.ID, Name: im.Name, Cols: im.Cols, Unique: im.Unique, Tree: tree,
-			})
-		}
-	}
-	tbl.OnColsegDrop = func() {
-		if db.colInvalid != nil {
-			db.colInvalid.Inc()
-		}
-	}
-	if tm.Storage == catalog.StorageColumnar && tm.SegHead != 0 {
-		// Restore the persisted segment snapshot; any validation failure
-		// (bad CRC, broken chain, stale boundary) silently degrades to
-		// row storage — the heap is authoritative.
-		if err := tbl.AttachColumnar(tm.SegHead, tm.SegDeltaStart); err != nil {
-			tm.Storage = catalog.StorageRow
-			tm.SegHead = 0
-			tm.SegDeltaStart = 0
-			db.cat.PutTable(tm)
-		}
-	}
-	db.tables[tm.Name] = tbl
-	return nil
-}
-
-// recover replays the WAL: page-chain links are re-established, committed
-// data records are redone against the pages, loser records are undone
-// (reverse order). It reports whether any work was replayed.
-func (db *DB) recover() (bool, error) {
+// recover replays the WAL into the buffer pool: page-chain links are
+// re-established, committed data records are redone against the pages, loser
+// records are undone (reverse order). It reports whether any work was
+// replayed, and returns the plan for what the log says about objects the
+// catalog — not yet loaded — describes.
+func (db *DB) recover() (*wal.RecoveryPlan, bool, error) {
 	plan, err := db.log.Analyze()
 	if err != nil {
-		return false, err
-	}
-	// Remember which tables' columnar snapshots the log invalidated — the
-	// logged drops, plus every table with loser records (an aborted insert
-	// could have been baked into a snapshot built before the rollback).
-	// The catalog does not exist yet; the attach loop applies these.
-	db.colsegDrops = map[uint64]bool{}
-	for id := range plan.ColSegDrops {
-		db.colsegDrops[id] = true
-	}
-	for _, r := range plan.Undo {
-		db.colsegDrops[r.Table] = true
+		return nil, false, err
 	}
 	if len(plan.Links)+len(plan.Redo)+len(plan.Undo)+len(plan.Images) == 0 {
-		return false, nil
+		return plan, false, nil
+	}
+	// A page on the free chain takes no image: whatever was logged of it
+	// was logged before it was freed.
+	free, err := db.st.FreeList(store.MainFile)
+	if err != nil {
+		return nil, false, err
+	}
+	for _, id := range free {
+		delete(plan.Images, id)
 	}
 	pages := planPages(plan)
 	// A crash loses the store header, so the on-disk page count can lag
@@ -1046,43 +960,33 @@ func (db *DB) recover() (bool, error) {
 		db.st.EnsureAllocated(id)
 	}
 	if err := db.applyPlan(plan); err != nil {
-		return false, err
+		return nil, false, err
 	}
 	if db.inj != nil {
 		if err := db.inj.Crashpoint("recovery.after_redo"); err != nil {
-			return false, err
+			return nil, false, err
 		}
 	}
 	if db.opts.ParanoidRecovery {
 		before, err := db.snapshotPages(pages)
 		if err != nil {
-			return false, err
+			return nil, false, err
 		}
 		if err := db.applyPlan(plan); err != nil {
-			return false, err
+			return nil, false, err
 		}
 		after, err := db.snapshotPages(pages)
 		if err != nil {
-			return false, err
+			return nil, false, err
 		}
 		for i := range before {
 			if before[i] != after[i] {
-				return false, faultinject.Corrupt(fmt.Errorf(
+				return nil, false, faultinject.Corrupt(fmt.Errorf(
 					"core: recovery replay not idempotent: %q became %q", before[i], after[i]))
 			}
 		}
 	}
-	// Recovered state is the new baseline.
-	if err := db.pool.FlushAll(); err != nil {
-		return false, err
-	}
-	if err := db.st.Sync(); err != nil {
-		return false, err
-	}
-	if err := db.log.Truncate(); err != nil {
-		return false, err
-	}
-	return true, nil
+	return plan, true, nil
 }
 
 // planPages collects the distinct pages a recovery plan touches, including
@@ -1171,9 +1075,7 @@ func (db *DB) applyImage(r *wal.Record) error {
 }
 
 // applyLink re-establishes a heap-chain link (redo-always: chain growth is
-// structural and never undone — an empty tail page is harmless). Pages
-// that never reached disk before the crash read back as zero pages and are
-// initialised here.
+// structural and never undone — an empty tail page is harmless).
 func (db *DB) applyLink(r *wal.Record) error {
 	if len(r.After) < 8 {
 		return nil
@@ -1184,17 +1086,9 @@ func (db *DB) applyLink(r *wal.Record) error {
 		return nil
 	}
 	f.Lock()
-	dirty := false
-	if f.Data.Type() == page.TypeFree {
-		f.Data.Init(page.TypeTable)
-		f.Data.SetOwner(r.Table)
-		dirty = true
-	}
+	claimPage(f, r.Table)
 	if f.Data.Next() != next {
 		f.Data.SetNext(next)
-		dirty = true
-	}
-	if dirty {
 		f.MarkDirty()
 	}
 	f.Unlock()
@@ -1205,14 +1099,23 @@ func (db *DB) applyLink(r *wal.Record) error {
 		return nil
 	}
 	nf.Lock()
-	if nf.Data.Type() == page.TypeFree {
-		nf.Data.Init(page.TypeTable)
-		nf.Data.SetOwner(r.Table)
-		nf.MarkDirty()
-	}
+	claimPage(nf, r.Table)
 	nf.Unlock()
 	db.pool.Unpin(nf, true)
 	return nil
+}
+
+// claimPage makes the latched page an empty heap page of the table unless
+// it already is one of its heap pages. A logged record names the page as
+// the table's; if the page says otherwise it never reached disk in that
+// role (it reads back zero-filled), or it did not since an earlier life as
+// something else, whose last logged image recovery has just restored.
+func claimPage(f *buffer.Frame, tableID uint64) {
+	if f.Data.Type() != page.TypeTable || f.Data.Owner() != tableID {
+		f.Data.Init(page.TypeTable)
+		f.Data.SetOwner(tableID)
+		f.MarkDirty()
+	}
 }
 
 func (db *DB) tableByID(id uint64) *table.Table {
@@ -1234,11 +1137,7 @@ func (db *DB) applyRedo(r *wal.Record) error {
 	defer db.pool.Unpin(f, true)
 	f.Lock()
 	defer f.Unlock()
-	if f.Data.Type() == page.TypeFree {
-		f.Data.Init(page.TypeTable)
-		f.Data.SetOwner(r.Table)
-		f.MarkDirty()
-	}
+	claimPage(f, r.Table)
 	switch r.Type {
 	case wal.RecInsert, wal.RecUpdate:
 		cur := f.Data.Cell(int(r.Slot))
@@ -1279,11 +1178,7 @@ func (db *DB) applyUndo(r *wal.Record) error {
 	defer db.pool.Unpin(f, true)
 	f.Lock()
 	defer f.Unlock()
-	if f.Data.Type() == page.TypeFree {
-		f.Data.Init(page.TypeTable)
-		f.Data.SetOwner(r.Table)
-		f.MarkDirty()
-	}
+	claimPage(f, r.Table)
 	switch r.Type {
 	case wal.RecInsert:
 		cur := f.Data.Cell(int(r.Slot))
@@ -1375,69 +1270,6 @@ func (db *DB) SetTracer(t StatementTracer) {
 		return
 	}
 	db.tracer.Store(&t)
-}
-
-// Checkpoint flushes dirty pages, persists statistics and the catalog, and
-// truncates the log.
-func (db *DB) Checkpoint() error {
-	db.mu.Lock()
-	for name, tbl := range db.tables {
-		tm, ok := db.cat.GetTable(name)
-		if !ok {
-			continue
-		}
-		tm.Hists = make([][]byte, len(tbl.Hists))
-		for i, h := range tbl.Hists {
-			if h != nil {
-				tm.Hists[i] = h.Encode()
-			}
-		}
-		tm.First = tbl.FirstPage()
-		// Columnar snapshot pointers follow the live state: only a
-		// persisted snapshot survives a restart, so anything else (memory
-		// only, or invalidated since the last checkpoint) records as row.
-		if cs := tbl.Columnar(); cs != nil && cs.SegHead != 0 {
-			tm.Storage = catalog.StorageColumnar
-			tm.SegHead = cs.SegHead
-			tm.SegDeltaStart = cs.DeltaStart
-		} else {
-			tm.Storage = catalog.StorageRow
-			tm.SegHead = 0
-			tm.SegDeltaStart = 0
-		}
-		// A replica attaches no trees (see attachTable): keep the catalog's
-		// index definitions as shipped so a later promotion can rebuild them,
-		// instead of erasing them from the empty in-memory list.
-		if !db.opts.ReplicaMode {
-			tm.Indexes = tm.Indexes[:0]
-			for _, ix := range tbl.Indexes {
-				tm.Indexes = append(tm.Indexes, catalog.IndexMeta{
-					ID: ix.ID, Name: ix.Name, Cols: ix.Cols, Unique: ix.Unique, Root: ix.Tree.Root(),
-				})
-			}
-		}
-		db.cat.PutTable(tm)
-	}
-	db.mu.Unlock()
-	if err := db.cat.Save(); err != nil {
-		return err
-	}
-	if err := db.pool.FlushAll(); err != nil {
-		return err
-	}
-	if err := db.st.Sync(); err != nil {
-		return err
-	}
-	db.log.Append(&wal.Record{Type: wal.RecCheckpoint})
-	if err := db.log.Flush(); err != nil {
-		return err
-	}
-	if db.inj != nil {
-		if err := db.inj.Crashpoint("checkpoint.before_truncate"); err != nil {
-			return err
-		}
-	}
-	return db.log.Truncate()
 }
 
 // Close checkpoints and shuts the database down. In degraded mode no

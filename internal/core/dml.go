@@ -169,7 +169,7 @@ func (c *Conn) execInsert(st *Stmt, s *sqlparse.Insert, params []val.Value) (Res
 		}
 	}
 
-	tx, done := c.autoTxn()
+	tx, done := c.db.autoTxn(c.tx, c.curSpan)
 	// The insert loop is the statement's execute phase: table, index and
 	// lock work. done is outside it; the commit it runs has its own phase.
 	execStart := time.Now()
@@ -224,7 +224,7 @@ func (c *Conn) execModify(stmt sqlparse.Statement, params []val.Value, run bool)
 		return Result{}, nil, err
 	}
 	_, isUpdate := stmt.(*sqlparse.Update)
-	tx, done := c.autoTxn()
+	tx, done := c.db.autoTxn(c.tx, c.curSpan)
 	var n int64
 	for _, rid := range rids {
 		if err := c.interrupted(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"sort"
+	"strings"
 
 	"anywheredb/internal/core"
 	"anywheredb/internal/faultinject"
@@ -21,17 +22,28 @@ import (
 // segments, and builds interrupted before their checkpoint; and half the
 // cycles pin an MVCC snapshot across the writes, so crashes land with
 // version chains live and the pinned view is re-verified after every
-// commit. After every cycle the database is reopened cleanly and the
+// commit. Between a cycle's transactions seeded schema changes run — CREATE
+// TABLE and a first row, CREATE [UNIQUE] INDEX, DROP TABLE, CREATE
+// STATISTICS — each ending in its own checkpoint, inside which the
+// schedule's crashes land like anywhere else; the tables' long names make
+// the catalog one to four pages long, so those checkpoints rewrite, grow
+// and shrink a chain; and in some cycles a second connection holds a
+// transaction open across the storage flip and every checkpoint of the
+// cycle. After every cycle the database is reopened cleanly and the
 // recovered contents are compared against a model kept in plain memory:
 //
 //   - durability: every acknowledged commit is present;
 //   - atomicity: no uncommitted transaction is visible, in full or part;
 //   - idempotency: replaying the same log again must not change the
-//     database (enforced by ParanoidRecovery on every recovery).
+//     database (enforced by ParanoidRecovery on every recovery);
+//   - schema: every acknowledged schema change is present, an
+//     unacknowledged one is wholly present or wholly absent, and the
+//     database always opens.
 //
 // A commit whose COMMIT statement returned an error during a crash is
 // indeterminate — the classic ambiguity — and the verifier accepts either
-// fate, but nothing in between.
+// fate, but nothing in between. The same goes for a schema change whose
+// statement returned an error.
 
 // CrashTortureConfig parameterizes one torture run.
 type CrashTortureConfig struct {
@@ -58,6 +70,8 @@ type CrashTortureResult struct {
 	Rollbacks       int // transactions rolled back after a statement error
 	Indeterminate   int // commits with unknown fate (crash during COMMIT)
 	SnapshotChecks  int // repeatable-read verifications through a pinned snapshot
+	SchemaChanges   int // schema changes acknowledged
+	SchemaIndet     int // schema changes with unknown fate (statement failed)
 
 	// Engine fault counters accumulated across all cycles.
 	Injected, Retried, GaveUp uint64
@@ -106,6 +120,38 @@ func kvEqual(a, b map[int64]int64) bool {
 	return true
 }
 
+// sideTable models one table (k INT, v INT) a torture cycle created.
+type sideTable struct {
+	rows   map[int64]int64
+	maybe  *kvOp  // a first row whose INSERT failed: either fate
+	index  string // name of its index, "" for none
+	unique bool
+}
+
+// schemaOp is a schema change whose statement failed: it may have happened.
+type schemaOp struct {
+	kind   string // "create", "drop", "index"
+	table  string
+	unique bool
+}
+
+// sideName names the nth side table. The name is long on purpose: it is
+// what the catalog stores per table, so four side tables make the catalog
+// chain three pages long, and creating and dropping them grows and shrinks
+// it. Messages quote the first nine bytes.
+func sideName(n int) string {
+	return fmt.Sprintf("side_%04d_%s", n, strings.Repeat("wide_", 160))
+}
+
+func sortedNames(m map[string]*sideTable) []string {
+	out := make([]string, 0, len(m))
+	for n := range m {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return out
+}
+
 // CrashTorture runs the harness and verifies the recovery invariants after
 // every cycle. It returns an error on the first invariant violation.
 func CrashTorture(cfg CrashTortureConfig) (*CrashTortureResult, error) {
@@ -126,6 +172,14 @@ func CrashTorture(cfg CrashTortureConfig) (*CrashTortureResult, error) {
 	master := rand.New(rand.NewSource(cfg.Seed))
 	model := map[int64]int64{}
 	nextKey := int64(1)
+	// The schema model: the side tables that exist, every name ever
+	// dropped, whether CREATE STATISTICS kv was ever acknowledged, and the
+	// one schema change of the cycle whose fate is unknown.
+	side := map[string]*sideTable{}
+	dropped := []string{}
+	nextSide := 0
+	statsAcked := false
+	var pending *schemaOp
 
 	// Seed schema and rows, checkpointed durably before torture begins.
 	{
@@ -170,6 +224,66 @@ func CrashTorture(cfg CrashTortureConfig) (*CrashTortureResult, error) {
 		}
 	}
 
+	// verifySchema settles the cycle's indeterminate schema change by what
+	// the recovered database shows, then checks every table the model knows
+	// about: present with exactly its rows and its index, or gone.
+	verifySchema := func(db *core.DB, conn *core.Conn) error {
+		if op := pending; op != nil {
+			pending = nil
+			tbl, exists := db.Table(op.table)
+			switch {
+			case op.kind == "create" && exists:
+				side[op.table] = &sideTable{rows: map[int64]int64{}}
+			case op.kind == "drop" && !exists:
+				delete(side, op.table)
+				dropped = append(dropped, op.table)
+			case op.kind == "index" && exists && tbl.IndexByName(op.table+"_k") != nil:
+				side[op.table].index, side[op.table].unique = op.table+"_k", op.unique
+			}
+		}
+		for _, name := range dropped {
+			if _, ok := db.Table(name); ok {
+				return fmt.Errorf("dropped table %s is back", name[:9])
+			}
+		}
+		for _, name := range sortedNames(side) {
+			st := side[name]
+			tbl, ok := db.Table(name)
+			if !ok {
+				return fmt.Errorf("acknowledged table %s lost", name[:9])
+			}
+			rows, err := conn.Query("SELECT k, v FROM " + name)
+			if err != nil {
+				return fmt.Errorf("table %s unreadable: %w", name[:9], err)
+			}
+			got := map[int64]int64{}
+			for _, r := range rows.All() {
+				got[r[0].I] = r[1].I
+			}
+			if st.maybe != nil && kvEqual(got, applyOps(st.rows, []kvOp{*st.maybe})) {
+				st.rows = got
+			}
+			st.maybe = nil
+			if !kvEqual(got, st.rows) {
+				return fmt.Errorf("table %s holds %d rows, want %d", name[:9], len(got), len(st.rows))
+			}
+			switch ix := tbl.IndexByName(st.index); {
+			case st.index == "" && len(tbl.Indexes) != 0:
+				return fmt.Errorf("table %s has an index nobody created", name[:9])
+			case st.index == "":
+			case ix == nil:
+				return fmt.Errorf("acknowledged index on %s lost", name[:9])
+			case ix.Unique != st.unique || ix.Tree.Stats.Entries.Load() != int64(len(got)):
+				return fmt.Errorf("index on %s: unique=%v with %d entries, want unique=%v with %d",
+					name[:9], ix.Unique, ix.Tree.Stats.Entries.Load(), st.unique, len(got))
+			}
+		}
+		if kv, _ := db.Table("kv"); statsAcked && len(model) > 0 && kv.Hists[0].Total() <= 0 {
+			return fmt.Errorf("acknowledged CREATE STATISTICS kv left no histogram")
+		}
+		return nil
+	}
+
 	// verify reopens cleanly, replays the log (paranoid), and checks the
 	// surviving contents against the model — with and without the cycle's
 	// indeterminate transaction, if any.
@@ -203,6 +317,10 @@ func CrashTorture(cfg CrashTortureConfig) (*CrashTortureResult, error) {
 			return fmt.Errorf("cycle %d: recovery invariant violation: %d rows recovered, want %d (indeterminate txn: %v)",
 				cycle, len(got), len(model), indet != nil)
 		}
+		if err := verifySchema(db, conn); err != nil {
+			db.Close()
+			return fmt.Errorf("cycle %d: schema invariant violation: %w", cycle, err)
+		}
 		conn.Close()
 		return db.Close()
 	}
@@ -230,9 +348,10 @@ func CrashTorture(cfg CrashTortureConfig) (*CrashTortureResult, error) {
 		case 4:
 			fcfg.Crashpoints = map[string]int{"checkpoint.before_truncate": 1}
 		case 5:
-			// Crash between a committed segment build and its publishing
-			// checkpoint: the table must recover readable from the heap.
-			fcfg.Crashpoints = map[string]int{"colseg.build": 1}
+			// Crash between a committed schema change and its publishing
+			// checkpoint: a segment build must recover readable from the
+			// heap, a new table or index must be wholly absent.
+			fcfg.Crashpoints = map[string]int{"ddl.before_checkpoint": 1}
 		case 6:
 			// No scheduled crash: a pure transient-retry cycle.
 		}
@@ -257,8 +376,86 @@ func CrashTorture(cfg CrashTortureConfig) (*CrashTortureResult, error) {
 				db.Crash()
 				return res, cerr
 			}
+			// In some cycles a second connection opens a transaction, writes
+			// a row nobody else touches, and stays open across the storage
+			// flip and every checkpoint of the cycle: none of them may make
+			// its row permanent or discard the log records that undo it. It
+			// never commits, so the model never learns of the row.
+			var holder *core.Conn
+			if wl.Float64() < 0.4 {
+				if c3, err := db.Connect(); err == nil {
+					if _, err = c3.Exec("BEGIN"); err == nil {
+						_, err = c3.Exec("INSERT INTO kv VALUES (?, ?)", val.NewInt(nextKey), val.NewInt(-1))
+						nextKey++
+					}
+					if err == nil {
+						holder = c3
+					} else {
+						c3.Close()
+					}
+				}
+			}
+			// schemaChange runs one seeded schema change. An acknowledged one
+			// updates the model; a failed one is the cycle's indeterminate
+			// schema change, and no further one is issued this cycle.
+			schemaChange := func() {
+				if pending != nil {
+					return
+				}
+				names := sortedNames(side)
+				var name string
+				if len(names) > 0 {
+					name = names[wl.Intn(len(names))]
+				}
+				var op schemaOp
+				var sql string
+				switch r := wl.Float64(); {
+				case len(names) < 2 || (r < 0.35 && len(names) < 6):
+					op = schemaOp{kind: "create", table: sideName(nextSide)}
+					nextSide++
+					sql = fmt.Sprintf("CREATE TABLE %s (k INT, v INT)", op.table)
+				case r < 0.6 && side[name].index == "":
+					op = schemaOp{kind: "index", table: name, unique: wl.Intn(2) == 0}
+					sql = fmt.Sprintf("CREATE INDEX %s_k ON %s (k)", name, name)
+					if op.unique {
+						sql = fmt.Sprintf("CREATE UNIQUE INDEX %s_k ON %s (k)", name, name)
+					}
+				case r < 0.85:
+					op = schemaOp{kind: "drop", table: name}
+					sql = "DROP TABLE " + name
+				default:
+					op = schemaOp{kind: "stats"}
+					sql = "CREATE STATISTICS kv"
+				}
+				if _, err := conn.Exec(sql); err != nil {
+					if op.kind != "stats" {
+						pending = &op
+						res.SchemaIndet++
+					}
+					return
+				}
+				res.SchemaChanges++
+				switch op.kind {
+				case "create":
+					st := &sideTable{rows: map[int64]int64{}}
+					side[op.table] = st
+					row := kvOp{kind: 'i', k: int64(nextSide), v: wl.Int63n(1_000_000)}
+					if _, err := conn.Exec("INSERT INTO "+op.table+" VALUES (?, ?)", val.NewInt(row.k), val.NewInt(row.v)); err != nil {
+						st.maybe = &row
+					} else {
+						st.rows[row.k] = row.v
+					}
+				case "index":
+					side[name].index, side[name].unique = name+"_k", op.unique
+				case "drop":
+					delete(side, name)
+					dropped = append(dropped, name)
+				case "stats":
+					statsAcked = true
+				}
+			}
 			// Flip the storage format in some cycles: segment builds (and
-			// their colseg.build crashpoint), scans through sealed
+			// the ddl.before_checkpoint crashpoint), scans through sealed
 			// segments, and invalidation-by-DML all join the torture mix.
 			// The flip changes no logical contents, so the model is
 			// untouched; an error here is either a scheduled crash
@@ -316,6 +513,9 @@ func CrashTorture(cfg CrashTortureConfig) (*CrashTortureResult, error) {
 			}
 		workload:
 			for t := 0; t < cfg.OpsPerCycle; t++ {
+				if wl.Float64() < 0.12 {
+					schemaChange()
+				}
 				if _, err := conn.Exec("BEGIN"); err != nil {
 					break
 				}
@@ -381,6 +581,9 @@ func CrashTorture(cfg CrashTortureConfig) (*CrashTortureResult, error) {
 				// the version chains it pins) stays live through db.Crash().
 				_, _ = snapConn.Exec("COMMIT")
 				snapConn.Close()
+			}
+			if holder != nil && !sched.Crashed() {
+				holder.Close() // rolls its transaction back
 			}
 			if sched.Crashed() {
 				res.Crashes++
@@ -449,12 +652,15 @@ func E19CrashRecovery() (*Report, error) {
 			"rollbacks              %6d\n"+
 			"indeterminate commits  %6d\n"+
 			"snapshot checks        %6d\n"+
+			"schema changes acked   %6d\n"+
+			"indeterminate schema   %6d\n"+
 			"faults injected        %6d\n"+
 			"transient retries      %6d\n"+
 			"retries exhausted      %6d\n"+
 			"invariant violations        0",
 		res.Cycles, res.Crashes, res.RecoveryCrashes, res.Commits,
 		res.Rollbacks, res.Indeterminate, res.SnapshotChecks,
+		res.SchemaChanges, res.SchemaIndet,
 		res.Injected, res.Retried, res.GaveUp)
 
 	return &Report{
@@ -466,6 +672,8 @@ func E19CrashRecovery() (*Report, error) {
 			"crashes":         float64(res.Crashes),
 			"commits":         float64(res.Commits),
 			"snapshot_checks": float64(res.SnapshotChecks),
+			"schema_changes":  float64(res.SchemaChanges),
+			"schema_indet":    float64(res.SchemaIndet),
 			"indeterminate":   float64(res.Indeterminate),
 			"fault_injected":  float64(res.Injected),
 			"fault_retried":   float64(res.Retried),

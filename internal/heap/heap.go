@@ -62,9 +62,6 @@ func (h *Heap) Rows() int { return h.rows }
 // Pages reports the heap's size in pages — its memory-governor footprint.
 func (h *Heap) Pages() int { return len(h.pages) }
 
-// Locked reports whether the heap's pages are pinned in memory.
-func (h *Heap) Locked() bool { return h.locked }
-
 // AddRow appends a row and returns its handle. The heap must be locked.
 func (h *Heap) AddRow(b []byte) (RowRef, error) {
 	if !h.locked {

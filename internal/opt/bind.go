@@ -497,7 +497,7 @@ func colOpLit(q *Query, b *sqlparse.BinOp) (colRefID, val.Value, string, bool) {
 // uniqueCol reports whether a UNIQUE index covers exactly column c.
 func (q *Query) uniqueCol(c colRefID) bool {
 	if t := q.Quants[c.Q].Table; t != nil {
-		for _, ix := range t.Indexes {
+		for _, ix := range t.IndexList() {
 			if ix.Unique && len(ix.Cols) == 1 && ix.Cols[0] == c.C {
 				return true
 			}
@@ -521,7 +521,7 @@ func (q *Query) equalityProbe(qi int) (*table.Index, val.Value, *Conjunct) {
 		if !ok || op != "=" || lit.IsNull() {
 			continue
 		}
-		for _, ix := range t.Indexes {
+		for _, ix := range t.IndexList() {
 			if len(ix.Cols) > 0 && ix.Cols[0] == col.C {
 				return ix, lit, cj
 			}

@@ -299,7 +299,7 @@ func (q *Query) validOrder(order []Step) bool {
 		if st.Index == nil {
 			continue
 		}
-		if t := q.Quants[st.Quant].Table; t == nil || !slices.Contains(t.Indexes, st.Index) {
+		if t := q.Quants[st.Quant].Table; t == nil || !slices.Contains(t.IndexList(), st.Index) {
 			return false
 		}
 	}
@@ -797,7 +797,7 @@ func (b *blockBuilder) indexOnCols(t *table.Table, qKeys []exec.Expr) *table.Ind
 	if !ok {
 		return nil
 	}
-	for _, ix := range t.Indexes {
+	for _, ix := range t.IndexList() {
 		if len(ix.Cols) == 1 && ix.Cols[0] == c.Idx {
 			return ix
 		}
@@ -1353,21 +1353,4 @@ func CostOfOrder(q *Query, order []Step, env *Env) float64 {
 		placed[st.Quant] = true
 	}
 	return cost
-}
-
-// EstimateRowsOut exposes the enumerator's cardinality estimate for a
-// completed plan (used by experiments).
-func EstimateRowsOut(q *Query, order []Step, env *Env) float64 {
-	env.fill()
-	placed := map[int]bool{}
-	card := 1.0
-	for i, st := range order {
-		if i == 0 {
-			card = math.Max(q.LocalCardinality(st.Quant), 1)
-		} else {
-			_, card = env.stepCost(q, placed, card, st)
-		}
-		placed[st.Quant] = true
-	}
-	return card
 }

@@ -24,7 +24,7 @@ func DesiredIndexes(q *Query) []IndexSpec {
 			return
 		}
 		// Already supported by a real index?
-		for _, ix := range qt.Table.Indexes {
+		for _, ix := range qt.Table.IndexList() {
 			if len(ix.Cols) > 0 && ix.Cols[0] == col {
 				return
 			}

@@ -86,22 +86,6 @@ func (e *Env) cpuCost(rows float64) float64 {
 	return rows*e.CPURowCostUS + math.Ceil(rows/e.BatchRows)*e.CPUBatchCostUS
 }
 
-// rowBytes estimates a quantifier's row width.
-func rowBytes(q *Quant) float64 {
-	b := 8.0
-	for _, c := range q.Columns() {
-		switch c.Kind {
-		case 2: // val.KDouble
-			b += 9
-		case 3: // val.KStr
-			b += 24
-		default:
-			b += 6
-		}
-	}
-	return b
-}
-
 // residentBoost implements the paper's optimistic intermediate-result
 // metric: assume half the buffer pool is available for each quantifier, so
 // an inner table re-scanned in a loop is effectively resident up to that

@@ -293,7 +293,7 @@ func (e *enumerator) joinIndex(placed map[int]bool, qi int) *table.Index {
 	}
 	var best *table.Index
 	bestLen := 0
-	for _, ix := range qt.Table.Indexes {
+	for _, ix := range qt.Table.IndexList() {
 		// Count the covered prefix.
 		k := 0
 		for _, c := range ix.Cols {

@@ -498,12 +498,9 @@ func (p *Primary) snapshot(rs *replicaState, bw *bufio.Writer) (prefixEnd, logID
 		if attempt > 16 {
 			return 0, 0, 0, fmt.Errorf("repl: snapshot kept racing truncations")
 		}
-		// Checkpoint first: catalog and statistics live only in the buffer
-		// pool between checkpoints, so without this a snapshot taken after
-		// an un-checkpointed CREATE TABLE would never contain the table —
-		// not in the files, and not in the WAL (the catalog is not
-		// logically logged). It also shrinks the shipped prefix to the
-		// trailing window.
+		// Checkpoint first: it brings the files up to date with the
+		// statistics as they stand and, when no transaction is mid-flight,
+		// shrinks the shipped prefix to the trailing window.
 		if err := p.db.Checkpoint(); err != nil {
 			return 0, 0, 0, err
 		}

@@ -409,21 +409,19 @@ func (r *Replica) applyChunk(m shipMsg) error {
 
 // crossEpoch follows a primary truncation in place: possible only when the
 // replica ingested the old epoch to its exact end with no partial frame
-// buffered. The local log checkpoints too (when no shipped transaction is
-// mid-flight), mirroring the primary's truncation so the replica's WAL
-// doesn't grow forever.
+// buffered. The local database checkpoints too, mirroring the primary's
+// truncation so the replica's WAL doesn't grow forever (the checkpoint
+// itself keeps the log while a shipped transaction is mid-flight).
 func (r *Replica) crossEpoch(m epochMsg) error {
 	r.mu.Lock()
-	db, applier := r.db, r.applier
+	db := r.db
 	ok := r.pos.lsn == m.OldEnd && len(r.partial) == 0
 	r.mu.Unlock()
 	if db == nil || !ok {
 		return fmt.Errorf("repl: epoch crossing at %d but local position disagrees", m.OldEnd)
 	}
-	if applier.InFlight() == 0 {
-		if err := db.Checkpoint(); err != nil {
-			return err
-		}
+	if err := db.Checkpoint(); err != nil {
+		return err
 	}
 	db.WAL().AdoptIdentity(r.pos.logID, m.NewEpoch)
 	r.mu.Lock()

@@ -730,6 +730,3 @@ func (s *Server) teardown(graceful bool) {
 	s.acceptWG.Wait()
 	s.db.RegisterVirtualTable("sys.connections", nil)
 }
-
-// Draining reports whether the server is refusing new statements.
-func (s *Server) Draining() bool { return s.draining.Load() }

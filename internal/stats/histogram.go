@@ -68,6 +68,16 @@ func NewHistogram(kind val.Kind) *Histogram {
 	return &Histogram{Kind: kind, width: val.Width(kind), maxBuckets: 64}
 }
 
+// Replace makes h describe what the freshly built src does. A rebuild
+// publishes this way: planners hold a table's histograms by pointer and take
+// no table lock, so the pointer itself never changes.
+func (h *Histogram) Replace(src *Histogram) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.width, h.buckets, h.singletons, h.nulls = src.width, src.buckets, src.singletons, src.nulls
+	h.distinct, h.maxBuckets, h.seen = src.distinct, src.maxBuckets, src.seen
+}
+
 // Total reports the estimated number of rows (including NULLs).
 func (h *Histogram) Total() float64 {
 	h.mu.RLock()
@@ -133,14 +143,6 @@ func (h *Histogram) densityLocked() float64 {
 	}
 	// Average fraction of rows selected by one non-singleton value.
 	return tailRows / d / total
-}
-
-// DistinctEstimate reports the estimated number of distinct values
-// (singletons plus tail).
-func (h *Histogram) DistinctEstimate() float64 {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.distinct + float64(len(h.singletons))
 }
 
 // --- Estimation ---------------------------------------------------------

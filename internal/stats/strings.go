@@ -49,6 +49,14 @@ func NewStringStats() *StringStats {
 	return &StringStats{buckets: make(map[strKey]*strObs), maxEntry: 512}
 }
 
+// Replace makes s hold what the freshly built src does (see
+// Histogram.Replace).
+func (s *StringStats) Replace(src *StringStats) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.buckets, s.maxEntry, s.tick = src.buckets, src.maxEntry, src.tick
+}
+
 // Buckets reports the number of predicate buckets retained.
 func (s *StringStats) Buckets() int {
 	s.mu.RLock()

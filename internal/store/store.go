@@ -280,28 +280,87 @@ func (s *Store) Alloc(f FileID) (PageID, error) {
 		if err := s.readPageLocked(f, idx, buf[:]); err != nil {
 			return 0, err
 		}
-		st.freeHead = page.Buf(buf[:]).Next()
-		return MakePageID(f, idx), nil
+		if p := page.Buf(buf[:]); p.Type() == page.TypeFree {
+			st.freeHead = p.Next()
+			return MakePageID(f, idx), s.persistFreeList(f)
+		}
+		// Not a free page: the list is stale. Abandon it rather than hand
+		// out a page that is in use.
+		st.freeHead = 0
 	}
 	idx := st.pageCount
 	st.pageCount++
 	return MakePageID(f, idx), nil
 }
 
-// Free returns a page to file f's free chain.
-func (s *Store) Free(id PageID) error {
+// Free returns pages of one file to that file's free chain.
+func (s *Store) Free(ids ...PageID) error {
+	if len(ids) == 0 {
+		return nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := &s.files[id.File()]
+	f := ids[0].File()
+	st := &s.files[f]
 	if !st.present {
-		return fmt.Errorf("store: file %d not open", id.File())
+		return fmt.Errorf("store: file %d not open", f)
 	}
 	var buf [page.Size]byte
 	p := page.Buf(buf[:])
-	p.Init(page.TypeFree)
-	p.SetNext(st.freeHead)
-	st.freeHead = id.Index()
-	return s.writePageLocked(id.File(), id.Index(), buf[:])
+	for _, id := range ids {
+		p.Init(page.TypeFree)
+		p.SetNext(st.freeHead)
+		if err := s.writePageLocked(f, id.Index(), buf[:]); err != nil {
+			return err
+		}
+		st.freeHead = id.Index()
+	}
+	return s.persistFreeList(f)
+}
+
+// persistFreeList writes file f's header after its free chain changed. The
+// header is otherwise written only at Sync, and a crash would bring back a
+// chain head that has since been handed out: the next Alloc would give a
+// page in use to a second owner. The temporary file does not outlive the
+// process and is skipped.
+func (s *Store) persistFreeList(f FileID) error {
+	if f == TempFile {
+		return nil
+	}
+	return s.writeHeader(f)
+}
+
+// FreeList walks file f's free chain and returns the pages on it. Crash
+// recovery asks before it restores logged page images: an image of a page
+// on the chain was taken before the page was freed, and writing it back
+// would put the old content — and a next pointer that is no chain link —
+// under the allocator. Should a page on the chain not be a free page after
+// all, the chain is cut there; the pages behind the cut are lost to the
+// file.
+func (s *Store) FreeList(f FileID) ([]PageID, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := &s.files[f]
+	var buf [page.Size]byte
+	p := page.Buf(buf[:])
+	var ids []PageID
+	prev := uint64(0)
+	for idx := st.freeHead; idx != 0; prev, idx = idx, p.Next() {
+		if err := s.readPageLocked(f, idx, buf[:]); err != nil {
+			return nil, err
+		}
+		if p.Type() == page.TypeFree && uint64(len(ids)) < st.pageCount {
+			ids = append(ids, MakePageID(f, idx))
+			continue
+		}
+		if prev == 0 {
+			st.freeHead = 0
+			return ids, s.persistFreeList(f)
+		}
+		p.Init(page.TypeFree)
+		return ids, s.writePageLocked(f, prev, buf[:])
+	}
+	return ids, nil
 }
 
 // Read fills buf with the page's contents, charging the device.

@@ -189,3 +189,80 @@ func TestCorruptHeaderRejected(t *testing.T) {
 		t.Fatal("corrupt header should be rejected")
 	}
 }
+
+// TestFreeChainSurvivesCrash: the header is written when the free chain
+// changes, not only at Sync, so a crash cannot bring back a chain head that
+// has since been handed out (the next Alloc would give the page a second
+// owner).
+func TestFreeChainSurvivesCrash(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := s.Alloc(MainFile)
+	b, _ := s.Alloc(MainFile)
+	if err := s.Free(a, b); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := s.Alloc(MainFile); got != b {
+		t.Fatalf("pop got %v, want %v", got, b)
+	}
+	s.CloseNoSync() // crash: b is in use, the header was last synced with b at the head
+
+	s2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got, _ := s2.Alloc(MainFile); got != a {
+		t.Fatalf("after the crash Alloc returned %v, want %v (%v is in use)", got, a, b)
+	}
+}
+
+// TestFreeListCutsAtForeignPage: a page on the chain that is not a free
+// page ends the chain there, for FreeList (recovery) and for Alloc alike.
+func TestFreeListCutsAtForeignPage(t *testing.T) {
+	s := memStore(t)
+	var ids []PageID
+	for i := 0; i < 4; i++ {
+		id, _ := s.Alloc(MainFile)
+		ids = append(ids, id)
+	}
+	if err := s.Free(ids...); err != nil { // chain: ids[3] → ids[2] → ids[1] → ids[0]
+		t.Fatal(err)
+	}
+	foreign := make(page.Buf, page.Size)
+	foreign.Init(page.TypeIndex)
+	foreign.SetNext(uint64(ids[3])) // a pointer that would loop the chain
+	if err := s.Write(ids[1], foreign); err != nil {
+		t.Fatal(err)
+	}
+	free, err := s.FreeList(MainFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(free) != 2 || free[0] != ids[3] || free[1] != ids[2] {
+		t.Fatalf("FreeList = %v, want [%v %v]", free, ids[3], ids[2])
+	}
+	got := []PageID{}
+	for i := 0; i < 3; i++ {
+		id, _ := s.Alloc(MainFile)
+		got = append(got, id)
+	}
+	if got[0] != ids[3] || got[1] != ids[2] || got[2].Index() != 5 {
+		t.Fatalf("allocs after the cut = %v, want %v, %v, then a fresh page", got, ids[3], ids[2])
+	}
+
+	// The same foreign page at the head: Alloc abandons the chain.
+	s2 := memStore(t)
+	x, _ := s2.Alloc(MainFile)
+	s2.Free(x)
+	s2.Write(x, foreign)
+	if id, _ := s2.Alloc(MainFile); id == x {
+		t.Fatalf("Alloc handed out %v, which is not a free page", x)
+	}
+}

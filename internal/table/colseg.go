@@ -103,7 +103,9 @@ func (t *Table) BuildColumnar(tx *txn.Txn, persist bool) (*ColState, error) {
 		t.mu.Unlock()
 		return nil, err
 	}
+	nf.Lock()
 	nf.Data.SetOwner(t.ID)
+	nf.Unlock()
 	f.Lock()
 	f.Data.SetNext(uint64(nf.ID))
 	f.MarkDirty()
@@ -229,8 +231,10 @@ func (t *Table) writeSegChain(blob []byte) (store.PageID, error) {
 			}
 			return 0, err
 		}
+		f.Lock()
 		f.Data.SetOwner(t.ID)
 		f.Data.Insert(blob[off:hi])
+		f.Unlock()
 		id := f.ID
 		t.pool.Unpin(f, true)
 		if head == 0 {

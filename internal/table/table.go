@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -122,7 +123,12 @@ type Table struct {
 	// other kinds).
 	StrStats []*stats.StringStats
 
+	// Indexes changes only by replacement, under ixMu (AddIndexIn,
+	// RemoveIndex). Whatever can run beside a schema change — planners and
+	// snapshot readers take no table lock — reads it through IndexList; the
+	// field itself is for code that has the table to itself.
 	Indexes []*Index
+	ixMu    sync.RWMutex
 }
 
 // Create makes an empty table with one (empty) page.
@@ -132,7 +138,9 @@ func Create(pool *buffer.Pool, st *store.Store, file store.FileID, id uint64, na
 	if err != nil {
 		return nil, err
 	}
+	f.Lock() // a new frame is already in ResidentPages' sight
 	f.Data.SetOwner(id)
+	f.Unlock()
 	t.first, t.last = f.ID, f.ID
 	pool.Unpin(f, true)
 	t.pages.Store(1)
@@ -283,7 +291,7 @@ func (t *Table) insertRow(tx *txn.Txn, at *RID, row []val.Value, enc []byte) (RI
 	for i, h := range t.Hists {
 		h.NoteInsert(row[i])
 	}
-	for _, ix := range t.Indexes {
+	for _, ix := range t.IndexList() {
 		if err := ix.Tree.Insert(ix.Key(row), rid.Bytes()); err != nil {
 			return RID{}, err
 		}
@@ -323,7 +331,9 @@ func (t *Table) insertBytes(tx *txn.Txn, enc []byte) (RID, error) {
 		t.pool.Unpin(f, false)
 		return RID{}, err
 	}
+	nf.Lock()
 	nf.Data.SetOwner(t.ID)
+	nf.Unlock()
 	f.Data.SetNext(uint64(nf.ID))
 	f.MarkDirty()
 	f.Unlock()
@@ -429,7 +439,7 @@ func (t *Table) updateRow(tx *txn.Txn, rid RID, oldRow, newRow []val.Value, newE
 			h.NoteInsert(newRow[i])
 		}
 	}
-	for _, ix := range t.Indexes {
+	for _, ix := range t.IndexList() {
 		oldKey, newKey := ix.Key(oldRow), ix.Key(newRow)
 		if string(oldKey) != string(newKey) {
 			if _, err := ix.Tree.Delete(oldKey, rid.Bytes()); err != nil {
@@ -471,7 +481,7 @@ func (t *Table) deleteRow(tx *txn.Txn, rid RID, row []val.Value) error {
 	for i, h := range t.Hists {
 		h.NoteDelete(row[i])
 	}
-	for _, ix := range t.Indexes {
+	for _, ix := range t.IndexList() {
 		if _, err := ix.Tree.Delete(ix.Key(row), rid.Bytes()); err != nil {
 			return err
 		}
@@ -492,8 +502,17 @@ func (t *Table) Insert(tx *txn.Txn, row []val.Value) (RID, error) {
 		return RID{}, ErrRowTooLarge
 	}
 
+	if tx != nil {
+		// Declare write intent on the table before reading its index list or
+		// touching the heap: locking readers (table-S) serialize against this
+		// writer, and an index being built (table-X) is either complete and
+		// in the list below or not started.
+		if err := tx.Lock(t.ID, nil, lock.IntentExclusive); err != nil {
+			return RID{}, err
+		}
+	}
 	// Unique index pre-check.
-	for _, ix := range t.Indexes {
+	for _, ix := range t.IndexList() {
 		if !ix.Unique {
 			continue
 		}
@@ -501,14 +520,6 @@ func (t *Table) Insert(tx *txn.Txn, row []val.Value) (RID, error) {
 			return RID{}, err
 		} else if found {
 			return RID{}, fmt.Errorf("%w: index %s", ErrUnique, ix.Name)
-		}
-	}
-
-	if tx != nil {
-		// Declare write intent on the table before touching the heap, so
-		// locking readers (table-S) serialize against this writer.
-		if err := tx.Lock(t.ID, nil, lock.IntentExclusive); err != nil {
-			return RID{}, err
 		}
 	}
 	rid, err := t.insertRow(tx, nil, row, enc)
@@ -841,6 +852,8 @@ func (t *Table) VacuumVersions(threshold uint64, active func(txn uint64) bool) i
 
 // AddIndex creates a new index and populates it from existing rows,
 // (re)building statistics for the key columns as CREATE INDEX does (§3.2).
+// The caller keeps writers out for the duration (the table's exclusive
+// lock, or having the table to itself).
 func (t *Table) AddIndex(id uint64, name string, cols []int, unique bool) (*Index, error) {
 	return t.AddIndexIn(t.file, id, name, cols, unique)
 }
@@ -873,39 +886,38 @@ func (t *Table) AddIndexIn(file store.FileID, id uint64, name string, cols []int
 		return true, tree.Insert(key, rid.Bytes())
 	})
 	if err != nil {
+		btree.Drop(t.pool, t.st, tree.Root(), id)
 		return nil, err
 	}
 	for i, c := range cols {
-		t.Hists[c] = builders[i].Build(32)
+		t.Hists[c].Replace(builders[i].Build(32))
 	}
-	t.Indexes = append(t.Indexes, ix)
+	// Published by replacing the slice, never by changing it in place: a
+	// reader may be walking the old one.
+	t.ixMu.Lock()
+	t.Indexes = append(slices.Clip(t.Indexes), ix)
+	t.ixMu.Unlock()
 	return ix, nil
 }
 
-// RebuildIndexes repopulates every index from a fresh heap scan. Crash
-// recovery replays heap pages only — index trees are not logged — so after
-// a non-trivial replay the trees may be stale and must be rebuilt. The old
-// trees' pages are abandoned to their file (reclaimed at the next full
-// vacuum; acceptable for a crash path).
-func (t *Table) RebuildIndexes() error {
-	old := t.Indexes
-	t.Indexes = nil
-	for _, ix := range old {
-		if _, err := t.AddIndexIn(t.file, ix.ID, ix.Name, ix.Cols, ix.Unique); err != nil {
-			t.Indexes = old
-			return fmt.Errorf("table %s: rebuild index %s: %w", t.Name, ix.Name, err)
-		}
-	}
-	return nil
+// IndexList returns the table's indexes, in a slice nothing changes in
+// place.
+func (t *Table) IndexList() []*Index {
+	t.ixMu.RLock()
+	defer t.ixMu.RUnlock()
+	return t.Indexes
 }
 
 // RemoveIndex detaches an index (used to drop the Index Consultant's
 // virtual indexes); it reports whether the index existed. The index's
-// pages are abandoned to their file (temp-file pages vanish at restart).
+// pages are abandoned to their file (temp-file pages vanish at restart): a
+// statement planned a moment ago may still be reading them.
 func (t *Table) RemoveIndex(name string) bool {
+	t.ixMu.Lock()
+	defer t.ixMu.Unlock()
 	for i, ix := range t.Indexes {
 		if ix.Name == name {
-			t.Indexes = append(t.Indexes[:i], t.Indexes[i+1:]...)
+			t.Indexes = append(t.Indexes[:i:i], t.Indexes[i+1:]...)
 			return true
 		}
 	}
@@ -914,7 +926,7 @@ func (t *Table) RemoveIndex(name string) bool {
 
 // IndexByName finds an index.
 func (t *Table) IndexByName(name string) *Index {
-	for _, ix := range t.Indexes {
+	for _, ix := range t.IndexList() {
 		if ix.Name == name {
 			return ix
 		}
@@ -951,7 +963,7 @@ func (t *Table) RebuildStatistics() error {
 		return err
 	}
 	for i := range t.Columns {
-		t.Hists[i] = builders[i].Build(32)
+		t.Hists[i].Replace(builders[i].Build(32))
 		if m := strCounts[i]; m != nil && total > 0 {
 			ss := stats.NewStringStats()
 			words := map[string]int64{}
@@ -964,7 +976,7 @@ func (t *Table) RebuildStatistics() error {
 			for w, c := range words {
 				ss.ObserveWord(w, float64(c)/float64(total))
 			}
-			t.StrStats[i] = ss
+			t.StrStats[i].Replace(ss)
 		}
 	}
 	return nil

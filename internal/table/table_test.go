@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"anywheredb/internal/buffer"
+	"anywheredb/internal/stats"
 	"anywheredb/internal/store"
 	"anywheredb/internal/txn"
 	"anywheredb/internal/val"
@@ -395,11 +396,11 @@ func TestAddIndexBuildsStatistics(t *testing.T) {
 	}
 	tx.Commit()
 	// Wipe the histogram, then CREATE INDEX must rebuild it.
-	tbl.Hists[0] = nil
+	tbl.Hists[0] = stats.NewHistogram(val.KInt)
 	if _, err := tbl.AddIndex(201, "by_id", []int{0}, false); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Hists[0] == nil || tbl.Hists[0].Total() == 0 {
+	if tbl.Hists[0].Total() == 0 {
 		t.Fatal("CREATE INDEX did not rebuild statistics")
 	}
 	sel := tbl.Hists[0].SelEq(val.NewInt(2))

@@ -346,13 +346,6 @@ func (r *Registry) Snapshot() []Sample {
 	return out
 }
 
-// Each calls f for every metric in name order.
-func (r *Registry) Each(f func(s Sample)) {
-	for _, s := range r.Snapshot() {
-		f(s)
-	}
-}
-
 // Delta returns after-before per name, keeping only names whose value
 // changed. Both snapshots should come from the same registry.
 func Delta(before, after []Sample) []Sample {

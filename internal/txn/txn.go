@@ -44,6 +44,14 @@ type Manager struct {
 	snapMu sync.Mutex
 	snaps  map[uint64]snapState
 
+	// logMu orders a transaction's first log record against a checkpoint's
+	// decision to truncate the log (see QuietMark and IfQuiet): logging counts
+	// the open transactions that have logged a record, firsts every
+	// transaction that ever did.
+	logMu   sync.Mutex
+	logging int
+	firsts  uint64
+
 	// commitWaitObs, when set, is called with the transaction id and the
 	// wall-clock microseconds Commit/Rollback spent blocked in the WAL
 	// flush. The id lets the flight recorder attribute the wait to the
@@ -159,7 +167,42 @@ func (m *Manager) Adopt(id uint64) *Txn {
 	m.mu.Lock()
 	m.active[id] = t
 	m.mu.Unlock()
+	t.noteLogged() // its records are arriving in the local log
 	return t
+}
+
+// noQuiet is the mark of a moment that was not quiet; no later one matches.
+const noQuiet = ^uint64(0)
+
+// QuietMark returns the mark a checkpoint takes before it flushes pages and
+// hands to IfQuiet afterwards.
+func (m *Manager) QuietMark() uint64 {
+	m.logMu.Lock()
+	defer m.logMu.Unlock()
+	if m.logging != 0 {
+		return noQuiet
+	}
+	return m.firsts
+}
+
+// IfQuiet runs truncate only if the log holds nothing an open transaction
+// needs and nothing newer than the pages the checkpoint flushed: no
+// transaction that has logged a record was open when mark was taken, and
+// none has logged its first since — so none is open now, and every page
+// change a logged record describes was made before the flush began. (One
+// open at the mark may dirty a page the flush has already passed and then
+// commit: its records are that page's only redo, however quiet the manager
+// looks afterwards.) A first record arriving meanwhile waits until truncate
+// returns and lands in the new log. Without the rule, a checkpoint beside an
+// open transaction flushed its uncommitted rows and then discarded the
+// records that would undo them.
+func (m *Manager) IfQuiet(mark uint64, truncate func() error) error {
+	m.logMu.Lock()
+	defer m.logMu.Unlock()
+	if m.firsts != mark {
+		return nil
+	}
+	return truncate()
 }
 
 // IsActive reports whether the given transaction is still in flight.
@@ -322,6 +365,8 @@ type Txn struct {
 	// shipped marks a transaction adopted from a primary's log stream (see
 	// Manager.Adopt): no locks, no log records, no flush.
 	shipped bool
+	// logged is set once the log holds a record of this transaction's.
+	logged bool
 
 	// entries are the version-chain pre-images this transaction pushed;
 	// Commit stamps them all with one CSN, then eagerly reclaims the ones
@@ -415,8 +460,21 @@ func (t *Txn) Log(rec *wal.Record) {
 	if t.shipped {
 		return
 	}
+	if !t.logged {
+		t.noteLogged()
+	}
 	rec.Txn = t.id
 	t.m.log.Append(rec)
+}
+
+// noteLogged counts the transaction among those a checkpoint must not
+// truncate the log under, until finish.
+func (t *Txn) noteLogged() {
+	t.logged = true
+	t.m.logMu.Lock()
+	t.m.logging++
+	t.m.firsts++
+	t.m.logMu.Unlock()
 }
 
 // OnRollback registers a compensating action, run in reverse order if the
@@ -593,6 +651,11 @@ func (t *Txn) finish() {
 	t.m.mu.Lock()
 	delete(t.m.active, t.id)
 	t.m.mu.Unlock()
+	if t.logged {
+		t.m.logMu.Lock()
+		t.m.logging--
+		t.m.logMu.Unlock()
+	}
 	t.reclaim()
 	t.undo = nil
 	t.entries = nil

@@ -236,3 +236,85 @@ func TestAdoptedTxnSettlesWithoutLogOrLocks(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestIfQuiet pins the checkpoint's truncation rule: the truncate runs only
+// when no transaction that has logged a record was open at the mark and none
+// has logged its first since, and a first record arriving while it runs
+// waits for it.
+func TestIfQuiet(t *testing.T) {
+	m, _ := setup(t)
+	ran := func(mark uint64) (ok bool) {
+		if err := m.IfQuiet(mark, func() error { ok = true; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return ok
+	}
+	idle := m.Begin() // open, but nothing logged: BEGIN alone pins nothing
+	if !ran(m.QuietMark()) {
+		t.Fatal("a transaction that has logged nothing held the log")
+	}
+
+	tx := m.Begin()
+	tx.Log(&wal.Record{Type: wal.RecInsert, Table: 1, After: []byte("r")})
+	mark := m.QuietMark()
+	if ran(mark) {
+		t.Fatal("truncated under an open transaction's records")
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	// It may have dirtied a page the checkpoint's flush had already passed:
+	// a mark taken beside it stays bad, the next one is good.
+	if ran(mark) {
+		t.Fatal("truncated the records of a transaction that was open at the mark")
+	}
+	if !ran(m.QuietMark()) {
+		t.Fatal("the log stayed pinned after its last writer committed")
+	}
+
+	// A writer that comes and goes between the mark and the decision logged
+	// records newer than the pages the checkpoint flushed.
+	mark = m.QuietMark()
+	tx = m.Begin()
+	tx.Log(&wal.Record{Type: wal.RecInsert, Table: 1, After: []byte("r")})
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if ran(mark) {
+		t.Fatal("truncated records logged after the mark")
+	}
+
+	// An adopted (shipped) transaction's records are in the local log from
+	// the moment it is adopted.
+	shipped := m.Adopt(1 << 40)
+	if ran(m.QuietMark()) {
+		t.Fatal("truncated under a shipped transaction")
+	}
+	shipped.Commit()
+
+	// A first record blocks while the truncate runs.
+	entered, release, logged := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		<-entered
+		idle.Log(&wal.Record{Type: wal.RecInsert, Table: 1, After: []byte("r")})
+		close(logged)
+	}()
+	ok := false
+	m.IfQuiet(m.QuietMark(), func() error {
+		ok = true
+		close(entered)
+		select {
+		case <-logged:
+			t.Error("a first record got into the log while it was being truncated")
+		case <-time.After(50 * time.Millisecond):
+		}
+		close(release)
+		return nil
+	})
+	<-release
+	<-logged
+	if !ok {
+		t.Fatal("truncate did not run on a quiet manager")
+	}
+	idle.Rollback()
+}

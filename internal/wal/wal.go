@@ -960,11 +960,16 @@ type RecoveryPlan struct {
 	// Images maps each page to its newest full-page image (see
 	// RecPageImage). Recovery writes these back first, repairing any torn
 	// in-place write, then lets the conditional redo/undo passes replay the
-	// changes logged after the image was taken.
+	// changes logged after the image was taken. An image logged under a
+	// transaction id is one of a set that is only good whole (the pages of
+	// the catalog chain): it counts from that transaction's commit record,
+	// and not at all without one — a log flush can tear between two of them.
 	Images map[store.PageID]*Record
-	// ColSegDrops is the set of table ids whose columnar segments were
-	// invalidated by any logged RecColSegDrop, honored unconditionally
-	// (see RecColSegDrop).
+	// ColSegDrops is the set of table ids whose columnar segments must not
+	// be attached: those invalidated by any logged RecColSegDrop, honored
+	// unconditionally (see RecColSegDrop), and every table with a loser
+	// record — an insert that is about to be undone could have been baked
+	// into a snapshot built before its rollback.
 	ColSegDrops map[uint64]bool
 	// Committed is the set of committed transaction ids.
 	Committed map[uint64]bool
@@ -978,10 +983,15 @@ func (l *Log) Analyze() (*RecoveryPlan, error) {
 		ColSegDrops: map[uint64]bool{},
 	}
 	var all []*Record
+	held := map[uint64][]*Record{} // images logged under a transaction not yet seen to commit
 	err := l.Scan(func(_ LSN, r *Record) error {
 		switch r.Type {
 		case RecCommit:
 			plan.Committed[r.Txn] = true
+			for _, img := range held[r.Txn] {
+				plan.Images[img.Page] = img
+			}
+			delete(held, r.Txn)
 		case RecRollback:
 			// Rolled-back work is treated like a loser: it must be undone,
 			// but an explicit rollback already compensated it before the
@@ -992,7 +1002,11 @@ func (l *Log) Analyze() (*RecoveryPlan, error) {
 		case RecPageLink:
 			plan.Links = append(plan.Links, r)
 		case RecPageImage:
-			plan.Images[r.Page] = r // later image supersedes earlier
+			if r.Txn != 0 {
+				held[r.Txn] = append(held[r.Txn], r)
+			} else {
+				plan.Images[r.Page] = r // later image supersedes earlier
+			}
 		case RecColSegDrop:
 			plan.ColSegDrops[r.Table] = true
 		}
@@ -1009,6 +1023,7 @@ func (l *Log) Analyze() (*RecoveryPlan, error) {
 	for i := len(all) - 1; i >= 0; i-- {
 		if !plan.Committed[all[i].Txn] {
 			plan.Undo = append(plan.Undo, all[i])
+			plan.ColSegDrops[all[i].Table] = true
 		}
 	}
 	return plan, nil

@@ -581,10 +581,12 @@ func (p *Pool) NewPage(fl store.FileID, t page.Type) (*Frame, error) {
 			if p.borrow(s) {
 				continue
 			}
+			_ = p.st.Free(id) // allocated above and never used; if Free fails the page is lost space, nothing else
 			return nil, ErrPoolExhausted
 		}
 		if err != nil {
 			s.mu.Unlock()
+			_ = p.st.Free(id)
 			return nil, err
 		}
 		f.ID = id

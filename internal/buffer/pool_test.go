@@ -98,6 +98,66 @@ func TestPinnedPagesNeverEvicted(t *testing.T) {
 	}
 }
 
+// A Get that finds no frame fails and leaves the page it asked for alone: it
+// is somebody's live page, unlike the one NewPage had just allocated, which
+// goes back to the store.
+func TestExhaustedGetLeavesThePageAlone(t *testing.T) {
+	for _, fl := range []store.FileID{store.MainFile, store.TempFile} {
+		p, st := testPool(t, 2, 4, 4)
+		f, err := p.NewPage(fl, page.TypeTable)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Data.Insert([]byte("live"))
+		live := f.ID
+		p.Unpin(f, true)
+
+		var pinned []*Frame
+		for i := 0; i < 4; i++ { // the fourth evicts live
+			f, err := p.NewPage(fl, page.TypeTable)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pinned = append(pinned, f)
+		}
+		if _, err := p.Get(live); err != ErrPoolExhausted {
+			t.Fatalf("file %d: Get with every frame pinned: %v, want ErrPoolExhausted", fl, err)
+		}
+		before, err := st.FreeList(fl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.NewPage(fl, page.TypeTable); err != ErrPoolExhausted {
+			t.Fatalf("file %d: NewPage with every frame pinned: %v, want ErrPoolExhausted", fl, err)
+		}
+		free, err := st.FreeList(fl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(free) != len(before)+1 {
+			t.Errorf("file %d: free list %d -> %d pages over a failed NewPage, want its page back", fl, len(before), len(free))
+		}
+		for _, id := range free {
+			if id == live {
+				t.Fatalf("file %d: the failed Get freed the page it was asked to read", fl)
+			}
+		}
+
+		p.Unpin(pinned[0], false)
+		f, err = p.Get(live)
+		if err != nil {
+			t.Fatalf("file %d: Get after unpin: %v", fl, err)
+		}
+		if f.Data.Type() != page.TypeTable || string(f.Data.Cell(0)) != "live" {
+			t.Fatalf("file %d: page came back as type %v, cell %q", fl, f.Data.Type(), f.Data.Cell(0))
+		}
+		p.Unpin(f, false)
+		for _, f := range pinned[1:] {
+			p.Unpin(f, false)
+		}
+	}
+}
+
 func TestUnpinUnderflowPanics(t *testing.T) {
 	p, _ := testPool(t, 2, 4, 4)
 	f, _ := p.NewPage(store.MainFile, page.TypeTable)

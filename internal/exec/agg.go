@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"anywheredb/internal/btree"
+	"anywheredb/internal/mem"
 	"anywheredb/internal/store"
 	"anywheredb/internal/val"
 )
@@ -184,30 +185,30 @@ func (s *aggState) merge(spec AggSpec, o *aggState) {
 // HashGroupBy groups rows by key expressions and computes aggregates.
 // Output rows are key values followed by aggregate results.
 //
-// Low-memory fallback (§4.3): when the memory governor squeezes the
-// operator (ReleaseMemory), in-memory groups are flushed into a temporary
-// B+-tree indexed on the grouping columns, holding partially computed
-// groups; further flushes merge into it. This bounds memory at the price
-// of temp I/O, and is only used in extraordinary cases.
+// Every group is charged to the statement's governor task by its encoded
+// size. Low-memory fallback (§4.3): when the governor asks for memory back
+// (ReleaseMemory), in-memory groups are flushed into a temporary B+-tree
+// indexed on the grouping columns, holding partially computed groups;
+// further flushes merge into it, and the result is read from it a batch at
+// a time. This bounds memory at the price of temp I/O, and is only used in
+// extraordinary cases.
 type HashGroupBy struct {
 	Input Operator
 	Keys  []Expr
 	Aggs  []AggSpec
 	Depth int
 
-	groups     map[uint64][]*group
-	nGroups    int
-	fellBack   bool
-	fb         *btree.Tree
-	out        []Row
-	pos        int
-	done       bool
-	registered bool
-	inputOpen  bool
-	ctx        *Ctx
-	// MaxGroupsInMemory caps the hash table before a voluntary flush (the
-	// optimizer's page-quota annotation translates to this; 0 = unlimited).
-	MaxGroupsInMemory int
+	acct      mem.Account
+	groups    map[uint64][]*group
+	nGroups   int
+	stateSize int // encoded size of one group's fresh aggregate states
+	fellBack  bool
+	fb        *btree.Tree
+	emit      []*group        // the result, when it never left memory
+	it        *btree.Iterator // the result, once the fallback engaged
+	pos       int
+	inputOpen bool
+	ctx       *Ctx
 }
 
 type group struct {
@@ -215,71 +216,90 @@ type group struct {
 	aggs []*aggState
 }
 
+func (g *HashGroupBy) newGroup(keys Row) *group {
+	grp := &group{keys: keys, aggs: make([]*aggState, len(g.Aggs))}
+	for i, spec := range g.Aggs {
+		grp.aggs[i] = newAggState(spec)
+	}
+	return grp
+}
+
 // FellBack reports whether the low-memory fallback engaged.
 func (g *HashGroupBy) FellBack() bool { return g.fellBack }
 
-// MemoryPages implements mem.Consumer (approximate: groups per page).
-func (g *HashGroupBy) MemoryPages() int { return g.nGroups/16 + 1 }
+// MemoryPeakPages reports the high-water mark of the last execution.
+func (g *HashGroupBy) MemoryPeakPages() int { return g.acct.PeakPages() }
 
 // ReleaseMemory implements mem.Consumer: engage the low-memory fallback,
-// spilling all in-memory groups to the temp-file B+-tree.
-func (g *HashGroupBy) ReleaseMemory(want int) int {
-	if g.ctx == nil || g.nGroups == 0 || g.hasDistinctAgg() {
-		return 0
+// spilling all in-memory groups to the temp-file B+-tree. Once the input
+// is consumed the groups are the result being emitted and stay.
+func (g *HashGroupBy) ReleaseMemory(want int) (int, error) {
+	if !g.inputOpen || g.nGroups == 0 || g.hasDistinctAgg() {
+		return 0, nil
 	}
-	before := g.MemoryPages()
-	if err := g.flushToFallback(g.ctx); err != nil {
-		return 0
-	}
-	return before
+	before := g.acct.Pages()
+	err := g.flushToFallback(g.ctx)
+	return before - g.acct.Pages(), err
 }
 
 func (g *HashGroupBy) Open(ctx *Ctx) error {
+	g.dropFallback(ctx)
 	g.groups = map[uint64][]*group{}
 	g.nGroups = 0
 	g.fellBack = false
-	g.fb = nil
-	g.out = nil
-	g.pos = 0
-	g.done = false
+	g.emit, g.pos = nil, 0
 	g.ctx = ctx
-	if ctx.Task != nil && !g.registered {
-		ctx.Task.Register(g, g.Depth)
-		g.registered = true
+	g.stateSize = 0
+	for _, spec := range g.Aggs {
+		g.stateSize += val.RowSize(newAggState(spec).encode(spec))
 	}
-	// Mark the child open BEFORE Open is attempted: a child whose Open
-	// failed mid-way may hold pinned heap pages that only its Close
-	// releases, so Close must still reach it.
+	g.acct.Open(ctx.Task, g, g.Depth)
+	// Marked open before Open is attempted, as in HashJoin.Open.
 	g.inputOpen = true
 	if err := g.Input.Open(ctx); err != nil {
 		return err
 	}
 	var in Batch
-	for {
-		if err := ctx.Interrupted(); err != nil {
-			return err
-		}
-		if err := g.Input.NextBatch(ctx, &in); err != nil {
-			return err
-		}
-		if in.Len() == 0 {
-			break
-		}
+	err := pull(ctx, g.Input, &in, func(in *Batch) error {
 		ctx.ChargeRows(in.Len())
 		for _, row := range in.Rows {
-			if err := g.addRow(ctx, row); err != nil {
+			if err := g.addRow(row); err != nil {
 				return err
 			}
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if g.fb != nil {
+		// Push remaining in-memory groups through the fallback so each key
+		// appears exactly once.
+		if err := g.flushToFallback(ctx); err != nil {
+			return err
 		}
 	}
 	g.inputOpen = false
 	if err := g.Input.Close(ctx); err != nil {
 		return err
 	}
-	return g.finalize(ctx)
+	if g.fb != nil {
+		g.it, err = g.fb.First()
+		return err
+	}
+	g.emit = make([]*group, 0, g.nGroups)
+	for _, grps := range g.groups {
+		g.emit = append(g.emit, grps...)
+	}
+	// Global aggregate with no input rows and no keys: one row of
+	// identity aggregates.
+	if len(g.Keys) == 0 && len(g.emit) == 0 {
+		g.emit = append(g.emit, g.newGroup(nil))
+	}
+	return nil
 }
 
-func (g *HashGroupBy) addRow(ctx *Ctx, row Row) error {
+func (g *HashGroupBy) addRow(row Row) error {
 	keys := make(Row, len(g.Keys))
 	for i, e := range g.Keys {
 		v, err := e.Eval(row)
@@ -296,34 +316,31 @@ func (g *HashGroupBy) addRow(ctx *Ctx, row Row) error {
 			break
 		}
 	}
+	grew := 0
 	if grp == nil {
-		grp = &group{keys: keys, aggs: make([]*aggState, len(g.Aggs))}
-		for i, spec := range g.Aggs {
-			grp.aggs[i] = newAggState(spec)
-		}
+		grp = g.newGroup(keys)
 		g.groups[h] = append(g.groups[h], grp)
 		g.nGroups++
-		if g.MaxGroupsInMemory > 0 && g.nGroups > g.MaxGroupsInMemory && !g.hasDistinctAgg() {
-			if err := g.flushToFallback(ctx); err != nil {
-				return err
-			}
-			// The fresh group was flushed too; re-create it empty so this
-			// row still lands somewhere.
-			grp = &group{keys: keys, aggs: make([]*aggState, len(g.Aggs))}
-			for i, spec := range g.Aggs {
-				grp.aggs[i] = newAggState(spec)
-			}
-			g.groups[h] = append(g.groups[h], grp)
-			g.nGroups++
-		}
+		grew = val.RowSize(keys) + g.stateSize
 	}
 	for i, spec := range g.Aggs {
+		seen := len(grp.aggs[i].seen)
 		if err := grp.aggs[i].add(spec, row); err != nil {
 			return err
 		}
+		grew += seenEntrySize * (len(grp.aggs[i].seen) - seen)
+	}
+	// Charged last: the row is in its group by now, so the ReleaseMemory
+	// the charge may bring flushes a consistent table.
+	if grew > 0 {
+		return g.acct.AddBytes(grew)
 	}
 	return nil
 }
+
+// seenEntrySize is what one value of a DISTINCT aggregate's seen-set is
+// charged: its 8-byte hash.
+const seenEntrySize = 8
 
 // rowsEqualNullSafe compares group keys with NULL = NULL (SQL GROUP BY
 // treats NULLs as one group).
@@ -344,8 +361,8 @@ func rowsEqualNullSafe(a, b Row) bool {
 }
 
 // hasDistinctAgg reports whether any aggregate is DISTINCT; their seen-sets
-// cannot be spilled, so the fallback is unavailable (memory is then bounded
-// only by the hard limit).
+// cannot be spilled, so the fallback is unavailable: the sets are charged
+// like everything else, and memory is then bounded only by the hard limit.
 func (g *HashGroupBy) hasDistinctAgg() bool {
 	for _, s := range g.Aggs {
 		if s.Distinct {
@@ -401,6 +418,7 @@ func (g *HashGroupBy) flushToFallback(ctx *Ctx) error {
 		delete(g.groups, h)
 	}
 	g.nGroups = 0
+	g.acct.FreeBytes()
 	return nil
 }
 
@@ -410,54 +428,6 @@ func (g *HashGroupBy) decodeGroup(keys Row, stored Row) *group {
 		grp.aggs[i] = decodeAggState(spec, stored[i*aggStateWidth:(i+1)*aggStateWidth])
 	}
 	return grp
-}
-
-// finalize materializes output rows from memory and the fallback tree.
-func (g *HashGroupBy) finalize(ctx *Ctx) error {
-	if g.fb != nil {
-		// Push remaining in-memory groups through the fallback so each key
-		// appears exactly once.
-		if err := g.flushToFallback(ctx); err != nil {
-			return err
-		}
-		it, err := g.fb.First()
-		if err != nil {
-			return err
-		}
-		defer it.Close()
-		for ; it.Valid(); it.Next() {
-			stored, err := val.DecodeRow(it.Value())
-			if err != nil {
-				return err
-			}
-			nKeys := len(stored) - len(g.Aggs)*aggStateWidth
-			keys := stored[len(g.Aggs)*aggStateWidth:]
-			if nKeys < 0 {
-				return fmt.Errorf("exec: corrupt fallback group")
-			}
-			grp := g.decodeGroup(keys, stored)
-			g.out = append(g.out, g.resultRow(grp))
-		}
-		if err := it.Err(); err != nil {
-			return err
-		}
-		return nil
-	}
-	for _, grps := range g.groups {
-		for _, grp := range grps {
-			g.out = append(g.out, g.resultRow(grp))
-		}
-	}
-	// Global aggregate with no input rows and no keys: one row of
-	// identity aggregates.
-	if len(g.Keys) == 0 && len(g.out) == 0 {
-		grp := &group{aggs: make([]*aggState, len(g.Aggs))}
-		for i, spec := range g.Aggs {
-			grp.aggs[i] = newAggState(spec)
-		}
-		g.out = append(g.out, g.resultRow(grp))
-	}
-	return nil
 }
 
 func (g *HashGroupBy) resultRow(grp *group) Row {
@@ -470,18 +440,44 @@ func (g *HashGroupBy) resultRow(grp *group) Row {
 }
 
 func (g *HashGroupBy) NextBatch(ctx *Ctx, out *Batch) error {
-	copyChunk(ctx, out, g.out, &g.pos)
-	return nil
+	out.Reset()
+	n := ctx.BatchSize()
+	for ; g.pos < len(g.emit) && out.Len() < n; g.pos++ {
+		out.Add(g.resultRow(g.emit[g.pos]))
+	}
+	if g.it == nil {
+		return nil
+	}
+	for ; g.it.Valid() && out.Len() < n; g.it.Next() {
+		stored, err := val.DecodeRow(g.it.Value())
+		if err != nil {
+			return err
+		}
+		nAgg := len(g.Aggs) * aggStateWidth
+		if len(stored) < nAgg {
+			return fmt.Errorf("exec: corrupt fallback group")
+		}
+		out.Add(g.resultRow(g.decodeGroup(stored[nAgg:], stored)))
+	}
+	return g.it.Err()
+}
+
+// dropFallback returns the fallback tree's pages to the temporary file.
+func (g *HashGroupBy) dropFallback(ctx *Ctx) {
+	if g.it != nil {
+		g.it.Close()
+		g.it = nil
+	}
+	if g.fb != nil {
+		btree.Drop(ctx.Pool, ctx.St, g.fb.Root(), 0)
+		g.fb = nil
+	}
 }
 
 func (g *HashGroupBy) Close(ctx *Ctx) error {
-	if ctx.Task != nil && g.registered {
-		ctx.Task.Unregister(g)
-		g.registered = false
-	}
-	g.groups = nil
-	g.out = nil
-	g.fb = nil
+	g.dropFallback(ctx)
+	g.groups, g.emit = nil, nil
+	g.acct.Close()
 	if g.inputOpen {
 		g.inputOpen = false
 		return g.Input.Close(ctx)

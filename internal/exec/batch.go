@@ -254,17 +254,28 @@ func drainEach(ctx *Ctx, op Operator, each func(*Batch)) error {
 	}
 	defer op.Close(ctx)
 	var b Batch
+	return pull(ctx, op, &b, func(b *Batch) error {
+		ctx.noteBatch(b.Len())
+		each(b)
+		return nil
+	})
+}
+
+// pull feeds the rest of an open operator's output to fn a batch at a time,
+// polling for interruption between batches.
+func pull(ctx *Ctx, op Operator, b *Batch, fn func(*Batch) error) error {
 	for {
 		if err := ctx.Interrupted(); err != nil {
 			return err
 		}
-		if err := op.NextBatch(ctx, &b); err != nil {
+		if err := op.NextBatch(ctx, b); err != nil {
 			return err
 		}
 		if b.Len() == 0 {
 			return nil
 		}
-		ctx.noteBatch(b.Len())
-		each(&b)
+		if err := fn(b); err != nil {
+			return err
+		}
 	}
 }

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -23,6 +25,36 @@ func testCtx(t testing.TB, frames int) (*Ctx, *store.Store) {
 	t.Cleanup(func() { st.Close() })
 	pool := buffer.New(st, 8, frames, frames*2)
 	return &Ctx{Pool: pool, St: st, Clk: vclock.New(), Workers: 1}, st
+}
+
+// governed puts ctx under a governor task with the given soft limit (and a
+// hard limit no test reaches).
+func governed(t testing.TB, ctx *Ctx, softPages int) *mem.Task {
+	t.Helper()
+	gov := mem.NewGovernor(func() int { return 10000 }, func() int { return softPages * 4 }, 4)
+	task := gov.Begin()
+	t.Cleanup(task.Finish)
+	ctx.Task = task
+	return task
+}
+
+// settled checks that a closed plan left nothing charged, nothing pinned
+// and no page of the temporary file in use.
+func settled(t testing.TB, ctx *Ctx, task *mem.Task) {
+	t.Helper()
+	if n := task.UsedPages(); n != 0 {
+		t.Errorf("%d pages still charged to the task", n)
+	}
+	if n := ctx.Pool.PinnedCount(); n != 0 {
+		t.Errorf("%d pages still pinned", n)
+	}
+	free, err := ctx.St.FreeList(store.TempFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if used := int(ctx.St.PageCount(store.TempFile)) - 1 - len(free); used != 0 {
+		t.Errorf("%d temporary-file pages not returned", used)
+	}
 }
 
 // rowsOp materializes fixed rows.
@@ -186,10 +218,7 @@ func TestHashJoinSpillCorrectness(t *testing.T) {
 	// A tiny soft limit forces partition eviction; results must match the
 	// unspilled join exactly.
 	ctx, _ := testCtx(t, 256)
-	gov := mem.NewGovernor(func() int { return 10000 }, func() int { return 16 }, 4) // soft=4 pages
-	task := gov.Begin()
-	defer task.Finish()
-	ctx.Task = task
+	task := governed(t, ctx, 4)
 
 	var lrows, rrows []Row
 	for i := 0; i < 2000; i++ {
@@ -203,6 +232,7 @@ func TestHashJoinSpillCorrectness(t *testing.T) {
 		LeftKeys: []Expr{Col{0}}, RightKeys: []Expr{Col{0}},
 	}
 	rows := drain(t, ctx, j)
+	settled(t, ctx, task)
 	if j.SpilledPartitions() == 0 {
 		t.Fatal("expected partition eviction under a 4-page soft limit")
 	}
@@ -212,12 +242,47 @@ func TestHashJoinSpillCorrectness(t *testing.T) {
 	}
 }
 
+// With as many statements active as the multiprogramming level allows, the
+// hard limit (Eq. 4) is below the soft one (Eq. 5): the blocks of a spilled
+// partition are sized to what the statement may still be given, not to a
+// soft limit it would be refused on the way to.
+func TestHashJoinSpillBelowTheSoftLimit(t *testing.T) {
+	ctx, _ := testCtx(t, 256)
+	gov := mem.NewGovernor(func() int { return 64 }, func() int { return 64 }, 2)
+	task, other := gov.Begin(), gov.Begin()
+	t.Cleanup(task.Finish)
+	t.Cleanup(other.Finish)
+	ctx.Task = task
+	if soft, hard := task.SoftLimitPages(), task.HardLimitPages(); soft != 32 || hard != 24 {
+		t.Fatalf("soft %d hard %d, want 32 and 24", soft, hard)
+	}
+
+	pad := val.NewStr(fmt.Sprintf("%0200d", 0))
+	var lrows, rrows []Row
+	for i := 0; i < 6000; i++ { // some 40 pages a partition
+		lrows = append(lrows, Row{val.NewInt(int64(i)), pad})
+	}
+	for i := 0; i < 1000; i++ {
+		rrows = append(rrows, intRow(int64(i*6)))
+	}
+	j := &HashJoin{
+		Left: &Materialized{RowsData: lrows}, Right: &Materialized{RowsData: rrows},
+		LeftKeys: []Expr{Col{0}}, RightKeys: []Expr{Col{0}},
+	}
+	rows := drain(t, ctx, j)
+	settled(t, ctx, task)
+	if j.SpilledPartitions() == 0 || len(rows) != 1000 {
+		t.Fatalf("%d partitions spilled, %d rows, want 1000", j.SpilledPartitions(), len(rows))
+	}
+	// A charge is counted before the release it asks for: one page over.
+	if peak := task.PeakPages(); peak > 24+1 {
+		t.Fatalf("peak %d pages against a 24-page hard limit", peak)
+	}
+}
+
 func TestHashJoinSpillLeftOuter(t *testing.T) {
 	ctx, _ := testCtx(t, 256)
-	gov := mem.NewGovernor(func() int { return 10000 }, func() int { return 8 }, 4) // soft=2 pages
-	task := gov.Begin()
-	defer task.Finish()
-	ctx.Task = task
+	task := governed(t, ctx, 2)
 
 	var lrows []Row
 	for i := 0; i < 1500; i++ {
@@ -234,6 +299,7 @@ func TestHashJoinSpillLeftOuter(t *testing.T) {
 		LeftOuter: true, RightWidth: 1,
 	}
 	rows := drain(t, ctx, j)
+	settled(t, ctx, task)
 	if len(rows) != 1500 {
 		t.Fatalf("left outer spilled rows %d, want 1500", len(rows))
 	}
@@ -401,13 +467,14 @@ func TestHashGroupByLowMemoryFallback(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		in = append(in, intRow(int64(i%1000), 1))
 	}
+	task := governed(t, ctx, 1) // 1000 groups of ~20 bytes are several pages
 	g := &HashGroupBy{
-		Input:             &Materialized{RowsData: in},
-		Keys:              []Expr{Col{0}},
-		Aggs:              []AggSpec{{Fn: AggCountStar}, {Fn: AggSum, Arg: Col{1}}},
-		MaxGroupsInMemory: 50,
+		Input: &Materialized{RowsData: in},
+		Keys:  []Expr{Col{0}},
+		Aggs:  []AggSpec{{Fn: AggCountStar}, {Fn: AggSum, Arg: Col{1}}},
 	}
 	rows := drain(t, ctx, g)
+	settled(t, ctx, task)
 	if !g.FellBack() {
 		t.Fatal("fallback should have engaged")
 	}
@@ -483,12 +550,13 @@ func TestSortInMemoryAndExternal(t *testing.T) {
 		}
 	}
 
+	task := governed(t, ctx, 2)
 	ext := &Sort{
-		Input:           &Materialized{RowsData: in},
-		Keys:            []SortKey{{Expr: Col{0}}, {Expr: Col{1}, Desc: true}},
-		MaxRowsInMemory: 100,
+		Input: &Materialized{RowsData: in},
+		Keys:  []SortKey{{Expr: Col{0}}, {Expr: Col{1}, Desc: true}},
 	}
 	rows2 := drain(t, ctx, ext)
+	settled(t, ctx, task)
 	if !ext.Spilled() {
 		t.Fatal("external sort should spill")
 	}
@@ -504,6 +572,20 @@ func TestSortInMemoryAndExternal(t *testing.T) {
 			t.Fatal("secondary desc key broken")
 		}
 	}
+
+	// Re-opened without a Close, the merge's cursors open: the runs and the
+	// pins of the abandoned execution go before the next one starts.
+	if err := ext.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var first Batch
+	if err := ext.NextBatch(ctx, &first); err != nil {
+		t.Fatal(err)
+	}
+	if got := drain(t, ctx, ext); len(got) != 3000 || !ext.Spilled() {
+		t.Fatalf("re-opened sort: %d rows, spilled %v", len(got), ext.Spilled())
+	}
+	settled(t, ctx, task)
 }
 
 func TestHashDistinct(t *testing.T) {
@@ -713,4 +795,155 @@ func TestPredicates(t *testing.T) {
 	if v, _ := (InListPred{E: Col{0}, List: []Expr{Const{val.Null}, Const{val.NewInt(9)}}, Neg: true}).Test(row); v != Unknown {
 		t.Fatal("not in with null")
 	}
+}
+
+// genSource produces n two-column rows (a permutation of 0..n-1, then the
+// ordinal) and keeps none of them. sample, if set, runs every 8192 rows.
+type genSource struct {
+	n, pos int
+	sample func()
+}
+
+func (g *genSource) Open(*Ctx) error  { g.pos = 0; return nil }
+func (g *genSource) Close(*Ctx) error { return nil }
+func (g *genSource) NextBatch(ctx *Ctx, out *Batch) error {
+	out.Reset()
+	for n := ctx.BatchSize(); g.pos < g.n && out.Len() < n; g.pos++ {
+		out.Add(intRow(int64(g.pos)*7919%int64(g.n), int64(g.pos)))
+		if g.sample != nil && g.pos%8192 == 0 {
+			g.sample()
+		}
+	}
+	return nil
+}
+
+// TestSortIsExternal: what a sort holds is bounded by its quota, not by its
+// input. The rig's temporary file is memory, so retained rows are counted
+// as live heap objects (a row held as Go values is at least one), not bytes.
+func TestSortIsExternal(t *testing.T) {
+	const soft = 16
+	run := func(n int) (peakPages int, liveObjects uint64) {
+		ctx, _ := testCtx(t, 256)
+		task := governed(t, ctx, soft)
+		sample := func() {
+			var ms runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			liveObjects = max(liveObjects, ms.HeapObjects)
+		}
+		s := &Sort{Input: &genSource{n: n, sample: sample}, Keys: []SortKey{{Expr: Col{0}}}}
+		if err := s.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		var b Batch
+		for next := int64(0); ; {
+			if err := s.NextBatch(ctx, &b); err != nil {
+				t.Fatal(err)
+			}
+			if b.Len() == 0 {
+				if next != int64(n) {
+					t.Fatalf("sorted %d rows of %d", next, n)
+				}
+				break
+			}
+			for _, r := range b.Rows {
+				if r[0].I != next {
+					t.Fatalf("row %d has key %d", next, r[0].I)
+				}
+				if next++; next%8192 == 0 {
+					sample()
+				}
+			}
+		}
+		if !s.Spilled() {
+			t.Fatalf("%d rows sorted without a run under a %d-page soft limit", n, soft)
+		}
+		if err := s.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+		settled(t, ctx, task)
+		return task.PeakPages(), liveObjects
+	}
+	const n = 50000
+	peak1, live1 := run(n)
+	peak4, live4 := run(4 * n)
+	t.Logf("peak pages %d / %d, live objects %d / %d", peak1, peak4, live1, live4)
+	if peak1 > soft+1 || peak4 != peak1 {
+		t.Errorf("peak %d pages at N, %d at 4N: want the same, at most the soft limit and a page", peak1, peak4)
+	}
+	if float64(live4) > 1.5*float64(live1) {
+		t.Errorf("%d live objects at 4N, %d at N: what the sort retains grows with its input", live4, live1)
+	}
+}
+
+// TestEvictionLeavesSurvivorsInPlace: giving a partition back is dropping
+// its table and unlocking its heap, nothing else moves.
+func TestEvictionLeavesSurvivorsInPlace(t *testing.T) {
+	ctx, _ := testCtx(t, 256)
+	task := governed(t, ctx, 1000)
+	var lrows, rrows []Row
+	for i := 0; i < 4000; i++ {
+		lrows = append(lrows, intRow(int64(i), int64(i)))
+	}
+	for i := 0; i < 4000; i += 2 {
+		rrows = append(rrows, intRow(int64(i)))
+	}
+	j := &HashJoin{
+		Left: &Materialized{RowsData: lrows}, Right: &Materialized{RowsData: rrows},
+		LeftKeys: []Expr{Col{0}}, RightKeys: []Expr{Col{0}},
+		LeftOuter: true, RightWidth: 1,
+	}
+	if err := j.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	before := make([][]store.PageID, len(j.parts))
+	for i, p := range j.parts {
+		before[i] = append([]store.PageID(nil), p.build.PageIDs()...)
+	}
+	charged := task.UsedPages()
+	if freed, _ := j.ReleaseMemory(1); freed == 0 || task.UsedPages() != charged-freed {
+		t.Fatalf("released %d pages, charged %d then %d", freed, charged, task.UsedPages())
+	}
+	evicted := 0
+	for i, p := range j.parts {
+		if !slices.Equal(p.build.PageIDs(), before[i]) {
+			t.Errorf("partition %d moved: pages %v, were %v", i, p.build.PageIDs(), before[i])
+		}
+		if p.ht == nil {
+			evicted++
+			continue
+		}
+		for _, refs := range p.ht {
+			if _, err := p.build.Row(refs[0]); err != nil {
+				t.Fatalf("partition %d no longer addressable: %v", i, err)
+			}
+		}
+	}
+	if evicted != 1 || j.SpilledPartitions() != 1 {
+		t.Fatalf("%d partitions evicted (%d counted), want the largest only", evicted, j.SpilledPartitions())
+	}
+	var b Batch
+	matched, padded := 0, 0
+	for {
+		if err := j.NextBatch(ctx, &b); err != nil {
+			t.Fatal(err)
+		}
+		if b.Len() == 0 {
+			break
+		}
+		for _, r := range b.Rows {
+			if r[2].IsNull() {
+				padded++
+			} else {
+				matched++
+			}
+		}
+	}
+	if matched != 2000 || padded != 2000 {
+		t.Fatalf("%d matched and %d padded rows, want 2000 each", matched, padded)
+	}
+	if err := j.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	settled(t, ctx, task)
 }

@@ -1,7 +1,10 @@
 package exec
 
 import (
+	"encoding/binary"
+
 	"anywheredb/internal/heap"
+	"anywheredb/internal/mem"
 	"anywheredb/internal/table"
 	"anywheredb/internal/val"
 )
@@ -32,12 +35,16 @@ type IndexAlt struct {
 //   - After the build phase the operator knows the true build cardinality;
 //     if an IndexAlt annotation is present and the count is below
 //     INLMaxBuildRows, it switches to index nested loops.
-//   - Build rows are stored in governor-accounted heap pages. When the
-//     memory governor's soft limit is reached (or ReleaseMemory is
-//     called), the partition with the most rows is evicted to the
-//     temporary file, freeing the most memory for future processing.
-//   - Spilled partitions are processed after the in-memory probe, in
-//     blocks that respect the soft limit.
+//   - Each partition's build rows live in a heap of its own, whose pages
+//     are charged to the statement's governor task while they are locked.
+//     When the governor asks for memory back, the partition with the most
+//     rows is evicted: its hash table is dropped and its heap unlocked, so
+//     the buffer pool may steal the pages to the temporary file. The other
+//     partitions are not touched.
+//   - Rows of either input that belong to an evicted partition are
+//     appended to its (unlocked) heaps, and the partition is joined after
+//     the in-memory probe: its build rows are read back in blocks that fit
+//     the soft limit, each probed with the partition's deferred probe rows.
 type HashJoin struct {
 	Left, Right         Operator
 	LeftKeys, RightKeys []Expr
@@ -53,39 +60,30 @@ type HashJoin struct {
 
 	// State.
 	mode       string // "hash" or "inl"
+	acct       mem.Account
 	parts      []*joinPartition
-	h          *heap.Heap
-	matchSeen  []bool // per build row (heap order), for LeftOuter
-	buildRows  int64
+	matchSeen  []bool // per build row, by ordinal, for LeftOuter
+	enc        []byte // scratch row encoding
 	emitQ      []Row
 	emitPos    int   // consumed prefix of emitQ (index, not re-slice: O(1) pops)
 	inBuf      Batch // reusable input batch for build and probe pulls
 	probeDone  bool
-	spillQueue []int // indexes of spilled partitions to post-process
-	leftWidth  int
-	registered bool
-	ctx        *Ctx
+	padded     bool         // LeftOuter: unmatched in-memory build rows were emitted
+	pass       *spillPass   // the evicted partition being joined
 	inl        *IndexNLJoin // the alternate strategy, once switched to
-	// accounted tracks heap pages charged to the governor. The heap itself
-	// is unaccounted (task=nil) because governor callbacks can re-enter
-	// this operator; charging happens at safe points via syncMem.
-	accounted  int
 	spillCount int
 	leftOpen   bool
 	rightOpen  bool
 }
 
+// joinPartition is one partition of the build input. Its rows are in build:
+// the 8-byte build ordinal (the row's matchSeen slot), the 8-byte key hash,
+// then the encoded row.
 type joinPartition struct {
-	ht      map[uint64][]buildRef
-	rows    int64
-	spilled bool
-	spill   run // build rows (with key hash prepended? no — re-evaluated)
-	probe   run // probe rows destined for this partition
-}
-
-type buildRef struct {
-	ref heap.RowRef
-	idx int64 // build row ordinal (for match flags)
+	build *heap.Heap
+	ht    map[uint64][]heap.RowRef // by key hash; nil once evicted
+	probe *heap.Heap               // unlocked: probe rows that arrived after the eviction
+	done  bool                     // evicted and joined, or no longer needed
 }
 
 // Mode reports which strategy executed ("hash" or "inl"), for tests and
@@ -96,102 +94,56 @@ func (j *HashJoin) Mode() string { return j.mode }
 // the most recent execution (the counter survives Close).
 func (j *HashJoin) SpilledPartitions() int { return j.spillCount }
 
-// MemoryPages implements mem.Consumer.
-func (j *HashJoin) MemoryPages() int {
-	if j.h == nil {
-		return 0
-	}
-	return j.h.Pages()
-}
+// MemoryPeakPages reports the high-water mark of the last execution.
+func (j *HashJoin) MemoryPeakPages() int { return j.acct.PeakPages() }
 
-// ReleaseMemory implements mem.Consumer: evict the largest in-memory
-// partition. Because partition rows live interleaved in one heap, eviction
-// copies survivors; the paper's engine pays a similar copy when reshaping
-// heaps. Returns pages freed.
-func (j *HashJoin) ReleaseMemory(want int) int {
-	freed := 0
-	for freed < want {
-		vi := j.largestInMemoryPartition()
-		if vi < 0 {
+// ReleaseMemory implements mem.Consumer: evict the in-memory partitions
+// with the most rows until want pages are given back. It may run inside
+// any charge this operator makes (see mem.Account): the callers look at
+// the partition again after the charge.
+func (j *HashJoin) ReleaseMemory(want int) (int, error) {
+	before := j.acct.Pages()
+	for before-j.acct.Pages() < want {
+		var big *joinPartition
+		for _, p := range j.parts {
+			if p.ht != nil && p.build.Rows() > 0 && (big == nil || p.build.Rows() > big.build.Rows()) {
+				big = p
+			}
+		}
+		if big == nil {
 			break
 		}
-		n, err := j.evictPartition(vi)
-		if err != nil || n == 0 {
-			break
-		}
-		freed += n
+		big.ht = nil
+		big.build.Unlock()
+		j.spillCount++
 	}
-	if freed > 0 && j.ctx != nil && j.ctx.Task != nil {
-		if freed > j.accounted {
-			freed = j.accounted
-		}
-		j.accounted -= freed
-		j.ctx.Task.Free(freed)
-	}
-	return freed
-}
-
-// syncMem charges newly grown heap pages to the governor. Charging may
-// trigger a release callback into this operator, which is safe here: every
-// build ref is already recorded in its partition map, so an eviction or
-// heap rebuild migrates it correctly.
-func (j *HashJoin) syncMem(ctx *Ctx) error {
-	if ctx.Task == nil || j.h == nil {
-		return nil
-	}
-	if delta := j.h.Pages() - j.accounted; delta > 0 {
-		j.accounted += delta
-		if err := ctx.Task.Alloc(delta); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (j *HashJoin) firstInMemoryPartition() *joinPartition {
-	for _, p := range j.parts {
-		if p != nil && !p.spilled {
-			return p
-		}
-	}
-	return nil
-}
-
-func (j *HashJoin) largestInMemoryPartition() int {
-	best, bestRows := -1, int64(0)
-	for i, p := range j.parts {
-		if p != nil && !p.spilled && p.rows > bestRows {
-			best, bestRows = i, p.rows
-		}
-	}
-	return best
+	return before - j.acct.Pages(), nil
 }
 
 func (j *HashJoin) Open(ctx *Ctx) error {
 	if j.Partitions <= 0 {
 		j.Partitions = DefaultPartitions
 	}
+	j.freeParts()
 	j.mode = "hash"
+	j.acct.Open(ctx.Task, j, j.Depth)
 	j.parts = make([]*joinPartition, j.Partitions)
 	for i := range j.parts {
-		j.parts[i] = &joinPartition{ht: map[uint64][]buildRef{}}
+		p := &joinPartition{
+			build: heap.New(ctx.Pool, ctx.St, &j.acct),
+			ht:    map[uint64][]heap.RowRef{},
+			probe: heap.New(ctx.Pool, ctx.St, &j.acct),
+		}
+		p.probe.Unlock()
+		j.parts[i] = p
 	}
-	j.h = heap.New(ctx.Pool, nil)
-	j.accounted = 0
 	j.matchSeen = j.matchSeen[:0]
-	j.buildRows = 0
 	j.emitQ = nil
 	j.emitPos = 0
 	j.inBuf.Reset()
-	j.probeDone = false
-	j.spillQueue = nil
+	j.probeDone, j.padded = false, false
 	j.spillCount = 0
 	j.inl = nil
-	j.ctx = ctx
-	if ctx.Task != nil && !j.registered {
-		ctx.Task.Register(j, j.Depth)
-		j.registered = true
-	}
 
 	// Mark the child open BEFORE Open is attempted: a child whose Open
 	// failed mid-way (e.g. statement cancellation during a nested build)
@@ -203,100 +155,77 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 		return err
 	}
 	// Build phase, one input batch at a time.
-	for {
-		if err := ctx.Interrupted(); err != nil {
-			return err
-		}
-		if err := j.Left.NextBatch(ctx, &j.inBuf); err != nil {
-			return err
-		}
-		if j.inBuf.Len() == 0 {
-			break
-		}
-		for _, row := range j.inBuf.Rows {
-			j.leftWidth = len(row)
-			if err := j.addBuildRow(ctx, row); err != nil {
+	err := pull(ctx, j.Left, &j.inBuf, func(in *Batch) error {
+		for _, row := range in.Rows {
+			if err := j.addBuildRow(row); err != nil {
 				return err
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	if err := j.Left.Close(ctx); err != nil {
 		return err
 	}
 	j.leftOpen = false
+	for _, p := range j.parts {
+		if p.ht == nil {
+			p.build.Unlock() // the page the build was filling
+		}
+	}
 
 	// Adaptive switch: the build cardinality is now exact. If the
 	// optimizer annotated an alternate index strategy and the build turned
 	// out small enough, use index nested loops instead of probing.
-	if j.Alt != nil && j.buildRows <= j.INLMaxBuildRows && j.SpilledPartitions() == 0 {
+	if j.Alt != nil && int64(len(j.matchSeen)) <= j.INLMaxBuildRows && j.SpilledPartitions() == 0 {
 		return j.switchToINL(ctx)
 	}
 	j.rightOpen = true
-	if err := j.Right.Open(ctx); err != nil {
-		return err
-	}
-	return nil
-}
-
-func (j *HashJoin) addBuildRow(ctx *Ctx, row Row) error {
-	keys, ok, err := evalKeys(j.LeftKeys, row)
-	if err != nil {
-		return err
-	}
-	idx := j.buildRows
-	j.buildRows++
-	j.matchSeen = append(j.matchSeen, false)
-	if !ok {
-		// A NULL join key never matches; only LeftOuter needs the row, and
-		// it is emitted from the null-padding pass via matchSeen=false.
-		if j.LeftOuter {
-			p := j.firstInMemoryPartition()
-			if p == nil {
-				// Everything spilled: route through a spill run.
-				pp := j.parts[0]
-				w := runWriter{ctx: ctx, r: pp.spill}
-				if err := w.add(row); err != nil {
-					return err
-				}
-				pp.spill = w.r
-				pp.rows++
-				return nil
-			}
-			ref, err := j.h.AddRow(val.EncodeRow(row))
-			if err != nil {
-				return err
-			}
-			p.ht[nullKeyHash] = append(p.ht[nullKeyHash], buildRef{ref, idx})
-			p.rows++
-		}
-		return nil
-	}
-	h := val.HashRow(keys)
-	pi := int(h % uint64(j.Partitions))
-	p := j.parts[pi]
-	if p.spilled {
-		w := runWriter{ctx: ctx, r: p.spill}
-		if err := w.add(row); err != nil {
-			return err
-		}
-		p.spill = w.r
-		p.rows++
-		return nil
-	}
-	ref, err := j.h.AddRow(val.EncodeRow(row))
-	if err != nil {
-		return err
-	}
-	p.ht[h] = append(p.ht[h], buildRef{ref, idx})
-	p.rows++
-	// While building the hash table on the smaller input, memory use is
-	// monitored against the governor's soft limit; reaching it evicts the
-	// partition with the most rows (via the governor's release callback).
-	return j.syncMem(ctx)
+	return j.Right.Open(ctx)
 }
 
 // nullKeyHash segregates NULL-keyed preserved rows.
 const nullKeyHash = ^uint64(0)
+
+func (j *HashJoin) addBuildRow(row Row) error {
+	keys, ok, err := evalKeys(j.LeftKeys, row)
+	if err != nil {
+		return err
+	}
+	idx := len(j.matchSeen) // the build ordinal
+	j.matchSeen = append(j.matchSeen, false)
+	h := nullKeyHash
+	if ok {
+		h = val.HashRow(keys)
+	} else if !j.LeftOuter {
+		// A NULL join key never matches; only LeftOuter needs the row, and
+		// emits it from the null-padding pass via matchSeen=false.
+		return nil
+	}
+	p := j.parts[h%uint64(j.Partitions)]
+	j.enc = binary.BigEndian.AppendUint64(j.enc[:0], uint64(idx))
+	j.enc = binary.BigEndian.AppendUint64(j.enc, h)
+	j.enc = val.AppendRow(j.enc, row)
+	// A new heap page is a charge, and at the soft limit the charge evicts
+	// the partition with the most rows — possibly this one, whose row is in
+	// its heap either way.
+	ref, err := p.build.AddRow(j.enc)
+	if err != nil {
+		return err
+	}
+	if p.ht != nil {
+		p.ht[h] = append(p.ht[h], ref)
+	}
+	return nil
+}
+
+// buildRow decodes a row of a partition's build heap.
+func buildRow(b []byte) (idx int64, row Row, err error) {
+	row, err = val.DecodeRow(b[16:])
+	return int64(binary.BigEndian.Uint64(b)), row, err
+}
 
 // evalKeys evaluates key expressions; ok=false when any key is NULL.
 func evalKeys(exprs []Expr, row Row) ([]val.Value, bool, error) {
@@ -312,69 +241,6 @@ func evalKeys(exprs []Expr, row Row) ([]val.Value, bool, error) {
 		out[i] = v
 	}
 	return out, true, nil
-}
-
-// evictPartition spills partition pi's build rows to the temp file and
-// rebuilds the heap without them (the heap is append-only, so survivors
-// are copied to a fresh heap). Returns pages freed.
-func (j *HashJoin) evictPartition(pi int) (int, error) {
-	ctx := j.ctx
-	p := j.parts[pi]
-	if p == nil || p.spilled {
-		return 0, nil
-	}
-	before := j.h.Pages()
-	// Write pi's rows out.
-	w := runWriter{ctx: ctx}
-	for _, refs := range p.ht {
-		for _, br := range refs {
-			b, err := j.h.Row(br.ref)
-			if err != nil {
-				return 0, err
-			}
-			row, err := val.DecodeRow(b)
-			if err != nil {
-				return 0, err
-			}
-			if err := w.add(row); err != nil {
-				return 0, err
-			}
-		}
-	}
-	p.spill = w.finish()
-	p.spilled = true
-	j.spillCount++
-	p.ht = nil
-
-	// Rebuild the heap with the surviving partitions.
-	nh := heap.New(ctx.Pool, nil)
-	for qi, q := range j.parts {
-		if qi == pi || q == nil || q.spilled {
-			continue
-		}
-		for h, refs := range q.ht {
-			for ri, br := range refs {
-				b, err := j.h.Row(br.ref)
-				if err != nil {
-					return 0, err
-				}
-				nref, err := nh.AddRow(append([]byte(nil), b...))
-				if err != nil {
-					return 0, err
-				}
-				refs[ri] = buildRef{nref, br.idx}
-			}
-			q.ht[h] = refs
-		}
-	}
-	j.h.Free(ctx.St)
-	j.h = nh
-	after := j.h.Pages()
-	freed := before - after
-	if freed < 0 {
-		freed = 0
-	}
-	return freed, nil
 }
 
 // popEmitQ moves queued output rows into out (up to target) and truncates
@@ -414,34 +280,27 @@ func (j *HashJoin) NextBatch(ctx *Ctx, out *Batch) error {
 				if err := j.Right.Close(ctx); err != nil {
 					return err
 				}
-				// Queue spilled partitions for post-processing.
-				for i, p := range j.parts {
-					if p.spilled {
-						j.spillQueue = append(j.spillQueue, i)
-					}
-				}
 				continue
 			}
 			ctx.ChargeRows(j.inBuf.Len())
-			if err := j.probeBatch(ctx, j.inBuf.Rows); err != nil {
+			if err := j.probeBatch(j.inBuf.Rows); err != nil {
 				return err
 			}
 			continue
 		}
-		if len(j.spillQueue) > 0 {
-			pi := j.spillQueue[0]
-			j.spillQueue = j.spillQueue[1:]
-			if err := j.processSpilled(ctx, pi); err != nil {
-				return err
-			}
+		if more, err := j.joinSpilled(ctx, target); err != nil {
+			return err
+		} else if more {
 			continue
 		}
 		// Null-padding pass for LeftOuter.
-		if j.LeftOuter {
-			if err := j.emitUnmatched(ctx); err != nil {
-				return err
+		if j.LeftOuter && !j.padded {
+			j.padded = true
+			for _, p := range j.parts {
+				if err := j.emitUnmatched(p); err != nil {
+					return err
+				}
 			}
-			j.LeftOuter = false // run once
 			continue
 		}
 		return nil
@@ -449,10 +308,10 @@ func (j *HashJoin) NextBatch(ctx *Ctx, out *Batch) error {
 }
 
 // probeBatch probes one batch of right rows against the in-memory
-// partitions, deferring rows destined for spilled partitions so each
-// partition takes one batched run append per input batch.
-func (j *HashJoin) probeBatch(ctx *Ctx, rows []Row) error {
-	var pending map[int][]Row // spilled-partition rows, flushed batch-wise
+// partitions and defers the rows of evicted ones. Deferring a row can
+// itself evict a partition (a new page is a charge): the rows probed so
+// far have joined with it, the rows that follow are deferred.
+func (j *HashJoin) probeBatch(rows []Row) error {
 	for _, row := range rows {
 		keys, ok, err := evalKeys(j.RightKeys, row)
 		if err != nil {
@@ -462,38 +321,35 @@ func (j *HashJoin) probeBatch(ctx *Ctx, rows []Row) error {
 			continue // NULL key matches nothing
 		}
 		h := val.HashRow(keys)
-		pi := int(h % uint64(j.Partitions))
-		p := j.parts[pi]
-		if p.spilled {
-			if pending == nil {
-				pending = make(map[int][]Row)
-			}
-			pending[pi] = append(pending[pi], row)
-			continue
+		p := j.parts[h%uint64(j.Partitions)]
+		if p.ht != nil {
+			err = j.probe(p, h, keys, row)
+		} else {
+			j.enc = val.AppendRow(j.enc[:0], row)
+			_, err = p.probe.AddRow(j.enc)
 		}
-		for _, br := range p.ht[h] {
-			b, err := j.h.Row(br.ref)
-			if err != nil {
-				return err
-			}
-			brow, err := val.DecodeRow(b)
-			if err != nil {
-				return err
-			}
-			if !keysEqual(j.LeftKeys, brow, keys) {
-				continue
-			}
-			j.matchSeen[br.idx] = true
-			j.emitQ = append(j.emitQ, concatRows(brow, row))
-		}
-	}
-	for pi, rs := range pending {
-		p := j.parts[pi]
-		w := runWriter{ctx: ctx, r: p.probe}
-		if err := w.addBatch(rs); err != nil {
+		if err != nil {
 			return err
 		}
-		p.probe = w.r
+	}
+	return nil
+}
+
+// probe queues the join of one right row with in-memory partition p.
+func (j *HashJoin) probe(p *joinPartition, h uint64, keys []val.Value, row Row) error {
+	for _, ref := range p.ht[h] {
+		b, err := p.build.Row(ref)
+		if err != nil {
+			return err
+		}
+		idx, brow, err := buildRow(b)
+		if err != nil {
+			return err
+		}
+		if keysEqual(j.LeftKeys, brow, keys) {
+			j.matchSeen[idx] = true
+			j.emitQ = append(j.emitQ, concatRows(brow, row))
+		}
 	}
 	return nil
 }
@@ -515,102 +371,112 @@ func concatRows(a, b Row) Row {
 	return out
 }
 
-// processSpilled joins one spilled partition pair in memory-bounded
-// blocks, queueing results.
-func (j *HashJoin) processSpilled(ctx *Ctx, pi int) error {
-	p := j.parts[pi]
-	soft := int64(1 << 30)
-	if ctx.Task != nil {
-		if s := ctx.Task.SoftLimitPages(); s > 0 {
-			// Rows per block approximated by rows per page observed so far.
-			soft = int64(s)
-		}
-	}
-	// Load build rows in blocks of up to blockRows.
-	var block []Row
-	var blockIdx []int64
-	rowsPerPage := int64(16)
-	blockRows := soft * rowsPerPage
-	if blockRows < 64 {
-		blockRows = 64
-	}
+// spillPass is the join of one evicted partition, in progress: its build
+// rows are read back a block at a time into a partition of their own, in
+// memory, which is probed with the evicted partition's deferred probe rows
+// a batch at a time.
+type spillPass struct {
+	p     *joinPartition
+	build *heap.Cursor
+	block joinPartition
+	probe *heap.Cursor // nil while no block is loaded
+}
 
-	flush := func() error {
-		if len(block) == 0 {
-			return nil
+// joinSpilled advances the join of the evicted partitions by one step —
+// load a block, or probe it with up to target deferred rows — queueing the
+// results. It reports false when no evicted partition is left. Partitions
+// are looked for afresh each time: a charge made here can evict another.
+func (j *HashJoin) joinSpilled(ctx *Ctx, target int) (bool, error) {
+	sp := j.pass
+	for i := 0; sp == nil && i < len(j.parts); i++ {
+		p := j.parts[i]
+		if p.ht != nil || p.done {
+			continue
 		}
-		ht := map[uint64][]int{}
-		for i, brow := range block {
-			keys, ok, err := evalKeys(j.LeftKeys, brow)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-			ht[val.HashRow(keys)] = append(ht[val.HashRow(keys)], i)
+		if p.probe.Rows() == 0 && !j.LeftOuter {
+			p.done = true // no probe row was deferred to it, and nothing to pad
+			continue
 		}
-		err := p.probe.each(ctx, func(prow Row) error {
-			keys, ok, err := evalKeys(j.RightKeys, prow)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			for _, bi := range ht[val.HashRow(keys)] {
-				if keysEqual(j.LeftKeys, block[bi], keys) {
-					j.matchSeen[blockIdx[bi]] = true
-					j.emitQ = append(j.emitQ, concatRows(block[bi], prow))
-				}
-			}
-			return nil
-		})
-		block = block[:0]
-		blockIdx = blockIdx[:0]
-		return err
+		p.probe.Unlock() // the page the probe was filling
+		ctx.noteSpill(p.build)
+		ctx.noteSpill(p.probe)
+		sp = &spillPass{p: p, build: p.build.Cursor(), block: joinPartition{
+			build: heap.New(ctx.Pool, ctx.St, &j.acct), ht: map[uint64][]heap.RowRef{},
+		}}
+		j.pass = sp
 	}
+	if sp == nil {
+		return false, nil
+	}
+	if sp.probe == nil {
+		return true, j.loadBlock(ctx, sp)
+	}
+	for n := 0; n < target; n++ {
+		b, err := sp.probe.Next()
+		if err != nil {
+			return false, err
+		}
+		if b == nil {
+			// The block has met every probe row of the partition.
+			sp.probe = nil
+			if j.LeftOuter {
+				err = j.emitUnmatched(&sp.block)
+			}
+			sp.block.build.Free()
+			return true, err
+		}
+		prow, err := val.DecodeRow(b)
+		if err != nil {
+			return false, err
+		}
+		keys, ok, err := evalKeys(j.RightKeys, prow)
+		if err == nil && ok {
+			err = j.probe(&sp.block, val.HashRow(keys), keys, prow)
+		}
+		if err != nil {
+			return false, err
+		}
+	}
+	return true, nil
+}
 
-	// Spilled build rows lost their original ordinals; allocate fresh match
-	// slots for them.
-	err := p.spill.each(ctx, func(brow Row) error {
-		idx := int64(len(j.matchSeen))
-		j.matchSeen = append(j.matchSeen, false)
-		block = append(block, brow)
-		blockIdx = append(blockIdx, idx)
-		if int64(len(block)) >= blockRows {
-			return flush()
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if err := flush(); err != nil {
-		return err
-	}
-	// LeftOuter: spilled build rows whose slots stayed unmatched must be
-	// padded. Their rows are still in p.spill; walk once more.
-	if j.LeftOuter {
-		base := int64(len(j.matchSeen)) - p.spill.rowsCount()
-		i := int64(0)
-		err := p.spill.each(ctx, func(brow Row) error {
-			if !j.matchSeen[base+i] {
-				j.emitQ = append(j.emitQ, padRight(brow, j.RightWidth))
-			}
-			i++
-			return nil
-		})
+// loadBlock copies the partition's next build rows into the block until
+// the statement reaches its soft limit, or comes within the probe cursor's
+// page of its hard one (a block is at least a page), and opens the probe
+// cursor on it; with no rows left the partition is done and freed.
+func (j *HashJoin) loadBlock(ctx *Ctx, sp *spillPass) error {
+	blk := &sp.block
+	clear(blk.ht)
+	for {
+		b, err := sp.build.Next()
 		if err != nil {
 			return err
 		}
-		// Mark them emitted so the main unmatched pass skips them.
-		for k := base; k < base+i; k++ {
-			j.matchSeen[k] = true
+		if b == nil {
+			break
+		}
+		ref, err := blk.build.AddRow(b)
+		if err != nil {
+			return err
+		}
+		h := binary.BigEndian.Uint64(b[8:])
+		blk.ht[h] = append(blk.ht[h], ref)
+		// Looked at as each page after the first is started.
+		if t := ctx.Task; ref.Page > 0 && ref.Slot == 0 && t != nil {
+			used, hard := t.UsedPages(), t.HardLimitPages()
+			if used >= t.SoftLimitPages() || hard > 0 && used+1 >= hard {
+				break
+			}
 		}
 	}
-	p.spill.free(ctx)
-	p.probe.free(ctx)
+	if blk.build.Rows() > 0 {
+		sp.probe = sp.p.probe.Cursor()
+		return nil
+	}
+	sp.p.done = true
+	sp.p.build.Free()
+	sp.p.probe.Free()
+	j.pass = nil
 	return nil
 }
 
@@ -623,52 +489,44 @@ func padRight(brow Row, width int) Row {
 	return out
 }
 
-// emitUnmatched queues null-padded unmatched in-memory build rows.
-func (j *HashJoin) emitUnmatched(ctx *Ctx) error {
-	for _, p := range j.parts {
-		if p == nil || p.spilled || p.ht == nil {
-			continue
-		}
-		for _, refs := range p.ht {
-			for _, br := range refs {
-				if br.idx < int64(len(j.matchSeen)) && j.matchSeen[br.idx] {
-					continue
-				}
-				b, err := j.h.Row(br.ref)
-				if err != nil {
-					return err
-				}
-				brow, err := val.DecodeRow(b)
-				if err != nil {
-					return err
-				}
-				j.emitQ = append(j.emitQ, padRight(brow, j.RightWidth))
-				if br.idx < int64(len(j.matchSeen)) {
-					j.matchSeen[br.idx] = true
-				}
+// each calls fn for every build row of an in-memory partition.
+func (p *joinPartition) each(fn func(idx int64, brow Row)) error {
+	for _, refs := range p.ht {
+		for _, ref := range refs {
+			b, err := p.build.Row(ref)
+			if err != nil {
+				return err
 			}
+			idx, brow, err := buildRow(b)
+			if err != nil {
+				return err
+			}
+			fn(idx, brow)
 		}
 	}
 	return nil
 }
 
+// emitUnmatched queues p's unmatched build rows, null-padded.
+func (j *HashJoin) emitUnmatched(p *joinPartition) error {
+	return p.each(func(idx int64, brow Row) {
+		if !j.matchSeen[idx] {
+			j.matchSeen[idx] = true
+			j.emitQ = append(j.emitQ, padRight(brow, j.RightWidth))
+		}
+	})
+}
+
 // switchToINL abandons the hash table for the alternate strategy: the build
 // rows, in build order, become the outer side of an index-nested-loops join.
 func (j *HashJoin) switchToINL(ctx *Ctx) error {
-	outer := make([]Row, j.buildRows)
+	outer := make([]Row, len(j.matchSeen))
 	for _, p := range j.parts {
-		for _, refs := range p.ht {
-			for _, br := range refs {
-				b, err := j.h.Row(br.ref)
-				if err != nil {
-					return err
-				}
-				if outer[br.idx], err = val.DecodeRow(b); err != nil {
-					return err
-				}
-			}
+		if err := p.each(func(idx int64, brow Row) { outer[idx] = brow }); err != nil {
+			return err
 		}
 	}
+	j.freeParts()
 	// A build row with a NULL key was stored only if the join preserves it.
 	kept := outer[:0]
 	for _, row := range outer {
@@ -685,26 +543,26 @@ func (j *HashJoin) switchToINL(ctx *Ctx) error {
 	return j.inl.Open(ctx)
 }
 
-func (j *HashJoin) Close(ctx *Ctx) error {
-	if ctx.Task != nil && j.registered {
-		ctx.Task.Unregister(j)
-		j.registered = false
-	}
-	if ctx.Task != nil && j.accounted > 0 {
-		ctx.Task.Free(j.accounted)
-		j.accounted = 0
-	}
-	if j.h != nil {
-		j.h.Free(ctx.St)
-		j.h = nil
+// freeParts returns every partition's pages.
+func (j *HashJoin) freeParts() {
+	if sp := j.pass; sp != nil {
+		sp.build.Close()
+		if sp.probe != nil {
+			sp.probe.Close()
+		}
+		sp.block.build.Free()
+		j.pass = nil
 	}
 	for _, p := range j.parts {
-		if p != nil {
-			p.spill.free(ctx)
-			p.probe.free(ctx)
-		}
+		p.build.Free()
+		p.probe.Free()
 	}
 	j.parts = nil
+}
+
+func (j *HashJoin) Close(ctx *Ctx) error {
+	j.freeParts()
+	j.acct.Close()
 	var first error
 	if j.inl != nil {
 		first = j.inl.Close(ctx)

@@ -5,8 +5,10 @@ import (
 
 	"anywheredb/internal/buffer"
 	"anywheredb/internal/flightrec"
+	"anywheredb/internal/heap"
 	"anywheredb/internal/mem"
 	"anywheredb/internal/mvcc"
+	"anywheredb/internal/page"
 	"anywheredb/internal/store"
 	"anywheredb/internal/table"
 	"anywheredb/internal/telemetry"
@@ -81,6 +83,14 @@ const interruptEvery = 256
 func (c *Ctx) ChargeRows(n int) {
 	if c.CPURowCost > 0 && c.Clk != nil && n > 0 {
 		c.Clk.Advance(int64(n) * c.CPURowCost)
+	}
+}
+
+// noteSpill records a heap its operator has finished writing and given
+// back to the buffer pool as bytes spilled by the statement.
+func (c *Ctx) noteSpill(h *heap.Heap) {
+	if c.Span != nil {
+		c.Span.AddSpill(int64(h.Pages()) * page.Size)
 	}
 }
 

@@ -12,12 +12,12 @@ type NodeStats struct {
 	Rows         int64 // rows returned
 	Batches      int64 // non-empty batches returned
 	VTimeMicros  int64 // inclusive virtual µs in Open+NextBatch+Close
-	MemPeakPages int   // high-water MemoryPages() for mem.Consumer operators
+	MemPeakPages int   // most pages the operator had charged to the governor task at once
 }
 
-// memSized is the probe for an operator's memory footprint (the subset of
-// mem.Consumer we can read without importing mem).
-type memSized interface{ MemoryPages() int }
+// memSized is implemented by the operators that charge memory to the
+// statement's governor task.
+type memSized interface{ MemoryPeakPages() int }
 
 // Stat wraps an operator and accrues NodeStats as the tree runs. All
 // operator iteration is single-threaded (ParallelPipeline drains its
@@ -33,7 +33,6 @@ func (s *Stat) Open(ctx *Ctx) error {
 	start := s.now(ctx)
 	err := s.Inner.Open(ctx)
 	s.S.VTimeMicros += s.now(ctx) - start
-	s.sampleMem()
 	return err
 }
 
@@ -45,8 +44,6 @@ func (s *Stat) NextBatch(ctx *Ctx, out *Batch) error {
 	if n := out.Len(); n > 0 {
 		s.S.Rows += int64(n)
 		s.S.Batches++
-	} else {
-		s.sampleMem() // end of stream: catch the build-phase high water
 	}
 	return err
 }
@@ -55,6 +52,9 @@ func (s *Stat) Close(ctx *Ctx) error {
 	start := s.now(ctx)
 	err := s.Inner.Close(ctx)
 	s.S.VTimeMicros += s.now(ctx) - start
+	if m, ok := s.Inner.(memSized); ok {
+		s.S.MemPeakPages = m.MemoryPeakPages()
+	}
 	return err
 }
 
@@ -63,14 +63,6 @@ func (s *Stat) now(ctx *Ctx) int64 {
 		return 0
 	}
 	return int64(ctx.Clk.Now())
-}
-
-func (s *Stat) sampleMem() {
-	if m, ok := s.Inner.(memSized); ok {
-		if p := m.MemoryPages(); p > s.S.MemPeakPages {
-			s.S.MemPeakPages = p
-		}
-	}
 }
 
 // Unwrap returns the operator inside a Stat wrapper (or op itself).

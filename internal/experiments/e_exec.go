@@ -155,9 +155,11 @@ func b2f(b bool) float64 {
 	return 0
 }
 
-// E11LowMemory drives a hash join and a hash group-by under a shrinking
-// soft limit: the join evicts its largest partition, the group-by falls
-// back to its temp-table structure, and results stay correct.
+// E11LowMemory drives a hash join, a hash group-by and a sort under a
+// shrinking soft limit. Nothing but the governor tells the operators how
+// much they may hold: the join evicts its largest partitions, the group-by
+// falls back to its temp-table structure, the sort writes runs, each
+// statement's peak stays near its soft limit, and results stay correct.
 func E11LowMemory() (*Report, error) {
 	r, err := newRawRig(2048)
 	if err != nil {
@@ -168,54 +170,78 @@ func E11LowMemory() (*Report, error) {
 	mkRows := func(n, dom int) []exec.Row {
 		rows := make([]exec.Row, n)
 		for i := range rows {
-			rows[i] = exec.Row{val.NewInt(int64(i % dom)), val.NewInt(int64(i))}
+			rows[i] = exec.Row{val.NewInt(int64(i * 7919 % dom)), val.NewInt(int64(i))}
 		}
 		return rows
 	}
+	const joinL, joinR, joinDom = 4000, 2000, 1000
+	const gbRows, gbGroups = 24000, 6000
+	const sortRows = 20000
 
 	var sb strings.Builder
-	sb.WriteString("softLimitPages  joinSpills  joinRows  gbFallback  groups\n")
-	var spillsAtTightest, correct float64
+	sb.WriteString("softLimitPages  joinSpills  joinRows  joinPeak  gbFallback  groups  gbPeak  sortRuns  sortRows  sortPeak\n")
+	var spillsAtTightest float64
+	correct := 1.0
 	for _, soft := range []int{256, 16, 4} {
 		gov := mem.NewGovernor(func() int { return 100000 }, func() int { return soft * 4 }, 4)
-		task := gov.Begin()
-		ctx := *r.ctx
-		ctx.Task = task
+		// Each operator runs as a statement of its own: Task.PeakPages is
+		// then that operator's high-water mark against the soft limit.
+		run := func(op exec.Operator) (rows []exec.Row, peak int, err error) {
+			task := gov.Begin()
+			defer task.Finish()
+			ctx := *r.ctx
+			ctx.Task = task
+			rows, err = exec.Drain(&ctx, op)
+			if err == nil && task.UsedPages() != 0 {
+				err = fmt.Errorf("E11: %d pages still charged after %T", task.UsedPages(), op)
+			}
+			return rows, task.PeakPages(), err
+		}
 
 		join := &exec.HashJoin{
-			Left:     &exec.Materialized{RowsData: mkRows(4000, 1000)},
-			Right:    &exec.Materialized{RowsData: mkRows(2000, 1000)},
+			Left:     &exec.Materialized{RowsData: mkRows(joinL, joinDom)},
+			Right:    &exec.Materialized{RowsData: mkRows(joinR, joinDom)},
 			LeftKeys: []exec.Expr{exec.Col{Idx: 0}}, RightKeys: []exec.Expr{exec.Col{Idx: 0}},
 		}
-		jr, err := exec.Drain(&ctx, join)
+		jr, joinPeak, err := run(join)
 		if err != nil {
 			return nil, err
 		}
-
 		gb := &exec.HashGroupBy{
-			Input:             &exec.Materialized{RowsData: mkRows(6000, 1500)},
-			Keys:              []exec.Expr{exec.Col{Idx: 0}},
-			Aggs:              []exec.AggSpec{{Fn: exec.AggCountStar}},
-			MaxGroupsInMemory: soft * 16,
+			Input: &exec.Materialized{RowsData: mkRows(gbRows, gbGroups)},
+			Keys:  []exec.Expr{exec.Col{Idx: 0}},
+			Aggs:  []exec.AggSpec{{Fn: exec.AggCountStar}},
 		}
-		gr, err := exec.Drain(&ctx, gb)
+		gr, gbPeak, err := run(gb)
 		if err != nil {
 			return nil, err
 		}
-		task.Finish()
+		srt := &exec.Sort{
+			Input: &exec.Materialized{RowsData: mkRows(sortRows, sortRows)},
+			Keys:  []exec.SortKey{{Expr: exec.Col{Idx: 0}}},
+		}
+		sr, sortPeak, err := run(srt)
+		if err != nil {
+			return nil, err
+		}
 
-		fmt.Fprintf(&sb, "%14d  %10d  %8d  %10v  %6d\n",
-			soft, join.SpilledPartitions(), len(jr), gb.FellBack(), len(gr))
+		fmt.Fprintf(&sb, "%14d  %10d  %8d  %8d  %10v  %6d  %6d  %8d  %8d  %8d\n",
+			soft, join.SpilledPartitions(), len(jr), joinPeak, gb.FellBack(), len(gr), gbPeak,
+			srt.RunsWritten(), len(sr), sortPeak)
 		if soft == 4 {
 			spillsAtTightest = float64(join.SpilledPartitions())
-			if len(jr) == 4000*2 && len(gr) == 1500 {
-				correct = 1
-			}
+		}
+		ordered := len(sr) == sortRows
+		for i := range sr {
+			ordered = ordered && sr[i][0].I == int64(i)
+		}
+		if len(jr) != joinL*joinR/joinDom || len(gr) != gbGroups || !ordered {
+			correct = 0
 		}
 	}
 	return &Report{
 		ID:    "E11",
-		Title: "Memory governor: largest-partition eviction and low-memory fallback (§4.3)",
+		Title: "Memory governor: largest-partition eviction, low-memory fallback and external sort (§4.3)",
 		Table: sb.String(),
 		Metrics: map[string]float64{
 			"spills_at_4_pages": spillsAtTightest,

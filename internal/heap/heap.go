@@ -9,6 +9,12 @@
 // Re-locking pins the pages back into memory; rows are addressed by stable
 // (page, slot) handles, the moral equivalent of the paper's pointer
 // swizzling on relocation.
+//
+// A heap is also the engine's one container for rows spilled to the
+// temporary file: a sorted run or an evicted hash partition is a heap its
+// owner unlocked, appended to through one pinned tail page and read back
+// through a Cursor that pins one page at a time. Every page a heap holds
+// pinned is charged to the owner's mem.Account, and to nothing once unpinned.
 package heap
 
 import (
@@ -26,8 +32,8 @@ import (
 // infrastructure; heap rows must fit a page.)
 var ErrRowTooLarge = errors.New("heap: row exceeds page capacity")
 
-// ErrUnlocked is returned when rows are accessed while the heap is
-// unlocked.
+// ErrUnlocked is returned when rows are addressed by handle while the heap
+// is unlocked.
 var ErrUnlocked = errors.New("heap: access while unlocked")
 
 // RowRef is a stable handle to a row in a heap. It survives page steals and
@@ -44,63 +50,98 @@ var Nil = RowRef{Page: -1, Slot: -1}
 // concurrent use; each task owns its heaps.
 type Heap struct {
 	pool   *buffer.Pool
-	task   *mem.Task // optional memory accounting
+	st     *store.Store
+	acct   *mem.Account
 	pages  []store.PageID
-	frames []*buffer.Frame // parallel to pages; entries valid while locked
+	frames []*buffer.Frame // parallel to pages; non-nil = pinned and charged
 	locked bool
 	rows   int
 }
 
-// New creates an empty, locked heap. task may be nil (no accounting).
-func New(pool *buffer.Pool, task *mem.Task) *Heap {
-	return &Heap{pool: pool, task: task, locked: true}
+// New creates an empty, locked heap whose pinned pages are charged to acct.
+func New(pool *buffer.Pool, st *store.Store, acct *mem.Account) *Heap {
+	return &Heap{pool: pool, st: st, acct: acct, locked: true}
 }
 
 // Rows reports the number of rows added.
 func (h *Heap) Rows() int { return h.rows }
 
-// Pages reports the heap's size in pages — its memory-governor footprint.
+// Pages reports the heap's size in pages, pinned or not.
 func (h *Heap) Pages() int { return len(h.pages) }
 
-// AddRow appends a row and returns its handle. The heap must be locked.
-func (h *Heap) AddRow(b []byte) (RowRef, error) {
-	if !h.locked {
-		return Nil, ErrUnlocked
+// PageIDs reports the heap's temporary-file pages in order.
+func (h *Heap) PageIDs() []store.PageID { return h.pages }
+
+// pin charges page i and pins it.
+func (h *Heap) pin(i int) error {
+	if err := h.acct.Alloc(1); err != nil {
+		return err
 	}
+	f, err := h.pool.Get(h.pages[i])
+	if err != nil {
+		h.acct.Free(1)
+		return err
+	}
+	h.frames[i] = f
+	return nil
+}
+
+func (h *Heap) unpin(i int) {
+	h.pool.Unpin(h.frames[i], false)
+	h.frames[i] = nil
+	h.acct.Free(1)
+}
+
+// AddRow appends a row and returns its handle. A locked heap keeps every
+// page pinned; an unlocked one keeps only the page being filled, until the
+// next Unlock. Charging a page can bring a release request that unlocks
+// this heap (see mem.Account), so the state is re-read after each charge.
+func (h *Heap) AddRow(b []byte) (RowRef, error) {
 	if len(b) > page.Size-page.HeaderSize-8 {
 		return Nil, ErrRowTooLarge
 	}
-	// Try the last page.
-	if n := len(h.frames); n > 0 {
-		f := h.frames[n-1]
-		if slot := f.Data.Insert(b); slot >= 0 {
-			f.MarkDirty()
-			h.rows++
-			return RowRef{Page: int32(n - 1), Slot: int32(slot)}, nil
+	if n := len(h.pages) - 1; n >= 0 {
+		if h.frames[n] == nil {
+			if err := h.pin(n); err != nil {
+				return Nil, err
+			}
+		}
+		if ref, ok := h.insert(n, b); ok {
+			return ref, nil
+		}
+		if !h.locked {
+			h.unpin(n)
 		}
 	}
-	// Need a new page: account it, then allocate.
-	if h.task != nil {
-		if err := h.task.Alloc(1); err != nil {
-			return Nil, err
-		}
+	if err := h.acct.Alloc(1); err != nil {
+		return Nil, err
 	}
 	f, err := h.pool.NewPage(store.TempFile, page.TypeHeap)
 	if err != nil {
-		if h.task != nil {
-			h.task.Free(1)
-		}
+		h.acct.Free(1)
 		return Nil, err
 	}
 	h.pages = append(h.pages, f.ID)
 	h.frames = append(h.frames, f)
-	slot := f.Data.Insert(b)
-	if slot < 0 {
+	ref, ok := h.insert(len(h.pages)-1, b)
+	if !ok {
 		return Nil, fmt.Errorf("heap: insert into fresh page failed for %d bytes", len(b))
+	}
+	return ref, nil
+}
+
+// insert puts b in pinned page i if it fits.
+func (h *Heap) insert(i int, b []byte) (RowRef, bool) {
+	f := h.frames[i]
+	f.Lock() // the pool reads page headers of resident frames
+	slot := f.Data.Insert(b)
+	f.Unlock()
+	if slot < 0 {
+		return Nil, false
 	}
 	f.MarkDirty()
 	h.rows++
-	return RowRef{Page: int32(len(h.frames) - 1), Slot: int32(slot)}, nil
+	return RowRef{Page: int32(i), Slot: int32(slot)}, true
 }
 
 // Row returns the bytes of a previously added row. The returned slice
@@ -121,35 +162,26 @@ func (h *Heap) Row(ref RowRef) ([]byte, error) {
 
 // Unlock unpins every page, making the frames stealable by the buffer
 // manager (dirty pages are swapped to the temporary file on eviction).
+// Unlocking an unlocked heap drops the page AddRow was filling.
 func (h *Heap) Unlock() {
-	if !h.locked {
-		return
+	for i, f := range h.frames {
+		if f != nil {
+			h.unpin(i)
+		}
 	}
-	for _, f := range h.frames {
-		h.pool.Unpin(f, false)
-	}
-	h.frames = h.frames[:0]
 	h.locked = false
 }
 
 // Lock re-pins every page, re-reading any that were stolen while the heap
 // was unlocked. Row handles issued before the unlock remain valid.
 func (h *Heap) Lock() error {
-	if h.locked {
-		return nil
-	}
-	h.frames = h.frames[:0]
-	for _, id := range h.pages {
-		f, err := h.pool.Get(id)
-		if err != nil {
-			// Roll back partial pinning.
-			for _, g := range h.frames {
-				h.pool.Unpin(g, false)
+	for i, f := range h.frames {
+		if f == nil {
+			if err := h.pin(i); err != nil {
+				h.Unlock()
+				return err
 			}
-			h.frames = h.frames[:0]
-			return err
 		}
-		h.frames = append(h.frames, f)
 	}
 	h.locked = true
 	return nil
@@ -158,50 +190,75 @@ func (h *Heap) Lock() error {
 // Free releases every page: frames are discarded without write-back (the
 // contents are dead) and pushed to the lookaside queue, and the temp-file
 // pages return to the free chain. The heap becomes empty and locked.
-func (h *Heap) Free(st *store.Store) {
-	if h.locked {
-		for _, f := range h.frames {
-			h.pool.Unpin(f, false)
-		}
-	}
+func (h *Heap) Free() {
+	h.Unlock()
 	for _, id := range h.pages {
 		h.pool.Discard(id)
-		if st != nil {
-			_ = st.Free(id)
-		}
 	}
-	if h.task != nil {
-		h.task.Free(len(h.pages))
-	}
+	_ = h.st.Free(h.pages...) // temp-file pages: losing one to a failed free costs space until restart
 	h.pages = h.pages[:0]
 	h.frames = h.frames[:0]
 	h.rows = 0
 	h.locked = true
 }
 
-// ReleasePages frees the heap's newest pages down to keepPages, dropping
-// the rows stored in them. Used by low-memory fallbacks that have already
-// copied the affected rows elsewhere. Returns the number of pages freed.
-// The heap must be locked.
-func (h *Heap) ReleasePages(keepPages int, st *store.Store) int {
-	if !h.locked || keepPages >= len(h.pages) {
-		return 0
-	}
-	freed := 0
-	for len(h.pages) > keepPages {
-		n := len(h.pages) - 1
-		h.rows -= h.frames[n].Data.LiveCells()
-		h.pool.Unpin(h.frames[n], false)
-		h.pool.Discard(h.pages[n])
-		if st != nil {
-			_ = st.Free(h.pages[n])
+// Cursor reads a heap's rows in the order they were added while holding at
+// most one page pinned (and charged), so it reads an unlocked heap of any
+// size in one page of memory.
+type Cursor struct {
+	h       *Heap
+	page    int // next page to pin
+	slot    int // next slot of the pinned page
+	f       *buffer.Frame
+	charged bool
+}
+
+// Cursor opens a cursor at the heap's first row. Close it before the heap
+// is freed.
+func (h *Heap) Cursor() *Cursor { return &Cursor{h: h} }
+
+// Next returns the next row, or nil at the end. The slice aliases the
+// pinned page and is valid until the following Next or Close.
+func (c *Cursor) Next() ([]byte, error) {
+	for {
+		if c.f != nil {
+			for c.slot < c.f.Data.NumSlots() {
+				c.slot++
+				if cell := c.f.Data.Cell(c.slot - 1); cell != nil {
+					return cell, nil
+				}
+			}
+			c.h.pool.Unpin(c.f, false)
+			c.f = nil
 		}
-		h.pages = h.pages[:n]
-		h.frames = h.frames[:n]
-		freed++
+		if c.page >= len(c.h.pages) {
+			c.Close()
+			return nil, nil
+		}
+		if !c.charged {
+			if err := c.h.acct.Alloc(1); err != nil {
+				return nil, err
+			}
+			c.charged = true
+		}
+		f, err := c.h.pool.Get(c.h.pages[c.page])
+		if err != nil {
+			return nil, err
+		}
+		c.f, c.slot = f, 0
+		c.page++
 	}
-	if h.task != nil {
-		h.task.Free(freed)
+}
+
+// Close unpins the cursor's page; Next then reports the end.
+func (c *Cursor) Close() {
+	if c.f != nil {
+		c.h.pool.Unpin(c.f, false)
+		c.f = nil
 	}
-	return freed
+	if c.charged {
+		c.h.acct.Free(1)
+		c.charged = false
+	}
+	c.page = len(c.h.pages)
 }

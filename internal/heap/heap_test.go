@@ -19,7 +19,7 @@ func setup(t *testing.T, poolFrames int) (*Heap, *buffer.Pool, *store.Store) {
 	}
 	t.Cleanup(func() { st.Close() })
 	pool := buffer.New(st, 1, poolFrames, poolFrames)
-	return New(pool, nil), pool, st
+	return New(pool, st, new(mem.Account)), pool, st
 }
 
 func TestAddAndReadRows(t *testing.T) {
@@ -58,9 +58,6 @@ func TestUnlockedAccessFails(t *testing.T) {
 	ref, _ := h.AddRow([]byte("x"))
 	h.Unlock()
 	if _, err := h.Row(ref); err != ErrUnlocked {
-		t.Fatalf("want ErrUnlocked, got %v", err)
-	}
-	if _, err := h.AddRow([]byte("y")); err != ErrUnlocked {
 		t.Fatalf("want ErrUnlocked, got %v", err)
 	}
 	// Unlock twice is harmless; Lock restores access.
@@ -141,7 +138,7 @@ func TestFreeReturnsPages(t *testing.T) {
 		}
 		pool.Unpin(f, true)
 	}
-	h.Free(st)
+	h.Free()
 	if h.Pages() != 0 || h.Rows() != 0 {
 		t.Fatal("heap not empty after Free")
 	}
@@ -157,7 +154,7 @@ func TestFreeReturnsPages(t *testing.T) {
 	if pool.Stats().LookasideHits == 0 {
 		t.Fatal("expected lookaside hits after Free")
 	}
-	h.Free(st)
+	h.Free()
 }
 
 func TestMemoryAccounting(t *testing.T) {
@@ -168,7 +165,10 @@ func TestMemoryAccounting(t *testing.T) {
 	task := gov.Begin()
 	defer task.Finish()
 
-	h := New(pool, task)
+	var acct mem.Account
+	acct.Open(task, nil, 0)
+	defer acct.Close()
+	h := New(pool, st, &acct)
 	// Hard limit = ¾·8 = 6 pages. Rows of 900 bytes: 4 per page.
 	var err error
 	for i := 0; i < 100 && err == nil; i++ {
@@ -180,25 +180,9 @@ func TestMemoryAccounting(t *testing.T) {
 	if task.UsedPages() > 7 {
 		t.Fatalf("task used %d pages, hard limit is 6", task.UsedPages())
 	}
-	h.Free(st)
+	h.Free()
 	if task.UsedPages() != 0 {
 		t.Fatalf("pages not returned: %d", task.UsedPages())
-	}
-}
-
-func TestReleasePages(t *testing.T) {
-	h, _, st := setup(t, 16)
-	for i := 0; i < 40; i++ {
-		h.AddRow(bytes.Repeat([]byte("r"), 500))
-	}
-	before := h.Pages()
-	freed := h.ReleasePages(2, st)
-	if freed != before-2 || h.Pages() != 2 {
-		t.Fatalf("freed %d, pages %d", freed, h.Pages())
-	}
-	// Keep more than present: no-op.
-	if h.ReleasePages(10, st) != 0 {
-		t.Fatal("over-keep should free nothing")
 	}
 }
 
@@ -211,4 +195,112 @@ func TestBadRowRef(t *testing.T) {
 	if _, err := h.Row(RowRef{Page: 0, Slot: 99}); err == nil {
 		t.Fatal("bad slot ref should error")
 	}
+}
+
+// flood evicts every unpinned page by cycling table pages through the pool.
+func flood(t *testing.T, pool *buffer.Pool, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		f, err := pool.NewPage(store.MainFile, page.TypeTable)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool.Unpin(f, true)
+	}
+}
+
+// An unlocked heap is appended to through one pinned page and read back
+// through a cursor that pins one page, whatever the pool steals meanwhile.
+func TestUnlockedAppendAndCursor(t *testing.T) {
+	st, err := store.Open(store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	pool := buffer.New(st, 1, 8, 64)
+	gov := mem.NewGovernor(func() int { return 1000 }, func() int { return 1000 }, 1)
+	task := gov.Begin()
+	defer task.Finish()
+	var acct mem.Account
+	acct.Open(task, nil, 0)
+	h := New(pool, st, &acct)
+	h.Unlock()
+
+	const n = 200 // 900-byte rows, 4 to a page: 50 pages through an 8-frame pool
+	var refs []RowRef
+	for i := 0; i < n; i++ {
+		ref, err := h.AddRow(append(bytes.Repeat([]byte("u"), 900), byte(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs = append(refs, ref)
+		if got := pool.PinnedCount(); got > 1 {
+			t.Fatalf("append %d: %d pages pinned, want the tail only", i, got)
+		}
+		if task.UsedPages() != pool.PinnedCount() {
+			t.Fatalf("append %d: charged %d pages, pinned %d", i, task.UsedPages(), pool.PinnedCount())
+		}
+	}
+	h.Unlock() // drops the tail
+	if pool.PinnedCount() != 0 || task.UsedPages() != 0 {
+		t.Fatalf("after Unlock: pinned %d, charged %d", pool.PinnedCount(), task.UsedPages())
+	}
+
+	c := h.Cursor()
+	for i := 0; i < n; i++ {
+		flood(t, pool, 16) // steal everything the cursor does not hold
+		b, err := c.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) != 901 || b[900] != byte(i) {
+			t.Fatalf("cursor row %d wrong", i)
+		}
+		if got := pool.PinnedCount(); got != 1 {
+			t.Fatalf("cursor row %d: %d pages pinned, want 1", i, got)
+		}
+		if task.UsedPages() != 1 {
+			t.Fatalf("cursor row %d: charged %d pages, want 1", i, task.UsedPages())
+		}
+	}
+	if b, err := c.Next(); b != nil || err != nil {
+		t.Fatalf("past the end: %v, %v", b, err)
+	}
+	if pool.PinnedCount() != 0 || task.UsedPages() != 0 {
+		t.Fatalf("after the cursor: pinned %d, charged %d", pool.PinnedCount(), task.UsedPages())
+	}
+
+	// Handles issued while unlocked address the rows once the heap is locked.
+	pool.Resize(64)
+	if err := h.Lock(); err != nil {
+		t.Fatal(err)
+	}
+	if task.UsedPages() != h.Pages() {
+		t.Fatalf("locked: charged %d of %d pages", task.UsedPages(), h.Pages())
+	}
+	for i, ref := range refs {
+		b, err := h.Row(ref)
+		if err != nil || b[900] != byte(i) {
+			t.Fatalf("row %d after Lock: %v", i, err)
+		}
+	}
+	free := len(mustFreeList(t, st))
+	pages := h.Pages()
+	h.Free()
+	acct.Close()
+	if task.UsedPages() != 0 || pool.PinnedCount() != 0 {
+		t.Fatalf("after Free: charged %d, pinned %d", task.UsedPages(), pool.PinnedCount())
+	}
+	if got := len(mustFreeList(t, st)); got != free+pages {
+		t.Fatalf("temp free list %d, want %d", got, free+pages)
+	}
+}
+
+func mustFreeList(t *testing.T, st *store.Store) []store.PageID {
+	t.Helper()
+	ids, err := st.FreeList(store.TempFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ids
 }

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"anywheredb/internal/page"
 	"anywheredb/internal/telemetry"
 )
 
@@ -28,12 +29,12 @@ var ErrHardLimit = errors.New("mem: statement exceeds hard memory limit")
 // distinct, sort) registered with its task. Depth orders operators within
 // the plan: 0 is the root; larger depths are further down the tree.
 type Consumer interface {
-	// MemoryPages reports the operator's current memory use in pages.
-	MemoryPages() int
 	// ReleaseMemory asks the operator to free at least want pages (by
 	// spilling a partition, switching to a low-memory fallback, etc.). It
-	// returns the number of pages actually freed.
-	ReleaseMemory(want int) int
+	// returns the number of pages actually freed. An error means the
+	// operator's state is lost with what it failed to write: it fails the
+	// charge that asked, and with it the statement.
+	ReleaseMemory(want int) (int, error)
 }
 
 // Governor hands out task quotas. Pool sizes are supplied by callbacks so
@@ -50,6 +51,8 @@ type Governor struct {
 	grants          atomic.Uint64 // Alloc calls admitted within quota
 	denials         atomic.Uint64 // Alloc calls refused at the hard limit
 	releaseRequests atomic.Uint64 // top-down ReleaseMemory sweeps triggered
+	leaked          atomic.Uint64 // pages still charged to tasks at Finish
+	peakPages       telemetry.Histogram
 }
 
 // AttachTelemetry publishes the governor's counters into reg under "mem.".
@@ -59,6 +62,10 @@ func (g *Governor) AttachTelemetry(reg *telemetry.Registry) {
 	reg.GaugeFunc("mem.denials", func() int64 { return int64(g.denials.Load()) })
 	reg.GaugeFunc("mem.release_requests", func() int64 { return int64(g.releaseRequests.Load()) })
 	reg.GaugeFunc("mem.active_tasks", func() int64 { return int64(g.ActiveRequests()) })
+	reg.GaugeFunc("mem.leaked_pages", func() int64 { return int64(g.leaked.Load()) })
+	// Each statement's high-water mark, observed once at Finish: how close
+	// statements run to their quota.
+	reg.RegisterHistogram("mem.peak_pages", &g.peakPages)
 }
 
 // NewGovernor builds a governor. mpl is the server multiprogramming level
@@ -128,7 +135,12 @@ func (t *Task) Finish() {
 		return
 	}
 	t.finished = true
+	used, peak := t.used, t.peak
 	t.mu.Unlock()
+	t.gov.peakPages.Observe(int64(peak))
+	if used > 0 {
+		t.gov.leaked.Add(uint64(used))
+	}
 	t.gov.mu.Lock()
 	t.gov.active--
 	t.gov.mu.Unlock()
@@ -140,10 +152,7 @@ func (t *Task) HardLimitPages() int {
 	g.mu.Lock()
 	active := g.active
 	g.mu.Unlock()
-	if active < 1 {
-		active = 1
-	}
-	return 3 * g.maxPoolPages() / 4 / active
+	return 3 * g.maxPoolPages() / 4 / max(active, 1)
 }
 
 // SoftLimitPages is Eq. 5: curPool / multiprogramming level.
@@ -154,11 +163,6 @@ func (t *Task) SoftLimitPages() int {
 	g.mu.Unlock()
 	return g.curPoolPages() / mpl
 }
-
-// PredictedSoftLimitPages is the soft limit the optimizer uses when costing
-// a plan and annotating memory-intensive operators with page quotas. It is
-// the same law evaluated at optimization time.
-func (t *Task) PredictedSoftLimitPages() int { return t.SoftLimitPages() }
 
 // Register adds a memory-intensive operator at the given plan depth
 // (0 = root).
@@ -203,7 +207,10 @@ func (t *Task) PeakPages() int {
 // Alloc accounts n pages to the task. If the soft limit is exceeded, the
 // governor requests operators to relinquish memory, highest consumer
 // first; if after that the hard limit is still exceeded, ErrHardLimit is
-// returned and the statement must terminate.
+// returned and the statement must terminate. A statement is asked before it
+// is refused: with as many requests active as the multiprogramming level
+// allows and the pool at its maximum, Eq. 4 falls below Eq. 5, and releases
+// are then requested from the hard limit on.
 func (t *Task) Alloc(n int) error {
 	if n < 0 {
 		return fmt.Errorf("mem: negative alloc %d", n)
@@ -216,16 +223,22 @@ func (t *Task) Alloc(n int) error {
 	used := t.used
 	t.mu.Unlock()
 
-	soft := t.SoftLimitPages()
+	soft, hard := t.SoftLimitPages(), t.HardLimitPages()
+	if hard > 0 {
+		soft = min(soft, hard)
+	}
 	if used > soft {
 		t.gov.releaseRequests.Add(1)
-		t.requestRelease(used - soft)
+		if err := t.requestRelease(used - soft); err != nil {
+			t.Free(n)
+			return err
+		}
 	}
 
 	t.mu.Lock()
 	used = t.used
 	t.mu.Unlock()
-	if hard := t.HardLimitPages(); hard > 0 && used > hard {
+	if hard > 0 && used > hard {
 		// The request is refused: roll the accounting back so the caller
 		// (which will terminate the statement) does not leak quota.
 		t.Free(n)
@@ -246,22 +259,109 @@ func (t *Task) Free(n int) {
 	t.mu.Unlock()
 }
 
-// OverSoftLimit reports whether the task currently exceeds its soft limit
-// (operators consult this while building hash tables, §4.3).
-func (t *Task) OverSoftLimit() bool {
-	return t.UsedPages() > t.SoftLimitPages()
-}
-
 // requestRelease walks consumers from the top of the execution tree down,
 // asking each to free memory, until want pages have been relinquished.
-func (t *Task) requestRelease(want int) {
+func (t *Task) requestRelease(want int) error {
 	t.mu.Lock()
 	consumers := append([]taskConsumer(nil), t.consumers...)
 	t.mu.Unlock()
 	for _, tc := range consumers {
 		if want <= 0 {
-			return
+			break
 		}
-		want -= tc.c.ReleaseMemory(want)
+		freed, err := tc.c.ReleaseMemory(want)
+		if err != nil {
+			return err
+		}
+		want -= freed
+	}
+	return nil
+}
+
+// Account is one operator's share of its statement's memory, and the one
+// place that memory is charged to the task: the pages its heaps hold pinned
+// (heap.Heap calls Alloc and Free a page at a time) and the encoded size of
+// the rows it holds as Go values (AddBytes). A heap page the operator has
+// unlocked is the buffer pool's to steal and is charged to nobody; giving
+// memory back is exactly that — unlock a heap, or write the values into one
+// and unlock it.
+//
+// A charge can call back: over the soft limit the task asks every
+// registered consumer, the caller included, to ReleaseMemory before Alloc
+// returns. So charge only where the operator's own state is consistent:
+// what is being charged for is already where its ReleaseMemory will find
+// it, and whatever was read before the call is re-read after it.
+//
+// The zero Account counts without a task. Not safe for concurrent use.
+type Account struct {
+	task      *Task
+	self      Consumer
+	pages     int // charged now
+	peak      int
+	bytes     int // encoded bytes held as Go values
+	bytePages int // of pages, the part standing for bytes
+}
+
+// Open starts the account empty and, under a task, registers c (if not
+// nil) as the consumer the governor asks to give this memory back.
+func (a *Account) Open(t *Task, c Consumer, depth int) {
+	a.Close()
+	*a = Account{task: t, self: c}
+	if t != nil && c != nil {
+		t.Register(c, depth)
 	}
 }
+
+// Close returns whatever is still charged and unregisters the consumer.
+// The peak survives until the next Open.
+func (a *Account) Close() {
+	a.Free(a.pages)
+	a.bytes, a.bytePages = 0, 0
+	if a.task != nil && a.self != nil {
+		a.task.Unregister(a.self)
+	}
+	a.task = nil
+}
+
+// Alloc charges n pages; mem.ErrHardLimit ends the statement.
+func (a *Account) Alloc(n int) error {
+	if a.task != nil {
+		if err := a.task.Alloc(n); err != nil {
+			return err
+		}
+	}
+	a.pages += n
+	a.peak = max(a.peak, a.pages)
+	return nil
+}
+
+// Free returns n pages.
+func (a *Account) Free(n int) {
+	if a.task != nil {
+		a.task.Free(n)
+	}
+	a.pages -= n
+}
+
+// AddBytes charges n more encoded bytes, a page at a time as the total
+// crosses page boundaries.
+func (a *Account) AddBytes(n int) error {
+	a.bytes += n
+	if d := (a.bytes+page.Size-1)/page.Size - a.bytePages; d > 0 {
+		a.bytePages += d
+		return a.Alloc(d)
+	}
+	return nil
+}
+
+// FreeBytes returns every byte charged through AddBytes.
+func (a *Account) FreeBytes() {
+	a.Free(a.bytePages)
+	a.bytes, a.bytePages = 0, 0
+}
+
+// Pages reports the pages currently charged.
+func (a *Account) Pages() int { return a.pages }
+
+// PeakPages reports the high-water mark since Open.
+func (a *Account) PeakPages() int { return a.peak }

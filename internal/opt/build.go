@@ -172,7 +172,7 @@ func buildQueryBlock(sel *sqlparse.Select, benv *BuildEnv, ctes map[string]*Mate
 			}
 			keys = append(keys, exec.SortKey{Expr: e, Desc: oi.Desc})
 		}
-		root = &exec.Sort{Input: root, Keys: keys}
+		root = &exec.Sort{Input: root, Keys: keys, Depth: depthSort}
 	}
 	if sel.Union == nil {
 		root = b.project(root)
@@ -183,6 +183,16 @@ func buildQueryBlock(sel *sqlparse.Select, benv *BuildEnv, ctes map[string]*Mate
 	plan.Root = root
 	return plan, nil
 }
+
+// Plan depths of a block's memory-intensive operators, top down: the
+// governor asks the highest consumer in the tree to give memory back first
+// (§4.3), so an input is never starved by its consumer. The last join step
+// is the topmost join.
+const (
+	depthSort = iota
+	depthGroupBy
+	depthJoins
+)
 
 // blockBuilder builds one SELECT block.
 type blockBuilder struct {
@@ -373,7 +383,7 @@ func (b *blockBuilder) buildPipeline(order []Step) (exec.Operator, error) {
 			b.offsets[st.Quant] = 0
 			b.widths[st.Quant] = width
 		} else {
-			joined, err := b.joinStep(root, st, stepIdx, applied)
+			joined, err := b.joinStep(root, st, depthJoins+len(order)-1-stepIdx, applied)
 			if err != nil {
 				return nil, err
 			}
@@ -613,7 +623,7 @@ func (b *blockBuilder) observerFor(cj *Conjunct) exec.Observer {
 // joinStep builds the join placing st.Quant onto the accumulated tree.
 // Conjuncts it consumes (join keys, NLJ predicates) are recorded in
 // applied so the caller does not re-filter them.
-func (b *blockBuilder) joinStep(acc exec.Operator, st Step, depthIdx int, applied map[*Conjunct]bool) (exec.Operator, error) {
+func (b *blockBuilder) joinStep(acc exec.Operator, st Step, depth int, applied map[*Conjunct]bool) (exec.Operator, error) {
 	q := b.q
 	qt := q.Quants[st.Quant]
 	width := len(qt.Columns())
@@ -656,7 +666,7 @@ func (b *blockBuilder) joinStep(acc exec.Operator, st Step, depthIdx int, applie
 			RightKeys:  qKeys,
 			LeftOuter:  leftOuter,
 			RightWidth: width,
-			Depth:      depthIdx,
+			Depth:      depth,
 		}
 		for _, cj := range eqConjs {
 			applied[cj] = true
@@ -916,14 +926,8 @@ func (b *blockBuilder) buildAggregation(root exec.Operator) (exec.Operator, erro
 		}
 	}
 
-	// Memory annotation from the predicted soft limit (§4.3): the
-	// optimizer annotates memory-intensive operators with a page quota.
-	maxGroups := 0
-	if soft := b.benv.Env.SoftLimitPages(); soft > 0 {
-		maxGroups = soft * 64 // ≈ groups per page × quota pages
-	}
 	b.aggregated, b.groupCols, b.aggCols = true, groupCols, aggCols
-	return &exec.HashGroupBy{Input: root, Keys: keys, Aggs: aggs, MaxGroupsInMemory: maxGroups}, nil
+	return &exec.HashGroupBy{Input: root, Keys: keys, Aggs: aggs, Depth: depthGroupBy}, nil
 }
 
 func (b *blockBuilder) aggSpec(fc *sqlparse.FuncCall) (exec.AggSpec, error) {

@@ -87,9 +87,15 @@ func (m *memFile) WriteAt(b []byte, off int64) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if need := off + int64(len(b)); need > int64(len(m.data)) {
-		grown := make([]byte, need)
-		copy(grown, m.data)
-		m.data = grown
+		// Double the backing array: a file extended page by page is then
+		// copied O(log n) times, not once per page.
+		if old := m.data; need > int64(cap(old)) {
+			m.data = make([]byte, need, max(need, 2*int64(cap(old))))
+			copy(m.data, old)
+		} else {
+			m.data = old[:need]
+			clear(m.data[len(old):]) // a Truncate may have left bytes here
+		}
 	}
 	copy(m.data[off:], b)
 	return len(b), nil

@@ -2,6 +2,7 @@ package store
 
 import (
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"anywheredb/internal/page"
@@ -264,5 +265,52 @@ func TestFreeListCutsAtForeignPage(t *testing.T) {
 	s2.Write(x, foreign)
 	if id, _ := s2.Alloc(MainFile); id == x {
 		t.Fatalf("Alloc handed out %v, which is not a free page", x)
+	}
+}
+
+// The temp file of every database is a memFile that grows one page at a
+// time as heaps spill: extending it must not copy the whole file per page.
+func TestMemFileGrowsGeometrically(t *testing.T) {
+	const pages = 4096
+	var m memFile
+	pg := make([]byte, page.Size)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < pages; i++ {
+		pg[0], pg[page.Size-1] = byte(i), byte(i>>8)
+		if _, err := m.WriteAt(pg, int64(i)*page.Size); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	final := uint64(pages * page.Size)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4*final {
+		t.Fatalf("growing to %d bytes allocated %d, want < 4x", final, got)
+	}
+	for i := 0; i < pages; i++ {
+		if _, err := m.ReadAt(pg, int64(i)*page.Size); err != nil {
+			t.Fatal(err)
+		}
+		if pg[0] != byte(i) || pg[page.Size-1] != byte(i>>8) || pg[1] != 0 {
+			t.Fatalf("page %d read back wrong", i)
+		}
+	}
+	if err := m.Truncate(10 * page.Size); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.data) != 10*page.Size {
+		t.Fatalf("after Truncate len %d", len(m.data))
+	}
+	// Regrowing past a truncation reads zeros, not the old contents.
+	if _, err := m.WriteAt(pg[:1], 12*page.Size); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.ReadAt(pg, 11*page.Size); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range pg {
+		if b != 0 {
+			t.Fatal("stale bytes after Truncate and regrow")
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -262,6 +263,25 @@ func AppendRow(dst []byte, row []Value) []byte {
 	}
 	return dst
 }
+
+// RowSize reports len(EncodeRow(row)) without building the encoding: the
+// figure memory accounting charges for a row held as Go values.
+func RowSize(row []Value) int {
+	n := uvarintLen(uint64(len(row))) + len(row)
+	for _, v := range row {
+		switch v.Kind {
+		case KInt:
+			n += uvarintLen(uint64(v.I)<<1 ^ uint64(v.I>>63))
+		case KDouble:
+			n += uvarintLen(math.Float64bits(v.F))
+		case KStr:
+			n += uvarintLen(uint64(len(v.S))) + len(v.S)
+		}
+	}
+	return n
+}
+
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // DecodeRow deserializes a row produced by EncodeRow.
 func DecodeRow(data []byte) ([]Value, error) {

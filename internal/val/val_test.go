@@ -102,6 +102,9 @@ func TestEncodeDecodeRow(t *testing.T) {
 	}
 	for _, row := range rows {
 		enc := EncodeRow(row)
+		if RowSize(row) != len(enc) {
+			t.Fatalf("RowSize(%v) = %d, encoding is %d bytes", row, RowSize(row), len(enc))
+		}
 		dec, err := DecodeRow(enc)
 		if err != nil {
 			t.Fatalf("DecodeRow(%v): %v", row, err)

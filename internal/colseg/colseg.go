@@ -137,46 +137,44 @@ func (s *Segment) MayMatch(col int, op string, k val.Value) bool {
 	return true // unknown operator: never skip
 }
 
-// DecodeInto materializes the whole segment row-major into dst, which must
-// hold at least NumRows*len(Cols) values. Rows are laid out contiguously so
-// the caller can hand out zero-copy row subslices. Decoding is a tight
-// per-encoding loop — no per-row varint parsing and no per-row allocation,
-// which is where the columnar scan's speed over the heap path comes from.
-func (s *Segment) DecodeInto(dst []val.Value) {
-	w := len(s.Cols)
-	for ci := range s.Cols {
-		s.Cols[ci].decodeInto(dst[ci:], w)
-	}
-}
-
-// decodeInto writes the chunk's values at dst[0], dst[stride], ... .
-func (c *Chunk) decodeInto(dst []val.Value, stride int) {
+// DecodeRange materializes rows [from, from+n) of the chunk into dst[:n]:
+// the windowed, column-major decode a vectored scan reads one column of one
+// window with. Decoding is a tight per-encoding loop — no per-row varint
+// parsing and no per-row allocation, which is where the columnar scan's
+// speed over the heap path comes from.
+func (c *Chunk) DecodeRange(dst []val.Value, from, n int) {
 	switch c.Enc {
 	case EncRaw:
-		for i, v := range c.Vals {
-			dst[i*stride] = v
+		for i, v := range c.Vals[from : from+n] {
+			dst[i] = v
 		}
 	case EncDict:
-		for i := 0; i < c.N; i++ {
-			if nullAt(c.Nulls, i) {
-				dst[i*stride] = val.Value{}
+		for i := 0; i < n; i++ {
+			if nullAt(c.Nulls, from+i) {
+				dst[i] = val.Value{}
 				continue
 			}
-			dst[i*stride] = val.Value{Kind: val.KStr, S: c.Dict[c.Codes[i]]}
+			dst[i] = val.Value{Kind: val.KStr, S: c.Dict[c.Codes[from+i]]}
 		}
 	case EncRLE:
-		pos := 0
-		for r, v := range c.RunVals {
-			n := int(c.RunLens[r])
-			for j := 0; j < n; j++ {
-				dst[pos*stride] = v
+		// Find the run the window starts in, then copy run by run.
+		r, skip := 0, from
+		for skip > 0 && skip >= int(c.RunLens[r]) {
+			skip -= int(c.RunLens[r])
+			r++
+		}
+		for pos := 0; pos < n; r++ {
+			v := c.RunVals[r]
+			for j := min(int(c.RunLens[r])-skip, n-pos); j > 0; j-- {
+				dst[pos] = v
 				pos++
 			}
+			skip = 0
 		}
 	case EncBitPack:
 		mask := uint64(1)<<c.Width - 1
-		bit := uint(0)
-		for i := 0; i < c.N; i++ {
+		bit := uint(from) * uint(c.Width)
+		for i := 0; i < n; i++ {
 			word := bit >> 6
 			off := bit & 63
 			raw := c.Words[word] >> off
@@ -184,11 +182,11 @@ func (c *Chunk) decodeInto(dst []val.Value, stride int) {
 				raw |= c.Words[word+1] << (64 - off)
 			}
 			bit += uint(c.Width)
-			if nullAt(c.Nulls, i) {
-				dst[i*stride] = val.Value{}
+			if nullAt(c.Nulls, from+i) {
+				dst[i] = val.Value{}
 				continue
 			}
-			dst[i*stride] = val.Value{Kind: val.KInt, I: c.Base + int64(raw&mask)}
+			dst[i] = val.Value{Kind: val.KInt, I: c.Base + int64(raw&mask)}
 		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 // decode materializes a single-column chunk back into values.
 func decodeChunk(c *Chunk) []val.Value {
 	out := make([]val.Value, c.N)
-	c.decodeInto(out, 1)
+	c.DecodeRange(out, 0, c.N)
 	return out
 }
 
@@ -225,11 +225,12 @@ func TestBuilderSegmentation(t *testing.T) {
 	if !s.MayMatch(0, "=", val.Value{Kind: val.KInt, I: 150}) {
 		t.Fatal("segment 1 must not be skipped for =150")
 	}
-	// Flat decode reassembles rows in order.
-	flat := make([]val.Value, s.NumRows*2)
-	s.DecodeInto(flat)
-	if flat[0].I != 100 || flat[2].I != 101 || flat[1].S != "v" {
-		t.Fatalf("flat decode wrong: %v", flat[:4])
+	// A window decodes the rows it names, column by column.
+	ids, strs := make([]val.Value, 2), make([]val.Value, 2)
+	s.Cols[0].DecodeRange(ids, 0, 2)
+	s.Cols[1].DecodeRange(strs, 0, 2)
+	if ids[0].I != 100 || ids[1].I != 101 || strs[0].S != "v" {
+		t.Fatalf("window decode wrong: %v %v", ids, strs)
 	}
 }
 
@@ -274,5 +275,102 @@ func TestEncodingSelection(t *testing.T) {
 	}
 	if !reflect.DeepEqual(decodeChunk(&Chunk{Kind: val.KInt, Enc: EncRaw, Vals: []val.Value{}}), []val.Value{}) {
 		t.Fatal("empty raw chunk decode")
+	}
+}
+
+// TestDecodeRangeQuick: a windowed decode of [from, from+n) is the same
+// slice of the full decode — for every encoding, with and without NULLs,
+// for windows that start inside an RLE run and windows that end at the
+// segment end.
+func TestDecodeRangeQuick(t *testing.T) {
+	type shape struct {
+		enc   Encoding
+		nulls bool
+	}
+	seen := map[shape]bool{}
+	midRun, atEnd := false, false
+	check := func(r *rand.Rand, kind val.Kind, vals []val.Value) bool {
+		c := encodeChunk(kind, vals)
+		full := decodeChunk(&c)
+		nulls := false
+		for _, v := range vals {
+			nulls = nulls || v.Kind == val.KNull
+		}
+		seen[shape{c.Enc, nulls}] = true
+		for w := 0; w < 8; w++ {
+			from := r.Intn(len(vals) + 1)
+			n := r.Intn(len(vals) - from + 1)
+			if w == 0 {
+				n = len(vals) - from // ends at the segment end
+			}
+			atEnd = atEnd || (n > 0 && from+n == len(vals))
+			if c.Enc == EncRLE && from > 0 && from < len(vals) && valEq(vals[from-1], vals[from]) {
+				midRun = true
+			}
+			// Poisoned, and one longer than the window: a decode may write
+			// dst[:n] and nothing else.
+			got := make([]val.Value, n+1)
+			for i := range got {
+				got[i] = val.Value{Kind: val.KStr, S: "poison"}
+			}
+			c.DecodeRange(got, from, n)
+			if got[n].S != "poison" {
+				t.Errorf("enc=%v window [%d,+%d): wrote past the window", c.Enc, from, n)
+				return false
+			}
+			for i := 0; i < n; i++ {
+				if !valEq(got[i], full[from+i]) {
+					t.Errorf("enc=%v window [%d,+%d) row %d: got %v, full decode has %v", c.Enc, from, n, i, got[i], full[from+i])
+					return false
+				}
+			}
+		}
+		return true
+	}
+	withNulls := func(r *rand.Rand, vals []val.Value, runs bool) []val.Value {
+		for i := 0; i < len(vals); i++ {
+			if r.Intn(6) == 0 {
+				vals[i] = val.Value{}
+				for ; runs && i+1 < len(vals) && r.Intn(4) != 0; i++ {
+					vals[i+1] = val.Value{}
+				}
+			}
+		}
+		return vals
+	}
+	if err := quick.Check(func(seed int64, ln uint16) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 1 + int(ln%600)
+		ok := check(r, val.KInt, genInts(r, n)) && check(r, val.KStr, genStrs(r, n))
+		// The generators pick their style at random; these pin each encoding
+		// with NULLs in it: bit-packed, run-length, dictionary, raw.
+		narrow, runs, wide := make([]val.Value, n), make([]val.Value, 0, n), make([]val.Value, n)
+		for i := range narrow {
+			narrow[i] = val.Value{Kind: val.KInt, I: int64(r.Intn(50))}
+			wide[i] = val.Value{Kind: val.KDouble, F: r.NormFloat64()}
+		}
+		for len(runs) < n {
+			v := val.Value{Kind: val.KInt, I: int64(r.Intn(3))}
+			for j := 4 + r.Intn(16); j > 0 && len(runs) < n; j-- {
+				runs = append(runs, v)
+			}
+		}
+		dict := genStrs(rand.New(rand.NewSource(seed*3)), n) // style 0 for a third of the seeds
+		return ok && check(r, val.KInt, withNulls(r, narrow, false)) &&
+			check(r, val.KInt, withNulls(r, runs, true)) &&
+			check(r, val.KStr, withNulls(r, dict, false)) &&
+			check(r, val.KDouble, wide) && check(r, val.KDouble, withNulls(r, wide, false))
+	}, &quick.Config{MaxCount: 80}); err != nil {
+		t.Fatal(err)
+	}
+	for _, enc := range []Encoding{EncRaw, EncDict, EncRLE, EncBitPack} {
+		for _, nulls := range []bool{false, true} {
+			if !seen[shape{enc, nulls}] {
+				t.Errorf("no %v chunk with nulls=%v was generated", enc, nulls)
+			}
+		}
+	}
+	if !midRun || !atEnd {
+		t.Errorf("windows starting inside an RLE run: %v, ending at the segment end: %v; want both", midRun, atEnd)
 	}
 }

@@ -60,6 +60,14 @@ func explainRows(plan *opt.Plan, analyze bool) *Rows {
 				actUS = val.NewInt(st.VTimeMicros)
 				actMem = val.NewInt(int64(st.MemPeakPages))
 			}
+			// What the run did with a columnar table's sealed segments:
+			// skipped by zone map, or never reached because the consumer
+			// stopped first; the rest were read.
+			if scan, ok := inner.(*exec.TableScan); ok {
+				if total, skipped, unreached := scan.SegmentStats(); total > 0 {
+					label += fmt.Sprintf(" segments=%d skipped=%d unreached=%d", total, skipped, unreached)
+				}
+			}
 		}
 		out = append(out, exec.Row{val.NewStr(label), est, actRows, actInv, actUS, actMem})
 		for _, ch := range exec.Children(inner) {

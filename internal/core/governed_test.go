@@ -250,6 +250,48 @@ func TestStatementsAreGoverned(t *testing.T) {
 		}
 		base.check(t, small, "four sorts")
 	})
+
+	t.Run("scan", func(t *testing.T) {
+		// What a scan holds between batches — a carry of heap rows, a window
+		// of a segment — is charged to the statement; a squeezed statement's
+		// next batch is the smallest there is; Close leaves nothing charged.
+		mustExec(t, cs, "ALTER TABLE d STORE COLUMNAR")
+		base := baselineOf(t, small) // the segments are new
+		for _, name := range []string{"f", "d"} {
+			tbl, _ := small.Table(name)
+			task := small.memG.Begin()
+			ctx := cs.execCtx(task)
+			scan := &exec.TableScan{Table: tbl, ZoneCol: -1}
+			if err := scan.Open(ctx); err != nil {
+				t.Fatal(err)
+			}
+			var b exec.Batch
+			next := func() int {
+				if err := scan.NextBatch(ctx, &b); err != nil {
+					t.Fatal(err)
+				}
+				return b.Len()
+			}
+			// Soft limit 16 pages: a quarter of it, at 64 rows a page.
+			if n := next(); n != 256 || task.UsedPages() == 0 {
+				t.Errorf("%s: first batch of %d rows with %d pages charged, want 256 rows and a charge", name, n, task.UsedPages())
+			}
+			small.memG.SetMPL(64) // soft limit: one page
+			n := next()
+			small.memG.SetMPL(4)
+			if n != exec.MinBatchSize {
+				t.Errorf("%s: batch of %d rows under a one-page soft limit, want %d", name, n, exec.MinBatchSize)
+			}
+			if err := scan.Close(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if used := task.UsedPages(); used != 0 {
+				t.Errorf("%s: %d pages charged after Close", name, used)
+			}
+			task.Finish()
+			base.check(t, small, "scan of "+name)
+		}
+	})
 }
 
 // TestReleaseOrderIsThePlans: memory is asked back from the top of the

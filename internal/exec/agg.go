@@ -48,22 +48,20 @@ func newAggState(spec AggSpec) *aggState {
 	return s
 }
 
-func (s *aggState) add(spec AggSpec, row Row) error {
+// add folds one row into the state: v is the row's value of spec.Arg
+// (ignored by COUNT(*)).
+func (s *aggState) add(spec AggSpec, v val.Value) {
 	if spec.Fn == AggCountStar {
 		s.count++
-		return nil
-	}
-	v, err := spec.Arg.Eval(row)
-	if err != nil {
-		return err
+		return
 	}
 	if v.IsNull() {
-		return nil // aggregates ignore NULLs
+		return // aggregates ignore NULLs
 	}
 	if spec.Distinct {
 		h := val.Hash64(v)
 		if s.seen[h] {
-			return nil
+			return
 		}
 		s.seen[h] = true
 	}
@@ -89,7 +87,6 @@ func (s *aggState) add(spec AggSpec, row Row) error {
 		}
 	}
 	s.init = true
-	return nil
 }
 
 func (s *aggState) result(spec AggSpec) val.Value {
@@ -199,6 +196,8 @@ type HashGroupBy struct {
 	Depth int
 
 	acct      mem.Account
+	cols      []val.Value // column-major scratch: key, then aggregate-argument values of one batch
+	key       Row         // scratch: one row's key values
 	groups    map[uint64][]*group
 	nGroups   int
 	stateSize int // encoded size of one group's fresh aggregate states
@@ -245,6 +244,7 @@ func (g *HashGroupBy) ReleaseMemory(want int) (int, error) {
 func (g *HashGroupBy) Open(ctx *Ctx) error {
 	g.dropFallback(ctx)
 	g.groups = map[uint64][]*group{}
+	g.key = make(Row, len(g.Keys))
 	g.nGroups = 0
 	g.fellBack = false
 	g.emit, g.pos = nil, 0
@@ -262,12 +262,7 @@ func (g *HashGroupBy) Open(ctx *Ctx) error {
 	var in Batch
 	err := pull(ctx, g.Input, &in, func(in *Batch) error {
 		ctx.ChargeRows(in.Len())
-		for _, row := range in.Rows {
-			if err := g.addRow(row); err != nil {
-				return err
-			}
-		}
-		return nil
+		return g.addBatch(in)
 	})
 	if err != nil {
 		return err
@@ -299,41 +294,64 @@ func (g *HashGroupBy) Open(ctx *Ctx) error {
 	return nil
 }
 
-func (g *HashGroupBy) addRow(row Row) error {
-	keys := make(Row, len(g.Keys))
-	for i, e := range g.Keys {
-		v, err := e.Eval(row)
-		if err != nil {
+// addBatch folds one input batch (either form) into the groups. Key and
+// aggregate-argument expressions are evaluated a column at a time across
+// the batch; the row loop then only hashes, looks up and accumulates, and
+// allocates a key row only when a group is born.
+func (g *HashGroupBy) addBatch(in *Batch) error {
+	n := in.Len()
+	g.cols = g.cols[:0]
+	var err error
+	for _, e := range g.Keys {
+		if g.cols, err = EvalBatch(e, in, g.cols); err != nil {
 			return err
 		}
-		keys[i] = v
 	}
-	h := val.HashRow(keys)
-	var grp *group
-	for _, cand := range g.groups[h] {
-		if rowsEqualNullSafe(cand.keys, keys) {
-			grp = cand
-			break
+	for _, spec := range g.Aggs {
+		if spec.Arg == nil {
+			continue
 		}
-	}
-	grew := 0
-	if grp == nil {
-		grp = g.newGroup(keys)
-		g.groups[h] = append(g.groups[h], grp)
-		g.nGroups++
-		grew = val.RowSize(keys) + g.stateSize
-	}
-	for i, spec := range g.Aggs {
-		seen := len(grp.aggs[i].seen)
-		if err := grp.aggs[i].add(spec, row); err != nil {
+		if g.cols, err = EvalBatch(spec.Arg, in, g.cols); err != nil {
 			return err
 		}
-		grew += seenEntrySize * (len(grp.aggs[i].seen) - seen)
 	}
-	// Charged last: the row is in its group by now, so the ReleaseMemory
-	// the charge may bring flushes a consistent table.
-	if grew > 0 {
-		return g.acct.AddBytes(grew)
+	for r := 0; r < n; r++ {
+		for k := range g.key {
+			g.key[k] = g.cols[k*n+r]
+		}
+		h := val.HashRow(g.key)
+		var grp *group
+		for _, cand := range g.groups[h] {
+			if rowsEqualNullSafe(cand.keys, g.key) {
+				grp = cand
+				break
+			}
+		}
+		grew := 0
+		if grp == nil {
+			grp = g.newGroup(append(Row(nil), g.key...))
+			g.groups[h] = append(g.groups[h], grp)
+			g.nGroups++
+			grew = val.RowSize(grp.keys) + g.stateSize
+		}
+		c := len(g.key)
+		for i, spec := range g.Aggs {
+			var v val.Value
+			if spec.Arg != nil {
+				v = g.cols[c*n+r]
+				c++
+			}
+			seen := len(grp.aggs[i].seen)
+			grp.aggs[i].add(spec, v)
+			grew += seenEntrySize * (len(grp.aggs[i].seen) - seen)
+		}
+		// Charged last: the row is in its group by now, so the ReleaseMemory
+		// the charge may bring flushes a consistent table.
+		if grew > 0 {
+			if err := g.acct.AddBytes(grew); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
@@ -476,7 +494,7 @@ func (g *HashGroupBy) dropFallback(ctx *Ctx) {
 
 func (g *HashGroupBy) Close(ctx *Ctx) error {
 	g.dropFallback(ctx)
-	g.groups, g.emit = nil, nil
+	g.groups, g.emit, g.cols = nil, nil, nil
 	g.acct.Close()
 	if g.inputOpen {
 		g.inputOpen = false
@@ -514,7 +532,7 @@ func (d *HashDistinct) NextBatch(ctx *Ctx, out *Batch) error {
 			d.eof = true
 			break
 		}
-		for _, row := range d.in.Rows {
+		for _, row := range d.in.Rows() {
 			h := val.HashRow(row)
 			dup := false
 			for _, prev := range d.seen[h] {

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"anywheredb/internal/colseg"
+	"anywheredb/internal/page"
 	"anywheredb/internal/table"
 	"anywheredb/internal/val"
 )
@@ -23,8 +25,11 @@ const (
 	// to small batches, never to per-row dispatch.
 	MinBatchSize = 16
 	// batchRowsPerPage approximates how many value rows fit a page when
-	// translating the governor's page quota into a row count.
+	// translating the governor's page quota into a row count, and
+	// batchRowBytes is the same figure the other way round: what a scan is
+	// charged per row it holds between batches.
 	batchRowsPerPage = 64
+	batchRowBytes    = page.Size / batchRowsPerPage
 )
 
 // BatchSize reports the target number of rows per batch. It is cheap and
@@ -56,27 +61,155 @@ func (c *Ctx) BatchSize() int {
 	return n
 }
 
-// Batch is a reusable vector of rows. The container (the Rows slice) is
-// owned by the caller of NextBatch and recycled between calls; the Row
-// values inside it are immutable and remain valid until the producing
-// operator is closed, so consumers may retain row headers but must not
-// retain the Rows slice itself.
+// Batch is what one NextBatch call yields, in one of two forms.
+//
+// Row form is a list of rows (plus, from a WithRIDs scan, their heap
+// addresses). Vector form is a window of one sealed column segment: one
+// vector per column, decoded the first time it is asked for — a column
+// nobody reads is never decoded — and a selection vector naming the window
+// positions that are in the batch, in order. A TableScan over segments
+// produces vector form, Filter narrows either form in place, EvalBatch and
+// TestBatch read either form, and everything else reaches rows through
+// Rows, which turns a vector-form batch into fresh rows for the selected
+// positions only.
+//
+// Lifetime, the one rule. The Batch container belongs to the caller of
+// NextBatch, which recycles it from call to call. Rows are immutable and
+// garbage-collected: a consumer may keep a Row for as long as it likes (but
+// not the slice Rows returned, which is the container's). A vector-form
+// batch and everything reachable from it — vectors, selection — is the
+// producer's scratch and is valid only until the producer's next NextBatch
+// or Close; whoever keeps anything of it goes through Rows first.
 type Batch struct {
-	Rows []Row
-	// RIDs, when non-empty, is parallel to Rows: the heap address of each
-	// row. Only scans built WithRIDs fill it and only Filter carries it
+	rows []Row
+	// RIDs, when non-empty, is parallel to the rows: the heap address of
+	// each. Only scans built WithRIDs fill it and only Filter carries it
 	// upward — the shape of a DML target-collection tree.
 	RIDs []table.RID
+
+	vec *vectors // non-nil: vector form
+	sel []int32  // vector form: the selected window positions, ascending
 }
 
-// Reset empties the batch, keeping its capacity.
-func (b *Batch) Reset() { b.Rows, b.RIDs = b.Rows[:0], b.RIDs[:0] }
+// vectors is the column payload of a vector-form batch: rows
+// [from, from+n) of seg, a column at a time. The scan that owns it reuses
+// the buffers from window to window.
+type vectors struct {
+	seg     *colseg.Segment
+	from, n int
+	cols    [][]val.Value // per column: the decoded window, or empty until asked for
+	decoded bool          // some column of this window was decoded
+}
+
+// window points v at rows [from, from+n) of seg, nothing decoded yet.
+func (v *vectors) window(seg *colseg.Segment, from, n int) {
+	v.seg, v.from, v.n, v.decoded = seg, from, n, false
+	if len(v.cols) != len(seg.Cols) {
+		v.cols = make([][]val.Value, len(seg.Cols))
+	}
+	for i := range v.cols {
+		v.cols[i] = v.cols[i][:0]
+	}
+}
+
+// col returns column i of the window, indexed by window position.
+func (v *vectors) col(i int) []val.Value {
+	if len(v.cols[i]) == 0 && v.n > 0 {
+		if cap(v.cols[i]) < v.n {
+			v.cols[i] = make([]val.Value, v.n)
+		}
+		v.cols[i] = v.cols[i][:v.n]
+		v.seg.Cols[i].DecodeRange(v.cols[i], v.from, v.n)
+		v.decoded = true
+	}
+	return v.cols[i]
+}
+
+// Reset empties the batch into row form, keeping its capacity.
+func (b *Batch) Reset() {
+	b.rows, b.RIDs, b.sel, b.vec = b.rows[:0], b.RIDs[:0], b.sel[:0], nil
+}
 
 // Add appends one row.
-func (b *Batch) Add(r Row) { b.Rows = append(b.Rows, r) }
+func (b *Batch) Add(r Row) { b.rows = append(b.rows, r) }
+
+// setVectors makes b the whole of window v, in vector form.
+func (b *Batch) setVectors(v *vectors) {
+	b.Reset()
+	b.vec = v
+	for i := 0; i < v.n; i++ {
+		b.sel = append(b.sel, int32(i))
+	}
+}
 
 // Len reports the number of rows.
-func (b *Batch) Len() int { return len(b.Rows) }
+func (b *Batch) Len() int {
+	if b.vec != nil {
+		return len(b.sel)
+	}
+	return len(b.rows)
+}
+
+// Rows is the materialising accessor: the batch's rows, in row form. A
+// vector-form batch is turned into row form first — fresh rows, for the
+// selected positions only, every column decoded — so what is returned obeys
+// the row-form rule whatever the producer was.
+func (b *Batch) Rows() []Row {
+	if v := b.vec; v != nil {
+		w := len(v.cols)
+		flat := make([]val.Value, len(b.sel)*w)
+		for c := 0; c < w; c++ {
+			col := v.col(c)
+			for i, p := range b.sel {
+				flat[i*w+c] = col[p]
+			}
+		}
+		b.rows = b.rows[:0]
+		for i := range b.sel {
+			b.rows = append(b.rows, flat[i*w:(i+1)*w:(i+1)*w])
+		}
+		b.vec, b.sel = nil, b.sel[:0]
+	}
+	return b.rows
+}
+
+// truncate drops every row after the first n.
+func (b *Batch) truncate(n int) {
+	if b.vec != nil {
+		b.sel = b.sel[:n]
+		return
+	}
+	b.rows = b.rows[:n]
+	if len(b.RIDs) > n {
+		b.RIDs = b.RIDs[:n]
+	}
+}
+
+// keep narrows the batch, in place, to the rows whose verdict is True.
+func (b *Batch) keep(verdicts []Bool3) {
+	n := 0
+	if b.vec != nil {
+		for i, v := range verdicts {
+			if v == True {
+				b.sel[n] = b.sel[i]
+				n++
+			}
+		}
+		b.sel = b.sel[:n]
+		return
+	}
+	rids := len(b.RIDs) > 0
+	for i, v := range verdicts {
+		if v == True {
+			b.rows[n] = b.rows[i]
+			if rids {
+				b.RIDs[n] = b.RIDs[i]
+			}
+			n++
+		}
+	}
+	b.truncate(n)
+}
 
 // noteBatch records one produced batch in the engine telemetry (wired by
 // core; nil in bare operator rigs).
@@ -94,8 +227,8 @@ func (c *Ctx) noteBatch(n int) {
 
 // copyChunk moves up to ctx.BatchSize() rows from a materialized slice into
 // out, advancing *pos. It is the shared emit path of every operator that
-// buffers its whole result (scans over materialized pages, sort output,
-// group-by output, recursive unions, parallel pipelines).
+// buffers its whole result (sort output, group-by output, recursive unions,
+// parallel pipelines, replayed CTEs).
 func copyChunk(ctx *Ctx, out *Batch, rows []Row, pos *int) {
 	out.Reset()
 	n := ctx.BatchSize()
@@ -105,20 +238,52 @@ func copyChunk(ctx *Ctx, out *Batch, rows []Row, pos *int) {
 	if n <= 0 {
 		return
 	}
-	out.Rows = append(out.Rows, rows[*pos:*pos+n]...)
+	out.rows = append(out.rows, rows[*pos:*pos+n]...)
 	*pos += n
+}
+
+// rowQueue holds output rows a join has produced and not yet emitted. The
+// consumed prefix is an index, not a re-slice, so pops are O(1) and the
+// backing array is reused once the queue drains.
+type rowQueue struct {
+	rows []Row
+	pos  int
+}
+
+func (q *rowQueue) push(r Row) { q.rows = append(q.rows, r) }
+
+// popInto moves queued rows into out until it holds target rows, and
+// truncates the queue once it is fully consumed.
+func (q *rowQueue) popInto(out *Batch, target int) {
+	if n := min(target-out.Len(), len(q.rows)-q.pos); n > 0 {
+		out.rows = append(out.rows, q.rows[q.pos:q.pos+n]...)
+		q.pos += n
+	}
+	if q.pos >= len(q.rows) {
+		q.rows, q.pos = q.rows[:0], 0
+	}
 }
 
 // --- Vectored expression evaluation ---------------------------------------
 
-// EvalBatch evaluates e over every row of in, appending results to dst and
-// returning the extended slice. Col and Const — the overwhelmingly common
-// leaves — are special-cased so a projection of plain columns costs a bulk
-// copy instead of an interface call per row.
-func EvalBatch(e Expr, in []Row, dst []val.Value) ([]val.Value, error) {
+// EvalBatch evaluates e over every row of in (either form), appending one
+// result per row to dst and returning the extended slice. Col and Const —
+// the overwhelmingly common leaves — are special-cased: over row form a
+// projection of plain columns costs a bulk copy instead of an interface
+// call per row, over vector form it reads the one column's vector and
+// leaves the others undecoded. Any other expression needs rows, and gets
+// them from in.Rows.
+func EvalBatch(e Expr, in *Batch, dst []val.Value) ([]val.Value, error) {
 	switch x := e.(type) {
 	case Col:
-		for _, r := range in {
+		if v := in.vec; v != nil && x.Idx >= 0 && x.Idx < len(v.cols) {
+			col := v.col(x.Idx)
+			for _, p := range in.sel {
+				dst = append(dst, col[p])
+			}
+			return dst, nil
+		}
+		for _, r := range in.Rows() {
 			if x.Idx < 0 || x.Idx >= len(r) {
 				v, err := x.Eval(r) // produces the standard range error
 				if err != nil {
@@ -131,12 +296,12 @@ func EvalBatch(e Expr, in []Row, dst []val.Value) ([]val.Value, error) {
 		}
 		return dst, nil
 	case Const:
-		for range in {
+		for i := in.Len(); i > 0; i-- {
 			dst = append(dst, x.V)
 		}
 		return dst, nil
 	}
-	for _, r := range in {
+	for _, r := range in.Rows() {
 		v, err := e.Eval(r)
 		if err != nil {
 			return dst, err
@@ -146,11 +311,12 @@ func EvalBatch(e Expr, in []Row, dst []val.Value) ([]val.Value, error) {
 	return dst, nil
 }
 
-// TestBatch evaluates p over every row of in, appending verdicts to dst.
-// The dominant filter shape — a column compared against a constant — is
-// vectorized: one comparison loop instead of three interface dispatches
-// (Pred.Test, L.Eval, R.Eval) per row.
-func TestBatch(p Pred, in []Row, dst []Bool3) ([]Bool3, error) {
+// TestBatch evaluates p over every row of in (either form), appending one
+// verdict per row to dst. The dominant filter shape — a column compared
+// against a constant — is vectorized: one comparison loop instead of three
+// interface dispatches (Pred.Test, L.Eval, R.Eval) per row, and over vector
+// form it decodes that column alone.
+func TestBatch(p Pred, in *Batch, dst []Bool3) ([]Bool3, error) {
 	if c, ok := p.(Cmp); ok {
 		if col, okL := c.L.(Col); okL {
 			if k, okR := c.R.(Const); okR {
@@ -160,7 +326,7 @@ func TestBatch(p Pred, in []Row, dst []Bool3) ([]Bool3, error) {
 			}
 		}
 	}
-	for _, r := range in {
+	for _, r := range in.Rows() {
 		v, err := p.Test(r)
 		if err != nil {
 			return dst, err
@@ -170,28 +336,35 @@ func TestBatch(p Pred, in []Row, dst []Bool3) ([]Bool3, error) {
 	return dst, nil
 }
 
-// testCmpColConst is TestBatch's fast path for col <op> const. Rows that
-// cannot take it (column index out of range) fall back to Cmp.Test so the
-// error text stays identical; unknown operators decline entirely.
-func testCmpColConst(c Cmp, idx int, k val.Value, in []Row, dst []Bool3) ([]Bool3, bool, error) {
+// testCmpColConst is TestBatch's fast path for col <op> const. It declines
+// what Cmp.Test says differently — a NULL constant, an unknown operator, a
+// column a vector-form batch does not have — and rows too short for the
+// column fall back to Cmp.Test one by one, so results and error text stay
+// identical.
+func testCmpColConst(c Cmp, idx int, k val.Value, in *Batch, dst []Bool3) ([]Bool3, bool, error) {
+	var lt, eq, gt Bool3 // the verdict when the column is below, at, above k
 	switch c.Op {
-	case "=", "<>", "<", "<=", ">", ">=":
+	case "=":
+		eq = True
+	case "<>":
+		lt, gt = True, True
+	case "<":
+		lt = True
+	case "<=":
+		lt, eq = True, True
+	case ">":
+		gt = True
+	case ">=":
+		eq, gt = True, True
 	default:
 		return dst, false, nil
 	}
-	for _, r := range in {
-		if idx < 0 || idx >= len(r) || k.Kind == val.KNull {
-			v, err := c.Test(r)
-			if err != nil {
-				return dst, true, err
-			}
-			dst = append(dst, v)
-			continue
-		}
-		v := r[idx]
+	if idx < 0 || k.Kind == val.KNull {
+		return dst, false, nil
+	}
+	verdict := func(v val.Value) Bool3 {
 		if v.Kind == val.KNull {
-			dst = append(dst, Unknown)
-			continue
+			return Unknown
 		}
 		var n int
 		if v.Kind == val.KInt && k.Kind == val.KInt {
@@ -204,26 +377,34 @@ func testCmpColConst(c Cmp, idx int, k val.Value, in []Row, dst []Bool3) ([]Bool
 		} else {
 			n = val.Compare(v, k)
 		}
-		var b bool
-		switch c.Op {
-		case "=":
-			b = n == 0
-		case "<>":
-			b = n != 0
-		case "<":
-			b = n < 0
-		case "<=":
-			b = n <= 0
-		case ">":
-			b = n > 0
-		case ">=":
-			b = n >= 0
+		switch {
+		case n < 0:
+			return lt
+		case n > 0:
+			return gt
 		}
-		if b {
-			dst = append(dst, True)
-		} else {
-			dst = append(dst, False)
+		return eq
+	}
+	if v := in.vec; v != nil {
+		if idx >= len(v.cols) {
+			return dst, false, nil
 		}
+		col := v.col(idx)
+		for _, p := range in.sel {
+			dst = append(dst, verdict(col[p]))
+		}
+		return dst, true, nil
+	}
+	for _, r := range in.rows {
+		if idx >= len(r) {
+			v, err := c.Test(r)
+			if err != nil {
+				return dst, true, err
+			}
+			dst = append(dst, v)
+			continue
+		}
+		dst = append(dst, verdict(r[idx]))
 	}
 	return dst, true, nil
 }
@@ -231,7 +412,7 @@ func testCmpColConst(c Cmp, idx int, k val.Value, in []Row, dst []Bool3) ([]Bool
 // Drain runs an operator to completion, returning all rows.
 func Drain(ctx *Ctx, op Operator) ([]Row, error) {
 	var out []Row
-	err := drainEach(ctx, op, func(b *Batch) { out = append(out, b.Rows...) })
+	err := drainEach(ctx, op, func(b *Batch) { out = append(out, b.Rows()...) })
 	return out, err
 }
 

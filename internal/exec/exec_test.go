@@ -846,7 +846,7 @@ func TestSortIsExternal(t *testing.T) {
 				}
 				break
 			}
-			for _, r := range b.Rows {
+			for _, r := range b.Rows() {
 				if r[0].I != next {
 					t.Fatalf("row %d has key %d", next, r[0].I)
 				}
@@ -931,7 +931,7 @@ func TestEvictionLeavesSurvivorsInPlace(t *testing.T) {
 		if b.Len() == 0 {
 			break
 		}
-		for _, r := range b.Rows {
+		for _, r := range b.Rows() {
 			if r[2].IsNull() {
 				padded++
 			} else {

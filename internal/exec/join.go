@@ -64,8 +64,7 @@ type HashJoin struct {
 	parts      []*joinPartition
 	matchSeen  []bool // per build row, by ordinal, for LeftOuter
 	enc        []byte // scratch row encoding
-	emitQ      []Row
-	emitPos    int   // consumed prefix of emitQ (index, not re-slice: O(1) pops)
+	emitQ      rowQueue
 	inBuf      Batch // reusable input batch for build and probe pulls
 	probeDone  bool
 	padded     bool         // LeftOuter: unmatched in-memory build rows were emitted
@@ -138,8 +137,7 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 		j.parts[i] = p
 	}
 	j.matchSeen = j.matchSeen[:0]
-	j.emitQ = nil
-	j.emitPos = 0
+	j.emitQ = rowQueue{}
 	j.inBuf.Reset()
 	j.probeDone, j.padded = false, false
 	j.spillCount = 0
@@ -156,7 +154,7 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 	}
 	// Build phase, one input batch at a time.
 	err := pull(ctx, j.Left, &j.inBuf, func(in *Batch) error {
-		for _, row := range in.Rows {
+		for _, row := range in.Rows() {
 			if err := j.addBuildRow(row); err != nil {
 				return err
 			}
@@ -243,19 +241,6 @@ func evalKeys(exprs []Expr, row Row) ([]val.Value, bool, error) {
 	return out, true, nil
 }
 
-// popEmitQ moves queued output rows into out (up to target) and truncates
-// the queue once fully consumed.
-func (j *HashJoin) popEmitQ(out *Batch, target int) {
-	for j.emitPos < len(j.emitQ) && out.Len() < target {
-		out.Add(j.emitQ[j.emitPos])
-		j.emitPos++
-	}
-	if j.emitPos >= len(j.emitQ) {
-		j.emitQ = j.emitQ[:0]
-		j.emitPos = 0
-	}
-}
-
 func (j *HashJoin) NextBatch(ctx *Ctx, out *Batch) error {
 	if j.inl != nil {
 		return j.inl.NextBatch(ctx, out)
@@ -266,7 +251,7 @@ func (j *HashJoin) NextBatch(ctx *Ctx, out *Batch) error {
 		if err := ctx.Interrupted(); err != nil {
 			return err
 		}
-		j.popEmitQ(out, target)
+		j.emitQ.popInto(out, target)
 		if out.Len() >= target {
 			return nil
 		}
@@ -283,7 +268,7 @@ func (j *HashJoin) NextBatch(ctx *Ctx, out *Batch) error {
 				continue
 			}
 			ctx.ChargeRows(j.inBuf.Len())
-			if err := j.probeBatch(j.inBuf.Rows); err != nil {
+			if err := j.probeBatch(j.inBuf.Rows()); err != nil {
 				return err
 			}
 			continue
@@ -348,7 +333,7 @@ func (j *HashJoin) probe(p *joinPartition, h uint64, keys []val.Value, row Row) 
 		}
 		if keysEqual(j.LeftKeys, brow, keys) {
 			j.matchSeen[idx] = true
-			j.emitQ = append(j.emitQ, concatRows(brow, row))
+			j.emitQ.push(concatRows(brow, row))
 		}
 	}
 	return nil
@@ -512,7 +497,7 @@ func (j *HashJoin) emitUnmatched(p *joinPartition) error {
 	return p.each(func(idx int64, brow Row) {
 		if !j.matchSeen[idx] {
 			j.matchSeen[idx] = true
-			j.emitQ = append(j.emitQ, padRight(brow, j.RightWidth))
+			j.emitQ.push(padRight(brow, j.RightWidth))
 		}
 	})
 }
@@ -678,8 +663,7 @@ type IndexNLJoin struct {
 	LeftOuter  bool
 	RightWidth int
 
-	queue  []Row
-	qpos   int
+	queue  rowQueue
 	in     Batch
 	ranges []keyRange
 	hits   []indexHit
@@ -687,7 +671,7 @@ type IndexNLJoin struct {
 }
 
 func (n *IndexNLJoin) Open(ctx *Ctx) error {
-	n.queue, n.qpos = nil, 0
+	n.queue = rowQueue{}
 	n.eof = false
 	return n.Left.Open(ctx)
 }
@@ -699,14 +683,7 @@ func (n *IndexNLJoin) NextBatch(ctx *Ctx, out *Batch) error {
 		if err := ctx.Interrupted(); err != nil {
 			return err
 		}
-		for n.qpos < len(n.queue) && out.Len() < target {
-			out.Add(n.queue[n.qpos])
-			n.qpos++
-		}
-		if n.qpos >= len(n.queue) {
-			n.queue = n.queue[:0]
-			n.qpos = 0
-		}
+		n.queue.popInto(out, target)
 		if out.Len() >= target || n.eof {
 			return nil
 		}
@@ -728,7 +705,8 @@ func (n *IndexNLJoin) NextBatch(ctx *Ctx, out *Batch) error {
 // index, with one key prefix per left row whose key is not NULL.
 func (n *IndexNLJoin) joinBatch(ctx *Ctx) error {
 	n.ranges = n.ranges[:0]
-	for i, lrow := range n.in.Rows {
+	left := n.in.Rows()
+	for i, lrow := range left {
 		keys, ok, err := evalKeys(n.LeftKeys, lrow)
 		if err != nil {
 			return err
@@ -743,7 +721,7 @@ func (n *IndexNLJoin) joinBatch(ctx *Ctx) error {
 		return err
 	}
 	hits := n.hits
-	for i, lrow := range n.in.Rows {
+	for i, lrow := range left {
 		matched := false
 		for ; len(hits) > 0 && hits[0].of == i; hits = hits[1:] {
 			o := concatRows(lrow, hits[0].row)
@@ -757,16 +735,16 @@ func (n *IndexNLJoin) joinBatch(ctx *Ctx) error {
 				}
 			}
 			matched = true
-			n.queue = append(n.queue, o)
+			n.queue.push(o)
 		}
 		if !matched && n.LeftOuter {
-			n.queue = append(n.queue, padRight(lrow, n.RightWidth))
+			n.queue.push(padRight(lrow, n.RightWidth))
 		}
 	}
 	return nil
 }
 
 func (n *IndexNLJoin) Close(ctx *Ctx) error {
-	n.queue, n.ranges, n.hits = nil, nil, nil
+	n.queue, n.ranges, n.hits = rowQueue{}, nil, nil
 	return n.Left.Close(ctx)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"anywheredb/internal/buffer"
+	"anywheredb/internal/colseg"
 	"anywheredb/internal/flightrec"
 	"anywheredb/internal/heap"
 	"anywheredb/internal/mem"
@@ -96,9 +97,8 @@ func (c *Ctx) noteSpill(h *heap.Heap) {
 
 // Operator is a batch-at-a-time iterator (a vectored Volcano protocol).
 // NextBatch resets out, then fills it with up to ctx.BatchSize() rows; an
-// empty batch means end of input. The Batch container belongs to the
-// caller and is recycled between calls, while the Row values placed in it
-// stay valid until Close.
+// empty batch means end of input. What of a batch a consumer may keep, and
+// for how long, is stated once, on Batch.
 type Operator interface {
 	Open(ctx *Ctx) error
 	NextBatch(ctx *Ctx, out *Batch) error
@@ -107,13 +107,18 @@ type Operator interface {
 
 // --- Scan -----------------------------------------------------------------
 
-// TableScan reads a table in chain order. When the table carries sealed
-// column segments (internal/colseg) the scan decodes them directly into
-// batch rows — bulk per-encoding loops instead of a per-row varint parse —
-// and merges the heap delta tail behind them; zone maps let it skip whole
-// segments that cannot satisfy a pushed-down col<op>const conjunct. The
-// heap path remains the fallback whenever the table is row-only or the
-// caller needs RIDs.
+// TableScan reads a table in chain order, a batch at a time, and keeps
+// nothing of the table between batches but its place in it. Over sealed
+// column segments (internal/colseg) each NextBatch exposes the next window
+// of at most ctx.BatchSize() rows of the current segment as a vector-form
+// batch — columns are decoded by whoever reads them, in bulk per-encoding
+// loops, into buffers the scan reuses — and zone maps let it skip whole
+// segments that cannot satisfy a pushed-down col<op>const conjunct. Over
+// the heap — a row-only table, NoColumnar, and the delta tail behind the
+// segments — it pulls one chain page per step from a table.Cursor and
+// carries at most that page's surplus rows to the next batch. The rows it
+// holds (a window, or a carry) are charged to the statement's governor
+// task, which shrinks the next window when it is squeezed (BatchSize).
 type TableScan struct {
 	Table *table.Table
 
@@ -133,122 +138,160 @@ type TableScan struct {
 	// NoColumnar.
 	WithRIDs bool
 
-	rows []Row // materialized page batch
-	pos  int
-	rids []table.RID // parallel to rows, WithRIDs only
-	flat []val.Value // columnar decode buffer backing rows' storage
+	acct mem.Account
+	held int // rows charged to acct: the window, or the carry
 
-	segsTotal   int
-	segsSkipped int
+	segs   []*colseg.Segment // the sealed segments being read (the table's own, immutable)
+	seg    int               // the segment the next window comes from
+	off    int               // the next row of it
+	window vectors           // the current window's column buffers
+
+	cur       table.Cursor    // the heap part: the chain, or the delta tail
+	page      []table.PageRow // the page last pulled from cur
+	carry     []table.PageRow // the suffix of page no batch has taken yet
+	carryPage store.PageID
+
+	open     bool
+	produced int64 // rows handed out since Open
+	// Segment bookkeeping of the last execution; with seg and off it
+	// survives Close.
+	segsTotal, segsSkipped int
 }
 
 func (s *TableScan) Open(ctx *Ctx) error {
-	s.pos = 0
-	s.rows = s.rows[:0]
-	s.rids = s.rids[:0]
+	s.acct.Open(ctx.Task, nil, 0)
+	s.held, s.produced, s.open = 0, 0, true
+	s.segs, s.seg, s.off = nil, 0, 0
+	s.carry = nil
 	s.segsTotal, s.segsSkipped = 0, 0
 	if err := lockForRead(ctx, s.Table); err != nil {
 		return err
 	}
 	// Where the heap part of the scan starts: at the chain head, or behind
-	// the sealed segments once they are decoded. Under a snapshot the
-	// segments are usable only while the table has no version chains:
-	// vacuum cannot reclaim an entry some live snapshot still needs, so an
-	// empty store (checked after grabbing cs — writers invalidate before
-	// they chain) proves every sealed row is visible to every live snapshot.
-	// cs is immutable, so a concurrent invalidation cannot disturb a scan
-	// already holding it.
+	// the sealed segments. Under a snapshot the segments are usable only
+	// while the table has no version chains: vacuum cannot reclaim an entry
+	// some live snapshot still needs, so an empty store (checked after
+	// grabbing cs — writers invalidate before they chain) proves every
+	// sealed row is visible to every live snapshot. cs is immutable, so a
+	// concurrent invalidation cannot disturb a scan already holding it, and
+	// a writer that invalidates it mid-scan is one this statement's
+	// snapshot does not see.
 	start := s.Table.FirstPage()
 	if cs := s.Table.Columnar(); cs != nil && !s.NoColumnar && (ctx.Snap == nil || s.Table.VersionsEmpty()) {
-		if err := s.decodeSegments(ctx, cs); err != nil {
-			return err
-		}
+		s.segs, s.segsTotal = cs.Segs, len(cs.Segs)
 		start = cs.DeltaStart
 	}
 	// The heap part stays version-aware even behind segments: a writer may
 	// begin chaining delta-tail rows mid-scan though the store was empty
 	// above.
-	n := 0
-	err := s.Table.ScanFrom(start, ctx.Snap, func(rid table.RID, row Row) (bool, error) {
-		if n++; n%interruptEvery == 0 {
-			if err := ctx.Interrupted(); err != nil {
-				return false, err
-			}
-		}
-		s.rows = append(s.rows, row)
-		if s.WithRIDs {
-			s.rids = append(s.rids, rid)
-		}
-		return true, nil
-	})
-	if err == nil && ctx.ScanObs != nil {
-		ctx.ScanObs(s.Table.Name, int64(len(s.rows)))
-	}
-	return err
-}
-
-// decodeSegments materializes the rows of cs's sealed segments, skipping
-// those whose zone maps refute the pushed-down hint.
-func (s *TableScan) decodeSegments(ctx *Ctx, cs *table.ColState) error {
-	ncols := len(s.Table.Columns)
-	s.segsTotal = len(cs.Segs)
-	// First pass: zone-map skip decisions and the exact decode footprint,
-	// so the flat buffer is allocated once.
-	total := 0
-	for _, seg := range cs.Segs {
-		if s.ZoneCol >= 0 && s.ZoneOp != "" && !seg.MayMatch(s.ZoneCol, s.ZoneOp, s.ZoneConst) {
-			s.segsSkipped++
-			continue
-		}
-		total += seg.NumRows
-	}
-	if cap(s.flat) < total*ncols {
-		s.flat = make([]val.Value, total*ncols)
-	}
-	s.flat = s.flat[:total*ncols]
-	off := 0
-	for _, seg := range cs.Segs {
-		if s.ZoneCol >= 0 && s.ZoneOp != "" && !seg.MayMatch(s.ZoneCol, s.ZoneOp, s.ZoneConst) {
-			continue
-		}
-		if err := ctx.Interrupted(); err != nil {
-			return err
-		}
-		seg.DecodeInto(s.flat[off:])
-		for r := 0; r < seg.NumRows; r++ {
-			lo := off + r*ncols
-			s.rows = append(s.rows, Row(s.flat[lo:lo+ncols:lo+ncols]))
-		}
-		off += seg.NumRows * ncols
-	}
-	if ctx.ColSegSkipped != nil && s.segsSkipped > 0 {
-		ctx.ColSegSkipped.Add(uint64(s.segsSkipped))
-	}
-	if ctx.ColSegDecodeRows != nil && total > 0 {
-		ctx.ColSegDecodeRows.Add(uint64(total))
-	}
+	s.cur = s.Table.OpenCursor(start, ctx.Snap)
 	return nil
 }
 
 func (s *TableScan) NextBatch(ctx *Ctx, out *Batch) error {
-	copyChunk(ctx, out, s.rows, &s.pos)
-	if n := out.Len(); n > 0 {
-		if s.WithRIDs {
-			out.RIDs = append(out.RIDs, s.rids[s.pos-n:s.pos]...)
+	s.noteDecoded(ctx)
+	want := ctx.BatchSize()
+	held := s.nextWindow(ctx, out, want)
+	if held == 0 {
+		out.Reset()
+		for out.Len() < want {
+			if len(s.carry) == 0 {
+				if err := ctx.Interrupted(); err != nil {
+					return err
+				}
+				var err error
+				if s.carryPage, s.page, err = s.cur.NextPage(s.page); err != nil {
+					return err
+				}
+				if s.carryPage == 0 {
+					break
+				}
+				s.carry = s.page
+			}
+			n := min(want-out.Len(), len(s.carry))
+			for _, r := range s.carry[:n] {
+				out.Add(r.Row)
+				if s.WithRIDs {
+					out.RIDs = append(out.RIDs, table.RID{Page: s.carryPage, Slot: r.Slot})
+				}
+			}
+			s.carry = s.carry[n:]
 		}
-		ctx.ChargeRows(n)
+		held = len(s.carry)
+	}
+	s.produced += int64(out.Len())
+	ctx.ChargeRows(out.Len())
+	if held != s.held {
+		s.held = held
+		s.acct.FreeBytes()
+		return s.acct.AddBytes(held * batchRowBytes)
 	}
 	return nil
 }
 
-// SegmentStats reports how many segments the last Open saw and how many
-// the zone maps skipped (EXPLAIN ANALYZE display).
-func (s *TableScan) SegmentStats() (total, skipped int) { return s.segsTotal, s.segsSkipped }
+// nextWindow makes out the next window of at most want rows of the sealed
+// segments, skipping segments the zone maps refute, and reports its size: 0
+// once the segments are exhausted.
+func (s *TableScan) nextWindow(ctx *Ctx, out *Batch, want int) int {
+	for s.seg < len(s.segs) {
+		seg := s.segs[s.seg]
+		if s.off == 0 && s.ZoneCol >= 0 && s.ZoneOp != "" && !seg.MayMatch(s.ZoneCol, s.ZoneOp, s.ZoneConst) {
+			s.segsSkipped++
+			if ctx.ColSegSkipped != nil {
+				ctx.ColSegSkipped.Inc()
+			}
+			s.seg++
+			continue
+		}
+		if s.off >= seg.NumRows {
+			s.seg, s.off = s.seg+1, 0
+			continue
+		}
+		n := min(want, seg.NumRows-s.off)
+		s.window.window(seg, s.off, n)
+		out.setVectors(&s.window)
+		s.off += n
+		return n
+	}
+	return 0
+}
 
+// noteDecoded counts the window the scan is leaving behind, if anybody
+// decoded a column of it, into colseg.decode_rows.
+func (s *TableScan) noteDecoded(ctx *Ctx) {
+	if s.window.decoded && ctx.ColSegDecodeRows != nil {
+		ctx.ColSegDecodeRows.Add(uint64(s.window.n))
+	}
+	s.window.decoded = false
+}
+
+// SegmentStats reports what the last execution did with the table's sealed
+// segments: how many there were, how many the zone maps skipped, and how
+// many the scan never reached because its consumer stopped first (EXPLAIN
+// ANALYZE display). The rest were read.
+func (s *TableScan) SegmentStats() (total, skipped, unreached int) {
+	reached := s.seg // skipped or read to the end, plus the one a window was last taken from
+	if s.off > 0 {
+		reached++
+	}
+	return s.segsTotal, s.segsSkipped, s.segsTotal - reached
+}
+
+// MemoryPeakPages reports the high-water mark of the last execution.
+func (s *TableScan) MemoryPeakPages() int { return s.acct.PeakPages() }
+
+// Close releases what the scan holds and reports the rows it actually
+// produced — once per execution, however it ended — as scan feedback.
 func (s *TableScan) Close(ctx *Ctx) error {
-	s.rows = nil
-	s.rids = nil
-	s.flat = nil
+	if s.open {
+		s.open = false
+		s.noteDecoded(ctx)
+		if ctx.ScanObs != nil {
+			ctx.ScanObs(s.Table.Name, s.produced)
+		}
+	}
+	s.acct.Close()
+	s.segs, s.page, s.carry, s.window = nil, nil, nil, vectors{}
 	return nil
 }
 
@@ -281,7 +324,7 @@ func (s *IndexScan) NextBatch(ctx *Ctx, out *Batch) error {
 	out.Reset()
 	n := min(ctx.BatchSize(), len(s.hits)-s.pos)
 	for _, h := range s.hits[s.pos : s.pos+n] {
-		out.Rows = append(out.Rows, h.row)
+		out.Add(h.row)
 		if s.WithRIDs {
 			out.RIDs = append(out.RIDs, h.rid)
 		}
@@ -301,59 +344,47 @@ func (s *IndexScan) Close(ctx *Ctx) error { return nil }
 type Observer func(matched, tested float64)
 
 // Filter passes rows satisfying the predicate, optionally reporting
-// observed selectivity on Close.
+// observed selectivity on Close. It narrows its input's batch in place —
+// the selection vector of a vector-form batch, the row list of a row-form
+// one — and copies nothing.
 type Filter struct {
 	Input Operator
 	Pred  Pred
 	Obs   Observer
 
 	matched, tested float64
-	in              Batch
 	verdicts        []Bool3
-	eof             bool
 }
 
 func (f *Filter) Open(ctx *Ctx) error {
 	f.matched, f.tested = 0, 0
-	f.eof = false
-	f.in.Reset()
 	return f.Input.Open(ctx)
 }
 
 func (f *Filter) NextBatch(ctx *Ctx, out *Batch) error {
-	out.Reset()
-	target := ctx.BatchSize()
-	for out.Len() < target && !f.eof {
-		// A selective filter may pull many input batches to fill one
-		// output batch: poll cancellation at each inner boundary.
+	// A selective filter may pull many input batches before one has a row
+	// that passes: poll cancellation at each.
+	for {
 		if err := ctx.Interrupted(); err != nil {
 			return err
 		}
-		if err := f.Input.NextBatch(ctx, &f.in); err != nil {
+		if err := f.Input.NextBatch(ctx, out); err != nil {
 			return err
 		}
-		if f.in.Len() == 0 {
-			f.eof = true
-			break
+		if out.Len() == 0 {
+			return nil
 		}
 		var err error
-		f.verdicts, err = TestBatch(f.Pred, f.in.Rows, f.verdicts[:0])
-		if err != nil {
+		if f.verdicts, err = TestBatch(f.Pred, out, f.verdicts[:0]); err != nil {
 			return err
 		}
-		f.tested += float64(f.in.Len())
-		rids := f.in.RIDs
-		for i, v := range f.verdicts {
-			if v == True {
-				out.Add(f.in.Rows[i])
-				if len(rids) > 0 {
-					out.RIDs = append(out.RIDs, rids[i])
-				}
-			}
+		f.tested += float64(out.Len())
+		out.keep(f.verdicts)
+		if out.Len() > 0 {
+			f.matched += float64(out.Len())
+			return nil
 		}
 	}
-	f.matched += float64(out.Len())
-	return nil
 }
 
 func (f *Filter) Close(ctx *Ctx) error {
@@ -387,7 +418,7 @@ func (p *Project) NextBatch(ctx *Ctx, out *Batch) error {
 	p.cols = p.cols[:0]
 	for _, e := range p.Exprs {
 		var err error
-		p.cols, err = EvalBatch(e, p.in.Rows, p.cols)
+		p.cols, err = EvalBatch(e, &p.in, p.cols)
 		if err != nil {
 			return err
 		}
@@ -441,7 +472,7 @@ func (l *Limit) NextBatch(ctx *Ctx, out *Batch) error {
 		return err
 	}
 	if int64(out.Len()) > rem {
-		out.Rows = out.Rows[:rem]
+		out.truncate(int(rem))
 	}
 	l.seen += int64(out.Len())
 	return nil

@@ -80,13 +80,13 @@ func (s *Sort) Open(ctx *Ctx) error {
 	var in Batch
 	err := pull(ctx, s.Input, &in, func(in *Batch) error {
 		ctx.ChargeRows(in.Len())
-		size := 0
-		for _, row := range in.Rows {
+		rows, size := in.Rows(), 0
+		for _, row := range rows {
 			size += val.RowSize(row)
 		}
 		// The rows are in the run before they are charged: the charge may
 		// come back as a ReleaseMemory that flushes it.
-		s.buf = append(s.buf, in.Rows...)
+		s.buf = append(s.buf, rows...)
 		return s.acct.AddBytes(size)
 	})
 	if err != nil {

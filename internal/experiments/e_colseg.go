@@ -107,7 +107,7 @@ func e22Run(n, deltaN int) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	segsTotal, segsSkipped := zoneScan.SegmentStats()
+	segsTotal, segsSkipped, _ := zoneScan.SegmentStats()
 	// Columnar without the hint: every segment decodes; the remaining
 	// advantage is the batch decode loops alone.
 	decodeT, _, err := measure(withFilter(mkScan(true, false)))

@@ -347,12 +347,27 @@ func (a *Account) Free(n int) {
 // crosses page boundaries.
 func (a *Account) AddBytes(n int) error {
 	a.bytes += n
-	if d := (a.bytes+page.Size-1)/page.Size - a.bytePages; d > 0 {
-		a.bytePages += d
-		return a.Alloc(d)
+	d := bytePagesOf(a.bytes) - a.bytePages
+	if d <= 0 {
+		return nil
+	}
+	// The pages become the account's only once they are granted: a
+	// FreeBytes the charge brings on itself (the operator flushing what it
+	// holds, these bytes included) gives back what was granted before and
+	// nothing else, and a refused charge leaves nothing to give back.
+	if err := a.Alloc(d); err != nil {
+		return err
+	}
+	a.bytePages += d
+	if over := a.bytePages - bytePagesOf(a.bytes); over > 0 {
+		// Flushed meanwhile: the bytes the pages were for are gone.
+		a.bytePages -= over
+		a.Free(over)
 	}
 	return nil
 }
+
+func bytePagesOf(bytes int) int { return (bytes + page.Size - 1) / page.Size }
 
 // FreeBytes returns every byte charged through AddBytes.
 func (a *Account) FreeBytes() {

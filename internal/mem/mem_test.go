@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"anywheredb/internal/page"
 	"errors"
 	"testing"
 )
@@ -264,5 +265,50 @@ func TestFailedReleaseFailsTheCharge(t *testing.T) {
 	}
 	if tk.UsedPages() != 0 {
 		t.Fatalf("%d pages charged by a failed Alloc", tk.UsedPages())
+	}
+}
+
+// selfFlusher is an operator whose ReleaseMemory gives back every byte it
+// has charged — the Sort and HashGroupBy shape — and may fail doing it.
+type selfFlusher struct {
+	acct Account
+	err  error
+}
+
+func (s *selfFlusher) ReleaseMemory(int) (int, error) {
+	before := s.acct.Pages()
+	s.acct.FreeBytes()
+	return before - s.acct.Pages(), s.err
+}
+
+// TestChargeThatFlushesItself: the AddBytes that crosses the soft limit asks
+// its own operator to flush, which frees the bytes the charge was for. What
+// the task and the account hold afterwards agrees — nothing is freed twice,
+// which at a task holding nothing else shows as pages charged after Close —
+// whether the flush worked or failed.
+func TestChargeThatFlushesItself(t *testing.T) {
+	for _, flushErr := range []error{nil, errors.New("cancelled mid-flush")} {
+		g := gov(10000, 40, 4) // soft = 10
+		tk := g.Begin()
+		s := &selfFlusher{err: flushErr}
+		s.acct.Open(tk, s, 0)
+		if err := s.acct.AddBytes(9 * page.Size); err != nil {
+			t.Fatal(err)
+		}
+		err := s.acct.AddBytes(2 * page.Size) // 11 pages: over
+		if !errors.Is(err, flushErr) {
+			t.Fatalf("flush error %v: AddBytes returned %v", flushErr, err)
+		}
+		if flushErr == nil {
+			// Flushed: the rows the charge was for went with the rest.
+			if s.acct.Pages() != 0 || tk.UsedPages() != 0 {
+				t.Errorf("after a flush: account %d pages, task %d, want none", s.acct.Pages(), tk.UsedPages())
+			}
+		}
+		s.acct.Close()
+		if tk.UsedPages() != 0 {
+			t.Errorf("flush error %v: %d pages charged after Close", flushErr, tk.UsedPages())
+		}
+		tk.Finish()
 	}
 }

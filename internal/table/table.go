@@ -690,73 +690,104 @@ func (t *Table) Scan(fn func(rid RID, row []val.Value) (bool, error)) error {
 
 // ScanFrom is the one chain scan: from chain page start (FirstPage for the
 // whole table, ColState.DeltaStart for the columnar delta tail) to the end,
-// in chain order. A nil snap yields every live row. Otherwise it yields the
-// version of every row visible to snap, with no lock-manager interaction:
-// rows a concurrent writer has touched resolve through their version
-// chains, and rows it deleted or moved are resurrected from their
-// pre-images.
+// in chain order, a cursor page at a time.
 func (t *Table) ScanFrom(start store.PageID, snap *mvcc.Snapshot, fn func(rid RID, row []val.Value) (bool, error)) error {
 	return t.scanRange(start, 0, snap, fn)
 }
 
-// scanItem is one emitted row of a page scan.
-type scanItem struct {
-	slot int
-	row  []val.Value
-}
-
 // scanRange walks chain pages from start until stop (exclusive; 0 = end of
-// chain), calling fn per live row — per visible row when snap is non-nil.
+// chain), calling fn per row the cursor yields.
 func (t *Table) scanRange(start, stop store.PageID, snap *mvcc.Snapshot, fn func(rid RID, row []val.Value) (bool, error)) error {
-	cur := start
-	for cur != 0 && cur != stop {
-		f, err := t.pool.Get(cur)
-		if err != nil {
+	c := t.OpenCursor(start, snap)
+	var rows []PageRow
+	for c.next != 0 && c.next != stop {
+		var pid store.PageID
+		var err error
+		if pid, rows, err = c.NextPage(rows); err != nil {
 			return err
 		}
-		f.RLock()
-		n := f.Data.NumSlots()
-		items := make([]scanItem, 0, n)
-		for s := 0; s < n; s++ {
-			cell := f.Data.Cell(s)
-			if cell == nil {
-				continue
-			}
-			row, err := val.DecodeRow(cell)
-			if err != nil {
-				f.RUnlock()
-				t.pool.Unpin(f, false)
-				return fmt.Errorf("table %s: %v slot %d: %w", t.Name, cur, s, err)
-			}
-			items = append(items, scanItem{s, row})
-		}
-		if snap != nil && !t.versions.Empty() {
-			// Resolve under the same latch hold that read the cells: heap
-			// content and chain heads stay mutually consistent.
-			items = t.applySnapshot(cur, items, snap)
-		}
-		next := f.Data.Next()
-		f.RUnlock()
-		t.pool.Unpin(f, false)
-		for _, it := range items {
-			cont, err := fn(RID{Page: cur, Slot: it.slot}, it.row)
-			if err != nil {
+		for _, r := range rows {
+			if cont, err := fn(RID{Page: pid, Slot: r.Slot}, r.Row); err != nil || !cont {
 				return err
 			}
-			if !cont {
-				return nil
-			}
 		}
-		cur = store.PageID(next)
 	}
 	return nil
+}
+
+// PageRow is one row of a chain page as a Cursor yields it.
+type PageRow struct {
+	Slot int
+	Row  []val.Value
+}
+
+// Cursor reads a table's page chain one page per step. Between steps it
+// holds a page number and nothing else — no pin, no latch — so a scan that
+// stops early, or is suspended between batches, costs the buffer pool
+// nothing, and what a reader keeps of the table is at most the page it is
+// consuming. The chain may grow behind an open cursor (inserts append at
+// the tail); those pages are read when the cursor reaches them, and the
+// snapshot rule below decides what is seen of them.
+type Cursor struct {
+	t    *Table
+	next store.PageID
+	snap *mvcc.Snapshot
+}
+
+// OpenCursor places a cursor before chain page start. A nil snap yields
+// every live row; otherwise the version of every row visible to snap, with
+// no lock-manager interaction: rows a concurrent writer has touched resolve
+// through their version chains, and rows it deleted or moved are resurrected
+// from their pre-images.
+func (t *Table) OpenCursor(start store.PageID, snap *mvcc.Snapshot) Cursor {
+	return Cursor{t: t, next: start, snap: snap}
+}
+
+// NextPage reads the cursor's next chain page into dst[:0] — one pool.Get
+// and one shared latch hold, under which the cells are decoded and, for a
+// snapshot, resolved through the version chains, so heap content and chain
+// heads are mutually consistent — and steps past it. It returns the page
+// read and its rows in slot order (freshly decoded: the caller may keep
+// them); page 0 is the end of the chain.
+func (c *Cursor) NextPage(dst []PageRow) (store.PageID, []PageRow, error) {
+	dst = dst[:0]
+	cur := c.next
+	if cur == 0 {
+		return 0, dst, nil
+	}
+	t := c.t
+	f, err := t.pool.Get(cur)
+	if err != nil {
+		return 0, dst, err
+	}
+	f.RLock()
+	for s, n := 0, f.Data.NumSlots(); s < n; s++ {
+		cell := f.Data.Cell(s)
+		if cell == nil {
+			continue
+		}
+		row, err := val.DecodeRow(cell)
+		if err != nil {
+			f.RUnlock()
+			t.pool.Unpin(f, false)
+			return 0, dst, fmt.Errorf("table %s: %v slot %d: %w", t.Name, cur, s, err)
+		}
+		dst = append(dst, PageRow{s, row})
+	}
+	if c.snap != nil && !t.versions.Empty() {
+		dst = t.applySnapshot(cur, dst, c.snap)
+	}
+	c.next = store.PageID(f.Data.Next())
+	f.RUnlock()
+	t.pool.Unpin(f, false)
+	return cur, dst, nil
 }
 
 // applySnapshot rewrites one page's decoded rows through the version
 // chains: a row with a chain resolves to its visible version (possibly
 // vanishing), and a chain whose heap cell is gone resurrects the version a
 // concurrent delete or move hid. The caller holds the page latch shared.
-func (t *Table) applySnapshot(pg store.PageID, items []scanItem, snap *mvcc.Snapshot) []scanItem {
+func (t *Table) applySnapshot(pg store.PageID, items []PageRow, snap *mvcc.Snapshot) []PageRow {
 	slots := t.versions.SlotsOnPage(pg)
 	if len(slots) == 0 {
 		return items
@@ -767,14 +798,14 @@ func (t *Table) applySnapshot(pg store.PageID, items []scanItem, snap *mvcc.Snap
 	}
 	out := items[:0]
 	for _, it := range items {
-		if !chained[it.slot] {
+		if !chained[it.Slot] {
 			out = append(out, it)
 			continue
 		}
-		chained[it.slot] = false
-		row, ok := t.versions.Resolve(mvcc.RowID{Page: pg, Slot: it.slot}, it.row, true, snap)
+		chained[it.Slot] = false
+		row, ok := t.versions.Resolve(mvcc.RowID{Page: pg, Slot: it.Slot}, it.Row, true, snap)
 		if ok {
-			out = append(out, scanItem{it.slot, copyRow(row)})
+			out = append(out, PageRow{it.Slot, copyRow(row)})
 		}
 	}
 	for _, s := range slots {
@@ -783,10 +814,10 @@ func (t *Table) applySnapshot(pg store.PageID, items []scanItem, snap *mvcc.Snap
 		}
 		row, ok := t.versions.Resolve(mvcc.RowID{Page: pg, Slot: s}, nil, false, snap)
 		if ok {
-			out = append(out, scanItem{s, copyRow(row)})
+			out = append(out, PageRow{s, copyRow(row)})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].slot < out[j].slot })
+	sort.Slice(out, func(i, j int) bool { return out[i].Slot < out[j].Slot })
 	return out
 }
 

@@ -75,7 +75,8 @@ type Rows struct {
 	plan *opt.Plan
 }
 
-// Columns names the result columns.
+// Columns names the result columns. The slice is shared with the
+// statement's cached plan template: read-only.
 func (r *Rows) Columns() []string { return r.cols }
 
 // Next advances the cursor, reporting whether a row is available.
@@ -155,20 +156,6 @@ func (c *Conn) execCtx(task *mem.Task) *exec.Ctx {
 		ScanObs:          c.db.noteScan,
 	}
 	return ctx
-}
-
-// optEnv builds the optimizer environment reflecting current server state.
-func (c *Conn) optEnv() *opt.Env {
-	db := c.db
-	return &opt.Env{
-		DTT:          db.dttMod,
-		PoolPages:    db.pool.SizePages,
-		CPURowCostUS: float64(db.opts.CPURowCost),
-		SoftLimitPages: func() int {
-			return db.pool.SizePages() / db.memG.MPL()
-		},
-		Property: db.reg.Value,
-	}
 }
 
 // Exec runs a statement that returns no rows.
@@ -273,6 +260,12 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value) (res Resul
 	if st.Err != nil {
 		return Result{}, nil, st.Err
 	}
+	// What the caller bound, for the tracer; the statement runs on those and
+	// the literals lifted from its text.
+	bound := params
+	if params, err = st.bind(params); err != nil {
+		return Result{}, nil, err
+	}
 	if sp != nil && c.tx != nil {
 		// An explicit transaction is already open: statement waits carrying
 		// its id (lock conflicts, commit flush) resolve to this span.
@@ -359,15 +352,15 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value) (res Resul
 	case *sqlparse.AlterTableStore:
 		err = c.ddl(s.Table, false, storeLayout(s.Columnar))
 	case *sqlparse.Insert:
-		res, err = c.execInsert(st, s, params)
+		res, err = c.execInsert(st.Shape, s, params)
 	case *sqlparse.Update, *sqlparse.Delete:
 		var plan *opt.Plan
-		res, plan, err = c.execModify(s, params, true)
+		res, plan, err = c.execModify(st.Shape, s, params, planRun)
 		if err == nil {
 			rows = &Rows{plan: plan}
 		}
 	case *sqlparse.Select:
-		rows, err = c.execSelect(st, s, params, true)
+		rows, err = c.execSelect(st.Shape, s, params, planRun)
 		if rows != nil {
 			res.RowsAffected = int64(rows.Count())
 		}
@@ -394,7 +387,7 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value) (res Resul
 
 	if tr := c.tracerRef(); tr != nil {
 		n := res.RowsAffected
-		tr.TraceStatement(st.Text, params, c.db.clk.Now()-start, n)
+		tr.TraceStatement(st.Text, bound, c.db.clk.Now()-start, n)
 	}
 	return res, rows, nil
 }

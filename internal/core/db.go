@@ -31,6 +31,7 @@ import (
 	"anywheredb/internal/flightrec"
 	"anywheredb/internal/lock"
 	"anywheredb/internal/mem"
+	"anywheredb/internal/opt"
 	"anywheredb/internal/osenv"
 	"anywheredb/internal/page"
 	"anywheredb/internal/store"
@@ -237,10 +238,16 @@ type DB struct {
 	pcVerifies  *telemetry.Counter
 	pcInvalid   *telemetry.Counter
 
-	// stmts interns statement objects by text (see Prepare); parses counts
-	// the texts actually read.
+	// stmts interns statement shapes by key (see Prepare); parses counts
+	// the texts actually parsed.
 	stmts  stmtTable
 	parses *telemetry.Counter
+	// schemaVersion counts schema changes (SchemaChanged): a plan template
+	// is served only under the version it was compiled under. optEnv is the
+	// optimizer's view of the server, the same for every statement; it is
+	// replaced, never written, when CALIBRATE installs a new cost model.
+	schemaVersion atomic.Uint64
+	optEnv        atomic.Pointer[opt.Env]
 
 	// Columnar-storage counters.
 	colSkipped    *telemetry.Counter
@@ -281,6 +288,22 @@ type DB struct {
 	tracer atomic.Pointer[StatementTracer]
 }
 
+// setOptEnv publishes the optimizer environment for cost model m: the DTT
+// model, the buffer pool's current size, the memory governor's predicted
+// soft limit (Eq. 5) and the telemetry registry behind PROPERTY(). Nothing
+// in it is per statement or per connection, so it is built here and shared.
+func (db *DB) setOptEnv(m *dtt.Model) {
+	db.optEnv.Store(opt.NewEnv(opt.Env{
+		DTT:          m,
+		PoolPages:    db.pool.SizePages,
+		CPURowCostUS: float64(db.opts.CPURowCost),
+		SoftLimitPages: func() int {
+			return db.pool.SizePages() / db.memG.MPL()
+		},
+		Property: db.reg.Value,
+	}))
+}
+
 // StatementTracer receives statement trace events (implemented by the
 // profile package; an interface here avoids a dependency cycle).
 type StatementTracer interface {
@@ -291,7 +314,7 @@ type StatementTracer interface {
 func Open(opts Options) (*DB, error) {
 	opts.fill()
 	db := &DB{opts: opts, clk: opts.Clock, tables: map[string]*table.Table{}}
-	db.stmts.byText = map[string]*list.Element{}
+	db.stmts.byKey = map[string]*list.Element{}
 	db.inj = faultinject.Counted(opts.Injector, &db.faultStats)
 
 	st, err := store.Open(store.Options{Dir: opts.Dir, Device: opts.Device, Injector: db.inj})
@@ -434,6 +457,7 @@ func Open(opts Options) (*DB, error) {
 	// counters here, and SQL reads them back via PROPERTY() and
 	// sys.properties.
 	db.reg = telemetry.NewRegistry()
+	db.setOptEnv(db.dttMod)
 	db.pool.AttachTelemetry(db.reg)
 	db.log.AttachTelemetry(db.reg)
 	db.locks.AttachTelemetry(db.reg)

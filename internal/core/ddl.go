@@ -81,6 +81,7 @@ func (db *DB) schemaChange(ctx context.Context, cur *txn.Txn, sp *flightrec.Span
 	}
 	if err == nil {
 		err = change(tx, tbl)
+		db.SchemaChanged()
 	}
 	if err = done(err); err != nil {
 		return err
@@ -92,6 +93,13 @@ func (db *DB) schemaChange(ctx context.Context, cur *txn.Txn, sp *flightrec.Span
 	}
 	return db.Checkpoint()
 }
+
+// SchemaChanged tells the plan cache that tables, indexes, storage layouts or
+// statistics are no longer what templates compiled so far were bound to:
+// none of them is served again. schemaChange calls it after every change; it
+// is exported for the Index Consultant, which hangs virtual indexes on live
+// tables beside this path.
+func (db *DB) SchemaChanged() { db.schemaVersion.Add(1) }
 
 // ddl runs a statement's schema change on the connection's transaction.
 func (c *Conn) ddl(name string, exclusive bool, change func(tx *txn.Txn, tbl *table.Table) error) error {
@@ -167,6 +175,7 @@ func (c *Conn) calibrate() error {
 		db.mu.Lock()
 		db.dttMod = m
 		db.mu.Unlock()
+		db.setOptEnv(m)
 		db.cat.SetDTT(m.Encode())
 		return nil
 	})

@@ -13,75 +13,118 @@ import (
 	"anywheredb/internal/val"
 )
 
-// execSelect is the one place a SELECT plan is built: it serves the bare
-// statement, EXPLAIN [ANALYZE] (run = ANALYZE) and INSERT ... SELECT. st is
-// the statement whose plan slot the query trains and hits: the SELECT's own
-// (EXPLAIN passes the one of the statement it explains), or the INSERT's
-// for its source query. With run false the plan is built but not executed.
-// Each statement runs under a memory-governor task whose quotas follow
-// Eq. 4/5; exceeding the hard limit terminates the statement.
-func (c *Conn) execSelect(st *Stmt, s *sqlparse.Select, params []val.Value, run bool) (*Rows, error) {
-	task := c.db.memG.Begin()
-	defer task.Finish()
-	ctx := c.execCtx(task)
-
-	benv := &opt.BuildEnv{Env: c.optEnv(), Res: c.db, Ctx: ctx, Params: params}
-
-	sp := c.curSpan
+// plan is the one place a statement's plan comes from: a SELECT (bare,
+// under EXPLAIN, or the source of an INSERT ... SELECT), an INSERT ...
+// VALUES, an UPDATE or a DELETE. sh is the shape whose slot the statement
+// trains and hits — its own; EXPLAIN passes the one of the statement it
+// explains — and stmt the statement in sh's AST that is planned. A hit
+// instantiates the slot's template; a miss, a verifying hit, a template
+// bound under another schema version and a value the template cannot serve
+// compile, and offer what they compiled to the slot as §4.1 says. The
+// compile or instantiation is charged to the span's optimize phase.
+func (c *Conn) plan(sh *Shape, stmt sqlparse.Statement, ctx *exec.Ctx, params []val.Value) (*opt.Plan, error) {
+	db := c.db
 	optStart := time.Now()
-
-	// A hit hands the cached join order to the build, which skips
-	// enumeration if the order still fits the catalog; a verifying hit
-	// withholds it so the statement is re-optimized and compared.
-	cacheable := len(s.With) == 0 && s.Union == nil && s.From != nil
-	var steps []opt.Step
-	var hit, verify bool
-	if cacheable {
-		if steps, hit, verify = st.plan.Lookup(); hit {
-			c.db.pcHits.Inc()
-		} else {
-			c.db.pcMisses.Inc()
-		}
-		if verify {
-			c.db.pcVerifies.Inc()
-			steps = nil
-		}
+	if sp := c.curSpan; sp != nil {
+		defer func() { sp.AddPhase(flightrec.PhaseOptimize, time.Since(optStart).Microseconds()) }()
 	}
-	plan, err := opt.BuildSelect(s, benv, steps)
+	// The version is read before anything is bound: a template stamped with
+	// it saw every schema change the version counts.
+	benv := opt.BuildEnv{Env: db.optEnv.Load(), Res: db, SchemaVersion: db.schemaVersion.Load(), Ctx: ctx, Params: params}
+
+	tmpl, hit, verify := sh.plan.Lookup()
+	if hit {
+		db.pcHits.Inc()
+	} else {
+		db.pcMisses.Inc()
+	}
+	stale := hit && !tmpl.Current(benv.SchemaVersion)
+	// oneOff: the template was compiled for other kinds of values (a number,
+	// where this execution binds a NULL). What is compiled for these runs
+	// once, and the template is left to the values it serves — unless
+	// nothing chose it (bypass), and the newest compile is as good a
+	// template as the last.
+	oneOff := false
+	if hit && !verify && !stale {
+		plan, ok, err := tmpl.Instantiate(&benv)
+		if ok || err != nil {
+			return plan, err
+		}
+		oneOff = !tmpl.Bypass()
+	}
+
+	fresh, plan, err := opt.Compile(stmt, &benv)
 	if err != nil {
 		return nil, err
 	}
 	if plan.Enum != nil {
-		c.noteEnum(plan)
-		if verify {
-			if !st.plan.Verify(plan.Enum.Order) {
-				c.db.pcInvalid.Inc()
-			}
-		} else if cacheable {
-			if hit {
-				// The cached order no longer fits (schema drift): start over.
-				st.plan.Invalidate(plan.Enum.Order)
-				c.db.pcInvalid.Inc()
-			} else {
-				st.plan.Offer(plan.Enum.Order)
-			}
-			c.db.pcTrainings.Inc()
+		db.planEnums.Inc()
+		db.planVisits.Add(uint64(plan.Enum.Visits))
+		db.planPruned.Add(uint64(plan.Enum.Pruned))
+		if plan.Enum.QuotaExhausted {
+			db.planQuotaEx.Inc()
 		}
+	}
+	trained := false
+	switch {
+	case oneOff || !fresh.Retainable():
+		// Retainable: a build that ran part of the statement (a CTE, an
+		// uncorrelated subquery) answers this execution only.
+	case stale:
+		sh.plan.Invalidate(fresh)
+		db.pcInvalid.Inc()
+		trained = true
+	case verify:
+		db.pcVerifies.Inc()
+		if !sh.plan.Verify(fresh) {
+			db.pcInvalid.Inc()
+		}
+	default:
+		sh.plan.Offer(fresh)
+		trained = true
+	}
+	if trained && !fresh.Bypass() {
+		db.pcTrainings.Inc()
+	}
+	return plan, nil
+}
+
+// planUse is what a caller of execSelect or execModify wants of the plan.
+type planUse uint8
+
+const (
+	planRun            planUse = iota // run it
+	planExplain                       // EXPLAIN: build it, do not run it
+	planExplainAnalyze                // EXPLAIN ANALYZE: estimate, then run it
+)
+
+// execSelect runs a SELECT — the bare statement, EXPLAIN [ANALYZE]'s or the
+// source of an INSERT ... SELECT — on the plan of sh's slot. Each statement
+// runs under a memory-governor task whose quotas follow Eq. 4/5; exceeding
+// the hard limit terminates the statement.
+func (c *Conn) execSelect(sh *Shape, s *sqlparse.Select, params []val.Value, use planUse) (*Rows, error) {
+	task := c.db.memG.Begin()
+	defer task.Finish()
+	ctx := c.execCtx(task)
+	plan, err := c.plan(sh, s, ctx, params)
+	if err != nil {
+		return nil, err
+	}
+	if use != planRun {
+		// The estimates EXPLAIN prints are the ones made before the run
+		// (and its histogram feedback); nobody else asks for them.
+		plan.Estimate()
 	}
 
 	// Wrap every operator so the executed tree accrues per-node stats
 	// (EXPLAIN ANALYZE and Rows.Plan() introspection read them back).
 	plan.Root = exec.Instrument(plan.Root)
-
-	execStart := time.Now()
-	if sp != nil {
-		sp.AddPhase(flightrec.PhaseOptimize, execStart.Sub(optStart).Microseconds())
-	}
-	if !run {
+	if use == planExplain {
 		return &Rows{plan: plan}, nil
 	}
+	execStart := time.Now()
 	rows, err := exec.Drain(ctx, plan.Root)
-	if sp != nil {
+	if sp := c.curSpan; sp != nil {
 		sp.AddPhase(flightrec.PhaseExecute, time.Since(execStart).Microseconds())
 	}
 	if err != nil {
@@ -90,36 +133,8 @@ func (c *Conn) execSelect(st *Stmt, s *sqlparse.Select, params []val.Value, run 
 	return &Rows{cols: plan.Columns, rows: rows, plan: plan}, nil
 }
 
-// noteEnum feeds one optimizer enumeration's search statistics into the
-// telemetry registry.
-func (c *Conn) noteEnum(plan *opt.Plan) {
-	if plan == nil || plan.Enum == nil {
-		return
-	}
-	c.db.planEnums.Inc()
-	c.db.planVisits.Add(uint64(plan.Enum.Visits))
-	c.db.planPruned.Add(uint64(plan.Enum.Pruned))
-	if plan.Enum.QuotaExhausted {
-		c.db.planQuotaEx.Inc()
-	}
-}
-
-// buildDML compiles an INSERT ... VALUES, UPDATE or DELETE through opt's
-// heuristic bypass, charging the compile to the span's optimize phase. The
-// returned context is the statement's read context: subqueries inside the
-// statement have already run under it.
-func (c *Conn) buildDML(stmt sqlparse.Statement, params []val.Value) (*opt.DML, *exec.Ctx, error) {
-	ctx := c.execCtx(nil)
-	optStart := time.Now()
-	d, err := opt.BuildDML(stmt, &opt.BuildEnv{Env: c.optEnv(), Res: c.db, Ctx: ctx, Params: params})
-	if sp := c.curSpan; sp != nil {
-		sp.AddPhase(flightrec.PhaseOptimize, time.Since(optStart).Microseconds())
-	}
-	return d, ctx, err
-}
-
 // execInsert handles INSERT ... VALUES and INSERT ... SELECT.
-func (c *Conn) execInsert(st *Stmt, s *sqlparse.Insert, params []val.Value) (Result, error) {
+func (c *Conn) execInsert(sh *Shape, s *sqlparse.Insert, params []val.Value) (Result, error) {
 	tbl, ok := c.db.Table(s.Table)
 	if !ok {
 		return Result{}, fmt.Errorf("core: table %q not found", s.Table)
@@ -154,17 +169,18 @@ func (c *Conn) execInsert(st *Stmt, s *sqlparse.Insert, params []val.Value) (Res
 
 	var sourceRows [][]val.Value
 	if s.Query != nil {
-		rows, err := c.execSelect(st, s.Query, params, true)
+		rows, err := c.execSelect(sh, s.Query, params, planRun)
 		if err != nil {
 			return Result{}, err
 		}
 		sourceRows = rows.rows
 	} else {
-		d, ctx, err := c.buildDML(s, params)
+		ctx := c.execCtx(nil)
+		plan, err := c.plan(sh, s, ctx, params)
 		if err != nil {
 			return Result{}, err
 		}
-		if sourceRows, err = exec.Drain(ctx, d.Plan.Root); err != nil {
+		if sourceRows, err = exec.Drain(ctx, plan.Root); err != nil {
 			return Result{}, err
 		}
 	}
@@ -194,18 +210,23 @@ func (c *Conn) execInsert(st *Stmt, s *sqlparse.Insert, params []val.Value) (Res
 	return Result{RowsAffected: n}, done(nil)
 }
 
-// execModify handles single-table UPDATE and DELETE. The returned plan is
-// the instrumented tree that found the target rows; with run false (plain
-// EXPLAIN) the statement is compiled but not executed.
-func (c *Conn) execModify(stmt sqlparse.Statement, params []val.Value, run bool) (Result, *opt.Plan, error) {
-	d, ctx, err := c.buildDML(stmt, params)
+// execModify handles single-table UPDATE and DELETE on the plan of sh's
+// slot. The returned plan is the instrumented tree that found the target
+// rows; under plain EXPLAIN the statement is planned but not executed.
+func (c *Conn) execModify(sh *Shape, stmt sqlparse.Statement, params []val.Value, use planUse) (Result, *opt.Plan, error) {
+	ctx := c.execCtx(nil)
+	plan, err := c.plan(sh, stmt, ctx, params)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	if !run {
-		return Result{}, d.Plan, nil
+	if use != planRun {
+		plan.Estimate()
 	}
-	d.Plan.Root = exec.Instrument(d.Plan.Root)
+	if use == planExplain {
+		return Result{}, plan, nil
+	}
+	d := plan.Modify
+	plan.Root = exec.Instrument(plan.Root)
 	sp := c.curSpan
 	execStart := time.Now()
 	defer func() {
@@ -219,7 +240,7 @@ func (c *Conn) execModify(stmt sqlparse.Statement, params []val.Value, run bool)
 	// row X locks below protect what the scan found. The scan also stays
 	// out of the reorganizer's scan/write ratio (ScanObs).
 	ctx.Tx, ctx.Snap, ctx.ScanObs = nil, nil, nil
-	rids, err := exec.DrainRIDs(ctx, d.Plan.Root)
+	rids, err := exec.DrainRIDs(ctx, plan.Root)
 	if err != nil {
 		return Result{}, nil, err
 	}
@@ -251,5 +272,5 @@ func (c *Conn) execModify(stmt sqlparse.Statement, params []val.Value, run bool)
 		}
 	}
 	c.db.flight.Access().NoteWrite(d.Table.Name)
-	return Result{RowsAffected: n}, d.Plan, done(nil)
+	return Result{RowsAffected: n}, plan, done(nil)
 }

@@ -15,28 +15,37 @@ import (
 // actuals (NULL without ANALYZE, and for nodes the run never reached).
 var explainColumns = []string{"operator", "est_rows", "actual_rows", "invocations", "time_us", "mem_pages"}
 
-// execExplain runs EXPLAIN [ANALYZE] <stmt>. Plain EXPLAIN optimizes the
+// execExplain runs EXPLAIN [ANALYZE] <stmt>. Plain EXPLAIN plans the
 // statement and prints the plan tree without executing it; ANALYZE also
 // runs the statement with an instrumented tree and prints per-node actuals.
 // Both kinds of statement go through the same execSelect / execModify as
-// the bare statement — a SELECT on the bare statement's plan slot, found in
-// the statement table by its text — so what is printed is the tree that runs.
+// the bare statement, on the bare statement's plan slot — found in the
+// statement table by its text; the lifted literals are numbered alike under
+// EXPLAIN and bare — so what is printed is the tree that runs.
 func (c *Conn) execExplain(s *sqlparse.Explain, params []val.Value) (*Rows, error) {
-	switch inner := s.Stmt.(type) {
+	bare := c.db.Prepare(s.Text).Shape
+	if bare.Err != nil {
+		return nil, bare.Err
+	}
+	use := planExplain
+	if s.Analyze {
+		use = planExplainAnalyze
+	}
+	switch inner := bare.AST.(type) {
 	case *sqlparse.Select:
-		rows, err := c.execSelect(c.db.Prepare(s.Text), inner, params, s.Analyze)
+		rows, err := c.execSelect(bare, inner, params, use)
 		if err != nil {
 			return nil, err
 		}
 		return explainRows(rows.plan, s.Analyze), nil
 	case *sqlparse.Update, *sqlparse.Delete:
-		_, plan, err := c.execModify(inner, params, s.Analyze)
+		_, plan, err := c.execModify(bare, inner, params, use)
 		if err != nil {
 			return nil, err
 		}
 		return explainRows(plan, s.Analyze), nil
 	}
-	return nil, fmt.Errorf("core: EXPLAIN does not support %T", s.Stmt)
+	return nil, fmt.Errorf("core: EXPLAIN does not support %T", bare.AST)
 }
 
 // explainRows renders a plan tree into EXPLAIN's tabular shape.
@@ -47,10 +56,8 @@ func explainRows(plan *opt.Plan, analyze bool) *Rows {
 		inner := exec.Unwrap(op)
 		label := strings.Repeat("  ", depth) + exec.Describe(inner)
 		est := val.Null
-		if plan.EstRows != nil {
-			if e, ok := plan.EstRows[inner]; ok {
-				est = val.NewInt(int64(e + 0.5))
-			}
+		if e, ok := plan.EstRows(inner); ok {
+			est = val.NewInt(int64(e + 0.5))
 		}
 		actRows, actInv, actUS, actMem := val.Null, val.Null, val.Null, val.Null
 		if analyze {

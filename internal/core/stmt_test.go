@@ -11,9 +11,10 @@ import (
 	"anywheredb/internal/sqlparse"
 )
 
-// checkStmtTable asserts what makes one Stmt safe to share across
-// connections: after whatever the test ran, every statement still in the
-// table has the AST, error and fingerprint a fresh read of its text gives —
+// checkStmtTable asserts what makes one Shape safe to share across
+// connections and texts: after whatever the test ran, every shape still in
+// the table is filed under the key a fresh read of the text it last served
+// gives, and has the AST, error and fingerprint that read parses to —
 // nothing downstream of Prepare wrote to it. openDB runs this at the end of
 // every core test; -race adds the concurrent half.
 func checkStmtTable(t testing.TB, db *DB) {
@@ -21,24 +22,44 @@ func checkStmtTable(t testing.TB, db *DB) {
 	tb := &db.stmts
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
-	bytes := 0
+	var bytes int64
 	for el := tb.lru.Front(); el != nil; el = el.Next() {
-		st := el.Value.(*Stmt)
-		bytes += len(st.Text)
-		if tb.byText[st.Text] != el {
-			t.Errorf("statement table: %q is on the LRU list but not in the map", st.Text)
+		sh := el.Value.(*Shape)
+		bytes += sh.cost
+		text := sh.last.Text
+		if tb.byKey[sh.key] != el {
+			t.Errorf("statement table: %q is on the LRU list but not in the map", sh.key)
 		}
-		ast, fp, err := sqlparse.Prepare(st.Text)
-		if fp != st.Fingerprint || fmt.Sprint(err) != fmt.Sprint(st.Err) {
-			t.Errorf("%q: fingerprint %q err %v, a fresh read gives %q, %v", st.Text, st.Fingerprint, st.Err, fp, err)
+		var rd sqlparse.Reader
+		key, lifted := rd.Read(text)
+		ast, fp, err := rd.Parse()
+		if err != nil && lifted != nil {
+			rd.Verbatim()
+			key, lifted = nil, nil
+			ast, fp, err = rd.Parse()
 		}
-		if !reflect.DeepEqual(ast, st.AST) {
-			t.Errorf("%q: the shared AST was mutated after Prepare:\n now   %#v\n fresh %#v", st.Text, st.AST, ast)
+		if key == nil {
+			key = []byte(text)
+		}
+		if string(key) != sh.key || !reflect.DeepEqual(lifted, sh.last.lifted) || rd.UserParams() != sh.last.nUser {
+			t.Errorf("%q: filed under %q with values %v after %d parameters, a fresh read gives %q, %v, %d",
+				text, sh.key, sh.last.lifted, sh.last.nUser, key, lifted, rd.UserParams())
+		}
+		if fp != sh.Fingerprint || fmt.Sprint(err) != fmt.Sprint(sh.Err) {
+			t.Errorf("%q: fingerprint %q err %v, a fresh read gives %q, %v", text, sh.Fingerprint, sh.Err, fp, err)
+		}
+		// EXPLAIN keeps the source text of the statement it explains, which
+		// is the first spelling's: any spelling finds the same shape by it.
+		if ex, ok := ast.(*sqlparse.Explain); ok && sh.Err == nil {
+			ex.Text = sh.AST.(*sqlparse.Explain).Text
+		}
+		if !reflect.DeepEqual(ast, sh.AST) {
+			t.Errorf("%q: the shared AST was mutated after Prepare:\n now   %#v\n fresh %#v", text, sh.AST, ast)
 		}
 	}
-	if n := tb.lru.Len(); int64(bytes) != tb.bytes.Load() || bytes > stmtCacheBytes || n != len(tb.byText) || int64(n) != tb.entries.Load() {
+	if n := tb.lru.Len(); bytes != tb.bytes.Load() || bytes > stmtCacheBytes || n != len(tb.byKey) || int64(n) != tb.entries.Load() {
 		t.Errorf("statement table: %d bytes on the list, %d accounted, bound %d; %d list entries, %d map entries, %d accounted",
-			bytes, tb.bytes.Load(), stmtCacheBytes, n, len(tb.byText), tb.entries.Load())
+			bytes, tb.bytes.Load(), stmtCacheBytes, n, len(tb.byKey), tb.entries.Load())
 	}
 }
 
@@ -238,9 +259,9 @@ func TestStmtTableLRUEviction(t *testing.T) {
 	}
 }
 
-// TestStmtTableByteBound: ten thousand distinct literal texts — the shape
-// of an unprepared workload — leave the table at or under its constant, and
-// a statement someone still holds runs after the table has forgotten it.
+// TestStmtTableByteBound: ten thousand distinct shapes (a literal in the
+// select list stays in the key) leave the table at or under its constant,
+// and a statement someone still holds runs after the table has forgotten it.
 func TestStmtTableByteBound(t *testing.T) {
 	db := openDB(t, Options{})
 	c := conn(t, db)
@@ -248,7 +269,7 @@ func TestStmtTableByteBound(t *testing.T) {
 	mustExec(t, c, "INSERT INTO kv VALUES (1, 'one'), (2, 'two')")
 	held := db.Prepare("SELECT s FROM kv WHERE k = 2")
 	for i := 0; i < 10000; i++ {
-		sql := fmt.Sprintf("SELECT s FROM kv WHERE k = %d AND s <> 'literal-%d'", i%3, i)
+		sql := fmt.Sprintf("SELECT s, 'shape-%d' FROM kv WHERE k = %d AND s <> 'literal-%d'", i, i%3, i)
 		if i%50 != 0 {
 			db.Prepare(sql)
 		} else if want := min(i%3, 1); mustQuery(t, c, sql).Count() != want {

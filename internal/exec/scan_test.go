@@ -6,9 +6,11 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"anywheredb/internal/table"
@@ -261,6 +263,9 @@ func TestScanUnderConcurrentInserter(t *testing.T) {
 	// beside the ones that follow.
 	var gate sync.Mutex
 	stop := make(chan struct{})
+	// Each scan grants the inserter a few transactions, so the table grows
+	// with the number of scans and not with how fast inserts have become.
+	var budget atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -270,6 +275,11 @@ func TestScanUnderConcurrentInserter(t *testing.T) {
 			case <-stop:
 				return
 			default:
+			}
+			if budget.Add(-1) < 0 {
+				budget.Add(1)
+				runtime.Gosched()
+				continue
 			}
 			gate.Lock()
 			tx := tm.Begin()
@@ -314,6 +324,7 @@ func TestScanUnderConcurrentInserter(t *testing.T) {
 	}
 	columnar, last := 0, 0
 	for i := 0; i < 60; i++ {
+		budget.Store(20)
 		sctx := *ctx
 		sctx.ForceBatchSize = 64
 		scan := &TableScan{Table: tbl, ZoneCol: -1}

@@ -77,26 +77,41 @@ type Conjunct struct {
 	FromOn bool
 	// OnRight is the null-supplied quantifier for FromOn conjuncts.
 	OnRight int
+	pos     int // position in Block.Conj
 }
 
-// Query is the bound query block.
-type Query struct {
+// Block is a bound query block: what binding finds in the catalog and in
+// the statement's structure, and nothing that depends on a parameter's
+// value. It is immutable once Bind returns, so a Template holds one and
+// every execution reads it.
+type Block struct {
 	Quants  []*Quant
 	Conj    []*Conjunct
 	Select  *sqlparse.Select
 	binder  *binder
 	Net     map[int]map[int]bool // equijoin connectivity graph
 	Catalog Resolver
-	// Params are the statement's bound parameters. A plan is built per
-	// execution with the values in hand, so to the optimizer a parameter is
-	// its value: constOf treats `?` exactly like a literal.
+	// local[qi] are quantifier qi's local conjuncts (LocalConjunctsOf).
+	local [][]*Conjunct
+	// volatile: a quantifier is a snapshot of rows taken at bind time (a CTE,
+	// a sys.* table), so the block describes one execution only.
+	volatile bool
+}
+
+// Query is a Block under one execution's parameter values. To the optimizer
+// a parameter is its value: everything derived from a constant — a
+// selectivity, an index-probe key, a zone-map bound — is derived through
+// constOf, which treats `?` exactly like a literal. A Query is built per
+// compile and per instantiation and is never shared.
+type Query struct {
+	*Block
 	Params []val.Value
 
 	// Memoized estimates: join histograms and local cardinalities are
 	// stable for the duration of one optimization, and the enumerator
 	// prices thousands of candidates.
 	selCache  map[*Conjunct]float64
-	cardCache map[int]float64
+	cardCache []float64 // by quantifier; 0 = not computed (an estimate is >= 1)
 }
 
 // Resolver looks tables up by name.
@@ -144,9 +159,17 @@ func (b *binder) resolve(c *sqlparse.ColRef) (int, int, error) {
 // Bind performs semantic analysis of a SELECT: it flattens the FROM tree
 // into quantifiers, gathers WHERE and ON conjuncts, and classifies them.
 // cteSources maps CTE names to materialized rows; params are the bound
-// parameter values.
+// parameter values the returned Query reads the block under.
 func Bind(sel *sqlparse.Select, res Resolver, cteSources map[string]*MaterializedCTE, params []val.Value) (*Query, error) {
-	q := &Query{Select: sel, Net: map[int]map[int]bool{}, Catalog: res, Params: params}
+	blk, err := bindBlock(sel, res, cteSources)
+	if err != nil {
+		return nil, err
+	}
+	return &Query{Block: blk, Params: params}, nil
+}
+
+func bindBlock(sel *sqlparse.Select, res Resolver, cteSources map[string]*MaterializedCTE) (*Block, error) {
+	q := &Block{Select: sel, Net: map[int]map[int]bool{}, Catalog: res}
 	b := &binder{}
 	q.binder = b
 
@@ -163,11 +186,13 @@ func Bind(sel *sqlparse.Select, res Resolver, cteSources map[string]*Materialize
 			if cte, ok := cteSources[strings.ToLower(f.Name)]; ok {
 				quant.Rows = cte.Rows
 				quant.Cols = cte.Cols
+				q.volatile = true
 			} else if cols, rows, ok := lookupVirtual(res, f.Name); ok {
 				// Virtual tables (sys.properties) bind as a materialized
 				// snapshot taken at optimization time.
 				quant.Rows = rows
 				quant.Cols = cols
+				q.volatile = true
 			} else {
 				tbl, ok := res.Table(f.Name)
 				if !ok {
@@ -244,6 +269,22 @@ func Bind(sel *sqlparse.Select, res Resolver, cteSources map[string]*Materialize
 			}
 		}
 	}
+	q.local = make([][]*Conjunct, len(q.Quants))
+	for i, cj := range q.Conj {
+		cj.pos = i
+		if cj.Class != LocalPred || len(cj.Quants) != 1 {
+			continue
+		}
+		for qi := range cj.Quants {
+			// An outer join's ON conjunct belongs to its null-supplied side;
+			// a WHERE conjunct on a null-supplied side applies after the
+			// join, not at the scan.
+			if cj.FromOn != q.Quants[qi].NullSupplied || (cj.FromOn && cj.OnRight != qi) {
+				continue
+			}
+			q.local[qi] = append(q.local[qi], cj)
+		}
+	}
 	return q, nil
 }
 
@@ -274,7 +315,7 @@ func splitConjuncts(e sqlparse.Expr) []sqlparse.Expr {
 }
 
 // analyze classifies one conjunct.
-func (q *Query) analyze(e sqlparse.Expr) (*Conjunct, error) {
+func (q *Block) analyze(e sqlparse.Expr) (*Conjunct, error) {
 	cj := &Conjunct{Expr: e, Quants: map[int]bool{}}
 	if err := q.collectQuants(e, cj.Quants); err != nil {
 		return nil, err
@@ -309,7 +350,7 @@ func (q *Query) analyze(e sqlparse.Expr) (*Conjunct, error) {
 
 // collectQuants records the quantifiers e references; of a subquery
 // predicate only the probe expression (correlation is detected at build time).
-func (q *Query) collectQuants(e sqlparse.Expr, out map[int]bool) (err error) {
+func (q *Block) collectQuants(e sqlparse.Expr, out map[int]bool) (err error) {
 	sqlparse.WalkExpr(e, func(n sqlparse.Expr) bool {
 		if c, ok := n.(*sqlparse.ColRef); ok {
 			var qi int
@@ -322,31 +363,11 @@ func (q *Query) collectQuants(e sqlparse.Expr, out map[int]bool) (err error) {
 	return err
 }
 
-// LocalConjunctsOf returns the local conjuncts of quantifier qi, excluding
-// outer-join ON conjuncts belonging to other joins. wherePreds excludes
-// ON-clause predicates when the quantifier is null-supplied (those must
-// stay at the join).
-func (q *Query) LocalConjunctsOf(qi int, includeOn bool) []*Conjunct {
-	var out []*Conjunct
-	for _, cj := range q.Conj {
-		if cj.Class != LocalPred || !cj.Quants[qi] {
-			continue
-		}
-		if cj.FromOn && cj.OnRight != qi {
-			continue
-		}
-		if cj.FromOn && !includeOn {
-			continue
-		}
-		if !cj.FromOn && q.Quants[qi].NullSupplied {
-			// WHERE predicates on a null-supplied side apply after the
-			// join, not at the scan.
-			continue
-		}
-		out = append(out, cj)
-	}
-	return out
-}
+// LocalConjunctsOf returns the conjuncts that filter quantifier qi alone
+// and can be applied where it is read: for a null-supplied quantifier its
+// own join's ON conjuncts, for any other its WHERE conjuncts. The slice is
+// the block's own: read-only.
+func (q *Block) LocalConjunctsOf(qi int) []*Conjunct { return q.local[qi] }
 
 // Selectivity estimates a conjunct's selectivity from the self-managing
 // statistics.
@@ -379,7 +400,7 @@ func (q *Query) Selectivity(cj *Conjunct) float64 {
 		}
 		return defaultSel("cmp")
 	case *sqlparse.IsNull:
-		if col, ok := singleCol(q, x.E); ok {
+		if col, ok := singleCol(q.Block, x.E); ok {
 			if h := q.histOf(col); h != nil {
 				s := h.SelIsNull()
 				if x.Neg {
@@ -390,7 +411,7 @@ func (q *Query) Selectivity(cj *Conjunct) float64 {
 		}
 		return 0.05
 	case *sqlparse.Between:
-		if col, ok := singleCol(q, x.E); ok {
+		if col, ok := singleCol(q.Block, x.E); ok {
 			lo, lok := q.constOf(x.Lo)
 			hi, hok := q.constOf(x.Hi)
 			if lok && hok {
@@ -405,7 +426,7 @@ func (q *Query) Selectivity(cj *Conjunct) float64 {
 		}
 		return 0.1
 	case *sqlparse.Like:
-		if col, ok := singleCol(q, x.E); ok {
+		if col, ok := singleCol(q.Block, x.E); ok {
 			if pat, pok := q.constOf(x.Pattern); pok {
 				if ss := q.strStatsOf(col); ss != nil {
 					if s, found := ss.EstimateLike(pat.S); found {
@@ -419,7 +440,7 @@ func (q *Query) Selectivity(cj *Conjunct) float64 {
 		}
 		return 0.1
 	case *sqlparse.InList:
-		if col, ok := singleCol(q, x.E); ok {
+		if col, ok := singleCol(q.Block, x.E); ok {
 			if h := q.histOf(col); h != nil {
 				s := 0.0
 				for _, le := range x.List {
@@ -443,7 +464,7 @@ func (q *Query) Selectivity(cj *Conjunct) float64 {
 
 type colRefID struct{ Q, C int }
 
-func singleCol(q *Query, e sqlparse.Expr) (colRefID, bool) {
+func singleCol(q *Block, e sqlparse.Expr) (colRefID, bool) {
 	c, ok := e.(*sqlparse.ColRef)
 	if !ok {
 		return colRefID{}, false
@@ -481,12 +502,12 @@ func (q *Query) constOf(e sqlparse.Expr) (val.Value, bool) {
 // colOpLit matches col <op> constant (either orientation, normalizing the
 // operator).
 func colOpLit(q *Query, b *sqlparse.BinOp) (colRefID, val.Value, string, bool) {
-	if col, ok := singleCol(q, b.L); ok {
+	if col, ok := singleCol(q.Block, b.L); ok {
 		if lit, lok := q.constOf(b.R); lok {
 			return col, lit, b.Op, true
 		}
 	}
-	if col, ok := singleCol(q, b.R); ok {
+	if col, ok := singleCol(q.Block, b.R); ok {
 		if lit, lok := q.constOf(b.L); lok {
 			return col, lit, flipOp(b.Op), true
 		}
@@ -495,7 +516,7 @@ func colOpLit(q *Query, b *sqlparse.BinOp) (colRefID, val.Value, string, bool) {
 }
 
 // uniqueCol reports whether a UNIQUE index covers exactly column c.
-func (q *Query) uniqueCol(c colRefID) bool {
+func (q *Block) uniqueCol(c colRefID) bool {
 	if t := q.Quants[c.Q].Table; t != nil {
 		for _, ix := range t.IndexList() {
 			if ix.Unique && len(ix.Cols) == 1 && ix.Cols[0] == c.C {
@@ -516,7 +537,7 @@ func (q *Query) equalityProbe(qi int) (*table.Index, val.Value, *Conjunct) {
 	if t == nil {
 		return nil, val.Null, nil
 	}
-	for _, cj := range q.LocalConjunctsOf(qi, true) {
+	for _, cj := range q.LocalConjunctsOf(qi) {
 		col, lit, op, ok := colOpLitConj(q, cj)
 		if !ok || op != "=" || lit.IsNull() {
 			continue
@@ -558,7 +579,7 @@ func defaultSel(op string) float64 {
 	return 0.3
 }
 
-func (q *Query) histOf(c colRefID) *stats.Histogram {
+func (q *Block) histOf(c colRefID) *stats.Histogram {
 	qt := q.Quants[c.Q]
 	if qt.Table == nil || c.C >= len(qt.Table.Hists) {
 		return nil
@@ -566,7 +587,7 @@ func (q *Query) histOf(c colRefID) *stats.Histogram {
 	return qt.Table.Hists[c.C]
 }
 
-func (q *Query) strStatsOf(c colRefID) *stats.StringStats {
+func (q *Block) strStatsOf(c colRefID) *stats.StringStats {
 	qt := q.Quants[c.Q]
 	if qt.Table == nil || c.C >= len(qt.Table.StrStats) {
 		return nil
@@ -578,16 +599,16 @@ func (q *Query) strStatsOf(c colRefID) *stats.StringStats {
 // predicates (memoized).
 func (q *Query) LocalCardinality(qi int) float64 {
 	if q.cardCache == nil {
-		q.cardCache = map[int]float64{}
+		q.cardCache = make([]float64, len(q.Quants))
 	}
-	if c, ok := q.cardCache[qi]; ok {
+	if c := q.cardCache[qi]; c != 0 {
 		return c
 	}
 	card := q.Quants[qi].Cardinality()
-	for _, cj := range q.LocalConjunctsOf(qi, true) {
+	for _, cj := range q.LocalConjunctsOf(qi) {
 		card *= q.Selectivity(cj)
 	}
-	if card < 1 {
+	if !(card >= 1) {
 		card = 1
 	}
 	q.cardCache[qi] = card

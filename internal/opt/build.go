@@ -1,9 +1,9 @@
 package opt
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 
 	"anywheredb/internal/exec"
@@ -13,57 +13,204 @@ import (
 	"anywheredb/internal/val"
 )
 
-// Plan is an executable physical plan.
+// Plan is an executable physical plan: one execution's own operator tree.
 type Plan struct {
 	Root    exec.Operator
 	Columns []string
 	Cost    float64
-	Enum    *EnumResult
+	// Enum is the join enumeration that chose the plan's order; nil when the
+	// plan was instantiated from a cached template, or nothing was costed.
+	Enum *EnumResult
 	// HashJoins lists the plan's hash joins (for adaptive-behaviour
 	// inspection in tests and experiments).
 	HashJoins []*exec.HashJoin
-	// EstRows maps join-pipeline operators to the enumerator's cumulative
-	// cardinality estimate at that point in the plan (EXPLAIN prints these
-	// next to the actuals). Keys are the operators as built; look up with
-	// exec.Unwrap when the tree has been instrumented.
-	EstRows map[exec.Operator]float64
+	// Modify is set on an UPDATE or DELETE plan, whose tree finds the target
+	// rows: what to do with each of them.
+	Modify *Modify
+
+	// est are the optimizer's cardinality estimates at points of the tree
+	// (EstRows), derived on demand from the builders that know the points:
+	// an execution that nobody explains never pays for them.
+	est     []estRows
+	pending []*blockBuilder
+}
+
+type estRows struct {
+	op   exec.Operator
+	rows float64
+}
+
+// Estimate derives the plan's cardinality estimates now, from the statistics
+// as they stand: EXPLAIN ANALYZE calls it before it runs the plan, so that
+// the estimates it prints are the ones the run had not yet corrected.
+func (p *Plan) Estimate() {
+	for _, b := range p.pending {
+		b.estimate(p)
+	}
+	p.pending = nil
+}
+
+// EstRows reports the optimizer's estimate of the rows op produces (EXPLAIN
+// prints it next to the actuals), if op is a point of the plan that has one:
+// an index probe, or the join pipeline after each step — the enumerator's
+// cumulative cardinality recurrence, replayed. op is the operator as built:
+// exec.Unwrap an instrumented one first.
+func (p *Plan) EstRows(op exec.Operator) (float64, bool) {
+	p.Estimate()
+	for _, e := range p.est {
+		if e.op == op {
+			return e.rows, true
+		}
+	}
+	return 0, false
 }
 
 // BuildEnv carries everything plan construction needs.
 type BuildEnv struct {
 	Env *Env
 	Res Resolver
+	// SchemaVersion is the version of the schema Res resolves names in; a
+	// Template compiled under it carries it (Template.Version).
+	SchemaVersion uint64
 	// Ctx is used at build time to materialize CTEs and uncorrelated
 	// subqueries.
 	Ctx    *exec.Ctx
 	Params []val.Value
 }
 
-// BuildSelect optimizes and builds a SELECT statement. order is an optional
-// cached join order for the statement's first block: enumeration is skipped
-// when it still fits the freshly bound query (Plan.Enum is then nil), and
-// runs as usual when it does not.
-func BuildSelect(sel *sqlparse.Select, benv *BuildEnv, order []Step) (*Plan, error) {
-	benv.Env.fill()
-	ctes := map[string]*MaterializedCTE{}
+// build is one pass of the one build path over one statement. Compiling
+// (rec) binds each block, picks its order and records into the template
+// whatever no parameter value entered; instantiating replays the template
+// and derives only what depends on a value. Both run the same builder
+// functions below, so a plan served from a template is the plan a compile
+// with those values would have built, or it is not served (errUnserved).
+type build struct {
+	*BuildEnv
+	rec bool
+	// forced, when compiling, replaces enumeration for the statement's first
+	// block (BuildWithOrder).
+	forced []Step
+	// volatile: the pass executed part of the statement (a CTE, an
+	// uncorrelated subquery) or bound a snapshot of rows, so what it built
+	// answers this execution only and the template is not to be kept.
+	volatile bool
+}
+
+// errUnserved: the template was compiled for parameter values of other
+// kinds than these (a number where this execution binds a NULL or a string).
+var errUnserved = errors.New("opt: template cannot serve these parameter values")
+
+// blockTemplate is the value-free half of one query block's build: its
+// bound block, the order chosen for it, and every compiled expression no
+// parameter value entered. It is written only while its statement compiles
+// and is immutable from then on.
+type blockTemplate struct {
+	blk   *Block // nil for SELECT without FROM
+	order []Step
+	// memo holds the value-free predicates and scalars compiled for the
+	// block, by expression and row layout.
+	memo map[memoKey]compiled
+	agg  *aggregation   // the GROUP BY stage, when value-free
+	proj *projection    // the select list, when value-free
+	next *blockTemplate // the rest of a UNION chain
+	// setCols are the column ordinals an UPDATE's SET clauses assign.
+	setCols []int
+	// planParams are the parameters the block's WHERE and ON conjuncts read,
+	// with the kind of value each had when the block was compiled. The order
+	// and the access paths were chosen for estimates made from those values;
+	// a value of the same kind is served by them (and the schedule of
+	// re-verification catches a drift), a NULL or a value of another kind —
+	// no rows, or no sensible estimate — is not: that execution compiles.
+	planParams []paramKind
+}
+
+type paramKind struct {
+	idx  int // 0-based
+	kind val.Kind
+}
+
+type memoKey struct {
+	e      sqlparse.Expr
+	layout int
+}
+
+type compiled struct {
+	pred exec.Pred
+	expr exec.Expr
+}
+
+type projection struct {
+	exprs []exec.Expr
+	cols  []string
+}
+
+// rowLayout locates the quantifiers' columns in the row an expression is
+// compiled against: the join pipeline's row so far, that row joined with one
+// more quantifier, or one quantifier alone.
+type rowLayout struct {
+	offsets []int // the pipeline's: first ordinal per quantifier, -1 = not placed
+	plus    int   // a further quantifier, at ordinal plusOff; -1 = none
+	plusOff int
+	local   bool // the row is quantifier plus alone, at ordinal 0
+}
+
+var noRow = rowLayout{plus: -1}
+
+func (l rowLayout) offset(qi int) (int, bool) {
+	if qi == l.plus {
+		return l.plusOff, true
+	}
+	if l.local || qi >= len(l.offsets) || l.offsets[qi] < 0 {
+		return 0, false
+	}
+	return l.offsets[qi], true
+}
+
+// memoID distinguishes the layouts one expression can be compiled against.
+// A quantifier's place in the pipeline row is fixed by the block's order, so
+// every pipeline layout is one layout to the memo.
+func (l rowLayout) memoID() int {
+	if l.local {
+		return 1 + l.plus
+	}
+	return 0
+}
+
+// buildSelect builds a SELECT statement: its CTEs, then its blocks.
+func (bd *build) buildSelect(sel *sqlparse.Select, bt *blockTemplate) (*Plan, error) {
+	var ctes map[string]*MaterializedCTE
 	for _, cte := range sel.With {
-		m, err := buildCTE(&cte, benv, ctes)
+		m, err := bd.buildCTE(&cte, ctes)
 		if err != nil {
 			return nil, err
+		}
+		if ctes == nil {
+			ctes = map[string]*MaterializedCTE{}
 		}
 		ctes[strings.ToLower(cte.Name)] = m
 	}
-	return buildQueryBlock(sel, benv, ctes, order)
+	return bd.buildQueryBlock(sel, ctes, bt)
+}
+
+// subquery builds a nested statement (a CTE body, an uncorrelated subquery)
+// for the one execution that is about to run it.
+func (bd *build) subquery(sel *sqlparse.Select, ctes map[string]*MaterializedCTE, withCTEs bool) (*Plan, error) {
+	sub := &build{BuildEnv: bd.BuildEnv, rec: true}
+	bd.volatile = true
+	if withCTEs {
+		return sub.buildSelect(sel, &blockTemplate{})
+	}
+	return sub.buildQueryBlock(sel, ctes, &blockTemplate{})
 }
 
 // buildCTE evaluates one CTE (recursive or not) into rows.
-func buildCTE(cte *sqlparse.CTE, benv *BuildEnv, outer map[string]*MaterializedCTE) (*MaterializedCTE, error) {
+func (bd *build) buildCTE(cte *sqlparse.CTE, outer map[string]*MaterializedCTE) (*MaterializedCTE, error) {
 	if !cte.Recursive {
-		p, err := buildQueryBlock(cte.Query, benv, outer, nil)
+		p, err := bd.subquery(cte.Query, outer, false)
 		if err != nil {
 			return nil, err
 		}
-		rows, err := exec.Drain(benv.Ctx, p.Root)
+		rows, err := exec.Drain(bd.Ctx, p.Root)
 		if err != nil {
 			return nil, err
 		}
@@ -77,11 +224,11 @@ func buildCTE(cte *sqlparse.CTE, benv *BuildEnv, outer map[string]*MaterializedC
 	base.Union = nil
 	recursive := cte.Query.Union
 
-	basePlan, err := buildQueryBlock(&base, benv, outer, nil)
+	basePlan, err := bd.subquery(&base, outer, false)
 	if err != nil {
 		return nil, err
 	}
-	baseRows, err := exec.Drain(benv.Ctx, basePlan.Root)
+	baseRows, err := exec.Drain(bd.Ctx, basePlan.Root)
 	if err != nil {
 		return nil, err
 	}
@@ -95,14 +242,14 @@ func buildCTE(cte *sqlparse.CTE, benv *BuildEnv, outer map[string]*MaterializedC
 				inner[k] = v
 			}
 			inner[strings.ToLower(cte.Name)] = &MaterializedCTE{Cols: cols, Rows: prev.RowsData}
-			p, err := buildQueryBlock(recursive, benv, inner, nil)
+			p, err := bd.subquery(recursive, inner, false)
 			if err != nil {
 				return &errOp{err}
 			}
 			return p.Root
 		},
 	}
-	rows, err := exec.Drain(benv.Ctx, ru)
+	rows, err := exec.Drain(bd.Ctx, ru)
 	if err != nil {
 		return nil, err
 	}
@@ -143,16 +290,19 @@ func (e *errOp) Close(*exec.Ctx) error                  { return nil }
 // and nowhere else: a single block sorts its rows before they are projected,
 // so a key may name an alias, an output position or any input column; a
 // UNION chain sorts its output columns.
-func buildQueryBlock(sel *sqlparse.Select, benv *BuildEnv, ctes map[string]*MaterializedCTE, order []Step) (*Plan, error) {
-	b, root, err := buildSingle(sel, benv, ctes, order)
+func (bd *build) buildQueryBlock(sel *sqlparse.Select, ctes map[string]*MaterializedCTE, bt *blockTemplate) (*Plan, error) {
+	b, root, err := bd.buildSingle(sel, ctes, bt)
 	if err != nil {
 		return nil, err
 	}
 	plan := b.plan
 	sortKey := b.sortKeyExpr
 	if sel.Union != nil {
+		if bd.rec {
+			bt.next = &blockTemplate{}
+		}
 		rest := *sel.Union
-		restPlan, err := buildQueryBlock(&rest, benv, ctes, nil)
+		restPlan, err := bd.buildQueryBlock(&rest, ctes, bt.next)
 		if err != nil {
 			return nil, err
 		}
@@ -161,6 +311,7 @@ func buildQueryBlock(sel *sqlparse.Select, benv *BuildEnv, ctes map[string]*Mate
 			root = &exec.HashDistinct{Input: root}
 		}
 		plan.HashJoins = append(plan.HashJoins, restPlan.HashJoins...)
+		plan.pending = append(plan.pending, restPlan.pending...)
 		sortKey = b.outputColExpr
 	}
 	if len(sel.OrderBy) > 0 {
@@ -194,17 +345,20 @@ const (
 	depthJoins
 )
 
-// blockBuilder builds one SELECT block.
+// blockBuilder builds one SELECT block, or an UPDATE/DELETE's target block.
 type blockBuilder struct {
-	benv *BuildEnv
+	bd   *build
+	t    *blockTemplate
 	sel  *sqlparse.Select
 	q    *Query
 	plan *Plan
-	// layout is the quantifier order of the current pipeline; offsets maps
-	// quantifier index -> starting row ordinal.
-	layout  []int
-	offsets map[int]int
-	widths  map[int]int
+	// offsets is the pipeline's row layout so far: first ordinal per
+	// quantifier, -1 = not placed; width is the row's.
+	offsets []int
+	width   int
+	// query and offBuf back q and (for a block of few quantifiers) offsets.
+	query  Query
+	offBuf [4]int
 	// Once the block is aggregated, expressions compile against the
 	// HashGroupBy's output: groupCols maps canonical group-by expression
 	// strings to its ordinals, aggCols canonical aggregate calls.
@@ -214,73 +368,207 @@ type blockBuilder struct {
 	// exprs are the block's projection, compiled against its unprojected
 	// rows; plan.Columns names them.
 	exprs []exec.Expr
+	// deps counts the value dependencies met while compiling: parameters
+	// read, subqueries run. An expression that met none is value-free.
+	deps int
+	// sites are the points of the tree that have a cardinality estimate, in
+	// pipeline order (estimate); siteBuf backs the first few.
+	sites   []estSite
+	siteBuf [3]estSite
 }
+
+// estSite is one operator with an estimate, and how to derive it.
+type estSite struct {
+	op   exec.Operator
+	kind estKind
+	qi   int       // estProbe, estScan: the quantifier
+	cj   *Conjunct // estProbe: the probing conjunct
+	step Step      // estStep
+}
+
+type estKind uint8
+
+const (
+	estProbe estKind = iota // an index probe: rows × the conjunct's selectivity
+	estScan                 // a DML target heap scan: the table's rows
+	estStep                 // the pipeline after one more step of the order
+	estGate                 // the pipeline behind its gate: as before it
+)
+
+func (b *blockBuilder) site(s estSite) {
+	if b.sites == nil {
+		b.sites = b.siteBuf[:0]
+		b.plan.pending = append(b.plan.pending, b)
+	}
+	b.sites = append(b.sites, s)
+}
+
+// estimate replays the enumerator's cardinality recurrence over the block's
+// sites, in the order they were built.
+func (b *blockBuilder) estimate(p *Plan) {
+	q, env := b.q, b.bd.Env
+	var placed map[int]bool
+	card := 1.0
+	for _, s := range b.sites {
+		switch s.kind {
+		case estProbe:
+			p.est = append(p.est, estRows{s.op, q.probeRows(s.qi, s.cj)})
+			continue
+		case estScan:
+			p.est = append(p.est, estRows{s.op, q.Quants[s.qi].Cardinality()})
+			continue
+		case estStep:
+			if placed == nil {
+				placed = map[int]bool{}
+				card = math.Max(q.LocalCardinality(s.step.Quant), 1)
+			} else {
+				_, card = env.stepCost(q, placed, card, s.step)
+			}
+			placed[s.step.Quant] = true
+		}
+		p.est = append(p.est, estRows{s.op, card})
+	}
+}
+
+// bindOrder gives the builder its block: binding sel and choosing its order
+// when compiling, from the template otherwise (sel is then not read) —
+// unless the template was compiled for other kinds of values than this
+// execution's (errUnserved).
+func (b *blockBuilder) bindOrder(sel *sqlparse.Select, ctes map[string]*MaterializedCTE, choose func() ([]Step, error)) error {
+	bd, t := b.bd, b.t
+	if bd.rec {
+		blk, err := bindBlock(sel, bd.Res, ctes)
+		if err != nil {
+			return err
+		}
+		t.blk = blk
+		bd.volatile = bd.volatile || blk.volatile
+		for _, cj := range blk.Conj {
+			sqlparse.WalkExpr(cj.Expr, func(e sqlparse.Expr) bool {
+				if p, ok := e.(*sqlparse.Param); ok && p.Idx >= 1 && p.Idx <= len(bd.Params) {
+					t.planParams = append(t.planParams, paramKind{p.Idx - 1, bd.Params[p.Idx-1].Kind})
+				}
+				return true
+			})
+		}
+	}
+	for _, pk := range t.planParams {
+		if pk.idx < len(bd.Params) && bd.Params[pk.idx].Kind != pk.kind {
+			return errUnserved
+		}
+	}
+	b.query = Query{Block: t.blk, Params: bd.Params}
+	b.q = &b.query
+	if n := len(t.blk.Quants); n <= len(b.offBuf) {
+		b.offsets = b.offBuf[:n]
+	} else {
+		b.offsets = make([]int, n)
+	}
+	for i := range b.offsets {
+		b.offsets[i] = -1
+	}
+	if bd.rec {
+		order, err := choose()
+		if err != nil {
+			return err
+		}
+		t.order = order
+	}
+	return nil
+}
+
+// row is the pipeline's row as it stands; rowWith, that row joined with
+// quantifier qi; rowOf, quantifier qi alone.
+func (b *blockBuilder) row() rowLayout { return rowLayout{offsets: b.offsets, plus: -1} }
+func (b *blockBuilder) rowWith(qi int) rowLayout {
+	return rowLayout{offsets: b.offsets, plus: qi, plusOff: b.width}
+}
+func rowOf(qi int) rowLayout { return rowLayout{plus: qi, local: true} }
 
 // buildSingle builds one block up to, not including, its projection: the
 // join pipeline, aggregation and HAVING. It returns the unprojected root.
-func buildSingle(sel *sqlparse.Select, benv *BuildEnv, ctes map[string]*MaterializedCTE, order []Step) (*blockBuilder, exec.Operator, error) {
-	b := &blockBuilder{benv: benv, sel: sel, plan: &Plan{}}
+func (bd *build) buildSingle(sel *sqlparse.Select, ctes map[string]*MaterializedCTE, bt *blockTemplate) (*blockBuilder, exec.Operator, error) {
+	b := &blockBuilder{bd: bd, t: bt, sel: sel, plan: &Plan{}}
 
 	var root exec.Operator
 	if sel.From == nil {
 		// SELECT without FROM: one empty row under the projection.
 		root = &exec.Values{Rows: [][]exec.Expr{{}}}
 		if sel.Where != nil {
-			p, err := b.compilePred(sel.Where, nil)
+			p, err := b.pred(sel.Where, noRow)
 			if err != nil {
 				return nil, nil, err
 			}
 			root = &exec.Filter{Input: root, Pred: p}
 		}
 	} else {
-		q, err := Bind(sel, benv.Res, ctes, benv.Params)
+		err := b.bindOrder(sel, ctes, func() ([]Step, error) {
+			if forced := bd.forced; forced != nil {
+				bd.forced = nil
+				return forced, nil
+			}
+			res, err := Enumerate(b.q, bd.Env)
+			if err != nil {
+				return nil, err
+			}
+			b.plan.Enum, b.plan.Cost = res, res.Cost
+			return res.Order, nil
+		})
 		if err != nil {
 			return nil, nil, err
 		}
-		b.q = q
-		if !q.validOrder(order) {
-			res, err := Enumerate(q, benv.Env)
-			if err != nil {
-				return nil, nil, err
-			}
-			b.plan.Enum, b.plan.Cost, order = res, res.Cost, res.Order
-		}
-		if root, err = b.buildPipeline(order); err != nil {
+		if root, err = b.buildPipeline(bt.order); err != nil {
 			return nil, nil, err
 		}
 		if root, err = b.buildAggregation(root); err != nil {
 			return nil, nil, err
 		}
 		if sel.Having != nil {
-			p, err := b.compilePred(sel.Having, b.offsets)
+			p, err := b.pred(sel.Having, b.row())
 			if err != nil {
 				return nil, nil, err
 			}
 			root = &exec.Filter{Input: root, Pred: p}
 		}
 	}
+	if err := b.buildProjection(); err != nil {
+		return nil, nil, err
+	}
+	return b, root, nil
+}
 
+// buildProjection compiles the select list against the block's unprojected
+// rows into b.exprs and names the columns.
+func (b *blockBuilder) buildProjection() error {
+	if p := b.t.proj; p != nil {
+		b.exprs, b.plan.Columns = p.exprs, p.cols
+		return nil
+	}
+	sel, before := b.sel, b.deps
 	for i, item := range sel.Items {
 		if item.Star {
 			if sel.From == nil {
-				return nil, nil, fmt.Errorf("opt: SELECT * requires FROM")
+				return fmt.Errorf("opt: SELECT * requires FROM")
 			}
-			for _, qi := range b.layout {
-				for ci, col := range b.q.Quants[qi].Columns() {
-					b.exprs = append(b.exprs, exec.Col{Idx: b.offsets[qi] + ci})
+			for _, st := range b.t.order {
+				for ci, col := range b.q.Quants[st.Quant].Columns() {
+					b.exprs = append(b.exprs, exec.Col{Idx: b.offsets[st.Quant] + ci})
 					b.plan.Columns = append(b.plan.Columns, col.Name)
 				}
 			}
 			continue
 		}
-		e, err := b.compileScalar(item.Expr, b.offsets)
+		e, err := b.scalar(item.Expr, b.row())
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		b.exprs = append(b.exprs, e)
 		b.plan.Columns = append(b.plan.Columns, itemName(item, i))
 	}
-	return b, root, nil
+	if b.bd.rec && b.deps == before {
+		b.t.proj = &projection{exprs: b.exprs, cols: b.plan.Columns}
+	}
+	return nil
 }
 
 // project puts the block's projection (and DISTINCT) over its rows.
@@ -290,30 +578,6 @@ func (b *blockBuilder) project(root exec.Operator) exec.Operator {
 		root = &exec.HashDistinct{Input: root}
 	}
 	return root
-}
-
-// validOrder reports whether a cached join order still fits the freshly
-// bound query: one step per quantifier, and every index it names is — by
-// pointer — an index of that quantifier's current table (a dropped and
-// re-created table or index is a different one under the same name).
-func (q *Query) validOrder(order []Step) bool {
-	if len(order) != len(q.Quants) {
-		return false
-	}
-	seen := make([]bool, len(q.Quants))
-	for _, st := range order {
-		if st.Quant < 0 || st.Quant >= len(seen) || seen[st.Quant] {
-			return false
-		}
-		seen[st.Quant] = true
-		if st.Index == nil {
-			continue
-		}
-		if t := q.Quants[st.Quant].Table; t == nil || !slices.Contains(t.IndexList(), st.Index) {
-			return false
-		}
-	}
-	return true
 }
 
 // sortKeyExpr compiles a single block's ORDER BY key against its
@@ -331,7 +595,7 @@ func (b *blockBuilder) sortKeyExpr(e sqlparse.Expr) (exec.Expr, error) {
 		pos := 0
 		for i, item := range b.sel.Items {
 			if item.Star {
-				pos += b.width()
+				pos += b.width
 				continue
 			}
 			if strings.EqualFold(itemName(item, i), c.Col) {
@@ -340,7 +604,7 @@ func (b *blockBuilder) sortKeyExpr(e sqlparse.Expr) (exec.Expr, error) {
 			pos++
 		}
 	}
-	return b.compileScalar(e, b.offsets)
+	return b.scalar(e, b.row())
 }
 
 func itemName(item sqlparse.SelectItem, i int) string {
@@ -353,25 +617,22 @@ func itemName(item sqlparse.SelectItem, i int) string {
 	return fmt.Sprintf("expr%d", i+1)
 }
 
+// place appends quantifier qi to the pipeline's row.
+func (b *blockBuilder) place(qi int) {
+	b.offsets[qi] = b.width
+	b.width += len(b.q.Quants[qi].Columns())
+}
+
 // buildPipeline assembles the left-deep join tree for the chosen order.
 func (b *blockBuilder) buildPipeline(order []Step) (exec.Operator, error) {
-	q, plan := b.q, b.plan
-	b.offsets = map[int]int{}
-	b.widths = map[int]int{}
+	q := b.q
 	var root exec.Operator
-	applied := map[*Conjunct]bool{}
-
-	// Replay the enumerator's cardinality recurrence alongside construction
-	// so every pipeline step carries its estimated output rows (EXPLAIN
-	// prints these against the actuals).
-	plan.EstRows = map[exec.Operator]float64{}
-	env := b.benv.Env
-	placedSet := map[int]bool{}
-	card := 1.0
+	// applied marks, by position in q.Conj, the conjuncts some operator
+	// already evaluates; allocated at its first mark.
+	var applied []bool
 
 	for stepIdx, st := range order {
 		qt := q.Quants[st.Quant]
-		width := len(qt.Columns())
 
 		if stepIdx == 0 {
 			acc, err := b.accessOp(st)
@@ -379,25 +640,20 @@ func (b *blockBuilder) buildPipeline(order []Step) (exec.Operator, error) {
 				return nil, err
 			}
 			root = acc
-			b.layout = []int{st.Quant}
-			b.offsets[st.Quant] = 0
-			b.widths[st.Quant] = width
 		} else {
-			joined, err := b.joinStep(root, st, depthJoins+len(order)-1-stepIdx, applied)
+			joined, err := b.joinStep(root, st, depthJoins+len(order)-1-stepIdx, &applied)
 			if err != nil {
 				return nil, err
 			}
 			root = joined
-			b.offsets[st.Quant] = b.width()
-			b.widths[st.Quant] = width
-			b.layout = append(b.layout, st.Quant)
 		}
+		b.place(st.Quant)
 
 		// Apply multi-quantifier conjuncts as soon as every referenced
 		// quantifier is placed (outer-join ON residuals are handled at the
 		// join itself).
-		for _, cj := range q.Conj {
-			if applied[cj] || cj.Class == LocalPred || cj.FromOn {
+		for ci, cj := range q.Conj {
+			if cj.Class == LocalPred || cj.FromOn || isApplied(applied, ci) {
 				continue
 			}
 			ready := true
@@ -410,80 +666,68 @@ func (b *blockBuilder) buildPipeline(order []Step) (exec.Operator, error) {
 			if !ready {
 				continue
 			}
-			p, err := b.compilePred(cj.Expr, b.offsets)
+			p, err := b.pred(cj.Expr, b.row())
 			if err != nil {
 				return nil, err
 			}
 			root = &exec.Filter{Input: root, Pred: p}
-			applied[cj] = true
+			markApplied(&applied, q, ci)
 		}
 
 		// WHERE predicates on null-supplied quantifiers apply after their
 		// join.
 		if qt.NullSupplied {
-			for _, cj := range q.Conj {
-				if applied[cj] || cj.Class != LocalPred || cj.FromOn || !cj.Quants[st.Quant] {
+			for ci, cj := range q.Conj {
+				if cj.Class != LocalPred || cj.FromOn || !cj.Quants[st.Quant] || isApplied(applied, ci) {
 					continue
 				}
-				p, err := b.compilePred(cj.Expr, b.offsets)
+				p, err := b.pred(cj.Expr, b.row())
 				if err != nil {
 					return nil, err
 				}
 				root = &exec.Filter{Input: root, Pred: p}
-				applied[cj] = true
+				markApplied(&applied, q, ci)
 			}
 		}
 
-		if stepIdx == 0 {
-			card = math.Max(q.LocalCardinality(st.Quant), 1)
-		} else {
-			_, card = env.stepCost(q, placedSet, card, st)
-		}
-		placedSet[st.Quant] = true
-		plan.EstRows[root] = card
+		b.site(estSite{op: root, kind: estStep, step: st})
 	}
 
 	// A WHERE conjunct that references no quantifier (1 = 0, ? = 1, an
 	// uncorrelated EXISTS) belongs to no access path and no join: together
 	// they gate the whole pipeline, as one Filter at its root.
-	var gate sqlparse.Expr
+	var gate exec.Pred
 	for _, cj := range q.Conj {
 		if len(cj.Quants) > 0 || cj.FromOn {
 			continue
 		}
-		if gate == nil {
-			gate = cj.Expr
-		} else {
-			gate = &sqlparse.BinOp{Op: "AND", L: gate, R: cj.Expr}
-		}
-	}
-	if gate != nil {
-		p, err := b.compilePred(gate, b.offsets)
+		p, err := b.pred(cj.Expr, b.row())
 		if err != nil {
 			return nil, err
 		}
-		root = &exec.Filter{Input: root, Pred: p}
-		plan.EstRows[root] = card
+		if gate == nil {
+			gate = p
+		} else {
+			gate = exec.And{L: gate, R: p}
+		}
+	}
+	if gate != nil {
+		root = &exec.Filter{Input: root, Pred: gate}
+		b.site(estSite{op: root, kind: estGate})
 	}
 	return root, nil
 }
 
-func (b *blockBuilder) placed(qi int) bool {
-	for _, x := range b.layout {
-		if x == qi {
-			return true
-		}
+func isApplied(applied []bool, ci int) bool { return applied != nil && applied[ci] }
+
+func markApplied(applied *[]bool, q *Query, ci int) {
+	if *applied == nil {
+		*applied = make([]bool, len(q.Conj))
 	}
-	return false
+	(*applied)[ci] = true
 }
 
-func (b *blockBuilder) width() int {
-	w := 0
-	for _, qi := range b.layout {
-		w += b.widths[qi]
-	}
-	return w
-}
+func (b *blockBuilder) placed(qi int) bool { return b.offsets[qi] >= 0 }
 
 // accessOp builds the access operator for one quantifier including its
 // local predicates (with feedback observers wired to the self-managing
@@ -491,7 +735,6 @@ func (b *blockBuilder) width() int {
 func (b *blockBuilder) accessOp(st Step) (exec.Operator, error) {
 	q := b.q
 	qt := q.Quants[st.Quant]
-	localOffsets := map[int]int{st.Quant: 0}
 
 	var op exec.Operator
 	var probed *Conjunct
@@ -500,9 +743,7 @@ func (b *blockBuilder) accessOp(st Step) (exec.Operator, error) {
 	} else if st.Index != nil {
 		// Sargable equality on the index prefix.
 		if ix, lit, cj := q.equalityProbe(st.Quant); ix == st.Index {
-			key := val.EncodeKey([]val.Value{lit})
-			op = &exec.IndexScan{Table: qt.Table, Index: ix, Lo: key, Hi: key, HiInc: true}
-			b.plan.EstRows[op] = q.probeRows(st.Quant, cj)
+			op = b.probeOp(st.Quant, ix, lit, cj, false)
 			probed = cj
 		}
 	}
@@ -511,17 +752,26 @@ func (b *blockBuilder) accessOp(st Step) (exec.Operator, error) {
 	}
 
 	// Residual local predicates.
-	for _, cj := range q.LocalConjunctsOf(st.Quant, true) {
+	for _, cj := range q.LocalConjunctsOf(st.Quant) {
 		if cj == probed {
 			continue
 		}
-		p, err := b.compilePred(cj.Expr, localOffsets)
+		p, err := b.pred(cj.Expr, rowOf(st.Quant))
 		if err != nil {
 			return nil, err
 		}
 		op = &exec.Filter{Input: op, Pred: p, Obs: b.observerFor(cj)}
 	}
 	return op, nil
+}
+
+// probeOp builds the index probe equalityProbe found for quantifier qi,
+// with its estimate: for SELECT and DML alike.
+func (b *blockBuilder) probeOp(qi int, ix *table.Index, lit val.Value, cj *Conjunct, withRIDs bool) exec.Operator {
+	key := val.EncodeKey([]val.Value{lit})
+	op := &exec.IndexScan{Table: b.q.Quants[qi].Table, Index: ix, Lo: key, Hi: key, HiInc: true, WithRIDs: withRIDs}
+	b.site(estSite{op: op, kind: estProbe, qi: qi, cj: cj})
+	return op
 }
 
 // tableScanOp builds a heap/columnar table scan, pushing one sargable
@@ -535,7 +785,7 @@ func (b *blockBuilder) tableScanOp(st Step) exec.Operator {
 	q := b.q
 	qt := q.Quants[st.Quant]
 	scan := &exec.TableScan{Table: qt.Table, ZoneCol: -1}
-	for _, cj := range q.LocalConjunctsOf(st.Quant, true) {
+	for _, cj := range q.LocalConjunctsOf(st.Quant) {
 		col, lit, opName, ok := colOpLitConj(q, cj)
 		if !ok {
 			continue
@@ -584,7 +834,7 @@ func (b *blockBuilder) observerFor(cj *Conjunct) exec.Observer {
 			return func(m, n float64) { h.ObserveRange(&litv, nil, true, false, m, n) }
 		}
 	case *sqlparse.Between:
-		col, ok := singleCol(q, x.E)
+		col, ok := singleCol(q.Block, x.E)
 		if !ok || x.Neg {
 			return nil
 		}
@@ -599,7 +849,7 @@ func (b *blockBuilder) observerFor(cj *Conjunct) exec.Observer {
 		}
 		return func(m, n float64) { h.ObserveRange(&lo, &hi, true, true, m, n) }
 	case *sqlparse.Like:
-		col, ok := singleCol(q, x.E)
+		col, ok := singleCol(q.Block, x.E)
 		if !ok || x.Neg {
 			return nil
 		}
@@ -623,7 +873,7 @@ func (b *blockBuilder) observerFor(cj *Conjunct) exec.Observer {
 // joinStep builds the join placing st.Quant onto the accumulated tree.
 // Conjuncts it consumes (join keys, NLJ predicates) are recorded in
 // applied so the caller does not re-filter them.
-func (b *blockBuilder) joinStep(acc exec.Operator, st Step, depth int, applied map[*Conjunct]bool) (exec.Operator, error) {
+func (b *blockBuilder) joinStep(acc exec.Operator, st Step, depth int, applied *[]bool) (exec.Operator, error) {
 	q := b.q
 	qt := q.Quants[st.Quant]
 	width := len(qt.Columns())
@@ -669,7 +919,7 @@ func (b *blockBuilder) joinStep(acc exec.Operator, st Step, depth int, applied m
 			Depth:      depth,
 		}
 		for _, cj := range eqConjs {
-			applied[cj] = true
+			markApplied(applied, q, cj.pos)
 		}
 		// Alternate index strategy annotation: an index on this table
 		// covering the first join key lets the operator switch to INL when
@@ -696,10 +946,10 @@ func (b *blockBuilder) joinStep(acc exec.Operator, st Step, depth int, applied m
 		pred := b.altResidual(st.Quant)
 		for i, cj := range eqConjs {
 			if used[i] {
-				applied[cj] = true
+				markApplied(applied, q, cj.pos)
 				continue
 			}
-			p, err := b.compilePred(cj.Expr, b.offsetsWith(st.Quant))
+			p, err := b.pred(cj.Expr, b.rowWith(st.Quant))
 			if err != nil {
 				return nil, err
 			}
@@ -708,7 +958,7 @@ func (b *blockBuilder) joinStep(acc exec.Operator, st Step, depth int, applied m
 			} else {
 				pred = exec.And{L: pred, R: p}
 			}
-			applied[cj] = true
+			markApplied(applied, q, cj.pos)
 		}
 		return &exec.IndexNLJoin{
 			Left:       acc,
@@ -747,8 +997,8 @@ func (b *blockBuilder) joinStep(acc exec.Operator, st Step, depth int, applied m
 			if !ready {
 				continue
 			}
-			applied[cj] = true
-			p, err := b.compilePred(cj.Expr, b.offsetsWith(st.Quant))
+			markApplied(applied, q, cj.pos)
+			p, err := b.pred(cj.Expr, b.rowWith(st.Quant))
 			if err != nil {
 				return nil, err
 			}
@@ -766,25 +1016,14 @@ func (b *blockBuilder) joinStep(acc exec.Operator, st Step, depth int, applied m
 	}
 }
 
-// offsetsWith is the row layout of the accumulated pipeline joined with
-// quantifier qi (acc ⊕ q).
-func (b *blockBuilder) offsetsWith(qi int) map[int]int {
-	offsets := map[int]int{qi: b.width()}
-	for k, v := range b.offsets {
-		offsets[k] = v
-	}
-	return offsets
-}
-
 // altResidual compiles the ON residual predicate for INL-style probes: the
 // local ON predicates of the null-supplied quantifier bound at the probe
 // row offset (acc ⊕ q).
 func (b *blockBuilder) altResidual(qi int) exec.Pred {
 	q := b.q
 	var pred exec.Pred
-	offsets := b.offsetsWith(qi)
-	for _, cj := range q.LocalConjunctsOf(qi, true) {
-		p, err := b.compilePred(cj.Expr, offsets)
+	for _, cj := range q.LocalConjunctsOf(qi) {
+		p, err := b.pred(cj.Expr, b.rowWith(qi))
 		if err != nil {
 			continue
 		}
@@ -854,7 +1093,7 @@ func (b *blockBuilder) orderKeysForIndex(ix *table.Index, eqConjs []*Conjunct) (
 // beats completing the hash join: hashRemainder = scan of the probe table;
 // INL = rows × one probe.
 func (b *blockBuilder) inlThreshold(t *table.Table, ix *table.Index) int64 {
-	env := b.benv.Env
+	env := b.bd.Env
 	hashRemainder := env.seqScanCost(t, false)
 	probeOne := env.indexProbeCost(t, ix, 1)
 	if probeOne <= 0 {
@@ -869,9 +1108,39 @@ func (b *blockBuilder) inlThreshold(t *table.Table, ix *table.Index) int64 {
 
 // --- Aggregation ----------------------------------------------------------
 
+// aggregation is a block's GROUP BY stage: its compiled keys and
+// aggregates, and the ordinals of the aggregated row that group-by
+// expressions and aggregate calls are read from. none: the block does not
+// aggregate.
+type aggregation struct {
+	none               bool
+	keys               []exec.Expr
+	aggs               []exec.AggSpec
+	groupCols, aggCols map[string]int
+}
+
 // buildAggregation inserts a HashGroupBy when the block aggregates. From
 // here on the block's expressions compile against the aggregated row.
 func (b *blockBuilder) buildAggregation(root exec.Operator) (exec.Operator, error) {
+	a := b.t.agg
+	if a == nil {
+		before := b.deps
+		var err error
+		if a, err = b.compileAggregation(); err != nil {
+			return nil, err
+		}
+		if b.bd.rec && b.deps == before {
+			b.t.agg = a
+		}
+	}
+	if a.none {
+		return root, nil
+	}
+	b.aggregated, b.groupCols, b.aggCols = true, a.groupCols, a.aggCols
+	return &exec.HashGroupBy{Input: root, Keys: a.keys, Aggs: a.aggs, Depth: depthGroupBy}, nil
+}
+
+func (b *blockBuilder) compileAggregation() (*aggregation, error) {
 	sel := b.sel
 	// Everything evaluated above the GROUP BY: select items, HAVING, and
 	// (not themselves making the block aggregated) ORDER BY keys.
@@ -889,35 +1158,33 @@ func (b *blockBuilder) buildAggregation(root exec.Operator) (exec.Operator, erro
 		hasAgg = hasAgg || containsAggregate(e)
 	}
 	if len(sel.GroupBy) == 0 && !hasAgg {
-		return root, nil
+		return &aggregation{none: true}, nil
 	}
 	for _, oi := range sel.OrderBy {
 		above = append(above, oi.Expr)
 	}
-	groupCols, aggCols := map[string]int{}, map[string]int{}
+	a := &aggregation{groupCols: map[string]int{}, aggCols: map[string]int{}}
 
-	var keys []exec.Expr
 	for i, ge := range sel.GroupBy {
-		e, err := b.compileScalar(ge, b.offsets)
+		e, err := b.compileScalar(ge, b.row())
 		if err != nil {
 			return nil, err
 		}
-		keys = append(keys, e)
-		groupCols[exprKey(ge)] = i
+		a.keys = append(a.keys, e)
+		a.groupCols[exprKey(ge)] = i
 	}
 
-	var aggs []exec.AggSpec
 	addAgg := func(fc *sqlparse.FuncCall) error {
 		k := exprKey(fc)
-		if _, ok := aggCols[k]; ok {
+		if _, ok := a.aggCols[k]; ok {
 			return nil
 		}
 		spec, err := b.aggSpec(fc)
 		if err != nil {
 			return err
 		}
-		aggCols[k] = len(keys) + len(aggs)
-		aggs = append(aggs, spec)
+		a.aggCols[k] = len(a.keys) + len(a.aggs)
+		a.aggs = append(a.aggs, spec)
 		return nil
 	}
 	for _, e := range above {
@@ -925,9 +1192,7 @@ func (b *blockBuilder) buildAggregation(root exec.Operator) (exec.Operator, erro
 			return nil, err
 		}
 	}
-
-	b.aggregated, b.groupCols, b.aggCols = true, groupCols, aggCols
-	return &exec.HashGroupBy{Input: root, Keys: keys, Aggs: aggs, Depth: depthGroupBy}, nil
+	return a, nil
 }
 
 func (b *blockBuilder) aggSpec(fc *sqlparse.FuncCall) (exec.AggSpec, error) {
@@ -952,7 +1217,7 @@ func (b *blockBuilder) aggSpec(fc *sqlparse.FuncCall) (exec.AggSpec, error) {
 	if len(fc.Args) != 1 {
 		return exec.AggSpec{}, fmt.Errorf("opt: %s takes one argument", fc.Name)
 	}
-	arg, err := b.compileScalar(fc.Args[0], b.offsets)
+	arg, err := b.compileScalar(fc.Args[0], b.row())
 	if err != nil {
 		return exec.AggSpec{}, err
 	}
@@ -1051,25 +1316,63 @@ func isCmp(op string) bool {
 
 func (b *blockBuilder) paramExpr(p *sqlparse.Param) (exec.Expr, error) {
 	idx := p.Idx - 1
-	if idx < 0 || idx >= len(b.benv.Params) {
+	if idx < 0 || idx >= len(b.bd.Params) {
 		return nil, fmt.Errorf("opt: parameter %d not supplied", p.Idx)
 	}
-	return exec.Const{V: b.benv.Params[idx]}, nil
+	b.deps++
+	return exec.Const{V: b.bd.Params[idx]}, nil
 }
 
-// compilePred compiles a predicate over the row layout offsets describes
-// (quantifier index -> first ordinal) or, once the block is aggregated,
-// over the aggregated row.
-func (b *blockBuilder) compilePred(e sqlparse.Expr, offsets map[int]int) (exec.Pred, error) {
+// pred and scalar are how the builder compiles a predicate or a value
+// expression that stands on its own in the plan — a conjunct, a select item,
+// a SET right-hand side. What the statement's compile found value-free comes
+// from the template; anything else is compiled now, with the execution's
+// values as constants, and while compiling is recorded if no value entered.
+func (b *blockBuilder) pred(e sqlparse.Expr, row rowLayout) (exec.Pred, error) {
+	key := memoKey{e, row.memoID()}
+	if c, ok := b.t.memo[key]; ok && c.pred != nil {
+		return c.pred, nil
+	}
+	before := b.deps
+	p, err := b.compilePred(e, row)
+	if err == nil && b.bd.rec && b.deps == before {
+		b.record(key, compiled{pred: p})
+	}
+	return p, err
+}
+
+func (b *blockBuilder) scalar(e sqlparse.Expr, row rowLayout) (exec.Expr, error) {
+	key := memoKey{e, row.memoID()}
+	if c, ok := b.t.memo[key]; ok && c.expr != nil {
+		return c.expr, nil
+	}
+	before := b.deps
+	x, err := b.compileScalar(e, row)
+	if err == nil && b.bd.rec && b.deps == before {
+		b.record(key, compiled{expr: x})
+	}
+	return x, err
+}
+
+func (b *blockBuilder) record(key memoKey, c compiled) {
+	if b.t.memo == nil {
+		b.t.memo = map[memoKey]compiled{}
+	}
+	b.t.memo[key] = c
+}
+
+// compilePred compiles a predicate over the rows row describes or, once the
+// block is aggregated, over the aggregated row.
+func (b *blockBuilder) compilePred(e sqlparse.Expr, row rowLayout) (exec.Pred, error) {
 	switch x := e.(type) {
 	case *sqlparse.BinOp:
 		switch x.Op {
 		case "AND", "OR":
-			l, err := b.compilePred(x.L, offsets)
+			l, err := b.compilePred(x.L, row)
 			if err != nil {
 				return nil, err
 			}
-			r, err := b.compilePred(x.R, offsets)
+			r, err := b.compilePred(x.R, row)
 			if err != nil {
 				return nil, err
 			}
@@ -1079,11 +1382,11 @@ func (b *blockBuilder) compilePred(e sqlparse.Expr, offsets map[int]int) (exec.P
 			return exec.Or{L: l, R: r}, nil
 		}
 		if isCmp(x.Op) {
-			l, err := b.compileScalar(x.L, offsets)
+			l, err := b.compileScalar(x.L, row)
 			if err != nil {
 				return nil, err
 			}
-			r, err := b.compileScalar(x.R, offsets)
+			r, err := b.compileScalar(x.R, row)
 			if err != nil {
 				return nil, err
 			}
@@ -1092,7 +1395,7 @@ func (b *blockBuilder) compilePred(e sqlparse.Expr, offsets map[int]int) (exec.P
 		return nil, fmt.Errorf("opt: %q is not a predicate", x.Op)
 	case *sqlparse.UnOp:
 		if x.Op == "NOT" {
-			p, err := b.compilePred(x.E, offsets)
+			p, err := b.compilePred(x.E, row)
 			if err != nil {
 				return nil, err
 			}
@@ -1100,43 +1403,43 @@ func (b *blockBuilder) compilePred(e sqlparse.Expr, offsets map[int]int) (exec.P
 		}
 		return nil, fmt.Errorf("opt: %q is not a predicate", x.Op)
 	case *sqlparse.IsNull:
-		inner, err := b.compileScalar(x.E, offsets)
+		inner, err := b.compileScalar(x.E, row)
 		if err != nil {
 			return nil, err
 		}
 		return exec.IsNullPred{E: inner, Neg: x.Neg}, nil
 	case *sqlparse.Between:
-		inner, err := b.compileScalar(x.E, offsets)
+		inner, err := b.compileScalar(x.E, row)
 		if err != nil {
 			return nil, err
 		}
-		lo, err := b.compileScalar(x.Lo, offsets)
+		lo, err := b.compileScalar(x.Lo, row)
 		if err != nil {
 			return nil, err
 		}
-		hi, err := b.compileScalar(x.Hi, offsets)
+		hi, err := b.compileScalar(x.Hi, row)
 		if err != nil {
 			return nil, err
 		}
 		return exec.BetweenPred{E: inner, Lo: lo, Hi: hi, Neg: x.Neg}, nil
 	case *sqlparse.Like:
-		inner, err := b.compileScalar(x.E, offsets)
+		inner, err := b.compileScalar(x.E, row)
 		if err != nil {
 			return nil, err
 		}
-		pat, err := b.compileScalar(x.Pattern, offsets)
+		pat, err := b.compileScalar(x.Pattern, row)
 		if err != nil {
 			return nil, err
 		}
 		return exec.LikePred{E: inner, Pattern: pat, Neg: x.Neg}, nil
 	case *sqlparse.InList:
-		inner, err := b.compileScalar(x.E, offsets)
+		inner, err := b.compileScalar(x.E, row)
 		if err != nil {
 			return nil, err
 		}
 		var list []exec.Expr
 		for _, le := range x.List {
-			ce, err := b.compileScalar(le, offsets)
+			ce, err := b.compileScalar(le, row)
 			if err != nil {
 				return nil, err
 			}
@@ -1144,7 +1447,7 @@ func (b *blockBuilder) compilePred(e sqlparse.Expr, offsets map[int]int) (exec.P
 		}
 		return exec.InListPred{E: inner, List: list, Neg: x.Neg}, nil
 	case *sqlparse.InSelect:
-		return b.compileInSelect(x, offsets)
+		return b.compileInSelect(x, row)
 	case *sqlparse.Exists:
 		return b.compileExists(x)
 	}
@@ -1154,16 +1457,17 @@ func (b *blockBuilder) compilePred(e sqlparse.Expr, offsets map[int]int) (exec.P
 // compileInSelect materializes an uncorrelated IN-subquery into a hash set
 // — effectively converting the subquery into a (semi) hash join, the
 // cost-based rewriting of §4.1 in its simplest form.
-func (b *blockBuilder) compileInSelect(x *sqlparse.InSelect, offsets map[int]int) (exec.Pred, error) {
-	inner, err := b.compileScalar(x.E, offsets)
+func (b *blockBuilder) compileInSelect(x *sqlparse.InSelect, row rowLayout) (exec.Pred, error) {
+	inner, err := b.compileScalar(x.E, row)
 	if err != nil {
 		return nil, err
 	}
-	sub, err := BuildSelect(x.Sub, b.benv, nil)
+	b.deps++
+	sub, err := b.bd.subquery(x.Sub, nil, true)
 	if err != nil {
 		return nil, fmt.Errorf("opt: IN subquery: %w (correlated subqueries are not supported)", err)
 	}
-	rows, err := exec.Drain(b.benv.Ctx, sub.Root)
+	rows, err := exec.Drain(b.bd.Ctx, sub.Root)
 	if err != nil {
 		return nil, err
 	}
@@ -1224,11 +1528,12 @@ func (p *setMembershipPred) Test(r exec.Row) (exec.Bool3, error) {
 func (b *blockBuilder) compileExists(x *sqlparse.Exists) (exec.Pred, error) {
 	limited := *x.Sub
 	limited.Limit = 1
-	sub, err := BuildSelect(&limited, b.benv, nil)
+	b.deps++
+	sub, err := b.bd.subquery(&limited, nil, true)
 	if err != nil {
 		return nil, fmt.Errorf("opt: EXISTS subquery: %w (correlated subqueries are not supported)", err)
 	}
-	rows, err := exec.Drain(b.benv.Ctx, sub.Root)
+	rows, err := exec.Drain(b.bd.Ctx, sub.Root)
 	if err != nil {
 		return nil, err
 	}
@@ -1249,7 +1554,7 @@ func (p constPred) Test(exec.Row) (exec.Bool3, error) {
 // place a column is resolved: above a GROUP BY an expression that is a
 // grouping key or an aggregate call is that column of the aggregated row,
 // and any other bare column is an error.
-func (b *blockBuilder) compileScalar(e sqlparse.Expr, offsets map[int]int) (exec.Expr, error) {
+func (b *blockBuilder) compileScalar(e sqlparse.Expr, row rowLayout) (exec.Expr, error) {
 	if b.aggregated {
 		k := exprKey(e)
 		if idx, ok := b.groupCols[k]; ok {
@@ -1275,37 +1580,37 @@ func (b *blockBuilder) compileScalar(e sqlparse.Expr, offsets map[int]int) (exec
 		if err != nil {
 			return nil, err
 		}
-		off, ok := offsets[qi]
+		off, ok := row.offset(qi)
 		if !ok {
 			return nil, fmt.Errorf("opt: column %s.%s not available at this point in the plan", x.Table, x.Col)
 		}
 		return exec.Col{Idx: off + ci}, nil
 	case *sqlparse.BinOp:
 		if isCmp(x.Op) || x.Op == "AND" || x.Op == "OR" {
-			p, err := b.compilePred(x, offsets)
+			p, err := b.compilePred(x, row)
 			if err != nil {
 				return nil, err
 			}
 			return exec.PredExpr{P: p}, nil
 		}
-		l, err := b.compileScalar(x.L, offsets)
+		l, err := b.compileScalar(x.L, row)
 		if err != nil {
 			return nil, err
 		}
-		r, err := b.compileScalar(x.R, offsets)
+		r, err := b.compileScalar(x.R, row)
 		if err != nil {
 			return nil, err
 		}
 		return exec.Arith{Op: x.Op[0], L: l, R: r}, nil
 	case *sqlparse.UnOp:
 		if x.Op == "-" {
-			inner, err := b.compileScalar(x.E, offsets)
+			inner, err := b.compileScalar(x.E, row)
 			if err != nil {
 				return nil, err
 			}
 			return exec.Neg{E: inner}, nil
 		}
-		p, err := b.compilePred(x, offsets)
+		p, err := b.compilePred(x, row)
 		if err != nil {
 			return nil, err
 		}
@@ -1318,17 +1623,17 @@ func (b *blockBuilder) compileScalar(e sqlparse.Expr, offsets map[int]int) (exec
 			if len(x.Args) != 1 || x.Star || x.Distinct {
 				return nil, fmt.Errorf("opt: PROPERTY takes exactly one argument")
 			}
-			if b.benv.Env.Property == nil {
+			if b.bd.Env.Property == nil {
 				return nil, fmt.Errorf("opt: PROPERTY is not available in this context")
 			}
-			arg, err := b.compileScalar(x.Args[0], offsets)
+			arg, err := b.compileScalar(x.Args[0], row)
 			if err != nil {
 				return nil, err
 			}
-			return propertyExpr{arg: arg, fn: b.benv.Env.Property}, nil
+			return propertyExpr{arg: arg, fn: b.bd.Env.Property}, nil
 		}
 		if x.Name == "ABS" && len(x.Args) == 1 && !x.Star && !x.Distinct {
-			arg, err := b.compileScalar(x.Args[0], offsets)
+			arg, err := b.compileScalar(x.Args[0], row)
 			if err != nil {
 				return nil, err
 			}
@@ -1337,7 +1642,7 @@ func (b *blockBuilder) compileScalar(e sqlparse.Expr, offsets map[int]int) (exec
 		return nil, fmt.Errorf("opt: unknown function %q", x.Name)
 	}
 	// Predicates used as scalars.
-	p, err := b.compilePred(e, offsets)
+	p, err := b.compilePred(e, row)
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,6 @@
 package opt
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // planTraining is the number of identical consecutive optimizations after
 // which a statement's plan is cached.
@@ -15,52 +12,49 @@ const planTraining = 3
 // training period produce identical plans. To keep the cached plan fresh,
 // the statement is re-verified at intervals taken from a decaying
 // logarithmic scale (the 2ᵏ-th uses); a mismatch drops the plan and
-// restarts training. The slot belongs to the statement object, shared by
-// every connection running that text; the zero value is untrained.
+// restarts training. A statement that took the heuristic bypass has nothing
+// to train or verify: its template is kept at its first compile. The slot
+// belongs to the statement object, shared by every connection running that
+// shape; the zero value is untrained. What it holds is a Template, immutable
+// and so served without a copy.
 type PlanSlot struct {
 	mu         sync.Mutex
-	sig        string
-	steps      []Step
+	tmpl       *Template
 	trainCount int
 	cached     bool
 	uses       uint64
 	nextVerify uint64
 }
 
-// Signature renders a plan skeleton for identity comparison.
-func Signature(steps []Step) string {
-	s := ""
-	for _, st := range steps {
-		ixName := "-"
-		if st.Index != nil {
-			ixName = st.Index.Name
-		}
-		s += fmt.Sprintf("[q%d %s %s]", st.Quant, st.Method, ixName)
-	}
-	return s
-}
-
-// Lookup checks for a cached plan. When hit is true, steps is the cached
-// skeleton (shared: read-only); verify additionally asks the caller to
-// re-optimize this time and call Verify with the fresh result.
-func (s *PlanSlot) Lookup() (steps []Step, hit, verify bool) {
+// Lookup checks for a cached template. When hit is true, verify additionally
+// asks the caller to compile the statement afresh this time and call Verify
+// with the result.
+func (s *PlanSlot) Lookup() (t *Template, hit, verify bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.cached {
 		return nil, false, false
 	}
 	s.uses++
-	return s.steps, true, s.uses >= s.nextVerify
+	return s.tmpl, true, !s.tmpl.bypass && s.uses >= s.nextVerify
 }
 
-// Offer records the result of an optimization. During training, identical
+// Offer records the result of a compile. During training, identical
 // consecutive plans move the statement toward cached status; any change
 // restarts the count.
-func (s *PlanSlot) Offer(steps []Step) {
+func (s *PlanSlot) Offer(t *Template) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if sig := Signature(steps); s.trainCount == 0 || s.sig != sig {
-		s.retrain(sig, steps)
+	s.offer(t)
+}
+
+func (s *PlanSlot) offer(t *Template) {
+	if t.bypass {
+		s.tmpl, s.cached = t, true
+		return
+	}
+	if s.trainCount == 0 || !s.tmpl.sameOrder(t) {
+		s.retrain(t)
 		return
 	}
 	s.trainCount++
@@ -71,29 +65,30 @@ func (s *PlanSlot) Offer(steps []Step) {
 	}
 }
 
-// Verify reconciles a cached plan with a fresh optimization: a match
-// doubles the verification interval (decaying frequency on a logarithmic
-// scale); a mismatch drops the cached plan and restarts training.
-func (s *PlanSlot) Verify(fresh []Step) bool {
+// Verify reconciles a cached template with a fresh compile: a match doubles
+// the verification interval (decaying frequency on a logarithmic scale); a
+// mismatch drops the cached template and restarts training.
+func (s *PlanSlot) Verify(fresh *Template) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if sig := Signature(fresh); sig != s.sig {
-		s.retrain(sig, fresh)
+	if !s.tmpl.sameOrder(fresh) {
+		s.retrain(fresh)
 		return false
 	}
 	s.nextVerify = max(s.uses*2, s.uses+1)
 	return true
 }
 
-// Invalidate drops a plan whose join order no longer fits the catalog and
-// restarts training from the fresh optimization that found it so.
-func (s *PlanSlot) Invalidate(fresh []Step) {
+// Invalidate drops a template bound under a schema that has since changed
+// and restarts training from the fresh compile that replaces it.
+func (s *PlanSlot) Invalidate(fresh *Template) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.retrain(Signature(fresh), fresh)
+	s.trainCount, s.cached = 0, false
+	s.offer(fresh)
 }
 
-func (s *PlanSlot) retrain(sig string, steps []Step) {
-	s.sig, s.steps = sig, append([]Step(nil), steps...)
+func (s *PlanSlot) retrain(t *Template) {
+	s.tmpl = t
 	s.trainCount, s.cached = 1, false
 }

@@ -50,6 +50,13 @@ type Env struct {
 	Property func(name string) (int64, bool)
 }
 
+// NewEnv returns e with its defaults filled in: an Env to be shared between
+// concurrent builds, which then only read it.
+func NewEnv(e Env) *Env {
+	e.fill()
+	return &e
+}
+
 func (e *Env) fill() {
 	if e.PageSize == 0 {
 		e.PageSize = page.Size

@@ -9,14 +9,11 @@ import (
 	"anywheredb/internal/val"
 )
 
-// DML is a compiled single-table INSERT ... VALUES, UPDATE or DELETE.
-type DML struct {
-	// Table is the target of an UPDATE or DELETE.
+// Modify is what an UPDATE or DELETE does with the rows its plan's tree — a
+// WithRIDs scan of Table under a Filter of the whole WHERE clause — finds.
+type Modify struct {
+	// Table is the target.
 	Table *table.Table
-	// Plan is the tree the statement drains. UPDATE/DELETE: a WithRIDs
-	// scan of Table under a Filter of the whole WHERE clause, producing
-	// the target rows' heap addresses. INSERT: the VALUES rows.
-	Plan *Plan
 	// Match is the WHERE clause as the re-check UpdateChecked and
 	// DeleteChecked run under the row lock (nil without WHERE).
 	Match func(row []val.Value) (bool, error)
@@ -27,105 +24,103 @@ type DML struct {
 
 // NewRow applies UPDATE's SET clauses to old, every expression reading the
 // old image.
-func (d *DML) NewRow(old []val.Value) ([]val.Value, error) {
+func (m *Modify) NewRow(old []val.Value) ([]val.Value, error) {
 	row := append([]val.Value(nil), old...)
-	for i, e := range d.setExprs {
+	for i, e := range m.setExprs {
 		v, err := e.Eval(old)
 		if err != nil {
 			return nil, err
 		}
-		row[d.setCols[i]] = v
+		row[m.setCols[i]] = v
 	}
 	return row, nil
 }
 
-// BuildDML compiles simple DML through the heuristic bypass of §4.1: the
-// statement is bound and its expressions compiled like any query block's,
-// but no join enumeration or costing runs. The access path is the first
-// WHERE conjunct `col = constant-or-parameter` whose column leads an
-// index, else a heap scan.
-func BuildDML(stmt sqlparse.Statement, benv *BuildEnv) (*DML, error) {
-	benv.Env.fill()
-	switch s := stmt.(type) {
-	case *sqlparse.Insert:
-		return buildValues(s.Rows, benv)
-	case *sqlparse.Update:
-		return buildModify(s.Table, s.Where, s.Set, benv)
-	case *sqlparse.Delete:
-		return buildModify(s.Table, s.Where, nil, benv)
-	}
-	return nil, fmt.Errorf("opt: %T is not a DML statement", stmt)
-}
-
-func buildValues(values [][]sqlparse.Expr, benv *BuildEnv) (*DML, error) {
-	b := &blockBuilder{benv: benv}
+// buildValues builds INSERT's VALUES rows. It reads no schema object (the
+// caller maps the values onto the table's columns), so its template serves
+// under any schema version.
+func (bd *build) buildValues(values [][]sqlparse.Expr, bt *blockTemplate) (*Plan, error) {
+	b := &blockBuilder{bd: bd, t: bt}
 	rows := make([][]exec.Expr, len(values))
 	for i, exprs := range values {
 		rows[i] = make([]exec.Expr, len(exprs))
 		for k, e := range exprs {
-			ce, err := b.compileScalar(e, nil)
+			ce, err := b.scalar(e, noRow)
 			if err != nil {
 				return nil, fmt.Errorf("opt: INSERT values must be constants: %w", err)
 			}
 			rows[i][k] = ce
 		}
 	}
-	return &DML{Plan: &Plan{Root: &exec.Values{Rows: rows}}}, nil
+	return &Plan{Root: &exec.Values{Rows: rows}}, nil
 }
 
-func buildModify(name string, where sqlparse.Expr, set []sqlparse.SetClause, benv *BuildEnv) (*DML, error) {
-	// The target binds as the block `FROM name WHERE where`: one quantifier,
-	// so there is nothing to enumerate, but the shared expression compiler,
-	// access-path matcher and histogram estimate all apply.
-	from := &sqlparse.Select{From: &sqlparse.BaseTable{Name: name}, Where: where}
-	q, err := Bind(from, benv.Res, nil, benv.Params)
+// buildModify builds simple DML through the heuristic bypass of §4.1: the
+// target binds as the block `FROM name WHERE where` — one quantifier, so
+// there is nothing to enumerate, but the shared expression compiler,
+// access-path matcher and histogram estimate all apply. The access path is
+// the first WHERE conjunct `col = constant-or-parameter` whose column leads
+// an index, else a heap scan.
+func (bd *build) buildModify(name string, where sqlparse.Expr, set []sqlparse.SetClause, bt *blockTemplate) (*Plan, error) {
+	b := &blockBuilder{bd: bd, t: bt, plan: &Plan{}}
+	var from *sqlparse.Select
+	if bd.rec {
+		from = &sqlparse.Select{From: &sqlparse.BaseTable{Name: name}, Where: where}
+	}
+	err := b.bindOrder(from, nil, func() ([]Step, error) {
+		ix, _, _ := b.q.equalityProbe(0)
+		return []Step{{Quant: 0, Method: MethodScan, Index: ix}}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
+	q := b.q
 	tbl := q.Quants[0].Table
 	if tbl == nil {
 		return nil, fmt.Errorf("opt: table %q not found", name)
 	}
-	b := &blockBuilder{benv: benv, q: q}
-	offsets := map[int]int{0: 0}
-	d := &DML{Table: tbl}
+	b.place(0)
+	m := &Modify{Table: tbl}
 
-	for _, sc := range set {
-		ci := tbl.ColumnIndex(sc.Col)
-		if ci < 0 {
-			return nil, fmt.Errorf("opt: column %q not found", sc.Col)
+	if bd.rec {
+		for _, sc := range set {
+			ci := tbl.ColumnIndex(sc.Col)
+			if ci < 0 {
+				return nil, fmt.Errorf("opt: column %q not found", sc.Col)
+			}
+			bt.setCols = append(bt.setCols, ci)
 		}
-		e, err := b.compileScalar(sc.Expr, offsets)
-		if err != nil {
+	}
+	m.setCols = bt.setCols
+	if len(set) > 0 {
+		m.setExprs = make([]exec.Expr, len(set))
+	}
+	for i, sc := range set {
+		if m.setExprs[i], err = b.scalar(sc.Expr, b.row()); err != nil {
 			return nil, err
 		}
-		d.setCols = append(d.setCols, ci)
-		d.setExprs = append(d.setExprs, e)
 	}
 
 	var root exec.Operator
-	rows := float64(tbl.RowCount())
-	if ix, lit, cj := q.equalityProbe(0); ix != nil {
-		key := val.EncodeKey([]val.Value{lit})
-		root = &exec.IndexScan{Table: tbl, Index: ix, Lo: key, Hi: key, HiInc: true, WithRIDs: true}
-		rows = q.probeRows(0, cj)
+	if ix, lit, cj := q.equalityProbe(0); ix != nil && ix == bt.order[0].Index {
+		root = b.probeOp(0, ix, lit, cj, true)
 	} else {
 		root = &exec.TableScan{Table: tbl, NoColumnar: true, WithRIDs: true}
+		b.site(estSite{op: root, kind: estScan, qi: 0})
 	}
-	d.Plan = &Plan{EstRows: map[exec.Operator]float64{root: rows}}
 	if where != nil {
 		// The Filter keeps the probe's own conjunct: it and the re-check
 		// are one compiled predicate.
-		pred, err := b.compilePred(where, offsets)
+		pred, err := b.pred(where, b.row())
 		if err != nil {
 			return nil, err
 		}
-		d.Match = func(row []val.Value) (bool, error) {
+		m.Match = func(row []val.Value) (bool, error) {
 			v, err := pred.Test(row)
 			return v == exec.True, err
 		}
 		root = &exec.Filter{Input: root, Pred: pred}
 	}
-	d.Plan.Root = root
-	return d, nil
+	b.plan.Root, b.plan.Modify = root, m
+	return b.plan, nil
 }

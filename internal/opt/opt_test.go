@@ -3,7 +3,9 @@ package opt
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"anywheredb/internal/buffer"
@@ -114,7 +116,7 @@ func runSQL(t testing.TB, db *testDB, sql string) ([]exec.Row, *Plan) {
 	if err != nil {
 		t.Fatalf("parse %q: %v", sql, err)
 	}
-	plan, err := BuildSelect(stmt.(*sqlparse.Select), benv(db), nil)
+	plan, err := Build(stmt.(*sqlparse.Select), benv(db))
 	if err != nil {
 		t.Fatalf("build %q: %v", sql, err)
 	}
@@ -330,7 +332,7 @@ func TestParams(t *testing.T) {
 	stmt, _ := sqlparse.Parse("SELECT eid FROM emp WHERE eid = ?")
 	be := benv(db)
 	be.Params = []val.Value{val.NewInt(7)}
-	plan, err := BuildSelect(stmt.(*sqlparse.Select), be, nil)
+	plan, err := Build(stmt.(*sqlparse.Select), be)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +395,7 @@ func TestGovernorQuotaBoundsVisits(t *testing.T) {
 
 	limited := benv(db)
 	limited.Env.Quota = 200
-	p1, err := BuildSelect(sel, limited, nil)
+	p1, err := Build(sel, limited)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +405,7 @@ func TestGovernorQuotaBoundsVisits(t *testing.T) {
 
 	unlimited := benv(db)
 	unlimited.Env.DisableGovernor = true
-	p2, err := BuildSelect(sel, unlimited, nil)
+	p2, err := Build(sel, unlimited)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,12 +430,12 @@ func TestPruningReducesSearch(t *testing.T) {
 
 	pruned := benv(db)
 	pruned.Env.DisableGovernor = true
-	p1, _ := BuildSelect(sel, pruned, nil)
+	p1, _ := Build(sel, pruned)
 
 	unpruned := benv(db)
 	unpruned.Env.DisableGovernor = true
 	unpruned.Env.DisablePruning = true
-	p2, _ := BuildSelect(sel, unpruned, nil)
+	p2, _ := Build(sel, unpruned)
 
 	if p1.Enum.Visits >= p2.Enum.Visits {
 		t.Fatalf("pruned %d visits should be fewer than unpruned %d",
@@ -456,7 +458,7 @@ func TestCartesianDeferred(t *testing.T) {
 		db.mkTable(t, name, []table.Column{{Name: "k", Kind: val.KInt}}, rows)
 	}
 	stmt, _ := sqlparse.Parse("SELECT COUNT(*) FROM a, b, c WHERE a.k = b.k")
-	plan, err := BuildSelect(stmt.(*sqlparse.Select), benv(db), nil)
+	plan, err := Build(stmt.(*sqlparse.Select), benv(db))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +492,7 @@ func TestHundredWayJoinSmallMemory(t *testing.T) {
 	stmt, _ := sqlparse.Parse(sql)
 	be := benv(db)
 	be.Env.Quota = 2000
-	plan, err := BuildSelect(stmt.(*sqlparse.Select), be, nil)
+	plan, err := Build(stmt.(*sqlparse.Select), be)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,8 +526,9 @@ func TestINLAnnotationOnHashJoins(t *testing.T) {
 
 // --- Plan cache ------------------------------------------------------------
 
-func fakeSteps(sig int) []Step {
-	return []Step{{Quant: sig, Method: MethodScan}, {Quant: sig + 1, Method: MethodHash}}
+// fakeSteps is a compile whose only content is its join order.
+func fakeSteps(sig int) *Template {
+	return &Template{block: blockTemplate{order: []Step{{Quant: sig, Method: MethodScan}, {Quant: sig + 1, Method: MethodHash}}}}
 }
 
 func TestPlanCacheTrainingPeriod(t *testing.T) {
@@ -559,7 +562,7 @@ func TestPlanCacheTrainingResetOnChange(t *testing.T) {
 }
 
 // trainedSlot returns a slot that has completed training on steps.
-func trainedSlot(steps []Step) *PlanSlot {
+func trainedSlot(steps *Template) *PlanSlot {
 	c := &PlanSlot{}
 	for i := 0; i < planTraining; i++ {
 		c.Offer(steps)
@@ -611,8 +614,8 @@ func TestPlanCacheVerifyMismatchInvalidates(t *testing.T) {
 	// The mismatching plan is the first observation of a new training period.
 	c.Offer(fakeSteps(9))
 	c.Offer(fakeSteps(9))
-	if steps, hit, _ := c.Lookup(); !hit || Signature(steps) != Signature(fakeSteps(9)) {
-		t.Fatalf("retraining on the fresh plan: hit=%v steps=%v", hit, steps)
+	if tmpl, hit, _ := c.Lookup(); !hit || !tmpl.sameOrder(fakeSteps(9)) {
+		t.Fatalf("retraining on the fresh plan: hit=%v steps=%v", hit, tmpl.block.order)
 	}
 }
 
@@ -643,7 +646,7 @@ func TestCostModelOrdersPlansSanely(t *testing.T) {
 		t.Fatal(err)
 	}
 	stmt, _ := sqlparse.Parse("SELECT ename FROM emp WHERE eid = 4321")
-	plan, err := BuildSelect(stmt.(*sqlparse.Select), benv(db), nil)
+	plan, err := Build(stmt.(*sqlparse.Select), benv(db))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -687,15 +690,15 @@ func TestEnumerateDeterministic(t *testing.T) {
 	db, sql := chainDB(t, 6, 15)
 	stmt, _ := sqlparse.Parse(sql)
 	sel := stmt.(*sqlparse.Select)
-	p1, err := BuildSelect(sel, benv(db), nil)
+	p1, err := Build(sel, benv(db))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := BuildSelect(sel, benv(db), nil)
+	p2, err := Build(sel, benv(db))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Signature(p1.Enum.Order) != Signature(p2.Enum.Order) {
+	if !slices.Equal(p1.Enum.Order, p2.Enum.Order) {
 		t.Fatal("enumeration must be deterministic")
 	}
 }
@@ -739,5 +742,73 @@ func TestOrderByAliasAcrossSort(t *testing.T) {
 	rows, _ := runSQL(t, db, "SELECT did AS d, COUNT(*) AS n FROM emp GROUP BY did ORDER BY d")
 	if !sort.SliceIsSorted(rows, func(i, j int) bool { return rows[i][0].I < rows[j][0].I }) {
 		t.Fatal("not ordered by alias")
+	}
+}
+
+// --- Templates ---------------------------------------------------------------
+
+// TestTemplateInstantiatedConcurrently: a Template is immutable once Compile
+// returns, so any number of executions instantiate it at once. Eight
+// goroutines instantiate one template — a join with a residual predicate, a
+// grouped aggregate and a sort — each with its own parameter value, and run
+// their plans; every answer is checked against that value. Run with -race.
+func TestTemplateInstantiatedConcurrently(t *testing.T) {
+	db := empDept(t, 600, 6)
+	stmt, err := sqlparse.Parse("SELECT dname, COUNT(*) AS n, MAX(eid) + 1 FROM emp, dept " +
+		"WHERE emp.did = dept.did AND eid < ? AND salary >= 1000 GROUP BY dname HAVING COUNT(*) > 0 ORDER BY dname")
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := func(bound int64) *BuildEnv {
+		be := benv(db)
+		ctx := *db.ctx
+		be.Ctx, be.Params, be.SchemaVersion = &ctx, []val.Value{val.NewInt(bound)}, 7
+		return be
+	}
+	tmpl, first, err := Compile(stmt, env(60))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tmpl.Retainable() || tmpl.Bypass() || !tmpl.Current(7) || tmpl.Current(8) || first.Enum == nil {
+		t.Fatalf("template: retainable %v bypass %v current(7) %v current(8) %v enum %v",
+			tmpl.Retainable(), tmpl.Bypass(), tmpl.Current(7), tmpl.Current(8), first.Enum)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				bound := int64(6 * (1 + (g*40+i)%90)) // eids 0..bound-1: bound/6 per department
+				be := env(bound)
+				plan, ok, err := tmpl.Instantiate(be)
+				if err != nil || !ok || plan.Enum != nil {
+					t.Errorf("bound %d: served %v, enumerated %v, %v", bound, ok, plan != nil && plan.Enum != nil, err)
+					return
+				}
+				rows, err := exec.Drain(be.Ctx, plan.Root)
+				if err != nil || len(rows) != 6 {
+					t.Errorf("bound %d: %d rows, %v", bound, len(rows), err)
+					return
+				}
+				for d, r := range rows {
+					if r[0].S != fmt.Sprintf("dept-%d", d) || r[1].I != bound/6 || r[2].I != bound-6+int64(d)+1 {
+						t.Errorf("bound %d, department %d: %v", bound, d, r)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	// A value of another kind than the template was compiled for is not
+	// served: the order was chosen for an estimate made from a number.
+	for _, v := range []val.Value{val.Null, val.NewStr("x")} {
+		be := env(0)
+		be.Params = []val.Value{v}
+		if plan, ok, err := tmpl.Instantiate(be); ok || err != nil || plan != nil {
+			t.Errorf("parameter %v: served %v, %v", v, ok, err)
+		}
 	}
 }

@@ -199,7 +199,7 @@ func IndexConsultant(db *core.DB, events []Event, env *opt.Env) ([]Recommendatio
 		var total float64
 		for _, s := range stmts {
 			benv := &opt.BuildEnv{Env: env, Res: db, Ctx: ctx, Params: s.params}
-			plan, err := opt.BuildSelect(s.sel, benv, nil)
+			plan, err := opt.Build(s.sel, benv)
 			if err != nil {
 				continue // statements that no longer bind are skipped
 			}
@@ -228,8 +228,12 @@ func IndexConsultant(db *core.DB, events []Event, env *opt.Env) ([]Recommendatio
 		if _, err := tbl.AddIndexIn(store.TempFile, virtualID, name, spec.cols, false); err != nil {
 			continue
 		}
+		// A statement compiled by the application meanwhile may choose the
+		// virtual index: no plan from before or during its life is served.
+		db.SchemaChanged()
 		after, err := cost()
 		tbl.RemoveIndex(name)
+		db.SchemaChanged()
 		if err != nil {
 			continue
 		}

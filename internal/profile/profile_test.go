@@ -2,6 +2,7 @@ package profile
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -102,7 +103,15 @@ func TestOptionFindings(t *testing.T) {
 
 func TestIndexConsultant(t *testing.T) {
 	// A workload probing by cust — no index exists on cust — as literal SQL
-	// and as the prepared statement a wire client sends.
+	// and as the prepared statement a wire client sends. The literal texts
+	// share one statement shape in the engine, but the trace holds each as
+	// it was submitted, so the consultant costs both workloads alike.
+	got := map[string]Recommendation{}
+	defer func() {
+		if lit, par := got["literal"], got["parameters"]; !t.Failed() && !reflect.DeepEqual(lit, par) {
+			t.Errorf("the literal workload is recommended %+v, the same workload with parameters %+v", lit, par)
+		}
+	}()
 	for name, probe := range map[string]func(c *core.Conn, i int) error{
 		"literal": func(c *core.Conn, i int) error {
 			_, err := c.Query(fmt.Sprintf("SELECT amount FROM orders WHERE cust = %d", i))
@@ -121,6 +130,15 @@ func TestIndexConsultant(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			texts := map[string]bool{}
+			for _, e := range tr.Events() {
+				if strings.HasPrefix(e.SQL, "SELECT") {
+					texts[e.SQL] = true
+				}
+			}
+			if want := map[string]int{"literal": 12, "parameters": 1}[name]; len(texts) != want {
+				t.Fatalf("the trace holds %d distinct probe texts, want %d: %v", len(texts), want, texts)
+			}
 			recs, err := IndexConsultant(db, tr.Events(), nil)
 			if err != nil {
 				t.Fatal(err)
@@ -129,6 +147,7 @@ func TestIndexConsultant(t *testing.T) {
 				t.Fatal("expected an index recommendation on orders(cust)")
 			}
 			r := recs[0]
+			got[name] = r
 			if r.Table != "orders" || len(r.Columns) != 1 || r.Columns[0] != "cust" {
 				t.Fatalf("recommendation %+v", r)
 			}

@@ -661,3 +661,60 @@ func TestReadRoutingJudgesTheStatementNotItsText(t *testing.T) {
 		t.Errorf("a user-table query with 'sys.x' in a literal was routed %d times, want 1", n)
 	}
 }
+
+// TestRoutedReadsKeepTheirOwnLiterals: texts that differ only in a literal
+// share one statement shape on the primary, but the replica is sent the text
+// the client submitted (with the parameters the client bound), so each is
+// answered with its own row.
+func TestRoutedReadsKeepTheirOwnLiterals(t *testing.T) {
+	db, p := startPrimary(t, PrimaryOptions{})
+	defer db.Close()
+	defer p.Close()
+	srv, err := server.Start(db, server.Options{RouteRead: p.RouteRead})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := client.Dial(srv.Addr().String(), client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, sql := range []string{"CREATE TABLE kv (k INT, s VARCHAR(20))", "INSERT INTO kv VALUES (1, 'one'), (2, 'two'), (3, 'three')"} {
+		if _, err := c.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	r := startReplica(t, p, "r1")
+	defer r.Stop()
+	waitRows(t, r.DB(), "SELECT k FROM kv", 3)
+
+	routed := func() int64 { v, _ := db.Telemetry().Value("repl.reads_routed"); return v }
+	for deadline := time.Now().Add(5 * time.Second); routed() == 0; {
+		if _, err := c.Query("SELECT k FROM kv"); err != nil {
+			t.Fatal(err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no read was ever routed to the caught-up replica")
+		}
+	}
+	before := routed()
+	for round := 0; round < 2; round++ {
+		for k, want := range map[int]string{1: "one", 2: "two", 3: "three"} {
+			rows, err := c.Query(fmt.Sprintf("SELECT s FROM kv WHERE k = %d", k))
+			if err != nil || len(rows.Data) != 1 || rows.Data[0][0].S != want {
+				t.Errorf("k = %d: %v, %v; want %q", k, rows, err, want)
+			}
+			rows, err = c.Query(fmt.Sprintf("SELECT s FROM kv WHERE k = ? AND s <> 'not-%d'", k), val.NewInt(int64(k)))
+			if err != nil || len(rows.Data) != 1 || rows.Data[0][0].S != want {
+				t.Errorf("k = ? bound to %d: %v, %v; want %q", k, rows, err, want)
+			}
+		}
+	}
+	if n := routed() - before; n != 12 {
+		t.Errorf("%d of 12 reads were routed: the test must read through the replica", n)
+	}
+	if a, b := db.Prepare("SELECT s FROM kv WHERE k = 1"), db.Prepare("SELECT s FROM kv WHERE k = 2"); a.Shape != b.Shape || a.Text == b.Text {
+		t.Errorf("the two texts: one shape %v, texts %q and %q", a.Shape == b.Shape, a.Text, b.Text)
+	}
+}

@@ -34,23 +34,13 @@ func Parse(src string) (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	return parseTokens(toks, src)
+	return parseTokens(toks, src, 0)
 }
 
-// Prepare reads a statement's text once: one lexer pass feeds the parser and
-// the fingerprint. stmt and err are Parse(src)'s, fingerprint is
-// Fingerprint(src) — for text that does not lex, the fallback one.
-func Prepare(src string) (stmt Statement, fingerprint string, err error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, fallbackFingerprint(src), err
-	}
-	stmt, err = parseTokens(toks, src)
-	return stmt, fingerprintTokens(toks), err
-}
-
-func parseTokens(toks []token, src string) (Statement, error) {
-	p := &parser{toks: toks, src: src}
+// parseTokens parses one statement from its tokens. nUser is the number of
+// `?` tokens among them: a lifted literal's slot is numbered after those.
+func parseTokens(toks []token, src string, nUser int) (Statement, error) {
+	p := &parser{toks: toks, src: src, nUser: nUser}
 	stmt, err := p.parseStatement()
 	if err != nil {
 		return nil, err
@@ -62,6 +52,17 @@ func parseTokens(toks []token, src string) (Statement, error) {
 	if sel, ok := stmt.(*Select); ok {
 		sel.InstanceState = p.instanceState
 	}
+	// Every lifted literal must have become a slot. One that was consumed as
+	// syntax instead would shift the numbering of the rest; the reader then
+	// falls back to the verbatim text, as for any error.
+	for _, t := range toks {
+		if t.lifted {
+			p.lifted--
+		}
+	}
+	if p.lifted != 0 {
+		return nil, p.errf("a lifted literal was read as syntax")
+	}
 	return stmt, nil
 }
 
@@ -69,8 +70,9 @@ type parser struct {
 	toks []token
 	pos  int
 	src  string
-	// params counts ? placeholders seen.
-	params int
+	// params counts ? placeholders seen, lifted the lifted literals; nUser
+	// is the total of the former, known from the lexer pass.
+	params, lifted, nUser int
 	// subqueries counts IN (SELECT ...) and EXISTS (...) predicates seen.
 	subqueries int
 	// instanceState: a sys.* table or PROPERTY() call seen (Select.InstanceState).
@@ -904,24 +906,22 @@ func (p *parser) parseUnary() (Expr, error) {
 
 func (p *parser) parsePrimary() (Expr, error) {
 	t := p.cur()
-	switch t.kind {
-	case tokInt:
+	if t.lifted {
 		p.next()
-		n, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
+		p.lifted++
+		return &Param{Idx: p.nUser + p.lifted}, nil
+	}
+	switch t.kind {
+	case tokInt, tokFloat, tokString:
+		p.next()
+		v, ok := literalValue(t)
+		switch {
+		case ok:
+			return &Lit{Val: v}, nil
+		case t.kind == tokInt:
 			return nil, p.errf("bad integer %q", t.text)
 		}
-		return &Lit{Val: val.NewInt(n)}, nil
-	case tokFloat:
-		p.next()
-		f, err := strconv.ParseFloat(t.text, 64)
-		if err != nil {
-			return nil, p.errf("bad number %q", t.text)
-		}
-		return &Lit{Val: val.NewDouble(f)}, nil
-	case tokString:
-		p.next()
-		return &Lit{Val: val.NewStr(t.text)}, nil
+		return nil, p.errf("bad number %q", t.text)
 	case tokParam:
 		p.next()
 		p.params++

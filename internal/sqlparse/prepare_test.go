@@ -1,10 +1,6 @@
 package sqlparse
 
-import (
-	"fmt"
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // prepareSeeds is FuzzPrepare's seed corpus: the benchmark's statements
 // (bench/workload.go), the core differential suites' diffWorkload and
@@ -59,35 +55,19 @@ var prepareSeeds = []string{
 	"SELECT 'unterminated", "SELECT a FROM t WHERE b = $1", "a -- c\n $", "SELEC v FROM kv", "SELECT FROM", "EXPLAIN EXPLAIN SELECT 1", "", "héllo",
 }
 
-// FuzzPrepare: reading a text in one pass must be indistinguishable from
-// reading it twice — Prepare's statement and error are Parse's, its
-// fingerprint is Fingerprint's — and never panics. A fingerprint is itself
-// SQL of the same shape: fingerprinting it again changes nothing, whenever
-// the text lexed at all (the lower-cased fallback of text that does not is
-// compared only with itself: squeezing its newlines can turn a comment's
-// tail into more comment).
+// FuzzPrepare: reading a text once, through a Reader, must be
+// indistinguishable from reading it with Parse and Fingerprint — the same
+// statement once the lifted values are put back in their slots, the same
+// error, the same fingerprint — and never panics. The shape key is stable:
+// the text re-spelled with its lifted values reads to the same key and the
+// same values. A fingerprint is itself SQL of the same shape:
+// fingerprinting it again changes nothing, whenever the text lexed at all
+// (the lower-cased fallback of text that does not is compared only with
+// itself: squeezing its newlines can turn a comment's tail into more
+// comment).
 func FuzzPrepare(f *testing.F) {
 	for _, s := range prepareSeeds {
 		f.Add(s)
 	}
-	f.Fuzz(func(t *testing.T, src string) {
-		stmt, fp, err := Prepare(src)
-		wantStmt, wantErr := Parse(src)
-		if fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(stmt, wantStmt) {
-			t.Fatalf("Prepare(%q) = %#v, %v; Parse gives %#v, %v", src, stmt, err, wantStmt, wantErr)
-		}
-		if (stmt == nil) == (err == nil) {
-			t.Fatalf("Prepare(%q): statement %#v beside error %v", src, stmt, err)
-		}
-		if want := Fingerprint(src); fp != want {
-			t.Fatalf("Prepare(%q): fingerprint %q, Fingerprint gives %q", src, fp, want)
-		}
-		if _, lexErr := lex(src); lexErr == nil {
-			if again := Fingerprint(fp); again != fp {
-				t.Fatalf("Fingerprint(%q) = %q, and of that %q", src, fp, again)
-			}
-		} else if fp != fallbackFingerprint(fp) {
-			t.Fatalf("fallback fingerprint %q of %q is not its own fallback", fp, src)
-		}
-	})
+	f.Fuzz(checkRead)
 }

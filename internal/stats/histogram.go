@@ -311,6 +311,12 @@ func (h *Histogram) ObserveEq(v val.Value, observedRows, scannedRows float64) {
 
 // ObserveRange folds in the true selectivity of a range predicate.
 func (h *Histogram) ObserveRange(lo, hi *val.Value, loInc, hiInc bool, observedRows, scannedRows float64) {
+	h.observeRange(lo, hi, loInc, hiInc, observedRows, scannedRows, (*Histogram).maybeResizeLocked)
+}
+
+// observeRange and noteInsert take the resize step they end in as an
+// argument so that a test can run a reference one over the same sequence.
+func (h *Histogram) observeRange(lo, hi *val.Value, loInc, hiInc bool, observedRows, scannedRows float64, resize func(*Histogram)) {
 	if scannedRows <= 0 {
 		return
 	}
@@ -371,7 +377,7 @@ func (h *Histogram) ObserveRange(lo, hi *val.Value, loInc, hiInc bool, observedR
 			s.Rows *= ratio
 		}
 	}
-	h.maybeResizeLocked()
+	resize(h)
 }
 
 func overlaps(b Bucket, lo, hi float64) bool {
@@ -379,7 +385,9 @@ func overlaps(b Bucket, lo, hi float64) bool {
 }
 
 // NoteInsert maintains the histogram for an INSERT of v.
-func (h *Histogram) NoteInsert(v val.Value) {
+func (h *Histogram) NoteInsert(v val.Value) { h.noteInsert(v, (*Histogram).maybeResizeLocked) }
+
+func (h *Histogram) noteInsert(v val.Value, resize func(*Histogram)) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if v.IsNull() {
@@ -406,7 +414,7 @@ func (h *Histogram) NoteInsert(v val.Value) {
 		h.seen[x] = struct{}{}
 		h.distinct++
 	}
-	h.maybeResizeLocked()
+	resize(h)
 }
 
 // NoteDelete maintains the histogram for a DELETE of v.
@@ -503,10 +511,25 @@ func (h *Histogram) maybeResizeLocked() {
 	// equi-depth (total divided by a quarter of the bucket budget) splits,
 	// so even a single seed bucket expands as data pours in.
 	targetDepth := 2 * total / math.Max(float64(h.maxBuckets)/4, 4)
+	splits := func(b Bucket, emitted int) bool {
+		return b.Rows > math.Max(targetDepth, 8) && b.Hi-b.Lo > 2*h.width && n+emitted-1 < h.maxBuckets
+	}
+	// Most calls split nothing — this runs on every row insert — so find the
+	// first bucket that splits before building anything.
+	first := -1
 	if n < h.maxBuckets {
-		out := h.buckets[:0:0]
-		for _, b := range h.buckets {
-			if b.Rows > math.Max(targetDepth, 8) && b.Hi-b.Lo > 2*h.width && n+len(out)-1 < h.maxBuckets {
+		for i, b := range h.buckets {
+			if splits(b, i) {
+				first = i
+				break
+			}
+		}
+	}
+	if first >= 0 {
+		out := make([]Bucket, first, n+1)
+		copy(out, h.buckets[:first])
+		for _, b := range h.buckets[first:] {
+			if splits(b, len(out)) {
 				mid := b.Lo + (b.Hi-b.Lo)/2
 				out = append(out,
 					Bucket{Lo: b.Lo, Hi: mid, Rows: b.Rows / 2},

@@ -29,6 +29,7 @@ import (
 	"anywheredb/internal/page"
 	"anywheredb/internal/store"
 	"anywheredb/internal/telemetry"
+	"anywheredb/internal/wal"
 )
 
 // segments is the number of reference-time segments the pool is divided
@@ -55,13 +56,31 @@ type Frame struct {
 	defunct atomic.Bool // the load failed; pin holders release via releaseDefunct
 	lastRef atomic.Uint64
 	score   atomic.Uint32
-	idx     int  // position in its shard's frames slice (shard-mutex-guarded)
-	valid   bool // shard-mutex-guarded
-	onFree  bool // shard-mutex-guarded: frame is on its shard's free list
+	// gen is the write generation: Lock, the only way to change a resident
+	// page, bumps it, so equal generations mean equal bytes.
+	gen    atomic.Uint64
+	mark   imageMark // shard-mutex-guarded: the frame's newest logged image
+	idx    int       // position in its shard's frames slice (shard-mutex-guarded)
+	valid  bool      // shard-mutex-guarded
+	onFree bool      // shard-mutex-guarded: frame is on its shard's free list
 }
 
-// Lock latches the frame's contents exclusively.
-func (f *Frame) Lock() { f.mu.Lock() }
+// imageMark records that the log holds an image of a frame's bytes as of
+// write generation gen. The zero mark records nothing.
+type imageMark struct {
+	tok wal.ImageToken
+	gen uint64
+}
+
+// of reports whether m is an image of f's current bytes.
+func (m imageMark) of(f *Frame) bool { return m.tok.LSN != 0 && m.gen == f.gen.Load() }
+
+// Lock latches the frame's contents exclusively, for a change: the write
+// generation moves, so no image taken before it stands for the bytes after.
+func (f *Frame) Lock() {
+	f.mu.Lock()
+	f.gen.Add(1)
+}
 
 // Unlock releases the exclusive latch.
 func (f *Frame) Unlock() { f.mu.Unlock() }
@@ -101,7 +120,7 @@ type shard struct {
 	look   *lookaside[*Frame]
 
 	hits, misses, evictions, lookHits, writebacks, steals atomic.Uint64
-	contention, borrows                                   atomic.Uint64
+	contention, borrows, images, wbSyncs                  atomic.Uint64
 }
 
 // lock acquires the shard exclusively, counting contention.
@@ -138,8 +157,8 @@ type Pool struct {
 	refSeq    atomic.Uint64 // global reference clock (§2.2 segments)
 	limitAtom atomic.Int64  // total pool size in frames, readable lock-free
 
-	// fh holds fault handling installed by SetFaultPolicy/SetWriteGuard
-	// (nil until then, preserving the pool's original raw-I/O behaviour).
+	// fh holds fault handling installed by SetFaultPolicy/SetImageLog (nil
+	// until then, preserving the pool's original raw-I/O behaviour).
 	// Atomic so installation at open time is safe against early traffic.
 	fh atomic.Pointer[faultHandling]
 
@@ -169,19 +188,35 @@ func (p *Pool) observeReadWait(start time.Time) {
 }
 
 // faultHandling bundles the pool's transient-I/O retry policy with the
-// write guard enforcing the WAL-before-data rule.
+// image log behind the write-back rule.
 type faultHandling struct {
 	pol   faultinject.RetryPolicy
 	stats *faultinject.Stats
-	// guard runs before any dirty database page is written back (eviction,
-	// FlushPage, FlushAll), receiving the page id and the exact bytes about
-	// to land. Core wires it to log a full page image and group-flush the
-	// WAL, so (a) a stolen dirty page can never reach disk ahead of the log
-	// records that describe — and can undo — its uncommitted contents, and
-	// (b) a torn in-place write can always be repaired from the logged
-	// image. Temp-file pages are exempt: they hold no logged data and die
-	// at restart.
-	guard func(id store.PageID, data []byte) error
+	il    ImageLog
+}
+
+// ImageLog is the log the pool's one write-back rule runs against: a dirty
+// non-temp page is written in place only when the log holds a durable image
+// of exactly the bytes written, in the log's current epoch. So (a) a stolen
+// dirty page never reaches disk ahead of the log records that describe —
+// and can undo — its uncommitted contents, and (b) a torn in-place write
+// can always be repaired from the image. Whoever paid for the sync that
+// made the image durable — usually the next commit — the write-back does
+// not pay again: it forces a flush itself only when no frame it could take
+// has a durable image yet. Temp-file pages are exempt: they hold no logged
+// data and die at restart. Core wires *wal.Log here.
+type ImageLog interface {
+	// LogImage appends an image of the page without flushing it.
+	LogImage(id store.PageID, data []byte) wal.ImageToken
+	// ImageState reports whether the token still names a record of the
+	// log's current contents, and whether that record is durable.
+	ImageState(t wal.ImageToken) (valid, durable bool)
+	// FlushTo makes the log durable up to lsn.
+	FlushTo(lsn wal.LSN) error
+	// HoldEpoch and ReleaseEpoch bracket each write-back's ImageState check
+	// and its write: the log cannot truncate in between.
+	HoldEpoch()
+	ReleaseEpoch()
 }
 
 // ErrPoolExhausted is returned when every frame in the pool is pinned and
@@ -320,6 +355,10 @@ func (p *Pool) AttachTelemetry(reg *telemetry.Registry) {
 	reg.GaugeFunc("buffer.evictions", sum(func(s *shard) *atomic.Uint64 { return &s.evictions }))
 	reg.GaugeFunc("buffer.lookaside_hits", sum(func(s *shard) *atomic.Uint64 { return &s.lookHits }))
 	reg.GaugeFunc("buffer.writebacks", sum(func(s *shard) *atomic.Uint64 { return &s.writebacks }))
+	// Page images logged ahead of write-backs, and the log syncs the pool
+	// forced itself because no other flush had made an image durable yet.
+	reg.GaugeFunc("buffer.images_logged", sum(func(s *shard) *atomic.Uint64 { return &s.images }))
+	reg.GaugeFunc("buffer.writeback_syncs", sum(func(s *shard) *atomic.Uint64 { return &s.wbSyncs }))
 	reg.GaugeFunc("buffer.steals", sum(func(s *shard) *atomic.Uint64 { return &s.steals }))
 	reg.GaugeFunc("buffer.contention", sum(func(s *shard) *atomic.Uint64 { return &s.contention }))
 	reg.GaugeFunc("buffer.borrows", sum(func(s *shard) *atomic.Uint64 { return &s.borrows }))
@@ -340,20 +379,28 @@ func (p *Pool) SetFaultPolicy(pol faultinject.RetryPolicy, stats *faultinject.St
 	cur := p.fh.Load()
 	next := &faultHandling{pol: pol, stats: stats}
 	if cur != nil {
-		next.guard = cur.guard
+		next.il = cur.il
 	}
 	p.fh.Store(next)
 }
 
-// SetWriteGuard installs a hook called before every dirty non-temp page
-// writeback (the WAL-before-data rule; see faultHandling.guard).
-func (p *Pool) SetWriteGuard(guard func(id store.PageID, data []byte) error) {
+// SetImageLog installs the log every dirty non-temp page write-back is
+// checked against (see ImageLog). Call before the pool serves traffic.
+func (p *Pool) SetImageLog(il ImageLog) {
 	cur := p.fh.Load()
-	next := &faultHandling{guard: guard}
+	next := &faultHandling{il: il}
 	if cur != nil {
 		next.pol, next.stats = cur.pol, cur.stats
 	}
 	p.fh.Store(next)
+}
+
+// imageLog returns the installed image log, nil if none.
+func (p *Pool) imageLog() ImageLog {
+	if fh := p.fh.Load(); fh != nil {
+		return fh.il
+	}
+	return nil
 }
 
 // ioRead loads a page from the store, retrying transient faults.
@@ -365,19 +412,60 @@ func (p *Pool) ioRead(id store.PageID, buf page.Buf) error {
 	return faultinject.Retry(fh.pol, fh.stats, func() error { return p.st.Read(id, buf) })
 }
 
-// ioWrite writes a page back to the store: write guard first (log before
-// data), then the write itself with transient faults retried.
-func (p *Pool) ioWrite(id store.PageID, buf page.Buf) error {
-	fh := p.fh.Load()
-	if fh == nil {
-		return p.st.Write(id, buf)
+// needsImage reports whether writing f in place is subject to the
+// write-back rule: an image log is installed and f is a non-temp page.
+func needsImage(il ImageLog, f *Frame) bool {
+	return il != nil && f.ID.File() != store.TempFile
+}
+
+// writeImaged writes f in place, dirty bit and all, if m is a durable image
+// of f's current bytes in the log's current epoch, and reports whether it
+// did. The check and the write share one epoch hold, so a truncate cannot
+// discard the image in between. f's bytes must be stable: the caller holds
+// its content latch, or the exclusive shard lock with f unpinned.
+func (p *Pool) writeImaged(s *shard, il ImageLog, f *Frame, m imageMark) (bool, error) {
+	if !m.of(f) {
+		return false, nil
 	}
-	if fh.guard != nil && id.File() != store.TempFile {
-		if err := fh.guard(id, buf); err != nil {
-			return err
-		}
+	il.HoldEpoch()
+	defer il.ReleaseEpoch()
+	if valid, durable := il.ImageState(m.tok); !valid || !durable {
+		return false, nil
 	}
-	return faultinject.Retry(fh.pol, fh.stats, func() error { return p.st.Write(id, buf) })
+	return true, p.writeBack(s, f)
+}
+
+// writeBack writes f's bytes in place, retrying transient faults, and
+// marks it clean. Callers have already applied the write-back rule.
+func (p *Pool) writeBack(s *shard, f *Frame) error {
+	write := func() error { return p.st.Write(f.ID, f.Data) }
+	var err error
+	if fh := p.fh.Load(); fh == nil {
+		err = write()
+	} else {
+		err = faultinject.Retry(fh.pol, fh.stats, write)
+	}
+	if err != nil {
+		return err
+	}
+	s.writebacks.Add(1)
+	f.dirty.Store(false)
+	return nil
+}
+
+// current reports whether m is a still-valid image of f's current bytes.
+func current(il ImageLog, f *Frame, m imageMark) bool {
+	if !m.of(f) {
+		return false
+	}
+	valid, _ := il.ImageState(m.tok)
+	return valid
+}
+
+// forcedSync flushes the log up to lsn on the pool's own account.
+func (s *shard) forcedSync(il ImageLog, lsn wal.LSN) error {
+	s.wbSyncs.Add(1)
+	return il.FlushTo(lsn)
 }
 
 // touch records a reference: the frame moves to the newest reference-time
@@ -552,6 +640,7 @@ func (p *Pool) load(s *shard, id store.PageID) (*Frame, error) {
 				delete(s.table, id)
 			}
 			f.valid = false
+			f.mark = imageMark{}
 			f.defunct.Store(true)
 			f.loading.Store(false)
 			s.mu.Unlock()
@@ -657,8 +746,9 @@ func (s *shard) grabLocked(p *Pool) (*Frame, error) {
 
 // evictLocked runs the clock algorithm over this shard's frames: each
 // unpinned frame's score is decayed exponentially per sweep; the first
-// frame whose decayed score reaches zero is the victim. Called with s.mu
-// held exclusively.
+// frame whose decayed score reaches zero is the victim — or, when writing
+// it would need a sync, a frame that costs none (see victimLocked). Called
+// with s.mu held exclusively.
 func (s *shard) evictLocked(p *Pool) (*Frame, error) {
 	n := len(s.frames)
 	if n == 0 {
@@ -674,17 +764,18 @@ func (s *shard) evictLocked(p *Pool) (*Frame, error) {
 		}
 		decayed := f.score.Load()
 		if decayed == 0 {
-			// Victim found.
-			if err := s.cleanFrameLocked(p, f); err != nil {
+			v, err := s.victimLocked(p, f)
+			if err != nil {
 				return nil, err
 			}
-			delete(s.table, f.ID)
-			f.valid = false
+			delete(s.table, v.ID)
+			v.valid = false
+			v.mark = imageMark{}
 			s.evictions.Add(1)
-			if f.Data == nil {
-				f.Data = make(page.Buf, page.Size)
+			if v.Data == nil {
+				v.Data = make(page.Buf, page.Size)
 			}
-			return f, nil
+			return v, nil
 		}
 		// Exponential decay: each sweep pass halves the score, so every
 		// page eventually becomes a candidate if not re-referenced.
@@ -693,16 +784,91 @@ func (s *shard) evictLocked(p *Pool) (*Frame, error) {
 	return nil, ErrPoolExhausted
 }
 
-// cleanFrameLocked writes back a dirty frame before reuse.
-func (s *shard) cleanFrameLocked(p *Pool, f *Frame) error {
-	if f.dirty.Load() {
-		if err := p.ioWrite(f.ID, f.Data); err != nil {
-			return err
-		}
-		s.writebacks.Add(1)
-		f.dirty.Store(false)
+// victimLocked cleans the clock's zero-score victim f, or a frame standing
+// in for it, and returns the frame to take. A frame that is clean, a temp
+// page, or carries a durable image of its current bytes is written (if
+// dirty) and taken at no sync. Otherwise f's image is appended and f kept —
+// the next commit's flush will make it durable — and one more rotation,
+// decaying nothing, looks for a zero-score frame that costs no sync. Only
+// when none exists does the pool sync the log itself, after imaging every
+// other cold dirty frame of the shard so the one sync covers a shard's
+// worth of future victims. Called with s.mu held exclusively.
+func (s *shard) victimLocked(p *Pool, f *Frame) (*Frame, error) {
+	il := p.imageLog()
+	if ok, err := s.cleanNoSyncLocked(p, il, f); ok || err != nil {
+		return f, err
 	}
-	return nil
+	s.imageLocked(il, f)
+	n := len(s.frames)
+	for i := 1; i < n; i++ {
+		g := s.frames[(s.hand+i)%n]
+		if !g.valid || g.pin.Load() != 0 || g.score.Load() != 0 {
+			continue
+		}
+		if ok, err := s.cleanNoSyncLocked(p, il, g); ok || err != nil {
+			// The hand follows: the sweep resumes past the frame taken, so
+			// the imaged frames ahead of it are the next ones it meets.
+			s.hand = g.idx
+			return g, err
+		}
+	}
+	last := f.mark.tok
+	for _, g := range s.frames {
+		if g.valid && g.pin.Load() == 0 && g.score.Load() == 0 && g.dirty.Load() && needsImage(il, g) {
+			s.imageLocked(il, g)
+			if g.mark.tok.LSN > last.LSN {
+				last = g.mark.tok
+			}
+		}
+	}
+	// A truncate between the image and the sync moves the image out of the
+	// epoch: image again. Each retry needs a whole checkpoint to race it.
+	for try := 0; try < 3; try++ {
+		if err := s.forcedSync(il, last.LSN); err != nil {
+			return nil, err
+		}
+		if ok, err := p.writeImaged(s, il, f, f.mark); ok || err != nil {
+			return f, err
+		}
+		s.imageLocked(il, f)
+		last = f.mark.tok
+	}
+	return nil, errImageDiscarded(f.ID)
+}
+
+// cleanNoSyncLocked makes f clean if that costs no log sync — it is clean
+// already, exempt from the write-back rule, or carries a durable image of
+// its current bytes — and reports whether it did. Called with s.mu held
+// exclusively and f unpinned.
+func (s *shard) cleanNoSyncLocked(p *Pool, il ImageLog, f *Frame) (bool, error) {
+	switch {
+	case !f.dirty.Load():
+		return true, nil
+	case !needsImage(il, f):
+		return true, p.writeBack(s, f)
+	}
+	return p.writeImaged(s, il, f, f.mark)
+}
+
+// imageLocked appends an image of f's bytes unless its mark already holds a
+// valid one. Called with s.mu held exclusively and f unpinned.
+func (s *shard) imageLocked(il ImageLog, f *Frame) {
+	if !current(il, f, f.mark) {
+		f.mark = s.logImage(il, f)
+	}
+}
+
+// logImage appends an image of f's bytes, which must be stable, and returns
+// its mark.
+func (s *shard) logImage(il ImageLog, f *Frame) imageMark {
+	s.images.Add(1)
+	return imageMark{tok: il.LogImage(f.ID, f.Data), gen: f.gen.Load()}
+}
+
+// errImageDiscarded is a write-back whose image a truncate discarded after
+// each of three appends: only a storm of checkpoints does that.
+func errImageDiscarded(id store.PageID) error {
+	return fmt.Errorf("buffer: page %v: image discarded by three truncates in a row", id)
 }
 
 // borrow moves one frame's worth of capacity from a sibling shard into s,
@@ -805,6 +971,7 @@ func (p *Pool) Discard(id store.PageID) {
 	}
 	delete(s.table, id)
 	f.valid = false
+	f.mark = imageMark{}
 	f.dirty.Store(false)
 	s.mu.Unlock()
 	if !s.look.push(f) {
@@ -818,64 +985,152 @@ func (p *Pool) Discard(id store.PageID) {
 	}
 }
 
-// FlushPage writes the page back if it is dirty and cached. The frame is
-// pinned for the duration so eviction cannot swap the page out from under
-// the write.
+// FlushPage writes the page back if it is dirty and cached: a batch of one
+// (see flush).
 func (p *Pool) FlushPage(id store.PageID) error {
 	s := p.shardOf(id)
 	s.rlock()
 	f, ok := s.table[id]
-	if ok {
-		f.pin.Add(1)
-	}
 	s.mu.RUnlock()
 	if !ok {
 		return nil
 	}
-	err := p.flushFrame(s, f)
-	p.Unpin(f, false)
-	return err
+	return p.flush([]flushItem{{s: s, f: f, id: id}})
 }
 
-func (p *Pool) flushFrame(s *shard, f *Frame) error {
-	f.RLock()
-	defer f.RUnlock()
-	if f.dirty.Load() {
-		if err := p.ioWrite(f.ID, f.Data); err != nil {
-			return err
-		}
-		s.writebacks.Add(1)
-		f.dirty.Store(false)
-	}
-	return nil
-}
-
-// FlushAll writes back every dirty page (checkpoint support), one shard at
-// a time; dirty frames are pinned while written so they cannot be evicted
-// mid-checkpoint.
+// FlushAll writes back every dirty page (checkpoint support) under one log
+// sync (see flush).
 func (p *Pool) FlushAll() error {
+	var batch []flushItem
 	for _, s := range p.shards {
 		s.rlock()
-		dirty := make([]*Frame, 0)
 		for _, f := range s.frames {
 			if f.valid && f.dirty.Load() {
-				f.pin.Add(1)
-				dirty = append(dirty, f)
+				batch = append(batch, flushItem{s: s, f: f, id: f.ID})
 			}
 		}
 		s.mu.RUnlock()
-		var ferr error
-		for _, f := range dirty {
-			if ferr == nil {
-				ferr = p.flushFrame(s, f)
-			}
-			p.Unpin(f, false)
+	}
+	return p.flush(batch)
+}
+
+// flushItem is one page of a flush batch: the frame that held it when the
+// batch was formed, and the image the flush will write it under.
+type flushItem struct {
+	s  *shard
+	f  *Frame
+	id store.PageID
+	m  imageMark
+}
+
+// pin pins the item's frame if it still holds the item's page, copying the
+// frame's image mark, and reports whether it did.
+func (it *flushItem) pin() bool {
+	it.s.rlock()
+	ok := it.s.table[it.id] == it.f
+	if ok {
+		it.f.pin.Add(1)
+		if it.m.tok.LSN == 0 {
+			it.m = it.f.mark
 		}
-		if ferr != nil {
-			return ferr
+	}
+	it.s.mu.RUnlock()
+	return ok
+}
+
+// flush writes a batch of pages back under the write-back rule with one
+// log sync: it images every dirty page of the batch (keeping an image that
+// still stands for the frame's bytes), flushes the log once, then writes
+// each page whose write generation did not move. A page that changed in
+// between goes through flushOne. Frames are pinned only while one is
+// imaged or written, so a checkpoint never pins more of the pool than the
+// page in hand.
+func (p *Pool) flush(batch []flushItem) error {
+	il := p.imageLog()
+	var last wal.ImageToken
+	for i := range batch {
+		it := &batch[i]
+		if !it.pin() {
+			continue
+		}
+		it.f.RLock()
+		if it.f.dirty.Load() && needsImage(il, it.f) {
+			if !current(il, it.f, it.m) {
+				it.m = it.s.logImage(il, it.f)
+			}
+			if it.m.tok.LSN > last.LSN {
+				last = it.m.tok
+			}
+		}
+		it.f.RUnlock()
+		p.Unpin(it.f, false)
+	}
+	if last.LSN != 0 {
+		if _, durable := il.ImageState(last); !durable {
+			if err := batch[0].s.forcedSync(il, last.LSN); err != nil {
+				return err
+			}
+		}
+	}
+	changed := batch[:0]
+	for _, it := range batch {
+		if !it.pin() {
+			continue
+		}
+		it.f.RLock()
+		var err error
+		written := true
+		switch {
+		case !it.f.dirty.Load():
+		case !needsImage(il, it.f):
+			err = p.writeBack(it.s, it.f)
+		default:
+			written, err = p.writeImaged(it.s, il, it.f, it.m)
+		}
+		it.f.RUnlock()
+		p.Unpin(it.f, false)
+		if err != nil {
+			return err
+		}
+		if !written {
+			changed = append(changed, it)
+		}
+	}
+	for i := range changed {
+		if err := p.flushOne(il, &changed[i]); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// flushOne writes back one page that changed between its image and its
+// write, latched from a new image to its write so it cannot change again.
+func (p *Pool) flushOne(il ImageLog, it *flushItem) error {
+	if !it.pin() {
+		return nil
+	}
+	defer p.Unpin(it.f, false)
+	f := it.f
+	f.RLock()
+	defer f.RUnlock()
+	if !f.dirty.Load() {
+		return nil
+	}
+	for try := 0; try < 3; try++ {
+		if !current(il, f, it.m) {
+			it.m = it.s.logImage(il, f)
+		}
+		if _, durable := il.ImageState(it.m.tok); !durable {
+			if err := it.s.forcedSync(il, it.m.tok.LSN); err != nil {
+				return err
+			}
+		}
+		if ok, err := p.writeImaged(it.s, il, f, it.m); ok || err != nil {
+			return err
+		}
+	}
+	return errImageDiscarded(it.id)
 }
 
 // Resize sets the pool's size (in frames), clamped to the immutable

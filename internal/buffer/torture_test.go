@@ -334,9 +334,12 @@ func TestGetConcurrentWaiterOnFailedLoad(t *testing.T) {
 			waiterDone <- err
 			return
 		}
-		defer p.Unpin(f, false)
-		if string(f.Data.Cell(0)) != "real data" {
-			waiterDone <- fmt.Errorf("waiter saw garbage: %q", f.Data.Cell(0))
+		// Unpin before reporting: the invariant check below runs as soon as
+		// the report arrives, and a deferred Unpin raced it.
+		got := string(f.Data.Cell(0))
+		p.Unpin(f, false)
+		if got != "real data" {
+			waiterDone <- fmt.Errorf("waiter saw garbage: %q", got)
 			return
 		}
 		waiterDone <- nil

@@ -347,16 +347,16 @@ func Open(opts Options) (*DB, error) {
 
 	db.pool = buffer.New(st, opts.PoolMinPages, opts.PoolInitPages, opts.PoolMaxPages)
 	db.pool.SetFaultPolicy(opts.RetryPolicy, &db.faultStats)
-	// WAL-before-data, plus torn-write protection: before any dirty page is
-	// written back (steal-policy evictions included), log a full image of
-	// the bytes about to land and group-flush the WAL. The flush makes every
-	// record describing the page durable ahead of the data write, and the
-	// image lets recovery repair a torn in-place write — without it, a tear
-	// destroys rows whose log records a prior checkpoint already truncated.
-	db.pool.SetWriteGuard(func(id store.PageID, data []byte) error {
-		lsn := log.Append(&wal.Record{Type: wal.RecPageImage, Page: id, After: data})
-		return log.FlushTo(lsn)
-	})
+	// WAL-before-data, plus torn-write protection: a dirty page is written in
+	// place (steal-policy evictions included) only once the log holds a
+	// durable image of exactly the bytes that land, in its current epoch.
+	// The image's durability makes every record describing the page durable
+	// ahead of the data write, and the image lets recovery repair a torn
+	// in-place write — without it, a tear destroys rows whose log records a
+	// prior checkpoint already truncated. The pool appends the image and
+	// lets the next commit's flush carry it; it syncs on its own account only
+	// when no frame it could take is covered yet.
+	db.pool.SetImageLog(log)
 
 	fresh := st.PageCount(store.MainFile) == 1
 
@@ -1044,10 +1044,11 @@ func planPages(plan *wal.RecoveryPlan) []store.PageID {
 // conditional on current page state, so the pass is idempotent and can be
 // re-run (ParanoidRecovery does exactly that).
 func (db *DB) applyPlan(plan *wal.RecoveryPlan) error {
-	// Page images first: each page's newest logged image is the exact bytes
-	// of its last attempted write, so restoring it repairs any torn write.
-	// The conditional link/redo/undo passes then replay everything logged
-	// after the image was taken (changes already inside the image no-op).
+	// Page images first: each page's newest logged image is a state the page
+	// passed through no older than its last write (the write waited for it),
+	// so restoring it repairs any torn write. The conditional link/redo/undo
+	// passes then replay everything logged after the image was taken
+	// (changes already inside the image no-op).
 	for _, id := range sortedPageIDs(plan.Images) {
 		if err := db.applyImage(plan.Images[id]); err != nil {
 			return err
@@ -1058,8 +1059,12 @@ func (db *DB) applyPlan(plan *wal.RecoveryPlan) error {
 			return err
 		}
 	}
-	for _, r := range plan.Redo {
-		if err := db.applyRedo(r); err != nil {
+	last := make(map[slotRef]int, len(plan.Redo))
+	for i, r := range plan.Redo {
+		last[slotRef{r.Page, r.Slot}] = i
+	}
+	for i, r := range plan.Redo {
+		if err := db.applyRedo(r, last[slotRef{r.Page, r.Slot}] > i); err != nil {
 			return err
 		}
 	}
@@ -1151,9 +1156,19 @@ func (db *DB) tableByID(id uint64) *table.Table {
 	return nil
 }
 
+// slotRef names one slot of one page.
+type slotRef struct {
+	page store.PageID
+	slot uint32
+}
+
 // applyRedo re-applies a committed change if the page does not already
-// reflect it (idempotent page-level redo).
-func (db *DB) applyRedo(r *wal.Record) error {
+// reflect it (idempotent page-level redo). superseded says a later redo
+// record writes the same slot: then the change only has to fit, since the
+// page may hold a state newer than the record — an image taken after the
+// slot was deleted, or its room taken by rows that grew since — and the
+// later record sets the slot whatever this one leaves.
+func (db *DB) applyRedo(r *wal.Record, superseded bool) error {
 	f, err := db.pool.Get(r.Page)
 	if err != nil {
 		return nil // page gone (e.g. truncated file); nothing to redo onto
@@ -1178,6 +1193,9 @@ func (db *DB) applyRedo(r *wal.Record) error {
 			ok = f.Data.Update(int(r.Slot), r.After)
 		} else {
 			ok = f.Data.InsertSparse(int(r.Slot), r.After)
+		}
+		if !ok && superseded {
+			return nil
 		}
 		if !ok {
 			return faultinject.Corrupt(fmt.Errorf(

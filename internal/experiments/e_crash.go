@@ -59,6 +59,13 @@ type CrashTortureConfig struct {
 	// RecoveryCrashEvery makes every Nth crashed cycle also crash during
 	// the subsequent recovery before re-recovering cleanly (default 5).
 	RecoveryCrashEvery int
+	// PoolPages, when > 0, pins every database the harness opens to a
+	// buffer pool of that many pages and grows the kv table to 200 rows per
+	// pool page before torture begins, so the workload steals dirty pages:
+	// deferred write-backs, frames imaged and changed again, and the sweep's
+	// own syncs interleave with the crashes. 0 leaves the engine's default
+	// pool and the 16-row table, which never evicts a dirty page.
+	PoolPages int
 }
 
 // CrashTortureResult summarizes a run.
@@ -75,6 +82,10 @@ type CrashTortureResult struct {
 
 	// Engine fault counters accumulated across all cycles.
 	Injected, Retried, GaveUp uint64
+	// Buffer-pool write-back counters accumulated across all cycles: pages
+	// written in place, page images logged ahead of them, and log syncs the
+	// pool forced itself (the rest of the write-backs rode other flushes).
+	Writebacks, ImagesLogged, WritebackSyncs uint64
 }
 
 // kvOp is one model-visible mutation.
@@ -181,9 +192,22 @@ func CrashTorture(cfg CrashTortureConfig) (*CrashTortureResult, error) {
 	statsAcked := false
 	var pending *schemaOp
 
+	// open opens the database under test with the arm's pool.
+	open := func(opts core.Options) (*core.DB, error) {
+		opts.Dir = cfg.Dir
+		if cfg.PoolPages > 0 {
+			opts.PoolMinPages, opts.PoolInitPages, opts.PoolMaxPages = cfg.PoolPages, cfg.PoolPages, cfg.PoolPages
+		}
+		return core.Open(opts)
+	}
+	seedRows := 16
+	if cfg.PoolPages > 0 {
+		seedRows = 200 * cfg.PoolPages
+	}
+
 	// Seed schema and rows, checkpointed durably before torture begins.
 	{
-		db, err := core.Open(core.Options{Dir: cfg.Dir})
+		db, err := open(core.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -197,7 +221,10 @@ func CrashTorture(cfg CrashTortureConfig) (*CrashTortureResult, error) {
 		if _, err := conn.Exec("CREATE UNIQUE INDEX kv_k ON kv (k)"); err != nil {
 			return nil, err
 		}
-		for i := 0; i < 16; i++ {
+		if _, err := conn.Exec("BEGIN"); err != nil {
+			return nil, err
+		}
+		for i := 0; i < seedRows; i++ {
 			v := master.Int63n(1_000_000)
 			if _, err := conn.Exec("INSERT INTO kv VALUES (?, ?)", val.NewInt(nextKey), val.NewInt(v)); err != nil {
 				return nil, err
@@ -205,22 +232,26 @@ func CrashTorture(cfg CrashTortureConfig) (*CrashTortureResult, error) {
 			model[nextKey] = v
 			nextKey++
 		}
+		if _, err := conn.Exec("COMMIT"); err != nil {
+			return nil, err
+		}
 		conn.Close()
 		if err := db.Close(); err != nil {
 			return nil, err
 		}
 	}
 
-	// harvest accumulates a database's fault counters into the result.
+	// harvest accumulates a database's fault and write-back counters into
+	// the result.
 	harvest := func(db *core.DB) {
-		if v, ok := db.Telemetry().Value("fault.injected"); ok {
-			res.Injected += uint64(v)
-		}
-		if v, ok := db.Telemetry().Value("fault.retried"); ok {
-			res.Retried += uint64(v)
-		}
-		if v, ok := db.Telemetry().Value("fault.gaveup"); ok {
-			res.GaveUp += uint64(v)
+		for name, sum := range map[string]*uint64{
+			"fault.injected": &res.Injected, "fault.retried": &res.Retried, "fault.gaveup": &res.GaveUp,
+			"buffer.writebacks": &res.Writebacks, "buffer.images_logged": &res.ImagesLogged,
+			"buffer.writeback_syncs": &res.WritebackSyncs,
+		} {
+			if v, ok := db.Telemetry().Value(name); ok {
+				*sum += uint64(v)
+			}
 		}
 	}
 
@@ -288,7 +319,7 @@ func CrashTorture(cfg CrashTortureConfig) (*CrashTortureResult, error) {
 	// surviving contents against the model — with and without the cycle's
 	// indeterminate transaction, if any.
 	verify := func(cycle int, indet []kvOp) error {
-		db, err := core.Open(core.Options{Dir: cfg.Dir, ParanoidRecovery: true})
+		db, err := open(core.Options{ParanoidRecovery: true})
 		if err != nil {
 			return fmt.Errorf("cycle %d: clean recovery failed: %w", cycle, err)
 		}
@@ -358,11 +389,7 @@ func CrashTorture(cfg CrashTortureConfig) (*CrashTortureResult, error) {
 		sched := faultinject.NewSchedule(fcfg)
 		wl := rand.New(rand.NewSource(master.Int63()))
 
-		db, err := core.Open(core.Options{
-			Dir:              cfg.Dir,
-			Injector:         sched,
-			ParanoidRecovery: true,
-		})
+		db, err := open(core.Options{Injector: sched, ParanoidRecovery: true})
 		var indet []kvOp
 		if err != nil {
 			// The schedule crashed (or starved) the open itself — usually a
@@ -604,7 +631,7 @@ func CrashTorture(cfg CrashTortureConfig) (*CrashTortureResult, error) {
 				Seed:        master.Int63(),
 				Crashpoints: map[string]int{"recovery.after_redo": 1},
 			})
-			rdb, rerr := core.Open(core.Options{Dir: cfg.Dir, Injector: rs, ParanoidRecovery: true})
+			rdb, rerr := open(core.Options{Injector: rs, ParanoidRecovery: true})
 			if rerr == nil {
 				// No recovery work, so the crashpoint never fired.
 				harvest(rdb)

@@ -433,8 +433,8 @@ func (r *Replica) crossEpoch(m epochMsg) error {
 // resync receives a full snapshot: the primary's store files plus the WAL
 // prefix [0, prefixEnd). The copy is fuzzy — the primary keeps running —
 // but file bytes + prefix are exactly what a crash at prefixEnd would have
-// left on the primary's disk (the write guard logs a full page image before
-// every in-place write, so any torn or mid-write page the copy caught is
+// left on the primary's disk (an in-place write waits for a durable full page
+// image of its bytes in the log, so any torn or mid-write page the copy caught is
 // restored from the prefix). Opening the directory therefore runs ordinary
 // crash recovery: redo everything, undo transactions with no commit in the
 // prefix. Those undone transactions are still live on the primary, so their

@@ -86,8 +86,8 @@ func (t *Table) invalidateColumnar(tx *txn.Txn) {
 // When tx is non-nil the chain growth is logged (RecPageLink) exactly as a
 // transactional insert would, so crash recovery rebuilds the linkage; when
 // persist is set the encoded segments are also written to a chain of
-// colseg pages through the buffer pool, covered by the pool's page-image
-// write guard like every other page.
+// colseg pages through the buffer pool, written back under the pool's
+// page-image rule like every other page.
 func (t *Table) BuildColumnar(tx *txn.Txn, persist bool) (*ColState, error) {
 	t.mu.Lock()
 	gen := t.colGen

@@ -11,7 +11,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,14 +41,18 @@ const (
 	// (even for losers) and never undoes them — an abandoned empty page
 	// is harmless, an unreachable committed row is not.
 	RecPageLink
-	// RecPageImage carries a full page image in After. The buffer pool logs
-	// one (and flushes the log) immediately before every in-place data-page
-	// write, so a torn or partial page write can always be repaired from the
-	// log: recovery restores the newest image of each page before applying
-	// redo/undo. This is the double-write technique routed through the log —
-	// without it, a torn write destroys rows whose log records were already
-	// truncated by an earlier checkpoint, and no amount of replay can bring
-	// them back.
+	// RecPageImage carries a full page image in After. The buffer pool
+	// writes a data page in place only once the log holds a durable image of
+	// exactly the bytes it writes, in the log's current epoch (LogImage,
+	// ImageState), so a torn or partial page write can always be repaired
+	// from the log: recovery restores the newest image of each page before
+	// applying redo/undo. The image need not have reached the page — an
+	// eviction logs it and writes later, riding whichever flush comes next —
+	// so recovery may restore bytes the page never held, which is as safe as
+	// restoring bytes it did: they are a state the page passed through. This
+	// is the double-write technique routed through the log — without it, a
+	// torn write destroys rows whose log records were already truncated by
+	// an earlier checkpoint, and no amount of replay can bring them back.
 	RecPageImage
 	// RecColSegDrop invalidates a table's columnar segments: Table is the
 	// owner. It is logged before the data record of any update/delete that
@@ -103,6 +109,16 @@ var ErrEpoch = fmt.Errorf("wal: log position is from a different epoch")
 // wait for it.
 type LSN = uint64
 
+// ImageToken names one page image LogImage appended: the log's contents
+// generation at the append (bumped by every Truncate, and by nothing else —
+// unlike the shipping epoch, which a replica may adopt from its primary)
+// and the image's end-LSN. A token from an older generation names bytes a
+// truncate discarded or moved.
+type ImageToken struct {
+	Epoch uint64
+	LSN   LSN
+}
+
 // Options configures a log beyond its path.
 type Options struct {
 	// CommitFlushDelay is the group-commit gather window: a flush leader
@@ -142,9 +158,15 @@ type Log struct {
 	closed bool       // CloseNoFlush ran: every later flush fails with ErrClosed
 	opts   Options
 	tail   uint64 // durable end offset (advanced only after a synced flush)
-	end    uint64 // next append offset: tail + len(sealed) + len(buffer)
+	end    uint64 // next append offset: tail + in-flight bytes + len(buffer)
 	buffer []byte // active (unsealed) pending bytes; appends land here
-	sealed []byte // buffer owned by the in-flight flush leader (nil if none)
+	spare  []byte // the last successfully flushed buffer, emptied for reuse
+
+	// epochMu is held shared by every in-place page write from the check
+	// that its image is durable in this log's contents to the end of the
+	// write (HoldEpoch), and exclusively by Truncate: a truncate can never
+	// fall between a write-back's check and its write.
+	epochMu sync.RWMutex
 
 	// Log identity for the shipping handshake: logID is a random value per
 	// Open (a restarted primary is a different log even at the same path);
@@ -344,19 +366,31 @@ func frameIntactAt(data []byte, off uint64) bool {
 	return err == nil
 }
 
-func encode(r *Record) []byte {
-	var b []byte
-	b = append(b, byte(r.Type))
-	b = binary.AppendUvarint(b, r.Txn)
-	b = binary.AppendUvarint(b, r.Table)
-	b = binary.AppendUvarint(b, uint64(r.Page))
-	b = binary.AppendUvarint(b, uint64(r.Slot))
-	b = binary.AppendUvarint(b, uint64(len(r.Before)))
-	b = append(b, r.Before...)
-	b = binary.AppendUvarint(b, uint64(len(r.After)))
-	b = append(b, r.After...)
-	return b
+// appendFrame encodes r as one frame — payload length, payload CRC,
+// payload — at the end of dst, growing it at most once, and returns the
+// extended slice. The payload is written exactly once, in place.
+func appendFrame(dst []byte, r *Record) []byte {
+	n := 1 + uvarintLen(r.Txn) + uvarintLen(r.Table) + uvarintLen(uint64(r.Page)) +
+		uvarintLen(uint64(r.Slot)) + uvarintLen(uint64(len(r.Before))) + len(r.Before) +
+		uvarintLen(uint64(len(r.After))) + len(r.After)
+	dst = slices.Grow(dst, 8+n)
+	off := len(dst)
+	dst = append(dst[:off+8], byte(r.Type))
+	dst = binary.AppendUvarint(dst, r.Txn)
+	dst = binary.AppendUvarint(dst, r.Table)
+	dst = binary.AppendUvarint(dst, uint64(r.Page))
+	dst = binary.AppendUvarint(dst, uint64(r.Slot))
+	dst = binary.AppendUvarint(dst, uint64(len(r.Before)))
+	dst = append(dst, r.Before...)
+	dst = binary.AppendUvarint(dst, uint64(len(r.After)))
+	dst = append(dst, r.After...)
+	binary.LittleEndian.PutUint32(dst[off:], uint32(n))
+	binary.LittleEndian.PutUint32(dst[off+4:], crc32.ChecksumIEEE(dst[off+8:]))
+	return dst
 }
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 func decode(b []byte) (*Record, error) {
 	bad := fmt.Errorf("wal: corrupt record")
@@ -396,24 +430,53 @@ func decode(b []byte) (*Record, error) {
 // record is durable exactly when the durable tail (FlushedLSN) reaches the
 // returned value, so a committer passes it straight to FlushTo.
 func (l *Log) Append(r *Record) LSN {
-	payload := encode(r)
-	var frame []byte
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
-	frame = append(frame, payload...)
-
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.buffer = append(l.buffer, frame...)
-	l.end += uint64(len(frame))
-	lsn := l.end
+	return l.appendLocked(r)
+}
+
+func (l *Log) appendLocked(r *Record) LSN {
+	before := len(l.buffer)
+	l.buffer = appendFrame(l.buffer, r)
+	n := uint64(len(l.buffer) - before)
+	l.end += n
 	l.records.Add(1)
-	l.bytes.Add(uint64(len(frame)))
+	l.bytes.Add(n)
 	if r.Type == RecCheckpoint {
 		l.checkpoints.Add(1)
 	}
-	return lsn
+	return l.end
 }
+
+// LogImage appends a full image of page id (a RecPageImage record outside
+// any transaction) without flushing it, and returns its token. The buffer
+// pool calls it before an in-place write; the write itself waits until
+// ImageState reports the image durable — typically on the back of the next
+// commit's flush.
+func (l *Log) LogImage(id store.PageID, data []byte) ImageToken {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	lsn := l.appendLocked(&Record{Type: RecPageImage, Page: id, After: data})
+	return ImageToken{Epoch: l.truncates.Load(), LSN: lsn}
+}
+
+// ImageState reports whether t still names a record of this log's contents
+// — no truncate has run since LogImage handed it out, and the log is open —
+// and whether that record is durable. Call it between HoldEpoch and
+// ReleaseEpoch to keep the answer true for the write that depends on it.
+func (l *Log) ImageState(t ImageToken) (valid, durable bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	valid = !l.closed && t.Epoch == l.truncates.Load()
+	return valid, valid && l.tail >= t.LSN
+}
+
+// HoldEpoch keeps Truncate from running until the matching ReleaseEpoch.
+// Holds may overlap; none may be taken twice by one goroutine.
+func (l *Log) HoldEpoch() { l.epochMu.RLock() }
+
+// ReleaseEpoch ends a HoldEpoch.
+func (l *Log) ReleaseEpoch() { l.epochMu.RUnlock() }
 
 // Flush forces every record appended so far to stable storage (group
 // commit: one flush covers every record appended since the last).
@@ -500,9 +563,8 @@ func (l *Log) FlushTo(lsn LSN) error {
 		l.mu.Lock()
 	}
 	sealed := l.buffer
-	l.buffer = nil
+	l.buffer, l.spare = l.spare, nil
 	base := l.tail
-	l.sealed = sealed
 	g.sealed = true
 	g.end = base + uint64(len(sealed))
 	l.mu.Unlock()
@@ -533,13 +595,17 @@ func (l *Log) FlushTo(lsn LSN) error {
 			l.tailBroadcastLocked()
 			hookEpoch, callHook = l.epoch, true
 		}
+		// The flushed buffer becomes the next one appends fill, unless it
+		// grew past what a commit stream needs (a checkpoint's images).
+		if cap(sealed) <= maxSpare {
+			l.spare = sealed[:0]
+		}
 	} else {
 		// The group failed: its records stay pending ahead of anything
 		// appended meanwhile, so the log's byte order (and every assigned
 		// LSN) is preserved for a later flush attempt.
 		l.buffer = append(sealed, l.buffer...)
 	}
-	l.sealed = nil
 	l.mu.Unlock()
 
 	// Synchronous-replication ack rides the leader: the group stays
@@ -559,6 +625,9 @@ func (l *Log) FlushTo(lsn LSN) error {
 	l.mu.Unlock()
 	return err
 }
+
+// maxSpare caps the capacity of a flushed buffer kept for reuse.
+const maxSpare = 1 << 20
 
 // tailBroadcastLocked wakes every TailChanged waiter. Called with l.mu held
 // whenever the durable tail moves, the log truncates, or the log closes.
@@ -924,8 +993,8 @@ func DecodeFrames(b []byte, fn func(frameLen int, r *Record) error) (consumed in
 // IngestRaw appends pre-framed record bytes — a chunk shipped from a
 // primary's log — and flushes them to stable storage before returning.
 // nrecs is the number of records the chunk contains (counter bookkeeping
-// only). The chunk must hold whole frames: the replica's own appends (page
-// images from its buffer pool's write guard) interleave at frame
+// only). The chunk must hold whole frames: the replica's own appends (the
+// page images its buffer pool logs before writing back) interleave at frame
 // granularity, so a split frame would corrupt the local log mid-stream.
 // The applier buffers any partial frame and ingests it once complete.
 func (l *Log) IngestRaw(frames []byte, nrecs int) error {
@@ -1041,7 +1110,14 @@ func (l *Log) Analyze() (*RecoveryPlan, error) {
 // carried over into the new epoch at offset zero rather than discarded: a
 // committer racing the checkpoint has already been handed an LSN for them,
 // and its FlushTo (clamped to the shrunken end) must land the record, not
-// acknowledge a commit whose bytes vanished.
+// acknowledge a commit whose bytes vanished. A page image carried over is
+// at a new offset, and its ImageToken no longer holds: the pool images that
+// page again.
+//
+// Truncate waits out every in-place page write between its image check
+// and its write (HoldEpoch), and consults the injector's "wal.truncate"
+// crashpoint once none is left: a write that tore at a crash must find its
+// image still in the log at recovery.
 func (l *Log) Truncate() error {
 	// Give the shipper a bounded window to drain the dying epoch so
 	// caught-up replicas cross it without a full resync. The barrier runs
@@ -1054,6 +1130,13 @@ func (l *Log) Truncate() error {
 		epoch, end := l.epoch, l.tail
 		l.mu.Unlock()
 		(*b)(epoch, end)
+	}
+	l.epochMu.Lock()
+	defer l.epochMu.Unlock()
+	if l.inj != nil {
+		if err := l.inj.Crashpoint("wal.truncate"); err != nil {
+			return err
+		}
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()

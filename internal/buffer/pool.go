@@ -57,29 +57,30 @@ type Frame struct {
 	lastRef atomic.Uint64
 	score   atomic.Uint32
 	// gen is the write generation: Lock, the only way to change a resident
-	// page, bumps it, so equal generations mean equal bytes.
-	gen    atomic.Uint64
-	mark   imageMark // shard-mutex-guarded: the frame's newest logged image
-	idx    int       // position in its shard's frames slice (shard-mutex-guarded)
-	valid  bool      // shard-mutex-guarded
-	onFree bool      // shard-mutex-guarded: frame is on its shard's free list
+	// page, bumps it. The log holds every change through generation logged:
+	// the frame's bytes are then the page's image ending at img (0: none
+	// known) plus changes stamped with their records' LSNs.
+	gen, logged, img atomic.Uint64
+	idx              int  // position in its shard's frames slice (shard-mutex-guarded)
+	valid            bool // shard-mutex-guarded
+	onFree           bool // shard-mutex-guarded: frame is on its shard's free list
 }
-
-// imageMark records that the log holds an image of a frame's bytes as of
-// write generation gen. The zero mark records nothing.
-type imageMark struct {
-	tok wal.ImageToken
-	gen uint64
-}
-
-// of reports whether m is an image of f's current bytes.
-func (m imageMark) of(f *Frame) bool { return m.tok.LSN != 0 && m.gen == f.gen.Load() }
 
 // Lock latches the frame's contents exclusively, for a change: the write
-// generation moves, so no image taken before it stands for the bytes after.
+// generation moves, and unless the change is stamped the page needs a new
+// image before it is written.
 func (f *Frame) Lock() {
 	f.mu.Lock()
 	f.gen.Add(1)
+}
+
+// Stamp records that the change made under the exclusive latch the caller
+// holds is the one the log record ending at lsn describes, and makes lsn
+// the page's LSN.
+func (f *Frame) Stamp(lsn wal.LSN) {
+	f.Data.SetLSN(lsn)
+	g := f.gen.Load()
+	f.logged.CompareAndSwap(g-1, g) // every change before this one was logged
 }
 
 // Unlock releases the exclusive latch.
@@ -121,6 +122,13 @@ type shard struct {
 
 	hits, misses, evictions, lookHits, writebacks, steals atomic.Uint64
 	contention, borrows, images, wbSyncs                  atomic.Uint64
+
+	// imaged maps a page to the end-LSN of its newest image in the log, so
+	// a page evicted clean keeps it for its next residency. A truncate past
+	// imagedAfter discards every entry. imgMu is a leaf lock.
+	imgMu       sync.Mutex
+	imaged      map[store.PageID]wal.LSN
+	imagedAfter wal.LSN
 }
 
 // lock acquires the shard exclusively, counting contention.
@@ -196,25 +204,28 @@ type faultHandling struct {
 }
 
 // ImageLog is the log the pool's one write-back rule runs against: a dirty
-// non-temp page is written in place only when the log holds a durable image
-// of exactly the bytes written, in the log's current epoch. So (a) a stolen
-// dirty page never reaches disk ahead of the log records that describe —
-// and can undo — its uncommitted contents, and (b) a torn in-place write
-// can always be repaired from the image. Whoever paid for the sync that
-// made the image durable — usually the next commit — the write-back does
-// not pay again: it forces a flush itself only when no frame it could take
-// has a durable image yet. Temp-file pages are exempt: they hold no logged
-// data and die at restart. Core wires *wal.Log here.
+// non-temp page is written in place only when the log durably holds an
+// image of it from its current contents, and a record of every change since
+// — each stamped on the page (Frame.Stamp). So (a) a stolen dirty page never
+// reaches disk ahead of the records that describe — and can undo — its
+// contents, and (b) recovery repairs a torn write from the image and the
+// records newer than its page LSN. A page is imaged once per checkpoint; an
+// unstamped change (an index node, a compensation) needs a new image. The
+// write-back rides whichever flush made all that durable — usually the next
+// commit's — and forces one itself only when no frame it could take is
+// covered yet. Temp-file pages are exempt: they hold no logged data and die
+// at restart. Core wires *wal.Log here.
 type ImageLog interface {
-	// LogImage appends an image of the page without flushing it.
-	LogImage(id store.PageID, data []byte) wal.ImageToken
-	// ImageState reports whether the token still names a record of the
-	// log's current contents, and whether that record is durable.
-	ImageState(t wal.ImageToken) (valid, durable bool)
+	// LogImage appends an image of the page without flushing it and
+	// returns its end-LSN.
+	LogImage(id store.PageID, data []byte) wal.LSN
+	// Bounds reports the LSN the log's contents start after and the LSN it
+	// is durable through.
+	Bounds() (start, durable wal.LSN)
 	// FlushTo makes the log durable up to lsn.
 	FlushTo(lsn wal.LSN) error
-	// HoldEpoch and ReleaseEpoch bracket each write-back's ImageState check
-	// and its write: the log cannot truncate in between.
+	// HoldEpoch and ReleaseEpoch bracket each write-back's check and its
+	// write: the log cannot truncate in between.
 	HoldEpoch()
 	ReleaseEpoch()
 }
@@ -418,18 +429,25 @@ func needsImage(il ImageLog, f *Frame) bool {
 	return il != nil && f.ID.File() != store.TempFile
 }
 
-// writeImaged writes f in place, dirty bit and all, if m is a durable image
-// of f's current bytes in the log's current epoch, and reports whether it
-// did. The check and the write share one epoch hold, so a truncate cannot
-// discard the image in between. f's bytes must be stable: the caller holds
-// its content latch, or the exclusive shard lock with f unpinned.
-func (p *Pool) writeImaged(s *shard, il ImageLog, f *Frame, m imageMark) (bool, error) {
-	if !m.of(f) {
-		return false, nil
-	}
+// covered reports whether the log holds an image of f's page from its
+// contents since start and a record of every change to f since.
+func covered(f *Frame, start wal.LSN) bool {
+	return f.logged.Load() == f.gen.Load() && f.img.Load() > start
+}
+
+// needLSN is the LSN the log must be durable through before f is written:
+// its image and its stamped changes.
+func needLSN(f *Frame) wal.LSN { return max(f.img.Load(), f.Data.LSN()) }
+
+// writeLogged writes f in place, dirty bit and all, if the write-back rule
+// allows it now, and reports whether it did. The check and the write share
+// one epoch hold, so a truncate cannot discard the image in between. f's
+// bytes must be stable: the caller holds its content latch, or the
+// exclusive shard lock with f unpinned.
+func (p *Pool) writeLogged(s *shard, il ImageLog, f *Frame) (bool, error) {
 	il.HoldEpoch()
 	defer il.ReleaseEpoch()
-	if valid, durable := il.ImageState(m.tok); !valid || !durable {
+	if start, durable := il.Bounds(); !covered(f, start) || durable < needLSN(f) {
 		return false, nil
 	}
 	return true, p.writeBack(s, f)
@@ -453,13 +471,35 @@ func (p *Pool) writeBack(s *shard, f *Frame) error {
 	return nil
 }
 
-// current reports whether m is a still-valid image of f's current bytes.
-func current(il ImageLog, f *Frame, m imageMark) bool {
-	if !m.of(f) {
-		return false
+// image appends an image of f's bytes, which must be stable, unless f is
+// covered already.
+func (s *shard) image(il ImageLog, f *Frame) {
+	start, _ := il.Bounds()
+	if covered(f, start) {
+		return
 	}
-	valid, _ := il.ImageState(m.tok)
-	return valid
+	s.images.Add(1)
+	s.noteImage(f, il.LogImage(f.ID, f.Data), start)
+}
+
+// noteImage records that the log holds an image of f's current bytes,
+// ending at lsn, and that start was the log's start before it was logged.
+func (s *shard) noteImage(f *Frame, lsn, start wal.LSN) {
+	f.img.Store(lsn)
+	f.logged.Store(f.gen.Load())
+	s.imgMu.Lock()
+	if s.imaged == nil || start > s.imagedAfter {
+		s.imaged, s.imagedAfter = map[store.PageID]wal.LSN{}, start
+	}
+	s.imaged[f.ID] = lsn
+	s.imgMu.Unlock()
+}
+
+// Imaged records that recovery restored f's bytes from the image ending at
+// lsn. The caller holds f's exclusive latch.
+func (p *Pool) Imaged(f *Frame, lsn wal.LSN) {
+	start, _ := p.imageLog().Bounds()
+	p.shardOf(f.ID).noteImage(f, lsn, start)
 }
 
 // forcedSync flushes the log up to lsn on the pool's own account.
@@ -617,6 +657,11 @@ func (p *Pool) load(s *shard, id store.PageID) (*Frame, error) {
 		f.dirty.Store(false)
 		f.score.Store(0)
 		f.lastRef.Store(p.refSeq.Load()) // fresh occupant: no inherited age
+		// The page on disk is its image, if any, plus logged records.
+		s.imgMu.Lock()
+		f.img.Store(s.imaged[id])
+		s.imgMu.Unlock()
+		f.logged.Store(f.gen.Load())
 		f.loading.Store(true)
 		f.io.Lock() // published loading: hitters queue here until the read lands
 		s.table[id] = f
@@ -640,7 +685,6 @@ func (p *Pool) load(s *shard, id store.PageID) (*Frame, error) {
 				delete(s.table, id)
 			}
 			f.valid = false
-			f.mark = imageMark{}
 			f.defunct.Store(true)
 			f.loading.Store(false)
 			s.mu.Unlock()
@@ -684,6 +728,7 @@ func (p *Pool) NewPage(fl store.FileID, t page.Type) (*Frame, error) {
 		f.dirty.Store(true)
 		f.score.Store(0)
 		f.lastRef.Store(p.refSeq.Load()) // fresh occupant: no inherited age
+		f.img.Store(0)                   // a new page: imaged before its first write
 		s.table[id] = f
 		s.mu.Unlock()
 		p.touch(f)
@@ -770,7 +815,6 @@ func (s *shard) evictLocked(p *Pool) (*Frame, error) {
 			}
 			delete(s.table, v.ID)
 			v.valid = false
-			v.mark = imageMark{}
 			s.evictions.Add(1)
 			if v.Data == nil {
 				v.Data = make(page.Buf, page.Size)
@@ -786,19 +830,19 @@ func (s *shard) evictLocked(p *Pool) (*Frame, error) {
 
 // victimLocked cleans the clock's zero-score victim f, or a frame standing
 // in for it, and returns the frame to take. A frame that is clean, a temp
-// page, or carries a durable image of its current bytes is written (if
-// dirty) and taken at no sync. Otherwise f's image is appended and f kept —
-// the next commit's flush will make it durable — and one more rotation,
-// decaying nothing, looks for a zero-score frame that costs no sync. Only
-// when none exists does the pool sync the log itself, after imaging every
-// other cold dirty frame of the shard so the one sync covers a shard's
-// worth of future victims. Called with s.mu held exclusively.
+// page, or already written back as far as the log goes is written (if
+// dirty) and taken at no sync. Otherwise f is imaged if it needs it and
+// kept — the next commit's flush will make it durable — and one more
+// rotation, decaying nothing, looks for a zero-score frame that costs no
+// sync. Only when none exists does the pool sync the log itself, after
+// imaging every other cold dirty frame of the shard so the one sync covers
+// a shard's worth of future victims. Called with s.mu held exclusively.
 func (s *shard) victimLocked(p *Pool, f *Frame) (*Frame, error) {
 	il := p.imageLog()
 	if ok, err := s.cleanNoSyncLocked(p, il, f); ok || err != nil {
 		return f, err
 	}
-	s.imageLocked(il, f)
+	s.image(il, f)
 	n := len(s.frames)
 	for i := 1; i < n; i++ {
 		g := s.frames[(s.hand+i)%n]
@@ -812,34 +856,32 @@ func (s *shard) victimLocked(p *Pool, f *Frame) (*Frame, error) {
 			return g, err
 		}
 	}
-	last := f.mark.tok
+	need := needLSN(f)
 	for _, g := range s.frames {
 		if g.valid && g.pin.Load() == 0 && g.score.Load() == 0 && g.dirty.Load() && needsImage(il, g) {
-			s.imageLocked(il, g)
-			if g.mark.tok.LSN > last.LSN {
-				last = g.mark.tok
-			}
+			s.image(il, g)
+			need = max(need, needLSN(g))
 		}
 	}
-	// A truncate between the image and the sync moves the image out of the
-	// epoch: image again. Each retry needs a whole checkpoint to race it.
+	// A truncate between the sync and the write takes the image with it:
+	// image again. Each retry needs a whole checkpoint to race it.
 	for try := 0; try < 3; try++ {
-		if err := s.forcedSync(il, last.LSN); err != nil {
+		if err := s.forcedSync(il, need); err != nil {
 			return nil, err
 		}
-		if ok, err := p.writeImaged(s, il, f, f.mark); ok || err != nil {
+		if ok, err := p.writeLogged(s, il, f); ok || err != nil {
 			return f, err
 		}
-		s.imageLocked(il, f)
-		last = f.mark.tok
+		s.image(il, f)
+		need = needLSN(f)
 	}
 	return nil, errImageDiscarded(f.ID)
 }
 
 // cleanNoSyncLocked makes f clean if that costs no log sync — it is clean
-// already, exempt from the write-back rule, or carries a durable image of
-// its current bytes — and reports whether it did. Called with s.mu held
-// exclusively and f unpinned.
+// already, exempt from the write-back rule, or the rule allows the write
+// now — and reports whether it did. Called with s.mu held exclusively and
+// f unpinned.
 func (s *shard) cleanNoSyncLocked(p *Pool, il ImageLog, f *Frame) (bool, error) {
 	switch {
 	case !f.dirty.Load():
@@ -847,22 +889,7 @@ func (s *shard) cleanNoSyncLocked(p *Pool, il ImageLog, f *Frame) (bool, error) 
 	case !needsImage(il, f):
 		return true, p.writeBack(s, f)
 	}
-	return p.writeImaged(s, il, f, f.mark)
-}
-
-// imageLocked appends an image of f's bytes unless its mark already holds a
-// valid one. Called with s.mu held exclusively and f unpinned.
-func (s *shard) imageLocked(il ImageLog, f *Frame) {
-	if !current(il, f, f.mark) {
-		f.mark = s.logImage(il, f)
-	}
-}
-
-// logImage appends an image of f's bytes, which must be stable, and returns
-// its mark.
-func (s *shard) logImage(il ImageLog, f *Frame) imageMark {
-	s.images.Add(1)
-	return imageMark{tok: il.LogImage(f.ID, f.Data), gen: f.gen.Load()}
+	return p.writeLogged(s, il, f)
 }
 
 // errImageDiscarded is a write-back whose image a truncate discarded after
@@ -964,6 +991,10 @@ func (p *Pool) Unpin(f *Frame, dirty bool) {
 func (p *Pool) Discard(id store.PageID) {
 	s := p.shardOf(id)
 	s.lock()
+	// The page's next life starts without an image.
+	s.imgMu.Lock()
+	delete(s.imaged, id)
+	s.imgMu.Unlock()
 	f, ok := s.table[id]
 	if !ok || f.pin.Load() != 0 {
 		s.mu.Unlock()
@@ -971,7 +1002,6 @@ func (p *Pool) Discard(id store.PageID) {
 	}
 	delete(s.table, id)
 	f.valid = false
-	f.mark = imageMark{}
 	f.dirty.Store(false)
 	s.mu.Unlock()
 	if !s.look.push(f) {
@@ -1015,39 +1045,34 @@ func (p *Pool) FlushAll() error {
 }
 
 // flushItem is one page of a flush batch: the frame that held it when the
-// batch was formed, and the image the flush will write it under.
+// batch was formed.
 type flushItem struct {
 	s  *shard
 	f  *Frame
 	id store.PageID
-	m  imageMark
 }
 
-// pin pins the item's frame if it still holds the item's page, copying the
-// frame's image mark, and reports whether it did.
+// pin pins the item's frame if it still holds the item's page, and reports
+// whether it did.
 func (it *flushItem) pin() bool {
 	it.s.rlock()
 	ok := it.s.table[it.id] == it.f
 	if ok {
 		it.f.pin.Add(1)
-		if it.m.tok.LSN == 0 {
-			it.m = it.f.mark
-		}
 	}
 	it.s.mu.RUnlock()
 	return ok
 }
 
 // flush writes a batch of pages back under the write-back rule with one
-// log sync: it images every dirty page of the batch (keeping an image that
-// still stands for the frame's bytes), flushes the log once, then writes
-// each page whose write generation did not move. A page that changed in
-// between goes through flushOne. Frames are pinned only while one is
-// imaged or written, so a checkpoint never pins more of the pool than the
-// page in hand.
+// log sync: it images every dirty page of the batch that needs it, flushes
+// the log once, then writes each page the rule then allows. A page that
+// changed in between goes through flushOne. Frames are pinned only while
+// one is imaged or written, so a checkpoint never pins more of the pool
+// than the page in hand.
 func (p *Pool) flush(batch []flushItem) error {
 	il := p.imageLog()
-	var last wal.ImageToken
+	var need wal.LSN
 	for i := range batch {
 		it := &batch[i]
 		if !it.pin() {
@@ -1055,19 +1080,15 @@ func (p *Pool) flush(batch []flushItem) error {
 		}
 		it.f.RLock()
 		if it.f.dirty.Load() && needsImage(il, it.f) {
-			if !current(il, it.f, it.m) {
-				it.m = it.s.logImage(il, it.f)
-			}
-			if it.m.tok.LSN > last.LSN {
-				last = it.m.tok
-			}
+			it.s.image(il, it.f)
+			need = max(need, needLSN(it.f))
 		}
 		it.f.RUnlock()
 		p.Unpin(it.f, false)
 	}
-	if last.LSN != 0 {
-		if _, durable := il.ImageState(last); !durable {
-			if err := batch[0].s.forcedSync(il, last.LSN); err != nil {
+	if need != 0 {
+		if _, durable := il.Bounds(); durable < need {
+			if err := batch[0].s.forcedSync(il, need); err != nil {
 				return err
 			}
 		}
@@ -1085,7 +1106,7 @@ func (p *Pool) flush(batch []flushItem) error {
 		case !needsImage(il, it.f):
 			err = p.writeBack(it.s, it.f)
 		default:
-			written, err = p.writeImaged(it.s, il, it.f, it.m)
+			written, err = p.writeLogged(it.s, il, it.f)
 		}
 		it.f.RUnlock()
 		p.Unpin(it.f, false)
@@ -1104,8 +1125,8 @@ func (p *Pool) flush(batch []flushItem) error {
 	return nil
 }
 
-// flushOne writes back one page that changed between its image and its
-// write, latched from a new image to its write so it cannot change again.
+// flushOne writes back one page that changed between the batch's sync and
+// its write, latched from its image to its write so it cannot change again.
 func (p *Pool) flushOne(il ImageLog, it *flushItem) error {
 	if !it.pin() {
 		return nil
@@ -1118,15 +1139,13 @@ func (p *Pool) flushOne(il ImageLog, it *flushItem) error {
 		return nil
 	}
 	for try := 0; try < 3; try++ {
-		if !current(il, f, it.m) {
-			it.m = it.s.logImage(il, f)
-		}
-		if _, durable := il.ImageState(it.m.tok); !durable {
-			if err := it.s.forcedSync(il, it.m.tok.LSN); err != nil {
+		it.s.image(il, f)
+		if _, durable := il.Bounds(); durable < needLSN(f) {
+			if err := it.s.forcedSync(il, needLSN(f)); err != nil {
 				return err
 			}
 		}
-		if ok, err := p.writeImaged(it.s, il, f, it.m); ok || err != nil {
+		if ok, err := p.writeLogged(it.s, il, f); ok || err != nil {
 			return err
 		}
 	}

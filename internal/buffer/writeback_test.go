@@ -17,41 +17,53 @@ import (
 	"anywheredb/internal/wal"
 )
 
-// fakeLog is an ImageLog that remembers every image it holds, so a test can
-// ask whether a durable image of given bytes exists in the current epoch.
-// Its flushes fail at a seeded rate, and truncate discards what is durable
-// and carries the rest into a new epoch, as wal.Log.Truncate does.
+// fakeLog is an ImageLog that remembers what it holds — page images, and
+// the one-byte changes pages were stamped with — so a test can rebuild a
+// page the way recovery would. Its LSNs count records and never go back;
+// its flushes fail at a seeded rate, and truncate discards what is durable
+// and keeps the rest at their LSNs, as wal.Log.Truncate does.
 type fakeLog struct {
 	epochMu sync.RWMutex
 
-	mu         sync.Mutex
-	rng        *rand.Rand
-	failRate   float64
-	epoch      uint64
-	end, tail  wal.LSN
-	images     []fakeImage // the current epoch's images, in LSN order
-	flushCalls int
+	mu               sync.Mutex
+	rng              *rand.Rand
+	failRate         float64
+	start, end, tail wal.LSN
+	recs             []fakeRec // the log's contents, in LSN order
+	flushCalls       int
 }
 
-type fakeImage struct {
-	id   store.PageID
-	data string
-	lsn  wal.LSN
+// fakeRec is an image of page id, or a change that set its byte off to val.
+type fakeRec struct {
+	id    store.PageID
+	lsn   wal.LSN
+	image string
+	off   int
+	val   byte
 }
 
-func (l *fakeLog) LogImage(id store.PageID, data []byte) wal.ImageToken {
+func (l *fakeLog) LogImage(id store.PageID, data []byte) wal.LSN {
+	return l.add(fakeRec{id: id, image: string(data)})
+}
+
+// change logs a one-byte change to page id; the caller stamps the page.
+func (l *fakeLog) change(id store.PageID, off int, val byte) wal.LSN {
+	return l.add(fakeRec{id: id, off: off, val: val})
+}
+
+func (l *fakeLog) add(r fakeRec) wal.LSN {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.end++
-	l.images = append(l.images, fakeImage{id: id, data: string(data), lsn: l.end})
-	return wal.ImageToken{Epoch: l.epoch, LSN: l.end}
+	r.lsn = l.end
+	l.recs = append(l.recs, r)
+	return l.end
 }
 
-func (l *fakeLog) ImageState(t wal.ImageToken) (valid, durable bool) {
+func (l *fakeLog) Bounds() (start, durable wal.LSN) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	valid = t.Epoch == l.epoch
-	return valid, valid && l.tail >= t.LSN
+	return l.start, l.tail
 }
 
 func (l *fakeLog) FlushTo(wal.LSN) error {
@@ -68,39 +80,50 @@ func (l *fakeLog) FlushTo(wal.LSN) error {
 func (l *fakeLog) HoldEpoch()    { l.epochMu.RLock() }
 func (l *fakeLog) ReleaseEpoch() { l.epochMu.RUnlock() }
 
-// truncate is a checkpoint's truncation: the durable images go, the
-// pending ones move to new offsets in a new epoch.
+// truncate is a checkpoint's truncation: what is durable goes, the rest
+// stays at its LSNs.
 func (l *fakeLog) truncate() {
 	l.epochMu.Lock()
 	defer l.epochMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var kept []fakeImage
-	for _, im := range l.images {
-		if im.lsn > l.tail {
-			im.lsn = wal.LSN(len(kept) + 1)
-			kept = append(kept, im)
+	var kept []fakeRec
+	for _, r := range l.recs {
+		if r.lsn > l.tail {
+			kept = append(kept, r)
 		}
 	}
-	l.images, l.epoch = kept, l.epoch+1
-	l.tail, l.end = 0, wal.LSN(len(kept))
+	l.recs, l.start = kept, l.tail
 }
 
-// durableImageOf reports whether the log holds a durable image of exactly
-// data for page id in its current epoch.
-func (l *fakeLog) durableImageOf(id store.PageID, data []byte) bool {
+// replay rebuilds page id as recovery would from what the log durably
+// holds: the newest image, then every change newer than the LSN stamped in
+// the page. ok is false when there is no image to start from.
+func (l *fakeLog) replay(id store.PageID) (p page.Buf, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for _, im := range l.images {
-		if im.id == id && im.lsn <= l.tail && im.data == string(data) {
-			return true
+	live := func(r fakeRec) bool { return r.id == id && r.lsn <= l.tail }
+	for _, r := range l.recs {
+		if live(r) && r.image != "" {
+			p = page.Buf(r.image)
 		}
 	}
-	return false
+	if p == nil {
+		return nil, false
+	}
+	p = append(page.Buf(nil), p...)
+	for _, r := range l.recs {
+		if live(r) && r.image == "" && r.lsn > p.LSN() {
+			p[r.off] = r.val
+			p.SetLSN(r.lsn)
+		}
+	}
+	return p, true
 }
 
-// ruleChecker is the store's injector: at every page write it checks the
-// write-back rule against the log, and it refuses some writes transiently.
+// ruleChecker is the store's injector: at every page write it checks that
+// recovery could rebuild the bytes written from the log, and it refuses
+// some writes transiently.
 type ruleChecker struct {
 	log        *fakeLog
 	mu         sync.Mutex
@@ -118,9 +141,9 @@ func (c *ruleChecker) Fault(op faultinject.Op, arg uint64, data []byte) ([]byte,
 	id := store.PageID(arg)
 	if id.File() != store.TempFile {
 		c.writes.Add(1)
-		if !c.log.durableImageOf(id, data) {
+		if got, ok := c.log.replay(id); !ok || string(got) != string(data) {
 			c.violations.Add(1)
-			msg := fmt.Sprintf("page %v written without a durable image of its bytes in the current epoch", id)
+			msg := fmt.Sprintf("page %v written with bytes recovery could not rebuild from the log (image found: %v)", id, ok)
 			c.first.CompareAndSwap(nil, &msg)
 		}
 	}
@@ -138,11 +161,16 @@ func (c *ruleChecker) Crashpoint(string) error { return nil }
 // TestWriteBackRuleProperty runs random schedules of Get / modify / Unpin /
 // FlushAll / FlushPage / Resize / Discard / truncate from several
 // goroutines against a small two-shard pool whose log refuses some flushes
-// and whose store refuses some writes, and checks at every store write that
-// the log holds a durable image of exactly the bytes written, in its
-// current epoch. At quiescence the pool's structure is intact, and once
-// the faults stop a FlushAll leaves every resident page on disk as cached.
+// and whose store refuses some writes. Half the pages are like heap pages:
+// most of their changes are logged and stamped, some (a compensation's)
+// are not, and they are never discarded. The others are like index pages:
+// unstamped, and sometimes discarded. At every store write it checks that
+// recovery could rebuild exactly the bytes written: from a durable image
+// the log still holds, plus the durable stamped changes newer than its page
+// LSN. At quiescence the pool's structure is intact, and once the faults
+// stop a FlushAll leaves every resident page on disk as cached.
 func TestWriteBackRuleProperty(t *testing.T) {
+	var writes, images int64
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		log := &fakeLog{rng: rand.New(rand.NewSource(rng.Int63()))}
@@ -171,6 +199,7 @@ func TestWriteBackRuleProperty(t *testing.T) {
 		log.failRate = 0.2
 		chk.quiet.Store(false)
 
+		heapLike := func(id store.PageID) bool { return id.Index()%2 == 0 }
 		var wg sync.WaitGroup
 		for w := 0; w < 3; w++ {
 			wrng := rand.New(rand.NewSource(rng.Int63()))
@@ -187,7 +216,9 @@ func TestWriteBackRuleProperty(t *testing.T) {
 					case r < 7:
 						p.Resize(4 + wrng.Intn(13))
 					case r < 9:
-						p.Discard(id)
+						if !heapLike(id) {
+							p.Discard(id)
+						}
 					case r < 11:
 						log.truncate()
 					default:
@@ -197,8 +228,12 @@ func TestWriteBackRuleProperty(t *testing.T) {
 						}
 						dirty := wrng.Intn(2) == 0
 						if dirty {
+							off, val := page.HeaderSize+wrng.Intn(64), byte(wrng.Intn(256))
 							f.Lock()
-							f.Data[page.HeaderSize+wrng.Intn(64)] = byte(wrng.Intn(256))
+							f.Data[off] = val
+							if heapLike(id) && wrng.Intn(8) != 0 {
+								f.Stamp(log.change(id, off, val))
+							}
 							f.Unlock()
 						}
 						p.Unpin(f, dirty)
@@ -238,10 +273,20 @@ func TestWriteBackRuleProperty(t *testing.T) {
 			t.Logf("seed %d: %d of %d writes broke the rule; first: %s", seed, n, chk.writes.Load(), *chk.first.Load())
 			return false
 		}
+		writes += chk.writes.Load()
+		for _, s := range p.shards {
+			images += int64(s.images.Load())
+		}
 		return chk.writes.Load() > 0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+	// Writes outnumbering images is the stamped path: a page whose changes
+	// since its image were all logged is written without a new one.
+	t.Logf("%d page writes, %d images", writes, images)
+	if images >= writes {
+		t.Errorf("%d images for %d page writes: no write went out on an earlier image", images, writes)
 	}
 }
 

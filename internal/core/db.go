@@ -13,8 +13,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -348,14 +350,14 @@ func Open(opts Options) (*DB, error) {
 	db.pool = buffer.New(st, opts.PoolMinPages, opts.PoolInitPages, opts.PoolMaxPages)
 	db.pool.SetFaultPolicy(opts.RetryPolicy, &db.faultStats)
 	// WAL-before-data, plus torn-write protection: a dirty page is written in
-	// place (steal-policy evictions included) only once the log holds a
-	// durable image of exactly the bytes that land, in its current epoch.
-	// The image's durability makes every record describing the page durable
-	// ahead of the data write, and the image lets recovery repair a torn
-	// in-place write — without it, a tear destroys rows whose log records a
-	// prior checkpoint already truncated. The pool appends the image and
-	// lets the next commit's flush carry it; it syncs on its own account only
-	// when no frame it could take is covered yet.
+	// place (steal-policy evictions included) only once the log durably holds
+	// an image of it from its current contents and a record, stamped on the
+	// page, of every change since. Recovery repairs a torn write from the
+	// image and the records newer than its page LSN — without the image, a
+	// tear destroys rows whose records a prior checkpoint truncated. A page is
+	// imaged once per checkpoint; the next commit's flush carries the image,
+	// and the pool syncs on its own account only when no frame it could take
+	// is covered yet.
 	db.pool.SetImageLog(log)
 
 	fresh := st.PageCount(store.MainFile) == 1
@@ -954,17 +956,17 @@ func (db *DB) heapBytes() int64 {
 	return int64(db.memG.ActiveRequests()+1) * 64 * page.Size / 8
 }
 
-// recover replays the WAL into the buffer pool: page-chain links are
-// re-established, committed data records are redone against the pages, loser
-// records are undone (reverse order). It reports whether any work was
-// replayed, and returns the plan for what the log says about objects the
-// catalog — not yet loaded — describes.
+// recover replays the WAL into the buffer pool: page images are restored,
+// committed data records and page-chain links are redone onto the pages
+// stamped older than them, loser records are undone (reverse order). It
+// reports whether any work was replayed, and returns the plan for what the
+// log says about objects the catalog — not yet loaded — describes.
 func (db *DB) recover() (*wal.RecoveryPlan, bool, error) {
 	plan, err := db.log.Analyze()
 	if err != nil {
 		return nil, false, err
 	}
-	if len(plan.Links)+len(plan.Redo)+len(plan.Undo)+len(plan.Images) == 0 {
+	if len(plan.Redo)+len(plan.Undo)+len(plan.Images) == 0 {
 		return plan, false, nil
 	}
 	// A page on the free chain takes no image: whatever was logged of it
@@ -992,17 +994,11 @@ func (db *DB) recover() (*wal.RecoveryPlan, bool, error) {
 		}
 	}
 	if db.opts.ParanoidRecovery {
-		before, err := db.snapshotPages(pages)
-		if err != nil {
-			return nil, false, err
-		}
+		before := db.snapshotPages(pages)
 		if err := db.applyPlan(plan); err != nil {
 			return nil, false, err
 		}
-		after, err := db.snapshotPages(pages)
-		if err != nil {
-			return nil, false, err
-		}
+		after := db.snapshotPages(pages)
 		for i := range before {
 			if before[i] != after[i] {
 				return nil, false, faultinject.Corrupt(fmt.Errorf(
@@ -1020,118 +1016,65 @@ func planPages(plan *wal.RecoveryPlan) []store.PageID {
 	for id := range plan.Images {
 		seen[id] = true
 	}
-	for _, r := range plan.Links {
-		seen[r.Page] = true
-		if len(r.After) >= 8 {
-			seen[store.PageID(binary.LittleEndian.Uint64(r.After))] = true
-		}
-	}
 	for _, r := range plan.Redo {
 		seen[r.Page] = true
+		if r.Type == wal.RecPageLink && len(r.After) >= 8 {
+			seen[store.PageID(binary.LittleEndian.Uint64(r.After))] = true
+		}
 	}
 	for _, r := range plan.Undo {
 		seen[r.Page] = true
 	}
-	ids := make([]store.PageID, 0, len(seen))
-	for id := range seen {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return slices.Sorted(maps.Keys(seen))
 }
 
 // applyPlan runs one full pass of the recovery plan. Every step is
 // conditional on current page state, so the pass is idempotent and can be
 // re-run (ParanoidRecovery does exactly that).
 func (db *DB) applyPlan(plan *wal.RecoveryPlan) error {
-	// Page images first: each page's newest logged image is a state the page
-	// passed through no older than its last write (the write waited for it),
-	// so restoring it repairs any torn write. The conditional link/redo/undo
-	// passes then replay everything logged after the image was taken
-	// (changes already inside the image no-op).
-	for _, id := range sortedPageIDs(plan.Images) {
-		if err := db.applyImage(plan.Images[id]); err != nil {
-			return err
-		}
+	// Page images first: each page's newest image is a state it passed
+	// through, older than its last write only by records the log holds, so
+	// restoring it repairs any torn write. Redo then applies, in LSN order,
+	// each record newer than the LSN its page is stamped with.
+	for _, id := range slices.Sorted(maps.Keys(plan.Images)) {
+		db.applyImage(plan.Images[id])
 	}
-	for _, r := range plan.Links {
-		if err := db.applyLink(r); err != nil {
-			return err
-		}
-	}
-	last := make(map[slotRef]int, len(plan.Redo))
-	for i, r := range plan.Redo {
-		last[slotRef{r.Page, r.Slot}] = i
-	}
-	for i, r := range plan.Redo {
-		if err := db.applyRedo(r, last[slotRef{r.Page, r.Slot}] > i); err != nil {
+	for _, r := range plan.Redo {
+		if err := db.applyRedo(r); err != nil {
 			return err
 		}
 	}
 	for _, r := range plan.Undo {
-		if err := db.applyUndo(r); err != nil {
-			return err
+		db.applyUndo(r)
+	}
+	return nil
+}
+
+// onPage runs fn on page id under its exclusive latch. A page that cannot
+// be read (a truncated file) has nothing to recover onto.
+func (db *DB) onPage(id store.PageID, fn func(f *buffer.Frame)) {
+	if f, err := db.pool.Get(id); err == nil {
+		f.Lock()
+		fn(f)
+		f.Unlock()
+		db.pool.Unpin(f, false)
+	}
+}
+
+// applyImage writes a logged full-page image back over the page. The pool
+// learns that the log holds it: a page whose changes from here on are
+// stamped by redo is written back without a new image.
+func (db *DB) applyImage(r *wal.Record) {
+	db.onPage(r.Page, func(f *buffer.Frame) {
+		if len(r.After) != len(f.Data) {
+			return
 		}
-	}
-	return nil
-}
-
-// sortedPageIDs returns a map's page-id keys in ascending order, so image
-// application (and paranoid re-application) runs in a deterministic order.
-func sortedPageIDs(m map[store.PageID]*wal.Record) []store.PageID {
-	ids := make([]store.PageID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// applyImage writes a logged full-page image back over the page.
-func (db *DB) applyImage(r *wal.Record) error {
-	f, err := db.pool.Get(r.Page)
-	if err != nil {
-		return nil
-	}
-	f.Lock()
-	if len(r.After) == len(f.Data) && string(f.Data) != string(r.After) {
-		copy(f.Data, r.After)
-		f.MarkDirty()
-	}
-	f.Unlock()
-	db.pool.Unpin(f, true)
-	return nil
-}
-
-// applyLink re-establishes a heap-chain link (redo-always: chain growth is
-// structural and never undone — an empty tail page is harmless).
-func (db *DB) applyLink(r *wal.Record) error {
-	if len(r.After) < 8 {
-		return nil
-	}
-	next := binary.LittleEndian.Uint64(r.After)
-	f, err := db.pool.Get(r.Page)
-	if err != nil {
-		return nil
-	}
-	f.Lock()
-	claimPage(f, r.Table)
-	if f.Data.Next() != next {
-		f.Data.SetNext(next)
-		f.MarkDirty()
-	}
-	f.Unlock()
-	db.pool.Unpin(f, true)
-
-	nf, err := db.pool.Get(store.PageID(next))
-	if err != nil {
-		return nil
-	}
-	nf.Lock()
-	claimPage(nf, r.Table)
-	nf.Unlock()
-	db.pool.Unpin(nf, true)
-	return nil
+		if string(f.Data) != string(r.After) {
+			copy(f.Data, r.After)
+			f.MarkDirty()
+		}
+		db.pool.Imaged(f, r.LSN)
+	})
 }
 
 // claimPage makes the latched page an empty heap page of the table unless
@@ -1156,91 +1099,83 @@ func (db *DB) tableByID(id uint64) *table.Table {
 	return nil
 }
 
-// slotRef names one slot of one page.
-type slotRef struct {
-	page store.PageID
-	slot uint32
+// applyRedo re-applies a committed change, or a chain link, to the pages
+// it names that are stamped older than its record: idempotent page-level
+// redo.
+func (db *DB) applyRedo(r *wal.Record) error {
+	slot := int(r.Slot)
+	switch {
+	case r.Type != wal.RecPageLink:
+		return db.redoOnto(r.Page, r, func(p page.Buf) bool {
+			switch {
+			case r.Type == wal.RecDelete:
+				p.Delete(slot)
+				return true
+			case p.Cell(slot) != nil:
+				return p.Update(slot, r.After)
+			}
+			// InsertSparse, not InsertAt: redo replays only committed
+			// inserts, so the slot sequence has holes where loser
+			// transactions' slots were.
+			return p.InsertSparse(slot, r.After)
+		})
+	case len(r.After) < 8:
+		return nil
+	}
+	next := binary.LittleEndian.Uint64(r.After)
+	if err := db.redoOnto(r.Page, r, func(p page.Buf) bool { p.SetNext(next); return true }); err != nil {
+		return err
+	}
+	return db.redoOnto(store.PageID(next), r, func(page.Buf) bool { return true })
 }
 
-// applyRedo re-applies a committed change if the page does not already
-// reflect it (idempotent page-level redo). superseded says a later redo
-// record writes the same slot: then the change only has to fit, since the
-// page may hold a state newer than the record — an image taken after the
-// slot was deleted, or its room taken by rows that grew since — and the
-// later record sets the slot whatever this one leaves.
-func (db *DB) applyRedo(r *wal.Record, superseded bool) error {
-	f, err := db.pool.Get(r.Page)
+// redoOnto applies change, the effect of r, to page id unless the page is
+// stamped with r's LSN or a newer one, and stamps it. A page r names as its
+// table's heap page that is not one is claimed first.
+func (db *DB) redoOnto(id store.PageID, r *wal.Record, change func(p page.Buf) bool) error {
+	f, err := db.pool.Get(id)
 	if err != nil {
 		return nil // page gone (e.g. truncated file); nothing to redo onto
 	}
-	defer db.pool.Unpin(f, true)
+	defer db.pool.Unpin(f, false)
+	// Looked at shared first: to the pool an exclusive latch is a change,
+	// which would image the page again. Recovery runs alone.
+	f.RLock()
+	done := f.Data.LSN() >= r.LSN
+	f.RUnlock()
+	if done {
+		return nil
+	}
 	f.Lock()
 	defer f.Unlock()
 	claimPage(f, r.Table)
-	switch r.Type {
-	case wal.RecInsert, wal.RecUpdate:
-		cur := f.Data.Cell(int(r.Slot))
-		if cur != nil && string(cur) == string(r.After) {
-			return nil // already applied
-		}
-		// InsertSparse, not InsertAt: redo replays only committed inserts,
-		// so the slot sequence has holes where loser transactions' slots
-		// were. A strict insert would refuse the gap and silently drop a
-		// committed row (and break replay idempotency, since the undo pass
-		// can fill the hole and let a second pass succeed).
-		ok := false
-		if cur != nil {
-			ok = f.Data.Update(int(r.Slot), r.After)
-		} else {
-			ok = f.Data.InsertSparse(int(r.Slot), r.After)
-		}
-		if !ok && superseded {
-			return nil
-		}
-		if !ok {
-			return faultinject.Corrupt(fmt.Errorf(
-				"core: recovery redo could not restore page %v slot %d", r.Page, r.Slot))
-		}
-		f.MarkDirty()
-	case wal.RecDelete:
-		if f.Data.Cell(int(r.Slot)) != nil {
-			f.Data.Delete(int(r.Slot))
-			f.MarkDirty()
-		}
+	if !change(f.Data) {
+		return faultinject.Corrupt(fmt.Errorf(
+			"core: recovery redo could not restore page %v slot %d", r.Page, r.Slot))
 	}
+	f.MarkDirty()
+	f.Stamp(r.LSN)
 	return nil
 }
 
 // applyUndo compensates a loser's change if the page reflects it.
-func (db *DB) applyUndo(r *wal.Record) error {
-	f, err := db.pool.Get(r.Page)
-	if err != nil {
-		return nil
-	}
-	defer db.pool.Unpin(f, true)
-	f.Lock()
-	defer f.Unlock()
-	claimPage(f, r.Table)
-	switch r.Type {
-	case wal.RecInsert:
-		cur := f.Data.Cell(int(r.Slot))
-		if cur != nil && string(cur) == string(r.After) {
-			f.Data.Delete(int(r.Slot))
-			f.MarkDirty()
+func (db *DB) applyUndo(r *wal.Record) {
+	db.onPage(r.Page, func(f *buffer.Frame) {
+		claimPage(f, r.Table)
+		slot, cur := int(r.Slot), f.Data.Cell(int(r.Slot))
+		mine := cur != nil && string(cur) == string(r.After)
+		switch {
+		case r.Type == wal.RecInsert && mine:
+			f.Data.Delete(slot)
+		case r.Type == wal.RecDelete && cur == nil:
+			f.Data.InsertSparse(slot, r.Before)
+		case r.Type == wal.RecUpdate && mine:
+			f.Data.Update(slot, r.Before)
+		default:
+			return
 		}
-	case wal.RecDelete:
-		if f.Data.Cell(int(r.Slot)) == nil {
-			f.Data.InsertSparse(int(r.Slot), r.Before)
-			f.MarkDirty()
-		}
-	case wal.RecUpdate:
-		cur := f.Data.Cell(int(r.Slot))
-		if cur != nil && string(cur) == string(r.After) {
-			f.Data.Update(int(r.Slot), r.Before)
-			f.MarkDirty()
-		}
-	}
-	return nil
+		f.MarkDirty()
+	})
 }
 
 // snapshotPages captures one logical description per page: type, owner,
@@ -1248,7 +1183,7 @@ func (db *DB) applyUndo(r *wal.Record) error {
 // logical content — raw bytes may legitimately differ between passes
 // (slot-array garbage accounting, compaction offsets) when a redo insert
 // re-fires into a slot a later redo delete had freed.
-func (db *DB) snapshotPages(ids []store.PageID) ([]string, error) {
+func (db *DB) snapshotPages(ids []store.PageID) []string {
 	out := make([]string, 0, len(ids))
 	for _, id := range ids {
 		f, err := db.pool.Get(id)
@@ -1268,7 +1203,7 @@ func (db *DB) snapshotPages(ids []store.PageID) ([]string, error) {
 		db.pool.Unpin(f, false)
 		out = append(out, sb.String())
 	}
-	return out, nil
+	return out
 }
 
 // Table implements opt.Resolver. It is on the per-statement hot path and

@@ -391,13 +391,8 @@ func (r *Replica) applyChunk(m shipMsg) error {
 		return nil
 	}
 	// Durable first, then visible: the ack promises both.
-	if err := db.WAL().IngestRaw(r.partial[:consumed], len(recs)); err != nil {
+	if err := ingestApply(db, applier, r.partial[:consumed], recs); err != nil {
 		return err
-	}
-	for _, rec := range recs {
-		if err := applier.Apply(rec); err != nil {
-			return err
-		}
 	}
 	rest := r.partial[consumed:]
 	r.mu.Lock()
@@ -654,10 +649,19 @@ func (r *Replica) repassUnsettled(db *core.DB, applier *core.Applier, prefix []b
 	if len(recs) == 0 {
 		return nil
 	}
-	if err := db.WAL().IngestRaw(raw, len(recs)); err != nil {
+	return ingestApply(db, applier, raw, recs)
+}
+
+// ingestApply makes the whole frames raw, whose records are recs, durable
+// in the local log, and then applies each record at the LSN it got there.
+func ingestApply(db *core.DB, applier *core.Applier, raw []byte, recs []*wal.Record) error {
+	lsn, err := db.WAL().IngestRaw(raw, len(recs))
+	if err != nil {
 		return err
 	}
 	for _, rec := range recs {
+		lsn += wal.FrameLen(rec)
+		rec.LSN = lsn
 		if err := applier.Apply(rec); err != nil {
 			return err
 		}

@@ -40,26 +40,26 @@ func (t *Table) Apply(tx *txn.Txn, r *wal.Record) error {
 		if len(r.After) < 8 {
 			return nil
 		}
-		return t.ApplyPageLink(r.Page, store.PageID(binary.LittleEndian.Uint64(r.After)))
+		return t.applyPageLink(r, store.PageID(binary.LittleEndian.Uint64(r.After)))
 	case wal.RecColSegDrop:
 		t.ApplyColSegDrop()
 		return nil
 	case wal.RecInsert:
 		var row []val.Value
 		if row, err = val.DecodeRow(r.After); err == nil {
-			_, err = t.insertRow(tx, &rid, row, r.After)
+			_, err = t.insertRow(tx, &rid, row, r.After, r)
 		}
 	case wal.RecUpdate:
 		var oldRow, newRow []val.Value
 		if oldRow, err = val.DecodeRow(r.Before); err == nil {
 			if newRow, err = val.DecodeRow(r.After); err == nil {
-				err = t.updateRow(tx, rid, oldRow, newRow, r.After)
+				err = t.updateRow(tx, rid, oldRow, newRow, r.After, r)
 			}
 		}
 	case wal.RecDelete:
 		var row []val.Value
 		if row, err = val.DecodeRow(r.Before); err == nil {
-			err = t.deleteRow(tx, rid, row)
+			err = t.deleteRow(tx, rid, row, r)
 		}
 	default:
 		return fmt.Errorf("table %s: unexpected shipped record type %v", t.Name, r.Type)
@@ -70,18 +70,20 @@ func (t *Table) Apply(tx *txn.Txn, r *wal.Record) error {
 	return nil
 }
 
-// ApplyPageLink replays shipped heap-chain growth: prev's next pointer is
-// set to next, next is initialised as a table page, and the in-memory chain
-// bookkeeping (tail pointer, page count) follows.
-func (t *Table) ApplyPageLink(prev, next store.PageID) error {
+// applyPageLink replays shipped heap-chain growth r: the next pointer of
+// its page is set to next, next is initialised as a table page, both are
+// stamped, and the in-memory chain bookkeeping (tail pointer, page count)
+// follows.
+func (t *Table) applyPageLink(r *wal.Record, next store.PageID) error {
+	prev := r.Page
 	t.st.EnsureAllocated(next)
-	if err := t.withPage(prev, func(p page.Buf) error {
+	if err := t.withPage(prev, nil, r, func(p page.Buf) error {
 		p.SetNext(uint64(next))
 		return nil
 	}); err != nil {
 		return err
 	}
-	if err := t.withPage(next, func(p page.Buf) error { return nil }); err != nil {
+	if err := t.withPage(next, nil, r, func(p page.Buf) error { return nil }); err != nil {
 		return err
 	}
 	t.mu.Lock()

@@ -109,12 +109,11 @@ func (t *Table) BuildColumnar(tx *txn.Txn, persist bool) (*ColState, error) {
 	f.Lock()
 	f.Data.SetNext(uint64(nf.ID))
 	f.MarkDirty()
-	oldTail := f.ID
+	if tx != nil {
+		stamp(f, tx, &wal.Record{Type: wal.RecPageLink, Table: t.ID, Page: f.ID, After: pageIDBytes(nf.ID)})
+	}
 	f.Unlock()
 	t.pool.Unpin(f, true)
-	if tx != nil {
-		tx.Log(&wal.Record{Type: wal.RecPageLink, Table: t.ID, Page: oldTail, After: pageIDBytes(nf.ID)})
-	}
 	delta := nf.ID
 	t.last = nf.ID
 	t.pages.Add(1)

@@ -226,24 +226,27 @@ func (t *Table) ResidentFraction() float64 {
 
 // The mutation kernels. Every change to a heap row — forward DML, each
 // rollback compensation, and a replica replaying the primary's log — is one
-// of insertRow, updateRow or deleteRow. A kernel does the page change, pushes
-// the version-chain entry that hides the change from snapshot readers until
-// tx commits, keeps histograms, indexes and the row count in step, and
-// registers its own inverse on tx: the same kernel run the other way with a
-// nil transaction, which changes the heap without creating versions. The
-// inverses are the exact inverses of the logged records (remove at the RID
-// that was filled, restore at the RID that was emptied), so a live rollback,
-// recovery's undo pass and a replica's rollback all leave the same pages.
-// Kernels take no locks and log no data record; their callers do.
+// of insertRow, updateRow or deleteRow. A kernel does the page change, logs
+// its record rec and stamps the page with the record's LSN under the same
+// latch, pushes the version-chain entry that hides the change from snapshot
+// readers until tx commits, keeps histograms, indexes and the row count in
+// step, and registers its own inverse on tx: the same kernel run the other
+// way with a nil transaction and no record, which changes the heap without
+// creating versions or stamping the page. The inverses are the exact
+// inverses of the logged records (remove at the RID that was filled, restore
+// at the RID that was emptied), so a live rollback, recovery's undo pass and
+// a replica's rollback all leave the same pages. Kernels take no locks;
+// their callers do.
 
 // errNoRoom is updateRow's report that the new image does not fit in the
 // row's page. Update turns it into a move; everywhere else it is an error.
 var errNoRoom = errors.New("table: row does not fit in its page")
 
-// withPage runs fn on a heap page under its exclusive latch and marks the
-// page dirty when fn succeeds. A never-written page is initialised first (a
-// shipped record can target a page the replica has only zero-filled).
-func (t *Table) withPage(pid store.PageID, fn func(p page.Buf) error) error {
+// withPage runs fn on a heap page under its exclusive latch and, when fn
+// succeeds, marks the page dirty and stamps it with rec (see stamp). A
+// never-written page is initialised first (a shipped record can target a
+// page the replica has only zero-filled).
+func (t *Table) withPage(pid store.PageID, tx *txn.Txn, rec *wal.Record, fn func(p page.Buf) error) error {
 	f, err := t.pool.Get(pid)
 	if err != nil {
 		return err
@@ -256,23 +259,43 @@ func (t *Table) withPage(pid store.PageID, fn func(p page.Buf) error) error {
 	err = fn(f.Data)
 	if err == nil {
 		f.MarkDirty()
+		stamp(f, tx, rec)
 	}
 	f.Unlock()
 	t.pool.Unpin(f, err == nil)
 	return err
 }
 
+// stamp logs rec on tx's behalf — unless it was replayed from a log, where
+// it is already — and stamps the latched page f with its LSN, so the page
+// never holds a change newer than its LSN says. A change no record
+// describes (rec nil: a compensation, a bulk load) leaves the page
+// unstamped, and the pool images it again before it is written.
+func stamp(f *buffer.Frame, tx *txn.Txn, rec *wal.Record) {
+	if rec == nil {
+		return
+	}
+	lsn := rec.LSN
+	if tx != nil {
+		lsn = tx.Log(rec)
+	}
+	if lsn != 0 {
+		f.Stamp(lsn)
+	}
+}
+
 // insertRow places enc (the encoding of row) at the chain tail, or at
 // exactly *at when the location is already decided: by the log on a replica,
-// by the delete being compensated in a rollback.
-func (t *Table) insertRow(tx *txn.Txn, at *RID, row []val.Value, enc []byte) (RID, error) {
+// by the delete being compensated in a rollback. A tail insert fills in
+// rec's location.
+func (t *Table) insertRow(tx *txn.Txn, at *RID, row []val.Value, enc []byte, rec *wal.Record) (RID, error) {
 	var rid RID
 	var err error
 	if at == nil {
-		rid, err = t.insertBytes(tx, enc)
+		rid, err = t.insertBytes(tx, enc, rec)
 	} else {
 		rid = *at
-		err = t.withPage(rid.Page, func(p page.Buf) error {
+		err = t.withPage(rid.Page, tx, rec, func(p page.Buf) error {
 			// InsertSparse: slots below this one may belong to transactions
 			// whose inserts were never replayed here.
 			if !p.InsertSparse(rid.Slot, enc) {
@@ -286,7 +309,7 @@ func (t *Table) insertRow(tx *txn.Txn, at *RID, row []val.Value, enc []byte) (RI
 		return RID{}, err
 	}
 	if tx != nil {
-		tx.OnRollback(func() error { return t.deleteRow(nil, rid, row) })
+		tx.OnRollback(func() error { return t.deleteRow(nil, rid, row, nil) })
 	}
 	for i, h := range t.Hists {
 		h.NoteInsert(row[i])
@@ -301,10 +324,11 @@ func (t *Table) insertRow(tx *txn.Txn, at *RID, row []val.Value, enc []byte) (RI
 }
 
 // insertBytes places the encoded row into the chain's tail, growing it as
-// needed. When the chain grows under a transaction, the new linkage is
-// logged as a RecPageLink record so recovery can rebuild the chain even if
-// only some of the affected pages reached disk. tx may be nil (bulk load).
-func (t *Table) insertBytes(tx *txn.Txn, enc []byte) (RID, error) {
+// needed, and logs rec at the row's location. When the chain grows under a
+// transaction, the new linkage is logged as a RecPageLink record so
+// recovery can rebuild the chain even if only some of the affected pages
+// reached disk. tx and rec may be nil (bulk load).
+func (t *Table) insertBytes(tx *txn.Txn, enc []byte, rec *wal.Record) (RID, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	f, err := t.pool.Get(t.last)
@@ -316,6 +340,7 @@ func (t *Table) insertBytes(tx *txn.Txn, enc []byte) (RID, error) {
 	if len(enc) <= f.Data.FreeSpace()-reserve && f.Data.InsertSparse(slot, enc) {
 		f.MarkDirty()
 		id := f.ID
+		t.logInsert(f, tx, rec, slot)
 		// Push the insert marker ("no row existed here before this txn")
 		// while still holding the page latch: a snapshot reader that can
 		// see the new cell must also find the chain entry that hides it.
@@ -336,17 +361,18 @@ func (t *Table) insertBytes(tx *txn.Txn, enc []byte) (RID, error) {
 	nf.Unlock()
 	f.Data.SetNext(uint64(nf.ID))
 	f.MarkDirty()
+	if tx != nil {
+		stamp(f, tx, &wal.Record{Type: wal.RecPageLink, Table: t.ID, Page: f.ID, After: pageIDBytes(nf.ID)})
+	}
 	f.Unlock()
 	t.pool.Unpin(f, true)
-	if tx != nil {
-		tx.Log(&wal.Record{Type: wal.RecPageLink, Table: t.ID, Page: f.ID, After: pageIDBytes(nf.ID)})
-	}
 	t.last = nf.ID
 	t.pages.Add(1)
 	nf.Lock()
 	slot = nf.Data.Insert(enc)
 	id := nf.ID
 	if slot >= 0 {
+		t.logInsert(nf, tx, rec, slot)
 		t.pushVersion(tx, RID{Page: id, Slot: slot}, nil, 0)
 	}
 	nf.Unlock()
@@ -355,6 +381,15 @@ func (t *Table) insertBytes(tx *txn.Txn, enc []byte) (RID, error) {
 		return RID{}, fmt.Errorf("table %s: fresh page rejected %d bytes", t.Name, len(enc))
 	}
 	return RID{Page: id, Slot: slot}, nil
+}
+
+// logInsert completes rec with the slot a tail insert took in the latched
+// page f, logs it and stamps f.
+func (t *Table) logInsert(f *buffer.Frame, tx *txn.Txn, rec *wal.Record, slot int) {
+	if rec != nil {
+		rec.Page, rec.Slot = f.ID, uint32(slot)
+		stamp(f, tx, rec)
+	}
 }
 
 // owed reports what page p owes to writes that have not settled. A rollback
@@ -402,14 +437,14 @@ func (t *Table) pushVersion(tx *txn.Txn, rid RID, pre []val.Value, cell int) {
 
 // updateRow replaces the row at rid in place: newEnc is the encoding of
 // newRow, oldRow the image being replaced. It fails with errNoRoom, having
-// changed nothing, when the page cannot hold the new image without taking
-// bytes another transaction's rollback needs back.
-func (t *Table) updateRow(tx *txn.Txn, rid RID, oldRow, newRow []val.Value, newEnc []byte) error {
+// changed and logged nothing, when the page cannot hold the new image
+// without taking bytes another transaction's rollback needs back.
+func (t *Table) updateRow(tx *txn.Txn, rid RID, oldRow, newRow []val.Value, newEnc []byte, rec *wal.Record) error {
 	// Sealed column segments may cover this row: drop them (WAL-logged
 	// through tx, so ahead of the caller's data record) so that no scan —
 	// live or replayed — can see the stale columnar image.
 	t.invalidateColumnar(tx)
-	err := t.withPage(rid.Page, func(p page.Buf) error {
+	err := t.withPage(rid.Page, tx, rec, func(p page.Buf) error {
 		was := len(p.Cell(rid.Slot))
 		if was == 0 {
 			return ErrNotFound
@@ -431,7 +466,7 @@ func (t *Table) updateRow(tx *txn.Txn, rid RID, oldRow, newRow []val.Value, newE
 		return err
 	}
 	if tx != nil {
-		tx.OnRollback(func() error { return t.updateRow(nil, rid, newRow, oldRow, val.EncodeRow(oldRow)) })
+		tx.OnRollback(func() error { return t.updateRow(nil, rid, newRow, oldRow, val.EncodeRow(oldRow), nil) })
 	}
 	for i, h := range t.Hists {
 		if val.Compare(oldRow[i], newRow[i]) != 0 || oldRow[i].IsNull() != newRow[i].IsNull() {
@@ -454,12 +489,12 @@ func (t *Table) updateRow(tx *txn.Txn, rid RID, oldRow, newRow []val.Value, newE
 }
 
 // deleteRow removes the row at rid; row is its current image.
-func (t *Table) deleteRow(tx *txn.Txn, rid RID, row []val.Value) error {
+func (t *Table) deleteRow(tx *txn.Txn, rid RID, row []val.Value, rec *wal.Record) error {
 	// As in updateRow: sealed segments may cover this row. (A compensated
 	// insert always lives in the delta tail, but a build may have sealed the
 	// chain between insert and rollback; invalidating then is conservative.)
 	t.invalidateColumnar(tx)
-	err := t.withPage(rid.Page, func(p page.Buf) error {
+	err := t.withPage(rid.Page, tx, rec, func(p page.Buf) error {
 		was := len(p.Cell(rid.Slot))
 		if !p.Delete(rid.Slot) {
 			return ErrNotFound
@@ -474,7 +509,7 @@ func (t *Table) deleteRow(tx *txn.Txn, rid RID, row []val.Value) error {
 	}
 	if tx != nil {
 		tx.OnRollback(func() error {
-			_, err := t.insertRow(nil, &rid, row, val.EncodeRow(row))
+			_, err := t.insertRow(nil, &rid, row, val.EncodeRow(row), nil)
 			return err
 		})
 	}
@@ -490,7 +525,7 @@ func (t *Table) deleteRow(tx *txn.Txn, rid RID, row []val.Value) error {
 	return nil
 }
 
-// Forward DML: lock, run the kernel, log what it did.
+// Forward DML: lock, and run the kernel with the record of the change.
 
 // Insert adds a row. tx may be nil for non-transactional bulk load.
 func (t *Table) Insert(tx *txn.Txn, row []val.Value) (RID, error) {
@@ -522,17 +557,24 @@ func (t *Table) Insert(tx *txn.Txn, row []val.Value) (RID, error) {
 			return RID{}, fmt.Errorf("%w: index %s", ErrUnique, ix.Name)
 		}
 	}
-	rid, err := t.insertRow(tx, nil, row, enc)
+	var rec *wal.Record
+	if tx != nil {
+		rec = &wal.Record{Type: wal.RecInsert, Table: t.ID, After: enc}
+	}
+	rid, err := t.insertRow(tx, nil, row, enc, rec)
 	if err != nil {
 		return RID{}, err
 	}
 	if tx != nil {
+		// The RID is known only now, with the page latch released: a wait
+		// here holds no latch.
 		if err := tx.Lock(t.ID, rid.Bytes(), lock.Exclusive); err != nil {
-			// Nothing is logged yet, so back the row out here and now.
+			// The insert is logged: back it out, and log that as a delete, so
+			// the transaction's commit cannot bring the row back at recovery.
 			_ = tx.UndoLast()
+			tx.Log(&wal.Record{Type: wal.RecDelete, Table: t.ID, Page: rid.Page, Slot: uint32(rid.Slot), Before: enc})
 			return RID{}, err
 		}
-		tx.Log(&wal.Record{Type: wal.RecInsert, Table: t.ID, Page: rid.Page, Slot: uint32(rid.Slot), After: enc})
 	}
 	return rid, nil
 }
@@ -625,13 +667,11 @@ func (t *Table) Delete(tx *txn.Txn, rid RID) error {
 // deleteLocked deletes the row at rid, whose image row was read under tx's
 // lock on it.
 func (t *Table) deleteLocked(tx *txn.Txn, rid RID, row []val.Value) error {
-	if err := t.deleteRow(tx, rid, row); err != nil {
-		return err
-	}
+	var rec *wal.Record
 	if tx != nil {
-		tx.Log(&wal.Record{Type: wal.RecDelete, Table: t.ID, Page: rid.Page, Slot: uint32(rid.Slot), Before: val.EncodeRow(row)})
+		rec = &wal.Record{Type: wal.RecDelete, Table: t.ID, Page: rid.Page, Slot: uint32(rid.Slot), Before: val.EncodeRow(row)}
 	}
-	return nil
+	return t.deleteRow(tx, rid, row, rec)
 }
 
 // Update replaces a row. If the new encoding no longer fits in place the
@@ -654,12 +694,13 @@ func (t *Table) updateLocked(tx *txn.Txn, rid RID, oldRow, newRow []val.Value) (
 	if len(newEnc) > page.Size-page.HeaderSize-8 {
 		return RID{}, ErrRowTooLarge
 	}
-	err := t.updateRow(tx, rid, oldRow, newRow, newEnc)
+	var rec *wal.Record
+	if tx != nil {
+		rec = &wal.Record{Type: wal.RecUpdate, Table: t.ID, Page: rid.Page, Slot: uint32(rid.Slot),
+			Before: val.EncodeRow(oldRow), After: newEnc}
+	}
+	err := t.updateRow(tx, rid, oldRow, newRow, newEnc, rec)
 	if err == nil {
-		if tx != nil {
-			tx.Log(&wal.Record{Type: wal.RecUpdate, Table: t.ID, Page: rid.Page, Slot: uint32(rid.Slot),
-				Before: val.EncodeRow(oldRow), After: newEnc})
-		}
 		return rid, nil
 	}
 	if !errors.Is(err, errNoRoom) {
@@ -672,14 +713,11 @@ func (t *Table) updateLocked(tx *txn.Txn, rid RID, oldRow, newRow []val.Value) (
 	if err := t.deleteLocked(tx, rid, oldRow); err != nil {
 		return RID{}, err
 	}
-	newRID, err := t.insertRow(tx, nil, newRow, newEnc)
-	if err != nil {
-		return RID{}, err
-	}
+	rec = nil
 	if tx != nil {
-		tx.Log(&wal.Record{Type: wal.RecInsert, Table: t.ID, Page: newRID.Page, Slot: uint32(newRID.Slot), After: newEnc})
+		rec = &wal.Record{Type: wal.RecInsert, Table: t.ID, After: newEnc}
 	}
-	return newRID, nil
+	return t.insertRow(tx, nil, newRow, newEnc, rec)
 }
 
 // Scan calls fn for every live row in chain order. fn returns false to

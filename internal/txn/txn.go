@@ -455,16 +455,18 @@ func (t *Txn) reclaim() {
 	}
 }
 
-// Log appends a data record to the WAL on this transaction's behalf.
-func (t *Txn) Log(rec *wal.Record) {
+// Log appends a data record to the WAL on this transaction's behalf and
+// returns its end-LSN. A shipped transaction's records are in the local log
+// already: Log returns the LSN the record was ingested at.
+func (t *Txn) Log(rec *wal.Record) wal.LSN {
 	if t.shipped {
-		return
+		return rec.LSN
 	}
 	if !t.logged {
 		t.noteLogged()
 	}
 	rec.Txn = t.id
-	t.m.log.Append(rec)
+	return t.m.log.Append(rec)
 }
 
 // noteLogged counts the transaction among those a checkpoint must not
@@ -484,8 +486,8 @@ func (t *Txn) OnRollback(f func() error) {
 }
 
 // UndoLast runs and discards the most recently registered compensation: a
-// statement that fails after a change was made, but before it was logged,
-// backs that one change out without ending the transaction.
+// statement that fails right after a change backs that one change out
+// without ending the transaction.
 func (t *Txn) UndoLast() error {
 	last := len(t.undo) - 1
 	f := t.undo[last]

@@ -105,7 +105,7 @@ func TestAppendFrameMatchesOldEncoder(t *testing.T) {
 			want = append(want, oracleFrame(r)...)
 			var lsn LSN
 			if r.Type == RecPageImage && r.Txn%2 == 0 {
-				lsn = l.LogImage(r.Page, r.After).LSN
+				lsn = l.LogImage(r.Page, r.After)
 				// LogImage's record carries no transaction and no slot.
 				want = want[:len(want)-len(oracleFrame(r))]
 				want = append(want, oracleFrame(&Record{Type: RecPageImage, Page: r.Page, After: r.After})...)

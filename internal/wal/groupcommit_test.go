@@ -311,18 +311,18 @@ func TestTruncateDrainsInflightFlush(t *testing.T) {
 
 	var wg sync.WaitGroup
 	wg.Add(1)
+	first := l.Append(&Record{Type: RecCommit, Txn: 1})
 	go func() {
 		defer wg.Done()
-		lsn := l.Append(&Record{Type: RecCommit, Txn: 1})
-		_ = l.FlushTo(lsn)
+		_ = l.FlushTo(first)
 	}()
 	time.Sleep(time.Millisecond) // let the leader enter its slow fsync
 	if err := l.Truncate(); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	if got := l.FlushedLSN(); got != 0 {
-		t.Fatalf("FlushedLSN %d after truncate", got)
+	if got := l.FlushedLSN(); got != first {
+		t.Fatalf("FlushedLSN %d after truncate, want the drained flush's %d", got, first)
 	}
 	lsn := l.Append(&Record{Type: RecCommit, Txn: 2})
 	if err := l.FlushTo(lsn); err != nil {

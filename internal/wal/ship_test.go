@@ -232,11 +232,11 @@ func TestScanTornTailIsSilent(t *testing.T) {
 	l3.CloseNoFlush()
 }
 
-// TestTruncateEpochInvalidatesPositions is the regression for the LSN-reuse
-// bug: Truncate resets LSNs to zero, so a consumer that persisted an
-// (epoch-less) LSN across a truncate would silently re-read or skip
-// records at a reused offset. ReadChunk must refuse a stale position with
-// ErrEpoch.
+// TestTruncateEpochInvalidatesPositions is the regression for the
+// position-reuse bug: Truncate restarts shipping positions at zero, so a
+// consumer that persisted an (epoch-less) position across a truncate would
+// silently re-read or skip records at a reused offset. ReadChunk must
+// refuse a stale position with ErrEpoch.
 func TestTruncateEpochInvalidatesPositions(t *testing.T) {
 	l, _ := fileLog(t)
 	defer l.Close()
@@ -282,8 +282,9 @@ func TestTruncateEpochInvalidatesPositions(t *testing.T) {
 }
 
 // TestTruncateCarriesPendingBuffer verifies that records appended after the
-// checkpoint record but not yet flushed survive a truncate: they re-base to
-// offset zero in the new epoch, and a committer's FlushTo still lands them.
+// checkpoint record but not yet flushed survive a truncate: they move behind
+// the new log's header at the LSNs they were handed out with, and a
+// committer's FlushTo still lands them.
 func TestTruncateCarriesPendingBuffer(t *testing.T) {
 	l, _ := fileLog(t)
 	defer l.Close()
@@ -293,8 +294,8 @@ func TestTruncateCarriesPendingBuffer(t *testing.T) {
 	if err := l.Truncate(); err != nil {
 		t.Fatal(err)
 	}
-	// The racing committer's FlushTo (with its stale, clamped LSN) must
-	// make the record durable in the new epoch.
+	// The racing committer's FlushTo must make the record durable in the
+	// new epoch.
 	if err := l.FlushTo(lsn); err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +329,7 @@ func TestIngestRawRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := dst.IngestRaw(chunk, 0); err != nil {
+		if _, err := dst.IngestRaw(chunk, 0); err != nil {
 			t.Fatal(err)
 		}
 		from += uint64(len(chunk))

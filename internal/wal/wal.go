@@ -13,6 +13,7 @@ import (
 	"hash/crc32"
 	"math/bits"
 	"os"
+	"path/filepath"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -37,22 +38,24 @@ const (
 	// RecPageLink records heap-chain growth: Page is the old tail, After
 	// carries the 8-byte id of the page linked after it. Chain linkage is
 	// physical structure shared by every transaction that later inserts
-	// into the new page, so recovery redoes these records unconditionally
-	// (even for losers) and never undoes them — an abandoned empty page
-	// is harmless, an unreachable committed row is not.
+	// into the new page, so recovery redoes these records whatever becomes
+	// of their transaction (like any record, onto pages stamped older than
+	// them) and never undoes them — an abandoned empty page is harmless, an
+	// unreachable committed row is not.
 	RecPageLink
 	// RecPageImage carries a full page image in After. The buffer pool
-	// writes a data page in place only once the log holds a durable image of
-	// exactly the bytes it writes, in the log's current epoch (LogImage,
-	// ImageState), so a torn or partial page write can always be repaired
-	// from the log: recovery restores the newest image of each page before
-	// applying redo/undo. The image need not have reached the page — an
+	// writes a data page in place only once the log durably holds an image
+	// of the page from its current contents, and every record describing a
+	// change since that image (see buffer.ImageLog): one image per page per
+	// checkpoint, PostgreSQL's full-page-writes rule. So a torn or partial
+	// page write can always be repaired from the log: recovery restores the
+	// newest image of each page, then redoes every record newer than the
+	// LSN stamped in it. The image need not have reached the page — an
 	// eviction logs it and writes later, riding whichever flush comes next —
 	// so recovery may restore bytes the page never held, which is as safe as
-	// restoring bytes it did: they are a state the page passed through. This
-	// is the double-write technique routed through the log — without it, a
-	// torn write destroys rows whose log records were already truncated by
-	// an earlier checkpoint, and no amount of replay can bring them back.
+	// restoring bytes it did: they are a state the page passed through.
+	// Without it, a torn write destroys rows whose log records an earlier
+	// checkpoint truncated, and no amount of replay can bring them back.
 	RecPageImage
 	// RecColSegDrop invalidates a table's columnar segments: Table is the
 	// owner. It is logged before the data record of any update/delete that
@@ -87,6 +90,9 @@ type Record struct {
 	Slot   uint32
 	Before []byte
 	After  []byte
+	// LSN is the record's end-LSN in the log it was read from or ingested
+	// into (Scan, IngestRaw); it is not encoded.
+	LSN LSN
 }
 
 // ErrClosed is returned by flush paths once CloseNoFlush has run. Before
@@ -99,25 +105,16 @@ var ErrClosed = fmt.Errorf("wal: log is closed")
 // no longer names this log: the log was truncated (epoch bumped) or belongs
 // to a different Open (logID mismatch). A log-shipping consumer that sees
 // it must renegotiate its position — resuming at a byte offset from the old
-// epoch would silently re-read or skip records, since Truncate resets LSNs
-// to zero.
+// epoch would silently re-read or skip records, since Truncate restarts
+// byte offsets at zero.
 var ErrEpoch = fmt.Errorf("wal: log position is from a different epoch")
 
-// LSN is a log sequence number: a byte offset in the log. Append returns a
-// record's *end* LSN — the offset one past its frame — so the record is
-// durable exactly when FlushedLSN() >= that value, and FlushTo(lsn) is the
-// wait for it.
+// LSN is a log sequence number: a byte position in the log's history that
+// never goes back, not across Truncate nor a reopen. Append returns a
+// record's *end* LSN, so the record is durable exactly when FlushedLSN() >=
+// that value, and FlushTo(lsn) is the wait for it. Shipping positions
+// (Position, ReadChunk) are byte offsets in the current file instead.
 type LSN = uint64
-
-// ImageToken names one page image LogImage appended: the log's contents
-// generation at the append (bumped by every Truncate, and by nothing else —
-// unlike the shipping epoch, which a replica may adopt from its primary)
-// and the image's end-LSN. A token from an older generation names bytes a
-// truncate discarded or moved.
-type ImageToken struct {
-	Epoch uint64
-	LSN   LSN
-}
 
 // Options configures a log beyond its path.
 type Options struct {
@@ -152,6 +149,7 @@ type flushGroup struct {
 type Log struct {
 	mu     sync.Mutex
 	f      *os.File // nil when memory-backed
+	path   string   // f's path: Truncate renames a new file onto it
 	mem    []byte
 	memMu  sync.Mutex // guards mem (written outside mu by the flush leader)
 	memLog bool       // created memory-backed (empty path); f is nil by design
@@ -162,10 +160,16 @@ type Log struct {
 	buffer []byte // active (unsealed) pending bytes; appends land here
 	spare  []byte // the last successfully flushed buffer, emptied for reuse
 
+	// A truncated log begins with a header, hdr bytes long: a RecCheckpoint
+	// whose After is start, the LSN its records begin after. File offset off
+	// is LSN start+off-hdr. Guarded by mu.
+	start LSN
+	hdr   uint64
+
 	// epochMu is held shared by every in-place page write from the check
-	// that its image is durable in this log's contents to the end of the
-	// write (HoldEpoch), and exclusively by Truncate: a truncate can never
-	// fall between a write-back's check and its write.
+	// that the log holds what the write needs to the end of the write
+	// (HoldEpoch), and exclusively by Truncate: a truncate can never fall
+	// between a write-back's check and its write.
 	epochMu sync.RWMutex
 
 	// Log identity for the shipping handshake: logID is a random value per
@@ -293,11 +297,20 @@ func OpenOptions(path string, opts Options) (*Log, error) {
 		f.Close()
 		return nil, err
 	}
-	l.tail = prefix
+	if prefix > 0 {
+		n := 8 + uint64(binary.LittleEndian.Uint32(data))
+		if r, _ := decode(data[8:n]); r.Type == RecCheckpoint && len(r.After) == 8 {
+			l.start, l.hdr = binary.LittleEndian.Uint64(r.After), n
+		}
+	}
+	l.path, l.tail = path, prefix
 	l.end = l.tail
 	l.durTail.Store(l.tail)
 	return l, nil
 }
+
+// lsnOf is the LSN of file offset off. Called with l.mu held.
+func (l *Log) lsnOf(off uint64) LSN { return l.start + off - l.hdr }
 
 // randomID draws the per-Open log identity.
 func randomID() uint64 {
@@ -370,9 +383,7 @@ func frameIntactAt(data []byte, off uint64) bool {
 // payload — at the end of dst, growing it at most once, and returns the
 // extended slice. The payload is written exactly once, in place.
 func appendFrame(dst []byte, r *Record) []byte {
-	n := 1 + uvarintLen(r.Txn) + uvarintLen(r.Table) + uvarintLen(uint64(r.Page)) +
-		uvarintLen(uint64(r.Slot)) + uvarintLen(uint64(len(r.Before))) + len(r.Before) +
-		uvarintLen(uint64(len(r.After))) + len(r.After)
+	n := int(FrameLen(r)) - 8
 	dst = slices.Grow(dst, 8+n)
 	off := len(dst)
 	dst = append(dst[:off+8], byte(r.Type))
@@ -387,6 +398,14 @@ func appendFrame(dst []byte, r *Record) []byte {
 	binary.LittleEndian.PutUint32(dst[off:], uint32(n))
 	binary.LittleEndian.PutUint32(dst[off+4:], crc32.ChecksumIEEE(dst[off+8:]))
 	return dst
+}
+
+// FrameLen is the length of r's frame in a log: a record decoded from a
+// frame ends FrameLen bytes past where the frame starts.
+func FrameLen(r *Record) uint64 {
+	return uint64(9 + uvarintLen(r.Txn) + uvarintLen(r.Table) + uvarintLen(uint64(r.Page)) +
+		uvarintLen(uint64(r.Slot)) + uvarintLen(uint64(len(r.Before))) + len(r.Before) +
+		uvarintLen(uint64(len(r.After))) + len(r.After))
 }
 
 // uvarintLen is the length of x's uvarint encoding.
@@ -445,30 +464,30 @@ func (l *Log) appendLocked(r *Record) LSN {
 	if r.Type == RecCheckpoint {
 		l.checkpoints.Add(1)
 	}
-	return l.end
+	return l.lsnOf(l.end)
 }
 
 // LogImage appends a full image of page id (a RecPageImage record outside
-// any transaction) without flushing it, and returns its token. The buffer
+// any transaction) without flushing it, and returns its end-LSN. The buffer
 // pool calls it before an in-place write; the write itself waits until
-// ImageState reports the image durable — typically on the back of the next
+// Bounds reports the image durable — typically on the back of the next
 // commit's flush.
-func (l *Log) LogImage(id store.PageID, data []byte) ImageToken {
+func (l *Log) LogImage(id store.PageID, data []byte) LSN {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	lsn := l.appendLocked(&Record{Type: RecPageImage, Page: id, After: data})
-	return ImageToken{Epoch: l.truncates.Load(), LSN: lsn}
+	return l.appendLocked(&Record{Type: RecPageImage, Page: id, After: data})
 }
 
-// ImageState reports whether t still names a record of this log's contents
-// — no truncate has run since LogImage handed it out, and the log is open —
-// and whether that record is durable. Call it between HoldEpoch and
+// Bounds reports the LSN the log's contents start after and the LSN it is
+// durable through (0 once closed). Call it between HoldEpoch and
 // ReleaseEpoch to keep the answer true for the write that depends on it.
-func (l *Log) ImageState(t ImageToken) (valid, durable bool) {
+func (l *Log) Bounds() (start, durable LSN) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	valid = !l.closed && t.Epoch == l.truncates.Load()
-	return valid, valid && l.tail >= t.LSN
+	if l.closed {
+		return l.start, 0
+	}
+	return l.start, l.lsnOf(l.tail)
 }
 
 // HoldEpoch keeps Truncate from running until the matching ReleaseEpoch.
@@ -481,10 +500,7 @@ func (l *Log) ReleaseEpoch() { l.epochMu.RUnlock() }
 // Flush forces every record appended so far to stable storage (group
 // commit: one flush covers every record appended since the last).
 func (l *Log) Flush() error {
-	l.mu.Lock()
-	end := l.end
-	l.mu.Unlock()
-	return l.FlushTo(end)
+	return l.FlushTo(l.PendingLSN())
 }
 
 // FlushTo blocks until the durable tail covers lsn (an end-LSN returned by
@@ -515,11 +531,11 @@ func (l *Log) FlushTo(lsn LSN) error {
 		}
 	}()
 	l.mu.Lock()
-	if lsn > l.end {
-		lsn = l.end
+	if end := l.lsnOf(l.end); lsn > end {
+		lsn = end
 	}
 	for {
-		if l.tail >= lsn {
+		if l.lsnOf(l.tail) >= lsn {
 			l.mu.Unlock()
 			return nil
 		}
@@ -536,7 +552,7 @@ func (l *Log) FlushTo(lsn LSN) error {
 		if !blocked {
 			blockStart, blocked = time.Now(), true
 		}
-		if !g.sealed || g.end >= lsn {
+		if !g.sealed || l.lsnOf(g.end) >= lsn {
 			// Follower: an unsealed group will seal everything appended so
 			// far (including our record); a sealed group covers us iff its
 			// end does. Either way this group's flush decides our fate.
@@ -736,7 +752,7 @@ func (l *Log) writeRaw(base uint64, b []byte) error {
 func (l *Log) FlushedLSN() LSN {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.tail
+	return l.lsnOf(l.tail)
 }
 
 // PendingLSN reports the end-LSN of the last appended record (the durable
@@ -744,7 +760,7 @@ func (l *Log) FlushedLSN() LSN {
 func (l *Log) PendingLSN() LSN {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.end
+	return l.lsnOf(l.end)
 }
 
 // Position reports the log's identity and durable tail as one consistent
@@ -792,18 +808,18 @@ func (l *Log) Scan(fn func(lsn LSN, r *Record) error) error {
 }
 
 // ScanFrom iterates over the durable records at and past LSN from (which
-// must be a frame boundary: zero, or an end-LSN from Append). It reads the
-// log in bounded windows rather than materializing it — peak memory is one
-// window (scanChunkSize, or one frame if larger) regardless of log size —
-// and holds no log mutex across reads: the durable range [0, tail) is
-// never rewritten, so the walk cannot race the flush leader. The replica
-// apply path tails the log with it; recovery's Analyze is ScanFrom(0).
+// must be a frame boundary: zero, or an end-LSN from Append), passing each
+// one's start LSN and setting its end-LSN in r.LSN; a truncated log's header
+// is not a record. It reads the log in bounded windows rather than
+// materializing it — peak memory is one window (scanChunkSize, or one frame
+// if larger) regardless of log size — and holds no log mutex across reads:
+// the durable range [0, tail) is never rewritten, so the walk cannot race
+// the flush leader. Recovery's Analyze is ScanFrom(0).
 func (l *Log) ScanFrom(from LSN, fn func(lsn LSN, r *Record) error) error {
 	l.mu.Lock()
-	tail := l.tail
-	f := l.f
-	epoch := l.epoch
+	tail, f, epoch, start, hdr := l.tail, l.f, l.epoch, l.start, l.hdr
 	l.mu.Unlock()
+	from = max(from, start) - start + hdr
 	if from >= tail {
 		return nil
 	}
@@ -891,7 +907,8 @@ func (l *Log) ScanFrom(from LSN, fn func(lsn LSN, r *Record) error) error {
 			}
 			return nil // corrupt final frame: crash remnant
 		}
-		if err := fn(off, r); err != nil {
+		r.LSN = start + end - hdr
+		if err := fn(start+off-hdr, r); err != nil {
 			return err
 		}
 		off = end
@@ -991,48 +1008,44 @@ func DecodeFrames(b []byte, fn func(frameLen int, r *Record) error) (consumed in
 }
 
 // IngestRaw appends pre-framed record bytes — a chunk shipped from a
-// primary's log — and flushes them to stable storage before returning.
-// nrecs is the number of records the chunk contains (counter bookkeeping
-// only). The chunk must hold whole frames: the replica's own appends (the
-// page images its buffer pool logs before writing back) interleave at frame
-// granularity, so a split frame would corrupt the local log mid-stream.
-// The applier buffers any partial frame and ingests it once complete.
-func (l *Log) IngestRaw(frames []byte, nrecs int) error {
-	if len(frames) == 0 {
-		return nil
-	}
+// primary's log — and flushes them to stable storage before returning the
+// LSN they start after in this log. nrecs is the number of records the
+// chunk contains (counter bookkeeping only). The chunk must hold whole
+// frames: the replica's own appends (the page images its buffer pool logs
+// before writing back) interleave at frame granularity, so a split frame
+// would corrupt the local log mid-stream. The applier buffers any partial
+// frame and ingests it once complete.
+func (l *Log) IngestRaw(frames []byte, nrecs int) (start LSN, err error) {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		return ErrClosed
+		return 0, ErrClosed
 	}
+	start = l.lsnOf(l.end)
 	l.buffer = append(l.buffer, frames...)
 	l.end += uint64(len(frames))
-	end := l.end
 	l.mu.Unlock()
 	l.records.Add(uint64(nrecs))
 	l.bytes.Add(uint64(len(frames)))
-	return l.FlushTo(end)
+	return start, l.FlushTo(start + uint64(len(frames)))
 }
 
 // RecoveryPlan summarizes a log scan for crash recovery.
 type RecoveryPlan struct {
-	// Redo holds every data record of committed transactions, in LSN order.
+	// Redo holds, in LSN order, every data record of committed
+	// transactions and every RecPageLink: chain growth is redone regardless
+	// of the owning transaction's fate, and never undone (see RecPageLink).
 	Redo []*Record
 	// Undo holds the data records of uncommitted ("loser") transactions, in
 	// reverse LSN order, ready to be compensated.
 	Undo []*Record
-	// Links holds every RecPageLink in LSN order. Chain growth is redone
-	// unconditionally — regardless of the owning transaction's fate — and
-	// never undone; see RecPageLink.
-	Links []*Record
 	// Images maps each page to its newest full-page image (see
 	// RecPageImage). Recovery writes these back first, repairing any torn
-	// in-place write, then lets the conditional redo/undo passes replay the
-	// changes logged after the image was taken. An image logged under a
-	// transaction id is one of a set that is only good whole (the pages of
-	// the catalog chain): it counts from that transaction's commit record,
-	// and not at all without one — a log flush can tear between two of them.
+	// in-place write, then redoes onto each page every record newer than the
+	// LSN stamped in it. An image logged under a transaction id is one of a
+	// set that is only good whole (the pages of the catalog chain): it counts
+	// from that transaction's commit record, and not at all without one — a
+	// log flush can tear between two of them.
 	Images map[store.PageID]*Record
 	// ColSegDrops is the set of table ids whose columnar segments must not
 	// be attached: those invalidated by any logged RecColSegDrop, honored
@@ -1066,10 +1079,8 @@ func (l *Log) Analyze() (*RecoveryPlan, error) {
 			// but an explicit rollback already compensated it before the
 			// crash, so mark it committed-to-nothing.
 			plan.Committed[r.Txn] = false
-		case RecInsert, RecDelete, RecUpdate:
+		case RecInsert, RecDelete, RecUpdate, RecPageLink:
 			all = append(all, r)
-		case RecPageLink:
-			plan.Links = append(plan.Links, r)
 		case RecPageImage:
 			if r.Txn != 0 {
 				held[r.Txn] = append(held[r.Txn], r)
@@ -1085,12 +1096,12 @@ func (l *Log) Analyze() (*RecoveryPlan, error) {
 		return nil, err
 	}
 	for _, r := range all {
-		if plan.Committed[r.Txn] {
+		if plan.Committed[r.Txn] || r.Type == RecPageLink {
 			plan.Redo = append(plan.Redo, r)
 		}
 	}
 	for i := len(all) - 1; i >= 0; i-- {
-		if !plan.Committed[all[i].Txn] {
+		if !plan.Committed[all[i].Txn] && all[i].Type != RecPageLink {
 			plan.Undo = append(plan.Undo, all[i])
 			plan.ColSegDrops[all[i].Table] = true
 		}
@@ -1099,23 +1110,22 @@ func (l *Log) Analyze() (*RecoveryPlan, error) {
 }
 
 // Truncate discards the durable log after a checkpoint has made its
-// contents redundant, and bumps the truncate epoch: every LSN handed out
-// before the truncate names bytes that no longer exist, so consumers
-// holding one (the log shipper, a resuming replica) fail their next
-// ReadChunk with ErrEpoch instead of silently re-reading or skipping
+// contents redundant, and bumps the truncate epoch: every shipping position
+// handed out before the truncate names bytes that no longer exist, so
+// consumers holding one (the log shipper, a resuming replica) fail their
+// next ReadChunk with ErrEpoch instead of silently re-reading or skipping
 // records at a reused offset. An in-flight group flush is drained first so
 // the truncation never races the leader's WriteAt.
 //
-// Records appended after the checkpoint record but not yet flushed are
-// carried over into the new epoch at offset zero rather than discarded: a
-// committer racing the checkpoint has already been handed an LSN for them,
-// and its FlushTo (clamped to the shrunken end) must land the record, not
-// acknowledge a commit whose bytes vanished. A page image carried over is
-// at a new offset, and its ImageToken no longer holds: the pool images that
-// page again.
+// LSNs go on from where the durable log ended: the new file is a header
+// naming that LSN, put in place of the old one by a synced rename, so a
+// crash leaves one log or the other, never an empty one that would restart
+// LSNs below the pages already stamped. Records appended but not yet
+// flushed are carried over behind the header at the LSNs they were handed
+// out with, so a committer racing the checkpoint still lands its record.
 //
-// Truncate waits out every in-place page write between its image check
-// and its write (HoldEpoch), and consults the injector's "wal.truncate"
+// Truncate waits out every in-place page write between its check of the
+// log and its write (HoldEpoch), and consults the injector's "wal.truncate"
 // crashpoint once none is left: a write that tore at a crash must find its
 // image still in the log at recovery.
 func (l *Log) Truncate() error {
@@ -1144,21 +1154,56 @@ func (l *Log) Truncate() error {
 	if l.closed {
 		return ErrClosed
 	}
-	l.tail = 0
-	l.durTail.Store(0)
-	l.end = uint64(len(l.buffer))
-	l.epoch++
-	l.memMu.Lock()
-	l.mem = nil
-	l.memMu.Unlock()
-	l.truncates.Add(1)
+	start := l.lsnOf(l.tail)
+	hdr := appendFrame(nil, &Record{Type: RecCheckpoint, After: binary.LittleEndian.AppendUint64(nil, start)})
+	var err error
 	if l.f != nil {
-		if err := l.f.Truncate(0); err != nil {
+		var f *os.File
+		if f, err = replaceFile(l.path, hdr); f == nil {
 			return fmt.Errorf("wal: truncate: %w", err)
 		}
+		l.f.Close()
+		l.f = f
 	}
+	l.memMu.Lock()
+	l.mem = hdr
+	l.memMu.Unlock()
+	l.start, l.hdr = start, uint64(len(hdr))
+	l.tail = l.hdr
+	l.durTail.Store(l.tail)
+	l.end = l.tail + uint64(len(l.buffer))
+	l.epoch++
+	l.truncates.Add(1)
 	l.tailBroadcastLocked()
-	return nil
+	return err
+}
+
+// replaceFile puts a synced file holding exactly b at path, renaming it
+// over the one there, and returns it open for reading and writing — with
+// the error of syncing the directory, which makes the rename durable, if
+// that alone failed.
+func replaceFile(path string, b []byte) (*os.File, error) {
+	tmp := path + ".new"
+	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if _, err = f.Write(b); err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err == nil {
+		err = dir.Sync()
+		dir.Close()
+	}
+	return f, err
 }
 
 // Close flushes and closes the log.

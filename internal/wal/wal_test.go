@@ -155,7 +155,7 @@ func TestCorruptTailIgnored(t *testing.T) {
 
 func TestTruncate(t *testing.T) {
 	l, _ := Open("")
-	l.Append(&Record{Type: RecBegin, Txn: 1})
+	lsn := l.Append(&Record{Type: RecBegin, Txn: 1})
 	l.Flush()
 	if err := l.Truncate(); err != nil {
 		t.Fatal(err)
@@ -165,9 +165,70 @@ func TestTruncate(t *testing.T) {
 	if n != 0 {
 		t.Fatal("truncated log should be empty")
 	}
-	if l.FlushedLSN() != 0 {
-		t.Fatal("truncate should reset LSN")
+	if got := l.FlushedLSN(); got != lsn {
+		t.Fatalf("FlushedLSN %d after truncate, want %d: LSNs must go on, not restart", got, lsn)
 	}
+	if next := l.Append(&Record{Type: RecBegin, Txn: 2}); next <= lsn {
+		t.Fatalf("first LSN after truncate %d, want past %d", next, lsn)
+	}
+}
+
+// TestLSNsStayMonotoneAcrossTruncateAndReopen: a page stamped before a
+// checkpoint must compare older than every record logged after it, so no
+// LSN may restart at zero — not after a truncate, not after reopening a
+// truncated log, whether or not anything was logged in between, and not
+// after a second truncate of the same open log.
+func TestLSNsStayMonotoneAcrossTruncateAndReopen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.log")
+	l, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := l.Append(&Record{Type: RecInsert, Txn: 1, After: make([]byte, 5000)})
+	logNext := func(round int) {
+		t.Helper()
+		lsn := l.Append(&Record{Type: RecUpdate, Txn: 2, After: []byte("x")})
+		if lsn <= last {
+			t.Fatalf("round %d: LSN %d after a truncate, want past %d", round, lsn, last)
+		}
+		if err := l.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		last = lsn
+	}
+	reopen := func(round int) {
+		t.Helper()
+		l.CloseNoFlush()
+		if l, err = Open(path); err != nil {
+			t.Fatal(err)
+		}
+		if got := l.FlushedLSN(); got < last {
+			t.Fatalf("round %d: reopened log is durable through %d, below the %d logged before", round, got, last)
+		}
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		if err := l.Truncate(); err != nil {
+			t.Fatal(err)
+		}
+		reopen(round) // the header alone, as a crash right after the truncate leaves it
+		logNext(round)
+		if err := l.Truncate(); err != nil {
+			t.Fatal(err)
+		}
+		logNext(round)
+		reopen(round)
+		var got []LSN
+		if err := l.Scan(func(_ LSN, r *Record) error { got = append(got, r.LSN); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || got[0] != last {
+			t.Fatalf("round %d: scan saw records ending at %v, want just %d", round, got, last)
+		}
+	}
+	l.Close()
 }
 
 func TestRecTypeString(t *testing.T) {

@@ -48,8 +48,8 @@ type PrimaryOptions struct {
 	// repl.sync_degraded) instead of wedging the commit path. Default 2s.
 	SyncTimeout time.Duration
 	// DrainTimeout bounds the pre-truncate barrier: connected replicas get
-	// this long to drain the dying epoch before the truncate proceeds and
-	// stragglers fall back to a full resync. Default 1s.
+	// this long to be shipped the log to its end before the truncate
+	// proceeds and stragglers fall back to a full resync. Default 1s.
 	DrainTimeout time.Duration
 }
 
@@ -73,14 +73,10 @@ type replicaState struct {
 	connected time.Time
 
 	mu       sync.Mutex
-	readAddr string // replica's SQL endpoint ("" = not serving reads)
-	syncing  bool   // mid-snapshot: not a routing candidate, not barrier-bound
-	epoch    uint64 // shipper-side stream epoch
-	shipped  uint64 // shipper-side sent LSN
-	ackEpoch uint64
-	durable  uint64 // replica-acked durable LSN
-	applied  uint64 // replica-acked applied LSN
-	lastAck  time.Time
+	readAddr string  // replica's SQL endpoint ("" = not serving reads)
+	syncing  bool    // mid-snapshot: not a routing candidate, not barrier-bound
+	shipped  wal.LSN // shipper-side sent LSN
+	acked    wal.LSN // replica-acked LSN: durable there and applied
 	// Routed reads forward over a small pool of SQL connections, dialed
 	// lazily: a Client runs one statement at a time, so pooling is what
 	// lets concurrent routed reads overlap on one replica (whose own
@@ -106,9 +102,9 @@ func newReplicaState(name string, nc net.Conn) *replicaState {
 	}
 }
 
-func (rs *replicaState) setShipped(epoch, lsn uint64) {
+func (rs *replicaState) setShipped(lsn wal.LSN) {
 	rs.mu.Lock()
-	rs.epoch, rs.shipped = epoch, lsn
+	rs.shipped = lsn
 	rs.mu.Unlock()
 }
 
@@ -127,8 +123,6 @@ type Primary struct {
 	routeRR  uint64        // round-robin tiebreak cursor for routing
 	ackCh    chan struct{} // closed+replaced on ack arrival or membership change
 	drainCh  chan struct{} // closed+replaced on shipped-position advance
-	barEpoch uint64        // last truncate barrier, for the epoch-cross check
-	barEnd   uint64
 
 	closed atomic.Bool
 
@@ -136,7 +130,6 @@ type Primary struct {
 	stChunks       *telemetry.Counter
 	stAcks         *telemetry.Counter
 	stResyncs      *telemetry.Counter
-	stEpochCross   *telemetry.Counter
 	stSyncAcked    *telemetry.Counter
 	stSyncDegraded *telemetry.Counter
 	stRouted       *telemetry.Counter
@@ -162,7 +155,6 @@ func StartPrimary(db *core.DB, opts PrimaryOptions) (*Primary, error) {
 	p.stChunks = reg.Counter("repl.chunks_shipped")
 	p.stAcks = reg.Counter("repl.acks")
 	p.stResyncs = reg.Counter("repl.resyncs")
-	p.stEpochCross = reg.Counter("repl.epoch_crossings")
 	p.stSyncAcked = reg.Counter("repl.sync_acked")
 	p.stSyncDegraded = reg.Counter("repl.sync_degraded")
 	p.stRouted = reg.Counter("repl.reads_routed")
@@ -361,14 +353,13 @@ func (p *Primary) serve(nc net.Conn) {
 			}
 			switch typ {
 			case msgAck:
-				a, err := decodeAck(payload)
+				lsn, _, err := server.ReadUvarint(payload)
 				if err != nil {
 					nc.Close()
 					return
 				}
 				rs.mu.Lock()
-				rs.ackEpoch, rs.durable, rs.applied = a.Epoch, a.Durable, a.Applied
-				rs.lastAck = time.Now()
+				rs.acked = lsn
 				rs.mu.Unlock()
 				p.stAcks.Inc()
 				p.ackBroadcastLocked(true)
@@ -411,61 +402,43 @@ func (p *Primary) sendMsg(rs *replicaState, bw *bufio.Writer, typ byte, payload 
 }
 
 // ship decides resume-vs-resync and then runs the shipping loop until the
-// session ends. pos is always the next primary-log byte to send.
+// session ends. pos is always the LSN of the next primary-log byte to send.
 func (p *Primary) ship(rs *replicaState, bw *bufio.Writer, h helloMsg, sessionDone <-chan struct{}) {
 	w := p.db.WAL()
-	logID, epoch, tail := w.Position()
+	logID, tail := w.Position()
+	start, _ := w.Bounds()
 
-	var pos uint64
-	if h.LogID == logID && h.Epoch == epoch && h.LSN <= tail && h.LogID != 0 {
-		// The replica's in-memory position still names our bytes: resume.
+	pos := h.LSN
+	if h.LogID == logID && start <= pos && pos <= tail {
+		// The replica's in-memory position still names bytes of our log: resume.
 		if err := p.sendMsg(rs, bw, msgResume, nil); err != nil {
 			return
 		}
-		pos = h.LSN
 	} else {
-		end, id, ep, err := p.snapshot(rs, bw)
-		if err != nil {
+		var err error
+		if pos, err = p.snapshot(rs, bw, logID); err != nil {
 			return
 		}
-		logID, epoch, pos = id, ep, end
 	}
 	rs.mu.Lock()
 	rs.syncing = false
 	rs.mu.Unlock()
-	rs.setShipped(epoch, pos)
-	p.drainBroadcast()
 
 	for {
 		if p.closed.Load() {
 			return
 		}
-		b, err := w.ReadChunk(logID, epoch, pos, chunkSize)
+		// Publish the drained position (the truncate barrier waits on it).
+		rs.setShipped(pos)
+		p.drainBroadcast()
+		b, err := w.ReadChunk(logID, pos, chunkSize)
 		switch {
-		case err == wal.ErrEpoch:
-			// The log truncated. If the barrier saw us drain the old epoch
-			// to its end, cross in place; otherwise the bytes between pos
-			// and the old end are gone and only a resync can help.
-			p.mu.Lock()
-			barOK := p.barEpoch == epoch && p.barEnd == pos
-			p.mu.Unlock()
-			newID, newEpoch, _ := w.Position()
-			if !barOK || newID != logID {
-				return
-			}
-			if err := p.sendMsg(rs, bw, msgEpoch, epochMsg{NewEpoch: newEpoch, OldEnd: pos}.encode()); err != nil {
-				return
-			}
-			p.stEpochCross.Inc()
-			epoch, pos = newEpoch, 0
-			rs.setShipped(epoch, pos)
-			p.drainBroadcast()
 		case err != nil:
-			return // log closed, or an unreadable chunk: end the session
+			// The log closed, or a truncate left pos below its start (the
+			// bytes are gone: the replica's next session resyncs).
+			return
 		case b == nil:
-			// Caught up: publish the drained position and wait for more.
-			rs.setShipped(epoch, pos)
-			p.drainBroadcast()
+			// Caught up: wait for more.
 			select {
 			case <-w.TailChanged():
 			case <-sessionDone:
@@ -478,8 +451,6 @@ func (p *Primary) ship(rs *replicaState, bw *bufio.Writer, h helloMsg, sessionDo
 			pos += uint64(len(b))
 			p.stChunks.Inc()
 			p.stBytes.Add(uint64(len(b)))
-			rs.setShipped(epoch, pos)
-			p.drainBroadcast()
 		}
 	}
 }
@@ -487,58 +458,53 @@ func (p *Primary) ship(rs *replicaState, bw *bufio.Writer, h helloMsg, sessionDo
 // snapshot serves a full resync: the store files (read fuzzily while the
 // database keeps running — any page the copy tears or misses is covered by
 // a page image or record in the WAL prefix shipped after it, exactly the
-// state a crash would leave) and then the whole current-epoch WAL prefix.
-// A truncate racing the copy bumps the epoch and restarts the snapshot.
-func (p *Primary) snapshot(rs *replicaState, bw *bufio.Writer) (prefixEnd, logID, epoch uint64, err error) {
+// state a crash would leave) and then the whole WAL prefix, from the log's
+// start to its durable end. A truncate racing the copy discards part of the
+// prefix and restarts the snapshot.
+func (p *Primary) snapshot(rs *replicaState, bw *bufio.Writer, logID uint64) (prefixEnd wal.LSN, err error) {
 	p.snapMu.Lock()
 	defer p.snapMu.Unlock()
 	w := p.db.WAL()
 	p.stResyncs.Inc()
 	for attempt := 0; ; attempt++ {
 		if attempt > 16 {
-			return 0, 0, 0, fmt.Errorf("repl: snapshot kept racing truncations")
+			return 0, fmt.Errorf("repl: snapshot kept racing truncations")
 		}
 		// Checkpoint first: it brings the files up to date with the
 		// statistics as they stand and, when no transaction is mid-flight,
 		// shrinks the shipped prefix to the trailing window.
 		if err := p.db.Checkpoint(); err != nil {
-			return 0, 0, 0, err
+			return 0, err
 		}
-		logID, epoch, _ = w.Position()
-		if err := p.sendMsg(rs, bw, msgSnapBegin, encodeSnapBegin(logID, epoch)); err != nil {
-			return 0, 0, 0, err
+		start, _ := w.Bounds()
+		if err := p.sendMsg(rs, bw, msgSnapBegin, encodeSnapBegin(logID, start)); err != nil {
+			return 0, err
 		}
 		if err := p.sendStoreFiles(rs, bw); err != nil {
-			return 0, 0, 0, err
+			return 0, err
 		}
 		// The WAL prefix is read after the copy so it covers every page
 		// image logged by write-backs that raced the file reads.
-		pos := uint64(0)
-		retry := false
+		pos := start
 		for {
-			b, rerr := w.ReadChunk(logID, epoch, pos, chunkSize)
-			if rerr == wal.ErrEpoch {
-				retry = true // truncated under us: restart the whole snapshot
-				break
+			b, rerr := w.ReadChunk(logID, pos, chunkSize)
+			if rerr == wal.ErrTruncated {
+				break // truncated under us: restart the whole snapshot
 			}
 			if rerr != nil {
-				return 0, 0, 0, rerr
+				return 0, rerr
 			}
 			if b == nil {
-				break // prefix complete at pos
+				if err := p.sendMsg(rs, bw, msgSnapEnd, server.AppendUvarint(nil, pos)); err != nil {
+					return 0, err
+				}
+				return pos, nil
 			}
 			if err := p.sendMsg(rs, bw, msgSnapWAL, b); err != nil {
-				return 0, 0, 0, err
+				return 0, err
 			}
 			pos += uint64(len(b))
 		}
-		if retry {
-			continue
-		}
-		if err := p.sendMsg(rs, bw, msgSnapEnd, server.AppendUvarint(nil, pos)); err != nil {
-			return 0, 0, 0, err
-		}
-		return pos, logID, epoch, nil
 	}
 }
 
@@ -584,19 +550,17 @@ func (p *Primary) sendStoreFiles(rs *replicaState, bw *bufio.Writer) error {
 }
 
 // onTruncate is the WAL's pre-truncate barrier: give every connected,
-// streaming replica session on this epoch a bounded window to drain to the
-// epoch's end so they cross with an epoch message instead of a resync.
-func (p *Primary) onTruncate(epoch uint64, end wal.LSN) {
-	p.mu.Lock()
-	p.barEpoch, p.barEnd = epoch, end
-	p.mu.Unlock()
+// streaming replica session a bounded window to be shipped the log to its
+// durable end, so it reads on at the same LSN in the new file instead of
+// resyncing.
+func (p *Primary) onTruncate(end wal.LSN) {
 	deadline := time.NewTimer(p.opts.DrainTimeout)
 	defer deadline.Stop()
 	for {
 		drained := true
 		for _, rs := range p.snapshotReplicas() {
 			rs.mu.Lock()
-			lagging := !rs.syncing && rs.epoch == epoch && rs.shipped < end
+			lagging := !rs.syncing && rs.shipped < end
 			rs.mu.Unlock()
 			if lagging {
 				drained = false
@@ -620,7 +584,7 @@ func (p *Primary) onTruncate(epoch uint64, end wal.LSN) {
 // replica acknowledges the group's bytes as durable, or the timeout
 // degrades the group to an async ack. With no replicas connected the
 // stream is async by definition and the hook returns immediately.
-func (p *Primary) onCommit(epoch uint64, end wal.LSN) {
+func (p *Primary) onCommit(end wal.LSN) {
 	if !p.opts.SyncCommit || p.closed.Load() {
 		return
 	}
@@ -652,7 +616,7 @@ func (p *Primary) onCommit(epoch uint64, end wal.LSN) {
 		}
 		for _, rs := range reps {
 			rs.mu.Lock()
-			acked := rs.ackEpoch == epoch && rs.durable >= end
+			acked := rs.acked >= end
 			rs.mu.Unlock()
 			if acked {
 				p.stSyncAcked.Inc()
@@ -669,19 +633,16 @@ func (p *Primary) onCommit(epoch uint64, end wal.LSN) {
 	}
 }
 
-// lagOf is a replica's apply lag in primary-log bytes (stale epoch = the
-// whole durable tail).
+// lagOf is a replica's apply lag in primary-log bytes (the whole durable
+// history while it syncs).
 func (p *Primary) lagOf(rs *replicaState) uint64 {
-	_, epoch, tail := p.db.WAL().Position()
+	_, tail := p.db.WAL().Position()
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	if rs.syncing || rs.ackEpoch != epoch {
+	if rs.syncing {
 		return tail
 	}
-	if rs.applied >= tail {
-		return 0
-	}
-	return tail - rs.applied
+	return tail - min(rs.acked, tail)
 }
 
 // RouteRead implements server.Options.RouteRead: forward a read-only
@@ -790,10 +751,8 @@ func (p *Primary) replicasTable() ([]table.Column, []exec.Row) {
 		{Name: "name", Kind: val.KStr},
 		{Name: "read_addr", Kind: val.KStr},
 		{Name: "state", Kind: val.KStr},
-		{Name: "epoch", Kind: val.KInt},
 		{Name: "shipped_lsn", Kind: val.KInt},
-		{Name: "durable_lsn", Kind: val.KInt},
-		{Name: "applied_lsn", Kind: val.KInt},
+		{Name: "acked_lsn", Kind: val.KInt},
 		{Name: "lag_bytes", Kind: val.KInt},
 		{Name: "inflight_reads", Kind: val.KInt},
 		{Name: "age_us", Kind: val.KInt},
@@ -813,10 +772,8 @@ func (p *Primary) replicasTable() ([]table.Column, []exec.Row) {
 			val.NewStr(rs.name),
 			val.NewStr(rs.readAddr),
 			val.NewStr(state),
-			val.NewInt(int64(rs.epoch)),
 			val.NewInt(int64(rs.shipped)),
-			val.NewInt(int64(rs.durable)),
-			val.NewInt(int64(rs.applied)),
+			val.NewInt(int64(rs.acked)),
 			val.NewInt(int64(lag)),
 			val.NewInt(rs.inflight.Load()),
 			val.NewInt(time.Since(rs.connected).Microseconds()),

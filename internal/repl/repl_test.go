@@ -161,7 +161,10 @@ func TestLateJoinSnapshotsExistingData(t *testing.T) {
 	waitRows(t, r.DB(), "SELECT k FROM kv", 200)
 }
 
-func TestEpochCrossingWithoutResync(t *testing.T) {
+// TestTruncateCrossedWithoutResync: across primary checkpoints that truncate
+// its log, a caught-up replica reads on at the same LSN — no resync — and
+// checkpoints at each shipped checkpoint, truncating its own log too.
+func TestTruncateCrossedWithoutResync(t *testing.T) {
 	db, p := startPrimary(t, PrimaryOptions{})
 	defer db.Close()
 	defer p.Close()
@@ -173,8 +176,9 @@ func TestEpochCrossingWithoutResync(t *testing.T) {
 	defer r.Stop()
 	mustExec(t, c, "INSERT INTO kv VALUES (1)")
 	waitRows(t, r.DB(), "SELECT k FROM kv", 1)
+	truncates := func(db *core.DB) int64 { v, _ := db.Telemetry().Value("wal.truncates"); return v }
+	primBefore, repBefore := truncates(db), truncates(r.DB())
 
-	// Truncate the primary's log: a caught-up replica crosses in place.
 	for i := 0; i < 3; i++ {
 		if err := db.Checkpoint(); err != nil {
 			t.Fatal(err)
@@ -182,11 +186,125 @@ func TestEpochCrossingWithoutResync(t *testing.T) {
 		mustExec(t, c, "INSERT INTO kv VALUES (?)", val.NewInt(int64(100+i)))
 		waitRows(t, r.DB(), "SELECT k FROM kv", 2+i)
 	}
-	if r.Resyncs() != 1 {
-		t.Fatalf("resyncs = %d, want 1 (epoch crossings must not resync)", r.Resyncs())
+	if n := truncates(db) - primBefore; n != 3 {
+		t.Fatalf("the primary truncated %d times, want 3", n)
 	}
-	if v, _ := db.Telemetry().Value("repl.epoch_crossings"); v == 0 {
-		t.Fatal("no epoch crossings recorded")
+	if r.Resyncs() != 1 {
+		t.Fatalf("resyncs = %d, want 1 (crossing a truncate must not resync)", r.Resyncs())
+	}
+	if truncates(r.DB()) == repBefore {
+		t.Fatal("the replica never truncated its own log at a shipped checkpoint")
+	}
+}
+
+// TestReplicaPositionsAreLSNs: a replica's acknowledged position is an LSN
+// of the primary's log, so it never goes back across a checkpoint that
+// truncates that log, and once the replica has caught up it is the
+// primary's FlushedLSN.
+func TestReplicaPositionsAreLSNs(t *testing.T) {
+	db, p := startPrimary(t, PrimaryOptions{})
+	defer db.Close()
+	defer p.Close()
+	c, _ := db.Connect()
+	defer c.Close()
+	mustExec(t, c, "CREATE TABLE kv (k INT)")
+
+	r := startReplica(t, p, "r1")
+	defer r.Stop()
+	acked := func() int64 {
+		t.Helper()
+		rows, err := c.Query("SELECT acked_lsn FROM sys.replicas")
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := rows.All()
+		if len(all) != 1 {
+			t.Fatalf("sys.replicas has %d rows, want 1", len(all))
+		}
+		return all[0][0].I
+	}
+	last := int64(0)
+	for i := 0; i < 4; i++ {
+		if i > 0 {
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustExec(t, c, "INSERT INTO kv VALUES (?)", val.NewInt(int64(i)))
+		for deadline := time.Now().Add(10 * time.Second); ; {
+			a := acked()
+			if a < last {
+				t.Fatalf("round %d: acked_lsn went back from %d to %d", i, last, a)
+			}
+			last = a
+			if uint64(a) == db.WAL().FlushedLSN() {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: acked_lsn %d never reached the primary's FlushedLSN %d", i, a, db.WAL().FlushedLSN())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	if r.Resyncs() != 1 {
+		t.Fatalf("resyncs = %d, want 1", r.Resyncs())
+	}
+}
+
+// TestResumeOnlyWhileTheLogHoldsThePosition: the primary resumes a replica
+// whose position its log still holds, and snapshots one that a truncate has
+// left below the log's start (or that names another log) rather than skip
+// the bytes in between.
+func TestResumeOnlyWhileTheLogHoldsThePosition(t *testing.T) {
+	db, p := startPrimary(t, PrimaryOptions{})
+	defer db.Close()
+	defer p.Close()
+	c, _ := db.Connect()
+	defer c.Close()
+	mustExec(t, c, "CREATE TABLE kv (k INT)")
+	mustExec(t, c, "INSERT INTO kv VALUES (1)")
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, c, "INSERT INTO kv VALUES (2)")
+
+	reply := func(logID uint64, lsn uint64) byte {
+		t.Helper()
+		nc, err := net.Dial("tcp", p.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		bw := bufio.NewWriter(nc)
+		h := helloMsg{Version: replProtoVersion, Name: "probe", LogID: logID, LSN: lsn}
+		if err := server.WriteFrame(bw, msgHello, h.encode()); err != nil {
+			t.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		typ, _, err := server.ReadFrame(bufio.NewReader(nc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return typ
+	}
+	logID, tail := db.WAL().Position()
+	start, _ := db.WAL().Bounds()
+	if start == 0 || start > tail {
+		t.Fatalf("log bounds [%d, %d]: the checkpoint did not truncate", start, tail)
+	}
+	if got := reply(logID, tail); got != msgResume {
+		t.Fatalf("hello at the durable tail: reply 0x%02x, want resume", got)
+	}
+	if got := reply(logID, start); got != msgResume {
+		t.Fatalf("hello at the log's start: reply 0x%02x, want resume", got)
+	}
+	if got := reply(logID, start-1); got != msgSnapBegin {
+		t.Fatalf("hello below the log's start: reply 0x%02x, want a snapshot", got)
+	}
+	if got := reply(logID+2, tail); got != msgSnapBegin {
+		t.Fatalf("hello naming another log: reply 0x%02x, want a snapshot", got)
 	}
 }
 
@@ -471,7 +589,8 @@ func TestReplicaSurvivesPrimarySessionDrop(t *testing.T) {
 	waitRows(t, r.DB(), "SELECT k FROM kv", 1)
 
 	// Drop every replica session server-side; the replica reconnects and
-	// resumes in place (same logID/epoch, no new resync).
+	// resumes in place (same logID, a position the log still holds: no new
+	// resync).
 	p.mu.Lock()
 	for _, rs := range p.replicas {
 		rs.conn.Close()

@@ -63,8 +63,7 @@ func (o *ReplicaOptions) fill() {
 // in memory: a replica restart always renegotiates from zero (= resync).
 type streamPos struct {
 	logID uint64
-	epoch uint64
-	lsn   uint64
+	lsn   wal.LSN
 }
 
 // Replica connects to a primary, syncs a copy of the database, applies the
@@ -253,7 +252,7 @@ func (r *Replica) session() error {
 
 	hello := helloMsg{
 		Version: replProtoVersion, Token: r.opts.Token, Name: r.opts.Name,
-		LogID: pos.logID, Epoch: pos.epoch, LSN: pos.lsn,
+		LogID: pos.logID, LSN: pos.lsn,
 	}
 	if err := send(msgHello, hello.encode()); err != nil {
 		return err
@@ -320,23 +319,24 @@ func (r *Replica) session() error {
 			if err != nil {
 				return err
 			}
-			if err := r.applyChunk(m); err != nil {
+			ckpt, err := r.applyChunk(m)
+			if err != nil {
 				// Wrong offset, corrupt frame, unknown table: the stream
 				// state is unusable — force a snapshot next session.
 				r.invalidate()
 				return err
 			}
 			r.sendAck(send)
-		case msgEpoch:
-			m, err := decodeEpoch(payload)
-			if err != nil {
-				return err
+			if ckpt {
+				// The primary logs RecCheckpoint just before it truncates
+				// its log: checkpoint too, so the local log is truncated
+				// rather than growing forever. Here, at the chunk boundary,
+				// every ingested record has been applied.
+				if err := r.DB().Checkpoint(); err != nil {
+					r.invalidate()
+					return err
+				}
 			}
-			if err := r.crossEpoch(m); err != nil {
-				r.invalidate()
-				return err
-			}
-			r.sendAck(send)
 		case server.MsgError:
 			return wireErr(payload)
 		default:
@@ -345,13 +345,13 @@ func (r *Replica) session() error {
 	}
 }
 
-// sendAck reports current durable/applied progress (both equal: a chunk is
-// ingested into the local synced WAL and applied before the ack goes out).
+// sendAck reports the stream position: a chunk is ingested into the local
+// synced WAL and applied before the position moves past it.
 func (r *Replica) sendAck(send func(byte, []byte) error) {
 	r.mu.Lock()
-	a := ackMsg{Epoch: r.pos.epoch, Durable: r.pos.lsn, Applied: r.pos.lsn}
+	lsn := r.pos.lsn
 	r.mu.Unlock()
-	send(msgAck, a.encode())
+	send(msgAck, server.AppendUvarint(nil, lsn))
 }
 
 // invalidate wipes the stream position so the next session hellos with
@@ -365,82 +365,61 @@ func (r *Replica) invalidate() {
 
 // applyChunk ingests one shipped chunk: whole frames go into the local WAL
 // (durability for the ack) and through the applier; a trailing partial
-// frame is buffered for the next chunk.
-func (r *Replica) applyChunk(m shipMsg) error {
+// frame is buffered for the next chunk. ckpt reports that the frames held
+// a RecCheckpoint.
+func (r *Replica) applyChunk(m shipMsg) (ckpt bool, err error) {
 	r.mu.Lock()
 	db, applier := r.db, r.applier
 	expect := r.pos.lsn + uint64(len(r.partial))
 	r.mu.Unlock()
 	if db == nil || applier == nil {
-		return fmt.Errorf("repl: ship before sync")
+		return false, fmt.Errorf("repl: ship before sync")
 	}
 	if m.StartLSN != expect {
-		return fmt.Errorf("repl: stream gap: got chunk at %d, expected %d", m.StartLSN, expect)
+		return false, fmt.Errorf("repl: stream gap: got chunk at %d, expected %d", m.StartLSN, expect)
 	}
 	r.partial = append(r.partial, m.Frames...)
 
 	var recs []*wal.Record
 	consumed, err := wal.DecodeFrames(r.partial, func(_ int, rec *wal.Record) error {
 		recs = append(recs, rec)
+		ckpt = ckpt || rec.Type == wal.RecCheckpoint
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	if consumed == 0 {
-		return nil
+	if err != nil || consumed == 0 {
+		return false, err
 	}
 	// Durable first, then visible: the ack promises both.
 	if err := ingestApply(db, applier, r.partial[:consumed], recs); err != nil {
-		return err
+		return false, err
 	}
 	rest := r.partial[consumed:]
 	r.mu.Lock()
 	r.partial = append(r.partial[:0], rest...)
 	r.pos.lsn += uint64(consumed)
 	r.mu.Unlock()
-	return nil
-}
-
-// crossEpoch follows a primary truncation in place: possible only when the
-// replica ingested the old epoch to its exact end with no partial frame
-// buffered. The local database checkpoints too, mirroring the primary's
-// truncation so the replica's WAL doesn't grow forever (the checkpoint
-// itself keeps the log while a shipped transaction is mid-flight).
-func (r *Replica) crossEpoch(m epochMsg) error {
-	r.mu.Lock()
-	db := r.db
-	ok := r.pos.lsn == m.OldEnd && len(r.partial) == 0
-	r.mu.Unlock()
-	if db == nil || !ok {
-		return fmt.Errorf("repl: epoch crossing at %d but local position disagrees", m.OldEnd)
-	}
-	if err := db.Checkpoint(); err != nil {
-		return err
-	}
-	db.WAL().AdoptIdentity(r.pos.logID, m.NewEpoch)
-	r.mu.Lock()
-	r.pos.epoch, r.pos.lsn = m.NewEpoch, 0
-	r.mu.Unlock()
-	return nil
+	return ckpt, nil
 }
 
 // resync receives a full snapshot: the primary's store files plus the WAL
-// prefix [0, prefixEnd). The copy is fuzzy — the primary keeps running —
-// but file bytes + prefix are exactly what a crash at prefixEnd would have
-// left on the primary's disk (an in-place write waits for a durable full page
-// image of its bytes in the log, so any torn or mid-write page the copy caught is
-// restored from the prefix). Opening the directory therefore runs ordinary
-// crash recovery: redo everything, undo transactions with no commit in the
-// prefix. Those undone transactions are still live on the primary, so their
-// records are re-applied through the streaming applier (making them pending
-// MVCC state that commits when the stream ships the commit record) and
-// re-ingested into the local WAL (so a promotion can undo them if the
-// commit never arrives).
+// prefix [start, prefixEnd), which becomes the local log at the same LSNs,
+// so they compare as they did on the primary with the LSNs stamped in the
+// copied pages. The copy is fuzzy — the primary keeps running — but file
+// bytes + prefix are exactly what a crash at prefixEnd would have left on
+// the primary's disk (an in-place write waits until the log durably holds
+// an image of the page logged since start and every record after it, so
+// any torn or mid-write page the copy caught is repaired from the prefix).
+// Opening the directory therefore runs ordinary crash recovery: redo
+// everything, undo transactions with no commit in the prefix. Those undone
+// transactions are still live on the primary, so their records are
+// re-applied through the streaming applier (making them pending MVCC state
+// that commits when the stream ships the commit record) and re-ingested
+// into the local WAL (so a promotion can undo them if the commit never
+// arrives).
 func (r *Replica) resync(br *bufio.Reader, typ byte, payload []byte) error {
 	r.resyncs.Add(1)
 restart:
-	logID, epoch, err := decodeSnapBegin(payload)
+	logID, start, err := decodeSnapBegin(payload)
 	if err != nil {
 		return err
 	}
@@ -498,9 +477,9 @@ restart:
 				closeFiles()
 				return err
 			}
-			if uint64(len(prefix)) != prefixEnd {
+			if start+uint64(len(prefix)) != prefixEnd {
 				closeFiles()
-				return fmt.Errorf("repl: snapshot prefix is %d bytes, primary says %d", len(prefix), prefixEnd)
+				return fmt.Errorf("repl: snapshot prefix from %d is %d bytes, primary says it ends at %d", start, len(prefix), prefixEnd)
 			}
 			for _, f := range files {
 				if err := f.Sync(); err != nil {
@@ -509,10 +488,10 @@ restart:
 				}
 			}
 			closeFiles()
-			if err := os.WriteFile(filepath.Join(r.opts.Dir, "anywhere.log"), prefix, 0o644); err != nil {
+			if err := wal.WriteLog(filepath.Join(r.opts.Dir, "anywhere.log"), start, prefix); err != nil {
 				return err
 			}
-			return r.openFromSnapshot(logID, epoch, prefix)
+			return r.openFromSnapshot(logID, prefixEnd, prefix)
 		case server.MsgError:
 			closeFiles()
 			return wireErr(payload)
@@ -559,7 +538,7 @@ func (r *Replica) teardown() error {
 // openFromSnapshot opens the copied directory (running crash recovery),
 // re-establishes the primary's in-flight transactions, and starts the read
 // endpoint.
-func (r *Replica) openFromSnapshot(logID, epoch uint64, prefix []byte) error {
+func (r *Replica) openFromSnapshot(logID uint64, prefixEnd wal.LSN, prefix []byte) error {
 	tmpl := r.opts.Core
 	tmpl.Dir = r.opts.Dir
 	tmpl.ReplicaMode = true
@@ -574,10 +553,6 @@ func (r *Replica) openFromSnapshot(logID, epoch uint64, prefix []byte) error {
 		db.Crash()
 		return err
 	}
-
-	// The local log now starts a fresh epoch of its own; adopt the
-	// primary's identity so positions in sys.* views line up.
-	db.WAL().AdoptIdentity(logID, epoch)
 
 	reg := db.Telemetry()
 	reg.GaugeFunc("repl.apply_records", func() int64 { return int64(applier.Records) })
@@ -606,7 +581,7 @@ func (r *Replica) openFromSnapshot(logID, epoch uint64, prefix []byte) error {
 	r.mu.Lock()
 	r.db, r.applier, r.srv = db, applier, srv
 	r.readAddr = srv.Addr().String()
-	r.pos = streamPos{logID: logID, epoch: epoch, lsn: uint64(len(prefix))}
+	r.pos = streamPos{logID: logID, lsn: prefixEnd}
 	r.partial = nil
 	r.mu.Unlock()
 	return nil

@@ -13,30 +13,28 @@
 // protocol (server.WriteFrame/ReadFrame) with its own message-type space:
 //
 //	replica → primary
-//	  0x40 hello     ver | token | name | logID | epoch | lsn
-//	  0x41 ack       epoch | durableLSN | appliedLSN
+//	  0x40 hello     ver | token | name | logID | lsn
+//	  0x41 ack       lsn           ingested, durable and applied through lsn
 //	  0x42 readAddr  addr          (the replica's SQL endpoint, "" = none)
 //	primary → replica
 //	  0x50 resume    (empty)       hello position accepted; shipping follows
-//	  0x51 snapBegin logID | epoch full resync: identity of the snapshot
+//	  0x51 snapBegin logID | start full resync: the log and the LSN its
+//	                               prefix starts after
 //	  0x52 snapFile  name | off | bytes   one chunk of a store file
-//	  0x53 snapWAL   bytes         one chunk of the WAL prefix [0, prefixEnd)
+//	  0x53 snapWAL   bytes         one chunk of the WAL prefix [start, prefixEnd)
 //	  0x54 snapEnd   prefixEnd     snapshot complete; shipping resumes there
 //	  0x55 ship      startLSN | bytes     raw sealed frames (byte-aligned,
 //	                                      not frame-aligned: replicas buffer
 //	                                      partial frames)
-//	  0x56 epoch     newEpoch | oldEnd    the primary truncated its log; a
-//	                                      replica that ingested exactly
-//	                                      oldEnd crosses in place, anyone
-//	                                      else resyncs
 //	  0x86 error     server.MsgError, shared status codes
 //
-// Positions are (logID, epoch, LSN) triples as defined by the wal package:
-// logID names one primary Open, epoch counts truncations, LSN is a byte
-// offset. A replica persists no position — its in-memory stream state dies
-// with the process and a restarted replica always resyncs — but a live
-// replica reconnecting across a dropped TCP session resumes in place when
-// the primary's identity still matches.
+// A position is a (logID, LSN) pair as defined by the wal package: logID
+// names one primary Open, the LSN a byte of its log's history, which a
+// truncate does not move — a caught-up replica reads across one at the same
+// LSN. A replica persists no position — its in-memory stream state dies with
+// the process and a restarted replica always resyncs — but a live replica
+// reconnecting across a dropped TCP session resumes in place while the
+// primary's log still holds its position.
 package repl
 
 import (
@@ -58,12 +56,11 @@ const (
 	msgSnapWAL   byte = 0x53
 	msgSnapEnd   byte = 0x54
 	msgShip      byte = 0x55
-	msgEpoch     byte = 0x56
 )
 
 // replProtoVersion versions the replication handshake independently of the
 // client protocol.
-const replProtoVersion = 1
+const replProtoVersion = 2
 
 // helloMsg is the replica's opening message: who it is and where its
 // in-memory stream position stands (all-zero = no position, snapshot me).
@@ -72,7 +69,6 @@ type helloMsg struct {
 	Token   string
 	Name    string
 	LogID   uint64
-	Epoch   uint64
 	LSN     uint64
 }
 
@@ -81,7 +77,6 @@ func (m helloMsg) encode() []byte {
 	b = server.AppendString(b, m.Token)
 	b = server.AppendString(b, m.Name)
 	b = server.AppendUvarint(b, m.LogID)
-	b = server.AppendUvarint(b, m.Epoch)
 	return server.AppendUvarint(b, m.LSN)
 }
 
@@ -95,7 +90,7 @@ func decodeHello(b []byte) (m helloMsg, err error) {
 	if m.Name, b, err = server.ReadString(b); err != nil {
 		return m, err
 	}
-	err = readUvarints(b, &m.LogID, &m.Epoch, &m.LSN)
+	err = readUvarints(b, &m.LogID, &m.LSN)
 	return m, err
 }
 
@@ -107,28 +102,6 @@ func readUvarints(b []byte, into ...*uint64) (err error) {
 		}
 	}
 	return nil
-}
-
-// ackMsg reports replica progress: durable is the primary-stream LSN whose
-// bytes are in the replica's own synced log; applied is the LSN through
-// which records have been replayed into the engine. durable ≥ applied never
-// holds — the replica ingests then applies before acking, so the two move
-// together; both are carried for observability.
-type ackMsg struct {
-	Epoch   uint64
-	Durable uint64
-	Applied uint64
-}
-
-func (m ackMsg) encode() []byte {
-	b := server.AppendUvarint(nil, m.Epoch)
-	b = server.AppendUvarint(b, m.Durable)
-	return server.AppendUvarint(b, m.Applied)
-}
-
-func decodeAck(payload []byte) (m ackMsg, err error) {
-	err = readUvarints(payload, &m.Epoch, &m.Durable, &m.Applied)
-	return m, err
 }
 
 // snapFileMsg carries one chunk of a store file during a full resync.
@@ -169,32 +142,15 @@ func decodeShip(payload []byte) (m shipMsg, err error) {
 	return m, err
 }
 
-// epochMsg announces a primary log truncation: the old epoch ended at
-// OldEnd, the stream continues at (NewEpoch, 0).
-type epochMsg struct {
-	NewEpoch uint64
-	OldEnd   uint64
+// snapBegin is two uvarints; ack and snapEnd are one.
+
+func encodeSnapBegin(logID, start uint64) []byte {
+	return server.AppendUvarint(server.AppendUvarint(nil, logID), start)
 }
 
-func (m epochMsg) encode() []byte {
-	b := server.AppendUvarint(nil, m.NewEpoch)
-	return server.AppendUvarint(b, m.OldEnd)
-}
-
-func decodeEpoch(payload []byte) (m epochMsg, err error) {
-	err = readUvarints(payload, &m.NewEpoch, &m.OldEnd)
-	return m, err
-}
-
-// snapBegin / snapEnd payloads are two and one uvarints.
-
-func encodeSnapBegin(logID, epoch uint64) []byte {
-	return server.AppendUvarint(server.AppendUvarint(nil, logID), epoch)
-}
-
-func decodeSnapBegin(payload []byte) (logID, epoch uint64, err error) {
-	err = readUvarints(payload, &logID, &epoch)
-	return logID, epoch, err
+func decodeSnapBegin(payload []byte) (logID, start uint64, err error) {
+	err = readUvarints(payload, &logID, &start)
+	return logID, start, err
 }
 
 func encodeErr(code byte, msg string) []byte {

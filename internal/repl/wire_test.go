@@ -9,7 +9,7 @@ import (
 // checks that each decoder rejects every proper prefix of a payload that
 // ends in a structured field (raw chunk tails may legally be cut short).
 func TestWireRoundTrip(t *testing.T) {
-	hello := helloMsg{Version: 1, Token: "tok", Name: "r1", LogID: 7, Epoch: 300, LSN: 1 << 40}
+	hello := helloMsg{Version: 1, Token: "tok", Name: "r1", LogID: 7, LSN: 1 << 40}
 	if got, err := decodeHello(hello.encode()); err != nil || got != hello {
 		t.Fatalf("hello: %+v, %v", got, err)
 	}
@@ -18,24 +18,11 @@ func TestWireRoundTrip(t *testing.T) {
 			t.Fatalf("hello: %d-byte prefix accepted", n)
 		}
 	}
-	ack := ackMsg{Epoch: 2, Durable: 999, Applied: 998}
-	if got, err := decodeAck(ack.encode()); err != nil || got != ack {
-		t.Fatalf("ack: %+v, %v", got, err)
+	if logID, start, err := decodeSnapBegin(encodeSnapBegin(11, 22)); err != nil || logID != 11 || start != 22 {
+		t.Fatalf("snapBegin: %d %d %v", logID, start, err)
 	}
-	for n := 0; n < len(ack.encode()); n++ {
-		if _, err := decodeAck(ack.encode()[:n]); err == nil {
-			t.Fatalf("ack: %d-byte prefix accepted", n)
-		}
-	}
-	ep := epochMsg{NewEpoch: 3, OldEnd: 12345}
-	if got, err := decodeEpoch(ep.encode()); err != nil || got != ep {
-		t.Fatalf("epoch: %+v, %v", got, err)
-	}
-	if _, err := decodeEpoch(ep.encode()[:1]); err == nil {
-		t.Fatal("epoch: truncated payload accepted")
-	}
-	if logID, epoch, err := decodeSnapBegin(encodeSnapBegin(11, 22)); err != nil || logID != 11 || epoch != 22 {
-		t.Fatalf("snapBegin: %d %d %v", logID, epoch, err)
+	if _, _, err := decodeSnapBegin(encodeSnapBegin(11, 22)[:1]); err == nil {
+		t.Fatal("snapBegin: truncated payload accepted")
 	}
 	file := snapFileMsg{Name: "main.db", Off: 8192, Chunk: []byte{1, 2, 3}}
 	if got, err := decodeSnapFile(file.encode()); err != nil || !reflect.DeepEqual(got, file) {

@@ -316,7 +316,13 @@ func TestTruncateDrainsInflightFlush(t *testing.T) {
 		defer wg.Done()
 		_ = l.FlushTo(first)
 	}()
-	time.Sleep(time.Millisecond) // let the leader enter its slow fsync
+	// Let the leader seal the buffer and enter its slow fsync (or finish it:
+	// either way the record is out of the buffer a truncate carries over).
+	for sealed := false; !sealed; time.Sleep(100 * time.Microsecond) {
+		l.mu.Lock()
+		sealed = l.inflight != nil || l.tail > 0
+		l.mu.Unlock()
+	}
 	if err := l.Truncate(); err != nil {
 		t.Fatal(err)
 	}

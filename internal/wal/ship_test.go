@@ -3,6 +3,7 @@ package wal
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -232,52 +233,128 @@ func TestScanTornTailIsSilent(t *testing.T) {
 	l3.CloseNoFlush()
 }
 
-// TestTruncateEpochInvalidatesPositions is the regression for the
-// position-reuse bug: Truncate restarts shipping positions at zero, so a
-// consumer that persisted an (epoch-less) position across a truncate would
-// silently re-read or skip records at a reused offset. ReadChunk must
-// refuse a stale position with ErrEpoch.
-func TestTruncateEpochInvalidatesPositions(t *testing.T) {
+// TestReadChunkSpeaksLSNs: a shipping position is an LSN, which a truncate
+// does not move. Below the log's start the bytes are gone (ErrTruncated); at
+// the pre-truncate tail a reader reads on into the new file and gets exactly
+// the records appended since; past the durable tail, or under another log's
+// id, it is an error.
+func TestReadChunkSpeaksLSNs(t *testing.T) {
 	l, _ := fileLog(t)
 	defer l.Close()
 
-	appendFlush(t, l, dataRec(1, 0, []byte("old-epoch-one")), dataRec(2, 1, []byte("old-epoch-two")))
-	logID, epoch, tail := l.Position()
-	if tail == 0 {
-		t.Fatal("no durable bytes before truncate")
-	}
-	// A shipper that has consumed only part of the old epoch.
-	chunk, err := l.ReadChunk(logID, epoch, 0, 16)
-	if err != nil || len(chunk) != 16 {
+	appendFlush(t, l, dataRec(1, 0, []byte("before-one")), dataRec(2, 1, []byte("before-two")))
+	logID, tail := l.Position()
+	// A shipper that has consumed only part of the log.
+	if chunk, err := l.ReadChunk(logID, 0, 16); err != nil || len(chunk) != 16 {
 		t.Fatalf("pre-truncate ReadChunk: %d bytes, err %v", len(chunk), err)
 	}
-
+	l.mu.Lock()
+	f, start := l.f, l.start
+	l.mu.Unlock()
 	if err := l.Truncate(); err != nil {
 		t.Fatal(err)
 	}
-	appendFlush(t, l, dataRec(9, 0, []byte("new-epoch")))
+	// A read that loses its file to the truncate was reading below the new
+	// start: the bytes it wanted are gone.
+	if err := l.readAt(f, start, make([]byte, 16), 16); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("read from the truncated file: %v, want ErrTruncated", err)
+	}
+	if start, _ := l.Bounds(); start != tail {
+		t.Fatalf("start after truncate = %d, want the old tail %d", start, tail)
+	}
+	if _, err := l.ReadChunk(logID, 16, 1<<20); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("ReadChunk below start returned %v, want ErrTruncated", err)
+	}
+	if chunk, err := l.ReadChunk(logID, tail, 1<<20); chunk != nil || err != nil {
+		t.Fatalf("caught-up ReadChunk: %d bytes, err %v; want nil, nil", len(chunk), err)
+	}
 
-	// Resuming at the old offset with the old epoch must fail loudly, not
-	// hand back the new epoch's bytes at a reused offset.
-	if _, err := l.ReadChunk(logID, epoch, 16, 1<<20); !errors.Is(err, ErrEpoch) {
-		t.Fatalf("stale-epoch ReadChunk returned %v, want ErrEpoch", err)
+	end := appendFlush(t, l, dataRec(9, 0, []byte("after")))
+	chunk, err := l.ReadChunk(logID, tail, 1<<20)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Same for an LSN beyond the new log's tail.
-	if _, err := l.ReadChunk(logID, epoch, tail, 1<<20); !errors.Is(err, ErrEpoch) {
-		t.Fatalf("stale-epoch ReadChunk at old tail returned %v, want ErrEpoch", err)
+	var txns []uint64
+	n, err := DecodeFrames(chunk, func(_ int, r *Record) error { txns = append(txns, r.Txn); return nil })
+	if err != nil || n != len(chunk) || tail+uint64(n) != end || len(txns) != 1 || txns[0] != 9 {
+		t.Fatalf("ReadChunk at the old tail: txns %v in %d of %d bytes (err %v), want [9] ending at %d",
+			txns, n, len(chunk), err, end)
 	}
 
-	logID2, epoch2, tail2 := l.Position()
-	if logID2 != logID {
-		t.Fatalf("logID changed across truncate: %d vs %d", logID2, logID)
+	if _, err := l.ReadChunk(logID, end+1, 1<<20); err == nil {
+		t.Fatal("ReadChunk past the durable tail succeeded")
 	}
-	if epoch2 != epoch+1 {
-		t.Fatalf("epoch after truncate: %d, want %d", epoch2, epoch+1)
+	if _, err := l.ReadChunk(logID+2, end, 1<<20); err == nil {
+		t.Fatal("ReadChunk under another log's id succeeded")
 	}
-	// The renegotiated position reads the new epoch from offset zero.
-	chunk, err = l.ReadChunk(logID2, epoch2, 0, int(tail2))
-	if err != nil || uint64(len(chunk)) != tail2 {
-		t.Fatalf("new-epoch ReadChunk: %d bytes, err %v", len(chunk), err)
+}
+
+// TestReadChunkRacesTruncate: a reader at the log's start while Truncate
+// runs in a loop fails only for a position a truncate has since left below
+// the start, and every byte it is handed is the byte logged at its LSN —
+// each record carries its own end LSN, so a read from the wrong file or
+// offset shows.
+func TestReadChunkRacesTruncate(t *testing.T) {
+	l, _ := fileLog(t)
+	defer l.Close()
+	logID, _ := l.Position()
+
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 400; i++ {
+			for k := 0; k < 4; k++ {
+				r := dataRec(uint64(i+1), uint32(k), make([]byte, 8))
+				binary.LittleEndian.PutUint64(r.After, l.PendingLSN()+FrameLen(r))
+				l.Append(r)
+			}
+			if err := l.Flush(); err != nil {
+				done <- err
+				return
+			}
+			if i%4 == 3 {
+				if err := l.Truncate(); err != nil {
+					done <- err
+					return
+				}
+			}
+		}
+		done <- nil
+	}()
+
+	reads := 0
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reads == 0 {
+				t.Fatal("the reader never read a byte")
+			}
+			return
+		default:
+		}
+		start, _ := l.Bounds()
+		chunk, err := l.ReadChunk(logID, start, 1<<20)
+		if err != nil {
+			if now, _ := l.Bounds(); !errors.Is(err, ErrTruncated) || now <= start {
+				t.Fatalf("ReadChunk at start %d (now %d): %v", start, now, err)
+			}
+			continue
+		}
+		end := start
+		if _, err := DecodeFrames(chunk, func(n int, r *Record) error {
+			end += uint64(n)
+			if got := binary.LittleEndian.Uint64(r.After); got != end {
+				t.Fatalf("record ending at LSN %d says it ends at %d", end, got)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(chunk) > 0 {
+			reads++
+		}
 	}
 }
 
@@ -295,7 +372,7 @@ func TestTruncateCarriesPendingBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The racing committer's FlushTo must make the record durable in the
-	// new epoch.
+	// new file.
 	if err := l.FlushTo(lsn); err != nil {
 		t.Fatal(err)
 	}
@@ -309,23 +386,36 @@ func TestTruncateCarriesPendingBuffer(t *testing.T) {
 }
 
 // TestIngestRawRoundTrip verifies the replica ingest path: raw chunks read
-// from one log, ingested into another, reproduce the same records and are
-// durable (reopen sees them).
+// from one log from its start LSN, ingested into a log WriteLog began at that
+// LSN, reproduce the same records at the same LSNs and are durable (reopen
+// sees them).
 func TestIngestRawRoundTrip(t *testing.T) {
 	src, _ := fileLog(t)
+	appendFlush(t, src, dataRec(9, 0, []byte("truncated-away")))
+	if err := src.Truncate(); err != nil {
+		t.Fatal(err)
+	}
 	appendFlush(t, src,
 		dataRec(1, 0, []byte("alpha")),
 		dataRec(2, 1, []byte("beta")),
 		dataRec(3, 2, []byte("gamma")))
-	logID, epoch, tail := src.Position()
+	logID, tail := src.Position()
+	start, _ := src.Bounds()
+	var want []LSN
+	if err := src.Scan(func(_ LSN, r *Record) error { want = append(want, r.LSN); return nil }); err != nil {
+		t.Fatal(err)
+	}
 
 	dstPath := filepath.Join(t.TempDir(), "replica.log")
+	if err := WriteLog(dstPath, start, nil); err != nil {
+		t.Fatal(err)
+	}
 	dst, err := Open(dstPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for from := LSN(0); from < tail; {
-		chunk, err := src.ReadChunk(logID, epoch, from, 64)
+	for from := start; from < tail; {
+		chunk, err := src.ReadChunk(logID, from, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,11 +433,18 @@ func TestIngestRawRoundTrip(t *testing.T) {
 	}
 	defer re.Close()
 	var txns []uint64
-	if err := re.Scan(func(_ LSN, r *Record) error { txns = append(txns, r.Txn); return nil }); err != nil {
+	var got []LSN
+	if err := re.Scan(func(_ LSN, r *Record) error {
+		txns, got = append(txns, r.Txn), append(got, r.LSN)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if len(txns) != 3 || txns[0] != 1 || txns[2] != 3 {
 		t.Fatalf("replica log after ingest: txns %v, want [1 2 3]", txns)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("replica log LSNs %v, want the source's %v", got, want)
 	}
 }
 

@@ -101,19 +101,16 @@ type Record struct {
 // success, and acknowledge a commit whose bytes never reached disk.
 var ErrClosed = fmt.Errorf("wal: log is closed")
 
-// ErrEpoch is returned by ReadChunk when the caller's (logID, epoch)
-// no longer names this log: the log was truncated (epoch bumped) or belongs
-// to a different Open (logID mismatch). A log-shipping consumer that sees
-// it must renegotiate its position — resuming at a byte offset from the old
-// epoch would silently re-read or skip records, since Truncate restarts
-// byte offsets at zero.
-var ErrEpoch = fmt.Errorf("wal: log position is from a different epoch")
+// ErrTruncated is returned by ReadChunk and ScanFrom for a position below
+// the log's start: a truncate discarded the bytes there. A log-shipping
+// consumer that sees it can only resync.
+var ErrTruncated = fmt.Errorf("wal: log position was truncated away")
 
 // LSN is a log sequence number: a byte position in the log's history that
 // never goes back, not across Truncate nor a reopen. Append returns a
 // record's *end* LSN, so the record is durable exactly when FlushedLSN() >=
 // that value, and FlushTo(lsn) is the wait for it. Shipping positions
-// (Position, ReadChunk) are byte offsets in the current file instead.
+// (Position, ReadChunk) are LSNs too.
 type LSN = uint64
 
 // Options configures a log beyond its path.
@@ -172,14 +169,10 @@ type Log struct {
 	// between a write-back's check and its write.
 	epochMu sync.RWMutex
 
-	// Log identity for the shipping handshake: logID is a random value per
-	// Open (a restarted primary is a different log even at the same path);
-	// epoch counts truncations. An (epoch, LSN) pair names a byte position
-	// unambiguously for the lifetime of one logID. Guarded by mu; durTail
-	// mirrors tail so ReadChunk can bound lock-free reads.
-	logID   uint64
-	epoch   uint64
-	durTail atomic.Uint64
+	// logID is the log's identity for the shipping handshake, a random value
+	// per Open: a restarted primary is a different log even at the same
+	// path, so a position (logID, LSN) never names another log's bytes.
+	logID uint64
 
 	// tailCh is closed and replaced whenever the durable tail advances, the
 	// log truncates, or the log closes — the shipping loop's wakeup.
@@ -191,14 +184,14 @@ type Log struct {
 	// blocks until a replica acknowledges the group's end LSN, so every
 	// committer in the group observes the replica ack before its Commit
 	// returns.
-	commitHook atomic.Pointer[func(epoch uint64, end LSN)]
+	commitHook atomic.Pointer[func(end LSN)]
 
 	// truncBarrier, when set, is called by Truncate before the reset,
-	// outside l.mu: it gives log shippers a bounded window to drain the old
-	// epoch's bytes (they read via ReadChunk, which never needs this
-	// goroutine's locks) so caught-up replicas cross the epoch without a
-	// full resync.
-	truncBarrier atomic.Pointer[func(epoch uint64, end LSN)]
+	// outside l.mu, with the durable end LSN: it gives log shippers a bounded
+	// window to ship the log to that end (they read via ReadChunk, which
+	// never needs this goroutine's locks), so a caught-up replica reads on at
+	// the same LSN in the new file instead of resyncing.
+	truncBarrier atomic.Pointer[func(end LSN)]
 
 	inflight *flushGroup // the in-flight group commit (nil if none)
 
@@ -305,7 +298,6 @@ func OpenOptions(path string, opts Options) (*Log, error) {
 	}
 	l.path, l.tail = path, prefix
 	l.end = l.tail
-	l.durTail.Store(l.tail)
 	return l, nil
 }
 
@@ -596,10 +588,9 @@ func (l *Log) FlushTo(lsn LSN) error {
 	}
 
 	l.mu.Lock()
-	hookEpoch, callHook := uint64(0), false
+	callHook, hookEnd := false, l.lsnOf(g.end)
 	if err == nil {
 		l.tail = g.end
-		l.durTail.Store(g.end)
 		if len(sealed) > 0 {
 			l.flushes.Add(1)
 			if g.members > 1 {
@@ -609,7 +600,7 @@ func (l *Log) FlushTo(lsn LSN) error {
 				h.Observe(int64(g.members))
 			}
 			l.tailBroadcastLocked()
-			hookEpoch, callHook = l.epoch, true
+			callHook = true
 		}
 		// The flushed buffer becomes the next one appends fill, unless it
 		// grew past what a commit stream needs (a checkpoint's images).
@@ -630,7 +621,7 @@ func (l *Log) FlushTo(lsn LSN) error {
 	// replica degrades the group to an async ack instead of wedging it.
 	if callHook {
 		if h := l.commitHook.Load(); h != nil {
-			(*h)(hookEpoch, g.end)
+			(*h)(hookEnd)
 		}
 	}
 
@@ -672,8 +663,9 @@ func (l *Log) TailChanged() <-chan struct{} {
 }
 
 // SetCommitHook installs (or, with nil, removes) the synchronous-
-// replication commit hook; see the field comment.
-func (l *Log) SetCommitHook(f func(epoch uint64, end LSN)) {
+// replication commit hook, which each successful flush calls with the end
+// LSN it made durable; see the field comment.
+func (l *Log) SetCommitHook(f func(end LSN)) {
 	if f == nil {
 		l.commitHook.Store(nil)
 		return
@@ -683,7 +675,7 @@ func (l *Log) SetCommitHook(f func(epoch uint64, end LSN)) {
 
 // SetTruncateBarrier installs (or, with nil, removes) the pre-truncate
 // drain barrier; see the field comment.
-func (l *Log) SetTruncateBarrier(f func(epoch uint64, end LSN)) {
+func (l *Log) SetTruncateBarrier(f func(end LSN)) {
 	if f == nil {
 		l.truncBarrier.Store(nil)
 		return
@@ -763,23 +755,12 @@ func (l *Log) PendingLSN() LSN {
 	return l.lsnOf(l.end)
 }
 
-// Position reports the log's identity and durable tail as one consistent
-// triple — the primary's side of the shipping handshake.
-func (l *Log) Position() (logID, epoch uint64, durable LSN) {
+// Position reports the log's identity and the LSN it is durable through —
+// the primary's side of the shipping handshake.
+func (l *Log) Position() (logID uint64, durable LSN) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.logID, l.epoch, l.tail
-}
-
-// AdoptIdentity overwrites the log's (logID, epoch). A replica mirrors its
-// primary's identity so that, after mirroring a truncate or resyncing from
-// a snapshot, its persisted position names the same bytes the primary's log
-// holds.
-func (l *Log) AdoptIdentity(logID, epoch uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.logID = logID
-	l.epoch = epoch
+	return l.logID, l.lsnOf(l.tail)
 }
 
 // drainLocked waits until no flush is in flight. Called with l.mu held;
@@ -814,41 +795,14 @@ func (l *Log) Scan(fn func(lsn LSN, r *Record) error) error {
 // materializing it — peak memory is one window (scanChunkSize, or one frame
 // if larger) regardless of log size — and holds no log mutex across reads:
 // the durable range [0, tail) is never rewritten, so the walk cannot race
-// the flush leader. Recovery's Analyze is ScanFrom(0).
+// the flush leader; a truncate that replaces the file mid-walk fails it with
+// ErrTruncated. Recovery's Analyze is ScanFrom(0).
 func (l *Log) ScanFrom(from LSN, fn func(lsn LSN, r *Record) error) error {
 	l.mu.Lock()
-	tail, f, epoch, start, hdr := l.tail, l.f, l.epoch, l.start, l.hdr
+	tail, f, start, hdr := l.tail, l.f, l.start, l.hdr
 	l.mu.Unlock()
 	from = max(from, start) - start + hdr
 	if from >= tail {
-		return nil
-	}
-
-	// read fills dst from absolute log offset at; offsets below tail are
-	// stable unless the log is truncated under us, which the epoch check
-	// turns into ErrEpoch rather than a misread.
-	read := func(dst []byte, at uint64) error {
-		var err error
-		if f != nil {
-			_, err = f.ReadAt(dst, int64(at))
-		} else {
-			l.memMu.Lock()
-			if at+uint64(len(dst)) <= uint64(len(l.mem)) {
-				copy(dst, l.mem[at:])
-			} else {
-				err = fmt.Errorf("wal: scan read past memory log end")
-			}
-			l.memMu.Unlock()
-		}
-		if err != nil {
-			l.mu.Lock()
-			changed := l.epoch != epoch
-			l.mu.Unlock()
-			if changed {
-				return ErrEpoch
-			}
-			return fmt.Errorf("wal: scan read: %w", err)
-		}
 		return nil
 	}
 
@@ -862,7 +816,7 @@ func (l *Log) ScanFrom(from LSN, fn func(lsn LSN, r *Record) error) error {
 		if n > uint64(len(buf)) {
 			n = uint64(len(buf))
 		}
-		if err := read(buf[:n], at); err != nil {
+		if err := l.readAt(f, start, buf[:n], at); err != nil {
 			return err
 		}
 		winStart, winLen = at, n
@@ -916,60 +870,71 @@ func (l *Log) ScanFrom(from LSN, fn func(lsn LSN, r *Record) error) error {
 	return nil
 }
 
-// ReadChunk returns up to max raw durable bytes starting at LSN from, for
-// shipping to a replica. The caller names the position's identity; if the
-// log has been truncated or replaced since (epoch or logID mismatch) the
-// read fails with ErrEpoch and the shipper must renegotiate. A nil, nil
-// return means the shipper is caught up — wait on TailChanged. The byte
-// range is below the durable tail and therefore stable; no lock is held
+// ReadChunk returns up to max raw durable bytes of the log named logID,
+// starting at LSN from, for shipping to a replica. It fails with
+// ErrTruncated when from is below the log's start — a truncate discarded
+// those bytes — and with another error when from is past the durable tail
+// or logID names a different Open. A nil, nil return means the shipper is
+// caught up: wait on TailChanged. A truncate leaves every position at or
+// past the durable tail valid, since the new log starts exactly there, so a
+// caught-up shipper reads across one at the same LSN. No lock is held
 // during the file read.
-func (l *Log) ReadChunk(logID, epoch uint64, from LSN, max int) ([]byte, error) {
+func (l *Log) ReadChunk(logID uint64, from LSN, max int) ([]byte, error) {
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if logID != l.logID || epoch != l.epoch || from > l.tail {
-		l.mu.Unlock()
-		return nil, ErrEpoch
-	}
-	tail := l.tail
-	f := l.f
-	l.mu.Unlock()
-	if from >= tail {
-		return nil, nil
-	}
-	n := tail - from
-	if uint64(max) < n {
-		n = uint64(max)
-	}
-	out := make([]byte, n)
+	start, tail, f := l.start, l.lsnOf(l.tail), l.f
+	off := from - start + l.hdr
 	var err error
-	if f != nil {
-		_, err = f.ReadAt(out, int64(from))
-	} else {
-		l.memMu.Lock()
-		if from+n <= uint64(len(l.mem)) {
-			copy(out, l.mem[from:])
-		} else {
-			err = fmt.Errorf("wal: chunk read past memory log end")
-		}
-		l.memMu.Unlock()
+	switch {
+	case l.closed:
+		err = ErrClosed
+	case logID != l.logID:
+		err = fmt.Errorf("wal: position names log %#x, not this log %#x", logID, l.logID)
+	case from < start:
+		err = ErrTruncated
+	case from > tail:
+		err = fmt.Errorf("wal: position %d is past the durable tail %d", from, tail)
 	}
-	if err != nil {
-		l.mu.Lock()
-		changed := l.logID != logID || l.epoch != epoch
-		closed := l.closed
-		l.mu.Unlock()
-		if changed {
-			return nil, ErrEpoch
-		}
-		if closed {
-			return nil, ErrClosed
-		}
-		return nil, fmt.Errorf("wal: chunk read: %w", err)
+	l.mu.Unlock()
+	if err != nil || from == tail {
+		return nil, err
+	}
+	out := make([]byte, min(tail-from, uint64(max)))
+	if err := l.readAt(f, start, out, off); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// readAt fills dst from offset off of f, the file that held the log while
+// its records began after LSN start (nil for a memory-backed log), below
+// its durable tail. A truncate that replaced the file since fails the read
+// with ErrTruncated: the new log starts at or past that tail, so the bytes
+// wanted are gone.
+func (l *Log) readAt(f *os.File, start LSN, dst []byte, off uint64) error {
+	var err error
+	if !l.memLog {
+		if _, err = f.ReadAt(dst, int64(off)); err == nil {
+			return nil
+		}
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	switch {
+	case l.start != start:
+		return ErrTruncated
+	case !l.memLog && l.closed:
+		return ErrClosed
+	case !l.memLog:
+		return fmt.Errorf("wal: read: %w", err)
+	}
+	// Memory-backed: mem is the file, and under mu no truncate replaces it.
+	l.memMu.Lock()
+	defer l.memMu.Unlock()
+	if off+uint64(len(dst)) > uint64(len(l.mem)) {
+		return fmt.Errorf("wal: read past memory log end")
+	}
+	copy(dst, l.mem[off:])
+	return nil
 }
 
 // DecodeFrames walks the whole frames at the start of b — a byte range
@@ -1110,12 +1075,8 @@ func (l *Log) Analyze() (*RecoveryPlan, error) {
 }
 
 // Truncate discards the durable log after a checkpoint has made its
-// contents redundant, and bumps the truncate epoch: every shipping position
-// handed out before the truncate names bytes that no longer exist, so
-// consumers holding one (the log shipper, a resuming replica) fail their
-// next ReadChunk with ErrEpoch instead of silently re-reading or skipping
-// records at a reused offset. An in-flight group flush is drained first so
-// the truncation never races the leader's WriteAt.
+// contents redundant. An in-flight group flush is drained first so the
+// truncation never races the leader's WriteAt.
 //
 // LSNs go on from where the durable log ended: the new file is a header
 // naming that LSN, put in place of the old one by a synced rename, so a
@@ -1123,23 +1084,25 @@ func (l *Log) Analyze() (*RecoveryPlan, error) {
 // LSNs below the pages already stamped. Records appended but not yet
 // flushed are carried over behind the header at the LSNs they were handed
 // out with, so a committer racing the checkpoint still lands its record.
+// A shipping position below that end now fails with ErrTruncated; one at it
+// reads on in the new file.
 //
 // Truncate waits out every in-place page write between its check of the
 // log and its write (HoldEpoch), and consults the injector's "wal.truncate"
 // crashpoint once none is left: a write that tore at a crash must find its
 // image still in the log at recovery.
 func (l *Log) Truncate() error {
-	// Give the shipper a bounded window to drain the dying epoch so
-	// caught-up replicas cross it without a full resync. The barrier runs
-	// without l.mu (shippers need ReadChunk); flushes racing the barrier
-	// can advance the tail past the drained point, which the replica-side
-	// end-of-epoch check turns into a resync rather than silent loss.
+	// Give the shippers a bounded window to ship the log to its end, so
+	// caught-up replicas cross the truncate without a full resync. The
+	// barrier runs without l.mu (shippers need ReadChunk); a flush racing it
+	// can move the end past what they shipped, and a replica left below the
+	// new start resyncs.
 	if b := l.truncBarrier.Load(); b != nil {
 		l.mu.Lock()
 		l.drainLocked()
-		epoch, end := l.epoch, l.tail
+		end := l.lsnOf(l.tail)
 		l.mu.Unlock()
-		(*b)(epoch, end)
+		(*b)(end)
 	}
 	l.epochMu.Lock()
 	defer l.epochMu.Unlock()
@@ -1155,7 +1118,7 @@ func (l *Log) Truncate() error {
 		return ErrClosed
 	}
 	start := l.lsnOf(l.tail)
-	hdr := appendFrame(nil, &Record{Type: RecCheckpoint, After: binary.LittleEndian.AppendUint64(nil, start)})
+	hdr := header(start)
 	var err error
 	if l.f != nil {
 		var f *os.File
@@ -1170,11 +1133,25 @@ func (l *Log) Truncate() error {
 	l.memMu.Unlock()
 	l.start, l.hdr = start, uint64(len(hdr))
 	l.tail = l.hdr
-	l.durTail.Store(l.tail)
 	l.end = l.tail + uint64(len(l.buffer))
-	l.epoch++
 	l.truncates.Add(1)
 	l.tailBroadcastLocked()
+	return err
+}
+
+// header is the first frame of a log whose records begin after LSN start.
+func header(start LSN) []byte {
+	return appendFrame(nil, &Record{Type: RecCheckpoint, After: binary.LittleEndian.AppendUint64(nil, start)})
+}
+
+// WriteLog puts at path a log holding frames — whole frames read from
+// another log with ReadChunk from LSN start — at the LSNs they have there.
+// A replica writes its snapshot's log prefix this way.
+func WriteLog(path string, start LSN, frames []byte) error {
+	f, err := replaceFile(path, append(header(start), frames...))
+	if f != nil {
+		f.Close()
+	}
 	return err
 }
 

@@ -227,6 +227,7 @@ func DecodeSegments(b []byte) ([]*Segment, error) {
 				if r.err == nil && len(c.Vals) != c.N {
 					r.fail()
 				}
+				c.VKind = valueKind(c.Vals)
 			case EncDict:
 				nd := int(r.u32())
 				if r.err != nil || nd < 0 || nd > dictMaxCard {
@@ -264,6 +265,7 @@ func DecodeSegments(b []byte) ([]*Segment, error) {
 				if r.err == nil && total != c.N {
 					r.fail()
 				}
+				c.VKind = valueKind(c.RunVals)
 			case EncBitPack:
 				c.Base = int64(r.u64())
 				c.Width = r.byte()
@@ -276,6 +278,7 @@ func DecodeSegments(b []byte) ([]*Segment, error) {
 				for i := range c.Words {
 					c.Words[i] = r.u64()
 				}
+				c.VKind = Ints
 			default:
 				return nil, fmt.Errorf("%w: unknown encoding %d", ErrBadBlob, c.Enc)
 			}

@@ -56,11 +56,49 @@ const dictMaxCard = 256
 // compact and cheaper to decode.
 const bitPackMaxWidth = 40
 
+// ValueKind is what a chunk's non-NULL values are, which decides the form a
+// reader decodes it into. It is derived from the values, at seal and at
+// load, and is not stored.
+type ValueKind uint8
+
+const (
+	// Mixed is any chunk not typed below: strings, or more than one kind.
+	// It decodes boxed, through DecodeRange.
+	Mixed ValueKind = iota
+	// Ints: every non-NULL value is KInt (so is a chunk of NULLs only).
+	// It decodes through DecodeInts.
+	Ints
+	// Doubles: every non-NULL value is KDouble. It decodes through
+	// DecodeDoubles.
+	Doubles
+)
+
+// valueKind derives the ValueKind of a list of values.
+func valueKind(vals []val.Value) ValueKind {
+	allInt, allDouble := true, true
+	for _, v := range vals {
+		allInt = allInt && (v.Kind == val.KInt || v.Kind == val.KNull)
+		allDouble = allDouble && (v.Kind == val.KDouble || v.Kind == val.KNull)
+	}
+	return kindOf(allInt, allDouble)
+}
+
+func kindOf(allInt, allDouble bool) ValueKind {
+	switch {
+	case allInt:
+		return Ints
+	case allDouble:
+		return Doubles
+	}
+	return Mixed
+}
+
 // Chunk is one column's vector inside a segment.
 type Chunk struct {
-	Kind val.Kind
-	Enc  Encoding
-	N    int
+	Kind  val.Kind
+	Enc   Encoding
+	N     int
+	VKind ValueKind
 
 	// Nulls is a bitmap (bit i set = row i is NULL); nil when the chunk has
 	// no NULLs or when the encoding carries NULLs itself (EncRLE).
@@ -157,12 +195,7 @@ func (c *Chunk) DecodeRange(dst []val.Value, from, n int) {
 			dst[i] = val.Value{Kind: val.KStr, S: c.Dict[c.Codes[from+i]]}
 		}
 	case EncRLE:
-		// Find the run the window starts in, then copy run by run.
-		r, skip := 0, from
-		for skip > 0 && skip >= int(c.RunLens[r]) {
-			skip -= int(c.RunLens[r])
-			r++
-		}
+		r, skip := c.runAt(from)
 		for pos := 0; pos < n; r++ {
 			v := c.RunVals[r]
 			for j := min(int(c.RunLens[r])-skip, n-pos); j > 0; j-- {
@@ -191,6 +224,85 @@ func (c *Chunk) DecodeRange(dst []val.Value, from, n int) {
 	}
 }
 
+// DecodeInts is DecodeRange for an Ints chunk, unboxed: rows
+// [from, from+n) go to dst[:n], and NULLs to the window's bitmap nulls —
+// bit i set means row from+i is NULL (its dst entry is then 0). Every bit
+// of the (n+63)/64 words is written.
+func (c *Chunk) DecodeInts(dst []int64, nulls []uint64, from, n int) {
+	decodeTyped(c, dst, nulls, from, n, func(v val.Value) int64 { return v.I })
+}
+
+// DecodeDoubles is DecodeInts for a Doubles chunk.
+func (c *Chunk) DecodeDoubles(dst []float64, nulls []uint64, from, n int) {
+	decodeTyped(c, dst, nulls, from, n, func(v val.Value) float64 { return v.F })
+}
+
+// decodeTyped is DecodeInts and DecodeDoubles; num reads the one field the
+// chunk's non-NULL values carry. Only raw, run-length and bit-packed chunks
+// are ever typed.
+func decodeTyped[T int64 | float64](c *Chunk, dst []T, nulls []uint64, from, n int, num func(val.Value) T) {
+	clear(nulls[:(n+63)/64])
+	switch c.Enc {
+	case EncRaw:
+		for i, v := range c.Vals[from : from+n] {
+			if v.Kind == val.KNull {
+				dst[i] = 0
+				setNull(nulls, i)
+				continue
+			}
+			dst[i] = num(v)
+		}
+	case EncRLE:
+		r, skip := c.runAt(from)
+		for pos := 0; pos < n; r++ {
+			end := pos + min(int(c.RunLens[r])-skip, n-pos)
+			if v := c.RunVals[r]; v.Kind == val.KNull {
+				for ; pos < end; pos++ {
+					dst[pos] = 0
+					setNull(nulls, pos)
+				}
+			} else {
+				for x := num(v); pos < end; pos++ {
+					dst[pos] = x
+				}
+			}
+			skip = 0
+		}
+	case EncBitPack:
+		mask := uint64(1)<<c.Width - 1
+		bit := uint(from) * uint(c.Width)
+		for i := range dst[:n] {
+			word := bit >> 6
+			off := bit & 63
+			raw := c.Words[word] >> off
+			if off+uint(c.Width) > 64 {
+				raw |= c.Words[word+1] << (64 - off)
+			}
+			bit += uint(c.Width)
+			dst[i] = T(c.Base + int64(raw&mask))
+		}
+		// NULLs in a pass of their own, so that a chunk without any
+		// unpacks in a loop with no bitmap test.
+		if c.Nulls != nil {
+			for i := range n {
+				if nullAt(c.Nulls, from+i) {
+					dst[i] = 0
+					setNull(nulls, i)
+				}
+			}
+		}
+	}
+}
+
+// runAt finds the run of an RLE chunk that row from lies in, and how many
+// of that run's rows come before it.
+func (c *Chunk) runAt(from int) (r, skip int) {
+	for skip = from; skip > 0 && skip >= int(c.RunLens[r]); r++ {
+		skip -= int(c.RunLens[r])
+	}
+	return r, skip
+}
+
 // valEq is run-detection equality: NULL equals NULL here (unlike SQL).
 func valEq(a, b val.Value) bool {
 	if a.Kind != b.Kind {
@@ -217,14 +329,16 @@ func encodeChunk(kind val.Kind, vals []val.Value) Chunk {
 	if len(vals) == 0 {
 		c.Enc = EncRaw
 		c.Vals = []val.Value{}
+		c.VKind = valueKind(c.Vals)
 		return c
 	}
 
-	// Zone map over non-NULL values, plus shape statistics in one pass.
+	// Zone map and value kind over non-NULL values, plus shape statistics,
+	// in one pass.
 	runs := 1
 	nulls := 0
 	intMin, intMax := int64(0), int64(0)
-	allInt := true
+	allInt, allDouble := true, true
 	for i, v := range vals {
 		if i > 0 && !valEq(v, vals[i-1]) {
 			runs++
@@ -233,6 +347,7 @@ func encodeChunk(kind val.Kind, vals []val.Value) Chunk {
 			nulls++
 			continue
 		}
+		allDouble = allDouble && v.Kind == val.KDouble
 		if v.Kind == val.KInt {
 			if !c.HasZone || v.I < intMin {
 				intMin = v.I
@@ -254,6 +369,7 @@ func encodeChunk(kind val.Kind, vals []val.Value) Chunk {
 			}
 		}
 	}
+	c.VKind = kindOf(allInt, allDouble)
 
 	// RLE when the average run is at least 4 rows.
 	if runs*4 <= len(vals) {

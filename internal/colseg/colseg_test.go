@@ -1,6 +1,8 @@
 package colseg
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -373,4 +375,256 @@ func TestDecodeRangeQuick(t *testing.T) {
 	if !midRun || !atEnd {
 		t.Errorf("windows starting inside an RLE run: %v, ending at the segment end: %v; want both", midRun, atEnd)
 	}
+}
+
+// wantKind is the value kind a chunk of vals must report, worked out
+// independently of the codec: Ints unless a non-NULL value is not an INT,
+// Doubles unless one is not a DOUBLE, Mixed otherwise.
+func wantKind(vals []val.Value) ValueKind {
+	ints, doubles := 0, 0
+	for _, v := range vals {
+		switch v.Kind {
+		case val.KNull:
+		case val.KInt:
+			ints++
+		case val.KDouble:
+			doubles++
+		default:
+			return Mixed
+		}
+	}
+	switch {
+	case doubles == 0:
+		return Ints
+	case ints == 0:
+		return Doubles
+	}
+	return Mixed
+}
+
+// sameValue is identity of decoded values: the kind and its payload, a
+// double by its bits.
+func sameValue(a, b val.Value) bool {
+	if a.Kind != b.Kind {
+		return false
+	}
+	switch a.Kind {
+	case val.KInt:
+		return a.I == b.I
+	case val.KDouble:
+		return math.Float64bits(a.F) == math.Float64bits(b.F)
+	case val.KStr:
+		return a.S == b.S
+	}
+	return true
+}
+
+// typedWindow decodes rows [from, from+n) of c the way a typed reader does —
+// DecodeInts or DecodeDoubles as its value kind says, DecodeRange for a
+// Mixed chunk — and boxes the result back into values. The bitmap starts
+// poisoned, so a word the decode failed to write shows as NULLs.
+func typedWindow(c *Chunk, from, n int) []val.Value {
+	out := make([]val.Value, n)
+	nulls := make([]uint64, (n+63)/64)
+	for i := range nulls {
+		nulls[i] = ^uint64(0)
+	}
+	switch c.VKind {
+	case Ints:
+		xs := make([]int64, n)
+		c.DecodeInts(xs, nulls, from, n)
+		for i, x := range xs {
+			if !nullAt(nulls, i) {
+				out[i] = val.NewInt(x)
+			}
+		}
+	case Doubles:
+		xs := make([]float64, n)
+		c.DecodeDoubles(xs, nulls, from, n)
+		for i, x := range xs {
+			if !nullAt(nulls, i) {
+				out[i] = val.NewDouble(x)
+			}
+		}
+	default:
+		c.DecodeRange(out, from, n)
+	}
+	return out
+}
+
+// checkTyped seals vals into a chunk and checks its value kind, at seal and
+// after a blob round trip, and that the typed decode of each window —
+// whole, and the windows picks — boxed back is DecodeRange's decode of it.
+// It returns the sealed chunk.
+func checkTyped(t testing.TB, kind val.Kind, vals []val.Value, picks [][2]int) Chunk {
+	t.Helper()
+	c := encodeChunk(kind, vals)
+	if want := wantKind(vals); c.VKind != want {
+		t.Fatalf("enc=%v: value kind %d at seal, want %d", c.Enc, c.VKind, want)
+	}
+	segs, err := DecodeSegments(EncodeSegments([]*Segment{{NumRows: len(vals), Cols: []Chunk{c}}}))
+	if err != nil {
+		t.Fatalf("enc=%v: blob round trip: %v", c.Enc, err)
+	}
+	loaded := &segs[0].Cols[0]
+	if loaded.VKind != c.VKind {
+		t.Fatalf("enc=%v: value kind %d after load, %d at seal", c.Enc, loaded.VKind, c.VKind)
+	}
+	for _, ch := range []*Chunk{&c, loaded} {
+		for _, w := range append([][2]int{{0, len(vals)}}, picks...) {
+			from, n := w[0], w[1]
+			want := make([]val.Value, n)
+			ch.DecodeRange(want, from, n)
+			for i, got := range typedWindow(ch, from, n) {
+				if !sameValue(got, want[i]) {
+					t.Fatalf("enc=%v kind=%d window [%d,+%d) row %d: typed %v, DecodeRange %v",
+						ch.Enc, ch.VKind, from, n, i, got, want[i])
+				}
+			}
+		}
+	}
+	return c
+}
+
+// TestTypedDecodeQuick: for random windows over every encoding, the typed
+// decode boxed back is the boxed decode, and a chunk's value kind survives
+// a save and load.
+func TestTypedDecodeQuick(t *testing.T) {
+	type shape struct {
+		enc   Encoding
+		kind  ValueKind
+		nulls bool
+	}
+	seen := map[shape]bool{}
+	if err := quick.Check(func(seed int64, ln uint16) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 1 + int(ln%600)
+		picks := make([][2]int, 8)
+		for i := range picks {
+			from := r.Intn(n + 1)
+			picks[i] = [2]int{from, r.Intn(n - from + 1)}
+		}
+		nullEvery := func(vals []val.Value, k int) []val.Value {
+			for i := range vals {
+				if r.Intn(k) == 0 {
+					vals[i] = val.Value{}
+				}
+			}
+			return vals
+		}
+		gen := func(f func(i int) val.Value) []val.Value {
+			vals := make([]val.Value, n)
+			for i := range vals {
+				vals[i] = f(i)
+			}
+			return vals
+		}
+		wideInt := func(int) val.Value { return val.NewInt(r.Int63() - r.Int63()) }
+		narrowInt := func(int) val.Value { return val.NewInt(int64(r.Intn(50) - 10)) }
+		double := func(int) val.Value { return val.NewDouble(r.NormFloat64()) }
+		mixed := func(i int) val.Value {
+			if i%7 == 3 {
+				return double(i)
+			}
+			return wideInt(i)
+		}
+		// Runs of 4–19 rows of one value, a third of them NULL runs.
+		runs := func(v func(int) val.Value) []val.Value {
+			vals := make([]val.Value, 0, n)
+			for len(vals) < n {
+				x := v(0)
+				if r.Intn(3) == 0 {
+					x = val.Value{}
+				}
+				for j := 4 + r.Intn(16); j > 0 && len(vals) < n; j-- {
+					vals = append(vals, x)
+				}
+			}
+			return vals
+		}
+		cases := []struct {
+			kind val.Kind
+			vals []val.Value
+		}{
+			{val.KInt, gen(wideInt)},
+			{val.KInt, nullEvery(gen(wideInt), 5)},
+			{val.KDouble, gen(double)},
+			{val.KDouble, nullEvery(gen(double), 5)},
+			{val.KInt, gen(mixed)},
+			{val.KInt, nullEvery(gen(mixed), 5)},
+			{val.KInt, gen(narrowInt)},
+			{val.KInt, nullEvery(gen(narrowInt), 4)},
+			{val.KInt, runs(narrowInt)},
+			{val.KDouble, runs(func(int) val.Value { return val.NewDouble(float64(r.Intn(3)) / 4) })},
+			{val.KStr, genStrs(rand.New(rand.NewSource(seed*3)), n)}, // dictionary for a third of the seeds
+		}
+		for _, tc := range cases {
+			c := checkTyped(t, tc.kind, tc.vals, picks)
+			nulls := false
+			for _, v := range tc.vals {
+				nulls = nulls || v.Kind == val.KNull
+			}
+			seen[shape{c.Enc, c.VKind, nulls}] = true
+		}
+		return true
+	}, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []shape{
+		{EncRaw, Ints, false}, {EncRaw, Ints, true},
+		{EncRaw, Doubles, false}, {EncRaw, Doubles, true},
+		{EncRaw, Mixed, false}, {EncRaw, Mixed, true},
+		{EncBitPack, Ints, false}, {EncBitPack, Ints, true},
+		{EncRLE, Ints, true}, {EncRLE, Doubles, true},
+		{EncDict, Mixed, false},
+	} {
+		if !seen[s] {
+			t.Errorf("no %v chunk of value kind %d with nulls=%v was generated", s.enc, s.kind, s.nulls)
+		}
+	}
+}
+
+// FuzzChunkDecode: TestTypedDecodeQuick's property over values the fuzzer
+// spells. Each input byte b starts one step: b%5 is 0 for a NULL, 1 for a
+// narrow INT, 2 for an INT from the next 8 bytes, 3 for a DOUBLE from the
+// next 8 bytes (any bits: NaNs, infinities, -0), 4 for a run of b/5 more
+// copies of the last value. The window is read from the first two bytes.
+func FuzzChunkDecode(f *testing.F) {
+	f.Add([]byte{1, 6, 11, 16, 0, 1, 44, 0, 0})
+	f.Add([]byte{2, 1, 2, 3, 4, 5, 6, 7, 8, 3, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 0, 2, 9, 9, 9, 9, 9, 9, 9, 9})
+	f.Add([]byte{3, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 54, 0, 99, 1, 49})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var vals []val.Value
+		for i := 0; i < len(data) && len(vals) < 4096; {
+			b := data[i]
+			i++
+			switch b % 5 {
+			case 0:
+				vals = append(vals, val.Value{})
+			case 1:
+				vals = append(vals, val.NewInt(int64(b/5)))
+			case 2, 3:
+				var w [8]byte
+				i += copy(w[:], data[i:])
+				x := binary.LittleEndian.Uint64(w[:])
+				if b%5 == 2 {
+					vals = append(vals, val.NewInt(int64(x)))
+				} else {
+					vals = append(vals, val.NewDouble(math.Float64frombits(x)))
+				}
+			case 4:
+				if len(vals) > 0 {
+					for j := int(b / 5); j > 0; j-- {
+						vals = append(vals, vals[len(vals)-1])
+					}
+				}
+			}
+		}
+		var pick [2]int
+		if len(data) >= 2 && len(vals) > 0 {
+			pick[0] = int(data[0]) % (len(vals) + 1)
+			pick[1] = int(data[1]) % (len(vals) - pick[0] + 1)
+		}
+		checkTyped(t, val.KInt, vals, [][2]int{pick})
+	})
 }

@@ -196,7 +196,8 @@ type HashGroupBy struct {
 	Depth int
 
 	acct      mem.Account
-	cols      []val.Value // column-major scratch: key, then aggregate-argument values of one batch
+	cols      []val.Value // column-major scratch: the evaluated key and aggregate-argument values of one batch
+	srcs      []colSource // per key, then per aggregate argument: where one batch's values are read
 	key       Row         // scratch: one row's key values
 	groups    map[uint64][]*group
 	nGroups   int
@@ -295,15 +296,14 @@ func (g *HashGroupBy) Open(ctx *Ctx) error {
 }
 
 // addBatch folds one input batch (either form) into the groups. Key and
-// aggregate-argument expressions are evaluated a column at a time across
-// the batch; the row loop then only hashes, looks up and accumulates, and
+// aggregate-argument columns are set up a column at a time across the
+// batch; the row loop then only hashes, looks up and accumulates, and
 // allocates a key row only when a group is born.
 func (g *HashGroupBy) addBatch(in *Batch) error {
 	n := in.Len()
-	g.cols = g.cols[:0]
-	var err error
+	g.cols, g.srcs = g.cols[:0], g.srcs[:0]
 	for _, e := range g.Keys {
-		if g.cols, err = EvalBatch(e, in, g.cols); err != nil {
+		if err := g.source(e, in); err != nil {
 			return err
 		}
 	}
@@ -311,13 +311,13 @@ func (g *HashGroupBy) addBatch(in *Batch) error {
 		if spec.Arg == nil {
 			continue
 		}
-		if g.cols, err = EvalBatch(spec.Arg, in, g.cols); err != nil {
+		if err := g.source(spec.Arg, in); err != nil {
 			return err
 		}
 	}
 	for r := 0; r < n; r++ {
 		for k := range g.key {
-			g.key[k] = g.cols[k*n+r]
+			g.value(k, r, &g.key[k])
 		}
 		h := val.HashRow(g.key)
 		var grp *group
@@ -338,7 +338,7 @@ func (g *HashGroupBy) addBatch(in *Batch) error {
 		for i, spec := range g.Aggs {
 			var v val.Value
 			if spec.Arg != nil {
-				v = g.cols[c*n+r]
+				g.value(c, r, &v)
 				c++
 			}
 			seen := len(grp.aggs[i].seen)
@@ -354,6 +354,37 @@ func (g *HashGroupBy) addBatch(in *Batch) error {
 		}
 	}
 	return nil
+}
+
+// colSource is where addBatch reads one key or aggregate-argument column
+// of a batch: in place, when it is a Col of a vector-form batch, or from
+// g.cols, where EvalBatch put it.
+type colSource struct {
+	view colView // a view of the column, or the zero view
+	off  int     // without a view: the column's first value in g.cols
+}
+
+// source sets up column e of batch in for value.
+func (g *HashGroupBy) source(e Expr, in *Batch) (err error) {
+	if c, ok := e.(Col); ok {
+		if view, ok := in.colView(c.Idx); ok {
+			g.srcs = append(g.srcs, colSource{view: view})
+			return nil
+		}
+	}
+	g.srcs = append(g.srcs, colSource{off: len(g.cols)})
+	g.cols, err = EvalBatch(e, in, g.cols)
+	return err
+}
+
+// value writes row r's value of the batch's j-th source column to *dst; a
+// column read in place is boxed right there, one value at a time.
+func (g *HashGroupBy) value(j, r int, dst *val.Value) {
+	if s := &g.srcs[j]; s.view.col != nil {
+		s.view.box(r, dst)
+	} else {
+		*dst = g.cols[s.off+r]
+	}
 }
 
 // seenEntrySize is what one value of a DISTINCT aggregate's seen-set is
@@ -494,7 +525,7 @@ func (g *HashGroupBy) dropFallback(ctx *Ctx) {
 
 func (g *HashGroupBy) Close(ctx *Ctx) error {
 	g.dropFallback(ctx)
-	g.groups, g.emit, g.cols = nil, nil, nil
+	g.groups, g.emit, g.cols, g.srcs = nil, nil, nil, nil
 	g.acct.Close()
 	if g.inputOpen {
 		g.inputOpen = false

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"cmp"
+
 	"anywheredb/internal/colseg"
 	"anywheredb/internal/page"
 	"anywheredb/internal/table"
@@ -67,11 +69,15 @@ func (c *Ctx) BatchSize() int {
 // addresses). Vector form is a window of one sealed column segment: one
 // vector per column, decoded the first time it is asked for — a column
 // nobody reads is never decoded — and a selection vector naming the window
-// positions that are in the batch, in order. A TableScan over segments
-// produces vector form, Filter narrows either form in place, EvalBatch and
-// TestBatch read either form, and everything else reaches rows through
-// Rows, which turns a vector-form batch into fresh rows for the selected
-// positions only.
+// positions that are in the batch, in order. A vector is typed: an INT or
+// DOUBLE column is an []int64 or []float64 with a NULL bitmap, and only
+// strings and mixed-kind columns are boxed values. A TableScan over
+// segments produces vector form, Filter narrows either form in place,
+// EvalBatch and TestBatch read either form, HashGroupBy reads a column of
+// it in place (colView), and everything else reaches rows through Rows,
+// which turns a vector-form batch into fresh rows for the selected
+// positions only. Rows and EvalBatch are where a typed value is boxed into
+// a val.Value slice.
 //
 // Lifetime, the one rule. The Batch container belongs to the caller of
 // NextBatch, which recycles it from call to call. Rows are immutable and
@@ -97,33 +103,152 @@ type Batch struct {
 type vectors struct {
 	seg     *colseg.Segment
 	from, n int
-	cols    [][]val.Value // per column: the decoded window, or empty until asked for
-	decoded bool          // some column of this window was decoded
+	cols    []vector // per table column
+	decoded bool     // some column of this window was decoded
+}
+
+// vector is one column of a window, in the form its chunk's value kind
+// gives it: an Ints chunk decodes into ints and a Doubles chunk into flts,
+// each with the NULL bitmap nulls; any other chunk (strings, mixed kinds)
+// into boxed vals. The buffers are kept from window to window and grow only
+// for a longer window.
+type vector struct {
+	kind  colseg.ValueKind
+	ready bool // decoded for the current window
+	ints  []int64
+	flts  []float64
+	nulls []uint64 // bit p set: window position p is NULL
+	vals  []val.Value
 }
 
 // window points v at rows [from, from+n) of seg, nothing decoded yet.
 func (v *vectors) window(seg *colseg.Segment, from, n int) {
 	v.seg, v.from, v.n, v.decoded = seg, from, n, false
 	if len(v.cols) != len(seg.Cols) {
-		v.cols = make([][]val.Value, len(seg.Cols))
+		v.cols = make([]vector, len(seg.Cols))
 	}
 	for i := range v.cols {
-		v.cols[i] = v.cols[i][:0]
+		v.cols[i].ready = false
 	}
 }
 
 // col returns column i of the window, indexed by window position.
-func (v *vectors) col(i int) []val.Value {
-	if len(v.cols[i]) == 0 && v.n > 0 {
-		if cap(v.cols[i]) < v.n {
-			v.cols[i] = make([]val.Value, v.n)
+func (v *vectors) col(i int) *vector {
+	c := &v.cols[i]
+	if !c.ready {
+		ch := &v.seg.Cols[i]
+		c.kind, c.ready = ch.VKind, true
+		switch c.kind {
+		case colseg.Ints:
+			c.ints, c.nulls = resize(c.ints, v.n), resize(c.nulls, (v.n+63)/64)
+			ch.DecodeInts(c.ints, c.nulls, v.from, v.n)
+		case colseg.Doubles:
+			c.flts, c.nulls = resize(c.flts, v.n), resize(c.nulls, (v.n+63)/64)
+			ch.DecodeDoubles(c.flts, c.nulls, v.from, v.n)
+		default:
+			c.vals = resize(c.vals, v.n)
+			ch.DecodeRange(c.vals, v.from, v.n)
 		}
-		v.cols[i] = v.cols[i][:v.n]
-		v.seg.Cols[i].DecodeRange(v.cols[i], v.from, v.n)
-		v.decoded = true
+		v.decoded = v.decoded || v.n > 0
 	}
-	return v.cols[i]
+	return c
 }
+
+// resize returns s with length n, reallocating only when it is too short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// isNull tests window position p of a NULL bitmap.
+func isNull(nulls []uint64, p int32) bool { return nulls[p>>6]&(1<<(p&63)) != 0 }
+
+// box writes the value at window position p to *dst, boxed. It stores
+// through a pointer instead of returning the Value so that a loop boxing
+// one value at a time builds it where it is used — a key slot, a local
+// handed to an aggregate — with no temporary to copy.
+func (c *vector) box(p int32, dst *val.Value) {
+	switch {
+	case c.kind == colseg.Mixed:
+		*dst = c.vals[p]
+	case isNull(c.nulls, p):
+		*dst = val.Null
+	case c.kind == colseg.Ints:
+		*dst = val.Value{Kind: val.KInt, I: c.ints[p]}
+	default:
+		*dst = val.Value{Kind: val.KDouble, F: c.flts[p]}
+	}
+}
+
+// compare appends, for each position of sel, the verdict of the value there
+// against the non-NULL k: verdict[0], [1] or [2] as it is below, at or above
+// k, and Unknown at a NULL. A numeric vector against a numeric constant is
+// one loop over sel — exact int64 order against an INT, float order (as
+// val.Compare has it) otherwise.
+func (c *vector) compare(k val.Value, verdict *[3]Bool3, sel []int32, dst []Bool3) []Bool3 {
+	switch {
+	case c.kind == colseg.Ints && k.Kind == val.KInt:
+		return compareTyped(c.ints, k.I, c.nulls, verdict, sel, dst)
+	case c.kind == colseg.Ints && k.Kind == val.KDouble:
+		return compareTyped(c.ints, k.F, c.nulls, verdict, sel, dst)
+	case c.kind == colseg.Doubles && (k.Kind == val.KInt || k.Kind == val.KDouble):
+		return compareTyped(c.flts, k.AsFloat(), c.nulls, verdict, sel, dst)
+	}
+	var v val.Value
+	for _, p := range sel {
+		c.box(p, &v)
+		if v.IsNull() {
+			dst = append(dst, Unknown)
+			continue
+		}
+		dst = append(dst, verdict[val.Compare(v, k)+1])
+	}
+	return dst
+}
+
+// compareTyped is compare's loop over a typed vector xs, each value taken
+// as a K.
+func compareTyped[T, K int64 | float64](xs []T, k K, nulls []uint64, verdict *[3]Bool3, sel []int32, dst []Bool3) []Bool3 {
+	for _, p := range sel {
+		d := Unknown
+		if !isNull(nulls, p) {
+			switch x := K(xs[p]); {
+			case x < k:
+				d = verdict[0]
+			case x > k:
+				d = verdict[2]
+			default:
+				d = verdict[1]
+			}
+		}
+		dst = append(dst, d)
+	}
+	return dst
+}
+
+// A colView reads one column of a vector-form batch where it lies: row r
+// of the batch is window position pos[r] of the column's vector col.
+type colView struct {
+	col *vector
+	pos []int32
+}
+
+// colView returns column idx of a vector-form batch, decoded, for reading
+// in place; ok is false for a row-form batch or a column the window does
+// not have. The view stays readable until the producer's next NextBatch or
+// Close — including after Rows has turned the batch into rows.
+func (b *Batch) colView(idx int) (view colView, ok bool) {
+	v := b.vec
+	if v == nil || idx < 0 || idx >= len(v.cols) {
+		return colView{}, false
+	}
+	return colView{v.col(idx), b.sel}, true
+}
+
+// box writes the value of row r of the batch the view was taken of to *dst.
+func (c colView) box(r int, dst *val.Value) { c.col.box(c.pos[r], dst) }
 
 // Reset empties the batch into row form, keeping its capacity.
 func (b *Batch) Reset() {
@@ -137,8 +262,9 @@ func (b *Batch) Add(r Row) { b.rows = append(b.rows, r) }
 func (b *Batch) setVectors(v *vectors) {
 	b.Reset()
 	b.vec = v
-	for i := 0; i < v.n; i++ {
-		b.sel = append(b.sel, int32(i))
+	b.sel = resize(b.sel, v.n)
+	for i := range b.sel {
+		b.sel[i] = int32(i)
 	}
 }
 
@@ -161,7 +287,7 @@ func (b *Batch) Rows() []Row {
 		for c := 0; c < w; c++ {
 			col := v.col(c)
 			for i, p := range b.sel {
-				flat[i*w+c] = col[p]
+				col.box(p, &flat[i*w+c])
 			}
 		}
 		b.rows = b.rows[:0]
@@ -270,16 +396,17 @@ func (q *rowQueue) popInto(out *Batch, target int) {
 // result per row to dst and returning the extended slice. Col and Const —
 // the overwhelmingly common leaves — are special-cased: over row form a
 // projection of plain columns costs a bulk copy instead of an interface
-// call per row, over vector form it reads the one column's vector and
-// leaves the others undecoded. Any other expression needs rows, and gets
-// them from in.Rows.
+// call per row, over vector form it boxes the selected values of the one
+// column's vector and leaves the others undecoded. Any other expression
+// needs rows, and gets them from in.Rows.
 func EvalBatch(e Expr, in *Batch, dst []val.Value) ([]val.Value, error) {
 	switch x := e.(type) {
 	case Col:
-		if v := in.vec; v != nil && x.Idx >= 0 && x.Idx < len(v.cols) {
-			col := v.col(x.Idx)
-			for _, p := range in.sel {
-				dst = append(dst, col[p])
+		if col, ok := in.colView(x.Idx); ok {
+			n := len(dst)
+			dst = append(dst, make([]val.Value, len(col.pos))...)
+			for i := range col.pos {
+				col.box(i, &dst[n+i])
 			}
 			return dst, nil
 		}
@@ -315,7 +442,7 @@ func EvalBatch(e Expr, in *Batch, dst []val.Value) ([]val.Value, error) {
 // verdict per row to dst. The dominant filter shape — a column compared
 // against a constant — is vectorized: one comparison loop instead of three
 // interface dispatches (Pred.Test, L.Eval, R.Eval) per row, and over vector
-// form it decodes that column alone.
+// form it decodes that column alone and compares its typed values unboxed.
 func TestBatch(p Pred, in *Batch, dst []Bool3) ([]Bool3, error) {
 	if c, ok := p.(Cmp); ok {
 		if col, okL := c.L.(Col); okL {
@@ -342,58 +469,31 @@ func TestBatch(p Pred, in *Batch, dst []Bool3) ([]Bool3, error) {
 // column fall back to Cmp.Test one by one, so results and error text stay
 // identical.
 func testCmpColConst(c Cmp, idx int, k val.Value, in *Batch, dst []Bool3) ([]Bool3, bool, error) {
-	var lt, eq, gt Bool3 // the verdict when the column is below, at, above k
+	var verdict [3]Bool3 // the verdict when the column is below, at, above k
 	switch c.Op {
 	case "=":
-		eq = True
+		verdict[1] = True
 	case "<>":
-		lt, gt = True, True
+		verdict[0], verdict[2] = True, True
 	case "<":
-		lt = True
+		verdict[0] = True
 	case "<=":
-		lt, eq = True, True
+		verdict[0], verdict[1] = True, True
 	case ">":
-		gt = True
+		verdict[2] = True
 	case ">=":
-		eq, gt = True, True
+		verdict[1], verdict[2] = True, True
 	default:
 		return dst, false, nil
 	}
 	if idx < 0 || k.Kind == val.KNull {
 		return dst, false, nil
 	}
-	verdict := func(v val.Value) Bool3 {
-		if v.Kind == val.KNull {
-			return Unknown
-		}
-		var n int
-		if v.Kind == val.KInt && k.Kind == val.KInt {
-			switch {
-			case v.I < k.I:
-				n = -1
-			case v.I > k.I:
-				n = 1
-			}
-		} else {
-			n = val.Compare(v, k)
-		}
-		switch {
-		case n < 0:
-			return lt
-		case n > 0:
-			return gt
-		}
-		return eq
-	}
 	if v := in.vec; v != nil {
 		if idx >= len(v.cols) {
 			return dst, false, nil
 		}
-		col := v.col(idx)
-		for _, p := range in.sel {
-			dst = append(dst, verdict(col[p]))
-		}
-		return dst, true, nil
+		return v.col(idx).compare(k, &verdict, in.sel, dst), true, nil
 	}
 	for _, r := range in.rows {
 		if idx >= len(r) {
@@ -404,7 +504,15 @@ func testCmpColConst(c Cmp, idx int, k val.Value, in *Batch, dst []Bool3) ([]Boo
 			dst = append(dst, v)
 			continue
 		}
-		dst = append(dst, verdict(r[idx]))
+		v := r[idx]
+		switch {
+		case v.Kind == val.KNull:
+			dst = append(dst, Unknown)
+		case v.Kind == val.KInt && k.Kind == val.KInt:
+			dst = append(dst, verdict[cmp.Compare(v.I, k.I)+1])
+		default:
+			dst = append(dst, verdict[val.Compare(v, k)+1])
+		}
 	}
 	return dst, true, nil
 }

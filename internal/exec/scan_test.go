@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"anywheredb/internal/colseg"
 	"anywheredb/internal/table"
 	"anywheredb/internal/txn"
 	"anywheredb/internal/val"
@@ -149,6 +150,125 @@ func TestScanFormsAgree(t *testing.T) {
 	ctx.ForceBatchSize = 0
 }
 
+// TestScanKernelsAgree: the typed kernels under a vector-form batch —
+// col <op> const over int64 and float64 vectors and their NULL bitmaps,
+// and HashGroupBy reading columns in place — answer what the heap path
+// answers, at batch size 1 and adaptive. The table holds a bit-packed INT
+// with NULLs (the group key), an INT column that also holds DOUBLEs in its
+// first two segments (mixed raw chunks there, typed raw after), a raw
+// DOUBLE with NULLs, a run-length INT with NULL runs and a dictionary
+// string; every constant kind meets every operator.
+func TestScanKernelsAgree(t *testing.T) {
+	ctx, _ := testCtx(t, 1024)
+	tbl, err := table.Create(ctx.Pool, ctx.St, 0, 7999, "kernels", []table.Column{
+		{Name: "id", Kind: val.KInt}, {Name: "g", Kind: val.KInt}, {Name: "m", Kind: val.KInt},
+		{Name: "d", Kind: val.KDouble}, {Name: "r", Kind: val.KInt}, {Name: "s", Kind: val.KStr},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl.SegmentRows = 1000
+	load := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			row := Row{val.NewInt(int64(i)), val.NewInt(int64(i % 7)), val.NewInt(int64(i%1000-500) << 41),
+				val.NewDouble(float64(i%100)/4 - 10), val.NewInt(int64(i / 10 % 4)), val.NewStr(fmt.Sprintf("s%d", i%5))}
+			if i%5 == 0 {
+				row[1] = val.Null
+			}
+			switch {
+			case i%17 == 0:
+				row[2] = val.Null
+			case i < 2000 && i%13 == 0:
+				row[2] = val.NewDouble(float64(i) + 0.5)
+			}
+			if i%9 == 0 {
+				row[3] = val.Null
+			}
+			if i/10%6 == 5 {
+				row[4] = val.Null
+			}
+			if _, err := tbl.Insert(nil, row); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	load(0, 5000)
+	if _, err := tbl.BuildColumnar(nil, false); err != nil {
+		t.Fatal(err)
+	}
+	load(5000, 5300)
+	segs := tbl.Columnar().Segs
+	for _, c := range []struct {
+		seg, col int
+		enc      colseg.Encoding
+		kind     colseg.ValueKind
+	}{
+		{0, 1, colseg.EncBitPack, colseg.Ints}, {0, 2, colseg.EncRaw, colseg.Mixed}, {3, 2, colseg.EncRaw, colseg.Ints},
+		{0, 3, colseg.EncRaw, colseg.Doubles}, {0, 4, colseg.EncRLE, colseg.Ints}, {0, 5, colseg.EncDict, colseg.Mixed},
+	} {
+		if ch := segs[c.seg].Cols[c.col]; ch.Enc != c.enc || ch.VKind != c.kind {
+			t.Fatalf("segment %d column %d: %v of value kind %d, want %v of %d", c.seg, c.col, ch.Enc, ch.VKind, c.enc, c.kind)
+		}
+	}
+
+	type tcase struct {
+		name   string
+		build  func(heap bool) Operator
+		sorted bool
+	}
+	var cases []tcase
+	scan := func(heap bool) Operator { return &TableScan{Table: tbl, ZoneCol: -1, NoColumnar: heap} }
+	consts := []val.Value{val.NewInt(3), val.NewInt(-7 << 41), val.NewDouble(2.5), val.NewDouble(-0.5), val.NewStr("s2"), val.Null}
+	for _, col := range []int{1, 2, 3, 4, 5} {
+		for _, k := range consts {
+			for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
+				pred := Cmp{Op: op, L: Col{Idx: col}, R: Const{V: k}}
+				cases = append(cases, tcase{fmt.Sprintf("col%d %s %v", col, op, k), func(h bool) Operator {
+					return &Filter{Input: scan(h), Pred: pred}
+				}, false})
+			}
+		}
+	}
+	aggsOver := func(cols ...int) []AggSpec {
+		aggs := []AggSpec{{Fn: AggCountStar}}
+		for _, c := range cols {
+			for _, fn := range []AggFn{AggCount, AggSum, AggMin, AggMax, AggAvg} {
+				aggs = append(aggs, AggSpec{Fn: fn, Arg: Col{Idx: c}})
+			}
+		}
+		return aggs
+	}
+	for _, key := range [][]Expr{nil, {Col{Idx: 1}}, {Col{Idx: 4}}, {Col{Idx: 5}, Col{Idx: 1}}} {
+		cases = append(cases, tcase{fmt.Sprintf("group by %v", key), func(h bool) Operator {
+			return &HashGroupBy{Input: scan(h), Keys: key, Aggs: aggsOver(2, 3, 4)}
+		}, true})
+	}
+	cases = append(cases, tcase{"filtered group by", func(h bool) Operator {
+		return &HashGroupBy{Input: &Filter{Input: scan(h), Pred: Cmp{Op: "<", L: Col{Idx: 3}, R: Const{V: val.NewInt(5)}}},
+			Keys: []Expr{Col{Idx: 1}}, Aggs: aggsOver(2, 3)}
+	}, true})
+
+	for _, tc := range cases {
+		ctx.ForceBatchSize = 0
+		want := encodeRows(drain(t, ctx, tc.build(true)), tc.sorted)
+		for _, size := range []int{1, 0} {
+			ctx.ForceBatchSize = size
+			got := encodeRows(drain(t, ctx, tc.build(false)), tc.sorted)
+			if len(got) != len(want) {
+				t.Errorf("%s batch=%d: %d rows, heap gives %d", tc.name, size, len(got), len(want))
+				continue
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Errorf("%s batch=%d: row %d differs from the heap's", tc.name, size, i)
+					break
+				}
+			}
+		}
+	}
+	ctx.ForceBatchSize = 0
+}
+
 // TestScanKeepsOnePageOrOneWindow: after any NextBatch a heap scan holds at
 // most the rows of one page and a columnar scan the buffers of one window —
 // the same bound at ten times the rows.
@@ -177,7 +297,7 @@ func TestScanKeepsOnePageOrOneWindow(t *testing.T) {
 			}
 			held := cap(s.page) + s.window.n
 			for _, c := range s.window.cols {
-				held = max(held, cap(c))
+				held = max(held, c.capacity())
 			}
 			if len(s.carry) > len(s.page) {
 				t.Fatalf("carry of %d rows from a page of %d", len(s.carry), len(s.page))
@@ -207,6 +327,10 @@ func TestScanKeepsOnePageOrOneWindow(t *testing.T) {
 	}
 }
 
+// capacity is how many values the largest of a window column's buffers
+// holds.
+func (c *vector) capacity() int { return max(cap(c.ints), cap(c.flts), cap(c.vals)) }
+
 // TestLimitDecodesOneColumnOfOneWindow: SELECT v … LIMIT 3 over segments
 // decodes the three rows it returns, of the one column it reads, and the
 // scan reports the rows it produced — not the table's — when it closes.
@@ -228,8 +352,8 @@ func TestLimitDecodesOneColumnOfOneWindow(t *testing.T) {
 		t.Fatalf("got %v", rows)
 	}
 	for i, col := range scan.window.cols {
-		if want := map[bool]int{true: 3}[i == 2]; cap(col) != want {
-			t.Errorf("column %d: a buffer of %d values, want %d", i, cap(col), want)
+		if want := map[bool]int{true: 3}[i == 2]; col.capacity() != want {
+			t.Errorf("column %d: a buffer of %d values, want %d", i, col.capacity(), want)
 		}
 	}
 	if err := op.NextBatch(ctx, &b); err != nil || b.Len() != 0 {

@@ -233,8 +233,14 @@ func Hash64(v Value) uint64 {
 // HashRow combines the hashes of key columns for multi-column keys.
 func HashRow(vals []Value) uint64 {
 	h := uint64(1469598103934665603)
-	for _, v := range vals {
-		h ^= Hash64(v)
+	for i := range vals {
+		// Handed over field by field, not as a copy of vals[i]: a key that
+		// was just written field by field (a group-by boxing a typed
+		// column) is then read back at the widths it was written with,
+		// which the CPU forwards from its pending stores instead of
+		// stalling until they drain.
+		v := &vals[i]
+		h ^= Hash64(Value{Kind: v.Kind, I: v.I, F: v.F, S: v.S})
 		h *= 1099511628211
 	}
 	return h

@@ -10,6 +10,7 @@ package btree
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -174,11 +175,12 @@ type bound bool
 const (
 	// lower finds the first cell with key ≥ k. Seek, Search and Delete use
 	// it at every level: a separator equal to k sends them left, because a
-	// leaf split copies its right half's first key up and the left half may
-	// end in the same key, so the run of k can start left of its separator.
+	// leaf split whose halves meet inside a run of k promotes k itself (see
+	// separator), so the run of k can start left of its separator.
 	lower bound = false
-	// upper finds the first cell with key > k. Insert uses it at every
-	// level, so a duplicate lands after the existing run of its key.
+	// upper finds the first cell with key > k. Insert and InsertUnique use
+	// it at every level, so a duplicate lands after the existing run of its
+	// key.
 	upper bound = true
 )
 
@@ -200,11 +202,10 @@ func searchNode(p page.Buf, key []byte, b bound) int {
 	return lo
 }
 
-// childFor returns the child of internal node p that the bound leads to:
-// the cell before the bound's position, or the leftmost child (kept in the
-// page's next field) when the position is 0.
-func childFor(p page.Buf, key []byte, b bound) store.PageID {
-	pos := searchNode(p, key, b)
+// childAt returns the child of internal node p that a search landing on
+// position pos leads to: the cell before pos, or the leftmost child (kept
+// in the page's next field) when pos is 0.
+func childAt(p page.Buf, pos int) store.PageID {
 	if pos == 0 {
 		return store.PageID(p.Next())
 	}
@@ -216,14 +217,31 @@ func childFor(p page.Buf, key []byte, b bound) store.PageID {
 // and an Iterator reads its current leaf from.
 var images = sync.Pool{New: func() any { return new([page.Size]byte) }}
 
+// ErrDuplicate is InsertUnique's refusal: the tree already holds the key.
+var ErrDuplicate = errors.New("btree: duplicate key")
+
 // Insert adds a (key, value) pair. Duplicate keys are permitted.
-func (t *Tree) Insert(key, value []byte) error {
+func (t *Tree) Insert(key, value []byte) error { return t.insert(key, value, false) }
+
+// InsertUnique adds a (key, value) pair unless the tree already holds key,
+// in which case it changes nothing and returns ErrDuplicate. The check is
+// part of the insert's own descent, under the same latch hold, so of two
+// callers racing with one key exactly one succeeds. It looks at one cell,
+// the one before the insert position in the leaf the upper-bound descent
+// reaches, and that is complete for a tree without duplicates: there every
+// separator is greater than each key left of it and at most each key right
+// of it, so the descent (right at a separator ≤ key, left at one above)
+// reaches the only leaf that can hold key, and key sorts last among that
+// leaf's cells ≤ key.
+func (t *Tree) InsertUnique(key, value []byte) error { return t.insert(key, value, true) }
+
+func (t *Tree) insert(key, value []byte, unique bool) error {
 	if len(key)+len(value) > maxCell {
 		return fmt.Errorf("btree: entry too large (%d bytes)", len(key)+len(value))
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	split, err := t.insertAt(t.root, key, value)
+	split, err := t.insertAt(t.root, key, value, unique, true)
 	if err != nil {
 		return err
 	}
@@ -265,7 +283,10 @@ func pageIDFromBytes(b []byte) store.PageID {
 	return store.PageID(binary.LittleEndian.Uint64(b))
 }
 
-func (t *Tree) insertAt(id store.PageID, key, value []byte) (*splitResult, error) {
+// insertAt inserts into the subtree rooted at node id; rightmost says the
+// node is the last of its level (the root is, and so is the last child of
+// a rightmost node). With unique set, a leaf that holds key refuses it.
+func (t *Tree) insertAt(id store.PageID, key, value []byte, unique, rightmost bool) (*splitResult, error) {
 	f, err := t.pool.Get(id)
 	if err != nil {
 		return nil, err
@@ -273,10 +294,11 @@ func (t *Tree) insertAt(id store.PageID, key, value []byte) (*splitResult, error
 	f.Lock()
 	leaf := isLeaf(f.Data)
 	if !leaf {
-		child := childFor(f.Data, key, upper)
+		pos := searchNode(f.Data, key, upper)
+		child, last := childAt(f.Data, pos), pos == f.Data.NumSlots()
 		f.Unlock()
 		t.pool.Unpin(f, false)
-		split, err := t.insertAt(child, key, value)
+		split, err := t.insertAt(child, key, value, unique, rightmost && last)
 		if err != nil || split == nil {
 			return nil, err
 		}
@@ -289,9 +311,19 @@ func (t *Tree) insertAt(id store.PageID, key, value []byte) (*splitResult, error
 	}
 	pos := searchNode(f.Data, key, upper)
 	if leaf {
+		if unique && pos > 0 && bytes.Equal(cellKey(f.Data.Cell(pos-1)), key) {
+			f.Unlock()
+			t.pool.Unpin(f, false)
+			return nil, ErrDuplicate
+		}
 		t.noteInsert(f.Data, pos, key, value)
 	}
-	res, err := t.insertCell(f, pos, key, value)
+	// An ascending insert: the new cell goes past the last one of the last
+	// node of its level, and its key is greater (not a duplicate run, which
+	// a split must still cut in the middle).
+	n := f.Data.NumSlots()
+	ascending := rightmost && pos == n && (n == 0 || bytes.Compare(key, cellKey(f.Data.Cell(n-1))) > 0)
+	res, err := t.insertCell(f, pos, key, value, ascending)
 	f.Unlock()
 	t.pool.Unpin(f, true)
 	if err == nil && leaf {
@@ -334,24 +366,26 @@ func ridPage(v []byte) uint64 {
 // insertCell adds (key, value) to the node in f at position pos, moving no
 // other cell, and splits the node when the cell does not fit. The caller
 // holds the frame latch and unpins afterwards.
-func (t *Tree) insertCell(f *buffer.Frame, pos int, key, value []byte) (*splitResult, error) {
+func (t *Tree) insertCell(f *buffer.Frame, pos int, key, value []byte, ascending bool) (*splitResult, error) {
 	var buf [128]byte
 	cell := appendCell(buf[:0], key, value)
-	// A node is full 8 bytes early, as it always has been: where nodes split
-	// decides the tree's height.
+	// A node is full 8 bytes early, as it always has been.
 	if len(cell)+8 <= f.Data.FreeSpace() {
 		if !f.Data.InsertOrdered(pos, cell) {
 			return nil, fmt.Errorf("btree: node overflow inserting a %d-byte cell", len(cell))
 		}
 		return nil, nil
 	}
-	return t.split(f, pos, cell)
+	return t.split(f, pos, cell, ascending)
 }
 
 // split redistributes the node in f plus the new cell at pos over f and a
-// new right sibling: the left half stays, the rest moves. Both pages are
-// written once, from a scratch image of the old node.
-func (t *Tree) split(f *buffer.Frame, pos int, cell []byte) (*splitResult, error) {
+// new right sibling: the left half stays, the rest moves. An ascending
+// insert (see insertAt) moves only the new cell instead, so that keys
+// arriving in order fill each node before they start the next one: a leaf
+// keeps every old cell, an internal node all but its last, whose key moves
+// up. Both pages are written once, from a scratch image of the old node.
+func (t *Tree) split(f *buffer.Frame, pos int, cell []byte, ascending bool) (*splitResult, error) {
 	rf, err := t.pool.NewPage(t.file, page.TypeIndex)
 	if err != nil {
 		return nil, err
@@ -376,6 +410,12 @@ func (t *Tree) split(f *buffer.Frame, pos int, cell []byte) (*splitResult, error
 	n := old.NumSlots() + 1
 	mid := n / 2
 	leaf := isLeaf(old)
+	switch {
+	case ascending && leaf:
+		mid = n - 1
+	case ascending && n >= 3:
+		mid = n - 2
+	}
 
 	left, right := f.Data, rf.Data
 	left.Init(page.TypeIndex)
@@ -384,6 +424,9 @@ func (t *Tree) split(f *buffer.Frame, pos int, cell []byte) (*splitResult, error
 		p.SetOwner(old.Owner())
 	}
 	sepKey, sepVal := cellKV(at(mid))
+	if leaf {
+		sepKey = separator(cellKey(at(mid-1)), sepKey)
+	}
 	sepKey = append([]byte(nil), sepKey...)
 	from := mid
 	if leaf {
@@ -411,6 +454,24 @@ func (t *Tree) split(f *buffer.Frame, pos int, cell []byte) (*splitResult, error
 	return &splitResult{sepKey: sepKey, right: rf.ID}, nil
 }
 
+// separator returns what a leaf split promotes: the shortest prefix of
+// right, the right node's first key, that sorts after left, the left
+// node's last key (Bayer and Unterauer's suffix truncation). It is above
+// every key of the left node and at most every key of the right one, which
+// is all a separator must be, and a shorter one widens the parent's
+// fan-out. Equal keys, a run of duplicates the split cuts, keep the full
+// key.
+func separator(left, right []byte) []byte {
+	i := 0
+	for i < len(left) && i < len(right) && left[i] == right[i] {
+		i++
+	}
+	if i == len(right) {
+		return right
+	}
+	return right[:i+1]
+}
+
 // descend pins and latches (exclusively when write is set) the leaf that
 // key's lower bound leads to.
 func (t *Tree) descend(key []byte, write bool) (*buffer.Frame, error) {
@@ -424,7 +485,7 @@ func (t *Tree) descend(key []byte, write bool) (*buffer.Frame, error) {
 		if isLeaf(f.Data) {
 			return f, nil
 		}
-		id = childFor(f.Data, key, lower)
+		id = childAt(f.Data, searchNode(f.Data, key, lower))
 		t.release(f, write)
 	}
 }

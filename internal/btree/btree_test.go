@@ -3,6 +3,7 @@ package btree
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -11,6 +12,7 @@ import (
 	"testing/quick"
 
 	"anywheredb/internal/buffer"
+	"anywheredb/internal/page"
 	"anywheredb/internal/store"
 	"anywheredb/internal/val"
 )
@@ -342,6 +344,7 @@ func TestQuickAgainstReference(t *testing.T) {
 			}
 			it.Close()
 		}
+		checkTree(t, tr, true)
 		return !full.Valid()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
@@ -350,6 +353,361 @@ func TestQuickAgainstReference(t *testing.T) {
 }
 
 const pad = "................................................................"
+
+// checkTree walks every node of tr and fails t unless the tree is well
+// formed: each node's cells are in key order; every separator bounds its
+// children, each key left of it at most the separator and each key right
+// of it at least (a key equal to the separator on its left is allowed only
+// when dups says the tree holds duplicate runs); every leaf is at the same
+// depth, and the sibling chain visits the leaves in order; and Stats
+// agrees with the walk on height, leaf pages and entries. It returns the
+// free bytes of every node, level by level from the root, left to right.
+func checkTree(t testing.TB, tr *Tree, dups bool) (free [][]int) {
+	t.Helper()
+	type node struct {
+		leaf  bool
+		next  store.PageID
+		free  int
+		keys  [][]byte
+		child []store.PageID // internal nodes: the leftmost child, then one per cell
+	}
+	read := func(id store.PageID) node {
+		f, err := tr.pool.Get(id)
+		if err != nil {
+			t.Fatalf("checkTree: page %v: %v", id, err)
+		}
+		defer tr.pool.Unpin(f, false)
+		f.RLock()
+		defer f.RUnlock()
+		n := node{leaf: isLeaf(f.Data), next: store.PageID(f.Data.Next()), free: f.Data.FreeSpace()}
+		if !n.leaf {
+			n.child = append(n.child, n.next)
+		}
+		for i := 0; i < f.Data.NumSlots(); i++ {
+			k, v := cellKV(f.Data.Cell(i))
+			n.keys = append(n.keys, append([]byte(nil), k...))
+			if !n.leaf {
+				n.child = append(n.child, pageIDFromBytes(v))
+			}
+		}
+		return n
+	}
+	var leaves []store.PageID
+	entries, height := 0, -1
+	// walk checks the subtree at id, whose keys the separators above it put
+	// at or above lo and at or below hi (nil: unbounded).
+	var walk func(id store.PageID, depth int, lo, hi []byte)
+	walk = func(id store.PageID, depth int, lo, hi []byte) {
+		n := read(id)
+		if len(free) < depth {
+			free = append(free, nil)
+		}
+		free[depth-1] = append(free[depth-1], n.free)
+		for i, k := range n.keys {
+			if i > 0 {
+				if c := bytes.Compare(n.keys[i-1], k); c > 0 || c == 0 && !dups {
+					t.Fatalf("checkTree: node %v: cell %d (%q) after %q", id, i, k, n.keys[i-1])
+				}
+			}
+			if lo != nil && bytes.Compare(k, lo) < 0 {
+				t.Fatalf("checkTree: node %v: key %q below its separator %q", id, k, lo)
+			}
+			if c := bytes.Compare(k, hi); hi != nil && (c > 0 || c == 0 && !dups) {
+				t.Fatalf("checkTree: node %v: key %q not below its right separator %q", id, k, hi)
+			}
+		}
+		if n.leaf {
+			if height == -1 {
+				height = depth
+			} else if depth != height {
+				t.Fatalf("checkTree: leaf %v at depth %d, another at %d", id, depth, height)
+			}
+			leaves = append(leaves, id)
+			entries += len(n.keys)
+			return
+		}
+		for i, c := range n.child {
+			clo, chi := lo, hi
+			if i > 0 {
+				clo = n.keys[i-1]
+			}
+			if i < len(n.keys) {
+				chi = n.keys[i]
+			}
+			walk(c, depth+1, clo, chi)
+		}
+	}
+	walk(tr.Root(), 1, nil, nil)
+
+	id := leaves[0]
+	for i, want := range leaves {
+		if id != want {
+			t.Fatalf("checkTree: leaf %d of the chain is %v, the walk's is %v", i, id, want)
+		}
+		id = read(id).next
+	}
+	if id != 0 {
+		t.Fatalf("checkTree: the sibling chain goes on past the last leaf, to %v", id)
+	}
+	if h, lp, e := tr.Stats.Height.Load(), tr.Stats.LeafPages.Load(), tr.Stats.Entries.Load(); h != int64(height) || lp != int64(len(leaves)) || e != int64(entries) {
+		t.Fatalf("checkTree: Stats say height %d, %d leaves, %d entries; the walk finds %d, %d, %d", h, lp, e, height, len(leaves), entries)
+	}
+	return free
+}
+
+// mixedKey draws a key from one of five shapes, so that one tree meets
+// them all: ascending and descending runs, random keys, a small domain of
+// duplicates, and keys that are prefixes of each other ("p", "pa", "pab",
+// …), which put separator truncation at a key's end.
+func mixedKey(rng *rand.Rand, op int) string {
+	switch rng.Intn(5) {
+	case 0:
+		return fmt.Sprintf("asc-%06d", op)
+	case 1:
+		return fmt.Sprintf("desc-%06d", 1000000-op)
+	case 2:
+		return fmt.Sprintf("rnd-%08x", rng.Uint32())
+	case 3:
+		return fmt.Sprintf("dup-%d", rng.Intn(4))
+	}
+	return "p" + "abcdefghijklmnop"[:rng.Intn(17)]
+}
+
+// TestQuickMixedKeyOrders runs inserts of every key shape mixedKey makes,
+// and deletes, against a reference, then checks the tree's shape.
+func TestQuickMixedKeyOrders(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		tr, _, _ := newTree(t, 128)
+		ref := map[string][]string{}
+		var keys []string // every key inserted, to pick deletes from
+		n := 0
+		for op := 0; op < 4000; op++ {
+			if len(keys) > 0 && rng.Intn(4) == 0 {
+				key := keys[rng.Intn(len(keys))]
+				if vals := ref[key]; len(vals) > 0 {
+					i := rng.Intn(len(vals))
+					if ok, err := tr.Delete([]byte(key), []byte(vals[i])); err != nil || !ok {
+						t.Logf("seed %d: Delete(%s, %s) = %v, %v", seed, key, vals[i], ok, err)
+						return false
+					}
+					ref[key] = append(vals[:i:i], vals[i+1:]...)
+					n--
+					continue
+				}
+			}
+			key := mixedKey(rng, op)
+			val := fmt.Sprintf("v%06d-%s", op, pad[:rng.Intn(len(pad))])
+			if err := tr.Insert([]byte(key), []byte(val)); err != nil {
+				return false
+			}
+			ref[key] = append(ref[key], val)
+			keys = append(keys, key)
+			n++
+		}
+		checkTree(t, tr, true)
+		var sorted []string
+		for k, vals := range ref {
+			if len(vals) > 0 {
+				sorted = append(sorted, k)
+			}
+		}
+		sort.Strings(sorted)
+		it, err := tr.First()
+		if err != nil {
+			return false
+		}
+		defer it.Close()
+		for _, k := range sorted {
+			for _, want := range ref[k] {
+				if !it.Valid() || string(it.Key()) != k || string(it.Value()) != want {
+					t.Logf("seed %d: the scan lost (%s, %s)", seed, k, want)
+					return false
+				}
+				it.Next()
+			}
+			if got, ok, err := tr.Search([]byte(k)); err != nil || !ok || string(got) != ref[k][0] {
+				t.Logf("seed %d: Search(%s) = %s, %v, %v", seed, k, got, ok, err)
+				return false
+			}
+		}
+		return !it.Valid() && tr.Stats.Entries.Load() == int64(n)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickInsertUniqueAgainstReference: on a tree InsertUnique alone
+// fills, it refuses exactly the keys a reference holds, whatever order the
+// keys come in and whatever deletes did to the leaves.
+func TestQuickInsertUniqueAgainstReference(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		tr, _, _ := newTree(t, 128)
+		ref := map[string]bool{}
+		var keys []string
+		for op := 0; op < 4000; op++ {
+			if len(keys) > 0 && rng.Intn(4) == 0 {
+				key := keys[rng.Intn(len(keys))]
+				ok, err := tr.Delete([]byte(key), nil)
+				if err != nil || ok != ref[key] {
+					t.Logf("seed %d: Delete(%s) = %v, %v; the reference holds it: %v", seed, key, ok, err, ref[key])
+					return false
+				}
+				ref[key] = false
+				continue
+			}
+			key := mixedKey(rng, op) + pad[:rng.Intn(len(pad))]
+			err := tr.InsertUnique([]byte(key), v(op))
+			if errors.Is(err, ErrDuplicate) != ref[key] || err != nil && !errors.Is(err, ErrDuplicate) {
+				t.Logf("seed %d: InsertUnique(%s) = %v; the reference holds it: %v", seed, key, err, ref[key])
+				return false
+			}
+			ref[key] = true
+			keys = append(keys, key)
+		}
+		checkTree(t, tr, false)
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAscendingLoadFillsNodes: keys that arrive in order fill each node
+// before starting the next, so 20 000 integer keys take half the leaves,
+// and every node but the last of its level is at least three quarters
+// full, internal nodes too. Keys in random order split nodes in the middle
+// as before, but the short separators leaf splits promote put their ~200
+// leaves under one root too.
+func TestAscendingLoadFillsNodes(t *testing.T) {
+	filled := func(name string, free [][]int) {
+		t.Helper()
+		for depth, level := range free {
+			for i, f := range level[:len(level)-1] {
+				if f > page.Size/4 {
+					t.Errorf("%s: node %d of %d at depth %d has %d bytes free", name, i, len(level), depth+1, f)
+				}
+			}
+		}
+	}
+	const n = 20000
+	asc := kvTree(t, n)
+	filled("ascending integer keys", checkTree(t, asc, false))
+	t.Logf("ascending load: height %d, %d leaves", asc.Stats.Height.Load(), asc.Stats.LeafPages.Load())
+	if h, lp := asc.Stats.Height.Load(), asc.Stats.LeafPages.Load(); h != 2 || lp > 140 {
+		t.Errorf("ascending load of %d keys: height %d and %d leaves, want 2 and ≤ 140", n, h, lp)
+	}
+	wide, _, st := newTree(t, 256)
+	fillTree(t, wide, st, 3000)
+	if h := wide.Stats.Height.Load(); h < 3 {
+		t.Fatalf("3 000 wide keys: height %d, the test wants internal nodes below the root", h)
+	}
+	filled("ascending wide keys", checkTree(t, wide, false))
+	// Random-order loads of the same keys, when every split cut a node in
+	// the middle and promoted a full key, had 201, 192 and 192 leaves.
+	for seed, before := range []int64{201, 192, 192} {
+		tr := kvTree(t, 0)
+		for _, i := range rand.New(rand.NewSource(int64(seed + 1))).Perm(n) {
+			if err := tr.Insert(kvKey(i), kvRID(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkTree(t, tr, false)
+		t.Logf("random load, seed %d: height %d, %d leaves", seed+1, tr.Stats.Height.Load(), tr.Stats.LeafPages.Load())
+		if h, lp := tr.Stats.Height.Load(), tr.Stats.LeafPages.Load(); h != 2 || 10*lp < 9*before || 10*lp > 11*before {
+			t.Errorf("random load, seed %d: height %d and %d leaves, want 2 and within 10%% of %d", seed+1, h, lp, before)
+		}
+	}
+}
+
+// TestOnlyTheRightEdgeFillsAscending: a key that goes past the last of a
+// leaf inside the tree splits it in the middle. Packing it instead would
+// leave the new key alone in a leaf that its right neighbour's separator
+// closes to every key but the few between them. Even keys in order, then
+// odd keys in order, meet that case once per leaf, and leave every leaf
+// but the last at least 40 % full.
+func TestOnlyTheRightEdgeFillsAscending(t *testing.T) {
+	tr, _, _ := newTree(t, 256)
+	const n = 10000
+	for _, odd := range []int{0, 1} {
+		for i := odd; i < n; i += 2 {
+			if err := tr.Insert(k(i), v(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	free := checkTree(t, tr, false)
+	leaves := free[len(free)-1]
+	for i, f := range leaves[:len(leaves)-1] {
+		if 10*f > 6*page.Size {
+			t.Fatalf("leaf %d of %d has %d bytes free", i, len(leaves), f)
+		}
+	}
+}
+
+// TestInsertUniqueRace: goroutines that InsertUnique one key at once see
+// exactly one success between them, round after round.
+func TestInsertUniqueRace(t *testing.T) {
+	tr := kvTree(t, 1000)
+	const racers = 8
+	for round := 0; round < 200; round++ {
+		key := kvKey(1000 + round)
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		errs := make([]error, racers)
+		for g := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				errs[g] = tr.InsertUnique(key, kvRID(g))
+			}()
+		}
+		close(start)
+		wg.Wait()
+		ok := 0
+		for _, err := range errs {
+			switch {
+			case err == nil:
+				ok++
+			case !errors.Is(err, ErrDuplicate):
+				t.Fatal(err)
+			}
+		}
+		if ok != 1 {
+			t.Fatalf("round %d: %d of %d racers inserted the key", round, ok, racers)
+		}
+	}
+	checkTree(t, tr, false)
+}
+
+// TestProbePinsHeightPages: a point probe, and a unique insert that checks
+// and inserts without a split, each pin one page per level.
+func TestProbePinsHeightPages(t *testing.T) {
+	const n = 20000
+	tr := kvTree(t, n)
+	height, leaves := tr.Stats.Height.Load(), tr.Stats.LeafPages.Load()
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Search", func() { tr.Search(kvKey(n / 2)) }},
+		{"InsertUnique", func() { tr.InsertUnique(kvKey(n), kvRID(n)) }},
+		{"refused InsertUnique", func() { tr.InsertUnique(kvKey(n/3), kvRID(0)) }},
+	} {
+		before := tr.pool.Stats()
+		c.fn()
+		after := tr.pool.Stats()
+		if got := int64(after.Hits + after.Misses - before.Hits - before.Misses); got != height {
+			t.Errorf("%s pins %d pages, the tree has %d levels", c.name, got, height)
+		}
+	}
+	if tr.Stats.LeafPages.Load() != leaves {
+		t.Fatal("the insert split a leaf: the test wants one that fits")
+	}
+}
 
 // TestDuplicatesAcrossLeaves is the regression test for the descent that
 // went right on separator == key in Seek and Delete as well as in Insert: a
@@ -556,9 +914,24 @@ func BenchmarkTreeInsertSequential(b *testing.B) {
 	}
 }
 
+// BenchmarkTreeInsertUnique is the unique index's write: the same keys in
+// the same order, each checked and inserted in one descent.
+func BenchmarkTreeInsertUnique(b *testing.B) {
+	tr := kvTree(b, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tr.InsertUnique(kvKey(i), kvRID(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // wideKey keeps the fan-out low, so a few thousand keys make a tree with
-// internal nodes below the root.
-func wideKey(i int) []byte { return []byte(fmt.Sprintf("key-%06d-%0200d", i, 0)) }
+// internal nodes below the root. The digits that tell keys apart come after
+// the pad, so a separator, the shortest prefix that does, is as wide as the
+// key.
+func wideKey(i int) []byte { return []byte(fmt.Sprintf("key-%0200d-%06d", 0, i)) }
 
 // fillTree inserts n keys and returns the pages the tree occupies (every
 // page of the store but the header: the tree is the only tenant).

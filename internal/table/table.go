@@ -31,7 +31,8 @@ var ErrRowTooLarge = errors.New("table: row exceeds page capacity")
 // ErrNotFound is returned when a RID does not address a live row.
 var ErrNotFound = errors.New("table: row not found")
 
-// ErrUnique is returned when an insert violates a unique index.
+// ErrUnique is returned when an insert or update would give a unique index
+// a key it already holds.
 var ErrUnique = errors.New("table: unique index violation")
 
 // Column describes one column.
@@ -287,7 +288,8 @@ func stamp(f *buffer.Frame, tx *txn.Txn, rec *wal.Record) {
 // insertRow places enc (the encoding of row) at the chain tail, or at
 // exactly *at when the location is already decided: by the log on a replica,
 // by the delete being compensated in a rollback. A tail insert fills in
-// rec's location.
+// rec's location, and is the one a unique index may refuse: it then backs
+// itself out and fails with ErrUnique.
 func (t *Table) insertRow(tx *txn.Txn, at *RID, row []val.Value, enc []byte, rec *wal.Record) (RID, error) {
 	var rid RID
 	var err error
@@ -314,13 +316,56 @@ func (t *Table) insertRow(tx *txn.Txn, at *RID, row []val.Value, enc []byte, rec
 	for i, h := range t.Hists {
 		h.NoteInsert(row[i])
 	}
+	t.rows.Add(1)
+	var refused error
 	for _, ix := range t.IndexList() {
-		if err := ix.Tree.Insert(ix.Key(row), rid.Bytes()); err != nil {
+		if err := addKey(ix, ix.Key(row), rid, at == nil); errors.Is(err, ErrUnique) {
+			refused = err
+		} else if err != nil {
 			return RID{}, err
 		}
 	}
-	t.rows.Add(1)
+	if refused != nil {
+		backOut(tx, t.rowRecord(wal.RecDelete, rid, enc, nil), func() error { return t.deleteRow(nil, rid, row, nil) })
+		return RID{}, refused
+	}
 	return rid, nil
+}
+
+// addKey enters rid under key in ix. checked, on a forward change, makes a
+// unique index refuse a key it already holds, with ErrUnique; the kernel
+// then still enters the row in its other indexes, so that the inverse it
+// registered, whose index deletes pass over an entry that is not there,
+// takes back exactly what was done.
+func addKey(ix *Index, key []byte, rid RID, checked bool) error {
+	if !checked || !ix.Unique {
+		return ix.Tree.Insert(key, rid.Bytes())
+	}
+	err := ix.Tree.InsertUnique(key, rid.Bytes())
+	if errors.Is(err, btree.ErrDuplicate) {
+		return fmt.Errorf("%w: index %s", ErrUnique, ix.Name)
+	}
+	return err
+}
+
+// rowRecord is the log record of a change of type typ to the row at rid.
+func (t *Table) rowRecord(typ wal.RecType, rid RID, before, after []byte) *wal.Record {
+	return &wal.Record{Type: typ, Table: t.ID, Page: rid.Page, Slot: uint32(rid.Slot), Before: before, After: after}
+}
+
+// backOut takes back the change a statement just made, because the
+// statement fails after the change was logged. Under a transaction the
+// change's inverse runs at once and is logged as inv, so that the
+// transaction's commit cannot bring the change back at recovery; without
+// one (a bulk load) undo runs instead. The inverse's error is dropped: the
+// statement is failing already, with the error that explains why.
+func backOut(tx *txn.Txn, inv *wal.Record, undo func() error) {
+	if tx == nil {
+		_ = undo()
+		return
+	}
+	_ = tx.UndoLast()
+	tx.Log(inv)
 }
 
 // insertBytes places the encoded row into the chain's tail, growing it as
@@ -438,7 +483,9 @@ func (t *Table) pushVersion(tx *txn.Txn, rid RID, pre []val.Value, cell int) {
 // updateRow replaces the row at rid in place: newEnc is the encoding of
 // newRow, oldRow the image being replaced. It fails with errNoRoom, having
 // changed and logged nothing, when the page cannot hold the new image
-// without taking bytes another transaction's rollback needs back.
+// without taking bytes another transaction's rollback needs back, and, on
+// the forward path, with ErrUnique, having backed its change out, when the
+// new row gives a unique index a key it holds.
 func (t *Table) updateRow(tx *txn.Txn, rid RID, oldRow, newRow []val.Value, newEnc []byte, rec *wal.Record) error {
 	// Sealed column segments may cover this row: drop them (WAL-logged
 	// through tx, so ahead of the caller's data record) so that no scan —
@@ -474,18 +521,24 @@ func (t *Table) updateRow(tx *txn.Txn, rid RID, oldRow, newRow []val.Value, newE
 			h.NoteInsert(newRow[i])
 		}
 	}
+	var refused error
 	for _, ix := range t.IndexList() {
 		oldKey, newKey := ix.Key(oldRow), ix.Key(newRow)
 		if string(oldKey) != string(newKey) {
 			if _, err := ix.Tree.Delete(oldKey, rid.Bytes()); err != nil {
 				return err
 			}
-			if err := ix.Tree.Insert(newKey, rid.Bytes()); err != nil {
+			if err := addKey(ix, newKey, rid, tx != nil); errors.Is(err, ErrUnique) {
+				refused = err
+			} else if err != nil {
 				return err
 			}
 		}
 	}
-	return nil
+	if refused != nil {
+		backOut(tx, t.rowRecord(wal.RecUpdate, rid, newEnc, val.EncodeRow(oldRow)), nil)
+	}
+	return refused
 }
 
 // deleteRow removes the row at rid; row is its current image.
@@ -546,17 +599,6 @@ func (t *Table) Insert(tx *txn.Txn, row []val.Value) (RID, error) {
 			return RID{}, err
 		}
 	}
-	// Unique index pre-check.
-	for _, ix := range t.IndexList() {
-		if !ix.Unique {
-			continue
-		}
-		if _, found, err := ix.Tree.Search(ix.Key(row)); err != nil {
-			return RID{}, err
-		} else if found {
-			return RID{}, fmt.Errorf("%w: index %s", ErrUnique, ix.Name)
-		}
-	}
 	var rec *wal.Record
 	if tx != nil {
 		rec = &wal.Record{Type: wal.RecInsert, Table: t.ID, After: enc}
@@ -569,10 +611,7 @@ func (t *Table) Insert(tx *txn.Txn, row []val.Value) (RID, error) {
 		// The RID is known only now, with the page latch released: a wait
 		// here holds no latch.
 		if err := tx.Lock(t.ID, rid.Bytes(), lock.Exclusive); err != nil {
-			// The insert is logged: back it out, and log that as a delete, so
-			// the transaction's commit cannot bring the row back at recovery.
-			_ = tx.UndoLast()
-			tx.Log(&wal.Record{Type: wal.RecDelete, Table: t.ID, Page: rid.Page, Slot: uint32(rid.Slot), Before: enc})
+			backOut(tx, t.rowRecord(wal.RecDelete, rid, enc, nil), nil)
 			return RID{}, err
 		}
 	}
@@ -669,7 +708,7 @@ func (t *Table) Delete(tx *txn.Txn, rid RID) error {
 func (t *Table) deleteLocked(tx *txn.Txn, rid RID, row []val.Value) error {
 	var rec *wal.Record
 	if tx != nil {
-		rec = &wal.Record{Type: wal.RecDelete, Table: t.ID, Page: rid.Page, Slot: uint32(rid.Slot), Before: val.EncodeRow(row)}
+		rec = t.rowRecord(wal.RecDelete, rid, val.EncodeRow(row), nil)
 	}
 	return t.deleteRow(tx, rid, row, rec)
 }
@@ -696,8 +735,7 @@ func (t *Table) updateLocked(tx *txn.Txn, rid RID, oldRow, newRow []val.Value) (
 	}
 	var rec *wal.Record
 	if tx != nil {
-		rec = &wal.Record{Type: wal.RecUpdate, Table: t.ID, Page: rid.Page, Slot: uint32(rid.Slot),
-			Before: val.EncodeRow(oldRow), After: newEnc}
+		rec = t.rowRecord(wal.RecUpdate, rid, val.EncodeRow(oldRow), newEnc)
 	}
 	err := t.updateRow(tx, rid, oldRow, newRow, newEnc, rec)
 	if err == nil {
@@ -717,7 +755,14 @@ func (t *Table) updateLocked(tx *txn.Txn, rid RID, oldRow, newRow []val.Value) (
 	if tx != nil {
 		rec = &wal.Record{Type: wal.RecInsert, Table: t.ID, After: newEnc}
 	}
-	return t.insertRow(tx, nil, newRow, newEnc, rec)
+	newRID, err := t.insertRow(tx, nil, newRow, newEnc, rec)
+	if errors.Is(err, ErrUnique) {
+		// The insert has backed itself out; the delete goes the same way.
+		oldEnc := val.EncodeRow(oldRow)
+		backOut(tx, t.rowRecord(wal.RecInsert, rid, nil, oldEnc),
+			func() error { _, err := t.insertRow(nil, &rid, oldRow, oldEnc, nil); return err })
+	}
+	return newRID, err
 }
 
 // Scan calls fn for every live row in chain order. fn returns false to
@@ -941,18 +986,10 @@ func (t *Table) AddIndexIn(file store.FileID, id uint64, name string, cols []int
 		builders[i] = stats.NewBuilder(t.Columns[c].Kind)
 	}
 	err = t.Scan(func(rid RID, row []val.Value) (bool, error) {
-		key := ix.Key(row)
-		if unique {
-			if _, found, err := tree.Search(key); err != nil {
-				return false, err
-			} else if found {
-				return false, fmt.Errorf("%w: index %s", ErrUnique, name)
-			}
-		}
 		for i, c := range cols {
 			builders[i].Add(row[c])
 		}
-		return true, tree.Insert(key, rid.Bytes())
+		return true, addKey(ix, ix.Key(row), rid, true)
 	})
 	if err != nil {
 		btree.Drop(t.pool, t.st, tree.Root(), id)

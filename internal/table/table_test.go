@@ -388,6 +388,87 @@ func TestIndexMaintenance(t *testing.T) {
 	}
 }
 
+// TestUniqueRefusalBacksOut: an insert, an in-place update and a moving
+// update that would give a unique index a key it holds each fail with
+// ErrUnique and leave the heap, the row count and the index as they were,
+// under a transaction, which goes on, and without one.
+func TestUniqueRefusalBacksOut(t *testing.T) {
+	for _, commit := range []bool{true, false} {
+		tbl, _, _, tm := setup(t)
+		pad := strings.Repeat("p", 1000) // three rows to a page
+		tx := tm.Begin()
+		var rids []RID
+		for i := int64(1); i <= 3; i++ {
+			rid, err := tbl.Insert(tx, row(i, pad, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rids = append(rids, rid)
+		}
+		tx.Commit()
+		if _, err := tbl.AddIndex(199, "emp_salary", []int{2}, true); !errors.Is(err, ErrUnique) || len(tbl.IndexList()) != 0 {
+			t.Fatalf("a unique index over three equal salaries: %v, %d indexes", err, len(tbl.IndexList()))
+		}
+		ix, err := tbl.AddIndex(200, "emp_id", []int{0}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tbl.AddIndex(201, "emp_salary", []int{2}, false); err != nil {
+			t.Fatal(err)
+		}
+		check := func(when string) {
+			t.Helper()
+			n := 0
+			tbl.Scan(func(rid RID, r []val.Value) (bool, error) {
+				if n++; rid != rids[r[0].I-1] || r[1].S != pad {
+					t.Fatalf("%s: row %v at %v", when, r[0], rid)
+				}
+				return true, nil
+			})
+			if n != 3 || tbl.RowCount() != 3 {
+				t.Fatalf("%s: a scan sees %d rows, RowCount says %d; want 3", when, n, tbl.RowCount())
+			}
+			for _, x := range tbl.Indexes {
+				if got := x.Tree.Stats.Entries.Load(); got != 3 {
+					t.Fatalf("%s: index %s holds %d entries", when, x.Name, got)
+				}
+			}
+			for i, rid := range rids {
+				if rb, ok, _ := ix.Tree.Search(ix.Key(row(int64(i+1), "", 0))); !ok || RIDFromBytes(rb) != rid {
+					t.Fatalf("%s: id %d is not at %v in the index", when, i+1, rid)
+				}
+			}
+		}
+		if _, err := tbl.Insert(nil, row(1, "bulk", 0)); !errors.Is(err, ErrUnique) {
+			t.Fatalf("bulk insert of a held key: %v", err)
+		}
+		check("bulk insert")
+		tx = tm.Begin()
+		for name, write := range map[string]func() error{
+			"insert": func() error { _, err := tbl.Insert(tx, row(2, "dup", 0)); return err },
+			"update": func() error { _, err := tbl.Update(tx, rids[1], row(1, pad, 5)); return err },
+			"move": func() error {
+				_, err := tbl.Update(tx, rids[1], row(3, strings.Repeat("m", 3000), 5))
+				return err
+			},
+		} {
+			if err := write(); !errors.Is(err, ErrUnique) {
+				t.Fatalf("%s onto a held key: %v", name, err)
+			}
+			check(name)
+		}
+		if commit {
+			err = tx.Commit()
+		} else {
+			err = tx.Rollback()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("commit %v", commit))
+	}
+}
+
 func TestAddIndexBuildsStatistics(t *testing.T) {
 	tbl, _, _, tm := setup(t)
 	tx := tm.Begin()

@@ -49,7 +49,6 @@ func BenchmarkE8GovernorQuota(b *testing.B)     { runExp(b, "E8") }
 func BenchmarkE9HistogramFeedback(b *testing.B) { runExp(b, "E9") }
 func BenchmarkE10AdaptiveHashJoin(b *testing.B) { runExp(b, "E10") }
 func BenchmarkE11LowMemory(b *testing.B)        { runExp(b, "E11") }
-func BenchmarkE12Parallelism(b *testing.B)      { runExp(b, "E12") }
 func BenchmarkE13Replacement(b *testing.B)      { runExp(b, "E13") }
 func BenchmarkE14PlanCache(b *testing.B)        { runExp(b, "E14") }
 func BenchmarkE15IndexConsultant(b *testing.B)  { runExp(b, "E15") }
@@ -300,7 +299,7 @@ func BenchmarkExecBatch(b *testing.B) {
 				pool := buffer.New(st, 8, 1024, 2048)
 				ctx := &exec.Ctx{
 					Pool: pool, St: st, Clk: vclock.New(),
-					Workers: 1, CPURowCost: 1, ForceBatchSize: size,
+					CPURowCost: 1, ForceBatchSize: size,
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

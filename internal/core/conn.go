@@ -46,8 +46,6 @@ type Conn struct {
 	// overriding the database-wide Options.StatementTimeout. The network
 	// server sets it per connection from the client's hello.
 	stmtTimeout time.Duration
-	// Workers overrides the database's default intra-query parallelism.
-	Workers int
 }
 
 // SetStatementTimeout bounds each of this connection's statements to d of
@@ -128,10 +126,6 @@ func (c *Conn) Close() error {
 // execCtx builds the execution context for one statement under its
 // memory-governor task (nil for DML, which runs ungoverned).
 func (c *Conn) execCtx(task *mem.Task) *exec.Ctx {
-	workers := c.Workers
-	if workers <= 0 {
-		workers = c.db.opts.Workers
-	}
 	tx := c.tx
 	if tx == nil {
 		tx = c.lockTx
@@ -144,7 +138,6 @@ func (c *Conn) execCtx(task *mem.Task) *exec.Ctx {
 		Task:           task,
 		Tx:             tx,
 		Snap:           c.curSnap,
-		Workers:        workers,
 		CPURowCost:     c.db.opts.CPURowCost,
 		ForceBatchSize: c.db.opts.ExecBatchSize,
 		Batches:        c.db.batches,

@@ -85,12 +85,10 @@ type Options struct {
 	CEMode bool
 	// MPL is the server multiprogramming level (default 4).
 	MPL int
-	// Workers is the default intra-query parallelism (default 1).
-	Workers int
 	// CPURowCost is the virtual-microsecond CPU proxy charged per row.
 	CPURowCost int64
 	// ExecBatchSize pins the executor's rows-per-batch (0 = adaptive:
-	// derived from the memory governor and worker count between batches).
+	// derived from the memory governor between batches).
 	// Setting 1 degrades to row-at-a-time execution; the differential tests
 	// use this to cross-check the batch protocol.
 	ExecBatchSize int
@@ -178,9 +176,6 @@ func (o *Options) fill() {
 	}
 	if o.MPL <= 0 {
 		o.MPL = 4
-	}
-	if o.Workers <= 0 {
-		o.Workers = 1
 	}
 	if o.RetryPolicy.MaxAttempts == 0 {
 		o.RetryPolicy = faultinject.DefaultRetryPolicy()

@@ -15,13 +15,12 @@ import (
 // are amortized to per-batch, which is what lets the executor run as fast
 // as the hardware allows once the buffer pool stops serializing the hit
 // path. The batch size is not a constant: it is re-derived from the memory
-// governor's soft limit and the current worker target between batches, so
-// the §4.4 mid-query adaptations (memory squeeze, worker reduction) take
-// effect at the next batch boundary.
+// governor's soft limit between batches, so a mid-query memory squeeze
+// takes effect at the next batch boundary.
 
 const (
 	// DefaultBatchSize is the target rows per batch with no governor
-	// pressure and a single worker.
+	// pressure.
 	DefaultBatchSize = 1024
 	// MinBatchSize floors the adaptive size so heavy throttling degrades
 	// to small batches, never to per-row dispatch.
@@ -36,8 +35,8 @@ const (
 
 // BatchSize reports the target number of rows per batch. It is cheap and
 // deliberately re-evaluated on every NextBatch call: the governor's soft
-// limit and the worker target can both move mid-query, and the batch
-// boundary is the executor's adaptation point.
+// limit can move mid-query, and the batch boundary is the executor's
+// adaptation point.
 func (c *Ctx) BatchSize() int {
 	if c.ForceBatchSize > 0 {
 		return c.ForceBatchSize
@@ -53,14 +52,7 @@ func (c *Ctx) BatchSize() int {
 			}
 		}
 	}
-	if w := c.Workers; w > 1 {
-		// Smaller batches load-balance first-come-first-served workers.
-		n /= w
-	}
-	if n < MinBatchSize {
-		n = MinBatchSize
-	}
-	return n
+	return max(n, MinBatchSize)
 }
 
 // Batch is what one NextBatch call yields, in one of two forms.

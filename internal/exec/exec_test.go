@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"testing"
 
 	"anywheredb/internal/buffer"
@@ -24,7 +23,7 @@ func testCtx(t testing.TB, frames int) (*Ctx, *store.Store) {
 	}
 	t.Cleanup(func() { st.Close() })
 	pool := buffer.New(st, 8, frames, frames*2)
-	return &Ctx{Pool: pool, St: st, Clk: vclock.New(), Workers: 1}, st
+	return &Ctx{Pool: pool, St: st, Clk: vclock.New()}, st
 }
 
 // governed puts ctx under a governor task with the given soft limit (and a
@@ -643,60 +642,6 @@ func TestRecursiveUnionStrategySwitch(t *testing.T) {
 	}
 	if len(rows) != 100 {
 		t.Fatalf("rows %d", len(rows))
-	}
-}
-
-func TestParallelPipeline(t *testing.T) {
-	ctx, _ := testCtx(t, 128)
-	ctx.Workers = 4
-	var src, b1, b2 []Row
-	for i := 0; i < 1000; i++ {
-		src = append(src, intRow(int64(i), int64(i%100)))
-	}
-	for i := 0; i < 100; i++ {
-		b1 = append(b1, intRow(int64(i), int64(i%10)))
-	}
-	for i := 0; i < 10; i++ {
-		b2 = append(b2, intRow(int64(i), int64(i*1000)))
-	}
-	p := &ParallelPipeline{
-		Source: &Materialized{RowsData: src},
-		Joins: []PipeJoin{
-			{Build: &Materialized{RowsData: b1}, BuildKeys: []Expr{Col{0}}, ProbeKeys: []Expr{Col{1}}, UseBloom: true},
-			{Build: &Materialized{RowsData: b2}, BuildKeys: []Expr{Col{0}}, ProbeKeys: []Expr{Col{3}}},
-		},
-		BuildParallel: true,
-	}
-	rows := drain(t, ctx, p)
-	if len(rows) != 1000 {
-		t.Fatalf("pipeline rows %d, want 1000", len(rows))
-	}
-	// Verify a sample row's join chain: src.grp = b1.id, b1.grp = b2.id.
-	sort.Slice(rows, func(i, j int) bool { return rows[i][0].I < rows[j][0].I })
-	r := rows[123]
-	if r[1].I != r[2].I || r[3].I != r[4].I || r[5].I != r[4].I*1000 {
-		t.Fatalf("join chain broken: %v", r)
-	}
-}
-
-func TestParallelPipelineWorkerReduction(t *testing.T) {
-	ctx, _ := testCtx(t, 128)
-	ctx.Workers = 8
-	var src, b []Row
-	for i := 0; i < 500; i++ {
-		src = append(src, intRow(int64(i%50)))
-	}
-	for i := 0; i < 50; i++ {
-		b = append(b, intRow(int64(i)))
-	}
-	p := &ParallelPipeline{
-		Source: &Materialized{RowsData: src},
-		Joins:  []PipeJoin{{Build: &Materialized{RowsData: b}, BuildKeys: []Expr{Col{0}}, ProbeKeys: []Expr{Col{0}}}},
-	}
-	p.SetWorkers(1) // reduce before open: serial execution, same answer
-	rows := drain(t, ctx, p)
-	if len(rows) != 500 {
-		t.Fatalf("reduced-worker rows %d", len(rows))
 	}
 }
 

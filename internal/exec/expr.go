@@ -364,8 +364,3 @@ func (p PredExpr) Eval(r Row) (val.Value, error) {
 	}
 	return val.NewInt(int64(v)), nil
 }
-
-// TruePred always passes.
-type TruePred struct{}
-
-func (TruePred) Test(Row) (Bool3, error) { return True, nil }

@@ -9,12 +9,14 @@ import (
 	"testing"
 )
 
-// This guard parses the exec package source and verifies that the
+// These guards parse the exec package source. The first verifies that the
 // child-walking type switches in Instrument, Children, and Describe stay
 // exhaustive as operators are added: a new Operator implementation with an
 // Operator-typed field (directly, through a pointer/slice, or inside an
-// embedded struct like PipeJoin) that is missing from Instrument would
-// silently lose its subtree's EXPLAIN ANALYZE actuals.
+// embedded struct) that is missing from Instrument would silently lose its
+// subtree's EXPLAIN ANALYZE actuals. The second verifies that the planner
+// can build every operator: one that no plan contains is a second code path
+// no statement reaches.
 
 type execPkgInfo struct {
 	structs map[string]*ast.StructType
@@ -188,6 +190,45 @@ func TestInstrumentSwitchExhaustive(t *testing.T) {
 			if !info.implementsOperator(name) {
 				t.Errorf("%s has a case for *%s, which no longer implements Operator", fn, name)
 			}
+		}
+	}
+}
+
+// TestEveryOperatorIsPlanned fails on an Operator implementation (other
+// than the Stat wrapper) that no non-test file of internal/opt builds as an
+// exec.T{…} composite literal.
+func TestEveryOperatorIsPlanned(t *testing.T) {
+	info := parseExecPkg(t)
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, "../opt", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := map[string]bool{}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				lit, ok := n.(*ast.CompositeLit)
+				if !ok {
+					return true
+				}
+				if sel, ok := lit.Type.(*ast.SelectorExpr); ok {
+					if pkgID, ok := sel.X.(*ast.Ident); ok && pkgID.Name == "exec" {
+						built[sel.Sel.Name] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	if len(built) == 0 {
+		t.Fatal("no exec composite literals found in internal/opt — parser miss?")
+	}
+	for name := range info.methods {
+		if info.implementsOperator(name) && name != "Stat" && !built[name] {
+			t.Errorf("*%s implements Operator but internal/opt never builds one: no statement can reach it", name)
 		}
 	}
 }

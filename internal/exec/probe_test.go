@@ -42,7 +42,7 @@ func TestIndexProbeCancelAndFault(t *testing.T) {
 	}
 	t.Cleanup(func() { st.Close() })
 	// A pool far smaller than the table: fetching rows evicts index pages.
-	ctx := &Ctx{Pool: buffer.New(st, 8, 16, 32), St: st, Clk: vclock.New(), Workers: 1, ForceBatchSize: 16}
+	ctx := &Ctx{Pool: buffer.New(st, 8, 16, 32), St: st, Clk: vclock.New(), ForceBatchSize: 16}
 
 	// 1000 rows per grp value: one key's entries span several leaves.
 	inner := mkTable(t, ctx, "inner", 4000, 4)

@@ -20,8 +20,7 @@ type NodeStats struct {
 type memSized interface{ MemoryPeakPages() int }
 
 // Stat wraps an operator and accrues NodeStats as the tree runs. All
-// operator iteration is single-threaded (ParallelPipeline drains its
-// children before fanning out workers), so the fields are plain integers —
+// operator iteration is single-threaded, so the fields are plain integers —
 // instrumentation costs two clock reads and a few adds per batch, not per
 // row.
 type Stat struct {
@@ -119,11 +118,6 @@ func Instrument(op Operator) Operator {
 		}
 	case *RecursiveUnion:
 		x.Base = Instrument(x.Base)
-	case *ParallelPipeline:
-		x.Source = Instrument(x.Source)
-		for i := range x.Joins {
-			x.Joins[i].Build = Instrument(x.Joins[i].Build)
-		}
 	}
 	return &Stat{Inner: op}
 }
@@ -154,12 +148,6 @@ func Children(op Operator) []Operator {
 		return append([]Operator(nil), x.Inputs...)
 	case *RecursiveUnion:
 		return []Operator{x.Base}
-	case *ParallelPipeline:
-		out := []Operator{x.Source}
-		for i := range x.Joins {
-			out = append(out, x.Joins[i].Build)
-		}
-		return out
 	}
 	return nil
 }
@@ -204,8 +192,6 @@ func Describe(op Operator) string {
 		return "UnionAll"
 	case *RecursiveUnion:
 		return "RecursiveUnion"
-	case *ParallelPipeline:
-		return "ParallelPipeline"
 	case *Values:
 		return "Values"
 	case *Materialized:

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"time"
 
 	"anywheredb/internal/buffer"
 	"anywheredb/internal/exec"
@@ -33,7 +31,7 @@ func newRawRig(frames int) (*rawRig, error) {
 	pool := buffer.New(st, 8, frames, frames*2)
 	return &rawRig{
 		clk: clk, st: st, pool: pool,
-		ctx: &exec.Ctx{Pool: pool, St: st, Clk: clk, Workers: 1, CPURowCost: 1},
+		ctx: &exec.Ctx{Pool: pool, St: st, Clk: clk, CPURowCost: 1},
 	}, nil
 }
 
@@ -246,95 +244,6 @@ func E11LowMemory() (*Report, error) {
 		Metrics: map[string]float64{
 			"spills_at_4_pages": spillsAtTightest,
 			"results_correct":   correct,
-		},
-	}, nil
-}
-
-// E12Parallelism measures the Manegold-style FCFS parallel build+probe
-// pipeline: wall-clock speedup with workers, and the cost of reducing the
-// worker count to one mid-plan (§4.4).
-func E12Parallelism() (*Report, error) {
-	r, err := newRawRig(1024)
-	if err != nil {
-		return nil, err
-	}
-	defer r.close()
-
-	const srcN = 120000
-	src := make([]exec.Row, srcN)
-	for i := range src {
-		src[i] = exec.Row{val.NewInt(int64(i % 1000)), val.NewInt(int64(i % 50))}
-	}
-	b1 := make([]exec.Row, 1000)
-	for i := range b1 {
-		b1[i] = exec.Row{val.NewInt(int64(i)), val.NewInt(int64(i % 50))}
-	}
-	b2 := make([]exec.Row, 50)
-	for i := range b2 {
-		b2[i] = exec.Row{val.NewInt(int64(i))}
-	}
-	build := func() *exec.ParallelPipeline {
-		return &exec.ParallelPipeline{
-			Source: &exec.Materialized{RowsData: src},
-			Joins: []exec.PipeJoin{
-				{Build: &exec.Materialized{RowsData: b1},
-					BuildKeys: []exec.Expr{exec.Col{Idx: 0}}, ProbeKeys: []exec.Expr{exec.Col{Idx: 0}}, UseBloom: true},
-				{Build: &exec.Materialized{RowsData: b2},
-					BuildKeys: []exec.Expr{exec.Col{Idx: 0}}, ProbeKeys: []exec.Expr{exec.Col{Idx: 3}}},
-			},
-			BuildParallel: true,
-		}
-	}
-
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "host cores: %d (speedup is bounded by physical parallelism)\n", runtime.NumCPU())
-	sb.WriteString("workers  wallMs  rows  speedup\n")
-	// Warm-up run to stabilize allocator state.
-	{
-		p := build()
-		p.SetWorkers(1)
-		if _, err := exec.Drain(r.ctx, p); err != nil {
-			return nil, err
-		}
-	}
-	var base, t4 float64
-	for _, w := range []int{1, 2, 4, 8} {
-		p := build()
-		p.SetWorkers(w)
-		start := time.Now()
-		rows, err := exec.Drain(r.ctx, p)
-		if err != nil {
-			return nil, err
-		}
-		ms := float64(time.Since(start).Microseconds()) / 1000
-		if w == 1 {
-			base = ms
-		}
-		if w == 4 {
-			t4 = ms
-		}
-		fmt.Fprintf(&sb, "%7d  %6.1f  %4d  %7.2f\n", w, ms, len(rows), base/ms)
-	}
-	// Mid-query reduction: start with 8 workers, drop to 1 before probe.
-	p := build()
-	p.SetWorkers(8)
-	start := time.Now()
-	p.SetWorkers(1) // takes effect as workers check in
-	rows, err := exec.Drain(r.ctx, p)
-	if err != nil {
-		return nil, err
-	}
-	reducedMs := float64(time.Since(start).Microseconds()) / 1000
-	fmt.Fprintf(&sb, "8→1 mid-query: %.1f ms (%d rows); overhead vs 1 worker: %.2fx\n",
-		reducedMs, len(rows), reducedMs/base)
-	return &Report{
-		ID:    "E12",
-		Title: "Adaptive intra-query parallelism (§4.4): FCFS build+probe pipeline",
-		Table: sb.String(),
-		Metrics: map[string]float64{
-			"speedup_w4":        base / t4,
-			"reduce_overhead_x": reducedMs / base,
-			"host_cores":        float64(runtime.NumCPU()),
 		},
 	}, nil
 }

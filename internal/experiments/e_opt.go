@@ -121,7 +121,7 @@ func E5RankPreservation() (*Report, error) {
 	// task lets their hash tables spill instead of exhausting the pool.
 	task := db.MemGovernor().Begin()
 	defer task.Finish()
-	ctx := &exec.Ctx{Pool: db.Pool(), St: db.Store(), Clk: db.Clock(), Workers: 1, CPURowCost: 1, Task: task}
+	ctx := &exec.Ctx{Pool: db.Pool(), St: db.Store(), Clk: db.Clock(), CPURowCost: 1, Task: task}
 	benv := &opt.BuildEnv{Env: env, Res: db, Ctx: ctx}
 
 	q, err := opt.Bind(sel, db, nil, nil)
@@ -323,7 +323,7 @@ func E8GovernorQuota() (*Report, error) {
 		fmt.Fprintf(&q, "c%d.k = c%d.k", i-1, i)
 	}
 	sel := db.Prepare(q.String()).AST.(*sqlparse.Select)
-	ctx := &exec.Ctx{Pool: db.Pool(), St: db.Store(), Clk: db.Clock(), Workers: 1}
+	ctx := &exec.Ctx{Pool: db.Pool(), St: db.Store(), Clk: db.Clock()}
 
 	type row struct {
 		label  string

@@ -74,11 +74,10 @@ func poolThroughput(shards, frames, npages, g, opsPerG int) (opsPerSec float64, 
 
 // E17PoolScalability measures buffer-pool Get/Unpin throughput as the
 // goroutine count scales, comparing the striped pool (16 shards) against a
-// single-shard configuration equivalent to the pre-striping global-mutex
-// pool — the before/after for this PR. Hit-heavy keeps the working set
-// resident (pure latch-path cost); miss-heavy forces eviction and store
-// I/O on most accesses (the store's own lock then bounds scaling). As with
-// E12, wall-clock speedup is bounded by physical cores; host_cores is
+// single-shard configuration equivalent to a global-mutex pool. Hit-heavy
+// keeps the working set resident (pure latch-path cost); miss-heavy forces
+// eviction and store I/O on most accesses (the store's own lock then bounds
+// scaling). Wall-clock speedup is bounded by physical cores; host_cores is
 // recorded so results are interpretable.
 func E17PoolScalability() (*Report, error) {
 	const (

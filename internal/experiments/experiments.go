@@ -4,8 +4,8 @@
 // rank-preservation property (Eq. 3 / E5), the 100-way join claim (E6),
 // the optimizer-governor ablations (E8), histogram feedback (E9), adaptive
 // hash join (E10), the memory governor and low-memory fallbacks (E11),
-// intra-query parallelism (E12), page replacement (E13), the plan cache
-// (E14), the Index Consultant (E15), the CE-mode governor (E16), sharded
+// page replacement (E13), the plan cache (E14), the Index Consultant
+// (E15), the CE-mode governor (E16), sharded
 // buffer-pool scalability (E17), vectored-executor throughput (E18),
 // crash-recovery torture under fault injection (E19), group-commit
 // throughput (E20), the always-on flight recorder's overhead and fidelity
@@ -14,7 +14,8 @@
 // reads vs the locking-read baseline under write churn (E23), the
 // network server's admission control under 4× overload (E24), and
 // WAL-shipping replication — zero lost acks through a primary kill plus
-// autonomic read-replica scaling (E25).
+// autonomic read-replica scaling (E25). There is no E12: the paper's
+// adaptive intra-query parallelism (§4.4) is not reproduced.
 //
 // Each experiment returns a Report: a paper-shaped table plus the key
 // metrics asserted by the benchmarks in bench_test.go and summarized in
@@ -105,7 +106,6 @@ var Registry = []Entry{
 	{"E9", "histogram feedback", E9HistogramFeedback},
 	{"E10", "adaptive hash join", E10AdaptiveHashJoin},
 	{"E11", "low-memory fallbacks", E11LowMemory},
-	{"E12", "intra-query parallelism", E12Parallelism},
 	{"E13", "page replacement", E13Replacement},
 	{"E14", "plan cache", E14PlanCache},
 	{"E15", "Index Consultant", E15IndexConsultant},

@@ -3,9 +3,9 @@ package experiments
 import "testing"
 
 // The cheap experiments run in every test pass and their headline metrics
-// are asserted directionally; the expensive ones (E1, E5, E6, E8, E12,
-// E14) are exercised by the benchmarks and by `cmd/repro`, and here only
-// when not in -short mode.
+// are asserted directionally; the expensive ones (E1, E5, E6, E8, E14)
+// are exercised by the benchmarks and by `cmd/repro`, and here only when
+// not in -short mode.
 
 func metrics(t *testing.T, run func() (*Report, error)) map[string]float64 {
 	t.Helper()
@@ -107,7 +107,7 @@ func TestExpensiveExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("expensive experiments: run without -short or via cmd/repro")
 	}
-	for _, id := range []string{"E1", "E5", "E6", "E8", "E12", "E14", "E15", "E17", "E21", "E23", "E24", "E25"} {
+	for _, id := range []string{"E1", "E5", "E6", "E8", "E14", "E15", "E17", "E21", "E23", "E24", "E25"} {
 		r, err := ByID(id)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)

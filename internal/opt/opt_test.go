@@ -43,7 +43,7 @@ func newDB(t testing.TB) *testDB {
 		tables: map[string]*table.Table{},
 		pool:   pool,
 		st:     st,
-		ctx:    &exec.Ctx{Pool: pool, St: st, Clk: vclock.New(), Workers: 1},
+		ctx:    &exec.Ctx{Pool: pool, St: st, Clk: vclock.New()},
 	}
 }
 

@@ -194,7 +194,7 @@ func IndexConsultant(db *core.DB, events []Event, env *opt.Env) ([]Recommendatio
 	}
 	defer conn.Close()
 
-	ctx := &exec.Ctx{Pool: db.Pool(), St: db.Store(), Clk: db.Clock(), Workers: 1}
+	ctx := &exec.Ctx{Pool: db.Pool(), St: db.Store(), Clk: db.Clock()}
 	cost := func() (float64, error) {
 		var total float64
 		for _, s := range stmts {

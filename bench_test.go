@@ -15,7 +15,6 @@ import (
 	"anywheredb/internal/buffer"
 	"anywheredb/internal/exec"
 	"anywheredb/internal/experiments"
-	"anywheredb/internal/page"
 	"anywheredb/internal/store"
 	"anywheredb/internal/val"
 	"anywheredb/internal/vclock"
@@ -70,10 +69,9 @@ func BenchmarkE21ObservabilityOverhead(b *testing.B) { runExp(b, "E21") }
 func BenchmarkE22ColumnarScan(b *testing.B) { runExp(b, "E22") }
 
 // BenchmarkE23SnapshotReads reports paced-reader throughput against 1..16
-// transfer-writers on the snapshot-read engine vs the LockingReads 2PL
-// baseline (snap_reads_per_sec_* / lock_reads_per_sec_* /
-// snap_retention_16w / lock_retention_16w; the snapshot reader must
-// accrue zero lock-wait time, enforced inside the experiment).
+// transfer-writers (snap_reads_per_sec_* / snap_reader_wait_us_* /
+// snap_retention_16w; the snapshot reader must accrue zero lock-wait time,
+// enforced inside the experiment).
 func BenchmarkE23SnapshotReads(b *testing.B) { runExp(b, "E23") }
 
 // --- Micro-benchmarks over the public API ---------------------------------
@@ -325,85 +323,6 @@ func BenchmarkExecBatch(b *testing.B) {
 				}
 				b.ReportMetric(float64(srcN)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 			})
-		}
-	}
-}
-
-// --- Buffer-pool latch-path benchmarks ------------------------------------
-
-// poolBench builds a pool with the given shard count, creates npages pages,
-// and warms them so the hit-heavy variant runs entirely on the latch path.
-func poolBench(b *testing.B, shards, frames, npages int) (*buffer.Pool, []store.PageID) {
-	b.Helper()
-	st, err := store.Open(store.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { st.Close() })
-	p := buffer.NewWithShards(st, frames, frames, frames, shards)
-	ids := make([]store.PageID, npages)
-	for i := range ids {
-		f, err := p.NewPage(store.MainFile, page.TypeTable)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ids[i] = f.ID
-		p.Unpin(f, true)
-	}
-	for _, id := range ids {
-		f, err := p.Get(id)
-		if err != nil {
-			b.Fatal(err)
-		}
-		p.Unpin(f, false)
-	}
-	return p, ids
-}
-
-// BenchmarkPoolGetParallel measures Get/Unpin throughput on the sharded pool
-// (16 shards, fixed for cross-host comparability) against the single-shard
-// configuration that matches the pre-striping global-mutex pool, at fixed
-// goroutine counts. RunParallel cannot pin a goroutine count, so workers are
-// hand-rolled; ns/op is per Get/Unpin cycle. hit: working set resident;
-// miss: frames ≪ pages, so most Gets evict and read through the store.
-func BenchmarkPoolGetParallel(b *testing.B) {
-	workloads := []struct {
-		name           string
-		frames, npages int
-	}{
-		{"hit", 512, 256},
-		{"miss", 64, 1024},
-	}
-	for _, wl := range workloads {
-		for _, sh := range []struct {
-			name   string
-			shards int
-		}{{"sharded16", 16}, {"single", 1}} {
-			for _, g := range []int{1, 4, 16} {
-				b.Run(fmt.Sprintf("%s/%s/g=%d", wl.name, sh.name, g), func(b *testing.B) {
-					p, ids := poolBench(b, sh.shards, wl.frames, wl.npages)
-					per := b.N/g + 1
-					b.ResetTimer()
-					var wg sync.WaitGroup
-					for w := 0; w < g; w++ {
-						wg.Add(1)
-						go func(w int) {
-							defer wg.Done()
-							i := w * 7919
-							for n := 0; n < per; n++ {
-								f, err := p.Get(ids[i%len(ids)])
-								if err != nil {
-									b.Error(err)
-									return
-								}
-								p.Unpin(f, false)
-								i++
-							}
-						}(w)
-					}
-					wg.Wait()
-				})
-			}
 		}
 	}
 }

@@ -8,8 +8,7 @@
 // Usage:
 //
 //	anywhere-server [-dir path] [-addr host:port] [-token secret]
-//	                [-drain 5s] [-no-admission]
-//	                [-repl-listen host:port] [-repl-sync]
+//	                [-drain 5s] [-repl-listen host:port] [-repl-sync]
 //
 // With -repl-listen the server also accepts log-shipping replicas
 // (anywhere-replica) and automatically routes read-only statements to the
@@ -36,7 +35,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7654", "TCP listen address")
 	token := flag.String("token", "", "auth token clients must present (empty = open)")
 	drain := flag.Duration("drain", 5*time.Second, "graceful drain deadline on shutdown")
-	noAdm := flag.Bool("no-admission", false, "disable self-managing admission control")
 	replListen := flag.String("repl-listen", "", "replication listen address for replicas (empty = off)")
 	replSync := flag.Bool("repl-sync", false, "commits wait for one replica acknowledgement")
 	flag.Parse()
@@ -51,7 +49,6 @@ func main() {
 		Addr:         *addr,
 		AuthToken:    *token,
 		DrainTimeout: *drain,
-		AdmissionOff: *noAdm,
 	}
 	if *replListen != "" {
 		prim, err = repl.StartPrimary(db, repl.PrimaryOptions{
@@ -75,8 +72,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fmt.Printf("anywhere-server listening on %s (admission %s)\n",
-		srv.Addr(), map[bool]string{false: "on", true: "off"}[*noAdm])
+	fmt.Printf("anywhere-server listening on %s\n", srv.Addr())
 	if prim != nil {
 		fmt.Printf("anywhere-server shipping WAL on %s (sync %v)\n", prim.Addr(), *replSync)
 	}

@@ -243,14 +243,14 @@ var errRetry = errors.New("buffer: retry lookup")
 // change during the lifetime of the pool; only the current size moves
 // between them.
 func New(st *store.Store, minFrames, initial, maxFrames int) *Pool {
-	return NewWithShards(st, minFrames, initial, maxFrames, 0)
+	return newWithShards(st, minFrames, initial, maxFrames, 0)
 }
 
-// NewWithShards is New with an explicit shard count (rounded up to a power
+// newWithShards is New with an explicit shard count (rounded up to a power
 // of two, capped at maxShards); nshards <= 0 selects the default
-// nextPow2(GOMAXPROCS). A single shard reproduces the pre-striping
-// global-mutex pool, which experiments use as a baseline.
-func NewWithShards(st *store.Store, minFrames, initial, maxFrames, nshards int) *Pool {
+// nextPow2(GOMAXPROCS). Tests pick small counts to force cross-shard
+// borrowing and exhaustion.
+func newWithShards(st *store.Store, minFrames, initial, maxFrames, nshards int) *Pool {
 	if minFrames < 1 {
 		minFrames = 1
 	}

@@ -15,14 +15,14 @@ func testPool(t *testing.T, minF, init, maxF int) (*Pool, *store.Store) {
 	return testPoolShards(t, minF, init, maxF, 4)
 }
 
-func testPoolShards(t *testing.T, minF, init, maxF, shards int) (*Pool, *store.Store) {
+func testPoolShards(t testing.TB, minF, init, maxF, shards int) (*Pool, *store.Store) {
 	t.Helper()
 	s, err := store.Open(store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	return NewWithShards(s, minF, init, maxF, shards), s
+	return newWithShards(s, minF, init, maxF, shards), s
 }
 
 func mkPage(t *testing.T, p *Pool, payload string) store.PageID {

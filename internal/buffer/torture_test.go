@@ -112,7 +112,7 @@ func TestPoolTorture(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	p := NewWithShards(st, 8, 32, 96, 4)
+	p := newWithShards(st, 8, 32, 96, 4)
 
 	// Materialize a working set larger than the pool.
 	var ids []store.PageID
@@ -217,7 +217,7 @@ func TestGetIOErrorUndo(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	p := NewWithShards(st, 4, 16, 64, 4)
+	p := newWithShards(st, 4, 16, 64, 4)
 
 	var ids []store.PageID
 	for i := 0; i < 32; i++ {
@@ -302,7 +302,7 @@ func TestGetConcurrentWaiterOnFailedLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	p := NewWithShards(st, 2, 8, 8, 2)
+	p := newWithShards(st, 2, 8, 8, 2)
 
 	f, err := p.NewPage(store.MainFile, page.TypeTable)
 	if err != nil {
@@ -382,7 +382,7 @@ func TestHitterAfterUndoCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	p := NewWithShards(st, 2, 8, 8, 2)
+	p := newWithShards(st, 2, 8, 8, 2)
 
 	f, err := p.NewPage(store.MainFile, page.TypeTable)
 	if err != nil {
@@ -468,7 +468,7 @@ func TestFlusherUnpinOfFailedLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	p := NewWithShards(st, 2, 8, 8, 2)
+	p := newWithShards(st, 2, 8, 8, 2)
 
 	f, err := p.NewPage(store.MainFile, page.TypeTable)
 	if err != nil {

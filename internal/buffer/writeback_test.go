@@ -181,7 +181,7 @@ func TestWriteBackRuleProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer st.Close()
-		p := NewWithShards(st, 4, 8, 16, 2)
+		p := newWithShards(st, 4, 8, 16, 2)
 		p.SetImageLog(log)
 		var ids []store.PageID
 		for i := 0; i < 28; i++ {
@@ -309,7 +309,7 @@ func TestTruncateCannotStrandAWriteBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	log.SetInjector(inj, faultinject.RetryPolicy{}, nil)
-	p := NewWithShards(st, 1, 1, 1, 1)
+	p := newWithShards(st, 1, 1, 1, 1)
 	p.SetImageLog(log)
 
 	f, err := p.NewPage(store.MainFile, page.TypeTable)

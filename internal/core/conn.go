@@ -34,14 +34,9 @@ type Conn struct {
 	// running on this connection (nil with the recorder disabled).
 	curSpan *flightrec.Span
 	// curSnap is the MVCC snapshot of the statement currently running on
-	// this connection: reads under it resolve row versions instead of
-	// taking lock-manager locks. Nil when the statement reads the latest
-	// data under locks (LockingReads mode, or DML target collection).
+	// this connection: reads under it resolve row versions and take no
+	// lock-manager locks. Nil for a statement that embeds no query.
 	curSnap *mvcc.Snapshot
-	// lockTx is the implicit read-only transaction owning the shared table
-	// locks of an autocommit query in LockingReads mode (the 2PL read
-	// baseline). Nil outside that mode.
-	lockTx *txn.Txn
 	// stmtTimeout, when positive, bounds each statement on this connection,
 	// overriding the database-wide Options.StatementTimeout. The network
 	// server sets it per connection from the client's hello.
@@ -126,17 +121,12 @@ func (c *Conn) Close() error {
 // execCtx builds the execution context for one statement under its
 // memory-governor task (nil for DML, which runs ungoverned).
 func (c *Conn) execCtx(task *mem.Task) *exec.Ctx {
-	tx := c.tx
-	if tx == nil {
-		tx = c.lockTx
-	}
 	ctx := &exec.Ctx{
 		Pool:           c.db.pool,
 		St:             c.db.st,
 		Clk:            c.db.clk,
 		Context:        c.stmtCtx,
 		Task:           task,
-		Tx:             tx,
 		Snap:           c.curSnap,
 		CPURowCost:     c.db.opts.CPURowCost,
 		ForceBatchSize: c.db.opts.ExecBatchSize,
@@ -296,13 +286,9 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value) (res Resul
 		}
 		if s.ReadOnly {
 			// Snapshot transaction: one watermark for its whole lifetime
-			// gives repeatable reads with zero lock-manager traffic. In
-			// LockingReads mode there is no snapshot — reads hold shared
-			// locks to commit instead, which is 2PL repeatable read.
+			// gives repeatable reads with zero lock-manager traffic.
 			c.tx = c.db.txns.BeginRO()
-			if !c.db.opts.LockingReads {
-				c.tx.BindSnapshot(c.acquireSnapshot(0, sp))
-			}
+			c.tx.BindSnapshot(c.acquireSnapshot(0, sp))
 		} else {
 			c.tx = c.db.txns.Begin()
 		}
@@ -398,43 +384,19 @@ func (c *Conn) tracerRef() StatementTracer {
 // beginReadPath prepares the read path for one statement and returns the
 // cleanup to run at statement end (nil when the statement needs none).
 //
-// Default engine: queries read under an MVCC snapshot (c.curSnap) and make
-// zero lock-manager calls — a statement-lifetime snapshot in autocommit and
+// Queries read under an MVCC snapshot (c.curSnap) and make zero
+// lock-manager calls — a statement-lifetime snapshot in autocommit and
 // read-write transactions (Self = the open transaction, so a transaction's
 // reads see its own uncommitted writes), or the transaction-lifetime
 // snapshot of BEGIN READ ONLY. INSERT ... SELECT reads its source, and
 // UPDATE / DELETE their subqueries, under a statement snapshot too. The
 // target rows of UPDATE / DELETE are never read under it: they must be the
 // latest committed rows, which their row X locks then protect.
-//
-// LockingReads engine (the E23 2PL baseline): no snapshots anywhere; an
-// autocommit query instead runs inside a short read-only transaction so
-// table scans take shared locks, released at statement end.
 func (c *Conn) beginReadPath(kind stmtKind, sp *flightrec.Span) func() {
 	if kind != kindQuery && kind != kindSubquery {
 		return nil
 	}
-	isQuery := kind == kindQuery
-
-	if c.db.opts.LockingReads {
-		if !isQuery || c.tx != nil {
-			return nil // in-transaction reads lock under the ambient txn
-		}
-		t := c.db.txns.BeginRO()
-		if sp != nil {
-			c.db.flight.BindTxn(t.ID(), sp)
-		}
-		c.lockTx = t
-		return func() {
-			c.lockTx = nil
-			_ = t.Rollback() // releases the read locks; writes nothing
-			if sp != nil {
-				c.db.flight.UnbindTxn(t.ID())
-			}
-		}
-	}
-
-	if isQuery {
+	if kind == kindQuery {
 		c.db.snapReads.Inc()
 	}
 	if c.tx != nil && c.tx.ReadOnly() {

@@ -146,11 +146,6 @@ type Options struct {
 	// roots predate the shipped stream and the trees are stale.
 	RebuildIndexesOnOpen bool
 
-	// LockingReads disables MVCC snapshot reads: queries take shared table
-	// locks under two-phase locking instead of resolving row versions.
-	// This is the pre-MVCC behaviour, kept as the measured baseline for
-	// experiment E23 (readers block behind writers and vice versa).
-	LockingReads bool
 	// VacuumInterval is the period of the background version vacuum that
 	// reclaims row versions no live snapshot can need. 0 selects the
 	// 250ms default; negative disables the loop (VacuumOnce still works

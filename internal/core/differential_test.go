@@ -240,58 +240,45 @@ func TestDifferentialRowVsBatch(t *testing.T) {
 	}
 }
 
-// TestDifferentialLockingVsSnapshot runs the whole differential workload
-// through a locking-reads engine (every query takes table-level S locks,
-// the pre-MVCC behaviour) and the default snapshot-reads engine (queries
-// read a commit-horizon MVCC snapshot with zero lock-manager calls). On a
-// single-threaded workload the two read protocols must be observationally
-// identical: same rows, same DML effects, same plan shapes. Any
-// divergence means snapshot visibility resolved a version it should not
-// have (or missed one it should).
-func TestDifferentialLockingVsSnapshot(t *testing.T) {
-	lockDB := openDB(t, Options{LockingReads: true})
-	snapDB := openDB(t, Options{})
-	lc, sc := conn(t, lockDB), conn(t, snapDB)
-	diffSeed(t, lc)
+// TestDifferentialSnapshotBesideWriter runs the read half of the
+// differential workload quiescent, then again while one transaction holds
+// uncommitted changes of every kind to every table: each snapshot read —
+// autocommit, or in a BEGIN READ ONLY opened beside the writer — must return
+// exactly what it returned before the writer began, and the READ ONLY
+// transaction keeps returning it after the writer commits. The writer's
+// changes are all in the heap and the indexes by then, so every answer
+// depends on version resolution choosing the pre-images.
+func TestDifferentialSnapshotBesideWriter(t *testing.T) {
+	db := openDB(t, Options{})
+	sc := conn(t, db)
 	diffSeed(t, sc)
-
 	for _, q := range diffWorkload {
 		if q.dml {
-			res, err := lc.Exec(q.sql)
-			if err != nil {
-				t.Fatalf("locking: %q: %v", q.sql, err)
-			}
-			r, err := sc.Exec(q.sql)
-			if err != nil {
-				t.Fatalf("snapshot: %q: %v", q.sql, err)
-			}
-			if r.RowsAffected != res.RowsAffected {
-				t.Errorf("snapshot: %q: affected %d vs %d under locking reads",
-					q.sql, r.RowsAffected, res.RowsAffected)
-			}
-			continue
+			mustExec(t, sc, q.sql)
 		}
-		want := renderRows(mustQuery(t, lc, q.sql, q.params...), q.ordered)
-		got := renderRows(mustQuery(t, sc, q.sql, q.params...), q.ordered)
-		diffCompare(t, q, "snapshot-reads", got, want)
-		if q.skipExplain {
-			continue
-		}
-		wantEx := renderExplain(mustQuery(t, lc, "EXPLAIN ANALYZE "+q.sql, q.params...))
-		gotEx := renderExplain(mustQuery(t, sc, "EXPLAIN ANALYZE "+q.sql, q.params...))
-		diffCompare(t, diffQuery{sql: "EXPLAIN ANALYZE " + q.sql}, "snapshot-reads", gotEx, wantEx)
 	}
 
-	// The same queries beside an open writer: while a transaction holds
-	// uncommitted changes of every kind to every table, a snapshot read
-	// returns what it returned before the transaction began.
 	var before [][]string
 	for _, q := range diffWorkload {
 		if !q.dml {
 			before = append(before, renderRows(mustQuery(t, sc, q.sql, q.params...), q.ordered))
 		}
 	}
-	w := conn(t, snapDB)
+	// expect runs every query of the workload on c and holds it to before.
+	expect := func(when string, c *Conn) {
+		t.Helper()
+		i := 0
+		for _, q := range diffWorkload {
+			if q.dml {
+				continue
+			}
+			got := renderRows(mustQuery(t, c, q.sql, q.params...), q.ordered)
+			diffCompare(t, q, when, got, before[i])
+			i++
+		}
+	}
+
+	w := conn(t, db)
 	mustExec(t, w, "BEGIN")
 	for _, dirty := range []string{
 		"UPDATE emp SET salary = salary + 1000, ename = 'dirty' WHERE did = 1",
@@ -311,30 +298,12 @@ func TestDifferentialLockingVsSnapshot(t *testing.T) {
 			t.Fatalf("%q changed nothing", dirty)
 		}
 	}
-	for _, q := range diffWorkload {
-		if q.dml {
-			continue
-		}
-		got := renderRows(mustQuery(t, sc, q.sql, q.params...), q.ordered)
-		diffCompare(t, q, "beside an open writer", got, before[0])
-		before = before[1:]
-	}
-	mustExec(t, w, "ROLLBACK")
+	expect("beside an open writer", sc)
 
-	// The same queries inside explicit transactions: BEGIN on the locking
-	// engine (repeatable reads via 2PL) vs BEGIN READ ONLY on the snapshot
-	// engine (repeatable reads via a pinned watermark) must also agree.
-	mustExec(t, lc, "BEGIN")
 	mustExec(t, sc, "BEGIN READ ONLY")
-	for _, q := range diffWorkload {
-		if q.dml {
-			continue
-		}
-		want := renderRows(mustQuery(t, lc, q.sql, q.params...), q.ordered)
-		got := renderRows(mustQuery(t, sc, q.sql, q.params...), q.ordered)
-		diffCompare(t, q, "ro-txn", got, want)
-	}
-	mustExec(t, lc, "ROLLBACK")
+	expect("READ ONLY beside an open writer", sc)
+	mustExec(t, w, "COMMIT")
+	expect("READ ONLY across the writer's commit", sc)
 	mustExec(t, sc, "COMMIT")
 }
 
@@ -484,7 +453,6 @@ func TestDifferentialDMLVsSelect(t *testing.T) {
 		{name: "batch=7/unindexed", opts: Options{ExecBatchSize: 7}},
 		{name: "adaptive/unindexed"},
 		{name: "adaptive/indexed", indexed: true},
-		{name: "locking-reads/indexed", opts: Options{LockingReads: true}, indexed: true},
 		{name: "columnar/indexed", indexed: true, columnar: true},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {

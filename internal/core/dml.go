@@ -235,11 +235,9 @@ func (c *Conn) execModify(sh *Shape, stmt sqlparse.Statement, params []val.Value
 		}
 	}()
 	// Targets are the latest committed rows, read with no snapshot and no
-	// transaction: handing the scan the statement's transaction would take
-	// a table-level Shared lock and serialize writers of disjoint rows. The
-	// row X locks below protect what the scan found. The scan also stays
-	// out of the reorganizer's scan/write ratio (ScanObs).
-	ctx.Tx, ctx.Snap, ctx.ScanObs = nil, nil, nil
+	// lock: the row X locks below protect what the scan found. The scan
+	// also stays out of the reorganizer's scan/write ratio (ScanObs).
+	ctx.Snap, ctx.ScanObs = nil, nil
 	rids, err := exec.DrainRIDs(ctx, plan.Root)
 	if err != nil {
 		return Result{}, nil, err

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -220,47 +219,6 @@ func TestEagerReclaimKeepsChainsEmpty(t *testing.T) {
 	mustExec(t, c, "ROLLBACK")
 	if !tbl.VersionsEmpty() {
 		t.Fatalf("%d version entries linger after rollback", tbl.VersionCount())
-	}
-}
-
-// TestLockingReadsBaseline: with Options.LockingReads the engine falls
-// back to shared-lock reads — correct results, and readers do block behind
-// writers (the E23 baseline behaviour).
-func TestLockingReadsBaseline(t *testing.T) {
-	db := openDB(t, Options{LockingReads: true})
-	w := conn(t, db)
-	r := conn(t, db)
-	mustExec(t, w, "CREATE TABLE t (a INT, b INT)")
-	mustExec(t, w, "INSERT INTO t VALUES (1, 10), (2, 20)")
-
-	rows := mustQuery(t, r, "SELECT a, b FROM t ORDER BY a")
-	if got, want := fmt.Sprint(rows.All()), "[[1 10] [2 20]]"; got != want {
-		t.Fatalf("locking read = %v, want %s", got, want)
-	}
-
-	// A reader behind an uncommitted writer must wait for the commit and
-	// then see the new data (no snapshot to serve the old image).
-	mustExec(t, w, "BEGIN")
-	mustExec(t, w, "UPDATE t SET b = 99 WHERE a = 1")
-	got := make(chan int64, 1)
-	var blocked atomic.Bool
-	go func() {
-		rows, err := r.Query("SELECT b FROM t WHERE a = 1")
-		if err != nil {
-			t.Error(err)
-			got <- -1
-			return
-		}
-		if !blocked.Load() {
-			t.Error("locking read finished before the writer committed")
-		}
-		got <- rows.All()[0][0].I
-	}()
-	time.Sleep(100 * time.Millisecond)
-	blocked.Store(true)
-	mustExec(t, w, "COMMIT")
-	if b := <-got; b != 99 {
-		t.Fatalf("locking read after commit = %d, want 99", b)
 	}
 }
 

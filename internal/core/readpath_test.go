@@ -119,37 +119,6 @@ func TestJoinReadsUnderOpenWriter(t *testing.T) {
 		mustExec(t, ro, "COMMIT")
 		expect(t, "after the commit", r, after)
 	})
-
-	t.Run("locking", func(t *testing.T) {
-		db := openDB(t, Options{LockingReads: true, StatementTimeout: 30 * time.Second})
-		w, r := conn(t, db), conn(t, db)
-		seedJoinUnderWriter(t, w)
-		for _, j := range joinsUnderWriter {
-			writeJoinInner(t, w)
-			if got := runJoin(t, w, j); got != j.after {
-				t.Errorf("%s, the writer's own read: %s, want %s", j.name, got, j.after)
-			}
-			// The reader must queue behind the writer on the inner table,
-			// as a heap scan of it would, and read once the writer is gone.
-			waits := counter(t, db, "lock.waits")
-			got := make(chan string, 1)
-			go func() { got <- runJoin(t, r, j) }()
-			for deadline := time.Now().Add(10 * time.Second); counter(t, db, "lock.waits") == waits; {
-				select {
-				case rows := <-got:
-					t.Fatalf("%s: read %s without waiting for the open writer", j.name, rows)
-				case <-time.After(time.Millisecond):
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("%s: the reader neither finished nor waited", j.name)
-				}
-			}
-			mustExec(t, w, "ROLLBACK")
-			if rows := <-got; rows != j.before {
-				t.Errorf("%s, after the rollback: %s, want %s", j.name, rows, j.before)
-			}
-		}
-	})
 }
 
 // TestIndexedDMLSurvivesConcurrentDelete: an UPDATE that finds its targets

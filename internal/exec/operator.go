@@ -11,7 +11,6 @@ import (
 	"anywheredb/internal/page"
 	"anywheredb/internal/store"
 	"anywheredb/internal/telemetry"
-	"anywheredb/internal/txn"
 	"anywheredb/internal/val"
 	"anywheredb/internal/vclock"
 )
@@ -22,11 +21,9 @@ type Ctx struct {
 	St   *store.Store
 	Clk  *vclock.Clock
 	Task *mem.Task // memory governor task; may be nil
-	Tx   *txn.Txn  // may be nil
 	// Snap, when set, makes every scan read the row versions visible to
-	// the snapshot with zero lock-manager calls. When Snap is nil but Tx
-	// is set, scans instead take a table-level Shared lock (the classic
-	// locking-read path, kept as the 2PL baseline).
+	// the snapshot; nil reads the newest row contents. The executor never
+	// calls the lock manager.
 	Snap *mvcc.Snapshot
 	// Context carries the statement's cancellation/deadline signal; nil
 	// means uncancellable. Operators poll Interrupted at batch boundaries.

@@ -4,19 +4,8 @@ import (
 	"bytes"
 	"sort"
 
-	"anywheredb/internal/lock"
 	"anywheredb/internal/table"
 )
-
-// lockForRead takes the locking-read table lock when the statement runs
-// without a snapshot inside a transaction. Snapshot reads skip the lock
-// manager entirely — that is the point of MVCC.
-func lockForRead(ctx *Ctx, t *table.Table) error {
-	if ctx.Snap != nil || ctx.Tx == nil {
-		return nil
-	}
-	return ctx.Tx.LockCtx(ctx.Context, t.ID, nil, lock.Shared)
-}
 
 // keyRange is an interval of encoded index keys: from lo (nil = the first
 // key) up to hi (nil = the last). With hiInc, hi bounds as a prefix: every
@@ -68,9 +57,6 @@ type indexHit struct {
 // snapshot needs, so a row missing from a walk is in the store by the time
 // the store is read.
 func probeIndex(ctx *Ctx, t *table.Table, ix *table.Index, ranges []keyRange, hits []indexHit) ([]indexHit, error) {
-	if err := lockForRead(ctx, t); err != nil {
-		return hits, err
-	}
 	n := 0
 	for _, r := range ranges {
 		it, err := ix.Tree.Seek(r.lo)

@@ -65,9 +65,6 @@ func (s *TableScan) Open(ctx *Ctx) error {
 	s.segs, s.seg, s.off = nil, 0, 0
 	s.carry = nil
 	s.segsTotal, s.segsSkipped = 0, 0
-	if err := lockForRead(ctx, s.Table); err != nil {
-		return err
-	}
 	// Where the heap part of the scan starts: at the chain head, or behind
 	// the sealed segments. Under a snapshot the segments are usable only
 	// while the table has no version chains: vacuum cannot reclaim an entry

@@ -14,34 +14,30 @@ import (
 	"anywheredb/internal/val"
 )
 
-// E23: MVCC snapshot reads vs locking reads under write churn. The
-// paper's self-management story assumes reporting and monitoring queries
-// can run against a live OLTP workload without a DBA carving out a
-// maintenance window; that only holds if readers never block behind
-// writers. E23 pins one aggregate reader against a grid of paced writer
-// populations (1..16) twice — once on the default snapshot-read engine,
-// once with Options.LockingReads restoring the pre-MVCC table-lock
-// protocol — and reports completed reads/sec, the reader's lock-wait
-// time from the flight recorder's digest table, and the consistency of
-// every observed aggregate.
+// E23: MVCC snapshot reads under write churn. The paper's
+// self-management story assumes reporting and monitoring queries can run
+// against a live OLTP workload without a DBA carving out a maintenance
+// window; that only holds if readers never block behind writers. E23 pins
+// one aggregate reader against a grid of paced writer populations (1..16)
+// and reports completed reads/sec, the reader's lock-wait time from the
+// flight recorder's digest table, and the consistency of every observed
+// aggregate. The locking-read (pre-MVCC table-S) baseline it was first
+// measured against is a recorded result (EXPERIMENTS.md).
 //
 // Writer transactions carry think time — a short sleep between the two
 // transfer legs, with a longer pause between transactions — so the grid
-// measures blocking, not single-core CPU sharing. The sleep inside the
-// transaction matters doubly on one core: it forces a scheduler yield
-// while the writer's table-IX lock is held, which is the window a
-// table-S reader stalls in under 2PL (without it, a sub-millisecond
-// transaction body runs to COMMIT without ever yielding to the reader,
-// and the lock conflict never materializes on the clock). At 16 writers
-// some transaction is nearly always inside that window, so the locking
-// reader starves behind the IX population. Snapshot readers take zero
-// lock-manager calls and shouldn't care how many writers exist.
+// measures blocking, not single-core CPU sharing: the sleep inside the
+// transaction yields while the writer's table-IX and row-X locks are held,
+// which is the window a reader that took locks would stall in. At 16
+// writers some transaction is nearly always inside that window. Snapshot
+// readers take zero lock-manager calls and shouldn't care how many writers
+// exist.
 //
 // Every writer transaction is a balance transfer (-1 one row, +1
 // another), so any consistent read of SUM(bal) must see exactly the
 // seeded total — a torn read through a half-applied transfer is an
 // isolation violation, and the experiment hard-fails on it, as it does
-// on any lock-wait time attributed to the snapshot reader's digest.
+// on any lock-wait time attributed to the reader's digest.
 
 const (
 	mvccRows    = 200
@@ -54,7 +50,7 @@ const (
 // mvccRun is one grid point's outcome.
 type mvccRun struct {
 	ReadsPerSec    float64
-	ReadErrors     int   // reader statements that failed (lock timeouts)
+	ReadErrors     int   // reader statements that failed
 	ReadLockWaitUS int64 // lock-wait time attributed to the reader digest
 	WriterCommits  int64
 }
@@ -62,7 +58,7 @@ type mvccRun struct {
 // mvccReadRate runs writers paced transfer-writers plus one paced
 // aggregate reader for a fixed window and returns the reader's completed
 // statements/sec, its digest-attributed lock-wait time, and the writer
-// commit count. locking selects Options.LockingReads.
+// commit count.
 //
 // The reader is open-loop: it issues a statement every readerPace and
 // sleeps the rest, like a monitoring dashboard polling on a timer. On
@@ -70,7 +66,7 @@ type mvccRun struct {
 // left over", which falls with writer count no matter the read
 // protocol; a paced reader holds its offered load fixed, so the
 // achieved rate moves only when reads block.
-func mvccReadRate(writers int, locking bool) (*mvccRun, error) {
+func mvccReadRate(writers int) (*mvccRun, error) {
 	dir, err := os.MkdirTemp("", "anywheredb-e23-")
 	if err != nil {
 		return nil, err
@@ -78,7 +74,6 @@ func mvccReadRate(writers int, locking bool) (*mvccRun, error) {
 	defer os.RemoveAll(dir)
 	db, err := core.Open(core.Options{
 		Dir:           dir,
-		LockingReads:  locking,
 		PoolInitPages: 512,
 		PoolMaxPages:  1024,
 	})
@@ -176,20 +171,19 @@ func mvccReadRate(writers int, locking bool) (*mvccRun, error) {
 			time.Sleep(d)
 		}
 		if err != nil {
-			run.ReadErrors++ // lock-wait timeout: the reader starved outright
+			run.ReadErrors++
 			continue
 		}
-		r := rows.All()
-		if len(r) != 1 || r[0][0].I != wantSum || r[0][1].I != mvccRows {
+		if r := rows.All(); len(r) != 1 || r[0][0].I != wantSum || r[0][1].I != mvccRows {
 			stop.Store(true)
 			wg.Wait()
-			return nil, fmt.Errorf("E23: torn read (locking=%v, writers=%d): sum=%v count=%v, want %d/%d",
-				locking, writers, r[0][0].I, r[0][1].I, wantSum, mvccRows)
+			return nil, fmt.Errorf("E23: torn read at %d writers: got %v, want one row [%d %d]",
+				writers, r, wantSum, mvccRows)
 		}
 		reads++
 	}
-	// A blocked read can overrun the deadline by a full lock timeout, so
-	// the rate divides by the time actually spent, not the nominal window.
+	// A slow read can overrun the deadline, so the rate divides by the
+	// time actually spent, not the nominal window.
 	elapsed := time.Since(start)
 	stop.Store(true)
 	wg.Wait()
@@ -213,21 +207,16 @@ func mvccReadRate(writers int, locking bool) (*mvccRun, error) {
 	return run, nil
 }
 
-// E23SnapshotReads: reader throughput under write churn, snapshot reads
-// vs the locking-read baseline, across a writer grid.
+// E23SnapshotReads: reader throughput under write churn across a writer
+// grid.
 func E23SnapshotReads() (*Report, error) {
 	var sb strings.Builder
-	sb.WriteString("writers  snapshot reads/s  lock-wait us  commits  locking reads/s  lock-wait us  read errors  commits\n")
+	sb.WriteString("writers  snapshot reads/s  lock-wait us  commits\n")
 
 	metrics := map[string]float64{}
-	var snapFirst, snapLast float64
-	var lockFirst, lockLast float64
+	var first, last float64
 	for _, writers := range []int{1, 4, 8, 16} {
-		snap, err := mvccReadRate(writers, false)
-		if err != nil {
-			return nil, err
-		}
-		lock, err := mvccReadRate(writers, true)
+		snap, err := mvccReadRate(writers)
 		if err != nil {
 			return nil, err
 		}
@@ -242,30 +231,24 @@ func E23SnapshotReads() (*Report, error) {
 			return nil, fmt.Errorf("E23: snapshot reader failed %d statements at %d writers",
 				snap.ReadErrors, writers)
 		}
-		fmt.Fprintf(&sb, "%7d  %16.0f  %12d  %7d  %15.0f  %12d  %11d  %7d\n",
-			writers, snap.ReadsPerSec, snap.ReadLockWaitUS, snap.WriterCommits,
-			lock.ReadsPerSec, lock.ReadLockWaitUS, lock.ReadErrors, lock.WriterCommits)
+		fmt.Fprintf(&sb, "%7d  %16.0f  %12d  %7d\n",
+			writers, snap.ReadsPerSec, snap.ReadLockWaitUS, snap.WriterCommits)
 		metrics[fmt.Sprintf("snap_reads_per_sec_%dw", writers)] = snap.ReadsPerSec
-		metrics[fmt.Sprintf("lock_reads_per_sec_%dw", writers)] = lock.ReadsPerSec
-		metrics[fmt.Sprintf("lock_reader_wait_us_%dw", writers)] = float64(lock.ReadLockWaitUS)
+		metrics[fmt.Sprintf("snap_reader_wait_us_%dw", writers)] = float64(snap.ReadLockWaitUS)
 		if writers == 1 {
-			snapFirst, lockFirst = snap.ReadsPerSec, lock.ReadsPerSec
+			first = snap.ReadsPerSec
 		}
-		snapLast, lockLast = snap.ReadsPerSec, lock.ReadsPerSec
+		last = snap.ReadsPerSec
 	}
 
 	// Retention: reads/sec at 16 writers as a fraction of reads/sec at 1
-	// writer. Snapshot reads should hold (the acceptance bar is ≥0.8);
-	// locking reads should collapse as the IX population saturates.
-	snapRet := snapLast / snapFirst
-	lockRet := lockLast / lockFirst
-	fmt.Fprintf(&sb, "\nread-rate retention 1->16 writers: snapshot %.2f, locking %.2f\n", snapRet, lockRet)
-	metrics["snap_retention_16w"] = snapRet
-	metrics["lock_retention_16w"] = lockRet
+	// writer (the acceptance bar is ≥0.8).
+	metrics["snap_retention_16w"] = last / first
+	fmt.Fprintf(&sb, "\nread-rate retention 1->16 writers: %.2f\n", last/first)
 
 	return &Report{
 		ID:      "E23",
-		Title:   "MVCC snapshot reads: reader throughput under write churn vs locking reads",
+		Title:   "MVCC snapshot reads: reader throughput under write churn",
 		Table:   sb.String(),
 		Metrics: metrics,
 	}, nil

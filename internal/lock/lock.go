@@ -34,8 +34,9 @@ const (
 	Exclusive
 	// IntentExclusive marks a coarser object (a table) as "rows below are
 	// being written": compatible with other writers' intents, conflicting
-	// with a Shared lock on the same object. Locking readers take table-S
-	// and block behind it; snapshot readers never call the lock manager.
+	// with a Shared or Exclusive lock on the same object. DDL's table-X
+	// waits behind it; readers read snapshots and never call the lock
+	// manager.
 	IntentExclusive
 )
 

@@ -9,9 +9,10 @@ import (
 )
 
 // ErrShed is returned by the gate when a statement is refused admission:
-// the queue is full, the queue wait exceeded its derived deadline, or the
-// statement's context expired while queued. The server maps it to a
-// retryable wire error; the statement has not run.
+// the queue is full, or the queue wait exceeded its derived deadline. The
+// server maps it to a retryable wire error; the statement has not run. A
+// statement whose own context expires while queued gets the context's
+// error instead, which is not retryable.
 var ErrShed = errors.New("server: statement shed by admission control")
 
 // gate is the self-managing admission controller. It has no tuning knobs:

@@ -39,9 +39,6 @@ type Options struct {
 	// BufSize is the per-connection buffered reader/writer size (the
 	// bounded send/receive buffers). Default 64KiB.
 	BufSize int
-	// AdmissionOff disables the admission gate — the experiment baseline
-	// of E24.
-	AdmissionOff bool
 
 	// RouteRead, when non-nil, is consulted for every statement that
 	// arrives outside an explicit transaction, before the admission gate:
@@ -87,7 +84,7 @@ type Server struct {
 	db   *core.DB
 	opts Options
 	ln   net.Listener
-	gate *gate // nil with AdmissionOff
+	gate *gate
 
 	mu     sync.Mutex
 	conns  map[uint64]*srvConn
@@ -121,9 +118,7 @@ func Start(db *core.DB, opts Options) (*Server, error) {
 		opts:  opts,
 		ln:    ln,
 		conns: map[uint64]*srvConn{},
-	}
-	if !opts.AdmissionOff {
-		s.gate = newGate(db.MemGovernor().MPL())
+		gate:  newGate(db.MemGovernor().MPL()),
 	}
 	reg := db.Telemetry()
 	s.stConns = reg.Counter("server.conns_total")
@@ -140,23 +135,14 @@ func Start(db *core.DB, opts Options) (*Server, error) {
 		return int64(len(s.conns))
 	})
 	reg.GaugeFunc("server.admission_width", func() int64 {
-		if s.gate == nil {
-			return 0
-		}
 		_, _, _, _, eff, _ := s.gate.snapshot()
 		return int64(eff)
 	})
 	reg.GaugeFunc("server.baseline_p99_us", func() int64 {
-		if s.gate == nil {
-			return 0
-		}
 		_, _, _, _, _, base := s.gate.snapshot()
 		return base
 	})
 	reg.GaugeFunc("server.admission_shrinks", func() int64 {
-		if s.gate == nil {
-			return 0
-		}
 		_, _, _, shrinks, _, _ := s.gate.snapshot()
 		return shrinks
 	})
@@ -452,34 +438,29 @@ func (c *srvConn) runStatement(m execMsg) error {
 
 	// Admission: the self-managing gate queues or sheds when the memory
 	// governor's concurrency budget (MPL) is spoken for.
-	var release func(int64)
-	if s.gate != nil {
-		qStart := time.Now()
-		rel, err := s.gate.admit(ctx)
-		s.stQueueUS.Observe(time.Since(qStart).Microseconds())
-		if err != nil {
-			s.stShed.Inc()
+	qStart := time.Now()
+	release, err := s.gate.admit(ctx)
+	s.stQueueUS.Observe(time.Since(qStart).Microseconds())
+	if err != nil {
+		s.stShed.Inc()
+		code := byte(codeRetry)
+		text := "admission control shed statement; retry"
+		if errors.Is(err, ErrShed) {
 			s.stRetryable.Inc()
-			code := byte(codeRetry)
-			text := "admission control shed statement; retry"
-			if !errors.Is(err, ErrShed) {
-				code = codeCancel
-				text = "statement cancelled while queued: " + err.Error()
-			}
-			if werr := c.sendErr(code, text); werr != nil {
-				return werr
-			}
-			return c.finish()
+		} else {
+			// The statement's own deadline or cancel: retrying cannot help.
+			code = codeCancel
+			text = "statement cancelled while queued: " + err.Error()
 		}
-		release = rel
+		if werr := c.sendErr(code, text); werr != nil {
+			return werr
+		}
+		return c.finish()
 	}
 
 	start := time.Now()
 	res, rows, err := c.core.Run(ctx, st, m.Params)
-	latUS := time.Since(start).Microseconds()
-	if release != nil {
-		release(latUS)
-	}
+	release(time.Since(start).Microseconds())
 	s.stStmts.Inc()
 	c.nRun.Add(1)
 

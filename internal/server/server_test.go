@@ -490,8 +490,73 @@ func TestServerAdmissionShedsUnderOverload(t *testing.T) {
 	if ok == 0 {
 		t.Fatal("no statement was admitted")
 	}
+	if n := counterVal(db, "server.retryable_errors"); n != retryable {
+		t.Fatalf("server.retryable_errors = %d, clients saw %d retryable errors", n, retryable)
+	}
 	t.Logf("ok=%d retryable=%d shed_counter=%v", ok, retryable,
 		counterVal(db, "server.shed"))
+}
+
+// TestServerCancelledWhileQueuedIsNotRetryable: a statement whose own
+// deadline expires while it waits for an admission slot is refused as
+// cancelled, not as retryable — running it again under the same deadline
+// cannot help — and server.retryable_errors does not count it.
+func TestServerCancelledWhileQueuedIsNotRetryable(t *testing.T) {
+	db, srv := startServer(t, core.Options{MPL: 2}, server.Options{})
+	// Seed over an embedded connection: statements through the server would
+	// calibrate the gate's baseline down to an insert's latency, and with it
+	// the queue wait to its 10ms floor. Uncalibrated, a queued statement
+	// may wait 80ms before the gate sheds it.
+	ec, err := db.Connect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ec.Close()
+	if _, err := ec.Exec("create table big (a int)"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3000; i++ {
+		if _, err := ec.Exec("insert into big values (?)", val.NewInt(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const q = "select count(*) from big x, big y where x.a + y.a < 0"
+
+	// Hold both slots of the width-2 gate.
+	holders := make([]*client.Client, 2)
+	done := make(chan error, len(holders))
+	for i := range holders {
+		holders[i] = dial(t, srv, client.Options{})
+		go func(c *client.Client) {
+			_, err := c.Exec(q)
+			done <- err
+		}(holders[i])
+	}
+	// Both are admitted once both run under a memory-governor task.
+	for deadline := time.Now().Add(10 * time.Second); db.MemGovernor().ActiveRequests() < len(holders); {
+		if time.Now().After(deadline) {
+			t.Fatal("the slot holders never both started executing")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	shed, retryable := counterVal(db, "server.shed"), counterVal(db, "server.retryable_errors")
+	c := dial(t, srv, client.Options{})
+	_, err = c.ExecDeadline(q, 10*time.Millisecond)
+	if errors.Is(err, client.ErrRetryable) || !errors.Is(err, client.ErrCancelled) {
+		t.Fatalf("err = %v, want a non-retryable cancel", err)
+	}
+	if n := counterVal(db, "server.shed") - shed; n != 1 {
+		t.Fatalf("server.shed moved by %d, want 1: the statement was not refused while queued", n)
+	}
+	if n := counterVal(db, "server.retryable_errors") - retryable; n != 0 {
+		t.Fatalf("server.retryable_errors moved by %d for a cancelled statement", n)
+	}
+	for range holders {
+		if err := <-done; err != nil {
+			t.Fatalf("slot holder: %v", err)
+		}
+	}
 }
 
 func counterVal(db *core.DB, name string) int64 {

@@ -592,9 +592,8 @@ func (t *Table) Insert(tx *txn.Txn, row []val.Value) (RID, error) {
 
 	if tx != nil {
 		// Declare write intent on the table before reading its index list or
-		// touching the heap: locking readers (table-S) serialize against this
-		// writer, and an index being built (table-X) is either complete and
-		// in the list below or not started.
+		// touching the heap: an index being built (table-X) is either
+		// complete and in the list below or not started.
 		if err := tx.Lock(t.ID, nil, lock.IntentExclusive); err != nil {
 			return RID{}, err
 		}

@@ -130,8 +130,8 @@ func (m *Manager) Begin() *Txn {
 }
 
 // BeginRO starts a read-only transaction. It writes nothing to the WAL —
-// there is nothing to recover — and Commit/Rollback only release whatever
-// locks it took (none on the snapshot path) and deregister it.
+// there is nothing to recover — and Commit/Rollback only release its bound
+// snapshot and deregister it.
 func (m *Manager) BeginRO() *Txn {
 	return m.begin(true)
 }
@@ -555,7 +555,7 @@ func (t *Txn) Commit() error {
 	t.done = true
 	if t.ro {
 		// Nothing was logged and nothing can have changed: just release
-		// locks (if the locking-read path took any) and deregister.
+		// the snapshot and deregister.
 		t.finish()
 		return nil
 	}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"anywheredb/internal/btree"
 	"anywheredb/internal/mem"
@@ -28,159 +29,230 @@ type AggSpec struct {
 	Distinct bool
 }
 
-// aggState accumulates one aggregate for one group.
-type aggState struct {
-	count int64
-	sum   float64
-	sumI  int64
-	isInt bool
-	min   val.Value
-	max   val.Value
-	seen  map[uint64]bool // for DISTINCT
-	init  bool
+// aggCols is one aggregate's state for every group of a HashGroupBy, a
+// column per field the aggregate uses, indexed by group: count for all of
+// them; sumI, sumF and float for SUM and AVG; ext, the running extreme, for
+// MIN and MAX (it has one once count > 0); seen for DISTINCT. The zero value
+// of each column is a group that has seen no row, so a column grows with no
+// initialisation.
+type aggCols struct {
+	count []int64
+	sumI  []int64
+	sumF  []float64
+	float []bool // the sum has met a non-INT value and is kept in sumF
+	ext   []val.Value
+	seen  []map[uint64]bool
 }
 
-func newAggState(spec AggSpec) *aggState {
-	s := &aggState{isInt: true}
-	if spec.Distinct {
-		s.seen = map[uint64]bool{}
-	}
-	return s
-}
-
-// add folds one row into the state: v is the row's value of spec.Arg
-// (ignored by COUNT(*)).
-func (s *aggState) add(spec AggSpec, v val.Value) {
-	if spec.Fn == AggCountStar {
-		s.count++
-		return
-	}
-	if v.IsNull() {
-		return // aggregates ignore NULLs
-	}
-	if spec.Distinct {
-		h := val.Hash64(v)
-		if s.seen[h] {
-			return
-		}
-		s.seen[h] = true
-	}
-	s.count++
+// grow reallocates the columns spec uses to hold n groups, keeping the
+// groups already there.
+func (a *aggCols) grow(spec AggSpec, n int) {
+	a.count = extend(a.count, n)
 	switch spec.Fn {
 	case AggSum, AggAvg:
-		if v.Kind == val.KInt && s.isInt {
-			s.sumI += v.I
-		} else {
-			if s.isInt {
-				s.sum = float64(s.sumI)
-				s.isInt = false
-			}
-			s.sum += v.AsFloat()
-		}
-	case AggMin:
-		if !s.init || val.Compare(v, s.min) < 0 {
-			s.min = v
-		}
-	case AggMax:
-		if !s.init || val.Compare(v, s.max) > 0 {
-			s.max = v
-		}
+		a.sumI, a.sumF, a.float = extend(a.sumI, n), extend(a.sumF, n), extend(a.float, n)
+	case AggMin, AggMax:
+		a.ext = extend(a.ext, n)
 	}
-	s.init = true
+	if spec.Distinct {
+		a.seen = extend(a.seen, n)
+	}
 }
 
-func (s *aggState) result(spec AggSpec) val.Value {
+// extend returns a copy of s with n elements, the new ones zero.
+func extend[T any](s []T, n int) []T {
+	t := make([]T, n)
+	copy(t, s)
+	return t
+}
+
+// add folds one row into group i: v is the row's value of spec.Arg (ignored
+// by COUNT(*)). It reports whether v entered a DISTINCT seen-set.
+func (a *aggCols) add(spec AggSpec, i int, v val.Value) (seen bool) {
+	if spec.Fn == AggCountStar {
+		a.count[i]++
+		return false
+	}
+	if v.IsNull() {
+		return false // aggregates ignore NULLs
+	}
+	if spec.Distinct {
+		set := a.seen[i]
+		if set == nil {
+			set = map[uint64]bool{}
+			a.seen[i] = set
+		}
+		h := val.Hash64(v)
+		if set[h] {
+			return false
+		}
+		set[h] = true
+		seen = true
+	}
+	a.count[i]++
+	switch spec.Fn {
+	case AggSum, AggAvg:
+		if v.Kind == val.KInt && !a.float[i] {
+			a.sumI[i] += v.I
+			break
+		}
+		a.toFloat(i)
+		a.sumF[i] += v.AsFloat()
+	case AggMin:
+		if a.count[i] == 1 || val.Compare(v, a.ext[i]) < 0 {
+			a.ext[i] = v
+		}
+	case AggMax:
+		if a.count[i] == 1 || val.Compare(v, a.ext[i]) > 0 {
+			a.ext[i] = v
+		}
+	}
+	return seen
+}
+
+// toFloat moves group i's sum to sumF, if it is not there yet.
+func (a *aggCols) toFloat(i int) {
+	if !a.float[i] {
+		a.sumF[i], a.float[i] = float64(a.sumI[i]), true
+	}
+}
+
+func (a *aggCols) result(spec AggSpec, i int) val.Value {
+	n := a.count[i]
 	switch spec.Fn {
 	case AggCountStar, AggCount:
-		return val.NewInt(s.count)
+		return val.NewInt(n)
 	case AggSum:
-		if s.count == 0 {
+		switch {
+		case n == 0:
 			return val.Null
+		case a.float[i]:
+			return val.NewDouble(a.sumF[i])
 		}
-		if s.isInt {
-			return val.NewInt(s.sumI)
-		}
-		return val.NewDouble(s.sum)
+		return val.NewInt(a.sumI[i])
 	case AggAvg:
-		if s.count == 0 {
+		if n == 0 {
 			return val.Null
 		}
-		total := s.sum
-		if s.isInt {
-			total = float64(s.sumI)
+		total := float64(a.sumI[i])
+		if a.float[i] {
+			total = a.sumF[i]
 		}
-		return val.NewDouble(total / float64(s.count))
-	case AggMin:
-		if !s.init {
-			return val.Null
-		}
-		return s.min
-	case AggMax:
-		if !s.init {
-			return val.Null
-		}
-		return s.max
+		return val.NewDouble(total / float64(n))
+	case AggMin, AggMax:
+		return a.ext[i] // NULL until a value arrives
 	}
 	return val.Null
 }
 
-// encode/decode aggregate state rows for the low-memory fallback: the
-// partial state is flattened into a value row.
-func (s *aggState) encode(spec AggSpec) Row {
-	isInt := int64(0)
-	if s.isInt {
-		isInt = 1
-	}
-	init := int64(0)
-	if s.init {
-		init = 1
-	}
-	return Row{
-		val.NewInt(s.count), val.NewDouble(s.sum), val.NewInt(s.sumI),
-		val.NewInt(isInt), s.min, s.max, val.NewInt(init),
-	}
-}
-
+// The low-memory fallback stores a group's partial state as a row of
+// aggStateWidth values per aggregate: count, float sum, integer sum,
+// is-integer, min, max, init. freshState is that row for a group that has
+// seen nothing, which is what each aggregate of a new group is charged.
 const aggStateWidth = 7
 
-func decodeAggState(spec AggSpec, r Row) *aggState {
-	return &aggState{
-		count: r[0].I, sum: r[1].F, sumI: r[2].I,
-		isInt: r[3].I == 1, min: r[4], max: r[5], init: r[6].I == 1,
+var freshState = Row{val.NewInt(0), val.NewDouble(0), val.NewInt(0), val.NewInt(1), val.Null, val.Null, val.NewInt(0)}
+
+// encode appends group i's state row to dst.
+func (a *aggCols) encode(spec AggSpec, i int, dst Row) Row {
+	n := a.count[i]
+	var sumF float64
+	var sumI int64
+	isInt := int64(1)
+	var lo, hi val.Value
+	switch spec.Fn {
+	case AggSum, AggAvg:
+		sumF, sumI = a.sumF[i], a.sumI[i]
+		if a.float[i] {
+			isInt = 0
+		}
+	case AggMin:
+		lo = a.ext[i]
+	case AggMax:
+		hi = a.ext[i]
+	}
+	init := int64(0)
+	if n > 0 && spec.Fn != AggCountStar {
+		init = 1
+	}
+	return append(dst, val.NewInt(n), val.NewDouble(sumF), val.NewInt(sumI), val.NewInt(isInt), lo, hi, val.NewInt(init))
+}
+
+// merge folds a state row st, as encode wrote it, into group i. The
+// fallback never merges DISTINCT state: it cannot spill it.
+func (a *aggCols) merge(spec AggSpec, i int, st Row) {
+	had := a.count[i] > 0
+	a.count[i] += st[0].I
+	init := st[6].I == 1
+	switch spec.Fn {
+	case AggSum, AggAvg:
+		if st[3].I == 1 && !a.float[i] {
+			a.sumI[i] += st[2].I
+			break
+		}
+		a.toFloat(i)
+		if st[3].I == 1 {
+			a.sumF[i] += float64(st[2].I)
+		} else {
+			a.sumF[i] += st[1].F
+		}
+	case AggMin:
+		if init && (!had || val.Compare(st[4], a.ext[i]) < 0) {
+			a.ext[i] = st[4]
+		}
+	case AggMax:
+		if init && (!had || val.Compare(st[5], a.ext[i]) > 0) {
+			a.ext[i] = st[5]
+		}
 	}
 }
 
-// mergeAggState folds other into s (both must be non-DISTINCT; the
-// fallback never needs to merge DISTINCT state because groups re-aggregate
-// from scratch when reloaded).
-func (s *aggState) merge(spec AggSpec, o *aggState) {
-	s.count += o.count
-	if s.isInt && o.isInt {
-		s.sumI += o.sumI
-	} else {
-		if s.isInt {
-			s.sum = float64(s.sumI)
-			s.isInt = false
-		}
-		of := o.sum
-		if o.isInt {
-			of = float64(o.sumI)
-		}
-		s.sum += of
+// clear makes group i one that has seen no row.
+func (a *aggCols) clear(i int) {
+	a.count[i] = 0
+	if a.sumI != nil {
+		a.sumI[i], a.sumF[i], a.float[i] = 0, 0, false
 	}
-	if o.init {
-		if !s.init || val.Compare(o.min, s.min) < 0 {
-			s.min = o.min
-		}
-		if !s.init || val.Compare(o.max, s.max) > 0 {
-			s.max = o.max
-		}
-		s.init = true
+	if a.ext != nil {
+		a.ext[i] = val.Null
 	}
 }
+
+// chainIndex finds entries by a 64-bit hash: head maps a hash to its most
+// recent entry plus one (so that an absent hash reads as -1), and next links
+// each entry to the previous one with the same hash, -1 ending the chain.
+// Entries are numbered 0, 1, 2, … in the order they were added; what an
+// entry is — a group, a kept row — is its user's, in a slice indexed the
+// same way.
+type chainIndex struct {
+	head map[uint64]int32
+	next []int32
+}
+
+// first returns the most recent entry with hash h, or -1.
+func (c *chainIndex) first(h uint64) int32 { return c.head[h] - 1 }
+
+// add appends an entry with hash h.
+func (c *chainIndex) add(h uint64) {
+	if c.head == nil {
+		c.head = map[uint64]int32{}
+	}
+	c.next = append(c.next, c.head[h]-1)
+	c.head[h] = int32(len(c.next))
+}
+
+// reset empties the index and lets its memory go.
+func (c *chainIndex) reset() { c.head, c.next = nil, nil }
 
 // HashGroupBy groups rows by key expressions and computes aggregates.
-// Output rows are key values followed by aggregate results.
+// Output rows are key values followed by aggregate results, one row per
+// group in the order the groups were first seen.
+//
+// A group is a slot i in flat columns: its key is the len(Keys) values of
+// keys from i*len(Keys), each aggregate's state is slot i of that
+// aggregate's aggCols, and idx finds it by the key's hash. The columns grow
+// together, doubling from 8 groups, so a group costs no object of its own
+// (a DISTINCT seen-set is the one exception).
 //
 // Every group is charged to the statement's governor task by its encoded
 // size. Low-memory fallback (§4.3): when the governor asks for memory back
@@ -199,29 +271,18 @@ type HashGroupBy struct {
 	cols      []val.Value // column-major scratch: the evaluated key and aggregate-argument values of one batch
 	srcs      []colSource // per key, then per aggregate argument: where one batch's values are read
 	key       Row         // scratch: one row's key values
-	groups    map[uint64][]*group
+	idx       chainIndex  // key hash → groups
+	keys      []val.Value // the groups' keys, len(Keys) values a group
+	aggs      []aggCols   // per aggregate: every group's state
 	nGroups   int
+	capacity  int // groups the columns hold
 	stateSize int // encoded size of one group's fresh aggregate states
 	fellBack  bool
 	fb        *btree.Tree
-	emit      []*group        // the result, when it never left memory
 	it        *btree.Iterator // the result, once the fallback engaged
-	pos       int
+	pos       int             // the next group to emit, while the result is in memory
 	inputOpen bool
 	ctx       *Ctx
-}
-
-type group struct {
-	keys Row
-	aggs []*aggState
-}
-
-func (g *HashGroupBy) newGroup(keys Row) *group {
-	grp := &group{keys: keys, aggs: make([]*aggState, len(g.Aggs))}
-	for i, spec := range g.Aggs {
-		grp.aggs[i] = newAggState(spec)
-	}
-	return grp
 }
 
 // FellBack reports whether the low-memory fallback engaged.
@@ -244,16 +305,15 @@ func (g *HashGroupBy) ReleaseMemory(want int) (int, error) {
 
 func (g *HashGroupBy) Open(ctx *Ctx) error {
 	g.dropFallback(ctx)
-	g.groups = map[uint64][]*group{}
-	g.key = make(Row, len(g.Keys))
-	g.nGroups = 0
-	g.fellBack = false
-	g.emit, g.pos = nil, 0
-	g.ctx = ctx
-	g.stateSize = 0
-	for _, spec := range g.Aggs {
-		g.stateSize += val.RowSize(newAggState(spec).encode(spec))
+	g.key = resize(g.key, len(g.Keys))
+	if len(g.aggs) != len(g.Aggs) {
+		g.aggs = make([]aggCols, len(g.Aggs))
 	}
+	g.dropGroups()
+	g.fellBack = false
+	g.pos = 0
+	g.ctx = ctx
+	g.stateSize = len(g.Aggs) * val.RowSize(freshState)
 	g.acct.Open(ctx.Task, g, g.Depth)
 	// Marked open before Open is attempted, as in HashJoin.Open.
 	g.inputOpen = true
@@ -280,25 +340,21 @@ func (g *HashGroupBy) Open(ctx *Ctx) error {
 		return err
 	}
 	if g.fb != nil {
+		g.grow() // slot 0 is where NextBatch reads each stored group back
 		g.it, err = g.fb.First()
 		return err
 	}
-	g.emit = make([]*group, 0, g.nGroups)
-	for _, grps := range g.groups {
-		g.emit = append(g.emit, grps...)
-	}
 	// Global aggregate with no input rows and no keys: one row of
 	// identity aggregates.
-	if len(g.Keys) == 0 && len(g.emit) == 0 {
-		g.emit = append(g.emit, g.newGroup(nil))
+	if len(g.Keys) == 0 && g.nGroups == 0 {
+		g.birth(val.HashRow(nil))
 	}
 	return nil
 }
 
 // addBatch folds one input batch (either form) into the groups. Key and
 // aggregate-argument columns are set up a column at a time across the
-// batch; the row loop then only hashes, looks up and accumulates, and
-// allocates a key row only when a group is born.
+// batch; the row loop then only hashes, looks up and accumulates in place.
 func (g *HashGroupBy) addBatch(in *Batch) error {
 	n := in.Len()
 	g.cols, g.srcs = g.cols[:0], g.srcs[:0]
@@ -320,30 +376,22 @@ func (g *HashGroupBy) addBatch(in *Batch) error {
 			g.value(k, r, &g.key[k])
 		}
 		h := val.HashRow(g.key)
-		var grp *group
-		for _, cand := range g.groups[h] {
-			if rowsEqualNullSafe(cand.keys, g.key) {
-				grp = cand
-				break
-			}
-		}
+		i := g.find(h)
 		grew := 0
-		if grp == nil {
-			grp = g.newGroup(append(Row(nil), g.key...))
-			g.groups[h] = append(g.groups[h], grp)
-			g.nGroups++
-			grew = val.RowSize(grp.keys) + g.stateSize
+		if i < 0 {
+			i = g.birth(h)
+			grew = val.RowSize(g.key) + g.stateSize
 		}
 		c := len(g.key)
-		for i, spec := range g.Aggs {
+		for a, spec := range g.Aggs {
 			var v val.Value
 			if spec.Arg != nil {
 				g.value(c, r, &v)
 				c++
 			}
-			seen := len(grp.aggs[i].seen)
-			grp.aggs[i].add(spec, v)
-			grew += seenEntrySize * (len(grp.aggs[i].seen) - seen)
+			if g.aggs[a].add(spec, i, v) {
+				grew += seenEntrySize
+			}
 		}
 		// Charged last: the row is in its group by now, so the ReleaseMemory
 		// the charge may bring flushes a consistent table.
@@ -354,6 +402,52 @@ func (g *HashGroupBy) addBatch(in *Batch) error {
 		}
 	}
 	return nil
+}
+
+// groupKey is group i's key.
+func (g *HashGroupBy) groupKey(i int) Row {
+	nk := len(g.Keys)
+	return g.keys[i*nk : (i+1)*nk : (i+1)*nk]
+}
+
+// find returns the group whose key is g.key, whose hash is h, or -1.
+func (g *HashGroupBy) find(h uint64) int {
+	for i := g.idx.first(h); i >= 0; i = g.idx.next[i] {
+		if rowsEqualNullSafe(g.groupKey(int(i)), g.key) {
+			return int(i)
+		}
+	}
+	return -1
+}
+
+// birth adds a group with key g.key, whose hash is h, and returns it.
+func (g *HashGroupBy) birth(h uint64) int {
+	if g.nGroups == g.capacity {
+		g.grow()
+	}
+	i := g.nGroups
+	g.nGroups++
+	copy(g.groupKey(i), g.key)
+	g.idx.add(h)
+	return i
+}
+
+// grow doubles the number of groups the columns hold, 8 at first, every
+// column at once.
+func (g *HashGroupBy) grow() {
+	g.capacity = max(8, 2*g.capacity)
+	g.keys = extend(g.keys, g.capacity*len(g.Keys))
+	g.idx.next = slices.Grow(g.idx.next, g.capacity-len(g.idx.next))
+	for a, spec := range g.Aggs {
+		g.aggs[a].grow(spec, g.capacity)
+	}
+}
+
+// dropGroups empties the group table and lets its columns go.
+func (g *HashGroupBy) dropGroups() {
+	g.idx.reset()
+	g.keys, g.nGroups, g.capacity = nil, 0, 0
+	clear(g.aggs)
 }
 
 // colSource is where addBatch reads one key or aggregate-argument column
@@ -435,80 +529,89 @@ func (g *HashGroupBy) flushToFallback(ctx *Ctx) error {
 		g.fb = t
 		g.fellBack = true
 	}
-	for h, grps := range g.groups {
-		for _, grp := range grps {
-			key := val.EncodeKey(grp.keys)
-			// Merge with any existing partial group.
-			if existing, found, err := g.fb.Search(key); err != nil {
+	var flat Row
+	for i := 0; i < g.nGroups; i++ {
+		keys := g.groupKey(i)
+		key := val.EncodeKey(keys)
+		// Merge with any existing partial group.
+		if existing, found, err := g.fb.Search(key); err != nil {
+			return err
+		} else if found {
+			stored, err := g.decodeStored(existing)
+			if err != nil {
 				return err
-			} else if found {
-				stored, err := val.DecodeRow(existing)
-				if err != nil {
-					return err
-				}
-				merged := g.decodeGroup(grp.keys, stored)
-				for i, spec := range g.Aggs {
-					merged.aggs[i].merge(spec, grp.aggs[i])
-				}
-				grp = merged
-				if _, err := g.fb.Delete(key, nil); err != nil {
-					return err
-				}
 			}
-			var flat Row
-			for i, spec := range g.Aggs {
-				flat = append(flat, grp.aggs[i].encode(spec)...)
+			for a, spec := range g.Aggs {
+				g.aggs[a].merge(spec, i, stored[a*aggStateWidth:(a+1)*aggStateWidth])
 			}
-			flat = append(flat, grp.keys...)
-			if err := g.fb.Insert(key, val.EncodeRow(flat)); err != nil {
+			if _, err := g.fb.Delete(key, nil); err != nil {
 				return err
 			}
 		}
-		delete(g.groups, h)
+		flat = flat[:0]
+		for a, spec := range g.Aggs {
+			flat = g.aggs[a].encode(spec, i, flat)
+		}
+		flat = append(flat, keys...)
+		if err := g.fb.Insert(key, val.EncodeRow(flat)); err != nil {
+			return err
+		}
 	}
-	g.nGroups = 0
+	g.dropGroups()
 	g.acct.FreeBytes()
 	return nil
 }
 
-func (g *HashGroupBy) decodeGroup(keys Row, stored Row) *group {
-	grp := &group{keys: keys, aggs: make([]*aggState, len(g.Aggs))}
-	for i, spec := range g.Aggs {
-		grp.aggs[i] = decodeAggState(spec, stored[i*aggStateWidth:(i+1)*aggStateWidth])
+// decodeStored decodes a fallback group: the aggregates' state rows, then
+// the key.
+func (g *HashGroupBy) decodeStored(b []byte) (Row, error) {
+	stored, err := val.DecodeRow(b)
+	if err == nil && len(stored) < len(g.Aggs)*aggStateWidth {
+		err = fmt.Errorf("exec: corrupt fallback group")
 	}
-	return grp
+	return stored, err
 }
 
-func (g *HashGroupBy) resultRow(grp *group) Row {
-	out := make(Row, 0, len(grp.keys)+len(g.Aggs))
-	out = append(out, grp.keys...)
-	for i, spec := range g.Aggs {
-		out = append(out, grp.aggs[i].result(spec))
-	}
-	return out
-}
-
+// NextBatch emits the next groups. The rows of one batch are carved from
+// one slab of values.
 func (g *HashGroupBy) NextBatch(ctx *Ctx, out *Batch) error {
 	out.Reset()
 	n := ctx.BatchSize()
-	for ; g.pos < len(g.emit) && out.Len() < n; g.pos++ {
-		out.Add(g.resultRow(g.emit[g.pos]))
-	}
+	w := len(g.Keys) + len(g.Aggs)
+	var flat []val.Value
+	rows := 0
 	if g.it == nil {
-		return nil
-	}
-	for ; g.it.Valid() && out.Len() < n; g.it.Next() {
-		stored, err := val.DecodeRow(g.it.Value())
-		if err != nil {
+		rows = min(n, g.nGroups-g.pos)
+		flat = make([]val.Value, 0, rows*w)
+		for end := g.pos + rows; g.pos < end; g.pos++ {
+			flat = append(flat, g.groupKey(g.pos)...)
+			for a, spec := range g.Aggs {
+				flat = append(flat, g.aggs[a].result(spec, g.pos))
+			}
+		}
+	} else {
+		for ; g.it.Valid() && rows < n; g.it.Next() {
+			stored, err := g.decodeStored(g.it.Value())
+			if err != nil {
+				return err
+			}
+			flat = append(flat, stored[len(g.Aggs)*aggStateWidth:]...)
+			for a, spec := range g.Aggs {
+				g.aggs[a].clear(0)
+				g.aggs[a].merge(spec, 0, stored[a*aggStateWidth:(a+1)*aggStateWidth])
+				flat = append(flat, g.aggs[a].result(spec, 0))
+			}
+			rows++
+		}
+		if err := g.it.Err(); err != nil {
 			return err
 		}
-		nAgg := len(g.Aggs) * aggStateWidth
-		if len(stored) < nAgg {
-			return fmt.Errorf("exec: corrupt fallback group")
-		}
-		out.Add(g.resultRow(g.decodeGroup(stored[nAgg:], stored)))
 	}
-	return g.it.Err()
+	out.reserve(rows)
+	for r := 0; r < rows; r++ {
+		out.Add(flat[r*w : (r+1)*w : (r+1)*w])
+	}
+	return nil
 }
 
 // dropFallback returns the fallback tree's pages to the temporary file.
@@ -525,7 +628,8 @@ func (g *HashGroupBy) dropFallback(ctx *Ctx) {
 
 func (g *HashGroupBy) Close(ctx *Ctx) error {
 	g.dropFallback(ctx)
-	g.groups, g.emit, g.cols, g.srcs = nil, nil, nil, nil
+	g.dropGroups()
+	g.cols, g.srcs = nil, nil
 	g.acct.Close()
 	if g.inputOpen {
 		g.inputOpen = false
@@ -534,16 +638,20 @@ func (g *HashGroupBy) Close(ctx *Ctx) error {
 	return nil
 }
 
-// HashDistinct removes duplicate rows, streaming batch-at-a-time.
+// HashDistinct removes duplicate rows, streaming batch-at-a-time. Every row
+// it passes is kept, and found again through the same hash → chain index
+// as HashGroupBy's groups.
 type HashDistinct struct {
 	Input Operator
-	seen  map[uint64][]Row
+	idx   chainIndex // row hash → kept rows
+	kept  []Row
 	in    Batch
 	eof   bool
 }
 
 func (d *HashDistinct) Open(ctx *Ctx) error {
-	d.seen = map[uint64][]Row{}
+	d.idx.reset()
+	d.kept = nil
 	d.in.Reset()
 	d.eof = false
 	return d.Input.Open(ctx)
@@ -564,25 +672,28 @@ func (d *HashDistinct) NextBatch(ctx *Ctx, out *Batch) error {
 			break
 		}
 		for _, row := range d.in.Rows() {
-			h := val.HashRow(row)
-			dup := false
-			for _, prev := range d.seen[h] {
-				if rowsEqualNullSafe(prev, row) {
-					dup = true
-					break
-				}
+			if h := val.HashRow(row); !d.seen(h, row) {
+				d.idx.add(h)
+				d.kept = append(d.kept, row)
+				out.Add(row)
 			}
-			if dup {
-				continue
-			}
-			d.seen[h] = append(d.seen[h], row)
-			out.Add(row)
 		}
 	}
 	return nil
 }
 
+// seen reports whether a row equal to row, whose hash is h, was kept.
+func (d *HashDistinct) seen(h uint64, row Row) bool {
+	for i := d.idx.first(h); i >= 0; i = d.idx.next[i] {
+		if rowsEqualNullSafe(d.kept[i], row) {
+			return true
+		}
+	}
+	return false
+}
+
 func (d *HashDistinct) Close(ctx *Ctx) error {
-	d.seen = nil
+	d.idx.reset()
+	d.kept = nil
 	return d.Input.Close(ctx)
 }

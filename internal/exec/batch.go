@@ -2,6 +2,7 @@ package exec
 
 import (
 	"cmp"
+	"slices"
 
 	"anywheredb/internal/colseg"
 	"anywheredb/internal/page"
@@ -249,6 +250,10 @@ func (b *Batch) Reset() {
 
 // Add appends one row.
 func (b *Batch) Add(r Row) { b.rows = append(b.rows, r) }
+
+// reserve makes room for n more rows, so that the next n Adds do not grow
+// the row list.
+func (b *Batch) reserve(n int) { b.rows = slices.Grow(b.rows, n) }
 
 // setVectors makes b the whole of window v, in vector form.
 func (b *Batch) setVectors(v *vectors) {

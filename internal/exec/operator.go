@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"slices"
 
 	"anywheredb/internal/buffer"
 	"anywheredb/internal/flightrec"
@@ -136,7 +137,7 @@ func (f *Filter) NextBatch(ctx *Ctx, out *Batch) error {
 			return nil
 		}
 		var err error
-		if f.verdicts, err = TestBatch(f.Pred, out, f.verdicts[:0]); err != nil {
+		if f.verdicts, err = TestBatch(f.Pred, out, slices.Grow(f.verdicts[:0], out.Len())); err != nil {
 			return err
 		}
 		f.tested += float64(out.Len())
@@ -176,7 +177,7 @@ func (p *Project) NextBatch(ctx *Ctx, out *Batch) error {
 	if n == 0 {
 		return nil
 	}
-	p.cols = p.cols[:0]
+	p.cols = slices.Grow(p.cols[:0], len(p.Exprs)*n)
 	for _, e := range p.Exprs {
 		var err error
 		p.cols, err = EvalBatch(e, &p.in, p.cols)
@@ -194,6 +195,7 @@ func (p *Project) NextBatch(ctx *Ctx, out *Batch) error {
 			flat[r*w+c] = v
 		}
 	}
+	out.reserve(n)
 	for r := 0; r < n; r++ {
 		out.Add(flat[r*w : (r+1)*w : (r+1)*w])
 	}

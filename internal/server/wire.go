@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"anywheredb/internal/val"
 )
@@ -217,7 +218,11 @@ func appendValues(b []byte, vs []val.Value) []byte {
 	return b
 }
 
-func readValues(b []byte) ([]val.Value, []byte, error) {
+func readValues(b []byte) ([]val.Value, []byte, error) { return appendReadValues(nil, b) }
+
+// appendReadValues reads what appendValues wrote, appending the values to
+// dst.
+func appendReadValues(dst []val.Value, b []byte) ([]val.Value, []byte, error) {
 	n, b, err := ReadUvarint(b)
 	if err != nil {
 		return nil, nil, err
@@ -225,16 +230,16 @@ func readValues(b []byte) ([]val.Value, []byte, error) {
 	if n > uint64(len(b)) { // each value takes ≥1 byte; rejects hostile counts
 		return nil, nil, errFrameTruncated
 	}
-	vs := make([]val.Value, 0, n)
+	dst = slices.Grow(dst, int(n))
 	for i := uint64(0); i < n; i++ {
 		var v val.Value
 		v, b, err = readValue(b)
 		if err != nil {
 			return nil, nil, err
 		}
-		vs = append(vs, v)
+		dst = append(dst, v)
 	}
-	return vs, b, nil
+	return dst, b, nil
 }
 
 // --- message payloads ------------------------------------------------------
@@ -349,6 +354,10 @@ func encodeRowBatch(rows [][]val.Value) []byte {
 	return b
 }
 
+// decodeRowBatch decodes a row batch into one slab of values, sized from
+// the first row's width; each row is a window of the slab whose capacity
+// ends where the row does, so appending to one row cannot write over the
+// next.
 func decodeRowBatch(b []byte) ([][]val.Value, error) {
 	n, b, err := ReadUvarint(b)
 	if err != nil {
@@ -357,13 +366,24 @@ func decodeRowBatch(b []byte) ([][]val.Value, error) {
 	if n > uint64(len(b))+1 {
 		return nil, errFrameTruncated
 	}
-	rows := make([][]val.Value, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var r []val.Value
-		if r, b, err = readValues(b); err != nil {
+	w, _, _ := ReadUvarint(b)
+	// Every value takes at least a byte, which bounds the slab a hostile
+	// width can ask for.
+	slab := make([]val.Value, 0, min(n*min(w, uint64(len(b))), uint64(len(b))))
+	rows := make([][]val.Value, n)
+	for i := range rows {
+		from := len(slab)
+		if slab, b, err = appendReadValues(slab, b); err != nil {
 			return nil, err
 		}
-		rows = append(rows, r)
+		rows[i] = slab[from:]
+	}
+	// A row wider than the first may have moved the slab: carve every row
+	// from where it ended up.
+	from := 0
+	for i, r := range rows {
+		rows[i] = slab[from : from+len(r) : from+len(r)]
+		from += len(r)
 	}
 	return rows, nil
 }

@@ -105,6 +105,28 @@ func TestRowBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRowBatchRowsDoNotAlias: a decoded batch's rows share one slab, yet
+// appending to row 0 leaves row 1 intact — also when a row wider than the
+// first made the slab move while it was decoded.
+func TestRowBatchRowsDoNotAlias(t *testing.T) {
+	for _, rows := range [][][]val.Value{
+		{{val.NewInt(1), val.NewStr("a")}, {val.NewInt(2), val.NewStr("b")}, {val.NewInt(3), val.NewStr("c")}},
+		{{val.NewInt(1)}, {val.NewInt(2), val.NewInt(3), val.NewInt(4), val.NewInt(5)}, {}, {val.Null}},
+	} {
+		got, err := decodeRowBatch(encodeRowBatch(rows))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, rows) {
+			t.Fatalf("got %v want %v", got, rows)
+		}
+		_ = append(got[0], val.NewStr("clobber"), val.NewStr("clobber"))
+		if !reflect.DeepEqual(got[1], rows[1]) {
+			t.Fatalf("appending to row 0 changed row 1 to %v", got[1])
+		}
+	}
+}
+
 func TestErrMsgRoundTrip(t *testing.T) {
 	in := errMsg{Code: codeRetry, Message: "try again"}
 	out, err := decodeErr(in.encode())

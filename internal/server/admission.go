@@ -68,23 +68,31 @@ func newGate(width int) *gate {
 	return &gate{width: width, eff: width}
 }
 
-// admit blocks until the statement may run, returning a release func the
-// caller must invoke when the statement finishes (with its latency), or
-// ErrShed / the context's error when the statement is refused.
-func (g *gate) admit(ctx context.Context) (release func(latencyUS int64), err error) {
+// ticket is one admitted statement, handed back to release. solo is set
+// when the statement was admitted into an empty gate, and seq is the
+// gate's admission count at its admit: an unchanged count at release
+// proves no other statement started in between.
+type ticket struct {
+	solo bool
+	seq  int64
+}
+
+// admit blocks until the statement may run, returning the ticket the
+// caller must release when the statement finishes, or ErrShed / the
+// context's error when the statement is refused.
+func (g *gate) admit(ctx context.Context) (ticket, error) {
 	g.mu.Lock()
 	if g.occupied < g.eff {
 		g.occupied++
 		g.admitted++
-		solo := g.occupied == 1
-		seq := g.admitted
+		tk := ticket{solo: g.occupied == 1, seq: g.admitted}
 		g.mu.Unlock()
-		return g.releaseFunc(solo, seq), nil
+		return tk, nil
 	}
 	if len(g.waiters) >= g.width*queueFactor {
 		g.shed++
 		g.mu.Unlock()
-		return nil, ErrShed
+		return ticket{}, ErrShed
 	}
 	ch := make(chan struct{})
 	g.waiters = append(g.waiters, ch)
@@ -102,19 +110,19 @@ func (g *gate) admit(ctx context.Context) (release func(latencyUS int64), err er
 	case <-ch:
 		// Slot transferred by a releaser: occupancy already counts us.
 		g.noteAdmitted()
-		return g.releaseFunc(false, 0), nil
+		return ticket{}, nil
 	case <-timer.C:
 		if g.abandon(ch) {
-			return nil, ErrShed
+			return ticket{}, ErrShed
 		}
 		g.noteAdmitted()
-		return g.releaseFunc(false, 0), nil
+		return ticket{}, nil
 	case <-done:
 		if g.abandon(ch) {
-			return nil, ctx.Err()
+			return ticket{}, ctx.Err()
 		}
 		g.noteAdmitted()
-		return g.releaseFunc(false, 0), nil
+		return ticket{}, nil
 	}
 }
 
@@ -160,50 +168,46 @@ func (g *gate) queueDeadlineLocked() time.Duration {
 	return d
 }
 
-// releaseFunc finishes one admitted statement: records its latency,
-// updates the solo baseline, periodically re-evaluates degradation, and
-// hands the slot to the oldest waiter (or frees it). seq is the gate's
-// admission count at this statement's admit; an unchanged count at
-// release proves no other statement started in between.
-func (g *gate) releaseFunc(soloAtAdmit bool, seq int64) func(latencyUS int64) {
-	return func(latencyUS int64) {
-		g.mu.Lock()
-		defer g.mu.Unlock()
+// release finishes one admitted statement: records its latency, updates
+// the solo baseline, periodically re-evaluates degradation, and hands the
+// slot to the oldest waiter (or frees it).
+func (g *gate) release(tk ticket, latencyUS int64) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 
-		if latencyUS >= 0 {
-			g.ring[g.ringPos] = latencyUS
-			g.ringPos = (g.ringPos + 1) % latWindow
-			if g.ringN < latWindow {
-				g.ringN++
-			}
-			// Solo from admit to release: no queueing, no concurrent
-			// statements, and nothing else was even admitted meanwhile —
-			// this is the idle-period latency the baseline calibrates
-			// from.
-			if soloAtAdmit && g.occupied == 1 && g.admitted == seq {
-				if g.baseline == 0 {
-					g.baseline = float64(latencyUS)
-				} else {
-					g.baseline += baselineAlpha * (float64(latencyUS) - g.baseline)
-				}
+	if latencyUS >= 0 {
+		g.ring[g.ringPos] = latencyUS
+		g.ringPos = (g.ringPos + 1) % latWindow
+		if g.ringN < latWindow {
+			g.ringN++
+		}
+		// Solo from admit to release: no queueing, no concurrent
+		// statements, and nothing else was even admitted meanwhile —
+		// this is the idle-period latency the baseline calibrates
+		// from.
+		if tk.solo && g.occupied == 1 && g.admitted == tk.seq {
+			if g.baseline == 0 {
+				g.baseline = float64(latencyUS)
+			} else {
+				g.baseline += baselineAlpha * (float64(latencyUS) - g.baseline)
 			}
 		}
-
-		g.releases++
-		if g.releases >= recheckEvery {
-			g.releases = 0
-			g.recheckLocked()
-		}
-
-		// Hand the slot over, respecting a possibly-shrunk effective width.
-		if len(g.waiters) > 0 && g.occupied <= g.eff {
-			ch := g.waiters[0]
-			g.waiters = g.waiters[1:]
-			close(ch) // occupancy stays: the slot transfers
-			return
-		}
-		g.occupied--
 	}
+
+	g.releases++
+	if g.releases >= recheckEvery {
+		g.releases = 0
+		g.recheckLocked()
+	}
+
+	// Hand the slot over, respecting a possibly-shrunk effective width.
+	if len(g.waiters) > 0 && g.occupied <= g.eff {
+		ch := g.waiters[0]
+		g.waiters = g.waiters[1:]
+		close(ch) // occupancy stays: the slot transfers
+		return
+	}
+	g.occupied--
 }
 
 // recheckLocked compares the window's p99 against the calibrated baseline

@@ -9,20 +9,20 @@ import (
 
 func TestGateAdmitsUpToWidth(t *testing.T) {
 	g := newGate(3)
-	var rels []func(int64)
+	var tks []ticket
 	for i := 0; i < 3; i++ {
-		rel, err := g.admit(context.Background())
+		tk, err := g.admit(context.Background())
 		if err != nil {
 			t.Fatalf("admit %d: %v", i, err)
 		}
-		rels = append(rels, rel)
+		tks = append(tks, tk)
 	}
 	admitted, _, _, _, eff, _ := g.snapshot()
 	if admitted != 3 || eff != 3 {
 		t.Fatalf("admitted=%d eff=%d", admitted, eff)
 	}
-	for _, rel := range rels {
-		rel(100)
+	for _, tk := range tks {
+		g.release(tk, 100)
 	}
 	// Slots free again.
 	if _, err := g.admit(context.Background()); err != nil {
@@ -101,20 +101,20 @@ func TestGateQueueWaitShedsOnDerivedDeadline(t *testing.T) {
 
 func TestGateHandsSlotToWaiter(t *testing.T) {
 	g := newGate(2) // the minimum width
-	var rels []func(int64)
+	var tks []ticket
 	for i := 0; i < g.width; i++ {
-		rel, err := g.admit(context.Background())
+		tk, err := g.admit(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		rels = append(rels, rel)
+		tks = append(tks, tk)
 	}
-	rel := rels[0]
+	tk := tks[0]
 	got := make(chan error, 1)
 	go func() {
-		rel2, err := g.admit(context.Background())
+		tk2, err := g.admit(context.Background())
 		if err == nil {
-			defer rel2(50)
+			defer g.release(tk2, 50)
 		}
 		got <- err
 	}()
@@ -128,7 +128,7 @@ func TestGateHandsSlotToWaiter(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	rel(50)
+	g.release(tk, 50)
 	if err := <-got; err != nil {
 		t.Fatalf("waiter not granted: %v", err)
 	}
@@ -137,11 +137,11 @@ func TestGateHandsSlotToWaiter(t *testing.T) {
 func TestGateBaselineCalibratesFromSoloStatements(t *testing.T) {
 	g := newGate(4)
 	for i := 0; i < 32; i++ {
-		rel, err := g.admit(context.Background())
+		tk, err := g.admit(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		rel(1000) // 1ms solo statements
+		g.release(tk, 1000) // 1ms solo statements
 	}
 	_, _, _, _, _, base := g.snapshot()
 	if base < 500 || base > 1500 {
@@ -149,10 +149,10 @@ func TestGateBaselineCalibratesFromSoloStatements(t *testing.T) {
 	}
 
 	// Concurrent (non-solo) releases must not move the baseline.
-	rel1, _ := g.admit(context.Background())
-	rel2, _ := g.admit(context.Background())
-	rel2(1_000_000)
-	rel1(1_000_000)
+	tk1, _ := g.admit(context.Background())
+	tk2, _ := g.admit(context.Background())
+	g.release(tk2, 1_000_000)
+	g.release(tk1, 1_000_000)
 	_, _, _, _, _, after := g.snapshot()
 	if after > 10*base {
 		t.Fatalf("baseline moved from concurrent latencies: %d → %d", base, after)
@@ -163,8 +163,8 @@ func TestGateDegradationShrinksEffectiveWidth(t *testing.T) {
 	g := newGate(4)
 	// Calibrate a 1ms baseline.
 	for i := 0; i < 16; i++ {
-		rel, _ := g.admit(context.Background())
-		rel(1000)
+		tk, _ := g.admit(context.Background())
+		g.release(tk, 1000)
 	}
 	// Hold one slot so the remaining traffic is concurrent: solo
 	// statements recalibrate the baseline (a genuine workload change),
@@ -175,13 +175,13 @@ func TestGateDegradationShrinksEffectiveWidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer hold(-1)
+	defer g.release(hold, -1)
 	for i := 0; i < latWindow+recheckEvery; i++ {
-		rel, err := g.admit(context.Background())
+		tk, err := g.admit(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		rel(50_000)
+		g.release(tk, 50_000)
 	}
 	_, _, _, shrinks, eff, _ := g.snapshot()
 	if eff != g.width/2 || shrinks == 0 {
@@ -192,11 +192,11 @@ func TestGateDegradationShrinksEffectiveWidth(t *testing.T) {
 	// wash out the degraded tail, and solo releases drag the baseline up
 	// only mildly (EWMA), so feed latencies at the calibrated baseline.
 	for i := 0; i < latWindow+recheckEvery; i++ {
-		rel, err := g.admit(context.Background())
+		tk, err := g.admit(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		rel(1000)
+		g.release(tk, 1000)
 	}
 	_, _, _, _, eff, _ = g.snapshot()
 	if eff != g.width {
@@ -207,11 +207,11 @@ func TestGateDegradationShrinksEffectiveWidth(t *testing.T) {
 func TestGateContextCancelWhileQueued(t *testing.T) {
 	g := newGate(2) // the minimum width
 	for i := 0; i < g.width; i++ {
-		rel, err := g.admit(context.Background())
+		tk, err := g.admit(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer rel(10)
+		defer g.release(tk, 10)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	got := make(chan error, 1)

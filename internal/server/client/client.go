@@ -53,8 +53,9 @@ type Rows struct {
 // Client is one server connection. A Client runs one statement at a time;
 // Cancel may be called concurrently from another goroutine.
 type Client struct {
-	nc net.Conn
-	br *bufio.Reader
+	nc   net.Conn
+	br   *bufio.Reader
+	rbuf []byte // storage of the last frame read; a payload is valid until the next read
 
 	wmu sync.Mutex // serializes frame writes (statement vs. cancel)
 	bw  *bufio.Writer
@@ -79,7 +80,7 @@ func Dial(addr string, opts Options) (*Client, error) {
 		bw: bufio.NewWriterSize(nc, 64<<10),
 	}
 	hello := server.EncodeHello(opts.Token, opts.Name, uint64(opts.StatementDeadline.Microseconds()))
-	if err := c.writeFrame(server.MsgHello, hello); err != nil {
+	if err := c.sendRaw(server.MsgHello, hello); err != nil {
 		nc.Close()
 		return nil, err
 	}
@@ -112,7 +113,7 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	c.writeFrame(server.MsgQuit, nil)
+	c.sendRaw(server.MsgQuit, nil)
 	return c.nc.Close()
 }
 
@@ -124,7 +125,7 @@ type Stmt struct {
 
 // Prepare registers sql on the server and returns its handle.
 func (c *Client) Prepare(sql string) (*Stmt, error) {
-	if err := c.writeFrame(server.MsgPrepare, server.AppendString(nil, sql)); err != nil {
+	if err := c.send(server.MsgPrepare, func(b []byte) []byte { return server.AppendString(b, sql) }); err != nil {
 		return nil, err
 	}
 	typ, payload, err := c.readFrame()
@@ -143,7 +144,7 @@ func (c *Client) Prepare(sql string) (*Stmt, error) {
 
 // Close releases the prepared statement on the server.
 func (st *Stmt) Close() error {
-	if err := st.c.writeFrame(server.MsgCloseStmt, server.AppendUvarint(nil, st.id)); err != nil {
+	if err := st.c.send(server.MsgCloseStmt, func(b []byte) []byte { return server.AppendUvarint(b, st.id) }); err != nil {
 		return err
 	}
 	_, _, err := st.c.readFrame() // done ack
@@ -196,23 +197,24 @@ func (c *Client) ExecDeadline(sql string, deadline time.Duration, params ...val.
 // this connection. Safe to call concurrently with Exec/Query; a no-op
 // when the connection is idle.
 func (c *Client) Cancel() error {
-	return c.writeFrame(server.MsgCancel, nil)
+	return c.sendRaw(server.MsgCancel, nil)
 }
 
 // SendRaw writes one raw frame without waiting for a reply — a test hook
 // for protocol-violation scenarios.
-func (c *Client) SendRaw(typ byte, payload []byte) error { return c.writeFrame(typ, payload) }
+func (c *Client) SendRaw(typ byte, payload []byte) error { return c.sendRaw(typ, payload) }
 
 // SendExecRaw sends an exec frame without reading any response — a test
 // hook for slow-client scenarios (the caller deliberately stops draining
 // the socket).
 func (c *Client) SendExecRaw(sql string) error {
-	return c.writeFrame(server.MsgExec, server.EncodeExec(0, sql, 0, nil))
+	return c.sendRaw(server.MsgExec, server.EncodeExec(0, sql, 0, nil))
 }
 
 // roundTrip sends one exec and consumes frames through done/error.
 func (c *Client) roundTrip(stmtID uint64, sql string, deadlineUS uint64, params []val.Value) (Result, *Rows, error) {
-	if err := c.writeFrame(server.MsgExec, server.EncodeExec(stmtID, sql, deadlineUS, params)); err != nil {
+	exec := func(b []byte) []byte { return server.AppendExec(b, stmtID, sql, deadlineUS, params) }
+	if err := c.send(server.MsgExec, exec); err != nil {
 		return Result{}, nil, err
 	}
 	var rows *Rows
@@ -236,7 +238,11 @@ func (c *Client) roundTrip(stmtID uint64, sql string, deadlineUS uint64, params 
 			if rows == nil {
 				return Result{}, nil, errors.New("client: row batch before header")
 			}
-			rows.Data = append(rows.Data, batch...)
+			if rows.Data == nil {
+				rows.Data = batch
+			} else {
+				rows.Data = append(rows.Data, batch...)
+			}
 		case server.MsgDone:
 			n, _ := binary.Varint(payload)
 			return Result{RowsAffected: n}, rows, nil
@@ -248,17 +254,34 @@ func (c *Client) roundTrip(stmtID uint64, sql string, deadlineUS uint64, params 
 	}
 }
 
-func (c *Client) writeFrame(typ byte, payload []byte) error {
+// send writes and flushes one frame, its payload encoded by enc straight
+// into the send buffer.
+func (c *Client) send(typ byte, enc func([]byte) []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if err := server.WriteFrame(c.bw, typ, payload); err != nil {
+	b, err := server.AppendFrame(c.bw.AvailableBuffer(), typ, enc)
+	if err != nil {
+		return err
+	}
+	if _, err := c.bw.Write(b); err != nil {
 		return err
 	}
 	return c.bw.Flush()
 }
 
+// sendRaw sends a frame whose payload is already built.
+func (c *Client) sendRaw(typ byte, payload []byte) error {
+	return c.send(typ, func(b []byte) []byte { return append(b, payload...) })
+}
+
+// readFrame reads one frame into the client's scratch buffer: the payload
+// is valid until the next read, and the decoders copy what they return.
 func (c *Client) readFrame() (byte, []byte, error) {
-	return server.ReadFrame(c.br)
+	typ, payload, err := server.ReadFrameInto(c.br, c.rbuf)
+	if cap(payload) > cap(c.rbuf) {
+		c.rbuf = payload
+	}
+	return typ, payload, err
 }
 
 func decodeWireError(payload []byte) error {

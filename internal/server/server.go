@@ -113,6 +113,11 @@ func Start(db *core.DB, opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	return serve(db, opts, ln), nil
+}
+
+// serve serves db on ln with filled-in options.
+func serve(db *core.DB, opts Options, ln net.Listener) *Server {
 	s := &Server{
 		db:    db,
 		opts:  opts,
@@ -150,7 +155,7 @@ func Start(db *core.DB, opts Options) (*Server, error) {
 
 	s.acceptWG.Add(1)
 	go s.acceptLoop()
-	return s, nil
+	return s
 }
 
 // Addr reports the bound listen address (useful with port 0).
@@ -202,7 +207,7 @@ type srvConn struct {
 	state atomic.Int32
 	nRun  atomic.Int64
 	bytes atomic.Int64
-	fp    atomic.Value // string: Stmt.Fingerprint of the current / last statement
+	fp    atomic.Pointer[string] // Stmt.Fingerprint of the current / last statement
 }
 
 func (c *srvConn) cancelCurrent() {
@@ -226,7 +231,6 @@ func (s *Server) serveConn(nc net.Conn) {
 		started: time.Now(),
 		stmts:   map[uint64]*core.Stmt{},
 	}
-	c.fp.Store("")
 
 	// Handshake: the first frame must be a valid, authenticated hello
 	// within a short deadline.
@@ -237,19 +241,16 @@ func (s *Server) serveConn(nc net.Conn) {
 	}
 	nc.SetReadDeadline(time.Time{})
 	if typ != msgHello {
-		c.sendErr(codeProtocol, "expected hello")
-		c.flush()
+		c.protocolError("expected hello")
 		return
 	}
 	hello, err := decodeHello(payload)
 	if err != nil || hello.Version != ProtoVersion {
-		c.sendErr(codeProtocol, "bad hello")
-		c.flush()
+		c.protocolError("bad hello")
 		return
 	}
 	if s.opts.AuthToken != "" && hello.Token != s.opts.AuthToken {
-		c.sendErr(codeProtocol, "authentication failed")
-		c.flush()
+		c.protocolError("authentication failed")
 		return
 	}
 	c.name = hello.ClientName
@@ -284,41 +285,55 @@ func (s *Server) serveConn(nc net.Conn) {
 		return
 	}
 
-	b := AppendUvarint(nil, ProtoVersion)
-	b = AppendUvarint(b, c.id)
-	if c.send(msgHelloOK, b) != nil || c.flush() != nil {
+	helloOK := func(b []byte) []byte { return AppendUvarint(AppendUvarint(b, ProtoVersion), c.id) }
+	if c.send(msgHelloOK, helloOK) != nil || c.flush() != nil {
 		return
 	}
 
 	// Reader: pulls frames off the socket. Cancel is handled here, out of
 	// band, so it can interrupt the statement the worker is running.
-	// Everything else flows through the bounded request queue.
+	// Everything else flows through the bounded request queue. Payloads
+	// are read into buffers the worker hands back through free once it
+	// has served the request (decoders copy what they keep), so a
+	// connection in its steady state reads without allocating.
 	type request struct {
 		typ     byte
 		payload []byte
 	}
 	reqs := make(chan request, recvQueue)
+	// As many spare buffers as the queue has requests: enough for a
+	// reader running a full queue ahead of the worker.
+	free := make(chan []byte, recvQueue)
 	readerDone := make(chan struct{})
 	go func() {
 		defer close(reqs)
 		defer close(readerDone)
+		var buf []byte
 		for {
-			typ, payload, err := readFrame(c.br)
+			if buf == nil {
+				select {
+				case buf = <-free:
+				default:
+				}
+			}
+			typ, payload, err := readFrameInto(c.br, buf)
 			if err != nil {
 				return
 			}
 			if typ == msgCancel {
 				c.cancelCurrent()
+				buf = payload
 				continue
 			}
 			reqs <- request{typ, payload}
+			buf = nil
 			if typ == msgQuit {
 				return
 			}
 		}
 	}()
 	// The worker owns the write side. When it exits, closing the socket
-	// unblocks a reader in readFrame, and draining the queue unblocks a
+	// unblocks a reader in readFrameInto, and draining the queue unblocks a
 	// reader parked on a full queue.
 	defer func() {
 		nc.Close()
@@ -330,49 +345,59 @@ func (s *Server) serveConn(nc net.Conn) {
 	}()
 
 	for req := range reqs {
-		switch req.typ {
-		case msgQuit:
-			return
-		case msgPrepare:
-			sql, _, err := ReadString(req.payload)
-			if err != nil {
-				c.sendErr(codeProtocol, "bad prepare frame")
-				c.flush()
-				return
-			}
-			// Read once, here; a parse error surfaces when the handle runs.
-			c.nextStmt++
-			c.stmts[c.nextStmt] = s.db.Prepare(sql)
-			if c.send(msgPrepareOK, AppendUvarint(nil, c.nextStmt)) != nil || c.flush() != nil {
-				return
-			}
-		case msgCloseStmt:
-			id, _, err := ReadUvarint(req.payload)
-			if err != nil {
-				c.sendErr(codeProtocol, "bad close frame")
-				c.flush()
-				return
-			}
-			delete(c.stmts, id)
-			if c.send(msgDone, AppendUvarint(nil, 0)) != nil || c.flush() != nil {
-				return
-			}
-		case msgExec:
-			m, err := decodeExec(req.payload)
-			if err != nil {
-				c.sendErr(codeProtocol, "bad exec frame")
-				c.flush()
-				return
-			}
-			if err := c.runStatement(m); err != nil {
-				return
-			}
-		default:
-			c.sendErr(codeProtocol, fmt.Sprintf("unknown message 0x%02x", req.typ))
-			c.flush()
+		if !c.serve(req.typ, req.payload) {
 			return
 		}
+		// A buffer larger than the send/receive buffer size is left to
+		// the collector, which bounds what a connection keeps.
+		if cap(req.payload) <= s.opts.BufSize {
+			select {
+			case free <- req.payload:
+			default:
+			}
+		}
 	}
+}
+
+// serve answers one request from the queue, reporting whether the
+// connection lives on.
+func (c *srvConn) serve(typ byte, payload []byte) bool {
+	switch typ {
+	case msgQuit:
+		return false
+	case msgPrepare:
+		sql, _, err := ReadString(payload)
+		if err != nil {
+			return c.protocolError("bad prepare frame")
+		}
+		// Read once, here; a parse error surfaces when the handle runs.
+		c.nextStmt++
+		c.stmts[c.nextStmt] = c.s.db.Prepare(sql)
+		return c.send(msgPrepareOK, func(b []byte) []byte { return AppendUvarint(b, c.nextStmt) }) == nil && c.flush() == nil
+	case msgCloseStmt:
+		id, _, err := ReadUvarint(payload)
+		if err != nil {
+			return c.protocolError("bad close frame")
+		}
+		delete(c.stmts, id)
+		return c.send(msgDone, func(b []byte) []byte { return AppendUvarint(b, 0) }) == nil && c.flush() == nil
+	case msgExec:
+		m, err := decodeExec(payload)
+		if err != nil {
+			return c.protocolError("bad exec frame")
+		}
+		return c.runStatement(m) == nil
+	default:
+		return c.protocolError(fmt.Sprintf("unknown message 0x%02x", typ))
+	}
+}
+
+// protocolError answers a request the server cannot read; the connection
+// then closes.
+func (c *srvConn) protocolError(text string) bool {
+	c.sendErr(codeProtocol, text)
+	c.flush()
+	return false
 }
 
 // runStatement executes one statement end to end: admission, execution
@@ -422,7 +447,7 @@ func (c *srvConn) runStatement(m execMsg) error {
 		cancel()
 	}()
 
-	c.fp.Store(st.Fingerprint)
+	c.fp.Store(&st.Fingerprint)
 
 	// Read routing, ahead of admission: a statement the router can serve on
 	// a replica never competes for this instance's admission width. Only
@@ -439,7 +464,7 @@ func (c *srvConn) runStatement(m execMsg) error {
 	// Admission: the self-managing gate queues or sheds when the memory
 	// governor's concurrency budget (MPL) is spoken for.
 	qStart := time.Now()
-	release, err := s.gate.admit(ctx)
+	tk, err := s.gate.admit(ctx)
 	s.stQueueUS.Observe(time.Since(qStart).Microseconds())
 	if err != nil {
 		s.stShed.Inc()
@@ -460,7 +485,7 @@ func (c *srvConn) runStatement(m execMsg) error {
 
 	start := time.Now()
 	res, rows, err := c.core.Run(ctx, st, m.Params)
-	release(time.Since(start).Microseconds())
+	s.gate.release(tk, time.Since(start).Microseconds())
 	s.stStmts.Inc()
 	c.nRun.Add(1)
 
@@ -493,27 +518,27 @@ func (c *srvConn) finish() error {
 }
 
 // streamResult streams one statement result: header, then row batches
-// chunked at the engine's batch size, each flushed under the slow-client
-// write deadline, then done.
+// chunked at the engine's batch size, then done. Every batch but the last
+// is flushed under the slow-client write deadline as soon as it is
+// encoded; the last leaves with done, so a one-batch answer is one write.
 func (c *srvConn) streamResult(cols []string, all [][]val.Value, affected int64) error {
 	if len(cols) > 0 {
-		if err := c.send(msgRowHeader, encodeRowHeader(cols)); err != nil {
+		if err := c.send(msgRowHeader, func(b []byte) []byte { return appendRowHeader(b, cols) }); err != nil {
 			return err
 		}
 		for pos := 0; pos < len(all); pos += exec.DefaultBatchSize {
-			end := pos + exec.DefaultBatchSize
-			if end > len(all) {
-				end = len(all)
-			}
-			if err := c.send(msgRowBatch, encodeRowBatch(all[pos:end])); err != nil {
+			batch := all[pos:min(pos+exec.DefaultBatchSize, len(all))]
+			if err := c.send(msgRowBatch, func(b []byte) []byte { return appendRowBatch(b, batch) }); err != nil {
 				return err
 			}
-			if err := c.flush(); err != nil {
-				return err
+			if pos+len(batch) < len(all) {
+				if err := c.flush(); err != nil {
+					return err
+				}
 			}
 		}
 	}
-	if err := c.send(msgDone, appendVarint(nil, affected)); err != nil {
+	if err := c.send(msgDone, func(b []byte) []byte { return appendVarint(b, affected) }); err != nil {
 		return err
 	}
 	return c.finish()
@@ -534,25 +559,39 @@ func classify(err error) (code byte, retryable bool) {
 	}
 }
 
-func (c *srvConn) send(typ byte, payload []byte) error {
-	c.nc.SetWriteDeadline(time.Now().Add(c.s.opts.SendTimeout))
-	err := writeFrame(c.bw, typ, payload)
-	n := int64(len(payload) + 5)
-	c.bytes.Add(n)
-	c.s.stBytes.Add(uint64(n))
+// send adds one frame to the send buffer, its payload encoded by enc
+// straight into the buffer's free room. No frame leaves through a bufio
+// auto-flush: one that outgrows the room goes out through write, after
+// the frames ahead of it, under the write deadline.
+func (c *srvConn) send(typ byte, enc func([]byte) []byte) error {
+	b, err := appendFrame(c.bw.AvailableBuffer(), typ, enc)
 	if err != nil {
-		c.noteSendFailure(err)
+		return err
 	}
+	c.bytes.Add(int64(len(b)))
+	c.s.stBytes.Add(uint64(len(b)))
+	if len(b) > c.bw.Available() {
+		return c.write(b)
+	}
+	_, err = c.bw.Write(b) // b is the buffer's own room: this only advances it
 	return err
 }
 
 // flush pushes buffered frames into the socket under the write deadline,
 // charging the blocked time to the net.send wait event. A client that
 // cannot drain the bounded buffer within the deadline is disconnected.
-func (c *srvConn) flush() error {
+func (c *srvConn) flush() error { return c.write(nil) }
+
+// write is flush followed by frame, one that did not fit the room left in
+// the buffer: it is buffered if the emptied buffer holds it and goes
+// straight to the socket otherwise, under the same deadline and charge.
+func (c *srvConn) write(frame []byte) error {
 	start := time.Now()
 	c.nc.SetWriteDeadline(time.Now().Add(c.s.opts.SendTimeout))
 	err := c.bw.Flush()
+	if err == nil && len(frame) > 0 {
+		_, err = c.bw.Write(frame)
+	}
 	c.nc.SetWriteDeadline(time.Time{})
 	if fl := c.s.db.FlightRecorder(); fl.Enabled() {
 		fl.ObserveWait(flightrec.WaitNetSend, time.Since(start).Microseconds())
@@ -571,7 +610,7 @@ func (c *srvConn) noteSendFailure(err error) {
 }
 
 func (c *srvConn) sendErr(code byte, text string) error {
-	return c.send(msgError, errMsg{Code: code, Message: text}.encode())
+	return c.send(msgError, func(b []byte) []byte { return errMsg{Code: code, Message: text}.append(b) })
 }
 
 // --- sys.connections -------------------------------------------------------
@@ -599,7 +638,10 @@ func (s *Server) connectionsTable() ([]table.Column, []exec.Row) {
 		if connState(c.state.Load()) == connActive {
 			state = "active"
 		}
-		fp, _ := c.fp.Load().(string)
+		fp := ""
+		if p := c.fp.Load(); p != nil {
+			fp = *p
+		}
 		rows = append(rows, exec.Row{
 			val.NewInt(int64(c.id)),
 			val.NewStr(c.nc.RemoteAddr().String()),

@@ -19,7 +19,7 @@ import (
 
 // startServer opens an in-memory database and serves it, tearing both
 // down with the test.
-func startServer(t *testing.T, dbOpts core.Options, srvOpts server.Options) (*core.DB, *server.Server) {
+func startServer(t testing.TB, dbOpts core.Options, srvOpts server.Options) (*core.DB, *server.Server) {
 	t.Helper()
 	db, err := core.Open(dbOpts)
 	if err != nil {
@@ -39,7 +39,7 @@ func startServer(t *testing.T, dbOpts core.Options, srvOpts server.Options) (*co
 	return db, srv
 }
 
-func dial(t *testing.T, srv *server.Server, opts client.Options) *client.Client {
+func dial(t testing.TB, srv *server.Server, opts client.Options) *client.Client {
 	t.Helper()
 	c, err := client.Dial(srv.Addr().String(), opts)
 	if err != nil {
@@ -304,7 +304,7 @@ func TestServerTransactionsOverWire(t *testing.T) {
 	}
 }
 
-func mustExec(t *testing.T, c *client.Client, sql string) {
+func mustExec(t testing.TB, c *client.Client, sql string) {
 	t.Helper()
 	if _, err := c.Exec(sql); err != nil {
 		t.Fatalf("%s: %v", sql, err)

@@ -11,10 +11,14 @@
 // Payload fields use uvarint/varint integers and uvarint-length-prefixed
 // strings. A frame larger than MaxFrame is a protocol error and closes the
 // connection. The codec is pure (no I/O in the encode/decode helpers) so
-// it can be fuzzed directly.
+// it can be fuzzed directly. Encoders append to the caller's slice, so a
+// frame is built in the send buffer it leaves from (appendFrame), and a
+// frame can be read into a recycled buffer (readFrameInto) because
+// decoders copy out every string they keep.
 package server
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -66,36 +70,102 @@ const (
 // end of the payload.
 var errFrameTruncated = errors.New("server: truncated frame payload")
 
-// writeFrame writes one frame. The caller owns buffering and flushing.
+// frameHeader is the size of a frame's length and type prefix.
+const frameHeader = 5
+
+func errFrameSize(n uint64) error {
+	return fmt.Errorf("server: frame payload %d exceeds limit %d", n, MaxFrame)
+}
+
+// appendHeader appends the header of a frame with an n-byte payload.
+func appendHeader(b []byte, typ byte, n int) []byte {
+	return append(binary.LittleEndian.AppendUint32(b, uint32(n)), typ)
+}
+
+// appendFrame appends one frame to b: the header, the payload enc appends
+// after it, and the payload's length patched into the header. Both ends
+// build their frames in their bufio.Writer's AvailableBuffer, so a frame
+// is encoded where it is sent from; one that outgrows that room is moved
+// by append, which is correct but allocates.
+func appendFrame(b []byte, typ byte, enc func([]byte) []byte) ([]byte, error) {
+	at := len(b)
+	b = enc(appendHeader(b, typ, 0))
+	n := len(b) - at - frameHeader
+	if n > MaxFrame {
+		return b[:at], errFrameSize(uint64(n))
+	}
+	binary.LittleEndian.PutUint32(b[at:], uint32(n))
+	return b, nil
+}
+
+// writeFrame writes one frame; the caller owns flushing. Into a
+// *bufio.Writer the header is built in the buffer's free room.
 func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	if len(payload) > MaxFrame {
-		return fmt.Errorf("server: frame payload %d exceeds limit %d", len(payload), MaxFrame)
+		return errFrameSize(uint64(len(payload)))
 	}
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
+	var b []byte
+	if bw, ok := w.(*bufio.Writer); ok {
+		b = bw.AvailableBuffer()
+	}
+	if _, err := w.Write(appendHeader(b, typ, len(payload))); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
 	return err
 }
 
-// readFrame reads one frame, enforcing the payload cap.
+// readFrame reads one frame into a new payload, enforcing the payload cap.
+// From a *bufio.Reader the header is read in place (readFrameInto).
 func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
-	var hdr [5]byte
+	if br, ok := r.(*bufio.Reader); ok {
+		return readFrameInto(br, nil)
+	}
+	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
-	if n > MaxFrame {
-		return 0, nil, fmt.Errorf("server: frame payload %d exceeds limit %d", n, MaxFrame)
-	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if payload, err = readPayload(r, binary.LittleEndian.Uint32(hdr[:]), nil); err != nil {
 		return 0, nil, err
 	}
 	return hdr[4], payload, nil
+}
+
+// readFrameInto reads one frame from br. The header is peeked in br's own
+// buffer, and the payload is read into buf's storage when it has the
+// capacity (a new slice otherwise), so the payload is valid only until buf
+// is reused: decoders copy every string they keep out of it.
+func readFrameInto(br *bufio.Reader, buf []byte) (typ byte, payload []byte, err error) {
+	hdr, err := br.Peek(frameHeader)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return 0, nil, err
+	}
+	typ, n := hdr[4], binary.LittleEndian.Uint32(hdr)
+	br.Discard(frameHeader) // buffered by the Peek: cannot fail
+	if payload, err = readPayload(br, n, buf); err != nil {
+		return 0, nil, err
+	}
+	return typ, payload, nil
+}
+
+// readPayload reads an n-byte payload into buf's storage when it has the
+// capacity, into a new slice otherwise. A length past MaxFrame is refused
+// before anything payload-sized is allocated.
+func readPayload(r io.Reader, n uint32, buf []byte) ([]byte, error) {
+	if n > MaxFrame {
+		return nil, errFrameSize(uint64(n))
+	}
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return nil, err
+	}
+	return payload, nil
 }
 
 // --- payload primitives ----------------------------------------------------
@@ -251,8 +321,8 @@ type helloMsg struct {
 	DeadlineUS uint64 // default per-statement deadline, 0 = server default
 }
 
-func (m helloMsg) encode() []byte {
-	b := AppendUvarint(nil, m.Version)
+func (m helloMsg) append(b []byte) []byte {
+	b = AppendUvarint(b, m.Version)
 	b = AppendString(b, m.Token)
 	b = AppendString(b, m.ClientName)
 	return AppendUvarint(b, m.DeadlineUS)
@@ -279,8 +349,8 @@ type execMsg struct {
 	Params     []val.Value
 }
 
-func (m execMsg) encode() []byte {
-	b := AppendUvarint(nil, m.StmtID)
+func (m execMsg) append(b []byte) []byte {
+	b = AppendUvarint(b, m.StmtID)
 	b = AppendString(b, m.SQL)
 	b = AppendUvarint(b, m.DeadlineUS)
 	return appendValues(b, m.Params)
@@ -305,9 +375,8 @@ type errMsg struct {
 	Message string
 }
 
-func (m errMsg) encode() []byte {
-	b := []byte{m.Code}
-	return AppendString(b, m.Message)
+func (m errMsg) append(b []byte) []byte {
+	return AppendString(append(b, m.Code), m.Message)
 }
 
 func decodeErr(b []byte) (m errMsg, err error) {
@@ -319,8 +388,8 @@ func decodeErr(b []byte) (m errMsg, err error) {
 	return m, err
 }
 
-func encodeRowHeader(cols []string) []byte {
-	b := AppendUvarint(nil, uint64(len(cols)))
+func appendRowHeader(b []byte, cols []string) []byte {
+	b = AppendUvarint(b, uint64(len(cols)))
 	for _, c := range cols {
 		b = AppendString(b, c)
 	}
@@ -346,8 +415,8 @@ func decodeRowHeader(b []byte) ([]string, error) {
 	return cols, nil
 }
 
-func encodeRowBatch(rows [][]val.Value) []byte {
-	b := AppendUvarint(nil, uint64(len(rows)))
+func appendRowBatch(b []byte, rows [][]val.Value) []byte {
+	b = AppendUvarint(b, uint64(len(rows)))
 	for _, r := range rows {
 		b = appendValues(b, r)
 	}

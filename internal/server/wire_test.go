@@ -1,13 +1,24 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"anywheredb/internal/val"
 )
+
+// Shorthands for encoding a payload on its own.
+func (m helloMsg) encode() []byte              { return m.append(nil) }
+func (m execMsg) encode() []byte               { return m.append(nil) }
+func (m errMsg) encode() []byte                { return m.append(nil) }
+func encodeRowHeader(cols []string) []byte     { return appendRowHeader(nil, cols) }
+func encodeRowBatch(rows [][]val.Value) []byte { return appendRowBatch(nil, rows) }
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
@@ -24,6 +35,35 @@ func TestFrameRoundTrip(t *testing.T) {
 		if typ != msgExec || !bytes.Equal(got, p) {
 			t.Fatalf("round trip mismatch: typ=%#x len=%d want %d", typ, len(got), len(p))
 		}
+	}
+}
+
+// TestBufferedFrameIOAllocatesOnlyThePayload: through a bufio pair, as the
+// replication stream uses them, a frame's header is written and read in
+// the buffers themselves.
+func TestBufferedFrameIOAllocatesOnlyThePayload(t *testing.T) {
+	payload := bytes.Repeat([]byte{0x5a}, 100)
+	bw := bufio.NewWriter(io.Discard)
+	if n := testing.AllocsPerRun(100, func() {
+		if err := WriteFrame(bw, msgExec, payload); err != nil {
+			t.Fatal(err)
+		}
+		bw.Flush()
+	}); n != 0 {
+		t.Errorf("writing a frame allocates %.1f objects, want 0", n)
+	}
+	var frame bytes.Buffer
+	writeFrame(&frame, msgExec, payload)
+	r := bytes.NewReader(frame.Bytes())
+	br := bufio.NewReader(r)
+	if n := testing.AllocsPerRun(100, func() {
+		r.Reset(frame.Bytes())
+		br.Reset(r)
+		if _, got, err := ReadFrame(br); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("read %x, %v", got, err)
+		}
+	}); n != 1 {
+		t.Errorf("reading a frame allocates %.1f objects, want 1 (the payload)", n)
 	}
 }
 
@@ -155,9 +195,29 @@ func TestDecodersRejectTruncation(t *testing.T) {
 
 // --- fuzz targets ----------------------------------------------------------
 
-// FuzzFrameDecode throws raw bytes at the frame reader: it must never
-// panic, and an accepted frame must re-encode to the same bytes it
-// consumed.
+// sameValues compares two value lists value by value, a DOUBLE by its bit
+// pattern: the codec carries every bit, a NaN's included, and NaN != NaN
+// defeats reflect.DeepEqual. Bits are also stricter than == on ±0.
+func sameValues(a, b []val.Value) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, x := range a {
+		y := b[i]
+		if x.Kind != y.Kind || x.I != y.I || x.S != y.S || math.Float64bits(x.F) != math.Float64bits(y.F) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzFrameDecode throws raw bytes at both frame readers: the plain
+// io.Reader one, and the *bufio.Reader one over a recycled buffer whose
+// capacity is below, equal to and above the frame's. Neither may panic,
+// both must return the same (typ, payload) or both an error, and an
+// accepted frame must re-encode to the bytes it consumed. A length prefix
+// past MaxFrame is refused by both before anything payload-sized is
+// allocated.
 func FuzzFrameDecode(f *testing.F) {
 	seed := func(typ byte, payload []byte) []byte {
 		var buf bytes.Buffer
@@ -170,8 +230,44 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(seed(msgError, errMsg{Code: codeRetry, Message: "x"}.encode()))
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0x01})
 	f.Add([]byte{})
+	f.Add([]byte{0x03, 0x00, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var before runtime.MemStats
+		n := -1
+		if len(data) >= frameHeader {
+			n = int(binary.LittleEndian.Uint32(data))
+		}
+		if n > MaxFrame {
+			runtime.ReadMemStats(&before)
+		}
 		typ, payload, err := readFrame(bytes.NewReader(data))
+		// Recycled buffers of the frame's size, one byte short and one
+		// over, filled with stale bytes; only sizes the input can hold, so
+		// a hostile length makes the test itself allocate nothing big.
+		spares := []int{0}
+		if n >= 0 && n+frameHeader <= len(data) {
+			spares = append(spares, max(n-1, 0), n, n+1)
+		}
+		for _, size := range spares {
+			buf := bytes.Repeat([]byte{0xee}, size)
+			typ2, payload2, err2 := readFrameInto(bufio.NewReaderSize(bytes.NewReader(data), 16), buf)
+			if (err == nil) != (err2 == nil) {
+				t.Fatalf("spare %d: plain reader err %v, buffered reader err %v", size, err, err2)
+			}
+			if err == nil && (typ2 != typ || !bytes.Equal(payload2, payload)) {
+				t.Fatalf("spare %d: buffered reader read 0x%02x %x, plain 0x%02x %x", size, typ2, payload2, typ, payload)
+			}
+			if err == nil && n > 0 && size >= n && &payload2[0] != &buf[0] {
+				t.Fatalf("a %d-byte payload did not reuse a %d-byte buffer", n, size)
+			}
+		}
+		if n > MaxFrame {
+			var after runtime.MemStats
+			runtime.ReadMemStats(&after)
+			if err == nil || after.TotalAlloc-before.TotalAlloc > MaxFrame/4 {
+				t.Fatalf("length %d: err %v after allocating %d bytes", n, err, after.TotalAlloc-before.TotalAlloc)
+			}
+		}
 		if err != nil {
 			return
 		}
@@ -183,6 +279,27 @@ func FuzzFrameDecode(f *testing.F) {
 			t.Fatalf("re-encode mismatch")
 		}
 	})
+}
+
+// TestFrameTruncatedHeader: a stream that ends inside a header is
+// io.ErrUnexpectedEOF on both readers, and one that ends before a header
+// is io.EOF.
+func TestFrameTruncatedHeader(t *testing.T) {
+	var frame bytes.Buffer
+	writeFrame(&frame, msgExec, []byte("payload"))
+	for i := 0; i < frameHeader; i++ {
+		want := io.ErrUnexpectedEOF
+		if i == 0 {
+			want = io.EOF
+		}
+		data := frame.Bytes()[:i]
+		if _, _, err := readFrame(bytes.NewReader(data)); err != want {
+			t.Errorf("plain reader, %d header bytes: %v, want %v", i, err, want)
+		}
+		if _, _, err := readFrameInto(bufio.NewReader(bytes.NewReader(data)), make([]byte, 64)); err != want {
+			t.Errorf("buffered reader, %d header bytes: %v, want %v", i, err, want)
+		}
+	}
 }
 
 // FuzzExecDecode round-trips the exec payload decoder (the param codec):
@@ -201,7 +318,7 @@ func FuzzExecDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if !reflect.DeepEqual(m, m2) {
+		if m.StmtID != m2.StmtID || m.SQL != m2.SQL || m.DeadlineUS != m2.DeadlineUS || !sameValues(m.Params, m2.Params) {
 			t.Fatalf("round trip mismatch: %+v vs %+v", m, m2)
 		}
 	})
@@ -222,8 +339,8 @@ func FuzzValueDecode(f *testing.F) {
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("re-decode failed: %v (%d trailing)", err, len(rest))
 		}
-		if !reflect.DeepEqual(got, vs) {
-			t.Fatalf("round trip mismatch")
+		if !sameValues(got, vs) {
+			t.Fatalf("round trip mismatch: %v vs %v", got, vs)
 		}
 	})
 }

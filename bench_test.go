@@ -1,9 +1,9 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation. Each BenchmarkE<n> drives the corresponding experiment from
-// internal/experiments (see DESIGN.md for the per-experiment index and
-// EXPERIMENTS.md for paper-vs-measured results); custom metrics surface the
-// numbers the paper reports. Micro-benchmarks for the core data paths
-// follow.
+// evaluation. Each sub-benchmark of BenchmarkExperiments drives one
+// experiment of internal/experiments (see DESIGN.md for the per-experiment
+// index and EXPERIMENTS.md for paper-vs-measured results); custom metrics
+// surface the numbers the paper reports. Micro-benchmarks for the core data
+// paths follow.
 package anywheredb
 
 import (
@@ -20,59 +20,28 @@ import (
 	"anywheredb/internal/vclock"
 )
 
-// runExp runs one experiment per benchmark iteration, reporting its key
-// metrics through the testing.B metric channel.
-func runExp(b *testing.B, id string) {
-	b.Helper()
-	var last *experiments.Report
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.ByID(id)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = r
-	}
-	for k, v := range last.Metrics {
-		b.ReportMetric(v, k)
+// BenchmarkExperiments runs every registered experiment as a
+// sub-benchmark named by its id (BenchmarkExperiments/E22, …), one
+// experiment per iteration, and reports the key metrics of the last run
+// through the testing.B metric channel. Select one with an anchored
+// pattern: -bench '^BenchmarkExperiments$/^E2$'.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.Registry {
+		b.Run(e.ID, func(b *testing.B) {
+			var last *experiments.Report
+			for i := 0; i < b.N; i++ {
+				r, err := e.Run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				last = r
+			}
+			for k, v := range last.Metrics {
+				b.ReportMetric(v, k)
+			}
+		})
 	}
 }
-
-func BenchmarkE1CacheGovernor(b *testing.B)     { runExp(b, "E1") }
-func BenchmarkE2DefaultDTT(b *testing.B)        { runExp(b, "E2") }
-func BenchmarkE3CalibrateHDD(b *testing.B)      { runExp(b, "E3") }
-func BenchmarkE4CalibrateSD(b *testing.B)       { runExp(b, "E4") }
-func BenchmarkE5RankPreservation(b *testing.B)  { runExp(b, "E5") }
-func BenchmarkE6HundredWayJoin(b *testing.B)    { runExp(b, "E6") }
-func BenchmarkE7DampingAblation(b *testing.B)   { runExp(b, "E7") }
-func BenchmarkE8GovernorQuota(b *testing.B)     { runExp(b, "E8") }
-func BenchmarkE9HistogramFeedback(b *testing.B) { runExp(b, "E9") }
-func BenchmarkE10AdaptiveHashJoin(b *testing.B) { runExp(b, "E10") }
-func BenchmarkE11LowMemory(b *testing.B)        { runExp(b, "E11") }
-func BenchmarkE13Replacement(b *testing.B)      { runExp(b, "E13") }
-func BenchmarkE14PlanCache(b *testing.B)        { runExp(b, "E14") }
-func BenchmarkE15IndexConsultant(b *testing.B)  { runExp(b, "E15") }
-func BenchmarkE16CEMode(b *testing.B)           { runExp(b, "E16") }
-func BenchmarkE17PoolScalability(b *testing.B)  { runExp(b, "E17") }
-func BenchmarkE18ExecThroughput(b *testing.B)   { runExp(b, "E18") }
-func BenchmarkE20CommitThroughput(b *testing.B) { runExp(b, "E20") }
-
-// BenchmarkE21ObservabilityOverhead reports the always-on flight
-// recorder's cost against a disabled-recorder baseline on the E18-style
-// scan+filter stream and the E20-style 16-writer commit storm
-// (scan_overhead_pct / commit_overhead_pct; budget ≤5%).
-func BenchmarkE21ObservabilityOverhead(b *testing.B) { runExp(b, "E21") }
-
-// BenchmarkE22ColumnarScan reports the 10M-row scan+filter comparison of
-// columnar segments (with and without zone-map skipping) against the row
-// heap, plus the differential bit-identity verdict
-// (speedup_zone / speedup_decode / skip_frac / differential_ok).
-func BenchmarkE22ColumnarScan(b *testing.B) { runExp(b, "E22") }
-
-// BenchmarkE23SnapshotReads reports paced-reader throughput against 1..16
-// transfer-writers (snap_reads_per_sec_* / snap_reader_wait_us_* /
-// snap_retention_16w; the snapshot reader must accrue zero lock-wait time,
-// enforced inside the experiment).
-func BenchmarkE23SnapshotReads(b *testing.B) { runExp(b, "E23") }
 
 // --- Micro-benchmarks over the public API ---------------------------------
 

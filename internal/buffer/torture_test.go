@@ -8,9 +8,23 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"anywheredb/internal/faultinject"
 	"anywheredb/internal/page"
 	"anywheredb/internal/store"
 )
+
+// readFault is a fault injector that fails a page read when the function
+// returns an error for that page; every other operation passes through.
+type readFault func(id store.PageID) error
+
+func (f readFault) Fault(op faultinject.Op, arg uint64, _ []byte) ([]byte, error) {
+	if op == faultinject.OpRead {
+		return nil, f(store.PageID(arg))
+	}
+	return nil, nil
+}
+
+func (readFault) Crashpoint(string) error { return nil }
 
 // checkInvariants verifies the pool's structural integrity at quiescence:
 // no lost frames, no double residency of a PageID across shards, free
@@ -99,14 +113,14 @@ func checkInvariants(t *testing.T, p *Pool) {
 func TestPoolTorture(t *testing.T) {
 	var faults atomic.Bool
 	st, err := store.Open(store.Options{
-		Fault: func(op string, id store.PageID) error {
+		Injector: readFault(func(id store.PageID) error {
 			// Fail reads of every 7th page while the fault phase is on, to
 			// drive the miss-path undo concurrently with everything else.
-			if op == "read" && faults.Load() && id.Index()%7 == 0 {
+			if faults.Load() && id.Index()%7 == 0 {
 				return errors.New("injected read fault")
 			}
 			return nil
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,6 +148,7 @@ func TestPoolTorture(t *testing.T) {
 		workers = 8
 		iters   = 600
 	)
+	var failedGets atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -158,6 +173,7 @@ func TestPoolTorture(t *testing.T) {
 				default: // reads; some hit the injected fault and must undo
 					f, err := p.Get(id)
 					if err != nil {
+						failedGets.Add(1)
 						continue
 					}
 					f.RLock()
@@ -174,6 +190,9 @@ func TestPoolTorture(t *testing.T) {
 	}
 	wg.Wait()
 	faults.Store(false)
+	if failedGets.Load() == 0 {
+		t.Fatal("no Get met the injected read fault: the miss-path undo went untested")
+	}
 	checkInvariants(t, p)
 
 	// The pool must still function end to end: every non-faulted page
@@ -206,12 +225,12 @@ func TestGetIOErrorUndo(t *testing.T) {
 	var resizing sync.WaitGroup
 	stop := make(chan struct{})
 	st, err := store.Open(store.Options{
-		Fault: func(op string, id store.PageID) error {
-			if op == "read" && failReads.Load() {
+		Injector: readFault(func(store.PageID) error {
+			if failReads.Load() {
 				return errors.New("injected read fault")
 			}
 			return nil
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -289,14 +308,14 @@ func TestGetConcurrentWaiterOnFailedLoad(t *testing.T) {
 	entered := make(chan struct{}, 1)
 	gate := make(chan struct{})
 	st, err := store.Open(store.Options{
-		Fault: func(op string, id store.PageID) error {
-			if op == "read" && failing.Load() && id == store.PageID(target.Load()) {
+		Injector: readFault(func(id store.PageID) error {
+			if failing.Load() && id == store.PageID(target.Load()) {
 				entered <- struct{}{} // loader is mid-read, frame published
 				<-gate                // hold the load open so the waiter queues up
 				return errors.New("injected read fault")
 			}
 			return nil
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -369,14 +388,14 @@ func TestHitterAfterUndoCompletes(t *testing.T) {
 	entered := make(chan struct{}, 1)
 	gate := make(chan struct{})
 	st, err := store.Open(store.Options{
-		Fault: func(op string, id store.PageID) error {
-			if op == "read" && failing.Load() && id == store.PageID(target.Load()) {
+		Injector: readFault(func(id store.PageID) error {
+			if failing.Load() && id == store.PageID(target.Load()) {
 				entered <- struct{}{} // loader is mid-read, frame published
 				<-gate
 				return errors.New("injected read fault")
 			}
 			return nil
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -455,14 +474,14 @@ func TestFlusherUnpinOfFailedLoad(t *testing.T) {
 	entered := make(chan struct{}, 1)
 	gate := make(chan struct{})
 	st, err := store.Open(store.Options{
-		Fault: func(op string, id store.PageID) error {
-			if op == "read" && failing.Load() && id == store.PageID(target.Load()) {
+		Injector: readFault(func(id store.PageID) error {
+			if failing.Load() && id == store.PageID(target.Load()) {
 				entered <- struct{}{}
 				<-gate
 				return errors.New("injected read fault")
 			}
 			return nil
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)

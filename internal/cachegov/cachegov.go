@@ -14,6 +14,11 @@
 // database grows significantly. On Windows CE the working set is not
 // reported, so a modified law uses the current pool size as the reference
 // input (CE mode).
+//
+// The governor does not schedule itself: each Poll applies the law once,
+// and Interval reports when the next poll is due. The experiments, the
+// examples and the tests drive Poll; nothing in a running engine polls it
+// yet.
 package cachegov
 
 import (
@@ -110,8 +115,7 @@ type Decision struct {
 	Reason     string
 }
 
-// Governor is the feedback controller. Poll performs one control step;
-// Run drives Poll from the virtual clock.
+// Governor is the feedback controller. Poll performs one control step.
 type Governor struct {
 	cfg Config
 	in  Inputs
@@ -289,22 +293,4 @@ func (g *Governor) History() []Decision {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return append([]Decision(nil), g.history...)
-}
-
-// Run polls on the sampling schedule until stop is closed. It is driven
-// entirely by the virtual clock.
-func (g *Governor) Run(stop <-chan struct{}) {
-	for {
-		select {
-		case <-stop:
-			return
-		case <-g.cfg.Clock.After(g.Interval()):
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			g.Poll()
-		}
-	}
 }

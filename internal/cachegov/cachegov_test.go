@@ -3,7 +3,6 @@ package cachegov
 import (
 	"math"
 	"testing"
-	"time"
 
 	"anywheredb/internal/vclock"
 )
@@ -239,26 +238,5 @@ func TestSamplingPeriodSchedule(t *testing.T) {
 	g.NoteDBGrowth()
 	if g.Interval() != DefaultFastInterval {
 		t.Fatal("DB growth should restore fast sampling")
-	}
-}
-
-func TestRunLoopPolls(t *testing.T) {
-	s := newSim()
-	g := New(Config{Clock: s.clk, MaxBytes: 1 << 30}, s.inputs())
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		g.Run(stop)
-		close(done)
-	}()
-	for i := 0; i < 500 && len(g.History()) < 3; i++ {
-		s.clk.Advance(DefaultFastInterval)
-		time.Sleep(time.Millisecond) // let the loop goroutine observe the tick
-	}
-	close(stop)
-	s.clk.Advance(DefaultPollInterval) // unblock the waiter
-	<-done
-	if len(g.History()) < 3 {
-		t.Fatalf("run loop produced %d polls", len(g.History()))
 	}
 }

@@ -122,12 +122,7 @@ type Options struct {
 	// content must not change). Torture tests run with this on.
 	ParanoidRecovery bool
 
-	// ReorgInterval enables the background storage reorganizer: every
-	// interval it inspects the flight recorder's per-table access digests
-	// and promotes scan-heavy, write-light tables to columnar storage.
-	// 0 disables the loop; ReorgOnce still works for explicit passes.
-	ReorgInterval time.Duration
-	// ReorgMinRows is the smallest table the reorganizer will promote
+	// ReorgMinRows is the smallest table a ReorgOnce pass will promote
 	// (default 1024 — below that the heap scan is already cheap).
 	ReorgMinRows int
 
@@ -251,8 +246,8 @@ type DB struct {
 	snapReads  *telemetry.Counter
 	vacReclaim *telemetry.Counter
 
-	// background holds the stop functions of the periodic loops (storage
-	// reorganizer, version vacuum) in the order shutdown stops them.
+	// background holds the stop functions of the periodic loops (today the
+	// version vacuum alone) in the order shutdown stops them.
 	background []func()
 
 	// virtMu guards the registered virtual-table providers: layers above
@@ -576,14 +571,8 @@ func Open(opts Options) (*DB, error) {
 		return n
 	})
 
-	// The background storage reorganizer (a periodic pass over the flight
-	// recorder's access digests: §1's workload-driven physical design,
-	// applied to storage format) and version vacuum (a periodic sweep
-	// freeing row versions below the oldest-snapshot watermark). Shutdown
-	// stops them in this order.
-	if opts.ReorgInterval > 0 && !opts.ReplicaMode {
-		db.background = append(db.background, runEvery(opts.ReorgInterval, func() { db.ReorgOnce() }))
-	}
+	// The background version vacuum: a periodic sweep freeing row versions
+	// below the oldest-snapshot watermark.
 	if opts.VacuumInterval > 0 {
 		db.background = append(db.background, runEvery(opts.VacuumInterval, func() { db.VacuumOnce() }))
 	}
@@ -618,7 +607,7 @@ func runEvery(interval time.Duration, fn func()) (stop func()) {
 }
 
 // stopBackground halts the periodic loops and waits for a pass in flight,
-// so shutdown never races a promotion's checkpoint or a chain unlink.
+// so shutdown never races a chain unlink.
 func (db *DB) stopBackground() {
 	for _, stop := range db.background {
 		stop()

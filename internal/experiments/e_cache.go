@@ -29,9 +29,6 @@ type cacheRig struct {
 	cursor  int
 }
 
-// digest reports every engine counter the experiment moved.
-func (r *cacheRig) digest() []telemetry.Sample { return telemetry.Delta(nil, r.reg.Snapshot()) }
-
 func newCacheRig(totalRAM int64, minP, initP, maxP int, ce, noDamping bool) (*cacheRig, error) {
 	clk := vclock.New()
 	st, err := store.Open(store.Options{})
@@ -129,7 +126,7 @@ func E1CacheGovernor() (*Report, error) {
 			"pool_mb_pressured":   poolAtPeakPressure,
 			"pool_mb_final":       finalMB,
 		},
-		Telemetry: r.digest(),
+		Telemetry: sinceOpen(r.reg),
 	}, nil
 }
 
@@ -139,7 +136,7 @@ func E1CacheGovernor() (*Report, error) {
 // measured for several damping weights. (The law itself is under test; the
 // real pool merely quantizes its output.)
 func E7DampingAblation() (*Report, error) {
-	run := func(damping float64, noDamping bool) (float64, error) {
+	run := func(damping float64, noDamping bool) float64 {
 		clk := vclock.New()
 		var pool int64 = 32 << 20
 		const overhead = 8 << 20
@@ -189,28 +186,18 @@ func E7DampingAblation() (*Report, error) {
 		for i := 1; i < len(sizes); i++ {
 			osc += math.Abs(sizes[i] - sizes[i-1])
 		}
-		return osc / float64(len(sizes)-1), nil
+		return osc / float64(len(sizes)-1)
 	}
 	type row struct {
 		label string
 		osc   float64
 	}
-	var rows []row
-	undamped, err := run(0, true)
-	if err != nil {
-		return nil, err
+	undamped, paper, heavy := run(0, true), run(0.9, false), run(0.5, false)
+	rows := []row{
+		{"no damping (ideal only)", undamped},
+		{"damping 0.9 (Eq. 2)", paper},
+		{"damping 0.5", heavy},
 	}
-	rows = append(rows, row{"no damping (ideal only)", undamped})
-	paper, err := run(0.9, false)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, row{"damping 0.9 (Eq. 2)", paper})
-	heavy, err := run(0.5, false)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, row{"damping 0.5", heavy})
 
 	var sb strings.Builder
 	sb.WriteString("configuration             mean |\u0394pool| MB/poll\n")
@@ -274,6 +261,6 @@ func E16CEMode() (*Report, error) {
 			"pool_mb_grown":  grown,
 			"pool_mb_shrunk": shrunk,
 		},
-		Telemetry: r.digest(),
+		Telemetry: sinceOpen(r.reg),
 	}, nil
 }

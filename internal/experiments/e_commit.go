@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"strings"
 	"sync"
 	"time"
@@ -34,80 +33,51 @@ type commitStats struct {
 // which is always a fresh temp directory) select the engine configuration
 // under test — E21 toggles DisableFlightRecorder.
 func commitThroughput(writers, txnsPerWriter int, opts core.Options) (*commitStats, error) {
-	dir, err := os.MkdirTemp("", "anywheredb-commit-")
+	r, err := openRig(opts, true)
 	if err != nil {
 		return nil, err
 	}
-	defer os.RemoveAll(dir)
-	opts.Dir = dir
-
-	db, err := core.Open(opts)
-	if err != nil {
+	defer r.close()
+	if err := r.exec("CREATE TABLE kv (k INT, v INT)"); err != nil {
 		return nil, err
 	}
-	defer db.Close()
-
-	setup, err := db.Connect()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := setup.Exec("CREATE TABLE kv (k INT, v INT)"); err != nil {
-		return nil, err
-	}
-	setup.Close()
-
 	conns := make([]*core.Conn, writers)
 	for w := range conns {
-		if conns[w], err = db.Connect(); err != nil {
+		if conns[w], err = r.db.Connect(); err != nil {
 			return nil, err
 		}
 		defer conns[w].Close()
 	}
 
-	flushesBefore, _ := db.Telemetry().Value("wal.flushes")
-	groupsBefore, _ := db.Telemetry().Value("wal.group_commits")
-
-	var wg sync.WaitGroup
-	errs := make([]error, writers)
+	flushes, groups := r.moved("wal.flushes"), r.moved("wal.group_commits")
 	start := time.Now()
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			conn := conns[w]
-			base := int64(w) * 1_000_000
-			for i := 0; i < txnsPerWriter; i++ {
-				if _, err := conn.Exec("BEGIN"); err != nil {
-					errs[w] = err
-					return
-				}
-				if _, err := conn.Exec("INSERT INTO kv VALUES (?, ?)",
-					val.NewInt(base+int64(i)), val.NewInt(int64(i))); err != nil {
-					errs[w] = err
-					return
-				}
-				if _, err := conn.Exec("COMMIT"); err != nil {
-					errs[w] = err
-					return
-				}
+	err = drive(writers, nil, func(w int, _ func() bool) error {
+		conn := conns[w]
+		base := int64(w) * 1_000_000
+		for i := 0; i < txnsPerWriter; i++ {
+			if _, err := conn.Exec("BEGIN"); err != nil {
+				return err
 			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
+			if _, err := conn.Exec("INSERT INTO kv VALUES (?, ?)",
+				val.NewInt(base+int64(i)), val.NewInt(int64(i))); err != nil {
+				return err
+			}
+			if _, err := conn.Exec("COMMIT"); err != nil {
+				return err
+			}
 		}
+		return nil
+	})
+	elapsed := time.Since(start)
+	if err != nil {
+		return nil, err
 	}
 
-	flushesAfter, _ := db.Telemetry().Value("wal.flushes")
-	groupsAfter, _ := db.Telemetry().Value("wal.group_commits")
 	commits := float64(writers * txnsPerWriter)
 	return &commitStats{
 		CommitsPerSec:   commits / elapsed.Seconds(),
-		FsyncsPerCommit: float64(flushesAfter-flushesBefore) / commits,
-		GroupCommits:    uint64(groupsAfter - groupsBefore),
+		FsyncsPerCommit: float64(flushes()) / commits,
+		GroupCommits:    uint64(groups()),
 	}, nil
 }
 
@@ -218,22 +188,15 @@ func CommitTorture(cfg CommitTortureConfig) (*CommitTortureResult, error) {
 
 	// Seed the schema, checkpointed durably before torture begins.
 	{
-		db, err := core.Open(core.Options{Dir: cfg.Dir})
+		r, err := openRig(core.Options{Dir: cfg.Dir}, false)
 		if err != nil {
 			return nil, err
 		}
-		conn, err := db.Connect()
+		err = r.exec("CREATE TABLE kv (k INT, v INT)", "CREATE UNIQUE INDEX kv_k ON kv (k)")
+		if cerr := r.close(); err == nil {
+			err = cerr
+		}
 		if err != nil {
-			return nil, err
-		}
-		if _, err := conn.Exec("CREATE TABLE kv (k INT, v INT)"); err != nil {
-			return nil, err
-		}
-		if _, err := conn.Exec("CREATE UNIQUE INDEX kv_k ON kv (k)"); err != nil {
-			return nil, err
-		}
-		conn.Close()
-		if err := db.Close(); err != nil {
 			return nil, err
 		}
 	}
@@ -257,17 +220,12 @@ func CommitTorture(cfg CommitTortureConfig) (*CommitTortureResult, error) {
 	// key range against that writer's model, allowing exactly the writer's
 	// indeterminate transaction to have gone either way.
 	verify := func(cycle int, indets [][]kvOp) error {
-		db, err := core.Open(core.Options{Dir: cfg.Dir, ParanoidRecovery: true})
+		r, err := openRig(core.Options{Dir: cfg.Dir, ParanoidRecovery: true}, false)
 		if err != nil {
 			return fmt.Errorf("cycle %d: clean recovery failed: %w", cycle, err)
 		}
-		defer db.Close()
-		conn, err := db.Connect()
-		if err != nil {
-			return err
-		}
-		defer conn.Close()
-		rows, err := conn.Query("SELECT k, v FROM kv")
+		defer r.close()
+		rows, err := r.conn.Query("SELECT k, v FROM kv")
 		if err != nil {
 			return fmt.Errorf("cycle %d: post-recovery read failed: %w", cycle, err)
 		}

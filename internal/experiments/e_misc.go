@@ -210,7 +210,7 @@ func E13Replacement() (*Report, error) {
 			"lru_hit_rate":   lruRate,
 			"lookaside_hits": float64(after.LookasideHits),
 		},
-		Telemetry: telemetry.Delta(nil, reg.Snapshot()),
+		Telemetry: sinceOpen(reg),
 	}, nil
 }
 
@@ -218,27 +218,22 @@ func E13Replacement() (*Report, error) {
 // traced workload containing a client-side join, the flaw detector, and
 // the Index Consultant's virtual-index evaluation (§5).
 func E15IndexConsultant() (*Report, error) {
-	db, err := core.Open(core.Options{PoolInitPages: 1024, PoolMaxPages: 2048})
+	r, err := openRig(core.Options{PoolInitPages: 1024, PoolMaxPages: 2048}, false)
 	if err != nil {
 		return nil, err
 	}
-	defer db.Close()
-	c, err := db.Connect()
-	if err != nil {
-		return nil, err
-	}
+	defer r.close()
+	db, c := r.db, r.conn
 	tracer := profile.NewTracer()
 	db.SetTracer(tracer)
 
-	if _, err := c.Exec("CREATE TABLE orders (oid INT, cust INT, amount DOUBLE)"); err != nil {
+	if err := r.exec("CREATE TABLE orders (oid INT, cust INT, amount DOUBLE)"); err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(15))
-	rows := make([]string, 8000)
-	for i := range rows {
-		rows[i] = fmt.Sprintf("(%d, %d, %d.0)", i, rng.Intn(400), i)
-	}
-	if err := batchInsert(c, "orders", rows); err != nil {
+	if err := r.load("orders", 8000, 400, func(i int) string {
+		return fmt.Sprintf("(%d, %d, %d.0)", i, rng.Intn(400), i)
+	}); err != nil {
 		return nil, err
 	}
 	if _, err := c.Exec("CREATE STATISTICS orders"); err != nil {
@@ -270,11 +265,11 @@ func E15IndexConsultant() (*Report, error) {
 	}
 	sb.WriteString("index recommendations:\n")
 	var bestBenefit float64
-	for _, r := range recs {
+	for _, rec := range recs {
 		fmt.Fprintf(&sb, "  CREATE INDEX ON %s (%s): est cost %.0f -> %.0f (%.0f%% better)\n",
-			r.Table, strings.Join(r.Columns, ", "), r.CostBefore, r.CostAfter, r.BenefitFrac*100)
-		if r.BenefitFrac > bestBenefit {
-			bestBenefit = r.BenefitFrac
+			rec.Table, strings.Join(rec.Columns, ", "), rec.CostBefore, rec.CostAfter, rec.BenefitFrac*100)
+		if rec.BenefitFrac > bestBenefit {
+			bestBenefit = rec.BenefitFrac
 		}
 	}
 	return &Report{
@@ -286,6 +281,6 @@ func E15IndexConsultant() (*Report, error) {
 			"recommendations":  float64(len(recs)),
 			"best_benefit":     bestBenefit,
 		},
-		Telemetry: engineDigest(db),
+		Telemetry: sinceOpen(db.Telemetry()),
 	}, nil
 }

@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -42,9 +40,7 @@ import (
 const (
 	mvccRows    = 200
 	mvccSeedBal = 100
-	// The digest fingerprint of the reader statement (the normalizer
-	// lowercases function names and spaces out punctuation).
-	mvccFprint = "SELECT sum ( bal ) , count ( * ) FROM acct"
+	mvccQuery   = "SELECT SUM(bal), COUNT(*) FROM acct"
 )
 
 // mvccRun is one grid point's outcome.
@@ -67,143 +63,99 @@ type mvccRun struct {
 // protocol; a paced reader holds its offered load fixed, so the
 // achieved rate moves only when reads block.
 func mvccReadRate(writers int) (*mvccRun, error) {
-	dir, err := os.MkdirTemp("", "anywheredb-e23-")
+	r, err := openRig(core.Options{PoolInitPages: 512, PoolMaxPages: 1024}, true)
 	if err != nil {
 		return nil, err
 	}
-	defer os.RemoveAll(dir)
-	db, err := core.Open(core.Options{
-		Dir:           dir,
-		PoolInitPages: 512,
-		PoolMaxPages:  1024,
-	})
-	if err != nil {
+	defer r.close()
+	if err := r.exec("CREATE TABLE acct (id INT, bal INT)", "CREATE UNIQUE INDEX acct_pk ON acct (id)"); err != nil {
 		return nil, err
 	}
-	defer db.Close()
-	setup, err := db.Connect()
-	if err != nil {
-		return nil, err
-	}
-	defer setup.Close()
-	if _, err := setup.Exec("CREATE TABLE acct (id INT, bal INT)"); err != nil {
-		return nil, err
-	}
-	if _, err := setup.Exec("CREATE UNIQUE INDEX acct_pk ON acct (id)"); err != nil {
-		return nil, err
-	}
-	var sb strings.Builder
-	sb.WriteString("INSERT INTO acct VALUES ")
-	for i := 0; i < mvccRows; i++ {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		fmt.Fprintf(&sb, "(%d, %d)", i, mvccSeedBal)
-	}
-	if _, err := setup.Exec(sb.String()); err != nil {
+	if err := r.load("acct", mvccRows, mvccRows, func(i int) string {
+		return fmt.Sprintf("(%d, %d)", i, mvccSeedBal)
+	}); err != nil {
 		return nil, err
 	}
 
 	const window = 700 * time.Millisecond
-	var stop atomic.Bool
 	var commits atomic.Int64
-	var wg sync.WaitGroup
-	werrs := make([]error, writers)
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wc, err := db.Connect()
+	writer := func(w int, stop func() bool) error {
+		wc, err := r.db.Connect()
+		if err != nil {
+			return err
+		}
+		defer wc.Close()
+		rng := rand.New(rand.NewSource(int64(23*1000 + w)))
+		for !stop() {
+			a := rng.Intn(mvccRows)
+			b := (a + 1 + rng.Intn(mvccRows-1)) % mvccRows
+			if _, err := wc.Exec("BEGIN"); err != nil {
+				continue
+			}
+			_, err := wc.Exec("UPDATE acct SET bal = bal - 1 WHERE id = ?", val.NewInt(int64(a)))
+			if err == nil {
+				time.Sleep(500 * time.Microsecond) // think time, IX held
+				_, err = wc.Exec("UPDATE acct SET bal = bal + 1 WHERE id = ?", val.NewInt(int64(b)))
+			}
+			if err == nil {
+				_, err = wc.Exec("COMMIT")
+			}
 			if err != nil {
-				werrs[w] = err
-				return
+				// Deadlock or lock timeout against a peer: shed and retry.
+				_, _ = wc.Exec("ROLLBACK")
+				continue
 			}
-			defer wc.Close()
-			rng := rand.New(rand.NewSource(int64(23*1000 + w)))
-			for !stop.Load() {
-				a := rng.Intn(mvccRows)
-				b := (a + 1 + rng.Intn(mvccRows-1)) % mvccRows
-				ok := true
-				if _, err := wc.Exec("BEGIN"); err != nil {
-					continue
-				}
-				if _, err := wc.Exec("UPDATE acct SET bal = bal - 1 WHERE id = ?", val.NewInt(int64(a))); err != nil {
-					ok = false
-				}
-				if ok {
-					time.Sleep(500 * time.Microsecond) // think time, IX held
-					if _, err := wc.Exec("UPDATE acct SET bal = bal + 1 WHERE id = ?", val.NewInt(int64(b))); err != nil {
-						ok = false
-					}
-				}
-				if !ok {
-					// Deadlock or lock timeout against a peer: shed and retry.
-					_, _ = wc.Exec("ROLLBACK")
-					continue
-				}
-				if _, err := wc.Exec("COMMIT"); err != nil {
-					_, _ = wc.Exec("ROLLBACK")
-					continue
-				}
-				commits.Add(1)
-				time.Sleep(4 * time.Millisecond)
-			}
-		}(w)
+			commits.Add(1)
+			time.Sleep(4 * time.Millisecond)
+		}
+		return nil
 	}
 
-	rc, err := db.Connect()
-	if err != nil {
-		stop.Store(true)
-		wg.Wait()
-		return nil, err
-	}
-	defer rc.Close()
+	// The reader runs on this goroutine while the writers work; a torn
+	// read ends the window early.
 	run := &mvccRun{}
 	reads := 0
-	const wantSum = mvccRows * mvccSeedBal
-	const readerPace = 1500 * time.Microsecond
-	start := time.Now()
-	deadline := start.Add(window)
-	for time.Now().Before(deadline) {
-		next := time.Now().Add(readerPace)
-		rows, err := rc.Query("SELECT SUM(bal), COUNT(*) FROM acct")
-		if d := time.Until(next); d > 0 {
-			time.Sleep(d)
+	var elapsed time.Duration
+	var torn error
+	reader := func() {
+		const wantSum = mvccRows * mvccSeedBal
+		const readerPace = 1500 * time.Microsecond
+		start := time.Now()
+		deadline := start.Add(window)
+		for time.Now().Before(deadline) {
+			next := time.Now().Add(readerPace)
+			rows, err := r.conn.Query(mvccQuery)
+			if d := time.Until(next); d > 0 {
+				time.Sleep(d)
+			}
+			if err != nil {
+				run.ReadErrors++
+				continue
+			}
+			if got := rows.All(); len(got) != 1 || got[0][0].I != wantSum || got[0][1].I != mvccRows {
+				torn = fmt.Errorf("E23: torn read at %d writers: got %v, want one row [%d %d]",
+					writers, got, wantSum, mvccRows)
+				return
+			}
+			reads++
 		}
-		if err != nil {
-			run.ReadErrors++
-			continue
-		}
-		if r := rows.All(); len(r) != 1 || r[0][0].I != wantSum || r[0][1].I != mvccRows {
-			stop.Store(true)
-			wg.Wait()
-			return nil, fmt.Errorf("E23: torn read at %d writers: got %v, want one row [%d %d]",
-				writers, r, wantSum, mvccRows)
-		}
-		reads++
+		// A slow read can overrun the deadline, so the rate divides by the
+		// time actually spent, not the nominal window.
+		elapsed = time.Since(start)
 	}
-	// A slow read can overrun the deadline, so the rate divides by the
-	// time actually spent, not the nominal window.
-	elapsed := time.Since(start)
-	stop.Store(true)
-	wg.Wait()
-	for _, e := range werrs {
-		if e != nil {
-			return nil, e
-		}
+	if err := drive(writers, reader, writer); err != nil {
+		return nil, err
+	}
+	if torn != nil {
+		return nil, torn
 	}
 	run.ReadsPerSec = float64(reads) / elapsed.Seconds()
 	run.WriterCommits = commits.Load()
-	found := false
-	for _, d := range db.FlightRecorder().Digests().Snapshot() {
-		if d.Fingerprint == mvccFprint {
-			run.ReadLockWaitUS = d.WaitUS[flightrec.WaitLock]
-			found = true
-		}
-	}
+	d, found := r.digest(mvccQuery)
 	if !found && reads > 0 {
-		return nil, fmt.Errorf("E23: reader digest %q missing from the flight recorder", mvccFprint)
+		return nil, fmt.Errorf("E23: reader digest for %q missing from the flight recorder", mvccQuery)
 	}
+	run.ReadLockWaitUS = d.WaitUS[flightrec.WaitLock]
 	return run, nil
 }
 

@@ -2,16 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"anywheredb/internal/core"
 	"anywheredb/internal/flightrec"
 	"anywheredb/internal/repl"
-	"anywheredb/internal/server"
-	"anywheredb/internal/server/client"
 	"anywheredb/internal/val"
 )
 
@@ -41,48 +37,34 @@ type observeScanRun struct {
 // measured path. Best of 3 passes; wall-clock, as the recorder's cost is
 // real CPU the virtual clock does not model.
 func observeScanRate(disable bool) (*observeScanRun, error) {
-	db, err := core.Open(core.Options{
+	r, err := openRig(core.Options{
 		DisableFlightRecorder: disable,
 		PoolInitPages:         1024,
 		PoolMaxPages:          2048,
-	})
+	}, false)
 	if err != nil {
 		return nil, err
 	}
-	defer db.Close()
-	conn, err := db.Connect()
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
+	defer r.close()
 
-	if _, err := conn.Exec("CREATE TABLE t (a INT, b INT)"); err != nil {
+	if err := r.exec("CREATE TABLE t (a INT, b INT)"); err != nil {
 		return nil, err
 	}
-	const rows = 20000
-	for i := 0; i < rows; i += 500 {
-		var sb strings.Builder
-		sb.WriteString("INSERT INTO t VALUES ")
-		for j := i; j < i+500; j++ {
-			if j > i {
-				sb.WriteString(", ")
-			}
-			fmt.Fprintf(&sb, "(%d, %d)", j, j%1000)
-		}
-		if _, err := conn.Exec(sb.String()); err != nil {
-			return nil, err
-		}
+	if err := r.load("t", 20000, 500, func(j int) string {
+		return fmt.Sprintf("(%d, %d)", j, j%1000)
+	}); err != nil {
+		return nil, err
 	}
 
 	const stmts = 300
+	const scan = "SELECT COUNT(*) FROM t WHERE b < %d"
 	best := 0.0
 	for rep := 0; rep < 3; rep++ {
 		start := time.Now()
 		for i := 0; i < stmts; i++ {
 			// Literals vary per statement so the digest-collapse check below
 			// is exercised by the measured workload itself.
-			q := fmt.Sprintf("SELECT COUNT(*) FROM t WHERE b < %d", 1+i%999)
-			rs, err := conn.Query(q)
+			rs, err := r.conn.Query(fmt.Sprintf(scan, 1+i%999))
 			if err != nil {
 				return nil, err
 			}
@@ -96,11 +78,8 @@ func observeScanRate(disable bool) (*observeScanRun, error) {
 	}
 
 	run := &observeScanRun{StmtsPerSec: best}
-	for _, d := range db.FlightRecorder().Digests().Snapshot() {
-		if d.Fingerprint == "SELECT count ( * ) FROM t WHERE b < ?" {
-			d := d
-			run.SelectDigest = &d
-		}
+	if d, ok := r.digest(fmt.Sprintf(scan, 1)); ok {
+		run.SelectDigest = &d
 	}
 	return run, nil
 }
@@ -112,131 +91,74 @@ func observeScanRate(disable bool) (*observeScanRun, error) {
 // conflict, wal.flush from the concurrent commits, buffer.read from the
 // pool-overflow scans.
 func observeWaits() ([]flightrec.WaitStat, error) {
-	dir, err := os.MkdirTemp("", "anywheredb-e21-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	db, err := core.Open(core.Options{
-		Dir:           dir,
+	r, err := openRig(core.Options{
 		PoolMinPages:  16,
 		PoolInitPages: 24,
 		PoolMaxPages:  32,
-	})
+	}, true)
 	if err != nil {
 		return nil, err
 	}
-	defer db.Close()
-	conn, err := db.Connect()
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
+	defer r.close()
 
-	if _, err := conn.Exec("CREATE TABLE t (a INT, b INT, pad TEXT)"); err != nil {
+	if err := r.exec("CREATE TABLE t (a INT, b INT, pad TEXT)"); err != nil {
 		return nil, err
 	}
 	pad := val.NewStr(strings.Repeat("p", 400))
 	for i := 0; i < 600; i++ {
-		if _, err := conn.Exec("INSERT INTO t VALUES (?, ?, ?)",
+		if _, err := r.conn.Exec("INSERT INTO t VALUES (?, ?, ?)",
 			val.NewInt(int64(i)), val.NewInt(int64(i%7)), pad); err != nil {
 			return nil, err
 		}
 	}
 
+	// Eight writers on the hot row, and one reader alongside the writer
+	// storm: its queries acquire MVCC snapshots, exercising the
+	// txn.snapshot wait event.
 	const writers = 8
-	var wg sync.WaitGroup
-	errs := make([]error, writers+1)
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wc, err := db.Connect()
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			defer wc.Close()
-			for i := 0; i < 25; i++ {
-				if _, err := wc.Exec("UPDATE t SET b = ? WHERE a = 0",
-					val.NewInt(int64(i))); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	// One reader alongside the writer storm: its queries acquire MVCC
-	// snapshots, exercising the txn.snapshot wait event.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rc, err := db.Connect()
+	if err := drive(writers+1, nil, func(w int, _ func() bool) error {
+		c, err := r.db.Connect()
 		if err != nil {
-			errs[writers] = err
-			return
+			return err
 		}
-		defer rc.Close()
+		defer c.Close()
 		for i := 0; i < 25; i++ {
-			rows, err := rc.Query("SELECT COUNT(*) FROM t WHERE b = 0")
-			if err != nil {
-				errs[writers] = err
-				return
+			if w == writers {
+				rows, err := c.Query("SELECT COUNT(*) FROM t WHERE b = 0")
+				if err != nil {
+					return err
+				}
+				rows.Close()
+			} else if _, err := c.Exec("UPDATE t SET b = ? WHERE a = 0", val.NewInt(int64(i))); err != nil {
+				return err
 			}
-			rows.Close()
 		}
-	}()
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
-		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 
 	// The network server's send path is part of the wait taxonomy too
 	// (net.send accrues on every result-frame flush): attach an in-proc
 	// server and pull one result set through a real socket.
-	srv, err := server.Start(db, server.Options{})
-	if err != nil {
+	if err := r.serve(); err != nil {
 		return nil, err
 	}
-	defer srv.Close()
-	cl, err := client.Dial(srv.Addr().String(), client.Options{})
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Close()
-	if _, err := cl.Query("SELECT COUNT(*) FROM t"); err != nil {
+	if _, err := r.admin.Query("SELECT COUNT(*) FROM t"); err != nil {
 		return nil, err
 	}
 
 	// So is the replication shipper's (net.ship accrues on every frame the
 	// primary pushes): attach a log-shipping replica and let it sync over
 	// the WAL the writer storm produced.
-	replDir, err := os.MkdirTemp("", "anywheredb-e21-repl-")
-	if err != nil {
+	if err := r.ship(repl.PrimaryOptions{}); err != nil {
 		return nil, err
 	}
-	defer os.RemoveAll(replDir)
-	prim, err := repl.StartPrimary(db, repl.PrimaryOptions{})
-	if err != nil {
-		return nil, err
-	}
-	defer prim.Close()
-	rep, err := repl.StartReplica(repl.ReplicaOptions{
-		Dir:         replDir,
-		PrimaryAddr: prim.Addr().String(),
-		Name:        "e21-witness",
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer rep.Stop()
-	if !rep.WaitReady(30 * time.Second) {
-		return nil, fmt.Errorf("E21: replica never caught up")
+	if _, _, err := r.replica("e21-witness", core.Options{}, 30*time.Second); err != nil {
+		return nil, fmt.Errorf("E21: %w", err)
 	}
 
-	return db.FlightRecorder().Waits().Snapshot(), nil
+	return r.db.FlightRecorder().Waits().Snapshot(), nil
 }
 
 // E21ObservabilityOverhead measures what the always-on flight recorder

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"anywheredb/internal/core"
@@ -11,52 +12,48 @@ import (
 	"anywheredb/internal/flightrec"
 	"anywheredb/internal/opt"
 	"anywheredb/internal/sqlparse"
-	"anywheredb/internal/telemetry"
 	"anywheredb/internal/vclock"
 )
 
-// engineDigest reports every engine counter a core.DB-backed experiment
-// moved (the registry is born with the database, so the delta is against
-// zero).
-func engineDigest(db *core.DB) []telemetry.Sample {
-	return telemetry.Delta(nil, db.Telemetry().Snapshot())
-}
-
-// openRigDB opens an in-memory engine over a simulated HDD so virtual I/O
+// openHDDRig opens an in-memory engine over a simulated HDD so virtual I/O
 // time is measurable.
-func openRigDB(poolPages int) (*core.DB, *core.Conn, error) {
+func openHDDRig(poolPages int) (*rig, error) {
 	clk := vclock.New()
-	db, err := core.Open(core.Options{
+	return openRig(core.Options{
 		Clock:         clk,
 		Device:        device.NewHDD(device.Barracuda7200(), clk),
 		PoolMinPages:  16,
 		PoolInitPages: poolPages,
 		PoolMaxPages:  poolPages,
 		CPURowCost:    1,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	c, err := db.Connect()
-	if err != nil {
-		db.Close()
-		return nil, nil, err
-	}
-	return db, c, nil
+	}, false)
 }
 
-func batchInsert(c *core.Conn, tbl string, rows []string) error {
-	const batch = 400
-	for lo := 0; lo < len(rows); lo += batch {
-		hi := lo + batch
-		if hi > len(rows) {
-			hi = len(rows)
+// seedChain creates tables prefix0, prefix1, … (k INT, v INT), fills the
+// i-th with sizes[i] rows rendered by row, gathers its statistics when
+// stats is set, and returns the COUNT(*) query joining the tables in a
+// chain on k.
+func seedChain(r *rig, prefix string, sizes []int, stats bool, row func(j int) string) (string, error) {
+	var from, where []string
+	for i, n := range sizes {
+		t := fmt.Sprintf("%s%d", prefix, i)
+		if err := r.exec(fmt.Sprintf("CREATE TABLE %s (k INT, v INT)", t)); err != nil {
+			return "", err
 		}
-		if _, err := c.Exec("INSERT INTO " + tbl + " VALUES " + strings.Join(rows[lo:hi], ", ")); err != nil {
-			return err
+		if err := r.load(t, n, 400, row); err != nil {
+			return "", err
 		}
+		if stats {
+			if err := r.exec("CREATE STATISTICS " + t); err != nil {
+				return "", err
+			}
+		}
+		if i > 0 {
+			where = append(where, fmt.Sprintf("%s.k = %s.k", from[i-1], t))
+		}
+		from = append(from, t)
 	}
-	return nil
+	return "SELECT COUNT(*) FROM " + strings.Join(from, ", ") + " WHERE " + strings.Join(where, " AND "), nil
 }
 
 // E5RankPreservation measures the Eq. 3 property: over random plan pairs
@@ -64,47 +61,37 @@ func batchInsert(c *core.Conn, tbl string, rows []string) error {
 // (virtual-time) ordering? The paper's cost model aims at rank
 // preservation, not absolute accuracy.
 func E5RankPreservation() (*Report, error) {
-	db, c, err := openRigDB(512)
+	r, err := openHDDRig(512)
 	if err != nil {
 		return nil, err
 	}
-	defer db.Close()
+	defer r.close()
+	db := r.db
 
 	// Schema: three joined tables with varied sizes and an index.
-	stmts := []string{
+	if err := r.exec(
 		"CREATE TABLE r (k INT, a INT)",
 		"CREATE TABLE s (k INT, b INT)",
 		"CREATE TABLE u (k INT, c INT)",
-	}
-	for _, s := range stmts {
-		if _, err := c.Exec(s); err != nil {
-			return nil, err
-		}
+	); err != nil {
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(5))
-	mkRows := func(n, dom int) []string {
-		rows := make([]string, n)
-		for i := range rows {
-			rows[i] = fmt.Sprintf("(%d, %d)", rng.Intn(dom), i)
-		}
-		return rows
-	}
-	if err := batchInsert(c, "r", mkRows(4000, 500)); err != nil {
-		return nil, err
-	}
-	if err := batchInsert(c, "s", mkRows(800, 500)); err != nil {
-		return nil, err
-	}
-	if err := batchInsert(c, "u", mkRows(150, 500)); err != nil {
-		return nil, err
-	}
-	for _, s := range []string{
-		"CREATE STATISTICS r", "CREATE STATISTICS s", "CREATE STATISTICS u",
-		"CREATE INDEX r_k ON r (k)", "CREATE INDEX s_k ON s (k)",
-	} {
-		if _, err := c.Exec(s); err != nil {
+	for _, t := range []struct {
+		name string
+		n    int
+	}{{"r", 4000}, {"s", 800}, {"u", 150}} {
+		if err := r.load(t.name, t.n, 400, func(i int) string {
+			return fmt.Sprintf("(%d, %d)", rng.Intn(500), i)
+		}); err != nil {
 			return nil, err
 		}
+	}
+	if err := r.exec(
+		"CREATE STATISTICS r", "CREATE STATISTICS s", "CREATE STATISTICS u",
+		"CREATE INDEX r_k ON r (k)", "CREATE INDEX s_k ON s (k)",
+	); err != nil {
+		return nil, err
 	}
 
 	// Enumerate several alternative plans for one query by forcing
@@ -215,7 +202,7 @@ func E5RankPreservation() (*Report, error) {
 		Title:     "Cost model rank preservation (Eq. 3)",
 		Table:     sb.String(),
 		Metrics:   map[string]float64{"concordance": conc, "decisive_concordance": decConc},
-		Telemetry: engineDigest(db),
+		Telemetry: sinceOpen(db.Telemetry()),
 	}, nil
 }
 
@@ -224,42 +211,21 @@ func E5RankPreservation() (*Report, error) {
 // memory: the enumerator is depth-first so its state is the current path.
 func E6HundredWayJoin() (*Report, error) {
 	// 3 MB pool = 768 pages of 4 KB.
-	db, c, err := openRigDB(768)
+	r, err := openHDDRig(768)
 	if err != nil {
 		return nil, err
 	}
-	defer db.Close()
+	defer r.close()
+	db, c := r.db, r.conn
 
 	const n = 100
-	for i := 0; i < n; i++ {
-		if _, err := c.Exec(fmt.Sprintf("CREATE TABLE t%d (k INT, v INT)", i)); err != nil {
-			return nil, err
-		}
-		var rows []string
-		for r := 0; r < 3; r++ {
-			rows = append(rows, fmt.Sprintf("(%d, %d)", r, r))
-		}
-		if err := batchInsert(c, fmt.Sprintf("t%d", i), rows); err != nil {
-			return nil, err
-		}
+	query, err := seedChain(r, "t", slices.Repeat([]int{3}, n), false, func(j int) string {
+		return fmt.Sprintf("(%d, %d)", j, j)
+	})
+	if err != nil {
+		return nil, err
 	}
-	var sb strings.Builder
-	sb.WriteString("SELECT COUNT(*) FROM ")
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		fmt.Fprintf(&sb, "t%d", i)
-	}
-	sb.WriteString(" WHERE ")
-	for i := 1; i < n; i++ {
-		if i > 1 {
-			sb.WriteString(" AND ")
-		}
-		fmt.Fprintf(&sb, "t%d.k = t%d.k", i-1, i)
-	}
-
-	rows, err := c.Query(sb.String())
+	rows, err := c.Query(query)
 	if err != nil {
 		return nil, err
 	}
@@ -282,7 +248,7 @@ func E6HundredWayJoin() (*Report, error) {
 			"visits":       visits,
 			"approx_bytes": approxBytes,
 		},
-		Telemetry: engineDigest(db),
+		Telemetry: sinceOpen(db.Telemetry()),
 	}, nil
 }
 
@@ -290,39 +256,23 @@ func E6HundredWayJoin() (*Report, error) {
 // quality and search effort, including the no-redistribution and
 // no-pruning ablations.
 func E8GovernorQuota() (*Report, error) {
-	db, c, err := openRigDB(1024)
+	r, err := openHDDRig(1024)
 	if err != nil {
 		return nil, err
 	}
-	defer db.Close()
+	defer r.close()
+	db := r.db
 
 	// A 7-table chain with skewed sizes so order matters.
 	rng := rand.New(rand.NewSource(8))
 	sizes := []int{2000, 100, 1500, 50, 800, 400, 1200}
-	for i, n := range sizes {
-		if _, err := c.Exec(fmt.Sprintf("CREATE TABLE c%d (k INT, v INT)", i)); err != nil {
-			return nil, err
-		}
-		rows := make([]string, n)
-		for r := range rows {
-			rows[r] = fmt.Sprintf("(%d, %d)", rng.Intn(100), r)
-		}
-		if err := batchInsert(c, fmt.Sprintf("c%d", i), rows); err != nil {
-			return nil, err
-		}
-		if _, err := c.Exec(fmt.Sprintf("CREATE STATISTICS c%d", i)); err != nil {
-			return nil, err
-		}
+	query, err := seedChain(r, "c", sizes, true, func(j int) string {
+		return fmt.Sprintf("(%d, %d)", rng.Intn(100), j)
+	})
+	if err != nil {
+		return nil, err
 	}
-	var q strings.Builder
-	q.WriteString("SELECT COUNT(*) FROM c0, c1, c2, c3, c4, c5, c6 WHERE ")
-	for i := 1; i < len(sizes); i++ {
-		if i > 1 {
-			q.WriteString(" AND ")
-		}
-		fmt.Fprintf(&q, "c%d.k = c%d.k", i-1, i)
-	}
-	sel := db.Prepare(q.String()).AST.(*sqlparse.Select)
+	sel := db.Prepare(query).AST.(*sqlparse.Select)
 	ctx := &exec.Ctx{Pool: db.Pool(), St: db.Store(), Clk: db.Clock()}
 
 	type row struct {
@@ -362,8 +312,8 @@ func E8GovernorQuota() (*Report, error) {
 
 	var sb strings.Builder
 	sb.WriteString("configuration                visits   bestPlanCostµs\n")
-	for _, r := range rowsOut {
-		fmt.Fprintf(&sb, "%-27s  %7d  %14.0f\n", r.label, r.visits, r.cost)
+	for _, ro := range rowsOut {
+		fmt.Fprintf(&sb, "%-27s  %7d  %14.0f\n", ro.label, ro.visits, ro.cost)
 	}
 	exhaustCost := rowsOut[len(rowsOut)-2].cost
 	quota1000Cost := rowsOut[2].cost
@@ -376,7 +326,7 @@ func E8GovernorQuota() (*Report, error) {
 			"nopruning_visits":  float64(rowsOut[len(rowsOut)-1].visits),
 			"quota1000_ratio":   quota1000Cost / exhaustCost,
 		},
-		Telemetry: engineDigest(db),
+		Telemetry: sinceOpen(db.Telemetry()),
 	}, nil
 }
 
@@ -384,30 +334,21 @@ func E8GovernorQuota() (*Report, error) {
 // period plan cache against always-reoptimizing, and demonstrates staleness
 // detection after the data shifts.
 func E14PlanCache() (*Report, error) {
-	db, c, err := openRigDB(1024)
+	r, err := openHDDRig(1024)
 	if err != nil {
 		return nil, err
 	}
-	defer db.Close()
-	if _, err := c.Exec("CREATE TABLE p (k INT, v INT)"); err != nil {
-		return nil, err
-	}
-	if _, err := c.Exec("CREATE TABLE qq (k INT, w INT)"); err != nil {
+	defer r.close()
+	db, c := r.db, r.conn
+	if err := r.exec("CREATE TABLE p (k INT, v INT)", "CREATE TABLE qq (k INT, w INT)"); err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(14))
-	rowsA := make([]string, 2000)
-	for i := range rowsA {
-		rowsA[i] = fmt.Sprintf("(%d, %d)", rng.Intn(200), i)
-	}
-	rowsB := make([]string, 500)
-	for i := range rowsB {
-		rowsB[i] = fmt.Sprintf("(%d, %d)", rng.Intn(200), i)
-	}
-	if err := batchInsert(c, "p", rowsA); err != nil {
+	row := func(i int) string { return fmt.Sprintf("(%d, %d)", rng.Intn(200), i) }
+	if err := r.load("p", 2000, 400, row); err != nil {
 		return nil, err
 	}
-	if err := batchInsert(c, "qq", rowsB); err != nil {
+	if err := r.load("qq", 500, 400, row); err != nil {
 		return nil, err
 	}
 	c.Exec("CREATE STATISTICS p")
@@ -475,6 +416,6 @@ func E14PlanCache() (*Report, error) {
 			"plan_us_cached": float64(cachedUS),
 			"plan_us_always": float64(alwaysUS),
 		},
-		Telemetry: engineDigest(db),
+		Telemetry: sinceOpen(db.Telemetry()),
 	}, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"anywheredb/internal/buffer"
@@ -42,31 +41,22 @@ func poolThroughput(frames, npages, g, opsPerG int) (opsPerSec float64, contenti
 	}
 	before := p.Stats().Contention
 
-	var wg sync.WaitGroup
-	errs := make([]error, g)
 	start := time.Now()
-	for w := 0; w < g; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			i := w * 7919 // co-prime stride start: goroutines spread over ids
-			for n := 0; n < opsPerG; n++ {
-				f, err := p.Get(ids[i%len(ids)])
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				p.Unpin(f, false)
-				i++
+	err = drive(g, nil, func(w int, _ func() bool) error {
+		i := w * 7919 // co-prime stride start: goroutines spread over ids
+		for n := 0; n < opsPerG; n++ {
+			f, err := p.Get(ids[i%len(ids)])
+			if err != nil {
+				return err
 			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, e := range errs {
-		if e != nil {
-			return 0, 0, e
+			p.Unpin(f, false)
+			i++
 		}
+		return nil
+	})
+	elapsed := time.Since(start)
+	if err != nil {
+		return 0, 0, err
 	}
 	ops := float64(g * opsPerG)
 	return ops / elapsed.Seconds(), p.Stats().Contention - before, nil

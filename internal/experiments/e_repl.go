@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,8 +9,6 @@ import (
 
 	"anywheredb/internal/core"
 	"anywheredb/internal/repl"
-	"anywheredb/internal/server"
-	"anywheredb/internal/server/client"
 	"anywheredb/internal/val"
 	"anywheredb/internal/vclock"
 )
@@ -75,72 +71,31 @@ func (d *e25SleepDevice) Name() string                         { return "sleepy-
 
 // e25ZeroLostAcks runs claim 1 and returns the number of client-acked
 // inserts, the rows found after promotion, and the primary's
-// repl.sync_degraded count at kill time.
+// repl.sync_degraded count at kill time. A writer that fails for any reason
+// before the kill — it cannot dial, or an insert fails with anything but a
+// shed — fails the run: a retired writer would leave the claim tested by
+// fewer writers than it states.
 func e25ZeroLostAcks() (acked int64, promoted int64, degraded int64, err error) {
-	primDir, err := os.MkdirTemp("", "e25prim")
+	r, err := openRig(core.Options{VacuumInterval: -1}, true)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	defer os.RemoveAll(primDir)
-	replDir, err := os.MkdirTemp("", "e25repl")
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	defer os.RemoveAll(replDir)
-
-	db, err := core.Open(core.Options{Dir: primDir, VacuumInterval: -1})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	prim, err := repl.StartPrimary(db, repl.PrimaryOptions{
+	defer r.close()
+	if err := r.ship(repl.PrimaryOptions{
 		SyncCommit:  true,
 		SyncTimeout: 10 * time.Second, // far beyond the run: a degrade would be a real bug
-	})
+	}); err != nil {
+		return 0, 0, 0, err
+	}
+	if err := r.serve(); err != nil {
+		return 0, 0, 0, err
+	}
+	if err := r.exec("CREATE TABLE soak (w INT, seq INT)"); err != nil {
+		return 0, 0, 0, err
+	}
+	rep, replDir, err := r.replica("e25", core.Options{VacuumInterval: -1}, 30*time.Second)
 	if err != nil {
-		db.Close()
-		return 0, 0, 0, err
-	}
-	srv, err := server.Start(db, server.Options{RouteRead: prim.RouteRead})
-	if err != nil {
-		prim.Close()
-		db.Close()
-		return 0, 0, 0, err
-	}
-
-	admin, err := client.Dial(srv.Addr().String(), client.Options{})
-	if err != nil {
-		srv.Close()
-		prim.Close()
-		db.Close()
-		return 0, 0, 0, err
-	}
-	if _, err := admin.Exec("CREATE TABLE soak (w INT, seq INT)"); err != nil {
-		admin.Close()
-		srv.Close()
-		prim.Close()
-		db.Close()
-		return 0, 0, 0, err
-	}
-	admin.Close()
-
-	rep, err := repl.StartReplica(repl.ReplicaOptions{
-		Dir:         replDir,
-		PrimaryAddr: prim.Addr().String(),
-		Name:        "e25",
-		Core:        core.Options{VacuumInterval: -1},
-	})
-	if err != nil {
-		srv.Close()
-		prim.Close()
-		db.Close()
-		return 0, 0, 0, err
-	}
-	defer rep.Stop()
-	if !rep.WaitReady(30 * time.Second) {
-		srv.Close()
-		prim.Close()
-		db.Close()
-		return 0, 0, 0, fmt.Errorf("E25: replica never finished its sync")
+		return 0, 0, 0, fmt.Errorf("E25: %w", err)
 	}
 
 	// Writers record an insert as acked only after Exec returns success:
@@ -149,66 +104,63 @@ func e25ZeroLostAcks() (acked int64, promoted int64, degraded int64, err error) 
 	type pair struct{ w, seq int64 }
 	var mu sync.Mutex
 	ackedSet := map[pair]bool{}
-	var wg sync.WaitGroup
-	for w := 0; w < e25Writers; w++ {
-		wg.Add(1)
-		go func(w int64) {
-			defer wg.Done()
-			c, err := client.Dial(srv.Addr().String(), client.Options{})
-			if err != nil {
-				return
-			}
-			defer c.Close()
-			for seq := int64(0); ; seq++ {
-				for {
-					_, err := c.Exec("INSERT INTO soak VALUES (?, ?)", val.NewInt(w), val.NewInt(seq))
-					if err == nil {
-						break
-					}
-					if !errors.Is(err, client.ErrRetryable) {
-						return // the kill: no ack, no record
-					}
-					time.Sleep(time.Millisecond)
-				}
-				mu.Lock()
-				ackedSet[pair{w, seq}] = true
-				mu.Unlock()
-			}
-		}(int64(w))
-	}
-	time.Sleep(e25WriteFor)
-
+	var killed atomic.Bool
 	// Kill the primary mid-load, with no checkpoint and no drain. Order
 	// matters for the claim: the SQL server dies first, so no client can
 	// receive an acknowledgement after this point; then the shipper; then
 	// the database, abruptly.
-	srv.Close()
-	prim.Close()
-	degraded, _ = db.Telemetry().Value("repl.sync_degraded")
-	db.Crash()
-	wg.Wait()
+	kill := func() {
+		time.Sleep(e25WriteFor)
+		killed.Store(true)
+		r.srv.Close()
+		r.prim.Close()
+		degraded, _ = r.db.Telemetry().Value("repl.sync_degraded")
+		r.db.Crash()
+	}
+	err = drive(e25Writers, kill, func(w int, _ func() bool) error {
+		c, err := r.dial()
+		if err == nil {
+			defer c.Close()
+		}
+		for seq := int64(0); err == nil; seq++ {
+			err = untilAdmitted(nil, func() error {
+				_, err := c.Exec("INSERT INTO soak VALUES (?, ?)", val.NewInt(int64(w)), val.NewInt(seq))
+				return err
+			})
+			if err == nil {
+				mu.Lock()
+				ackedSet[pair{int64(w), seq}] = true
+				mu.Unlock()
+			}
+		}
+		if killed.Load() {
+			return nil // the kill: no ack, no record
+		}
+		return fmt.Errorf("E25: writer %d failed before the kill: %w", w, err)
+	})
+	if err != nil {
+		return 0, 0, 0, err
+	}
 
 	rep.Stop()
 	pdb, err := repl.Promote(replDir, core.Options{ParanoidRecovery: true, VacuumInterval: -1})
 	if err != nil {
 		return 0, 0, 0, fmt.Errorf("E25: promotion failed: %w", err)
 	}
-	defer pdb.Close()
+	r.push(pdb.Close)
 	conn, err := pdb.Connect()
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	defer conn.Close()
+	r.push(conn.Close)
 	rows, err := conn.Query("SELECT w, seq FROM soak")
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	have := map[pair]bool{}
-	for _, r := range rows.All() {
-		have[pair{r[0].I, r[1].I}] = true
+	for _, row := range rows.All() {
+		have[pair{row[0].I, row[1].I}] = true
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	for p := range ackedSet {
 		if !have[p] {
 			return 0, 0, 0, fmt.Errorf("E25: LOST ACK: insert (%d,%d) was acknowledged to a client but is missing after promotion", p.w, p.seq)
@@ -219,33 +171,6 @@ func e25ZeroLostAcks() (acked int64, promoted int64, degraded int64, err error) 
 		return 0, 0, 0, fmt.Errorf("E25: promoted database refused a write: %w", err)
 	}
 	return int64(len(ackedSet)), int64(len(have)), degraded, nil
-}
-
-// e25Instance is one wait-bound read-serving deployment.
-type e25Instance struct {
-	db       *core.DB
-	prim     *repl.Primary
-	srv      *server.Server
-	replicas []*repl.Replica
-	dirs     []string
-}
-
-func (in *e25Instance) close() {
-	for _, r := range in.replicas {
-		r.Stop()
-	}
-	if in.srv != nil {
-		in.srv.Close()
-	}
-	if in.prim != nil {
-		in.prim.Close()
-	}
-	if in.db != nil {
-		in.db.Close()
-	}
-	for _, d := range in.dirs {
-		os.RemoveAll(d)
-	}
 }
 
 // e25CoreOpts builds the storage-bound instance template: a pool ~5x
@@ -264,134 +189,43 @@ func e25CoreOpts() core.Options {
 	}
 }
 
-// e25Start opens a primary with `nReplicas` routed read replicas (0 = the
-// single-node baseline; reads then run on the primary itself).
-func e25Start(nReplicas int) (*e25Instance, error) {
-	in := &e25Instance{}
-	dir, err := os.MkdirTemp("", "e25read")
+// e25Read opens a primary with `nReplicas` routed read replicas (0 = the
+// single-node baseline; reads then run on the primary itself), fills the
+// scan table — padded rows, so the heap spans ~500 pages against a 96-page
+// pool — and offers the scan from `conns` wire clients for `d`. It counts
+// completions, and how many of them the replicas served.
+func e25Read(nReplicas, conns int, d time.Duration) (completed, routed int64, err error) {
+	r, err := openRig(e25CoreOpts(), true)
 	if err != nil {
-		return nil, err
-	}
-	in.dirs = append(in.dirs, dir)
-	opts := e25CoreOpts()
-	opts.Dir = dir
-	if in.db, err = core.Open(opts); err != nil {
-		in.close()
-		return nil, err
-	}
-	if in.prim, err = repl.StartPrimary(in.db, repl.PrimaryOptions{}); err != nil {
-		in.close()
-		return nil, err
-	}
-	if in.srv, err = server.Start(in.db, server.Options{RouteRead: in.prim.RouteRead}); err != nil {
-		in.close()
-		return nil, err
-	}
-	if err := in.seed(); err != nil {
-		in.close()
-		return nil, err
-	}
-	for i := 0; i < nReplicas; i++ {
-		rdir, err := os.MkdirTemp("", "e25rrep")
-		if err != nil {
-			in.close()
-			return nil, err
-		}
-		in.dirs = append(in.dirs, rdir)
-		r, err := repl.StartReplica(repl.ReplicaOptions{
-			Dir:         rdir,
-			PrimaryAddr: in.prim.Addr().String(),
-			Name:        fmt.Sprintf("read%d", i),
-			Core:        e25CoreOpts(),
-		})
-		if err != nil {
-			in.close()
-			return nil, err
-		}
-		in.replicas = append(in.replicas, r)
-	}
-	for _, r := range in.replicas {
-		if !r.WaitReady(60 * time.Second) {
-			in.close()
-			return nil, fmt.Errorf("E25: read replica never finished its sync")
-		}
-	}
-	return in, nil
-}
-
-// seed fills the scan table: padded rows so the heap spans ~500 pages
-// against a 96-page pool.
-func (in *e25Instance) seed() error {
-	c, err := client.Dial(in.srv.Addr().String(), client.Options{})
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	if _, err := c.Exec("CREATE TABLE big (a INT, pad TEXT)"); err != nil {
-		return err
-	}
-	pad := strings.Repeat("x", e25PadCols)
-	for lo := 0; lo < e25SeedRows; lo += 100 {
-		var sb strings.Builder
-		sb.WriteString("INSERT INTO big VALUES ")
-		for i := lo; i < lo+100 && i < e25SeedRows; i++ {
-			if i > lo {
-				sb.WriteString(", ")
-			}
-			fmt.Fprintf(&sb, "(%d, '%s')", i, pad)
-		}
-		if _, err := c.Exec(sb.String()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// e25Drive offers the scan from `conns` wire clients for `window` and
-// counts completions (plus how many were served by replicas).
-func (in *e25Instance) e25Drive(conns int, window time.Duration) (completed, routed int64, err error) {
-	before, _ := in.db.Telemetry().Value("repl.reads_routed")
-	var stop atomic.Bool
-	var done atomic.Int64
-	errs := make(chan error, conns)
-	var wg sync.WaitGroup
-	for i := 0; i < conns; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c, err := client.Dial(in.srv.Addr().String(), client.Options{})
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer c.Close()
-			for !stop.Load() {
-				rows, err := c.Query(e25ScanQuery)
-				switch {
-				case err == nil:
-					if len(rows.Data) != 1 || rows.Data[0][0].I != 0 {
-						errs <- fmt.Errorf("E25: torn scan result %v", rows.Data)
-						return
-					}
-					done.Add(1)
-				case errors.Is(err, client.ErrRetryable):
-					time.Sleep(time.Millisecond)
-				default:
-					errs <- err
-					return
-				}
-			}
-		}()
-	}
-	time.Sleep(window)
-	stop.Store(true)
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
 		return 0, 0, err
 	}
-	after, _ := in.db.Telemetry().Value("repl.reads_routed")
-	return done.Load(), after - before, nil
+	defer r.close()
+	if err := r.ship(repl.PrimaryOptions{}); err != nil {
+		return 0, 0, err
+	}
+	if err := r.serve(); err != nil {
+		return 0, 0, err
+	}
+	if err := r.exec("CREATE TABLE big (a INT, pad TEXT)"); err != nil {
+		return 0, 0, err
+	}
+	pad := strings.Repeat("x", e25PadCols)
+	if err := r.load("big", e25SeedRows, 100, func(i int) string {
+		return fmt.Sprintf("(%d, '%s')", i, pad)
+	}); err != nil {
+		return 0, 0, err
+	}
+	for i := 0; i < nReplicas; i++ {
+		if _, _, err := r.replica(fmt.Sprintf("read%d", i), e25CoreOpts(), 60*time.Second); err != nil {
+			return 0, 0, fmt.Errorf("E25: %w", err)
+		}
+	}
+
+	routedSince := r.moved("repl.reads_routed")
+	if completed, _, err = r.offer(e25ScanQuery, conns, d); err != nil {
+		return 0, 0, fmt.Errorf("E25: scan client error: %w", err)
+	}
+	return completed, routedSince(), nil
 }
 
 // E25Replication: synchronous WAL shipping survives a primary kill with
@@ -411,12 +245,7 @@ func E25Replication() (*Report, error) {
 	}
 
 	// Claim 2 baseline: the same wait-bound workload on a single node.
-	base, err := e25Start(0)
-	if err != nil {
-		return nil, err
-	}
-	baseDone, baseRouted, err := base.e25Drive(e25ReadConns, e25ReadFor)
-	base.close()
+	baseDone, baseRouted, err := e25Read(0, e25ReadConns, e25ReadFor)
 	if err != nil {
 		return nil, err
 	}
@@ -428,12 +257,7 @@ func E25Replication() (*Report, error) {
 	}
 
 	// Claim 2: three replicas behind the automatic router.
-	fleet, err := e25Start(e25Replicas)
-	if err != nil {
-		return nil, err
-	}
-	fleetDone, fleetRouted, err := fleet.e25Drive(e25ReadConns, e25ReadFor)
-	fleet.close()
+	fleetDone, fleetRouted, err := e25Read(e25Replicas, e25ReadConns, e25ReadFor)
 	if err != nil {
 		return nil, err
 	}

@@ -1,17 +1,13 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"anywheredb/internal/core"
-	"anywheredb/internal/server"
-	"anywheredb/internal/server/client"
 	"anywheredb/internal/val"
 )
 
@@ -48,208 +44,122 @@ const (
 
 const e24Query = "SELECT COUNT(*) FROM big x, big y WHERE x.a + y.a < 0"
 
-// e24Instance is one server-backed database under test.
-type e24Instance struct {
-	db  *core.DB
-	srv *server.Server
-}
-
-func e24Start() (*e24Instance, error) {
-	db, err := core.Open(core.Options{MPL: e24MPL})
-	if err != nil {
-		return nil, err
-	}
-	srv, err := server.Start(db, server.Options{})
-	if err != nil {
-		db.Close()
-		return nil, err
-	}
-	return &e24Instance{db: db, srv: srv}, nil
-}
-
-func (in *e24Instance) close() {
-	in.srv.Close()
-	in.db.Close()
-}
-
-// e24Seed creates and fills the cross-join driver table over the wire.
-func (in *e24Instance) e24Seed() error {
-	c, err := client.Dial(in.srv.Addr().String(), client.Options{})
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	if _, err := c.Exec("CREATE TABLE big (a INT)"); err != nil {
-		return err
-	}
-	for lo := 0; lo < e24Rows; lo += 200 {
-		var sb strings.Builder
-		sb.WriteString("INSERT INTO big VALUES ")
-		for i := lo; i < lo+200 && i < e24Rows; i++ {
-			if i > lo {
-				sb.WriteString(", ")
-			}
-			fmt.Fprintf(&sb, "(%d)", i)
-		}
-		if _, err := c.Exec(sb.String()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// e24P99 reads the driver statement's execution p99 from the flight
-// recorder digest table.
-func (in *e24Instance) e24P99() (int64, error) {
-	for _, d := range in.db.FlightRecorder().Digests().Snapshot() {
-		if strings.HasPrefix(d.Fingerprint, "SELECT") && strings.Contains(d.Fingerprint, "big") {
-			return d.P99US, nil
-		}
-	}
-	return 0, fmt.Errorf("E24: driver statement digest missing from the flight recorder")
+// e24Phase is one load phase: `clients` connections offering the workload
+// for d.
+type e24Phase struct {
+	clients int
+	d       time.Duration
 }
 
 // e24Run is one load phase's outcome.
 type e24Run struct {
 	Completed int64
 	Sheds     int64 // retryable refusals observed by clients
-	BadErrors int64 // anything that was not success or a clean retryable
 	P99US     int64
 }
 
-// e24Drive offers the workload from `clients` connections for `window`,
-// then reports completions, clean sheds, and execution p99. Shed
-// statements are retried after a short backoff, exactly as the wire
-// contract tells clients to.
-func (in *e24Instance) e24Drive(clients int, window time.Duration) (*e24Run, error) {
-	var stop atomic.Bool
-	var completed, sheds, bad atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c, err := client.Dial(in.srv.Addr().String(), client.Options{})
-			if err != nil {
-				bad.Add(1)
-				return
-			}
-			defer c.Close()
-			for !stop.Load() {
-				rows, err := c.Query(e24Query)
-				switch {
-				case err == nil:
-					if len(rows.Data) != 1 || rows.Data[0][0].I != 0 {
-						bad.Add(1) // torn result: the count must always be 0
-						return
-					}
-					completed.Add(1)
-				case errors.Is(err, client.ErrRetryable):
-					sheds.Add(1)
-					time.Sleep(time.Millisecond)
-				default:
-					bad.Add(1)
-					return
-				}
-			}
-		}()
-	}
-	time.Sleep(window)
-	stop.Store(true)
-	wg.Wait()
-	p99, err := in.e24P99()
-	if err != nil && completed.Load() > 0 {
+// e24Phases opens a server-backed database at the gate width under test,
+// fills the cross-join driver table, and runs the phases on it in order.
+// Each reports completions, clean sheds, and the driver statement's
+// execution p99 from the flight recorder digest table as it stands after
+// the phase. Shed statements are retried after a short backoff, exactly as
+// the wire contract tells clients to; anything else that is not a success
+// — a non-retryable error or a torn result — fails the phase.
+func e24Phases(phases ...e24Phase) ([]*e24Run, error) {
+	r, err := openRig(core.Options{MPL: e24MPL}, false)
+	if err != nil {
 		return nil, err
 	}
-	return &e24Run{
-		Completed: completed.Load(),
-		Sheds:     sheds.Load(),
-		BadErrors: bad.Load(),
-		P99US:     p99,
-	}, nil
+	defer r.close()
+	if err := r.serve(); err != nil {
+		return nil, err
+	}
+	if err := r.exec("CREATE TABLE big (a INT)"); err != nil {
+		return nil, err
+	}
+	if err := r.load("big", e24Rows, 200, func(i int) string { return fmt.Sprintf("(%d)", i) }); err != nil {
+		return nil, err
+	}
+	// The seeding connection hangs up before the load: only the phases'
+	// own clients are connected while they are measured.
+	if err := r.admin.Close(); err != nil {
+		return nil, err
+	}
+	var runs []*e24Run
+	for _, ph := range phases {
+		completed, sheds, err := r.offer(e24Query, ph.clients, ph.d)
+		if err != nil {
+			return nil, fmt.Errorf("E24: non-retryable client error: %w", err)
+		}
+		dg, ok := r.digest(e24Query)
+		if !ok && completed > 0 {
+			return nil, fmt.Errorf("E24: driver statement digest missing from the flight recorder")
+		}
+		runs = append(runs, &e24Run{Completed: completed, Sheds: sheds, P99US: dg.P99US})
+	}
+	return runs, nil
 }
 
 // e24Differential runs the 256-connection write soak and checks the final
 // state against an embedded run of the identical logical workload.
 func e24Differential() (acked int64, shedsSeen int64, err error) {
-	in, err := e24Start()
+	r, err := openRig(core.Options{MPL: e24MPL}, false)
 	if err != nil {
 		return 0, 0, err
 	}
-	defer in.close()
-	admin, err := client.Dial(in.srv.Addr().String(), client.Options{})
-	if err != nil {
+	defer r.close()
+	if err := r.serve(); err != nil {
 		return 0, 0, err
 	}
-	defer admin.Close()
-	if _, err := admin.Exec("CREATE TABLE soak (w INT, seq INT)"); err != nil {
+	if err := r.exec("CREATE TABLE soak (w INT, seq INT)"); err != nil {
 		return 0, 0, err
 	}
 
 	var ok, sheds atomic.Int64
-	errs := make(chan error, e24SoakConn)
-	var wg sync.WaitGroup
-	for w := 0; w < e24SoakConn; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			c, err := client.Dial(in.srv.Addr().String(), client.Options{})
-			if err != nil {
-				errs <- err
-				return
+	err = drive(e24SoakConn, nil, func(w int, _ func() bool) error {
+		c, err := r.dial()
+		if err != nil {
+			return err
+		}
+		defer c.Close()
+		for seq := 0; seq < e24SoakPer; seq++ {
+			if err := untilAdmitted(&sheds, func() error {
+				_, err := c.Exec("INSERT INTO soak VALUES (?, ?)", val.NewInt(int64(w)), val.NewInt(int64(seq)))
+				return err
+			}); err != nil {
+				return fmt.Errorf("worker %d seq %d: %w", w, seq, err)
 			}
-			defer c.Close()
-			for seq := 0; seq < e24SoakPer; seq++ {
-				for {
-					_, err := c.Exec("INSERT INTO soak VALUES (?, ?)",
-						val.NewInt(int64(w)), val.NewInt(int64(seq)))
-					if err == nil {
-						ok.Add(1)
-						break
-					}
-					if !errors.Is(err, client.ErrRetryable) {
-						errs <- fmt.Errorf("worker %d seq %d: %w", w, seq, err)
-						return
-					}
-					sheds.Add(1)
-					time.Sleep(time.Millisecond)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
+			ok.Add(1)
+		}
+		return nil
+	})
+	if err != nil {
 		return 0, 0, err
 	}
 
 	// The same logical workload, embedded.
-	edb, err := core.Open(core.Options{})
+	e, err := openRig(core.Options{}, false)
 	if err != nil {
 		return 0, 0, err
 	}
-	defer edb.Close()
-	econn, err := edb.Connect()
-	if err != nil {
-		return 0, 0, err
-	}
-	if _, err := econn.Exec("CREATE TABLE soak (w INT, seq INT)"); err != nil {
+	defer e.close()
+	if err := e.exec("CREATE TABLE soak (w INT, seq INT)"); err != nil {
 		return 0, 0, err
 	}
 	for w := 0; w < e24SoakConn; w++ {
 		for seq := 0; seq < e24SoakPer; seq++ {
-			if _, err := econn.Exec("INSERT INTO soak VALUES (?, ?)",
+			if _, err := e.conn.Exec("INSERT INTO soak VALUES (?, ?)",
 				val.NewInt(int64(w)), val.NewInt(int64(seq))); err != nil {
 				return 0, 0, err
 			}
 		}
 	}
 	for _, agg := range []string{"COUNT(*)", "SUM(w)", "SUM(seq)", "MIN(w)", "MAX(w)"} {
-		got, err := admin.Query("SELECT " + agg + " FROM soak")
+		got, err := r.admin.Query("SELECT " + agg + " FROM soak")
 		if err != nil {
 			return 0, 0, err
 		}
-		want, err := econn.Query("SELECT " + agg + " FROM soak")
+		want, err := e.conn.Query("SELECT " + agg + " FROM soak")
 		if err != nil {
 			return 0, 0, err
 		}
@@ -285,53 +195,30 @@ func E24ServerOverload() (*Report, error) {
 	// which is what "no overload" means at this admission width. (A solo
 	// baseline would instead charge the gate for the width-way timesharing
 	// that exists with or without overload.)
-	base, err := func() (*e24Run, error) {
-		in, err := e24Start()
-		if err != nil {
-			return nil, err
-		}
-		defer in.close()
-		if err := in.e24Seed(); err != nil {
-			return nil, err
-		}
-		return in.e24Drive(width, 1500*time.Millisecond)
-	}()
+	runs, err := e24Phases(e24Phase{width, 1500 * time.Millisecond})
 	if err != nil {
 		return nil, err
 	}
-	if base.BadErrors > 0 || base.Completed == 0 {
-		return nil, fmt.Errorf("E24: baseline run failed: %+v", base)
+	base := runs[0]
+	if base.Completed == 0 {
+		return nil, fmt.Errorf("E24: baseline run completed no statements: %+v", base)
 	}
 
 	// Phase 3: 4× overload with admission on, then a shed storm that
 	// overflows even the bounded queue (width × 16 waiters) on the same
 	// instance — p99 is snapshotted in between.
-	var on, storm *e24Run
-	err = func() error {
-		in, err := e24Start()
-		if err != nil {
-			return err
-		}
-		defer in.close()
-		if err := in.e24Seed(); err != nil {
-			return err
-		}
-		if on, err = in.e24Drive(overload, 2500*time.Millisecond); err != nil {
-			return err
-		}
-		storm, err = in.e24Drive(width*18+4, 800*time.Millisecond)
-		return err
-	}()
+	runs, err = e24Phases(
+		e24Phase{overload, 2500 * time.Millisecond},
+		e24Phase{width*18 + 4, 800 * time.Millisecond},
+	)
 	if err != nil {
 		return nil, err
 	}
+	on, storm := runs[0], runs[1]
 
 	// The load-bearing claims, enforced here rather than in a test so any
-	// reproduction run re-checks them.
-	if on.BadErrors > 0 || storm.BadErrors > 0 {
-		return nil, fmt.Errorf("E24: non-retryable client errors: on=%d storm=%d",
-			on.BadErrors, storm.BadErrors)
-	}
+	// reproduction run re-checks them. (A non-retryable client error or a
+	// torn result already failed the phase it happened in.)
 	if on.P99US > 3*base.P99US {
 		return nil, fmt.Errorf("E24: admission-on p99 %dus exceeds 3x the unsaturated baseline %dus",
 			on.P99US, base.P99US)

@@ -27,6 +27,8 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"anywheredb/internal/telemetry"
@@ -55,7 +57,7 @@ func (r *Report) String() string {
 	fmt.Fprintf(&sb, "== %s: %s ==\n%s\n", r.ID, r.Title, r.Table)
 	if len(r.Metrics) > 0 {
 		sb.WriteString("metrics:")
-		for _, k := range sortedKeys(r.Metrics) {
+		for _, k := range slices.Sorted(maps.Keys(r.Metrics)) {
 			fmt.Fprintf(&sb, " %s=%.4g", k, r.Metrics[k])
 		}
 		sb.WriteString("\n")
@@ -72,19 +74,6 @@ func (r *Report) String() string {
 		}
 	}
 	return sb.String()
-}
-
-func sortedKeys(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 // Entry is one registered experiment.

@@ -191,7 +191,7 @@ func TestExpensiveExperiments(t *testing.T) {
 // TestE22ColumnarScaled drives the E22 harness at a reduced size: the
 // speedup and skip-fraction acceptance gates plus full differential
 // bit-identity (filters, join, aggregate, non-empty delta tail). The
-// full-size (10M-row) run is exercised by BenchmarkE22ColumnarScan and
+// full-size (10M-row) run is exercised by BenchmarkExperiments/E22 and
 // cmd/repro.
 func TestE22ColumnarScaled(t *testing.T) {
 	if testing.Short() {

@@ -103,8 +103,7 @@ func Corrupt(err error) error { return classify(ErrCorrupt, err) }
 // Crashed wraps err as a post-crash failure.
 func Crashed(err error) error { return classify(ErrCrashed, err) }
 
-// Injector intercepts storage operations. It replaces the ad-hoc
-// store.Options.Fault hook (kept as a compatibility adapter in store).
+// Injector intercepts storage operations.
 //
 // Fault is consulted before an operation reaches the backing medium. Its
 // return values form a small protocol:

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"anywheredb/internal/buffer"
+	"anywheredb/internal/faultinject"
 	"anywheredb/internal/store"
 )
 
@@ -244,17 +245,30 @@ func TestHeldListTracksCells(t *testing.T) {
 	}
 }
 
+// readFault is a fault injector that fails a page read when the function
+// returns an error for that page; every other operation passes through.
+type readFault func(id store.PageID) error
+
+func (f readFault) Fault(op faultinject.Op, arg uint64, _ []byte) ([]byte, error) {
+	if op == faultinject.OpRead {
+		return nil, f(store.PageID(arg))
+	}
+	return nil, nil
+}
+
+func (readFault) Crashpoint(string) error { return nil }
+
 // TestReleaseAllResumesAfterReadError: when a bucket page cannot be read
 // back, ReleaseAll reports it, counts it, and keeps the unreleased locks on
 // the held list, so that calling it again finishes the release.
 func TestReleaseAllResumesAfterReadError(t *testing.T) {
 	var failReads atomic.Bool
-	st, err := store.Open(store.Options{Fault: func(op string, id store.PageID) error {
-		if op == "read" && failReads.Load() {
+	st, err := store.Open(store.Options{Injector: readFault(func(id store.PageID) error {
+		if failReads.Load() {
 			return fmt.Errorf("injected read fault on %v", id)
 		}
 		return nil
-	}})
+	})})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,38 +128,11 @@ type Options struct {
 	Dir string
 	// Device charges I/O latency; nil means device.RAM{}.
 	Device device.Device
-	// InMemory forces memory backing even when Dir is set.
-	InMemory bool
-	// Fault, when set, is consulted before every page Read/Write with the
-	// operation name ("read" or "write"); returning a non-nil error aborts
-	// the operation before it reaches the backing file. Deprecated in
-	// favour of Injector — it is adapted into one at Open — but kept so
-	// existing fault-injection tests work unchanged.
-	Fault func(op string, id PageID) error
 	// Injector, when set, intercepts page I/O with the full faultinject
-	// protocol: classified errors, torn writes, and silent corruption.
-	// Takes precedence over Fault. Nil in production.
+	// protocol: classified errors, torn writes, and silent corruption. Nil
+	// in production.
 	Injector faultinject.Injector
 }
-
-// legacyFault adapts the old Fault hook to the Injector interface: reads
-// and writes map to their operation names; ops the old hook never saw
-// (sync) pass through.
-type legacyFault struct {
-	fn func(op string, id PageID) error
-}
-
-func (l legacyFault) Fault(op faultinject.Op, arg uint64, _ []byte) ([]byte, error) {
-	switch op {
-	case faultinject.OpRead:
-		return nil, l.fn("read", PageID(arg))
-	case faultinject.OpWrite:
-		return nil, l.fn("write", PageID(arg))
-	}
-	return nil, nil
-}
-
-func (l legacyFault) Crashpoint(string) error { return nil }
 
 // Store is the page-file layer. It is safe for concurrent use.
 type Store struct {
@@ -180,9 +153,6 @@ func Open(opts Options) (*Store, error) {
 	s := &Store{opts: opts, dev: opts.Device, inj: opts.Injector}
 	if s.dev == nil {
 		s.dev = device.RAM{}
-	}
-	if s.inj == nil && opts.Fault != nil {
-		s.inj = legacyFault{fn: opts.Fault}
 	}
 	if err := s.openFile(MainFile); err != nil {
 		return nil, err
@@ -205,7 +175,7 @@ func (s *Store) openFile(f FileID) error {
 	if st.present {
 		return nil
 	}
-	if s.opts.Dir == "" || s.opts.InMemory {
+	if s.opts.Dir == "" {
 		st.back = &memFile{}
 		st.pageCount = 1
 		st.present = true

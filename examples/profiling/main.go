@@ -1,5 +1,6 @@
-// Application Profiling: trace a workload, detect a client-side join, and
-// let the Index Consultant recommend an index via virtual indexes (§5).
+// Application Profiling: read a workload back from the flight recorder's
+// digest table, detect a client-side join, and let the Index Consultant
+// recommend an index via virtual indexes (§5).
 //
 //	go run ./examples/profiling
 package main
@@ -22,10 +23,6 @@ func main() {
 	conn, _ := db.Connect()
 	defer conn.Close()
 
-	// Attach the tracer: all server activity is captured (§5).
-	tracer := profile.NewTracer()
-	db.SetTracer(tracer)
-
 	conn.Exec("CREATE TABLE orders (oid INT, cust INT, amount DOUBLE)")
 	var rows []string
 	for i := 0; i < 8000; i++ {
@@ -40,6 +37,11 @@ func main() {
 	}
 	conn.Exec("CREATE STATISTICS orders")
 
+	// The flight recorder captures all server activity; a reset scopes the
+	// profiling window to the application's run (§5).
+	digests := db.FlightRecorder().Digests()
+	digests.Reset()
+
 	// The application's anti-pattern: a loop issuing one query per
 	// customer instead of a single join.
 	for cust := 0; cust < 30; cust++ {
@@ -47,13 +49,14 @@ func main() {
 	}
 
 	// Analysis: the flaw database recognizes the pattern.
-	for _, f := range profile.Analyze(tracer.Events(), db.Catalog().Options()) {
+	trace := digests.Snapshot()
+	for _, f := range profile.Analyze(trace, db.Catalog().Options()) {
 		fmt.Printf("[%s] %s\n", f.Kind, f.Detail)
 	}
 
 	// The Index Consultant evaluates the indexes the optimizer would like
 	// to have, as virtual indexes in the temp file.
-	recs, err := profile.IndexConsultant(db, tracer.Events(), nil)
+	recs, err := profile.IndexConsultant(db, trace)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -213,6 +213,10 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value) (res Resul
 	// read at Prepare: the first execution's span takes that time as its
 	// parse phase (and into its total), later ones have none. The buffer
 	// hit/miss fields are window deltas over the engine-wide pool counters.
+	// The digest table samples what the caller bound (bound), not the
+	// literals lifted from the text: text and bound together are the
+	// statement as submitted.
+	bound := params
 	sp := c.db.flight.Begin(st.Text, st.Fingerprint)
 	c.curSpan = sp
 	var wallStart time.Time
@@ -236,16 +240,15 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value) (res Resul
 			sp.BufferHits = int64(pst.Hits - poolBase.Hits)
 			sp.BufferMisses = int64(pst.Misses - poolBase.Misses)
 			c.db.flight.Finish(sp, parseUS+time.Since(wallStart).Microseconds(),
-				res.RowsAffected, errText)
+				res.RowsAffected, errText, bound)
 		}()
 	}
 
 	if st.Err != nil {
 		return Result{}, nil, st.Err
 	}
-	// What the caller bound, for the tracer; the statement runs on those and
-	// the literals lifted from its text.
-	bound := params
+	// The statement runs on what the caller bound and the literals lifted
+	// from its text.
 	if params, err = st.bind(params); err != nil {
 		return Result{}, nil, err
 	}
@@ -363,22 +366,7 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value) (res Resul
 	if rows != nil {
 		c.db.rowsOut.Add(uint64(len(rows.rows)))
 	}
-
-	if tr := c.tracerRef(); tr != nil {
-		n := res.RowsAffected
-		tr.TraceStatement(st.Text, bound, c.db.clk.Now()-start, n)
-	}
 	return res, rows, nil
-}
-
-// tracerRef reads the installed tracer without touching the global mutex:
-// it runs on every statement, and a per-statement lock acquisition would
-// serialize otherwise-independent connections.
-func (c *Conn) tracerRef() StatementTracer {
-	if p := c.db.tracer.Load(); p != nil {
-		return *p
-	}
-	return nil
 }
 
 // beginReadPath prepares the read path for one statement and returns the

@@ -106,9 +106,6 @@ type Options struct {
 	// Injector, when non-nil, is consulted on every storage and WAL
 	// operation and at named crashpoints (fault injection / torture).
 	Injector faultinject.Injector
-	// RetryPolicy bounds transient-I/O retries in the buffer pool and WAL
-	// flush paths. The zero value selects the default policy.
-	RetryPolicy faultinject.RetryPolicy
 	// StatementTimeout bounds each statement's wall-clock time (0 = none).
 	// Cancellation is observed at batch boundaries in every operator.
 	StatementTimeout time.Duration
@@ -166,9 +163,6 @@ func (o *Options) fill() {
 	}
 	if o.MPL <= 0 {
 		o.MPL = 4
-	}
-	if o.RetryPolicy.MaxAttempts == 0 {
-		o.RetryPolicy = faultinject.DefaultRetryPolicy()
 	}
 	if o.ReorgMinRows <= 0 {
 		o.ReorgMinRows = 1024
@@ -268,11 +262,6 @@ type DB struct {
 	// ckptMu makes checkpoints take turns: one truncating the log under
 	// another's page flush would discard the images that flush relies on.
 	ckptMu sync.Mutex
-
-	// Tracer, when non-nil, records every statement (Application
-	// Profiling, §5). Atomic so the per-statement read never touches the
-	// global mutex.
-	tracer atomic.Pointer[StatementTracer]
 }
 
 // setOptEnv publishes the optimizer environment for cost model m: the DTT
@@ -289,12 +278,6 @@ func (db *DB) setOptEnv(m *dtt.Model) {
 		},
 		Property: db.reg.Value,
 	}))
-}
-
-// StatementTracer receives statement trace events (implemented by the
-// profile package; an interface here avoids a dependency cycle).
-type StatementTracer interface {
-	TraceStatement(sql string, params []val.Value, micros int64, rows int64)
 }
 
 // Open creates or opens a database.
@@ -322,7 +305,7 @@ func Open(opts Options) (*DB, error) {
 		return nil, err
 	}
 	db.log = log
-	log.SetInjector(db.inj, opts.RetryPolicy, &db.faultStats)
+	log.SetInjector(db.inj, faultinject.DefaultRetryPolicy(), &db.faultStats)
 	// failOpen releases file handles on any later Open failure without
 	// syncing: a failed open (e.g. a crash injected during recovery) must
 	// leave the on-disk state exactly as it found it.
@@ -333,7 +316,7 @@ func Open(opts Options) (*DB, error) {
 	}
 
 	db.pool = buffer.New(st, opts.PoolMinPages, opts.PoolInitPages, opts.PoolMaxPages)
-	db.pool.SetFaultPolicy(opts.RetryPolicy, &db.faultStats)
+	db.pool.SetFaultPolicy(faultinject.DefaultRetryPolicy(), &db.faultStats)
 	// WAL-before-data, plus torn-write protection: a dirty page is written in
 	// place (steal-policy evictions included) only once the log durably holds
 	// an image of it from its current contents and a record, stamped on the
@@ -1069,15 +1052,6 @@ func claimPage(f *buffer.Frame, tableID uint64) {
 	}
 }
 
-func (db *DB) tableByID(id uint64) *table.Table {
-	for _, t := range db.tables {
-		if t.ID == id {
-			return t
-		}
-	}
-	return nil
-}
-
 // applyRedo re-applies a committed change, or a chain link, to the pages
 // it names that are stamped older than its record: idempotent page-level
 // redo.
@@ -1217,16 +1191,6 @@ func (db *DB) DTTModel() *dtt.Model { return db.dttMod }
 
 // Catalog exposes the catalog (profiling tools read options).
 func (db *DB) Catalog() *catalog.Catalog { return db.cat }
-
-// SetTracer installs an Application Profiling statement tracer. A nil t
-// uninstalls it.
-func (db *DB) SetTracer(t StatementTracer) {
-	if t == nil {
-		db.tracer.Store(nil)
-		return
-	}
-	db.tracer.Store(&t)
-}
 
 // Close checkpoints and shuts the database down. In degraded mode no
 // writes are attempted — the checkpoint is skipped and files are closed

@@ -38,12 +38,16 @@ func (db *DB) WAL() *wal.Log { return db.log }
 // resync; memory-backed databases cannot act as replication primaries.
 func (db *DB) Dir() string { return db.opts.Dir }
 
-// TableByID resolves a table by catalog id under the database mutex.
-func (db *DB) TableByID(id uint64) (*table.Table, bool) {
+// tableByID resolves a table by catalog id under the database mutex.
+func (db *DB) tableByID(id uint64) (*table.Table, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	t := db.tableByID(id)
-	return t, t != nil
+	for _, t := range db.tables {
+		if t.ID == id {
+			return t, true
+		}
+	}
+	return nil, false
 }
 
 // Applier replays a primary's WAL records on a replica. It is not safe for
@@ -109,7 +113,7 @@ func (a *Applier) Apply(r *wal.Record) error {
 	case wal.RecCheckpoint, wal.RecPageImage:
 		return nil
 	}
-	tbl, ok := a.db.TableByID(r.Table)
+	tbl, ok := a.db.tableByID(r.Table)
 	if !ok {
 		return fmt.Errorf("%w: table id %d", ErrUnknownTable, r.Table)
 	}

@@ -54,10 +54,9 @@ type Shape struct {
 
 // Stmt is one submitted text, read once: the shape it shares with every text
 // that differs from it only in lifted literals, and what is its own — the
-// text as submitted, which is what a replica is sent, what the flight
-// recorder and tracers record, and the literals lifted from it, which
-// Conn.Run appends to the caller's parameters. Immutable; obtain one from
-// DB.Prepare.
+// text as submitted, which is what a replica is sent and what the flight
+// recorder records, and the literals lifted from it, which Conn.Run appends
+// to the caller's parameters. Immutable; obtain one from DB.Prepare.
 type Stmt struct {
 	*Shape
 	Text string

@@ -533,30 +533,18 @@ func TestOneShapeManyLiteralsUnderDDL(t *testing.T) {
 
 // --- The submitted text keeps its identity --------------------------------------
 
-// recordingTracer keeps what Conn.Run hands the Application Profiling hook.
-type recordingTracer struct {
-	sql    []string
-	params [][]val.Value
-}
-
-func (r *recordingTracer) TraceStatement(sql string, params []val.Value, micros, rows int64) {
-	r.sql = append(r.sql, sql)
-	r.params = append(r.params, params)
-}
-
 // TestSubmittedTextIsWhatIsRecorded: texts that share a shape are still
 // distinct statements to everyone who records them. The flight recorder
 // shows each submitted text once, in order (the benchmark's trace pass pairs
-// its spans with the engine's by order and text), and the tracer receives
-// the text as submitted beside the parameters the caller bound — not the
-// shape's first spelling, and not the lifted literals.
+// its spans with the engine's by order and text), and each digest's sample
+// is the first text as submitted beside the parameters the caller bound —
+// not the shape's first spelling, and not the lifted literals.
 func TestSubmittedTextIsWhatIsRecorded(t *testing.T) {
 	db := openDB(t, Options{})
 	c := conn(t, db)
 	loadPairs(t, c, "t", "id INT, v INT", 50, func(i int) (int, int) { return i, i * 10 })
-	tr := &recordingTracer{}
-	db.SetTracer(tr)
-	defer db.SetTracer(nil)
+	digests := db.FlightRecorder().Digests()
+	digests.Reset()
 
 	var texts []string
 	for k := 0; k < 12; k++ {
@@ -593,12 +581,40 @@ func TestSubmittedTextIsWhatIsRecorded(t *testing.T) {
 			t.Errorf("span %d records %q, statement %d was %q", i, sp.SQL, i, texts[i])
 		}
 	}
-	if len(tr.sql) != len(texts) {
-		t.Fatalf("%d traced statements for %d run", len(tr.sql), len(texts))
+	ds := digests.Snapshot()
+	if len(ds) != 2 {
+		t.Fatalf("%d digests for two fingerprints: %+v", len(ds), ds)
 	}
-	for i, sql := range tr.sql {
-		if want := i % 2; sql != texts[i] || len(tr.params[i]) != want {
-			t.Errorf("traced %q with %d parameters, statement %d was %q with %d", sql, len(tr.params[i]), i, texts[i], want)
+	for _, d := range ds {
+		want := 0 // the SELECT, as submitted with its literal
+		if strings.HasPrefix(d.Fingerprint, "UPDATE") {
+			want = 1
 		}
+		if d.Calls != 12 || d.SampleSQL != texts[want] || len(d.SampleParams) != want {
+			t.Errorf("digest %q: %d calls, sample %q with %d parameters; want 12 calls, sample %q with %d",
+				d.Fingerprint, d.Calls, d.SampleSQL, len(d.SampleParams), texts[want], want)
+		}
+	}
+}
+
+// TestDigestSampleOwnsItsParams: the digest table keeps its own copy of the
+// parameters a fingerprint's first statement was bound with, so a caller
+// reusing its parameter slice does not rewrite the sample.
+func TestDigestSampleOwnsItsParams(t *testing.T) {
+	db := openDB(t, Options{})
+	c := conn(t, db)
+	loadPairs(t, c, "t", "id INT, v INT", 10, func(i int) (int, int) { return i, i * 10 })
+	digests := db.FlightRecorder().Digests()
+	digests.Reset()
+
+	st := db.Prepare("SELECT v FROM t WHERE id = ?")
+	params := []val.Value{val.NewInt(3)}
+	if _, _, err := c.Run(context.Background(), st, params); err != nil {
+		t.Fatal(err)
+	}
+	params[0] = val.NewStr("overwritten")
+	ds := digests.Snapshot()
+	if len(ds) != 1 || len(ds[0].SampleParams) != 1 || ds[0].SampleParams[0] != val.NewInt(3) {
+		t.Fatalf("digest sample after the caller reused its slice: %+v", ds)
 	}
 }

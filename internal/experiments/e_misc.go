@@ -215,8 +215,9 @@ func E13Replacement() (*Report, error) {
 }
 
 // E15IndexConsultant runs the Application Profiling pipeline end to end: a
-// traced workload containing a client-side join, the flaw detector, and
-// the Index Consultant's virtual-index evaluation (§5).
+// workload containing a client-side join, read back from the flight
+// recorder's digest table, the flaw detector, and the Index Consultant's
+// virtual-index evaluation (§5).
 func E15IndexConsultant() (*Report, error) {
 	r, err := openRig(core.Options{PoolInitPages: 1024, PoolMaxPages: 2048}, false)
 	if err != nil {
@@ -224,8 +225,6 @@ func E15IndexConsultant() (*Report, error) {
 	}
 	defer r.close()
 	db, c := r.db, r.conn
-	tracer := profile.NewTracer()
-	db.SetTracer(tracer)
 
 	if err := r.exec("CREATE TABLE orders (oid INT, cust INT, amount DOUBLE)"); err != nil {
 		return nil, err
@@ -248,8 +247,9 @@ func E15IndexConsultant() (*Report, error) {
 		}
 	}
 
-	findings := profile.Analyze(tracer.Events(), map[string]string{"blocking_timeout": "0"})
-	recs, err := profile.IndexConsultant(db, tracer.Events(), nil)
+	digests := db.FlightRecorder().Digests().Snapshot()
+	findings := profile.Analyze(digests, map[string]string{"blocking_timeout": "0"})
+	recs, err := profile.IndexConsultant(db, digests)
 	if err != nil {
 		return nil, err
 	}

@@ -5,32 +5,39 @@ import (
 	"sync"
 
 	"anywheredb/internal/telemetry"
+	"anywheredb/internal/val"
 )
 
 // DefaultDigestCap bounds the digest table's distinct fingerprints.
 const DefaultDigestCap = 512
 
-// overflowFingerprint absorbs statements arriving after the table is full,
+// OverflowFingerprint absorbs statements arriving after the table is full,
 // so the table stays bounded without an eviction policy: a full table
 // keeps exact stats for the fingerprints it saw first (the steady-state
 // workload) and lumps the long tail into one visible bucket.
-const overflowFingerprint = "(overflow)"
+const OverflowFingerprint = "(overflow)"
 
 // DigestStat is one fingerprint's aggregate, as surfaced by
-// sys.statements.
+// sys.statements. SampleSQL and SampleParams are the first statement seen
+// for the fingerprint, as submitted: its text and the parameters the caller
+// bound. They are what Application Profiling re-optimizes for the
+// fingerprint (the overflow bucket keeps none). SampleParams is the table's
+// own copy, shared by every snapshot; readers must not modify it.
 type DigestStat struct {
-	Fingerprint string
-	Calls       int64
-	Errors      int64
-	Rows        int64
-	TotalUS     int64
-	MinUS       int64
-	MaxUS       int64
-	P50US       int64
-	P95US       int64
-	P99US       int64
-	WaitCount   [NumWaitKinds]int64
-	WaitUS      [NumWaitKinds]int64
+	Fingerprint  string
+	SampleSQL    string
+	SampleParams []val.Value
+	Calls        int64
+	Errors       int64
+	Rows         int64
+	TotalUS      int64
+	MinUS        int64
+	MaxUS        int64
+	P50US        int64
+	P95US        int64
+	P99US        int64
+	WaitCount    [NumWaitKinds]int64
+	WaitUS       [NumWaitKinds]int64
 }
 
 // digest is one fingerprint's live aggregate. Mutated under DigestTable.mu
@@ -58,18 +65,24 @@ func NewDigestTable(cap int) *DigestTable {
 	return &DigestTable{m: make(map[string]*digest), cap: cap}
 }
 
-// Observe folds one finished span into its fingerprint's aggregate.
-func (t *DigestTable) Observe(sp *Span) {
+// Observe folds one finished span into its fingerprint's aggregate. params
+// are the values the statement's caller bound; they are copied only when
+// the fingerprint is first seen, to become its sample.
+func (t *DigestTable) Observe(sp *Span, params []val.Value) {
 	t.mu.Lock()
 	d, ok := t.m[sp.Fingerprint]
 	if !ok {
 		if len(t.m) >= t.cap {
-			if d, ok = t.m[overflowFingerprint]; !ok {
-				d = &digest{stat: DigestStat{Fingerprint: overflowFingerprint}}
-				t.m[overflowFingerprint] = d
+			if d, ok = t.m[OverflowFingerprint]; !ok {
+				d = &digest{stat: DigestStat{Fingerprint: OverflowFingerprint}}
+				t.m[OverflowFingerprint] = d
 			}
 		} else {
-			d = &digest{stat: DigestStat{Fingerprint: sp.Fingerprint}}
+			d = &digest{stat: DigestStat{
+				Fingerprint:  sp.Fingerprint,
+				SampleSQL:    sp.SQL,
+				SampleParams: append([]val.Value(nil), params...),
+			}}
 			t.m[sp.Fingerprint] = d
 		}
 	}

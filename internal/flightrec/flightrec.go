@@ -13,8 +13,12 @@
 //     waiter's identity is known.
 //  3. Workload digests — statement text is normalized to a fingerprint
 //     (literals stripped) and aggregated per fingerprint in a bounded
-//     digest table: the pg_stat_statements analog that the admission
-//     controller and index consultant consume.
+//     digest table, the pg_stat_statements analog. Each fingerprint keeps
+//     the first statement seen for it (text and bound parameters); the
+//     digest table is the trace Application Profiling analyzes, and the
+//     Index Consultant costs those samples weighted by their call counts.
+//     (The admission controller reads no digests; it keeps its own
+//     latency ring.)
 //
 // The paper's self-management loops all begin with the engine measuring
 // itself; this package is that sensing substrate. Everything is surfaced
@@ -23,7 +27,7 @@
 //
 // Timing note: span phases and wait times are wall-clock microseconds
 // (time.Now), not virtual-clock time — waits block real goroutines, and
-// the admission/consultant loops care about observed latency. The virtual
+// the self-management loops care about observed latency. The virtual
 // clock remains the substrate for device-cost experiments.
 package flightrec
 
@@ -35,6 +39,7 @@ import (
 	"sync/atomic"
 
 	"anywheredb/internal/telemetry"
+	"anywheredb/internal/val"
 )
 
 // WaitKind names one class of blocking wait the engine instruments.
@@ -269,8 +274,7 @@ type Collector struct {
 	active  atomic.Int64
 	current atomic.Pointer[Span]
 
-	spans   atomic.Int64 // spans finished
-	dropped atomic.Int64 // spans begun while a dump snapshot was cut (never happens today; reserved)
+	spans atomic.Int64 // spans finished
 }
 
 // DefaultRingSize is the default number of recent spans retained.
@@ -344,8 +348,10 @@ func (c *Collector) Begin(sql, fingerprint string) *Span {
 // Finish seals the span and publishes it to the ring buffer and the
 // digest table. sp may be nil (disabled recorder); totalUS is the
 // statement's wall-clock duration, rows its result cardinality, errText
-// its error ("" on success).
-func (c *Collector) Finish(sp *Span, totalUS, rows int64, errText string) {
+// its error ("" on success), params the values its caller bound. The span
+// keeps no reference to params: the digest table copies them the first
+// time it sees the fingerprint, and never after.
+func (c *Collector) Finish(sp *Span, totalUS, rows int64, errText string, params []val.Value) {
 	if sp == nil {
 		return
 	}
@@ -355,7 +361,7 @@ func (c *Collector) Finish(sp *Span, totalUS, rows int64, errText string) {
 	c.active.Add(-1)
 	c.current.CompareAndSwap(sp, nil)
 	c.ring[(sp.Seq-1)&c.mask].Store(sp)
-	c.digests.Observe(sp)
+	c.digests.Observe(sp, params)
 	c.spans.Add(1)
 }
 

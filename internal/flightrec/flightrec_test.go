@@ -2,12 +2,14 @@ package flightrec
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"anywheredb/internal/sqlparse"
+	"anywheredb/internal/val"
 )
 
 // begin opens a span the way core does: the caller supplies the
@@ -29,7 +31,7 @@ func TestSpanLifecycle(t *testing.T) {
 	sp.AddWait(WaitLock, 30)
 	sp.AddBatches(3)
 	sp.AddSpill(4096)
-	c.Finish(sp, 150, 7, "")
+	c.Finish(sp, 150, 7, "", nil)
 	if got := c.SpansRecorded(); got != 1 {
 		t.Fatalf("SpansRecorded = %d", got)
 	}
@@ -53,7 +55,7 @@ func TestDisabledRecorder(t *testing.T) {
 	if sp := begin(c, "SELECT 1"); sp != nil {
 		t.Fatal("Begin returned a span while disabled")
 	}
-	c.Finish(nil, 0, 0, "") // must tolerate nil
+	c.Finish(nil, 0, 0, "", nil) // must tolerate nil
 	if c.SpansRecorded() != 0 || len(c.Recent()) != 0 {
 		t.Fatal("disabled recorder recorded something")
 	}
@@ -63,7 +65,7 @@ func TestRingWrapKeepsNewest(t *testing.T) {
 	c := New(4, nil)
 	for i := 0; i < 10; i++ {
 		sp := begin(c, "SELECT 1")
-		c.Finish(sp, int64(i), 0, "")
+		c.Finish(sp, int64(i), 0, "", nil)
 	}
 	rec := c.Recent()
 	if len(rec) != 4 {
@@ -84,7 +86,7 @@ func TestDigestCollapsesLiterals(t *testing.T) {
 		"select A from T where B = 'x'",
 	}
 	for _, s := range stmts {
-		c.Finish(begin(c, s), 10, 1, "")
+		c.Finish(begin(c, s), 10, 1, "", nil)
 	}
 	ds := c.Digests().Snapshot()
 	if len(ds) != 1 {
@@ -99,7 +101,7 @@ func TestDigestOverflowBucket(t *testing.T) {
 	tab := NewDigestTable(4)
 	for i := 0; i < 8; i++ {
 		sp := &Span{Fingerprint: strings.Repeat("x", i+1), TotalUS: 1}
-		tab.Observe(sp)
+		tab.Observe(sp, nil)
 	}
 	if tab.Len() != 5 { // 4 distinct + overflow
 		t.Fatalf("Len = %d, want 5", tab.Len())
@@ -155,15 +157,15 @@ func TestTxnBinding(t *testing.T) {
 	if got := c.SpanOfTxn(7); got != nil {
 		t.Fatal("SpanOfTxn resolved after unbind")
 	}
-	c.Finish(sp, 1, 0, "")
-	c.Finish(sp2, 1, 0, "")
+	c.Finish(sp, 1, 0, "", nil)
+	c.Finish(sp2, 1, 0, "", nil)
 }
 
 func TestDump(t *testing.T) {
 	c := New(8, nil)
 	sp := begin(c, "SELECT a FROM t WHERE b = 9")
 	sp.AddWait(WaitBufferIO, 12)
-	c.Finish(sp, 34, 2, "")
+	c.Finish(sp, 34, 2, "", nil)
 	c.ObserveWait(WaitBufferIO, 12)
 	var buf bytes.Buffer
 	c.Dump(&buf)
@@ -228,7 +230,7 @@ func TestRingStress(t *testing.T) {
 					panic("txn binding lost")
 				}
 				c.UnbindTxn(tid)
-				c.Finish(sp, int64(i), 1, "")
+				c.Finish(sp, int64(i), 1, "", nil)
 			}
 		}(w)
 	}
@@ -245,5 +247,66 @@ func TestRingStress(t *testing.T) {
 	ds := c.Digests().Snapshot()
 	if len(ds) != 1 || ds[0].Calls != writers*perWriter {
 		t.Fatalf("digest = %+v", ds)
+	}
+}
+
+// TestDigestSampleFirstSeenConcurrently: eight writers first-see one
+// fingerprint at once, each with its own text and parameters, and go on
+// reusing their parameter slice while readers snapshot. The sample is one
+// submitted (text, params) pair, every call is counted, and under -race
+// the sample shares no memory with a writer's slice.
+func TestDigestSampleFirstSeenConcurrently(t *testing.T) {
+	c := New(64, nil)
+	const writers, perWriter = 8, 200
+	start := make(chan struct{})
+	stop := make(chan struct{})
+	var wg, readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, d := range c.Digests().Snapshot() {
+				_ = d.SampleSQL
+				for _, p := range d.SampleParams {
+					_ = p.I
+				}
+			}
+		}
+	}()
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			sql := fmt.Sprintf("SELECT a FROM t WHERE b = %d AND c = ?", w)
+			params := make([]val.Value, 1)
+			<-start
+			for i := 0; i < perWriter; i++ {
+				params[0] = val.NewInt(int64(w))
+				c.Finish(begin(c, sql), 1, 1, "", params)
+				params[0] = val.NewInt(-1)
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+
+	ds := c.Digests().Snapshot()
+	if len(ds) != 1 || ds[0].Calls != writers*perWriter {
+		t.Fatalf("digest = %+v, want one fingerprint called %d times", ds, writers*perWriter)
+	}
+	d := ds[0]
+	if len(d.SampleParams) != 1 || d.SampleParams[0].Kind != val.KInt {
+		t.Fatalf("sample params %+v", d.SampleParams)
+	}
+	w := d.SampleParams[0].I
+	if want := fmt.Sprintf("SELECT a FROM t WHERE b = %d AND c = ?", w); w < 0 || w >= writers || d.SampleSQL != want {
+		t.Fatalf("sample (%q, %d) is not a submitted pair", d.SampleSQL, w)
 	}
 }

@@ -1,88 +1,27 @@
-// Package profile implements the Application Profiling toolset of §5: a
-// statement tracer capturing all server activity, a database of commonly
-// seen design flaws (client-side joins, suspicious option settings), and
-// an Index Consultant that evaluates virtual (hypothetical) indexes the
-// optimizer would like to have.
+// Package profile implements the Application Profiling toolset of §5 over
+// the trace the flight recorder's digest table already keeps (every call
+// counted per fingerprint, the first statement of each kept as a sample):
+// a database of commonly seen design flaws (client-side joins, suspicious
+// option settings), and an Index Consultant that evaluates virtual
+// (hypothetical) indexes the optimizer would like to have. The paper
+// captures the trace into a database; here INSERT INTO ... SELECT ... FROM
+// sys.statements does that. An engine opened with DisableFlightRecorder
+// keeps no trace, so there is nothing to profile.
 package profile
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"anywheredb/internal/core"
 	"anywheredb/internal/exec"
+	"anywheredb/internal/flightrec"
 	"anywheredb/internal/opt"
 	"anywheredb/internal/sqlparse"
 	"anywheredb/internal/store"
 	"anywheredb/internal/val"
 )
-
-// Event is one traced statement.
-type Event struct {
-	SQL    string
-	Params []val.Value
-	Micros int64
-	Rows   int64
-}
-
-// Tracer records statements; it implements core.StatementTracer. Traces
-// can be analyzed in process or saved into any database's tables (the
-// paper captures the trace over TCP into the same or a separate database;
-// here the capture is in-process and SaveTo writes it into a table).
-type Tracer struct {
-	mu     sync.Mutex
-	events []Event
-}
-
-// NewTracer returns an empty tracer.
-func NewTracer() *Tracer { return &Tracer{} }
-
-// TraceStatement implements core.StatementTracer.
-func (t *Tracer) TraceStatement(sql string, params []val.Value, micros, rows int64) {
-	t.mu.Lock()
-	t.events = append(t.events, Event{
-		SQL:    sql,
-		Params: append([]val.Value(nil), params...),
-		Micros: micros,
-		Rows:   rows,
-	})
-	t.mu.Unlock()
-}
-
-// Events snapshots the captured trace.
-func (t *Tracer) Events() []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Event(nil), t.events...)
-}
-
-// Reset clears the trace.
-func (t *Tracer) Reset() {
-	t.mu.Lock()
-	t.events = nil
-	t.mu.Unlock()
-}
-
-// SaveTo writes the trace into a table of the given database connection,
-// creating it if needed.
-func (t *Tracer) SaveTo(conn *core.Conn, tableName string) error {
-	if _, err := conn.Exec(fmt.Sprintf(
-		"CREATE TABLE %s (sql_text VARCHAR(4000), micros BIGINT, row_count BIGINT)", tableName)); err != nil {
-		if !strings.Contains(err.Error(), "already exists") {
-			return err
-		}
-	}
-	for _, e := range t.Events() {
-		if _, err := conn.Exec(
-			fmt.Sprintf("INSERT INTO %s VALUES (?, ?, ?)", tableName),
-			val.NewStr(e.SQL), val.NewInt(e.Micros), val.NewInt(e.Rows)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // Finding is one detected design flaw or recommendation.
 type Finding struct {
@@ -92,45 +31,32 @@ type Finding struct {
 	Count     int
 }
 
-// ClientSideJoinThreshold is how many identical statements (modulo one
-// constant) flag a client-side join.
+// ClientSideJoinThreshold is how many identical statements (modulo
+// constants) flag a client-side join.
 const ClientSideJoinThreshold = 10
 
-// Analyze scans a trace for commonly seen design flaws (§5): client-side
-// joins (many identical statements differing only by a constant) and
+// Analyze scans a workload's digests (flightrec.DigestTable.Snapshot) for
+// commonly seen design flaws (§5): client-side joins (a SELECT fingerprint
+// called many times, the statements differing only by constants) and
 // suspicious database options.
-func Analyze(events []Event, options map[string]string) []Finding {
+func Analyze(digests []flightrec.DigestStat, options map[string]string) []Finding {
 	var out []Finding
 
-	// Client-side joins.
-	groups := map[string]int{}
-	for _, e := range events {
-		up := strings.ToUpper(strings.TrimSpace(e.SQL))
-		if !strings.HasPrefix(up, "SELECT") {
+	// Client-side joins, most calls first.
+	for i := range digests {
+		d := &digests[i]
+		if d.Calls < ClientSideJoinThreshold || !strings.HasPrefix(d.Fingerprint, "SELECT") {
 			continue
 		}
-		groups[sqlparse.Fingerprint(e.SQL)]++
-	}
-	type grp struct {
-		norm string
-		n    int
-	}
-	var sorted []grp
-	for norm, n := range groups {
-		if n >= ClientSideJoinThreshold {
-			sorted = append(sorted, grp{norm, n})
-		}
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].n > sorted[j].n })
-	for _, g := range sorted {
 		out = append(out, Finding{
 			Kind: "client-side-join",
 			Detail: fmt.Sprintf("%d statements identical up to a constant; the loop in the "+
-				"application would be more efficiently carried out as a single statement (e.g. a join or IN list)", g.n),
-			Statement: g.norm,
-			Count:     g.n,
+				"application would be more efficiently carried out as a single statement (e.g. a join or IN list)", d.Calls),
+			Statement: d.Fingerprint,
+			Count:     int(d.Calls),
 		})
 	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Count > out[j].Count })
 
 	// Suspicious option settings.
 	for name, v := range options {
@@ -162,40 +88,38 @@ type Recommendation struct {
 // to be recommended.
 const MinBenefit = 0.2
 
-// IndexConsultant evaluates virtual indexes for a captured SELECT
-// workload. It gathers the index specifications the optimizer would like
-// to have — columns carrying equality predicates or equijoins without a
-// supporting index — materializes each as a virtual index in the
-// temporary file, re-optimizes the workload, and recommends the ones whose
-// estimated cost improvement exceeds MinBenefit (§5).
-func IndexConsultant(db *core.DB, events []Event, env *opt.Env) ([]Recommendation, error) {
-	if env == nil {
-		env = &opt.Env{DTT: db.DTTModel(), PoolPages: db.Pool().SizePages}
-	}
+// IndexConsultant evaluates virtual indexes for a workload's SELECT
+// digests (flightrec.DigestTable.Snapshot). Each digest's sample is costed
+// once and weighted by the digest's call count. It gathers the index
+// specifications the optimizer would like to have — columns carrying
+// equality predicates or equijoins without a supporting index —
+// materializes each as a virtual index in the temporary file, re-optimizes
+// the workload, and recommends the ones whose estimated cost improvement
+// exceeds MinBenefit (§5).
+func IndexConsultant(db *core.DB, digests []flightrec.DigestStat) ([]Recommendation, error) {
+	env := &opt.Env{DTT: db.DTTModel(), PoolPages: db.Pool().SizePages}
 
-	// Parse the SELECT statements once.
+	// Parse each SELECT sample once. The overflow bucket has no sample.
 	var stmts []stmt
-	for _, e := range events {
-		parsed, err := sqlparse.Parse(e.SQL)
+	for i := range digests {
+		d := &digests[i]
+		if d.Fingerprint == flightrec.OverflowFingerprint {
+			continue
+		}
+		parsed, err := sqlparse.Parse(d.SampleSQL)
 		if err != nil {
 			continue
 		}
 		if sel, ok := parsed.(*sqlparse.Select); ok {
-			stmts = append(stmts, stmt{sel, e.Params})
+			stmts = append(stmts, stmt{sel, d.SampleParams, float64(d.Calls)})
 		}
 	}
 	if len(stmts) == 0 {
 		return nil, nil
 	}
 
-	conn, err := db.Connect()
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-
 	ctx := &exec.Ctx{Pool: db.Pool(), St: db.Store(), Clk: db.Clock()}
-	cost := func() (float64, error) {
+	cost := func() float64 {
 		var total float64
 		for _, s := range stmts {
 			benv := &opt.BuildEnv{Env: env, Res: db, Ctx: ctx, Params: s.params}
@@ -203,15 +127,12 @@ func IndexConsultant(db *core.DB, events []Event, env *opt.Env) ([]Recommendatio
 			if err != nil {
 				continue // statements that no longer bind are skipped
 			}
-			total += plan.Cost
+			total += plan.Cost * s.calls
 		}
-		return total, nil
+		return total
 	}
 
-	before, err := cost()
-	if err != nil {
-		return nil, err
-	}
+	before := cost()
 
 	// Candidate specifications: generalized at first (a set of columns),
 	// tightened to a physical column order when materialized.
@@ -231,12 +152,9 @@ func IndexConsultant(db *core.DB, events []Event, env *opt.Env) ([]Recommendatio
 		// A statement compiled by the application meanwhile may choose the
 		// virtual index: no plan from before or during its life is served.
 		db.SchemaChanged()
-		after, err := cost()
+		after := cost()
 		tbl.RemoveIndex(name)
 		db.SchemaChanged()
-		if err != nil {
-			continue
-		}
 		if before > 0 && (before-after)/before >= MinBenefit {
 			var colNames []string
 			for _, c := range spec.cols {
@@ -255,10 +173,12 @@ func IndexConsultant(db *core.DB, events []Event, env *opt.Env) ([]Recommendatio
 	return recs, nil
 }
 
-// stmt is one traced SELECT with the parameters it ran with.
+// stmt is one digest's sample SELECT, with the parameters it ran with and
+// the digest's call count.
 type stmt struct {
 	sel    *sqlparse.Select
 	params []val.Value
+	calls  float64
 }
 
 type indexSpec struct {

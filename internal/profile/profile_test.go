@@ -7,10 +7,11 @@ import (
 	"testing"
 
 	"anywheredb/internal/core"
+	"anywheredb/internal/flightrec"
 	"anywheredb/internal/val"
 )
 
-func setup(t *testing.T) (*core.DB, *core.Conn, *Tracer) {
+func setup(t *testing.T) (*core.DB, *core.Conn) {
 	t.Helper()
 	db, err := core.Open(core.Options{})
 	if err != nil {
@@ -21,9 +22,12 @@ func setup(t *testing.T) (*core.DB, *core.Conn, *Tracer) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTracer()
-	db.SetTracer(tr)
-	return db, c, tr
+	return db, c
+}
+
+// digests is the workload trace the profiling tools read.
+func digests(db *core.DB) []flightrec.DigestStat {
+	return db.FlightRecorder().Digests().Snapshot()
 }
 
 func seed(t *testing.T, c *core.Conn, n int) {
@@ -47,26 +51,8 @@ func seed(t *testing.T, c *core.Conn, n int) {
 	}
 }
 
-func TestTracerCaptures(t *testing.T) {
-	_, c, tr := setup(t)
-	seed(t, c, 10)
-	c.Query("SELECT COUNT(*) FROM orders")
-	events := tr.Events()
-	if len(events) < 3 {
-		t.Fatalf("events %d", len(events))
-	}
-	last := events[len(events)-1]
-	if !strings.HasPrefix(last.SQL, "SELECT") || last.Rows != 1 {
-		t.Fatalf("last event %+v", last)
-	}
-	tr.Reset()
-	if len(tr.Events()) != 0 {
-		t.Fatal("reset failed")
-	}
-}
-
 func TestClientSideJoinDetection(t *testing.T) {
-	_, c, tr := setup(t)
+	db, c := setup(t)
 	seed(t, c, 200)
 	// The classic anti-pattern: a loop issuing one query per id.
 	for i := 0; i < 25; i++ {
@@ -75,7 +61,7 @@ func TestClientSideJoinDetection(t *testing.T) {
 	// Some unrelated statements below the threshold.
 	c.Query("SELECT COUNT(*) FROM orders")
 
-	findings := Analyze(tr.Events(), nil)
+	findings := Analyze(digests(db), nil)
 	var csj *Finding
 	for i := range findings {
 		if findings[i].Kind == "client-side-join" {
@@ -103,9 +89,9 @@ func TestOptionFindings(t *testing.T) {
 
 func TestIndexConsultant(t *testing.T) {
 	// A workload probing by cust — no index exists on cust — as literal SQL
-	// and as the prepared statement a wire client sends. The literal texts
-	// share one statement shape in the engine, but the trace holds each as
-	// it was submitted, so the consultant costs both workloads alike.
+	// and as the prepared statement a wire client sends. Either way it is
+	// one digest called 12 times, whose sample is the first statement as
+	// submitted, so the consultant costs both workloads alike.
 	got := map[string]Recommendation{}
 	defer func() {
 		if lit, par := got["literal"], got["parameters"]; !t.Failed() && !reflect.DeepEqual(lit, par) {
@@ -123,23 +109,24 @@ func TestIndexConsultant(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			db, c, tr := setup(t)
+			db, c := setup(t)
 			seed(t, c, 5000)
 			for i := 0; i < 12; i++ {
 				if err := probe(c, i); err != nil {
 					t.Fatal(err)
 				}
 			}
-			texts := map[string]bool{}
-			for _, e := range tr.Events() {
-				if strings.HasPrefix(e.SQL, "SELECT") {
-					texts[e.SQL] = true
+			ds := digests(db)
+			var probes []flightrec.DigestStat
+			for _, d := range ds {
+				if strings.HasPrefix(d.Fingerprint, "SELECT") {
+					probes = append(probes, d)
 				}
 			}
-			if want := map[string]int{"literal": 12, "parameters": 1}[name]; len(texts) != want {
-				t.Fatalf("the trace holds %d distinct probe texts, want %d: %v", len(texts), want, texts)
+			if len(probes) != 1 || probes[0].Calls != 12 {
+				t.Fatalf("the trace holds %+v, want one SELECT digest called 12 times", probes)
 			}
-			recs, err := IndexConsultant(db, tr.Events(), nil)
+			recs, err := IndexConsultant(db, ds)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,13 +153,13 @@ func TestIndexConsultant(t *testing.T) {
 }
 
 func TestIndexConsultantNoGainNoRecommendation(t *testing.T) {
-	db, c, tr := setup(t)
+	db, c := setup(t)
 	seed(t, c, 100)
 	// Full scans benefit little from an index.
 	for i := 0; i < 12; i++ {
 		c.Query("SELECT COUNT(*) FROM orders")
 	}
-	recs, err := IndexConsultant(db, tr.Events(), nil)
+	recs, err := IndexConsultant(db, digests(db))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,20 +168,26 @@ func TestIndexConsultantNoGainNoRecommendation(t *testing.T) {
 	}
 }
 
-func TestSaveTo(t *testing.T) {
-	db, c, tr := setup(t)
+// TestTraceCapturedIntoTable: the paper captures the trace into ordinary
+// tables; sys.statements is that trace relation, so one INSERT ... SELECT
+// saves it.
+func TestTraceCapturedIntoTable(t *testing.T) {
+	_, c := setup(t)
 	seed(t, c, 10)
-	c.Query("SELECT COUNT(*) FROM orders")
-	db.SetTracer(nil) // stop tracing before writing the trace
-	if err := tr.SaveTo(c, "trace_log"); err != nil {
+	for i := 0; i < 3; i++ {
+		c.Query(fmt.Sprintf("SELECT amount FROM orders WHERE oid = %d", i))
+	}
+	if _, err := c.Exec("CREATE TABLE trace_log (fp VARCHAR(4000), calls BIGINT)"); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := c.Query("SELECT COUNT(*) FROM trace_log")
+	if _, err := c.Exec("INSERT INTO trace_log SELECT fingerprint, calls FROM sys.statements"); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := c.Query("SELECT calls FROM trace_log WHERE fp = 'SELECT amount FROM orders WHERE oid = ?'")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows.All()[0][0].I < 3 {
-		t.Fatalf("trace rows %v", rows.All()[0][0])
+	if got := rows.All(); len(got) != 1 || got[0][0].I != 3 {
+		t.Fatalf("captured trace rows %v, want one fingerprint with 3 calls", got)
 	}
-	_ = val.Null
 }

@@ -1,12 +1,9 @@
 package profile
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 
 	"anywheredb/internal/telemetry"
-	"anywheredb/internal/val"
 )
 
 func TestAnalyzeTelemetry(t *testing.T) {
@@ -40,59 +37,5 @@ func TestAnalyzeTelemetry(t *testing.T) {
 	}
 	if kinds["buffer"] != 900 {
 		t.Errorf("buffer finding count = %d, want 900", kinds["buffer"])
-	}
-}
-
-// TestTracerConcurrent hammers one Tracer from parallel writers while
-// readers snapshot and reset it; run with -race this proves the tracer is
-// safe to share between the engine's connection goroutines.
-func TestTracerConcurrent(t *testing.T) {
-	tr := NewTracer()
-	const writers, perWriter = 8, 200
-
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				tr.TraceStatement(
-					fmt.Sprintf("SELECT %d", i),
-					[]val.Value{val.NewInt(int64(w))},
-					int64(i), 1)
-			}
-		}(w)
-	}
-	stop := make(chan struct{})
-	var readers sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				for _, e := range tr.Events() {
-					if e.SQL == "" {
-						t.Error("empty SQL in traced event")
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(stop)
-	readers.Wait()
-
-	if n := len(tr.Events()); n != writers*perWriter {
-		t.Fatalf("traced %d events, want %d", n, writers*perWriter)
-	}
-	tr.Reset()
-	if n := len(tr.Events()); n != 0 {
-		t.Fatalf("after Reset: %d events, want 0", n)
 	}
 }

@@ -123,7 +123,6 @@ type Governor struct {
 	mu         sync.Mutex
 	lastMisses uint64
 	fastUntil  vclock.Micros
-	history    []Decision
 
 	polls       atomic.Uint64 // control steps taken
 	resizes     atomic.Uint64 // steps that changed the pool size
@@ -235,7 +234,6 @@ func (g *Governor) Poll() Decision {
 		d.Applied = cur
 		d.Reason = "deadband"
 		g.noteMisses()
-		g.history = append(g.history, d)
 		g.publish(d)
 		return d
 	}
@@ -247,7 +245,6 @@ func (g *Governor) Poll() Decision {
 	if target > cur && missDelta == 0 {
 		d.Applied = cur
 		d.Reason = "no-miss growth gate"
-		g.history = append(g.history, d)
 		g.publish(d)
 		return d
 	}
@@ -262,7 +259,6 @@ func (g *Governor) Poll() Decision {
 		d.Reason = "shrink"
 		g.shrinks.Add(1)
 	}
-	g.history = append(g.history, d)
 	g.publish(d)
 	return d
 }
@@ -286,11 +282,4 @@ func (g *Governor) noteMisses() uint64 {
 	delta := m - g.lastMisses
 	g.lastMisses = m
 	return delta
-}
-
-// History returns the decisions taken so far.
-func (g *Governor) History() []Decision {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return append([]Decision(nil), g.history...)
 }

@@ -10,10 +10,8 @@ package core
 import (
 	"container/list"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -114,9 +112,9 @@ type Options struct {
 	// costs paid) — this is the overhead baseline experiment E21 measures
 	// against.
 	DisableFlightRecorder bool
-	// ParanoidRecovery re-applies the recovery plan a second time after
-	// redo/undo and verifies the replay was idempotent (the logical page
-	// content must not change). Torture tests run with this on.
+	// ParanoidRecovery replays the log a second time after recovery and
+	// verifies the replay was idempotent (the logical page content must not
+	// change). Torture tests run with this on.
 	ParanoidRecovery bool
 
 	// ReorgMinRows is the smallest table a ReorgOnce pass will promote
@@ -128,7 +126,7 @@ type Options struct {
 	// and index trees are not attached — the replica must never allocate
 	// pages in main.db, or its allocations would collide with page ids the
 	// primary assigns in the shipped stream. Shipped WAL records are applied
-	// through the Applier (replica.go); reads run as heap scans under MVCC
+	// through the Applier (replay.go); reads run as heap scans under MVCC
 	// snapshots. Local transaction and snapshot ids start at ReplicaIDBase
 	// so they can never equal a primary transaction id in the stream.
 	ReplicaMode bool
@@ -330,15 +328,16 @@ func Open(opts Options) (*DB, error) {
 
 	fresh := st.PageCount(store.MainFile) == 1
 
-	// Crash recovery FIRST, before anything reads pages: logged page images
-	// repair torn writes to catalog and lock pages just as they do data
-	// pages, so catalog.Load and lock.NewManager must not run until the
-	// plan has been applied. (Recovery itself needs only store+pool+log.)
-	// It writes nothing it does not have to: the checkpoint below is what
-	// makes the recovered state the new baseline and clears the log.
-	plan, replayed := &wal.RecoveryPlan{}, false
+	// Crash recovery starts before anything reads pages: the newest logged
+	// image of each page is restored first, which repairs torn writes to
+	// catalog and lock pages just as it does data pages, so catalog.Load and
+	// lock.NewManager must not run until then.
+	plan := &wal.RecoveryPlan{}
 	if !fresh {
-		if plan, replayed, err = db.recover(); err != nil {
+		if plan, err = db.log.Analyze(); err != nil {
+			return failOpen(err)
+		}
+		if err := db.restoreImages(plan); err != nil {
 			return failOpen(err)
 		}
 	}
@@ -373,14 +372,25 @@ func Open(opts Options) (*DB, error) {
 		db.dttMod = dtt.Default()
 	}
 
-	// Attach tables from the catalog and recover statistics. Recovery has
-	// already run: the page chains Attach walks reflect every replayed
-	// RecPageLink, and torn pages were restored from their logged images.
-	// After a non-trivial replay the index trees (not WAL-logged) may be
-	// stale relative to the heaps and are rebuilt from heap scans, and a
-	// columnar snapshot the replay invalidated is not attached. Promotion of
-	// a replica forces the rebuild: the catalog's roots predate the shipped
-	// stream. The checkpoint then makes all of it durable and clears the log.
+	// Recovery then replays the log tail through the table kernels. It
+	// writes nothing it does not have to: the checkpoint below is what makes
+	// the recovered state the new baseline and clears the log.
+	replayed := len(plan.Images) > 0 || slices.ContainsFunc(plan.Records, func(r *wal.Record) bool {
+		return r.Type != wal.RecCommit && r.Type != wal.RecRollback
+	})
+	if replayed {
+		if err := db.recover(plan); err != nil {
+			return failOpen(err)
+		}
+	}
+
+	// Attach tables from the catalog (replacing the heaps the replay used)
+	// and recover statistics. After a replay the index trees (not
+	// WAL-logged) may be stale relative to the heaps and are rebuilt from
+	// heap scans, and a columnar snapshot the replay invalidated is not
+	// attached. Promotion of a replica forces the
+	// rebuild: the catalog's roots predate the shipped stream. The
+	// checkpoint then makes all of it durable and clears the log.
 	replayed = replayed || opts.RebuildIndexesOnOpen
 	for _, name := range db.cat.TableNames() {
 		tm, _ := db.cat.GetTable(name)
@@ -906,257 +916,9 @@ func (db *DB) registeredVirtual(name string) ([]table.Column, []exec.Row, bool) 
 	return cols, rows, true
 }
 
-// ConnCount reports the number of open connections.
-func (db *DB) ConnCount() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.conns
-}
-
 // heapBytes estimates the server's main heap: active tasks' pages.
 func (db *DB) heapBytes() int64 {
 	return int64(db.memG.ActiveRequests()+1) * 64 * page.Size / 8
-}
-
-// recover replays the WAL into the buffer pool: page images are restored,
-// committed data records and page-chain links are redone onto the pages
-// stamped older than them, loser records are undone (reverse order). It
-// reports whether any work was replayed, and returns the plan for what the
-// log says about objects the catalog — not yet loaded — describes.
-func (db *DB) recover() (*wal.RecoveryPlan, bool, error) {
-	plan, err := db.log.Analyze()
-	if err != nil {
-		return nil, false, err
-	}
-	if len(plan.Redo)+len(plan.Undo)+len(plan.Images) == 0 {
-		return plan, false, nil
-	}
-	// A page on the free chain takes no image: whatever was logged of it
-	// was logged before it was freed.
-	free, err := db.st.FreeList(store.MainFile)
-	if err != nil {
-		return nil, false, err
-	}
-	for _, id := range free {
-		delete(plan.Images, id)
-	}
-	pages := planPages(plan)
-	// A crash loses the store header, so the on-disk page count can lag
-	// behind pages the WAL knows about: make every logged page addressable
-	// before replaying onto it (unwritten tails read back as zero pages).
-	for _, id := range pages {
-		db.st.EnsureAllocated(id)
-	}
-	if err := db.applyPlan(plan); err != nil {
-		return nil, false, err
-	}
-	if db.inj != nil {
-		if err := db.inj.Crashpoint("recovery.after_redo"); err != nil {
-			return nil, false, err
-		}
-	}
-	if db.opts.ParanoidRecovery {
-		before := db.snapshotPages(pages)
-		if err := db.applyPlan(plan); err != nil {
-			return nil, false, err
-		}
-		after := db.snapshotPages(pages)
-		for i := range before {
-			if before[i] != after[i] {
-				return nil, false, faultinject.Corrupt(fmt.Errorf(
-					"core: recovery replay not idempotent: %q became %q", before[i], after[i]))
-			}
-		}
-	}
-	return plan, true, nil
-}
-
-// planPages collects the distinct pages a recovery plan touches, including
-// the targets of page-link records.
-func planPages(plan *wal.RecoveryPlan) []store.PageID {
-	seen := map[store.PageID]bool{}
-	for id := range plan.Images {
-		seen[id] = true
-	}
-	for _, r := range plan.Redo {
-		seen[r.Page] = true
-		if r.Type == wal.RecPageLink && len(r.After) >= 8 {
-			seen[store.PageID(binary.LittleEndian.Uint64(r.After))] = true
-		}
-	}
-	for _, r := range plan.Undo {
-		seen[r.Page] = true
-	}
-	return slices.Sorted(maps.Keys(seen))
-}
-
-// applyPlan runs one full pass of the recovery plan. Every step is
-// conditional on current page state, so the pass is idempotent and can be
-// re-run (ParanoidRecovery does exactly that).
-func (db *DB) applyPlan(plan *wal.RecoveryPlan) error {
-	// Page images first: each page's newest image is a state it passed
-	// through, older than its last write only by records the log holds, so
-	// restoring it repairs any torn write. Redo then applies, in LSN order,
-	// each record newer than the LSN its page is stamped with.
-	for _, id := range slices.Sorted(maps.Keys(plan.Images)) {
-		db.applyImage(plan.Images[id])
-	}
-	for _, r := range plan.Redo {
-		if err := db.applyRedo(r); err != nil {
-			return err
-		}
-	}
-	for _, r := range plan.Undo {
-		db.applyUndo(r)
-	}
-	return nil
-}
-
-// onPage runs fn on page id under its exclusive latch. A page that cannot
-// be read (a truncated file) has nothing to recover onto.
-func (db *DB) onPage(id store.PageID, fn func(f *buffer.Frame)) {
-	if f, err := db.pool.Get(id); err == nil {
-		f.Lock()
-		fn(f)
-		f.Unlock()
-		db.pool.Unpin(f, false)
-	}
-}
-
-// applyImage writes a logged full-page image back over the page. The pool
-// learns that the log holds it: a page whose changes from here on are
-// stamped by redo is written back without a new image.
-func (db *DB) applyImage(r *wal.Record) {
-	db.onPage(r.Page, func(f *buffer.Frame) {
-		if len(r.After) != len(f.Data) {
-			return
-		}
-		if string(f.Data) != string(r.After) {
-			copy(f.Data, r.After)
-			f.MarkDirty()
-		}
-		db.pool.Imaged(f, r.LSN)
-	})
-}
-
-// claimPage makes the latched page an empty heap page of the table unless
-// it already is one of its heap pages. A logged record names the page as
-// the table's; if the page says otherwise it never reached disk in that
-// role (it reads back zero-filled), or it did not since an earlier life as
-// something else, whose last logged image recovery has just restored.
-func claimPage(f *buffer.Frame, tableID uint64) {
-	if f.Data.Type() != page.TypeTable || f.Data.Owner() != tableID {
-		f.Data.Init(page.TypeTable)
-		f.Data.SetOwner(tableID)
-		f.MarkDirty()
-	}
-}
-
-// applyRedo re-applies a committed change, or a chain link, to the pages
-// it names that are stamped older than its record: idempotent page-level
-// redo.
-func (db *DB) applyRedo(r *wal.Record) error {
-	slot := int(r.Slot)
-	switch {
-	case r.Type != wal.RecPageLink:
-		return db.redoOnto(r.Page, r, func(p page.Buf) bool {
-			switch {
-			case r.Type == wal.RecDelete:
-				p.Delete(slot)
-				return true
-			case p.Cell(slot) != nil:
-				return p.Update(slot, r.After)
-			}
-			// InsertSparse, not InsertAt: redo replays only committed
-			// inserts, so the slot sequence has holes where loser
-			// transactions' slots were.
-			return p.InsertSparse(slot, r.After)
-		})
-	case len(r.After) < 8:
-		return nil
-	}
-	next := binary.LittleEndian.Uint64(r.After)
-	if err := db.redoOnto(r.Page, r, func(p page.Buf) bool { p.SetNext(next); return true }); err != nil {
-		return err
-	}
-	return db.redoOnto(store.PageID(next), r, func(page.Buf) bool { return true })
-}
-
-// redoOnto applies change, the effect of r, to page id unless the page is
-// stamped with r's LSN or a newer one, and stamps it. A page r names as its
-// table's heap page that is not one is claimed first.
-func (db *DB) redoOnto(id store.PageID, r *wal.Record, change func(p page.Buf) bool) error {
-	f, err := db.pool.Get(id)
-	if err != nil {
-		return nil // page gone (e.g. truncated file); nothing to redo onto
-	}
-	defer db.pool.Unpin(f, false)
-	// Looked at shared first: to the pool an exclusive latch is a change,
-	// which would image the page again. Recovery runs alone.
-	f.RLock()
-	done := f.Data.LSN() >= r.LSN
-	f.RUnlock()
-	if done {
-		return nil
-	}
-	f.Lock()
-	defer f.Unlock()
-	claimPage(f, r.Table)
-	if !change(f.Data) {
-		return faultinject.Corrupt(fmt.Errorf(
-			"core: recovery redo could not restore page %v slot %d", r.Page, r.Slot))
-	}
-	f.MarkDirty()
-	f.Stamp(r.LSN)
-	return nil
-}
-
-// applyUndo compensates a loser's change if the page reflects it.
-func (db *DB) applyUndo(r *wal.Record) {
-	db.onPage(r.Page, func(f *buffer.Frame) {
-		claimPage(f, r.Table)
-		slot, cur := int(r.Slot), f.Data.Cell(int(r.Slot))
-		mine := cur != nil && string(cur) == string(r.After)
-		switch {
-		case r.Type == wal.RecInsert && mine:
-			f.Data.Delete(slot)
-		case r.Type == wal.RecDelete && cur == nil:
-			f.Data.InsertSparse(slot, r.Before)
-		case r.Type == wal.RecUpdate && mine:
-			f.Data.Update(slot, r.Before)
-		default:
-			return
-		}
-		f.MarkDirty()
-	})
-}
-
-// snapshotPages captures one logical description per page: type, owner,
-// next pointer, and every live cell. Replay idempotency is judged on this
-// logical content — raw bytes may legitimately differ between passes
-// (slot-array garbage accounting, compaction offsets) when a redo insert
-// re-fires into a slot a later redo delete had freed.
-func (db *DB) snapshotPages(ids []store.PageID) []string {
-	out := make([]string, 0, len(ids))
-	for _, id := range ids {
-		f, err := db.pool.Get(id)
-		if err != nil {
-			out = append(out, fmt.Sprintf("%v:unreadable", id))
-			continue
-		}
-		f.RLock()
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "%v t=%d o=%d n=%d", id, f.Data.Type(), f.Data.Owner(), f.Data.Next())
-		for s := 0; s < f.Data.NumSlots(); s++ {
-			if c := f.Data.Cell(s); c != nil {
-				fmt.Fprintf(&sb, " %d=%x", s, c)
-			}
-		}
-		f.RUnlock()
-		db.pool.Unpin(f, false)
-		out = append(out, sb.String())
-	}
-	return out
 }
 
 // Table implements opt.Resolver. It is on the per-statement hot path and

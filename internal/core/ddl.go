@@ -246,21 +246,9 @@ func (db *DB) metaOf(tbl *table.Table) *catalog.TableMeta {
 // is dropped and rebuilt from a heap scan. noColumnar says recovery
 // invalidated the table's columnar snapshot.
 func (db *DB) attachTable(tm *catalog.TableMeta, stale, noColumnar bool) error {
-	cols := make([]table.Column, len(tm.Columns))
-	for i, c := range tm.Columns {
-		cols[i] = table.Column{Name: c.Name, Kind: c.Kind}
-	}
-	tbl, err := table.Attach(db.pool, db.st, tm.ID, tm.Name, cols, tm.First)
+	tbl, err := db.attachHeap(tm)
 	if err != nil {
 		return err
-	}
-	for i, enc := range tm.Hists {
-		if enc == nil || i >= len(tbl.Hists) {
-			continue
-		}
-		if h, err := stats.DecodeHistogram(enc); err == nil {
-			tbl.Hists[i] = h
-		}
 	}
 	// A replica attaches no index trees: it must never allocate pages in
 	// main.db (a btree split would collide with primary-assigned ids), and
@@ -287,6 +275,28 @@ func (db *DB) attachTable(tm *catalog.TableMeta, stale, noColumnar bool) error {
 	}
 	db.adopt(tbl)
 	return nil
+}
+
+// attachHeap opens the heap of a table the catalog describes, with the
+// statistics the catalog kept for it.
+func (db *DB) attachHeap(tm *catalog.TableMeta) (*table.Table, error) {
+	cols := make([]table.Column, len(tm.Columns))
+	for i, c := range tm.Columns {
+		cols[i] = table.Column{Name: c.Name, Kind: c.Kind}
+	}
+	tbl, err := table.Attach(db.pool, db.st, tm.ID, tm.Name, cols, tm.First)
+	if err != nil {
+		return nil, err
+	}
+	for i, enc := range tm.Hists {
+		if enc == nil || i >= len(tbl.Hists) {
+			continue
+		}
+		if h, err := stats.DecodeHistogram(enc); err == nil {
+			tbl.Hists[i] = h
+		}
+	}
+	return tbl, nil
 }
 
 // Checkpoint writes every dirty page and the catalog, as derived from the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"anywheredb/internal/faultinject"
 	"anywheredb/internal/table"
 	"anywheredb/internal/val"
+	"anywheredb/internal/wal"
 )
 
 // TestCrashRecoveryAtomicAndIdempotent crashes with a committed and an
@@ -67,6 +69,50 @@ func TestCrashRecoveryAtomicAndIdempotent(t *testing.T) {
 	c3 := conn(t, db3)
 	if n := mustQuery(t, c3, "SELECT id FROM t").Count(); n != 3 {
 		t.Fatalf("after second reopen: %d rows, want 3", n)
+	}
+}
+
+// TestRecoveryLeavesNothingAdopted: recovery replays the log under
+// transactions adopted for the logged ones, a loser among them. When Open
+// returns they have all settled — no version-chain entry is left — and the
+// next transaction the engine begins has an id none of them had.
+func TestRecoveryLeavesNothingAdopted(t *testing.T) {
+	dir := t.TempDir()
+	db := openDB(t, Options{Dir: dir})
+	c := conn(t, db)
+	mustExec(t, c, "CREATE TABLE t (id INT, v INT)")
+	for i := int64(0); i < 5; i++ {
+		mustExec(t, c, "INSERT INTO t VALUES (?, ?)", val.NewInt(i), val.NewInt(i))
+	}
+	loser := conn(t, db)
+	mustExec(t, loser, "BEGIN")
+	mustExec(t, loser, "INSERT INTO t VALUES (100, 100)")
+	mustExec(t, loser, "UPDATE t SET v = v + 1 WHERE id < 3")
+	mustExec(t, c, "INSERT INTO t VALUES (5, 5)") // its commit flushes the loser's records too
+	db.Crash()
+
+	var logged uint64
+	log, err := wal.Open(filepath.Join(dir, "anywhere.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Scan(func(_ wal.LSN, r *wal.Record) error { logged = max(logged, r.Txn); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	log.CloseNoFlush()
+
+	db2 := openDB(t, Options{Dir: dir, ParanoidRecovery: true})
+	if n := counter(t, db2, "txn.version_entries"); n != 0 {
+		t.Errorf("%d version-chain entries left when Open returned, want 0", n)
+	}
+	tx := db2.txns.Begin()
+	defer tx.Rollback()
+	if tx.ID() <= logged {
+		t.Errorf("the first transaction after recovery has id %d; the log it replayed holds ids up to %d", tx.ID(), logged)
+	}
+	got := mustQuery(t, conn(t, db2), "SELECT COUNT(*), SUM(v) FROM t").All()[0]
+	if got[0].I != 6 || got[1].I != 15 {
+		t.Fatalf("after recovery COUNT, SUM(v) = %v, want 6, 15", got)
 	}
 }
 

@@ -302,3 +302,78 @@ func TestBackedOutInsertStaysOut(t *testing.T) {
 		t.Fatalf("after recovery COUNT, SUM(v) = %v, want 10, 46: the backed-out row came back", got)
 	}
 }
+
+// TestRolledBackPagesNeedNoImage: a rollback's compensations are logged
+// records, each stamped on the page it changes, as forward changes are.
+// Under a 16-page pool a multi-row UPDATE is rolled back over pages this
+// log epoch has imaged already. Every compensated page then carries the LSN
+// of the last record naming it, a compensation, and writing the pages back
+// logs no new image of any of them.
+func TestRolledBackPagesNeedNoImage(t *testing.T) {
+	db := openDB(t, Options{Dir: t.TempDir(), PoolMinPages: 16, PoolInitPages: 16, PoolMaxPages: 16})
+	c := conn(t, db)
+	mustExec(t, c, "CREATE TABLE t (id INT, v INT, pad VARCHAR(200))")
+	mustExec(t, c, "BEGIN")
+	for i := 0; i < 300; i++ {
+		mustExec(t, c, "INSERT INTO t VALUES (?, 0, ?)", val.NewInt(int64(i)), val.NewStr(strings.Repeat("p", 200)))
+	}
+	mustExec(t, c, "COMMIT")
+	checkpoint(t, db)
+	// The epoch's first write-back of each page images it.
+	mustExec(t, c, "UPDATE t SET v = 1")
+	if err := db.Pool().FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := db.Table("t")
+	pages := map[store.PageID]bool{}
+	if err := tbl.Scan(func(rid table.RID, _ []val.Value) (bool, error) { pages[rid.Page] = true; return true, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(pages) < 16 {
+		t.Fatalf("the table spans %d pages, want more than the pool holds", len(pages))
+	}
+
+	start := db.WAL().FlushedLSN()
+	mustExec(t, c, "BEGIN")
+	mustExec(t, c, "UPDATE t SET v = 2")
+	mustExec(t, c, "ROLLBACK")
+	if err := db.Pool().FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.WAL().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	last := map[store.PageID]*wal.Record{}
+	if err := db.WAL().ScanFrom(start, func(_ wal.LSN, r *wal.Record) error {
+		switch {
+		case !pages[r.Page]:
+		case r.Type == wal.RecPageImage:
+			t.Errorf("page %v imaged again after its rollback", r.Page)
+		default:
+			last[r.Page] = r
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for pid := range pages {
+		r := last[pid]
+		if r == nil || !r.Undo {
+			t.Fatalf("page %v: last record %+v, want a compensation", pid, r)
+		}
+		f, err := db.Pool().Get(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.RLock()
+		lsn := f.Data.LSN()
+		f.RUnlock()
+		db.Pool().Unpin(f, false)
+		if lsn != r.LSN {
+			t.Errorf("page %v stamped %d, want its compensation's LSN %d", pid, lsn, r.LSN)
+		}
+	}
+	if got := mustQuery(t, c, "SELECT COUNT(*), SUM(v) FROM t").All()[0]; got[0].I != 300 || got[1].I != 300 {
+		t.Fatalf("after the rollback COUNT, SUM(v) = %v, want 300, 300", got)
+	}
+}

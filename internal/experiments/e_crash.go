@@ -57,7 +57,10 @@ type CrashTortureConfig struct {
 	// (default 8); each transaction runs one to three DML statements.
 	OpsPerCycle int
 	// RecoveryCrashEvery makes every Nth crashed cycle also crash during
-	// the subsequent recovery before re-recovering cleanly (default 5).
+	// the subsequent recovery, after its replay, before re-recovering
+	// cleanly (default 5); the other crashed cycles crash inside that
+	// recovery's rollback of a transaction without a commit record, if it
+	// has one with more than one change.
 	RecoveryCrashEvery int
 	// PoolPages, when > 0, pins every database the harness opens to a
 	// buffer pool of that many pages and grows the kv table to 200 rows per
@@ -72,7 +75,8 @@ type CrashTortureConfig struct {
 type CrashTortureResult struct {
 	Cycles          int // cycles completed
 	Crashes         int // scheduled crashes that fired
-	RecoveryCrashes int // crashes injected mid-recovery
+	RecoveryCrashes int // crashes injected mid-recovery, once the log tail is replayed
+	UndoCrashes     int // crashes injected mid-recovery, inside the rollback of a loser
 	Commits         int // transactions acknowledged committed
 	Rollbacks       int // transactions rolled back after a statement error
 	Indeterminate   int // commits with unknown fate (crash during COMMIT)
@@ -624,19 +628,28 @@ func CrashTorture(cfg CrashTortureConfig) (*CrashTortureResult, error) {
 			}
 		}
 
-		// Optionally crash again during the recovery itself, then recover
-		// cleanly: recovery must be restartable from any point.
-		if sched.Crashed() && cycle%cfg.RecoveryCrashEvery == 0 {
-			rs := faultinject.NewSchedule(faultinject.Config{
-				Seed:        master.Int63(),
-				Crashpoints: map[string]int{"recovery.after_redo": 1},
-			})
+		// Crash again during the recovery itself, then recover cleanly:
+		// recovery must be restartable from any point. Every Nth crashed
+		// cycle crashes once the log tail is replayed; the others crash after
+		// the first compensation of a transaction left without a commit
+		// record, when one has more than one change to roll back. (That
+		// schedule draws no seed from master, so the rest of the run sees
+		// the same sequence either way.)
+		if sched.Crashed() {
+			point, seed := "recovery.undo", cfg.Seed+int64(cycle)
+			if cycle%cfg.RecoveryCrashEvery == 0 {
+				point, seed = "recovery.after_redo", master.Int63()
+			}
+			rs := faultinject.NewSchedule(faultinject.Config{Seed: seed, Crashpoints: map[string]int{point: 1}})
 			rdb, rerr := open(core.Options{Injector: rs, ParanoidRecovery: true})
-			if rerr == nil {
-				// No recovery work, so the crashpoint never fired.
+			switch {
+			case rerr == nil:
+				// No such recovery work, so the crashpoint never fired.
 				harvest(rdb)
 				rdb.Close()
-			} else {
+			case point == "recovery.undo":
+				res.UndoCrashes++
+			default:
 				res.RecoveryCrashes++
 			}
 		}
@@ -675,6 +688,7 @@ func E19CrashRecovery() (*Report, error) {
 		"cycles                 %6d\n"+
 			"crashes                %6d\n"+
 			"recovery crashes       %6d\n"+
+			"recovery undo crashes  %6d\n"+
 			"commits acknowledged   %6d\n"+
 			"rollbacks              %6d\n"+
 			"indeterminate commits  %6d\n"+
@@ -685,7 +699,7 @@ func E19CrashRecovery() (*Report, error) {
 			"transient retries      %6d\n"+
 			"retries exhausted      %6d\n"+
 			"invariant violations        0",
-		res.Cycles, res.Crashes, res.RecoveryCrashes, res.Commits,
+		res.Cycles, res.Crashes, res.RecoveryCrashes, res.UndoCrashes, res.Commits,
 		res.Rollbacks, res.Indeterminate, res.SnapshotChecks,
 		res.SchemaChanges, res.SchemaIndet,
 		res.Injected, res.Retried, res.GaveUp)
@@ -695,16 +709,18 @@ func E19CrashRecovery() (*Report, error) {
 		Title: "Crash-recovery torture under deterministic fault injection",
 		Table: table,
 		Metrics: map[string]float64{
-			"cycles":          float64(res.Cycles),
-			"crashes":         float64(res.Crashes),
-			"commits":         float64(res.Commits),
-			"snapshot_checks": float64(res.SnapshotChecks),
-			"schema_changes":  float64(res.SchemaChanges),
-			"schema_indet":    float64(res.SchemaIndet),
-			"indeterminate":   float64(res.Indeterminate),
-			"fault_injected":  float64(res.Injected),
-			"fault_retried":   float64(res.Retried),
-			"fault_gaveup":    float64(res.GaveUp),
+			"cycles":           float64(res.Cycles),
+			"crashes":          float64(res.Crashes),
+			"recovery_crashes": float64(res.RecoveryCrashes),
+			"undo_crashes":     float64(res.UndoCrashes),
+			"commits":          float64(res.Commits),
+			"snapshot_checks":  float64(res.SnapshotChecks),
+			"schema_changes":   float64(res.SchemaChanges),
+			"schema_indet":     float64(res.SchemaIndet),
+			"indeterminate":    float64(res.Indeterminate),
+			"fault_injected":   float64(res.Injected),
+			"fault_retried":    float64(res.Retried),
+			"fault_gaveup":     float64(res.GaveUp),
 		},
 	}, nil
 }

@@ -6,10 +6,12 @@
 // (hypothetical) indexes the optimizer would like to have. The paper
 // captures the trace into a database; here INSERT INTO ... SELECT ... FROM
 // sys.statements does that. An engine opened with DisableFlightRecorder
-// keeps no trace, so there is nothing to profile.
+// keeps no trace, so there is nothing to profile: IndexConsultant fails
+// with ErrNoTrace.
 package profile
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -88,6 +90,10 @@ type Recommendation struct {
 // to be recommended.
 const MinBenefit = 0.2
 
+// ErrNoTrace is IndexConsultant's answer for a database whose flight
+// recorder is off: its digest table records no workload to consult on.
+var ErrNoTrace = errors.New("profile: the flight recorder is disabled, so there is no workload trace")
+
 // IndexConsultant evaluates virtual indexes for a workload's SELECT
 // digests (flightrec.DigestTable.Snapshot). Each digest's sample is costed
 // once and weighted by the digest's call count. It gathers the index
@@ -95,8 +101,12 @@ const MinBenefit = 0.2
 // equality predicates or equijoins without a supporting index —
 // materializes each as a virtual index in the temporary file, re-optimizes
 // the workload, and recommends the ones whose estimated cost improvement
-// exceeds MinBenefit (§5).
+// exceeds MinBenefit (§5). With the flight recorder off it fails with
+// ErrNoTrace.
 func IndexConsultant(db *core.DB, digests []flightrec.DigestStat) ([]Recommendation, error) {
+	if !db.FlightRecorder().Enabled() {
+		return nil, ErrNoTrace
+	}
 	env := &opt.Env{DTT: db.DTTModel(), PoolPages: db.Pool().SizePages}
 
 	// Parse each SELECT sample once. The overflow bucket has no sample.

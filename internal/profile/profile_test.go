@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -165,6 +166,29 @@ func TestIndexConsultantNoGainNoRecommendation(t *testing.T) {
 	}
 	if len(recs) != 0 {
 		t.Fatalf("unexpected recommendations %+v", recs)
+	}
+}
+
+// TestIndexConsultantWithoutTrace: a database whose flight recorder is off
+// keeps no workload trace, and the Index Consultant says so by name rather
+// than returning an empty result that reads as "no index would help".
+func TestIndexConsultantWithoutTrace(t *testing.T) {
+	db, err := core.Open(core.Options{DisableFlightRecorder: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	c, err := db.Connect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed(t, c, 100)
+	for i := 0; i < 12; i++ {
+		c.Query(fmt.Sprintf("SELECT amount FROM orders WHERE cust = %d", i))
+	}
+	recs, err := IndexConsultant(db, digests(db))
+	if !errors.Is(err, ErrNoTrace) || recs != nil {
+		t.Fatalf("IndexConsultant with the recorder off: %v, %v; want ErrNoTrace", recs, err)
 	}
 }
 

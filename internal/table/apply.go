@@ -1,15 +1,16 @@
-// Streaming-apply surface: what a WAL log-shipping replica needs to replay
-// a primary's data records in arrival (LSN) order. Row changes run the same
-// mutation kernels as forward DML (see table.go), under the transaction
-// that stands for the primary's (txn.Manager.Adopt); the only differences
-// are the ones the log dictates. The location is the shipped one, not the
-// chain tail. An update that does not fit in place is an error, never a
-// move: the primary ships a move as a delete/insert pair. And chain growth
-// and columnar drops arrive as records of their own instead of being
-// decided here. Index trees are untouched only because a replica attaches
-// none (a btree split would allocate pages that collide with ids the
-// primary assigns later in the stream); the kernels maintain whatever
-// Indexes holds.
+// Replay surface: what a log-shipping replica needs to replay a primary's
+// records in arrival (LSN) order, and recovery its own log's tail. Row
+// changes run the same mutation kernels as forward DML (see table.go),
+// under the transaction that stands for the logging one
+// (txn.Manager.Adopt); the only differences are the ones the log dictates.
+// The location is the logged one, not the chain tail. A change its page
+// holds already (stamped at or past it) is not made again. An update that
+// does not fit in place is an error, never a move: the primary ships a move
+// as a delete/insert pair. And chain growth and columnar drops arrive as
+// records of their own. Index trees are untouched only because replay
+// attaches none (a replica's btree split would allocate page ids the
+// primary assigns later; recovery rebuilds its trees afterwards); the
+// kernels maintain whatever Indexes holds.
 
 package table
 
@@ -24,17 +25,25 @@ import (
 	"anywheredb/internal/wal"
 )
 
-// Apply replays one shipped record of this table on behalf of tx. The
+// Apply replays one logged record of this table on behalf of tx. The
 // change stays invisible to snapshot readers, and tx holds its inverse,
-// until the caller settles tx with the shipped commit or rollback. Chain
-// growth and columnar drops change no row and use no tx.
+// until the caller settles tx with the logged commit or rollback. A
+// compensation runs the inverse of tx's newest change still standing; with
+// none registered (the change came before the replay did, or with a commit
+// since taken back) it is made from the record. Chain growth and columnar
+// drops use no tx.
 func (t *Table) Apply(tx *txn.Txn, r *wal.Record) error {
-	// A shipped record can target a page past the replica's file size (the
-	// primary allocated it after the copy): make it addressable first, as
-	// recovery does.
+	if r.Undo && tx.UndoDepth() > 0 {
+		return tx.UndoLast(r.LSN)
+	}
+	return t.apply(tx, r)
+}
+
+// apply makes the change r describes (a compensation registers no inverse).
+func (t *Table) apply(tx *txn.Txn, r *wal.Record) (err error) {
+	// A record can target a page past the file's size (allocated after the
+	// copy a replica started from): make it addressable first.
 	t.st.EnsureAllocated(r.Page)
-	rid := RID{Page: r.Page, Slot: int(r.Slot)}
-	var err error
 	switch r.Type {
 	case wal.RecPageLink:
 		if len(r.After) < 8 {
@@ -42,27 +51,27 @@ func (t *Table) Apply(tx *txn.Txn, r *wal.Record) error {
 		}
 		return t.applyPageLink(r, store.PageID(binary.LittleEndian.Uint64(r.After)))
 	case wal.RecColSegDrop:
-		t.ApplyColSegDrop()
+		t.invalidateColumnar(nil) // no page frees: the primary owns the free list
 		return nil
-	case wal.RecInsert:
-		var row []val.Value
-		if row, err = val.DecodeRow(r.After); err == nil {
-			_, err = t.insertRow(tx, &rid, row, r.After, r)
-		}
-	case wal.RecUpdate:
-		var oldRow, newRow []val.Value
-		if oldRow, err = val.DecodeRow(r.Before); err == nil {
-			if newRow, err = val.DecodeRow(r.After); err == nil {
-				err = t.updateRow(tx, rid, oldRow, newRow, r.After, r)
-			}
-		}
-	case wal.RecDelete:
-		var row []val.Value
-		if row, err = val.DecodeRow(r.Before); err == nil {
-			err = t.deleteRow(tx, rid, row, r)
-		}
+	}
+	rid := RID{Page: r.Page, Slot: int(r.Slot)}
+	var oldRow, newRow []val.Value
+	if r.Before != nil {
+		oldRow, err = val.DecodeRow(r.Before)
+	}
+	if r.After != nil && err == nil {
+		newRow, err = val.DecodeRow(r.After)
+	}
+	switch {
+	case err != nil:
+	case r.Type == wal.RecInsert:
+		_, err = t.insertRow(tx, &rid, newRow, r.After, r)
+	case r.Type == wal.RecUpdate:
+		err = t.updateRow(tx, rid, oldRow, newRow, r.After, r)
+	case r.Type == wal.RecDelete:
+		err = t.deleteRow(tx, rid, oldRow, r)
 	default:
-		return fmt.Errorf("table %s: unexpected shipped record type %v", t.Name, r.Type)
+		return fmt.Errorf("table %s: unexpected logged record type %v", t.Name, r.Type)
 	}
 	if err != nil {
 		return fmt.Errorf("table %s: apply %v at %v: %w", t.Name, r.Type, rid, err)
@@ -70,20 +79,19 @@ func (t *Table) Apply(tx *txn.Txn, r *wal.Record) error {
 	return nil
 }
 
-// applyPageLink replays shipped heap-chain growth r: the next pointer of
-// its page is set to next, next is initialised as a table page, both are
-// stamped, and the in-memory chain bookkeeping (tail pointer, page count)
-// follows.
+// applyPageLink replays heap-chain growth r: the next pointer of its page
+// is set to next, next is initialised as a table page, both are stamped,
+// and the in-memory chain bookkeeping (tail pointer, page count) follows.
 func (t *Table) applyPageLink(r *wal.Record, next store.PageID) error {
 	prev := r.Page
 	t.st.EnsureAllocated(next)
-	if err := t.withPage(prev, nil, r, func(p page.Buf) error {
+	if _, err := t.withPage(prev, nil, r, func(p page.Buf) error {
 		p.SetNext(uint64(next))
 		return nil
 	}); err != nil {
 		return err
 	}
-	if err := t.withPage(next, nil, r, func(p page.Buf) error { return nil }); err != nil {
+	if _, err := t.withPage(next, nil, r, func(p page.Buf) error { return nil }); err != nil {
 		return err
 	}
 	t.mu.Lock()
@@ -93,10 +101,4 @@ func (t *Table) applyPageLink(r *wal.Record, next store.PageID) error {
 	}
 	t.mu.Unlock()
 	return nil
-}
-
-// ApplyColSegDrop replays a shipped columnar invalidation: the in-memory
-// snapshot is dropped (no page frees — the primary owns the free list).
-func (t *Table) ApplyColSegDrop() {
-	t.invalidateColumnar(nil)
 }

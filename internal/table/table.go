@@ -226,34 +226,46 @@ func (t *Table) ResidentFraction() float64 {
 }
 
 // The mutation kernels. Every change to a heap row — forward DML, each
-// rollback compensation, and a replica replaying the primary's log — is one
-// of insertRow, updateRow or deleteRow. A kernel does the page change, logs
-// its record rec and stamps the page with the record's LSN under the same
-// latch, pushes the version-chain entry that hides the change from snapshot
-// readers until tx commits, keeps histograms, indexes and the row count in
-// step, and registers its own inverse on tx: the same kernel run the other
-// way with a nil transaction and no record, which changes the heap without
-// creating versions or stamping the page. The inverses are the exact
-// inverses of the logged records (remove at the RID that was filled, restore
-// at the RID that was emptied), so a live rollback, recovery's undo pass and
-// a replica's rollback all leave the same pages. Kernels take no locks;
-// their callers do.
+// compensation, and a replica or recovery replaying a log — is one of
+// insertRow, updateRow or deleteRow. A kernel does the page change, logs its
+// record rec and stamps the page with the record's LSN under the same
+// latch, and keeps histograms, indexes and the row count in step. A forward
+// change under tx also pushes the version-chain entry that hides it from
+// snapshot readers until tx commits, and registers its inverse on tx
+// (onRollback): the kernel run under tx with a compensation record
+// (rec.Undo), the exact inverse of rec, which creates no version and no
+// inverse. So a live rollback, a replica's and recovery's leave the same
+// pages. rec is nil exactly when tx is (a bulk load). Kernels take no
+// locks; their callers do.
 
 // errNoRoom is updateRow's report that the new image does not fit in the
 // row's page. Update turns it into a move; everywhere else it is an error.
 var errNoRoom = errors.New("table: row does not fit in its page")
 
-// withPage runs fn on a heap page under its exclusive latch and, when fn
+// withPage runs fn on heap page pid under its exclusive latch and, when fn
 // succeeds, marks the page dirty and stamps it with rec (see stamp). A
-// never-written page is initialised first (a shipped record can target a
-// page the replica has only zero-filled).
-func (t *Table) withPage(pid store.PageID, tx *txn.Txn, rec *wal.Record, fn func(p page.Buf) error) error {
+// replayed record is made only where missing: on a page stamped at or past
+// it fn does not run (applied is false). And a page it names that is not
+// this table's heap page never reached disk in that role, or not since an
+// earlier life whose last image recovery restored: it is made one first.
+func (t *Table) withPage(pid store.PageID, tx *txn.Txn, rec *wal.Record, fn func(p page.Buf) error) (applied bool, err error) {
 	f, err := t.pool.Get(pid)
 	if err != nil {
-		return err
+		return false, err
+	}
+	replayed := rec != nil && rec.LSN != 0
+	if replayed {
+		// Looked at shared: to the pool an exclusive latch is a change.
+		f.RLock()
+		done := f.Data.LSN() >= rec.LSN
+		f.RUnlock()
+		if done {
+			t.pool.Unpin(f, false)
+			return false, nil
+		}
 	}
 	f.Lock()
-	if f.Data.Type() == page.TypeFree {
+	if replayed && (f.Data.Type() != page.TypeTable || f.Data.Owner() != t.ID) {
 		f.Data.Init(page.TypeTable)
 		f.Data.SetOwner(t.ID)
 	}
@@ -264,14 +276,14 @@ func (t *Table) withPage(pid store.PageID, tx *txn.Txn, rec *wal.Record, fn func
 	}
 	f.Unlock()
 	t.pool.Unpin(f, err == nil)
-	return err
+	return err == nil, err
 }
 
 // stamp logs rec on tx's behalf — unless it was replayed from a log, where
 // it is already — and stamps the latched page f with its LSN, so the page
 // never holds a change newer than its LSN says. A change no record
-// describes (rec nil: a compensation, a bulk load) leaves the page
-// unstamped, and the pool images it again before it is written.
+// describes (rec nil: a bulk load) leaves the page unstamped, and the pool
+// images it again before it is written.
 func stamp(f *buffer.Frame, tx *txn.Txn, rec *wal.Record) {
 	if rec == nil {
 		return
@@ -286,32 +298,34 @@ func stamp(f *buffer.Frame, tx *txn.Txn, rec *wal.Record) {
 }
 
 // insertRow places enc (the encoding of row) at the chain tail, or at
-// exactly *at when the location is already decided: by the log on a replica,
-// by the delete being compensated in a rollback. A tail insert fills in
-// rec's location, and is the one a unique index may refuse: it then backs
-// itself out and fails with ErrUnique.
+// exactly *at when the location is already decided: by the log, by the
+// delete being compensated. A tail insert fills in rec's location, and is
+// the one a unique index may refuse: it then backs itself out and fails
+// with ErrUnique.
 func (t *Table) insertRow(tx *txn.Txn, at *RID, row []val.Value, enc []byte, rec *wal.Record) (RID, error) {
 	var rid RID
 	var err error
+	applied := true
 	if at == nil {
 		rid, err = t.insertBytes(tx, enc, rec)
 	} else {
 		rid = *at
-		err = t.withPage(rid.Page, tx, rec, func(p page.Buf) error {
+		applied, err = t.withPage(rid.Page, tx, rec, func(p page.Buf) error {
 			// InsertSparse: slots below this one may belong to transactions
 			// whose inserts were never replayed here.
 			if !p.InsertSparse(rid.Slot, enc) {
 				return fmt.Errorf("table %s: slot %v is occupied or its page is full", t.Name, rid)
 			}
-			t.pushVersion(tx, rid, nil, 0)
+			t.pushVersion(tx, rec, rid, nil, 0)
 			return nil
 		})
 	}
 	if err != nil {
 		return RID{}, err
 	}
-	if tx != nil {
-		tx.OnRollback(func() error { return t.deleteRow(nil, rid, row, nil) })
+	t.onRollback(tx, rec)
+	if !applied {
+		return rid, nil
 	}
 	for i, h := range t.Hists {
 		h.NoteInsert(row[i])
@@ -326,7 +340,7 @@ func (t *Table) insertRow(tx *txn.Txn, at *RID, row []val.Value, enc []byte, rec
 		}
 	}
 	if refused != nil {
-		backOut(tx, t.rowRecord(wal.RecDelete, rid, enc, nil), func() error { return t.deleteRow(nil, rid, row, nil) })
+		backOut(tx, func() error { return t.deleteRow(nil, rid, row, nil) })
 		return RID{}, refused
 	}
 	return rid, nil
@@ -353,19 +367,41 @@ func (t *Table) rowRecord(typ wal.RecType, rid RID, before, after []byte) *wal.R
 	return &wal.Record{Type: typ, Table: t.ID, Page: rid.Page, Slot: uint32(rid.Slot), Before: before, After: after}
 }
 
+// onRollback registers on tx the inverse of the forward change rec
+// describes: the compensation, logged or replayed at lsn, that swaps rec's
+// images — a delete for an insert, an insert for a delete, the old image
+// back. Bulk loads and compensations have no inverse. The inverse holds a
+// copy of the record, so rec itself need not outlive the change.
+func (t *Table) onRollback(tx *txn.Txn, rec *wal.Record) {
+	if tx == nil || rec.Undo {
+		return
+	}
+	inv := *rec
+	inv.Before, inv.After, inv.Undo = rec.After, rec.Before, true
+	switch rec.Type {
+	case wal.RecInsert:
+		inv.Type = wal.RecDelete
+	case wal.RecDelete:
+		inv.Type = wal.RecInsert
+	}
+	tx.OnRollback(func(lsn wal.LSN) error {
+		r := inv
+		r.LSN = lsn
+		return t.apply(tx, &r)
+	})
+}
+
 // backOut takes back the change a statement just made, because the
-// statement fails after the change was logged. Under a transaction the
-// change's inverse runs at once and is logged as inv, so that the
-// transaction's commit cannot bring the change back at recovery; without
-// one (a bulk load) undo runs instead. The inverse's error is dropped: the
-// statement is failing already, with the error that explains why.
-func backOut(tx *txn.Txn, inv *wal.Record, undo func() error) {
+// statement fails after the change was logged: by the change's logged
+// inverse under a transaction, whose commit then cannot bring the change
+// back at recovery, and by undo without one (a bulk load). The error is
+// dropped: the statement is failing already, with the error that says why.
+func backOut(tx *txn.Txn, undo func() error) {
 	if tx == nil {
 		_ = undo()
 		return
 	}
-	_ = tx.UndoLast()
-	tx.Log(inv)
+	_ = tx.UndoLast(0)
 }
 
 // insertBytes places the encoded row into the chain's tail, growing it as
@@ -389,7 +425,7 @@ func (t *Table) insertBytes(tx *txn.Txn, enc []byte, rec *wal.Record) (RID, erro
 		// Push the insert marker ("no row existed here before this txn")
 		// while still holding the page latch: a snapshot reader that can
 		// see the new cell must also find the chain entry that hides it.
-		t.pushVersion(tx, RID{Page: id, Slot: slot}, nil, 0)
+		t.pushVersion(tx, rec, RID{Page: id, Slot: slot}, nil, 0)
 		f.Unlock()
 		t.pool.Unpin(f, true)
 		return RID{Page: id, Slot: slot}, nil
@@ -418,7 +454,7 @@ func (t *Table) insertBytes(tx *txn.Txn, enc []byte, rec *wal.Record) (RID, erro
 	id := nf.ID
 	if slot >= 0 {
 		t.logInsert(nf, tx, rec, slot)
-		t.pushVersion(tx, RID{Page: id, Slot: slot}, nil, 0)
+		t.pushVersion(tx, rec, RID{Page: id, Slot: slot}, nil, 0)
 	}
 	nf.Unlock()
 	t.pool.Unpin(nf, true)
@@ -466,12 +502,12 @@ func (t *Table) owed(pid store.PageID, p page.Buf, own int) (reserve, slot int) 
 }
 
 // pushVersion prepends a pre-image entry to rid's version chain on behalf
-// of tx: pre is the row the write replaced and cell the length of its heap
-// cell (nil and zero for an insert: no row existed). No-op for
-// non-transactional work (bulk load, rollback undo — compensations restore
-// state rather than create new versions).
-func (t *Table) pushVersion(tx *txn.Txn, rid RID, pre []val.Value, cell int) {
-	if tx == nil {
+// of tx, for the change rec describes: pre is the row the write replaced
+// and cell the length of its heap cell (nil and zero for an insert: no row
+// existed). No-op for a bulk load and for a compensation, which restores
+// state rather than creating a new version.
+func (t *Table) pushVersion(tx *txn.Txn, rec *wal.Record, rid RID, pre []val.Value, cell int) {
+	if tx == nil || rec.Undo {
 		return
 	}
 	e := &mvcc.Entry{Writer: tx.ID(), Row: pre, Exists: cell > 0, Bytes: mvcc.SizeOf(pre), Cell: cell}
@@ -491,12 +527,12 @@ func (t *Table) updateRow(tx *txn.Txn, rid RID, oldRow, newRow []val.Value, newE
 	// through tx, so ahead of the caller's data record) so that no scan —
 	// live or replayed — can see the stale columnar image.
 	t.invalidateColumnar(tx)
-	err := t.withPage(rid.Page, tx, rec, func(p page.Buf) error {
+	applied, err := t.withPage(rid.Page, tx, rec, func(p page.Buf) error {
 		was := len(p.Cell(rid.Slot))
 		if was == 0 {
 			return ErrNotFound
 		}
-		if grow := len(newEnc) - was; grow > 0 && tx != nil {
+		if grow := len(newEnc) - was; grow > 0 && tx != nil && !rec.Undo {
 			if reserve, _ := t.owed(rid.Page, p, rid.Slot); reserve > 0 && grow > p.FreeSpace()-reserve {
 				return errNoRoom
 			}
@@ -506,14 +542,15 @@ func (t *Table) updateRow(tx *txn.Txn, rid RID, oldRow, newRow []val.Value, newE
 		}
 		// Under the latch that changed the cell: a snapshot reader that can
 		// see the new bytes must also find the pre-image that hides them.
-		t.pushVersion(tx, rid, oldRow, was)
+		t.pushVersion(tx, rec, rid, oldRow, was)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	if tx != nil {
-		tx.OnRollback(func() error { return t.updateRow(nil, rid, newRow, oldRow, val.EncodeRow(oldRow), nil) })
+	t.onRollback(tx, rec)
+	if !applied {
+		return nil
 	}
 	for i, h := range t.Hists {
 		if val.Compare(oldRow[i], newRow[i]) != 0 || oldRow[i].IsNull() != newRow[i].IsNull() {
@@ -528,7 +565,7 @@ func (t *Table) updateRow(tx *txn.Txn, rid RID, oldRow, newRow []val.Value, newE
 			if _, err := ix.Tree.Delete(oldKey, rid.Bytes()); err != nil {
 				return err
 			}
-			if err := addKey(ix, newKey, rid, tx != nil); errors.Is(err, ErrUnique) {
+			if err := addKey(ix, newKey, rid, tx != nil && !rec.Undo); errors.Is(err, ErrUnique) {
 				refused = err
 			} else if err != nil {
 				return err
@@ -536,7 +573,7 @@ func (t *Table) updateRow(tx *txn.Txn, rid RID, oldRow, newRow []val.Value, newE
 		}
 	}
 	if refused != nil {
-		backOut(tx, t.rowRecord(wal.RecUpdate, rid, newEnc, val.EncodeRow(oldRow)), nil)
+		backOut(tx, nil)
 	}
 	return refused
 }
@@ -547,24 +584,22 @@ func (t *Table) deleteRow(tx *txn.Txn, rid RID, row []val.Value, rec *wal.Record
 	// insert always lives in the delta tail, but a build may have sealed the
 	// chain between insert and rollback; invalidating then is conservative.)
 	t.invalidateColumnar(tx)
-	err := t.withPage(rid.Page, tx, rec, func(p page.Buf) error {
+	applied, err := t.withPage(rid.Page, tx, rec, func(p page.Buf) error {
 		was := len(p.Cell(rid.Slot))
 		if !p.Delete(rid.Slot) {
 			return ErrNotFound
 		}
 		// Under the latch that removed the cell: a snapshot reader either
 		// sees the live cell, or resurrects it from here.
-		t.pushVersion(tx, rid, row, was)
+		t.pushVersion(tx, rec, rid, row, was)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	if tx != nil {
-		tx.OnRollback(func() error {
-			_, err := t.insertRow(nil, &rid, row, val.EncodeRow(row), nil)
-			return err
-		})
+	t.onRollback(tx, rec)
+	if !applied {
+		return nil
 	}
 	for i, h := range t.Hists {
 		h.NoteDelete(row[i])
@@ -610,7 +645,7 @@ func (t *Table) Insert(tx *txn.Txn, row []val.Value) (RID, error) {
 		// The RID is known only now, with the page latch released: a wait
 		// here holds no latch.
 		if err := tx.Lock(t.ID, rid.Bytes(), lock.Exclusive); err != nil {
-			backOut(tx, t.rowRecord(wal.RecDelete, rid, enc, nil), nil)
+			backOut(tx, nil)
 			return RID{}, err
 		}
 	}
@@ -757,9 +792,7 @@ func (t *Table) updateLocked(tx *txn.Txn, rid RID, oldRow, newRow []val.Value) (
 	newRID, err := t.insertRow(tx, nil, newRow, newEnc, rec)
 	if errors.Is(err, ErrUnique) {
 		// The insert has backed itself out; the delete goes the same way.
-		oldEnc := val.EncodeRow(oldRow)
-		backOut(tx, t.rowRecord(wal.RecInsert, rid, nil, oldEnc),
-			func() error { _, err := t.insertRow(nil, &rid, oldRow, oldEnc, nil); return err })
+		backOut(tx, func() error { _, err := t.insertRow(nil, &rid, oldRow, val.EncodeRow(oldRow), nil); return err })
 	}
 	return newRID, err
 }

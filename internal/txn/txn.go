@@ -160,12 +160,14 @@ func (m *Manager) Active() int {
 // writer-gone rule and sys.transactions see it), and settles through
 // Commit and Rollback like any other. But it takes no locks — the
 // primary's locks already ordered the stream — and logs nothing: its
-// frames, including the commit or rollback record that settles it, are in
-// the local log before they are applied.
+// frames, including its compensations and the commit or rollback record
+// that settles it, are in the local log before they are applied. Recovery
+// adopts the transactions of the log it replays the same way.
 func (m *Manager) Adopt(id uint64) *Txn {
 	t := &Txn{id: id, m: m, shipped: true, began: time.Now()}
 	m.mu.Lock()
 	m.active[id] = t
+	m.next = max(m.next, id+1) // no later id may name a logged transaction
 	m.mu.Unlock()
 	t.noteLogged() // its records are arriving in the local log
 	return t
@@ -334,9 +336,6 @@ func (m *Manager) Snapshots() []SnapInfo {
 	return out
 }
 
-// Log exposes the transaction log (for checkpointing).
-func (m *Manager) Log() *wal.Log { return m.log }
-
 // SetInjector arms named commit-path crashpoints. inj may be nil.
 func (m *Manager) SetInjector(inj faultinject.Injector) {
 	m.mu.Lock()
@@ -358,12 +357,12 @@ func (m *Manager) crashpoint(name string) error {
 type Txn struct {
 	id    uint64
 	m     *Manager
-	undo  []func() error
+	undo  []func(lsn wal.LSN) error
 	done  bool
 	ro    bool
 	began time.Time
-	// shipped marks a transaction adopted from a primary's log stream (see
-	// Manager.Adopt): no locks, no log records, no flush.
+	// shipped marks a transaction adopted from a log (see Manager.Adopt):
+	// no locks, no log records, no flush.
 	shipped bool
 	// logged is set once the log holds a record of this transaction's.
 	logged bool
@@ -479,33 +478,41 @@ func (t *Txn) noteLogged() {
 	t.m.logMu.Unlock()
 }
 
-// OnRollback registers a compensating action, run in reverse order if the
-// transaction rolls back.
-func (t *Txn) OnRollback(f func() error) {
+// OnRollback registers the inverse of a change the transaction just made.
+// It logs itself as a compensation (wal.Record.Undo), or, with lsn
+// nonzero, replays the compensation a log holds at lsn.
+func (t *Txn) OnRollback(f func(lsn wal.LSN) error) {
 	t.undo = append(t.undo, f)
 }
 
-// UndoLast runs and discards the most recently registered compensation: a
-// statement that fails right after a change backs that one change out
-// without ending the transaction.
-func (t *Txn) UndoLast() error {
+// UndoDepth reports how many changes a rollback would take back.
+func (t *Txn) UndoDepth() int { return len(t.undo) }
+
+// UndoLast runs and discards the newest registered inverse: a statement
+// that fails right after a change backs that one change out, and a
+// replayed compensation takes back the change it was logged for.
+func (t *Txn) UndoLast(lsn wal.LSN) error {
 	last := len(t.undo) - 1
 	f := t.undo[last]
 	t.undo = t.undo[:last]
-	return f()
+	return f(lsn)
 }
 
-// undoAll runs every compensation, newest first, and reports the first
-// failure.
+// undoAll runs every inverse, newest first, and reports the first failure.
 func (t *Txn) undoAll() error {
 	var firstErr error
 	for len(t.undo) > 0 {
-		if err := t.UndoLast(); err != nil && firstErr == nil {
+		if err := t.UndoLast(0); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
 }
+
+// TakeOver makes an adopted transaction the log never settled the
+// engine's own, for recovery to roll back: its compensations and rollback
+// record are logged like a local transaction's. It holds no locks.
+func (t *Txn) TakeOver() { t.shipped = false }
 
 // locks returns the lock manager this transaction locks through: none for
 // a single-user database or a shipped transaction.
@@ -545,9 +552,10 @@ func (t *Txn) LockCtx(ctx context.Context, obj uint64, key []byte, mode lock.Mod
 // When the group's flush fails, every transaction waiting on it gets the
 // error, and each compensates its in-memory changes before returning: the
 // engine may keep serving reads (degraded mode), and those reads must not
-// see data the caller was just told did not commit. A rollback record is
-// appended behind the stranded commit record, so if a later flush lands
-// both the transaction is still recovered as rolled back.
+// see data the caller was just told did not commit. The compensations and
+// a rollback record are logged behind the stranded commit record, so a
+// later flush that lands the commit lands the start of the undo too, and
+// recovery ignores a commit record its transaction logged past.
 func (t *Txn) Commit() error {
 	if t.done {
 		return ErrDone
@@ -591,10 +599,10 @@ func (t *Txn) Commit() error {
 	return nil
 }
 
-// compensate undoes the transaction's in-memory changes after a failed
-// commit flush. Undo errors are ignored: on a crashed or failed device the
-// in-memory state is about to be discarded anyway, and recovery will undo
-// from the log.
+// compensate takes back the transaction's changes after a failed commit
+// flush. Undo errors are ignored: on a crashed or failed device the
+// in-memory state is about to be discarded anyway, and recovery rolls back
+// whatever the log shows standing.
 func (t *Txn) compensate() {
 	_ = t.undoAll()
 	t.m.log.Append(&wal.Record{Type: wal.RecRollback, Txn: t.id})
@@ -611,22 +619,17 @@ func (t *Txn) Rollback() error {
 		t.finish()
 		return nil
 	}
-	if t.shipped {
-		// The shipped rollback record is already in the local log.
-		err := t.undoAll()
-		t.finish()
-		return err
-	}
-	// The record goes into the log ahead of the compensations, not after
-	// them: whatever another transaction does with the page space they hand
-	// back is then logged behind it, and a replica, which runs the same
-	// compensations when it reaches this record, has that space too.
-	// Recovery undoes a rolled-back transaction from the log like any other
-	// loser, so the order makes no difference to it.
-	lsn := t.m.log.Append(&wal.Record{Type: wal.RecRollback, Txn: t.id})
+	// Each compensation logs itself under the latch of the page it changes,
+	// ahead of whatever another transaction does with the space it hands
+	// back, and the rollback record marks the end of the undo. A shipped
+	// transaction's are in the local log already, and were run as they were
+	// replayed: normally nothing is left to run.
 	firstErr := t.undoAll()
-	if err := t.m.flushTo(t.id, lsn); err != nil && firstErr == nil {
-		firstErr = err
+	if !t.shipped {
+		lsn := t.m.log.Append(&wal.Record{Type: wal.RecRollback, Txn: t.id})
+		if err := t.m.flushTo(t.id, lsn); err != nil && firstErr == nil {
+			firstErr = err
+		}
 	}
 	t.finish()
 	return firstErr

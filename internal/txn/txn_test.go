@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -70,8 +71,8 @@ func TestRollbackRunsUndoInReverse(t *testing.T) {
 	tx := m.Begin()
 	var order []int
 	var atFirstUndo []wal.RecType
-	tx.OnRollback(func() error { order = append(order, 1); return nil })
-	tx.OnRollback(func() error {
+	tx.OnRollback(func(wal.LSN) error { order = append(order, 1); return nil })
+	tx.OnRollback(func(wal.LSN) error {
 		order = append(order, 2)
 		if err := log.Flush(); err != nil {
 			return err
@@ -85,10 +86,10 @@ func TestRollbackRunsUndoInReverse(t *testing.T) {
 	if len(order) != 2 || order[0] != 2 || order[1] != 1 {
 		t.Fatalf("undo order %v, want [2 1]", order)
 	}
-	// The rollback record is logged before the first compensation frees
-	// anything another transaction could use and log.
-	if n := len(atFirstUndo); n == 0 || atFirstUndo[n-1] != wal.RecRollback {
-		t.Fatalf("log when the first compensation ran: %v, want the rollback record last", atFirstUndo)
+	// The rollback record marks the end of the undo: it is logged behind
+	// the compensations, not ahead of them.
+	if slices.Contains(atFirstUndo, wal.RecRollback) {
+		t.Fatalf("log when the first compensation ran: %v, want no rollback record yet", atFirstUndo)
 	}
 	types := logTypes(t, log)
 	if types[len(types)-1] != wal.RecRollback {
@@ -167,7 +168,7 @@ func TestUndoErrorReported(t *testing.T) {
 	m, _ := setup(t)
 	tx := m.Begin()
 	wantErr := errFake{}
-	tx.OnRollback(func() error { return wantErr })
+	tx.OnRollback(func(wal.LSN) error { return wantErr })
 	if err := tx.Rollback(); err != wantErr {
 		t.Fatalf("rollback error %v, want fake", err)
 	}
@@ -218,8 +219,8 @@ func TestAdoptedTxnSettlesWithoutLogOrLocks(t *testing.T) {
 
 	tx = m.Adopt(901)
 	var order []int
-	tx.OnRollback(func() error { order = append(order, 1); return nil })
-	tx.OnRollback(func() error { order = append(order, 2); return nil })
+	tx.OnRollback(func(wal.LSN) error { order = append(order, 1); return nil })
+	tx.OnRollback(func(wal.LSN) error { order = append(order, 2); return nil })
 	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Package wal implements the transaction log: a separate append-only file
-// of physiological redo/undo records with CRC-protected framing, plus the
-// crash-recovery scan (redo committed work, undo losers).
+// of physiological records with CRC-protected framing, plus the
+// crash-recovery scan (the page images to restore, the records to replay).
 //
 // Each database consists of a main database file and a separate transaction
 // log file (§1); the log is an ordinary OS file.
@@ -38,18 +38,18 @@ const (
 	// RecPageLink records heap-chain growth: Page is the old tail, After
 	// carries the 8-byte id of the page linked after it. Chain linkage is
 	// physical structure shared by every transaction that later inserts
-	// into the new page, so recovery redoes these records whatever becomes
-	// of their transaction (like any record, onto pages stamped older than
-	// them) and never undoes them — an abandoned empty page is harmless, an
-	// unreachable committed row is not.
+	// into the new page, so no rollback takes it back — an abandoned empty
+	// page is harmless, an unreachable committed row is not. Recovery
+	// replays it like any record, onto the pages stamped older than it.
 	RecPageLink
 	// RecPageImage carries a full page image in After. The buffer pool
 	// writes a data page in place only once the log durably holds an image
 	// of the page from its current contents, and every record describing a
 	// change since that image (see buffer.ImageLog): one image per page per
-	// checkpoint, PostgreSQL's full-page-writes rule. So a torn or partial
+	// checkpoint, PostgreSQL's full-page-writes rule (a heap change, made or
+	// taken back, is a record stamped on its page). So a torn or partial
 	// page write can always be repaired from the log: recovery restores the
-	// newest image of each page, then redoes every record newer than the
+	// newest image of each page, then replays every record newer than the
 	// LSN stamped in it. The image need not have reached the page — an
 	// eviction logs it and writes later, riding whichever flush comes next —
 	// so recovery may restore bytes the page never held, which is as safe as
@@ -83,7 +83,10 @@ func (t RecType) String() string {
 // Record is one physiological log record. Insert carries the new row image
 // in After; Delete carries the old image in Before; Update carries both.
 type Record struct {
-	Type   RecType
+	Type RecType
+	// Undo marks a compensation: the row change that takes back the
+	// transaction's newest change still standing (encoded as undoBit).
+	Undo   bool
 	Txn    uint64
 	Table  uint64
 	Page   store.PageID
@@ -378,7 +381,11 @@ func appendFrame(dst []byte, r *Record) []byte {
 	n := int(FrameLen(r)) - 8
 	dst = slices.Grow(dst, 8+n)
 	off := len(dst)
-	dst = append(dst[:off+8], byte(r.Type))
+	typ := byte(r.Type)
+	if r.Undo {
+		typ |= undoBit
+	}
+	dst = append(dst[:off+8], typ)
 	dst = binary.AppendUvarint(dst, r.Txn)
 	dst = binary.AppendUvarint(dst, r.Table)
 	dst = binary.AppendUvarint(dst, uint64(r.Page))
@@ -391,6 +398,9 @@ func appendFrame(dst []byte, r *Record) []byte {
 	binary.LittleEndian.PutUint32(dst[off+4:], crc32.ChecksumIEEE(dst[off+8:]))
 	return dst
 }
+
+// undoBit flags a compensation (Record.Undo) in the encoded type byte.
+const undoBit = 0x80
 
 // FrameLen is the length of r's frame in a log: a record decoded from a
 // frame ends FrameLen bytes past where the frame starts.
@@ -408,7 +418,7 @@ func decode(b []byte) (*Record, error) {
 	if len(b) < 1 {
 		return nil, bad
 	}
-	r := &Record{Type: RecType(b[0])}
+	r := &Record{Type: RecType(b[0] &^ undoBit), Undo: b[0]&undoBit != 0}
 	b = b[1:]
 	uv := func() uint64 {
 		v, n := binary.Uvarint(b)
@@ -997,78 +1007,71 @@ func (l *Log) IngestRaw(frames []byte, nrecs int) (start LSN, err error) {
 
 // RecoveryPlan summarizes a log scan for crash recovery.
 type RecoveryPlan struct {
-	// Redo holds, in LSN order, every data record of committed
-	// transactions and every RecPageLink: chain growth is redone regardless
-	// of the owning transaction's fate, and never undone (see RecPageLink).
-	Redo []*Record
-	// Undo holds the data records of uncommitted ("loser") transactions, in
-	// reverse LSN order, ready to be compensated.
-	Undo []*Record
+	// Records holds, in LSN order, what recovery replays, winners and losers
+	// alike: every row change and compensation, RecPageLink and
+	// RecColSegDrop, and every commit and rollback record — save a commit
+	// record its transaction logged anything after: the commit's flush
+	// failed and it was taken back (see txn.Txn.Commit).
+	Records []*Record
 	// Images maps each page to its newest full-page image (see
 	// RecPageImage). Recovery writes these back first, repairing any torn
-	// in-place write, then redoes onto each page every record newer than the
-	// LSN stamped in it. An image logged under a transaction id is one of a
-	// set that is only good whole (the pages of the catalog chain): it counts
-	// from that transaction's commit record, and not at all without one — a
-	// log flush can tear between two of them.
+	// in-place write, then replays onto each page every record newer than
+	// the LSN stamped in it. An image logged under a transaction id is one
+	// of a set that is only good whole (the pages of the catalog chain): it
+	// counts from that transaction's commit record, and not at all without
+	// one — a log flush can tear between two of them.
 	Images map[store.PageID]*Record
 	// ColSegDrops is the set of table ids whose columnar segments must not
 	// be attached: those invalidated by any logged RecColSegDrop, honored
-	// unconditionally (see RecColSegDrop), and every table with a loser
-	// record — an insert that is about to be undone could have been baked
-	// into a snapshot built before its rollback.
+	// unconditionally (see RecColSegDrop), and every table with a row
+	// change of a transaction that did not commit — an insert that is about
+	// to be rolled back could have been baked into a snapshot built before
+	// its rollback.
 	ColSegDrops map[uint64]bool
-	// Committed is the set of committed transaction ids.
-	Committed map[uint64]bool
 }
 
-// Analyze scans the log and partitions work into redo and undo sets.
+// Analyze scans the log for crash recovery.
 func (l *Log) Analyze() (*RecoveryPlan, error) {
 	plan := &RecoveryPlan{
-		Committed:   map[uint64]bool{},
 		Images:      map[store.PageID]*Record{},
 		ColSegDrops: map[uint64]bool{},
 	}
-	var all []*Record
 	held := map[uint64][]*Record{} // images logged under a transaction not yet seen to commit
+	commit := map[uint64]int{}     // the index of each standing commit record in plan.Records
 	err := l.Scan(func(_ LSN, r *Record) error {
+		if i, ok := commit[r.Txn]; ok && r.Type != RecPageImage {
+			plan.Records[i] = nil // superseded: the transaction went on logging
+			delete(commit, r.Txn)
+		}
 		switch r.Type {
-		case RecCommit:
-			plan.Committed[r.Txn] = true
-			for _, img := range held[r.Txn] {
-				plan.Images[img.Page] = img
-			}
-			delete(held, r.Txn)
-		case RecRollback:
-			// Rolled-back work is treated like a loser: it must be undone,
-			// but an explicit rollback already compensated it before the
-			// crash, so mark it committed-to-nothing.
-			plan.Committed[r.Txn] = false
-		case RecInsert, RecDelete, RecUpdate, RecPageLink:
-			all = append(all, r)
+		case RecBegin, RecCheckpoint:
+			return nil
 		case RecPageImage:
 			if r.Txn != 0 {
 				held[r.Txn] = append(held[r.Txn], r)
 			} else {
 				plan.Images[r.Page] = r // later image supersedes earlier
 			}
+			return nil
+		case RecCommit:
+			for _, img := range held[r.Txn] {
+				plan.Images[img.Page] = img
+			}
+			delete(held, r.Txn)
+			commit[r.Txn] = len(plan.Records)
 		case RecColSegDrop:
 			plan.ColSegDrops[r.Table] = true
 		}
+		plan.Records = append(plan.Records, r)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range all {
-		if plan.Committed[r.Txn] || r.Type == RecPageLink {
-			plan.Redo = append(plan.Redo, r)
-		}
-	}
-	for i := len(all) - 1; i >= 0; i-- {
-		if !plan.Committed[all[i].Txn] && all[i].Type != RecPageLink {
-			plan.Undo = append(plan.Undo, all[i])
-			plan.ColSegDrops[all[i].Table] = true
+	plan.Records = slices.DeleteFunc(plan.Records, func(r *Record) bool { return r == nil })
+	for _, r := range plan.Records {
+		if _, ok := commit[r.Txn]; !ok && (r.Type == RecInsert || r.Type == RecDelete || r.Type == RecUpdate) {
+			plan.ColSegDrops[r.Table] = true
 		}
 	}
 	return plan, nil

@@ -3,6 +3,7 @@ package wal
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"anywheredb/internal/store"
@@ -68,36 +69,64 @@ func TestUnflushedRecordsNotDurable(t *testing.T) {
 	}
 }
 
-func TestAnalyzeRedoUndo(t *testing.T) {
+// TestAnalyzeKeepsTheTailToReplay: recovery replays every row change,
+// winners' and losers' alike, and every commit and rollback record, in LSN
+// order. A commit record its own transaction logged past — the
+// compensations of a commit whose flush failed — is left out. The
+// compensation flag survives the log.
+func TestAnalyzeKeepsTheTailToReplay(t *testing.T) {
 	l, _ := Open("")
-	// Txn 1 commits, txn 2 is a loser, txn 3 rolled back explicitly.
+	// Txn 1 commits, txn 2 is a loser, txn 3 rolled back, txn 4's commit is
+	// followed by its compensation and rollback record, txn 5 wrote nothing.
 	l.Append(&Record{Type: RecBegin, Txn: 1})
-	l.Append(&Record{Type: RecInsert, Txn: 1, After: []byte("a")})
+	l.Append(&Record{Type: RecInsert, Txn: 1, Table: 11, After: []byte("a")})
 	l.Append(&Record{Type: RecBegin, Txn: 2})
-	l.Append(&Record{Type: RecInsert, Txn: 2, After: []byte("b")})
+	l.Append(&Record{Type: RecInsert, Txn: 2, Table: 12, After: []byte("b")})
 	l.Append(&Record{Type: RecCommit, Txn: 1})
-	l.Append(&Record{Type: RecUpdate, Txn: 2, Before: []byte("b"), After: []byte("b2")})
+	l.Append(&Record{Type: RecUpdate, Txn: 2, Table: 12, Before: []byte("b"), After: []byte("b2")})
 	l.Append(&Record{Type: RecBegin, Txn: 3})
-	l.Append(&Record{Type: RecDelete, Txn: 3, Before: []byte("c")})
+	l.Append(&Record{Type: RecDelete, Txn: 3, Table: 13, Before: []byte("c")})
+	l.Append(&Record{Type: RecInsert, Txn: 3, Table: 13, After: []byte("c"), Undo: true})
 	l.Append(&Record{Type: RecRollback, Txn: 3})
+	l.Append(&Record{Type: RecInsert, Txn: 4, Table: 14, After: []byte("d")})
+	l.Append(&Record{Type: RecCommit, Txn: 4})
+	l.Append(&Record{Type: RecDelete, Txn: 4, Table: 14, Before: []byte("d"), Undo: true})
+	l.Append(&Record{Type: RecRollback, Txn: 4})
+	l.Append(&Record{Type: RecBegin, Txn: 5})
+	l.Append(&Record{Type: RecCommit, Txn: 5})
 	l.Flush()
 
 	plan, err := l.Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Redo) != 1 || string(plan.Redo[0].After) != "a" {
-		t.Fatalf("redo set wrong: %+v", plan.Redo)
+	type rec struct {
+		typ  RecType
+		txn  uint64
+		undo bool
 	}
-	if len(plan.Undo) != 3 {
-		t.Fatalf("undo set size %d, want 3", len(plan.Undo))
+	want := []rec{
+		{RecInsert, 1, false}, {RecInsert, 2, false}, {RecCommit, 1, false},
+		{RecUpdate, 2, false}, {RecDelete, 3, false}, {RecInsert, 3, true}, {RecRollback, 3, false},
+		{RecInsert, 4, false}, {RecDelete, 4, true}, {RecRollback, 4, false},
+		{RecCommit, 5, false},
 	}
-	// Undo is in reverse LSN order.
-	if plan.Undo[0].Type != RecDelete || plan.Undo[1].Type != RecUpdate || plan.Undo[2].Type != RecInsert {
-		t.Fatalf("undo order wrong: %v %v %v", plan.Undo[0].Type, plan.Undo[1].Type, plan.Undo[2].Type)
+	var got []rec
+	var last LSN
+	for _, r := range plan.Records {
+		got = append(got, rec{r.Type, r.Txn, r.Undo})
+		if r.LSN <= last {
+			t.Fatalf("records out of LSN order: %d after %d", r.LSN, last)
+		}
+		last = r.LSN
 	}
-	if !plan.Committed[1] || plan.Committed[2] || plan.Committed[3] {
-		t.Fatalf("committed set wrong: %v", plan.Committed)
+	if !slices.Equal(got, want) {
+		t.Fatalf("records to replay\n  got  %v\n  want %v", got, want)
+	}
+	for table, drop := range map[uint64]bool{11: false, 12: true, 13: true, 14: true} {
+		if plan.ColSegDrops[table] != drop {
+			t.Errorf("table %d: columnar snapshot dropped %v, want %v", table, plan.ColSegDrops[table], drop)
+		}
 	}
 }
 

@@ -602,25 +602,28 @@ type Iterator struct {
 	err error
 }
 
-// Seek positions an iterator at the first entry with key ≥ k.
-func (t *Tree) Seek(k []byte) (*Iterator, error) {
+// Seek positions it, an iterator the caller owns and may reuse, at the
+// first entry with key ≥ k, closing it first. On an error it is left
+// closed.
+func (t *Tree) Seek(it *Iterator, k []byte) error {
+	it.Close()
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	f, pos, err := t.seekLeaf(k, false)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	it := &Iterator{t: t, pos: pos}
+	*it = Iterator{t: t, pos: pos}
 	if f != nil {
 		it.img = images.Get().(*[page.Size]byte)
 		copy(it.img[:], f.Data)
 		t.release(f, false)
 	}
-	return it, nil
+	return nil
 }
 
-// First positions an iterator at the smallest key.
-func (t *Tree) First() (*Iterator, error) { return t.Seek(nil) }
+// First positions it at the smallest key.
+func (t *Tree) First(it *Iterator) error { return t.Seek(it, nil) }
 
 func (it *Iterator) leaf() page.Buf { return page.Buf(it.img[:]) }
 
@@ -676,8 +679,8 @@ func (it *Iterator) Close() {
 // rebuildStats recomputes statistics by walking the tree (used by Attach).
 func (t *Tree) rebuildStats() {
 	t.Stats = Stats{}
-	it, err := t.First()
-	if err != nil {
+	var it Iterator
+	if err := t.First(&it); err != nil {
 		return
 	}
 	defer it.Close()

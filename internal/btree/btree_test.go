@@ -74,8 +74,8 @@ func TestSplitsAndOrder(t *testing.T) {
 		t.Fatalf("height %d, expected splits", tr.Stats.Height.Load())
 	}
 	// Full scan returns every key in order.
-	it, err := tr.First()
-	if err != nil {
+	it := new(Iterator)
+	if err := tr.First(it); err != nil {
 		t.Fatal(err)
 	}
 	defer it.Close()
@@ -105,8 +105,8 @@ func TestSeekRange(t *testing.T) {
 		tr.Insert(k(i), v(i))
 	}
 	// Seek to an absent odd key: lands on the next even key.
-	it, err := tr.Seek(k(501))
-	if err != nil {
+	it := new(Iterator)
+	if err := tr.Seek(it, k(501)); err != nil {
 		t.Fatal(err)
 	}
 	defer it.Close()
@@ -126,8 +126,8 @@ func TestSeekRange(t *testing.T) {
 func TestSeekPastEnd(t *testing.T) {
 	tr, _, _ := newTree(t, 64)
 	tr.Insert(k(1), v(1))
-	it, err := tr.Seek([]byte("zzzz"))
-	if err != nil {
+	it := new(Iterator)
+	if err := tr.Seek(it, []byte("zzzz")); err != nil {
 		t.Fatal(err)
 	}
 	defer it.Close()
@@ -142,7 +142,8 @@ func TestDuplicateKeys(t *testing.T) {
 		tr.Insert([]byte("dup"), v(i))
 	}
 	tr.Insert([]byte("eee"), v(99))
-	it, _ := tr.Seek([]byte("dup"))
+	it := new(Iterator)
+	tr.Seek(it, []byte("dup"))
 	defer it.Close()
 	count := 0
 	for ; it.Valid() && bytes.Equal(it.Key(), []byte("dup")); it.Next() {
@@ -202,7 +203,8 @@ func TestScanAcrossEmptiedLeaves(t *testing.T) {
 	for i := 500; i < 1500; i++ {
 		tr.Delete(k(i), nil)
 	}
-	it, _ := tr.Seek(k(400))
+	it := new(Iterator)
+	tr.Seek(it, k(400))
 	defer it.Close()
 	count := 0
 	for ; it.Valid(); it.Next() {
@@ -322,14 +324,14 @@ func TestQuickAgainstReference(t *testing.T) {
 			keys = append(keys, kk)
 		}
 		sort.Strings(keys)
-		full, err := tr.First()
-		if err != nil {
+		full := new(Iterator)
+		if err := tr.First(full); err != nil {
 			return false
 		}
 		defer full.Close()
 		for _, kk := range keys {
-			it, err := tr.Seek([]byte(kk))
-			if err != nil {
+			it := new(Iterator)
+			if err := tr.Seek(it, []byte(kk)); err != nil {
 				return false
 			}
 			for _, want := range ref[kk] {
@@ -513,8 +515,8 @@ func TestQuickMixedKeyOrders(t *testing.T) {
 			}
 		}
 		sort.Strings(sorted)
-		it, err := tr.First()
-		if err != nil {
+		it := new(Iterator)
+		if err := tr.First(it); err != nil {
 			return false
 		}
 		defer it.Close()
@@ -725,8 +727,8 @@ func TestDuplicatesAcrossLeaves(t *testing.T) {
 		}
 	}
 	for i := 0; i < keys; i++ {
-		it, err := tr.Seek(k(i))
-		if err != nil {
+		it := new(Iterator)
+		if err := tr.Seek(it, k(i)); err != nil {
 			t.Fatal(err)
 		}
 		n := 0
@@ -760,7 +762,7 @@ func TestDuplicatesAcrossLeaves(t *testing.T) {
 	if n := tr.Stats.Entries.Load(); n != 0 {
 		t.Fatalf("Stats.Entries = %d after deleting everything", n)
 	}
-	if it, _ := tr.First(); it.Valid() {
+	if it := new(Iterator); tr.First(it) == nil && it.Valid() {
 		t.Fatal("the emptied tree still yields an entry")
 	}
 }
@@ -797,8 +799,8 @@ func TestScannersVsWriters(t *testing.T) {
 					done = true // one last scan after the writers finished
 				default:
 				}
-				it, err := tr.Seek(key(w, 0))
-				if err != nil {
+				it := new(Iterator)
+				if err := tr.Seek(it, key(w, 0)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -870,7 +872,8 @@ func TestAllocationGuards(t *testing.T) {
 		{"Search hit", 1, func() { tr.Search(hit) }},
 		{"Search miss", 0, func() { tr.Search(miss) }},
 		{"Seek+Close", 1, func() {
-			it, _ := tr.Seek(hit)
+			it := new(Iterator)
+			tr.Seek(it, hit)
 			it.Close()
 		}},
 		// 100 runs append 100 cells to the last leaf: at most one split,

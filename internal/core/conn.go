@@ -41,6 +41,64 @@ type Conn struct {
 	// overriding the database-wide Options.StatementTimeout. The network
 	// server sets it per connection from the client's hello.
 	stmtTimeout time.Duration
+
+	// What the connection keeps from statement to statement, so that a
+	// statement allocates little beyond its answer: the execution context,
+	// with the scan-feedback hook bound once, and the batch its plan drains
+	// into; the memory-governor task and the statement snapshot of the
+	// statement running (neither holds a charge or a registration between
+	// statements); the vector a text's lifted literals are merged into; and
+	// the plans of the shapes it ran last.
+	ectx    exec.Ctx
+	batch   exec.Batch
+	scanObs func(tableName string, rows int64)
+	task    mem.Task
+	snap    mvcc.Snapshot
+	bound   []val.Value
+	kept    keptPlans
+}
+
+// planKeep is how many shapes' plans a connection keeps.
+const planKeep = 8
+
+// keptPlan is a plan the connection instantiated from tmpl, the template
+// sh's slot held then, and ran: while the slot holds tmpl still, the next
+// execution of sh rebinds it (opt.Template.Rebind) instead of instantiating.
+type keptPlan struct {
+	sh   *Shape
+	tmpl *opt.Template
+	plan *opt.Plan
+}
+
+// keptPlans are a connection's kept plans, the most recently run first; the
+// least recently run is dropped for a new one.
+type keptPlans [planKeep]keptPlan
+
+// rebind returns sh's kept plan bound to params, if it was instantiated from
+// tmpl and serves them.
+func (k *keptPlans) rebind(sh *Shape, tmpl *opt.Template, params []val.Value) *opt.Plan {
+	for i, e := range k {
+		if e.sh != sh {
+			continue
+		}
+		if e.tmpl != tmpl || !tmpl.Rebind(e.plan, params) {
+			return nil
+		}
+		copy(k[1:i+1], k[:i])
+		k[0] = e
+		return e.plan
+	}
+	return nil
+}
+
+// keep files plan, instantiated from tmpl, as sh's.
+func (k *keptPlans) keep(sh *Shape, tmpl *opt.Template, plan *opt.Plan) {
+	i := 0
+	for i < len(k)-1 && k[i].sh != sh {
+		i++
+	}
+	copy(k[1:i+1], k[:i])
+	k[0] = keptPlan{sh, tmpl, plan}
 }
 
 // SetStatementTimeout bounds each of this connection's statements to d of
@@ -90,7 +148,9 @@ func (r *Rows) All() [][]val.Value { return r.rows[r.pos:] }
 // Count reports the total number of rows.
 func (r *Rows) Count() int { return len(r.rows) }
 
-// Plan exposes the executed plan (EXPLAIN-style introspection).
+// Plan exposes the executed plan (EXPLAIN-style introspection). The
+// connection may keep the plan to run its shape again: it is valid until
+// that connection's next execution of the same shape.
 func (r *Rows) Plan() *opt.Plan { return r.plan }
 
 // Close releases the cursor.
@@ -107,6 +167,7 @@ func (c *Conn) Close() error {
 		c.tx.Rollback()
 		c.tx = nil
 	}
+	c.kept, c.ectx, c.batch, c.bound = keptPlans{}, exec.Ctx{}, exec.Batch{}, nil
 	c.db.mu.Lock()
 	c.db.conns--
 	last := c.db.conns == 0
@@ -118,10 +179,10 @@ func (c *Conn) Close() error {
 	return nil
 }
 
-// execCtx builds the execution context for one statement under its
-// memory-governor task (nil for DML, which runs ungoverned).
+// execCtx sets up the connection's execution context for one statement
+// under its memory-governor task (nil for DML, which runs ungoverned).
 func (c *Conn) execCtx(task *mem.Task) *exec.Ctx {
-	ctx := &exec.Ctx{
+	c.ectx = exec.Ctx{
 		Pool:           c.db.pool,
 		St:             c.db.st,
 		Clk:            c.db.clk,
@@ -136,9 +197,10 @@ func (c *Conn) execCtx(task *mem.Task) *exec.Ctx {
 
 		ColSegSkipped:    c.db.colSkipped,
 		ColSegDecodeRows: c.db.colDecoded,
-		ScanObs:          c.db.noteScan,
+		ScanObs:          c.scanObs,
+		Out:              &c.batch,
 	}
-	return ctx
+	return &c.ectx
 }
 
 // Exec runs a statement that returns no rows.
@@ -248,9 +310,12 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value) (res Resul
 		return Result{}, nil, st.Err
 	}
 	// The statement runs on what the caller bound and the literals lifted
-	// from its text.
-	if params, err = st.bind(params); err != nil {
-		return Result{}, nil, err
+	// from its text, merged into the connection's vector.
+	if len(st.lifted) > 0 {
+		if c.bound, err = st.bind(c.bound[:0], params); err != nil {
+			return Result{}, nil, err
+		}
+		params = c.bound
 	}
 	if sp != nil && c.tx != nil {
 		// An explicit transaction is already open: statement waits carrying
@@ -277,9 +342,8 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value) (res Resul
 		return Result{}, nil, ErrReadOnlyTxn
 	}
 
-	if fin := c.beginReadPath(st.kind, sp); fin != nil {
-		defer fin()
-	}
+	c.beginReadPath(st.kind, sp)
+	defer c.endReadPath()
 
 	start := c.db.clk.Now()
 	switch s := st.AST.(type) {
@@ -291,7 +355,7 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value) (res Resul
 			// Snapshot transaction: one watermark for its whole lifetime
 			// gives repeatable reads with zero lock-manager traffic.
 			c.tx = c.db.txns.BeginRO()
-			c.tx.BindSnapshot(c.acquireSnapshot(0, sp))
+			c.tx.BindSnapshot(c.acquireSnapshot(new(mvcc.Snapshot), 0, sp))
 		} else {
 			c.tx = c.db.txns.Begin()
 		}
@@ -327,6 +391,8 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value) (res Resul
 		err = c.createStatistics(s)
 	case *sqlparse.DropTable:
 		err = c.dropTable(s)
+	case *sqlparse.DropIndex:
+		err = c.dropIndex(s)
 	case *sqlparse.Calibrate:
 		err = c.calibrate()
 	case *sqlparse.LoadTable:
@@ -347,7 +413,7 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value) (res Resul
 			res.RowsAffected = int64(rows.Count())
 		}
 	case *sqlparse.Explain:
-		rows, err = c.execExplain(s, params)
+		rows, err = c.execExplain(st.Shape, s, params)
 		if rows != nil {
 			res.RowsAffected = int64(rows.Count())
 		}
@@ -369,8 +435,8 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value) (res Resul
 	return res, rows, nil
 }
 
-// beginReadPath prepares the read path for one statement and returns the
-// cleanup to run at statement end (nil when the statement needs none).
+// beginReadPath prepares the read path for one statement; endReadPath ends
+// it.
 //
 // Queries read under an MVCC snapshot (c.curSnap) and make zero
 // lock-manager calls — a statement-lifetime snapshot in autocommit and
@@ -380,9 +446,9 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value) (res Resul
 // UPDATE / DELETE their subqueries, under a statement snapshot too. The
 // target rows of UPDATE / DELETE are never read under it: they must be the
 // latest committed rows, which their row X locks then protect.
-func (c *Conn) beginReadPath(kind stmtKind, sp *flightrec.Span) func() {
+func (c *Conn) beginReadPath(kind stmtKind, sp *flightrec.Span) {
 	if kind != kindQuery && kind != kindSubquery {
-		return nil
+		return
 	}
 	if kind == kindQuery {
 		c.db.snapReads.Inc()
@@ -391,27 +457,30 @@ func (c *Conn) beginReadPath(kind stmtKind, sp *flightrec.Span) func() {
 		// Reuse the transaction-lifetime snapshot: every statement in the
 		// transaction reads the same watermark (repeatable reads).
 		c.curSnap = c.tx.Snapshot()
-		return func() { c.curSnap = nil }
+		return
 	}
 	var self uint64
 	if c.tx != nil {
 		self = c.tx.ID()
 	}
-	snap := c.acquireSnapshot(self, sp)
-	c.curSnap = snap
-	return func() {
-		c.curSnap = nil
-		c.db.txns.ReleaseSnapshot(snap)
-	}
+	c.curSnap = c.acquireSnapshot(&c.snap, self, sp)
 }
 
-// acquireSnapshot takes an MVCC snapshot, charging the acquisition to the
+// endReadPath releases the statement's own snapshot, if it took one.
+func (c *Conn) endReadPath() {
+	if c.curSnap == &c.snap {
+		c.db.txns.ReleaseSnapshot(&c.snap)
+	}
+	c.curSnap = nil
+}
+
+// acquireSnapshot acquires snap, charging the acquisition to the
 // txn.snapshot wait event. The event is recorded even at zero measured
 // microseconds: the count then reads as "snapshots acquired", and a
 // contended snapshot registry shows up as nonzero time.
-func (c *Conn) acquireSnapshot(self uint64, sp *flightrec.Span) *mvcc.Snapshot {
+func (c *Conn) acquireSnapshot(snap *mvcc.Snapshot, self uint64, sp *flightrec.Span) *mvcc.Snapshot {
 	start := time.Now()
-	snap := c.db.txns.AcquireSnapshot(self)
+	c.db.txns.AcquireSnapshot(snap, self)
 	if c.db.flight.Enabled() {
 		us := time.Since(start).Microseconds()
 		c.db.flight.ObserveWait(flightrec.WaitSnapshot, us)

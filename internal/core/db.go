@@ -216,6 +216,7 @@ type DB struct {
 	pcTrainings *telemetry.Counter
 	pcVerifies  *telemetry.Counter
 	pcInvalid   *telemetry.Counter
+	pcRetained  *telemetry.Counter
 
 	// stmts interns statement shapes by key (see Prepare); parses counts
 	// the texts actually parsed.
@@ -514,6 +515,7 @@ func Open(opts Options) (*DB, error) {
 	db.pcTrainings = db.reg.Counter("opt.plancache.trainings")
 	db.pcVerifies = db.reg.Counter("opt.plancache.verifications")
 	db.pcInvalid = db.reg.Counter("opt.plancache.invalidations")
+	db.pcRetained = db.reg.Counter("opt.plancache.retained")
 	db.parses = db.reg.Counter("sqlparse.parses")
 	db.reg.GaugeFunc("core.stmt_cache.entries", db.stmts.entries.Load)
 	db.reg.GaugeFunc("core.stmt_cache.bytes", db.stmts.bytes.Load)
@@ -1027,5 +1029,5 @@ func (db *DB) Connect() (*Conn, error) {
 		return nil, fmt.Errorf("core: database is closed")
 	}
 	db.conns++
-	return &Conn{db: db}, nil
+	return &Conn{db: db, scanObs: db.noteScan}, nil
 }

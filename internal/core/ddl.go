@@ -159,6 +159,17 @@ func (c *Conn) createIndex(s *sqlparse.CreateIndex) error {
 	})
 }
 
+// dropIndex detaches the index; its pages are abandoned to the file, as a
+// dropped table's are.
+func (c *Conn) dropIndex(s *sqlparse.DropIndex) error {
+	return c.ddl(s.Table, true, func(_ *txn.Txn, tbl *table.Table) error {
+		if !tbl.RemoveIndex(s.Name) {
+			return fmt.Errorf("core: index %q not found", s.Name)
+		}
+		return nil
+	})
+}
+
 func (c *Conn) createStatistics(s *sqlparse.CreateStatistics) error {
 	return c.ddl(s.Table, false, func(_ *txn.Txn, tbl *table.Table) error {
 		return tbl.RebuildStatistics()

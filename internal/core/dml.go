@@ -18,11 +18,14 @@ import (
 // VALUES, an UPDATE or a DELETE. sh is the shape whose slot the statement
 // trains and hits — its own; EXPLAIN passes the one of the statement it
 // explains — and stmt the statement in sh's AST that is planned. A hit
-// instantiates the slot's template; a miss, a verifying hit, a template
-// bound under another schema version and a value the template cannot serve
-// compile, and offer what they compiled to the slot as §4.1 says. The
-// compile or instantiation is charged to the span's optimize phase.
-func (c *Conn) plan(sh *Shape, stmt sqlparse.Statement, ctx *exec.Ctx, params []val.Value) (*opt.Plan, error) {
+// instantiates the slot's template — or, for a plan to be run (use),
+// rebinds the plan the connection kept from that template's last
+// instantiation, and keeps what it instantiates; a miss, a verifying hit, a
+// template bound under another schema version and a value the template
+// cannot serve compile, and offer what they compiled to the slot as §4.1
+// says. The compile, instantiation or rebinding is charged to the span's
+// optimize phase.
+func (c *Conn) plan(sh *Shape, stmt sqlparse.Statement, ctx *exec.Ctx, params []val.Value, use planUse) (*opt.Plan, error) {
 	db := c.db
 	optStart := time.Now()
 	if sp := c.curSpan; sp != nil {
@@ -30,7 +33,7 @@ func (c *Conn) plan(sh *Shape, stmt sqlparse.Statement, ctx *exec.Ctx, params []
 	}
 	// The version is read before anything is bound: a template stamped with
 	// it saw every schema change the version counts.
-	benv := opt.BuildEnv{Env: db.optEnv.Load(), Res: db, SchemaVersion: db.schemaVersion.Load(), Ctx: ctx, Params: params}
+	version := db.schemaVersion.Load()
 
 	tmpl, hit, verify := sh.plan.Lookup()
 	if hit {
@@ -38,7 +41,7 @@ func (c *Conn) plan(sh *Shape, stmt sqlparse.Statement, ctx *exec.Ctx, params []
 	} else {
 		db.pcMisses.Inc()
 	}
-	stale := hit && !tmpl.Current(benv.SchemaVersion)
+	stale := hit && !tmpl.Current(version)
 	// oneOff: the template was compiled for other kinds of values (a number,
 	// where this execution binds a NULL). What is compiled for these runs
 	// once, and the template is left to the values it serves — unless
@@ -46,14 +49,23 @@ func (c *Conn) plan(sh *Shape, stmt sqlparse.Statement, ctx *exec.Ctx, params []
 	// template as the last.
 	oneOff := false
 	if hit && !verify && !stale {
-		plan, ok, err := tmpl.Instantiate(&benv)
+		if use == planRun {
+			if plan := c.kept.rebind(sh, tmpl, params); plan != nil {
+				db.pcRetained.Inc()
+				return plan, nil
+			}
+		}
+		plan, ok, err := tmpl.Instantiate(c.buildEnv(version, ctx, params))
+		if ok && use == planRun {
+			c.kept.keep(sh, tmpl, plan)
+		}
 		if ok || err != nil {
 			return plan, err
 		}
 		oneOff = !tmpl.Bypass()
 	}
 
-	fresh, plan, err := opt.Compile(stmt, &benv)
+	fresh, plan, err := opt.Compile(stmt, c.buildEnv(version, ctx, params))
 	if err != nil {
 		return nil, err
 	}
@@ -89,6 +101,12 @@ func (c *Conn) plan(sh *Shape, stmt sqlparse.Statement, ctx *exec.Ctx, params []
 	return plan, nil
 }
 
+// buildEnv is what a compile or an instantiation under schema version
+// version needs.
+func (c *Conn) buildEnv(version uint64, ctx *exec.Ctx, params []val.Value) *opt.BuildEnv {
+	return &opt.BuildEnv{Env: c.db.optEnv.Load(), Res: c.db, SchemaVersion: version, Ctx: ctx, Params: params}
+}
+
 // planUse is what a caller of execSelect or execModify wants of the plan.
 type planUse uint8
 
@@ -103,10 +121,10 @@ const (
 // runs under a memory-governor task whose quotas follow Eq. 4/5; exceeding
 // the hard limit terminates the statement.
 func (c *Conn) execSelect(sh *Shape, s *sqlparse.Select, params []val.Value, use planUse) (*Rows, error) {
-	task := c.db.memG.Begin()
+	task := c.db.memG.Begin(&c.task)
 	defer task.Finish()
 	ctx := c.execCtx(task)
-	plan, err := c.plan(sh, s, ctx, params)
+	plan, err := c.plan(sh, s, ctx, params, use)
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +135,8 @@ func (c *Conn) execSelect(sh *Shape, s *sqlparse.Select, params []val.Value, use
 	}
 
 	// Wrap every operator so the executed tree accrues per-node stats
-	// (EXPLAIN ANALYZE and Rows.Plan() introspection read them back).
+	// (EXPLAIN ANALYZE and Rows.Plan() introspection read them back); a
+	// kept plan is wrapped already.
 	plan.Root = exec.Instrument(plan.Root)
 	if use == planExplain {
 		return &Rows{plan: plan}, nil
@@ -176,7 +195,7 @@ func (c *Conn) execInsert(sh *Shape, s *sqlparse.Insert, params []val.Value) (Re
 		sourceRows = rows.rows
 	} else {
 		ctx := c.execCtx(nil)
-		plan, err := c.plan(sh, s, ctx, params)
+		plan, err := c.plan(sh, s, ctx, params, planRun)
 		if err != nil {
 			return Result{}, err
 		}
@@ -215,7 +234,7 @@ func (c *Conn) execInsert(sh *Shape, s *sqlparse.Insert, params []val.Value) (Re
 // rows; under plain EXPLAIN the statement is planned but not executed.
 func (c *Conn) execModify(sh *Shape, stmt sqlparse.Statement, params []val.Value, use planUse) (Result, *opt.Plan, error) {
 	ctx := c.execCtx(nil)
-	plan, err := c.plan(sh, stmt, ctx, params)
+	plan, err := c.plan(sh, stmt, ctx, params, use)
 	if err != nil {
 		return Result{}, nil, err
 	}

@@ -15,15 +15,16 @@ import (
 // actuals (NULL without ANALYZE, and for nodes the run never reached).
 var explainColumns = []string{"operator", "est_rows", "actual_rows", "invocations", "time_us", "mem_pages"}
 
-// execExplain runs EXPLAIN [ANALYZE] <stmt>. Plain EXPLAIN plans the
-// statement and prints the plan tree without executing it; ANALYZE also
-// runs the statement with an instrumented tree and prints per-node actuals.
-// Both kinds of statement go through the same execSelect / execModify as
-// the bare statement, on the bare statement's plan slot — found in the
-// statement table by its text; the lifted literals are numbered alike under
-// EXPLAIN and bare — so what is printed is the tree that runs.
-func (c *Conn) execExplain(s *sqlparse.Explain, params []val.Value) (*Rows, error) {
-	bare := c.db.Prepare(s.Text).Shape
+// execExplain runs EXPLAIN [ANALYZE] <stmt>, the statement of shape sh.
+// Plain EXPLAIN plans the statement and prints the plan tree without
+// executing it; ANALYZE also runs the statement with an instrumented tree
+// and prints per-node actuals. Both kinds of statement go through the same
+// execSelect / execModify as the bare statement, on the bare statement's
+// plan slot — sh.inner; the lifted literals are numbered alike under
+// EXPLAIN and bare — so what is printed is the tree that runs. Either
+// builds its own tree: a plan the connection keeps is never explained.
+func (c *Conn) execExplain(sh *Shape, s *sqlparse.Explain, params []val.Value) (*Rows, error) {
+	bare := sh.inner
 	if bare.Err != nil {
 		return nil, bare.Err
 	}

@@ -259,7 +259,7 @@ func TestStatementsAreGoverned(t *testing.T) {
 		base := baselineOf(t, small) // the segments are new
 		for _, name := range []string{"f", "d"} {
 			tbl, _ := small.Table(name)
-			task := small.memG.Begin()
+			task := small.memG.Begin(new(mem.Task))
 			ctx := cs.execCtx(task)
 			scan := &exec.TableScan{Table: tbl, ZoneCol: -1}
 			if err := scan.Open(ctx); err != nil {

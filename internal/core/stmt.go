@@ -36,6 +36,9 @@ type Shape struct {
 
 	// key is what the statement table files the shape under.
 	key string
+	// inner is the shape of the statement an EXPLAIN explains, interned
+	// when the EXPLAIN's shape is: running it reads no text again.
+	inner *Shape
 	// plan caches the statement's template: the SELECT's own, the source
 	// query's of an INSERT ... SELECT, an UPDATE's, DELETE's or INSERT ...
 	// VALUES's.
@@ -180,6 +183,9 @@ func (db *DB) Prepare(text string) *Stmt {
 		if !stood {
 			lifted = nil
 		}
+		if ex, ok := sh.AST.(*sqlparse.Explain); ok {
+			sh.inner = db.Prepare(ex.Text).Shape
+		}
 		db.parses.Inc()
 		t.mu.Lock()
 		if el, ok = t.byKey[sh.key]; !ok {
@@ -211,15 +217,11 @@ func (db *DB) Prepare(text string) *Stmt {
 }
 
 // bind merges the caller's parameters with the statement's lifted literals,
-// which fill the slots after the text's own `?`s.
-func (st *Stmt) bind(params []val.Value) ([]val.Value, error) {
-	if len(st.lifted) == 0 {
-		return params, nil
-	}
+// which fill the slots after the text's own `?`s, appending them to dst.
+func (st *Stmt) bind(dst, params []val.Value) ([]val.Value, error) {
 	if len(params) < st.nUser {
 		return nil, fmt.Errorf("opt: parameter %d not supplied", len(params)+1)
 	}
 	// Surplus parameters are ignored, as ever.
-	merged := make([]val.Value, 0, st.nUser+len(st.lifted))
-	return append(append(merged, params[:st.nUser]...), st.lifted...), nil
+	return append(append(dst, params[:st.nUser]...), st.lifted...), nil
 }

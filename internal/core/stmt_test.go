@@ -225,6 +225,30 @@ func TestInsertSelectTrainsItsOwnSlot(t *testing.T) {
 	diffCompare(t, diffQuery{sql: "INSERT INTO x SELECT k, w FROM b WHERE k = 3"}, "inserted", got, want)
 }
 
+// TestExplainReadsItsTextOnce: an EXPLAIN's shape holds the shape of the
+// statement it explains, interned when the EXPLAIN's was, so a repeated
+// EXPLAIN of a known shape reads no text again — parses nothing — and
+// explains the plan slot the bare statement runs on.
+func TestExplainReadsItsTextOnce(t *testing.T) {
+	db := openDB(t, Options{})
+	c := conn(t, db)
+	loadPairs(t, c, "t", "id INT, v INT", 100, func(i int) (int, int) { return i, i * 10 })
+	const q = "SELECT v FROM t WHERE id = 7"
+	mustQuery(t, c, q)
+	mustQuery(t, c, "EXPLAIN "+q)
+	if ex, bare := db.Prepare("EXPLAIN "+q).Shape, db.Prepare(q).Shape; ex.inner != bare {
+		t.Fatalf("the EXPLAIN's shape explains %p, the statement's shape is %p", ex.inner, bare)
+	}
+	parses := counter(t, db, "sqlparse.parses")
+	for i := 0; i < 5; i++ {
+		mustQuery(t, c, fmt.Sprintf("EXPLAIN SELECT v FROM t WHERE id = %d", i))
+		mustQuery(t, c, fmt.Sprintf("EXPLAIN ANALYZE SELECT v FROM t WHERE id = %d", i))
+	}
+	if p := counter(t, db, "sqlparse.parses") - parses; p != 1 {
+		t.Errorf("ten EXPLAINs of one known shape, five of them ANALYZE (a shape of its own): %d parses, want 1", p)
+	}
+}
+
 // padded returns a distinct statement of exactly n bytes.
 func padded(tag string, n int) string {
 	s := "SELECT '" + tag + "'"

@@ -1,13 +1,18 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"anywheredb/internal/exec"
+	"anywheredb/internal/opt"
 	"anywheredb/internal/sqlparse"
 	"anywheredb/internal/val"
 )
@@ -84,14 +89,29 @@ func TestStatementAllocationCeilings(t *testing.T) {
 	}
 
 	parses, misses := counter(t, db, "sqlparse.parses"), counter(t, db, "opt.plancache.misses")
-	perRMW := mallocs(n, func(i int) { rmw(t, c, int64(100+i)) })
-	perLookup := mallocs(n, lookup)
-	t.Logf("objects per op: rmw transaction %.1f, prepared point lookup %.1f", perRMW, perLookup)
-	if perRMW > 150 {
-		t.Errorf("the rmw transaction allocates %.1f objects, ceiling 150", perRMW)
+	// Every execution but a scheduled verification runs the plan its
+	// connection kept: the SELECT and the UPDATE of each transaction, and
+	// each lookup.
+	retainedBy := func(what string, execs int, fn func()) {
+		t.Helper()
+		r, v := counter(t, db, "opt.plancache.retained"), counter(t, db, "opt.plancache.verifications")
+		fn()
+		if dr, dv := counter(t, db, "opt.plancache.retained")-r, counter(t, db, "opt.plancache.verifications")-v; dr+dv != int64(execs) {
+			t.Errorf("%s: %d executions, %d of them verifications, %d served by a kept plan", what, execs, dv, dr)
+		}
 	}
-	if perLookup > 45 {
-		t.Errorf("the prepared point lookup allocates %.1f objects, ceiling 45", perLookup)
+	var perRMW, perLookup float64
+	retainedBy("rmw", 2*n, func() { perRMW = mallocs(n, func(i int) { rmw(t, c, int64(100+i)) }) })
+	retainedBy("lookup", n, func() { perLookup = mallocs(n, lookup) })
+	t.Logf("objects per op: rmw transaction %.1f, prepared point lookup %.1f", perRMW, perLookup)
+	// The rmw ceiling is 1.1× the 50.3 objects measured on linux/amd64
+	// (go1.24) under -race, where sync.Pool drops some of what it is given
+	// back (42.8 without).
+	if perRMW > 50.3*1.1 {
+		t.Errorf("the rmw transaction allocates %.1f objects, ceiling %.1f", perRMW, 50.3*1.1)
+	}
+	if perLookup > 12 {
+		t.Errorf("the prepared point lookup allocates %.1f objects, ceiling 12", perLookup)
 	}
 	if p, m := counter(t, db, "sqlparse.parses")-parses, counter(t, db, "opt.plancache.misses")-misses; p != 0 || m != 0 {
 		t.Errorf("%d warm transactions and %d lookups: %d parses, %d plan-cache misses, want none", n, n, p, m)
@@ -328,6 +348,234 @@ func TestDifferentialTemplateVsFresh(t *testing.T) {
 	}
 }
 
+// --- A kept plan vs a fresh compile -------------------------------------------
+
+// runOutcome is everything a client sees of one execution, and the per-node
+// actuals of the tree that ran it.
+type runOutcome struct {
+	rows     []string
+	affected int64
+	err      string
+	stats    []string
+}
+
+func runOnce(c *Conn, sql string, params []val.Value, ordered bool) runOutcome {
+	var o runOutcome
+	res, rows, err := c.RunContext(context.Background(), sql, params...)
+	if err != nil {
+		o.err = err.Error()
+		return o
+	}
+	o.affected = res.RowsAffected
+	if rows != nil && rows.Columns() != nil {
+		o.rows = renderRows(rows, ordered)
+	}
+	if rows != nil && rows.Plan() != nil {
+		o.stats = nodeStats(rows.Plan())
+	}
+	return o
+}
+
+// nodeStats renders a plan that ran: each operator with its actuals.
+func nodeStats(p *opt.Plan) []string {
+	var out []string
+	var walk func(op exec.Operator, depth int)
+	walk = func(op exec.Operator, depth int) {
+		line := strings.Repeat("  ", depth) + exec.Describe(op)
+		if st, ok := exec.StatsOf(op); ok {
+			line += fmt.Sprintf(" rows=%d invocations=%d batches=%d mem=%d", st.Rows, st.Invocations, st.Batches, st.MemPeakPages)
+		}
+		out = append(out, line)
+		for _, ch := range exec.Children(op) {
+			walk(ch, depth+1)
+		}
+	}
+	walk(p.Root, 0)
+	return out
+}
+
+// whereParams are the parameters a statement's WHERE clauses read: the
+// values its template's order and access paths were chosen for.
+func whereParams(stmt sqlparse.Statement) []int {
+	var out []int
+	note := func(e sqlparse.Expr) {
+		if e != nil {
+			sqlparse.WalkExpr(e, func(x sqlparse.Expr) bool {
+				if p, ok := x.(*sqlparse.Param); ok {
+					out = append(out, p.Idx-1)
+				}
+				return true
+			})
+		}
+	}
+	switch s := stmt.(type) {
+	case *sqlparse.Select:
+		for b := s; b != nil; b = b.Union {
+			note(b.Where)
+		}
+	case *sqlparse.Update:
+		note(s.Where)
+	case *sqlparse.Delete:
+		note(s.Where)
+	}
+	return out
+}
+
+// nudge moves a number a little: the next value of a seeded sequence for
+// one parameter. A string stays: another string is another selectivity,
+// and a plan chosen for one value need not be the plan a compile chooses
+// for another (TestValueDrivenPlanChangeIsCaughtAtVerification).
+func nudge(v val.Value, rng *rand.Rand) val.Value {
+	switch v.Kind {
+	case val.KInt:
+		return val.NewInt(max(v.I+rng.Int63n(3)-1, 0))
+	case val.KDouble:
+		return val.NewDouble(v.F + float64(rng.Intn(3)-1) + 0.25)
+	}
+	return v
+}
+
+// TestDifferentialRetainedVsFresh holds a plan that a connection kept and
+// runs again to a compile of the same statement with the same values. One
+// connection runs every shape of the arm above, its constants bound as
+// parameters, fourteen times over a seeded sequence of values: training,
+// the first hit (which instantiates the plan the connection keeps),
+// verifications, and runs of the kept plan — among them one with every
+// parameter NULL and one with every parameter of another kind. Where such a
+// value reaches a WHERE clause the template does not serve it: that run is
+// compiled for itself, and the kept plan serves the next. A second database
+// compiles every execution. Rows, rows affected, errors and the per-node
+// actuals of every run, and every histogram and string statistic at the
+// end, are the same on both.
+func TestDifferentialRetainedVsFresh(t *testing.T) {
+	keptDB, freshDB := openDB(t, Options{}), openDB(t, Options{})
+	kept, fresh := conn(t, keptDB), conn(t, freshDB)
+	for _, c := range []*Conn{kept, fresh} {
+		diffSeed(t, c)
+		dmlDiffSeed(t, c, true)
+	}
+	// The seeds' repeated INSERTs ran kept plans already.
+	keptBase, freshBase := counter(t, keptDB, "opt.plancache.retained"), counter(t, freshDB, "opt.plancache.retained")
+
+	type stmt struct {
+		sql           string
+		params        []val.Value
+		ordered, undo bool
+	}
+	var corpus []stmt
+	for _, q := range diffWorkload {
+		corpus = append(corpus, stmt{sql: q.sql, params: q.params, ordered: q.ordered})
+	}
+	for _, c := range dmlPredCorpus {
+		where := ""
+		if c.sql != "" {
+			where = " WHERE " + c.sql
+		}
+		corpus = append(corpus,
+			stmt{sql: "SELECT id FROM tgt" + where, params: c.params},
+			stmt{sql: "UPDATE tgt SET mark = mark + 1" + where, params: c.params},
+			stmt{sql: "DELETE FROM tgt" + where, params: c.params, undo: true})
+	}
+	for _, c := range dmlSetCorpus {
+		corpus = append(corpus, stmt{sql: "UPDATE tgt SET a = " + c.sql + " WHERE id < 30", params: c.params, undo: true})
+	}
+
+	// Runs 1-3 train, 4 instantiates and keeps, 5, 7 and 11 verify; the
+	// rest are the kept plan's, the NULL and other-kind runs included.
+	const runs, nullRun, kindRun = 14, 8, 12
+	rng := rand.New(rand.NewSource(37))
+	n, keptShapes := 0, 0
+	for _, s := range corpus {
+		sql, base := liftConstants(t, s.sql, s.params)
+		st := keptDB.Prepare(sql)
+		served := func(params []val.Value) bool {
+			for _, i := range whereParams(st.AST) {
+				if params[i].Kind != base[i].Kind {
+					return false
+				}
+			}
+			return true
+		}
+		retained := make([]int64, runs+1)
+		for run := 1; run <= runs; run++ {
+			params := make([]val.Value, len(base))
+			for i, v := range base {
+				switch run {
+				case nullRun:
+					params[i] = val.Null
+				case kindRun:
+					params[i] = wrongKind(v)
+				default:
+					params[i] = nudge(v, rng)
+				}
+			}
+			n++
+			if s.undo {
+				mustExec(t, kept, "BEGIN")
+				mustExec(t, fresh, "BEGIN")
+			}
+			before := counter(t, keptDB, "opt.plancache.retained")
+			got := runOnce(kept, sql, params, s.ordered)
+			retained[run] = counter(t, keptDB, "opt.plancache.retained") - before
+			want := runOnce(fresh, fmt.Sprintf("%s -- fresh %d", sql, n), params, s.ordered)
+			if s.undo {
+				mustExec(t, kept, "ROLLBACK")
+				mustExec(t, fresh, "ROLLBACK")
+			}
+			what := fmt.Sprintf("run %d %v", run, params)
+			if got.err != want.err || got.affected != want.affected {
+				t.Errorf("%s: %q: error %q, %d rows affected; a fresh compile: %q, %d", what, sql, got.err, got.affected, want.err, want.affected)
+				continue
+			}
+			diffCompare(t, diffQuery{sql: sql}, what, got.rows, want.rows)
+			diffCompare(t, diffQuery{sql: sql + " (actuals)"}, what, got.stats, want.stats)
+		}
+
+		// A SELECT whose template is cached keeps a plan from run 4 on.
+		if _, ok := st.AST.(*sqlparse.Select); !ok || retained[6] != 1 {
+			continue
+		}
+		keptShapes++
+		odd := func(run int, params []val.Value) {
+			t.Helper()
+			if want := map[bool]int64{true: 1, false: 0}[served(params)]; retained[run] != want {
+				t.Errorf("%q: run %d %v: %d runs of a kept plan, want %d", sql, run, params, retained[run], want)
+			}
+			if retained[run+1] != 1 {
+				t.Errorf("%q: the kept plan did not serve run %d, after run %d %v", sql, run+1, run, params)
+			}
+		}
+		nulls, kinds := make([]val.Value, len(base)), make([]val.Value, len(base))
+		for i, v := range base {
+			nulls[i], kinds[i] = val.Null, wrongKind(v)
+		}
+		odd(nullRun, nulls)
+		odd(kindRun, kinds)
+	}
+	if keptShapes < 40 {
+		t.Errorf("%d SELECT shapes ran on a kept plan: the test tests little", keptShapes)
+	}
+	if r := counter(t, freshDB, "opt.plancache.retained") - freshBase; r != 0 {
+		t.Errorf("the always-compiling side ran a kept plan %d times", r)
+	}
+	t.Logf("%d executions a side; %d served by a kept plan; %d SELECT shapes kept a plan",
+		n, counter(t, keptDB, "opt.plancache.retained")-keptBase, keptShapes)
+
+	// The feedback every run gave the statistics is the same.
+	for _, name := range []string{"emp", "dept", "badge", "tgt", "pick"} {
+		kt, _ := keptDB.Table(name)
+		ft, _ := freshDB.Table(name)
+		for i := range kt.Columns {
+			if !bytes.Equal(kt.Hists[i].Encode(), ft.Hists[i].Encode()) {
+				t.Errorf("%s.%s: the histograms differ", name, kt.Columns[i].Name)
+			}
+			if !reflect.DeepEqual(kt.StrStats[i], ft.StrStats[i]) {
+				t.Errorf("%s.%s: the string statistics differ", name, kt.Columns[i].Name)
+			}
+		}
+	}
+}
+
 // --- Invalidation -------------------------------------------------------------
 
 // TestTemplateNotServedAcrossSchemaChange: a template is bound to the tables,
@@ -397,6 +645,83 @@ func TestTemplateNotServedAcrossSchemaChange(t *testing.T) {
 			t.Fatalf("the reorganizer promoted %d tables, want 1", n)
 		}
 	}, "TableScan(t columnar zone:id=7)", "TableScan(t)", 7000)
+}
+
+// TestRetainedPlanSeesDDL: a plan a connection keeps is never run under a
+// schema it was not built for. After each schema change the very next
+// execution of a prepared lookup reads through the access path the new
+// schema offers, and so does the plan the connection keeps from then on;
+// between executions the connection's task is charged nothing and the pool
+// holds no pinned frame.
+func TestRetainedPlanSeesDDL(t *testing.T) {
+	db := openDB(t, Options{})
+	c := conn(t, db)
+	loadPairs(t, c, "t", "id INT, v INT", 400, func(i int) (int, int) { return i, i * 10 })
+	st := db.Prepare("SELECT v FROM t WHERE id = ?")
+	// run looks k up and returns the access path that answered and whether
+	// the kept plan ran. The previous answer is the caller's: a rerun of its
+	// plan leaves it as it was.
+	k := int64(0)
+	var prev [][]val.Value
+	var prevV int64
+	run := func(what string, mul int64) (access string, kept bool) {
+		t.Helper()
+		k = (k + 7) % 400
+		retained := counter(t, db, "opt.plancache.retained")
+		_, rows, err := c.Run(context.Background(), st, []val.Value{val.NewInt(k)})
+		if err != nil {
+			t.Fatalf("%s: id %d: %v", what, k, err)
+		}
+		if got := rows.All(); len(got) != 1 || got[0][0].I != k*mul {
+			t.Fatalf("%s: id %d: %v, want [[%d]]", what, k, got, k*mul)
+		}
+		if prev != nil && prev[0][0].I != prevV {
+			t.Errorf("%s: the previous answer now reads %v, want [[%d]]", what, prev, prevV)
+		}
+		prev, prevV = rows.All(), k*mul
+		op := rows.Plan().Root
+		for ch := exec.Children(op); len(ch) > 0; ch = exec.Children(op) {
+			op = ch[0]
+		}
+		if n := c.task.UsedPages(); n != 0 {
+			t.Errorf("%s: between executions the task holds %d pages", what, n)
+		}
+		if n := db.pool.PinnedCount(); n != 0 {
+			t.Errorf("%s: between executions %d frames are pinned", what, n)
+		}
+		return exec.Describe(op), counter(t, db, "opt.plancache.retained") > retained
+	}
+	// after runs the lookup after a schema change: the first execution
+	// compiles under the new schema, and so does the plan kept later.
+	after := func(what string, mul int64, want string) {
+		t.Helper()
+		if got, kept := run(what, mul); got != want || kept {
+			t.Errorf("%s: the next execution read through %s (kept plan: %v), want %s", what, got, kept, want)
+		}
+		for i := 0; i < 10; i++ {
+			if got, kept := run(what, mul); kept {
+				if got != want {
+					t.Errorf("%s: the kept plan reads through %s, want %s", what, got, want)
+				}
+				return
+			}
+		}
+		t.Errorf("%s: ten executions and no kept plan ran", what)
+	}
+
+	after("no index", 10, "TableScan(t)")
+	mustExec(t, c, "CREATE UNIQUE INDEX t_id ON t (id)")
+	after("CREATE INDEX", 10, "IndexScan(t.t_id)")
+	mustExec(t, c, "DROP INDEX t_id ON t")
+	after("DROP INDEX", 10, "TableScan(t)")
+	mustExec(t, c, "DROP TABLE t")
+	mustExec(t, c, "CREATE TABLE t (v INT, pad VARCHAR(8), id INT)")
+	mustExec(t, c, "BEGIN")
+	for i := 0; i < 400; i++ {
+		mustExec(t, c, fmt.Sprintf("INSERT INTO t VALUES (%d, 'p', %d)", i*1000, i))
+	}
+	mustExec(t, c, "COMMIT")
+	after("DROP TABLE, CREATE TABLE with the columns reordered", 1000, "TableScan(t)")
 }
 
 // TestValueDrivenPlanChangeIsCaughtAtVerification: the paper's policy, end

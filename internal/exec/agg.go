@@ -341,8 +341,8 @@ func (g *HashGroupBy) Open(ctx *Ctx) error {
 	}
 	if g.fb != nil {
 		g.grow() // slot 0 is where NextBatch reads each stored group back
-		g.it, err = g.fb.First()
-		return err
+		g.it = new(btree.Iterator)
+		return g.fb.First(g.it)
 	}
 	// Global aggregate with no input rows and no keys: one row of
 	// identity aggregates.

@@ -390,12 +390,12 @@ func (q *rowQueue) popInto(out *Batch, target int) {
 // --- Vectored expression evaluation ---------------------------------------
 
 // EvalBatch evaluates e over every row of in (either form), appending one
-// result per row to dst and returning the extended slice. Col and Const —
-// the overwhelmingly common leaves — are special-cased: over row form a
-// projection of plain columns costs a bulk copy instead of an interface
-// call per row, over vector form it boxes the selected values of the one
-// column's vector and leaves the others undecoded. Any other expression
-// needs rows, and gets them from in.Rows.
+// result per row to dst and returning the extended slice. Col and the
+// constants (Const, Param) — the overwhelmingly common leaves — are
+// special-cased: over row form a projection of plain columns costs a bulk
+// copy instead of an interface call per row, over vector form it boxes the
+// selected values of the one column's vector and leaves the others
+// undecoded. Any other expression needs rows, and gets them from in.Rows.
 func EvalBatch(e Expr, in *Batch, dst []val.Value) ([]val.Value, error) {
 	switch x := e.(type) {
 	case Col:
@@ -419,9 +419,10 @@ func EvalBatch(e Expr, in *Batch, dst []val.Value) ([]val.Value, error) {
 			dst = append(dst, r[x.Idx])
 		}
 		return dst, nil
-	case Const:
+	}
+	if v, ok := constant(e); ok {
 		for i := in.Len(); i > 0; i-- {
-			dst = append(dst, x.V)
+			dst = append(dst, v)
 		}
 		return dst, nil
 	}
@@ -435,6 +436,18 @@ func EvalBatch(e Expr, in *Batch, dst []val.Value) ([]val.Value, error) {
 	return dst, nil
 }
 
+// constant reports the value of an expression that is the same for every
+// row: a literal, or a parameter of the running plan.
+func constant(e Expr) (val.Value, bool) {
+	switch x := e.(type) {
+	case Const:
+		return x.V, true
+	case Param:
+		return *x.V, true
+	}
+	return val.Null, false
+}
+
 // TestBatch evaluates p over every row of in (either form), appending one
 // verdict per row to dst. The dominant filter shape — a column compared
 // against a constant — is vectorized: one comparison loop instead of three
@@ -443,8 +456,8 @@ func EvalBatch(e Expr, in *Batch, dst []val.Value) ([]val.Value, error) {
 func TestBatch(p Pred, in *Batch, dst []Bool3) ([]Bool3, error) {
 	if c, ok := p.(Cmp); ok {
 		if col, okL := c.L.(Col); okL {
-			if k, okR := c.R.(Const); okR {
-				if out, handled, err := testCmpColConst(c, col.Idx, k.V, in, dst); handled {
+			if k, okR := constant(c.R); okR {
+				if out, handled, err := testCmpColConst(c, col.Idx, k, in, dst); handled {
 					return out, err
 				}
 			}
@@ -532,15 +545,24 @@ func DrainRIDs(ctx *Ctx, op Operator) ([]table.RID, error) {
 
 // drainEach feeds every batch op produces to each. If Open fails partway
 // through a tree, Close still runs so operators release their buffer-pool
-// pins and temp pages.
+// pins and temp pages. The batch is ctx.Out, which a drain nested in this
+// one (an operator that drains its inputs) does not share.
 func drainEach(ctx *Ctx, op Operator, each func(*Batch)) error {
+	b := ctx.Out
+	if b == nil {
+		b = new(Batch)
+	}
+	ctx.Out = nil
+	defer func() {
+		b.Reset()
+		ctx.Out = b
+	}()
 	if err := op.Open(ctx); err != nil {
 		op.Close(ctx)
 		return err
 	}
 	defer op.Close(ctx)
-	var b Batch
-	return pull(ctx, op, &b, func(b *Batch) error {
+	return pull(ctx, op, b, func(b *Batch) error {
 		ctx.noteBatch(b.Len())
 		each(b)
 		return nil

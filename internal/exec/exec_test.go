@@ -31,7 +31,7 @@ func testCtx(t testing.TB, frames int) (*Ctx, *store.Store) {
 func governed(t testing.TB, ctx *Ctx, softPages int) *mem.Task {
 	t.Helper()
 	gov := mem.NewGovernor(func() int { return 10000 }, func() int { return softPages * 4 }, 4)
-	task := gov.Begin()
+	task := gov.Begin(new(mem.Task))
 	t.Cleanup(task.Finish)
 	ctx.Task = task
 	return task
@@ -248,7 +248,7 @@ func TestHashJoinSpillCorrectness(t *testing.T) {
 func TestHashJoinSpillBelowTheSoftLimit(t *testing.T) {
 	ctx, _ := testCtx(t, 256)
 	gov := mem.NewGovernor(func() int { return 64 }, func() int { return 64 }, 2)
-	task, other := gov.Begin(), gov.Begin()
+	task, other := gov.Begin(new(mem.Task)), gov.Begin(new(mem.Task))
 	t.Cleanup(task.Finish)
 	t.Cleanup(other.Finish)
 	ctx.Task = task

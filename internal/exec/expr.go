@@ -26,6 +26,12 @@ type Const struct{ V val.Value }
 
 func (c Const) Eval(Row) (val.Value, error) { return c.V, nil }
 
+// Param reads one slot of the parameter vector its plan owns: a plan run
+// again with other values reads them without being rebuilt.
+type Param struct{ V *val.Value }
+
+func (p Param) Eval(Row) (val.Value, error) { return *p.V, nil }
+
 // Col reads the row ordinal Idx.
 type Col struct{ Idx int }
 

@@ -666,7 +666,7 @@ type IndexNLJoin struct {
 	queue  rowQueue
 	in     Batch
 	ranges []keyRange
-	hits   []indexHit
+	probe  probe
 	eof    bool
 }
 
@@ -716,11 +716,10 @@ func (n *IndexNLJoin) joinBatch(ctx *Ctx) error {
 			n.ranges = append(n.ranges, keyRange{lo: key, hi: key, hiInc: true, of: i})
 		}
 	}
-	var err error
-	if n.hits, err = probeIndex(ctx, n.Table, n.Index, n.ranges, n.hits[:0]); err != nil {
+	if err := n.probe.run(ctx, n.Table, n.Index, n.ranges); err != nil {
 		return err
 	}
-	hits := n.hits
+	hits := n.probe.hits
 	for i, lrow := range left {
 		matched := false
 		for ; len(hits) > 0 && hits[0].of == i; hits = hits[1:] {
@@ -745,6 +744,6 @@ func (n *IndexNLJoin) joinBatch(ctx *Ctx) error {
 }
 
 func (n *IndexNLJoin) Close(ctx *Ctx) error {
-	n.queue, n.ranges, n.hits = rowQueue{}, nil, nil
+	n.queue, n.ranges, n.probe.hits = rowQueue{}, nil, nil
 	return n.Left.Close(ctx)
 }

@@ -54,6 +54,10 @@ type Ctx struct {
 	// ScanObs, when set, receives per-table scan feedback (table name and
 	// rows produced) — the reorganizer's signal that a table is scan-heavy.
 	ScanObs func(tableName string, rows int64)
+	// Out, when set, is the batch Drain reads the plan's output into, kept
+	// by whoever owns the Ctx from statement to statement; nil, a drain
+	// brings its own.
+	Out *Batch
 }
 
 // Interrupted reports the statement's cancellation state: context.Canceled

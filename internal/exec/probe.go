@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"sort"
 
+	"anywheredb/internal/btree"
 	"anywheredb/internal/table"
 )
 
@@ -41,9 +42,17 @@ type indexHit struct {
 	row Row
 }
 
-// probeIndex is the executor's one read path through an index: it appends
-// to hits the rows of t whose ix keys fall in each of ranges, as ctx's
-// statement sees them, ordered by range and then by key.
+// probe is the scratch of the executor's one read path through an index,
+// kept by the operator that probes from call to call: the rows found, a key
+// buffer and the tree iterator.
+type probe struct {
+	hits []indexHit
+	key  []byte
+	it   btree.Iterator
+}
+
+// run sets p.hits to the rows of t whose ix keys fall in each of ranges, as
+// ctx's statement sees them, ordered by range and then by key.
 //
 // The index is a guide, not the truth. It tracks the newest row versions,
 // so each entry only names a place to look: the row there is fetched as the
@@ -56,12 +65,13 @@ type indexHit struct {
 // row before it touches the index, and vacuum keeps every chain a live
 // snapshot needs, so a row missing from a walk is in the store by the time
 // the store is read.
-func probeIndex(ctx *Ctx, t *table.Table, ix *table.Index, ranges []keyRange, hits []indexHit) ([]indexHit, error) {
+func (p *probe) run(ctx *Ctx, t *table.Table, ix *table.Index, ranges []keyRange) (err error) {
+	p.hits = p.hits[:0]
 	n := 0
+	it := &p.it
 	for _, r := range ranges {
-		it, err := ix.Tree.Seek(r.lo)
-		if err != nil {
-			return hits, err
+		if err = ix.Tree.Seek(it, r.lo); err != nil {
+			return err
 		}
 		for ; it.Valid() && !r.endsBefore(it.Key()); it.Next() {
 			if n++; n%interruptEvery == 0 {
@@ -75,8 +85,11 @@ func probeIndex(ctx *Ctx, t *table.Table, ix *table.Index, ranges []keyRange, hi
 			if row, ok, err = t.Fetch(rid, ctx.Snap); err != nil {
 				break
 			}
-			if ok && r.contains(ix.Key(row)) {
-				hits = append(hits, indexHit{r.of, rid, row})
+			if !ok {
+				continue
+			}
+			if p.key = ix.AppendKey(p.key[:0], row); r.contains(p.key) {
+				p.hits = append(p.hits, indexHit{r.of, rid, row})
 			}
 		}
 		if err == nil {
@@ -84,9 +97,17 @@ func probeIndex(ctx *Ctx, t *table.Table, ix *table.Index, ranges []keyRange, hi
 		}
 		it.Close()
 		if err != nil {
-			return hits, err
+			return err
 		}
 	}
+	p.hits, err = chainedHits(ctx, t, ix, ranges, p.hits, n)
+	return err
+}
+
+// chainedHits adds to hits the chained rows of t that a snapshot sees in
+// ranges and the index walks did not find (see probe.run), and sorts the
+// lot; n is the rows fetched so far, for the interruption poll.
+func chainedHits(ctx *Ctx, t *table.Table, ix *table.Index, ranges []keyRange, hits []indexHit, n int) ([]indexHit, error) {
 	if ctx.Snap == nil || t.VersionsEmpty() {
 		return hits, nil
 	}

@@ -28,9 +28,11 @@ type TableScan struct {
 	// here so segments whose min/max ranges cannot match are skipped
 	// before decode. The exact Filter above the scan is unchanged — the
 	// hint only proves non-matches, never matches. ZoneCol < 0 disables.
+	// ZoneConst is evaluated at Open (a constant, or a parameter of the
+	// plan).
 	ZoneCol   int
 	ZoneOp    string
-	ZoneConst val.Value
+	ZoneConst Expr
 	// NoColumnar forces the heap path even on a columnar table (DML target
 	// collection needs RIDs; differential harnesses need the baseline).
 	NoColumnar bool
@@ -39,8 +41,9 @@ type TableScan struct {
 	// NoColumnar.
 	WithRIDs bool
 
-	acct mem.Account
-	held int // rows charged to acct: the window, or the carry
+	acct  mem.Account
+	held  int       // rows charged to acct: the window, or the carry
+	zoneK val.Value // ZoneConst, as of Open
 
 	segs   []*colseg.Segment // the sealed segments being read (the table's own, immutable)
 	seg    int               // the segment the next window comes from
@@ -65,6 +68,12 @@ func (s *TableScan) Open(ctx *Ctx) error {
 	s.segs, s.seg, s.off = nil, 0, 0
 	s.carry = nil
 	s.segsTotal, s.segsSkipped = 0, 0
+	if s.ZoneConst != nil {
+		var err error
+		if s.zoneK, err = s.ZoneConst.Eval(nil); err != nil {
+			return err
+		}
+	}
 	// Where the heap part of the scan starts: at the chain head, or behind
 	// the sealed segments. Under a snapshot the segments are usable only
 	// while the table has no version chains: vacuum cannot reclaim an entry
@@ -133,7 +142,7 @@ func (s *TableScan) NextBatch(ctx *Ctx, out *Batch) error {
 func (s *TableScan) nextWindow(ctx *Ctx, out *Batch, want int) int {
 	for s.seg < len(s.segs) {
 		seg := s.segs[s.seg]
-		if s.off == 0 && s.ZoneCol >= 0 && s.ZoneOp != "" && !seg.MayMatch(s.ZoneCol, s.ZoneOp, s.ZoneConst) {
+		if s.off == 0 && s.ZoneCol >= 0 && s.ZoneOp != "" && !seg.MayMatch(s.ZoneCol, s.ZoneOp, s.zoneK) {
 			s.segsSkipped++
 			if ctx.ColSegSkipped != nil {
 				ctx.ColSegSkipped.Inc()
@@ -203,25 +212,39 @@ type IndexScan struct {
 	// HiInc makes Hi inclusive as a prefix: on a multi-column index every
 	// key beginning with Hi counts as equal to it.
 	HiInc bool
+	// Key, when set, makes the scan the probe of one key prefix instead: at
+	// Open it is evaluated and encoded into the scan's own buffer, which is
+	// then both bounds, Hi inclusive. A plan run again with other parameter
+	// values probes for them.
+	Key Expr
 	// WithRIDs fills Batch.RIDs beside every batch of rows (DML target
 	// collection).
 	WithRIDs bool
 
-	hits []indexHit
-	pos  int
+	bound []byte // Key, encoded
+	probe probe
+	pos   int
 }
 
 func (s *IndexScan) Open(ctx *Ctx) error {
 	s.pos = 0
-	var err error
-	s.hits, err = probeIndex(ctx, s.Table, s.Index, []keyRange{{lo: s.Lo, hi: s.Hi, hiInc: s.HiInc}}, s.hits[:0])
-	return err
+	r := keyRange{lo: s.Lo, hi: s.Hi, hiInc: s.HiInc}
+	if s.Key != nil {
+		v, err := s.Key.Eval(nil)
+		if err != nil {
+			return err
+		}
+		s.bound = val.AppendKey(s.bound[:0], v)
+		r = keyRange{lo: s.bound, hi: s.bound, hiInc: true}
+	}
+	return s.probe.run(ctx, s.Table, s.Index, []keyRange{r})
 }
 
 func (s *IndexScan) NextBatch(ctx *Ctx, out *Batch) error {
 	out.Reset()
-	n := min(ctx.BatchSize(), len(s.hits)-s.pos)
-	for _, h := range s.hits[s.pos : s.pos+n] {
+	hits := s.probe.hits
+	n := min(ctx.BatchSize(), len(hits)-s.pos)
+	for _, h := range hits[s.pos : s.pos+n] {
 		out.Add(h.row)
 		if s.WithRIDs {
 			out.RIDs = append(out.RIDs, h.rid)

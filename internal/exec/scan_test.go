@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"anywheredb/internal/colseg"
+	"anywheredb/internal/mvcc"
 	"anywheredb/internal/table"
 	"anywheredb/internal/txn"
 	"anywheredb/internal/val"
@@ -427,7 +428,7 @@ func TestScanUnderConcurrentInserter(t *testing.T) {
 			gate.Lock()
 			tbl.VacuumVersions(tm.VacuumThreshold(), tm.IsActive)
 		}
-		sctx.Snap = tm.AcquireSnapshot(0)
+		sctx.Snap = tm.AcquireSnapshot(new(mvcc.Snapshot), 0)
 		err := scan.Open(sctx)
 		if quiet {
 			gate.Unlock()
@@ -531,7 +532,7 @@ func scanAgg(tbl *table.Table) Operator {
 	k := val.NewInt(550)
 	return &HashGroupBy{
 		Input: &Filter{
-			Input: &TableScan{Table: tbl, ZoneCol: 2, ZoneOp: "<", ZoneConst: k},
+			Input: &TableScan{Table: tbl, ZoneCol: 2, ZoneOp: "<", ZoneConst: Const{V: k}},
 			Pred:  Cmp{Op: "<", L: Col{Idx: 2}, R: Const{V: k}},
 		},
 		Keys: []Expr{Col{Idx: 1}},

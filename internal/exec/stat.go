@@ -28,7 +28,9 @@ type Stat struct {
 	S     NodeStats
 }
 
+// Open starts the counts afresh: a plan run again accrues each run's own.
 func (s *Stat) Open(ctx *Ctx) error {
+	s.S = NodeStats{}
 	start := s.now(ctx)
 	err := s.Inner.Open(ctx)
 	s.S.VTimeMicros += s.now(ctx) - start
@@ -158,9 +160,10 @@ func Describe(op Operator) string {
 	switch x := Unwrap(op).(type) {
 	case *TableScan:
 		if x.Table.SegmentCount() > 0 && !x.NoColumnar {
-			if x.ZoneOp != "" && x.ZoneCol >= 0 && x.ZoneCol < len(x.Table.Columns) {
+			if x.ZoneOp != "" && x.ZoneCol >= 0 && x.ZoneCol < len(x.Table.Columns) && x.ZoneConst != nil {
+				k, _ := x.ZoneConst.Eval(nil)
 				return fmt.Sprintf("TableScan(%s columnar zone:%s%s%s)",
-					x.Table.Name, x.Table.Columns[x.ZoneCol].Name, x.ZoneOp, x.ZoneConst)
+					x.Table.Name, x.Table.Columns[x.ZoneCol].Name, x.ZoneOp, k)
 			}
 			return fmt.Sprintf("TableScan(%s columnar)", x.Table.Name)
 		}

@@ -62,7 +62,7 @@ func e22Run(n, deltaN int) (*Report, error) {
 	mkScan := func(columnar, zone bool) *exec.TableScan {
 		s := &exec.TableScan{Table: tbl, ZoneCol: -1, NoColumnar: !columnar}
 		if zone {
-			s.ZoneCol, s.ZoneOp, s.ZoneConst = 0, "=", probe
+			s.ZoneCol, s.ZoneOp, s.ZoneConst = 0, "=", exec.Const{V: probe}
 		}
 		return s
 	}
@@ -166,7 +166,7 @@ func e22Differential(ctx *exec.Ctx, tbl *table.Table, n int) (bool, string, erro
 	scan := func(heap bool, zoneOp string, zoneK val.Value) *exec.TableScan {
 		s := &exec.TableScan{Table: tbl, ZoneCol: -1, NoColumnar: heap}
 		if zoneOp != "" {
-			s.ZoneCol, s.ZoneOp, s.ZoneConst = 0, zoneOp, zoneK
+			s.ZoneCol, s.ZoneOp, s.ZoneConst = 0, zoneOp, exec.Const{V: zoneK}
 		}
 		return s
 	}

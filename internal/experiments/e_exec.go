@@ -185,7 +185,7 @@ func E11LowMemory() (*Report, error) {
 		// Each operator runs as a statement of its own: Task.PeakPages is
 		// then that operator's high-water mark against the soft limit.
 		run := func(op exec.Operator) (rows []exec.Row, peak int, err error) {
-			task := gov.Begin()
+			task := gov.Begin(new(mem.Task))
 			defer task.Finish()
 			ctx := *r.ctx
 			ctx.Task = task

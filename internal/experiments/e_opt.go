@@ -10,6 +10,7 @@ import (
 	"anywheredb/internal/device"
 	"anywheredb/internal/exec"
 	"anywheredb/internal/flightrec"
+	"anywheredb/internal/mem"
 	"anywheredb/internal/opt"
 	"anywheredb/internal/sqlparse"
 	"anywheredb/internal/vclock"
@@ -106,7 +107,7 @@ func E5RankPreservation() (*Report, error) {
 	env := &opt.Env{DTT: db.DTTModel(), PoolPages: db.Pool().SizePages, CPURowCostUS: 1}
 	// Bad plans build enormous intermediate results; the memory governor's
 	// task lets their hash tables spill instead of exhausting the pool.
-	task := db.MemGovernor().Begin()
+	task := db.MemGovernor().Begin(new(mem.Task))
 	defer task.Finish()
 	ctx := &exec.Ctx{Pool: db.Pool(), St: db.Store(), Clk: db.Clock(), CPURowCost: 1, Task: task}
 	benv := &opt.BuildEnv{Env: env, Res: db, Ctx: ctx}

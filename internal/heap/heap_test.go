@@ -162,7 +162,7 @@ func TestMemoryAccounting(t *testing.T) {
 	defer st.Close()
 	pool := buffer.New(st, 1, 64, 64)
 	gov := mem.NewGovernor(func() int { return 8 }, func() int { return 8 }, 1)
-	task := gov.Begin()
+	task := gov.Begin(new(mem.Task))
 	defer task.Finish()
 
 	var acct mem.Account
@@ -219,7 +219,7 @@ func TestUnlockedAppendAndCursor(t *testing.T) {
 	defer st.Close()
 	pool := buffer.New(st, 1, 8, 64)
 	gov := mem.NewGovernor(func() int { return 1000 }, func() int { return 1000 }, 1)
-	task := gov.Begin()
+	task := gov.Begin(new(mem.Task))
 	defer task.Finish()
 	var acct mem.Account
 	acct.Open(task, nil, 0)

@@ -102,13 +102,17 @@ func (g *Governor) ActiveRequests() int {
 	return g.active
 }
 
-// Begin registers a new active task.
-func (g *Governor) Begin() *Task {
+// Begin registers t as a new active task and returns it. t is the caller's
+// to keep: a finished task (or a new one) can begin again, so a connection
+// runs every statement under one Task value.
+func (g *Governor) Begin(t *Task) *Task {
 	g.mu.Lock()
 	g.active++
 	g.mu.Unlock()
 	g.tasks.Add(1)
-	return &Task{gov: g}
+	clear(t.consumers)
+	*t = Task{gov: g, consumers: t.consumers[:0]}
+	return t
 }
 
 // Task tracks one statement's memory against its quotas.

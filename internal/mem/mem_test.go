@@ -12,13 +12,13 @@ func gov(maxPool, curPool, mpl int) *Governor {
 
 func TestHardLimitEq4(t *testing.T) {
 	g := gov(1000, 800, 4)
-	t1 := g.Begin()
+	t1 := g.Begin(new(Task))
 	defer t1.Finish()
 	// One active request: ¾·1000/1 = 750.
 	if got := t1.HardLimitPages(); got != 750 {
 		t.Fatalf("hard limit %d, want 750", got)
 	}
-	t2 := g.Begin()
+	t2 := g.Begin(new(Task))
 	defer t2.Finish()
 	// Two active: 750/2 = 375.
 	if got := t1.HardLimitPages(); got != 375 {
@@ -28,7 +28,7 @@ func TestHardLimitEq4(t *testing.T) {
 
 func TestSoftLimitEq5(t *testing.T) {
 	g := gov(1000, 800, 4)
-	tk := g.Begin()
+	tk := g.Begin(new(Task))
 	defer tk.Finish()
 	if got := tk.SoftLimitPages(); got != 200 {
 		t.Fatalf("soft limit %d, want 800/4=200", got)
@@ -41,7 +41,7 @@ func TestSoftLimitEq5(t *testing.T) {
 
 func TestAllocWithinLimits(t *testing.T) {
 	g := gov(1000, 800, 4)
-	tk := g.Begin()
+	tk := g.Begin(new(Task))
 	defer tk.Finish()
 	if err := tk.Alloc(100); err != nil {
 		t.Fatal(err)
@@ -63,7 +63,7 @@ func TestAllocWithinLimits(t *testing.T) {
 
 func TestHardLimitTerminatesStatement(t *testing.T) {
 	g := gov(100, 100, 1)
-	tk := g.Begin()
+	tk := g.Begin(new(Task))
 	defer tk.Finish()
 	// Hard limit = 75. No consumers to release.
 	if err := tk.Alloc(80); !errors.Is(err, ErrHardLimit) {
@@ -94,7 +94,7 @@ func (f *fakeConsumer) ReleaseMemory(want int) (int, error) {
 
 func TestSoftLimitTriggersRelease(t *testing.T) {
 	g := gov(10000, 400, 4) // soft = 100, hard = 7500
-	tk := g.Begin()
+	tk := g.Begin(new(Task))
 	defer tk.Finish()
 	c := &fakeConsumer{task: tk, avail: 500}
 	tk.Register(c, 1)
@@ -121,7 +121,7 @@ func TestSoftLimitTriggersRelease(t *testing.T) {
 
 func TestReleaseOrderTopDown(t *testing.T) {
 	g := gov(10000, 40, 4) // soft = 10
-	tk := g.Begin()
+	tk := g.Begin(new(Task))
 	defer tk.Finish()
 
 	var order []string
@@ -173,7 +173,7 @@ func (n *namedConsumer) ReleaseMemory(want int) (int, error) {
 
 func TestUnregister(t *testing.T) {
 	g := gov(10000, 40, 4)
-	tk := g.Begin()
+	tk := g.Begin(new(Task))
 	defer tk.Finish()
 	c := &fakeConsumer{task: tk, avail: 100}
 	tk.Register(c, 0)
@@ -186,8 +186,8 @@ func TestUnregister(t *testing.T) {
 
 func TestFinishIdempotentAndActiveCount(t *testing.T) {
 	g := gov(100, 100, 1)
-	a := g.Begin()
-	b := g.Begin()
+	a := g.Begin(new(Task))
+	b := g.Begin(new(Task))
 	if g.ActiveRequests() != 2 {
 		t.Fatalf("active %d", g.ActiveRequests())
 	}
@@ -205,7 +205,7 @@ func TestFinishIdempotentAndActiveCount(t *testing.T) {
 func TestQuotasTrackPoolResize(t *testing.T) {
 	cur := 800
 	g := NewGovernor(func() int { return 1000 }, func() int { return cur }, 4)
-	tk := g.Begin()
+	tk := g.Begin(new(Task))
 	defer tk.Finish()
 	if tk.SoftLimitPages() != 200 {
 		t.Fatal("initial soft limit")
@@ -232,9 +232,9 @@ func TestMPLFloor(t *testing.T) {
 // before it is refused any.
 func TestReleaseIsRequestedBeforeDenial(t *testing.T) {
 	g := gov(100, 100, 2) // Eq. 5: 50 pages
-	tk := g.Begin()
+	tk := g.Begin(new(Task))
 	defer tk.Finish()
-	other := g.Begin() // Eq. 4: 75/2 = 37 pages
+	other := g.Begin(new(Task)) // Eq. 4: 75/2 = 37 pages
 	defer other.Finish()
 	if soft, hard := tk.SoftLimitPages(), tk.HardLimitPages(); soft != 50 || hard != 37 {
 		t.Fatalf("soft %d hard %d, want 50 and 37", soft, hard)
@@ -256,7 +256,7 @@ func TestReleaseIsRequestedBeforeDenial(t *testing.T) {
 // asked fails, without being accounted.
 func TestFailedReleaseFailsTheCharge(t *testing.T) {
 	g := gov(10000, 40, 4) // soft = 10
-	tk := g.Begin()
+	tk := g.Begin(new(Task))
 	defer tk.Finish()
 	boom := errors.New("temp file full")
 	tk.Register(&fakeConsumer{task: tk, err: boom}, 0)
@@ -289,7 +289,7 @@ func (s *selfFlusher) ReleaseMemory(int) (int, error) {
 func TestChargeThatFlushesItself(t *testing.T) {
 	for _, flushErr := range []error{nil, errors.New("cancelled mid-flush")} {
 		g := gov(10000, 40, 4) // soft = 10
-		tk := g.Begin()
+		tk := g.Begin(new(Task))
 		s := &selfFlusher{err: flushErr}
 		s.acct.Open(tk, s, 0)
 		if err := s.acct.AddBytes(9 * page.Size); err != nil {

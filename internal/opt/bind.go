@@ -499,20 +499,30 @@ func (q *Query) constOf(e sqlparse.Expr) (val.Value, bool) {
 	return val.Null, false
 }
 
-// colOpLit matches col <op> constant (either orientation, normalizing the
-// operator).
-func colOpLit(q *Query, b *sqlparse.BinOp) (colRefID, val.Value, string, bool) {
+// colOpConst matches col <op> constant (either orientation, normalizing the
+// operator) and returns the constant's expression.
+func colOpConst(q *Query, b *sqlparse.BinOp) (colRefID, sqlparse.Expr, string, bool) {
 	if col, ok := singleCol(q.Block, b.L); ok {
-		if lit, lok := q.constOf(b.R); lok {
-			return col, lit, b.Op, true
+		if _, lok := q.constOf(b.R); lok {
+			return col, b.R, b.Op, true
 		}
 	}
 	if col, ok := singleCol(q.Block, b.R); ok {
-		if lit, lok := q.constOf(b.L); lok {
-			return col, lit, flipOp(b.Op), true
+		if _, lok := q.constOf(b.L); lok {
+			return col, b.L, flipOp(b.Op), true
 		}
 	}
-	return colRefID{}, val.Null, "", false
+	return colRefID{}, nil, "", false
+}
+
+// colOpLit is colOpConst with the constant's value.
+func colOpLit(q *Query, b *sqlparse.BinOp) (colRefID, val.Value, string, bool) {
+	col, k, op, ok := colOpConst(q, b)
+	if !ok {
+		return col, val.Null, op, false
+	}
+	lit, _ := q.constOf(k)
+	return col, lit, op, true
 }
 
 // uniqueCol reports whether a UNIQUE index covers exactly column c.
@@ -529,13 +539,12 @@ func (q *Block) uniqueCol(c colRefID) bool {
 
 // equalityProbe finds quantifier qi's index access path: the first local
 // conjunct `col = constant` (either orientation) whose column leads an
-// index, with that index and the constant. A NULL constant is never
-// probed: `col = NULL` is true of no row, but a NULL key would fetch the
-// index's NULL entries.
-func (q *Query) equalityProbe(qi int) (*table.Index, val.Value, *Conjunct) {
+// index, with that index. A NULL constant is never probed: `col = NULL` is
+// true of no row, but a NULL key would fetch the index's NULL entries.
+func (q *Query) equalityProbe(qi int) (*table.Index, *Conjunct) {
 	t := q.Quants[qi].Table
 	if t == nil {
-		return nil, val.Null, nil
+		return nil, nil
 	}
 	for _, cj := range q.LocalConjunctsOf(qi) {
 		col, lit, op, ok := colOpLitConj(q, cj)
@@ -544,11 +553,11 @@ func (q *Query) equalityProbe(qi int) (*table.Index, val.Value, *Conjunct) {
 		}
 		for _, ix := range t.IndexList() {
 			if len(ix.Cols) > 0 && ix.Cols[0] == col.C {
-				return ix, lit, cj
+				return ix, cj
 			}
 		}
 	}
-	return nil, val.Null, nil
+	return nil, nil
 }
 
 // probeRows estimates the rows an equality probe through conjunct cj of

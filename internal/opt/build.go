@@ -28,11 +28,18 @@ type Plan struct {
 	// rows: what to do with each of them.
 	Modify *Modify
 
+	// params is the plan's parameter vector: every part of the tree that a
+	// parameter value enters — an expression, an index-probe key, a zone-map
+	// constant, a feedback observer — reads it when the tree runs, so the
+	// plan runs again with other values once they are copied in (Rebind).
+	params []val.Value
 	// est are the optimizer's cardinality estimates at points of the tree
-	// (EstRows), derived on demand from the builders that know the points:
-	// an execution that nobody explains never pays for them.
-	est     []estRows
-	pending []*blockBuilder
+	// (EstRows), derived on demand from the builders that know the points
+	// (blocks) and the parameter values: an execution that nobody explains
+	// never pays for them.
+	est       []estRows
+	estimated bool
+	blocks    []*blockBuilder
 }
 
 type estRows struct {
@@ -44,10 +51,13 @@ type estRows struct {
 // as they stand: EXPLAIN ANALYZE calls it before it runs the plan, so that
 // the estimates it prints are the ones the run had not yet corrected.
 func (p *Plan) Estimate() {
-	for _, b := range p.pending {
+	if p.estimated {
+		return
+	}
+	p.estimated = true
+	for _, b := range p.blocks {
 		b.estimate(p)
 	}
-	p.pending = nil
 }
 
 // EstRows reports the optimizer's estimate of the rows op produces (EXPLAIN
@@ -86,6 +96,9 @@ type BuildEnv struct {
 // with those values would have built, or it is not served (errUnserved).
 type build struct {
 	*BuildEnv
+	// vec is the parameter vector of the plan being built: BuildEnv.Params,
+	// copied.
+	vec []val.Value
 	rec bool
 	// forced, when compiling, replaces enumeration for the statement's first
 	// block (BuildWithOrder).
@@ -195,7 +208,7 @@ func (bd *build) buildSelect(sel *sqlparse.Select, bt *blockTemplate) (*Plan, er
 // subquery builds a nested statement (a CTE body, an uncorrelated subquery)
 // for the one execution that is about to run it.
 func (bd *build) subquery(sel *sqlparse.Select, ctes map[string]*MaterializedCTE, withCTEs bool) (*Plan, error) {
-	sub := &build{BuildEnv: bd.BuildEnv, rec: true}
+	sub := &build{BuildEnv: bd.BuildEnv, vec: bd.vec, rec: true}
 	bd.volatile = true
 	if withCTEs {
 		return sub.buildSelect(sel, &blockTemplate{})
@@ -311,7 +324,7 @@ func (bd *build) buildQueryBlock(sel *sqlparse.Select, ctes map[string]*Material
 			root = &exec.HashDistinct{Input: root}
 		}
 		plan.HashJoins = append(plan.HashJoins, restPlan.HashJoins...)
-		plan.pending = append(plan.pending, restPlan.pending...)
+		plan.blocks = append(plan.blocks, restPlan.blocks...)
 		sortKey = b.outputColExpr
 	}
 	if len(sel.OrderBy) > 0 {
@@ -369,7 +382,8 @@ type blockBuilder struct {
 	// rows; plan.Columns names them.
 	exprs []exec.Expr
 	// deps counts the value dependencies met while compiling: parameters
-	// read, subqueries run. An expression that met none is value-free.
+	// read (from this plan's vector), subqueries run. An expression that
+	// met none is value-free, and the template keeps it.
 	deps int
 	// sites are the points of the tree that have a cardinality estimate, in
 	// pipeline order (estimate); siteBuf backs the first few.
@@ -398,7 +412,7 @@ const (
 func (b *blockBuilder) site(s estSite) {
 	if b.sites == nil {
 		b.sites = b.siteBuf[:0]
-		b.plan.pending = append(b.plan.pending, b)
+		b.plan.blocks = append(b.plan.blocks, b)
 	}
 	b.sites = append(b.sites, s)
 }
@@ -445,19 +459,17 @@ func (b *blockBuilder) bindOrder(sel *sqlparse.Select, ctes map[string]*Material
 		bd.volatile = bd.volatile || blk.volatile
 		for _, cj := range blk.Conj {
 			sqlparse.WalkExpr(cj.Expr, func(e sqlparse.Expr) bool {
-				if p, ok := e.(*sqlparse.Param); ok && p.Idx >= 1 && p.Idx <= len(bd.Params) {
-					t.planParams = append(t.planParams, paramKind{p.Idx - 1, bd.Params[p.Idx-1].Kind})
+				if p, ok := e.(*sqlparse.Param); ok && p.Idx >= 1 && p.Idx <= len(bd.vec) {
+					t.planParams = append(t.planParams, paramKind{p.Idx - 1, bd.vec[p.Idx-1].Kind})
 				}
 				return true
 			})
 		}
 	}
-	for _, pk := range t.planParams {
-		if pk.idx < len(bd.Params) && bd.Params[pk.idx].Kind != pk.kind {
-			return errUnserved
-		}
+	if !t.serves(bd.vec) {
+		return errUnserved
 	}
-	b.query = Query{Block: t.blk, Params: bd.Params}
+	b.query = Query{Block: t.blk, Params: bd.vec}
 	b.q = &b.query
 	if n := len(t.blk.Quants); n <= len(b.offBuf) {
 		b.offsets = b.offBuf[:n]
@@ -742,13 +754,19 @@ func (b *blockBuilder) accessOp(st Step) (exec.Operator, error) {
 		op = &exec.Materialized{RowsData: qt.Rows}
 	} else if st.Index != nil {
 		// Sargable equality on the index prefix.
-		if ix, lit, cj := q.equalityProbe(st.Quant); ix == st.Index {
-			op = b.probeOp(st.Quant, ix, lit, cj, false)
+		if ix, cj := q.equalityProbe(st.Quant); ix == st.Index {
+			var err error
+			if op, err = b.probeOp(st.Quant, ix, cj, false); err != nil {
+				return nil, err
+			}
 			probed = cj
 		}
 	}
 	if op == nil {
-		op = b.tableScanOp(st)
+		var err error
+		if op, err = b.tableScanOp(st); err != nil {
+			return nil, err
+		}
 	}
 
 	// Residual local predicates.
@@ -760,18 +778,27 @@ func (b *blockBuilder) accessOp(st Step) (exec.Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		op = &exec.Filter{Input: op, Pred: p, Obs: b.observerFor(cj)}
+		obs, err := b.observerFor(cj)
+		if err != nil {
+			return nil, err
+		}
+		op = &exec.Filter{Input: op, Pred: p, Obs: obs}
 	}
 	return op, nil
 }
 
-// probeOp builds the index probe equalityProbe found for quantifier qi,
-// with its estimate: for SELECT and DML alike.
-func (b *blockBuilder) probeOp(qi int, ix *table.Index, lit val.Value, cj *Conjunct, withRIDs bool) exec.Operator {
-	key := val.EncodeKey([]val.Value{lit})
-	op := &exec.IndexScan{Table: b.q.Quants[qi].Table, Index: ix, Lo: key, Hi: key, HiInc: true, WithRIDs: withRIDs}
+// probeOp builds the index probe equalityProbe found for quantifier qi
+// through conjunct cj, with its estimate: for SELECT and DML alike. The key
+// is the conjunct's constant, which the scan encodes when it opens.
+func (b *blockBuilder) probeOp(qi int, ix *table.Index, cj *Conjunct, withRIDs bool) (exec.Operator, error) {
+	_, k, _, _ := colOpConst(b.q, cj.Expr.(*sqlparse.BinOp))
+	key, err := b.scalar(k, noRow)
+	if err != nil {
+		return nil, err
+	}
+	op := &exec.IndexScan{Table: b.q.Quants[qi].Table, Index: ix, Key: key, WithRIDs: withRIDs}
 	b.site(estSite{op: op, kind: estProbe, qi: qi, cj: cj})
-	return op
+	return op, nil
 }
 
 // tableScanOp builds a heap/columnar table scan, pushing one sargable
@@ -781,12 +808,17 @@ func (b *blockBuilder) probeOp(qi int, ix *table.Index, lit val.Value, cj *Conju
 // consumed — the exact Filter above the scan still evaluates it — so the
 // hint can only remove guaranteed non-matches. Equality is preferred (the
 // tightest zone test); otherwise the first range comparison wins.
-func (b *blockBuilder) tableScanOp(st Step) exec.Operator {
+func (b *blockBuilder) tableScanOp(st Step) (exec.Operator, error) {
 	q := b.q
 	qt := q.Quants[st.Quant]
 	scan := &exec.TableScan{Table: qt.Table, ZoneCol: -1}
+	var zone sqlparse.Expr
 	for _, cj := range q.LocalConjunctsOf(st.Quant) {
-		col, lit, opName, ok := colOpLitConj(q, cj)
+		x, ok := cj.Expr.(*sqlparse.BinOp)
+		if !ok {
+			continue
+		}
+		col, k, opName, ok := colOpConst(q, x)
 		if !ok {
 			continue
 		}
@@ -796,78 +828,109 @@ func (b *blockBuilder) tableScanOp(st Step) exec.Operator {
 			continue
 		}
 		if scan.ZoneOp == "" || (opName == "=" && scan.ZoneOp != "=") {
-			scan.ZoneCol, scan.ZoneOp, scan.ZoneConst = col.C, opName, lit
+			scan.ZoneCol, scan.ZoneOp, zone = col.C, opName, k
 		}
 		if scan.ZoneOp == "=" {
 			break
 		}
 	}
-	return scan
+	if zone != nil {
+		var err error
+		if scan.ZoneConst, err = b.scalar(zone, noRow); err != nil {
+			return nil, err
+		}
+	}
+	return scan, nil
 }
 
 // observerFor wires execution feedback into the histogram of the predicate
 // column (§3.2: evaluation of almost any predicate over a base column can
-// update its histogram).
-func (b *blockBuilder) observerFor(cj *Conjunct) exec.Observer {
+// update its histogram). The predicate's constants are read when the
+// feedback arrives, so that a plan run with other values reports on them.
+func (b *blockBuilder) observerFor(cj *Conjunct) (exec.Observer, error) {
 	q := b.q
 	switch x := cj.Expr.(type) {
 	case *sqlparse.BinOp:
-		col, lit, op, ok := colOpLit(q, x)
+		col, k, op, ok := colOpConst(q, x)
 		if !ok {
-			return nil
+			return nil, nil
 		}
 		h := q.histOf(col)
 		if h == nil {
-			return nil
+			return nil, nil
 		}
-		litv := lit
+		kx, err := b.scalar(k, noRow)
+		if err != nil {
+			return nil, err
+		}
 		switch op {
 		case "=":
-			return func(m, n float64) { h.ObserveEq(litv, m, n) }
+			return func(m, n float64) { h.ObserveEq(constVal(kx), m, n) }, nil
 		case "<":
-			return func(m, n float64) { h.ObserveRange(nil, &litv, false, false, m, n) }
+			return func(m, n float64) { v := constVal(kx); h.ObserveRange(nil, &v, false, false, m, n) }, nil
 		case "<=":
-			return func(m, n float64) { h.ObserveRange(nil, &litv, false, true, m, n) }
+			return func(m, n float64) { v := constVal(kx); h.ObserveRange(nil, &v, false, true, m, n) }, nil
 		case ">":
-			return func(m, n float64) { h.ObserveRange(&litv, nil, false, false, m, n) }
+			return func(m, n float64) { v := constVal(kx); h.ObserveRange(&v, nil, false, false, m, n) }, nil
 		case ">=":
-			return func(m, n float64) { h.ObserveRange(&litv, nil, true, false, m, n) }
+			return func(m, n float64) { v := constVal(kx); h.ObserveRange(&v, nil, true, false, m, n) }, nil
 		}
 	case *sqlparse.Between:
 		col, ok := singleCol(q.Block, x.E)
 		if !ok || x.Neg {
-			return nil
+			return nil, nil
 		}
-		lo, lok := q.constOf(x.Lo)
-		hi, hok := q.constOf(x.Hi)
+		_, lok := q.constOf(x.Lo)
+		_, hok := q.constOf(x.Hi)
 		if !lok || !hok {
-			return nil
+			return nil, nil
 		}
 		h := q.histOf(col)
 		if h == nil {
-			return nil
+			return nil, nil
 		}
-		return func(m, n float64) { h.ObserveRange(&lo, &hi, true, true, m, n) }
+		lx, err := b.scalar(x.Lo, noRow)
+		if err != nil {
+			return nil, err
+		}
+		hx, err := b.scalar(x.Hi, noRow)
+		if err != nil {
+			return nil, err
+		}
+		return func(m, n float64) {
+			lo, hi := constVal(lx), constVal(hx)
+			h.ObserveRange(&lo, &hi, true, true, m, n)
+		}, nil
 	case *sqlparse.Like:
 		col, ok := singleCol(q.Block, x.E)
 		if !ok || x.Neg {
-			return nil
+			return nil, nil
 		}
-		pat, pok := q.constOf(x.Pattern)
-		if !pok {
-			return nil
+		if _, pok := q.constOf(x.Pattern); !pok {
+			return nil, nil
 		}
 		ss := q.strStatsOf(col)
 		if ss == nil {
-			return nil
+			return nil, nil
+		}
+		px, err := b.scalar(x.Pattern, noRow)
+		if err != nil {
+			return nil, err
 		}
 		return func(m, n float64) {
 			if n > 0 {
-				ss.Observe(stats.OpLike, pat.S, m/n)
+				ss.Observe(stats.OpLike, constVal(px).S, m/n)
 			}
-		}
+		}, nil
 	}
-	return nil
+	return nil, nil
+}
+
+// constVal evaluates a compiled constant: a literal, a parameter, or the
+// negation of a number (what constOf recognises).
+func constVal(e exec.Expr) val.Value {
+	v, _ := e.Eval(nil)
+	return v
 }
 
 // joinStep builds the join placing st.Quant onto the accumulated tree.
@@ -1314,13 +1377,14 @@ func isCmp(op string) bool {
 	return false
 }
 
+// paramExpr compiles a parameter to a read of the plan's vector.
 func (b *blockBuilder) paramExpr(p *sqlparse.Param) (exec.Expr, error) {
 	idx := p.Idx - 1
-	if idx < 0 || idx >= len(b.bd.Params) {
+	if idx < 0 || idx >= len(b.bd.vec) {
 		return nil, fmt.Errorf("opt: parameter %d not supplied", p.Idx)
 	}
 	b.deps++
-	return exec.Const{V: b.bd.Params[idx]}, nil
+	return exec.Param{V: &b.bd.vec[idx]}, nil
 }
 
 // pred and scalar are how the builder compiles a predicate or a value

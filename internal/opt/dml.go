@@ -68,7 +68,7 @@ func (bd *build) buildModify(name string, where sqlparse.Expr, set []sqlparse.Se
 		from = &sqlparse.Select{From: &sqlparse.BaseTable{Name: name}, Where: where}
 	}
 	err := b.bindOrder(from, nil, func() ([]Step, error) {
-		ix, _, _ := b.q.equalityProbe(0)
+		ix, _ := b.q.equalityProbe(0)
 		return []Step{{Quant: 0, Method: MethodScan, Index: ix}}, nil
 	})
 	if err != nil {
@@ -102,8 +102,10 @@ func (bd *build) buildModify(name string, where sqlparse.Expr, set []sqlparse.Se
 	}
 
 	var root exec.Operator
-	if ix, lit, cj := q.equalityProbe(0); ix != nil && ix == bt.order[0].Index {
-		root = b.probeOp(0, ix, lit, cj, true)
+	if ix, cj := q.equalityProbe(0); ix != nil && ix == bt.order[0].Index {
+		if root, err = b.probeOp(0, ix, cj, true); err != nil {
+			return nil, err
+		}
 	} else {
 		root = &exec.TableScan{Table: tbl, NoColumnar: true, WithRIDs: true}
 		b.site(estSite{op: root, kind: estScan, qi: 0})

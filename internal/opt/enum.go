@@ -194,7 +194,7 @@ func (e *enumerator) candidates(placed map[int]bool, prefix []Step, cost, card f
 			st := Step{Quant: qi, Method: MethodScan}
 			c, oc := e.env.stepCost(e.q, placed, card, st)
 			out = append(out, candidate{step: st, cost: cost + c, card: oc, conn: true})
-			if ix, _, _ := e.q.equalityProbe(qi); ix != nil {
+			if ix, _ := e.q.equalityProbe(qi); ix != nil {
 				st := Step{Quant: qi, Method: MethodScan, Index: ix}
 				c, oc := e.env.stepCost(e.q, placed, card, st)
 				out = append(out, candidate{step: st, cost: cost + c, card: oc, conn: true})

@@ -3,19 +3,24 @@ package opt
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"anywheredb/internal/sqlparse"
+	"anywheredb/internal/val"
 )
 
 // Template is a compiled statement — §4.1's cached access plan: everything
 // of a build that no parameter value enters. Compile binds the statement's
 // blocks, picks their join orders (enumeration, or the heuristic bypass for
 // single-table DML) and compiles every value-free expression once;
-// Instantiate allocates one execution's operator tree and derives, through
-// the same matcher and compiler functions, the few things a value decides:
-// an index-probe key, a zone-map constant, a residual predicate's constants,
-// a feedback observer's estimate. A Template and everything reachable from
-// it is immutable once Compile returns, so any number of executions
+// Instantiate allocates one execution's operator tree, through the same
+// matcher and compiler functions, and the parameter vector every part of it
+// that a value enters reads: an index-probe key, a zone-map constant, a
+// predicate's constants, a feedback observer's literal. Nothing of the tree
+// is derived from a value — but in a volatile build, which ran part of the
+// statement and is never cached — so the plan serves later executions too,
+// once Rebind has copied their values in. A Template and everything reachable
+// from it is immutable once Compile returns, so any number of executions
 // instantiate one concurrently.
 type Template struct {
 	// Version is the schema version the statement was bound under
@@ -81,7 +86,7 @@ func compile(stmt sqlparse.Statement, benv *BuildEnv, forced []Step) (*Template,
 	case *sqlparse.Update, *sqlparse.Delete:
 		t.bypass = true
 	}
-	bd := &build{BuildEnv: benv, rec: true, forced: forced}
+	bd := &build{BuildEnv: benv, vec: slices.Clone(benv.Params), rec: true, forced: forced}
 	plan, err := t.build(bd)
 	t.volatile = bd.volatile
 	return t, plan, err
@@ -94,28 +99,67 @@ func compile(stmt sqlparse.Statement, benv *BuildEnv, forced []Step) (*Template,
 // have built, never a wrong one.
 func (t *Template) Instantiate(benv *BuildEnv) (plan *Plan, ok bool, err error) {
 	benv.Env.fill()
-	plan, err = t.build(&build{BuildEnv: benv})
+	plan, err = t.build(&build{BuildEnv: benv, vec: slices.Clone(benv.Params)})
 	if errors.Is(err, errUnserved) {
 		return nil, false, nil
 	}
 	return plan, err == nil, err
 }
 
-func (t *Template) build(bd *build) (*Plan, error) {
+func (t *Template) build(bd *build) (plan *Plan, err error) {
 	switch s := t.stmt.(type) {
 	case *sqlparse.Select:
-		return bd.buildSelect(s, &t.block)
+		plan, err = bd.buildSelect(s, &t.block)
 	case *sqlparse.Insert:
 		if s.Query != nil {
-			break
+			return nil, fmt.Errorf("opt: %T is not a statement with a plan", t.stmt)
 		}
-		return bd.buildValues(s.Rows, &t.block)
+		plan, err = bd.buildValues(s.Rows, &t.block)
 	case *sqlparse.Update:
-		return bd.buildModify(s.Table, s.Where, s.Set, &t.block)
+		plan, err = bd.buildModify(s.Table, s.Where, s.Set, &t.block)
 	case *sqlparse.Delete:
-		return bd.buildModify(s.Table, s.Where, nil, &t.block)
+		plan, err = bd.buildModify(s.Table, s.Where, nil, &t.block)
+	default:
+		return nil, fmt.Errorf("opt: %T is not a statement with a plan", t.stmt)
 	}
-	return nil, fmt.Errorf("opt: %T is not a statement with a plan", t.stmt)
+	if plan != nil {
+		plan.params = bd.vec
+	}
+	return plan, err
+}
+
+// Rebind makes p, a plan instantiated from t and not running, the plan of
+// an execution with parameter values params, by copying them into its
+// vector. It reports false, and leaves p as it was, where Instantiate would
+// not serve the values — a value of another kind than the template was
+// compiled for — or p has another number of parameters.
+func (t *Template) Rebind(p *Plan, params []val.Value) bool {
+	if len(params) != len(p.params) {
+		return false
+	}
+	for bt := &t.block; bt != nil; bt = bt.next {
+		if !bt.serves(params) {
+			return false
+		}
+	}
+	copy(p.params, params)
+	// Estimates are derived from the values: afresh, if anybody asks.
+	p.est, p.estimated = p.est[:0], false
+	for _, b := range p.blocks {
+		b.query.cardCache = nil
+	}
+	return true
+}
+
+// serves reports whether the block's order and access paths serve
+// parameter values of params' kinds (planParams).
+func (bt *blockTemplate) serves(params []val.Value) bool {
+	for _, pk := range bt.planParams {
+		if pk.idx < len(params) && params[pk.idx].Kind != pk.kind {
+			return false
+		}
+	}
+	return true
 }
 
 // Build compiles stmt for one execution and returns its plan.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -145,6 +146,45 @@ func TestRecycledFramesDoNotAlias(t *testing.T) {
 	}
 }
 
+// TestRecycledParamsDoNotAlias: the server decodes every exec frame's
+// parameters into one vector per connection. What outlives a request — the
+// digest table's sample of a fingerprint's first parameters — is a copy,
+// and each answer is computed from its own request's values.
+func TestRecycledParamsDoNotAlias(t *testing.T) {
+	db, srv := startServer(t, core.Options{}, server.Options{})
+	c := dial(t, srv, client.Options{})
+	mustExec(t, c, "CREATE TABLE kv (id INT, s VARCHAR(20))")
+	insertRows(t, c, "kv", 10, func(i int) string { return fmt.Sprintf("(%d, 'v-%d')", i, i) })
+	st, err := c.Prepare("SELECT id, s FROM kv WHERE id = ? OR s = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	digests := db.FlightRecorder().Digests()
+	digests.Reset()
+
+	first := []val.Value{val.NewInt(3), val.NewStr("v-5")}
+	second := []val.Value{val.NewInt(7), val.NewStr("v-8")}
+	if _, err := st.Query(first...); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := st.Query(second...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []int64
+	for _, r := range rows.Data {
+		ids = append(ids, r[0].I)
+	}
+	slices.Sort(ids)
+	if !slices.Equal(ids, []int64{7, 8}) {
+		t.Errorf("the second run answered ids %v, want [7 8]", ids)
+	}
+	ds := digests.Snapshot()
+	if len(ds) != 1 || ds[0].Calls != 2 || !server.SameValues(ds[0].SampleParams, first) {
+		t.Fatalf("digests after two runs: %+v; want one of 2 calls sampling %v", ds, first)
+	}
+}
+
 // TestPipelinedFramesDoNotAlias: with three queues' worth of exec frames
 // sent before any answer is read, the server's reader runs ahead of its
 // worker over recycled receive buffers. Each frame has its own ad-hoc text
@@ -219,9 +259,9 @@ func TestPipelinedFramesDoNotAlias(t *testing.T) {
 }
 
 // pointLookupRig serves a 1 000-row table with a unique index and returns
-// a prepared point lookup on it, warmed up.
-func pointLookupRig(t testing.TB) func(i int) {
-	_, srv := startServer(t, core.Options{}, server.Options{})
+// the database and a prepared point lookup on it, warmed up.
+func pointLookupRig(t testing.TB) (*core.DB, func(i int)) {
+	db, srv := startServer(t, core.Options{}, server.Options{})
 	c := dial(t, srv, client.Options{})
 	mustExec(t, c, "CREATE TABLE kv (id INT, v INT)")
 	mustExec(t, c, "CREATE UNIQUE INDEX kv_id ON kv (id)")
@@ -243,24 +283,30 @@ func pointLookupRig(t testing.TB) func(i int) {
 	for i := 0; i < 32; i++ {
 		lookup(i)
 	}
-	return lookup
+	return db, lookup
 }
 
 // TestPreparedRoundTripAllocationCeiling: a prepared point lookup's round
 // trip, client and server together, allocates little beyond its answer
-// and the engine's own work. The ceiling is 1.25× the 37 objects
-// measured on linux/amd64 (go1.24).
+// and the engine's own work: every execution but a scheduled verification
+// runs the plan the server connection kept. The ceiling is 1.1× the 11
+// objects measured on linux/amd64 (go1.24).
 func TestPreparedRoundTripAllocationCeiling(t *testing.T) {
-	lookup := pointLookupRig(t)
+	db, lookup := pointLookupRig(t)
+	retained, verified := counterVal(db, "opt.plancache.retained"), counterVal(db, "opt.plancache.verifications")
 	i := 0
 	got := testing.AllocsPerRun(2000, func() {
 		lookup(i)
 		i++
 	})
 	t.Logf("objects per prepared round trip: %.1f", got)
-	const ceiling = 37 * 1.25
+	const ceiling = 11 * 1.1
 	if got > ceiling {
 		t.Errorf("a prepared round trip allocates %.1f objects, ceiling %.1f", got, ceiling)
+	}
+	dr, dv := counterVal(db, "opt.plancache.retained")-retained, counterVal(db, "opt.plancache.verifications")-verified
+	if dr+dv != int64(i) {
+		t.Errorf("%d round trips, %d of them verifications, %d served by a kept plan", i, dv, dr)
 	}
 }
 
@@ -268,7 +314,7 @@ func TestPreparedRoundTripAllocationCeiling(t *testing.T) {
 // client and server in one process, in every commit's CI log: -benchmem
 // prints what a round trip allocates.
 func BenchmarkPreparedRoundTrip(b *testing.B) {
-	lookup := pointLookupRig(b)
+	_, lookup := pointLookupRig(b)
 	b.ReportAllocs()
 	for i := 0; b.Loop(); i++ {
 		lookup(i)

@@ -200,6 +200,10 @@ type srvConn struct {
 
 	stmts    map[uint64]*core.Stmt // prepared statements
 	nextStmt uint64
+	// params is the vector every exec frame's parameters are decoded into.
+	// Nothing keeps it past the statement: core.Conn.Run copies what it
+	// runs on, and the digest table copies a fingerprint's first sample.
+	params []val.Value
 
 	curMu  sync.Mutex
 	cancel context.CancelFunc // cancel of the statement in flight, nil when idle
@@ -382,10 +386,11 @@ func (c *srvConn) serve(typ byte, payload []byte) bool {
 		delete(c.stmts, id)
 		return c.send(msgDone, func(b []byte) []byte { return AppendUvarint(b, 0) }) == nil && c.flush() == nil
 	case msgExec:
-		m, err := decodeExec(payload)
+		m, err := decodeExec(payload, c.params[:0])
 		if err != nil {
 			return c.protocolError("bad exec frame")
 		}
+		c.params = m.Params
 		return c.runStatement(m) == nil
 	default:
 		return c.protocolError(fmt.Sprintf("unknown message 0x%02x", typ))

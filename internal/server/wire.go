@@ -288,8 +288,6 @@ func appendValues(b []byte, vs []val.Value) []byte {
 	return b
 }
 
-func readValues(b []byte) ([]val.Value, []byte, error) { return appendReadValues(nil, b) }
-
 // appendReadValues reads what appendValues wrote, appending the values to
 // dst.
 func appendReadValues(dst []val.Value, b []byte) ([]val.Value, []byte, error) {
@@ -356,7 +354,9 @@ func (m execMsg) append(b []byte) []byte {
 	return appendValues(b, m.Params)
 }
 
-func decodeExec(b []byte) (m execMsg, err error) {
+// decodeExec reads an exec frame, appending its parameters to params (a
+// vector the caller recycles from frame to frame).
+func decodeExec(b []byte, params []val.Value) (m execMsg, err error) {
 	if m.StmtID, b, err = ReadUvarint(b); err != nil {
 		return m, err
 	}
@@ -366,7 +366,7 @@ func decodeExec(b []byte) (m execMsg, err error) {
 	if m.DeadlineUS, b, err = ReadUvarint(b); err != nil {
 		return m, err
 	}
-	m.Params, _, err = readValues(b)
+	m.Params, _, err = appendReadValues(params, b)
 	return m, err
 }
 

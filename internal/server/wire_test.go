@@ -113,7 +113,7 @@ func TestExecRoundTrip(t *testing.T) {
 		DeadlineUS: 500_000,
 		Params:     []val.Value{val.NewInt(42), val.NewStr("x"), val.Null},
 	}
-	out, err := decodeExec(in.encode())
+	out, err := decodeExec(in.encode(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestErrMsgRoundTrip(t *testing.T) {
 func TestDecodersRejectTruncation(t *testing.T) {
 	full := execMsg{SQL: "select 1", Params: []val.Value{val.NewStr("abc")}}.encode()
 	for i := 0; i < len(full); i++ {
-		if _, err := decodeExec(full[:i]); err == nil {
+		if _, err := decodeExec(full[:i], nil); err == nil {
 			t.Fatalf("truncated exec at %d accepted", i)
 		}
 	}
@@ -310,11 +310,11 @@ func FuzzExecDecode(f *testing.F) {
 		Params: []val.Value{val.Null, val.NewInt(-5), val.NewDouble(1.5), val.NewStr("s")}}.encode())
 	f.Add([]byte{0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := decodeExec(data)
+		m, err := decodeExec(data, nil)
 		if err != nil {
 			return
 		}
-		m2, err := decodeExec(m.encode())
+		m2, err := decodeExec(m.encode(), nil)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
@@ -344,3 +344,5 @@ func FuzzValueDecode(f *testing.F) {
 		}
 	})
 }
+
+func readValues(b []byte) ([]val.Value, []byte, error) { return appendReadValues(nil, b) }

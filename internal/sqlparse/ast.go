@@ -51,6 +51,9 @@ type Calibrate struct{}
 // DropTable is DROP TABLE name.
 type DropTable struct{ Name string }
 
+// DropIndex is DROP INDEX name ON table.
+type DropIndex struct{ Name, Table string }
+
 // Insert is INSERT INTO t [(cols)] VALUES (...), (...) | SELECT ...
 type Insert struct {
 	Table string
@@ -109,7 +112,7 @@ type Explain struct {
 // transactions decide that themselves.)
 func Writes(stmt Statement) bool {
 	switch s := stmt.(type) {
-	case *Insert, *Update, *Delete, *CreateTable, *CreateIndex, *DropTable,
+	case *Insert, *Update, *Delete, *CreateTable, *CreateIndex, *DropTable, *DropIndex,
 		*LoadTable, *AlterTableStore, *Calibrate:
 		return true
 	case *Explain:
@@ -201,6 +204,7 @@ func (*CreateIndex) stmtNode()      {}
 func (*CreateStatistics) stmtNode() {}
 func (*Calibrate) stmtNode()        {}
 func (*DropTable) stmtNode()        {}
+func (*DropIndex) stmtNode()        {}
 func (*Insert) stmtNode()           {}
 func (*Update) stmtNode()           {}
 func (*Delete) stmtNode()           {}

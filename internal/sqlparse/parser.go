@@ -133,14 +133,27 @@ func (p *parser) parseStatement() (Statement, error) {
 	case p.accept(tokKeyword, "CREATE"):
 		return p.parseCreate()
 	case p.accept(tokKeyword, "DROP"):
-		if _, err := p.expect(tokKeyword, "TABLE"); err != nil {
-			return nil, err
+		index := p.accept(tokKeyword, "INDEX")
+		if !index {
+			if _, err := p.expect(tokKeyword, "TABLE"); err != nil {
+				return nil, err
+			}
 		}
 		name, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
-		return &DropTable{Name: name}, nil
+		if !index {
+			return &DropTable{Name: name}, nil
+		}
+		if _, err := p.expect(tokKeyword, "ON"); err != nil {
+			return nil, err
+		}
+		tbl, err := p.ident()
+		if err != nil {
+			return nil, err
+		}
+		return &DropIndex{Name: name, Table: tbl}, nil
 	case p.accept(tokKeyword, "INSERT"):
 		return p.parseInsert()
 	case p.accept(tokKeyword, "UPDATE"):

@@ -281,6 +281,9 @@ func TestDropAndLoad(t *testing.T) {
 	if mustParse(t, "DROP TABLE t").(*DropTable).Name != "t" {
 		t.Fatal("drop")
 	}
+	if di := mustParse(t, "DROP INDEX t_a ON t").(*DropIndex); di.Name != "t_a" || di.Table != "t" {
+		t.Fatalf("drop index: %+v", di)
+	}
 	lt := mustParse(t, "LOAD TABLE emp FROM '/tmp/emp.csv'").(*LoadTable)
 	if lt.Table != "emp" || lt.Path != "/tmp/emp.csv" {
 		t.Fatalf("%+v", lt)

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"anywheredb/internal/btree"
 	"anywheredb/internal/buffer"
 	"anywheredb/internal/mvcc"
 	"anywheredb/internal/store"
@@ -72,8 +73,8 @@ func (s applySide) state(t *testing.T, snap *mvcc.Snapshot) string {
 	for i, h := range s.tbl.Hists {
 		fmt.Fprintf(&sb, "hist%d=%x\n", i, h.Encode())
 	}
-	it, err := s.tbl.Indexes[0].Tree.First()
-	if err != nil {
+	it := new(btree.Iterator)
+	if err := s.tbl.Indexes[0].Tree.First(it); err != nil {
 		t.Fatal(err)
 	}
 	defer it.Close()
@@ -192,7 +193,7 @@ func applyDifferential(t *testing.T, seed int64) {
 		var snap *mvcc.Snapshot
 		var pinned string
 		if round%3 == 0 {
-			snap = b.tm.AcquireSnapshot(0)
+			snap = b.tm.AcquireSnapshot(new(mvcc.Snapshot), 0)
 			pinned = b.state(t, snap)
 			ship(false)
 			if got := b.state(t, snap); got != pinned {

@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -75,12 +76,14 @@ type Index struct {
 }
 
 // Key builds the index key for a row.
-func (ix *Index) Key(row []val.Value) []byte {
-	kv := make([]val.Value, len(ix.Cols))
-	for i, c := range ix.Cols {
-		kv[i] = row[c]
+func (ix *Index) Key(row []val.Value) []byte { return ix.AppendKey(nil, row) }
+
+// AppendKey appends the index key for a row to dst.
+func (ix *Index) AppendKey(dst []byte, row []val.Value) []byte {
+	for _, c := range ix.Cols {
+		dst = val.AppendKey(dst, row[c])
 	}
-	return val.EncodeKey(kv)
+	return dst
 }
 
 // Table is a heap table.
@@ -1046,7 +1049,7 @@ func (t *Table) IndexList() []*Index {
 	return t.Indexes
 }
 
-// RemoveIndex detaches an index (used to drop the Index Consultant's
+// RemoveIndex detaches an index (DROP INDEX, and the Index Consultant's
 // virtual indexes); it reports whether the index existed. The index's
 // pages are abandoned to their file (temp-file pages vanish at restart): a
 // statement planned a moment ago may still be reading them.
@@ -1103,16 +1106,19 @@ func (t *Table) RebuildStatistics() error {
 	for i := range t.Columns {
 		t.Hists[i].Replace(builders[i].Build(32))
 		if m := strCounts[i]; m != nil && total > 0 {
+			// In key order, not map order: which buckets a full set evicts
+			// is then the same on every build of the same rows.
 			ss := stats.NewStringStats()
 			words := map[string]int64{}
-			for s, c := range m {
+			for _, s := range slices.Sorted(maps.Keys(m)) {
+				c := m[s]
 				ss.Observe(stats.OpEq, s, float64(c)/float64(total))
 				for _, w := range val.Words(s) {
 					words[w] += c
 				}
 			}
-			for w, c := range words {
-				ss.ObserveWord(w, float64(c)/float64(total))
+			for _, w := range slices.Sorted(maps.Keys(words)) {
+				ss.ObserveWord(w, float64(words[w])/float64(total))
 			}
 			t.StrStats[i].Replace(ss)
 		}

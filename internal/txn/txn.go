@@ -226,11 +226,12 @@ type snapState struct {
 	began time.Time
 }
 
-// AcquireSnapshot registers and returns a new snapshot at the current
-// commit horizon. self, when nonzero, is the read-write transaction the
-// snapshot serves (its own uncommitted writes stay visible to it). The
-// snapshot pins versions from reclamation until ReleaseSnapshot.
-func (m *Manager) AcquireSnapshot(self uint64) *mvcc.Snapshot {
+// AcquireSnapshot makes s, a snapshot the caller owns, a new registered
+// snapshot at the current commit horizon, and returns it. self, when
+// nonzero, is the read-write transaction the snapshot serves (its own
+// uncommitted writes stay visible to it). The snapshot pins versions from
+// reclamation until ReleaseSnapshot; then s may be acquired again.
+func (m *Manager) AcquireSnapshot(s *mvcc.Snapshot, self uint64) *mvcc.Snapshot {
 	m.mu.Lock()
 	id := m.next
 	m.next++
@@ -239,7 +240,8 @@ func (m *Manager) AcquireSnapshot(self uint64) *mvcc.Snapshot {
 	csn := m.commitSeq.Load()
 	m.snaps[id] = snapState{csn: csn, began: time.Now()}
 	m.snapMu.Unlock()
-	return &mvcc.Snapshot{ID: id, CSN: csn, Self: self}
+	*s = mvcc.Snapshot{ID: id, CSN: csn, Self: self}
+	return s
 }
 
 // ReleaseSnapshot unpins s. Safe on nil.

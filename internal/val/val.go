@@ -354,35 +354,38 @@ func DecodeRowPrefix(data []byte) ([]Value, []byte, error) {
 func EncodeKey(vals []Value) []byte {
 	var dst []byte
 	for _, v := range vals {
-		switch v.Kind {
-		case KNull:
-			dst = append(dst, 0x00)
-		case KInt, KDouble:
-			dst = append(dst, 0x01)
-			f := v.AsFloat()
-			bits := math.Float64bits(f)
-			// Flip for total order: negative floats reverse, positives set sign.
-			if bits&(1<<63) != 0 {
-				bits = ^bits
-			} else {
-				bits |= 1 << 63
-			}
-			var b [8]byte
-			binary.BigEndian.PutUint64(b[:], bits)
-			dst = append(dst, b[:]...)
-		case KStr:
-			dst = append(dst, 0x02)
-			// Escape 0x00 as 0x00 0xFF, terminate with 0x00 0x00 so that
-			// prefixes order correctly.
-			for i := 0; i < len(v.S); i++ {
-				c := v.S[i]
-				dst = append(dst, c)
-				if c == 0x00 {
-					dst = append(dst, 0xFF)
-				}
-			}
-			dst = append(dst, 0x00, 0x00)
+		dst = AppendKey(dst, v)
+	}
+	return dst
+}
+
+// AppendKey appends v's part of an EncodeKey key to dst: EncodeKey of
+// several values is AppendKey of each in turn.
+func AppendKey(dst []byte, v Value) []byte {
+	switch v.Kind {
+	case KNull:
+		dst = append(dst, 0x00)
+	case KInt, KDouble:
+		bits := math.Float64bits(v.AsFloat())
+		// Flip for total order: negative floats reverse, positives set sign.
+		if bits&(1<<63) != 0 {
+			bits = ^bits
+		} else {
+			bits |= 1 << 63
 		}
+		dst = binary.BigEndian.AppendUint64(append(dst, 0x01), bits)
+	case KStr:
+		dst = append(dst, 0x02)
+		// Escape 0x00 as 0x00 0xFF, terminate with 0x00 0x00 so that
+		// prefixes order correctly.
+		for i := 0; i < len(v.S); i++ {
+			c := v.S[i]
+			dst = append(dst, c)
+			if c == 0x00 {
+				dst = append(dst, 0xFF)
+			}
+		}
+		dst = append(dst, 0x00, 0x00)
 	}
 	return dst
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,7 +12,6 @@ import (
 	"time"
 
 	"anywheredb/internal/faultinject"
-	"anywheredb/internal/lock"
 	"anywheredb/internal/store"
 	"anywheredb/internal/table"
 	"anywheredb/internal/val"
@@ -291,17 +289,10 @@ func TestCreateIndexUnderConcurrentInserts(t *testing.T) {
 	for next.Load() < 3200 && len(errs) == 0 { // the writers are demonstrably running
 		runtime.Gosched()
 	}
-	// The lock manager has no queue: under a steady stream of writers the
-	// exclusive request can time out, which the statement reports and a
-	// client retries.
-	for try := 0; ; try++ {
-		_, err := c.Exec("CREATE INDEX t_id ON t (id)")
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, lock.ErrTimeout) || try == 5 {
-			t.Fatalf("CREATE INDEX: %v", err)
-		}
+	// The exclusive request queues ahead of every later writer's intent, so
+	// it is granted once the writers already in drain.
+	if _, err := c.Exec("CREATE INDEX t_id ON t (id)"); err != nil {
+		t.Fatalf("CREATE INDEX: %v", err)
 	}
 	built := next.Load()
 	for next.Load() < built+200 && len(errs) == 0 { // and keep going after the build

@@ -110,13 +110,15 @@ func TestCreateIndexCheckpointSyncsOnce(t *testing.T) {
 
 // BenchmarkColdReadModifyWrite is rmw_cold through core.Conn without the
 // wire: one BEGIN/SELECT/UPDATE/COMMIT per op on 30 000 rows under a
-// 128-page pool. It reports the log syncs and pool-forced syncs per op.
+// 128-page pool. It reports the log syncs, pool-forced syncs and page pins
+// (buffer hits + misses) per op.
 func BenchmarkColdReadModifyWrite(b *testing.B) {
 	const rows = 30000
 	db := openDB(b, rmwOptions(b.TempDir()))
 	c := loadRMW(b, db, rows)
 	rng := rand.New(rand.NewSource(25))
-	flushes, forced := counter(b, db, "wal.flushes"), counter(b, db, "buffer.writeback_syncs")
+	pins := func() int64 { return counter(b, db, "buffer.hits") + counter(b, db, "buffer.misses") }
+	flushes, forced, pinned := counter(b, db, "wal.flushes"), counter(b, db, "buffer.writeback_syncs"), pins()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -125,6 +127,7 @@ func BenchmarkColdReadModifyWrite(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(counter(b, db, "wal.flushes")-flushes)/float64(b.N), "syncs/op")
 	b.ReportMetric(float64(counter(b, db, "buffer.writeback_syncs")-forced)/float64(b.N), "forced-syncs/op")
+	b.ReportMetric(float64(pins()-pinned)/float64(b.N), "pins/op")
 }
 
 // unwrittenImages crashes nothing; it reads the durable log and main.db of

@@ -1,7 +1,9 @@
-// Package lock implements the long-term lock manager. Locks are stored in
-// a disk-based extensible hash table (§2.1), which eliminates the need to
+// Package lock implements the long-term lock manager. Row locks are stored
+// in a disk-based extensible hash table (§2.1), which eliminates the need to
 // configure a lock-table size or lock-escalation thresholds: the table
-// grows by splitting bucket pages in the temporary file.
+// grows by splitting bucket pages in the temporary file. Table locks, of
+// which there are at most tables × open transactions, are records in
+// memory: a write statement's intent lock costs no page.
 package lock
 
 import (
@@ -93,11 +95,15 @@ type Manager struct {
 	// atDepth counts the buckets at each local depth: the directory halves
 	// while none sits at the global depth.
 	atDepth [maxDepth + 1]int
-	// held lists, per transaction, the hash of every lock record it owns
-	// (one per cell, so a hash repeats when a transaction holds S and IX on
-	// one object). Release finds the transaction's buckets through it and
-	// never walks the directory.
-	held map[uint64][]uint64
+	// held is what each transaction with a lock holds. Release finds the
+	// transaction's buckets and tables through it and never walks the
+	// directory. Emptied records are kept in free for the next transaction,
+	// so a steady stream of transactions allocates no bookkeeping.
+	held map[uint64]*holding
+	free []*holding
+	// tables is the in-memory lock record of every table somebody holds or
+	// waits for a lock on.
+	tables map[uint64]tableLock
 	// broadcast is closed by the next release. It is nil until a waiter
 	// asks for it, so a release with nobody waiting allocates nothing.
 	broadcast chan struct{}
@@ -147,7 +153,8 @@ func NewManager(pool *buffer.Pool, st *store.Store) (*Manager, error) {
 		pool:     pool,
 		st:       st,
 		localDep: make(map[store.PageID]uint),
-		held:     make(map[uint64][]uint64),
+		held:     make(map[uint64]*holding),
+		tables:   make(map[uint64]tableLock),
 		Timeout:  2 * time.Second,
 	}
 	f, err := pool.NewPage(store.TempFile, page.TypeLockTable)
@@ -218,8 +225,7 @@ func (m *Manager) tryLock(txn, obj uint64, key []byte, mode Mode) (bool, error) 
 			continue
 		}
 		if holder != txn {
-			// S-S and IX-IX coexist; every other pair conflicts.
-			conflict = conflict || mode == Exclusive || has == Exclusive || has != mode
+			conflict = conflict || !compatible(mode, has)
 			continue
 		}
 		// Exclusive subsumes every mode; S and IX cover only themselves (a
@@ -259,30 +265,204 @@ func (m *Manager) tryLock(txn, obj uint64, key []byte, mode Mode) (bool, error) 
 		}
 	}
 	m.unlatch(f, true)
-	hs := m.held[txn]
-	if hs == nil {
-		hs = make([]uint64, 0, 4) // a one-row statement holds two or three locks
-	}
-	m.held[txn] = append(hs, h)
+	hd := m.holdingOf(txn)
+	hd.rows = append(hd.rows, h)
 	return true, nil
 }
 
 // forget drops n occurrences of h from txn's held list.
 func (m *Manager) forget(txn, h uint64, n int) {
-	hs := m.held[txn]
-	kept := hs[:0]
-	for _, x := range hs {
+	hd := m.held[txn]
+	if hd == nil {
+		return
+	}
+	kept := hd.rows[:0]
+	for _, x := range hd.rows {
 		if x == h && n > 0 {
 			n--
 			continue
 		}
 		kept = append(kept, x)
 	}
-	if len(kept) == 0 {
-		delete(m.held, txn)
+	hd.rows = kept
+	m.settle(txn, hd)
+}
+
+// holding is what one transaction holds: the hash of every row-lock cell it
+// owns (one per cell, so a hash repeats when it holds S and IX on one key)
+// and its table locks.
+type holding struct {
+	rows   []uint64
+	tables []tableGrant
+}
+
+// tableGrant is the set of modes a transaction holds on one table, a bit
+// per Mode.
+type tableGrant struct {
+	obj   uint64
+	modes uint8
+}
+
+// tableLock is a table's lock record: how many transactions hold it in
+// each mode, and the requests waiting for it in arrival order.
+type tableLock struct {
+	granted [3]int32 // indexed by Mode
+	queue   []tableWaiter
+}
+
+// tableWaiter is a queued request. A transaction waits for one lock at a
+// time, so its id names the request.
+type tableWaiter struct {
+	txn  uint64
+	mode Mode
+}
+
+// compatible reports whether two transactions may hold a and b on one
+// object at once: S-S and IX-IX coexist; every other pair conflicts.
+func compatible(a, b Mode) bool {
+	return a == b && a != Exclusive
+}
+
+// holdingOf returns txn's record, taking a recycled one for a transaction
+// that held nothing. Called with m.mu held.
+func (m *Manager) holdingOf(txn uint64) *holding {
+	hd := m.held[txn]
+	if hd == nil {
+		if n := len(m.free); n > 0 {
+			hd, m.free = m.free[n-1], m.free[:n-1]
+		} else {
+			hd = &holding{rows: make([]uint64, 0, 4)}
+		}
+		m.held[txn] = hd
+	}
+	return hd
+}
+
+// settle recycles txn's record once it holds nothing. A record a bulk
+// transaction grew is dropped instead of kept. Called with m.mu held.
+func (m *Manager) settle(txn uint64, hd *holding) {
+	if len(hd.rows) > 0 || len(hd.tables) > 0 {
 		return
 	}
-	m.held[txn] = kept
+	delete(m.held, txn)
+	if cap(hd.rows) <= 64 && cap(hd.tables) <= 64 {
+		m.free = append(m.free, hd)
+	}
+}
+
+// tableModes returns the modes txn holds on table obj and the grant's index
+// in its record (-1 when it holds none). Called with m.mu held.
+func (m *Manager) tableModes(txn, obj uint64) (hd *holding, i int, modes uint8) {
+	if hd = m.held[txn]; hd != nil {
+		for i, g := range hd.tables {
+			if g.obj == obj {
+				return hd, i, g.modes
+			}
+		}
+	}
+	return hd, -1, 0
+}
+
+// tryTable is tryLock for a table lock, in memory. A transaction holding
+// nothing on the table also waits behind every queued request ahead of its
+// own (all of them, when it has not queued) that it conflicts with, so a
+// waiting X is not starved by a stream of new IX; a holder's request is
+// decided by the grants alone. A granted request leaves the queue. Called
+// with m.mu held.
+func (m *Manager) tryTable(txn, obj uint64, mode Mode) bool {
+	hd, i, has := m.tableModes(txn, obj)
+	if has&(1<<Exclusive|1<<mode) != 0 {
+		return true // re-entrant: never a queued request, whose transaction is waiting in it
+	}
+	tl := m.tables[obj]
+	for o := range tl.granted {
+		if others := tl.granted[o] - int32(has>>o&1); others > 0 && !compatible(mode, Mode(o)) {
+			return false
+		}
+	}
+	if has == 0 {
+		for _, w := range tl.queue {
+			if w.txn == txn {
+				break
+			}
+			if !compatible(mode, w.mode) {
+				return false
+			}
+		}
+	}
+	if mode == Exclusive {
+		// X subsumes the S and IX it upgrades.
+		for o := range tl.granted {
+			tl.granted[o] -= int32(has >> o & 1)
+		}
+		has = 0
+	}
+	tl.granted[mode]++
+	tl.queue = dequeue(tl.queue, txn)
+	m.tables[obj] = tl
+	if i < 0 {
+		hd = m.holdingOf(txn)
+		hd.tables = append(hd.tables, tableGrant{obj: obj})
+		i = len(hd.tables) - 1
+	}
+	hd.tables[i].modes = has | 1<<mode
+	return true
+}
+
+// enqueue gives a blocked table-lock request its place at the end of the
+// table's queue. Called with m.mu held.
+func (m *Manager) enqueue(txn, obj uint64, mode Mode) {
+	tl := m.tables[obj]
+	tl.queue = append(tl.queue, tableWaiter{txn: txn, mode: mode})
+	m.tables[obj] = tl
+}
+
+// leaveQueue takes txn's request, which gives up waiting, out of obj's
+// queue. Requests queued behind it may now be granted: they are woken.
+// Called with m.mu held.
+func (m *Manager) leaveQueue(txn, obj uint64) {
+	tl := m.tables[obj]
+	tl.queue = dequeue(tl.queue, txn)
+	m.putTable(obj, tl)
+	m.wake()
+}
+
+func dequeue(q []tableWaiter, txn uint64) []tableWaiter {
+	for i, w := range q {
+		if w.txn == txn {
+			return append(q[:i], q[i+1:]...)
+		}
+	}
+	return q
+}
+
+// putTable stores obj's lock record, or drops it once nobody holds or
+// waits for the table. Called with m.mu held.
+func (m *Manager) putTable(obj uint64, tl tableLock) {
+	if tl.granted == [3]int32{} && len(tl.queue) == 0 {
+		delete(m.tables, obj)
+		return
+	}
+	m.tables[obj] = tl
+}
+
+// releaseTable drops the modes grant holds. Called with m.mu held.
+func (m *Manager) releaseTable(g tableGrant) {
+	tl := m.tables[g.obj]
+	for o := range tl.granted {
+		tl.granted[o] -= int32(g.modes >> o & 1)
+	}
+	m.putTable(g.obj, tl)
+}
+
+// tableCount is the number of table-lock records hd holds: one per mode
+// held on each table.
+func (hd *holding) tableCount() int {
+	n := 0
+	for _, g := range hd.tables {
+		n += bits.OnesCount8(g.modes)
+	}
+	return n
 }
 
 // splitBucket moves the cells of the latched bucket f, which h hashes to,
@@ -334,7 +514,8 @@ func (m *Manager) splitBucket(f *buffer.Frame, h uint64) error {
 var newWaitTimer = time.NewTimer
 
 // Lock acquires (or upgrades to) the given mode for txn, waiting up to
-// Timeout for conflicting holders to release.
+// Timeout for conflicting holders to release. A nil key locks the table
+// obj; any other locks the row key of it.
 func (m *Manager) Lock(txn, obj uint64, key []byte, mode Mode) error {
 	return m.LockCtx(context.Background(), txn, obj, key, mode)
 }
@@ -349,10 +530,16 @@ func (m *Manager) LockCtx(ctx context.Context, txn, obj uint64, key []byte, mode
 	deadline := time.Now().Add(m.Timeout)
 	var timer *time.Timer
 	var expired <-chan time.Time
-	var blockStart time.Time // zero until the first block
+	var blockStart time.Time        // zero until the first block
+	queued, granted := false, false // a table-lock request queues when it first blocks
 	defer func() {
 		if timer != nil {
 			timer.Stop()
+		}
+		if queued && !granted {
+			m.mu.Lock()
+			m.leaveQueue(txn, obj)
+			m.mu.Unlock()
 		}
 		if !blockStart.IsZero() {
 			if f := m.waitObs.Load(); f != nil {
@@ -380,7 +567,15 @@ func (m *Manager) LockCtx(ctx context.Context, txn, obj uint64, key []byte, mode
 			// wakes this waiter again.
 			m.wakeups.Add(1)
 		}
-		granted, err := m.tryLock(txn, obj, key, mode)
+		var err error
+		if key == nil {
+			if granted = m.tryTable(txn, obj, mode); !granted && !queued {
+				m.enqueue(txn, obj, mode)
+				queued = true
+			}
+		} else {
+			granted, err = m.tryLock(txn, obj, key, mode)
+		}
 		if granted || err != nil {
 			m.mu.Unlock()
 			if granted {
@@ -494,15 +689,24 @@ func (m *Manager) coalesce(h uint64) error {
 	}
 }
 
-// Unlock releases one lock held by txn.
+// Unlock releases one lock held by txn: every mode it holds on the table
+// obj (nil key) or on its row key.
 func (m *Manager) Unlock(txn, obj uint64, key []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	h := hashLock(obj, key)
-	n, err := m.release(h, txn, false, obj, key)
-	m.forget(txn, h, n)
-	if err != nil {
-		return err
+	if key == nil {
+		if hd, i, _ := m.tableModes(txn, obj); i >= 0 {
+			m.releaseTable(hd.tables[i])
+			hd.tables = slices.Delete(hd.tables, i, i+1)
+			m.settle(txn, hd)
+		}
+	} else {
+		h := hashLock(obj, key)
+		n, err := m.release(h, txn, false, obj, key)
+		m.forget(txn, h, n)
+		if err != nil {
+			return err
+		}
 	}
 	m.releases.Add(1)
 	m.wake()
@@ -530,22 +734,31 @@ func (m *Manager) perBucket(hs []uint64) iter.Seq2[int, uint64] {
 }
 
 // ReleaseAll drops every lock held by txn (commit/rollback): one pin per
-// distinct bucket on its held list, never the directory. When a bucket
-// cannot be read, the locks not yet released stay on the held list and the
-// error is returned, so calling ReleaseAll again finishes the job.
+// distinct bucket its row locks are in, never the directory, then its table
+// locks. When a bucket cannot be read, the locks not yet released — table
+// locks included — stay on the held list and the error is returned, so
+// calling ReleaseAll again finishes the job.
 func (m *Manager) ReleaseAll(txn uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	hs := m.held[txn]
-	for i, h := range m.perBucket(hs) {
+	hd := m.held[txn]
+	if hd == nil {
+		m.releases.Add(1)
+		return nil
+	}
+	for i, h := range m.perBucket(hd.rows) {
 		if _, err := m.release(h, txn, true, 0, nil); err != nil {
-			m.held[txn] = hs[i:]
+			hd.rows = hd.rows[i:]
 			m.releaseErrors.Add(1)
 			m.wake()
 			return err
 		}
 	}
-	delete(m.held, txn)
+	for _, g := range hd.tables {
+		m.releaseTable(g)
+	}
+	hd.rows, hd.tables = hd.rows[:0], hd.tables[:0]
+	m.settle(txn, hd)
 	m.releases.Add(1)
 	m.wake()
 	return nil
@@ -559,13 +772,18 @@ func (m *Manager) wake() {
 	}
 }
 
-// Held counts the lock records txn owns in the bucket pages, reading each
-// bucket on its held list once (for tests and monitoring).
+// Held counts the lock records txn owns — its row-lock cells, reading each
+// bucket on its held list once, and one per mode it holds on each table
+// (for tests and monitoring).
 func (m *Manager) Held(txn uint64) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	total := 0
-	for _, h := range m.perBucket(m.held[txn]) {
+	hd := m.held[txn]
+	if hd == nil {
+		return 0, nil
+	}
+	total := hd.tableCount()
+	for _, h := range m.perBucket(hd.rows) {
 		f, err := m.latchBucket(h)
 		if err != nil {
 			return 0, err
@@ -582,12 +800,16 @@ func (m *Manager) Held(txn uint64) (int, error) {
 	return total, nil
 }
 
-// HeldCount is the length of txn's held list: what Held counts, without
-// reading a page.
+// HeldCount is what Held counts, from txn's held list, without reading a
+// page.
 func (m *Manager) HeldCount(txn uint64) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.held[txn])
+	hd := m.held[txn]
+	if hd == nil {
+		return 0
+	}
+	return len(hd.rows) + hd.tableCount()
 }
 
 // Buckets reports the number of bucket pages (grows and shrinks with lock

@@ -352,7 +352,8 @@ func BenchmarkLockAcquireRelease(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer st.Close()
-	m, err := NewManager(buffer.New(st, 4, 128, 256), st)
+	pool := buffer.New(st, 4, 128, 256)
+	m, err := NewManager(pool, st)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -360,6 +361,7 @@ func BenchmarkLockAcquireRelease(b *testing.B) {
 	for i := range rows {
 		rows[i] = kvRow(i)
 	}
+	before := pins(pool)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -373,6 +375,106 @@ func BenchmarkLockAcquireRelease(b *testing.B) {
 		if err := m.ReleaseAll(txn); err != nil {
 			b.Fatal(err)
 		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(pins(pool)-before)/float64(b.N), "pins/op")
+}
+
+// pins is the number of page pins pool has served.
+func pins(pool *buffer.Pool) uint64 {
+	st := pool.Stats()
+	return st.Hits + st.Misses
+}
+
+// TestTableLocksPinNoPage: a table lock is an in-memory record. Taking,
+// upgrading and releasing one reads no bucket page and grows no bucket.
+func TestTableLocksPinNoPage(t *testing.T) {
+	m := newManager(t)
+	before, buckets := pins(m.pool), m.Buckets()
+	for txn := uint64(1); txn <= 100; txn++ {
+		if err := m.Lock(txn, 5, nil, IntentExclusive); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Lock(txn+1000, 6, nil, Exclusive); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Unlock(txn+1000, 6, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.ReleaseAll(txn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := pins(m.pool) - before; got != 0 {
+		t.Errorf("table locks pinned %d pages, want 0", got)
+	}
+	if got := m.Buckets(); got != buckets {
+		t.Errorf("lock.buckets went %d → %d", buckets, got)
+	}
+	if len(m.held) != 0 || len(m.tables) != 0 {
+		t.Errorf("%d held lists and %d table records left behind", len(m.held), len(m.tables))
+	}
+}
+
+// TestTableXNotStarvedByIntents: a stream of writers' IX requests on a table
+// from four goroutines, each held briefly and always overlapping, must not
+// starve an X request (DDL's): once it waits, new intents queue behind it,
+// the current holders drain, and it is granted well inside its timeout.
+func TestTableXNotStarvedByIntents(t *testing.T) {
+	m := newManager(t)
+	m.Timeout = 5 * time.Second
+	var next atomic.Uint64
+	next.Store(100)
+	var granted atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				txn := next.Add(1)
+				if err := m.Lock(txn, 10, nil, IntentExclusive); err != nil {
+					errs <- err
+					return
+				}
+				granted.Add(1)
+				time.Sleep(200 * time.Microsecond)
+				if err := m.ReleaseAll(txn); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	for granted.Load() < 200 && len(errs) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := m.Lock(1, 10, nil, Exclusive); err != nil {
+		t.Fatalf("X under a steady IX stream: %v", err)
+	}
+	at := granted.Load()
+	time.Sleep(2 * time.Millisecond)
+	if granted.Load() != at {
+		t.Errorf("an IX was granted beside the X")
+	}
+	if err := m.ReleaseAll(1); err != nil {
+		t.Fatal(err)
+	}
+	for granted.Load() < at+100 && len(errs) == 0 { // the stream resumes
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("IX stream: %v", err)
 	}
 }
 

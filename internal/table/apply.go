@@ -67,9 +67,9 @@ func (t *Table) apply(tx *txn.Txn, r *wal.Record) (err error) {
 	case r.Type == wal.RecInsert:
 		_, err = t.insertRow(tx, &rid, newRow, r.After, r)
 	case r.Type == wal.RecUpdate:
-		err = t.updateRow(tx, rid, oldRow, newRow, r.After, r)
+		err = t.updateRow(tx, rid, nil, oldRow, newRow, r.After, r)
 	case r.Type == wal.RecDelete:
-		err = t.deleteRow(tx, rid, oldRow, r)
+		err = t.deleteRow(tx, rid, nil, oldRow, r)
 	default:
 		return fmt.Errorf("table %s: unexpected logged record type %v", t.Name, r.Type)
 	}
@@ -85,13 +85,13 @@ func (t *Table) apply(tx *txn.Txn, r *wal.Record) (err error) {
 func (t *Table) applyPageLink(r *wal.Record, next store.PageID) error {
 	prev := r.Page
 	t.st.EnsureAllocated(next)
-	if _, err := t.withPage(prev, nil, r, func(p page.Buf) error {
+	if _, err := t.withPage(prev, nil, nil, r, func(p page.Buf) error {
 		p.SetNext(uint64(next))
 		return nil
 	}); err != nil {
 		return err
 	}
-	if _, err := t.withPage(next, nil, r, func(p page.Buf) error { return nil }); err != nil {
+	if _, err := t.withPage(next, nil, nil, r, func(p page.Buf) error { return nil }); err != nil {
 		return err
 	}
 	t.mu.Lock()

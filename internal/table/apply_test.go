@@ -173,15 +173,15 @@ func applyDifferential(t *testing.T, seed int64) {
 			case 1: // an image within a few bytes of the old one: in place; the index key changes
 				pick %= len(rids)
 				nextID++
-				_, err = a.tbl.Update(tx, rids[pick], row(nextID, rows[pick][1].S, float64(rng.Intn(1000))))
+				_, err = rewrite(a.tbl, tx, rids[pick], row(nextID, rows[pick][1].S, float64(rng.Intn(1000))))
 			case 2: // an image most of a page long: moves unless its page is nearly empty
 				pick %= len(rids)
 				var to RID
-				to, err = a.tbl.Update(tx, rids[pick], row(rows[pick][0].I, name(2500+rng.Intn(1000)), rows[pick][2].F))
+				to, err = rewrite(a.tbl, tx, rids[pick], row(rows[pick][0].I, name(2500+rng.Intn(1000)), rows[pick][2].F))
 				moved = moved || to != rids[pick]
 			case 3:
 				pick %= len(rids)
-				err = a.tbl.Delete(tx, rids[pick])
+				err = remove(a.tbl, tx, rids[pick])
 			}
 			if err != nil {
 				t.Fatalf("seed %d round %d: %v", seed, round, err)
@@ -296,7 +296,7 @@ func TestConcurrentRollbacksAlwaysFit(t *testing.T) {
 					}
 					switch h := after[id]; op {
 					case 0:
-						err = tbl.Delete(tx, h.rid)
+						err = remove(tbl, tx, h.rid)
 						delete(after, id)
 					case 1:
 						rid, e := tbl.Insert(tx, row(next, strings.Repeat("n", 200), 0))
@@ -304,7 +304,7 @@ func TestConcurrentRollbacksAlwaysFit(t *testing.T) {
 						next++
 					default:
 						size := 1 + rng.Intn(1200)
-						rid, e := tbl.Update(tx, h.rid, row(id, strings.Repeat("u", size), 0))
+						rid, e := rewrite(tbl, tx, h.rid, row(id, strings.Repeat("u", size), 0))
 						after[id], err = held{rid, size}, e
 					}
 					if err != nil {
@@ -336,7 +336,7 @@ func TestConcurrentRollbacksAlwaysFit(t *testing.T) {
 	for _, m := range models {
 		want += len(m)
 		for id, h := range m {
-			if got, err := tbl.Get(h.rid); err != nil || got[0].I != id || len(got[1].S) != h.size {
+			if got, err := getRow(tbl, h.rid); err != nil || got[0].I != id || len(got[1].S) != h.size {
 				t.Errorf("row %d at %v: want %d bytes, got %v (%v)", id, h.rid, h.size, got[:1], err)
 			}
 		}

@@ -242,19 +242,25 @@ func (t *Table) ResidentFraction() float64 {
 // locks; their callers do.
 
 // errNoRoom is updateRow's report that the new image does not fit in the
-// row's page. Update turns it into a move; everywhere else it is an error.
+// row's page. An update under a row lock turns it into a move; everywhere
+// else it is an error.
 var errNoRoom = errors.New("table: row does not fit in its page")
 
 // withPage runs fn on heap page pid under its exclusive latch and, when fn
-// succeeds, marks the page dirty and stamps it with rec (see stamp). A
-// replayed record is made only where missing: on a page stamped at or past
-// it fn does not run (applied is false). And a page it names that is not
-// this table's heap page never reached disk in that role, or not since an
-// earlier life whose last image recovery restored: it is made one first.
-func (t *Table) withPage(pid store.PageID, tx *txn.Txn, rec *wal.Record, fn func(p page.Buf) error) (applied bool, err error) {
-	f, err := t.pool.Get(pid)
-	if err != nil {
-		return false, err
+// succeeds, marks the page dirty and stamps it with rec (see stamp). pinned
+// is pid's frame when the caller holds a pin on it (and keeps it), nil for
+// one taken here. A replayed record is made only where missing: on a page
+// stamped at or past it fn does not run (applied is false). And a page it
+// names that is not this table's heap page never reached disk in that role,
+// or not since an earlier life whose last image recovery restored: it is
+// made one first.
+func (t *Table) withPage(pid store.PageID, pinned *buffer.Frame, tx *txn.Txn, rec *wal.Record, fn func(p page.Buf) error) (applied bool, err error) {
+	f := pinned
+	if f == nil {
+		if f, err = t.pool.Get(pid); err != nil {
+			return false, err
+		}
+		defer t.pool.Unpin(f, false)
 	}
 	replayed := rec != nil && rec.LSN != 0
 	if replayed {
@@ -263,7 +269,6 @@ func (t *Table) withPage(pid store.PageID, tx *txn.Txn, rec *wal.Record, fn func
 		done := f.Data.LSN() >= rec.LSN
 		f.RUnlock()
 		if done {
-			t.pool.Unpin(f, false)
 			return false, nil
 		}
 	}
@@ -278,7 +283,6 @@ func (t *Table) withPage(pid store.PageID, tx *txn.Txn, rec *wal.Record, fn func
 		stamp(f, tx, rec)
 	}
 	f.Unlock()
-	t.pool.Unpin(f, err == nil)
 	return err == nil, err
 }
 
@@ -313,7 +317,7 @@ func (t *Table) insertRow(tx *txn.Txn, at *RID, row []val.Value, enc []byte, rec
 		rid, err = t.insertBytes(tx, enc, rec)
 	} else {
 		rid = *at
-		applied, err = t.withPage(rid.Page, tx, rec, func(p page.Buf) error {
+		applied, err = t.withPage(rid.Page, nil, tx, rec, func(p page.Buf) error {
 			// InsertSparse: slots below this one may belong to transactions
 			// whose inserts were never replayed here.
 			if !p.InsertSparse(rid.Slot, enc) {
@@ -343,7 +347,7 @@ func (t *Table) insertRow(tx *txn.Txn, at *RID, row []val.Value, enc []byte, rec
 		}
 	}
 	if refused != nil {
-		backOut(tx, func() error { return t.deleteRow(nil, rid, row, nil) })
+		backOut(tx, func() error { return t.deleteRow(nil, rid, nil, row, nil) })
 		return RID{}, refused
 	}
 	return rid, nil
@@ -520,17 +524,18 @@ func (t *Table) pushVersion(tx *txn.Txn, rec *wal.Record, rid RID, pre []val.Val
 }
 
 // updateRow replaces the row at rid in place: newEnc is the encoding of
-// newRow, oldRow the image being replaced. It fails with errNoRoom, having
-// changed and logged nothing, when the page cannot hold the new image
-// without taking bytes another transaction's rollback needs back, and, on
-// the forward path, with ErrUnique, having backed its change out, when the
-// new row gives a unique index a key it holds.
-func (t *Table) updateRow(tx *txn.Txn, rid RID, oldRow, newRow []val.Value, newEnc []byte, rec *wal.Record) error {
+// newRow, oldRow the image being replaced, and pinned rid's frame when the
+// caller holds its page pinned (nil otherwise; see withPage). It fails with
+// errNoRoom, having changed and logged nothing, when the page cannot hold
+// the new image without taking bytes another transaction's rollback needs
+// back, and, on the forward path, with ErrUnique, having backed its change
+// out, when the new row gives a unique index a key it holds.
+func (t *Table) updateRow(tx *txn.Txn, rid RID, pinned *buffer.Frame, oldRow, newRow []val.Value, newEnc []byte, rec *wal.Record) error {
 	// Sealed column segments may cover this row: drop them (WAL-logged
 	// through tx, so ahead of the caller's data record) so that no scan —
 	// live or replayed — can see the stale columnar image.
 	t.invalidateColumnar(tx)
-	applied, err := t.withPage(rid.Page, tx, rec, func(p page.Buf) error {
+	applied, err := t.withPage(rid.Page, pinned, tx, rec, func(p page.Buf) error {
 		was := len(p.Cell(rid.Slot))
 		if was == 0 {
 			return ErrNotFound
@@ -581,13 +586,14 @@ func (t *Table) updateRow(tx *txn.Txn, rid RID, oldRow, newRow []val.Value, newE
 	return refused
 }
 
-// deleteRow removes the row at rid; row is its current image.
-func (t *Table) deleteRow(tx *txn.Txn, rid RID, row []val.Value, rec *wal.Record) error {
+// deleteRow removes the row at rid; row is its current image and pinned as
+// in updateRow.
+func (t *Table) deleteRow(tx *txn.Txn, rid RID, pinned *buffer.Frame, row []val.Value, rec *wal.Record) error {
 	// As in updateRow: sealed segments may cover this row. (A compensated
 	// insert always lives in the delta tail, but a build may have sealed the
 	// chain between insert and rollback; invalidating then is conservative.)
 	t.invalidateColumnar(tx)
-	applied, err := t.withPage(rid.Page, tx, rec, func(p page.Buf) error {
+	applied, err := t.withPage(rid.Page, pinned, tx, rec, func(p page.Buf) error {
 		was := len(p.Cell(rid.Slot))
 		if !p.Delete(rid.Slot) {
 			return ErrNotFound
@@ -655,30 +661,28 @@ func (t *Table) Insert(tx *txn.Txn, row []val.Value) (RID, error) {
 	return rid, nil
 }
 
-// Get reads the newest content of the row at rid, which must exist: the
-// read lockRow does under the row's exclusive lock. Everything that reads
-// without that lock calls Fetch.
-func (t *Table) Get(rid RID) ([]val.Value, error) {
-	row, ok, err := t.Fetch(rid, nil)
-	if err == nil && !ok {
-		err = ErrNotFound
-	}
-	return row, err
-}
-
-// lockRow takes tx's write locks on the row at rid and reads the row as it
-// stands under them, so the image a caller saves, checks or logs cannot be
-// stale.
-func (t *Table) lockRow(tx *txn.Txn, rid RID) ([]val.Value, error) {
+// lockRow takes tx's write locks on the row at rid, then pins the row's page
+// and reads the row under a shared latch, so the image a caller saves,
+// checks or logs cannot be stale. The page stays pinned, unlatched, for the
+// write that follows: the caller writes through the frame and unpins it.
+func (t *Table) lockRow(tx *txn.Txn, rid RID) (*buffer.Frame, []val.Value, error) {
 	if tx != nil {
 		if err := tx.Lock(t.ID, nil, lock.IntentExclusive); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if err := tx.Lock(t.ID, rid.Bytes(), lock.Exclusive); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return t.Get(rid)
+	f, row, ok, err := t.pinRow(rid, nil)
+	if err == nil && !ok {
+		t.pool.Unpin(f, false)
+		err = ErrNotFound
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return f, row, nil
 }
 
 // UpdateChecked updates rid by deriving the replacement row from the
@@ -688,14 +692,16 @@ func (t *Table) lockRow(tx *txn.Txn, rid RID) ([]val.Value, error) {
 // new row from the same fresh image, so read-modify-write statements
 // (UPDATE ... SET x = x + 1) never lose a concurrent update committed
 // between the caller's target scan and the lock grant. Reports whether the
-// row was written.
+// row was written. If the new encoding no longer fits in place the row
+// moves and the returned RID differs.
 func (t *Table) UpdateChecked(tx *txn.Txn, rid RID,
 	check func(row []val.Value) (bool, error),
 	compute func(row []val.Value) ([]val.Value, error)) (RID, bool, error) {
-	old, err := t.lockRow(tx, rid)
+	f, old, err := t.lockRow(tx, rid)
 	if err != nil {
 		return RID{}, false, err
 	}
+	defer t.pool.Unpin(f, false)
 	if check != nil {
 		ok, err := check(old)
 		if err != nil || !ok {
@@ -706,7 +712,7 @@ func (t *Table) UpdateChecked(tx *txn.Txn, rid RID,
 	if err != nil {
 		return RID{}, false, err
 	}
-	newRID, err := t.updateLocked(tx, rid, old, newRow)
+	newRID, err := t.updateLocked(tx, rid, f, old, newRow)
 	return newRID, err == nil, err
 }
 
@@ -715,54 +721,36 @@ func (t *Table) UpdateChecked(tx *txn.Txn, rid RID,
 // UpdateChecked). Reports whether the row was deleted.
 func (t *Table) DeleteChecked(tx *txn.Txn, rid RID,
 	check func(row []val.Value) (bool, error)) (bool, error) {
-	row, err := t.lockRow(tx, rid)
+	f, row, err := t.lockRow(tx, rid)
 	if err != nil {
 		return false, err
 	}
+	defer t.pool.Unpin(f, false)
 	if check != nil {
 		ok, err := check(row)
 		if err != nil || !ok {
 			return false, err
 		}
 	}
-	if err := t.deleteLocked(tx, rid, row); err != nil {
+	if err := t.deleteLocked(tx, rid, f, row); err != nil {
 		return false, err
 	}
 	return true, nil
 }
 
-// Delete removes a row.
-func (t *Table) Delete(tx *txn.Txn, rid RID) error {
-	row, err := t.lockRow(tx, rid)
-	if err != nil {
-		return err
-	}
-	return t.deleteLocked(tx, rid, row)
-}
-
 // deleteLocked deletes the row at rid, whose image row was read under tx's
-// lock on it.
-func (t *Table) deleteLocked(tx *txn.Txn, rid RID, row []val.Value) error {
+// lock on it, through f, the frame lockRow pinned its page in.
+func (t *Table) deleteLocked(tx *txn.Txn, rid RID, f *buffer.Frame, row []val.Value) error {
 	var rec *wal.Record
 	if tx != nil {
 		rec = t.rowRecord(wal.RecDelete, rid, val.EncodeRow(row), nil)
 	}
-	return t.deleteRow(tx, rid, row, rec)
-}
-
-// Update replaces a row. If the new encoding no longer fits in place the
-// row moves and the returned RID differs.
-func (t *Table) Update(tx *txn.Txn, rid RID, newRow []val.Value) (RID, error) {
-	oldRow, err := t.lockRow(tx, rid)
-	if err != nil {
-		return RID{}, err
-	}
-	return t.updateLocked(tx, rid, oldRow, newRow)
+	return t.deleteRow(tx, rid, f, row, rec)
 }
 
 // updateLocked replaces the row at rid, whose image oldRow was read under
-// tx's lock on it.
-func (t *Table) updateLocked(tx *txn.Txn, rid RID, oldRow, newRow []val.Value) (RID, error) {
+// tx's lock on it, through f as in deleteLocked.
+func (t *Table) updateLocked(tx *txn.Txn, rid RID, f *buffer.Frame, oldRow, newRow []val.Value) (RID, error) {
 	if len(newRow) != len(t.Columns) {
 		return RID{}, fmt.Errorf("table %s: %d values for %d columns", t.Name, len(newRow), len(t.Columns))
 	}
@@ -774,7 +762,7 @@ func (t *Table) updateLocked(tx *txn.Txn, rid RID, oldRow, newRow []val.Value) (
 	if tx != nil {
 		rec = t.rowRecord(wal.RecUpdate, rid, val.EncodeRow(oldRow), newEnc)
 	}
-	err := t.updateRow(tx, rid, oldRow, newRow, newEnc, rec)
+	err := t.updateRow(tx, rid, f, oldRow, newRow, newEnc, rec)
 	if err == nil {
 		return rid, nil
 	}
@@ -785,7 +773,7 @@ func (t *Table) updateLocked(tx *txn.Txn, rid RID, oldRow, newRow []val.Value) (
 	// at the new location would leave the old cell's removal unlogged: if
 	// the old page never reached disk before a crash, redo would resurrect
 	// the original row beside the moved copy.
-	if err := t.deleteLocked(tx, rid, oldRow); err != nil {
+	if err := t.deleteLocked(tx, rid, f, oldRow); err != nil {
 		return RID{}, err
 	}
 	rec = nil
@@ -947,28 +935,40 @@ func copyRow(r []val.Value) []val.Value { return append([]val.Value(nil), r...) 
 // row — the cell is gone, or snap does not see it — which is not an error:
 // whoever named rid (an index entry, an earlier scan) may be out of date.
 func (t *Table) Fetch(rid RID, snap *mvcc.Snapshot) ([]val.Value, bool, error) {
-	f, err := t.pool.Get(rid.Page)
+	f, row, ok, err := t.pinRow(rid, snap)
 	if err != nil {
 		return nil, false, err
 	}
-	defer t.pool.Unpin(f, false)
+	t.pool.Unpin(f, false)
+	return row, ok, nil
+}
+
+// pinRow is Fetch that leaves rid's page pinned (unless it fails): the row
+// is read under a shared latch, which it releases.
+func (t *Table) pinRow(rid RID, snap *mvcc.Snapshot) (*buffer.Frame, []val.Value, bool, error) {
+	f, err := t.pool.Get(rid.Page)
+	if err != nil {
+		return nil, nil, false, err
+	}
 	f.RLock()
-	defer f.RUnlock()
 	var row []val.Value
 	exists := false
 	if cell := f.Data.Cell(rid.Slot); cell != nil {
-		if row, err = val.DecodeRow(cell); err != nil {
-			return nil, false, err
-		}
-		exists = true
+		row, err = val.DecodeRow(cell)
+		exists = err == nil
 	}
-	if snap != nil && !t.versions.Empty() {
+	if err == nil && snap != nil && !t.versions.Empty() {
 		row, exists = t.versions.Resolve(mvcc.RowID{Page: rid.Page, Slot: rid.Slot}, row, exists, snap)
 		if exists {
 			row = copyRow(row)
 		}
 	}
-	return row, exists, nil
+	f.RUnlock()
+	if err != nil {
+		t.pool.Unpin(f, false)
+		return nil, nil, false, err
+	}
+	return f, row, exists, nil
 }
 
 // VersionsEmpty reports whether the table has no live version chains —

@@ -39,6 +39,27 @@ func row(id int64, name string, sal float64) []val.Value {
 	return []val.Value{val.NewInt(id), val.NewStr(name), val.NewDouble(sal)}
 }
 
+// rewrite replaces the row at rid with newRow under tx's row lock.
+func rewrite(tbl *Table, tx *txn.Txn, rid RID, newRow []val.Value) (RID, error) {
+	to, _, err := tbl.UpdateChecked(tx, rid, nil, func([]val.Value) ([]val.Value, error) { return newRow, nil })
+	return to, err
+}
+
+// remove deletes the row at rid under tx's row lock.
+func remove(tbl *Table, tx *txn.Txn, rid RID) error {
+	_, err := tbl.DeleteChecked(tx, rid, nil)
+	return err
+}
+
+// getRow reads the newest content of the row at rid, which must exist.
+func getRow(tbl *Table, rid RID) ([]val.Value, error) {
+	r, ok, err := tbl.Fetch(rid, nil)
+	if err == nil && !ok {
+		err = ErrNotFound
+	}
+	return r, err
+}
+
 func TestInsertGetScan(t *testing.T) {
 	tbl, _, _, tm := setup(t)
 	tx := tm.Begin()
@@ -58,7 +79,7 @@ func TestInsertGetScan(t *testing.T) {
 	if tbl.PageCount() < 2 {
 		t.Fatalf("pages %d, expected chain growth", tbl.PageCount())
 	}
-	got, err := tbl.Get(rids[123])
+	got, err := getRow(tbl, rids[123])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,17 +122,17 @@ func TestDeleteAndUpdate(t *testing.T) {
 	tx.Commit()
 
 	tx = tm.Begin()
-	if err := tbl.Delete(tx, rid); err != nil {
+	if err := remove(tbl, tx, rid); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl.Get(rid); !errors.Is(err, ErrNotFound) {
+	if _, err := getRow(tbl, rid); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("deleted row readable: %v", err)
 	}
-	newRID, err := tbl.Update(tx, rid2, row(2, "robert", 250))
+	newRID, err := rewrite(tbl, tx, rid2, row(2, "robert", 250))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := tbl.Get(newRID)
+	got, _ := getRow(tbl, newRID)
 	if got[1].S != "robert" || got[2].F != 250 {
 		t.Fatalf("updated row %v", got)
 	}
@@ -129,13 +150,13 @@ func TestRollbackRestoresRows(t *testing.T) {
 
 	tx = tm.Begin()
 	tbl.Insert(tx, row(2, "phantom", 2))
-	tbl.Delete(tx, ridKeep)
+	remove(tbl, tx, ridKeep)
 	tx.Rollback()
 
 	if tbl.RowCount() != 1 {
 		t.Fatalf("rows after rollback %d, want 1", tbl.RowCount())
 	}
-	got, err := tbl.Get(ridKeep)
+	got, err := getRow(tbl, ridKeep)
 	if err != nil || got[1].S != "keep" {
 		t.Fatalf("original row lost: %v %v", got, err)
 	}
@@ -155,10 +176,10 @@ func TestRollbackUpdate(t *testing.T) {
 	tx.Commit()
 
 	tx = tm.Begin()
-	tbl.Update(tx, rid, row(1, "changed", 999))
+	rewrite(tbl, tx, rid, row(1, "changed", 999))
 	tx.Rollback()
 
-	got, err := tbl.Get(rid)
+	got, err := getRow(tbl, rid)
 	if err != nil || got[1].S != "orig" || got[2].F != 100 {
 		t.Fatalf("update not rolled back: %v %v", got, err)
 	}
@@ -185,7 +206,7 @@ func TestInsertLeavesUnsettledDeleteAlone(t *testing.T) {
 		victim := rids[1]
 
 		deleter, inserter := tm.Begin(), tm.Begin()
-		if err := tbl.Delete(deleter, victim); err != nil {
+		if err := remove(tbl, deleter, victim); err != nil {
 			t.Fatal(err)
 		}
 		rid, err := tbl.Insert(inserter, row(9, pad[:size*9/10], 0))
@@ -201,10 +222,10 @@ func TestInsertLeavesUnsettledDeleteAlone(t *testing.T) {
 		if err := inserter.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		if got, err := tbl.Get(victim); err != nil || got[0].I != 1 {
+		if got, err := getRow(tbl, victim); err != nil || got[0].I != 1 {
 			t.Fatalf("size %d: rolled-back delete did not restore its row: %v %v", size, got, err)
 		}
-		if got, err := tbl.Get(rid); err != nil || got[0].I != 9 {
+		if got, err := getRow(tbl, rid); err != nil || got[0].I != 9 {
 			t.Fatalf("size %d: committed insert lost: %v %v", size, got, err)
 		}
 		if tbl.RowCount() != 5 {
@@ -215,7 +236,7 @@ func TestInsertLeavesUnsettledDeleteAlone(t *testing.T) {
 		// is still the chain's tail: inserts go nowhere else).
 		if rid.Page == victim.Page {
 			tx = tm.Begin()
-			tbl.Delete(tx, victim)
+			remove(tbl, tx, victim)
 			tx.Commit()
 			tx = tm.Begin()
 			if rid, _ := tbl.Insert(tx, row(10, pad, 0)); rid != victim {
@@ -234,16 +255,16 @@ func TestInsertLeavesUnsettledDeleteAlone(t *testing.T) {
 func TestGrowLeavesUnsettledWritesAlone(t *testing.T) {
 	pad := strings.Repeat("v", 900) // four rows fill a page to within 400 bytes
 	giveUp := map[string]func(tbl *Table, tx *txn.Txn, rid RID) error{
-		"delete": func(tbl *Table, tx *txn.Txn, rid RID) error { return tbl.Delete(tx, rid) },
+		"delete": func(tbl *Table, tx *txn.Txn, rid RID) error { return remove(tbl, tx, rid) },
 		"move": func(tbl *Table, tx *txn.Txn, rid RID) error {
-			moved, err := tbl.Update(tx, rid, row(1, strings.Repeat("m", 3000), 0))
+			moved, err := rewrite(tbl, tx, rid, row(1, strings.Repeat("m", 3000), 0))
 			if err == nil && moved.Page == rid.Page {
 				err = fmt.Errorf("update to 3000 bytes stayed in page %v", rid.Page)
 			}
 			return err
 		},
 		"shrink": func(tbl *Table, tx *txn.Txn, rid RID) error {
-			_, err := tbl.Update(tx, rid, row(1, "s", 0))
+			_, err := rewrite(tbl, tx, rid, row(1, "s", 0))
 			return err
 		},
 	}
@@ -265,7 +286,7 @@ func TestGrowLeavesUnsettledWritesAlone(t *testing.T) {
 		if err := write(tbl, writer, victim); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		grown, err := tbl.Update(grower, neighbour, row(2, pad+pad[:600], 0))
+		grown, err := rewrite(tbl, grower, neighbour, row(2, pad+pad[:600], 0))
 		if err != nil {
 			t.Fatalf("%s: growing the neighbour: %v", name, err)
 		}
@@ -278,10 +299,10 @@ func TestGrowLeavesUnsettledWritesAlone(t *testing.T) {
 		if err := grower.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		if got, err := tbl.Get(victim); err != nil || got[0].I != 1 || got[1].S != pad {
+		if got, err := getRow(tbl, victim); err != nil || got[0].I != 1 || got[1].S != pad {
 			t.Fatalf("%s: rollback did not restore the row at %v: %v", name, victim, err)
 		}
-		if got, err := tbl.Get(grown); err != nil || got[0].I != 2 || len(got[1].S) != 1500 {
+		if got, err := getRow(tbl, grown); err != nil || got[0].I != 2 || len(got[1].S) != 1500 {
 			t.Fatalf("%s: committed update lost: %v", name, err)
 		}
 		if tbl.RowCount() != 4 {
@@ -299,8 +320,8 @@ func TestGrowLeavesUnsettledWritesAlone(t *testing.T) {
 	}
 	tx.Commit()
 	tx = tm.Begin()
-	tbl.Update(tx, rid, row(3, "s", 0))
-	if back, err := tbl.Update(tx, rid, row(3, pad, 0)); err != nil || back != rid {
+	rewrite(tbl, tx, rid, row(3, "s", 0))
+	if back, err := rewrite(tbl, tx, rid, row(3, pad, 0)); err != nil || back != rid {
 		t.Fatalf("regrowing a row its own transaction shrank: %v, %v (was %v)", back, err, rid)
 	}
 	if err := tx.Rollback(); err != nil {
@@ -346,7 +367,7 @@ func TestIndexMaintenance(t *testing.T) {
 	if err != nil || !found {
 		t.Fatal("index probe failed")
 	}
-	got, err := tbl.Get(RIDFromBytes(rb))
+	got, err := getRow(tbl, RIDFromBytes(rb))
 	if err != nil || got[0].I != 57 {
 		t.Fatalf("index probe row %v %v", got, err)
 	}
@@ -369,7 +390,7 @@ func TestIndexMaintenance(t *testing.T) {
 	// Delete maintains the index.
 	tx = tm.Begin()
 	rb, _, _ = ix.Tree.Search(ix.Key(row(57, "", 0)))
-	tbl.Delete(tx, RIDFromBytes(rb))
+	remove(tbl, tx, RIDFromBytes(rb))
 	tx.Commit()
 	if _, found, _ := ix.Tree.Search(ix.Key(row(57, "", 0))); found {
 		t.Fatal("index entry survives delete")
@@ -378,7 +399,7 @@ func TestIndexMaintenance(t *testing.T) {
 	// Update that changes the key maintains the index.
 	tx = tm.Begin()
 	rb, _, _ = ix.Tree.Search(ix.Key(row(58, "", 0)))
-	tbl.Update(tx, RIDFromBytes(rb), row(5800, "moved", 58))
+	rewrite(tbl, tx, RIDFromBytes(rb), row(5800, "moved", 58))
 	tx.Commit()
 	if _, found, _ := ix.Tree.Search(ix.Key(row(58, "", 0))); found {
 		t.Fatal("old key survives update")
@@ -446,9 +467,9 @@ func TestUniqueRefusalBacksOut(t *testing.T) {
 		tx = tm.Begin()
 		for name, write := range map[string]func() error{
 			"insert": func() error { _, err := tbl.Insert(tx, row(2, "dup", 0)); return err },
-			"update": func() error { _, err := tbl.Update(tx, rids[1], row(1, pad, 5)); return err },
+			"update": func() error { _, err := rewrite(tbl, tx, rids[1], row(1, pad, 5)); return err },
 			"move": func() error {
-				_, err := tbl.Update(tx, rids[1], row(3, strings.Repeat("m", 3000), 5))
+				_, err := rewrite(tbl, tx, rids[1], row(3, strings.Repeat("m", 3000), 5))
 				return err
 			},
 		} {
@@ -559,7 +580,7 @@ func TestErrors(t *testing.T) {
 	if _, err := tbl.Insert(tx, []val.Value{val.NewInt(1), val.NewStr(string(big)), val.NewDouble(0)}); !errors.Is(err, ErrRowTooLarge) {
 		t.Fatalf("oversized row: %v", err)
 	}
-	if err := tbl.Delete(tx, RID{Page: tbl.FirstPage(), Slot: 99}); !errors.Is(err, ErrNotFound) {
+	if err := remove(tbl, tx, RID{Page: tbl.FirstPage(), Slot: 99}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing delete: %v", err)
 	}
 	if tbl.ColumnIndex("nope") != -1 || tbl.ColumnIndex("salary") != 2 {

@@ -38,7 +38,6 @@ var unusedExports = map[string]string{
 	"anywheredb/internal/heap.Heap.PageIDs":                    "tests only",
 	"anywheredb/internal/lock.Manager.Held":                    "tests only",
 	"anywheredb/internal/mem.Governor.SetMPL":                  "tests only",
-	"anywheredb/internal/mvcc.Store.Head":                      "tests only",
 	"anywheredb/internal/osenv.Machine.SetPoolFunc":            "tests only",
 	"anywheredb/internal/page.Buf.SetType":                     "tests only",
 	"anywheredb/internal/profile.AnalyzeTelemetry":             "tests only",

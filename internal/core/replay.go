@@ -77,10 +77,8 @@ func (db *DB) NewApplier() *Applier {
 	return &Applier{db: db, txns: map[uint64]*txn.Txn{}}
 }
 
-// txn returns the stand-in for a primary transaction, adopting it on first
-// sight (a stream can legitimately start mid-transaction only after a
-// resync, but being lenient here costs nothing and keeps vacuum's
-// writer-gone rule safe either way).
+// txn returns the stand-in for a primary transaction, adopting it on its
+// first row change: the log has no begin record.
 func (a *Applier) txn(id uint64) *txn.Txn {
 	tx, ok := a.txns[id]
 	if !ok {
@@ -105,9 +103,6 @@ func (a *Applier) InFlight() int { return len(a.txns) }
 func (a *Applier) Apply(r *wal.Record) error {
 	a.Records++
 	switch r.Type {
-	case wal.RecBegin:
-		a.txn(r.Txn)
-		return nil
 	case wal.RecCommit, wal.RecRollback:
 		tx, ok := a.txns[r.Txn]
 		if !ok {

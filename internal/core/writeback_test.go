@@ -110,8 +110,8 @@ func TestCreateIndexCheckpointSyncsOnce(t *testing.T) {
 
 // BenchmarkColdReadModifyWrite is rmw_cold through core.Conn without the
 // wire: one BEGIN/SELECT/UPDATE/COMMIT per op on 30 000 rows under a
-// 128-page pool. It reports the log syncs, pool-forced syncs and page pins
-// (buffer hits + misses) per op.
+// 128-page pool. It reports the log syncs, pool-forced syncs, page pins
+// (buffer hits + misses) and log bytes appended per op.
 func BenchmarkColdReadModifyWrite(b *testing.B) {
 	const rows = 30000
 	db := openDB(b, rmwOptions(b.TempDir()))
@@ -119,6 +119,7 @@ func BenchmarkColdReadModifyWrite(b *testing.B) {
 	rng := rand.New(rand.NewSource(25))
 	pins := func() int64 { return counter(b, db, "buffer.hits") + counter(b, db, "buffer.misses") }
 	flushes, forced, pinned := counter(b, db, "wal.flushes"), counter(b, db, "buffer.writeback_syncs"), pins()
+	logged := counter(b, db, "wal.bytes_appended")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -128,6 +129,7 @@ func BenchmarkColdReadModifyWrite(b *testing.B) {
 	b.ReportMetric(float64(counter(b, db, "wal.flushes")-flushes)/float64(b.N), "syncs/op")
 	b.ReportMetric(float64(counter(b, db, "buffer.writeback_syncs")-forced)/float64(b.N), "forced-syncs/op")
 	b.ReportMetric(float64(pins()-pinned)/float64(b.N), "pins/op")
+	b.ReportMetric(float64(counter(b, db, "wal.bytes_appended")-logged)/float64(b.N), "walB/op")
 }
 
 // unwrittenImages crashes nothing; it reads the durable log and main.db of

@@ -11,8 +11,9 @@
 // until they hit an entry whose writer committed within their snapshot.
 // Chains live only in memory: after a crash, recovery resolves every
 // in-flight transaction, so an empty chain (current == only version) is
-// exactly right — the WAL's existing before-images in RecUpdate/RecDelete
-// are the durable version metadata that makes that so.
+// exactly right — the WAL's undo information is the durable version
+// metadata that makes that so: RecDelete's before-image, and RecUpdate's old
+// span, which rebuilds the pre-image from the cell it was logged against.
 //
 // Entries are stamped with a commit sequence number (CSN) when their writer
 // commits; CSN zero means "in flight or rolled back", which a snapshot never
@@ -150,14 +151,6 @@ func (s *Store) Resolve(id RowID, row []val.Value, exists bool, snap *Snapshot) 
 	}
 	s.mu.RUnlock()
 	return row, exists
-}
-
-// Head returns the newest entry at id, or nil.
-func (s *Store) Head(id RowID) *Entry {
-	s.mu.RLock()
-	e := s.chains[id]
-	s.mu.RUnlock()
-	return e
 }
 
 // Unsettled reports whether the chain at id holds a write whose transaction

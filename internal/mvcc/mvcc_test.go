@@ -121,7 +121,7 @@ func TestVacuumAbortedEntries(t *testing.T) {
 	if s.Count() != 2 {
 		t.Fatalf("count %d, want 2", s.Count())
 	}
-	if h := s.Head(id); h.Writer != 3 || h.prev.Writer != 1 || h.prev.prev != nil {
+	if h := s.chains[id]; h.Writer != 3 || h.prev.Writer != 1 || h.prev.prev != nil {
 		t.Fatal("chain should be inflight->committed after aborted unlink")
 	}
 }

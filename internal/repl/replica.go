@@ -588,30 +588,37 @@ func (r *Replica) openFromSnapshot(logID uint64, prefixEnd wal.LSN, prefix []byt
 }
 
 // repassUnsettled replays the snapshot prefix's unfinished transactions.
-// Recovery just undid them (no commit in the prefix), but they are still
-// live on the primary and the stream will keep shipping their records: the
-// applier must know them as in-flight, their row versions must exist as
-// uncommitted MVCC state, and their records must be back in the local WAL
-// so a promotion's recovery sees the full story.
+// Recovery just undid them (no commit or rollback in the prefix settles
+// them), but they are still live on the primary and the stream will keep
+// shipping their records: the applier must know them as in-flight, their
+// row versions must exist as uncommitted MVCC state, and their records must
+// be back in the local WAL so a promotion's recovery sees the full story.
 func (r *Replica) repassUnsettled(db *core.DB, applier *core.Applier, prefix []byte) error {
-	settled := map[uint64]bool{}
-	if _, err := wal.DecodeFrames(prefix, func(_ int, rec *wal.Record) error {
-		if rec.Type == wal.RecCommit || rec.Type == wal.RecRollback {
-			settled[rec.Txn] = true
-		}
-		return nil
-	}); err != nil {
-		return err
+	type frame struct {
+		rec *wal.Record
+		raw []byte
 	}
-
-	var raw []byte
-	var recs []*wal.Record
+	var frames []frame
+	settled := map[uint64]bool{}
+	commit := map[uint64]int{} // the index in frames of each standing commit record
 	off := 0
 	consumed, err := wal.DecodeFrames(prefix, func(frameLen int, rec *wal.Record) error {
-		if rec.Txn != 0 && !settled[rec.Txn] && rec.Type != wal.RecPageImage && rec.Type != wal.RecCheckpoint {
-			raw = append(raw, prefix[off:off+frameLen]...)
-			recs = append(recs, rec)
+		// As in wal.Analyze: a commit record its transaction logged past
+		// settles nothing. Its flush failed, and what follows is the start
+		// of the transaction's rollback, whose rest the stream will ship.
+		if i, ok := commit[rec.Txn]; ok && rec.Type != wal.RecPageImage {
+			frames[i].rec = nil
+			delete(commit, rec.Txn)
+			settled[rec.Txn] = false
 		}
+		switch rec.Type {
+		case wal.RecCommit:
+			commit[rec.Txn] = len(frames)
+			settled[rec.Txn] = true
+		case wal.RecRollback:
+			settled[rec.Txn] = true
+		}
+		frames = append(frames, frame{rec, prefix[off : off+frameLen]})
 		off += frameLen
 		return nil
 	})
@@ -620,6 +627,15 @@ func (r *Replica) repassUnsettled(db *core.DB, applier *core.Applier, prefix []b
 	}
 	if consumed != len(prefix) {
 		return fmt.Errorf("repl: snapshot prefix has a torn tail (%d of %d bytes)", consumed, len(prefix))
+	}
+
+	var raw []byte
+	var recs []*wal.Record
+	for _, f := range frames {
+		if rec := f.rec; rec != nil && rec.Txn != 0 && !settled[rec.Txn] && rec.Type != wal.RecPageImage && rec.Type != wal.RecCheckpoint {
+			raw = append(raw, f.raw...)
+			recs = append(recs, rec)
+		}
 	}
 	if len(recs) == 0 {
 		return nil

@@ -6,7 +6,9 @@
 // The location is the logged one, not the chain tail. A change its page
 // holds already (stamped at or past it) is not made again. An update that
 // does not fit in place is an error, never a move: the primary ships a move
-// as a delete/insert pair. And chain growth and columnar drops arrive as
+// as a delete/insert pair. An update logs only the span it changes, so it
+// is rebuilt from the cell it names, and refused by a cell it does not
+// describe. And chain growth and columnar drops arrive as
 // records of their own. Index trees are untouched only because replay
 // attaches none (a replica's btree split would allocate page ids the
 // primary assigns later; recovery rebuilds its trees afterwards); the
@@ -17,6 +19,7 @@ package table
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"anywheredb/internal/page"
 	"anywheredb/internal/store"
@@ -55,6 +58,12 @@ func (t *Table) apply(tx *txn.Txn, r *wal.Record) (err error) {
 		return nil
 	}
 	rid := RID{Page: r.Page, Slot: int(r.Slot)}
+	if r.Type == wal.RecUpdate {
+		if err := t.applyUpdate(tx, rid, r); err != nil {
+			return fmt.Errorf("table %s: apply %v at %v: %w", t.Name, r.Type, rid, err)
+		}
+		return nil
+	}
 	var oldRow, newRow []val.Value
 	if r.Before != nil {
 		oldRow, err = val.DecodeRow(r.Before)
@@ -66,8 +75,6 @@ func (t *Table) apply(tx *txn.Txn, r *wal.Record) (err error) {
 	case err != nil:
 	case r.Type == wal.RecInsert:
 		_, err = t.insertRow(tx, &rid, newRow, r.After, r)
-	case r.Type == wal.RecUpdate:
-		err = t.updateRow(tx, rid, nil, oldRow, newRow, r.After, r)
 	case r.Type == wal.RecDelete:
 		err = t.deleteRow(tx, rid, nil, oldRow, r)
 	default:
@@ -77,6 +84,44 @@ func (t *Table) apply(tx *txn.Txn, r *wal.Record) (err error) {
 		return fmt.Errorf("table %s: apply %v at %v: %w", t.Name, r.Type, rid, err)
 	}
 	return nil
+}
+
+// applyUpdate makes update r at rid. The record carries only the span it
+// changes, so both images are rebuilt from the row's cell, which must be
+// the one r describes: Front+len(Before)+Back bytes long, holding Before at
+// Front. A cell that is not fails the update with nothing changed. A record
+// its page holds already is passed over before any look at the cell.
+func (t *Table) applyUpdate(tx *txn.Txn, rid RID, r *wal.Record) error {
+	f, err := t.pool.Get(rid.Page)
+	if err != nil {
+		return err
+	}
+	defer t.pool.Unpin(f, false)
+	var oldRow, newRow []val.Value
+	var newEnc []byte
+	f.RLock()
+	if p := f.Data; r.LSN == 0 || p.LSN() < r.LSN {
+		var cell []byte
+		if p.Type() == page.TypeTable && p.Owner() == t.ID {
+			cell = p.Cell(rid.Slot)
+		}
+		front, back := int(r.Front), int(r.Back)
+		if len(cell) != front+len(r.Before)+back || string(cell[front:front+len(r.Before)]) != string(r.Before) {
+			err = fmt.Errorf("the %d-byte cell is not the one the update describes", len(cell))
+		} else {
+			newEnc = slices.Concat(cell[:front], r.After, cell[len(cell)-back:])
+			if oldRow, err = val.DecodeRow(cell); err == nil {
+				newRow, err = val.DecodeRow(newEnc)
+			}
+		}
+	}
+	f.RUnlock()
+	if err != nil {
+		return err
+	}
+	// The row is the caller's alone (its lock, or a log replayed in order):
+	// the cell read above is the one updateRow replaces.
+	return t.updateRow(tx, rid, f, oldRow, newRow, newEnc, r)
 }
 
 // applyPageLink replays heap-chain growth r: the next pointer of its page

@@ -111,7 +111,7 @@ func applyDifferential(t *testing.T, seed int64) {
 	b := newApplySide(t, store.TempFile)
 
 	var shipped wal.LSN
-	adopted := map[uint64]*txn.Txn{}
+	adopted := adoptions{}
 	// ship replays A's new log records on B, up to and including the settle
 	// record when settle is true, short of it otherwise.
 	ship := func(settle bool) {
@@ -120,23 +120,11 @@ func applyDifferential(t *testing.T, seed int64) {
 			t.Fatal(err)
 		}
 		err := a.log.ScanFrom(shipped, func(lsn wal.LSN, r *wal.Record) error {
-			switch r.Type {
-			case wal.RecBegin:
-				adopted[r.Txn] = b.tm.Adopt(r.Txn)
-				return nil
-			case wal.RecCommit, wal.RecRollback:
-				if !settle {
-					shipped = lsn
-					return errStopShip
-				}
-				tx := adopted[r.Txn]
-				delete(adopted, r.Txn)
-				if r.Type == wal.RecCommit {
-					return tx.Commit()
-				}
-				return tx.Rollback()
+			if !settle && (r.Type == wal.RecCommit || r.Type == wal.RecRollback) {
+				shipped = lsn
+				return errStopShip
 			}
-			return b.tbl.Apply(adopted[r.Txn], r)
+			return adopted.apply(b, r)
 		})
 		if err == nil {
 			shipped = a.log.FlushedLSN()
@@ -161,7 +149,7 @@ func applyDifferential(t *testing.T, seed int64) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			kind := rng.Intn(4)
+			kind := rng.Intn(5)
 			if len(rids) < 8 {
 				kind = 0
 			}
@@ -182,6 +170,9 @@ func applyDifferential(t *testing.T, seed int64) {
 			case 3:
 				pick %= len(rids)
 				err = remove(a.tbl, tx, rids[pick])
+			case 4: // an update whose logged span is small, or empty
+				pick %= len(rids)
+				_, err = rewrite(a.tbl, tx, rids[pick], spanChange(rng, rows[pick]))
 			}
 			if err != nil {
 				t.Fatalf("seed %d round %d: %v", seed, round, err)
@@ -238,6 +229,28 @@ func applyDifferential(t *testing.T, seed int64) {
 	if rolledBackMoves == 0 {
 		t.Fatalf("seed %d: no moving update was rolled back; the run proves too little", seed)
 	}
+}
+
+// spanChange derives from r a row whose encoding differs from r's in one
+// of the ways an update's logged span must cover: one column, a grown or
+// shrunk string, a string length that crosses a varint width, or nothing.
+func spanChange(rng *rand.Rand, r []val.Value) []val.Value {
+	id, name, sal := r[0].I, r[1].S, r[2].F
+	switch rng.Intn(5) {
+	case 0:
+		sal++
+	case 1:
+		name += strings.Repeat("+", 1+rng.Intn(20))
+	case 2:
+		name = name[:len(name)/2]
+	case 3: // a length uvarint one byte wider or narrower
+		if len(name) >= 128 {
+			name = name[:127]
+		} else {
+			name += strings.Repeat("=", 128-len(name))
+		}
+	}
+	return row(id, name, sal)
 }
 
 // TestConcurrentRollbacksAlwaysFit runs writers side by side on rows that
@@ -348,18 +361,9 @@ func TestConcurrentRollbacksAlwaysFit(t *testing.T) {
 	if err := a.log.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	adopted := map[uint64]*txn.Txn{}
+	adopted := adoptions{}
 	if err := a.log.ScanFrom(0, func(_ wal.LSN, r *wal.Record) error {
-		switch r.Type {
-		case wal.RecBegin:
-			adopted[r.Txn] = b.tm.Adopt(r.Txn)
-			return nil
-		case wal.RecCommit:
-			return adopted[r.Txn].Commit()
-		case wal.RecRollback:
-			return adopted[r.Txn].Rollback()
-		}
-		return b.tbl.Apply(adopted[r.Txn], r)
+		return adopted.apply(b, r)
 	}); err != nil {
 		t.Fatalf("replay in log order: %v", err)
 	}
@@ -371,6 +375,29 @@ func TestConcurrentRollbacksAlwaysFit(t *testing.T) {
 
 var errStopShip = fmt.Errorf("stop before the settle record")
 
+// adoptions are the stand-ins on side B of the transactions whose records
+// it replays, each adopted on its first record, as a replica adopts them.
+type adoptions map[uint64]*txn.Txn
+
+// apply replays r on B: a commit or rollback record settles its
+// transaction, any other record is applied under it.
+func (ad adoptions) apply(b applySide, r *wal.Record) error {
+	tx, ok := ad[r.Txn]
+	if !ok {
+		tx = b.tm.Adopt(r.Txn)
+		ad[r.Txn] = tx
+	}
+	switch r.Type {
+	case wal.RecCommit:
+		delete(ad, r.Txn)
+		return tx.Commit()
+	case wal.RecRollback:
+		delete(ad, r.Txn)
+		return tx.Rollback()
+	}
+	return b.tbl.Apply(tx, r)
+}
+
 func cellsAndIndex(state string) string {
 	lines := strings.Split(state, "\n")
 	out := lines[:0]
@@ -380,4 +407,74 @@ func cellsAndIndex(state string) string {
 		}
 	}
 	return strings.Join(out, "\n")
+}
+
+// TestUpdateRefusesACellItDoesNotDescribe: an update record carries only
+// the span it changes, so it is applied only to the cell it was logged
+// against. Replayed or applied live (LSN 0), a record whose front, old
+// span and back do not make up the row's cell — another length, other
+// bytes where its old span should be, an empty slot — fails, naming the
+// table and the row, and leaves the page's bytes and LSN as they were. A
+// record the page is stamped at or past is passed over before the cell is
+// looked at.
+func TestUpdateRefusesACellItDoesNotDescribe(t *testing.T) {
+	tbl, pool, _, tm := setup(t)
+	tx := tm.Begin()
+	rid, err := tbl.Insert(tx, row(1, "alice", 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	pageOf := func() (string, wal.LSN) {
+		f, err := pool.Get(rid.Page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pool.Unpin(f, false)
+		f.RLock()
+		defer f.RUnlock()
+		return string(f.Data), f.Data.LSN()
+	}
+	bytes0, lsn0 := pageOf()
+	// upd is the record of an update of the row at slot from old to new:
+	// each decodes, so only the cell check can refuse it.
+	upd := func(slot int, old, new string, lsn wal.LSN) *wal.Record {
+		o, n := val.EncodeRow(row(1, old, 10)), val.EncodeRow(row(1, new, 10))
+		front, back := changedSpan(o, n)
+		return &wal.Record{Type: wal.RecUpdate, Table: tbl.ID, Page: rid.Page, Slot: uint32(slot),
+			Front: uint32(front), Back: uint32(back), Before: o[front : len(o)-back], After: n[front : len(n)-back], LSN: lsn}
+	}
+	for name, r := range map[string]*wal.Record{
+		"longer cell":       upd(rid.Slot, "alicex", "alicey", lsn0+100),
+		"shorter cell":      upd(rid.Slot, "alic", "alid", lsn0+100),
+		"other bytes":       upd(rid.Slot, "alicx", "alicy", lsn0+100),
+		"empty slot":        upd(rid.Slot+1, "alice", "alicf", lsn0+100),
+		"live, other bytes": upd(rid.Slot, "alicx", "alicy", 0),
+	} {
+		err := tbl.Apply(tm.Adopt(7), r)
+		if err == nil || !strings.Contains(err.Error(), "table emp") || !strings.Contains(err.Error(), RID{Page: rid.Page, Slot: int(r.Slot)}.String()) {
+			t.Errorf("%s: Apply = %v, want an error naming table emp and the row", name, err)
+		}
+		if b, lsn := pageOf(); b != bytes0 || lsn != lsn0 {
+			t.Errorf("%s: the refused update changed the page (LSN %d → %d)", name, lsn0, lsn)
+		}
+	}
+
+	// Stamped already: passed over, although the cell does not match.
+	if err := tbl.Apply(tm.Adopt(8), upd(rid.Slot, "alicx", "alicy", lsn0)); err != nil {
+		t.Fatalf("a record the page holds already: %v", err)
+	}
+	// The record the cell does describe applies.
+	r := upd(rid.Slot, "alice", "alicia", lsn0+100)
+	if err := tbl.Apply(tm.Adopt(9), r); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := getRow(tbl, rid); err != nil || got[1].S != "alicia" {
+		t.Fatalf("the matching update left %v (%v)", got, err)
+	}
+	if _, lsn := pageOf(); lsn != r.LSN {
+		t.Fatalf("the matching update left the page at LSN %d, want %d", lsn, r.LSN)
+	}
 }

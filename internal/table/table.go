@@ -374,9 +374,22 @@ func (t *Table) rowRecord(typ wal.RecType, rid RID, before, after []byte) *wal.R
 	return &wal.Record{Type: typ, Table: t.ID, Page: rid.Page, Slot: uint32(rid.Slot), Before: before, After: after}
 }
 
+// changedSpan reports the lengths of the longest prefix and suffix that
+// encodings old and new share without overlapping: an update's record
+// counts them (Front, Back) and logs only the span between.
+func changedSpan(old, new []byte) (front, back int) {
+	for front < len(old) && front < len(new) && old[front] == new[front] {
+		front++
+	}
+	for back < len(old)-front && back < len(new)-front && old[len(old)-1-back] == new[len(new)-1-back] {
+		back++
+	}
+	return front, back
+}
+
 // onRollback registers on tx the inverse of the forward change rec
 // describes: the compensation, logged or replayed at lsn, that swaps rec's
-// images — a delete for an insert, an insert for a delete, the old image
+// images — a delete for an insert, an insert for a delete, the old span
 // back. Bulk loads and compensations have no inverse. The inverse holds a
 // copy of the record, so rec itself need not outlive the change.
 func (t *Table) onRollback(tx *txn.Txn, rec *wal.Record) {
@@ -760,7 +773,10 @@ func (t *Table) updateLocked(tx *txn.Txn, rid RID, f *buffer.Frame, oldRow, newR
 	}
 	var rec *wal.Record
 	if tx != nil {
-		rec = t.rowRecord(wal.RecUpdate, rid, val.EncodeRow(oldRow), newEnc)
+		oldEnc := val.EncodeRow(oldRow)
+		front, back := changedSpan(oldEnc, newEnc)
+		rec = t.rowRecord(wal.RecUpdate, rid, oldEnc[front:len(oldEnc)-back], newEnc[front:len(newEnc)-back])
+		rec.Front, rec.Back = uint32(front), uint32(back)
 	}
 	err := t.updateRow(tx, rid, f, oldRow, newRow, newEnc, rec)
 	if err == nil {

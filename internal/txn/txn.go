@@ -122,12 +122,9 @@ func (m *Manager) StartIDsAt(base uint64) {
 	m.mu.Unlock()
 }
 
-// Begin starts a read-write transaction.
-func (m *Manager) Begin() *Txn {
-	t := m.begin(false)
-	m.log.Append(&wal.Record{Type: wal.RecBegin, Txn: t.id})
-	return t
-}
+// Begin starts a read-write transaction. It logs nothing: a reader of the
+// log learns of the transaction from its first record.
+func (m *Manager) Begin() *Txn { return m.begin(false) }
 
 // BeginRO starts a read-only transaction. It writes nothing to the WAL —
 // there is nothing to recover — and Commit/Rollback only release its bound

@@ -52,7 +52,7 @@ func TestCommitWritesLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	types := logTypes(t, log)
-	want := []wal.RecType{wal.RecBegin, wal.RecInsert, wal.RecCommit}
+	want := []wal.RecType{wal.RecInsert, wal.RecCommit}
 	if len(types) != len(want) {
 		t.Fatalf("log: %v", types)
 	}

@@ -46,7 +46,7 @@ func TestAppendReturnsEndLSN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &Record{Type: RecBegin, Txn: 1}
+	r := &Record{Type: RecInsert, Txn: 1}
 	frameLen := uint64(8 + len(encode(r)))
 	lsn := l.Append(r)
 	if lsn != frameLen {

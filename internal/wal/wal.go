@@ -28,8 +28,9 @@ import (
 type RecType uint8
 
 const (
-	RecBegin RecType = iota + 1
-	RecCommit
+	// The values are on disk. 1 was a begin record, which no reader used:
+	// a transaction's first record is its begin.
+	RecCommit RecType = iota + 2
 	RecRollback
 	RecInsert
 	RecDelete
@@ -67,7 +68,7 @@ const (
 )
 
 var recNames = map[RecType]string{
-	RecBegin: "begin", RecCommit: "commit", RecRollback: "rollback",
+	RecCommit: "commit", RecRollback: "rollback",
 	RecInsert: "insert", RecDelete: "delete", RecUpdate: "update",
 	RecCheckpoint: "checkpoint", RecPageLink: "pagelink",
 	RecPageImage: "pageimage", RecColSegDrop: "colsegdrop",
@@ -81,7 +82,10 @@ func (t RecType) String() string {
 }
 
 // Record is one physiological log record. Insert carries the new row image
-// in After; Delete carries the old image in Before; Update carries both.
+// in After; Delete carries the old image in Before. Update carries only the
+// span of the cell it changes: Front bytes at the front of the cell and Back
+// bytes at its back stay in place, and Before and After hold what lies
+// between them, before and after the change.
 type Record struct {
 	Type RecType
 	// Undo marks a compensation: the row change that takes back the
@@ -93,6 +97,9 @@ type Record struct {
 	Slot   uint32
 	Before []byte
 	After  []byte
+	// Front and Back are an update's unchanged prefix and suffix lengths;
+	// only RecUpdate frames encode them.
+	Front, Back uint32
 	// LSN is the record's end-LSN in the log it was read from or ingested
 	// into (Scan, IngestRaw); it is not encoded.
 	LSN LSN
@@ -390,6 +397,10 @@ func appendFrame(dst []byte, r *Record) []byte {
 	dst = binary.AppendUvarint(dst, r.Table)
 	dst = binary.AppendUvarint(dst, uint64(r.Page))
 	dst = binary.AppendUvarint(dst, uint64(r.Slot))
+	if r.Type == RecUpdate {
+		dst = binary.AppendUvarint(dst, uint64(r.Front))
+		dst = binary.AppendUvarint(dst, uint64(r.Back))
+	}
 	dst = binary.AppendUvarint(dst, uint64(len(r.Before)))
 	dst = append(dst, r.Before...)
 	dst = binary.AppendUvarint(dst, uint64(len(r.After)))
@@ -405,9 +416,13 @@ const undoBit = 0x80
 // FrameLen is the length of r's frame in a log: a record decoded from a
 // frame ends FrameLen bytes past where the frame starts.
 func FrameLen(r *Record) uint64 {
-	return uint64(9 + uvarintLen(r.Txn) + uvarintLen(r.Table) + uvarintLen(uint64(r.Page)) +
+	n := 9 + uvarintLen(r.Txn) + uvarintLen(r.Table) + uvarintLen(uint64(r.Page)) +
 		uvarintLen(uint64(r.Slot)) + uvarintLen(uint64(len(r.Before))) + len(r.Before) +
-		uvarintLen(uint64(len(r.After))) + len(r.After))
+		uvarintLen(uint64(len(r.After))) + len(r.After)
+	if r.Type == RecUpdate {
+		n += uvarintLen(uint64(r.Front)) + uvarintLen(uint64(r.Back))
+	}
+	return uint64(n)
 }
 
 // uvarintLen is the length of x's uvarint encoding.
@@ -433,6 +448,9 @@ func decode(b []byte) (*Record, error) {
 	r.Table = uv()
 	r.Page = store.PageID(uv())
 	r.Slot = uint32(uv())
+	if r.Type == RecUpdate {
+		r.Front, r.Back = uint32(uv()), uint32(uv())
+	}
 	bn := uv()
 	if b == nil || uint64(len(b)) < bn {
 		return nil, bad
@@ -1044,7 +1062,7 @@ func (l *Log) Analyze() (*RecoveryPlan, error) {
 			delete(commit, r.Txn)
 		}
 		switch r.Type {
-		case RecBegin, RecCheckpoint:
+		case RecCheckpoint:
 			return nil
 		case RecPageImage:
 			if r.Txn != 0 {

@@ -15,9 +15,8 @@ func TestAppendScanRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := []*Record{
-		{Type: RecBegin, Txn: 1},
 		{Type: RecInsert, Txn: 1, Table: 7, Page: store.MakePageID(0, 3), Slot: 2, After: []byte("row")},
-		{Type: RecUpdate, Txn: 1, Table: 7, Page: store.MakePageID(0, 3), Slot: 2, Before: []byte("row"), After: []byte("row2")},
+		{Type: RecUpdate, Txn: 1, Table: 7, Page: store.MakePageID(0, 3), Slot: 2, Front: 3, Back: 300, Before: []byte("row"), After: []byte("row2")},
 		{Type: RecCommit, Txn: 1},
 	}
 	var lsns []LSN
@@ -47,7 +46,7 @@ func TestAppendScanRoundTrip(t *testing.T) {
 	for i, r := range got {
 		w := recs[i]
 		if r.Type != w.Type || r.Txn != w.Txn || r.Table != w.Table ||
-			r.Page != w.Page || r.Slot != w.Slot ||
+			r.Page != w.Page || r.Slot != w.Slot || r.Front != w.Front || r.Back != w.Back ||
 			string(r.Before) != string(w.Before) || string(r.After) != string(w.After) {
 			t.Fatalf("record %d mismatch: %+v vs %+v", i, r, w)
 		}
@@ -56,7 +55,7 @@ func TestAppendScanRoundTrip(t *testing.T) {
 
 func TestUnflushedRecordsNotDurable(t *testing.T) {
 	l, _ := Open("")
-	l.Append(&Record{Type: RecBegin, Txn: 1})
+	l.Append(&Record{Type: RecInsert, Txn: 1})
 	n := 0
 	l.Scan(func(LSN, *Record) error { n++; return nil })
 	if n != 0 {
@@ -78,13 +77,10 @@ func TestAnalyzeKeepsTheTailToReplay(t *testing.T) {
 	l, _ := Open("")
 	// Txn 1 commits, txn 2 is a loser, txn 3 rolled back, txn 4's commit is
 	// followed by its compensation and rollback record, txn 5 wrote nothing.
-	l.Append(&Record{Type: RecBegin, Txn: 1})
 	l.Append(&Record{Type: RecInsert, Txn: 1, Table: 11, After: []byte("a")})
-	l.Append(&Record{Type: RecBegin, Txn: 2})
 	l.Append(&Record{Type: RecInsert, Txn: 2, Table: 12, After: []byte("b")})
 	l.Append(&Record{Type: RecCommit, Txn: 1})
 	l.Append(&Record{Type: RecUpdate, Txn: 2, Table: 12, Before: []byte("b"), After: []byte("b2")})
-	l.Append(&Record{Type: RecBegin, Txn: 3})
 	l.Append(&Record{Type: RecDelete, Txn: 3, Table: 13, Before: []byte("c")})
 	l.Append(&Record{Type: RecInsert, Txn: 3, Table: 13, After: []byte("c"), Undo: true})
 	l.Append(&Record{Type: RecRollback, Txn: 3})
@@ -92,7 +88,6 @@ func TestAnalyzeKeepsTheTailToReplay(t *testing.T) {
 	l.Append(&Record{Type: RecCommit, Txn: 4})
 	l.Append(&Record{Type: RecDelete, Txn: 4, Table: 14, Before: []byte("d"), Undo: true})
 	l.Append(&Record{Type: RecRollback, Txn: 4})
-	l.Append(&Record{Type: RecBegin, Txn: 5})
 	l.Append(&Record{Type: RecCommit, Txn: 5})
 	l.Flush()
 
@@ -137,7 +132,7 @@ func TestFileBackedDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Append(&Record{Type: RecBegin, Txn: 9})
+	l.Append(&Record{Type: RecInsert, Txn: 9})
 	l.Append(&Record{Type: RecCommit, Txn: 9})
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -153,7 +148,7 @@ func TestFileBackedDurability(t *testing.T) {
 		types = append(types, r.Type)
 		return nil
 	})
-	if len(types) != 2 || types[0] != RecBegin || types[1] != RecCommit {
+	if len(types) != 2 || types[0] != RecInsert || types[1] != RecCommit {
 		t.Fatalf("reopened log contents: %v", types)
 	}
 }
@@ -162,7 +157,7 @@ func TestCorruptTailIgnored(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "c.log")
 	l, _ := Open(path)
-	l.Append(&Record{Type: RecBegin, Txn: 1})
+	l.Append(&Record{Type: RecInsert, Txn: 1})
 	l.Append(&Record{Type: RecCommit, Txn: 1})
 	l.Close()
 
@@ -184,7 +179,7 @@ func TestCorruptTailIgnored(t *testing.T) {
 
 func TestTruncate(t *testing.T) {
 	l, _ := Open("")
-	lsn := l.Append(&Record{Type: RecBegin, Txn: 1})
+	lsn := l.Append(&Record{Type: RecInsert, Txn: 1})
 	l.Flush()
 	if err := l.Truncate(); err != nil {
 		t.Fatal(err)
@@ -197,7 +192,7 @@ func TestTruncate(t *testing.T) {
 	if got := l.FlushedLSN(); got != lsn {
 		t.Fatalf("FlushedLSN %d after truncate, want %d: LSNs must go on, not restart", got, lsn)
 	}
-	if next := l.Append(&Record{Type: RecBegin, Txn: 2}); next <= lsn {
+	if next := l.Append(&Record{Type: RecInsert, Txn: 2}); next <= lsn {
 		t.Fatalf("first LSN after truncate %d, want past %d", next, lsn)
 	}
 }
@@ -294,9 +289,9 @@ func TestTruncatedMidFrameTailIgnored(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.log")
 	l, _ := Open(path)
-	l.Append(&Record{Type: RecBegin, Txn: 1})
+	l.Append(&Record{Type: RecInsert, Txn: 1})
 	l.Append(&Record{Type: RecCommit, Txn: 1})
-	l.Append(&Record{Type: RecBegin, Txn: 2})
+	l.Append(&Record{Type: RecInsert, Txn: 2})
 	l.Close()
 
 	// Chop bytes off the last frame, as a crash mid-write would.
@@ -317,11 +312,11 @@ func TestTruncatedMidFrameTailIgnored(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(types) != 2 || types[0] != RecBegin || types[1] != RecCommit {
-		t.Fatalf("scan past truncated tail returned %v, want [begin commit]", types)
+	if len(types) != 2 || types[0] != RecInsert || types[1] != RecCommit {
+		t.Fatalf("scan past truncated tail returned %v, want [insert commit]", types)
 	}
 	// The log remains appendable after the damaged tail is discarded.
-	l2.Append(&Record{Type: RecBegin, Txn: 3})
+	l2.Append(&Record{Type: RecInsert, Txn: 3})
 	if err := l2.Flush(); err != nil {
 		t.Fatal(err)
 	}

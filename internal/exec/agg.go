@@ -34,7 +34,7 @@ type AggSpec struct {
 // them; sumI, sumF and float for SUM and AVG; ext, the running extreme, for
 // MIN and MAX (it has one once count > 0); seen for DISTINCT. The zero value
 // of each column is a group that has seen no row, so a column grows with no
-// initialisation.
+// initialisation and is emptied by zeroing it.
 type aggCols struct {
 	count []int64
 	sumI  []int64
@@ -207,6 +207,16 @@ func (a *aggCols) merge(spec AggSpec, i int, st Row) {
 	}
 }
 
+// zero makes every group one that has seen no row, keeping the columns.
+func (a *aggCols) zero() {
+	clear(a.count)
+	clear(a.sumI)
+	clear(a.sumF)
+	clear(a.float)
+	clear(a.ext)
+	clear(a.seen)
+}
+
 // clear makes group i one that has seen no row.
 func (a *aggCols) clear(i int) {
 	a.count[i] = 0
@@ -241,8 +251,16 @@ func (c *chainIndex) add(h uint64) {
 	c.head[h] = int32(len(c.next))
 }
 
-// reset empties the index and lets its memory go.
+// reset empties the index and lets its memory go: HashDistinct's, and a
+// group table larger than one batch.
 func (c *chainIndex) reset() { c.head, c.next = nil, nil }
+
+// empty removes every entry and keeps the memory for the next ones: a group
+// table of at most one batch.
+func (c *chainIndex) empty() {
+	clear(c.head)
+	c.next = c.next[:0]
+}
 
 // HashGroupBy groups rows by key expressions and computes aggregates.
 // Output rows are key values followed by aggregate results, one row per
@@ -252,7 +270,10 @@ func (c *chainIndex) reset() { c.head, c.next = nil, nil }
 // keys from i*len(Keys), each aggregate's state is slot i of that
 // aggregate's aggCols, and idx finds it by the key's hash. The columns grow
 // together, doubling from 8 groups, so a group costs no object of its own
-// (a DISTINCT seen-set is the one exception).
+// (a DISTINCT seen-set is the one exception). Close zeroes a table of at
+// most DefaultBatchSize groups in place and keeps it, with the source batch
+// and its column scratch, so a kept plan re-executes into what it grew; a
+// larger table is let go, so an idle plan holds at most one batch of groups.
 //
 // Every group is charged to the statement's governor task by its encoded
 // size. Low-memory fallback (§4.3): when the governor asks for memory back
@@ -268,6 +289,7 @@ type HashGroupBy struct {
 	Depth int
 
 	acct      mem.Account
+	in        Batch       // the input batch being folded in
 	cols      []val.Value // column-major scratch: the evaluated key and aggregate-argument values of one batch
 	srcs      []colSource // per key, then per aggregate argument: where one batch's values are read
 	key       Row         // scratch: one row's key values
@@ -320,8 +342,7 @@ func (g *HashGroupBy) Open(ctx *Ctx) error {
 	if err := g.Input.Open(ctx); err != nil {
 		return err
 	}
-	var in Batch
-	err := pull(ctx, g.Input, &in, func(in *Batch) error {
+	err := pull(ctx, g.Input, &g.in, func(in *Batch) error {
 		ctx.ChargeRows(in.Len())
 		return g.addBatch(in)
 	})
@@ -340,7 +361,9 @@ func (g *HashGroupBy) Open(ctx *Ctx) error {
 		return err
 	}
 	if g.fb != nil {
-		g.grow() // slot 0 is where NextBatch reads each stored group back
+		if g.capacity == 0 {
+			g.grow() // slot 0 is where NextBatch reads each stored group back
+		}
 		g.it = new(btree.Iterator)
 		return g.fb.First(g.it)
 	}
@@ -443,11 +466,22 @@ func (g *HashGroupBy) grow() {
 	}
 }
 
-// dropGroups empties the group table and lets its columns go.
+// dropGroups empties the group table. A table of at most
+// DefaultBatchSize groups is zeroed in place, ready for the next groups; a
+// larger one lets its columns go.
 func (g *HashGroupBy) dropGroups() {
-	g.idx.reset()
-	g.keys, g.nGroups, g.capacity = nil, 0, 0
-	clear(g.aggs)
+	g.nGroups = 0
+	if g.capacity > DefaultBatchSize {
+		g.idx.reset()
+		g.keys, g.capacity = nil, 0
+		clear(g.aggs)
+		return
+	}
+	g.idx.empty()
+	clear(g.keys)
+	for a := range g.aggs {
+		g.aggs[a].zero()
+	}
 }
 
 // colSource is where addBatch reads one key or aggregate-argument column
@@ -629,7 +663,11 @@ func (g *HashGroupBy) dropFallback(ctx *Ctx) {
 func (g *HashGroupBy) Close(ctx *Ctx) error {
 	g.dropFallback(ctx)
 	g.dropGroups()
-	g.cols, g.srcs = nil, nil
+	g.in.release()
+	clear(g.key)
+	width := len(g.Keys) + len(g.Aggs)
+	g.cols = retain(g.cols, width*DefaultBatchSize)
+	g.srcs = retain(g.srcs, width)
 	g.acct.Close()
 	if g.inputOpen {
 		g.inputOpen = false

@@ -104,7 +104,8 @@ type vectors struct {
 // gives it: an Ints chunk decodes into ints and a Doubles chunk into flts,
 // each with the NULL bitmap nulls; any other chunk (strings, mixed kinds)
 // into boxed vals. The buffers are kept from window to window and grow only
-// for a longer window.
+// for a longer window; up to one batch, they are kept from execution to
+// execution too (release).
 type vector struct {
 	kind  colseg.ValueKind
 	ready bool // decoded for the current window
@@ -153,6 +154,32 @@ func resize[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
+}
+
+// retain empties s for the next execution of its operator: every element
+// is zeroed, so nothing s referred to stays reachable through it, and its
+// capacity is kept if that is at most limit elements, else let go.
+func retain[T any](s []T, limit int) []T {
+	if cap(s) > limit {
+		return nil
+	}
+	clear(s[:cap(s)])
+	return s[:0]
+}
+
+// release lets go of what the window refers to outside its scan — the
+// segment, every boxed value — and keeps the buffers of at most one batch
+// for the scan's next execution.
+func (v *vectors) release() {
+	v.seg, v.from, v.n, v.decoded = nil, 0, 0, false
+	for i := range v.cols {
+		c := &v.cols[i]
+		c.ready = false
+		c.ints = retain(c.ints, DefaultBatchSize)
+		c.flts = retain(c.flts, DefaultBatchSize)
+		c.nulls = retain(c.nulls, DefaultBatchSize/64)
+		c.vals = retain(c.vals, DefaultBatchSize)
+	}
 }
 
 // isNull tests window position p of a NULL bitmap.
@@ -246,6 +273,33 @@ func (c colView) box(r int, dst *val.Value) { c.col.box(c.pos[r], dst) }
 // Reset empties the batch into row form, keeping its capacity.
 func (b *Batch) Reset() {
 	b.rows, b.RIDs, b.sel, b.vec = b.rows[:0], b.RIDs[:0], b.sel[:0], nil
+}
+
+// release empties the batch for its owner's next execution: like Reset,
+// but the containers keep at most one batch of capacity, and the row list
+// is zeroed, so no row stays reachable through it.
+func (b *Batch) release() {
+	b.rows = retain(b.rows, DefaultBatchSize)
+	b.RIDs = retain(b.RIDs, DefaultBatchSize)
+	b.sel = retain(b.sel, DefaultBatchSize)
+	b.vec = nil
+}
+
+// takeRows makes b the rows of in, without RIDs, if in is in row form and
+// every row of it is exactly width values wide, and reports whether it did.
+// The rows are shared, not copied: the row-form rule makes them immutable.
+func (b *Batch) takeRows(in *Batch, width int) bool {
+	if in.vec != nil {
+		return false
+	}
+	for _, r := range in.rows {
+		if len(r) != width {
+			return false
+		}
+	}
+	b.Reset()
+	b.rows = append(b.rows, in.rows...)
+	return true
 }
 
 // Add appends one row.

@@ -161,16 +161,26 @@ func (f *Filter) Close(ctx *Ctx) error {
 }
 
 // Project evaluates expressions over input rows, one expression across the
-// whole batch at a time.
+// whole batch at a time. An identity projection — Col 0, 1, …, n-1 over
+// row-form input exactly n wide — hands the input rows up as they are.
 type Project struct {
 	Input Operator
 	Exprs []Expr
 
-	in   Batch
-	cols []val.Value // column-major scratch, len = exprs × batch rows
+	in       Batch
+	cols     []val.Value // column-major scratch, len = exprs × batch rows
+	identity bool        // Exprs are Col 0, 1, …, len(Exprs)-1
 }
 
-func (p *Project) Open(ctx *Ctx) error { return p.Input.Open(ctx) }
+func (p *Project) Open(ctx *Ctx) error {
+	p.identity = true
+	for i, e := range p.Exprs {
+		if c, ok := e.(Col); !ok || c.Idx != i {
+			p.identity = false
+		}
+	}
+	return p.Input.Open(ctx)
+}
 
 func (p *Project) NextBatch(ctx *Ctx, out *Batch) error {
 	out.Reset()
@@ -178,7 +188,7 @@ func (p *Project) NextBatch(ctx *Ctx, out *Batch) error {
 		return err
 	}
 	n := p.in.Len()
-	if n == 0 {
+	if n == 0 || p.identity && out.takeRows(&p.in, len(p.Exprs)) {
 		return nil
 	}
 	p.cols = slices.Grow(p.cols[:0], len(p.Exprs)*n)
@@ -206,7 +216,11 @@ func (p *Project) NextBatch(ctx *Ctx, out *Batch) error {
 	return nil
 }
 
-func (p *Project) Close(ctx *Ctx) error { return p.Input.Close(ctx) }
+func (p *Project) Close(ctx *Ctx) error {
+	p.in.release()
+	p.cols = retain(p.cols, len(p.Exprs)*DefaultBatchSize)
+	return p.Input.Close(ctx)
+}
 
 // Limit stops after N rows.
 type Limit struct {

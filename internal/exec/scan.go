@@ -48,7 +48,7 @@ type TableScan struct {
 	segs   []*colseg.Segment // the sealed segments being read (the table's own, immutable)
 	seg    int               // the segment the next window comes from
 	off    int               // the next row of it
-	window vectors           // the current window's column buffers
+	window vectors           // the current window's column buffers, kept across executions
 
 	cur       table.Cursor    // the heap part: the chain, or the delta tail
 	page      []table.PageRow // the page last pulled from cur
@@ -187,8 +187,10 @@ func (s *TableScan) SegmentStats() (total, skipped, unreached int) {
 // MemoryPeakPages reports the high-water mark of the last execution.
 func (s *TableScan) MemoryPeakPages() int { return s.acct.PeakPages() }
 
-// Close releases what the scan holds and reports the rows it actually
-// produced — once per execution, however it ended — as scan feedback.
+// Close releases what the scan holds of the table and reports the rows it
+// actually produced — once per execution, however it ended — as scan
+// feedback. The window's typed vectors and the page buffer, at most one
+// batch each, stay for the next execution, emptied.
 func (s *TableScan) Close(ctx *Ctx) error {
 	if s.open {
 		s.open = false
@@ -198,7 +200,9 @@ func (s *TableScan) Close(ctx *Ctx) error {
 		}
 	}
 	s.acct.Close()
-	s.segs, s.page, s.carry, s.window = nil, nil, nil, vectors{}
+	s.segs, s.carry = nil, nil
+	s.page = retain(s.page, DefaultBatchSize)
+	s.window.release()
 	return nil
 }
 

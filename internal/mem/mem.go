@@ -13,7 +13,7 @@ package mem
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -172,25 +172,20 @@ func (t *Task) SoftLimitPages() int {
 // (0 = root).
 func (t *Task) Register(c Consumer, depth int) {
 	t.mu.Lock()
-	t.consumers = append(t.consumers, taskConsumer{c, depth})
-	// Keep sorted by depth ascending: release starts at the highest
-	// consumer in the tree and moves down.
-	sort.SliceStable(t.consumers, func(i, j int) bool {
-		return t.consumers[i].depth < t.consumers[j].depth
-	})
+	// Keep sorted by depth ascending, equal depths in registration order:
+	// release starts at the highest consumer in the tree and moves down.
+	i := len(t.consumers)
+	for i > 0 && t.consumers[i-1].depth > depth {
+		i--
+	}
+	t.consumers = slices.Insert(t.consumers, i, taskConsumer{c, depth})
 	t.mu.Unlock()
 }
 
 // Unregister removes an operator (when it closes).
 func (t *Task) Unregister(c Consumer) {
 	t.mu.Lock()
-	kept := t.consumers[:0]
-	for _, tc := range t.consumers {
-		if tc.c != c {
-			kept = append(kept, tc)
-		}
-	}
-	t.consumers = kept
+	t.consumers = slices.DeleteFunc(t.consumers, func(tc taskConsumer) bool { return tc.c == c })
 	t.mu.Unlock()
 }
 

@@ -3,6 +3,7 @@ package mem
 import (
 	"anywheredb/internal/page"
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -310,5 +311,43 @@ func TestChargeThatFlushesItself(t *testing.T) {
 			t.Errorf("flush error %v: %d pages charged after Close", flushErr, tk.UsedPages())
 		}
 		tk.Finish()
+	}
+}
+
+// TestRegisterKeepsDepthOrderWithoutAllocating: Register files a consumer
+// after every consumer of the same or a lower depth, so equal depths keep
+// their registration order, and on a task whose consumer list has grown
+// once Register and Unregister allocate nothing.
+func TestRegisterKeepsDepthOrderWithoutAllocating(t *testing.T) {
+	g := gov(10000, 40, 4)
+	tk := g.Begin(new(Task))
+	defer tk.Finish()
+	cs := make([]*fakeConsumer, 6)
+	for i := range cs {
+		cs[i] = &fakeConsumer{task: tk}
+	}
+	depths := []int{2, 0, 2, 1, 0, 2}
+	for i, c := range cs {
+		tk.Register(c, depths[i])
+	}
+	want := []Consumer{cs[1], cs[4], cs[3], cs[0], cs[2], cs[5]}
+	for i, tc := range tk.consumers {
+		if tc.c != want[i] {
+			t.Fatalf("consumer %d is registration %d, want the order of depth, then of registration", i, slices.Index(cs, tc.c.(*fakeConsumer)))
+		}
+	}
+	for _, c := range cs {
+		tk.Unregister(c)
+	}
+	objects := testing.AllocsPerRun(100, func() {
+		for i, c := range cs {
+			tk.Register(c, depths[i])
+		}
+		for _, c := range cs {
+			tk.Unregister(c)
+		}
+	})
+	if objects != 0 {
+		t.Errorf("Register and Unregister allocate %.0f objects on a warmed task, want 0", objects)
 	}
 }

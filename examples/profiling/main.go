@@ -50,7 +50,7 @@ func main() {
 
 	// Analysis: the flaw database recognizes the pattern.
 	trace := digests.Snapshot()
-	for _, f := range profile.Analyze(trace, db.Catalog().Options()) {
+	for _, f := range profile.Analyze(trace, nil) {
 		fmt.Printf("[%s] %s\n", f.Kind, f.Detail)
 	}
 

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -15,53 +16,32 @@ import (
 
 // unusedExports is the ratchet's allow-list: the exported top-level
 // functions and methods of this module that no non-test file in the tree
-// names outside their own declaration. Each is here for the reason given:
-// a method the language calls through an interface, part of the library's
-// public surface, or a function only tests and tools call today. The list
-// may shrink but never grow: a new export must be named by the program, and
-// an entry whose function is deleted or gains a caller must be taken off.
+// names outside their own declaration. Each is here for the reason given,
+// and every reason starts with one of unusedExportReasons. The list may
+// shrink but never grow past maxUnusedExports: a new export must be named
+// by the program, and an entry whose function is deleted or gains a caller
+// must be taken off.
 var unusedExports = map[string]string{
-	"anywheredb.Double":                                        "public API",
-	"anywheredb/internal/buffer.Pool.FlushPage":                "tests only",
-	"anywheredb/internal/cachegov.Governor.Interval":           "tests only",
-	"anywheredb/internal/catalog.Catalog.Option":               "tests only",
-	"anywheredb/internal/catalog.Catalog.SetOption":            "tests only",
-	"anywheredb/internal/core.DB.ReorgOnce":                    "tests only",
-	"anywheredb/internal/exec.RecursiveUnion.Iterations":       "tests only",
-	"anywheredb/internal/exec.RecursiveUnion.SwitchedStrategy": "tests only",
-	"anywheredb/internal/exec.Sort.Spilled":                    "tests only",
-	"anywheredb/internal/exec.hitsByKey.Less":                  "interface method: sort.Interface",
-	"anywheredb/internal/exec.runMerge.Less":                   "interface method: sort.Interface (container/heap)",
-	"anywheredb/internal/experiments.CommitTorture":            "tests only",
-	"anywheredb/internal/flightrec.Collector.SpansRecorded":    "tests only",
-	"anywheredb/internal/flightrec.WaitEventNames":             "tests only",
-	"anywheredb/internal/heap.Heap.PageIDs":                    "tests only",
-	"anywheredb/internal/lock.Manager.Held":                    "tests only",
-	"anywheredb/internal/mem.Governor.SetMPL":                  "tests only",
-	"anywheredb/internal/osenv.Machine.SetPoolFunc":            "tests only",
-	"anywheredb/internal/page.Buf.SetType":                     "tests only",
-	"anywheredb/internal/profile.AnalyzeTelemetry":             "tests only",
-	"anywheredb/internal/repl.Replica.Resyncs":                 "tests only",
-	"anywheredb/internal/server/client.Client.Cancel":          "tests only",
-	"anywheredb/internal/server/client.Client.ConnID":          "tests only",
-	"anywheredb/internal/server/client.Client.ExecDeadline":    "tests only",
-	"anywheredb/internal/server/client.Client.SendExecRaw":     "tests only",
-	"anywheredb/internal/server/client.Client.SendRaw":         "tests only",
-	"anywheredb/internal/stats.Histogram.Compressed":           "tests only",
-	"anywheredb/internal/stats.NewProcStats":                   "tests only",
-	"anywheredb/internal/stats.ProcStats.Specials":             "tests only",
-	"anywheredb/internal/stats.StringStats.ObserveValue":       "tests only",
-	"anywheredb/internal/store.Store.AddDBSpace":               "tests only",
-	"anywheredb/internal/store.Store.ResetTemp":                "tests only",
-	"anywheredb/internal/txn.Manager.Active":                   "tests only",
-	"anywheredb/internal/val.Value.SQLString":                  "tests only",
-	"anywheredb/internal/vclock.Clock.AdvanceTo":               "tests only",
-	"anywheredb/internal/wal.Log.FlushedLSN":                   "tests only",
-	"anywheredb/internal/workload.DoubleUniform":               "tests only",
-	"anywheredb/internal/workload.IntZipf":                     "tests only",
-	"anywheredb/internal/workload.SpikeTrace":                  "tests only",
-	"anywheredb/internal/workload.StrTagged":                   "tests only",
+	"anywheredb.Double":                              "public API",
+	"anywheredb/internal/buffer.Pool.FlushPage":      "test instrument: core's crash tests write back one chosen page",
+	"anywheredb/internal/cachegov.Governor.Interval": "ROADMAP item 4 wires or deletes it once the runner lands",
+	"anywheredb/internal/core.DB.ReorgOnce":          "ROADMAP item 4 wires or deletes it once the runner lands",
+	"anywheredb/internal/exec.hitsByKey.Less":        "interface method: sort.Interface",
+	"anywheredb/internal/exec.runMerge.Less":         "interface method: sort.Interface (container/heap)",
+	"anywheredb/internal/heap.Heap.PageIDs":          "test instrument: exec's partition-eviction test compares page identities",
+	"anywheredb/internal/mem.Governor.SetMPL":        "ROADMAP item 4 wires or deletes it once the runner lands",
+	"anywheredb/internal/osenv.Machine.SetPoolFunc":  "ROADMAP item 4 wires or deletes it once the runner lands",
+	"anywheredb/internal/profile.AnalyzeTelemetry":   "ROADMAP item 4 wires or deletes it once the runner lands",
 }
+
+// maxUnusedExports is the ceiling on unusedExports.
+const maxUnusedExports = 10
+
+// unusedExportReasons are the reasons an export may stay unnamed: the
+// library's public surface, a method the language calls through an
+// interface, a self-management entry point waiting for item 4's runner, or
+// an instrument tests in another package use.
+var unusedExportReasons = []string{"public API", "interface method", "ROADMAP item 4", "test instrument"}
 
 // TestNoNewUnusedExports is a ratchet over dead exported code, using only
 // go/parser: it fails when an exported top-level function or method of
@@ -142,6 +122,14 @@ func TestNoNewUnusedExports(t *testing.T) {
 		}
 		if !named {
 			unused[d.key] = true
+		}
+	}
+	if len(unusedExports) > maxUnusedExports {
+		t.Errorf("unusedExports has %d entries, more than the ceiling of %d", len(unusedExports), maxUnusedExports)
+	}
+	for key, reason := range unusedExports {
+		if !slices.ContainsFunc(unusedExportReasons, func(p string) bool { return strings.HasPrefix(reason, p) }) {
+			t.Errorf("%s: reason %q starts with none of %q", key, reason, unusedExportReasons)
 		}
 	}
 	var added, stale []string

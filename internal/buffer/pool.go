@@ -1252,16 +1252,6 @@ func (p *Pool) PinnedCount() int {
 	return n
 }
 
-// Contains reports whether the page is currently resident (used by the
-// cost model's table-residency statistics).
-func (p *Pool) Contains(id store.PageID) bool {
-	s := p.shardOf(id)
-	s.rlock()
-	_, ok := s.table[id]
-	s.mu.RUnlock()
-	return ok
-}
-
 // ResidentPages counts resident pages owned by the given object, by
 // scanning frame headers shard by shard. The cost model uses the fraction
 // of a table resident in the buffer pool when costing access methods

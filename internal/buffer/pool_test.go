@@ -486,3 +486,12 @@ func TestLookasideConcurrent(t *testing.T) {
 		t.Fatalf("popped %d unique values, want 4000", count)
 	}
 }
+
+// Contains reports whether the page is currently resident.
+func (p *Pool) Contains(id store.PageID) bool {
+	s := p.shardOf(id)
+	s.rlock()
+	_, ok := s.table[id]
+	s.mu.RUnlock()
+	return ok
+}

@@ -60,10 +60,9 @@ type TableMeta struct {
 
 // state is the serialized catalog image.
 type state struct {
-	NextID  uint64
-	Tables  map[string]*TableMeta
-	Options map[string]string
-	DTT     []byte
+	NextID uint64
+	Tables map[string]*TableMeta
+	DTT    []byte
 }
 
 // Catalog is the in-memory catalog, persisted on demand.
@@ -86,7 +85,7 @@ func Create(pool *buffer.Pool, st *store.Store) (*Catalog, error) {
 	}
 	c := &Catalog{pool: pool, st: st, chain: []store.PageID{f.ID}}
 	pool.Unpin(f, true)
-	c.s = state{NextID: 1, Tables: map[string]*TableMeta{}, Options: map[string]string{}}
+	c.s = state{NextID: 1, Tables: map[string]*TableMeta{}}
 	return c, c.Save(nil)
 }
 
@@ -121,9 +120,6 @@ func Load(pool *buffer.Pool, st *store.Store) (*Catalog, error) {
 	}
 	if c.s.Tables == nil {
 		c.s.Tables = map[string]*TableMeta{}
-	}
-	if c.s.Options == nil {
-		c.s.Options = map[string]string{}
 	}
 	return c, nil
 }
@@ -234,32 +230,6 @@ func (c *Catalog) TableNames() []string {
 	out := make([]string, 0, len(c.s.Tables))
 	for n := range c.s.Tables {
 		out = append(out, n)
-	}
-	return out
-}
-
-// SetOption stores a database option.
-func (c *Catalog) SetOption(name, value string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.Options[name] = value
-}
-
-// Option reads a database option.
-func (c *Catalog) Option(name string) (string, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.s.Options[name]
-	return v, ok
-}
-
-// Options returns a copy of all options.
-func (c *Catalog) Options() map[string]string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]string, len(c.s.Options))
-	for k, v := range c.s.Options {
-		out[k] = v
 	}
 	return out
 }

@@ -49,7 +49,6 @@ func TestTableRoundTrip(t *testing.T) {
 		},
 		Hists: [][]byte{nil, []byte{1, 2, 3}},
 	}})
-	c.SetOption("blocking_timeout", "5s")
 	if err := c.Save(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -78,9 +77,6 @@ func TestTableRoundTrip(t *testing.T) {
 	}
 	if string(tm.Hists[1]) != "\x01\x02\x03" {
 		t.Fatal("histogram blob lost")
-	}
-	if v, _ := c2.Option("blocking_timeout"); v != "5s" {
-		t.Fatalf("option lost: %q", v)
 	}
 	if c2.NextID() <= id {
 		t.Fatal("NextID went backwards after reload")
@@ -146,19 +142,5 @@ func TestDTTPersistence(t *testing.T) {
 	}
 	if got.Cost(dtt.Read, 4096, 100) != m.Cost(dtt.Read, 4096, 100) {
 		t.Fatal("DTT round trip")
-	}
-}
-
-func TestOptions(t *testing.T) {
-	c, _, st := setup(t, "")
-	defer st.Close()
-	if _, ok := c.Option("missing"); ok {
-		t.Fatal("missing option found")
-	}
-	c.SetOption("a", "1")
-	c.SetOption("b", "2")
-	opts := c.Options()
-	if opts["a"] != "1" || opts["b"] != "2" {
-		t.Fatalf("options %v", opts)
 	}
 }

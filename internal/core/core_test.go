@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"anywheredb/internal/device"
 	"anywheredb/internal/val"
 	"anywheredb/internal/vclock"
 )
@@ -264,21 +267,39 @@ func TestAutoShutdown(t *testing.T) {
 	}
 }
 
+// TestCalibrateStoresModel: CALIBRATE DATABASE on a device that charges
+// no time refuses, leaving the model and the catalog as they were; on a
+// simulated disk it installs the measured model and persists it.
 func TestCalibrateStoresModel(t *testing.T) {
-	dir := t.TempDir()
-	db := openDB(t, Options{Dir: dir})
-	c := conn(t, db)
-	before := db.DTTModel().Name
-	mustExec(t, c, "CALIBRATE DATABASE")
-	after := db.DTTModel().Name
-	if before == after || !strings.HasPrefix(after, "calibrated:") {
-		t.Fatalf("model %q -> %q", before, after)
-	}
-	db.Close()
-	db2 := openDB(t, Options{Dir: dir})
-	if db2.DTTModel().Name != after {
-		t.Fatal("calibrated model not persisted in catalog")
-	}
+	t.Run("default device", func(t *testing.T) {
+		db := openDB(t, Options{Dir: t.TempDir()})
+		c := conn(t, db)
+		model, stored := db.DTTModel().Encode(), db.cat.DTT()
+		if _, err := c.Exec("CALIBRATE DATABASE"); !errors.Is(err, errZeroReadCost) {
+			t.Fatalf("CALIBRATE DATABASE on RAM: %v, want errZeroReadCost", err)
+		}
+		if !bytes.Equal(db.DTTModel().Encode(), model) || !bytes.Equal(db.cat.DTT(), stored) {
+			t.Fatal("a refused calibration changed the cost model or the catalog")
+		}
+	})
+	t.Run("simulated HDD", func(t *testing.T) {
+		dir := t.TempDir()
+		clk := vclock.New()
+		dev := device.NewHDD(device.Barracuda7200(), clk)
+		db := openDB(t, Options{Dir: dir, Device: dev, Clock: clk})
+		c := conn(t, db)
+		before := db.DTTModel().Name
+		mustExec(t, c, "CALIBRATE DATABASE")
+		after := db.DTTModel().Name
+		if before == after || !strings.HasPrefix(after, "calibrated:") {
+			t.Fatalf("model %q -> %q", before, after)
+		}
+		db.Close()
+		db2 := openDB(t, Options{Dir: dir, Device: dev, Clock: clk})
+		if db2.DTTModel().Name != after {
+			t.Fatal("calibrated model not persisted in catalog")
+		}
+	})
 }
 
 func TestLoadTableCSV(t *testing.T) {

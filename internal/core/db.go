@@ -953,9 +953,6 @@ func (db *DB) MemGovernor() *mem.Governor { return db.memG }
 // DTTModel reports the active cost model.
 func (db *DB) DTTModel() *dtt.Model { return db.dttMod }
 
-// Catalog exposes the catalog (profiling tools read options).
-func (db *DB) Catalog() *catalog.Catalog { return db.cat }
-
 // Close checkpoints and shuts the database down. In degraded mode no
 // writes are attempted — the checkpoint is skipped and files are closed
 // as-is; the WAL on disk still recovers the last durable state.

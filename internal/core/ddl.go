@@ -9,6 +9,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -176,13 +177,27 @@ func (c *Conn) createStatistics(s *sqlparse.CreateStatistics) error {
 	})
 }
 
+// errZeroReadCost refuses a calibration that priced a read at nothing, as
+// a device that charges no time (the default RAM device) does: under that
+// model every plan's I/O would be free.
+var errZeroReadCost = errors.New("core: CALIBRATE DATABASE measured a zero read cost; the cost model is unchanged")
+
 // calibrate runs CALIBRATE DATABASE: the read DTT curve is measured from
 // the device and the write curve approximated from it; the model is stored
-// in the catalog (§4.2).
+// in the catalog (§4.2). A read curve with a point at or below zero is
+// refused before anything is installed. The curve need not rise with the
+// band: sampling noise dips a real disk's curve.
 func (c *Conn) calibrate() error {
 	db := c.db
 	return c.ddl("", false, func(*txn.Txn, *table.Table) error {
 		m := dtt.Calibrate(db.st.Device(), db.clk, dtt.CalibrateConfig{Seed: 1})
+		for _, cv := range m.Curves() {
+			for _, p := range cv.Points {
+				if cv.Op == dtt.Read && p.Micros <= 0 {
+					return fmt.Errorf("%w (band %d)", errZeroReadCost, p.Band)
+				}
+			}
+		}
 		db.mu.Lock()
 		db.dttMod = m
 		db.mu.Unlock()

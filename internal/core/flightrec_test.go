@@ -178,7 +178,7 @@ func TestDisableFlightRecorder(t *testing.T) {
 	if fr.Enabled() {
 		t.Fatal("recorder reports enabled")
 	}
-	if fr.SpansRecorded() != 0 || len(fr.Recent()) != 0 || fr.Digests().Len() != 0 {
+	if counter(t, db, "flightrec.spans") != 0 || len(fr.Recent()) != 0 || fr.Digests().Len() != 0 {
 		t.Fatal("disabled recorder captured spans")
 	}
 	if rows := mustQuery(t, c, "SELECT * FROM sys.statements"); rows.Count() != 0 {

@@ -118,7 +118,7 @@ var governedCases = []struct {
 	gaveBack  func(exec.Operator) bool
 }{
 	{"order by", "SELECT k, s FROM f ORDER BY k", true, "Sort",
-		func(op exec.Operator) bool { s, ok := op.(*exec.Sort); return ok && s.Spilled() }},
+		func(op exec.Operator) bool { s, ok := op.(*exec.Sort); return ok && s.RunsWritten() > 0 }},
 	{"group by", "SELECT g, COUNT(*) FROM f GROUP BY g", false, "HashGroupBy",
 		func(op exec.Operator) bool { g, ok := op.(*exec.HashGroupBy); return ok && g.FellBack() }},
 	{"join", "SELECT d.k, f.k FROM d, f WHERE d.g = f.g", false, "HashJoin",
@@ -323,9 +323,9 @@ func TestReleaseOrderIsThePlans(t *testing.T) {
 	if srt == nil || len(rows.Plan().HashJoins) != 1 {
 		t.Fatalf("want a sort over one hash join:\n%v", explainRows(rows.Plan(), true).All())
 	}
-	if join := rows.Plan().HashJoins[0]; !srt.Spilled() || join.SpilledPartitions() != 0 {
+	if join := rows.Plan().HashJoins[0]; srt.RunsWritten() == 0 || join.SpilledPartitions() != 0 {
 		t.Errorf("sort spilled: %v, join partitions evicted: %d; want the sort alone to give memory back",
-			srt.Spilled(), join.SpilledPartitions())
+			srt.RunsWritten() > 0, join.SpilledPartitions())
 	}
 
 	// Depths grow down the tree: sort, group-by, the topmost join, the join

@@ -333,7 +333,7 @@ func TestRolledBackPagesNeedNoImage(t *testing.T) {
 		t.Fatalf("the table spans %d pages, want more than the pool holds", len(pages))
 	}
 
-	start := db.WAL().FlushedLSN()
+	_, start := db.WAL().Position()
 	mustExec(t, c, "BEGIN")
 	mustExec(t, c, "UPDATE t SET v = 2")
 	mustExec(t, c, "ROLLBACK")

@@ -540,7 +540,7 @@ func TestSortInMemoryAndExternal(t *testing.T) {
 		Keys:  []SortKey{{Expr: Col{0}}},
 	}
 	rows := drain(t, ctx, s)
-	if s.Spilled() {
+	if s.RunsWritten() > 0 {
 		t.Fatal("unlimited sort should not spill")
 	}
 	for i := 1; i < len(rows); i++ {
@@ -556,7 +556,7 @@ func TestSortInMemoryAndExternal(t *testing.T) {
 	}
 	rows2 := drain(t, ctx, ext)
 	settled(t, ctx, task)
-	if !ext.Spilled() {
+	if ext.RunsWritten() == 0 {
 		t.Fatal("external sort should spill")
 	}
 	if len(rows2) != 3000 {
@@ -581,8 +581,8 @@ func TestSortInMemoryAndExternal(t *testing.T) {
 	if err := ext.NextBatch(ctx, &first); err != nil {
 		t.Fatal(err)
 	}
-	if got := drain(t, ctx, ext); len(got) != 3000 || !ext.Spilled() {
-		t.Fatalf("re-opened sort: %d rows, spilled %v", len(got), ext.Spilled())
+	if got := drain(t, ctx, ext); len(got) != 3000 || ext.RunsWritten() == 0 {
+		t.Fatalf("re-opened sort: %d rows, spilled %v", len(got), ext.RunsWritten() > 0)
 	}
 	settled(t, ctx, task)
 }
@@ -616,8 +616,8 @@ func TestRecursiveUnion(t *testing.T) {
 	if len(rows) != 10 {
 		t.Fatalf("recursive rows %d, want 10", len(rows))
 	}
-	if r.Iterations() < 9 {
-		t.Fatalf("iterations %d", r.Iterations())
+	if r.iterations < 9 {
+		t.Fatalf("iterations %d", r.iterations)
 	}
 }
 
@@ -637,7 +637,7 @@ func TestRecursiveUnionStrategySwitch(t *testing.T) {
 		DedupLimit: 10, // force the per-iteration strategy switch
 	}
 	rows := drain(t, ctx, r)
-	if !r.SwitchedStrategy() {
+	if !r.switched {
 		t.Fatal("strategy switch expected")
 	}
 	if len(rows) != 100 {
@@ -800,7 +800,7 @@ func TestSortIsExternal(t *testing.T) {
 				}
 			}
 		}
-		if !s.Spilled() {
+		if s.RunsWritten() == 0 {
 			t.Fatalf("%d rows sorted without a run under a %d-page soft limit", n, soft)
 		}
 		if err := s.Close(ctx); err != nil {

@@ -36,9 +36,6 @@ type Sort struct {
 	ctx         *Ctx
 }
 
-// Spilled reports whether external runs were used.
-func (s *Sort) Spilled() bool { return s.runsWritten > 0 }
-
 // RunsWritten reports how many runs the most recent execution wrote,
 // counting those that merged earlier runs.
 func (s *Sort) RunsWritten() int { return s.runsWritten }
@@ -359,13 +356,6 @@ type RecursiveUnion struct {
 	iterations int
 	switched   bool
 }
-
-// Iterations reports how many recursive steps ran.
-func (r *RecursiveUnion) Iterations() int { return r.iterations }
-
-// SwitchedStrategy reports whether the per-iteration strategy switch
-// occurred.
-func (r *RecursiveUnion) SwitchedStrategy() bool { return r.switched }
 
 func (r *RecursiveUnion) Open(ctx *Ctx) error {
 	r.out = nil

@@ -112,8 +112,8 @@ func E20CommitThroughput() (*Report, error) {
 	}, nil
 }
 
-// CommitTortureConfig parameterizes one multi-writer torture run.
-type CommitTortureConfig struct {
+// commitTortureConfig parameterizes one multi-writer torture run.
+type commitTortureConfig struct {
 	// Cycles is the number of crash/recover cycles (default 30).
 	Cycles int
 	// Writers is the number of concurrent committers per cycle (default 4).
@@ -129,8 +129,8 @@ type CommitTortureConfig struct {
 	Dir string
 }
 
-// CommitTortureResult summarizes a run.
-type CommitTortureResult struct {
+// commitTortureResult summarizes a run.
+type commitTortureResult struct {
 	Cycles        int // cycles completed
 	Crashes       int // scheduled crashes that fired
 	Commits       int // transactions acknowledged committed
@@ -148,7 +148,7 @@ type CommitTortureResult struct {
 // construction, so each writer's rows partition the table.
 func writerKey(w int, i int64) int64 { return int64(w)*1_000_000 + i }
 
-// CommitTorture is the group-commit acceptance torture: K writers commit
+// commitTorture is the group-commit acceptance torture: K writers commit
 // concurrently while a deterministic schedule injects transient, permanent
 // and torn WAL-flush faults and crashes the machine around the commit
 // flush. It verifies, after every cycle:
@@ -163,9 +163,9 @@ func writerKey(w int, i int64) int64 { return int64(w)*1_000_000 + i }
 // Because each writer stops at its first failed COMMIT and a writer's WAL
 // records are sequential, at most one transaction per writer per cycle is
 // indeterminate; the verifier accepts either fate for exactly that one.
-func CommitTorture(cfg CommitTortureConfig) (*CommitTortureResult, error) {
+func commitTorture(cfg commitTortureConfig) (*commitTortureResult, error) {
 	if cfg.Dir == "" {
-		return nil, fmt.Errorf("experiments: CommitTorture needs a directory")
+		return nil, fmt.Errorf("experiments: commitTorture needs a directory")
 	}
 	if cfg.Cycles <= 0 {
 		cfg.Cycles = 30
@@ -177,7 +177,7 @@ func CommitTorture(cfg CommitTortureConfig) (*CommitTortureResult, error) {
 		cfg.TxnsPerWriter = 5
 	}
 
-	res := &CommitTortureResult{}
+	res := &commitTortureResult{}
 	master := rand.New(rand.NewSource(cfg.Seed))
 	// Per-writer committed state and key allocator, disjoint by range.
 	models := make([]map[int64]int64, cfg.Writers)

@@ -88,21 +88,6 @@ var waitNames = [NumWaitKinds]string{
 	WaitNetShip:  "net.ship",
 }
 
-// Name returns the wait kind's registered event name.
-func (k WaitKind) Name() string {
-	if k < 0 || k >= NumWaitKinds {
-		return "unknown"
-	}
-	return waitNames[k]
-}
-
-// WaitEventNames lists every registered wait-event name (the taxonomy).
-func WaitEventNames() []string {
-	out := make([]string, NumWaitKinds)
-	copy(out, waitNames[:])
-	return out
-}
-
 // Phase indexes a Span's phase timings.
 type Phase int
 
@@ -201,13 +186,11 @@ func (s *Span) AddSpill(n int64) { s.spill.Add(n) }
 // SpillBytes reads the span's spilled byte count.
 func (s *Span) SpillBytes() int64 { return s.spill.Load() }
 
-// Waits aggregates the engine-wide wait-event registry: per-kind counts,
-// total microseconds, and a latency histogram each. All methods are
-// lock-free.
+// Waits aggregates the engine-wide wait-event registry: one latency
+// histogram per kind, which also keeps the kind's count and total
+// microseconds. All methods are lock-free.
 type Waits struct {
-	counts [NumWaitKinds]atomic.Int64
-	totals [NumWaitKinds]atomic.Int64
-	hists  [NumWaitKinds]telemetry.Histogram
+	hists [NumWaitKinds]telemetry.Histogram
 }
 
 // Observe records one wait of kind k lasting us microseconds.
@@ -215,8 +198,6 @@ func (w *Waits) Observe(k WaitKind, us int64) {
 	if k < 0 || k >= NumWaitKinds {
 		return
 	}
-	w.counts[k].Add(1)
-	w.totals[k].Add(us)
 	w.hists[k].Observe(us)
 }
 
@@ -237,8 +218,8 @@ func (w *Waits) Snapshot() []WaitStat {
 		h := &w.hists[k]
 		out[k] = WaitStat{
 			Name:    waitNames[k],
-			Count:   w.counts[k].Load(),
-			TotalUS: w.totals[k].Load(),
+			Count:   int64(h.Count()),
+			TotalUS: int64(h.Sum()),
 			P50US:   h.Quantile(0.50),
 			P95US:   h.Quantile(0.95),
 			P99US:   h.Quantile(0.99),
@@ -323,9 +304,6 @@ func (c *Collector) Digests() *DigestTable { return c.digests }
 // Unlike spans it is recorded even with the recorder disabled: layout
 // decisions must not depend on whether observability capture is on.
 func (c *Collector) Access() *AccessTable { return c.access }
-
-// SpansRecorded reports the number of finished spans.
-func (c *Collector) SpansRecorded() int64 { return c.spans.Load() }
 
 // Begin opens a span for one statement: its text and the fingerprint its
 // preparation derived (the recorder never reads SQL). It returns nil when the
@@ -431,9 +409,9 @@ func (c *Collector) AttachTelemetry(reg *telemetry.Registry) {
 	reg.GaugeFunc("flightrec.ring_size", func() int64 { return int64(len(c.ring)) })
 	reg.GaugeFunc("flightrec.digests", func() int64 { return int64(c.digests.Len()) })
 	for k := WaitKind(0); k < NumWaitKinds; k++ {
-		k := k
-		reg.GaugeFunc("waits."+waitNames[k]+".count", c.waits.counts[k].Load)
-		reg.RegisterHistogram("waits."+waitNames[k]+".us", &c.waits.hists[k])
+		h := &c.waits.hists[k]
+		reg.GaugeFunc("waits."+waitNames[k]+".count", func() int64 { return int64(h.Count()) })
+		reg.RegisterHistogram("waits."+waitNames[k]+".us", h)
 	}
 }
 

@@ -32,8 +32,8 @@ func TestSpanLifecycle(t *testing.T) {
 	sp.AddBatches(3)
 	sp.AddSpill(4096)
 	c.Finish(sp, 150, 7, "", nil)
-	if got := c.SpansRecorded(); got != 1 {
-		t.Fatalf("SpansRecorded = %d", got)
+	if got := c.spans.Load(); got != 1 {
+		t.Fatalf("spans finished = %d", got)
 	}
 	rec := c.Recent()
 	if len(rec) != 1 || rec[0] != sp {
@@ -56,7 +56,7 @@ func TestDisabledRecorder(t *testing.T) {
 		t.Fatal("Begin returned a span while disabled")
 	}
 	c.Finish(nil, 0, 0, "", nil) // must tolerate nil
-	if c.SpansRecorded() != 0 || len(c.Recent()) != 0 {
+	if c.spans.Load() != 0 || len(c.Recent()) != 0 {
 		t.Fatal("disabled recorder recorded something")
 	}
 }
@@ -238,8 +238,8 @@ func TestRingStress(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	if got := c.SpansRecorded(); got != writers*perWriter {
-		t.Fatalf("SpansRecorded = %d, want %d", got, writers*perWriter)
+	if got := c.spans.Load(); got != writers*perWriter {
+		t.Fatalf("spans finished = %d, want %d", got, writers*perWriter)
 	}
 	if len(c.Recent()) != 64 {
 		t.Fatalf("ring holds %d spans, want 64", len(c.Recent()))

@@ -15,7 +15,7 @@ func TestWaitNamesDocumented(t *testing.T) {
 		t.Fatalf("reading DESIGN.md: %v", err)
 	}
 	text := string(doc)
-	for _, name := range WaitEventNames() {
+	for _, name := range waitNames {
 		if !strings.Contains(text, "`"+name+"`") {
 			t.Errorf("wait event %q is not documented in DESIGN.md's taxonomy table", name)
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -787,4 +788,56 @@ func TestLockCtxAlreadyCancelled(t *testing.T) {
 	if created.Load() != 0 {
 		t.Fatalf("cancelled call created %d timers", created.Load())
 	}
+}
+
+// Held counts the lock records txn owns — its row-lock cells, reading each
+// bucket on its held list once, and one per mode it holds on each table
+// (the page-reading count the tests compare HeldCount against).
+func (m *Manager) Held(txn uint64) (int, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	hd := m.held[txn]
+	if hd == nil {
+		return 0, nil
+	}
+	total := hd.tableCount()
+	for _, h := range m.perBucket(hd.rows) {
+		f, err := m.latchBucket(h)
+		if err != nil {
+			return 0, err
+		}
+		for i, n := 0, f.Data.NumSlots(); i < n; i++ {
+			if c := f.Data.Cell(i); c != nil {
+				if _, holder, _, _ := cellFields(c); holder == txn {
+					total++
+				}
+			}
+		}
+		m.unlatch(f, false)
+	}
+	return total, nil
+}
+
+// Unlock releases one lock held by txn: every mode it holds on the table
+// obj (nil key) or on its row key.
+func (m *Manager) Unlock(txn, obj uint64, key []byte) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if key == nil {
+		if hd, i, _ := m.tableModes(txn, obj); i >= 0 {
+			m.releaseTable(hd.tables[i])
+			hd.tables = slices.Delete(hd.tables, i, i+1)
+			m.settle(txn, hd)
+		}
+	} else {
+		h := hashLock(obj, key)
+		n, err := m.release(h, txn, false, obj, key)
+		m.forget(txn, h, n)
+		if err != nil {
+			return err
+		}
+	}
+	m.releases.Add(1)
+	m.wake()
+	return nil
 }

@@ -144,9 +144,6 @@ func (m *Machine) FreeMemory() int64 {
 	return free
 }
 
-// TotalRAM reports the machine's physical memory.
-func (m *Machine) TotalRAM() int64 { return m.totalRAM }
-
 // ExternalBytes reports the total memory held by other applications.
 func (m *Machine) ExternalBytes() int64 {
 	m.mu.Lock()

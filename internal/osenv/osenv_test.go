@@ -104,7 +104,7 @@ func TestSetPoolFuncLate(t *testing.T) {
 	if m.WorkingSet() != 10<<20 {
 		t.Fatal("SetPoolFunc not effective")
 	}
-	if m.TotalRAM() != 256<<20 {
+	if m.totalRAM != 256<<20 {
 		t.Fatal("TotalRAM")
 	}
 }

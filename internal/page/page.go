@@ -86,9 +86,6 @@ func (p Buf) Init(t Type) {
 // Type reports the page's type tag.
 func (p Buf) Type() Type { return Type(p[offType]) }
 
-// SetType retags the page without clearing it.
-func (p Buf) SetType(t Type) { p[offType] = byte(t) }
-
 // LSN reports the log sequence number of the last change to the page.
 func (p Buf) LSN() uint64 { return binary.LittleEndian.Uint64(p[offLSN:]) }
 

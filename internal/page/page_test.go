@@ -28,10 +28,6 @@ func TestInitAndHeader(t *testing.T) {
 	if p.LSN() != 42 || p.Next() != 7 || p.Owner() != 99 {
 		t.Fatal("header round trip failed")
 	}
-	p.SetType(TypeIndex)
-	if p.Type() != TypeIndex {
-		t.Fatal("SetType failed")
-	}
 }
 
 func TestInsertAndRead(t *testing.T) {

@@ -107,15 +107,15 @@ func TestRepassSkipsASupersededCommit(t *testing.T) {
 	}
 	waitRows(t, r.DB(), "SELECT id FROM t", 0)
 
-	resyncs := r.Resyncs()
+	resyncs := r.resyncs.Load()
 	if _, err := r.applyChunk(shipMsg{StartLSN: prefixEnd, Frames: rest}); err != nil {
 		t.Fatalf("the rest of the rollback: %v (a replica would resync)", err)
 	}
 	if n, commits := r.applier.InFlight(), r.applier.Commits; n != 0 || commits != 0 {
 		t.Fatalf("after the rollback record: %d in flight, %d commits; want 0 and 0", n, commits)
 	}
-	if r.Resyncs() != resyncs {
-		t.Fatalf("resyncs %d, want %d", r.Resyncs(), resyncs)
+	if r.resyncs.Load() != resyncs {
+		t.Fatalf("resyncs %d, want %d", r.resyncs.Load(), resyncs)
 	}
 	waitRows(t, r.DB(), "SELECT id FROM t", 0)
 }

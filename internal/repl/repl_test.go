@@ -114,8 +114,8 @@ func TestReplicaStreamsAndServesReads(t *testing.T) {
 	if len(rows.Data) != 1 || rows.Data[0][0].S != "v7" {
 		t.Fatalf("replica read: got %v", rows.Data)
 	}
-	if r.Resyncs() != 1 {
-		t.Fatalf("resyncs = %d, want 1", r.Resyncs())
+	if r.resyncs.Load() != 1 {
+		t.Fatalf("resyncs = %d, want 1", r.resyncs.Load())
 	}
 }
 
@@ -189,8 +189,8 @@ func TestTruncateCrossedWithoutResync(t *testing.T) {
 	if n := truncates(db) - primBefore; n != 3 {
 		t.Fatalf("the primary truncated %d times, want 3", n)
 	}
-	if r.Resyncs() != 1 {
-		t.Fatalf("resyncs = %d, want 1 (crossing a truncate must not resync)", r.Resyncs())
+	if r.resyncs.Load() != 1 {
+		t.Fatalf("resyncs = %d, want 1 (crossing a truncate must not resync)", r.resyncs.Load())
 	}
 	if truncates(r.DB()) == repBefore {
 		t.Fatal("the replica never truncated its own log at a shipped checkpoint")
@@ -200,7 +200,7 @@ func TestTruncateCrossedWithoutResync(t *testing.T) {
 // TestReplicaPositionsAreLSNs: a replica's acknowledged position is an LSN
 // of the primary's log, so it never goes back across a checkpoint that
 // truncates that log, and once the replica has caught up it is the
-// primary's FlushedLSN.
+// primary's durable LSN.
 func TestReplicaPositionsAreLSNs(t *testing.T) {
 	db, p := startPrimary(t, PrimaryOptions{})
 	defer db.Close()
@@ -237,17 +237,18 @@ func TestReplicaPositionsAreLSNs(t *testing.T) {
 				t.Fatalf("round %d: acked_lsn went back from %d to %d", i, last, a)
 			}
 			last = a
-			if uint64(a) == db.WAL().FlushedLSN() {
+			_, flushed := db.WAL().Position()
+			if uint64(a) == flushed {
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("round %d: acked_lsn %d never reached the primary's FlushedLSN %d", i, a, db.WAL().FlushedLSN())
+				t.Fatalf("round %d: acked_lsn %d never reached the primary's durable LSN %d", i, a, flushed)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
-	if r.Resyncs() != 1 {
-		t.Fatalf("resyncs = %d, want 1", r.Resyncs())
+	if r.resyncs.Load() != 1 {
+		t.Fatalf("resyncs = %d, want 1", r.resyncs.Load())
 	}
 }
 
@@ -378,8 +379,8 @@ func TestMovedUpdateRollbackNoResync(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if r.Resyncs() != 1 {
-		t.Fatalf("resyncs = %d, want 1 (a rolled-back move must not force a resync)", r.Resyncs())
+	if r.resyncs.Load() != 1 {
+		t.Fatalf("resyncs = %d, want 1 (a rolled-back move must not force a resync)", r.resyncs.Load())
 	}
 }
 
@@ -599,8 +600,8 @@ func TestReplicaSurvivesPrimarySessionDrop(t *testing.T) {
 
 	mustExec(t, c, "INSERT INTO kv VALUES (2)")
 	waitRows(t, r.DB(), "SELECT k FROM kv", 2)
-	if r.Resyncs() != 1 {
-		t.Fatalf("resyncs = %d, want 1 (session drop must resume, not resync)", r.Resyncs())
+	if r.resyncs.Load() != 1 {
+		t.Fatalf("resyncs = %d, want 1 (session drop must resume, not resync)", r.resyncs.Load())
 	}
 }
 

@@ -120,9 +120,6 @@ func (r *Replica) ReadAddr() string {
 	return r.readAddr
 }
 
-// Resyncs counts full snapshot syncs this replica has performed.
-func (r *Replica) Resyncs() int64 { return r.resyncs.Load() }
-
 // WaitReady blocks until the replica is streaming and serving reads (true)
 // or the timeout passes (false).
 func (r *Replica) WaitReady(d time.Duration) bool {

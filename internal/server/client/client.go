@@ -1,8 +1,8 @@
 // Package client is the Go client for the anywheredb network server: it
 // dials the length-prefixed prepared-statement protocol, runs statements
-// with parameters, streams result batches, and exposes out-of-band cancel.
-// The server's retryable shed/drain/transient responses surface as errors
-// matching ErrRetryable so callers can loop.
+// with parameters, and streams result batches. The server's retryable
+// shed/drain/transient responses surface as errors matching ErrRetryable
+// so callers can loop.
 package client
 
 import (
@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"anywheredb/internal/server"
@@ -50,17 +49,13 @@ type Rows struct {
 	Data [][]val.Value
 }
 
-// Client is one server connection. A Client runs one statement at a time;
-// Cancel may be called concurrently from another goroutine.
+// Client is one server connection. A Client runs one statement at a time.
 type Client struct {
 	nc   net.Conn
 	br   *bufio.Reader
 	rbuf []byte // storage of the last frame read; a payload is valid until the next read
+	bw   *bufio.Writer
 
-	wmu sync.Mutex // serializes frame writes (statement vs. cancel)
-	bw  *bufio.Writer
-
-	connID uint64
 	closed bool
 }
 
@@ -99,13 +94,8 @@ func Dial(addr string, opts Options) (*Client, error) {
 		nc.Close()
 		return nil, fmt.Errorf("client: unexpected handshake reply 0x%02x", typ)
 	}
-	_, rest := uvarint(payload) // version
-	c.connID, _ = binary.Uvarint(rest)
 	return c, nil
 }
-
-// ConnID reports the server-assigned connection id (sys.connections.id).
-func (c *Client) ConnID() uint64 { return c.connID }
 
 // Close sends quit and closes the socket.
 func (c *Client) Close() error {
@@ -187,30 +177,6 @@ func (c *Client) Query(sql string, params ...val.Value) (*Rows, error) {
 	return rows, nil
 }
 
-// ExecDeadline runs one inline statement under a per-statement deadline.
-func (c *Client) ExecDeadline(sql string, deadline time.Duration, params ...val.Value) (Result, error) {
-	res, _, err := c.roundTrip(0, sql, uint64(deadline.Microseconds()), params)
-	return res, err
-}
-
-// Cancel asks the server to cancel the statement currently in flight on
-// this connection. Safe to call concurrently with Exec/Query; a no-op
-// when the connection is idle.
-func (c *Client) Cancel() error {
-	return c.sendRaw(server.MsgCancel, nil)
-}
-
-// SendRaw writes one raw frame without waiting for a reply — a test hook
-// for protocol-violation scenarios.
-func (c *Client) SendRaw(typ byte, payload []byte) error { return c.sendRaw(typ, payload) }
-
-// SendExecRaw sends an exec frame without reading any response — a test
-// hook for slow-client scenarios (the caller deliberately stops draining
-// the socket).
-func (c *Client) SendExecRaw(sql string) error {
-	return c.sendRaw(server.MsgExec, server.EncodeExec(0, sql, 0, nil))
-}
-
 // roundTrip sends one exec and consumes frames through done/error.
 func (c *Client) roundTrip(stmtID uint64, sql string, deadlineUS uint64, params []val.Value) (Result, *Rows, error) {
 	exec := func(b []byte) []byte { return server.AppendExec(b, stmtID, sql, deadlineUS, params) }
@@ -257,8 +223,6 @@ func (c *Client) roundTrip(stmtID uint64, sql string, deadlineUS uint64, params 
 // send writes and flushes one frame, its payload encoded by enc straight
 // into the send buffer.
 func (c *Client) send(typ byte, enc func([]byte) []byte) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
 	b, err := server.AppendFrame(c.bw.AvailableBuffer(), typ, enc)
 	if err != nil {
 		return err
@@ -297,12 +261,4 @@ func decodeWireError(payload []byte) error {
 	default:
 		return fmt.Errorf("client: server error: %s", msg)
 	}
-}
-
-func uvarint(b []byte) (uint64, []byte) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil
-	}
-	return v, b[n:]
 }

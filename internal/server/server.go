@@ -239,12 +239,12 @@ func (s *Server) serveConn(nc net.Conn) {
 	// Handshake: the first frame must be a valid, authenticated hello
 	// within a short deadline.
 	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	typ, payload, err := readFrame(c.br)
+	typ, payload, err := ReadFrame(c.br)
 	if err != nil {
 		return
 	}
 	nc.SetReadDeadline(time.Time{})
-	if typ != msgHello {
+	if typ != MsgHello {
 		c.protocolError("expected hello")
 		return
 	}
@@ -262,7 +262,7 @@ func (s *Server) serveConn(nc net.Conn) {
 
 	conn, err := s.db.Connect()
 	if err != nil {
-		c.sendErr(codeRetry, "server not accepting connections")
+		c.sendErr(CodeRetry, "server not accepting connections")
 		c.flush()
 		return
 	}
@@ -290,7 +290,7 @@ func (s *Server) serveConn(nc net.Conn) {
 	}
 
 	helloOK := func(b []byte) []byte { return AppendUvarint(AppendUvarint(b, ProtoVersion), c.id) }
-	if c.send(msgHelloOK, helloOK) != nil || c.flush() != nil {
+	if c.send(MsgHelloOK, helloOK) != nil || c.flush() != nil {
 		return
 	}
 
@@ -320,24 +320,24 @@ func (s *Server) serveConn(nc net.Conn) {
 				default:
 				}
 			}
-			typ, payload, err := readFrameInto(c.br, buf)
+			typ, payload, err := ReadFrameInto(c.br, buf)
 			if err != nil {
 				return
 			}
-			if typ == msgCancel {
+			if typ == MsgCancel {
 				c.cancelCurrent()
 				buf = payload
 				continue
 			}
 			reqs <- request{typ, payload}
 			buf = nil
-			if typ == msgQuit {
+			if typ == MsgQuit {
 				return
 			}
 		}
 	}()
 	// The worker owns the write side. When it exits, closing the socket
-	// unblocks a reader in readFrameInto, and draining the queue unblocks a
+	// unblocks a reader in ReadFrameInto, and draining the queue unblocks a
 	// reader parked on a full queue.
 	defer func() {
 		nc.Close()
@@ -367,9 +367,9 @@ func (s *Server) serveConn(nc net.Conn) {
 // connection lives on.
 func (c *srvConn) serve(typ byte, payload []byte) bool {
 	switch typ {
-	case msgQuit:
+	case MsgQuit:
 		return false
-	case msgPrepare:
+	case MsgPrepare:
 		sql, _, err := ReadString(payload)
 		if err != nil {
 			return c.protocolError("bad prepare frame")
@@ -377,15 +377,15 @@ func (c *srvConn) serve(typ byte, payload []byte) bool {
 		// Read once, here; a parse error surfaces when the handle runs.
 		c.nextStmt++
 		c.stmts[c.nextStmt] = c.s.db.Prepare(sql)
-		return c.send(msgPrepareOK, func(b []byte) []byte { return AppendUvarint(b, c.nextStmt) }) == nil && c.flush() == nil
-	case msgCloseStmt:
+		return c.send(MsgPrepareOK, func(b []byte) []byte { return AppendUvarint(b, c.nextStmt) }) == nil && c.flush() == nil
+	case MsgCloseStmt:
 		id, _, err := ReadUvarint(payload)
 		if err != nil {
 			return c.protocolError("bad close frame")
 		}
 		delete(c.stmts, id)
-		return c.send(msgDone, func(b []byte) []byte { return AppendUvarint(b, 0) }) == nil && c.flush() == nil
-	case msgExec:
+		return c.send(MsgDone, func(b []byte) []byte { return AppendUvarint(b, 0) }) == nil && c.flush() == nil
+	case MsgExec:
 		m, err := decodeExec(payload, c.params[:0])
 		if err != nil {
 			return c.protocolError("bad exec frame")
@@ -400,7 +400,7 @@ func (c *srvConn) serve(typ byte, payload []byte) bool {
 // protocolError answers a request the server cannot read; the connection
 // then closes.
 func (c *srvConn) protocolError(text string) bool {
-	c.sendErr(codeProtocol, text)
+	c.sendErr(CodeProtocol, text)
 	c.flush()
 	return false
 }
@@ -414,7 +414,7 @@ func (c *srvConn) runStatement(m execMsg) error {
 	if m.StmtID == 0 {
 		st = s.db.Prepare(m.SQL) // ad hoc: the same read a prepare does
 	} else if st == nil {
-		if err := c.sendErr(codeProtocol, fmt.Sprintf("unknown statement id %d", m.StmtID)); err != nil {
+		if err := c.sendErr(CodeProtocol, fmt.Sprintf("unknown statement id %d", m.StmtID)); err != nil {
 			return err
 		}
 		return c.finish()
@@ -428,7 +428,7 @@ func (c *srvConn) runStatement(m execMsg) error {
 	if s.draining.Load() {
 		s.mu.Unlock()
 		s.stRetryable.Inc()
-		if err := c.sendErr(codeRetry, "server draining"); err != nil {
+		if err := c.sendErr(CodeRetry, "server draining"); err != nil {
 			return err
 		}
 		return c.finish()
@@ -473,13 +473,13 @@ func (c *srvConn) runStatement(m execMsg) error {
 	s.stQueueUS.Observe(time.Since(qStart).Microseconds())
 	if err != nil {
 		s.stShed.Inc()
-		code := byte(codeRetry)
+		code := byte(CodeRetry)
 		text := "admission control shed statement; retry"
 		if errors.Is(err, ErrShed) {
 			s.stRetryable.Inc()
 		} else {
 			// The statement's own deadline or cancel: retrying cannot help.
-			code = codeCancel
+			code = CodeCancel
 			text = "statement cancelled while queued: " + err.Error()
 		}
 		if werr := c.sendErr(code, text); werr != nil {
@@ -528,12 +528,12 @@ func (c *srvConn) finish() error {
 // encoded; the last leaves with done, so a one-batch answer is one write.
 func (c *srvConn) streamResult(cols []string, all [][]val.Value, affected int64) error {
 	if len(cols) > 0 {
-		if err := c.send(msgRowHeader, func(b []byte) []byte { return appendRowHeader(b, cols) }); err != nil {
+		if err := c.send(MsgRowHeader, func(b []byte) []byte { return appendRowHeader(b, cols) }); err != nil {
 			return err
 		}
 		for pos := 0; pos < len(all); pos += exec.DefaultBatchSize {
 			batch := all[pos:min(pos+exec.DefaultBatchSize, len(all))]
-			if err := c.send(msgRowBatch, func(b []byte) []byte { return appendRowBatch(b, batch) }); err != nil {
+			if err := c.send(MsgRowBatch, func(b []byte) []byte { return appendRowBatch(b, batch) }); err != nil {
 				return err
 			}
 			if pos+len(batch) < len(all) {
@@ -543,7 +543,7 @@ func (c *srvConn) streamResult(cols []string, all [][]val.Value, affected int64)
 			}
 		}
 	}
-	if err := c.send(msgDone, func(b []byte) []byte { return appendVarint(b, affected) }); err != nil {
+	if err := c.send(MsgDone, func(b []byte) []byte { return appendVarint(b, affected) }); err != nil {
 		return err
 	}
 	return c.finish()
@@ -555,12 +555,12 @@ func (c *srvConn) streamResult(cols []string, all [][]val.Value, affected int64)
 func classify(err error) (code byte, retryable bool) {
 	switch {
 	case errors.Is(err, faultinject.ErrTransient), errors.Is(err, lock.ErrTimeout):
-		return codeRetry, true
+		return CodeRetry, true
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled),
 		errors.Is(err, os.ErrDeadlineExceeded):
-		return codeCancel, false
+		return CodeCancel, false
 	default:
-		return codeError, false
+		return CodeError, false
 	}
 }
 
@@ -569,7 +569,7 @@ func classify(err error) (code byte, retryable bool) {
 // auto-flush: one that outgrows the room goes out through write, after
 // the frames ahead of it, under the write deadline.
 func (c *srvConn) send(typ byte, enc func([]byte) []byte) error {
-	b, err := appendFrame(c.bw.AvailableBuffer(), typ, enc)
+	b, err := AppendFrame(c.bw.AvailableBuffer(), typ, enc)
 	if err != nil {
 		return err
 	}
@@ -615,7 +615,7 @@ func (c *srvConn) noteSendFailure(err error) {
 }
 
 func (c *srvConn) sendErr(code byte, text string) error {
-	return c.send(msgError, func(b []byte) []byte { return errMsg{Code: code, Message: text}.append(b) })
+	return c.send(MsgError, func(b []byte) []byte { return errMsg{Code: code, Message: text}.append(b) })
 }
 
 // --- sys.connections -------------------------------------------------------

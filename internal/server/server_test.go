@@ -1,9 +1,12 @@
 package server_test
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -47,6 +50,92 @@ func dial(t testing.TB, srv *server.Server, opts client.Options) *client.Client 
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// rawConn speaks the protocol frame by frame through the exported codec,
+// for what the client does not do: cancel out of band, give one statement
+// its own deadline, send a malformed frame, or stop reading.
+type rawConn struct {
+	nc net.Conn
+	br *bufio.Reader
+	id uint64 // the server's connection id, from hello-ok
+
+	mu sync.Mutex // a cancel is sent while a statement is in flight
+}
+
+func dialRaw(t testing.TB, srv *server.Server) *rawConn {
+	t.Helper()
+	nc, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	r := &rawConn{nc: nc, br: bufio.NewReader(nc)}
+	if err := r.send(server.MsgHello, server.EncodeHello("", "raw", 0)); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := server.ReadFrame(r.br)
+	if err != nil || typ != server.MsgHelloOK {
+		t.Fatalf("hello: reply 0x%02x, %v", typ, err)
+	}
+	_, n := binary.Uvarint(payload) // protocol version
+	r.id, _ = binary.Uvarint(payload[n:])
+	return r
+}
+
+// send writes one frame.
+func (r *rawConn) send(typ byte, payload []byte) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return server.WriteFrame(r.nc, typ, payload)
+}
+
+// exec runs one inline statement under deadline (0: the connection's) and
+// reads the reply through its done or error frame.
+func (r *rawConn) exec(sql string, deadline time.Duration) ([][]val.Value, error) {
+	if err := r.send(server.MsgExec, server.EncodeExec(0, sql, uint64(deadline.Microseconds()), nil)); err != nil {
+		return nil, err
+	}
+	var rows [][]val.Value
+	for {
+		typ, payload, err := server.ReadFrame(r.br)
+		if err != nil {
+			return nil, err
+		}
+		switch typ {
+		case server.MsgRowHeader:
+		case server.MsgRowBatch:
+			batch, err := server.DecodeRowBatch(payload)
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, batch...)
+		case server.MsgDone:
+			return rows, nil
+		case server.MsgError:
+			code, msg, err := server.DecodeError(payload)
+			if err != nil {
+				return nil, err
+			}
+			return nil, &wireError{code, msg}
+		default:
+			return nil, fmt.Errorf("unexpected frame 0x%02x", typ)
+		}
+	}
+}
+
+// wireError is an error frame: its status code and message.
+type wireError struct {
+	code byte
+	msg  string
+}
+
+func (e *wireError) Error() string { return fmt.Sprintf("status %d: %s", e.code, e.msg) }
+
+// cancelled reports whether err is an error frame with the cancel code.
+func cancelled(err error) bool {
+	var we *wireError
+	return errors.As(err, &we) && we.code == server.CodeCancel
 }
 
 func TestServerRoundTrip(t *testing.T) {
@@ -155,19 +244,19 @@ func slowQuery(t *testing.T, c *client.Client) string {
 
 func TestServerStatementDeadline(t *testing.T) {
 	_, srv := startServer(t, core.Options{}, server.Options{})
-	c := dial(t, srv, client.Options{})
-	q := slowQuery(t, c)
+	q := slowQuery(t, dial(t, srv, client.Options{}))
+	r := dialRaw(t, srv)
 
 	start := time.Now()
-	_, err := c.ExecDeadline(q, 30*time.Millisecond)
-	if !errors.Is(err, client.ErrCancelled) {
-		t.Fatalf("err = %v, want ErrCancelled", err)
+	_, err := r.exec(q, 30*time.Millisecond)
+	if !cancelled(err) {
+		t.Fatalf("err = %v, want a cancel", err)
 	}
 	if el := time.Since(start); el > 5*time.Second {
 		t.Fatalf("deadline took %v to fire", el)
 	}
 	// The connection survives a deadline: the next statement runs.
-	if _, err := c.Query("select count(*) from big"); err != nil {
+	if _, err := r.exec("select count(*) from big", 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -185,50 +274,50 @@ func TestServerConnectionDefaultDeadline(t *testing.T) {
 
 func TestServerCancel(t *testing.T) {
 	_, srv := startServer(t, core.Options{}, server.Options{})
-	c := dial(t, srv, client.Options{})
-	q := slowQuery(t, c)
+	q := slowQuery(t, dial(t, srv, client.Options{}))
+	r := dialRaw(t, srv)
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Exec(q)
+		_, err := r.exec(q, 0)
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond) // let the statement get in flight
-	if err := c.Cancel(); err != nil {
+	if err := r.send(server.MsgCancel, nil); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case err := <-done:
-		if !errors.Is(err, client.ErrCancelled) {
-			t.Fatalf("err = %v, want ErrCancelled", err)
+		if !cancelled(err) {
+			t.Fatalf("err = %v, want a cancel", err)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancel did not interrupt the statement")
 	}
 	// Connection still usable.
-	if _, err := c.Query("select count(*) from big"); err != nil {
+	if _, err := r.exec("select count(*) from big", 0); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestServerSysConnections(t *testing.T) {
 	db, srv := startServer(t, core.Options{}, server.Options{})
-	c := dial(t, srv, client.Options{Name: "observer"})
-	if _, err := c.Exec("create table t (a int)"); err != nil {
+	c := dialRaw(t, srv)
+	if _, err := c.exec("create table t (a int)", 0); err != nil {
 		t.Fatal(err)
 	}
 
 	// Over the wire: the querying connection sees itself.
-	rows, err := c.Query("select id, remote_addr, state, statements, fingerprint from sys.connections")
+	rows, err := c.exec("select id, remote_addr, state, statements, fingerprint from sys.connections", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows.Data) != 1 {
-		t.Fatalf("sys.connections rows = %d, want 1", len(rows.Data))
+	if len(rows) != 1 {
+		t.Fatalf("sys.connections rows = %d, want 1", len(rows))
 	}
-	r := rows.Data[0]
-	if r[0].I != int64(c.ConnID()) {
-		t.Fatalf("id = %v, want %d", r[0], c.ConnID())
+	r := rows[0]
+	if r[0].I != int64(c.id) {
+		t.Fatalf("id = %v, want %d", r[0], c.id)
 	}
 	if r[2].S != "active" { // it is running this very statement
 		t.Fatalf("state = %q, want active", r[2].S)
@@ -423,12 +512,8 @@ func TestServerSlowClientDisconnect(t *testing.T) {
 	}
 
 	// A raw client that sends the query and then never reads.
-	lazy, err := client.Dial(srv.Addr().String(), client.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lazy.Close()
-	if err := lazy.SendExecRaw("select s from blob"); err != nil {
+	lazy := dialRaw(t, srv)
+	if err := lazy.send(server.MsgExec, server.EncodeExec(0, "select s from blob", 0, nil)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -541,9 +626,8 @@ func TestServerCancelledWhileQueuedIsNotRetryable(t *testing.T) {
 	}
 
 	shed, retryable := counterVal(db, "server.shed"), counterVal(db, "server.retryable_errors")
-	c := dial(t, srv, client.Options{})
-	_, err = c.ExecDeadline(q, 10*time.Millisecond)
-	if errors.Is(err, client.ErrRetryable) || !errors.Is(err, client.ErrCancelled) {
+	_, err = dialRaw(t, srv).exec(q, 10*time.Millisecond)
+	if !cancelled(err) {
 		t.Fatalf("err = %v, want a non-retryable cancel", err)
 	}
 	if n := counterVal(db, "server.shed") - shed; n != 1 {
@@ -566,11 +650,11 @@ func counterVal(db *core.DB, name string) int64 {
 
 func TestServerProtocolErrorsClose(t *testing.T) {
 	_, srv := startServer(t, core.Options{}, server.Options{})
-	c := dial(t, srv, client.Options{})
-	if err := c.SendRaw(0x7f, []byte("junk")); err != nil {
+	c := dialRaw(t, srv)
+	if err := c.send(0x7f, []byte("junk")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Exec("select 1"); err == nil {
+	if _, err := c.exec("select 1", 0); err == nil {
 		t.Fatal("connection survived an unknown message type")
 	}
 }
@@ -644,7 +728,7 @@ func TestServerReadsStatementTextOnce(t *testing.T) {
 			mustExec(t, c, "create table p (a int)")
 			mustExec(t, c, "insert into p values (0), (1), (2), (3), (4), (5), (6), (7), (8), (9)")
 
-			parses, spans := counterVal(db, "sqlparse.parses"), db.FlightRecorder().SpansRecorded()
+			parses, spans := counterVal(db, "sqlparse.parses"), counterVal(db, "flightrec.spans")
 			query := func(p val.Value) (*client.Rows, error) { return c.Query(text, p) }
 			if arm == "prepared" {
 				st, err := c.Prepare(text)
@@ -652,7 +736,7 @@ func TestServerReadsStatementTextOnce(t *testing.T) {
 					t.Fatal(err)
 				}
 				query = func(p val.Value) (*client.Rows, error) { return st.Query(p) }
-				if n := db.FlightRecorder().SpansRecorded() - spans; n != 0 {
+				if n := counterVal(db, "flightrec.spans") - spans; n != 0 {
 					t.Errorf("a prepare opened %d spans", n)
 				}
 			}
@@ -670,7 +754,7 @@ func TestServerReadsStatementTextOnce(t *testing.T) {
 			if n := counterVal(db, "sqlparse.parses") - parses; n != 1 {
 				t.Errorf("1000 executions read the text %d times, want 1", n)
 			}
-			if n := db.FlightRecorder().SpansRecorded() - spans; n != 1000 {
+			if n := counterVal(db, "flightrec.spans") - spans; n != 1000 {
 				t.Errorf("1000 executions recorded %d spans", n)
 			}
 			if firstParseUS <= 0 {

@@ -12,8 +12,8 @@
 // strings. A frame larger than MaxFrame is a protocol error and closes the
 // connection. The codec is pure (no I/O in the encode/decode helpers) so
 // it can be fuzzed directly. Encoders append to the caller's slice, so a
-// frame is built in the send buffer it leaves from (appendFrame), and a
-// frame can be read into a recycled buffer (readFrameInto) because
+// frame is built in the send buffer it leaves from (AppendFrame), and a
+// frame can be read into a recycled buffer (ReadFrameInto) because
 // decoders copy out every string they keep.
 package server
 
@@ -40,30 +40,30 @@ const ProtoVersion = 1
 // Message types. Client→server types have the high bit clear,
 // server→client types have it set.
 const (
-	msgHello     byte = 0x01 // version, token, client name, default deadline µs
-	msgPrepare   byte = 0x02 // sql
-	msgExec      byte = 0x03 // stmt id (0 = inline sql), sql, deadline µs, params
-	msgCancel    byte = 0x04 // out-of-band: cancel the statement in flight
-	msgCloseStmt byte = 0x05 // stmt id
-	msgQuit      byte = 0x06 // orderly connection close
+	MsgHello     byte = 0x01 // version, token, client name, default deadline µs
+	MsgPrepare   byte = 0x02 // sql
+	MsgExec      byte = 0x03 // stmt id (0 = inline sql), sql, deadline µs, params
+	MsgCancel    byte = 0x04 // out-of-band: cancel the statement in flight
+	MsgCloseStmt byte = 0x05 // stmt id
+	MsgQuit      byte = 0x06 // orderly connection close
 
-	msgHelloOK   byte = 0x81 // version, connection id
-	msgPrepareOK byte = 0x82 // stmt id
-	msgRowHeader byte = 0x83 // column names
-	msgRowBatch  byte = 0x84 // row count, rows
-	msgDone      byte = 0x85 // rows affected
-	msgError     byte = 0x86 // status code, message
+	MsgHelloOK   byte = 0x81 // version, connection id
+	MsgPrepareOK byte = 0x82 // stmt id
+	MsgRowHeader byte = 0x83 // column names
+	MsgRowBatch  byte = 0x84 // row count, rows
+	MsgDone      byte = 0x85 // rows affected
+	MsgError     byte = 0x86 // status code, message
 )
 
-// Error status codes carried by msgError. codeRetry tells the client the
+// Error status codes carried by MsgError. CodeRetry tells the client the
 // statement did not run (shed, draining, or a transient fault) and can be
-// retried safely; codeCancel covers deadline expiry and explicit cancel;
-// codeProtocol precedes a server-side connection close.
+// retried safely; CodeCancel covers deadline expiry and explicit cancel;
+// CodeProtocol precedes a server-side connection close.
 const (
-	codeError    byte = 1
-	codeRetry    byte = 2
-	codeCancel   byte = 3
-	codeProtocol byte = 4
+	CodeError    byte = 1
+	CodeRetry    byte = 2
+	CodeCancel   byte = 3
+	CodeProtocol byte = 4
 )
 
 // errFrameTruncated is the shared decode error: a field extends past the
@@ -82,12 +82,12 @@ func appendHeader(b []byte, typ byte, n int) []byte {
 	return append(binary.LittleEndian.AppendUint32(b, uint32(n)), typ)
 }
 
-// appendFrame appends one frame to b: the header, the payload enc appends
+// AppendFrame appends one frame to b: the header, the payload enc appends
 // after it, and the payload's length patched into the header. Both ends
 // build their frames in their bufio.Writer's AvailableBuffer, so a frame
 // is encoded where it is sent from; one that outgrows that room is moved
 // by append, which is correct but allocates.
-func appendFrame(b []byte, typ byte, enc func([]byte) []byte) ([]byte, error) {
+func AppendFrame(b []byte, typ byte, enc func([]byte) []byte) ([]byte, error) {
 	at := len(b)
 	b = enc(appendHeader(b, typ, 0))
 	n := len(b) - at - frameHeader
@@ -98,9 +98,9 @@ func appendFrame(b []byte, typ byte, enc func([]byte) []byte) ([]byte, error) {
 	return b, nil
 }
 
-// writeFrame writes one frame; the caller owns flushing. Into a
+// WriteFrame writes one frame; the caller owns flushing. Into a
 // *bufio.Writer the header is built in the buffer's free room.
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
+func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return errFrameSize(uint64(len(payload)))
 	}
@@ -115,11 +115,11 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-// readFrame reads one frame into a new payload, enforcing the payload cap.
-// From a *bufio.Reader the header is read in place (readFrameInto).
-func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
+// ReadFrame reads one frame into a new payload, enforcing the payload cap.
+// From a *bufio.Reader the header is read in place (ReadFrameInto).
+func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	if br, ok := r.(*bufio.Reader); ok {
-		return readFrameInto(br, nil)
+		return ReadFrameInto(br, nil)
 	}
 	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -131,11 +131,11 @@ func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	return hdr[4], payload, nil
 }
 
-// readFrameInto reads one frame from br. The header is peeked in br's own
+// ReadFrameInto reads one frame from br. The header is peeked in br's own
 // buffer, and the payload is read into buf's storage when it has the
 // capacity (a new slice otherwise), so the payload is valid only until buf
 // is reused: decoders copy every string they keep out of it.
-func readFrameInto(br *bufio.Reader, buf []byte) (typ byte, payload []byte, err error) {
+func ReadFrameInto(br *bufio.Reader, buf []byte) (typ byte, payload []byte, err error) {
 	hdr, err := br.Peek(frameHeader)
 	if err != nil {
 		if err == io.EOF && len(hdr) > 0 {
@@ -326,6 +326,11 @@ func (m helloMsg) append(b []byte) []byte {
 	return AppendUvarint(b, m.DeadlineUS)
 }
 
+// EncodeHello builds a hello payload at the current protocol version.
+func EncodeHello(token, clientName string, deadlineUS uint64) []byte {
+	return helloMsg{Version: ProtoVersion, Token: token, ClientName: clientName, DeadlineUS: deadlineUS}.append(nil)
+}
+
 func decodeHello(b []byte) (m helloMsg, err error) {
 	if m.Version, b, err = ReadUvarint(b); err != nil {
 		return m, err
@@ -354,6 +359,16 @@ func (m execMsg) append(b []byte) []byte {
 	return appendValues(b, m.Params)
 }
 
+// EncodeExec builds an exec payload. stmtID 0 means sql is inline.
+func EncodeExec(stmtID uint64, sql string, deadlineUS uint64, params []val.Value) []byte {
+	return AppendExec(nil, stmtID, sql, deadlineUS, params)
+}
+
+// AppendExec appends an exec payload to b.
+func AppendExec(b []byte, stmtID uint64, sql string, deadlineUS uint64, params []val.Value) []byte {
+	return execMsg{StmtID: stmtID, SQL: sql, DeadlineUS: deadlineUS, Params: params}.append(b)
+}
+
 // decodeExec reads an exec frame, appending its parameters to params (a
 // vector the caller recycles from frame to frame).
 func decodeExec(b []byte, params []val.Value) (m execMsg, err error) {
@@ -379,13 +394,15 @@ func (m errMsg) append(b []byte) []byte {
 	return AppendString(append(b, m.Code), m.Message)
 }
 
-func decodeErr(b []byte) (m errMsg, err error) {
+// DecodeError decodes an error payload into its status code and message.
+func DecodeError(b []byte) (code byte, message string, err error) {
 	if len(b) == 0 {
-		return m, errFrameTruncated
+		return 0, "", errFrameTruncated
 	}
-	m.Code = b[0]
-	m.Message, _, err = ReadString(b[1:])
-	return m, err
+	if message, _, err = ReadString(b[1:]); err != nil {
+		return 0, "", err
+	}
+	return b[0], message, nil
 }
 
 func appendRowHeader(b []byte, cols []string) []byte {
@@ -396,7 +413,8 @@ func appendRowHeader(b []byte, cols []string) []byte {
 	return b
 }
 
-func decodeRowHeader(b []byte) ([]string, error) {
+// DecodeRowHeader decodes a row-header payload into column names.
+func DecodeRowHeader(b []byte) ([]string, error) {
 	n, b, err := ReadUvarint(b)
 	if err != nil {
 		return nil, err
@@ -423,11 +441,11 @@ func appendRowBatch(b []byte, rows [][]val.Value) []byte {
 	return b
 }
 
-// decodeRowBatch decodes a row batch into one slab of values, sized from
+// DecodeRowBatch decodes a row batch into one slab of values, sized from
 // the first row's width; each row is a window of the slab whose capacity
 // ends where the row does, so appending to one row cannot write over the
 // next.
-func decodeRowBatch(b []byte) ([][]val.Value, error) {
+func DecodeRowBatch(b []byte) ([][]val.Value, error) {
 	n, b, err := ReadUvarint(b)
 	if err != nil {
 		return nil, err

@@ -25,14 +25,14 @@ func TestFrameRoundTrip(t *testing.T) {
 	payloads := [][]byte{nil, {}, {0x00}, bytes.Repeat([]byte{0xab}, 100_000)}
 	for _, p := range payloads {
 		buf.Reset()
-		if err := writeFrame(&buf, msgExec, p); err != nil {
+		if err := WriteFrame(&buf, MsgExec, p); err != nil {
 			t.Fatal(err)
 		}
-		typ, got, err := readFrame(&buf)
+		typ, got, err := ReadFrame(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if typ != msgExec || !bytes.Equal(got, p) {
+		if typ != MsgExec || !bytes.Equal(got, p) {
 			t.Fatalf("round trip mismatch: typ=%#x len=%d want %d", typ, len(got), len(p))
 		}
 	}
@@ -45,7 +45,7 @@ func TestBufferedFrameIOAllocatesOnlyThePayload(t *testing.T) {
 	payload := bytes.Repeat([]byte{0x5a}, 100)
 	bw := bufio.NewWriter(io.Discard)
 	if n := testing.AllocsPerRun(100, func() {
-		if err := WriteFrame(bw, msgExec, payload); err != nil {
+		if err := WriteFrame(bw, MsgExec, payload); err != nil {
 			t.Fatal(err)
 		}
 		bw.Flush()
@@ -53,7 +53,7 @@ func TestBufferedFrameIOAllocatesOnlyThePayload(t *testing.T) {
 		t.Errorf("writing a frame allocates %.1f objects, want 0", n)
 	}
 	var frame bytes.Buffer
-	writeFrame(&frame, msgExec, payload)
+	WriteFrame(&frame, MsgExec, payload)
 	r := bytes.NewReader(frame.Bytes())
 	br := bufio.NewReader(r)
 	if n := testing.AllocsPerRun(100, func() {
@@ -69,8 +69,8 @@ func TestBufferedFrameIOAllocatesOnlyThePayload(t *testing.T) {
 
 func TestFrameRejectsOversizedLength(t *testing.T) {
 	// A hostile length prefix beyond MaxFrame must fail without allocating.
-	hdr := []byte{0xff, 0xff, 0xff, 0xff, byte(msgExec)}
-	if _, _, err := readFrame(bytes.NewReader(hdr)); err == nil {
+	hdr := []byte{0xff, 0xff, 0xff, 0xff, byte(MsgExec)}
+	if _, _, err := ReadFrame(bytes.NewReader(hdr)); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }
@@ -128,7 +128,7 @@ func TestRowBatchRoundTrip(t *testing.T) {
 		{val.Null, val.NewDouble(3.5)},
 		{},
 	}
-	got, err := decodeRowBatch(encodeRowBatch(rows))
+	got, err := DecodeRowBatch(encodeRowBatch(rows))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestRowBatchRoundTrip(t *testing.T) {
 		t.Fatalf("got %v want %v", got, rows)
 	}
 	cols := []string{"a", "b", ""}
-	gotCols, err := decodeRowHeader(encodeRowHeader(cols))
+	gotCols, err := DecodeRowHeader(encodeRowHeader(cols))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestRowBatchRowsDoNotAlias(t *testing.T) {
 		{{val.NewInt(1), val.NewStr("a")}, {val.NewInt(2), val.NewStr("b")}, {val.NewInt(3), val.NewStr("c")}},
 		{{val.NewInt(1)}, {val.NewInt(2), val.NewInt(3), val.NewInt(4), val.NewInt(5)}, {}, {val.Null}},
 	} {
-		got, err := decodeRowBatch(encodeRowBatch(rows))
+		got, err := DecodeRowBatch(encodeRowBatch(rows))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,12 +168,12 @@ func TestRowBatchRowsDoNotAlias(t *testing.T) {
 }
 
 func TestErrMsgRoundTrip(t *testing.T) {
-	in := errMsg{Code: codeRetry, Message: "try again"}
-	out, err := decodeErr(in.encode())
+	in := errMsg{Code: CodeRetry, Message: "try again"}
+	code, msg, err := DecodeError(in.encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out != in {
+	if out := (errMsg{Code: code, Message: msg}); out != in {
 		t.Fatalf("got %+v want %+v", out, in)
 	}
 }
@@ -187,7 +187,7 @@ func TestDecodersRejectTruncation(t *testing.T) {
 	}
 	hdr := encodeRowHeader([]string{"a", "b"})
 	for i := 0; i < len(hdr); i++ {
-		if _, err := decodeRowHeader(hdr[:i]); err == nil {
+		if _, err := DecodeRowHeader(hdr[:i]); err == nil {
 			t.Fatalf("truncated header at %d accepted", i)
 		}
 	}
@@ -221,13 +221,13 @@ func sameValues(a, b []val.Value) bool {
 func FuzzFrameDecode(f *testing.F) {
 	seed := func(typ byte, payload []byte) []byte {
 		var buf bytes.Buffer
-		writeFrame(&buf, typ, payload)
+		WriteFrame(&buf, typ, payload)
 		return buf.Bytes()
 	}
-	f.Add(seed(msgHello, helloMsg{Version: 1, Token: "t", ClientName: "n"}.encode()))
-	f.Add(seed(msgExec, execMsg{SQL: "select 1"}.encode()))
-	f.Add(seed(msgRowBatch, encodeRowBatch([][]val.Value{{val.NewInt(1)}})))
-	f.Add(seed(msgError, errMsg{Code: codeRetry, Message: "x"}.encode()))
+	f.Add(seed(MsgHello, helloMsg{Version: 1, Token: "t", ClientName: "n"}.encode()))
+	f.Add(seed(MsgExec, execMsg{SQL: "select 1"}.encode()))
+	f.Add(seed(MsgRowBatch, encodeRowBatch([][]val.Value{{val.NewInt(1)}})))
+	f.Add(seed(MsgError, errMsg{Code: CodeRetry, Message: "x"}.encode()))
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0x01})
 	f.Add([]byte{})
 	f.Add([]byte{0x03, 0x00, 0x00})
@@ -240,7 +240,7 @@ func FuzzFrameDecode(f *testing.F) {
 		if n > MaxFrame {
 			runtime.ReadMemStats(&before)
 		}
-		typ, payload, err := readFrame(bytes.NewReader(data))
+		typ, payload, err := ReadFrame(bytes.NewReader(data))
 		// Recycled buffers of the frame's size, one byte short and one
 		// over, filled with stale bytes; only sizes the input can hold, so
 		// a hostile length makes the test itself allocate nothing big.
@@ -250,7 +250,7 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 		for _, size := range spares {
 			buf := bytes.Repeat([]byte{0xee}, size)
-			typ2, payload2, err2 := readFrameInto(bufio.NewReaderSize(bytes.NewReader(data), 16), buf)
+			typ2, payload2, err2 := ReadFrameInto(bufio.NewReaderSize(bytes.NewReader(data), 16), buf)
 			if (err == nil) != (err2 == nil) {
 				t.Fatalf("spare %d: plain reader err %v, buffered reader err %v", size, err, err2)
 			}
@@ -272,7 +272,7 @@ func FuzzFrameDecode(f *testing.F) {
 			return
 		}
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, typ, payload); err != nil {
+		if err := WriteFrame(&buf, typ, payload); err != nil {
 			t.Fatalf("re-encode of accepted frame failed: %v", err)
 		}
 		if !bytes.Equal(buf.Bytes(), data[:buf.Len()]) {
@@ -286,17 +286,17 @@ func FuzzFrameDecode(f *testing.F) {
 // is io.EOF.
 func TestFrameTruncatedHeader(t *testing.T) {
 	var frame bytes.Buffer
-	writeFrame(&frame, msgExec, []byte("payload"))
+	WriteFrame(&frame, MsgExec, []byte("payload"))
 	for i := 0; i < frameHeader; i++ {
 		want := io.ErrUnexpectedEOF
 		if i == 0 {
 			want = io.EOF
 		}
 		data := frame.Bytes()[:i]
-		if _, _, err := readFrame(bytes.NewReader(data)); err != want {
+		if _, _, err := ReadFrame(bytes.NewReader(data)); err != want {
 			t.Errorf("plain reader, %d header bytes: %v, want %v", i, err, want)
 		}
-		if _, _, err := readFrameInto(bufio.NewReader(bytes.NewReader(data)), make([]byte, 64)); err != want {
+		if _, _, err := ReadFrameInto(bufio.NewReader(bytes.NewReader(data)), make([]byte, 64)); err != want {
 			t.Errorf("buffered reader, %d header bytes: %v, want %v", i, err, want)
 		}
 	}

@@ -111,14 +111,6 @@ func (h *Histogram) SingletonCount() int {
 	return len(h.singletons)
 }
 
-// Compressed reports whether the histogram consists entirely of singleton
-// buckets (§3.1's compressed representation for low-cardinality columns).
-func (h *Histogram) Compressed() bool {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return len(h.buckets) == 0 && len(h.singletons) > 0
-}
-
 // Density is the average selectivity of a single value that is not saved
 // as a singleton bucket (§3.1): the optimizer's guide for equality
 // selectivity on the distribution's tail and for join estimation.
@@ -637,4 +629,12 @@ func DecodeHistogram(data []byte) (*Histogram, error) {
 		h.singletons = append(h.singletons, s)
 	}
 	return h, nil
+}
+
+// QError is the standard estimation-quality metric: max(est/true,
+// true/est), with both floored at 1 row. Used by the E9 experiment.
+func QError(est, truth float64) float64 {
+	est = math.Max(est, 1)
+	truth = math.Max(truth, 1)
+	return math.Max(est/truth, truth/est)
 }

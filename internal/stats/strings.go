@@ -57,13 +57,6 @@ func (s *StringStats) Replace(src *StringStats) {
 	s.buckets, s.maxEntry, s.tick = src.buckets, src.maxEntry, src.tick
 }
 
-// Buckets reports the number of predicate buckets retained.
-func (s *StringStats) Buckets() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.buckets)
-}
-
 // Observe records the true selectivity of a predicate evaluated during
 // query execution, as a moving average.
 func (s *StringStats) Observe(op PredOp, operand string, sel float64) {
@@ -81,16 +74,6 @@ func (s *StringStats) Observe(op PredOp, operand string, sel float64) {
 		s.evictLocked()
 	}
 	s.buckets[key] = &strObs{sel: sel, n: 1, lastUsed: s.tick}
-}
-
-// ObserveValue records statistics for a stored string value: a bucket for
-// the whole value (equality) and one per word (LIKE), each weighted by the
-// fraction of rows carrying it.
-func (s *StringStats) ObserveValue(value string, rowFraction float64) {
-	s.Observe(OpEq, value, rowFraction)
-	for _, w := range val.Words(value) {
-		s.ObserveWord(w, rowFraction)
-	}
 }
 
 // ObserveWord accumulates the fraction of rows whose value contains word.

@@ -1,6 +1,5 @@
-// Package store manages the database's files: the main database file, up to
-// 12 additional dbspaces, and the temporary file used for intermediate
-// results and stolen heap pages.
+// Package store manages the database's files: the main database file and
+// the temporary file used for intermediate results and stolen heap pages.
 //
 // As in the paper (§1), databases are ordinary OS files that can be copied
 // with file utilities, and their on-disk encoding is byte-order stable so
@@ -29,8 +28,6 @@ type FileID uint8
 const (
 	// MainFile is the main database file.
 	MainFile FileID = 0
-	// MaxDBSpaces is the number of additional database files permitted.
-	MaxDBSpaces = 12
 	// TempFile holds intermediate results, spilled partitions, and stolen
 	// heap pages. Its contents do not survive restart.
 	TempFile FileID = 15
@@ -147,14 +144,13 @@ type Store struct {
 const headerMagic = "ANYWHDB1"
 
 // Open creates or opens a database's files. The main file always exists
-// after Open; dbspaces are created on demand by AddDBSpace; the temp file
-// is always memory-backed and starts empty.
+// after Open; the temp file is always memory-backed and starts empty.
 func Open(opts Options) (*Store, error) {
 	s := &Store{opts: opts, dev: opts.Device, inj: opts.Injector}
 	if s.dev == nil {
 		s.dev = device.RAM{}
 	}
-	if err := s.openFile(MainFile); err != nil {
+	if err := s.openMain(); err != nil {
 		return nil, err
 	}
 	// Temp file: fresh every open.
@@ -162,26 +158,16 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
-func (s *Store) filePath(f FileID) string {
-	name := "main.db"
-	if f != MainFile {
-		name = fmt.Sprintf("dbspace%02d.db", f)
-	}
-	return filepath.Join(s.opts.Dir, name)
-}
-
-func (s *Store) openFile(f FileID) error {
-	st := &s.files[f]
-	if st.present {
-		return nil
-	}
+// openMain opens main.db in the directory, or a memory file without one.
+func (s *Store) openMain() error {
+	st := &s.files[MainFile]
 	if s.opts.Dir == "" {
 		st.back = &memFile{}
 		st.pageCount = 1
 		st.present = true
-		return s.writeHeader(f)
+		return s.writeHeader(MainFile)
 	}
-	path := s.filePath(f)
+	path := filepath.Join(s.opts.Dir, "main.db")
 	fd, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: open %s: %w", path, err)
@@ -194,20 +180,9 @@ func (s *Store) openFile(f FileID) error {
 	}
 	if info.Size() == 0 {
 		st.pageCount = 1
-		return s.writeHeader(f)
+		return s.writeHeader(MainFile)
 	}
-	return s.readHeader(f)
-}
-
-// AddDBSpace creates an additional database file. The paper permits up to
-// 12 of them.
-func (s *Store) AddDBSpace(f FileID) error {
-	if f == MainFile || f == TempFile || f > MaxDBSpaces {
-		return fmt.Errorf("store: invalid dbspace id %d", f)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.openFile(f)
+	return s.readHeader(MainFile)
 }
 
 func (s *Store) writeHeader(f FileID) error {
@@ -476,13 +451,6 @@ func (s *Store) Sync() error {
 	}
 	s.dev.Flush()
 	return nil
-}
-
-// ResetTemp discards the temporary file's contents.
-func (s *Store) ResetTemp() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.files[TempFile] = fileState{back: &memFile{}, pageCount: 1, present: true}
 }
 
 // Close syncs and closes all files.

@@ -84,33 +84,10 @@ func TestFreeAndReuse(t *testing.T) {
 	}
 }
 
-func TestDBSpaces(t *testing.T) {
-	s := memStore(t)
-	if err := s.AddDBSpace(3); err != nil {
-		t.Fatal(err)
-	}
-	id, err := s.Alloc(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id.File() != 3 {
-		t.Fatalf("alloc in dbspace: %v", id)
-	}
-	if err := s.AddDBSpace(MainFile); err == nil {
-		t.Fatal("AddDBSpace(main) should fail")
-	}
-	if err := s.AddDBSpace(TempFile); err == nil {
-		t.Fatal("AddDBSpace(temp) should fail")
-	}
-	if err := s.AddDBSpace(13); err == nil {
-		t.Fatal("AddDBSpace(13) should fail (max 12)")
-	}
-}
-
 func TestAllocUnopenedFile(t *testing.T) {
 	s := memStore(t)
 	if _, err := s.Alloc(5); err == nil {
-		t.Fatal("alloc in unopened dbspace should fail")
+		t.Fatal("alloc in unopened file should fail")
 	}
 }
 
@@ -122,17 +99,6 @@ func TestTotalBytesIncludesTemp(t *testing.T) {
 	}
 	if got := s.TotalBytes(); got != before+page.Size {
 		t.Fatalf("TotalBytes %d, want %d", got, before+page.Size)
-	}
-}
-
-func TestResetTemp(t *testing.T) {
-	s := memStore(t)
-	for i := 0; i < 5; i++ {
-		s.Alloc(TempFile)
-	}
-	s.ResetTemp()
-	if s.PageCount(TempFile) != 1 {
-		t.Fatalf("temp pages after reset = %d, want 1", s.PageCount(TempFile))
 	}
 }
 

@@ -127,7 +127,7 @@ func applyDifferential(t *testing.T, seed int64) {
 			return adopted.apply(b, r)
 		})
 		if err == nil {
-			shipped = a.log.FlushedLSN()
+			_, shipped = a.log.Position()
 		} else if err != errStopShip {
 			t.Fatalf("seed %d: apply: %v", seed, err)
 		}

@@ -154,7 +154,7 @@ func TestConcurrentRegistrationAndSnapshot(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				r.Counter(fmt.Sprintf("c.%d.%d", g, i)).Inc()
-				r.Gauge(fmt.Sprintf("g.%d.%d", g, i)).Set(int64(i))
+				r.GaugeFunc(fmt.Sprintf("g.%d.%d", g, i), func() int64 { return int64(i) })
 				h := r.Histogram(fmt.Sprintf("h.%d.%d", g, i))
 				h.Observe(int64(i))
 				var ext Histogram

@@ -1,17 +1,18 @@
 // Package telemetry is the engine-wide metrics registry: allocation-free
-// atomic counters, gauges, and fixed-bucket virtual-time histograms, each
-// registered once under a stable dotted name (e.g. "buffer.misses",
-// "exec.statement_us"). Every layer of the engine publishes here, and the
-// registry is surfaced through SQL via the PROPERTY() builtin and the
-// sys.properties virtual table, mirroring SQL Anywhere's property model:
-// the self-management loops of the paper (cache governor, statistics
-// feedback, application profiling) all consume measurements of the engine
-// itself, so those measurements need one uniform, cheap substrate.
+// atomic counters, func-backed gauges, and fixed-bucket virtual-time
+// histograms, each registered once under a stable dotted name (e.g.
+// "buffer.misses", "exec.statement_us"). Every layer of the engine
+// publishes here, and the registry is surfaced through SQL via the
+// PROPERTY() builtin and the sys.properties virtual table, mirroring SQL
+// Anywhere's property model: the self-management loops of the paper (cache
+// governor, statistics feedback, application profiling) all consume
+// measurements of the engine itself, so those measurements need one
+// uniform, cheap substrate.
 //
 // Hot-path cost is a single atomic add; registration (startup only) takes
-// a mutex. Func-backed gauges let components that already maintain private
-// atomics (the buffer pool, the plan cache) expose them without double
-// counting.
+// a mutex. A gauge is a function, so components that already maintain
+// private atomics (the buffer pool, the plan cache) expose them without
+// double counting.
 package telemetry
 
 import (
@@ -54,18 +55,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
-
-// Gauge is an instantaneous level that can move in both directions.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores n.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adds n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // HistBuckets is the number of power-of-two buckets in a Histogram.
 // Bucket i counts observations v with 2^i <= v+1 < 2^(i+1), so bucket 0
@@ -165,7 +154,6 @@ type metric struct {
 	name string
 	kind Kind
 	c    *Counter
-	g    *Gauge
 	fn   func() int64
 	h    *Histogram
 }
@@ -174,8 +162,6 @@ func (m *metric) value() int64 {
 	switch {
 	case m.c != nil:
 		return int64(m.c.Load())
-	case m.g != nil:
-		return m.g.Load()
 	case m.fn != nil:
 		return m.fn()
 	case m.h != nil:
@@ -210,21 +196,6 @@ func (r *Registry) Counter(name string) *Counter {
 	c := &Counter{}
 	r.metrics[name] = &metric{name: name, kind: KindCounter, c: c}
 	return c
-}
-
-// Gauge registers (or fetches) the gauge with the given dotted name.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.metrics[name]; ok {
-		if m.g == nil {
-			panic(fmt.Sprintf("telemetry: %q already registered as %s", name, m.kind))
-		}
-		return m.g
-	}
-	g := &Gauge{}
-	r.metrics[name] = &metric{name: name, kind: KindGauge, g: g}
-	return g
 }
 
 // GaugeFunc registers a read-only gauge backed by f. Components that

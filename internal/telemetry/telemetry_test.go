@@ -17,12 +17,6 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if c2 := r.Counter("a.hits"); c2 != c {
 		t.Fatalf("re-registering a counter must return the same instance")
 	}
-	g := r.Gauge("a.level")
-	g.Set(10)
-	g.Add(-3)
-	if got := g.Load(); got != 7 {
-		t.Fatalf("gauge = %d, want 7", got)
-	}
 	r.GaugeFunc("a.fn", func() int64 { return 42 })
 	if v, ok := r.Value("a.fn"); !ok || v != 42 {
 		t.Fatalf("Value(a.fn) = %d,%v want 42,true", v, ok)
@@ -40,7 +34,7 @@ func TestKindMismatchPanics(t *testing.T) {
 			t.Fatalf("registering x as a gauge after a counter should panic")
 		}
 	}()
-	r.Gauge("x")
+	r.GaugeFunc("x", func() int64 { return 0 })
 }
 
 func TestHistogramBuckets(t *testing.T) {

@@ -143,13 +143,6 @@ func (m *Manager) begin(ro bool) *Txn {
 	return t
 }
 
-// Active reports the number of in-flight transactions.
-func (m *Manager) Active() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.active)
-}
-
 // Adopt registers and returns the local stand-in for primary transaction
 // id, whose records a replica is replaying from the shipped log. It is a
 // real transaction: it owns the version entries and compensations the
@@ -385,9 +378,6 @@ type versionRef struct {
 
 // ID returns the transaction id.
 func (t *Txn) ID() uint64 { return t.id }
-
-// Done reports whether the transaction has finished.
-func (t *Txn) Done() bool { return t.done }
 
 // ReadOnly reports whether the transaction was started with BeginRO.
 func (t *Txn) ReadOnly() bool { return t.ro }

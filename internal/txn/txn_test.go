@@ -61,7 +61,7 @@ func TestCommitWritesLog(t *testing.T) {
 			t.Fatalf("log: %v", types)
 		}
 	}
-	if m.Active() != 0 {
+	if len(m.Transactions()) != 0 {
 		t.Fatal("transaction still active after commit")
 	}
 }
@@ -158,7 +158,7 @@ func TestIDsIncrease(t *testing.T) {
 	if b.ID() <= a.ID() {
 		t.Fatal("ids must increase")
 	}
-	if !a.Done() {
+	if !a.done {
 		a.Rollback()
 	}
 	b.Rollback()

@@ -105,14 +105,6 @@ func (v Value) String() string {
 	return "?"
 }
 
-// SQLString renders the value as a SQL literal.
-func (v Value) SQLString() string {
-	if v.Kind == KStr {
-		return "'" + strings.ReplaceAll(v.S, "'", "''") + "'"
-	}
-	return v.String()
-}
-
 // Compare orders two values: NULL sorts before everything; numeric kinds
 // compare numerically across Int/Double; strings compare bytewise. Values
 // of incomparable kinds order by kind tag (deterministic, never equal).

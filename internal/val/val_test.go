@@ -253,15 +253,6 @@ func TestAsFloatAsInt(t *testing.T) {
 	}
 }
 
-func TestSQLString(t *testing.T) {
-	if NewStr("o'brien").SQLString() != "'o''brien'" {
-		t.Fatal("SQLString quoting")
-	}
-	if NewInt(5).SQLString() != "5" {
-		t.Fatal("SQLString int")
-	}
-}
-
 func TestValueString(t *testing.T) {
 	if Null.String() != "NULL" || NewInt(3).String() != "3" || NewStr("x").String() != "x" {
 		t.Fatal("String rendering")

@@ -56,24 +56,9 @@ func (c *Clock) Advance(d Micros) Micros {
 	return t
 }
 
-// AdvanceTo moves virtual time forward to instant t. It is a no-op if t is
-// not after the current time.
-func (c *Clock) AdvanceTo(t Micros) {
-	for {
-		cur := c.now.Load()
-		if t <= cur {
-			return
-		}
-		if c.now.CompareAndSwap(cur, t) {
-			c.wake(t)
-			return
-		}
-	}
-}
-
 // After returns a channel that is closed once virtual time reaches now+d.
 // Unlike time.After, it never fires on its own: some goroutine must call
-// Advance or AdvanceTo.
+// Advance.
 func (c *Clock) After(d Micros) <-chan struct{} {
 	w := &waiter{deadline: c.Now() + d, ch: make(chan struct{})}
 	c.mu.Lock()

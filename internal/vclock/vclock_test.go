@@ -32,18 +32,6 @@ func TestAdvanceNegativePanics(t *testing.T) {
 	New().Advance(-1)
 }
 
-func TestAdvanceTo(t *testing.T) {
-	c := New()
-	c.AdvanceTo(100)
-	if got := c.Now(); got != 100 {
-		t.Fatalf("Now() = %d, want 100", got)
-	}
-	c.AdvanceTo(50) // no-op: never goes backwards
-	if got := c.Now(); got != 100 {
-		t.Fatalf("Now() after backwards AdvanceTo = %d, want 100", got)
-	}
-}
-
 func TestAfterFiresAtDeadline(t *testing.T) {
 	c := New()
 	ch := c.After(100)

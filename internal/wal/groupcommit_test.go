@@ -59,7 +59,7 @@ func TestAppendReturnsEndLSN(t *testing.T) {
 	if err := l.FlushTo(lsn2); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.FlushedLSN(); got != lsn2 {
+	if got := flushedLSN(l); got != lsn2 {
 		t.Fatalf("FlushedLSN %d after FlushTo(%d)", got, lsn2)
 	}
 }
@@ -206,8 +206,8 @@ func TestFailedGroupFlushFailsEveryWaiter(t *testing.T) {
 			t.Fatalf("committer %d got %v, want the injected permanent error", i, err)
 		}
 	}
-	if l.FlushedLSN() != 0 {
-		t.Fatalf("durable tail advanced to %d across failed flushes", l.FlushedLSN())
+	if flushedLSN(l) != 0 {
+		t.Fatalf("durable tail advanced to %d across failed flushes", flushedLSN(l))
 	}
 
 	// Disarm and retry: the stranded records must land, in order.
@@ -268,7 +268,7 @@ func TestFlushedLSNInvariant(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					if got := l.FlushedLSN(); got < lsn {
+					if got := flushedLSN(l); got < lsn {
 						t.Errorf("FlushTo(%d) returned with FlushedLSN %d", lsn, got)
 						return
 					}
@@ -279,7 +279,7 @@ func TestFlushedLSNInvariant(t *testing.T) {
 
 	deadline := time.Now().Add(300 * time.Millisecond)
 	for time.Now().Before(deadline) {
-		flushed := l.FlushedLSN()
+		flushed := flushedLSN(l)
 		if pending := l.PendingLSN(); flushed > pending {
 			t.Fatalf("FlushedLSN %d ahead of PendingLSN %d", flushed, pending)
 		}
@@ -327,7 +327,7 @@ func TestTruncateDrainsInflightFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	if got := l.FlushedLSN(); got != first {
+	if got := flushedLSN(l); got != first {
 		t.Fatalf("FlushedLSN %d after truncate, want the drained flush's %d", got, first)
 	}
 	lsn := l.Append(&Record{Type: RecCommit, Txn: 2})

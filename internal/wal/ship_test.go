@@ -69,7 +69,7 @@ func TestScanFromBoundedAllocation(t *testing.T) {
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	logSize := l.FlushedLSN()
+	logSize := flushedLSN(l)
 	if logSize < 8<<20 {
 		t.Fatalf("test log too small: %d bytes", logSize)
 	}
@@ -214,7 +214,7 @@ func TestScanTornTailIsSilent(t *testing.T) {
 	// Torn final frame: truncate the file mid-frame.
 	l2, path2 := fileLog(t)
 	appendFlush(t, l2, dataRec(1, 0, []byte("first")), dataRec(2, 1, []byte("second")))
-	end := l2.FlushedLSN()
+	end := flushedLSN(l2)
 	l2.CloseNoFlush()
 	if err := os.Truncate(path2, int64(end)-3); err != nil {
 		t.Fatal(err)

@@ -118,9 +118,9 @@ var ErrTruncated = fmt.Errorf("wal: log position was truncated away")
 
 // LSN is a log sequence number: a byte position in the log's history that
 // never goes back, not across Truncate nor a reopen. Append returns a
-// record's *end* LSN, so the record is durable exactly when FlushedLSN() >=
-// that value, and FlushTo(lsn) is the wait for it. Shipping positions
-// (Position, ReadChunk) are LSNs too.
+// record's *end* LSN, so the record is durable exactly when the durable LSN
+// Position reports is >= that value, and FlushTo(lsn) is the wait for it.
+// Shipping positions (Position, ReadChunk) are LSNs too.
 type LSN = uint64
 
 // Options configures a log beyond its path.
@@ -466,7 +466,7 @@ func decode(b []byte) (*Record, error) {
 }
 
 // Append adds a record to the log buffer and returns its end-LSN: the
-// record is durable exactly when the durable tail (FlushedLSN) reaches the
+// record is durable exactly when the durable tail (Position) reaches the
 // returned value, so a committer passes it straight to FlushTo.
 func (l *Log) Append(r *Record) LSN {
 	l.mu.Lock()
@@ -764,15 +764,6 @@ func (l *Log) writeRaw(base uint64, b []byte) error {
 	copy(l.mem[base:], b)
 	l.memMu.Unlock()
 	return nil
-}
-
-// FlushedLSN reports the LSN up to which the log is durable. It advances
-// only when a sealed buffer has been written and synced, so it never
-// covers a record still sitting in an unsealed (or in-flight) buffer.
-func (l *Log) FlushedLSN() LSN {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lsnOf(l.tail)
 }
 
 // PendingLSN reports the end-LSN of the last appended record (the durable

@@ -1,11 +1,10 @@
 // Package workload generates the synthetic data and workloads used by the
-// experiments: Zipf/uniform column distributions, star and chain join
+// experiments: uniform column distributions, star and chain join
 // schemas, OLTP statement mixes, and memory-pressure traces. Everything is
 // seeded and deterministic.
 package workload
 
 import (
-	"fmt"
 	"math/rand"
 
 	"anywheredb/internal/osenv"
@@ -32,35 +31,10 @@ func IntUniform(domain int64) func(*rand.Rand, int) val.Value {
 	return func(rng *rand.Rand, _ int) val.Value { return val.NewInt(rng.Int63n(domain)) }
 }
 
-// IntZipf yields Zipf-skewed integers over [0, domain) with parameter s.
-func IntZipf(domain uint64, s float64) func(*rand.Rand, int) val.Value {
-	var z *rand.Zipf
-	return func(rng *rand.Rand, _ int) val.Value {
-		if z == nil {
-			z = rand.NewZipf(rng, s, 1, domain-1)
-		}
-		return val.NewInt(int64(z.Uint64()))
-	}
-}
-
 // StrChoice picks uniformly from fixed strings.
 func StrChoice(choices ...string) func(*rand.Rand, int) val.Value {
 	return func(rng *rand.Rand, _ int) val.Value {
 		return val.NewStr(choices[rng.Intn(len(choices))])
-	}
-}
-
-// StrTagged yields "prefix-<i>" strings.
-func StrTagged(prefix string) func(*rand.Rand, int) val.Value {
-	return func(_ *rand.Rand, i int) val.Value {
-		return val.NewStr(fmt.Sprintf("%s-%d", prefix, i))
-	}
-}
-
-// DoubleUniform yields uniform doubles over [lo, hi).
-func DoubleUniform(lo, hi float64) func(*rand.Rand, int) val.Value {
-	return func(rng *rand.Rand, _ int) val.Value {
-		return val.NewDouble(lo + rng.Float64()*(hi-lo))
 	}
 }
 
@@ -95,12 +69,4 @@ func PressureTrace(app string, start, period vclock.Micros, peak int64, cycles i
 		at += period
 	}
 	return steps
-}
-
-// SpikeTrace is a single sudden allocation and release.
-func SpikeTrace(app string, at, hold vclock.Micros, bytes int64) []osenv.TraceStep {
-	return []osenv.TraceStep{
-		{At: at, App: app, Bytes: bytes},
-		{At: at + hold, App: app, Bytes: 0},
-	}
 }

@@ -16,6 +16,7 @@ import (
 	"iter"
 	"math/bits"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,6 +60,9 @@ var ErrTimeout = errors.New("lock: wait timeout (possible deadlock)")
 
 // A lock record is one cell of a bucket page:
 // uvarint(obj) uvarint(txn) mode uvarint(len(key)) key.
+// A bucket's cells are in (obj, key) order, changed only through
+// page.InsertOrdered and RemoveOrdered as a B-tree node's are, so the
+// records on one lockable object are one run a binary search finds.
 // Buckets are read where they lie; cellFields' key aliases the page and is
 // valid only under the frame's latch.
 
@@ -78,6 +82,15 @@ func cellFields(c []byte) (obj, txn uint64, mode Mode, key []byte) {
 	c = c[n+1:]
 	kl, n := binary.Uvarint(c)
 	return obj, txn, mode, c[n : n+int(kl)]
+}
+
+// runStart is the slot of bucket p's first cell on (obj, key), or where
+// such a cell would go.
+func runStart(p page.Buf, obj uint64, key []byte) int {
+	return sort.Search(p.NumSlots(), func(i int) bool {
+		o, _, _, k := cellFields(p.Cell(i))
+		return cmp.Or(cmp.Compare(o, obj), bytes.Compare(k, key)) >= 0
+	})
 }
 
 // maxDepth bounds the directory at 2^20 slots.
@@ -202,10 +215,11 @@ func (m *Manager) unlatch(f *buffer.Frame, dirty bool) {
 }
 
 // tryLock makes one attempt at the request with the bucket pinned once: it
-// compares the request with the bucket's cells in place and, when nothing
-// conflicts, adds exactly one cell (after deleting the cells an upgrade to
-// Exclusive subsumes). It reports false when a conflicting holder exists.
-// Called with m.mu held.
+// binary-searches the bucket for the run of cells on (obj, key), compares
+// the request with that run in place and, when nothing conflicts, adds
+// exactly one cell to it (after deleting the cells an upgrade to Exclusive
+// subsumes). It reports false when a conflicting holder exists. Called
+// with m.mu held.
 func (m *Manager) tryLock(txn, obj uint64, key []byte, mode Mode) (bool, error) {
 	h := hashLock(obj, key)
 	f, err := m.latchBucket(h)
@@ -215,14 +229,11 @@ func (m *Manager) tryLock(txn, obj uint64, key []byte, mode Mode) (bool, error) 
 	p := f.Data
 	var weaker [2]int // slots of txn's own S and IX cells on this object
 	nWeaker, conflict := 0, false
-	for i, n := 0, p.NumSlots(); i < n; i++ {
-		c := p.Cell(i)
-		if c == nil {
-			continue
-		}
-		o, holder, has, k := cellFields(c)
+	start := runStart(p, obj, key)
+	for i, n := start, p.NumSlots(); i < n; i++ {
+		o, holder, has, k := cellFields(p.Cell(i))
 		if o != obj || !bytes.Equal(k, key) {
-			continue
+			break
 		}
 		if holder != txn {
 			conflict = conflict || !compatible(mode, has)
@@ -244,14 +255,15 @@ func (m *Manager) tryLock(txn, obj uint64, key []byte, mode Mode) (bool, error) 
 	if mode == Exclusive && nWeaker > 0 {
 		// Upgrade: X subsumes our weaker locks. S and IX are not ordered, so
 		// a transaction adding one while holding the other keeps both cells.
-		for _, slot := range weaker[:nWeaker] {
-			p.Delete(slot)
+		// The later slot goes first, so the earlier one stays where it is.
+		for j := nWeaker - 1; j >= 0; j-- {
+			p.RemoveOrdered(weaker[j])
 		}
 		m.forget(txn, h, nWeaker)
 	}
 	var buf [64]byte
 	cell := appendCell(buf[:0], obj, txn, mode, key)
-	for f.Data.Insert(cell) < 0 {
+	for !f.Data.InsertOrdered(start, cell) {
 		// The bucket is full: split it (extensible hashing — local depth
 		// grows; past the global depth the directory doubles) and go on in
 		// whichever half the request now hashes to.
@@ -263,6 +275,7 @@ func (m *Manager) tryLock(txn, obj uint64, key []byte, mode Mode) (bool, error) 
 		if f, err = m.latchBucket(h); err != nil {
 			return false, err
 		}
+		start = runStart(f.Data, obj, key)
 	}
 	m.unlatch(f, true)
 	hd := m.holdingOf(txn)
@@ -466,8 +479,9 @@ func (hd *holding) tableCount() int {
 }
 
 // splitBucket moves the cells of the latched bucket f, which h hashes to,
-// whose hash has bit (local depth) set into a new sibling bucket. Called
-// with m.mu held.
+// whose hash has bit (local depth) set into a new sibling bucket. Both
+// halves keep their cells in order: each is rewritten from a copy of the
+// full page in one pass. Called with m.mu held.
 func (m *Manager) splitBucket(f *buffer.Frame, h uint64) error {
 	id := f.ID
 	ld := m.localDep[id]
@@ -479,15 +493,17 @@ func (m *Manager) splitBucket(f *buffer.Frame, h uint64) error {
 		return err
 	}
 	sib := sf.ID
-	for i, n := 0, f.Data.NumSlots(); i < n; i++ {
-		c := f.Data.Cell(i)
-		if c == nil {
-			continue
-		}
+	var full [page.Size]byte
+	copy(full[:], f.Data)
+	old := page.Buf(full[:])
+	f.Data.Init(page.TypeLockTable)
+	for i, n := 0, old.NumSlots(); i < n; i++ {
+		c := old.Cell(i)
+		half := f.Data
 		if obj, _, _, key := cellFields(c); hashLock(obj, key)>>ld&1 == 1 {
-			sf.Data.Insert(c) // cannot fail: every cell came out of one page
-			f.Data.Delete(i)
+			half = sf.Data
 		}
+		half.InsertOrdered(half.NumSlots(), c) // cannot fail: every cell came out of one page
 	}
 	m.pool.Unpin(sf, true)
 	if ld == m.depth {
@@ -616,30 +632,26 @@ func (m *Manager) LockCtx(ctx context.Context, txn, obj uint64, key []byte, mode
 
 // release deletes txn's cells from the bucket h hashes to — those on
 // (obj, key), or every one when all is set — with the bucket pinned once,
-// and reports how many it deleted. A bucket it leaves empty is coalesced.
-// Called with m.mu held.
+// and reports how many it deleted. It walks the slots from the last, so a
+// deletion shifts only the cells it kept. A bucket it leaves empty is
+// coalesced. Called with m.mu held.
 func (m *Manager) release(h, txn uint64, all bool, obj uint64, key []byte) (int, error) {
 	f, err := m.latchBucket(h)
 	if err != nil {
 		return 0, err
 	}
 	p := f.Data
-	deleted, kept := 0, 0
-	for i, n := 0, p.NumSlots(); i < n; i++ {
-		c := p.Cell(i)
-		if c == nil {
-			continue
-		}
-		o, holder, _, k := cellFields(c)
+	deleted := 0
+	for i := p.NumSlots() - 1; i >= 0; i-- {
+		o, holder, _, k := cellFields(p.Cell(i))
 		if holder == txn && (all || (o == obj && bytes.Equal(k, key))) {
-			p.Delete(i)
+			p.RemoveOrdered(i)
 			deleted++
-		} else {
-			kept++
 		}
 	}
+	empty := p.NumSlots() == 0
 	m.unlatch(f, deleted > 0)
-	if deleted > 0 && kept == 0 {
+	if deleted > 0 && empty {
 		return deleted, m.coalesce(h)
 	}
 	return deleted, nil
@@ -681,7 +693,7 @@ func (m *Manager) coalesce(h uint64) error {
 		if err != nil {
 			return err
 		}
-		empty := f.Data.LiveCells() == 0
+		empty := f.Data.NumSlots() == 0
 		m.unlatch(f, false)
 		if !empty {
 			return nil

@@ -1,9 +1,13 @@
 package lock
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
+	"maps"
+	"math/rand"
 	"runtime"
 	"slices"
 	"sync"
@@ -840,4 +844,205 @@ func (m *Manager) Unlock(txn, obj uint64, key []byte) error {
 	m.releases.Add(1)
 	m.wake()
 	return nil
+}
+
+// rowLock names one lock record: a transaction's mode on a row key.
+type rowLock struct {
+	obj  uint64
+	key  string
+	txn  uint64
+	mode Mode
+}
+
+// bucketRecords reads every bucket page, fails t unless each one's cells
+// are in (obj, key) order, and counts the records they hold into recs
+// unless it is nil.
+func bucketRecords(t *testing.T, m *Manager, recs map[rowLock]int) {
+	t.Helper()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for id := range m.localDep {
+		f, err := m.pool.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, n := 0, f.Data.NumSlots(); i < n; i++ {
+			obj, txn, mode, key := cellFields(f.Data.Cell(i))
+			if i > 0 {
+				o, _, _, k := cellFields(f.Data.Cell(i - 1))
+				if cmp.Or(cmp.Compare(o, obj), bytes.Compare(k, key)) > 0 {
+					m.pool.Unpin(f, false)
+					t.Fatalf("bucket %v: cell %d (%d,%q) sorts after cell %d (%d,%q)", id, i-1, o, k, i, obj, key)
+				}
+			}
+			if recs != nil {
+				recs[rowLock{obj, string(key), txn, mode}]++
+			}
+		}
+		m.pool.Unpin(f, false)
+	}
+}
+
+// TestBucketsMatchModel runs a seeded schedule of row-lock requests and
+// releases against a map-based model of the lock rules. The schedule has
+// many transactions and objects, a hot set of keys where S, X and IX meet
+// (S→X upgrades, S+IX on one key, refusals), and bulk transactions whose
+// thousands of locks split the buckets and whose release coalesces them.
+// Every grant or refusal must be the model's, every bucket must stay in
+// (obj, key) order after every step, the pages must hold exactly the
+// model's records, and the table must shrink back to one bucket.
+func TestBucketsMatchModel(t *testing.T) {
+	m := newManager(t)
+	m.Timeout = 0 // a conflicting request is refused at once
+	rng := rand.New(rand.NewSource(7))
+	type object struct {
+		obj uint64
+		key string
+	}
+	model := map[object]map[uint64]uint8{} // holder → bit per Mode held
+	request := func(txn uint64, o object, mode Mode) bool {
+		hs := model[o]
+		if hs == nil {
+			hs = map[uint64]uint8{}
+			model[o] = hs
+		}
+		mine := hs[txn]
+		if mine&(1<<Exclusive|1<<mode) != 0 {
+			return true
+		}
+		for holder, modes := range hs {
+			for has := Shared; has <= IntentExclusive; has++ {
+				if holder != txn && modes>>has&1 == 1 && (has != mode || mode == Exclusive) {
+					return false
+				}
+			}
+		}
+		if mode == Exclusive {
+			mine = 0
+		}
+		hs[txn] = mine | 1<<mode
+		return true
+	}
+	releaseAll := func(txn uint64) {
+		if err := m.ReleaseAll(txn); err != nil {
+			t.Fatal(err)
+		}
+		for o, hs := range model {
+			if delete(hs, txn); len(hs) == 0 {
+				delete(model, o)
+			}
+		}
+	}
+	check := func(step int) {
+		t.Helper()
+		got := map[rowLock]int{}
+		bucketRecords(t, m, got)
+		want := map[rowLock]int{}
+		for o, hs := range model {
+			for txn, modes := range hs {
+				for mode := Shared; mode <= IntentExclusive; mode++ {
+					if modes>>mode&1 == 1 {
+						want[rowLock{o.obj, o.key, txn, mode}]++
+					}
+				}
+			}
+		}
+		if !maps.Equal(got, want) {
+			t.Fatalf("step %d: the buckets hold %d records, the model %d", step, len(got), len(want))
+		}
+	}
+
+	const steps = 6000
+	grants, refusals, upgrades, mixed, maxBuckets := 0, 0, 0, 0, 1
+	for step := 0; step < steps; step++ {
+		switch r := rng.Intn(1000); {
+		case step%2000 == 1000:
+			// A bulk transaction: thousands of fresh rows, then commit.
+			bulk := uint64(1000 + step)
+			for i := 0; i < 2500; i++ {
+				o := object{uint64(1 + i%3), fmt.Sprintf("bulk-%d-%d", step, i)}
+				if err := m.Lock(bulk, o.obj, []byte(o.key), Exclusive); err != nil {
+					t.Fatal(err)
+				}
+				request(bulk, o, Exclusive)
+			}
+			maxBuckets = max(maxBuckets, m.Buckets())
+			check(step)
+			releaseAll(bulk)
+		case r < 25:
+			releaseAll(uint64(1 + rng.Intn(40)))
+		default:
+			txn := uint64(1 + rng.Intn(40))
+			o := object{uint64(1 + rng.Intn(6)), fmt.Sprintf("row-%d", rng.Intn(3000))}
+			if r < 400 {
+				o.key = fmt.Sprintf("hot-%d", rng.Intn(24))
+			}
+			mode := Mode(rng.Intn(3))
+			before := model[o][txn]
+			want := request(txn, o, mode)
+			err := m.Lock(txn, o.obj, []byte(o.key), mode)
+			if got := err == nil; got != want || err != nil && err != ErrTimeout {
+				t.Fatalf("step %d: txn %d %v on (%d,%s) holding %03b: %v, model grants %v", step, txn, mode, o.obj, o.key, before, err, want)
+			}
+			if want {
+				grants++
+				if mode == Exclusive && before&(1<<Shared|1<<IntentExclusive) != 0 && before&(1<<Exclusive) == 0 {
+					upgrades++
+				}
+				if model[o][txn] == 1<<Shared|1<<IntentExclusive {
+					mixed++
+				}
+			} else {
+				refusals++
+			}
+		}
+		bucketRecords(t, m, nil)
+		if step%500 == 0 {
+			check(step)
+		}
+	}
+	check(steps)
+	for txn := uint64(1); txn <= 40; txn++ {
+		releaseAll(txn)
+	}
+	check(steps)
+	t.Logf("%d grants, %d refusals, %d S/IX→X upgrades, %d S+IX holdings, up to %d buckets",
+		grants, refusals, upgrades, mixed, maxBuckets)
+	if refusals == 0 || upgrades == 0 || mixed == 0 || maxBuckets < 8 {
+		t.Fatal("the schedule did not exercise refusals, upgrades, S+IX and splits")
+	}
+	if b := m.Buckets(); b != 1 {
+		t.Fatalf("buckets = %d with every lock released, want 1", b)
+	}
+}
+
+// BenchmarkLockBulkTransaction is the lock work of a bulk INSERT: one
+// transaction takes 50 000 row locks in the kv schema, then commits.
+func BenchmarkLockBulkTransaction(b *testing.B) {
+	st, err := store.Open(store.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	m, err := NewManager(buffer.New(st, 4, 1024, 1024), st)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := make([][]byte, 50000)
+	for i := range rows {
+		rows[i] = kvRow(i)
+	}
+	b.ReportAllocs()
+	txn := uint64(0)
+	for b.Loop() {
+		txn++
+		for _, row := range rows {
+			if err := m.Lock(txn, 5, row, Exclusive); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := m.ReleaseAll(txn); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"anywheredb/internal/val"
@@ -14,6 +16,11 @@ import (
 // exact counts for candidate frequent values (space-saving), significantly
 // reducing the overhead of statistics collection with a marginal reduction
 // in quality.
+//
+// The candidates are space-saving counters (Metwally, Agrawal and El
+// Abbadi, ICDT 2005) kept in an indexed min-heap ordered by (count, hash):
+// the root is the counter an untracked value takes over, so a value costs
+// O(log k) for k = 4·MaxSingletons candidates, not a scan of all of them.
 type Builder struct {
 	kind val.Kind
 
@@ -24,9 +31,23 @@ type Builder struct {
 	seen     int64
 	rngState uint64
 
-	// Space-saving frequent-value candidates.
-	counts    map[float64]int64
+	// Space-saving frequent-value candidates: heap is the min-heap and pos
+	// maps a tracked value's hash to its position in it.
+	heap      []candidate
+	pos       map[float64]int
 	maxCounts int
+}
+
+// candidate is one space-saving counter: a value's hash and its count.
+type candidate struct {
+	hash  float64
+	count int64
+}
+
+// before orders the heap: the lower count first, the lower hash on a tie,
+// so which counter an eviction takes is the same on every build.
+func (c candidate) before(d candidate) bool {
+	return c.count < d.count || c.count == d.count && c.hash < d.hash
 }
 
 // NewBuilder returns a histogram builder for values of the given kind.
@@ -34,7 +55,7 @@ func NewBuilder(kind val.Kind) *Builder {
 	return &Builder{
 		kind:      kind,
 		maxSamp:   2048,
-		counts:    make(map[float64]int64),
+		pos:       make(map[float64]int),
 		maxCounts: 4 * MaxSingletons,
 		rngState:  0x9E3779B97F4A7C15,
 	}
@@ -66,23 +87,62 @@ func (b *Builder) Add(v val.Value) {
 	}
 
 	// Space-saving counter for frequent values.
-	if c, ok := b.counts[x]; ok {
-		b.counts[x] = c + 1
+	if i, ok := b.pos[x]; ok {
+		b.heap[i].count++
+		b.down(i)
 		return
 	}
-	if len(b.counts) < b.maxCounts {
-		b.counts[x] = 1
+	if len(b.heap) < b.maxCounts {
+		b.heap = append(b.heap, candidate{hash: x, count: 1})
+		b.up(len(b.heap) - 1)
 		return
 	}
 	// Evict the minimum and take over its count (space-saving).
-	minK, minC := 0.0, int64(math.MaxInt64)
-	for k, c := range b.counts {
-		if c < minC {
-			minK, minC = k, c
+	root := &b.heap[0]
+	delete(b.pos, root.hash)
+	root.hash, root.count = x, root.count+1
+	b.down(0)
+}
+
+// up moves the candidate at heap position i toward the root until its
+// parent comes before it, recording every position it changes.
+func (b *Builder) up(i int) {
+	h, c := b.heap, b.heap[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !c.before(h[parent]) {
+			break
 		}
+		h[i] = h[parent]
+		b.pos[h[i].hash] = i
+		i = parent
 	}
-	delete(b.counts, minK)
-	b.counts[x] = minC + 1
+	h[i] = c
+	b.pos[c.hash] = i
+}
+
+// down moves the candidate at heap position i, whose count grew, toward the
+// leaves until no child comes before it, recording every position it
+// changes.
+func (b *Builder) down(i int) {
+	h, c := b.heap, b.heap[i]
+	for {
+		child := 2*i + 1
+		if child >= len(h) {
+			break
+		}
+		if r := child + 1; r < len(h) && h[r].before(h[child]) {
+			child = r
+		}
+		if !h[child].before(c) {
+			break
+		}
+		h[i] = h[child]
+		b.pos[h[i].hash] = i
+		i = child
+	}
+	h[i] = c
+	b.pos[c.hash] = i
 }
 
 // Build produces the histogram, with targetBuckets equi-depth buckets and
@@ -103,27 +163,25 @@ func (b *Builder) Build(targetBuckets int) *Histogram {
 	// Promote frequent values (≥1% or top-N) to singletons. A value whose
 	// exact count was tracked and which covers every row (low-cardinality
 	// column) yields the compressed representation.
-	type freq struct {
-		hash float64
-		rows float64
-	}
-	var freqs []freq
+	// The candidates are read most rows first, the lower hash on a tie.
+	freqs := slices.Clone(b.heap)
+	slices.SortFunc(freqs, func(c, d candidate) int {
+		return cmp.Or(cmp.Compare(d.count, c.count), cmp.Compare(c.hash, d.hash))
+	})
 	var trackedRows int64
-	for k, c := range b.counts {
-		trackedRows += c
-		freqs = append(freqs, freq{k, float64(c)})
+	for _, f := range freqs {
+		trackedRows += f.count
 	}
-	sort.Slice(freqs, func(i, j int) bool { return freqs[i].rows > freqs[j].rows })
-	exact := trackedRows == b.n-b.nulls && len(b.counts) < b.maxCounts
+	exact := trackedRows == b.n-b.nulls && len(freqs) < b.maxCounts
 
 	singled := map[float64]bool{}
 	for i, f := range freqs {
 		isTop := i < MaxSingletons && (exact && len(freqs) <= MaxSingletons)
-		if f.rows >= singletonFraction*nonNull || isTop {
+		if rows := float64(f.count); rows >= singletonFraction*nonNull || isTop {
 			if len(h.singletons) >= MaxSingletons {
 				break
 			}
-			h.singletons = append(h.singletons, Singleton{Hash: f.hash, Rows: f.rows})
+			h.singletons = append(h.singletons, Singleton{Hash: f.hash, Rows: rows})
 			singled[f.hash] = true
 		}
 	}

@@ -1016,29 +1016,38 @@ func (t *Table) VacuumVersions(threshold uint64, active func(txn uint64) bool) i
 }
 
 // AddIndex creates a new index and populates it from existing rows,
-// (re)building statistics for the key columns as CREATE INDEX does (§3.2).
-// The caller keeps writers out for the duration (the table's exclusive
-// lock, or having the table to itself).
+// (re)building statistics for the key columns in the same heap scan, as
+// CREATE INDEX does (§3.2). The caller keeps writers out for the duration
+// (the table's exclusive lock, or having the table to itself).
 func (t *Table) AddIndex(id uint64, name string, cols []int, unique bool) (*Index, error) {
-	return t.AddIndexIn(t.file, id, name, cols, unique)
+	builders := make([]*stats.Builder, len(cols))
+	for i, c := range cols {
+		builders[i] = stats.NewBuilder(t.Columns[c].Kind)
+	}
+	return t.addIndex(t.file, id, name, cols, unique, builders)
 }
 
-// AddIndexIn builds the index in a specific file. The Index Consultant
-// (§5) materializes its virtual indexes in the temporary file so they
-// never touch the database.
+// AddIndexIn builds the index in a specific file and leaves the table's
+// statistics alone. The Index Consultant (§5) materializes its virtual
+// indexes in the temporary file so they never touch the database, and
+// prices them on the histograms the table already has, execution feedback
+// included.
 func (t *Table) AddIndexIn(file store.FileID, id uint64, name string, cols []int, unique bool) (*Index, error) {
+	return t.addIndex(file, id, name, cols, unique, nil)
+}
+
+// addIndex builds and publishes an index in file. builders, when there are
+// any, are fed each key column's values by the scan that fills the tree,
+// and their histograms replace the columns' before the index is published.
+func (t *Table) addIndex(file store.FileID, id uint64, name string, cols []int, unique bool, builders []*stats.Builder) (*Index, error) {
 	tree, err := btree.Create(t.pool, t.st, file, id)
 	if err != nil {
 		return nil, err
 	}
 	ix := &Index{ID: id, Name: name, Cols: cols, Unique: unique, Tree: tree}
-	builders := make([]*stats.Builder, len(cols))
-	for i, c := range cols {
-		builders[i] = stats.NewBuilder(t.Columns[c].Kind)
-	}
 	err = t.Scan(func(rid RID, row []val.Value) (bool, error) {
-		for i, c := range cols {
-			builders[i].Add(row[c])
+		for i, b := range builders {
+			b.Add(row[cols[i]])
 		}
 		return true, addKey(ix, ix.Key(row), rid, true)
 	})
@@ -1046,8 +1055,8 @@ func (t *Table) AddIndexIn(file store.FileID, id uint64, name string, cols []int
 		btree.Drop(t.pool, t.st, tree.Root(), id)
 		return nil, err
 	}
-	for i, c := range cols {
-		t.Hists[c].Replace(builders[i].Build(32))
+	for i, b := range builders {
+		t.Hists[cols[i]].Replace(b.Build(32))
 	}
 	// Published by replacing the slice, never by changing it in place: a
 	// reader may be walking the old one.

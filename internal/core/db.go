@@ -701,7 +701,9 @@ func (db *DB) FlightRecorder() *flightrec.Collector { return db.flight }
 //	sys.tables            — per-table storage state (format, segments,
 //	                        residency) and observed access pattern
 //	sys.transactions      — live transactions (state, age, snapshot
-//	                        watermark, locks held, undo bytes)
+//	                        watermark, locks held, undo bytes); locks_held
+//	                        counts lock cells, and a row the transaction
+//	                        only inserted holds none
 func (db *DB) VirtualRows(name string) ([]table.Column, []exec.Row, bool) {
 	switch name {
 	case "sys.properties":

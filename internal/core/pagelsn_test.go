@@ -8,10 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"anywheredb/internal/faultinject"
-	"anywheredb/internal/lock"
 	"anywheredb/internal/store"
 	"anywheredb/internal/table"
 	"anywheredb/internal/val"
@@ -261,39 +259,24 @@ func (c *crashRecovery) Crashpoint(name string) error {
 }
 
 // TestBackedOutInsertStaysOut: an INSERT logs its record under the page
-// latch, before it knows whether the row lock on the RID it took will be
-// granted. When the lock is refused the row is backed out and the backing
-// out logged, so a transaction that goes on to commit cannot bring the row
-// back at recovery.
+// latch, before the unique index has been asked for the key. When the index
+// refuses it the row is backed out and the backing out logged, so a
+// transaction that goes on to commit cannot bring the row back at recovery.
 func TestBackedOutInsertStaysOut(t *testing.T) {
 	dir := t.TempDir()
 	db := openDB(t, Options{Dir: dir})
 	c := conn(t, db)
 	mustExec(t, c, "CREATE TABLE t (id INT, v INT)")
+	mustExec(t, c, "CREATE UNIQUE INDEX t_id ON t (id)")
 	for i := 0; i < 10; i++ {
 		mustExec(t, c, "INSERT INTO t VALUES (?, ?)", val.NewInt(int64(i)), val.NewInt(int64(i)))
 	}
-	tbl, _ := db.Table("t")
-	var last table.RID
-	if err := tbl.Scan(func(rid table.RID, _ []val.Value) (bool, error) { last = rid; return true, nil }); err != nil {
-		t.Fatal(err)
-	}
-	// Another transaction holds the RID the next insert takes.
-	const holder = 1 << 40
-	next := table.RID{Page: last.Page, Slot: last.Slot + 1}
-	if err := db.locks.Lock(holder, tbl.ID, next.Bytes(), lock.Exclusive); err != nil {
-		t.Fatal(err)
-	}
-	db.locks.Timeout = 20 * time.Millisecond
 	mustExec(t, c, "BEGIN")
-	if _, err := c.Exec("INSERT INTO t VALUES (100, 100)"); !errors.Is(err, lock.ErrTimeout) {
-		t.Fatalf("insert at a locked RID: %v, want the lock wait to time out", err)
+	if _, err := c.Exec("INSERT INTO t VALUES (3, 100)"); !errors.Is(err, table.ErrUnique) {
+		t.Fatalf("insert of a held key: %v, want ErrUnique", err)
 	}
 	mustExec(t, c, "UPDATE t SET v = v + 1 WHERE id = 3")
 	mustExec(t, c, "COMMIT")
-	if err := db.locks.ReleaseAll(holder); err != nil {
-		t.Fatal(err)
-	}
 	db.Crash()
 
 	db2 := openDB(t, Options{Dir: dir, ParanoidRecovery: true})

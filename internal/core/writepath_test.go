@@ -95,9 +95,9 @@ func TestDifferentialIndexVsNoIndex(t *testing.T) {
 // index, and on nothing else about the table — not on how many locks the
 // load once held, nor on how many rows there are. The table's intent lock
 // is in memory and pins nothing. An INSERT pins the index once per level
-// (one descent checks the key and inserts it), the heap's tail page, the
-// lock-table bucket its row X lock goes in and that bucket again at commit:
-// height + 3. BEGIN, SELECT by key, UPDATE by key, COMMIT pins two descents
+// (one descent checks the key and inserts it) and the heap's tail page; its
+// row is locked by its version entry, with no lock-table cell: height + 1.
+// BEGIN, SELECT by key, UPDATE by key, COMMIT pins two descents
 // (the SELECT's probe and the UPDATE's), the SELECT's heap page, the
 // UPDATE's scan of its heap page, the row X lock's bucket, the heap page
 // once more to read the row under that lock and write it through the same
@@ -162,8 +162,8 @@ func TestWritePathCostIndependentOfTableSize(t *testing.T) {
 		small.insert, large.insert, small.rmw, large.rmw, small.height, large.height)
 	for _, c := range []cost{small, large} {
 		h := float64(c.height)
-		if math.Abs(c.insert-(h+3)) > 0.05 {
-			t.Errorf("index height %d: INSERT pins %.2f pages, want height + 3 = %v", c.height, c.insert, h+3)
+		if math.Abs(c.insert-(h+1)) > 0.05 {
+			t.Errorf("index height %d: INSERT pins %.2f pages, want height + 1 = %v", c.height, c.insert, h+1)
 		}
 		if math.Abs(c.rmw-(2*h+5)) > 0.05 {
 			t.Errorf("index height %d: a one-row transaction pins %.2f pages, want 2·height + 5 = %v", c.height, c.rmw, 2*h+5)

@@ -4,6 +4,17 @@
 // grows by splitting bucket pages in the temporary file. Table locks, of
 // which there are at most tables × open transactions, are records in
 // memory: a write statement's intent lock costs no page.
+//
+// Row locks are explicit or implicit. An UPDATE or DELETE takes an explicit
+// X cell on its row. An INSERT, and the new slot of a row an UPDATE moves,
+// takes none: the unsettled insert marker on the row's version chain is its
+// lock until the inserter settles. A writer that meets such a row asks
+// Convert to make the lock explicit, by two rules. The cell is written in
+// the inserter's name, and only while the inserter still holds locks, so a
+// finished inserter is never left one. A cell the writer itself holds on
+// the row gives way: it was taken while the slot was empty, the only state
+// the insert could have landed in, and guards nothing. The writer then
+// queues behind the inserter's cell like any other request.
 package lock
 
 import (
@@ -131,6 +142,7 @@ type Manager struct {
 	waitObs atomic.Pointer[func(txn uint64, us int64)]
 
 	acquires      atomic.Uint64 // granted lock requests (including re-entrant)
+	conversions   atomic.Uint64 // Convert calls whose owner still held locks
 	waits         atomic.Uint64 // requests that blocked at least once
 	wakeups       atomic.Uint64 // times a blocked request was woken by a release to re-check
 	timeouts      atomic.Uint64 // waits that expired (deadlock resolution)
@@ -141,6 +153,7 @@ type Manager struct {
 // AttachTelemetry publishes the manager's counters into reg under "lock.".
 func (m *Manager) AttachTelemetry(reg *telemetry.Registry) {
 	reg.GaugeFunc("lock.acquires", func() int64 { return int64(m.acquires.Load()) })
+	reg.GaugeFunc("lock.implicit_conversions", func() int64 { return int64(m.conversions.Load()) })
 	reg.GaugeFunc("lock.waits", func() int64 { return int64(m.waits.Load()) })
 	reg.GaugeFunc("lock.wakeups", func() int64 { return int64(m.wakeups.Load()) })
 	reg.GaugeFunc("lock.timeouts", func() int64 { return int64(m.timeouts.Load()) })
@@ -281,6 +294,28 @@ func (m *Manager) tryLock(txn, obj uint64, key []byte, mode Mode) (bool, error) 
 	hd := m.holdingOf(txn)
 	hd.rows = append(hd.rows, h)
 	return true, nil
+}
+
+// Convert makes owner's implicit X lock on row key of obj explicit, for txn
+// to queue behind, by the two rules of the package comment: txn's own cells
+// on the key give way, and owner's X cell is written only while owner holds
+// locks. A third transaction's cell on the key keeps owner's from being
+// written; txn then waits for that one first, and converts again.
+func (m *Manager) Convert(owner, txn, obj uint64, key []byte) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.held[owner] == nil {
+		return nil
+	}
+	h := hashLock(obj, key)
+	n, err := m.release(h, txn, false, obj, key)
+	if err != nil {
+		return err
+	}
+	m.forget(txn, h, n)
+	m.conversions.Add(1)
+	_, err = m.tryLock(owner, obj, key, Exclusive)
+	return err
 }
 
 // forget drops n occurrences of h from txn's held list.

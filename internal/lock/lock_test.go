@@ -250,6 +250,49 @@ func TestHeldListTracksCells(t *testing.T) {
 	}
 }
 
+// TestConvertRules: Convert writes an X cell in the owner's name only while
+// the owner holds locks, and a cell the requester holds on the key gives way
+// to it, so the requester's next X request queues behind the owner.
+func TestConvertRules(t *testing.T) {
+	m := newManager(t)
+	m.Timeout = 20 * time.Millisecond
+	const owner, requester, gone = 1, 2, 3
+	key := []byte("slot")
+	held := func(txn uint64, want int) {
+		t.Helper()
+		if n, err := m.Held(txn); err != nil || n != want || m.HeldCount(txn) != want {
+			t.Fatalf("txn %d: pages hold %d records (%v), held list %d, want %d", txn, n, err, m.HeldCount(txn), want)
+		}
+	}
+	if err := m.Convert(gone, requester, 10, key); err != nil {
+		t.Fatal(err)
+	}
+	held(gone, 0)
+	m.Lock(owner, 10, nil, IntentExclusive)
+	m.Lock(requester, 10, nil, IntentExclusive)
+	m.Lock(requester, 10, key, Exclusive) // taken while the slot was empty
+	// The second call finds the owner's cell there and writes none.
+	for range 2 {
+		if err := m.Convert(owner, requester, 10, key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held(owner, 2)
+	held(requester, 1)
+	if got := m.conversions.Load(); got != 2 {
+		t.Fatalf("%d conversions counted, want 2", got)
+	}
+	if err := m.Lock(requester, 10, key, Exclusive); err != ErrTimeout {
+		t.Fatalf("request behind the converted lock: %v, want a timeout", err)
+	}
+	if err := m.ReleaseAll(owner); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Lock(requester, 10, key, Exclusive); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // readFault is a fault injector that fails a page read when the function
 // returns an error for that page; every other operation passes through.
 type readFault func(id store.PageID) error

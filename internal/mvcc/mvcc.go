@@ -155,18 +155,23 @@ func (s *Store) Resolve(id RowID, row []val.Value, exists bool, snap *Snapshot) 
 
 // Unsettled reports whether the chain at id holds a write whose transaction
 // has not settled (committed and published, or rolled back and reclaimed),
-// and the largest heap cell such a write replaced: what a rollback may yet
-// have to put back at id.
-func (s *Store) Unsettled(id RowID) (cell int, ok bool) {
+// the largest heap cell such a write replaced — what a rollback may yet
+// have to put back at id — and the writer of the newest unsettled insert
+// marker (zero when there is none): the transaction whose uncommitted insert
+// is locked by that marker alone.
+func (s *Store) Unsettled(id RowID) (cell int, inserter uint64, ok bool) {
 	s.mu.RLock()
 	for e := s.chains[id]; e != nil; e = e.prev {
 		if e.csn.Load() == 0 {
 			ok = true
 			cell = max(cell, e.Cell)
+			if inserter == 0 && !e.Exists {
+				inserter = e.Writer
+			}
 		}
 	}
 	s.mu.RUnlock()
-	return cell, ok
+	return cell, inserter, ok
 }
 
 // SlotsOnPage returns the slots of page that have version chains, sorted.

@@ -146,25 +146,38 @@ func TestSlotsAndRowIDs(t *testing.T) {
 func TestUnsettled(t *testing.T) {
 	s := NewStore()
 	id := RowID{Page: 4, Slot: 2}
-	if cell, ok := s.Unsettled(id); ok || cell != 0 {
+	if cell, _, ok := s.Unsettled(id); ok || cell != 0 {
 		t.Fatalf("no chain: %d %v", cell, ok)
 	}
 	committed := &Entry{Writer: 1, Row: row(1), Exists: true, Cell: 900}
 	committed.SetCSN(1)
 	s.Push(id, committed)
-	if cell, ok := s.Unsettled(id); ok || cell != 0 {
+	if cell, _, ok := s.Unsettled(id); ok || cell != 0 {
 		t.Fatalf("published writer only: %d %v", cell, ok)
 	}
 	shrink, shrinkMore := &Entry{Writer: 2, Row: row(2), Exists: true, Cell: 400}, &Entry{Writer: 2, Row: row(3), Exists: true, Cell: 50}
 	s.Push(id, shrink)
 	s.Push(id, shrinkMore)
-	if cell, ok := s.Unsettled(id); !ok || cell != 400 {
+	if cell, _, ok := s.Unsettled(id); !ok || cell != 400 {
 		t.Fatalf("in-flight writer: %d %v, want 400 true", cell, ok)
 	}
 	shrink.SetCSN(2)
 	shrinkMore.SetCSN(2)
-	if cell, ok := s.Unsettled(id); ok || cell != 0 {
+	if cell, _, ok := s.Unsettled(id); ok || cell != 0 {
 		t.Fatalf("after publish: %d %v", cell, ok)
+	}
+
+	// An unsettled insert marker names its writer, the newest one first;
+	// an update above it does not hide it.
+	other := RowID{Page: 4, Slot: 3}
+	s.Push(other, &Entry{Writer: 3})
+	s.Push(other, &Entry{Writer: 4})
+	s.Push(other, &Entry{Writer: 4, Row: row(4), Exists: true, Cell: 20})
+	if cell, inserter, ok := s.Unsettled(other); !ok || cell != 20 || inserter != 4 {
+		t.Fatalf("unsettled inserts: %d %d %v, want 20 4 true", cell, inserter, ok)
+	}
+	if _, inserter, _ := s.Unsettled(id); inserter != 0 {
+		t.Fatalf("no insert marker, but inserter %d", inserter)
 	}
 }
 

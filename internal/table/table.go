@@ -509,7 +509,7 @@ func (t *Table) owed(pid store.PageID, p page.Buf, own int) (reserve, slot int) 
 		cell := p.Cell(s)
 		was, held := 0, false
 		if chains {
-			was, held = t.versions.Unsettled(mvcc.RowID{Page: pid, Slot: s})
+			was, _, held = t.versions.Unsettled(mvcc.RowID{Page: pid, Slot: s})
 		}
 		if cell == nil && !held {
 			slot = s
@@ -659,43 +659,55 @@ func (t *Table) Insert(tx *txn.Txn, row []val.Value) (RID, error) {
 	if tx != nil {
 		rec = &wal.Record{Type: wal.RecInsert, Table: t.ID, After: enc}
 	}
-	rid, err := t.insertRow(tx, nil, row, enc, rec)
-	if err != nil {
-		return RID{}, err
-	}
-	if tx != nil {
-		// The RID is known only now, with the page latch released: a wait
-		// here holds no latch.
-		if err := tx.Lock(t.ID, rid.Bytes(), lock.Exclusive); err != nil {
-			backOut(tx, nil)
-			return RID{}, err
-		}
-	}
-	return rid, nil
+	// The new row takes no row lock: the insert marker its version chain
+	// holds until tx settles is the lock (see lockRow).
+	return t.insertRow(tx, nil, row, enc, rec)
 }
 
 // lockRow takes tx's write locks on the row at rid, then pins the row's page
 // and reads the row under a shared latch, so the image a caller saves,
 // checks or logs cannot be stale. The page stays pinned, unlatched, for the
 // write that follows: the caller writes through the frame and unpins it.
+//
+// A row another transaction inserted (or moved here) and has not settled is
+// locked by the insert marker on its version chain, not by a lock cell. The
+// chain is read under the latch the row is read under, after tx's own X
+// request, so no insert can land unseen in between; when it names another
+// inserter, that lock is made explicit in the inserter's name and tx asks
+// again, queueing behind it.
 func (t *Table) lockRow(tx *txn.Txn, rid RID) (*buffer.Frame, []val.Value, error) {
 	if tx != nil {
 		if err := tx.Lock(t.ID, nil, lock.IntentExclusive); err != nil {
 			return nil, nil, err
 		}
-		if err := tx.Lock(t.ID, rid.Bytes(), lock.Exclusive); err != nil {
+	}
+	for {
+		if tx != nil {
+			if err := tx.Lock(t.ID, rid.Bytes(), lock.Exclusive); err != nil {
+				return nil, nil, err
+			}
+		}
+		var inserter uint64
+		f, row, ok, err := t.pinRow(rid, nil, &inserter)
+		if err == nil && !ok {
+			t.pool.Unpin(f, false)
+			err = ErrNotFound
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		if tx == nil || inserter == 0 || inserter == tx.ID() {
+			return f, row, nil
+		}
+		queued, err := tx.WaitFor(inserter, t.ID, rid.Bytes())
+		if !queued && err == nil {
+			return f, row, nil
+		}
+		t.pool.Unpin(f, false)
+		if err != nil {
 			return nil, nil, err
 		}
 	}
-	f, row, ok, err := t.pinRow(rid, nil)
-	if err == nil && !ok {
-		t.pool.Unpin(f, false)
-		err = ErrNotFound
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, row, nil
 }
 
 // UpdateChecked updates rid by deriving the replacement row from the
@@ -951,7 +963,7 @@ func copyRow(r []val.Value) []val.Value { return append([]val.Value(nil), r...) 
 // row — the cell is gone, or snap does not see it — which is not an error:
 // whoever named rid (an index entry, an earlier scan) may be out of date.
 func (t *Table) Fetch(rid RID, snap *mvcc.Snapshot) ([]val.Value, bool, error) {
-	f, row, ok, err := t.pinRow(rid, snap)
+	f, row, ok, err := t.pinRow(rid, snap, nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -960,8 +972,10 @@ func (t *Table) Fetch(rid RID, snap *mvcc.Snapshot) ([]val.Value, bool, error) {
 }
 
 // pinRow is Fetch that leaves rid's page pinned (unless it fails): the row
-// is read under a shared latch, which it releases.
-func (t *Table) pinRow(rid RID, snap *mvcc.Snapshot) (*buffer.Frame, []val.Value, bool, error) {
+// is read under a shared latch, which it releases. A non-nil inserter is set,
+// under the same latch, to the writer of the newest unsettled insert at rid
+// (zero for none).
+func (t *Table) pinRow(rid RID, snap *mvcc.Snapshot, inserter *uint64) (*buffer.Frame, []val.Value, bool, error) {
 	f, err := t.pool.Get(rid.Page)
 	if err != nil {
 		return nil, nil, false, err
@@ -978,6 +992,9 @@ func (t *Table) pinRow(rid RID, snap *mvcc.Snapshot) (*buffer.Frame, []val.Value
 		if exists {
 			row = copyRow(row)
 		}
+	}
+	if inserter != nil && !t.versions.Empty() {
+		_, *inserter, _ = t.versions.Unsettled(mvcc.RowID{Page: rid.Page, Slot: rid.Slot})
 	}
 	f.RUnlock()
 	if err != nil {

@@ -521,6 +521,18 @@ func (t *Txn) Lock(obj uint64, key []byte, mode lock.Mode) error {
 	return nil
 }
 
+// WaitFor makes owner's implicit lock on row key of obj (its uncommitted
+// insert's version entry) explicit, for this transaction's next Lock on the
+// key to queue behind: see lock.Manager.Convert. It reports false when the
+// transaction locks nothing, and so has nothing to queue in.
+func (t *Txn) WaitFor(owner, obj uint64, key []byte) (bool, error) {
+	lm := t.locks()
+	if lm == nil {
+		return false, nil
+	}
+	return true, lm.Convert(owner, t.id, obj, key)
+}
+
 // LockCtx is Lock under a context: a cancelled statement context aborts
 // the lock wait instead of parking until the deadlock timeout.
 func (t *Txn) LockCtx(ctx context.Context, obj uint64, key []byte, mode lock.Mode) error {

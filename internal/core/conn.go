@@ -445,7 +445,7 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value) (res Resul
 // snapshot of BEGIN READ ONLY. INSERT ... SELECT reads its source, and
 // UPDATE / DELETE their subqueries, under a statement snapshot too. The
 // target rows of UPDATE / DELETE are never read under it: they must be the
-// latest committed rows, which their row X locks then protect.
+// newest rows, which each write re-reads as it claims its row.
 func (c *Conn) beginReadPath(kind stmtKind, sp *flightrec.Span) {
 	if kind != kindQuery && kind != kindSubquery {
 		return

@@ -702,8 +702,9 @@ func (db *DB) FlightRecorder() *flightrec.Collector { return db.flight }
 //	                        residency) and observed access pattern
 //	sys.transactions      — live transactions (state, age, snapshot
 //	                        watermark, locks held, undo bytes); locks_held
-//	                        counts lock cells, and a row the transaction
-//	                        only inserted holds none
+//	                        counts table locks and lock cells, and a row the
+//	                        transaction wrote holds no cell until another
+//	                        writer waits for it
 func (db *DB) VirtualRows(name string) ([]table.Column, []exec.Row, bool) {
 	switch name {
 	case "sys.properties":

@@ -253,9 +253,10 @@ func (c *Conn) execModify(sh *Shape, stmt sqlparse.Statement, params []val.Value
 			sp.AddPhase(flightrec.PhaseExecute, time.Since(execStart).Microseconds())
 		}
 	}()
-	// Targets are the latest committed rows, read with no snapshot and no
-	// lock: the row X locks below protect what the scan found. The scan
-	// also stays out of the reorganizer's scan/write ratio (ScanObs).
+	// Targets are the newest rows, read with no snapshot and no lock: each
+	// write below re-reads its row and waits for any other transaction that
+	// holds it. The scan also stays out of the reorganizer's scan/write
+	// ratio (ScanObs).
 	ctx.Snap, ctx.ScanObs = nil, nil
 	rids, err := exec.DrainRIDs(ctx, plan.Root)
 	if err != nil {
@@ -269,9 +270,9 @@ func (c *Conn) execModify(sh *Shape, stmt sqlparse.Statement, params []val.Value
 			return Result{}, nil, done(err)
 		}
 		// Re-check the predicate (and, for UPDATE, re-evaluate the SET
-		// expressions) against the row as it stands under the X lock: the
-		// scanned image can be stale by the time the lock is granted, and
-		// computing from it would lose concurrent committed updates.
+		// expressions) against the row as it stands when it is written: the
+		// scanned image can be stale by then, and computing from it would
+		// lose concurrent committed updates.
 		var hit bool
 		if isUpdate {
 			_, hit, err = d.Table.UpdateChecked(tx, rid, d.Match, d.NewRow)

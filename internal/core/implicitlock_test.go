@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"anywheredb/internal/store"
 	"anywheredb/internal/table"
 	"anywheredb/internal/val"
 )
@@ -303,6 +304,246 @@ func TestImplicitRowLockStress(t *testing.T) {
 	check(db, "before the crash")
 	t.Logf("%d rows, %d increments, %d implicit lock conversions, %d lock timeouts",
 		len(inserted), total, counter(t, db, "lock.implicit_conversions"), counter(t, db, "lock.timeouts"))
+	db.Crash()
+	check(openDB(t, Options{Dir: dir}), "after recovery")
+}
+
+// TestIdenticalRewriteStillHoldsTheRow: a transaction that rewrote a row
+// with the bytes it already had — SET v = v, or two updates that take v
+// away and back — still holds the row: its rollback will put its
+// before-image back. Another transaction's increment must wait for it, and
+// after the rollback land exactly once, before a crash and after recovery.
+// A write that trusted the unchanged bytes would go ahead, and the rollback
+// would run over it.
+func TestIdenticalRewriteStillHoldsTheRow(t *testing.T) {
+	for _, arm := range [][]string{
+		{"UPDATE w SET v = v WHERE id = 1"},
+		{"UPDATE w SET v = 5 WHERE id = 1", "UPDATE w SET v = 0 WHERE id = 1"},
+	} {
+		dir := t.TempDir()
+		db := openDB(t, Options{Dir: dir})
+		c1, c2 := conn(t, db), conn(t, db)
+		mustExec(t, c1, "CREATE TABLE w (id INT, v INT)")
+		for id := 1; id <= 3; id++ {
+			mustExec(t, c1, "INSERT INTO w VALUES (?, 0)", val.NewInt(int64(id)))
+		}
+		mustExec(t, c1, "BEGIN")
+		for _, sql := range arm {
+			mustExec(t, c1, sql)
+		}
+		waits := counter(t, db, "lock.waits")
+		done := execAsync(c2, "UPDATE w SET v = v + 1 WHERE id = 1")
+		mustBlock(t, db, waits, done, "an increment of a row rewritten with its own bytes")
+		mustExec(t, c1, "ROLLBACK")
+		if r := <-done; r.err != nil || r.res.RowsAffected != 1 {
+			t.Fatalf("%q: the increment after the rollback: %+v, %v, want 1 row", arm, r.res, r.err)
+		}
+		check := func(db *DB, when string) {
+			if rows := mustQuery(t, conn(t, db), "SELECT v FROM w WHERE id = 1").All(); len(rows) != 1 || rows[0][0].I != 1 {
+				t.Fatalf("%q %s: id 1 is %v, want one row with v = 1", arm, when, rows)
+			}
+		}
+		check(db, "before the crash")
+		db.Crash()
+		check(openDB(t, Options{Dir: dir}), "after recovery")
+	}
+}
+
+// TestUncontendedWritesTakeNoRowLock: an UPDATE or DELETE of a row nobody
+// else holds writes no lock-table cell; the row is locked by its version
+// entry. A transaction that updates 5 000 rows and deletes 1 000 asks the
+// lock manager once (its table intent), keeps the lock table at one bucket
+// and the temporary file at its size, and holds one lock. A second writer
+// that meets one of those rows converts the first's implicit lock, waits,
+// and goes ahead when the first commits.
+func TestUncontendedWritesTakeNoRowLock(t *testing.T) {
+	db := openDB(t, Options{})
+	c1, c2 := conn(t, db), conn(t, db)
+	loadKV(t, c1, "kv", 6000)
+	acquires, conversions := counter(t, db, "lock.acquires"), counter(t, db, "lock.implicit_conversions")
+	temp := db.Store().PageCount(store.TempFile)
+	mustExec(t, c1, "BEGIN")
+	if res := mustExec(t, c1, "UPDATE kv SET v = v + 1 WHERE id < 5000"); res.RowsAffected != 5000 {
+		t.Fatalf("UPDATE affected %d rows, want 5000", res.RowsAffected)
+	}
+	if res := mustExec(t, c1, "DELETE FROM kv WHERE id >= 5000"); res.RowsAffected != 1000 {
+		t.Fatalf("DELETE affected %d rows, want 1000", res.RowsAffected)
+	}
+	if got := counter(t, db, "lock.acquires") - acquires; got != 1 {
+		t.Errorf("6 000 row writes made %d lock acquires, want 1 (the table intent)", got)
+	}
+	if b := counter(t, db, "lock.buckets"); b != 1 {
+		t.Errorf("lock.buckets = %d with 6 000 rows written, want 1", b)
+	}
+	if got := db.Store().PageCount(store.TempFile); got != temp {
+		t.Errorf("the temporary file grew from %d to %d pages", temp, got)
+	}
+	held := mustQuery(t, c2, "SELECT locks_held FROM sys.transactions WHERE state = 'active'").All()
+	if len(held) != 1 || held[0][0].I != 1 {
+		t.Errorf("sys.transactions locks_held %v, want one transaction holding 1", held)
+	}
+
+	waits := counter(t, db, "lock.waits")
+	done := execAsync(c2, "UPDATE kv SET v = 0 WHERE id = 7")
+	mustBlock(t, db, waits, done, "an UPDATE of a row another transaction updated")
+	if got := counter(t, db, "lock.implicit_conversions") - conversions; got != 1 {
+		t.Errorf("%d implicit lock conversions, want 1", got)
+	}
+	mustExec(t, c1, "COMMIT")
+	if r := <-done; r.err != nil || r.res.RowsAffected != 1 {
+		t.Fatalf("UPDATE after the holder committed: %+v, %v, want 1 row", r.res, r.err)
+	}
+	got := mustQuery(t, c2, "SELECT COUNT(*), SUM(v) FROM kv").All()
+	// v = id % 1000 + 1 for ids 0…4999, less id 7's 8.
+	if want := int64(5*(999*1000/2+1000) - 8); len(got) != 1 || got[0][0].I != 5000 || got[0][1].I != want {
+		t.Fatalf("COUNT, SUM = %v, want 5000, %d", got, want)
+	}
+}
+
+// TestRowWriteLockStress: eight connections increment a few hot rows,
+// move them by growing their pad, and delete some of them, in autocommit
+// statements and in explicit transactions that commit or roll back at
+// random. Every increment a committed statement reported must be in the
+// table exactly once, a row whose delete committed must stay gone, and
+// recovery after a crash must agree. A key a DELETE removed is never
+// inserted again: a key freed by an uncommitted delete is not yet locked
+// (the open unique-key hole, which has a failing scenario of its own), and
+// re-inserting would test that, not this. CI runs this with -race -count=2.
+func TestRowWriteLockStress(t *testing.T) {
+	dir := t.TempDir()
+	db := openDB(t, Options{Dir: dir})
+	db.locks.Timeout = 100 * time.Millisecond
+	c := conn(t, db)
+	mustExec(t, c, "CREATE TABLE h (id INT, n INT, pad VARCHAR(1600))")
+	mustExec(t, c, "CREATE INDEX h_id ON h (id)")
+	const keys = 12 // ids 1…12; deletes target 7…12 only
+	for id := 1; id <= keys; id++ {
+		mustExec(t, c, "INSERT INTO h VALUES (?, 0, 'x')", val.NewInt(int64(id)))
+	}
+
+	var (
+		mu      sync.Mutex
+		count   = map[int64]int64{} // committed increments per id
+		deleted = map[int64]bool{}  // committed deletes
+	)
+	const workers = 8
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			c, err := db.Connect()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				explicit := rng.Intn(3) > 0
+				if explicit {
+					if _, err := c.Exec("BEGIN"); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				incs, dels := map[int64]int64{}, map[int64]bool{}
+				failed := false
+				for op := 1 + rng.Intn(3); op > 0 && !failed; op-- {
+					id := int64(1 + rng.Intn(keys))
+					var res Result
+					var err error
+					switch k := rng.Intn(20); {
+					case k == 0 && id > keys/2:
+						if res, err = c.Exec("DELETE FROM h WHERE id = ?", val.NewInt(id)); err == nil && res.RowsAffected > 0 {
+							dels[id] = true
+						}
+					case k < 5:
+						pad := val.NewStr(strings.Repeat("m", 1+rng.Intn(1500)))
+						if res, err = c.Exec("UPDATE h SET n = n + 1, pad = ? WHERE id = ?", pad, val.NewInt(id)); err == nil {
+							incs[id] += res.RowsAffected
+						}
+					default:
+						if res, err = c.Exec("UPDATE h SET n = n + 1 WHERE id = ?", val.NewInt(id)); err == nil {
+							incs[id] += res.RowsAffected
+						}
+					}
+					failed = err != nil
+					if !explicit {
+						break
+					}
+				}
+				if explicit {
+					if failed || rng.Intn(3) == 0 {
+						if _, err := c.Exec("ROLLBACK"); err != nil {
+							t.Error(err)
+							return
+						}
+						continue
+					}
+					if _, err := c.Exec("COMMIT"); err != nil {
+						t.Error(err)
+						return
+					}
+				} else if failed {
+					continue
+				}
+				mu.Lock()
+				for id, n := range incs {
+					count[id] += n
+				}
+				for id := range dels {
+					if deleted[id] {
+						t.Errorf("id %d deleted by two committed statements", id)
+					}
+					deleted[id] = true
+				}
+				mu.Unlock()
+			}
+		}(w)
+	}
+	time.Sleep(1500 * time.Millisecond)
+	close(stop)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	total := int64(0)
+	for _, n := range count {
+		total += n
+	}
+	if total == 0 || len(deleted) == 0 {
+		t.Fatalf("%d committed increments, %d committed deletes: the stress proves nothing", total, len(deleted))
+	}
+	check := func(db *DB, when string) {
+		seen := map[int64]bool{}
+		for _, r := range mustQuery(t, conn(t, db), "SELECT id, n FROM h").All() {
+			id := r[0].I
+			if seen[id] {
+				t.Fatalf("%s: id %d is in the table twice", when, id)
+			}
+			seen[id] = true
+			if deleted[id] {
+				t.Fatalf("%s: id %d is back after its delete committed", when, id)
+			}
+			if r[1].I != count[id] {
+				t.Fatalf("%s: id %d counts %d, want the %d increments committed", when, id, r[1].I, count[id])
+			}
+		}
+		if len(seen)+len(deleted) != keys {
+			t.Fatalf("%s: %d rows and %d deleted, want %d keys", when, len(seen), len(deleted), keys)
+		}
+	}
+	check(db, "before the crash")
+	t.Logf("%d increments, %d deletes, %d implicit lock conversions, %d lock waits, %d timeouts",
+		total, len(deleted), counter(t, db, "lock.implicit_conversions"), counter(t, db, "lock.waits"), counter(t, db, "lock.timeouts"))
 	db.Crash()
 	check(openDB(t, Options{Dir: dir}), "after recovery")
 }

@@ -25,7 +25,7 @@ import (
 // Writer transactions carry think time — a short sleep between the two
 // transfer legs, with a longer pause between transactions — so the grid
 // measures blocking, not single-core CPU sharing: the sleep inside the
-// transaction yields while the writer's table-IX and row-X locks are held,
+// transaction yields while the writer's table-IX and row locks are held,
 // which is the window a reader that took locks would stall in. At 16
 // writers some transaction is nearly always inside that window. Snapshot
 // readers take zero lock-manager calls and shouldn't care how many writers

@@ -5,16 +5,19 @@
 // which there are at most tables × open transactions, are records in
 // memory: a write statement's intent lock costs no page.
 //
-// Row locks are explicit or implicit. An UPDATE or DELETE takes an explicit
-// X cell on its row. An INSERT, and the new slot of a row an UPDATE moves,
-// takes none: the unsettled insert marker on the row's version chain is its
-// lock until the inserter settles. A writer that meets such a row asks
-// Convert to make the lock explicit, by two rules. The cell is written in
-// the inserter's name, and only while the inserter still holds locks, so a
-// finished inserter is never left one. A cell the writer itself holds on
-// the row gives way: it was taken while the slot was empty, the only state
-// the insert could have landed in, and guards nothing. The writer then
-// queues behind the inserter's cell like any other request.
+// Row locks are implicit until somebody else wants the row. An INSERT,
+// UPDATE or DELETE writes no cell: the unpublished version entry its write
+// leaves at the head of the row's version chain is its X lock until the
+// writer settles, and the writer re-checks under the page latch it writes
+// under that no other live transaction holds the row. A writer that meets a
+// row another transaction holds asks Convert to make that lock explicit, by
+// two rules. The cell is written in the holder's name, and only while the
+// holder still holds locks, so a finished writer is never left one. A cell
+// the requester itself holds on the row gives way: it is a wait that was
+// granted earlier, and a row is written without asking for a cell, so it
+// guards nothing. The requester then queues behind the holder's cell like
+// any other request. The bucket pages hold only such conversions and the
+// waits behind them.
 package lock
 
 import (
@@ -299,23 +302,34 @@ func (m *Manager) tryLock(txn, obj uint64, key []byte, mode Mode) (bool, error) 
 // Convert makes owner's implicit X lock on row key of obj explicit, for txn
 // to queue behind, by the two rules of the package comment: txn's own cells
 // on the key give way, and owner's X cell is written only while owner holds
-// locks. A third transaction's cell on the key keeps owner's from being
-// written; txn then waits for that one first, and converts again.
-func (m *Manager) Convert(owner, txn, obj uint64, key []byte) error {
+// locks. It reports whether owner does; when not, owner has settled and its
+// version entry locks nothing. A third transaction's cell on the key keeps
+// owner's from being written; txn then waits for that one first, and
+// converts again.
+func (m *Manager) Convert(owner, txn, obj uint64, key []byte) (bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.held[owner] == nil {
-		return nil
+		return false, nil
 	}
 	h := hashLock(obj, key)
 	n, err := m.release(h, txn, false, obj, key)
 	if err != nil {
-		return err
+		return true, err
 	}
 	m.forget(txn, h, n)
 	m.conversions.Add(1)
 	_, err = m.tryLock(owner, obj, key, Exclusive)
-	return err
+	return true, err
+}
+
+// Holds reports whether txn holds any lock: Convert's test of whether a
+// row's implicit owner is still live. A writer holds its table's intent
+// lock from its first write until it settles.
+func (m *Manager) Holds(txn uint64) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.held[txn] != nil
 }
 
 // forget drops n occurrences of h from txn's held list.

@@ -251,8 +251,9 @@ func TestHeldListTracksCells(t *testing.T) {
 }
 
 // TestConvertRules: Convert writes an X cell in the owner's name only while
-// the owner holds locks, and a cell the requester holds on the key gives way
-// to it, so the requester's next X request queues behind the owner.
+// the owner holds locks, and says whether it does, and a cell the requester
+// holds on the key gives way to it, so the requester's next X request queues
+// behind the owner.
 func TestConvertRules(t *testing.T) {
 	m := newManager(t)
 	m.Timeout = 20 * time.Millisecond
@@ -264,8 +265,8 @@ func TestConvertRules(t *testing.T) {
 			t.Fatalf("txn %d: pages hold %d records (%v), held list %d, want %d", txn, n, err, m.HeldCount(txn), want)
 		}
 	}
-	if err := m.Convert(gone, requester, 10, key); err != nil {
-		t.Fatal(err)
+	if live, err := m.Convert(gone, requester, 10, key); err != nil || live || m.Holds(gone) {
+		t.Fatalf("convert to a settled owner: live %v, %v", live, err)
 	}
 	held(gone, 0)
 	m.Lock(owner, 10, nil, IntentExclusive)
@@ -273,8 +274,8 @@ func TestConvertRules(t *testing.T) {
 	m.Lock(requester, 10, key, Exclusive) // taken while the slot was empty
 	// The second call finds the owner's cell there and writes none.
 	for range 2 {
-		if err := m.Convert(owner, requester, 10, key); err != nil {
-			t.Fatal(err)
+		if live, err := m.Convert(owner, requester, 10, key); err != nil || !live {
+			t.Fatalf("convert to a live owner: live %v, %v", live, err)
 		}
 	}
 	held(owner, 2)
@@ -287,6 +288,9 @@ func TestConvertRules(t *testing.T) {
 	}
 	if err := m.ReleaseAll(owner); err != nil {
 		t.Fatal(err)
+	}
+	if m.Holds(owner) {
+		t.Fatal("a released owner still holds")
 	}
 	if err := m.Lock(requester, 10, key, Exclusive); err != nil {
 		t.Fatal(err)

@@ -155,23 +155,38 @@ func (s *Store) Resolve(id RowID, row []val.Value, exists bool, snap *Snapshot) 
 
 // Unsettled reports whether the chain at id holds a write whose transaction
 // has not settled (committed and published, or rolled back and reclaimed),
-// the largest heap cell such a write replaced — what a rollback may yet
-// have to put back at id — and the writer of the newest unsettled insert
-// marker (zero when there is none): the transaction whose uncommitted insert
-// is locked by that marker alone.
-func (s *Store) Unsettled(id RowID) (cell int, inserter uint64, ok bool) {
+// and the largest heap cell such a write replaced: what a rollback may yet
+// have to put back at id.
+func (s *Store) Unsettled(id RowID) (cell int, ok bool) {
 	s.mu.RLock()
 	for e := s.chains[id]; e != nil; e = e.prev {
 		if e.csn.Load() == 0 {
 			ok = true
 			cell = max(cell, e.Cell)
-			if inserter == 0 && !e.Exists {
-				inserter = e.Writer
-			}
 		}
 	}
 	s.mu.RUnlock()
-	return cell, inserter, ok
+	return cell, ok
+}
+
+// Holder reports the writer of the chain head at id while that entry is
+// unpublished (zero otherwise): the transaction whose insert, update or
+// delete is the row's lock. Only the row's holder writes it, so the newest
+// unpublished entry is the head. A writer that rolled back is named until
+// its entry is reclaimed; whether it is still live is the lock manager's to
+// say. The caller holds id.Page's latch, under which every push to id is
+// complete, count included: an empty store answers without the mutex.
+func (s *Store) Holder(id RowID) uint64 {
+	if s.Empty() {
+		return 0
+	}
+	s.mu.RLock()
+	e := s.chains[id]
+	s.mu.RUnlock()
+	if e == nil || e.csn.Load() != 0 {
+		return 0
+	}
+	return e.Writer
 }
 
 // SlotsOnPage returns the slots of page that have version chains, sorted.
@@ -216,7 +231,7 @@ func (s *Store) RowIDs() []RowID {
 // it — the entry and everything older are unreachable. A rolled-back entry
 // of a finished writer is skippable because its pre-image equals the
 // content above it (the writer's undo restored the heap before any younger
-// writer could touch the row, serialized by the row's exclusive lock).
+// writer could touch the row: a row has one live holder, see Holder).
 func (s *Store) Vacuum(threshold uint64, active func(txn uint64) bool) int {
 	if s.Empty() {
 		return 0

@@ -143,41 +143,54 @@ func TestSlotsAndRowIDs(t *testing.T) {
 
 // TestUnsettled: only entries whose writer has not published a commit hold
 // anything back, and what they hold is the largest cell one of them replaced.
+// The row's holder is the writer of the unpublished chain head, whatever its
+// write was, until the entry is published or reclaimed.
 func TestUnsettled(t *testing.T) {
 	s := NewStore()
 	id := RowID{Page: 4, Slot: 2}
-	if cell, _, ok := s.Unsettled(id); ok || cell != 0 {
-		t.Fatalf("no chain: %d %v", cell, ok)
+	if cell, ok := s.Unsettled(id); ok || cell != 0 || s.Holder(id) != 0 {
+		t.Fatalf("no chain: %d %v, holder %d", cell, ok, s.Holder(id))
 	}
 	committed := &Entry{Writer: 1, Row: row(1), Exists: true, Cell: 900}
 	committed.SetCSN(1)
 	s.Push(id, committed)
-	if cell, _, ok := s.Unsettled(id); ok || cell != 0 {
-		t.Fatalf("published writer only: %d %v", cell, ok)
+	if cell, ok := s.Unsettled(id); ok || cell != 0 || s.Holder(id) != 0 {
+		t.Fatalf("published writer only: %d %v, holder %d", cell, ok, s.Holder(id))
 	}
+	// An update holder: two shrinking updates by writer 2.
 	shrink, shrinkMore := &Entry{Writer: 2, Row: row(2), Exists: true, Cell: 400}, &Entry{Writer: 2, Row: row(3), Exists: true, Cell: 50}
 	s.Push(id, shrink)
 	s.Push(id, shrinkMore)
-	if cell, _, ok := s.Unsettled(id); !ok || cell != 400 {
-		t.Fatalf("in-flight writer: %d %v, want 400 true", cell, ok)
+	if cell, ok := s.Unsettled(id); !ok || cell != 400 || s.Holder(id) != 2 {
+		t.Fatalf("in-flight writer: %d %v, holder %d, want 400 true 2", cell, ok, s.Holder(id))
 	}
 	shrink.SetCSN(2)
 	shrinkMore.SetCSN(2)
-	if cell, _, ok := s.Unsettled(id); ok || cell != 0 {
-		t.Fatalf("after publish: %d %v", cell, ok)
+	if cell, ok := s.Unsettled(id); ok || cell != 0 || s.Holder(id) != 0 {
+		t.Fatalf("after publish: %d %v, holder %d", cell, ok, s.Holder(id))
 	}
 
-	// An unsettled insert marker names its writer, the newest one first;
-	// an update above it does not hide it.
+	// A delete holder: writer 3 removed the row.
+	s.Push(id, &Entry{Writer: 3, Row: row(3), Exists: true, Cell: 50})
+	if cell, ok := s.Unsettled(id); !ok || cell != 50 || s.Holder(id) != 3 {
+		t.Fatalf("in-flight delete: %d %v, holder %d, want 50 true 3", cell, ok, s.Holder(id))
+	}
+	// A rolled-back holder is named until its entry is reclaimed: whether
+	// it still holds the row is the lock manager's to say.
+	if s.VacuumOne(id, 0, func(uint64) bool { return true }) != 0 || s.Holder(id) != 3 {
+		t.Fatalf("a live writer's entry was reclaimed, or it lost the row: holder %d", s.Holder(id))
+	}
+	s.VacuumOne(id, 2, func(uint64) bool { return false })
+	if cell, ok := s.Unsettled(id); ok || cell != 0 || s.Holder(id) != 0 {
+		t.Fatalf("after the rolled-back delete was reclaimed: %d %v, holder %d", cell, ok, s.Holder(id))
+	}
+
+	// An insert holder, and an update by the same writer above it.
 	other := RowID{Page: 4, Slot: 3}
-	s.Push(other, &Entry{Writer: 3})
 	s.Push(other, &Entry{Writer: 4})
 	s.Push(other, &Entry{Writer: 4, Row: row(4), Exists: true, Cell: 20})
-	if cell, inserter, ok := s.Unsettled(other); !ok || cell != 20 || inserter != 4 {
-		t.Fatalf("unsettled inserts: %d %d %v, want 20 4 true", cell, inserter, ok)
-	}
-	if _, inserter, _ := s.Unsettled(id); inserter != 0 {
-		t.Fatalf("no insert marker, but inserter %d", inserter)
+	if cell, ok := s.Unsettled(other); !ok || cell != 20 || s.Holder(other) != 4 {
+		t.Fatalf("unsettled insert: %d %v, holder %d, want 20 true 4", cell, ok, s.Holder(other))
 	}
 }
 

@@ -15,7 +15,7 @@ type Modify struct {
 	// Table is the target.
 	Table *table.Table
 	// Match is the WHERE clause as the re-check UpdateChecked and
-	// DeleteChecked run under the row lock (nil without WHERE).
+	// DeleteChecked run on the row they claim (nil without WHERE).
 	Match func(row []val.Value) (bool, error)
 
 	setCols  []int

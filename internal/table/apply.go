@@ -76,7 +76,7 @@ func (t *Table) apply(tx *txn.Txn, r *wal.Record) (err error) {
 	case r.Type == wal.RecInsert:
 		_, err = t.insertRow(tx, &rid, newRow, r.After, r)
 	case r.Type == wal.RecDelete:
-		err = t.deleteRow(tx, rid, nil, oldRow, r)
+		err = t.deleteRow(tx, rid, nil, oldRow, nil, r)
 	default:
 		return fmt.Errorf("table %s: unexpected logged record type %v", t.Name, r.Type)
 	}
@@ -121,7 +121,7 @@ func (t *Table) applyUpdate(tx *txn.Txn, rid RID, r *wal.Record) error {
 	}
 	// The row is the caller's alone (its lock, or a log replayed in order):
 	// the cell read above is the one updateRow replaces.
-	return t.updateRow(tx, rid, f, oldRow, newRow, newEnc, r)
+	return t.updateRow(tx, rid, f, oldRow, newRow, nil, newEnc, r)
 }
 
 // applyPageLink replays heap-chain growth r: the next pointer of its page

@@ -246,6 +246,23 @@ func (t *Table) ResidentFraction() float64 {
 // else it is an error.
 var errNoRoom = errors.New("table: row does not fit in its page")
 
+// errStale is a forward write's report that the row is no longer the one
+// lockRow read: its cell changed, or another live transaction holds it.
+// Nothing was changed or logged; UpdateChecked and DeleteChecked read the
+// row again.
+var errStale = errors.New("table: row changed since it was read")
+
+// claimed reports whether tx may still write the row at rid of latched page
+// p as lockRow read it, as the cell bytes read: the cell holds exactly those
+// bytes and no other live transaction holds the row. Both are needed.
+// Reclaim empties a chain at commit, so a committed write can leave no
+// trace but its bytes; and a live writer that rewrote the same bytes still
+// holds the row, and its rollback would run over tx's change.
+func (t *Table) claimed(tx *txn.Txn, rid RID, p page.Buf, read []byte) bool {
+	return string(p.Cell(rid.Slot)) == string(read) &&
+		!tx.Contends(t.versions.Holder(mvcc.RowID{Page: rid.Page, Slot: rid.Slot}))
+}
+
 // withPage runs fn on heap page pid under its exclusive latch and, when fn
 // succeeds, marks the page dirty and stamps it with rec (see stamp). pinned
 // is pid's frame when the caller holds a pin on it (and keeps it), nil for
@@ -347,7 +364,7 @@ func (t *Table) insertRow(tx *txn.Txn, at *RID, row []val.Value, enc []byte, rec
 		}
 	}
 	if refused != nil {
-		backOut(tx, func() error { return t.deleteRow(nil, rid, nil, row, nil) })
+		backOut(tx, func() error { return t.deleteRow(nil, rid, nil, row, nil, nil) })
 		return RID{}, refused
 	}
 	return rid, nil
@@ -509,7 +526,7 @@ func (t *Table) owed(pid store.PageID, p page.Buf, own int) (reserve, slot int) 
 		cell := p.Cell(s)
 		was, held := 0, false
 		if chains {
-			was, _, held = t.versions.Unsettled(mvcc.RowID{Page: pid, Slot: s})
+			was, held = t.versions.Unsettled(mvcc.RowID{Page: pid, Slot: s})
 		}
 		if cell == nil && !held {
 			slot = s
@@ -538,17 +555,23 @@ func (t *Table) pushVersion(tx *txn.Txn, rec *wal.Record, rid RID, pre []val.Val
 
 // updateRow replaces the row at rid in place: newEnc is the encoding of
 // newRow, oldRow the image being replaced, and pinned rid's frame when the
-// caller holds its page pinned (nil otherwise; see withPage). It fails with
-// errNoRoom, having changed and logged nothing, when the page cannot hold
-// the new image without taking bytes another transaction's rollback needs
-// back, and, on the forward path, with ErrUnique, having backed its change
-// out, when the new row gives a unique index a key it holds.
-func (t *Table) updateRow(tx *txn.Txn, rid RID, pinned *buffer.Frame, oldRow, newRow []val.Value, newEnc []byte, rec *wal.Record) error {
+// caller holds its page pinned (nil otherwise; see withPage). read is, on
+// the forward path, the cell lockRow read (nil where the row is the
+// caller's alone: a compensation, a replay). It fails with errStale when
+// the row is not what read says (see claimed), and with errNoRoom when the
+// page cannot hold the new image without taking bytes another transaction's
+// rollback needs back, both having changed and logged nothing; and, on the
+// forward path, with ErrUnique, having backed its change out, when the new
+// row gives a unique index a key it holds.
+func (t *Table) updateRow(tx *txn.Txn, rid RID, pinned *buffer.Frame, oldRow, newRow []val.Value, read, newEnc []byte, rec *wal.Record) error {
 	// Sealed column segments may cover this row: drop them (WAL-logged
 	// through tx, so ahead of the caller's data record) so that no scan —
 	// live or replayed — can see the stale columnar image.
 	t.invalidateColumnar(tx)
 	applied, err := t.withPage(rid.Page, pinned, tx, rec, func(p page.Buf) error {
+		if read != nil && !t.claimed(tx, rid, p, read) {
+			return errStale
+		}
 		was := len(p.Cell(rid.Slot))
 		if was == 0 {
 			return ErrNotFound
@@ -599,14 +622,17 @@ func (t *Table) updateRow(tx *txn.Txn, rid RID, pinned *buffer.Frame, oldRow, ne
 	return refused
 }
 
-// deleteRow removes the row at rid; row is its current image and pinned as
-// in updateRow.
-func (t *Table) deleteRow(tx *txn.Txn, rid RID, pinned *buffer.Frame, row []val.Value, rec *wal.Record) error {
+// deleteRow removes the row at rid; row is its current image, and pinned
+// and read are as in updateRow.
+func (t *Table) deleteRow(tx *txn.Txn, rid RID, pinned *buffer.Frame, row []val.Value, read []byte, rec *wal.Record) error {
 	// As in updateRow: sealed segments may cover this row. (A compensated
 	// insert always lives in the delta tail, but a build may have sealed the
 	// chain between insert and rollback; invalidating then is conservative.)
 	t.invalidateColumnar(tx)
 	applied, err := t.withPage(rid.Page, pinned, tx, rec, func(p page.Buf) error {
+		if read != nil && !t.claimed(tx, rid, p, read) {
+			return errStale
+		}
 		was := len(p.Cell(rid.Slot))
 		if !p.Delete(rid.Slot) {
 			return ErrNotFound
@@ -659,22 +685,23 @@ func (t *Table) Insert(tx *txn.Txn, row []val.Value) (RID, error) {
 	if tx != nil {
 		rec = &wal.Record{Type: wal.RecInsert, Table: t.ID, After: enc}
 	}
-	// The new row takes no row lock: the insert marker its version chain
-	// holds until tx settles is the lock (see lockRow).
+	// The new row takes no row lock: the version entry its chain holds
+	// until tx settles is the lock (see lockRow).
 	return t.insertRow(tx, nil, row, enc, rec)
 }
 
-// lockRow takes tx's write locks on the row at rid, then pins the row's page
-// and reads the row under a shared latch, so the image a caller saves,
-// checks or logs cannot be stale. The page stays pinned, unlatched, for the
-// write that follows: the caller writes through the frame and unpins it.
+// lockRow claims the row at rid for tx's write: it takes the table's intent
+// lock, pins the row's page and reads the row under a shared latch. The page
+// stays pinned, unlatched, for the write that follows: the caller writes
+// through the frame and unpins it.
 //
-// A row another transaction inserted (or moved here) and has not settled is
-// locked by the insert marker on its version chain, not by a lock cell. The
-// chain is read under the latch the row is read under, after tx's own X
-// request, so no insert can land unseen in between; when it names another
-// inserter, that lock is made explicit in the inserter's name and tx asks
-// again, queueing behind it.
+// A row is locked by its version chain, not by a lock cell: the writer of
+// its unpublished chain head, whether that write was an insert, an update or
+// a delete, holds it until it settles. The head is read under the latch the
+// row is read under. With no holder, or tx the holder, nothing more is
+// asked; the write re-checks the claim under the latch that makes it (see
+// claimed). When another live transaction holds the row, its lock is made
+// explicit in its name and tx queues behind it, then reads the row again.
 func (t *Table) lockRow(tx *txn.Txn, rid RID) (*buffer.Frame, []val.Value, error) {
 	if tx != nil {
 		if err := tx.Lock(t.ID, nil, lock.IntentExclusive); err != nil {
@@ -682,44 +709,58 @@ func (t *Table) lockRow(tx *txn.Txn, rid RID) (*buffer.Frame, []val.Value, error
 		}
 	}
 	for {
-		if tx != nil {
-			if err := tx.Lock(t.ID, rid.Bytes(), lock.Exclusive); err != nil {
-				return nil, nil, err
+		var holder uint64
+		f, row, ok, err := t.pinRow(rid, nil, &holder)
+		if err != nil {
+			return nil, nil, err
+		}
+		if tx != nil && holder != 0 && holder != tx.ID() {
+			// An uncommitted delete holds the row it removed: its rollback
+			// may bring it back.
+			live, err := tx.WaitFor(holder, t.ID, rid.Bytes())
+			if live || err != nil {
+				t.pool.Unpin(f, false)
+				if err == nil {
+					err = tx.Lock(t.ID, rid.Bytes(), lock.Exclusive)
+				}
+				if err != nil {
+					return nil, nil, err
+				}
+				continue
 			}
 		}
-		var inserter uint64
-		f, row, ok, err := t.pinRow(rid, nil, &inserter)
-		if err == nil && !ok {
+		if !ok {
 			t.pool.Unpin(f, false)
-			err = ErrNotFound
+			return nil, nil, ErrNotFound
 		}
-		if err != nil {
-			return nil, nil, err
-		}
-		if tx == nil || inserter == 0 || inserter == tx.ID() {
-			return f, row, nil
-		}
-		queued, err := tx.WaitFor(inserter, t.ID, rid.Bytes())
-		if !queued && err == nil {
-			return f, row, nil
-		}
-		t.pool.Unpin(f, false)
-		if err != nil {
-			return nil, nil, err
-		}
+		return f, row, nil
 	}
 }
 
 // UpdateChecked updates rid by deriving the replacement row from the
-// current committed row under the row's exclusive lock. check sees the
-// fresh row and may veto the write (the caller's WHERE predicate no longer
+// current committed row, read as lockRow claims it. check sees the fresh
+// row and may veto the write (the caller's WHERE predicate no longer
 // matches because a concurrent writer got there first); compute builds the
 // new row from the same fresh image, so read-modify-write statements
 // (UPDATE ... SET x = x + 1) never lose a concurrent update committed
-// between the caller's target scan and the lock grant. Reports whether the
-// row was written. If the new encoding no longer fits in place the row
-// moves and the returned RID differs.
+// between the caller's target scan and the write. A write that finds the
+// row changed since it was read changes nothing, and both run again on the
+// row as it is now. Reports whether the row was written. If the new
+// encoding no longer fits in place the row moves and the returned RID
+// differs.
 func (t *Table) UpdateChecked(tx *txn.Txn, rid RID,
+	check func(row []val.Value) (bool, error),
+	compute func(row []val.Value) ([]val.Value, error)) (RID, bool, error) {
+	for {
+		newRID, ok, err := t.updateChecked(tx, rid, check, compute)
+		if !errors.Is(err, errStale) {
+			return newRID, ok, err
+		}
+	}
+}
+
+// updateChecked is one attempt of UpdateChecked, on one read of the row.
+func (t *Table) updateChecked(tx *txn.Txn, rid RID,
 	check func(row []val.Value) (bool, error),
 	compute func(row []val.Value) ([]val.Value, error)) (RID, bool, error) {
 	f, old, err := t.lockRow(tx, rid)
@@ -741,11 +782,21 @@ func (t *Table) UpdateChecked(tx *txn.Txn, rid RID,
 	return newRID, err == nil, err
 }
 
-// DeleteChecked deletes rid if check approves the current committed row
-// under the row's exclusive lock (the same staleness guard as
-// UpdateChecked). Reports whether the row was deleted.
+// DeleteChecked deletes rid if check approves the current committed row,
+// read and re-read as in UpdateChecked. Reports whether the row was
+// deleted.
 func (t *Table) DeleteChecked(tx *txn.Txn, rid RID,
 	check func(row []val.Value) (bool, error)) (bool, error) {
+	for {
+		ok, err := t.deleteChecked(tx, rid, check)
+		if !errors.Is(err, errStale) {
+			return ok, err
+		}
+	}
+}
+
+// deleteChecked is one attempt of DeleteChecked, on one read of the row.
+func (t *Table) deleteChecked(tx *txn.Txn, rid RID, check func(row []val.Value) (bool, error)) (bool, error) {
 	f, row, err := t.lockRow(tx, rid)
 	if err != nil {
 		return false, err
@@ -763,18 +814,21 @@ func (t *Table) DeleteChecked(tx *txn.Txn, rid RID,
 	return true, nil
 }
 
-// deleteLocked deletes the row at rid, whose image row was read under tx's
-// lock on it, through f, the frame lockRow pinned its page in.
+// deleteLocked deletes the row at rid, whose image row lockRow read,
+// through f, the frame lockRow pinned its page in. It fails with errStale,
+// having done nothing, when the row is no longer that one.
 func (t *Table) deleteLocked(tx *txn.Txn, rid RID, f *buffer.Frame, row []val.Value) error {
 	var rec *wal.Record
+	var read []byte
 	if tx != nil {
-		rec = t.rowRecord(wal.RecDelete, rid, val.EncodeRow(row), nil)
+		read = val.EncodeRow(row)
+		rec = t.rowRecord(wal.RecDelete, rid, read, nil)
 	}
-	return t.deleteRow(tx, rid, f, row, rec)
+	return t.deleteRow(tx, rid, f, row, read, rec)
 }
 
-// updateLocked replaces the row at rid, whose image oldRow was read under
-// tx's lock on it, through f as in deleteLocked.
+// updateLocked replaces the row at rid, whose image oldRow lockRow read,
+// through f as in deleteLocked.
 func (t *Table) updateLocked(tx *txn.Txn, rid RID, f *buffer.Frame, oldRow, newRow []val.Value) (RID, error) {
 	if len(newRow) != len(t.Columns) {
 		return RID{}, fmt.Errorf("table %s: %d values for %d columns", t.Name, len(newRow), len(t.Columns))
@@ -784,13 +838,14 @@ func (t *Table) updateLocked(tx *txn.Txn, rid RID, f *buffer.Frame, oldRow, newR
 		return RID{}, ErrRowTooLarge
 	}
 	var rec *wal.Record
+	var oldEnc []byte
 	if tx != nil {
-		oldEnc := val.EncodeRow(oldRow)
+		oldEnc = val.EncodeRow(oldRow)
 		front, back := changedSpan(oldEnc, newEnc)
 		rec = t.rowRecord(wal.RecUpdate, rid, oldEnc[front:len(oldEnc)-back], newEnc[front:len(newEnc)-back])
 		rec.Front, rec.Back = uint32(front), uint32(back)
 	}
-	err := t.updateRow(tx, rid, f, oldRow, newRow, newEnc, rec)
+	err := t.updateRow(tx, rid, f, oldRow, newRow, oldEnc, newEnc, rec)
 	if err == nil {
 		return rid, nil
 	}
@@ -972,10 +1027,9 @@ func (t *Table) Fetch(rid RID, snap *mvcc.Snapshot) ([]val.Value, bool, error) {
 }
 
 // pinRow is Fetch that leaves rid's page pinned (unless it fails): the row
-// is read under a shared latch, which it releases. A non-nil inserter is set,
-// under the same latch, to the writer of the newest unsettled insert at rid
-// (zero for none).
-func (t *Table) pinRow(rid RID, snap *mvcc.Snapshot, inserter *uint64) (*buffer.Frame, []val.Value, bool, error) {
+// is read under a shared latch, which it releases. A non-nil holder is set,
+// under the same latch, to the row's holder (see mvcc.Store.Holder).
+func (t *Table) pinRow(rid RID, snap *mvcc.Snapshot, holder *uint64) (*buffer.Frame, []val.Value, bool, error) {
 	f, err := t.pool.Get(rid.Page)
 	if err != nil {
 		return nil, nil, false, err
@@ -993,8 +1047,8 @@ func (t *Table) pinRow(rid RID, snap *mvcc.Snapshot, inserter *uint64) (*buffer.
 			row = copyRow(row)
 		}
 	}
-	if inserter != nil && !t.versions.Empty() {
-		_, *inserter, _ = t.versions.Unsettled(mvcc.RowID{Page: rid.Page, Slot: rid.Slot})
+	if holder != nil {
+		*holder = t.versions.Holder(mvcc.RowID{Page: rid.Page, Slot: rid.Slot})
 	}
 	f.RUnlock()
 	if err != nil {

@@ -358,6 +358,10 @@ type Txn struct {
 	shipped bool
 	// logged is set once the log holds a record of this transaction's.
 	logged bool
+	// intent is the table this transaction last took its intent lock on
+	// (object ids start at 1). Table locks are held until the transaction
+	// settles, so a row write's request for it again is answered here.
+	intent uint64
 
 	// entries are the version-chain pre-images this transaction pushed;
 	// Commit stamps them all with one CSN, then eagerly reclaims the ones
@@ -400,9 +404,11 @@ func (t *Txn) Snapshot() *mvcc.Snapshot { return t.snap.Load() }
 
 // publish stamps every version entry the transaction pushed with the next
 // commit sequence number and advances the published horizon. It runs after
-// the commit record is durable and before locks are released: the row
-// locks guarantee chain order equals CSN order, and readers that saw the
-// pre-publication horizon simply keep resolving to the pre-images.
+// the commit record is durable and before locks are released: a row has at
+// most one live holder, the writer of its unpublished chain head, and no
+// other transaction writes it until that one settles, so chain order equals
+// CSN order. Readers that saw the pre-publication horizon simply keep
+// resolving to the pre-images.
 func (t *Txn) publish() {
 	if len(t.entries) == 0 {
 		return
@@ -513,24 +519,40 @@ func (t *Txn) locks() *lock.Manager {
 }
 
 // Lock acquires a long-term lock for the transaction. With no lock manager
-// it is a no-op.
+// it is a no-op, and so is a request for the table intent it took last.
 func (t *Txn) Lock(obj uint64, key []byte, mode lock.Mode) error {
-	if lm := t.locks(); lm != nil {
-		return lm.Lock(t.id, obj, key, mode)
+	lm := t.locks()
+	intent := key == nil && mode == lock.IntentExclusive
+	if lm == nil || intent && obj == t.intent {
+		return nil
 	}
-	return nil
+	err := lm.Lock(t.id, obj, key, mode)
+	if err == nil && intent {
+		t.intent = obj
+	}
+	return err
 }
 
-// WaitFor makes owner's implicit lock on row key of obj (its uncommitted
-// insert's version entry) explicit, for this transaction's next Lock on the
-// key to queue behind: see lock.Manager.Convert. It reports false when the
-// transaction locks nothing, and so has nothing to queue in.
+// WaitFor makes owner's implicit lock on row key of obj (the unpublished
+// version entry of its insert, update or delete) explicit, for this
+// transaction's next Lock on the key to queue behind: see
+// lock.Manager.Convert. It reports whether owner still holds the row: false
+// once owner has settled, and false when this transaction locks nothing and
+// so has nothing to queue in.
 func (t *Txn) WaitFor(owner, obj uint64, key []byte) (bool, error) {
 	lm := t.locks()
 	if lm == nil {
 		return false, nil
 	}
-	return true, lm.Convert(owner, t.id, obj, key)
+	return lm.Convert(owner, t.id, obj, key)
+}
+
+// Contends reports whether holder, the writer of a row's unpublished version
+// entry (zero for none), is another transaction that still holds the row by
+// WaitFor's rule.
+func (t *Txn) Contends(holder uint64) bool {
+	lm := t.locks()
+	return holder != 0 && holder != t.id && lm != nil && lm.Holds(holder)
 }
 
 // LockCtx is Lock under a context: a cancelled statement context aborts

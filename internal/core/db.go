@@ -331,8 +331,8 @@ func Open(opts Options) (*DB, error) {
 
 	// Crash recovery starts before anything reads pages: the newest logged
 	// image of each page is restored first, which repairs torn writes to
-	// catalog and lock pages just as it does data pages, so catalog.Load and
-	// lock.NewManager must not run until then.
+	// catalog pages just as it does data pages, so catalog.Load must not run
+	// until then.
 	plan := &wal.RecoveryPlan{}
 	if !fresh {
 		if plan, err = db.log.Analyze(); err != nil {
@@ -352,10 +352,7 @@ func Open(opts Options) (*DB, error) {
 		return failOpen(err)
 	}
 
-	db.locks, err = lock.NewManager(db.pool, st)
-	if err != nil {
-		return failOpen(err)
-	}
+	db.locks = lock.NewManager()
 	db.txns = txn.NewManager(log, db.locks)
 	db.txns.SetInjector(db.inj)
 	if opts.ReplicaMode {
@@ -702,9 +699,8 @@ func (db *DB) FlightRecorder() *flightrec.Collector { return db.flight }
 //	                        residency) and observed access pattern
 //	sys.transactions      — live transactions (state, age, snapshot
 //	                        watermark, locks held, undo bytes); locks_held
-//	                        counts table locks and lock cells, and a row the
-//	                        transaction wrote holds no cell until another
-//	                        writer waits for it
+//	                        counts table locks: the rows a transaction
+//	                        wrote are locked by their version entries
 func (db *DB) VirtualRows(name string) ([]table.Column, []exec.Row, bool) {
 	switch name {
 	case "sys.properties":

@@ -75,7 +75,7 @@ func (db *DB) schemaChange(ctx context.Context, cur *txn.Txn, sp *flightrec.Span
 	tx, done := db.autoTxn(cur, sp)
 	var err error
 	if exclusive {
-		err = tx.LockCtx(ctx, tbl.ID, nil, lock.Exclusive)
+		err = tx.LockCtx(ctx, tbl.ID, lock.Exclusive)
 		if now, _ := db.Table(name); err == nil && now != tbl {
 			err = notFound // dropped while we waited
 		}

@@ -120,11 +120,10 @@ func TestMovedRowWaitsForItsWriter(t *testing.T) {
 }
 
 // TestInsertIntoEmptiedSlotIsNotShadowed: a transaction that waited for an
-// insert which then rolled back holds an X lock cell on a slot that is empty.
-// A new insert may land in that slot (an insert takes no cell) and the cell
-// guards nothing of it: when its holder targets the new row it must give
-// way and wait for the new row's inserter, not write over its uncommitted
-// row.
+// insert which then rolled back has waited for a slot that is now empty. A
+// new insert may land in that slot, and the earlier wait guards nothing of
+// it: when the waiter targets the new row it must wait for the new row's
+// inserter, not write over its uncommitted row.
 func TestInsertIntoEmptiedSlotIsNotShadowed(t *testing.T) {
 	db := openDB(t, Options{})
 	w, t2, t3 := conn(t, db), conn(t, db), conn(t, db)
@@ -302,8 +301,8 @@ func TestImplicitRowLockStress(t *testing.T) {
 		}
 	}
 	check(db, "before the crash")
-	t.Logf("%d rows, %d increments, %d implicit lock conversions, %d lock timeouts",
-		len(inserted), total, counter(t, db, "lock.implicit_conversions"), counter(t, db, "lock.timeouts"))
+	t.Logf("%d rows, %d increments, %d row waits, %d lock timeouts",
+		len(inserted), total, counter(t, db, "lock.row_waits"), counter(t, db, "lock.timeouts"))
 	db.Crash()
 	check(openDB(t, Options{Dir: dir}), "after recovery")
 }
@@ -350,17 +349,16 @@ func TestIdenticalRewriteStillHoldsTheRow(t *testing.T) {
 }
 
 // TestUncontendedWritesTakeNoRowLock: an UPDATE or DELETE of a row nobody
-// else holds writes no lock-table cell; the row is locked by its version
-// entry. A transaction that updates 5 000 rows and deletes 1 000 asks the
-// lock manager once (its table intent), keeps the lock table at one bucket
-// and the temporary file at its size, and holds one lock. A second writer
-// that meets one of those rows converts the first's implicit lock, waits,
-// and goes ahead when the first commits.
+// else holds asks for no row lock; the row is locked by its version entry.
+// A transaction that updates 5 000 rows and deletes 1 000 asks the lock
+// manager once (its table intent), keeps the temporary file at its size,
+// and holds one lock. A second writer that meets one of those rows waits
+// for the first transaction, once, and goes ahead when the first commits.
 func TestUncontendedWritesTakeNoRowLock(t *testing.T) {
 	db := openDB(t, Options{})
 	c1, c2 := conn(t, db), conn(t, db)
 	loadKV(t, c1, "kv", 6000)
-	acquires, conversions := counter(t, db, "lock.acquires"), counter(t, db, "lock.implicit_conversions")
+	acquires, rowWaits := counter(t, db, "lock.acquires"), counter(t, db, "lock.row_waits")
 	temp := db.Store().PageCount(store.TempFile)
 	mustExec(t, c1, "BEGIN")
 	if res := mustExec(t, c1, "UPDATE kv SET v = v + 1 WHERE id < 5000"); res.RowsAffected != 5000 {
@@ -371,9 +369,6 @@ func TestUncontendedWritesTakeNoRowLock(t *testing.T) {
 	}
 	if got := counter(t, db, "lock.acquires") - acquires; got != 1 {
 		t.Errorf("6 000 row writes made %d lock acquires, want 1 (the table intent)", got)
-	}
-	if b := counter(t, db, "lock.buckets"); b != 1 {
-		t.Errorf("lock.buckets = %d with 6 000 rows written, want 1", b)
 	}
 	if got := db.Store().PageCount(store.TempFile); got != temp {
 		t.Errorf("the temporary file grew from %d to %d pages", temp, got)
@@ -386,8 +381,8 @@ func TestUncontendedWritesTakeNoRowLock(t *testing.T) {
 	waits := counter(t, db, "lock.waits")
 	done := execAsync(c2, "UPDATE kv SET v = 0 WHERE id = 7")
 	mustBlock(t, db, waits, done, "an UPDATE of a row another transaction updated")
-	if got := counter(t, db, "lock.implicit_conversions") - conversions; got != 1 {
-		t.Errorf("%d implicit lock conversions, want 1", got)
+	if got := counter(t, db, "lock.row_waits") - rowWaits; got != 1 {
+		t.Errorf("%d row waits, want 1", got)
 	}
 	mustExec(t, c1, "COMMIT")
 	if r := <-done; r.err != nil || r.res.RowsAffected != 1 {
@@ -542,8 +537,8 @@ func TestRowWriteLockStress(t *testing.T) {
 		}
 	}
 	check(db, "before the crash")
-	t.Logf("%d increments, %d deletes, %d implicit lock conversions, %d lock waits, %d timeouts",
-		total, len(deleted), counter(t, db, "lock.implicit_conversions"), counter(t, db, "lock.waits"), counter(t, db, "lock.timeouts"))
+	t.Logf("%d increments, %d deletes, %d row waits, %d lock waits, %d timeouts",
+		total, len(deleted), counter(t, db, "lock.row_waits"), counter(t, db, "lock.waits"), counter(t, db, "lock.timeouts"))
 	db.Crash()
 	check(openDB(t, Options{Dir: dir}), "after recovery")
 }

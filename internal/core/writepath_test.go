@@ -101,11 +101,10 @@ func TestDifferentialIndexVsNoIndex(t *testing.T) {
 // (the SELECT's probe and the UPDATE's), the SELECT's heap page, the
 // UPDATE's scan of its heap page, and the heap page once more to read the
 // row with its version-chain holder and write it through the same pin; an
-// uncontended row is locked by its version entry, with no lock-table cell
+// uncontended row is locked by its version entry, with no lock record
 // to write or to release at commit: 2·height + 3. A split now and then adds
-// a few hundredths. It also holds the lock table to its steady-state size:
-// ≤ 2 buckets once the load has committed, and a temporary file that stops
-// growing.
+// a few hundredths. It also holds the temporary file to its steady-state
+// size.
 func TestWritePathCostIndependentOfTableSize(t *testing.T) {
 	type cost struct {
 		insert, rmw float64
@@ -116,9 +115,6 @@ func TestWritePathCostIndependentOfTableSize(t *testing.T) {
 		c := conn(t, db)
 		loadKV(t, c, "kv", n)
 		mustExec(t, c, "CREATE UNIQUE INDEX kv_id ON kv (id)")
-		if b := counter(t, db, "lock.buckets"); b > 2 {
-			t.Errorf("%d rows: lock.buckets = %d after the load committed, want ≤ 2", n, b)
-		}
 		pins := func() int64 { return counter(t, db, "buffer.hits") + counter(t, db, "buffer.misses") }
 		const ops = 200
 		pad := val.NewStr(strings.Repeat("q", 64))
@@ -152,9 +148,6 @@ func TestWritePathCostIndependentOfTableSize(t *testing.T) {
 		}
 		if got := db.Store().PageCount(store.TempFile); got != temp {
 			t.Errorf("%d rows: the temporary file grew from %d to %d pages over 1000 commits", n, temp, got)
-		}
-		if b := counter(t, db, "lock.buckets"); b > 2 {
-			t.Errorf("%d rows: lock.buckets = %d in steady state", n, b)
 		}
 		return out
 	}

@@ -46,8 +46,9 @@ import (
 type WaitKind int
 
 const (
-	// WaitLock is time blocked in lock.Manager.Lock behind a conflicting
-	// holder (including waits that end in a deadlock timeout).
+	// WaitLock is time blocked in the lock manager: in Lock behind a
+	// conflicting table-lock holder, or in WaitFor behind the transaction
+	// that holds a row (including waits that end in a deadlock timeout).
 	WaitLock WaitKind = iota
 	// WaitWALFlush is time blocked in wal.Log.FlushTo for durability: a
 	// group-commit follower waiting on the leader, or the leader's own

@@ -30,6 +30,8 @@ const (
 	TypeBitmap
 	TypeCatalog
 	TypeTemp
+	// TypeLockTable is reserved: no page carries it, and it keeps the tags
+	// after it at their on-disk values.
 	TypeLockTable
 	// TypeColSeg holds a chunk of a table's serialized columnar segment
 	// blob (see internal/colseg); chained like catalog pages.

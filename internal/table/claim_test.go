@@ -29,10 +29,7 @@ func newClaimSide(t *testing.T) claimSide {
 	}
 	t.Cleanup(func() { st.Close() })
 	pool := buffer.New(st, 8, 256, 512)
-	locks, err := lock.NewManager(pool, st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	locks := lock.NewManager()
 	locks.Timeout = 50 * time.Millisecond
 	log, _ := wal.Open("")
 	tbl, err := Create(pool, st, store.MainFile, 100, "emp", []Column{

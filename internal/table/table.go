@@ -677,7 +677,7 @@ func (t *Table) Insert(tx *txn.Txn, row []val.Value) (RID, error) {
 		// Declare write intent on the table before reading its index list or
 		// touching the heap: an index being built (table-X) is either
 		// complete and in the list below or not started.
-		if err := tx.Lock(t.ID, nil, lock.IntentExclusive); err != nil {
+		if err := tx.Lock(t.ID, lock.IntentExclusive); err != nil {
 			return RID{}, err
 		}
 	}
@@ -695,16 +695,16 @@ func (t *Table) Insert(tx *txn.Txn, row []val.Value) (RID, error) {
 // stays pinned, unlatched, for the write that follows: the caller writes
 // through the frame and unpins it.
 //
-// A row is locked by its version chain, not by a lock cell: the writer of
+// A row is locked by its version chain, not by a lock record: the writer of
 // its unpublished chain head, whether that write was an insert, an update or
 // a delete, holds it until it settles. The head is read under the latch the
 // row is read under. With no holder, or tx the holder, nothing more is
 // asked; the write re-checks the claim under the latch that makes it (see
-// claimed). When another live transaction holds the row, its lock is made
-// explicit in its name and tx queues behind it, then reads the row again.
+// claimed). When another live transaction holds the row, tx lets the page
+// go, waits for that transaction to end, and reads the row again.
 func (t *Table) lockRow(tx *txn.Txn, rid RID) (*buffer.Frame, []val.Value, error) {
 	if tx != nil {
-		if err := tx.Lock(t.ID, nil, lock.IntentExclusive); err != nil {
+		if err := tx.Lock(t.ID, lock.IntentExclusive); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -714,20 +714,14 @@ func (t *Table) lockRow(tx *txn.Txn, rid RID) (*buffer.Frame, []val.Value, error
 		if err != nil {
 			return nil, nil, err
 		}
-		if tx != nil && holder != 0 && holder != tx.ID() {
-			// An uncommitted delete holds the row it removed: its rollback
-			// may bring it back.
-			live, err := tx.WaitFor(holder, t.ID, rid.Bytes())
-			if live || err != nil {
-				t.pool.Unpin(f, false)
-				if err == nil {
-					err = tx.Lock(t.ID, rid.Bytes(), lock.Exclusive)
-				}
-				if err != nil {
-					return nil, nil, err
-				}
-				continue
+		// An uncommitted delete holds the row it removed: its rollback may
+		// bring it back.
+		if tx != nil && tx.Contends(holder) {
+			t.pool.Unpin(f, false)
+			if err := tx.WaitFor(holder); err != nil {
+				return nil, nil, err
 			}
+			continue
 		}
 		if !ok {
 			t.pool.Unpin(f, false)

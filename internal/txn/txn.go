@@ -518,38 +518,35 @@ func (t *Txn) locks() *lock.Manager {
 	return t.m.locks
 }
 
-// Lock acquires a long-term lock for the transaction. With no lock manager
-// it is a no-op, and so is a request for the table intent it took last.
-func (t *Txn) Lock(obj uint64, key []byte, mode lock.Mode) error {
+// Lock acquires a long-term lock on table obj for the transaction. With no
+// lock manager it is a no-op, and so is a request for the table intent it
+// took last.
+func (t *Txn) Lock(obj uint64, mode lock.Mode) error {
 	lm := t.locks()
-	intent := key == nil && mode == lock.IntentExclusive
+	intent := mode == lock.IntentExclusive
 	if lm == nil || intent && obj == t.intent {
 		return nil
 	}
-	err := lm.Lock(t.id, obj, key, mode)
+	err := lm.Lock(t.id, obj, mode)
 	if err == nil && intent {
 		t.intent = obj
 	}
 	return err
 }
 
-// WaitFor makes owner's implicit lock on row key of obj (the unpublished
-// version entry of its insert, update or delete) explicit, for this
-// transaction's next Lock on the key to queue behind: see
-// lock.Manager.Convert. It reports whether owner still holds the row: false
-// once owner has settled, and false when this transaction locks nothing and
-// so has nothing to queue in.
-func (t *Txn) WaitFor(owner, obj uint64, key []byte) (bool, error) {
-	lm := t.locks()
-	if lm == nil {
-		return false, nil
+// WaitFor blocks until holder, the writer of a row's unpublished version
+// entry, settles: see lock.Manager.WaitFor. It returns at once when holder
+// is already settled.
+func (t *Txn) WaitFor(holder uint64) error {
+	if lm := t.locks(); lm != nil {
+		return lm.WaitFor(context.Background(), t.id, holder)
 	}
-	return lm.Convert(owner, t.id, obj, key)
+	return nil
 }
 
 // Contends reports whether holder, the writer of a row's unpublished version
-// entry (zero for none), is another transaction that still holds the row by
-// WaitFor's rule.
+// entry (zero for none), is another transaction that still holds the row:
+// one WaitFor would wait for.
 func (t *Txn) Contends(holder uint64) bool {
 	lm := t.locks()
 	return holder != 0 && holder != t.id && lm != nil && lm.Holds(holder)
@@ -557,9 +554,9 @@ func (t *Txn) Contends(holder uint64) bool {
 
 // LockCtx is Lock under a context: a cancelled statement context aborts
 // the lock wait instead of parking until the deadlock timeout.
-func (t *Txn) LockCtx(ctx context.Context, obj uint64, key []byte, mode lock.Mode) error {
+func (t *Txn) LockCtx(ctx context.Context, obj uint64, mode lock.Mode) error {
 	if lm := t.locks(); lm != nil {
-		return lm.LockCtx(ctx, t.id, obj, key, mode)
+		return lm.LockCtx(ctx, t.id, obj, mode)
 	}
 	return nil
 }
@@ -665,13 +662,7 @@ func (t *Txn) finish() {
 		t.m.ReleaseSnapshot(s)
 	}
 	if lm := t.locks(); lm != nil {
-		// A failed release (a bucket page that could not be read back) keeps
-		// the unreleased locks on the manager's held list, so one retry can
-		// finish it. A second failure leaves them to the waiters' timeouts;
-		// lock.release_errors counts both.
-		if err := lm.ReleaseAll(t.id); err != nil {
-			_ = lm.ReleaseAll(t.id)
-		}
+		lm.ReleaseAll(t.id)
 	}
 	// Deregister after publish (Commit) and after undo (Rollback): vacuum
 	// checks liveness before reading an entry's CSN, so a writer observed

@@ -5,10 +5,8 @@ import (
 	"testing"
 	"time"
 
-	"anywheredb/internal/buffer"
 	"anywheredb/internal/lock"
 	"anywheredb/internal/mvcc"
-	"anywheredb/internal/store"
 	"anywheredb/internal/wal"
 )
 
@@ -18,16 +16,7 @@ func setup(t *testing.T) (*Manager, *wal.Log) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := store.Open(store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
-	pool := buffer.New(st, 4, 64, 64)
-	locks, err := lock.NewManager(pool, st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	locks := lock.NewManager()
 	locks.Timeout = 100 * time.Millisecond
 	return NewManager(log, locks), log
 }
@@ -114,17 +103,17 @@ func TestDoubleFinish(t *testing.T) {
 func TestLocksReleasedOnCommit(t *testing.T) {
 	m, _ := setup(t)
 	a := m.Begin()
-	if err := a.Lock(7, []byte("row"), lock.Exclusive); err != nil {
+	if err := a.Lock(7, lock.Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	b := m.Begin()
-	if err := b.Lock(7, []byte("row"), lock.Exclusive); err != lock.ErrTimeout {
+	if err := b.Lock(7, lock.Exclusive); err != lock.ErrTimeout {
 		t.Fatalf("b should block: %v", err)
 	}
 	if err := a.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Lock(7, []byte("row"), lock.Exclusive); err != nil {
+	if err := b.Lock(7, lock.Exclusive); err != nil {
 		t.Fatalf("b after a commits: %v", err)
 	}
 	b.Rollback()
@@ -133,10 +122,10 @@ func TestLocksReleasedOnCommit(t *testing.T) {
 func TestLocksReleasedOnRollback(t *testing.T) {
 	m, _ := setup(t)
 	a := m.Begin()
-	a.Lock(7, []byte("row"), lock.Exclusive)
+	a.Lock(7, lock.Exclusive)
 	a.Rollback()
 	b := m.Begin()
-	if err := b.Lock(7, []byte("row"), lock.Exclusive); err != nil {
+	if err := b.Lock(7, lock.Exclusive); err != nil {
 		t.Fatalf("lock after rollback: %v", err)
 	}
 	b.Commit()
@@ -146,7 +135,7 @@ func TestNilLockManager(t *testing.T) {
 	log, _ := wal.Open("")
 	m := NewManager(log, nil)
 	tx := m.Begin()
-	if err := tx.Lock(1, []byte("k"), lock.Exclusive); err != nil {
+	if err := tx.Lock(1, lock.Exclusive); err != nil {
 		t.Fatalf("nil lock manager should no-op: %v", err)
 	}
 	tx.Commit()
@@ -183,11 +172,11 @@ func (errFake) Error() string { return "fake undo failure" }
 // vacuum leaves its versions alone), settles through Commit/Rollback like a
 // local transaction — publishing a CSN, running compensations in reverse —
 // and yet writes no log record and asks the lock manager for nothing, even
-// for a row a local transaction holds.
+// for a table a local transaction holds exclusively.
 func TestAdoptedTxnSettlesWithoutLogOrLocks(t *testing.T) {
 	m, log := setup(t)
 	holder := m.Begin()
-	if err := holder.Lock(7, []byte("row"), lock.Exclusive); err != nil {
+	if err := holder.Lock(7, lock.Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	if err := log.Flush(); err != nil {
@@ -199,7 +188,7 @@ func TestAdoptedTxnSettlesWithoutLogOrLocks(t *testing.T) {
 	if tx.ID() != 900 || !m.IsActive(900) {
 		t.Fatalf("adopted txn id %d, active %v", tx.ID(), m.IsActive(900))
 	}
-	if err := tx.Lock(7, []byte("row"), lock.Exclusive); err != nil {
+	if err := tx.Lock(7, lock.Exclusive); err != nil {
 		t.Fatalf("adopted txn waited on a local lock: %v", err)
 	}
 	tx.Log(&wal.Record{Type: wal.RecInsert, Table: 7, After: []byte("r")})

@@ -153,14 +153,6 @@ func Compare(a, b Value) int {
 	return 0
 }
 
-// Equal reports SQL equality (NULL never equals anything, including NULL).
-func Equal(a, b Value) bool {
-	if a.IsNull() || b.IsNull() {
-		return false
-	}
-	return Compare(a, b) == 0
-}
-
 // OrderHash maps a value into a double such that v1 < v2 implies
 // OrderHash(v1) <= OrderHash(v2). For numeric types (including the
 // date/time encodings) it is simply the conversion to double precision;

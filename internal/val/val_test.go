@@ -32,15 +32,6 @@ func TestCompareBasics(t *testing.T) {
 	}
 }
 
-func TestEqualNullSemantics(t *testing.T) {
-	if Equal(Null, Null) {
-		t.Fatal("NULL = NULL must be false in SQL")
-	}
-	if !Equal(NewInt(5), NewDouble(5)) {
-		t.Fatal("5 = 5.0 should hold")
-	}
-}
-
 func TestOrderHashMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 1000; i++ {

@@ -50,7 +50,7 @@ func main() {
 
 	// Analysis: the flaw database recognizes the pattern.
 	trace := digests.Snapshot()
-	for _, f := range profile.Analyze(trace, nil) {
+	for _, f := range profile.Analyze(trace) {
 		fmt.Printf("[%s] %s\n", f.Kind, f.Detail)
 	}
 

@@ -543,11 +543,11 @@ func TestDifferentialDMLVsSelect(t *testing.T) {
 				t.Errorf("only %d corpus predicates probed an index in both SELECT and UPDATE", probes)
 			}
 
-			// A bound parameter must still reach the row through the index.
+			// A bound parameter must still reach the row through the index,
+			// whose probe hands its RIDs to the claim with no Filter above.
 			if cfg.indexed {
 				plan := renderExplain(mustQuery(t, c, "EXPLAIN UPDATE tgt SET mark = 0 WHERE id = ?", val.NewInt(9)))
-				if len(plan) != 2 || !strings.HasPrefix(plan[0], "Filter|") ||
-					!strings.HasPrefix(strings.TrimSpace(plan[1]), "IndexScan(tgt.tgt_pk)|") {
+				if len(plan) != 1 || !strings.HasPrefix(plan[0], "IndexScan(tgt.tgt_pk)|") {
 					t.Errorf("EXPLAIN UPDATE ... WHERE id = ?: %q", plan)
 				}
 			}

@@ -253,10 +253,13 @@ func (c *Conn) execModify(sh *Shape, stmt sqlparse.Statement, params []val.Value
 			sp.AddPhase(flightrec.PhaseExecute, time.Since(execStart).Microseconds())
 		}
 	}()
-	// Targets are the newest rows, read with no snapshot and no lock: each
-	// write below re-reads its row and waits for any other transaction that
-	// holds it. The scan also stays out of the reorganizer's scan/write
-	// ratio (ScanObs).
+	// Targets are the newest rows, found with no snapshot and no lock. An
+	// index probe hands over RIDs alone; a heap scan reads its rows and
+	// passes those its Filter approves. Each write below claims its row: the
+	// claim's first read decides whether the row is a target (present, and
+	// matching the WHERE), and only a target another transaction holds is
+	// waited for, read again and checked again. The scan also stays out of
+	// the reorganizer's scan/write ratio (ScanObs).
 	ctx.Snap, ctx.ScanObs = nil, nil
 	rids, err := exec.DrainRIDs(ctx, plan.Root)
 	if err != nil {
@@ -269,8 +272,8 @@ func (c *Conn) execModify(sh *Shape, stmt sqlparse.Statement, params []val.Value
 		if err := c.interrupted(); err != nil {
 			return Result{}, nil, done(err)
 		}
-		// Re-check the predicate (and, for UPDATE, re-evaluate the SET
-		// expressions) against the row as it stands when it is written: the
+		// Check the predicate (and, for UPDATE, evaluate the SET
+		// expressions) against the row as it stands when it is written: a
 		// scanned image can be stale by then, and computing from it would
 		// lose concurrent committed updates.
 		var hit bool
@@ -280,7 +283,7 @@ func (c *Conn) execModify(sh *Shape, stmt sqlparse.Statement, params []val.Value
 			hit, err = d.Table.DeleteChecked(tx, rid, d.Match)
 		}
 		if errors.Is(err, table.ErrNotFound) {
-			continue // deleted since the scan
+			continue // gone: deleted, or moved, since the index named it
 		}
 		if err != nil {
 			return Result{}, nil, done(err)

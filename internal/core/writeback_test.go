@@ -111,8 +111,8 @@ func TestCreateIndexCheckpointSyncsOnce(t *testing.T) {
 // BenchmarkColdReadModifyWrite is rmw_cold through core.Conn without the
 // wire: one BEGIN/SELECT/UPDATE/COMMIT per op on 30 000 rows under a
 // 128-page pool. It reports the log syncs, pool-forced syncs, page pins
-// (buffer hits + misses: 2·height + 3, the uncontended row writing no lock
-// cell) and log bytes appended per op.
+// (buffer hits + misses: 2·height + 2, the UPDATE's probe handing its claim
+// the RID unread and the uncontended row writing no lock cell) and log bytes appended per op.
 func BenchmarkColdReadModifyWrite(b *testing.B) {
 	const rows = 30000
 	db := openDB(b, rmwOptions(b.TempDir()))

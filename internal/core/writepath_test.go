@@ -90,25 +90,27 @@ func TestDifferentialIndexVsNoIndex(t *testing.T) {
 	}
 }
 
-// TestWritePathCostIndependentOfTableSize: what a one-row INSERT and a
-// one-row transaction cost in page pins depends on the height of the
-// index, and on nothing else about the table — not on how many locks the
-// load once held, nor on how many rows there are. The table's intent lock
-// is in memory and pins nothing. An INSERT pins the index once per level
-// (one descent checks the key and inserts it) and the heap's tail page; its
-// row is locked by its version entry, with no lock-table cell: height + 1.
-// BEGIN, SELECT by key, UPDATE by key, COMMIT pins two descents
-// (the SELECT's probe and the UPDATE's), the SELECT's heap page, the
-// UPDATE's scan of its heap page, and the heap page once more to read the
-// row with its version-chain holder and write it through the same pin; an
-// uncontended row is locked by its version entry, with no lock record
-// to write or to release at commit: 2·height + 3. A split now and then adds
-// a few hundredths. It also holds the temporary file to its steady-state
-// size.
+// TestWritePathCostIndependentOfTableSize: what a one-row INSERT, a
+// one-row transaction and a one-row DELETE cost in page pins depends on the
+// height of the index, and on nothing else about the table — not on how
+// many locks the load once held, nor on how many rows there are. The
+// table's intent lock is in memory and pins nothing. An INSERT pins the
+// index once per level (one descent checks the key and inserts it) and the
+// heap's tail page; its row is locked by its version entry, with no
+// lock-table cell: height + 1. BEGIN, SELECT by key, UPDATE by key, COMMIT
+// pins two descents (the SELECT's probe and the UPDATE's), the SELECT's
+// heap page, and the UPDATE's heap page once: its probe hands over the RID
+// unread, and the claim reads the row with its version-chain holder,
+// checks the WHERE and writes it through the same pin; an uncontended row
+// is locked by its version entry, with no lock record to write or to
+// release at commit: 2·height + 2. A DELETE by key pins its probe's
+// descent, the heap page once the same way, and the descent that removes
+// the row's index entry: 2·height + 1. A split now and then adds a few
+// hundredths. It also holds the temporary file to its steady-state size.
 func TestWritePathCostIndependentOfTableSize(t *testing.T) {
 	type cost struct {
-		insert, rmw float64
-		height      int64
+		insert, rmw, delete float64
+		height              int64
 	}
 	measure := func(n int) cost {
 		db := openDB(t, Options{PoolMinPages: 4096, PoolInitPages: 4096, PoolMaxPages: 4096})
@@ -139,6 +141,14 @@ func TestWritePathCostIndependentOfTableSize(t *testing.T) {
 			mustExec(t, c, "COMMIT")
 		}
 		out.rmw = float64(pins()-before) / ops
+		before = pins()
+		for i := 0; i < ops; i++ {
+			id := val.NewInt(int64(i*7919%n + 1))
+			if res := mustExec(t, c, "DELETE FROM kv WHERE id = ?", id); res.RowsAffected != 1 {
+				t.Fatalf("%d rows: DELETE of id %v affected %d rows", n, id.I, res.RowsAffected)
+			}
+		}
+		out.delete = float64(pins()-before) / ops
 		tbl, _ := db.Table("kv")
 		out.height = tbl.Indexes[0].Tree.Stats.Height.Load()
 
@@ -152,15 +162,18 @@ func TestWritePathCostIndependentOfTableSize(t *testing.T) {
 		return out
 	}
 	small, large := measure(5000), measure(50000)
-	t.Logf("page pins per op: INSERT %.2f → %.2f, BEGIN/SELECT/UPDATE/COMMIT %.2f → %.2f, index height %d → %d",
-		small.insert, large.insert, small.rmw, large.rmw, small.height, large.height)
+	t.Logf("page pins per op: INSERT %.2f → %.2f, BEGIN/SELECT/UPDATE/COMMIT %.2f → %.2f, DELETE %.2f → %.2f, index height %d → %d",
+		small.insert, large.insert, small.rmw, large.rmw, small.delete, large.delete, small.height, large.height)
 	for _, c := range []cost{small, large} {
 		h := float64(c.height)
 		if math.Abs(c.insert-(h+1)) > 0.05 {
 			t.Errorf("index height %d: INSERT pins %.2f pages, want height + 1 = %v", c.height, c.insert, h+1)
 		}
-		if math.Abs(c.rmw-(2*h+3)) > 0.05 {
-			t.Errorf("index height %d: a one-row transaction pins %.2f pages, want 2·height + 3 = %v", c.height, c.rmw, 2*h+3)
+		if math.Abs(c.rmw-(2*h+2)) > 0.05 {
+			t.Errorf("index height %d: a one-row transaction pins %.2f pages, want 2·height + 2 = %v", c.height, c.rmw, 2*h+2)
+		}
+		if math.Abs(c.delete-(2*h+1)) > 0.05 {
+			t.Errorf("index height %d: a DELETE by key pins %.2f pages, want 2·height + 1 = %v", c.height, c.delete, 2*h+1)
 		}
 	}
 }

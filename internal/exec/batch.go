@@ -58,14 +58,15 @@ func (c *Ctx) BatchSize() int {
 
 // Batch is what one NextBatch call yields, in one of two forms.
 //
-// Row form is a list of rows (plus, from a WithRIDs scan, their heap
-// addresses). Vector form is a window of one sealed column segment: one
-// vector per column, decoded the first time it is asked for — a column
-// nobody reads is never decoded — and a selection vector naming the window
-// positions that are in the batch, in order. A vector is typed: an INT or
-// DOUBLE column is an []int64 or []float64 with a NULL bitmap, and only
-// strings and mixed-kind columns are boxed values. A TableScan over
-// segments produces vector form, Filter narrows either form in place,
+// Row form is a list of rows (plus, from a WithRIDs table scan, their heap
+// addresses), or, from a RIDsOnly index probe, heap addresses alone. Vector
+// form is a window of one sealed column segment: one vector per column,
+// decoded the first time it is asked for — a column nobody reads is never
+// decoded — and a selection vector naming the window positions that are
+// in the batch, in order. A vector is typed: an INT or DOUBLE column is an
+// []int64 or []float64 with a NULL bitmap, and only strings and
+// mixed-kind columns are boxed values. A TableScan over segments produces
+// vector form, Filter narrows either form in place,
 // EvalBatch and TestBatch read either form, HashGroupBy reads a column of
 // it in place (colView), and everything else reaches rows through Rows,
 // which turns a vector-form batch into fresh rows for the selected
@@ -81,9 +82,12 @@ func (c *Ctx) BatchSize() int {
 // or Close; whoever keeps anything of it goes through Rows first.
 type Batch struct {
 	rows []Row
-	// RIDs, when non-empty, is parallel to the rows: the heap address of
-	// each. Only scans built WithRIDs fill it and only Filter carries it
-	// upward — the shape of a DML target-collection tree.
+	// RIDs holds the heap addresses of an UPDATE's or DELETE's targets, in
+	// one of the two shapes of a DML target-collection tree. Under a
+	// WithRIDs table scan, and the Filter of the WHERE that carries them
+	// upward, it is parallel to the rows: the heap address of each row read.
+	// From a RIDsOnly index probe it is the whole batch, with no rows: the
+	// places the index names, not yet read or checked (Len counts them).
 	RIDs []table.RID
 
 	vec *vectors // non-nil: vector form
@@ -319,12 +323,12 @@ func (b *Batch) setVectors(v *vectors) {
 	}
 }
 
-// Len reports the number of rows.
+// Len reports the number of rows (of RIDs, in a batch of RIDs alone).
 func (b *Batch) Len() int {
 	if b.vec != nil {
 		return len(b.sel)
 	}
-	return len(b.rows)
+	return max(len(b.rows), len(b.RIDs))
 }
 
 // Rows is the materialising accessor: the batch's rows, in row form. A
@@ -588,9 +592,12 @@ func Drain(ctx *Ctx, op Operator) ([]Row, error) {
 	return out, err
 }
 
-// DrainRIDs runs a DML target-collection tree (a WithRIDs scan, optionally
-// under a Filter) to completion, returning the heap address of every row
-// it produced.
+// DrainRIDs runs a DML target-collection tree to completion and returns
+// the heap addresses it produced: of every row a WithRIDs table scan read
+// and the Filter of the WHERE (if any) passed, or every RID a RIDsOnly
+// index probe found, unread. Either way each is a candidate whose claim
+// reads it again (table.UpdateChecked); for a probe's, that read is the
+// first.
 func DrainRIDs(ctx *Ctx, op Operator) ([]table.RID, error) {
 	var out []table.RID
 	err := drainEach(ctx, op, func(b *Batch) { out = append(out, b.RIDs...) })

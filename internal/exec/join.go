@@ -716,7 +716,7 @@ func (n *IndexNLJoin) joinBatch(ctx *Ctx) error {
 			n.ranges = append(n.ranges, keyRange{lo: key, hi: key, hiInc: true, of: i})
 		}
 	}
-	if err := n.probe.run(ctx, n.Table, n.Index, n.ranges); err != nil {
+	if err := n.probe.run(ctx, n.Table, n.Index, n.ranges, false); err != nil {
 		return err
 	}
 	hits := n.probe.hits

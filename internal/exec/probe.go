@@ -65,7 +65,16 @@ type probe struct {
 // row before it touches the index, and vacuum keeps every chain a live
 // snapshot needs, so a row missing from a walk is in the store by the time
 // the store is read.
-func (p *probe) run(ctx *Ctx, t *table.Table, ix *table.Index, ranges []keyRange) (err error) {
+//
+// With ridsOnly, the probe of an UPDATE's or DELETE's targets, each hit is
+// the RID an entry names and nothing more: no row is fetched, no key
+// recomputed. Its claim (table.UpdateChecked, DeleteChecked) reads the row,
+// and that first read stands in for this one: a row it finds absent or
+// failing the WHERE is no target. A DML target scan runs with no snapshot
+// (the newest rows are its targets), so chainedHits adds nothing to it.
+// A DML target found by a heap scan is read there, under a Filter, one
+// page pin for many rows; the claim's read is then its second.
+func (p *probe) run(ctx *Ctx, t *table.Table, ix *table.Index, ranges []keyRange, ridsOnly bool) (err error) {
 	p.hits = p.hits[:0]
 	n := 0
 	it := &p.it
@@ -80,6 +89,10 @@ func (p *probe) run(ctx *Ctx, t *table.Table, ix *table.Index, ranges []keyRange
 				}
 			}
 			rid := table.RIDFromBytes(it.Value())
+			if ridsOnly {
+				p.hits = append(p.hits, indexHit{of: r.of, rid: rid})
+				continue
+			}
 			var row Row
 			var ok bool
 			if row, ok, err = t.Fetch(rid, ctx.Snap); err != nil {

@@ -37,7 +37,7 @@ type TableScan struct {
 	// collection needs RIDs; differential harnesses need the baseline).
 	NoColumnar bool
 	// WithRIDs fills Batch.RIDs beside every batch of rows (DML target
-	// collection). Columnar rows carry no heap address, so it requires
+	// collection by heap scan). Columnar rows carry no heap address, so it requires
 	// NoColumnar.
 	WithRIDs bool
 
@@ -207,7 +207,7 @@ func (s *TableScan) Close(ctx *Ctx) error {
 }
 
 // IndexScan reads rows via an index range [Lo, Hi] (nil = open) and
-// fetches the base rows.
+// fetches the base rows (only their RIDs, for a DML target probe).
 type IndexScan struct {
 	Table *table.Table
 	Index *table.Index
@@ -221,9 +221,12 @@ type IndexScan struct {
 	// then both bounds, Hi inclusive. A plan run again with other parameter
 	// values probes for them.
 	Key Expr
-	// WithRIDs fills Batch.RIDs beside every batch of rows (DML target
-	// collection).
-	WithRIDs bool
+	// RIDsOnly makes the scan a DML target probe: its batches hold the
+	// RIDs the index files under the range and no rows. It reads no row:
+	// the claim of each (table.UpdateChecked, DeleteChecked) is the only
+	// read of it and the WHERE it runs there the only check. It runs with
+	// no snapshot, as every DML target scan does.
+	RIDsOnly bool
 
 	bound []byte // Key, encoded
 	probe probe
@@ -241,7 +244,7 @@ func (s *IndexScan) Open(ctx *Ctx) error {
 		s.bound = val.AppendKey(s.bound[:0], v)
 		r = keyRange{lo: s.bound, hi: s.bound, hiInc: true}
 	}
-	return s.probe.run(ctx, s.Table, s.Index, []keyRange{r})
+	return s.probe.run(ctx, s.Table, s.Index, []keyRange{r}, s.RIDsOnly)
 }
 
 func (s *IndexScan) NextBatch(ctx *Ctx, out *Batch) error {
@@ -249,9 +252,10 @@ func (s *IndexScan) NextBatch(ctx *Ctx, out *Batch) error {
 	hits := s.probe.hits
 	n := min(ctx.BatchSize(), len(hits)-s.pos)
 	for _, h := range hits[s.pos : s.pos+n] {
-		out.Add(h.row)
-		if s.WithRIDs {
+		if s.RIDsOnly {
 			out.RIDs = append(out.RIDs, h.rid)
+		} else {
+			out.Add(h.row)
 		}
 	}
 	s.pos += n

@@ -248,7 +248,7 @@ func E15IndexConsultant() (*Report, error) {
 	}
 
 	digests := db.FlightRecorder().Digests().Snapshot()
-	findings := profile.Analyze(digests, map[string]string{"blocking_timeout": "0"})
+	findings := profile.Analyze(digests)
 	recs, err := profile.IndexConsultant(db, digests)
 	if err != nil {
 		return nil, err

@@ -788,15 +788,16 @@ func (b *blockBuilder) accessOp(st Step) (exec.Operator, error) {
 }
 
 // probeOp builds the index probe equalityProbe found for quantifier qi
-// through conjunct cj, with its estimate: for SELECT and DML alike. The key
-// is the conjunct's constant, which the scan encodes when it opens.
-func (b *blockBuilder) probeOp(qi int, ix *table.Index, cj *Conjunct, withRIDs bool) (exec.Operator, error) {
+// through conjunct cj, with its estimate: for SELECT and DML alike (a DML
+// target probe yields RIDs only). The key is the conjunct's constant, which
+// the scan encodes when it opens.
+func (b *blockBuilder) probeOp(qi int, ix *table.Index, cj *Conjunct, ridsOnly bool) (exec.Operator, error) {
 	_, k, _, _ := colOpConst(b.q, cj.Expr.(*sqlparse.BinOp))
 	key, err := b.scalar(k, noRow)
 	if err != nil {
 		return nil, err
 	}
-	op := &exec.IndexScan{Table: b.q.Quants[qi].Table, Index: ix, Key: key, WithRIDs: withRIDs}
+	op := &exec.IndexScan{Table: b.q.Quants[qi].Table, Index: ix, Key: key, RIDsOnly: ridsOnly}
 	b.site(estSite{op: op, kind: estProbe, qi: qi, cj: cj})
 	return op, nil
 }

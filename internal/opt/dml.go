@@ -9,13 +9,20 @@ import (
 	"anywheredb/internal/val"
 )
 
-// Modify is what an UPDATE or DELETE does with the rows its plan's tree — a
-// WithRIDs scan of Table under a Filter of the whole WHERE clause — finds.
+// Modify is what an UPDATE or DELETE does with the candidates its plan's
+// tree finds. The tree has one of two shapes. An index probe by a WHERE
+// conjunct yields RIDs only (IndexScan.RIDsOnly): it reads no row, and the
+// claim's first read is the only read and Match the only check. Otherwise
+// a WithRIDs scan of Table under a Filter of the whole WHERE clause reads
+// each row and yields the RIDs of those that pass; the claim reads each
+// again and Match checks it again. Either way the claim's first read is the
+// one that decides: a row absent there or failing Match is no target and
+// is not waited for (see table.UpdateChecked).
 type Modify struct {
 	// Table is the target.
 	Table *table.Table
-	// Match is the WHERE clause as the re-check UpdateChecked and
-	// DeleteChecked run on the row they claim (nil without WHERE).
+	// Match is the WHERE clause as UpdateChecked and DeleteChecked run it
+	// on each row they claim (nil without WHERE).
 	Match func(row []val.Value) (bool, error)
 
 	setCols  []int
@@ -101,27 +108,29 @@ func (bd *build) buildModify(name string, where sqlparse.Expr, set []sqlparse.Se
 		}
 	}
 
-	var root exec.Operator
-	if ix, cj := q.equalityProbe(0); ix != nil && ix == bt.order[0].Index {
-		if root, err = b.probeOp(0, ix, cj, true); err != nil {
-			return nil, err
-		}
-	} else {
-		root = &exec.TableScan{Table: tbl, NoColumnar: true, WithRIDs: true}
-		b.site(estSite{op: root, kind: estScan, qi: 0})
-	}
+	var pred exec.Pred
 	if where != nil {
-		// The Filter keeps the probe's own conjunct: it and the re-check
-		// are one compiled predicate.
-		pred, err := b.pred(where, b.row())
-		if err != nil {
+		if pred, err = b.pred(where, b.row()); err != nil {
 			return nil, err
 		}
 		m.Match = func(row []val.Value) (bool, error) {
 			v, err := pred.Test(row)
 			return v == exec.True, err
 		}
-		root = &exec.Filter{Input: root, Pred: pred}
+	}
+	var root exec.Operator
+	if ix, cj := q.equalityProbe(0); ix != nil && ix == bt.order[0].Index {
+		// Match keeps the probe's own conjunct: it is the probe's key
+		// check as well as the WHERE's.
+		if root, err = b.probeOp(0, ix, cj, true); err != nil {
+			return nil, err
+		}
+	} else {
+		root = &exec.TableScan{Table: tbl, NoColumnar: true, WithRIDs: true}
+		b.site(estSite{op: root, kind: estScan, qi: 0})
+		if pred != nil {
+			root = &exec.Filter{Input: root, Pred: pred}
+		}
 	}
 	b.plan.Root, b.plan.Modify = root, m
 	return b.plan, nil

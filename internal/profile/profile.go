@@ -1,9 +1,9 @@
 // Package profile implements the Application Profiling toolset of §5 over
 // the trace the flight recorder's digest table already keeps (every call
 // counted per fingerprint, the first statement of each kept as a sample):
-// a database of commonly seen design flaws (client-side joins, suspicious
-// option settings), and an Index Consultant that evaluates virtual
-// (hypothetical) indexes the optimizer would like to have. The paper
+// a database of commonly seen design flaws (client-side joins), and an
+// Index Consultant that evaluates virtual (hypothetical) indexes the
+// optimizer would like to have. The paper
 // captures the trace into a database; here INSERT INTO ... SELECT ... FROM
 // sys.statements does that. An engine opened with DisableFlightRecorder
 // keeps no trace, so there is nothing to profile: IndexConsultant fails
@@ -27,7 +27,7 @@ import (
 
 // Finding is one detected design flaw or recommendation.
 type Finding struct {
-	Kind      string // "client-side-join", "option", ...
+	Kind      string // "client-side-join", "locks", "memory", ...
 	Detail    string
 	Statement string // sqlparse.Fingerprint of the statement, when applicable
 	Count     int
@@ -39,9 +39,8 @@ const ClientSideJoinThreshold = 10
 
 // Analyze scans a workload's digests (flightrec.DigestTable.Snapshot) for
 // commonly seen design flaws (§5): client-side joins (a SELECT fingerprint
-// called many times, the statements differing only by constants) and
-// suspicious database options.
-func Analyze(digests []flightrec.DigestStat, options map[string]string) []Finding {
+// called many times, the statements differing only by constants).
+func Analyze(digests []flightrec.DigestStat) []Finding {
 	var out []Finding
 
 	// Client-side joins, most calls first.
@@ -59,21 +58,6 @@ func Analyze(digests []flightrec.DigestStat, options map[string]string) []Findin
 		})
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Count > out[j].Count })
-
-	// Suspicious option settings.
-	for name, v := range options {
-		switch {
-		case name == "blocking_timeout" && v == "0":
-			out = append(out, Finding{Kind: "option",
-				Detail: "blocking_timeout=0 makes lock waits fail immediately; most applications want a positive timeout"})
-		case name == "auto_commit" && v == "off":
-			out = append(out, Finding{Kind: "option",
-				Detail: "auto_commit=off with no explicit transactions leaves locks held indefinitely"})
-		case name == "query_plan_cache" && v == "off":
-			out = append(out, Finding{Kind: "option",
-				Detail: "query_plan_cache=off forces re-optimization of procedure statements on every call"})
-		}
-	}
 	return out
 }
 

@@ -63,7 +63,7 @@ func TestClientSideJoinDetection(t *testing.T) {
 	// Some unrelated statements below the threshold.
 	c.Query("SELECT COUNT(*) FROM orders")
 
-	findings := Analyze(digests(db), nil)
+	findings := Analyze(digests(db))
 	var csj *Finding
 	for i := range findings {
 		if findings[i].Kind == "client-side-join" {
@@ -75,17 +75,6 @@ func TestClientSideJoinDetection(t *testing.T) {
 	}
 	if csj.Count != 25 {
 		t.Fatalf("count %d", csj.Count)
-	}
-}
-
-func TestOptionFindings(t *testing.T) {
-	findings := Analyze(nil, map[string]string{
-		"blocking_timeout": "0",
-		"auto_commit":      "off",
-		"harmless":         "x",
-	})
-	if len(findings) != 2 {
-		t.Fatalf("findings %v", findings)
 	}
 }
 

@@ -247,13 +247,13 @@ func (t *Table) ResidentFraction() float64 {
 var errNoRoom = errors.New("table: row does not fit in its page")
 
 // errStale is a forward write's report that the row is no longer the one
-// lockRow read: its cell changed, or another live transaction holds it.
+// claimRow read: its cell changed, or another live transaction holds it.
 // Nothing was changed or logged; UpdateChecked and DeleteChecked read the
 // row again.
 var errStale = errors.New("table: row changed since it was read")
 
 // claimed reports whether tx may still write the row at rid of latched page
-// p as lockRow read it, as the cell bytes read: the cell holds exactly those
+// p as claimRow read it, as the cell bytes read: the cell holds exactly those
 // bytes and no other live transaction holds the row. Both are needed.
 // Reclaim empties a chain at commit, so a committed write can leave no
 // trace but its bytes; and a live writer that rewrote the same bytes still
@@ -556,7 +556,7 @@ func (t *Table) pushVersion(tx *txn.Txn, rec *wal.Record, rid RID, pre []val.Val
 // updateRow replaces the row at rid in place: newEnc is the encoding of
 // newRow, oldRow the image being replaced, and pinned rid's frame when the
 // caller holds its page pinned (nil otherwise; see withPage). read is, on
-// the forward path, the cell lockRow read (nil where the row is the
+// the forward path, the cell claimRow read (nil where the row is the
 // caller's alone: a compensation, a replay). It fails with errStale when
 // the row is not what read says (see claimed), and with errNoRoom when the
 // page cannot hold the new image without taking bytes another transaction's
@@ -686,62 +686,80 @@ func (t *Table) Insert(tx *txn.Txn, row []val.Value) (RID, error) {
 		rec = &wal.Record{Type: wal.RecInsert, Table: t.ID, After: enc}
 	}
 	// The new row takes no row lock: the version entry its chain holds
-	// until tx settles is the lock (see lockRow).
+	// until tx settles is the lock (see claimRow).
 	return t.insertRow(tx, nil, row, enc, rec)
 }
 
-// lockRow claims the row at rid for tx's write: it takes the table's intent
-// lock, pins the row's page and reads the row under a shared latch. The page
-// stays pinned, unlatched, for the write that follows: the caller writes
-// through the frame and unpins it.
+// claimRow claims the row at rid for tx's write if it is a target: it takes
+// the table's intent lock, pins the row's page and reads the row under a
+// shared latch. The page stays pinned, unlatched, for the write that
+// follows: the caller writes through the frame and unpins it. A row that is
+// no target comes back unpinned: hit is false, and err is ErrNotFound when
+// the row is absent.
 //
 // A row is locked by its version chain, not by a lock record: the writer of
 // its unpublished chain head, whether that write was an insert, an update or
 // a delete, holds it until it settles. The head is read under the latch the
-// row is read under. With no holder, or tx the holder, nothing more is
-// asked; the write re-checks the claim under the latch that makes it (see
+// row is read under. With no holder, or tx the holder, the read decides: the
+// row is a target when it is there and check (nil: any row) approves it,
+// and the write re-checks the claim under the latch that makes it (see
 // claimed). When another live transaction holds the row, tx lets the page
 // go, waits for that transaction to end, and reads the row again.
-func (t *Table) lockRow(tx *txn.Txn, rid RID) (*buffer.Frame, []val.Value, error) {
+//
+// The first read stands in for the read of the target scan, which an index
+// probe does not make: a row it finds absent or failing check is no target
+// and is not waited for, whoever holds it. Only a row that matches is
+// waited for. With no check the caller has chosen the row itself, so an
+// uncommitted delete, whose rollback may bring the row back, is waited for.
+func (t *Table) claimRow(tx *txn.Txn, rid RID, check func(row []val.Value) (bool, error)) (*buffer.Frame, []val.Value, bool, error) {
 	if tx != nil {
 		if err := tx.Lock(t.ID, lock.IntentExclusive); err != nil {
-			return nil, nil, err
+			return nil, nil, false, err
 		}
 	}
-	for {
+	for first := true; ; first = false {
 		var holder uint64
 		f, row, ok, err := t.pinRow(rid, nil, &holder)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, false, err
 		}
-		// An uncommitted delete holds the row it removed: its rollback may
-		// bring it back.
-		if tx != nil && tx.Contends(holder) {
-			t.pool.Unpin(f, false)
-			if err := tx.WaitFor(holder); err != nil {
-				return nil, nil, err
+		held := tx != nil && tx.Contends(holder)
+		if !held || first && check != nil {
+			hit := ok
+			if ok && check != nil {
+				hit, err = check(row)
 			}
-			continue
+			if err != nil || !hit {
+				t.pool.Unpin(f, false)
+				if err == nil && !ok {
+					err = ErrNotFound
+				}
+				return nil, nil, false, err
+			}
+			if !held {
+				return f, row, true, nil
+			}
 		}
-		if !ok {
-			t.pool.Unpin(f, false)
-			return nil, nil, ErrNotFound
+		t.pool.Unpin(f, false)
+		if err := tx.WaitFor(holder); err != nil {
+			return nil, nil, false, err
 		}
-		return f, row, nil
 	}
 }
 
 // UpdateChecked updates rid by deriving the replacement row from the
-// current committed row, read as lockRow claims it. check sees the fresh
-// row and may veto the write (the caller's WHERE predicate no longer
-// matches because a concurrent writer got there first); compute builds the
-// new row from the same fresh image, so read-modify-write statements
-// (UPDATE ... SET x = x + 1) never lose a concurrent update committed
-// between the caller's target scan and the write. A write that finds the
-// row changed since it was read changes nothing, and both run again on the
-// row as it is now. Reports whether the row was written. If the new
-// encoding no longer fits in place the row moves and the returned RID
-// differs.
+// current committed row, read as claimRow claims it. check sees the fresh
+// row and may veto the write (the caller's WHERE predicate does not match,
+// or no longer does because a concurrent writer got there first); compute
+// builds the new row from the same fresh image, so read-modify-write
+// statements (UPDATE ... SET x = x + 1) never lose a concurrent update
+// committed between the caller's target scan and the write. check is the
+// only test of the row the write goes ahead on: an UPDATE whose targets an
+// index probe named, unread, has its WHERE run here and nowhere else. A
+// write that finds the row changed since it was read changes nothing, and
+// both run again on the row as it is now. Reports whether the row was
+// written. If the new encoding no longer fits in place the row moves and
+// the returned RID differs.
 func (t *Table) UpdateChecked(tx *txn.Txn, rid RID,
 	check func(row []val.Value) (bool, error),
 	compute func(row []val.Value) ([]val.Value, error)) (RID, bool, error) {
@@ -757,17 +775,11 @@ func (t *Table) UpdateChecked(tx *txn.Txn, rid RID,
 func (t *Table) updateChecked(tx *txn.Txn, rid RID,
 	check func(row []val.Value) (bool, error),
 	compute func(row []val.Value) ([]val.Value, error)) (RID, bool, error) {
-	f, old, err := t.lockRow(tx, rid)
-	if err != nil {
-		return RID{}, false, err
+	f, old, hit, err := t.claimRow(tx, rid, check)
+	if err != nil || !hit {
+		return rid, false, err
 	}
 	defer t.pool.Unpin(f, false)
-	if check != nil {
-		ok, err := check(old)
-		if err != nil || !ok {
-			return rid, false, err
-		}
-	}
 	newRow, err := compute(old)
 	if err != nil {
 		return RID{}, false, err
@@ -791,25 +803,19 @@ func (t *Table) DeleteChecked(tx *txn.Txn, rid RID,
 
 // deleteChecked is one attempt of DeleteChecked, on one read of the row.
 func (t *Table) deleteChecked(tx *txn.Txn, rid RID, check func(row []val.Value) (bool, error)) (bool, error) {
-	f, row, err := t.lockRow(tx, rid)
-	if err != nil {
+	f, row, hit, err := t.claimRow(tx, rid, check)
+	if err != nil || !hit {
 		return false, err
 	}
 	defer t.pool.Unpin(f, false)
-	if check != nil {
-		ok, err := check(row)
-		if err != nil || !ok {
-			return false, err
-		}
-	}
 	if err := t.deleteLocked(tx, rid, f, row); err != nil {
 		return false, err
 	}
 	return true, nil
 }
 
-// deleteLocked deletes the row at rid, whose image row lockRow read,
-// through f, the frame lockRow pinned its page in. It fails with errStale,
+// deleteLocked deletes the row at rid, whose image row claimRow read,
+// through f, the frame claimRow pinned its page in. It fails with errStale,
 // having done nothing, when the row is no longer that one.
 func (t *Table) deleteLocked(tx *txn.Txn, rid RID, f *buffer.Frame, row []val.Value) error {
 	var rec *wal.Record
@@ -821,7 +827,7 @@ func (t *Table) deleteLocked(tx *txn.Txn, rid RID, f *buffer.Frame, row []val.Va
 	return t.deleteRow(tx, rid, f, row, read, rec)
 }
 
-// updateLocked replaces the row at rid, whose image oldRow lockRow read,
+// updateLocked replaces the row at rid, whose image oldRow claimRow read,
 // through f as in deleteLocked.
 func (t *Table) updateLocked(tx *txn.Txn, rid RID, f *buffer.Frame, oldRow, newRow []val.Value) (RID, error) {
 	if len(newRow) != len(t.Columns) {

@@ -51,6 +51,13 @@ func remove(tbl *Table, tx *txn.Txn, rid RID) error {
 	return err
 }
 
+// lockRow claims the row at rid for tx as a write with no WHERE does: the
+// row, whatever it holds (see claimRow).
+func (t *Table) lockRow(tx *txn.Txn, rid RID) (*buffer.Frame, []val.Value, error) {
+	f, row, _, err := t.claimRow(tx, rid, nil)
+	return f, row, err
+}
+
 // getRow reads the newest content of the row at rid, which must exist.
 func getRow(tbl *Table, rid RID) ([]val.Value, error) {
 	r, ok, err := tbl.Fetch(rid, nil)

@@ -33,6 +33,8 @@
 package anywheredb
 
 import (
+	"time"
+
 	"anywheredb/internal/core"
 	"anywheredb/internal/faultinject"
 	"anywheredb/internal/val"
@@ -50,8 +52,21 @@ var (
 	ErrReadOnly  = core.ErrReadOnly
 )
 
-// Options configures a database. See core.Options for field semantics.
-type Options = core.Options
+// Options is what a deployment says about a database; the engine chooses
+// everything else itself.
+type Options struct {
+	// Dir holds the database files; empty runs fully in memory.
+	Dir string
+	// PoolMinPages and PoolMaxPages bound the buffer pool, in pages, for
+	// the life of the server (§2); the cache governor sizes it in between.
+	// Zero selects 16 and 4096.
+	PoolMinPages, PoolMaxPages int
+	// AutoShutdown closes the database when the last connection closes
+	// (the embedded deployment of §1).
+	AutoShutdown bool
+	// StatementTimeout bounds each statement's wall-clock time (0 = none).
+	StatementTimeout time.Duration
+}
 
 // DB is an open database instance.
 type DB = core.DB
@@ -69,7 +84,15 @@ type Result = core.Result
 type Value = val.Value
 
 // Open creates or opens a database.
-func Open(opts Options) (*DB, error) { return core.Open(opts) }
+func Open(opts Options) (*DB, error) {
+	return core.Open(core.Options{
+		Dir:              opts.Dir,
+		PoolMinPages:     opts.PoolMinPages,
+		PoolMaxPages:     opts.PoolMaxPages,
+		AutoShutdown:     opts.AutoShutdown,
+		StatementTimeout: opts.StatementTimeout,
+	})
+}
 
 // Int builds an INT parameter value.
 func Int(v int64) Value { return val.NewInt(v) }

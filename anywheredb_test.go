@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"anywheredb/internal/core"
 	"anywheredb/internal/faultinject"
 )
 
@@ -79,6 +80,22 @@ func TestPublicAPIPersistence(t *testing.T) {
 	}
 }
 
+// The pool's bounds are the deployment's: a pool capped below the engine's
+// default starting size starts at the cap instead of raising it.
+func TestPublicPoolBounds(t *testing.T) {
+	db, err := Open(Options{PoolMinPages: 8, PoolMaxPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if lo, hi := db.Pool().Bounds(); lo != 8 || hi != 64 {
+		t.Fatalf("pool bounds [%d, %d], want [8, 64]", lo, hi)
+	}
+	if n := db.Pool().SizePages(); n > 64 {
+		t.Fatalf("pool starts at %d pages, above its cap of 64", n)
+	}
+}
+
 // The public error taxonomy: a downstream user classifying I/O failures
 // with errors.Is against the re-exported sentinels, and observing the
 // engine latch read-only degraded mode on a permanently failed WAL.
@@ -102,7 +119,8 @@ func TestErrorTaxonomy(t *testing.T) {
 	if err := seed.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db, err := Open(Options{Dir: dir, Injector: sched})
+	// Fault injection is a test instrument, reachable only through core.
+	db, err := core.Open(core.Options{Dir: dir, Injector: sched})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"anywheredb/internal/buffer"
+	"anywheredb/internal/core"
 	"anywheredb/internal/exec"
 	"anywheredb/internal/experiments"
 	"anywheredb/internal/store"
@@ -47,7 +48,7 @@ func BenchmarkExperiments(b *testing.B) {
 
 func benchDB(b *testing.B) (*DB, *Conn) {
 	b.Helper()
-	db, err := Open(Options{PoolInitPages: 1024, PoolMaxPages: 2048})
+	db, err := core.Open(core.Options{PoolInitPages: 1024, PoolMaxPages: 2048})
 	if err != nil {
 		b.Fatal(err)
 	}

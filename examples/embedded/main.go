@@ -10,12 +10,15 @@ import (
 	"log"
 
 	"anywheredb"
+	"anywheredb/internal/core"
 	"anywheredb/internal/vclock"
 )
 
 func main() {
 	clk := vclock.New()
-	db, err := anywheredb.Open(anywheredb.Options{
+	// The simulated machine (Clock, TotalRAM) and the pool's starting size
+	// are engine-internal inputs, so this example opens through core.
+	db, err := core.Open(core.Options{
 		Clock:         clk,
 		AutoShutdown:  true,
 		PoolMinPages:  32,

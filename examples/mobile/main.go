@@ -10,14 +10,17 @@ import (
 	"log"
 	"strings"
 
-	"anywheredb"
+	"anywheredb/internal/core"
 	"anywheredb/internal/device"
 	"anywheredb/internal/vclock"
 )
 
 func main() {
 	clk := vclock.New()
-	db, err := anywheredb.Open(anywheredb.Options{
+	// The simulated handheld (Clock, Device, CEMode, TotalRAM) and the
+	// pool's starting size are engine-internal inputs, so this example
+	// opens through core.
+	db, err := core.Open(core.Options{
 		Clock:  clk,
 		Device: device.NewFlash(device.SDCard512(), clk), // SD card storage
 		CEMode: true,

@@ -16,7 +16,7 @@ import (
 )
 
 func main() {
-	db, err := anywheredb.Open(anywheredb.Options{PoolInitPages: 1024, PoolMaxPages: 2048})
+	db, err := anywheredb.Open(anywheredb.Options{PoolMinPages: 1024, PoolMaxPages: 2048})
 	if err != nil {
 		log.Fatal(err)
 	}

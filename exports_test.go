@@ -1,6 +1,7 @@
 package anywheredb
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -152,6 +153,142 @@ func TestNoNewUnusedExports(t *testing.T) {
 		t.Errorf("%s is on unusedExports but is no longer an unused export: take it off the list", key)
 	}
 	t.Logf("%d exported functions and methods, %d of them named by no non-test file", len(decls), len(unused))
+}
+
+// unsetOptions is the options ratchet's allow-list: the fields of
+// core.Options that no program sets — no non-test file outside
+// internal/experiments, examples/ and core itself, whose defaults are not a
+// choice. Each is here for the reason given, and every reason starts with
+// one of unsetOptionReasons. The list may shrink but never grow past
+// maxUnsetOptions: a new field must be set by a program, and an entry whose
+// field is deleted or gains a setter must be taken off.
+var unsetOptions = map[string]string{
+	"CEMode":           "experiment input: the Windows CE cache governor of a simulated handheld",
+	"CPURowCost":       "experiment input: the per-row CPU proxy the cost-model experiments charge",
+	"Clock":            "experiment input: the virtual clock a simulation advances",
+	"Device":           "experiment input: the simulated storage device (ROADMAP item 11)",
+	"ExecBatchSize":    "test instrument: the differential tests pin rows per batch",
+	"Injector":         "test instrument: fault injection and the torture tests",
+	"MPL":              "ROADMAP item 4: the admission width, for the runner to choose",
+	"ParanoidRecovery": "test instrument: torture runs verify that replay is idempotent",
+	"TotalRAM":         "experiment input: the simulated machine's memory (ROADMAP item 11)",
+	"VacuumInterval":   "ROADMAP item 4: the vacuum period, for the runner to choose",
+}
+
+// maxUnsetOptions is the ceiling on unsetOptions.
+const maxUnsetOptions = 10
+
+// unsetOptionReasons are the reasons a field of core.Options may be set by
+// no program: an instrument of tests, an input of the simulated machine
+// that experiments build, a detail of replication, or a choice waiting for
+// item 4's runner.
+var unsetOptionReasons = []string{"test instrument", "experiment input", "replica internals", "ROADMAP item 4"}
+
+// TestNoNewUnsetOptions is a ratchet over knobs nothing turns, using only
+// go/parser: it fails when a field of core.Options is set by no program
+// and is not on unsetOptions, and when an entry there no longer names such
+// a field. A field counts as set where a core.Options literal keys it, or
+// where a file that imports core assigns to a selector of its name, so a
+// same-named field of another struct can hide an unset one: the check
+// under-reports, never over-reports.
+func TestNoNewUnsetOptions(t *testing.T) {
+	const corePath = "anywheredb/internal/core"
+	fset := token.NewFileSet()
+	var fields []string
+	set := map[string]bool{}
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(p))
+		if dir == "internal/core" {
+			fields = append(fields, optionFields(f)...)
+			return nil
+		}
+		if strings.HasPrefix(dir, "internal/experiments") || strings.HasPrefix(dir, "examples") {
+			return nil
+		}
+		importsCore := slices.ContainsFunc(f.Imports, func(s *ast.ImportSpec) bool { return s.Path.Value == `"`+corePath+`"` })
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				if sel, ok := n.Type.(*ast.SelectorExpr); ok && sel.Sel.Name == "Options" && fmt.Sprint(sel.X) == "core" {
+					for _, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if k, ok := kv.Key.(*ast.Ident); ok {
+								set[k.Name] = true
+							}
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok && importsCore {
+						set[sel.Sel.Name] = true
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fields) == 0 {
+		t.Fatal("found no core.Options struct")
+	}
+	if len(unsetOptions) > maxUnsetOptions {
+		t.Errorf("unsetOptions has %d entries, more than the ceiling of %d", len(unsetOptions), maxUnsetOptions)
+	}
+	for name, reason := range unsetOptions {
+		if !slices.ContainsFunc(unsetOptionReasons, func(p string) bool { return strings.HasPrefix(reason, p) }) {
+			t.Errorf("%s: reason %q starts with none of %q", name, reason, unsetOptionReasons)
+		}
+		if !slices.Contains(fields, name) || set[name] {
+			t.Errorf("%s is on unsetOptions but is no longer a core.Options field that no program sets: take it off the list", name)
+		}
+	}
+	for _, name := range fields {
+		if _, ok := unsetOptions[name]; !ok && !set[name] {
+			t.Errorf("core.Options.%s is set by no program: give it the loop that chooses it, make it an input only experiments and tests build, or delete it", name)
+		}
+	}
+	t.Logf("core.Options has %d fields, %d of them set by no program", len(fields), len(unsetOptions))
+}
+
+// optionFields lists the field names of the struct named Options that f
+// declares, if any.
+func optionFields(f *ast.File) []string {
+	var names []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		ts, ok := n.(*ast.TypeSpec)
+		if !ok || ts.Name.Name != "Options" {
+			return true
+		}
+		if st, ok := ts.Type.(*ast.StructType); ok {
+			for _, fl := range st.Fields.List {
+				for _, id := range fl.Names {
+					names = append(names, id.Name)
+				}
+			}
+		}
+		return false
+	})
+	return names
 }
 
 // modulePackage maps a directory of this module to its import path; a

@@ -259,12 +259,13 @@ func TestColumnarCrashMidBuild(t *testing.T) {
 }
 
 // TestReorgPromotes drives the storage reorganizer directly: a scan-heavy
-// table above the size floor is promoted to columnar; a tiny table is not.
+// table above the size floor (reorgMinRows) is promoted to columnar; a tiny
+// table is not.
 func TestReorgPromotes(t *testing.T) {
-	db := openDB(t, Options{ReorgMinRows: 100})
+	db := openDB(t, Options{})
 	c := conn(t, db)
 	defer c.Close()
-	seedFact(t, db, c, 320)
+	seedFact(t, db, c, reorgMinRows+100)
 	mustExec(t, c, "CREATE TABLE tiny (k INT)")
 	mustExec(t, c, "INSERT INTO tiny VALUES (1), (2), (3)")
 

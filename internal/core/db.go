@@ -74,7 +74,8 @@ type Options struct {
 	Clock *vclock.Clock
 
 	// Buffer pool bounds, in pages. The lower and upper bounds are fixed
-	// for the lifetime of the server (§2).
+	// for the lifetime of the server (§2); the pool starts at PoolInitPages
+	// (default 256, capped at PoolMaxPages).
 	PoolMinPages, PoolInitPages, PoolMaxPages int
 
 	// TotalRAM is the simulated machine's physical memory (default 256 MB).
@@ -94,32 +95,16 @@ type Options struct {
 	// (the embedded-deployment behaviour of §1).
 	AutoShutdown bool
 
-	// CommitFlushDelay is the WAL group-commit gather window: a flush
-	// leader lingers this long before sealing the batch, trading commit
-	// latency for larger groups (fewer fsyncs). 0 flushes immediately;
-	// batching then comes only from committers piling up behind an
-	// in-flight fsync, which preserves single-user latency semantics.
-	CommitFlushDelay time.Duration
-
 	// Injector, when non-nil, is consulted on every storage and WAL
 	// operation and at named crashpoints (fault injection / torture).
 	Injector faultinject.Injector
 	// StatementTimeout bounds each statement's wall-clock time (0 = none).
 	// Cancellation is observed at batch boundaries in every operator.
 	StatementTimeout time.Duration
-	// DisableFlightRecorder turns span/wait/digest capture off. The
-	// instrumentation stays compiled in (observer hooks installed, branch
-	// costs paid) — this is the overhead baseline experiment E21 measures
-	// against.
-	DisableFlightRecorder bool
 	// ParanoidRecovery replays the log a second time after recovery and
 	// verifies the replay was idempotent (the logical page content must not
 	// change). Torture tests run with this on.
 	ParanoidRecovery bool
-
-	// ReorgMinRows is the smallest table a ReorgOnce pass will promote
-	// (default 1024 — below that the heap scan is already cheap).
-	ReorgMinRows int
 
 	// ReplicaMode opens the database as a log-shipping read replica: SQL
 	// writes are refused (ErrReplica), the storage reorganizer never runs,
@@ -150,20 +135,17 @@ func (o *Options) fill() {
 	if o.PoolMinPages <= 0 {
 		o.PoolMinPages = 16
 	}
-	if o.PoolInitPages <= 0 {
-		o.PoolInitPages = 256
-	}
 	if o.PoolMaxPages <= 0 {
 		o.PoolMaxPages = 4096
+	}
+	if o.PoolInitPages <= 0 {
+		o.PoolInitPages = min(256, o.PoolMaxPages)
 	}
 	if o.TotalRAM <= 0 {
 		o.TotalRAM = 256 << 20
 	}
 	if o.MPL <= 0 {
 		o.MPL = 4
-	}
-	if o.ReorgMinRows <= 0 {
-		o.ReorgMinRows = 1024
 	}
 	if o.VacuumInterval == 0 {
 		o.VacuumInterval = 250 * time.Millisecond
@@ -296,9 +278,7 @@ func Open(opts Options) (*DB, error) {
 	if opts.Dir != "" {
 		logPath = filepath.Join(opts.Dir, "anywhere.log")
 	}
-	log, err := wal.OpenOptions(logPath, wal.Options{
-		CommitFlushDelay: opts.CommitFlushDelay,
-	})
+	log, err := wal.Open(logPath)
 	if err != nil {
 		st.Close()
 		return nil, err
@@ -448,7 +428,6 @@ func Open(opts Options) (*DB, error) {
 	db.flight = flightrec.New(flightrec.DefaultRingSize, func() int64 {
 		return time.Since(openedAt).Microseconds()
 	})
-	db.flight.SetEnabled(!opts.DisableFlightRecorder)
 	db.flight.AttachTelemetry(db.reg)
 	// Wait-event observers. Attribution: lock waits carry the waiting
 	// transaction's id; commit flush waits are measured at the txn layer
@@ -635,8 +614,12 @@ func (db *DB) VacuumOnce() int {
 }
 
 // reorgScanWriteRatio is the scans-per-write threshold at which the
-// reorganizer promotes a table to columnar storage.
-const reorgScanWriteRatio = 8
+// reorganizer promotes a table to columnar storage, and reorgMinRows the
+// smallest table it promotes: below that the heap scan is already cheap.
+const (
+	reorgScanWriteRatio = 8
+	reorgMinRows        = 1024
+)
 
 // ReorgOnce runs one storage-reorganizer pass and reports how many tables
 // were promoted to columnar storage. A table is promoted when the observed
@@ -655,7 +638,7 @@ func (db *DB) ReorgOnce() int {
 		if tbl == nil || tbl.SegmentCount() > 0 {
 			continue
 		}
-		if tbl.RowCount() < int64(db.opts.ReorgMinRows) || st.Scans == 0 {
+		if tbl.RowCount() < reorgMinRows || st.Scans == 0 {
 			continue
 		}
 		writes := st.Writes

@@ -328,13 +328,12 @@ func (db *DB) attachHeap(tm *catalog.TableMeta) (*table.Table, error) {
 // Checkpoint writes every dirty page and the catalog, as derived from the
 // live tables, and syncs; that much it always does. It then truncates the
 // log — unless a transaction that has logged a record was open when the
-// flush began, or logged its first while it ran: the log is then the only
-// undo (or redo) those records have, and it grows until a later checkpoint
-// finds the engine quiet from start to end.
+// last flush began, or logged its first while it ran: the log is then the
+// only undo (or redo) those records have, and it grows until a later
+// checkpoint finds the engine quiet from start to end.
 func (db *DB) Checkpoint() error {
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
-	mark := db.txns.QuietMark()
 	db.mu.RLock()
 	metas := make([]*catalog.TableMeta, 0, len(db.tables))
 	for _, tbl := range db.tables {
@@ -351,6 +350,9 @@ func (db *DB) Checkpoint() error {
 	if err := db.cat.Save(db.logCatalogChain); err != nil {
 		return err
 	}
+	// Marked after the catalog's own transaction has settled: the flush
+	// below writes every page a record logged before the mark describes.
+	mark := db.txns.QuietMark()
 	if err := db.pool.FlushAll(); err != nil {
 		return err
 	}
@@ -377,7 +379,7 @@ func (db *DB) Checkpoint() error {
 func (db *DB) logCatalogChain(ids []store.PageID, images []page.Buf) error {
 	tx := db.txns.Begin()
 	for i, id := range ids {
-		db.log.Append(&wal.Record{Type: wal.RecPageImage, Txn: tx.ID(), Page: id, After: images[i]})
+		tx.Log(&wal.Record{Type: wal.RecPageImage, Page: id, After: images[i]})
 	}
 	return tx.Commit()
 }

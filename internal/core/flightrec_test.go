@@ -169,7 +169,8 @@ func TestPropertyQuantileSuffix(t *testing.T) {
 // TestDisableFlightRecorder: with the recorder off, nothing is captured
 // but statements still run.
 func TestDisableFlightRecorder(t *testing.T) {
-	db := openDB(t, Options{DisableFlightRecorder: true})
+	db := openDB(t, Options{})
+	db.FlightRecorder().SetEnabled(false)
 	c := conn(t, db)
 	mustExec(t, c, "CREATE TABLE t (a INT)")
 	mustExec(t, c, "INSERT INTO t VALUES (1)")

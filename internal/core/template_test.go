@@ -584,7 +584,7 @@ func TestDifferentialRetainedVsFresh(t *testing.T) {
 // invalidation of the one trained slot — and EXPLAIN shows the access path
 // the new schema offers; on an unchanging schema nothing is invalidated.
 func TestTemplateNotServedAcrossSchemaChange(t *testing.T) {
-	db := openDB(t, Options{ReorgMinRows: 100})
+	db := openDB(t, Options{})
 	c := conn(t, db)
 	const q = "SELECT v FROM t WHERE id = 7"
 	const upd = "UPDATE t SET v = v WHERE id = 7"
@@ -635,7 +635,8 @@ func TestTemplateNotServedAcrossSchemaChange(t *testing.T) {
 	change("ALTER TABLE STORE COLUMNAR", func() { mustExec(t, c, "ALTER TABLE t STORE COLUMNAR") }, "TableScan(t columnar zone:id=7)", "IndexScan(t.t_id)", 70)
 	change("DROP and CREATE TABLE", func() {
 		mustExec(t, c, "DROP TABLE t")
-		loadPairs(t, c, "t", "id INT, v INT", 400, func(i int) (int, int) { return i, i * 1000 })
+		// Above the reorganizer's size floor, for the promotion below.
+		loadPairs(t, c, "t", "id INT, v INT", reorgMinRows+100, func(i int) (int, int) { return i, i * 1000 })
 	}, "TableScan(t)", "TableScan(t)", 7000)
 	change("reorg promotion", func() {
 		for i := 0; i < 1000; i++ { // scans ≥ 8 × every write the test has made

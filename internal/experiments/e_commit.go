@@ -29,15 +29,16 @@ type commitStats struct {
 // commitThroughput runs writers concurrent connections, each committing
 // txnsPerWriter small single-row write transactions against its own key
 // range, and reports commit throughput plus the fsync amplification taken
-// from the engine's own wal.flushes counter. The caller's opts (minus Dir,
-// which is always a fresh temp directory) select the engine configuration
-// under test — E21 toggles DisableFlightRecorder.
-func commitThroughput(writers, txnsPerWriter int, opts core.Options) (*commitStats, error) {
-	r, err := openRig(opts, true)
+// from the engine's own wal.flushes counter. The database lives in a fresh
+// temporary directory; disable turns its flight recorder off (E21's
+// baseline).
+func commitThroughput(writers, txnsPerWriter int, disable bool) (*commitStats, error) {
+	r, err := openRig(core.Options{}, true)
 	if err != nil {
 		return nil, err
 	}
 	defer r.close()
+	r.db.FlightRecorder().SetEnabled(!disable)
 	if err := r.exec("CREATE TABLE kv (k INT, v INT)"); err != nil {
 		return nil, err
 	}
@@ -95,7 +96,7 @@ func E20CommitThroughput() (*Report, error) {
 
 	metrics := map[string]float64{}
 	for _, writers := range []int{1, 4, 16} {
-		group, err := commitThroughput(writers, txnsPerWriter, core.Options{})
+		group, err := commitThroughput(writers, txnsPerWriter, false)
 		if err != nil {
 			return nil, err
 		}
@@ -282,11 +283,8 @@ func commitTorture(cfg commitTortureConfig) (*commitTortureResult, error) {
 		sched := faultinject.NewSchedule(fcfg)
 
 		db, err := core.Open(core.Options{
-			Dir:      cfg.Dir,
-			Injector: sched,
-			// A small gather window widens every group so flush faults land
-			// on multi-member groups routinely, not just by lucky timing.
-			CommitFlushDelay: 200 * time.Microsecond,
+			Dir:              cfg.Dir,
+			Injector:         sched,
 			ParanoidRecovery: true,
 		})
 		indets := make([][]kvOp, cfg.Writers)

@@ -38,14 +38,14 @@ type observeScanRun struct {
 // real CPU the virtual clock does not model.
 func observeScanRate(disable bool) (*observeScanRun, error) {
 	r, err := openRig(core.Options{
-		DisableFlightRecorder: disable,
-		PoolInitPages:         1024,
-		PoolMaxPages:          2048,
+		PoolInitPages: 1024,
+		PoolMaxPages:  2048,
 	}, false)
 	if err != nil {
 		return nil, err
 	}
 	defer r.close()
+	r.db.FlightRecorder().SetEnabled(!disable)
 
 	if err := r.exec("CREATE TABLE t (a INT, b INT)"); err != nil {
 		return nil, err
@@ -177,12 +177,11 @@ func E21ObservabilityOverhead() (*Report, error) {
 	}
 
 	const writers, txnsPerWriter = 16, 200
-	offCommit, err := commitThroughput(writers, txnsPerWriter,
-		core.Options{DisableFlightRecorder: true})
+	offCommit, err := commitThroughput(writers, txnsPerWriter, true)
 	if err != nil {
 		return nil, err
 	}
-	onCommit, err := commitThroughput(writers, txnsPerWriter, core.Options{})
+	onCommit, err := commitThroughput(writers, txnsPerWriter, false)
 	if err != nil {
 		return nil, err
 	}

@@ -6,9 +6,10 @@
 // use (for example while the server awaits the next FETCH), it is
 // "unlocked": its pages become stealable and the buffer manager may evict
 // them to the temporary file to reuse the frames for table or index pages.
-// Re-locking pins the pages back into memory; rows are addressed by stable
-// (page, slot) handles, the moral equivalent of the paper's pointer
-// swizzling on relocation.
+// Rows are addressed by stable (page, slot) handles while the heap is
+// locked; the paper's re-lock, which pins an unlocked heap back with its
+// pointers swizzled, is not reproduced: no operator reads an unlocked heap
+// by handle.
 //
 // A heap is also the engine's one container for rows spilled to the
 // temporary file: a sorted run or an evicted hash partition is a heap its
@@ -170,21 +171,6 @@ func (h *Heap) Unlock() {
 		}
 	}
 	h.locked = false
-}
-
-// Lock re-pins every page, re-reading any that were stolen while the heap
-// was unlocked. Row handles issued before the unlock remain valid.
-func (h *Heap) Lock() error {
-	for i, f := range h.frames {
-		if f == nil {
-			if err := h.pin(i); err != nil {
-				h.Unlock()
-				return err
-			}
-		}
-	}
-	h.locked = true
-	return nil
 }
 
 // Free releases every page: frames are discarded without write-back (the

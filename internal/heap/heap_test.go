@@ -60,29 +60,29 @@ func TestUnlockedAccessFails(t *testing.T) {
 	if _, err := h.Row(ref); err != ErrUnlocked {
 		t.Fatalf("want ErrUnlocked, got %v", err)
 	}
-	// Unlock twice is harmless; Lock restores access.
+	// Unlock twice is harmless; the row stays readable through a cursor.
 	h.Unlock()
-	if err := h.Lock(); err != nil {
-		t.Fatal(err)
+	if _, err := h.Row(ref); err != ErrUnlocked {
+		t.Fatalf("unlocked twice: want ErrUnlocked, got %v", err)
 	}
-	b, err := h.Row(ref)
+	c := h.Cursor()
+	b, err := c.Next()
 	if err != nil || string(b) != "x" {
-		t.Fatalf("after relock: %q, %v", b, err)
+		t.Fatalf("cursor over the unlocked heap: %q, %v", b, err)
 	}
+	c.Close()
 }
 
 func TestStealAndSwizzle(t *testing.T) {
 	// Pool of 8 frames; heap fills 4, then a flood of table pages steals
-	// them while the heap is unlocked. Re-locking must restore contents.
+	// them while the heap is unlocked. A cursor must read the contents back.
 	h, pool, st := setup(t, 8)
-	var refs []RowRef
+	const n = 16 // ~4 pages of 900-byte rows
 	payload := bytes.Repeat([]byte("z"), 900)
-	for i := 0; i < 16; i++ { // ~4 pages of 900-byte rows
-		ref, err := h.AddRow(append(payload, byte('0'+i%10)))
-		if err != nil {
+	for i := 0; i < n; i++ {
+		if _, err := h.AddRow(append(payload, byte('0'+i%10))); err != nil {
 			t.Fatal(err)
 		}
-		refs = append(refs, ref)
 	}
 	pagesBefore := h.Pages()
 	h.Unlock()
@@ -101,14 +101,13 @@ func TestStealAndSwizzle(t *testing.T) {
 		t.Fatal("test expected steals/evictions")
 	}
 
-	if err := h.Lock(); err != nil {
-		t.Fatal(err)
-	}
 	if h.Pages() != pagesBefore {
 		t.Fatalf("pages %d, want %d", h.Pages(), pagesBefore)
 	}
-	for i, ref := range refs {
-		b, err := h.Row(ref)
+	c := h.Cursor()
+	defer c.Close()
+	for i := 0; i < n; i++ {
+		b, err := c.Next()
 		if err != nil {
 			t.Fatalf("row %d after steal: %v", i, err)
 		}
@@ -227,13 +226,10 @@ func TestUnlockedAppendAndCursor(t *testing.T) {
 	h.Unlock()
 
 	const n = 200 // 900-byte rows, 4 to a page: 50 pages through an 8-frame pool
-	var refs []RowRef
 	for i := 0; i < n; i++ {
-		ref, err := h.AddRow(append(bytes.Repeat([]byte("u"), 900), byte(i)))
-		if err != nil {
+		if _, err := h.AddRow(append(bytes.Repeat([]byte("u"), 900), byte(i))); err != nil {
 			t.Fatal(err)
 		}
-		refs = append(refs, ref)
 		if got := pool.PinnedCount(); got > 1 {
 			t.Fatalf("append %d: %d pages pinned, want the tail only", i, got)
 		}
@@ -270,20 +266,6 @@ func TestUnlockedAppendAndCursor(t *testing.T) {
 		t.Fatalf("after the cursor: pinned %d, charged %d", pool.PinnedCount(), task.UsedPages())
 	}
 
-	// Handles issued while unlocked address the rows once the heap is locked.
-	pool.Resize(64)
-	if err := h.Lock(); err != nil {
-		t.Fatal(err)
-	}
-	if task.UsedPages() != h.Pages() {
-		t.Fatalf("locked: charged %d of %d pages", task.UsedPages(), h.Pages())
-	}
-	for i, ref := range refs {
-		b, err := h.Row(ref)
-		if err != nil || b[900] != byte(i) {
-			t.Fatalf("row %d after Lock: %v", i, err)
-		}
-	}
 	free := len(mustFreeList(t, st))
 	pages := h.Pages()
 	h.Free()

@@ -5,9 +5,9 @@
 // Index Consultant that evaluates virtual (hypothetical) indexes the
 // optimizer would like to have. The paper
 // captures the trace into a database; here INSERT INTO ... SELECT ... FROM
-// sys.statements does that. An engine opened with DisableFlightRecorder
-// keeps no trace, so there is nothing to profile: IndexConsultant fails
-// with ErrNoTrace.
+// sys.statements does that. An engine whose flight recorder is turned off
+// (FlightRecorder().SetEnabled(false)) keeps no trace, so there is nothing
+// to profile: IndexConsultant fails with ErrNoTrace.
 package profile
 
 import (

@@ -200,11 +200,12 @@ func TestIndexConsultantNoGainNoRecommendation(t *testing.T) {
 // keeps no workload trace, and the Index Consultant says so by name rather
 // than returning an empty result that reads as "no index would help".
 func TestIndexConsultantWithoutTrace(t *testing.T) {
-	db, err := core.Open(core.Options{DisableFlightRecorder: true})
+	db, err := core.Open(core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	db.FlightRecorder().SetEnabled(false)
 	c, err := db.Connect()
 	if err != nil {
 		t.Fatal(err)

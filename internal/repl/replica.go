@@ -41,7 +41,7 @@ type ReplicaOptions struct {
 	// pinned and reused across resyncs, so routed clients stay valid.
 	ReadListen string
 	// Core is the template for the replica's database instance (MPL, pool
-	// size, device, flight recorder...). Dir and ReplicaMode are overridden.
+	// size, device...). Dir and ReplicaMode are overridden.
 	Core core.Options
 	// DialTimeout bounds each connect attempt (default 5s).
 	DialTimeout time.Duration

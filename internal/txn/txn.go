@@ -581,9 +581,9 @@ func (t *Txn) Commit() error {
 		return ErrDone
 	}
 	t.done = true
-	if t.ro {
-		// Nothing was logged and nothing can have changed: just release
-		// the snapshot and deregister.
+	if !t.logged {
+		// A read-only transaction, or one that wrote nothing: no record
+		// would make anything durable. Release the snapshot and deregister.
 		t.finish()
 		return nil
 	}

@@ -10,7 +10,6 @@ package vclock
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
@@ -28,14 +27,6 @@ const (
 // clock at time zero, ready to use. Clocks are safe for concurrent use.
 type Clock struct {
 	now atomic.Int64
-
-	mu      sync.Mutex
-	waiters []*waiter
-}
-
-type waiter struct {
-	deadline Micros
-	ch       chan struct{}
 }
 
 // New returns a clock starting at virtual time zero.
@@ -44,43 +35,12 @@ func New() *Clock { return &Clock{} }
 // Now reports the current virtual time in microseconds.
 func (c *Clock) Now() Micros { return c.now.Load() }
 
-// Advance moves virtual time forward by d microseconds and wakes any waiter
-// whose deadline has been reached. Advancing by a negative duration panics:
-// virtual time is monotonic by construction.
+// Advance moves virtual time forward by d microseconds and returns the new
+// time. Advancing by a negative duration panics: virtual time is monotonic
+// by construction.
 func (c *Clock) Advance(d Micros) Micros {
 	if d < 0 {
 		panic(fmt.Sprintf("vclock: negative advance %d", d))
 	}
-	t := c.now.Add(d)
-	c.wake(t)
-	return t
-}
-
-// After returns a channel that is closed once virtual time reaches now+d.
-// Unlike time.After, it never fires on its own: some goroutine must call
-// Advance.
-func (c *Clock) After(d Micros) <-chan struct{} {
-	w := &waiter{deadline: c.Now() + d, ch: make(chan struct{})}
-	c.mu.Lock()
-	if c.now.Load() >= w.deadline {
-		close(w.ch)
-	} else {
-		c.waiters = append(c.waiters, w)
-	}
-	c.mu.Unlock()
-	return w.ch
-}
-
-func (c *Clock) wake(t Micros) {
-	c.mu.Lock()
-	kept := c.waiters[:0]
-	for _, w := range c.waiters {
-		if w.deadline <= t {
-			close(w.ch)
-		} else {
-			kept = append(kept, w)
-		}
-	}
-	c.waiters = kept
-	c.mu.Unlock()
+	return c.now.Add(d)
 }

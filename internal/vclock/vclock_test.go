@@ -32,38 +32,6 @@ func TestAdvanceNegativePanics(t *testing.T) {
 	New().Advance(-1)
 }
 
-func TestAfterFiresAtDeadline(t *testing.T) {
-	c := New()
-	ch := c.After(100)
-	select {
-	case <-ch:
-		t.Fatal("After fired before deadline")
-	default:
-	}
-	c.Advance(99)
-	select {
-	case <-ch:
-		t.Fatal("After fired one microsecond early")
-	default:
-	}
-	c.Advance(1)
-	select {
-	case <-ch:
-	default:
-		t.Fatal("After did not fire at deadline")
-	}
-}
-
-func TestAfterZeroFiresImmediately(t *testing.T) {
-	c := New()
-	c.Advance(10)
-	select {
-	case <-c.After(0):
-	default:
-		t.Fatal("After(0) should be closed immediately")
-	}
-}
-
 func TestConcurrentAdvance(t *testing.T) {
 	c := New()
 	var wg sync.WaitGroup
@@ -79,26 +47,5 @@ func TestConcurrentAdvance(t *testing.T) {
 	wg.Wait()
 	if got := c.Now(); got != 8000 {
 		t.Fatalf("Now() = %d, want 8000", got)
-	}
-}
-
-func TestManyWaiters(t *testing.T) {
-	c := New()
-	chans := make([]<-chan struct{}, 10)
-	for i := range chans {
-		chans[i] = c.After(int64(i+1) * 10)
-	}
-	c.Advance(55)
-	for i, ch := range chans {
-		fired := false
-		select {
-		case <-ch:
-			fired = true
-		default:
-		}
-		want := (i+1)*10 <= 55
-		if fired != want {
-			t.Errorf("waiter %d fired=%v, want %v", i, fired, want)
-		}
 	}
 }

@@ -128,39 +128,6 @@ func TestGroupCommitBatches(t *testing.T) {
 	}
 }
 
-// TestCommitFlushDelayGathers opens the log with a gather window and
-// checks that committers arriving inside it share one flush.
-func TestCommitFlushDelayGathers(t *testing.T) {
-	dir := t.TempDir()
-	l, err := OpenOptions(filepath.Join(dir, "d.log"), Options{CommitFlushDelay: 200 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	const committers = 8
-	var wg sync.WaitGroup
-	for i := 0; i < committers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Stagger arrivals well inside the 200ms window.
-			time.Sleep(time.Duration(i) * time.Millisecond)
-			lsn := l.Append(&Record{Type: RecCommit, Txn: uint64(i + 1)})
-			if err := l.FlushTo(lsn); err != nil {
-				t.Error(err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if got := l.flushes.Load(); got != 1 {
-		t.Fatalf("%d flushes, want 1 (all committers inside the gather window)", got)
-	}
-	if got := l.groupCommits.Load(); got != 1 {
-		t.Fatalf("group_commits = %d, want 1", got)
-	}
-}
-
 // TestFailedGroupFlushFailsEveryWaiter arms a permanent flush fault, sends
 // a batch of concurrent committers in, and asserts every single one saw
 // the error. Then it disarms the fault and verifies a later flush lands

@@ -123,16 +123,6 @@ var ErrTruncated = fmt.Errorf("wal: log position was truncated away")
 // Shipping positions (Position, ReadChunk) are LSNs too.
 type LSN = uint64
 
-// Options configures a log beyond its path.
-type Options struct {
-	// CommitFlushDelay is the group-commit gather window: a flush leader
-	// sleeps this long before sealing the buffer, letting more committers
-	// append their records into the batch. 0 flushes immediately (the
-	// lowest-latency setting; batching then arises only from committers
-	// that pile up behind an in-flight fsync).
-	CommitFlushDelay time.Duration
-}
-
 // flushGroup is one in-flight group commit. The leader creates it, seals
 // the buffer into it, performs the write+sync, publishes err, and closes
 // done. Followers whose commit LSN the group covers wait on done and share
@@ -142,7 +132,6 @@ type flushGroup struct {
 	err  error // written before done is closed
 
 	// Guarded by Log.mu until done is closed:
-	sealed  bool   // buffer swap has happened; end is final
 	end     uint64 // durable tail if the flush succeeds
 	members int    // committers waiting on this group (leader included)
 }
@@ -161,11 +150,10 @@ type Log struct {
 	memMu  sync.Mutex // guards mem (written outside mu by the flush leader)
 	memLog bool       // created memory-backed (empty path); f is nil by design
 	closed bool       // CloseNoFlush ran: every later flush fails with ErrClosed
-	opts   Options
-	tail   uint64 // durable end offset (advanced only after a synced flush)
-	end    uint64 // next append offset: tail + in-flight bytes + len(buffer)
-	buffer []byte // active (unsealed) pending bytes; appends land here
-	spare  []byte // the last successfully flushed buffer, emptied for reuse
+	tail   uint64     // durable end offset (advanced only after a synced flush)
+	end    uint64     // next append offset: tail + in-flight bytes + len(buffer)
+	buffer []byte     // active (unsealed) pending bytes; appends land here
+	spare  []byte     // the last successfully flushed buffer, emptied for reuse
 
 	// A truncated log begins with a header, hdr bytes long: a RecCheckpoint
 	// whose After is start, the LSN its records begin after. File offset off
@@ -266,11 +254,8 @@ func (l *Log) AttachTelemetry(reg *telemetry.Registry) {
 
 // Open opens (or creates) the log file at path. An empty path yields a
 // memory-backed log for tests.
-func Open(path string) (*Log, error) { return OpenOptions(path, Options{}) }
-
-// OpenOptions opens the log with explicit options.
-func OpenOptions(path string, opts Options) (*Log, error) {
-	l := &Log{opts: opts, logID: randomID()}
+func Open(path string) (*Log, error) {
+	l := &Log{logID: randomID()}
 	if path == "" {
 		l.memLog = true
 		return l, nil
@@ -572,10 +557,9 @@ func (l *Log) FlushTo(lsn LSN) error {
 		if !blocked {
 			blockStart, blocked = time.Now(), true
 		}
-		if !g.sealed || l.lsnOf(g.end) >= lsn {
-			// Follower: an unsealed group will seal everything appended so
-			// far (including our record); a sealed group covers us iff its
-			// end does. Either way this group's flush decides our fate.
+		if l.lsnOf(g.end) >= lsn {
+			// Follower: the group's flush covers our record and decides
+			// our fate.
 			g.members++
 			l.flushWaiters.Add(1)
 			l.mu.Unlock()
@@ -589,20 +573,13 @@ func (l *Log) FlushTo(lsn LSN) error {
 		l.mu.Lock()
 	}
 
-	// Leader (l.mu held): publish the group, optionally linger to gather
-	// more committers, then seal the buffer and flush it outside the mutex.
-	g := &flushGroup{done: make(chan struct{}), members: 1}
-	l.inflight = g
-	if d := l.opts.CommitFlushDelay; d > 0 {
-		l.mu.Unlock()
-		time.Sleep(d)
-		l.mu.Lock()
-	}
+	// Leader (l.mu held): seal the buffer into a published group and flush
+	// it outside the mutex.
 	sealed := l.buffer
 	l.buffer, l.spare = l.spare, nil
 	base := l.tail
-	g.sealed = true
-	g.end = base + uint64(len(sealed))
+	g := &flushGroup{done: make(chan struct{}), end: base + uint64(len(sealed)), members: 1}
+	l.inflight = g
 	l.mu.Unlock()
 
 	var err error

@@ -31,7 +31,7 @@ type Conn struct {
 	// DML loops poll it at batch boundaries.
 	stmtCtx context.Context
 	// curSpan is the flight-recorder span of the statement currently
-	// running on this connection (nil with the recorder disabled).
+	// running on this connection: &span, or nil with the recorder disabled.
 	curSpan *flightrec.Span
 	// curSnap is the MVCC snapshot of the statement currently running on
 	// this connection: reads under it resolve row versions and take no
@@ -45,13 +45,15 @@ type Conn struct {
 	// What the connection keeps from statement to statement, so that a
 	// statement allocates little beyond its answer: the execution context,
 	// with the scan-feedback hook bound once, and the batch its plan drains
-	// into; the memory-governor task and the statement snapshot of the
-	// statement running (neither holds a charge or a registration between
-	// statements); the vector a text's lifted literals are merged into; and
-	// the plans of the shapes it ran last.
+	// into; the flight-recorder span, the memory-governor task and the
+	// statement snapshot of the statement running (the ring keeps a copy of
+	// a finished span; neither task nor snapshot holds a charge or a
+	// registration between statements); the vector a text's lifted literals
+	// are merged into; and the plans of the shapes it ran last.
 	ectx    exec.Ctx
 	batch   exec.Batch
 	scanObs func(tableName string, rows int64)
+	span    flightrec.Span
 	task    mem.Task
 	snap    mvcc.Snapshot
 	bound   []val.Value
@@ -279,7 +281,7 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value) (res Resul
 	// literals lifted from the text: text and bound together are the
 	// statement as submitted.
 	bound := params
-	sp := c.db.flight.Begin(st.Text, st.Fingerprint)
+	sp := c.db.flight.Begin(&c.span, st.Text, st.Fingerprint)
 	c.curSpan = sp
 	var wallStart time.Time
 	var poolBase buffer.Stats
@@ -508,25 +510,25 @@ func (c *Conn) loadTable(s *sqlparse.LoadTable) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	tx, done := c.db.autoTxn(c.tx, c.curSpan)
+	st := c.db.autoTxn(c.stmtCtx, c.tx, c.curSpan)
 	var n int64
 	for _, rec := range recs {
 		if err := c.interrupted(); err != nil {
-			return Result{}, done(err)
+			return Result{}, st.end(err)
 		}
 		if len(rec) != len(tbl.Columns) {
-			return Result{}, done(fmt.Errorf("core: CSV row has %d fields, want %d", len(rec), len(tbl.Columns)))
+			return Result{}, st.end(fmt.Errorf("core: CSV row has %d fields, want %d", len(rec), len(tbl.Columns)))
 		}
 		row := make([]val.Value, len(rec))
 		for i, cell := range rec {
 			row[i] = parseCell(cell, tbl.Columns[i].Kind)
 		}
-		if _, err := tbl.Insert(tx, row); err != nil {
-			return Result{}, done(err)
+		if _, err := tbl.Insert(st.tx, row); err != nil {
+			return Result{}, st.end(err)
 		}
 		n++
 	}
-	if err := done(nil); err != nil {
+	if err := st.end(nil); err != nil {
 		return Result{}, err
 	}
 	c.db.cacheG.NoteDBGrowth()

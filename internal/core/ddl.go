@@ -27,33 +27,53 @@ import (
 	"anywheredb/internal/wal"
 )
 
-// autoTxn returns the transaction a statement writes in and a done func:
-// inside an explicit transaction (cur) it is that transaction; otherwise a
-// fresh one committed (or rolled back) by done. An autocommit transaction
-// is bound to the statement's span for wait attribution, and its commit (or
-// rollback) flush is charged to the span's commit phase.
-func (db *DB) autoTxn(cur *txn.Txn, sp *flightrec.Span) (*txn.Txn, func(err error) error) {
-	if cur != nil {
-		return cur, func(err error) error { return err }
+// stmtTxn is the transaction a write statement runs in, as autoTxn opened
+// it; end closes the statement's use of it.
+type stmtTxn struct {
+	tx   *txn.Txn
+	db   *DB
+	sp   *flightrec.Span
+	auto bool // tx is the statement's own autocommit transaction
+}
+
+// autoTxn returns the transaction a write statement runs in: inside an
+// explicit transaction (cur) it is that transaction; otherwise a fresh one
+// that end commits (or rolls back). Either way the transaction's lock and
+// row waits observe ctx, the statement's context, until end. An autocommit
+// transaction is bound to the statement's span for wait attribution, and its
+// commit (or rollback) flush is charged to the span's commit phase.
+func (db *DB) autoTxn(ctx context.Context, cur *txn.Txn, sp *flightrec.Span) stmtTxn {
+	st := stmtTxn{tx: cur, db: db, sp: sp}
+	if cur == nil {
+		st.tx, st.auto = db.txns.Begin(), true
+		db.flight.BindTxn(st.tx.ID(), sp)
 	}
-	t := db.txns.Begin()
-	db.flight.BindTxn(t.ID(), sp)
-	return t, func(err error) error {
-		var commitStart time.Time
-		if sp != nil {
-			commitStart = time.Now()
-		}
-		if err != nil {
-			t.Rollback()
-		} else {
-			err = t.Commit()
-		}
-		if sp != nil {
-			sp.AddPhase(flightrec.PhaseCommit, time.Since(commitStart).Microseconds())
-			db.flight.UnbindTxn(t.ID())
-		}
+	st.tx.SetContext(ctx)
+	return st
+}
+
+// end finishes the statement's writes with err, its outcome so far: it
+// commits an autocommit transaction when err is nil and rolls it back
+// otherwise, and returns err or the commit's error.
+func (st stmtTxn) end(err error) error {
+	st.tx.SetContext(nil)
+	if !st.auto {
 		return err
 	}
+	var commitStart time.Time
+	if st.sp != nil {
+		commitStart = time.Now()
+	}
+	if err != nil {
+		st.tx.Rollback()
+	} else {
+		err = st.tx.Commit()
+	}
+	if st.sp != nil {
+		st.sp.AddPhase(flightrec.PhaseCommit, time.Since(commitStart).Microseconds())
+		st.db.flight.UnbindTxn(st.tx.ID())
+	}
+	return err
 }
 
 // schemaChange is the one path a schema change takes: a transaction, the
@@ -72,7 +92,8 @@ func (db *DB) schemaChange(ctx context.Context, cur *txn.Txn, sp *flightrec.Span
 	if name != "" && !ok {
 		return notFound
 	}
-	tx, done := db.autoTxn(cur, sp)
+	st := db.autoTxn(ctx, cur, sp)
+	tx := st.tx
 	var err error
 	if exclusive {
 		err = tx.LockCtx(ctx, tbl.ID, lock.Exclusive)
@@ -84,7 +105,7 @@ func (db *DB) schemaChange(ctx context.Context, cur *txn.Txn, sp *flightrec.Span
 		err = change(tx, tbl)
 		db.SchemaChanged()
 	}
-	if err = done(err); err != nil {
+	if err = st.end(err); err != nil {
 		return err
 	}
 	if db.inj != nil {

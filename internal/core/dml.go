@@ -204,9 +204,9 @@ func (c *Conn) execInsert(sh *Shape, s *sqlparse.Insert, params []val.Value) (Re
 		}
 	}
 
-	tx, done := c.db.autoTxn(c.tx, c.curSpan)
+	st := c.db.autoTxn(c.stmtCtx, c.tx, c.curSpan)
 	// The insert loop is the statement's execute phase: table, index and
-	// lock work. done is outside it; the commit it runs has its own phase.
+	// lock work. end is outside it; the commit it runs has its own phase.
 	execStart := time.Now()
 	var n int64
 	var err error
@@ -214,7 +214,7 @@ func (c *Conn) execInsert(sh *Shape, s *sqlparse.Insert, params []val.Value) (Re
 		if err = c.interrupted(); err != nil {
 			break
 		}
-		if _, err = tbl.Insert(tx, buildRow(values)); err != nil {
+		if _, err = tbl.Insert(st.tx, buildRow(values)); err != nil {
 			break
 		}
 		n++
@@ -223,10 +223,10 @@ func (c *Conn) execInsert(sh *Shape, s *sqlparse.Insert, params []val.Value) (Re
 		sp.AddPhase(flightrec.PhaseExecute, time.Since(execStart).Microseconds())
 	}
 	if err != nil {
-		return Result{}, done(err)
+		return Result{}, st.end(err)
 	}
 	c.db.flight.Access().NoteWrite(s.Table)
-	return Result{RowsAffected: n}, done(nil)
+	return Result{RowsAffected: n}, st.end(nil)
 }
 
 // execModify handles single-table UPDATE and DELETE on the plan of sh's
@@ -266,11 +266,12 @@ func (c *Conn) execModify(sh *Shape, stmt sqlparse.Statement, params []val.Value
 		return Result{}, nil, err
 	}
 	_, isUpdate := stmt.(*sqlparse.Update)
-	tx, done := c.db.autoTxn(c.tx, c.curSpan)
+	st := c.db.autoTxn(c.stmtCtx, c.tx, c.curSpan)
+	tx := st.tx
 	var n int64
 	for _, rid := range rids {
 		if err := c.interrupted(); err != nil {
-			return Result{}, nil, done(err)
+			return Result{}, nil, st.end(err)
 		}
 		// Check the predicate (and, for UPDATE, evaluate the SET
 		// expressions) against the row as it stands when it is written: a
@@ -286,12 +287,12 @@ func (c *Conn) execModify(sh *Shape, stmt sqlparse.Statement, params []val.Value
 			continue // gone: deleted, or moved, since the index named it
 		}
 		if err != nil {
-			return Result{}, nil, done(err)
+			return Result{}, nil, st.end(err)
 		}
 		if hit {
 			n++
 		}
 	}
 	c.db.flight.Access().NoteWrite(d.Table.Name)
-	return Result{RowsAffected: n}, plan, done(nil)
+	return Result{RowsAffected: n}, plan, st.end(nil)
 }

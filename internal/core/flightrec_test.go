@@ -209,3 +209,71 @@ func TestExplicitTxnSpanAttribution(t *testing.T) {
 		t.Fatal("commit phase negative")
 	}
 }
+
+// TestRecentStatementsAreNeverTorn: four connections run statements while
+// a fifth polls sys.recent_statements. Each connection reuses its span, and
+// the ring's slots are rewritten as it wraps; every row read is still one
+// statement's whole record — its fingerprint and row count agree — and a
+// sequence number always names the same record. Run under -race, this is
+// the proof that the ring's copies are taken and read under their slots'
+// mutexes.
+func TestRecentStatementsAreNeverTorn(t *testing.T) {
+	db := openDB(t, Options{})
+	setup := conn(t, db)
+	const writers, perWriter = 4, 1000
+	for i := 0; i < writers; i++ {
+		mustExec(t, setup, fmt.Sprintf("CREATE TABLE t%d (a INT)", i))
+		for r := 0; r <= i; r++ {
+			mustExec(t, setup, fmt.Sprintf("INSERT INTO t%d VALUES (%d)", i, r))
+		}
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func(c *Conn, sql string) {
+			defer wg.Done()
+			for n := 0; n < perWriter; n++ {
+				if _, err := c.Query(sql); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(conn(t, db), fmt.Sprintf("SELECT a FROM t%d", i))
+	}
+	go func() { wg.Wait(); close(stop) }()
+
+	type record struct {
+		fingerprint string
+		rows        int64
+	}
+	seen := map[int64]record{}
+	reader := conn(t, db)
+	var polls, checked int
+	for done := false; !done; polls++ {
+		select {
+		case <-stop:
+			done = true
+		default:
+		}
+		rows := mustQuery(t, reader, "SELECT seq, fingerprint, rows, error FROM sys.recent_statements")
+		for _, r := range rows.All() {
+			rec := record{r[1].String(), r[2].I}
+			var k int
+			if _, err := fmt.Sscanf(rec.fingerprint, "SELECT a FROM t%d", &k); err == nil {
+				checked++
+				if rec.rows != int64(k+1) || r[3].String() != "" {
+					t.Fatalf("seq %d: %q with %d rows, error %q: a torn record", r[0].I, rec.fingerprint, rec.rows, r[3].String())
+				}
+			}
+			if prev, ok := seen[r[0].I]; ok && prev != rec {
+				t.Fatalf("seq %d read as %+v, then as %+v", r[0].I, prev, rec)
+			}
+			seen[r[0].I] = rec
+		}
+	}
+	t.Logf("%d polls checked %d records", polls, checked)
+	if checked == 0 {
+		t.Fatal("the reader saw no writer's record")
+	}
+}

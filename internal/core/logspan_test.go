@@ -43,3 +43,29 @@ func TestUpdateLogsItsChangedSpan(t *testing.T) {
 		appended(4, "BEGIN", "UPDATE acct SET v = 8 WHERE id = 12", "UPDATE acct SET v = 9 WHERE id = 12", "ROLLBACK")
 	}
 }
+
+// TestReadOnlyRollbackLogsNothing: a transaction that only read ends, at
+// ROLLBACK as at COMMIT, with no record appended and no log flush waited
+// for; one that wrote and rolled back still logs its end.
+func TestReadOnlyRollbackLogsNothing(t *testing.T) {
+	db := openDB(t, Options{})
+	c := conn(t, db)
+	mustExec(t, c, "CREATE TABLE acct (id INT, v INT)")
+	mustExec(t, c, "INSERT INTO acct VALUES (1, 1), (2, 2)")
+	moved := func(stmts ...string) (bytes, flushes int64) {
+		t.Helper()
+		b, f := counter(t, db, "wal.bytes_appended"), counter(t, db, "wal.flushes")
+		for _, s := range stmts {
+			mustExec(t, c, s)
+		}
+		return counter(t, db, "wal.bytes_appended") - b, counter(t, db, "wal.flushes") - f
+	}
+	for _, end := range []string{"ROLLBACK", "COMMIT"} {
+		if b, f := moved("BEGIN", "SELECT v FROM acct WHERE id = 1", end); b != 0 || f != 0 {
+			t.Errorf("BEGIN; SELECT; %s appended %d bytes of log and flushed it %d times, want neither", end, b, f)
+		}
+	}
+	if b, f := moved("BEGIN", "UPDATE acct SET v = 3 WHERE id = 2", "ROLLBACK"); b == 0 || f == 0 {
+		t.Errorf("a rolled-back UPDATE appended %d bytes of log and flushed %d times, want its records flushed", b, f)
+	}
+}

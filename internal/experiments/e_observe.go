@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -161,29 +162,89 @@ func observeWaits() ([]flightrec.WaitStat, error) {
 	return r.db.FlightRecorder().Waits().Snapshot(), nil
 }
 
+// overheadPairs is how many recorder-off/recorder-on pairs E21 runs of each
+// workload.
+const overheadPairs = 5
+
+// overheadArm is one workload's paired overhead readings.
+type overheadArm struct {
+	off, on, pct []float64 // rate per pair with the recorder off and on, and the overhead %
+}
+
+// measure runs the arm's pair number pair: rate with the recorder off and
+// with it on, the off run first in even pairs and second in odd ones.
+func (a *overheadArm) measure(pair int, rate func(disable bool) (float64, error)) error {
+	var r [2]float64 // off, on
+	for i := range 2 {
+		on := (pair + i) % 2
+		x, err := rate(on == 0)
+		if err != nil {
+			return err
+		}
+		r[on] = x
+	}
+	a.off, a.on = append(a.off, r[0]), append(a.on, r[1])
+	a.pct = append(a.pct, (r[0]-r[1])/r[0]*100)
+	return nil
+}
+
+// row is the arm's line of the report: median rates, and the median
+// overhead with the range of the pairs' overheads.
+func (a *overheadArm) row(name string) string {
+	return fmt.Sprintf("%-26s %12.0f %12.0f  %8.2f  %7.2f … %.2f\n",
+		name, median(a.off), median(a.on), median(a.pct), slices.Min(a.pct), slices.Max(a.pct))
+}
+
+// median is the middle value of xs (the mean of the two middle ones for an
+// even count).
+func median(xs []float64) float64 {
+	s := slices.Sorted(slices.Values(xs))
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
+}
+
 // E21ObservabilityOverhead measures what the always-on flight recorder
 // costs (enabled vs compiled-in-but-disabled; budget ≤5% on both the
 // scan+filter stream and the 16-writer commit storm) and what it buys
 // (digest collapse across literals, full wait attribution under
-// contention).
+// contention). Each workload's arms run alternately, overheadPairs times
+// each, the arm that goes first swapping from pair to pair so that drift
+// in the host's speed falls on both; the overhead reported is the median
+// of the pairs', with their range.
 func E21ObservabilityOverhead() (*Report, error) {
-	offScan, err := observeScanRate(true)
-	if err != nil {
-		return nil, err
+	var onScan *observeScanRun
+	scanRate := func(disable bool) (float64, error) {
+		run, err := observeScanRate(disable)
+		if err != nil {
+			return 0, err
+		}
+		if disable && run.SelectDigest != nil {
+			return 0, fmt.Errorf("E21: disabled recorder still collected digests")
+		}
+		if !disable {
+			onScan = run
+		}
+		return run.StmtsPerSec, nil
 	}
-	onScan, err := observeScanRate(false)
-	if err != nil {
-		return nil, err
-	}
-
 	const writers, txnsPerWriter = 16, 200
-	offCommit, err := commitThroughput(writers, txnsPerWriter, true)
-	if err != nil {
-		return nil, err
+	commitRate := func(disable bool) (float64, error) {
+		st, err := commitThroughput(writers, txnsPerWriter, disable)
+		if err != nil {
+			return 0, err
+		}
+		return st.CommitsPerSec, nil
 	}
-	onCommit, err := commitThroughput(writers, txnsPerWriter, false)
-	if err != nil {
-		return nil, err
+	var scan, commit overheadArm
+	for pair := 0; pair < overheadPairs; pair++ {
+		if err := scan.measure(pair, scanRate); err != nil {
+			return nil, err
+		}
+		if err := commit.measure(pair, commitRate); err != nil {
+			return nil, err
+		}
 	}
 
 	waits, err := observeWaits()
@@ -191,25 +252,17 @@ func E21ObservabilityOverhead() (*Report, error) {
 		return nil, err
 	}
 
-	overhead := func(off, on float64) float64 { return (off - on) / off * 100 }
-	scanOv := overhead(offScan.StmtsPerSec, onScan.StmtsPerSec)
-	commitOv := overhead(offCommit.CommitsPerSec, onCommit.CommitsPerSec)
-
 	var sb strings.Builder
-	sb.WriteString("workload                      disabled/s    enabled/s  overhead%\n")
-	fmt.Fprintf(&sb, "scan+filter statements     %12.0f %12.0f  %8.2f\n",
-		offScan.StmtsPerSec, onScan.StmtsPerSec, scanOv)
-	fmt.Fprintf(&sb, "16-writer commits          %12.0f %12.0f  %8.2f\n",
-		offCommit.CommitsPerSec, onCommit.CommitsPerSec, commitOv)
+	fmt.Fprintf(&sb, "median of %d alternating pairs\n", overheadPairs)
+	sb.WriteString("workload                      disabled/s    enabled/s  overhead%  range of pairs\n")
+	sb.WriteString(scan.row("scan+filter statements"))
+	sb.WriteString(commit.row("16-writer commits"))
 
 	metrics := map[string]float64{
-		"scan_overhead_pct":   scanOv,
-		"commit_overhead_pct": commitOv,
+		"scan_overhead_pct":   median(scan.pct),
+		"commit_overhead_pct": median(commit.pct),
 	}
 
-	if offScan.SelectDigest != nil {
-		return nil, fmt.Errorf("E21: disabled recorder still collected digests")
-	}
 	d := onScan.SelectDigest
 	if d == nil {
 		return nil, fmt.Errorf("E21: scan+filter digest missing with recorder enabled")

@@ -4,9 +4,11 @@
 //
 //  1. Statement spans — every statement through core.Conn records a Span
 //     with phase timings (parse, optimize, execute, commit/WAL-flush) and
-//     resource deltas (rows, batches, buffer hits/misses, bytes spilled),
-//     published into a fixed-size lock-free ring buffer of recent history,
-//     dumpable on demand and on the degraded-mode latch.
+//     resource deltas (rows, batches, buffer hits/misses, bytes spilled).
+//     The live span belongs to its connection and is reused statement after
+//     statement; a finished span is copied into a fixed-size ring of recent
+//     history whose slots own their records, dumpable on demand and on the
+//     degraded-mode latch.
 //  2. Wait events — the three blocking choke points (lock-manager waits,
 //     WAL group-flush waits, buffer-pool read I/O) report named wait
 //     events, attributed back to the active span ASH-style where the
@@ -101,11 +103,13 @@ const (
 	numPhases
 )
 
-// Span is one statement's flight record. The owning connection writes the
-// identity fields before the span is published; counters are atomic
+// Span is one statement's flight record. A connection owns one and reuses
+// it for each of its statements (Collector.Begin resets it in place). The
+// owning connection writes the identity fields; counters are atomic
 // because executor workers and wait observers add to a live span
 // concurrently. A span reaches the ring buffer and the digest table only
-// after Finish, so readers always see a complete record.
+// after Finish, which copies it into a ring slot: readers of the ring see
+// complete records that later statements do not change.
 type Span struct {
 	Seq         uint64
 	SQL         string
@@ -174,6 +178,32 @@ func (s *Span) WaitCount(k WaitKind) int64 {
 	return s.waitCount[k].Load()
 }
 
+// copyTo overwrites d with s, field by field: the counters are atomics and
+// are copied by value.
+func (s *Span) copyTo(d *Span) {
+	d.Seq, d.SQL, d.Fingerprint = s.Seq, s.SQL, s.Fingerprint
+	d.StartUS, d.TotalUS, d.Rows, d.Err = s.StartUS, s.TotalUS, s.Rows, s.Err
+	d.BufferHits, d.BufferMisses = s.BufferHits, s.BufferMisses
+	for p := range s.phases {
+		copyCounter(&d.phases[p], &s.phases[p])
+	}
+	copyCounter(&d.batches, &s.batches)
+	copyCounter(&d.spill, &s.spill)
+	for k := range s.waitCount {
+		copyCounter(&d.waitCount[k], &s.waitCount[k])
+		copyCounter(&d.waitUS[k], &s.waitUS[k])
+	}
+}
+
+// copyCounter sets d to s's value. It stores only when they differ: most of
+// a span's counters are zero in both, and a load costs far less than an
+// atomic store.
+func copyCounter(d, s *atomic.Int64) {
+	if v := s.Load(); d.Load() != v {
+		d.Store(v)
+	}
+}
+
 // AddBatches charges produced executor batches to the span.
 func (s *Span) AddBatches(n int64) { s.batches.Add(n) }
 
@@ -229,6 +259,14 @@ func (w *Waits) Snapshot() []WaitStat {
 	return out
 }
 
+// slot is one ring entry: the copy of a finished span, which the ring owns.
+// mu keeps a reader from seeing a record half overwritten; sp.Seq is zero
+// until the slot is first written.
+type slot struct {
+	mu sync.Mutex
+	sp Span
+}
+
 // Collector is the per-engine flight recorder: the span ring buffer, the
 // wait-event registry, the workload digest table, and the txn→span
 // attribution map. A Collector is always allocated with its engine;
@@ -237,7 +275,7 @@ func (w *Waits) Snapshot() []WaitStat {
 type Collector struct {
 	enabled atomic.Bool
 	seq     atomic.Uint64
-	ring    []atomic.Pointer[Span]
+	ring    []slot
 	mask    uint64
 	now     func() int64 // wall-clock µs since collector start
 
@@ -274,7 +312,7 @@ func New(size int, now func() int64) *Collector {
 		n <<= 1
 	}
 	c := &Collector{
-		ring:     make([]atomic.Pointer[Span], n),
+		ring:     make([]slot, n),
 		mask:     uint64(n - 1),
 		now:      now,
 		digests:  NewDigestTable(DefaultDigestCap),
@@ -306,26 +344,27 @@ func (c *Collector) Digests() *DigestTable { return c.digests }
 // decisions must not depend on whether observability capture is on.
 func (c *Collector) Access() *AccessTable { return c.access }
 
-// Begin opens a span for one statement: its text and the fingerprint its
-// preparation derived (the recorder never reads SQL). It returns nil when the
+// Begin opens sp, the calling connection's span, for one statement: its
+// text and the fingerprint its preparation derived (the recorder never
+// reads SQL). It resets sp in place and returns it, or returns nil when the
 // recorder is disabled; every downstream site must tolerate a nil span.
-func (c *Collector) Begin(sql, fingerprint string) *Span {
+func (c *Collector) Begin(sp *Span, sql, fingerprint string) *Span {
 	if !c.enabled.Load() {
 		return nil
 	}
-	sp := &Span{
+	(&Span{
 		Seq:         c.seq.Add(1),
 		SQL:         sql,
 		Fingerprint: fingerprint,
 		StartUS:     c.now(),
-	}
+	}).copyTo(sp)
 	c.active.Add(1)
 	c.current.Store(sp)
 	return sp
 }
 
-// Finish seals the span and publishes it to the ring buffer and the
-// digest table. sp may be nil (disabled recorder); totalUS is the
+// Finish seals the span and publishes a copy of it to the ring buffer, and
+// its figures to the digest table. sp may be nil (disabled recorder); totalUS is the
 // statement's wall-clock duration, rows its result cardinality, errText
 // its error ("" on success), params the values its caller bound. The span
 // keeps no reference to params: the digest table copies them the first
@@ -339,7 +378,12 @@ func (c *Collector) Finish(sp *Span, totalUS, rows int64, errText string, params
 	sp.Err = errText
 	c.active.Add(-1)
 	c.current.CompareAndSwap(sp, nil)
-	c.ring[(sp.Seq-1)&c.mask].Store(sp)
+	s := &c.ring[(sp.Seq-1)&c.mask]
+	s.mu.Lock()
+	if s.sp.Seq < sp.Seq { // a span that finished late does not displace a newer one
+		sp.copyTo(&s.sp)
+	}
+	s.mu.Unlock()
 	c.digests.Observe(sp, params)
 	c.spans.Add(1)
 }
@@ -387,15 +431,30 @@ func (c *Collector) ObserveWait(k WaitKind, us int64) {
 	c.waits.Observe(k, us)
 }
 
-// Recent returns the ring's finished spans, oldest first. The snapshot is
-// cut while writers may be publishing; each slot read is atomic, so every
-// returned span is complete, but the set is not a single atomic cut.
+// Recent returns copies of the ring's finished spans, oldest first: the
+// caller owns them, and later statements do not change them. The snapshot
+// is cut while writers may be publishing; each slot is copied under its
+// mutex, so every returned span is complete, but the set is not a single
+// atomic cut.
 func (c *Collector) Recent() []*Span {
-	out := make([]*Span, 0, len(c.ring))
+	// Every filled slot was filled by a finished span: the count sizes the
+	// copies, and a slot filled since is copied into a span of its own.
+	recs := make([]Span, min(c.spans.Load(), int64(len(c.ring))))
+	out := make([]*Span, 0, len(recs))
 	for i := range c.ring {
-		if sp := c.ring[i].Load(); sp != nil {
-			out = append(out, sp)
+		s := &c.ring[i]
+		s.mu.Lock()
+		if s.sp.Seq != 0 {
+			var cp *Span
+			if len(out) < len(recs) {
+				cp = &recs[len(out)]
+			} else {
+				cp = new(Span)
+			}
+			s.sp.copyTo(cp)
+			out = append(out, cp)
 		}
+		s.mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out

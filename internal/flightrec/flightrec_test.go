@@ -12,9 +12,14 @@ import (
 	"anywheredb/internal/val"
 )
 
-// begin opens a span the way core does: the caller supplies the
-// fingerprint, the recorder never reads SQL.
-func begin(c *Collector, sql string) *Span { return c.Begin(sql, sqlparse.Fingerprint(sql)) }
+// begin opens a span the way core does: the caller supplies the span and
+// the fingerprint, the recorder never reads SQL. Each call here stands for a
+// connection of its own; beginOn reuses a connection's span.
+func begin(c *Collector, sql string) *Span { return beginOn(c, new(Span), sql) }
+
+func beginOn(c *Collector, sp *Span, sql string) *Span {
+	return c.Begin(sp, sql, sqlparse.Fingerprint(sql))
+}
 
 func TestSpanLifecycle(t *testing.T) {
 	var clock atomic.Int64
@@ -36,12 +41,14 @@ func TestSpanLifecycle(t *testing.T) {
 		t.Fatalf("spans finished = %d", got)
 	}
 	rec := c.Recent()
-	if len(rec) != 1 || rec[0] != sp {
-		t.Fatalf("Recent = %v", rec)
+	if len(rec) != 1 {
+		t.Fatalf("Recent holds %d spans, want 1", len(rec))
 	}
-	if sp.TotalUS != 150 || sp.Rows != 7 || sp.WaitUS(WaitLock) != 30 ||
-		sp.Batches() != 3 || sp.SpillBytes() != 4096 {
-		t.Fatalf("sealed span fields wrong: %+v", sp)
+	// The ring holds a copy of the sealed span, not the span itself.
+	if got := rec[0]; got == sp || got.Seq != sp.Seq || got.SQL != sp.SQL || got.Fingerprint != sp.Fingerprint ||
+		got.TotalUS != 150 || got.Rows != 7 || got.PhaseUS(PhaseParse) != 5 || got.PhaseUS(PhaseExecute) != 100 ||
+		got.WaitUS(WaitLock) != 30 || got.WaitCount(WaitLock) != 1 || got.Batches() != 3 || got.SpillBytes() != 4096 {
+		t.Fatalf("recorded span = %+v, want a copy of the sealed %+v", got, sp)
 	}
 	ds := c.Digests().Snapshot()
 	if len(ds) != 1 || ds[0].Calls != 1 || ds[0].Rows != 7 {
@@ -76,6 +83,41 @@ func TestRingWrapKeepsNewest(t *testing.T) {
 			t.Fatalf("slot %d seq = %d, want %d", i, sp.Seq, want)
 		}
 	}
+}
+
+// TestRecentIsACopy: one connection's span is reused statement after
+// statement, and the ring wraps under it; a span Recent returned before
+// keeps what it recorded, and so does the ring's record of it.
+func TestRecentIsACopy(t *testing.T) {
+	c := New(4, nil)
+	var own Span
+	sp := beginOn(c, &own, "SELECT a FROM t WHERE b = 1")
+	sp.AddPhase(PhaseExecute, 11)
+	sp.AddWait(WaitLock, 3)
+	c.Finish(sp, 20, 1, "", nil)
+	first := c.Recent()[0]
+	for i := 0; i < 3; i++ {
+		sp := beginOn(c, &own, "UPDATE t SET a = 2")
+		sp.AddPhase(PhaseExecute, 99)
+		sp.AddBatches(5)
+		c.Finish(sp, 500, 9, "boom", nil)
+	}
+	check := func(what string, got *Span) {
+		t.Helper()
+		if got.Seq != 1 || got.Fingerprint != "SELECT a FROM t WHERE b = ?" || got.TotalUS != 20 || got.Rows != 1 ||
+			got.Err != "" || got.PhaseUS(PhaseExecute) != 11 || got.WaitUS(WaitLock) != 3 || got.Batches() != 0 {
+			t.Fatalf("%s changed by later statements: %+v", what, got)
+		}
+	}
+	check("the span Recent returned", first)
+	if rec := c.Recent(); len(rec) != 4 || rec[0] == first {
+		t.Fatalf("Recent = %v, want 4 fresh copies", rec)
+	} else {
+		check("the ring's record", rec[0])
+	}
+	// One statement more overwrites the oldest slot; the copy stays.
+	c.Finish(beginOn(c, &own, "SELECT 1"), 1, 0, "", nil)
+	check("the span Recent returned", first)
 }
 
 func TestDigestCollapsesLiterals(t *testing.T) {
@@ -177,9 +219,10 @@ func TestDump(t *testing.T) {
 	}
 }
 
-// TestRingStress publishes spans from many writers while readers cut
-// snapshots mid-flight and waits are observed concurrently — the -race
-// run of this test is the ring buffer's memory-safety proof.
+// TestRingStress publishes spans from many writers, each reusing its own
+// span as a connection does, while readers cut snapshots mid-flight and
+// waits are observed concurrently — the -race run of this test is the ring
+// buffer's memory-safety proof.
 func TestRingStress(t *testing.T) {
 	var clock atomic.Int64
 	c := New(64, clock.Load)
@@ -218,9 +261,10 @@ func TestRingStress(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var own Span // the writer's connection span
 			for i := 0; i < perWriter; i++ {
 				clock.Add(1)
-				sp := begin(c, "SELECT a FROM t WHERE b = 1")
+				sp := beginOn(c, &own, "SELECT a FROM t WHERE b = 1")
 				sp.AddPhase(PhaseExecute, int64(i))
 				sp.AddWait(WaitKind(i%int(NumWaitKinds)), int64(i))
 				c.ObserveWait(WaitKind(i%int(NumWaitKinds)), int64(i))

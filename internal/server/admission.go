@@ -3,7 +3,7 @@ package server
 import (
 	"context"
 	"errors"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -45,6 +45,8 @@ type gate struct {
 	ringPos  int
 	baseline float64 // EWMA of solo-statement latency, µs (0 = uncalibrated)
 	releases int     // releases since last degradation check
+
+	sorted [latWindow]int64 // scratch the p99 recheck sorts a copy of ring in
 
 	// counters surfaced as server.* telemetry
 	admitted  int64
@@ -232,9 +234,9 @@ func (g *gate) recheckLocked() {
 }
 
 func (g *gate) windowP99Locked() int64 {
-	buf := make([]int64, g.ringN)
+	buf := g.sorted[:g.ringN]
 	copy(buf, g.ring[:g.ringN])
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
+	slices.Sort(buf)
 	idx := (len(buf)*99 + 99) / 100
 	if idx >= len(buf) {
 		idx = len(buf) - 1

@@ -244,3 +244,34 @@ func TestGateContextCancelWhileQueued(t *testing.T) {
 		t.Fatalf("%d waiters left after cancel", n)
 	}
 }
+
+// TestGateRecheckAllocatesNothing: admitting and releasing statements
+// allocates nothing, the p99 recheck every recheckEvery releases included.
+// The recheck's p99 is the window's: 99 of every 100 latencies are fast.
+func TestGateRecheckAllocatesNothing(t *testing.T) {
+	g := newGate(4)
+	var i int64
+	cycle := func() {
+		tk, err := g.admit(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		lat := int64(1000)
+		if i++; i%100 == 0 {
+			lat = 9000
+		}
+		g.release(tk, lat)
+	}
+	for range latWindow {
+		cycle()
+	}
+	if n := testing.AllocsPerRun(4*recheckEvery, cycle); n != 0 {
+		t.Errorf("admit and release allocate %.2f objects per statement, want 0", n)
+	}
+	g.mu.Lock()
+	p99 := g.windowP99Locked()
+	g.mu.Unlock()
+	if p99 != 9000 {
+		t.Errorf("window p99 = %d, want 9000", p99)
+	}
+}

@@ -205,6 +205,12 @@ type srvConn struct {
 	// runs on, and the digest table copies a fingerprint's first sample.
 	params []val.Value
 
+	// ctx is the connection's statement context, reused statement after
+	// statement until a cancel fires on it (see beginStatement); stop
+	// cancels it. Both belong to the worker.
+	ctx  context.Context
+	stop context.CancelFunc
+
 	curMu  sync.Mutex
 	cancel context.CancelFunc // cancel of the statement in flight, nil when idle
 
@@ -214,12 +220,48 @@ type srvConn struct {
 	fp    atomic.Pointer[string] // Stmt.Fingerprint of the current / last statement
 }
 
+// cancelCurrent cancels the statement in flight, if any. It cancels under
+// curMu, which endStatement takes too: a cancel aimed at one statement
+// lands before that statement ends or not at all, so it can never reach
+// the next statement, which may run on the same context.
 func (c *srvConn) cancelCurrent() {
 	c.curMu.Lock()
-	cancel := c.cancel
+	if c.cancel != nil {
+		c.cancel()
+	}
 	c.curMu.Unlock()
-	if cancel != nil {
-		cancel()
+}
+
+// beginStatement returns the context of the statement starting on the
+// connection and makes it the one cancelCurrent cancels. The statement
+// runs on the connection's context, renewed only when a cancel has fired
+// on it. A statement with its own deadline runs on a child of it, and
+// beginStatement also returns the child's cancel, for endStatement.
+func (c *srvConn) beginStatement(deadline time.Duration) (context.Context, context.CancelFunc) {
+	if c.ctx.Err() != nil {
+		c.ctx, c.stop = context.WithCancel(context.Background())
+	}
+	ctx, cancel := c.ctx, c.stop
+	var child context.CancelFunc
+	if deadline > 0 {
+		ctx, child = context.WithTimeout(ctx, deadline)
+		cancel = child
+	}
+	c.curMu.Lock()
+	c.cancel = cancel
+	c.curMu.Unlock()
+	return ctx, child
+}
+
+// endStatement ends the statement beginStatement began: no cancel reaches
+// it after this, and child, its deadline's cancel if it had one, is
+// stopped.
+func (c *srvConn) endStatement(child context.CancelFunc) {
+	c.curMu.Lock()
+	c.cancel = nil
+	c.curMu.Unlock()
+	if child != nil {
+		child()
 	}
 }
 
@@ -235,6 +277,8 @@ func (s *Server) serveConn(nc net.Conn) {
 		started: time.Now(),
 		stmts:   map[uint64]*core.Stmt{},
 	}
+	c.ctx, c.stop = context.WithCancel(context.Background())
+	defer func() { c.stop() }() // the connection's context as it is at teardown
 
 	// Handshake: the first frame must be a valid, authenticated hello
 	// within a short deadline.
@@ -437,20 +481,9 @@ func (c *srvConn) runStatement(m execMsg) error {
 	s.mu.Unlock()
 	defer s.inflight.Done()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	if m.DeadlineUS > 0 {
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(m.DeadlineUS)*time.Microsecond)
-	}
-	c.curMu.Lock()
-	c.cancel = cancel
-	c.curMu.Unlock()
+	ctx, child := c.beginStatement(time.Duration(m.DeadlineUS) * time.Microsecond)
+	defer c.endStatement(child)
 	c.state.Store(int32(connActive))
-	defer func() {
-		c.curMu.Lock()
-		c.cancel = nil
-		c.curMu.Unlock()
-		cancel()
-	}()
 
 	c.fp.Store(&st.Fingerprint)
 

@@ -300,6 +300,138 @@ func TestServerCancel(t *testing.T) {
 	}
 }
 
+// rowWaitRig is a table whose row 1 another connection holds in an open
+// transaction, and the raw connection that runs into it. hold returns once
+// the raw connection's statement is parked in a row wait, and release ends
+// the holder's transaction.
+type rowWaitRig struct {
+	t      *testing.T
+	db     *core.DB
+	holder *client.Client
+	r      *rawConn
+}
+
+func newRowWaitRig(t *testing.T) *rowWaitRig {
+	db, srv := startServer(t, core.Options{}, server.Options{})
+	holder := dial(t, srv, client.Options{})
+	mustExec(t, holder, "create table kv (id int, v int)")
+	mustExec(t, holder, "insert into kv values (1, 1), (2, 2)")
+	mustExec(t, holder, "begin")
+	mustExec(t, holder, "update kv set v = 10 where id = 1")
+	return &rowWaitRig{t: t, db: db, holder: holder, r: dialRaw(t, srv)}
+}
+
+// park runs an UPDATE of the held row on the raw connection under deadline
+// and returns once it waits for the holder, with the channel its reply
+// arrives on.
+func (g *rowWaitRig) park(deadline time.Duration) <-chan error {
+	g.t.Helper()
+	waits := counterVal(g.db, "lock.row_waits")
+	done := make(chan error, 1)
+	go func() {
+		_, err := g.r.exec("update kv set v = 20 where id = 1", deadline)
+		done <- err
+	}()
+	for start := time.Now(); counterVal(g.db, "lock.row_waits") == waits; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 5*time.Second {
+			g.t.Fatal("the UPDATE never waited for the row's holder")
+		}
+	}
+	return done
+}
+
+// TestServerCancelEndsARowWait: a cancel ends a statement parked in a row
+// wait at once, not at the lock timeout, and the statement after it on the
+// connection runs to completion — a write of the same row included, once
+// the holder is gone.
+func TestServerCancelEndsARowWait(t *testing.T) {
+	g := newRowWaitRig(t)
+	done := g.park(0)
+	sent := time.Now()
+	if err := g.r.send(server.MsgCancel, nil); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if !cancelled(err) {
+			t.Fatalf("err = %v, want a cancel", err)
+		}
+		if el := time.Since(sent); el > time.Second {
+			t.Fatalf("the cancel took %v to end the row wait", el)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the cancel did not end the row wait")
+	}
+	mustExec(t, g.holder, "rollback")
+	for _, sql := range []string{"select v from kv where id = 2", "update kv set v = 30 where id = 1", "select v from kv where id = 1"} {
+		rows, err := g.r.exec(sql, 0)
+		if err != nil {
+			t.Fatalf("%s after a cancelled statement: %v", sql, err)
+		}
+		if sql == "select v from kv where id = 1" && (len(rows) != 1 || rows[0][0].I != 30) {
+			t.Fatalf("%s = %v, want 30", sql, rows)
+		}
+	}
+}
+
+// TestServerStatementAfterCancelRuns: the statement after a cancelled one
+// runs to completion, even one that itself waits for a row.
+func TestServerStatementAfterCancelRuns(t *testing.T) {
+	g := newRowWaitRig(t)
+	if err := g.r.send(server.MsgCancel, nil); err != nil { // idle: a no-op
+		t.Fatal(err)
+	}
+	done := g.park(0)
+	if err := g.r.send(server.MsgCancel, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; !cancelled(err) {
+		t.Fatalf("err = %v, want a cancel", err)
+	}
+	done = g.park(0)
+	mustExec(t, g.holder, "commit")
+	if err := <-done; err != nil {
+		t.Fatalf("the statement after a cancelled one: %v", err)
+	}
+}
+
+// TestServerDeadlineThenNoDeadline: a statement's own deadline ends with
+// it. The next statement on the connection, with no deadline, waits for a
+// row longer than that deadline and succeeds.
+func TestServerDeadlineThenNoDeadline(t *testing.T) {
+	g := newRowWaitRig(t)
+	if err := <-g.park(20 * time.Millisecond); !cancelled(err) {
+		t.Fatalf("err = %v, want the deadline's cancel", err)
+	}
+	done := g.park(0)
+	time.Sleep(100 * time.Millisecond)
+	mustExec(t, g.holder, "commit")
+	if err := <-done; err != nil {
+		t.Fatalf("the statement after a deadline: %v", err)
+	}
+}
+
+// TestServerCancelAfterAnswerSparesNextStatement: a cancel sent after a
+// statement has answered lands on no later statement, however close behind
+// it the next one comes.
+func TestServerCancelAfterAnswerSparesNextStatement(t *testing.T) {
+	_, srv := startServer(t, core.Options{}, server.Options{})
+	mustExec(t, dial(t, srv, client.Options{}), "create table kv (id int, v int)")
+	r := dialRaw(t, srv)
+	for i := 0; i < 200; i++ {
+		if _, err := r.exec(fmt.Sprintf("insert into kv values (%d, %d)", i, i), 0); err != nil {
+			t.Fatalf("statement %d: %v", i, err)
+		}
+		if err := r.send(server.MsgCancel, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows, err := r.exec("select count(*) from kv", 0)
+	if err != nil || len(rows) != 1 || rows[0][0].I != 200 {
+		t.Fatalf("count = %v, %v, want 200", rows, err)
+	}
+}
+
 func TestServerSysConnections(t *testing.T) {
 	db, srv := startServer(t, core.Options{}, server.Options{})
 	c := dialRaw(t, srv)

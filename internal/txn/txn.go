@@ -362,6 +362,10 @@ type Txn struct {
 	// (object ids start at 1). Table locks are held until the transaction
 	// settles, so a row write's request for it again is answered here.
 	intent uint64
+	// ctx is the context of the statement writing in the transaction
+	// (SetContext): its lock and row waits end when it is cancelled. Nil
+	// between statements.
+	ctx context.Context
 
 	// entries are the version-chain pre-images this transaction pushed;
 	// Commit stamps them all with one CSN, then eagerly reclaims the ones
@@ -518,16 +522,29 @@ func (t *Txn) locks() *lock.Manager {
 	return t.m.locks
 }
 
+// SetContext makes ctx, the context of the statement about to write in the
+// transaction, end the lock and row waits of Lock and WaitFor when it is
+// cancelled or expires. Nil restores waits that only time out.
+func (t *Txn) SetContext(ctx context.Context) { t.ctx = ctx }
+
+// context is the statement context waits observe.
+func (t *Txn) context() context.Context {
+	if t.ctx == nil {
+		return context.Background()
+	}
+	return t.ctx
+}
+
 // Lock acquires a long-term lock on table obj for the transaction. With no
 // lock manager it is a no-op, and so is a request for the table intent it
-// took last.
+// took last. A wait ends early when the statement context is cancelled.
 func (t *Txn) Lock(obj uint64, mode lock.Mode) error {
 	lm := t.locks()
 	intent := mode == lock.IntentExclusive
 	if lm == nil || intent && obj == t.intent {
 		return nil
 	}
-	err := lm.Lock(t.id, obj, mode)
+	err := lm.LockCtx(t.context(), t.id, obj, mode)
 	if err == nil && intent {
 		t.intent = obj
 	}
@@ -535,11 +552,11 @@ func (t *Txn) Lock(obj uint64, mode lock.Mode) error {
 }
 
 // WaitFor blocks until holder, the writer of a row's unpublished version
-// entry, settles: see lock.Manager.WaitFor. It returns at once when holder
-// is already settled.
+// entry, settles, or the statement context is cancelled: see
+// lock.Manager.WaitFor. It returns at once when holder is already settled.
 func (t *Txn) WaitFor(holder uint64) error {
 	if lm := t.locks(); lm != nil {
-		return lm.WaitFor(context.Background(), t.id, holder)
+		return lm.WaitFor(t.context(), t.id, holder)
 	}
 	return nil
 }
@@ -643,9 +660,11 @@ func (t *Txn) Rollback() error {
 	// ahead of whatever another transaction does with the space it hands
 	// back, and the rollback record marks the end of the undo. A shipped
 	// transaction's are in the local log already, and were run as they were
-	// replayed: normally nothing is left to run.
+	// replayed: normally nothing is left to run. A transaction that logged
+	// nothing, its compensations included, ends with no record and waits
+	// for no flush.
 	firstErr := t.undoAll()
-	if !t.shipped {
+	if t.logged && !t.shipped {
 		lsn := t.m.log.Append(&wal.Record{Type: wal.RecRollback, Txn: t.id})
 		if err := t.m.flushTo(t.id, lsn); err != nil && firstErr == nil {
 			firstErr = err

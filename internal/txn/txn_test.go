@@ -58,6 +58,7 @@ func TestCommitWritesLog(t *testing.T) {
 func TestRollbackRunsUndoInReverse(t *testing.T) {
 	m, log := setup(t)
 	tx := m.Begin()
+	tx.Log(&wal.Record{Type: wal.RecInsert, Table: 3, After: []byte("r")})
 	var order []int
 	var atFirstUndo []wal.RecType
 	tx.OnRollback(func(wal.LSN) error { order = append(order, 1); return nil })
@@ -83,6 +84,33 @@ func TestRollbackRunsUndoInReverse(t *testing.T) {
 	types := logTypes(t, log)
 	if types[len(types)-1] != wal.RecRollback {
 		t.Fatalf("last record %v, want rollback", types[len(types)-1])
+	}
+}
+
+// TestRollbackLogsOnlyWhatItLogged: a transaction that logged nothing
+// rolls back with no record, and one whose only record is a
+// compensation still ends with the rollback record.
+func TestRollbackLogsOnlyWhatItLogged(t *testing.T) {
+	m, log := setup(t)
+	tx := m.Begin()
+	tx.OnRollback(func(wal.LSN) error { return nil })
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if types := logTypes(t, log); len(types) != 0 {
+		t.Fatalf("a rollback that logged nothing appended %v", types)
+	}
+
+	tx = m.Begin()
+	tx.OnRollback(func(wal.LSN) error {
+		tx.Log(&wal.Record{Type: wal.RecDelete, Table: 3, Before: []byte("r"), Undo: true})
+		return nil
+	})
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if types := logTypes(t, log); !slices.Equal(types, []wal.RecType{wal.RecDelete, wal.RecRollback}) {
+		t.Fatalf("log %v, want the compensation and the rollback record", types)
 	}
 }
 

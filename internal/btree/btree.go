@@ -56,6 +56,16 @@ type Tree struct {
 
 	mu   sync.RWMutex
 	root store.PageID
+	// tail is the rightmost leaf and tailKey a bound at or above every key
+	// it holds, both set by each insert that ends there (tail 0: not known
+	// yet). A key above tailKey is above every key of the tree, so it goes
+	// at the end of the tail (see appendTail). Deletes only lower the
+	// leaf's greatest key, which leaves tailKey a bound; a separator moves
+	// only in a split, and every split runs through the descent, which
+	// sets both again. Guarded by mu, which every insert and delete holds
+	// exclusively.
+	tail    store.PageID
+	tailKey []byte
 
 	Stats Stats
 }
@@ -241,6 +251,9 @@ func (t *Tree) insert(key, value []byte, unique bool) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if done, err := t.appendTail(key, value); done || err != nil {
+		return err
+	}
 	split, err := t.insertAt(t.root, key, value, unique, true)
 	if err != nil {
 		return err
@@ -268,6 +281,38 @@ func (t *Tree) insert(key, value []byte, unique bool) error {
 	return nil
 }
 
+// appendTail is insert's path for a key above tailKey, decided before any
+// pin: it appends (key, value) as the last cell of the tail leaf, the one
+// page it pins, and reports whether it did. The upper-bound descent would
+// reach the same leaf and position and write the same bytes, and no key of
+// the tree equals key, so InsertUnique has nothing to refuse. Under the
+// leaf's latch it checks that the page is still a leaf of this tree with no
+// right sibling and that the cell fits; when it does not, the descent
+// inserts instead, splitting the leaf, and sets the tail anew.
+func (t *Tree) appendTail(key, value []byte) (bool, error) {
+	if t.tail == 0 || bytes.Compare(key, t.tailKey) <= 0 {
+		return false, nil
+	}
+	f, err := t.pool.Get(t.tail)
+	if err != nil {
+		return false, err
+	}
+	f.Lock()
+	var buf [128]byte
+	cell := appendCell(buf[:0], key, value)
+	p, pos := f.Data, f.Data.NumSlots()
+	ok := p.Type() == page.TypeIndex && p.Owner() == t.objID && isLeaf(p) && p.Next() == 0 && fits(p, cell)
+	if ok {
+		t.noteInsert(p, pos, key, value)
+		p.InsertOrdered(pos, cell) // cannot fail: the last position, and it fits
+		t.tailKey = append(t.tailKey[:0], key...)
+		t.Stats.Entries.Add(1)
+	}
+	f.Unlock()
+	t.pool.Unpin(f, ok)
+	return ok, nil
+}
+
 type splitResult struct {
 	sepKey []byte
 	right  store.PageID
@@ -285,7 +330,9 @@ func pageIDFromBytes(b []byte) store.PageID {
 
 // insertAt inserts into the subtree rooted at node id; rightmost says the
 // node is the last of its level (the root is, and so is the last child of
-// a rightmost node). With unique set, a leaf that holds key refuses it.
+// a rightmost node). With unique set, a leaf that holds key refuses it. An
+// insert into the rightmost leaf sets the tree's tail: the leaf, or its new
+// right half after a split, and the greatest key they then hold.
 func (t *Tree) insertAt(id store.PageID, key, value []byte, unique, rightmost bool) (*splitResult, error) {
 	f, err := t.pool.Get(id)
 	if err != nil {
@@ -323,11 +370,25 @@ func (t *Tree) insertAt(id store.PageID, key, value []byte, unique, rightmost bo
 	// a split must still cut in the middle).
 	n := f.Data.NumSlots()
 	ascending := rightmost && pos == n && (n == 0 || bytes.Compare(key, cellKey(f.Data.Cell(n-1))) > 0)
+	tail := leaf && rightmost
+	if tail {
+		last := key
+		if pos < n {
+			last = cellKey(f.Data.Cell(n - 1))
+		}
+		t.tailKey = append(t.tailKey[:0], last...)
+	}
 	res, err := t.insertCell(f, pos, key, value, ascending)
 	f.Unlock()
 	t.pool.Unpin(f, true)
 	if err == nil && leaf {
 		t.Stats.Entries.Add(1)
+	}
+	if err == nil && tail {
+		t.tail = id
+		if res != nil {
+			t.tail = res.right
+		}
 	}
 	return res, err
 }
@@ -369,8 +430,7 @@ func ridPage(v []byte) uint64 {
 func (t *Tree) insertCell(f *buffer.Frame, pos int, key, value []byte, ascending bool) (*splitResult, error) {
 	var buf [128]byte
 	cell := appendCell(buf[:0], key, value)
-	// A node is full 8 bytes early, as it always has been.
-	if len(cell)+8 <= f.Data.FreeSpace() {
+	if fits(f.Data, cell) {
 		if !f.Data.InsertOrdered(pos, cell) {
 			return nil, fmt.Errorf("btree: node overflow inserting a %d-byte cell", len(cell))
 		}
@@ -378,6 +438,10 @@ func (t *Tree) insertCell(f *buffer.Frame, pos int, key, value []byte, ascending
 	}
 	return t.split(f, pos, cell, ascending)
 }
+
+// fits says whether node p takes cell without a split. A node is full 8
+// bytes early, as it always has been.
+func fits(p page.Buf, cell []byte) bool { return len(cell)+8 <= p.FreeSpace() }
 
 // split redistributes the node in f plus the new cell at pos over f and a
 // new right sibling: the left half stays, the rest moves. An ascending
@@ -423,11 +487,13 @@ func (t *Tree) split(f *buffer.Frame, pos int, cell []byte, ascending bool) (*sp
 		setFlags(p, flags(old))
 		p.SetOwner(old.Owner())
 	}
-	sepKey, sepVal := cellKV(at(mid))
+	// sep aliases the cells (the new one may be the caller's stack scratch);
+	// only its copy goes into the result.
+	sep, sepVal := cellKV(at(mid))
 	if leaf {
-		sepKey = separator(cellKey(at(mid-1)), sepKey)
+		sep = separator(cellKey(at(mid-1)), sep)
 	}
-	sepKey = append([]byte(nil), sepKey...)
+	sepKey := append([]byte(nil), sep...)
 	from := mid
 	if leaf {
 		// Maintain the leaf sibling chain.

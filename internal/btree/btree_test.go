@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -685,29 +686,330 @@ func TestInsertUniqueRace(t *testing.T) {
 	checkTree(t, tr, false)
 }
 
-// TestProbePinsHeightPages: a point probe, and a unique insert that checks
-// and inserts without a split, each pin one page per level.
+// TestProbePinsHeightPages: a point probe, a unique insert between two keys
+// of the tree that checks and inserts without a split, and a refused one
+// each pin one page per level; a unique insert above every key pins the
+// tail leaf alone, after a refusal of the greatest key too.
 func TestProbePinsHeightPages(t *testing.T) {
 	const n = 20000
 	tr := kvTree(t, n)
 	height, leaves := tr.Stats.Height.Load(), tr.Stats.LeafPages.Load()
+	refused := func(key []byte) error {
+		if err := tr.InsertUnique(key, kvRID(0)); !errors.Is(err, ErrDuplicate) {
+			return fmt.Errorf("InsertUnique of a key the tree holds = %v", err)
+		}
+		return nil
+	}
+	// An ascending load fills its leaves: room for the mid-range key.
+	if ok, err := tr.Delete(kvKey(n/2), nil); err != nil || !ok {
+		t.Fatalf("Delete = %v, %v", ok, err)
+	}
 	for _, c := range []struct {
 		name string
-		fn   func()
+		want int64
+		fn   func() error
 	}{
-		{"Search", func() { tr.Search(kvKey(n / 2)) }},
-		{"InsertUnique", func() { tr.InsertUnique(kvKey(n), kvRID(n)) }},
-		{"refused InsertUnique", func() { tr.InsertUnique(kvKey(n/3), kvRID(0)) }},
+		{"Search", height, func() error { _, _, err := tr.Search(kvKey(n / 2)); return err }},
+		{"ascending InsertUnique", 1, func() error { return tr.InsertUnique(kvKey(n), kvRID(n)) }},
+		{"mid-range InsertUnique", height, func() error { return tr.InsertUnique(kvKey(n/2), kvRID(n/2)) }},
+		{"refused InsertUnique", height, func() error { return refused(kvKey(n / 3)) }},
+		{"refused InsertUnique of the greatest key", height, func() error { return refused(kvKey(n)) }},
+		{"ascending InsertUnique after a refusal", 1, func() error { return tr.InsertUnique(kvKey(n+1), kvRID(n+1)) }},
 	} {
 		before := tr.pool.Stats()
-		c.fn()
+		if err := c.fn(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
 		after := tr.pool.Stats()
-		if got := int64(after.Hits + after.Misses - before.Hits - before.Misses); got != height {
-			t.Errorf("%s pins %d pages, the tree has %d levels", c.name, got, height)
+		if got := int64(after.Hits + after.Misses - before.Hits - before.Misses); got != c.want {
+			t.Errorf("%s pins %d pages, want %d (the tree has %d levels)", c.name, got, c.want, height)
 		}
 	}
 	if tr.Stats.LeafPages.Load() != leaves {
-		t.Fatal("the insert split a leaf: the test wants one that fits")
+		t.Fatal("an insert split a leaf: the test wants ones that fit")
+	}
+}
+
+// TestStaleTailFallsBack: a tail that is no longer this tree's last leaf
+// — a leaf with a right sibling, an internal node, another tree's leaf —
+// is refused under its latch, and the descent inserts the key where it
+// belongs.
+func TestStaleTailFallsBack(t *testing.T) {
+	tr, pool, st := newTree(t, 256)
+	for i := 0; i < 3000; i++ {
+		if err := tr.Insert(k(i), v(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	other, err := Create(pool, st, store.MainFile, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Stats.Height.Load() < 2 {
+		t.Fatal("the test wants internal nodes")
+	}
+	for i := 0; i < 10; i++ { // room in the first leaf
+		if ok, err := tr.Delete(k(i), nil); err != nil || !ok {
+			t.Fatalf("Delete(%d) = %v, %v", i, ok, err)
+		}
+	}
+	leftmost, err := tr.descend(nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := leftmost.ID
+	tr.release(leftmost, false)
+	for i, stale := range []store.PageID{first, tr.Root(), other.Root()} {
+		tr.tail, tr.tailKey = stale, nil
+		key := k(3000 + i)
+		if err := tr.InsertUnique(key, v(i)); err != nil {
+			t.Fatal(err)
+		}
+		checkTree(t, tr, false)
+		if got, ok, err := tr.Search(key); err != nil || !ok || !bytes.Equal(got, v(i)) {
+			t.Fatalf("stale tail %d: Search = %v, %v", i, ok, err)
+		}
+	}
+	if n := other.Stats.Entries.Load(); n != 0 {
+		t.Fatalf("the other tree took %d entries", n)
+	}
+	checkTree(t, other, false)
+}
+
+// samePages fails the test unless the two stores' main files hold the same
+// pages, byte for byte, read through their pools.
+func samePages(t *testing.T, step int, a, b *Tree) {
+	t.Helper()
+	na, nb := a.st.PageCount(store.MainFile), b.st.PageCount(store.MainFile)
+	if na != nb {
+		t.Fatalf("step %d: %d pages with the tail, %d without", step, na, nb)
+	}
+	for i := uint64(1); i < na; i++ {
+		id := store.MakePageID(store.MainFile, i)
+		fa, err := a.pool.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fb, err := b.pool.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same := bytes.Equal(fa.Data, fb.Data)
+		a.pool.Unpin(fa, false)
+		b.pool.Unpin(fb, false)
+		if !same {
+			t.Fatalf("step %d: page %d differs between the trees", step, i)
+		}
+	}
+	for _, s := range [][2]*atomic.Int64{
+		{&a.Stats.Entries, &b.Stats.Entries}, {&a.Stats.LeafPages, &b.Stats.LeafPages},
+		{&a.Stats.Height, &b.Stats.Height}, {&a.Stats.Distinct, &b.Stats.Distinct},
+		{&a.Stats.ClusteredPairs, &b.Stats.ClusteredPairs}, {&a.Stats.TotalPairs, &b.Stats.TotalPairs},
+	} {
+		if x, y := s[0].Load(), s[1].Load(); x != y {
+			t.Fatalf("step %d: a Stats field reads %d with the tail, %d without", step, x, y)
+		}
+	}
+}
+
+// TestTailAppendMatchesDescent: the tail append writes what the descent
+// writes. Two non-unique trees take one seeded mix — ascending runs,
+// mid-range keys, duplicates of the greatest key, a refused InsertUnique
+// of it, deletes of it long enough to empty the tail leaf, and enough
+// growth to split the tail and the root — one of them with its tail
+// forgotten before every operation. After each step every page and every
+// statistic must be equal, and the tree well formed; an ascending insert
+// that splits no leaf must have pinned one page.
+func TestTailAppendMatchesDescent(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		with, _, _ := newTree(t, 512)
+		without, _, _ := newTree(t, 512)
+		rng := rand.New(rand.NewSource(seed))
+		var held []int // keys in the tree, ascending; duplicates repeat
+		hi := 0        // the greatest key ever issued
+		pins := [2]uint64{}
+		emptied := 0 // steps that left the tail leaf empty
+		for step := 0; step < 1200; step++ {
+			var op func(tr *Tree) error
+			var name string
+			ascending := false
+			switch r := rng.Intn(20); {
+			case r < 10 || len(held) == 0: // an ascending key
+				ascending = true
+				hi++
+				k := hi
+				name = fmt.Sprintf("Insert(%d)", k)
+				op = func(tr *Tree) error { return tr.Insert(wideKey(k), v(k)) }
+				held = append(held, k)
+			case r < 13: // a key between two the tree holds
+				k := rng.Intn(held[len(held)-1] + 1)
+				name = fmt.Sprintf("Insert(%d), mid-range", k)
+				op = func(tr *Tree) error { return tr.Insert(wideKey(k), v(k)) }
+				i := sort.SearchInts(held, k+1)
+				held = append(held[:i], append([]int{k}, held[i:]...)...)
+			case r < 15: // a duplicate of the greatest key
+				k := held[len(held)-1]
+				name = fmt.Sprintf("Insert(%d), a duplicate of the greatest", k)
+				op = func(tr *Tree) error { return tr.Insert(wideKey(k), v(k)) }
+				held = append(held, k)
+			case r < 16:
+				k := held[len(held)-1]
+				name = fmt.Sprintf("InsertUnique(%d), the greatest", k)
+				op = func(tr *Tree) error {
+					if err := tr.InsertUnique(wideKey(k), v(k)); !errors.Is(err, ErrDuplicate) {
+						return fmt.Errorf("not refused: %v", err)
+					}
+					return nil
+				}
+			default: // delete the greatest key, often enough to empty the tail
+				k := held[len(held)-1]
+				name = fmt.Sprintf("Delete(%d), the greatest", k)
+				op = func(tr *Tree) error {
+					if ok, err := tr.Delete(wideKey(k), nil); !ok || err != nil {
+						return fmt.Errorf("= %v, %v", ok, err)
+					}
+					return nil
+				}
+				held = held[:len(held)-1]
+			}
+			leaves := with.Stats.LeafPages.Load()
+			for i, tr := range []*Tree{with, without} {
+				if tr == without {
+					tr.tail = 0
+				}
+				before := tr.pool.Stats()
+				if err := op(tr); err != nil {
+					t.Fatalf("seed %d, step %d: %s: %v", seed, step, name, err)
+				}
+				after := tr.pool.Stats()
+				got := after.Hits + after.Misses - before.Hits - before.Misses
+				pins[i] += got
+				// A key above every other that splits no leaf pins the tail
+				// alone, the first after a split included.
+				if tr == with && ascending && step > 0 && with.Stats.LeafPages.Load() == leaves && got != 1 {
+					t.Fatalf("seed %d, step %d: %s pins %d pages, want 1", seed, step, name, got)
+				}
+			}
+			samePages(t, step, with, without)
+			checkTree(t, with, true)
+			if with.tail != 0 {
+				f, err := with.pool.Get(with.tail)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if f.Data.NumSlots() == 0 {
+					emptied++
+				}
+				with.pool.Unpin(f, false)
+			}
+		}
+		if h := with.Stats.Height.Load(); h < 3 {
+			t.Fatalf("seed %d: height %d, the test wants the root split twice", seed, h)
+		}
+		t.Logf("seed %d: height %d, %d leaves, the tail emptied after %d steps; %d pins with the tail, %d without", seed,
+			with.Stats.Height.Load(), with.Stats.LeafPages.Load(), emptied, pins[0], pins[1])
+		if emptied == 0 {
+			t.Fatalf("seed %d: no step emptied the tail leaf", seed)
+		}
+		if pins[0] >= pins[1] {
+			t.Fatalf("seed %d: the tail saved no pin: %d with it, %d without", seed, pins[0], pins[1])
+		}
+	}
+}
+
+// TestTailAppendRace: unique writers that draw keys from one counter hand
+// them to the tree out of order, so the tail takes some and the descent
+// the rest, while readers search and seek and a deleter takes the newest
+// key away. Every key acknowledged and not deleted must be found.
+func TestTailAppendRace(t *testing.T) {
+	tr := kvTree(t, 1000)
+	const writers, perWriter = 4, 1500
+	var next atomic.Int64
+	next.Store(999)
+	var mu sync.Mutex
+	acked, deleted := map[int]bool{}, map[int]bool{}
+	var wg, others sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				k := int(next.Add(1))
+				if err := tr.InsertUnique(kvKey(k), kvRID(k)); err != nil {
+					t.Errorf("InsertUnique(%d): %v", k, err)
+					return
+				}
+				mu.Lock()
+				acked[k] = true
+				mu.Unlock()
+			}
+		}()
+	}
+	others.Add(3)
+	go func() { // the deleter
+		defer others.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			k := int(next.Load())
+			ok, err := tr.Delete(kvKey(k), nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if ok {
+				mu.Lock()
+				deleted[k] = true
+				mu.Unlock()
+			}
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		go func() { // readers
+			defer others.Done()
+			it := new(Iterator)
+			defer it.Close()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := int(next.Load()) - i%64
+				if _, _, err := tr.Search(kvKey(k)); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := tr.Seek(it, kvKey(k)); err != nil {
+					t.Error(err)
+					return
+				}
+				for prev := []byte(nil); it.Valid(); it.Next() {
+					if prev != nil && bytes.Compare(prev, it.Key()) >= 0 {
+						t.Errorf("Seek(%d): %x after %x", k, it.Key(), prev)
+						return
+					}
+					prev = append(prev[:0], it.Key()...)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	others.Wait()
+	checkTree(t, tr, false)
+	for k := range acked {
+		_, ok, err := tr.Search(kvKey(k))
+		if err != nil || ok == deleted[k] {
+			t.Fatalf("key %d, deleted: %v: Search = %v, %v", k, deleted[k], ok, err)
+		}
+	}
+	if want := int64(1000 + len(acked) - len(deleted)); tr.Stats.Entries.Load() != want {
+		t.Fatalf("%d entries, want %d", tr.Stats.Entries.Load(), want)
 	}
 }
 
@@ -863,7 +1165,24 @@ func TestAllocationGuards(t *testing.T) {
 	for i := n; i <= n+100; i++ {
 		fresh = append(fresh, [2][]byte{kvKey(i), kvRID(i)})
 	}
-	i := 0
+	// Keys deleted from a second tree, one per leaf or so, come back by the
+	// descent: each goes between two keys of its leaf and fits.
+	roomy := kvTree(t, n)
+	var between [][2][]byte
+	for i := 0; i <= 100; i++ {
+		k := 1 + i*(n-2)/100
+		if ok, err := roomy.Delete(kvKey(k), nil); err != nil || !ok {
+			t.Fatalf("Delete(%d) = %v, %v", k, ok, err)
+		}
+		between = append(between, [2][]byte{kvKey(k), kvRID(k)})
+	}
+	leaves := roomy.Stats.LeafPages.Load()
+	i, j := 0, 0
+	defer func() {
+		if roomy.Stats.LeafPages.Load() != leaves {
+			t.Error("a mid-range Insert split a leaf: the test wants ones that fit")
+		}
+	}()
 	for _, c := range []struct {
 		name string
 		max  float64
@@ -878,7 +1197,8 @@ func TestAllocationGuards(t *testing.T) {
 		}},
 		// 100 runs append 100 cells to the last leaf: at most one split,
 		// whose few allocations vanish in the average.
-		{"leaf Insert", 1, func() { tr.Insert(fresh[i][0], fresh[i][1]); i++ }},
+		{"leaf Insert", 0, func() { tr.Insert(fresh[i][0], fresh[i][1]); i++ }},
+		{"mid-range Insert", 0, func() { roomy.Insert(between[j][0], between[j][1]); j++ }},
 	} {
 		if got := testing.AllocsPerRun(100, c.fn); got > c.max {
 			t.Errorf("%s: %.2f allocations per run, want ≤ %v", c.name, got, c.max)
@@ -912,6 +1232,27 @@ func BenchmarkTreeInsertSequential(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := tr.Insert(kvKey(i), kvRID(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTreeInsertRandom is the descent's write: keys in random order,
+// each between the two the tree starts with, so none goes in by the tail.
+func BenchmarkTreeInsertRandom(b *testing.B) {
+	const hi = 1 << 40
+	tr := kvTree(b, 0)
+	for _, k := range []int{0, hi} {
+		if err := tr.Insert(kvKey(k), kvRID(k)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := 1 + rng.Intn(hi-1)
+		if err := tr.Insert(kvKey(k), kvRID(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

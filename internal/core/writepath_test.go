@@ -94,10 +94,13 @@ func TestDifferentialIndexVsNoIndex(t *testing.T) {
 // one-row transaction and a one-row DELETE cost in page pins depends on the
 // height of the index, and on nothing else about the table — not on how
 // many locks the load once held, nor on how many rows there are. The
-// table's intent lock is in memory and pins nothing. An INSERT pins the
-// index once per level (one descent checks the key and inserts it) and the
-// heap's tail page; its row is locked by its version entry, with no
-// lock-table cell: height + 1. BEGIN, SELECT by key, UPDATE by key, COMMIT
+// table's intent lock is in memory and pins nothing. An INSERT of a key
+// above every key of the index pins the heap's tail page and the index's
+// tail leaf, whatever the height: the key cannot be a duplicate, and it
+// goes at the end of that leaf. Its row is locked by its version entry,
+// with no lock-table cell: 2. An INSERT of a key between two others pins
+// the heap's tail and the index once per level (one descent checks the key
+// and inserts it): height + 1. BEGIN, SELECT by key, UPDATE by key, COMMIT
 // pins two descents (the SELECT's probe and the UPDATE's), the SELECT's
 // heap page, and the UPDATE's heap page once: its probe hands over the RID
 // unread, and the claim reads the row with its version-chain holder,
@@ -109,8 +112,8 @@ func TestDifferentialIndexVsNoIndex(t *testing.T) {
 // hundredths. It also holds the temporary file to its steady-state size.
 func TestWritePathCostIndependentOfTableSize(t *testing.T) {
 	type cost struct {
-		insert, rmw, delete float64
-		height              int64
+		insert, rmw, delete, midInsert float64
+		height                         int64
 	}
 	measure := func(n int) cost {
 		db := openDB(t, Options{PoolMinPages: 4096, PoolInitPages: 4096, PoolMaxPages: 4096})
@@ -149,6 +152,13 @@ func TestWritePathCostIndependentOfTableSize(t *testing.T) {
 			}
 		}
 		out.delete = float64(pins()-before) / ops
+		// The deleted keys come back: each goes between two keys of its
+		// leaf, into the room its delete left.
+		before = pins()
+		for i := 0; i < ops; i++ {
+			insert(i*7919%n + 1)
+		}
+		out.midInsert = float64(pins()-before) / ops
 		tbl, _ := db.Table("kv")
 		out.height = tbl.Indexes[0].Tree.Stats.Height.Load()
 
@@ -162,12 +172,15 @@ func TestWritePathCostIndependentOfTableSize(t *testing.T) {
 		return out
 	}
 	small, large := measure(5000), measure(50000)
-	t.Logf("page pins per op: INSERT %.2f → %.2f, BEGIN/SELECT/UPDATE/COMMIT %.2f → %.2f, DELETE %.2f → %.2f, index height %d → %d",
-		small.insert, large.insert, small.rmw, large.rmw, small.delete, large.delete, small.height, large.height)
+	t.Logf("page pins per op: INSERT %.2f → %.2f, mid-range INSERT %.2f → %.2f, BEGIN/SELECT/UPDATE/COMMIT %.2f → %.2f, DELETE %.2f → %.2f, index height %d → %d",
+		small.insert, large.insert, small.midInsert, large.midInsert, small.rmw, large.rmw, small.delete, large.delete, small.height, large.height)
 	for _, c := range []cost{small, large} {
 		h := float64(c.height)
-		if math.Abs(c.insert-(h+1)) > 0.05 {
-			t.Errorf("index height %d: INSERT pins %.2f pages, want height + 1 = %v", c.height, c.insert, h+1)
+		if math.Abs(c.insert-2) > 0.05 {
+			t.Errorf("index height %d: an ascending INSERT pins %.2f pages, want 2", c.height, c.insert)
+		}
+		if math.Abs(c.midInsert-(h+1)) > 0.05 {
+			t.Errorf("index height %d: a mid-range INSERT pins %.2f pages, want height + 1 = %v", c.height, c.midInsert, h+1)
 		}
 		if math.Abs(c.rmw-(2*h+2)) > 0.05 {
 			t.Errorf("index height %d: a one-row transaction pins %.2f pages, want 2·height + 2 = %v", c.height, c.rmw, 2*h+2)

@@ -153,20 +153,24 @@ func (s *Store) Resolve(id RowID, row []val.Value, exists bool, snap *Snapshot) 
 	return row, exists
 }
 
-// Unsettled reports whether the chain at id holds a write whose transaction
-// has not settled (committed and published, or rolled back and reclaimed),
-// and the largest heap cell such a write replaced: what a rollback may yet
-// have to put back at id.
-func (s *Store) Unsettled(id RowID) (cell int, ok bool) {
+// UnsettledOnPage reports, for each of slots n-1 down to 0 of page, whether
+// the slot's chain holds a write whose transaction has not settled
+// (committed and published, or rolled back and reclaimed), and the largest
+// heap cell such a write replaced: what a rollback may yet have to put back
+// there. It calls fn once per slot, all under one hold of the store's lock.
+func (s *Store) UnsettledOnPage(page store.PageID, n int, fn func(slot, cell int, ok bool)) {
 	s.mu.RLock()
-	for e := s.chains[id]; e != nil; e = e.prev {
-		if e.csn.Load() == 0 {
-			ok = true
-			cell = max(cell, e.Cell)
+	defer s.mu.RUnlock()
+	for slot := n - 1; slot >= 0; slot-- {
+		cell, ok := 0, false
+		for e := s.chains[RowID{Page: page, Slot: slot}]; e != nil; e = e.prev {
+			if e.csn.Load() == 0 {
+				ok = true
+				cell = max(cell, e.Cell)
+			}
 		}
+		fn(slot, cell, ok)
 	}
-	s.mu.RUnlock()
-	return cell, ok
 }
 
 // Holder reports the writer of the chain head at id while that entry is

@@ -1,6 +1,7 @@
 package mvcc
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -147,32 +148,42 @@ func TestSlotsAndRowIDs(t *testing.T) {
 // write was, until the entry is published or reclaimed.
 func TestUnsettled(t *testing.T) {
 	s := NewStore()
+	// unsettled asks about one slot the way a table asks about its page:
+	// every slot up to this one, under one hold of the lock.
+	unsettled := func(id RowID) (cell int, ok bool) {
+		s.UnsettledOnPage(id.Page, id.Slot+1, func(slot, c int, held bool) {
+			if slot == id.Slot {
+				cell, ok = c, held
+			}
+		})
+		return cell, ok
+	}
 	id := RowID{Page: 4, Slot: 2}
-	if cell, ok := s.Unsettled(id); ok || cell != 0 || s.Holder(id) != 0 {
+	if cell, ok := unsettled(id); ok || cell != 0 || s.Holder(id) != 0 {
 		t.Fatalf("no chain: %d %v, holder %d", cell, ok, s.Holder(id))
 	}
 	committed := &Entry{Writer: 1, Row: row(1), Exists: true, Cell: 900}
 	committed.SetCSN(1)
 	s.Push(id, committed)
-	if cell, ok := s.Unsettled(id); ok || cell != 0 || s.Holder(id) != 0 {
+	if cell, ok := unsettled(id); ok || cell != 0 || s.Holder(id) != 0 {
 		t.Fatalf("published writer only: %d %v, holder %d", cell, ok, s.Holder(id))
 	}
 	// An update holder: two shrinking updates by writer 2.
 	shrink, shrinkMore := &Entry{Writer: 2, Row: row(2), Exists: true, Cell: 400}, &Entry{Writer: 2, Row: row(3), Exists: true, Cell: 50}
 	s.Push(id, shrink)
 	s.Push(id, shrinkMore)
-	if cell, ok := s.Unsettled(id); !ok || cell != 400 || s.Holder(id) != 2 {
+	if cell, ok := unsettled(id); !ok || cell != 400 || s.Holder(id) != 2 {
 		t.Fatalf("in-flight writer: %d %v, holder %d, want 400 true 2", cell, ok, s.Holder(id))
 	}
 	shrink.SetCSN(2)
 	shrinkMore.SetCSN(2)
-	if cell, ok := s.Unsettled(id); ok || cell != 0 || s.Holder(id) != 0 {
+	if cell, ok := unsettled(id); ok || cell != 0 || s.Holder(id) != 0 {
 		t.Fatalf("after publish: %d %v, holder %d", cell, ok, s.Holder(id))
 	}
 
 	// A delete holder: writer 3 removed the row.
 	s.Push(id, &Entry{Writer: 3, Row: row(3), Exists: true, Cell: 50})
-	if cell, ok := s.Unsettled(id); !ok || cell != 50 || s.Holder(id) != 3 {
+	if cell, ok := unsettled(id); !ok || cell != 50 || s.Holder(id) != 3 {
 		t.Fatalf("in-flight delete: %d %v, holder %d, want 50 true 3", cell, ok, s.Holder(id))
 	}
 	// A rolled-back holder is named until its entry is reclaimed: whether
@@ -181,7 +192,7 @@ func TestUnsettled(t *testing.T) {
 		t.Fatalf("a live writer's entry was reclaimed, or it lost the row: holder %d", s.Holder(id))
 	}
 	s.VacuumOne(id, 2, func(uint64) bool { return false })
-	if cell, ok := s.Unsettled(id); ok || cell != 0 || s.Holder(id) != 0 {
+	if cell, ok := unsettled(id); ok || cell != 0 || s.Holder(id) != 0 {
 		t.Fatalf("after the rolled-back delete was reclaimed: %d %v, holder %d", cell, ok, s.Holder(id))
 	}
 
@@ -189,8 +200,17 @@ func TestUnsettled(t *testing.T) {
 	other := RowID{Page: 4, Slot: 3}
 	s.Push(other, &Entry{Writer: 4})
 	s.Push(other, &Entry{Writer: 4, Row: row(4), Exists: true, Cell: 20})
-	if cell, ok := s.Unsettled(other); !ok || cell != 20 || s.Holder(other) != 4 {
+	if cell, ok := unsettled(other); !ok || cell != 20 || s.Holder(other) != 4 {
 		t.Fatalf("unsettled insert: %d %v, holder %d, want 20 true 4", cell, ok, s.Holder(other))
+	}
+
+	// One call answers every slot of the page, the last first, and no slot
+	// of another page.
+	s.Push(RowID{Page: 5, Slot: 1}, &Entry{Writer: 5, Row: row(5), Exists: true, Cell: 70})
+	var got []string
+	s.UnsettledOnPage(4, 5, func(slot, cell int, ok bool) { got = append(got, fmt.Sprintf("%d:%d:%v", slot, cell, ok)) })
+	if want := "[4:0:false 3:20:true 2:0:false 1:0:false 0:0:false]"; fmt.Sprint(got) != want {
+		t.Fatalf("page 4 answers %v, want %s", got, want)
 	}
 }
 

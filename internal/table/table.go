@@ -518,22 +518,26 @@ func (t *Table) logInsert(f *buffer.Frame, tx *txn.Txn, rec *wal.Record, slot in
 // the caller's to use up (-1 for none). Every transactional write that
 // consumes page space asks here first; compensations do not, they take back
 // what was kept for them. The record of an unsettled write is its version
-// chain entry, so this costs nothing while the table has no chains.
+// chain entry, so this costs nothing while the table has no chains, and one
+// hold of the version store's lock for the whole page while it has some.
 func (t *Table) owed(pid store.PageID, p page.Buf, own int) (reserve, slot int) {
-	slot = p.NumSlots()
-	chains := !t.versions.Empty()
-	for s := slot - 1; s >= 0; s-- {
+	n := p.NumSlots()
+	slot = n
+	note := func(s, was int, held bool) {
 		cell := p.Cell(s)
-		was, held := 0, false
-		if chains {
-			was, held = t.versions.Unsettled(mvcc.RowID{Page: pid, Slot: s})
-		}
 		if cell == nil && !held {
 			slot = s
 		}
 		if s != own && was > len(cell) {
 			reserve += was - len(cell)
 		}
+	}
+	if !t.versions.Empty() {
+		t.versions.UnsettledOnPage(pid, n, note)
+		return reserve, slot
+	}
+	for s := n - 1; s >= 0; s-- {
+		note(s, 0, false)
 	}
 	return reserve, slot
 }

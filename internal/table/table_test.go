@@ -594,3 +594,57 @@ func TestErrors(t *testing.T) {
 		t.Fatal("ColumnIndex")
 	}
 }
+
+// BenchmarkOwed is the question a transactional INSERT asks of the heap's
+// tail page before it takes a slot: what the page, full of rows, owes to
+// writes that have not settled. A transaction that wrote one of the rows
+// stays open, so the table has version chains to look through; with -cpu 2
+// two inserters ask at once, as the writers of a commit storm do.
+func BenchmarkOwed(b *testing.B) {
+	st, err := store.Open(store.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	log, _ := wal.Open("")
+	tm := txn.NewManager(log, nil)
+	tbl, err := Create(buffer.New(st, 8, 256, 512), st, store.MainFile, 100, "emp", []Column{
+		{Name: "id", Kind: val.KInt},
+		{Name: "name", Kind: val.KStr},
+		{Name: "salary", Kind: val.KDouble},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	open := tm.Begin()
+	defer open.Rollback()
+	for i := 0; tbl.pages.Load() == 1; i++ {
+		tx := open
+		if i > 0 {
+			tx = tm.Begin()
+		}
+		if _, err := tbl.Insert(tx, row(int64(i), "row", 1)); err != nil {
+			b.Fatal(err)
+		}
+		if tx != open {
+			if err := tx.Commit(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	f, err := tbl.pool.Get(tbl.first) // full: the insert that filled it began a second page
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer tbl.pool.Unpin(f, false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			f.RLock()
+			tbl.owed(f.ID, f.Data, -1)
+			f.RUnlock()
+		}
+	})
+	b.ReportMetric(float64(f.Data.NumSlots()), "slots")
+}

@@ -26,6 +26,12 @@ type Conn struct {
 	db     *DB
 	tx     *txn.Txn // explicit transaction, nil = autocommit
 	closed bool
+	// txn is the transaction every BEGIN, BEGIN READ ONLY and autocommit
+	// write of the connection begins in: its undo and version lists and its
+	// scratch are reused with their capacity (txn.Manager.BeginIn). txnSnap
+	// is the snapshot a BEGIN READ ONLY binds to it.
+	txn     txn.Txn
+	txnSnap mvcc.Snapshot
 	// stmtCtx is the context of the statement currently running on this
 	// connection (a Conn serves one statement at a time). Operators and
 	// DML loops poll it at batch boundaries.
@@ -49,7 +55,8 @@ type Conn struct {
 	// statement snapshot of the statement running (the ring keeps a copy of
 	// a finished span; neither task nor snapshot holds a charge or a
 	// registration between statements); the vector a text's lifted literals
-	// are merged into; and the plans of the shapes it ran last.
+	// are merged into; the rows an INSERT builds, and where each of its
+	// values goes; and the plans of the shapes it ran last.
 	ectx    exec.Ctx
 	batch   exec.Batch
 	scanObs func(tableName string, rows int64)
@@ -57,6 +64,8 @@ type Conn struct {
 	task    mem.Task
 	snap    mvcc.Snapshot
 	bound   []val.Value
+	rows    []val.Value
+	dest    []int
 	kept    keptPlans
 }
 
@@ -169,7 +178,7 @@ func (c *Conn) Close() error {
 		c.tx.Rollback()
 		c.tx = nil
 	}
-	c.kept, c.ectx, c.batch, c.bound = keptPlans{}, exec.Ctx{}, exec.Batch{}, nil
+	c.kept, c.ectx, c.batch, c.bound, c.rows, c.dest = keptPlans{}, exec.Ctx{}, exec.Batch{}, nil, nil, nil
 	c.db.mu.Lock()
 	c.db.conns--
 	last := c.db.conns == 0
@@ -179,6 +188,12 @@ func (c *Conn) Close() error {
 		return c.db.Close()
 	}
 	return nil
+}
+
+// writeTxn is the transaction a write statement of the connection runs in
+// (see DB.autoTxn): the open one, or its own, begun for the statement.
+func (c *Conn) writeTxn() stmtTxn {
+	return c.db.autoTxn(c.stmtCtx, c.tx, &c.txn, c.curSpan)
 }
 
 // execCtx sets up the connection's execution context for one statement
@@ -356,10 +371,10 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value) (res Resul
 		if s.ReadOnly {
 			// Snapshot transaction: one watermark for its whole lifetime
 			// gives repeatable reads with zero lock-manager traffic.
-			c.tx = c.db.txns.BeginRO()
-			c.tx.BindSnapshot(c.acquireSnapshot(new(mvcc.Snapshot), 0, sp))
+			c.tx = c.db.txns.BeginIn(&c.txn, true)
+			c.tx.BindSnapshot(c.acquireSnapshot(&c.txnSnap, 0, sp))
 		} else {
-			c.tx = c.db.txns.Begin()
+			c.tx = c.db.txns.BeginIn(&c.txn, false)
 		}
 		if sp != nil {
 			boundTxn = c.tx.ID()
@@ -510,7 +525,7 @@ func (c *Conn) loadTable(s *sqlparse.LoadTable) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	st := c.db.autoTxn(c.stmtCtx, c.tx, c.curSpan)
+	st := c.writeTxn()
 	var n int64
 	for _, rec := range recs {
 		if err := c.interrupted(); err != nil {

@@ -37,15 +37,16 @@ type stmtTxn struct {
 }
 
 // autoTxn returns the transaction a write statement runs in: inside an
-// explicit transaction (cur) it is that transaction; otherwise a fresh one
-// that end commits (or rolls back). Either way the transaction's lock and
-// row waits observe ctx, the statement's context, until end. An autocommit
-// transaction is bound to the statement's span for wait attribution, and its
-// commit (or rollback) flush is charged to the span's commit phase.
-func (db *DB) autoTxn(ctx context.Context, cur *txn.Txn, sp *flightrec.Span) stmtTxn {
+// explicit transaction (cur) it is that transaction; otherwise one begun in
+// own that end commits (or rolls back). Either way the transaction's lock
+// and row waits observe ctx, the statement's context, until end. An
+// autocommit transaction is bound to the statement's span for wait
+// attribution, and its commit (or rollback) flush is charged to the span's
+// commit phase.
+func (db *DB) autoTxn(ctx context.Context, cur, own *txn.Txn, sp *flightrec.Span) stmtTxn {
 	st := stmtTxn{tx: cur, db: db, sp: sp}
 	if cur == nil {
-		st.tx, st.auto = db.txns.Begin(), true
+		st.tx, st.auto = db.txns.BeginIn(own, false), true
 		db.flight.BindTxn(st.tx.ID(), sp)
 	}
 	st.tx.SetContext(ctx)
@@ -92,7 +93,7 @@ func (db *DB) schemaChange(ctx context.Context, cur *txn.Txn, sp *flightrec.Span
 	if name != "" && !ok {
 		return notFound
 	}
-	st := db.autoTxn(ctx, cur, sp)
+	st := db.autoTxn(ctx, cur, new(txn.Txn), sp)
 	tx := st.tx
 	var err error
 	if exclusive {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"anywheredb/internal/exec"
@@ -152,69 +153,90 @@ func (c *Conn) execSelect(sh *Shape, s *sqlparse.Select, params []val.Value, use
 	return &Rows{cols: plan.Columns, rows: rows, plan: plan}, nil
 }
 
-// execInsert handles INSERT ... VALUES and INSERT ... SELECT.
+// execInsert handles INSERT ... VALUES and INSERT ... SELECT. Every row is
+// built — once, in table column order, in the rows the connection keeps
+// (table.Insert keeps nothing of a row) — before the first is inserted, so
+// a value that fails to evaluate inserts nothing.
 func (c *Conn) execInsert(sh *Shape, s *sqlparse.Insert, params []val.Value) (Result, error) {
 	tbl, ok := c.db.Table(s.Table)
 	if !ok {
 		return Result{}, fmt.Errorf("core: table %q not found", s.Table)
 	}
-	// Column mapping.
-	colIdx := make([]int, len(tbl.Columns))
-	if len(s.Cols) == 0 {
-		for i := range colIdx {
-			colIdx[i] = i
-		}
-	} else {
-		for i := range colIdx {
-			colIdx[i] = -1
-		}
-		for pos, name := range s.Cols {
-			ci := tbl.ColumnIndex(name)
-			if ci < 0 {
-				return Result{}, fmt.Errorf("core: column %q not found", name)
-			}
-			colIdx[ci] = pos
-		}
+	// Column mapping: dest[pos] is the column the statement's pos-th value
+	// goes to; a value past the table's columns goes nowhere, and a column
+	// no value goes to is NULL.
+	width := len(tbl.Columns)
+	if len(s.Cols) > 0 {
+		width = len(s.Cols)
 	}
-	buildRow := func(values []val.Value) []val.Value {
-		row := make([]val.Value, len(tbl.Columns))
-		for ci := range row {
-			if colIdx[ci] >= 0 && colIdx[ci] < len(values) {
-				row[ci] = values[colIdx[ci]]
+	dest := slices.Grow(c.dest[:0], width)[:width]
+	c.dest = dest
+	for pos := range dest {
+		dest[pos] = pos
+		if len(s.Cols) > 0 {
+			if dest[pos] = tbl.ColumnIndex(s.Cols[pos]); dest[pos] < 0 {
+				return Result{}, fmt.Errorf("core: column %q not found", s.Cols[pos])
 			}
 		}
-		return row
 	}
 
-	var sourceRows [][]val.Value
+	var source [][]val.Value
+	var values *exec.Values
 	if s.Query != nil {
 		rows, err := c.execSelect(sh, s.Query, params, planRun)
 		if err != nil {
 			return Result{}, err
 		}
-		sourceRows = rows.rows
+		source = rows.rows
 	} else {
-		ctx := c.execCtx(nil)
-		plan, err := c.plan(sh, s, ctx, params, planRun)
+		plan, err := c.plan(sh, s, c.execCtx(nil), params, planRun)
 		if err != nil {
 			return Result{}, err
 		}
-		if sourceRows, err = exec.Drain(ctx, plan.Root); err != nil {
-			return Result{}, err
+		if values, ok = plan.Root.(*exec.Values); !ok {
+			return Result{}, fmt.Errorf("core: INSERT ... VALUES planned as %T", plan.Root)
+		}
+	}
+	nrows, ncols := len(source), len(tbl.Columns)
+	if values != nil {
+		nrows = len(values.Rows)
+	}
+	all := slices.Grow(c.rows[:0], nrows*ncols)[:nrows*ncols]
+	clear(all)
+	c.rows = all
+	if cap(all) > keepValues {
+		defer func() { c.rows = nil }()
+	}
+	for i := 0; i < nrows; i++ {
+		row := all[i*ncols : (i+1)*ncols]
+		if values == nil {
+			for pos, v := range source[i][:min(len(source[i]), width)] {
+				row[dest[pos]] = v
+			}
+			continue
+		}
+		for pos, e := range values.Rows[i] {
+			v, err := e.Eval(nil)
+			if err != nil {
+				return Result{}, err
+			}
+			if pos < width {
+				row[dest[pos]] = v
+			}
 		}
 	}
 
-	st := c.db.autoTxn(c.stmtCtx, c.tx, c.curSpan)
+	st := c.writeTxn()
 	// The insert loop is the statement's execute phase: table, index and
 	// lock work. end is outside it; the commit it runs has its own phase.
 	execStart := time.Now()
 	var n int64
 	var err error
-	for _, values := range sourceRows {
+	for i := 0; i < nrows; i++ {
 		if err = c.interrupted(); err != nil {
 			break
 		}
-		if _, err = tbl.Insert(st.tx, buildRow(values)); err != nil {
+		if _, err = tbl.Insert(st.tx, all[i*ncols:(i+1)*ncols]); err != nil {
 			break
 		}
 		n++
@@ -228,6 +250,10 @@ func (c *Conn) execInsert(sh *Shape, s *sqlparse.Insert, params []val.Value) (Re
 	c.db.flight.Access().NoteWrite(s.Table)
 	return Result{RowsAffected: n}, st.end(nil)
 }
+
+// keepValues caps, in values, the rows a connection keeps for its next
+// INSERT: a bulk INSERT's are let go.
+const keepValues = 1024
 
 // execModify handles single-table UPDATE and DELETE on the plan of sh's
 // slot. The returned plan is the instrumented tree that found the target
@@ -266,7 +292,7 @@ func (c *Conn) execModify(sh *Shape, stmt sqlparse.Statement, params []val.Value
 		return Result{}, nil, err
 	}
 	_, isUpdate := stmt.(*sqlparse.Update)
-	st := c.db.autoTxn(c.stmtCtx, c.tx, c.curSpan)
+	st := c.writeTxn()
 	tx := st.tx
 	var n int64
 	for _, rid := range rids {

@@ -87,11 +87,15 @@ func TestStatementAllocationCeilings(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		lookup(i)
 	}
+	insert := autocommitInsert(t, db, c, rows)
+	for i := 0; i < 8; i++ {
+		insert(i)
+	}
 
 	parses, misses := counter(t, db, "sqlparse.parses"), counter(t, db, "opt.plancache.misses")
 	// Every execution but a scheduled verification runs the plan its
-	// connection kept: the SELECT and the UPDATE of each transaction, and
-	// each lookup.
+	// connection kept: the SELECT and the UPDATE of each transaction, each
+	// lookup and each insert.
 	retainedBy := func(what string, execs int, fn func()) {
 		t.Helper()
 		r, v := counter(t, db, "opt.plancache.retained"), counter(t, db, "opt.plancache.verifications")
@@ -100,21 +104,26 @@ func TestStatementAllocationCeilings(t *testing.T) {
 			t.Errorf("%s: %d executions, %d of them verifications, %d served by a kept plan", what, execs, dv, dr)
 		}
 	}
-	var perRMW, perLookup float64
+	var perRMW, perLookup, perInsert float64
 	retainedBy("rmw", 2*n, func() { perRMW = mallocs(n, func(i int) { rmw(t, c, int64(100+i)) }) })
 	retainedBy("lookup", n, func() { perLookup = mallocs(n, lookup) })
-	t.Logf("objects per op: rmw transaction %.1f, prepared point lookup %.1f", perRMW, perLookup)
+	retainedBy("insert", n, func() { perInsert = mallocs(n, func(i int) { insert(8 + i) }) })
+	t.Logf("objects per op: rmw transaction %.1f, prepared point lookup %.1f, prepared autocommit insert %.1f", perRMW, perLookup, perInsert)
 	// Each ceiling is 1.1× the objects measured on linux/amd64 (go1.24)
-	// under -race, where sync.Pool drops some of what it is given back: 43.4
-	// for the rmw transaction (35.8 without) and 6.6 for the lookup (6.4).
-	if perRMW > 43.4*1.1 {
-		t.Errorf("the rmw transaction allocates %.1f objects, ceiling %.1f", perRMW, 43.4*1.1)
+	// under -race, where sync.Pool drops some of what it is given back: 37.3
+	// for the rmw transaction (29.8 without), 6.6 for the lookup (6.4) and
+	// 2.1 for the insert (1.1: the version entry that is its row's lock).
+	if perRMW > 37.3*1.1 {
+		t.Errorf("the rmw transaction allocates %.1f objects, ceiling %.1f", perRMW, 37.3*1.1)
 	}
 	if perLookup > 6.6*1.1 {
 		t.Errorf("the prepared point lookup allocates %.1f objects, ceiling %.1f", perLookup, 6.6*1.1)
 	}
+	if perInsert > 2.1*1.1 {
+		t.Errorf("the prepared autocommit insert allocates %.1f objects, ceiling %.1f", perInsert, 2.1*1.1)
+	}
 	if p, m := counter(t, db, "sqlparse.parses")-parses, counter(t, db, "opt.plancache.misses")-misses; p != 0 || m != 0 {
-		t.Errorf("%d warm transactions and %d lookups: %d parses, %d plan-cache misses, want none", n, n, p, m)
+		t.Errorf("%d warm transactions, lookups and inserts: %d parses, %d plan-cache misses, want none", n, p, m)
 	}
 }
 
@@ -150,6 +159,40 @@ func BenchmarkPreparedPointLookup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lookup(i)
+	}
+}
+
+// autocommitInsert returns the benchmark's insert_commit statement on c: a
+// prepared one-row autocommit INSERT into acct, the i-th call inserting id
+// from+i. The vector is reused and the pad is fixed, so that what is counted
+// is the engine's.
+func autocommitInsert(t testing.TB, db *DB, c *Conn, from int64) func(i int) {
+	st := db.Prepare("INSERT INTO acct VALUES (?, ?, ?, ?)")
+	pad := val.NewStr(fmt.Sprintf("%064d", 0))
+	params := make([]val.Value, 4)
+	return func(i int) {
+		id := from + int64(i)
+		params[0], params[1], params[2], params[3] = val.NewInt(id), val.NewInt(id%16), val.NewInt(id%1000), pad
+		if res, _, err := c.Run(context.Background(), st, params); err != nil || res.RowsAffected != 1 {
+			t.Fatalf("insert id %d: %v, %v", id, res, err)
+		}
+	}
+}
+
+// BenchmarkAutocommitInsert runs the benchmark's insert_commit statement
+// through core.Conn, ids ascending past the loaded rows: -benchmem prints
+// the objects a durable one-row commit costs below the wire.
+func BenchmarkAutocommitInsert(b *testing.B) {
+	const rows = 4000
+	db, c := acctDB(b, rows)
+	insert := autocommitInsert(b, db, c, rows)
+	for i := 0; i < 8; i++ {
+		insert(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		insert(8 + i)
 	}
 }
 

@@ -247,9 +247,10 @@ func (s *Store) Vacuum(threshold uint64, active func(txn uint64) bool) int {
 		newHead, r, f := vacuumChain(head, threshold, active)
 		removed += r
 		freed += f
-		if newHead == nil {
+		switch {
+		case newHead == nil:
 			delete(s.chains, id)
-		} else {
+		case newHead != head:
 			s.chains[id] = newHead
 		}
 	}
@@ -271,9 +272,10 @@ func (s *Store) VacuumOne(id RowID, threshold uint64, active func(txn uint64) bo
 		return 0
 	}
 	newHead, removed, freed := vacuumChain(head, threshold, active)
-	if newHead == nil {
+	switch {
+	case newHead == nil:
 		delete(s.chains, id)
-	} else {
+	case newHead != head:
 		s.chains[id] = newHead
 	}
 	s.mu.Unlock()
@@ -282,13 +284,14 @@ func (s *Store) VacuumOne(id RowID, threshold uint64, active func(txn uint64) bo
 	return removed
 }
 
-// vacuumChain prunes one chain, returning the new head (nil when the whole
-// chain is reclaimed) plus the entries removed and bytes freed. The caller
-// holds s.mu exclusively.
+// vacuumChain prunes one chain in place, unlinking what it reclaims,
+// returning the new head (nil when the whole chain is reclaimed) plus the
+// entries removed and bytes freed. The caller holds s.mu exclusively: no
+// walk sees a chain half relinked.
 func vacuumChain(head *Entry, threshold uint64, active func(txn uint64) bool) (*Entry, int, int64) {
 	removed := 0
 	var freed int64
-	var keep []*Entry
+	link := &head // the pointer to the entry under consideration
 	for e := head; e != nil; e = e.prev {
 		// Order matters: check liveness before loading the CSN, so a
 		// writer observed "finished" has already published its CSN
@@ -302,23 +305,18 @@ func vacuumChain(head *Entry, threshold uint64, active func(txn uint64) bool) (*
 				removed++
 				freed += d.Bytes
 			}
+			*link = nil
 			break
 		}
 		if c == 0 && !isActive {
 			removed++ // rolled back and writer gone: unlink
 			freed += e.Bytes
+			*link = e.prev
 			continue
 		}
-		keep = append(keep, e)
+		link = &e.prev
 	}
-	if len(keep) == 0 {
-		return nil, removed, freed
-	}
-	for i := 0; i < len(keep)-1; i++ {
-		keep[i].prev = keep[i+1]
-	}
-	keep[len(keep)-1].prev = nil
-	return keep[0], removed, freed
+	return head, removed, freed
 }
 
 // SizeOf approximates the memory footprint of a row pre-image.

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"anywheredb/internal/store"
 	"anywheredb/internal/val"
 )
 
@@ -263,4 +264,47 @@ func TestConcurrentPushResolveVacuum(t *testing.T) {
 	}()
 	wg.Wait()
 	_ = csn
+}
+
+// TestVacuumOfLiveChainsAllocatesNothing: a pass over chains it cannot
+// shorten — an open bulk load's, whose writer is live — reclaims nothing
+// and allocates nothing, under the store's exclusive lock. A chain it does
+// shorten is relinked in place, its kept entries in their order.
+func TestVacuumOfLiveChainsAllocatesNothing(t *testing.T) {
+	const chains = 10000
+	s := NewStore()
+	for i := 0; i < chains; i++ {
+		s.Push(RowID{Page: 1 + store.PageID(i/100), Slot: i % 100}, &Entry{Writer: 7, Bytes: 48})
+	}
+	live := func(txn uint64) bool { return txn == 7 }
+	var reclaimed int
+	if allocs := testing.AllocsPerRun(10, func() { reclaimed += s.Vacuum(0, live) }); allocs != 0 || reclaimed != 0 {
+		t.Fatalf("vacuum over %d live chains: %.0f allocations, %d entries reclaimed, want 0 and 0", chains, allocs, reclaimed)
+	}
+	if s.Count() != chains {
+		t.Fatalf("%d entries left of %d", s.Count(), chains)
+	}
+
+	// One chain, newest first: two live writers, one rolled back, one
+	// committed at 5, one at 3. A pass at threshold 4 unlinks the
+	// rolled-back entry and the one at 3; the rest stay, in order.
+	id := RowID{Page: 999, Slot: 1}
+	for _, e := range []*Entry{{Writer: 1, Bytes: 1}, {Writer: 2, Bytes: 2}, {Writer: 3, Bytes: 4}, {Writer: 8, Bytes: 8}, {Writer: 7, Bytes: 16}} {
+		if e.Writer == 1 || e.Writer == 2 {
+			e.SetCSN(uint64(2*e.Writer + 1))
+		}
+		s.Push(id, e)
+	}
+	if n := s.VacuumOne(id, 4, func(txn uint64) bool { return txn >= 7 }); n != 2 {
+		t.Fatalf("reclaimed %d entries of the chain, want 2", n)
+	}
+	var writers []uint64
+	s.mu.RLock()
+	for e := s.chains[id]; e != nil; e = e.prev {
+		writers = append(writers, e.Writer)
+	}
+	s.mu.RUnlock()
+	if fmt.Sprint(writers) != "[7 8 2]" {
+		t.Fatalf("chain after vacuum: writers %v, want [7 8 2]", writers)
+	}
 }

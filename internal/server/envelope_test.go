@@ -1,9 +1,13 @@
 package server
 
 import (
+	"bufio"
 	"context"
+	"net"
 	"testing"
 	"time"
+
+	"anywheredb/internal/core"
 )
 
 // TestLateCancelCannotReachTheNextStatement: statements on a connection
@@ -98,5 +102,43 @@ func TestStatementContextIsReused(t *testing.T) {
 	c.cancelCurrent() // idle: nothing to cancel
 	if next := run(0); next.Err() != nil {
 		t.Fatal("a cancel between statements reached the next one")
+	}
+}
+
+// discardConn is a connection whose writes all succeed and go nowhere.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(b []byte) (int, error)      { return len(b), nil }
+func (discardConn) SetWriteDeadline(time.Time) error { return nil }
+
+// TestCancelAfterTheAnswerKeepsTheContext: a cancel the client sends once
+// it holds a statement's answer finds nothing to cancel, and the next
+// statement runs on the connection's context as it was — no renewal.
+func TestCancelAfterTheAnswerKeepsTheContext(t *testing.T) {
+	db, err := core.Open(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	c := &srvConn{s: &Server{db: db}, nc: discardConn{}, bw: bufio.NewWriter(discardConn{})}
+	c.ctx, c.stop = context.WithCancel(context.Background())
+	defer func() { c.stop() }()
+	first := c.ctx
+
+	for _, deadline := range []time.Duration{0, time.Hour} {
+		ctx, child := c.beginStatement(deadline)
+		if err := c.finish(); err != nil { // the answer's last frame
+			t.Fatal(err)
+		}
+		c.cancelCurrent() // the client holds the answer, and cancels
+		if ctx.Err() != nil {
+			t.Fatalf("deadline %v: a cancel sent after the answer reached the statement", deadline)
+		}
+		c.endStatement(child)
+	}
+	next, child := c.beginStatement(0)
+	c.endStatement(child)
+	if next != first || next.Err() != nil {
+		t.Fatal("the statement after a cancel sent after an answer got a renewed context")
 	}
 }

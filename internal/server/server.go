@@ -221,9 +221,9 @@ type srvConn struct {
 }
 
 // cancelCurrent cancels the statement in flight, if any. It cancels under
-// curMu, which endStatement takes too: a cancel aimed at one statement
-// lands before that statement ends or not at all, so it can never reach
-// the next statement, which may run on the same context.
+// curMu, which finish and endStatement take too: a cancel aimed at one
+// statement lands before that statement answers or not at all, so it can
+// never reach the next statement, which may run on the same context.
 func (c *srvConn) cancelCurrent() {
 	c.curMu.Lock()
 	if c.cancel != nil {
@@ -247,19 +247,23 @@ func (c *srvConn) beginStatement(deadline time.Duration) (context.Context, conte
 		ctx, child = context.WithTimeout(ctx, deadline)
 		cancel = child
 	}
+	c.setCancel(cancel)
+	return ctx, child
+}
+
+// setCancel makes cancel what cancelCurrent calls (nil: nothing).
+func (c *srvConn) setCancel(cancel context.CancelFunc) {
 	c.curMu.Lock()
 	c.cancel = cancel
 	c.curMu.Unlock()
-	return ctx, child
 }
 
 // endStatement ends the statement beginStatement began: no cancel reaches
 // it after this, and child, its deadline's cancel if it had one, is
-// stopped.
+// stopped. (One that ended in an answer was out of reach once finish began
+// to write the answer's last frame.)
 func (c *srvConn) endStatement(child context.CancelFunc) {
-	c.curMu.Lock()
-	c.cancel = nil
-	c.curMu.Unlock()
+	c.setCancel(nil)
 	if child != nil {
 		child()
 	}
@@ -549,9 +553,13 @@ func (c *srvConn) runStatement(m execMsg) error {
 
 // finish flushes the last frame of a statement's answer. The connection is
 // marked idle first: once the client can hold the answer, sys.connections
-// must not still show the statement as running.
+// must not still show the statement as running. And the statement is put
+// out of a cancel's reach first: a cancel the client sends once it holds
+// the answer would otherwise end the connection's context, which the next
+// statement would then have to renew.
 func (c *srvConn) finish() error {
 	c.state.Store(int32(connIdle))
+	c.setCancel(nil)
 	return c.flush()
 }
 

@@ -357,7 +357,7 @@ func (t *Table) insertRow(tx *txn.Txn, at *RID, row []val.Value, enc []byte, rec
 	t.rows.Add(1)
 	var refused error
 	for _, ix := range t.IndexList() {
-		if err := addKey(ix, ix.Key(row), rid, at == nil); errors.Is(err, ErrUnique) {
+		if err := addKey(ix, t.keyOf(tx, ix, row), rid, at == nil); errors.Is(err, ErrUnique) {
 			refused = err
 		} else if err != nil {
 			return RID{}, err
@@ -368,6 +368,17 @@ func (t *Table) insertRow(tx *txn.Txn, at *RID, row []val.Value, enc []byte, rec
 		return RID{}, refused
 	}
 	return rid, nil
+}
+
+// keyOf builds row's key in ix, in tx's key scratch when there is a tx: the
+// key is valid until the next keyOf under tx.
+func (t *Table) keyOf(tx *txn.Txn, ix *Index, row []val.Value) []byte {
+	if tx == nil {
+		return ix.Key(row)
+	}
+	kb := tx.KeyScratch()
+	*kb = ix.AppendKey((*kb)[:0], row)
+	return *kb
 }
 
 // addKey enters rid under key in ix. checked, on a forward change, makes a
@@ -405,10 +416,11 @@ func changedSpan(old, new []byte) (front, back int) {
 }
 
 // onRollback registers on tx the inverse of the forward change rec
-// describes: the compensation, logged or replayed at lsn, that swaps rec's
-// images — a delete for an insert, an insert for a delete, the old span
-// back. Bulk loads and compensations have no inverse. The inverse holds a
-// copy of the record, so rec itself need not outlive the change.
+// describes: the compensation, logged or replayed (see Undo), that swaps
+// rec's images — a delete for an insert, an insert for a delete, the old
+// span back. Bulk loads and compensations have no inverse. tx keeps a copy
+// of the record, so rec itself need not outlive the change; its images
+// must outlive tx's rollback.
 func (t *Table) onRollback(tx *txn.Txn, rec *wal.Record) {
 	if tx == nil || rec.Undo {
 		return
@@ -421,12 +433,13 @@ func (t *Table) onRollback(tx *txn.Txn, rec *wal.Record) {
 	case wal.RecDelete:
 		inv.Type = wal.RecInsert
 	}
-	tx.OnRollback(func(lsn wal.LSN) error {
-		r := inv
-		r.LSN = lsn
-		return t.apply(tx, &r)
-	})
+	tx.OnRollback(t, &inv)
 }
+
+// Undo runs inv, the inverse onRollback registered on tx for a change to
+// this table, through the kernels: logged as tx's compensation, or, with
+// inv.LSN set, replayed from the log that holds it.
+func (t *Table) Undo(tx *txn.Txn, inv *wal.Record) error { return t.apply(tx, inv) }
 
 // backOut takes back the change a statement just made, because the
 // statement fails after the change was logged: by the change's logged
@@ -672,23 +685,23 @@ func (t *Table) Insert(tx *txn.Txn, row []val.Value) (RID, error) {
 	if len(row) != len(t.Columns) {
 		return RID{}, fmt.Errorf("table %s: %d values for %d columns", t.Name, len(row), len(t.Columns))
 	}
-	enc := val.EncodeRow(row)
-	if len(enc) > page.Size-page.HeaderSize-8 {
+	n := val.RowSize(row)
+	if n > page.Size-page.HeaderSize-8 {
 		return RID{}, ErrRowTooLarge
 	}
-
-	if tx != nil {
-		// Declare write intent on the table before reading its index list or
-		// touching the heap: an index being built (table-X) is either
-		// complete and in the list below or not started.
-		if err := tx.Lock(t.ID, lock.IntentExclusive); err != nil {
-			return RID{}, err
-		}
+	if tx == nil {
+		return t.insertRow(nil, nil, row, val.EncodeRow(row), nil)
 	}
-	var rec *wal.Record
-	if tx != nil {
-		rec = &wal.Record{Type: wal.RecInsert, Table: t.ID, After: enc}
+	// Declare write intent on the table before reading its index list or
+	// touching the heap: an index being built (table-X) is either complete
+	// and in the list below or not started.
+	if err := tx.Lock(t.ID, lock.IntentExclusive); err != nil {
+		return RID{}, err
 	}
+	// The encoding lives in tx's scratch: the page and the log copy it, and
+	// only the inverse tx registers, a delete, reads it after.
+	enc := val.AppendRow(tx.Scratch(n), row)
+	rec := &wal.Record{Type: wal.RecInsert, Table: t.ID, After: enc}
 	// The new row takes no row lock: the version entry its chain holds
 	// until tx settles is the lock (see claimRow).
 	return t.insertRow(tx, nil, row, enc, rec)

@@ -124,20 +124,30 @@ func (m *Manager) StartIDsAt(base uint64) {
 
 // Begin starts a read-write transaction. It logs nothing: a reader of the
 // log learns of the transaction from its first record.
-func (m *Manager) Begin() *Txn { return m.begin(false) }
+func (m *Manager) Begin() *Txn { return m.begin(new(Txn), 0, false) }
 
-// BeginRO starts a read-only transaction. It writes nothing to the WAL —
-// there is nothing to recover — and Commit/Rollback only release its bound
-// snapshot and deregister it.
-func (m *Manager) BeginRO() *Txn {
-	return m.begin(true)
-}
+// BeginIn starts a transaction in t, which the caller owns and keeps from
+// one transaction to the next: a new Txn, or one that has finished. t is
+// begun afresh — a new id, and no undo record, version, lock, snapshot or
+// scratch byte of the last — and keeps what its lists and scratch had grown
+// to. A read-only (ro) transaction writes nothing to the WAL — there is
+// nothing to recover — and Commit/Rollback only release its bound snapshot
+// and deregister it.
+func (m *Manager) BeginIn(t *Txn, ro bool) *Txn { return m.begin(t, 0, ro) }
 
-func (m *Manager) begin(ro bool) *Txn {
+// begin starts t, which is not running, as transaction id (0: the next one)
+// and registers it. A transaction's lists and scratch were emptied when it
+// last finished (see finish).
+func (m *Manager) begin(t *Txn, id uint64, ro bool) *Txn {
+	t.m, t.ro, t.began = m, ro, time.Now()
+	t.done, t.logged, t.intent, t.ctx = false, false, 0, nil
+	t.undoBytes.Store(0)
 	m.mu.Lock()
-	id := m.next
-	m.next++
-	t := &Txn{id: id, m: m, ro: ro, began: time.Now()}
+	if id == 0 {
+		id = m.next
+	}
+	m.next = max(m.next, id+1) // no later id may name a logged transaction
+	t.id = id
 	m.active[id] = t
 	m.mu.Unlock()
 	return t
@@ -154,11 +164,7 @@ func (m *Manager) begin(ro bool) *Txn {
 // that settles it, are in the local log before they are applied. Recovery
 // adopts the transactions of the log it replays the same way.
 func (m *Manager) Adopt(id uint64) *Txn {
-	t := &Txn{id: id, m: m, shipped: true, began: time.Now()}
-	m.mu.Lock()
-	m.active[id] = t
-	m.next = max(m.next, id+1) // no later id may name a logged transaction
-	m.mu.Unlock()
+	t := m.begin(&Txn{shipped: true}, id, false)
 	t.noteLogged() // its records are arriving in the local log
 	return t
 }
@@ -345,11 +351,24 @@ func (m *Manager) crashpoint(name string) error {
 	return inj.Crashpoint(name)
 }
 
+// Undoer takes back a change a transaction made: the table whose mutation
+// kernel made it, which runs the inverse record the change registered.
+type Undoer interface {
+	Undo(tx *Txn, inv *wal.Record) error
+}
+
+// undoRec is one registered inverse: the compensation record, and the
+// table that applies it.
+type undoRec struct {
+	by  Undoer
+	inv wal.Record
+}
+
 // Txn is one transaction. A Txn is used by a single goroutine.
 type Txn struct {
 	id    uint64
 	m     *Manager
-	undo  []func(lsn wal.LSN) error
+	undo  []undoRec
 	done  bool
 	ro    bool
 	began time.Time
@@ -374,7 +393,22 @@ type Txn struct {
 	entries   []versionRef
 	undoBytes atomic.Int64
 	snap      atomic.Pointer[mvcc.Snapshot]
+
+	// scratch is the chunk row encodings are cut from (Scratch), and key
+	// the buffer index keys are built in (KeyScratch). Both live until the
+	// transaction finishes; only the log, which copies at Append, and the
+	// transaction's own undo records see their bytes.
+	scratch []byte
+	key     []byte
 }
+
+// scratchChunk is the size of the chunks Scratch cuts row encodings from: a
+// chunk is never grown, so what a long transaction wrote stays where it is.
+const scratchChunk = 16 << 10
+
+// keepRecords caps, in entries, the undo and version lists a finished
+// transaction keeps the capacity of: a bulk load's are let go.
+const keepRecords = 1024
 
 // versionRef locates one version entry this transaction pushed: the entry
 // itself for CSN stamping, plus its store and row for eager reclamation.
@@ -387,7 +421,7 @@ type versionRef struct {
 // ID returns the transaction id.
 func (t *Txn) ID() uint64 { return t.id }
 
-// ReadOnly reports whether the transaction was started with BeginRO.
+// ReadOnly reports whether the transaction was started read-only.
 func (t *Txn) ReadOnly() bool { return t.ro }
 
 // NoteVersion records a version-chain entry this transaction pushed into
@@ -477,12 +511,35 @@ func (t *Txn) noteLogged() {
 	t.m.logMu.Unlock()
 }
 
-// OnRollback registers the inverse of a change the transaction just made.
-// It logs itself as a compensation (wal.Record.Undo), or, with lsn
-// nonzero, replays the compensation a log holds at lsn.
-func (t *Txn) OnRollback(f func(lsn wal.LSN) error) {
-	t.undo = append(t.undo, f)
+// OnRollback registers inv, the inverse of a change the transaction just
+// made, which by applies: logged as a compensation (wal.Record.Undo), or,
+// replayed, at the LSN a log holds it. The record is kept by value; its
+// images must live as long as the transaction (see Scratch).
+func (t *Txn) OnRollback(by Undoer, inv *wal.Record) {
+	t.undo = append(t.undo, undoRec{by: by, inv: *inv})
 }
+
+// Scratch returns room for an n-byte encoding, empty, that is the
+// transaction's until it finishes: what is appended to it within n bytes
+// stays put. It is for what only the transaction and its undo read — the
+// log copies a record at Append — and never for bytes a version entry, a
+// snapshot reader or a replica can hold once the transaction has ended.
+func (t *Txn) Scratch(n int) []byte {
+	if n > scratchChunk {
+		return make([]byte, 0, n)
+	}
+	if cap(t.scratch)-len(t.scratch) < n {
+		t.scratch = make([]byte, 0, scratchChunk)
+	}
+	lo := len(t.scratch)
+	t.scratch = t.scratch[:lo+n]
+	return t.scratch[lo : lo : lo+n]
+}
+
+// KeyScratch returns the transaction's index-key buffer: a key built in
+// (*b)[:0] and stored back in *b is valid until the next is built, and the
+// buffer keeps its capacity. The same rule as Scratch's holds for its bytes.
+func (t *Txn) KeyScratch() *[]byte { return &t.key }
 
 // UndoDepth reports how many changes a rollback would take back.
 func (t *Txn) UndoDepth() int { return len(t.undo) }
@@ -491,10 +548,15 @@ func (t *Txn) UndoDepth() int { return len(t.undo) }
 // that fails right after a change backs that one change out, and a
 // replayed compensation takes back the change it was logged for.
 func (t *Txn) UndoLast(lsn wal.LSN) error {
+	// The record is run where it lies: a compensation registers no inverse,
+	// so nothing is appended under it.
 	last := len(t.undo) - 1
-	f := t.undo[last]
+	u := &t.undo[last]
+	u.inv.LSN = lsn
+	err := u.by.Undo(t, &u.inv)
+	*u = undoRec{}
 	t.undo = t.undo[:last]
-	return f(lsn)
+	return err
 }
 
 // undoAll runs every inverse, newest first, and reports the first failure.
@@ -695,6 +757,20 @@ func (t *Txn) finish() {
 		t.m.logMu.Unlock()
 	}
 	t.reclaim()
-	t.undo = nil
-	t.entries = nil
+	t.undo = emptied(t.undo)
+	t.entries = emptied(t.entries)
+	// A reused chunk carries no byte of this transaction into the next.
+	clear(t.scratch)
+	t.scratch = t.scratch[:0]
+}
+
+// emptied returns s emptied, its capacity kept unless a large transaction
+// grew it past keepRecords. Its elements are zeroed: a finished
+// transaction pins no table, version entry or scratch chunk.
+func emptied[T any](s []T) []T {
+	if cap(s) > keepRecords {
+		return nil
+	}
+	clear(s)
+	return s[:0]
 }

@@ -21,6 +21,16 @@ func setup(t *testing.T) (*Manager, *wal.Log) {
 	return NewManager(log, locks), log
 }
 
+// undoFunc is an Undoer that runs a function of the compensation's LSN.
+type undoFunc func(lsn wal.LSN) error
+
+func (f undoFunc) Undo(_ *Txn, inv *wal.Record) error { return f(inv.LSN) }
+
+// onRollback registers f as the inverse of tx's last change.
+func onRollback(tx *Txn, f func(lsn wal.LSN) error) {
+	tx.OnRollback(undoFunc(f), &wal.Record{Undo: true})
+}
+
 func logTypes(t *testing.T, log *wal.Log) []wal.RecType {
 	t.Helper()
 	var types []wal.RecType
@@ -61,8 +71,8 @@ func TestRollbackRunsUndoInReverse(t *testing.T) {
 	tx.Log(&wal.Record{Type: wal.RecInsert, Table: 3, After: []byte("r")})
 	var order []int
 	var atFirstUndo []wal.RecType
-	tx.OnRollback(func(wal.LSN) error { order = append(order, 1); return nil })
-	tx.OnRollback(func(wal.LSN) error {
+	onRollback(tx, func(wal.LSN) error { order = append(order, 1); return nil })
+	onRollback(tx, func(wal.LSN) error {
 		order = append(order, 2)
 		if err := log.Flush(); err != nil {
 			return err
@@ -93,7 +103,7 @@ func TestRollbackRunsUndoInReverse(t *testing.T) {
 func TestRollbackLogsOnlyWhatItLogged(t *testing.T) {
 	m, log := setup(t)
 	tx := m.Begin()
-	tx.OnRollback(func(wal.LSN) error { return nil })
+	onRollback(tx, func(wal.LSN) error { return nil })
 	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +112,7 @@ func TestRollbackLogsOnlyWhatItLogged(t *testing.T) {
 	}
 
 	tx = m.Begin()
-	tx.OnRollback(func(wal.LSN) error {
+	onRollback(tx, func(wal.LSN) error {
 		tx.Log(&wal.Record{Type: wal.RecDelete, Table: 3, Before: []byte("r"), Undo: true})
 		return nil
 	})
@@ -185,7 +195,7 @@ func TestUndoErrorReported(t *testing.T) {
 	m, _ := setup(t)
 	tx := m.Begin()
 	wantErr := errFake{}
-	tx.OnRollback(func(wal.LSN) error { return wantErr })
+	onRollback(tx, func(wal.LSN) error { return wantErr })
 	if err := tx.Rollback(); err != wantErr {
 		t.Fatalf("rollback error %v, want fake", err)
 	}
@@ -236,8 +246,8 @@ func TestAdoptedTxnSettlesWithoutLogOrLocks(t *testing.T) {
 
 	tx = m.Adopt(901)
 	var order []int
-	tx.OnRollback(func(wal.LSN) error { order = append(order, 1); return nil })
-	tx.OnRollback(func(wal.LSN) error { order = append(order, 2); return nil })
+	onRollback(tx, func(wal.LSN) error { order = append(order, 1); return nil })
+	onRollback(tx, func(wal.LSN) error { order = append(order, 2); return nil })
 	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
 	}

@@ -309,3 +309,111 @@ func TestTruncateDrainsInflightFlush(t *testing.T) {
 		t.Fatalf("post-truncate log has %d records, want 1", n)
 	}
 }
+
+// heldInjector holds the first WAL flush it sees until release is closed,
+// then fails it while fail is set; later flushes pass straight through.
+type heldInjector struct {
+	entered, release chan struct{}
+	fail             atomic.Bool
+	once             sync.Once
+}
+
+func (h *heldInjector) Fault(op faultinject.Op, arg uint64, data []byte) ([]byte, error) {
+	if op != faultinject.OpWALFlush {
+		return nil, nil
+	}
+	held := false
+	h.once.Do(func() { held = true })
+	if !held {
+		return nil, nil
+	}
+	close(h.entered)
+	<-h.release
+	if h.fail.Load() {
+		return nil, faultinject.Permanent(errors.New("held: flush refused"))
+	}
+	return nil, nil
+}
+
+func (h *heldInjector) Crashpoint(string) error { return nil }
+
+// TestFailedGroupErrorOutlivesItsRecycling: every follower of a failed
+// group gets the group's error, although the group retires before they
+// read it and the next flush, which takes a retired group if one is free,
+// succeeds before they do. A group recycled while a follower still reads it
+// would hand that follower the next group's success.
+func TestFailedGroupErrorOutlivesItsRecycling(t *testing.T) {
+	l, err := Open(filepath.Join(t.TempDir(), "r.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	inj := &heldInjector{entered: make(chan struct{}), release: make(chan struct{})}
+	inj.fail.Store(true)
+	l.SetInjector(inj, faultinject.RetryPolicy{}, nil)
+
+	const followers = 6
+	var lsns [followers + 1]LSN
+	for i := range lsns {
+		lsns[i] = l.Append(&Record{Type: RecCommit, Txn: uint64(i + 1)})
+	}
+	leaderErr := make(chan error, 1)
+	go func() { leaderErr <- l.FlushTo(lsns[0]) }()
+	<-inj.entered // the leader sealed every record and holds the flush
+	got := make(chan error, followers)
+	for i := 1; i <= followers; i++ {
+		go func(lsn LSN) { got <- l.FlushTo(lsn) }(lsns[i])
+	}
+	for l.flushWaiters.Load() < followers {
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(inj.release)
+	if err := <-leaderErr; !errors.Is(err, faultinject.ErrPermanent) {
+		t.Fatalf("leader of the failed group: %v, want the injected error", err)
+	}
+
+	// The group has retired; its followers may not have read it yet. The
+	// next group lands everything.
+	inj.fail.Store(false)
+	if err := l.FlushTo(l.Append(&Record{Type: RecCommit, Txn: 99})); err != nil {
+		t.Fatalf("the flush after the failed group: %v", err)
+	}
+	for i := 0; i < followers; i++ {
+		select {
+		case err := <-got:
+			if !errors.Is(err, faultinject.ErrPermanent) {
+				t.Fatalf("a follower of the failed group got %v, want its error", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d followers of the failed group never returned", followers-i, followers)
+		}
+	}
+	if flushedLSN(l) < lsns[followers] {
+		t.Fatalf("durable through %d, want past %d", flushedLSN(l), lsns[followers])
+	}
+}
+
+// TestUncontendedFlushAllocatesNothing: a lone committer's Append and
+// FlushTo reuse the log's buffers and its retired group.
+func TestUncontendedFlushAllocatesNothing(t *testing.T) {
+	l, err := Open(filepath.Join(t.TempDir(), "a.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	rec := &Record{Type: RecInsert, Txn: 1, Table: 2, Page: 3, After: make([]byte, 80)}
+	commit := &Record{Type: RecCommit, Txn: 1}
+	var failed error
+	allocs := testing.AllocsPerRun(200, func() {
+		l.Append(rec)
+		if err := l.FlushTo(l.Append(commit)); err != nil {
+			failed = err
+		}
+	})
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	if allocs != 0 {
+		t.Fatalf("an uncontended Append and FlushTo allocate %.0f objects, want 0", allocs)
+	}
+}

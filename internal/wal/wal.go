@@ -123,24 +123,26 @@ var ErrTruncated = fmt.Errorf("wal: log position was truncated away")
 // Shipping positions (Position, ReadChunk) are LSNs too.
 type LSN = uint64
 
-// flushGroup is one in-flight group commit. The leader creates it, seals
-// the buffer into it, performs the write+sync, publishes err, and closes
-// done. Followers whose commit LSN the group covers wait on done and share
-// err — on failure, *every* transaction in the group sees the error.
+// flushGroup is one group commit. The leader takes it, seals the buffer
+// into it, performs the write+sync, and retires it: it publishes err and
+// wakes every waiter (Log.retired). Followers whose commit LSN the group
+// covers wait for it and share err — on failure, *every* transaction in the
+// group sees the error. A retired group is recycled once the last of those
+// who read its outcome has released it, so a flush allocates nothing.
 type flushGroup struct {
-	done chan struct{}
-	err  error // written before done is closed
-
-	// Guarded by Log.mu until done is closed:
+	// Guarded by Log.mu:
 	end     uint64 // durable tail if the flush succeeds
 	members int    // committers waiting on this group (leader included)
+	readers int    // the leader and the waiters yet to read err
+	retired bool   // err is published
+	err     error
 }
 
 // Log is an append-only transaction log. It is safe for concurrent use.
 //
 // Durability is group commit with a sealed-buffer swap: one leader writes
-// and syncs the sealed buffer for the whole batch while followers block on
-// the group's done channel, and concurrent Appends land in the next buffer
+// and syncs the sealed buffer for the whole batch while followers wait for
+// the group to retire, and concurrent Appends land in the next buffer
 // instead of queueing behind the in-flight fsync.
 type Log struct {
 	mu     sync.Mutex
@@ -192,6 +194,10 @@ type Log struct {
 	truncBarrier atomic.Pointer[func(end LSN)]
 
 	inflight *flushGroup // the in-flight group commit (nil if none)
+	// retired is signalled, on mu, whenever a group retires; spareGroup is
+	// a retired group every reader has released, for the next leader.
+	retired    sync.Cond
+	spareGroup *flushGroup
 
 	// Fault handling, set once before concurrent use (SetInjector).
 	inj   faultinject.Injector
@@ -256,6 +262,7 @@ func (l *Log) AttachTelemetry(reg *telemetry.Registry) {
 // memory-backed log for tests.
 func Open(path string) (*Log, error) {
 	l := &Log{logID: randomID()}
+	l.retired.L = &l.mu
 	if path == "" {
 		l.memLog = true
 		return l, nil
@@ -562,15 +569,13 @@ func (l *Log) FlushTo(lsn LSN) error {
 			// our fate.
 			g.members++
 			l.flushWaiters.Add(1)
+			err := l.awaitLocked(g)
 			l.mu.Unlock()
-			<-g.done
-			return g.err
+			return err
 		}
 		// The in-flight flush was sealed before our record; wait for it to
 		// retire, then re-evaluate (its successor will cover us).
-		l.mu.Unlock()
-		<-g.done
-		l.mu.Lock()
+		l.awaitLocked(g)
 	}
 
 	// Leader (l.mu held): seal the buffer into a published group and flush
@@ -578,7 +583,12 @@ func (l *Log) FlushTo(lsn LSN) error {
 	sealed := l.buffer
 	l.buffer, l.spare = l.spare, nil
 	base := l.tail
-	g := &flushGroup{done: make(chan struct{}), end: base + uint64(len(sealed)), members: 1}
+	g := l.spareGroup
+	if g == nil {
+		g = new(flushGroup)
+	}
+	l.spareGroup = nil
+	*g = flushGroup{end: base + uint64(len(sealed)), members: 1, readers: 1}
 	l.inflight = g
 	l.mu.Unlock()
 
@@ -621,7 +631,7 @@ func (l *Log) FlushTo(lsn LSN) error {
 	l.mu.Unlock()
 
 	// Synchronous-replication ack rides the leader: the group stays
-	// in-flight (followers blocked on done, late committers queue behind
+	// in-flight (followers blocked on it, late committers queue behind
 	// it) until the hook returns. The hook bounds its own wait, so a dead
 	// replica degrades the group to an async ack instead of wedging it.
 	if callHook {
@@ -631,11 +641,35 @@ func (l *Log) FlushTo(lsn LSN) error {
 	}
 
 	l.mu.Lock()
-	g.err = err
+	g.err, g.retired = err, true
 	l.inflight = nil
-	close(g.done)
+	l.retired.Broadcast()
+	l.releaseLocked(g)
 	l.mu.Unlock()
 	return err
+}
+
+// awaitLocked waits until g, a group taken by a leader, retires, and
+// returns its outcome; it holds g against recycling until then. Called with
+// l.mu held, which it gives up while it waits.
+func (l *Log) awaitLocked(g *flushGroup) error {
+	g.readers++
+	for !g.retired {
+		l.retired.Wait()
+	}
+	err := g.err
+	l.releaseLocked(g)
+	return err
+}
+
+// releaseLocked ends one reader's hold on retired group g; the last one
+// wipes it (it pins no error, and shows no outcome to anyone still holding
+// it by mistake) and hands it to the next leader.
+func (l *Log) releaseLocked(g *flushGroup) {
+	if g.readers--; g.readers == 0 {
+		*g = flushGroup{}
+		l.spareGroup = g
+	}
 }
 
 // maxSpare caps the capacity of a flushed buffer kept for reuse.
@@ -764,10 +798,7 @@ func (l *Log) Position() (logID uint64, durable LSN) {
 // file is never truncated or closed under an in-flight leader's WriteAt.
 func (l *Log) drainLocked() {
 	for l.inflight != nil {
-		g := l.inflight
-		l.mu.Unlock()
-		<-g.done
-		l.mu.Lock()
+		l.awaitLocked(l.inflight)
 	}
 }
 

@@ -300,7 +300,6 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value) (res Resul
 	c.curSpan = sp
 	var wallStart time.Time
 	var poolBase buffer.Stats
-	var boundTxn uint64
 	if sp != nil {
 		wallStart = time.Now()
 		poolBase = c.db.pool.Stats()
@@ -308,9 +307,6 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value) (res Resul
 		sp.AddPhase(flightrec.PhaseParse, parseUS)
 		defer func() {
 			c.curSpan = nil
-			if boundTxn != 0 {
-				c.db.flight.UnbindTxn(boundTxn)
-			}
 			errText := ""
 			if err != nil {
 				errText = err.Error()
@@ -333,12 +329,6 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value) (res Resul
 			return Result{}, nil, err
 		}
 		params = c.bound
-	}
-	if sp != nil && c.tx != nil {
-		// An explicit transaction is already open: statement waits carrying
-		// its id (lock conflicts, commit flush) resolve to this span.
-		boundTxn = c.tx.ID()
-		c.db.flight.BindTxn(boundTxn, sp)
 	}
 	// Read-only degraded mode: refuse anything that would write. The
 	// application can still query, roll back, and shut down cleanly.
@@ -376,15 +366,12 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value) (res Resul
 		} else {
 			c.tx = c.db.txns.BeginIn(&c.txn, false)
 		}
-		if sp != nil {
-			boundTxn = c.tx.ID()
-			c.db.flight.BindTxn(boundTxn, sp)
-		}
 	case *sqlparse.Commit:
 		if c.tx == nil {
 			return Result{}, nil, fmt.Errorf("core: no open transaction")
 		}
 		commitStart := time.Now()
+		c.tx.SetStatement(ctx, sp) // the flush wait is this statement's
 		err = c.tx.Commit()
 		if sp != nil {
 			sp.AddPhase(flightrec.PhaseCommit, time.Since(commitStart).Microseconds())
@@ -395,6 +382,7 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value) (res Resul
 			return Result{}, nil, fmt.Errorf("core: no open transaction")
 		}
 		commitStart := time.Now()
+		c.tx.SetStatement(ctx, sp)
 		err = c.tx.Rollback()
 		if sp != nil {
 			sp.AddPhase(flightrec.PhaseCommit, time.Since(commitStart).Microseconds())

@@ -429,34 +429,19 @@ func Open(opts Options) (*DB, error) {
 		return time.Since(openedAt).Microseconds()
 	})
 	db.flight.AttachTelemetry(db.reg)
-	// Wait-event observers. Attribution: lock waits carry the waiting
-	// transaction's id; commit flush waits are measured at the txn layer
-	// (id known) and fed to the span only — the WAL-layer observer feeds
-	// the global registry, so one wait is never double-counted; buffer
-	// read I/O has no transaction identity, so spans are charged only when
-	// exactly one statement is live (exact attribution) and the global
-	// registry always.
-	db.locks.SetWaitObserver(func(txnID uint64, us int64) {
-		if !db.flight.Enabled() {
-			return
-		}
-		db.flight.ObserveWait(flightrec.WaitLock, us)
-		if sp := db.flight.SpanOfTxn(txnID); sp != nil {
-			sp.AddWait(flightrec.WaitLock, us)
+	// Wait-event observers feed the engine-wide registry. A statement's
+	// lock and flush waits reach its span through its transaction, which
+	// carries the span (txn.Txn.SetStatement); buffer read I/O belongs to
+	// no transaction, so spans are charged only when exactly one statement
+	// is live (exact attribution) and the global registry always.
+	db.locks.SetWaitObserver(func(us int64) {
+		if db.flight.Enabled() {
+			db.flight.ObserveWait(flightrec.WaitLock, us)
 		}
 	})
 	db.log.SetFlushWaitObserver(func(us int64) {
-		if !db.flight.Enabled() {
-			return
-		}
-		db.flight.ObserveWait(flightrec.WaitWALFlush, us)
-	})
-	db.txns.SetCommitWaitObserver(func(txnID uint64, us int64) {
-		if us <= 0 || !db.flight.Enabled() {
-			return
-		}
-		if sp := db.flight.SpanOfTxn(txnID); sp != nil {
-			sp.AddWait(flightrec.WaitWALFlush, us)
+		if db.flight.Enabled() {
+			db.flight.ObserveWait(flightrec.WaitWALFlush, us)
 		}
 	})
 	db.pool.SetReadWaitObserver(func(us int64) {

@@ -30,35 +30,41 @@ import (
 // stmtTxn is the transaction a write statement runs in, as autoTxn opened
 // it; end closes the statement's use of it.
 type stmtTxn struct {
-	tx   *txn.Txn
-	db   *DB
-	sp   *flightrec.Span
-	auto bool // tx is the statement's own autocommit transaction
+	tx    *txn.Txn
+	sp    *flightrec.Span
+	auto  bool // tx is the statement's own autocommit transaction
+	depth int  // tx's undo depth before the statement
 }
 
 // autoTxn returns the transaction a write statement runs in: inside an
 // explicit transaction (cur) it is that transaction; otherwise one begun in
-// own that end commits (or rolls back). Either way the transaction's lock
-// and row waits observe ctx, the statement's context, until end. An
-// autocommit transaction is bound to the statement's span for wait
-// attribution, and its commit (or rollback) flush is charged to the span's
-// commit phase.
+// own that end commits (or rolls back). Either way the transaction carries
+// the statement's context ctx and span sp until end: its lock and row waits
+// observe ctx, and its waits, the commit's (or rollback's) flush included,
+// are charged to sp.
 func (db *DB) autoTxn(ctx context.Context, cur, own *txn.Txn, sp *flightrec.Span) stmtTxn {
-	st := stmtTxn{tx: cur, db: db, sp: sp}
+	st := stmtTxn{tx: cur, sp: sp}
 	if cur == nil {
 		st.tx, st.auto = db.txns.BeginIn(own, false), true
-		db.flight.BindTxn(st.tx.ID(), sp)
 	}
-	st.tx.SetContext(ctx)
+	st.depth = st.tx.UndoDepth()
+	st.tx.SetStatement(ctx, sp)
 	return st
 }
 
 // end finishes the statement's writes with err, its outcome so far: it
 // commits an autocommit transaction when err is nil and rolls it back
-// otherwise, and returns err or the commit's error.
+// otherwise, and returns err or the commit's error. A statement that fails
+// inside an explicit transaction is taken back whole, and the transaction
+// goes on as it stood before the statement.
 func (st stmtTxn) end(err error) error {
-	st.tx.SetContext(nil)
 	if !st.auto {
+		for err != nil && st.tx.UndoDepth() > st.depth {
+			if uerr := st.tx.UndoLast(0); uerr != nil {
+				err = errors.Join(err, uerr)
+			}
+		}
+		st.tx.SetStatement(nil, nil)
 		return err
 	}
 	var commitStart time.Time
@@ -72,7 +78,6 @@ func (st stmtTxn) end(err error) error {
 	}
 	if st.sp != nil {
 		st.sp.AddPhase(flightrec.PhaseCommit, time.Since(commitStart).Microseconds())
-		st.db.flight.UnbindTxn(st.tx.ID())
 	}
 	return err
 }
@@ -97,7 +102,7 @@ func (db *DB) schemaChange(ctx context.Context, cur *txn.Txn, sp *flightrec.Span
 	tx := st.tx
 	var err error
 	if exclusive {
-		err = tx.LockCtx(ctx, tbl.ID, lock.Exclusive)
+		err = tx.Lock(tbl.ID, lock.Exclusive)
 		if now, _ := db.Table(name); err == nil && now != tbl {
 			err = notFound // dropped while we waited
 		}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"anywheredb/internal/flightrec"
 	"anywheredb/internal/val"
@@ -275,5 +276,101 @@ func TestRecentStatementsAreNeverTorn(t *testing.T) {
 	t.Logf("%d polls checked %d records", polls, checked)
 	if checked == 0 {
 		t.Fatal("the reader saw no writer's record")
+	}
+}
+
+// TestWaitsChargedToTheirOwnStatement pins exact per-statement attribution
+// on a database with a real log. A row held by an open writer blocks an
+// autocommit UPDATE, then the same UPDATE inside BEGIN … COMMIT, and the
+// writer's table intent blocks a CREATE INDEX. Each blocked statement's own
+// span carries one lock wait of at least the time it was held, the
+// holder's COMMIT carries its flush, a SELECT run meanwhile carries no lock
+// or flush wait and an unrelated UPDATE no lock wait, and the engine-wide
+// lock-wait counters move by exactly the three blocked calls.
+func TestWaitsChargedToTheirOwnStatement(t *testing.T) {
+	db := openDB(t, Options{Dir: t.TempDir()})
+	setup := conn(t, db)
+	mustExec(t, setup, "CREATE TABLE t (id INT, v INT)")
+	mustExec(t, setup, "CREATE UNIQUE INDEX t_id ON t (id)")
+	mustExec(t, setup, "CREATE TABLE u (id INT, v INT)")
+	for i := 1; i <= 4; i++ {
+		mustExec(t, setup, "INSERT INTO t VALUES (?, 0)", val.NewInt(int64(i)))
+		mustExec(t, setup, "INSERT INTO u VALUES (?, 0)", val.NewInt(int64(i)))
+	}
+	holder, waiter, other := conn(t, db), conn(t, db), conn(t, db)
+	lockWaits0 := counter(t, db, "lock.waits")
+	acquireWaits0 := counter(t, db, "waits.lock.acquire.count")
+	const held = 20 * time.Millisecond
+
+	// span returns the newest recorded span of exactly this text.
+	span := func(sql string) *flightrec.Span {
+		t.Helper()
+		rec := db.FlightRecorder().Recent()
+		for i := len(rec) - 1; i >= 0; i-- {
+			if rec[i].SQL == sql {
+				return rec[i]
+			}
+		}
+		t.Fatalf("no span of %q recorded", sql)
+		return nil
+	}
+	// blockBehind runs sql on c while holdSQL's transaction is open on the
+	// holder: once sql is blocked, other connection runs its statements,
+	// and after held the holder commits.
+	blockBehind := func(c *Conn, holdSQL, sql string) {
+		t.Helper()
+		mustExec(t, holder, "BEGIN")
+		mustExec(t, holder, holdSQL)
+		waits := counter(t, db, "lock.waits")
+		done := make(chan error, 1)
+		go func() {
+			_, err := c.Exec(sql)
+			done <- err
+		}()
+		for deadline := time.Now().Add(10 * time.Second); counter(t, db, "lock.waits") == waits; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%q never blocked", sql)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		mustQuery(t, other, "SELECT v FROM u WHERE id = 1")
+		mustExec(t, other, "UPDATE u SET v = v + 1 WHERE id = 2")
+		time.Sleep(held)
+		mustExec(t, holder, "COMMIT")
+		if err := <-done; err != nil {
+			t.Fatalf("%q: %v", sql, err)
+		}
+		if sp := span(sql); sp.WaitCount(flightrec.WaitLock) != 1 || sp.WaitUS(flightrec.WaitLock) < held.Microseconds() {
+			t.Errorf("%q: %d lock waits of %d µs on its span, want 1 of at least %d µs",
+				sql, sp.WaitCount(flightrec.WaitLock), sp.WaitUS(flightrec.WaitLock), held.Microseconds())
+		}
+		if sp := span("COMMIT"); sp.WaitCount(flightrec.WaitWALFlush) == 0 || sp.WaitCount(flightrec.WaitLock) != 0 {
+			t.Errorf("the holder's COMMIT after %q: %d flush waits and %d lock waits, want a flush and no lock wait",
+				sql, sp.WaitCount(flightrec.WaitWALFlush), sp.WaitCount(flightrec.WaitLock))
+		}
+		if sp := span("SELECT v FROM u WHERE id = 1"); sp.WaitCount(flightrec.WaitLock) != 0 || sp.WaitCount(flightrec.WaitWALFlush) != 0 {
+			t.Errorf("a SELECT run beside %q carries %d lock and %d flush waits", sql,
+				sp.WaitCount(flightrec.WaitLock), sp.WaitCount(flightrec.WaitWALFlush))
+		}
+		if n := span("UPDATE u SET v = v + 1 WHERE id = 2").WaitCount(flightrec.WaitLock); n != 0 {
+			t.Errorf("an unrelated UPDATE run beside %q carries %d lock waits", sql, n)
+		}
+	}
+
+	blockBehind(waiter, "UPDATE t SET v = 1 WHERE id = 1", "UPDATE t SET v = 2 WHERE id = 1")
+	mustExec(t, waiter, "BEGIN")
+	blockBehind(waiter, "UPDATE t SET v = 3 WHERE id = 1", "UPDATE t SET v = 4 WHERE id = 1")
+	mustExec(t, waiter, "COMMIT")
+	if sp := span("COMMIT"); sp.WaitCount(flightrec.WaitLock) != 0 || sp.WaitCount(flightrec.WaitWALFlush) == 0 {
+		t.Errorf("the waiter's COMMIT: %d lock waits and %d flush waits, want none and a flush",
+			sp.WaitCount(flightrec.WaitLock), sp.WaitCount(flightrec.WaitWALFlush))
+	}
+	blockBehind(waiter, "INSERT INTO t VALUES (5, 0)", "CREATE INDEX t_v ON t (v)")
+
+	if got := counter(t, db, "lock.waits") - lockWaits0; got != 3 {
+		t.Errorf("lock.waits moved by %d, want 3", got)
+	}
+	if got := counter(t, db, "waits.lock.acquire.count") - acquireWaits0; got != 3 {
+		t.Errorf("waits.lock.acquire.count moved by %d, want 3", got)
 	}
 }

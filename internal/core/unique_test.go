@@ -108,3 +108,52 @@ func TestConcurrentUniqueInserts(t *testing.T) {
 	_, c2 := crashAndReopen(t, db, dir)
 	check(c2)
 }
+
+// TestFailedStatementInTxnIsTakenBackWhole: a statement that fails part-way
+// inside an explicit transaction takes back everything it did — the rows a
+// multi-row INSERT placed before its duplicate, the row a multi-row UPDATE
+// changed before its collision — and nothing the transaction did before it.
+// COMMIT makes exactly the surviving statements durable, and a crash after
+// it recovers the same rows.
+func TestFailedStatementInTxnIsTakenBackWhole(t *testing.T) {
+	dir := t.TempDir()
+	db := openDB(t, Options{Dir: dir})
+	c := conn(t, db)
+	mustExec(t, c, "CREATE TABLE w (id INT, v INT, pad VARCHAR(40))")
+	mustExec(t, c, "CREATE UNIQUE INDEX w_id ON w (id)")
+	for i := 1; i <= 5; i++ {
+		mustExec(t, c, "INSERT INTO w VALUES (?, ?, 'p')", val.NewInt(int64(i)), val.NewInt(int64(i)))
+	}
+	const want = "[[1 1] [2 2] [3 3] [4 4] [5 5] [50 6]]"
+	check := func(c *Conn, when string) {
+		t.Helper()
+		if got := uniqueRows(t, c); got != want {
+			t.Errorf("%s: the table is %s, want %s", when, got, want)
+		}
+		for id, n := range map[int64]int{1: 1, 4: 1, 5: 1, 10: 0, 50: 1, 100: 0} {
+			if rows := mustQuery(t, c, "SELECT v FROM w WHERE id = ?", val.NewInt(id)).All(); len(rows) != n {
+				t.Errorf("%s: id %d through the index: %v, want %d rows", when, id, rows, n)
+			}
+		}
+	}
+
+	mustExec(t, c, "BEGIN")
+	mustExec(t, c, "INSERT INTO w VALUES (50, 6, 'kept')")
+	for _, sql := range []string{
+		"INSERT INTO w VALUES (100, 1, 'x'), (1, 1, 'dup')",
+		"UPDATE w SET id = 10 WHERE id >= 4",
+	} {
+		if _, err := c.Exec(sql); !errors.Is(err, table.ErrUnique) {
+			t.Fatalf("%s: err %v, want %v", sql, err, table.ErrUnique)
+		}
+	}
+	check(c, "inside the transaction")
+	mustExec(t, c, "COMMIT")
+	check(c, "after COMMIT")
+	tbl, _ := db.Table("w")
+	if n := tbl.Indexes[0].Tree.Stats.Entries.Load(); n != 6 {
+		t.Errorf("the index holds %d entries for 6 rows", n)
+	}
+	_, c2 := crashAndReopen(t, db, dir)
+	check(c2, "after a crash")
+}

@@ -11,8 +11,10 @@
 //     degraded-mode latch.
 //  2. Wait events — the three blocking choke points (lock-manager waits,
 //     WAL group-flush waits, buffer-pool read I/O) report named wait
-//     events, attributed back to the active span ASH-style where the
-//     waiter's identity is known.
+//     events to an engine-wide registry. A statement's own lock and flush
+//     waits are charged to its span by its transaction, which carries the
+//     span while the statement runs; a buffer read, which belongs to no
+//     transaction, is charged only when one statement is live.
 //  3. Workload digests — statement text is normalized to a fingerprint
 //     (literals stripped) and aggregated per fingerprint in a bounded
 //     digest table, the pg_stat_statements analog. Each fingerprint keeps
@@ -268,10 +270,10 @@ type slot struct {
 }
 
 // Collector is the per-engine flight recorder: the span ring buffer, the
-// wait-event registry, the workload digest table, and the txn→span
-// attribution map. A Collector is always allocated with its engine;
-// enabled toggles whether spans are recorded (the instrumentation stays
-// compiled in either way, which is the overhead baseline E21 measures).
+// wait-event registry and the workload digest table. A Collector is always
+// allocated with its engine; enabled toggles whether spans are recorded
+// (the instrumentation stays compiled in either way, which is the overhead
+// baseline E21 measures).
 type Collector struct {
 	enabled atomic.Bool
 	seq     atomic.Uint64
@@ -282,11 +284,6 @@ type Collector struct {
 	waits   Waits
 	digests *DigestTable
 	access  *AccessTable
-
-	// txnMu guards the txn→span attribution map. Bind/unbind run at
-	// statement rate and lookups only on (already slow) blocked paths.
-	txnMu    sync.RWMutex
-	txnSpans map[uint64]*Span
 
 	// active/current implement sole-active attribution for waits whose
 	// waiter has no transaction identity (buffer read I/O): when exactly
@@ -312,12 +309,11 @@ func New(size int, now func() int64) *Collector {
 		n <<= 1
 	}
 	c := &Collector{
-		ring:     make([]slot, n),
-		mask:     uint64(n - 1),
-		now:      now,
-		digests:  NewDigestTable(DefaultDigestCap),
-		access:   NewAccessTable(DefaultAccessCap),
-		txnSpans: make(map[uint64]*Span),
+		ring:    make([]slot, n),
+		mask:    uint64(n - 1),
+		now:     now,
+		digests: NewDigestTable(DefaultDigestCap),
+		access:  NewAccessTable(DefaultAccessCap),
 	}
 	if c.now == nil {
 		c.now = func() int64 { return 0 }
@@ -388,37 +384,10 @@ func (c *Collector) Finish(sp *Span, totalUS, rows int64, errText string, params
 	c.spans.Add(1)
 }
 
-// BindTxn attributes transaction id to sp until UnbindTxn: wait observers
-// carrying a transaction identity resolve it to the span here. A nil sp
-// is a no-op.
-func (c *Collector) BindTxn(id uint64, sp *Span) {
-	if sp == nil {
-		return
-	}
-	c.txnMu.Lock()
-	c.txnSpans[id] = sp
-	c.txnMu.Unlock()
-}
-
-// UnbindTxn removes a transaction binding. Safe for ids never bound.
-func (c *Collector) UnbindTxn(id uint64) {
-	c.txnMu.Lock()
-	delete(c.txnSpans, id)
-	c.txnMu.Unlock()
-}
-
-// SpanOfTxn resolves a transaction id to its bound span (nil if none).
-func (c *Collector) SpanOfTxn(id uint64) *Span {
-	c.txnMu.RLock()
-	sp := c.txnSpans[id]
-	c.txnMu.RUnlock()
-	return sp
-}
-
 // SoleSpan returns the single live span when exactly one statement is
-// executing, else nil. Used to attribute waits whose waiter carries no
-// transaction identity: with one live statement the attribution is exact,
-// with more than one the wait stays engine-global only.
+// executing, else nil. Used to attribute waits that belong to no
+// transaction (buffer read I/O): with one live statement the attribution is
+// exact, with more than one the wait stays engine-global only.
 func (c *Collector) SoleSpan() *Span {
 	if c.active.Load() != 1 {
 		return nil

@@ -181,13 +181,11 @@ func TestWaitsSnapshot(t *testing.T) {
 	}
 }
 
-func TestTxnBinding(t *testing.T) {
+// TestSoleSpan: the only live span is resolved, and none while two are
+// live or after the last finishes.
+func TestSoleSpan(t *testing.T) {
 	c := New(8, nil)
 	sp := begin(c, "UPDATE t SET a = 1")
-	c.BindTxn(7, sp)
-	if got := c.SpanOfTxn(7); got != sp {
-		t.Fatal("SpanOfTxn did not resolve")
-	}
 	if got := c.SoleSpan(); got != sp {
 		t.Fatal("SoleSpan did not resolve the only live span")
 	}
@@ -195,12 +193,11 @@ func TestTxnBinding(t *testing.T) {
 	if got := c.SoleSpan(); got != nil {
 		t.Fatal("SoleSpan resolved with two live spans")
 	}
-	c.UnbindTxn(7)
-	if got := c.SpanOfTxn(7); got != nil {
-		t.Fatal("SpanOfTxn resolved after unbind")
-	}
 	c.Finish(sp, 1, 0, "", nil)
 	c.Finish(sp2, 1, 0, "", nil)
+	if got := c.SoleSpan(); got != nil {
+		t.Fatal("SoleSpan resolved with no live span")
+	}
 }
 
 func TestDump(t *testing.T) {
@@ -268,12 +265,6 @@ func TestRingStress(t *testing.T) {
 				sp.AddPhase(PhaseExecute, int64(i))
 				sp.AddWait(WaitKind(i%int(NumWaitKinds)), int64(i))
 				c.ObserveWait(WaitKind(i%int(NumWaitKinds)), int64(i))
-				tid := uint64(w*perWriter + i + 1)
-				c.BindTxn(tid, sp)
-				if got := c.SpanOfTxn(tid); got != sp {
-					panic("txn binding lost")
-				}
-				c.UnbindTxn(tid)
 				c.Finish(sp, int64(i), 1, "", nil)
 			}
 		}(w)

@@ -67,11 +67,11 @@ type Manager struct {
 	Timeout time.Duration
 
 	// waitObs, when set, is called once per Lock or WaitFor call that
-	// blocked at least once, with the waiting transaction and the total
-	// blocked wall-clock microseconds (reported on every exit: grant,
-	// timeout, or error). The flight recorder attributes lock waits to
-	// statement spans through this.
-	waitObs atomic.Pointer[func(txn uint64, us int64)]
+	// blocked at least once, with the total blocked wall-clock
+	// microseconds (reported on every exit: grant, timeout, or error): the
+	// engine-wide wait registry. The caller gets the same measurement back
+	// to charge its own statement.
+	waitObs atomic.Pointer[func(us int64)]
 
 	acquires atomic.Uint64 // granted lock requests (including re-entrant)
 	rowWaits atomic.Uint64 // WaitFor calls that found a live holder
@@ -92,9 +92,9 @@ func (m *Manager) AttachTelemetry(reg *telemetry.Registry) {
 }
 
 // SetWaitObserver installs (or replaces) the blocked-wait observer. f is
-// called after a Lock or WaitFor call that blocked returns, with the
-// transaction id and the total blocked microseconds. A nil f uninstalls.
-func (m *Manager) SetWaitObserver(f func(txn uint64, us int64)) {
+// called after a Lock or WaitFor call that blocked returns, with the total
+// blocked microseconds. A nil f uninstalls.
+func (m *Manager) SetWaitObserver(f func(us int64)) {
 	if f == nil {
 		m.waitObs.Store(nil)
 		return
@@ -257,29 +257,31 @@ var newWaitTimer = time.NewTimer
 // Lock acquires (or upgrades to) the given mode on table obj for txn,
 // waiting up to Timeout for conflicting holders to release.
 func (m *Manager) Lock(txn, obj uint64, mode Mode) error {
-	return m.LockCtx(context.Background(), txn, obj, mode)
+	_, err := m.LockCtx(context.Background(), txn, obj, mode)
+	return err
 }
 
 // LockCtx is Lock under a context: a cancelled or expired ctx aborts the
 // wait with ctx's error (the statement-deadline path of the network
-// server rides this).
-func (m *Manager) LockCtx(ctx context.Context, txn, obj uint64, mode Mode) error {
-	err := m.wait(ctx, txn, request{obj: obj, mode: mode})
+// server rides this). It also returns how long the call was blocked: zero
+// when it never was.
+func (m *Manager) LockCtx(ctx context.Context, txn, obj uint64, mode Mode) (time.Duration, error) {
+	blocked, err := m.wait(ctx, txn, request{obj: obj, mode: mode})
 	if err == nil {
 		m.acquires.Add(1)
 	}
-	return err
+	return blocked, err
 }
 
 // WaitFor blocks txn until transaction holder holds no lock — until its
-// ReleaseAll — or Timeout passes (ErrTimeout), or ctx is cancelled. It
-// returns at once when holder holds nothing: a settled holder, a
-// rolled-back one whose version entry is not yet reclaimed, or one that
-// never locked. Holder 0 names no transaction, and txn does not wait for
-// itself.
-func (m *Manager) WaitFor(ctx context.Context, txn, holder uint64) error {
+// ReleaseAll — or Timeout passes (ErrTimeout), or ctx is cancelled, and
+// returns how long it was blocked. It returns at once when holder holds
+// nothing: a settled holder, a rolled-back one whose version entry is not
+// yet reclaimed, or one that never locked. Holder 0 names no transaction,
+// and txn does not wait for itself.
+func (m *Manager) WaitFor(ctx context.Context, txn, holder uint64) (time.Duration, error) {
 	if holder == 0 || holder == txn {
-		return nil
+		return 0, nil
 	}
 	return m.wait(ctx, txn, request{holder: holder})
 }
@@ -296,8 +298,9 @@ type request struct {
 // the whole call, stopped on return no matter how many times the waiter is
 // woken and re-blocked and no matter which path — grant, timeout, or
 // cancellation observed either in the select or at the re-check — exits
-// the loop.
-func (m *Manager) wait(ctx context.Context, txn uint64, r request) error {
+// the loop. blocked is the time from the first block to the return, zero
+// for a call that never blocked.
+func (m *Manager) wait(ctx context.Context, txn uint64, r request) (blocked time.Duration, err error) {
 	var timer *time.Timer
 	var expired <-chan time.Time
 	var blockStart time.Time        // zero until the first block
@@ -312,8 +315,9 @@ func (m *Manager) wait(ctx context.Context, txn uint64, r request) error {
 			m.mu.Unlock()
 		}
 		if !blockStart.IsZero() {
+			blocked = time.Since(blockStart)
 			if f := m.waitObs.Load(); f != nil {
-				(*f)(txn, time.Since(blockStart).Microseconds())
+				(*f)(blocked.Microseconds())
 			}
 		}
 	}()
@@ -327,7 +331,7 @@ func (m *Manager) wait(ctx context.Context, txn uint64, r request) error {
 		// a lock its context has already abandoned.
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				return err
+				return 0, err
 			}
 		}
 		m.mu.Lock()
@@ -345,7 +349,7 @@ func (m *Manager) wait(ctx context.Context, txn uint64, r request) error {
 		}
 		if granted {
 			m.mu.Unlock()
-			return nil
+			return 0, nil
 		}
 		if m.broadcast == nil {
 			m.broadcast = make(chan struct{})
@@ -359,7 +363,7 @@ func (m *Manager) wait(ctx context.Context, txn uint64, r request) error {
 			}
 			if m.Timeout <= 0 {
 				m.timeouts.Add(1)
-				return ErrTimeout
+				return 0, ErrTimeout
 			}
 			timer = newWaitTimer(m.Timeout)
 			expired = timer.C
@@ -370,10 +374,10 @@ func (m *Manager) wait(ctx context.Context, txn uint64, r request) error {
 		case <-ch:
 			// Locks were released somewhere; retry.
 		case <-done:
-			return ctx.Err()
+			return 0, ctx.Err()
 		case <-expired:
 			m.timeouts.Add(1)
-			return ErrTimeout
+			return 0, ErrTimeout
 		}
 	}
 }

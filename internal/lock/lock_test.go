@@ -92,8 +92,9 @@ func TestUnlockSingle(t *testing.T) {
 // TestWaitForRules: WaitFor returns at once for a holder that holds
 // nothing and for the caller itself; otherwise it blocks until the
 // holder's ReleaseAll, its Timeout or its ctx, through the wait loop Lock
-// uses — one observer call with the blocked microseconds, lock.row_waits
-// and lock.waits moved by one — and leaves the waiter holding nothing.
+// uses — one observer call with the blocked microseconds, the time WaitFor
+// returns, and lock.row_waits and lock.waits moved by one — and leaves the
+// waiter holding nothing.
 func TestWaitForRules(t *testing.T) {
 	m := NewManager()
 	reg := telemetry.NewRegistry()
@@ -104,7 +105,7 @@ func TestWaitForRules(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var observed []int64
-	m.SetWaitObserver(func(txn uint64, us int64) {
+	m.SetWaitObserver(func(us int64) {
 		mu.Lock()
 		observed = append(observed, us)
 		mu.Unlock()
@@ -130,12 +131,12 @@ func TestWaitForRules(t *testing.T) {
 	// A holder that holds nothing — settled, rolled back, or never locked —
 	// and the caller itself are not waited for.
 	m.Timeout = 0
-	if err := m.WaitFor(ctx, waiter, gone); err != nil {
-		t.Fatalf("wait for a transaction that holds nothing: %v", err)
+	if waited, err := m.WaitFor(ctx, waiter, gone); err != nil || waited != 0 {
+		t.Fatalf("wait for a transaction that holds nothing: %v, blocked %v", err, waited)
 	}
 	m.Lock(holder, 10, IntentExclusive)
-	if err := m.WaitFor(ctx, holder, holder); err != nil {
-		t.Fatalf("wait for itself: %v", err)
+	if waited, err := m.WaitFor(ctx, holder, holder); err != nil || waited != 0 {
+		t.Fatalf("wait for itself: %v, blocked %v", err, waited)
 	}
 	if rowWaits() != 0 || m.waits.Load() != 0 || len(observations()) != 0 {
 		t.Fatalf("calls that did not wait counted %d row waits, %d waits, %d observations",
@@ -145,25 +146,33 @@ func TestWaitForRules(t *testing.T) {
 	// A live holder is waited for until its ReleaseAll, and not a moment
 	// less: another transaction's release wakes the waiter, which waits on.
 	m.Timeout = 5 * time.Second
-	done := make(chan error, 1)
-	go func() { done <- m.WaitFor(ctx, waiter, holder) }()
+	type result struct {
+		waited time.Duration
+		err    error
+	}
+	done := make(chan result, 1)
+	go func() {
+		waited, err := m.WaitFor(ctx, waiter, holder)
+		done <- result{waited, err}
+	}()
 	blocked(1)
 	spuriousWake(t, m)
 	const held = 20 * time.Millisecond
 	select {
-	case err := <-done:
-		t.Fatalf("WaitFor returned %v while the holder still held its lock", err)
+	case r := <-done:
+		t.Fatalf("WaitFor returned %v while the holder still held its lock", r.err)
 	case <-time.After(held):
 	}
 	m.ReleaseAll(holder)
-	if err := <-done; err != nil {
-		t.Fatalf("WaitFor after the holder released: %v", err)
+	r := <-done
+	if r.err != nil {
+		t.Fatalf("WaitFor after the holder released: %v", r.err)
 	}
 	if got := rowWaits(); got != 1 {
 		t.Fatalf("lock.row_waits = %d, want 1", got)
 	}
-	if obs := observations(); len(obs) != 1 || obs[0] < held.Microseconds() {
-		t.Fatalf("observer saw %v, want one wait of at least %d µs", obs, held.Microseconds())
+	if obs := observations(); len(obs) != 1 || obs[0] < held.Microseconds() || obs[0] != r.waited.Microseconds() {
+		t.Fatalf("observer saw %v, want one wait of at least %d µs, the %v WaitFor returned", obs, held.Microseconds(), r.waited)
 	}
 	if m.Holds(waiter) || m.HeldCount(waiter) != 0 {
 		t.Fatal("a wait left the waiter holding a lock")
@@ -172,8 +181,8 @@ func TestWaitForRules(t *testing.T) {
 	// The wait times out at Timeout.
 	m.Timeout = 20 * time.Millisecond
 	m.Lock(holder, 10, IntentExclusive)
-	if err := m.WaitFor(ctx, waiter, holder); err != ErrTimeout {
-		t.Fatalf("WaitFor on a holder that never ends: %v, want ErrTimeout", err)
+	if waited, err := m.WaitFor(ctx, waiter, holder); err != ErrTimeout || waited <= 0 {
+		t.Fatalf("WaitFor on a holder that never ends: %v after %v, want ErrTimeout after a block", err, waited)
 	}
 	if m.timeouts.Load() != 1 || rowWaits() != 2 || len(observations()) != 2 {
 		t.Fatalf("after the timeout: %d timeouts, %d row waits, %d observations; want 1, 2, 2",
@@ -183,14 +192,17 @@ func TestWaitForRules(t *testing.T) {
 	// And it honours its context.
 	m.Timeout = 5 * time.Second
 	cctx, cancel := context.WithCancel(ctx)
-	go func() { done <- m.WaitFor(cctx, waiter, holder) }()
+	go func() {
+		waited, err := m.WaitFor(cctx, waiter, holder)
+		done <- result{waited, err}
+	}()
 	blocked(3)
 	cancel()
-	if err := <-done; err != context.Canceled {
-		t.Fatalf("cancelled WaitFor: %v, want context.Canceled", err)
+	if r := <-done; r.err != context.Canceled || r.waited <= 0 {
+		t.Fatalf("cancelled WaitFor: %v after %v, want context.Canceled after a block", r.err, r.waited)
 	}
-	if err := m.WaitFor(cctx, waiter, holder); err != context.Canceled {
-		t.Fatalf("WaitFor under a cancelled context: %v, want context.Canceled", err)
+	if waited, err := m.WaitFor(cctx, waiter, holder); err != context.Canceled || waited != 0 {
+		t.Fatalf("WaitFor under a cancelled context: %v after %v, want context.Canceled at once", err, waited)
 	}
 	if m.waits.Load() != 3 || len(observations()) != 3 {
 		t.Fatalf("%d waits and %d observations, want 3 and 3", m.waits.Load(), len(observations()))
@@ -370,8 +382,8 @@ var waitArms = []struct {
 	name string
 	wait func(m *Manager, ctx context.Context) error
 }{
-	{"table", func(m *Manager, ctx context.Context) error { return m.LockCtx(ctx, 2, 10, Exclusive) }},
-	{"txn", func(m *Manager, ctx context.Context) error { return m.WaitFor(ctx, 2, 1) }},
+	{"table", func(m *Manager, ctx context.Context) error { _, err := m.LockCtx(ctx, 2, 10, Exclusive); return err }},
+	{"txn", func(m *Manager, ctx context.Context) error { _, err := m.WaitFor(ctx, 2, 1); return err }},
 }
 
 // spuriousWake wakes every waiter without ending txn 1: an unrelated
@@ -622,7 +634,7 @@ func TestLockCtxAlreadyCancelled(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := m.LockCtx(ctx, 1, 10, Exclusive); err != context.Canceled {
+	if _, err := m.LockCtx(ctx, 1, 10, Exclusive); err != context.Canceled {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 	if n := m.HeldCount(1); n != 0 {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"anywheredb/internal/faultinject"
+	"anywheredb/internal/flightrec"
 	"anywheredb/internal/lock"
 	"anywheredb/internal/mvcc"
 	"anywheredb/internal/wal"
@@ -52,12 +53,6 @@ type Manager struct {
 	logging int
 	firsts  uint64
 
-	// commitWaitObs, when set, is called with the transaction id and the
-	// wall-clock microseconds Commit/Rollback spent blocked in the WAL
-	// flush. The id lets the flight recorder attribute the wait to the
-	// statement span bound to the transaction.
-	commitWaitObs atomic.Pointer[func(txnID uint64, us int64)]
-
 	// reclaimObs, when set, receives the number of version entries each
 	// eager commit/rollback reclamation freed (telemetry).
 	reclaimObs atomic.Pointer[func(n int)]
@@ -77,29 +72,6 @@ func (m *Manager) noteReclaim(n int) {
 	if f := m.reclaimObs.Load(); f != nil {
 		(*f)(n)
 	}
-}
-
-// SetCommitWaitObserver installs (or replaces) the commit durability-wait
-// observer. A nil f uninstalls.
-func (m *Manager) SetCommitWaitObserver(f func(txnID uint64, us int64)) {
-	if f == nil {
-		m.commitWaitObs.Store(nil)
-		return
-	}
-	m.commitWaitObs.Store(&f)
-}
-
-// flushTo is the FlushTo wait path for one transaction, timed for the
-// commit-wait observer.
-func (m *Manager) flushTo(id uint64, lsn wal.LSN) error {
-	f := m.commitWaitObs.Load()
-	if f == nil {
-		return m.log.FlushTo(lsn)
-	}
-	start := time.Now()
-	err := m.log.FlushTo(lsn)
-	(*f)(id, time.Since(start).Microseconds())
-	return err
 }
 
 // NewManager builds a transaction manager. locks may be nil for a
@@ -140,7 +112,7 @@ func (m *Manager) BeginIn(t *Txn, ro bool) *Txn { return m.begin(t, 0, ro) }
 // last finished (see finish).
 func (m *Manager) begin(t *Txn, id uint64, ro bool) *Txn {
 	t.m, t.ro, t.began = m, ro, time.Now()
-	t.done, t.logged, t.intent, t.ctx = false, false, 0, nil
+	t.done, t.logged, t.intent, t.ctx, t.sp = false, false, 0, nil, nil
 	t.undoBytes.Store(0)
 	m.mu.Lock()
 	if id == 0 {
@@ -381,10 +353,12 @@ type Txn struct {
 	// (object ids start at 1). Table locks are held until the transaction
 	// settles, so a row write's request for it again is answered here.
 	intent uint64
-	// ctx is the context of the statement writing in the transaction
-	// (SetContext): its lock and row waits end when it is cancelled. Nil
-	// between statements.
+	// ctx and sp are the context and flight-recorder span of the statement
+	// running in the transaction (SetStatement): its lock and row waits end
+	// when ctx is cancelled, and they and its flush waits are charged to
+	// sp. Nil between statements; sp is nil with the recorder off.
 	ctx context.Context
+	sp  *flightrec.Span
 
 	// entries are the version-chain pre-images this transaction pushed;
 	// Commit stamps them all with one CSN, then eagerly reclaims the ones
@@ -584,10 +558,12 @@ func (t *Txn) locks() *lock.Manager {
 	return t.m.locks
 }
 
-// SetContext makes ctx, the context of the statement about to write in the
-// transaction, end the lock and row waits of Lock and WaitFor when it is
-// cancelled or expires. Nil restores waits that only time out.
-func (t *Txn) SetContext(ctx context.Context) { t.ctx = ctx }
+// SetStatement binds the transaction to the statement about to run in it:
+// its context ctx ends the lock and row waits of Lock and WaitFor when it
+// is cancelled or expires, and its span sp (nil for none) is charged with
+// those waits and with Commit's or Rollback's flush. Nil, nil unbinds:
+// waits then only time out, and are charged to no statement.
+func (t *Txn) SetStatement(ctx context.Context, sp *flightrec.Span) { t.ctx, t.sp = ctx, sp }
 
 // context is the statement context waits observe.
 func (t *Txn) context() context.Context {
@@ -606,7 +582,7 @@ func (t *Txn) Lock(obj uint64, mode lock.Mode) error {
 	if lm == nil || intent && obj == t.intent {
 		return nil
 	}
-	err := lm.LockCtx(t.context(), t.id, obj, mode)
+	err := t.chargeLock(lm.LockCtx(t.context(), t.id, obj, mode))
 	if err == nil && intent {
 		t.intent = obj
 	}
@@ -618,9 +594,18 @@ func (t *Txn) Lock(obj uint64, mode lock.Mode) error {
 // lock.Manager.WaitFor. It returns at once when holder is already settled.
 func (t *Txn) WaitFor(holder uint64) error {
 	if lm := t.locks(); lm != nil {
-		return lm.WaitFor(t.context(), t.id, holder)
+		return t.chargeLock(lm.WaitFor(t.context(), t.id, holder))
 	}
 	return nil
+}
+
+// chargeLock charges a lock-manager call that was blocked for d to the
+// statement's span, and passes its error on.
+func (t *Txn) chargeLock(d time.Duration, err error) error {
+	if d > 0 && t.sp != nil {
+		t.sp.AddWait(flightrec.WaitLock, d.Microseconds())
+	}
+	return err
 }
 
 // Contends reports whether holder, the writer of a row's unpublished version
@@ -629,15 +614,6 @@ func (t *Txn) WaitFor(holder uint64) error {
 func (t *Txn) Contends(holder uint64) bool {
 	lm := t.locks()
 	return holder != 0 && holder != t.id && lm != nil && lm.Holds(holder)
-}
-
-// LockCtx is Lock under a context: a cancelled statement context aborts
-// the lock wait instead of parking until the deadlock timeout.
-func (t *Txn) LockCtx(ctx context.Context, obj uint64, mode lock.Mode) error {
-	if lm := t.locks(); lm != nil {
-		return lm.LockCtx(ctx, t.id, obj, mode)
-	}
-	return nil
 }
 
 // Commit makes the transaction durable: commit record, group flush, lock
@@ -678,7 +654,7 @@ func (t *Txn) Commit() error {
 		return err
 	}
 	lsn := t.m.log.Append(&wal.Record{Type: wal.RecCommit, Txn: t.id})
-	if err := t.m.flushTo(t.id, lsn); err != nil {
+	if err := t.flush(lsn); err != nil {
 		t.compensate()
 		t.finish()
 		return err
@@ -696,6 +672,20 @@ func (t *Txn) Commit() error {
 	}
 	t.finish()
 	return nil
+}
+
+// flush waits until the log is durable through lsn. The wait is timed only
+// for a statement's span, and charged to it.
+func (t *Txn) flush(lsn wal.LSN) error {
+	if t.sp == nil {
+		return t.m.log.FlushTo(lsn)
+	}
+	start := time.Now()
+	err := t.m.log.FlushTo(lsn)
+	if us := time.Since(start).Microseconds(); us > 0 {
+		t.sp.AddWait(flightrec.WaitWALFlush, us)
+	}
+	return err
 }
 
 // compensate takes back the transaction's changes after a failed commit
@@ -728,7 +718,7 @@ func (t *Txn) Rollback() error {
 	firstErr := t.undoAll()
 	if t.logged && !t.shipped {
 		lsn := t.m.log.Append(&wal.Record{Type: wal.RecRollback, Txn: t.id})
-		if err := t.m.flushTo(t.id, lsn); err != nil && firstErr == nil {
+		if err := t.flush(lsn); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

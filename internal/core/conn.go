@@ -3,15 +3,16 @@ package core
 import (
 	"context"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
-	"anywheredb/internal/buffer"
 	"anywheredb/internal/exec"
 	"anywheredb/internal/flightrec"
+	"anywheredb/internal/lock"
 	"anywheredb/internal/mem"
 	"anywheredb/internal/mvcc"
 	"anywheredb/internal/opt"
@@ -26,6 +27,7 @@ type Conn struct {
 	db     *DB
 	tx     *txn.Txn // explicit transaction, nil = autocommit
 	closed bool
+	victim bool // tx was rolled back as a deadlock victim, and its client has not ended it
 	// txn is the transaction every BEGIN, BEGIN READ ONLY and autocommit
 	// write of the connection begins in: its undo and version lists and its
 	// scratch are reused with their capacity (txn.Manager.BeginIn). txnSnap
@@ -118,11 +120,12 @@ func (k *keptPlans) keep(sh *Shape, tmpl *opt.Template, plan *opt.Plan) {
 // statement-context expiry.
 func (c *Conn) SetStatementTimeout(d time.Duration) { c.stmtTimeout = d }
 
-// InTxn reports whether an explicit transaction is open on the connection.
-// The network server's read router consults it: a statement inside an
-// explicit transaction must run locally, on the transaction's snapshot,
-// never on a replica.
-func (c *Conn) InTxn() bool { return c.tx != nil }
+// InTxn reports whether an explicit transaction is open on the connection,
+// or was rolled back as a deadlock victim and awaits its end. The network
+// server consults it: a statement inside an explicit transaction must run
+// locally, on the transaction's snapshot, never on a replica, and is not
+// held at the admission gate.
+func (c *Conn) InTxn() bool { return c.tx != nil || c.victim }
 
 // Result reports a statement's effect.
 type Result struct {
@@ -290,19 +293,16 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value) (res Resul
 	// Flight-recorder span: opened even for malformed statements, so they
 	// too land in the digest table; sealed on every exit path. The text was
 	// read at Prepare: the first execution's span takes that time as its
-	// parse phase (and into its total), later ones have none. The buffer
-	// hit/miss fields are window deltas over the engine-wide pool counters.
-	// The digest table samples what the caller bound (bound), not the
-	// literals lifted from the text: text and bound together are the
-	// statement as submitted.
+	// parse phase (and into its total), later ones have none. The digest
+	// table samples what the caller bound (bound), not the literals lifted
+	// from the text: text and bound together are the statement as
+	// submitted.
 	bound := params
 	sp := c.db.flight.Begin(&c.span, st.Text, st.Fingerprint)
 	c.curSpan = sp
 	var wallStart time.Time
-	var poolBase buffer.Stats
 	if sp != nil {
 		wallStart = time.Now()
-		poolBase = c.db.pool.Stats()
 		parseUS := st.parseUS.Swap(0)
 		sp.AddPhase(flightrec.PhaseParse, parseUS)
 		defer func() {
@@ -311,9 +311,6 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value) (res Resul
 			if err != nil {
 				errText = err.Error()
 			}
-			pst := c.db.pool.Stats()
-			sp.BufferHits = int64(pst.Hits - poolBase.Hits)
-			sp.BufferMisses = int64(pst.Misses - poolBase.Misses)
 			c.db.flight.Finish(sp, parseUS+time.Since(wallStart).Microseconds(),
 				res.RowsAffected, errText, bound)
 		}()
@@ -321,6 +318,15 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value) (res Resul
 
 	if st.Err != nil {
 		return Result{}, nil, st.Err
+	}
+	if c.victim { // its statements fail, not run in autocommit, until its client ends it
+		_, rollback := st.AST.(*sqlparse.Rollback)
+		_, commit := st.AST.(*sqlparse.Commit)
+		c.victim = !rollback && !commit
+		if rollback {
+			return Result{}, nil, nil
+		}
+		return Result{}, nil, ErrTxnAborted
 	}
 	// The statement runs on what the caller bound and the literals lifted
 	// from its text, merged into the connection's vector.
@@ -424,6 +430,16 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value) (res Resul
 		}
 	default:
 		err = fmt.Errorf("core: unsupported statement %T", s)
+	}
+	if err != nil && c.tx != nil && errors.Is(err, lock.ErrDeadlock) {
+		// A deadlock victim's transaction ends now, so those waiting for it
+		// go on: a retry of the statement alone would meet the same cycle.
+		c.tx.SetStatement(ctx, sp)
+		if rerr := c.tx.Rollback(); rerr != nil {
+			err = errors.Join(err, rerr)
+		}
+		c.tx, c.victim = nil, true
+		err = fmt.Errorf("%w: %w", ErrTxnAborted, err)
 	}
 	if err != nil {
 		// A permanent I/O failure on the write path latches read-only

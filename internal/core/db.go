@@ -53,6 +53,11 @@ var ErrReadOnly = errors.New("core: database is in read-only degraded mode")
 // ONLY transaction.
 var ErrReadOnlyTxn = errors.New("core: transaction is read-only")
 
+// ErrTxnAborted answers the statement that made its explicit transaction a
+// deadlock victim (wrapping lock.ErrDeadlock) and every later one, COMMIT
+// included, until ROLLBACK: the transaction was rolled back whole.
+var ErrTxnAborted = errors.New("core: transaction rolled back as a deadlock victim; end it and retry it")
+
 // ErrReplica is returned for write statements on a read replica: the only
 // writes a replica accepts are the shipped WAL records it applies.
 var ErrReplica = errors.New("core: database is a read replica (writes go to the primary)")

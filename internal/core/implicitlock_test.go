@@ -1,12 +1,14 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"anywheredb/internal/lock"
 	"anywheredb/internal/store"
 	"anywheredb/internal/table"
 	"anywheredb/internal/val"
@@ -171,7 +173,6 @@ func TestInsertIntoEmptiedSlotIsNotShadowed(t *testing.T) {
 func TestImplicitRowLockStress(t *testing.T) {
 	dir := t.TempDir()
 	db := openDB(t, Options{Dir: dir})
-	db.locks.Timeout = 100 * time.Millisecond
 	mustExec(t, conn(t, db), "CREATE TABLE s (id INT, n INT, pad VARCHAR(1600))")
 
 	var (
@@ -192,7 +193,7 @@ func TestImplicitRowLockStress(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			defer c.Close()
+			defer c.Close() // rolls back what a worker that fails leaves open
 			rng := rand.New(rand.NewSource(int64(w)))
 			next := int64(w) << 32
 			for {
@@ -240,7 +241,10 @@ func TestImplicitRowLockStress(t *testing.T) {
 							incs[id] += res.RowsAffected
 						}
 					}
-					failed = err != nil
+					if failed = err != nil; failed && !errors.Is(err, lock.ErrDeadlock) {
+						t.Errorf("a statement failed with %v; only a deadlock victim may", err)
+						return
+					}
 				}
 				if failed || rng.Intn(3) == 0 {
 					if _, err := c.Exec("ROLLBACK"); err != nil {
@@ -301,8 +305,8 @@ func TestImplicitRowLockStress(t *testing.T) {
 		}
 	}
 	check(db, "before the crash")
-	t.Logf("%d rows, %d increments, %d row waits, %d lock timeouts",
-		len(inserted), total, counter(t, db, "lock.row_waits"), counter(t, db, "lock.timeouts"))
+	t.Logf("%d rows, %d increments, %d row waits, %d deadlocks",
+		len(inserted), total, counter(t, db, "lock.row_waits"), counter(t, db, "lock.deadlocks"))
 	db.Crash()
 	check(openDB(t, Options{Dir: dir}), "after recovery")
 }
@@ -407,7 +411,6 @@ func TestUncontendedWritesTakeNoRowLock(t *testing.T) {
 func TestRowWriteLockStress(t *testing.T) {
 	dir := t.TempDir()
 	db := openDB(t, Options{Dir: dir})
-	db.locks.Timeout = 100 * time.Millisecond
 	c := conn(t, db)
 	mustExec(t, c, "CREATE TABLE h (id INT, n INT, pad VARCHAR(1600))")
 	mustExec(t, c, "CREATE INDEX h_id ON h (id)")
@@ -433,7 +436,7 @@ func TestRowWriteLockStress(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			defer c.Close()
+			defer c.Close() // rolls back what a worker that fails leaves open
 			rng := rand.New(rand.NewSource(int64(w)))
 			for {
 				select {
@@ -469,7 +472,10 @@ func TestRowWriteLockStress(t *testing.T) {
 							incs[id] += res.RowsAffected
 						}
 					}
-					failed = err != nil
+					if failed = err != nil; failed && !errors.Is(err, lock.ErrDeadlock) {
+						t.Errorf("a statement failed with %v; only a deadlock victim may", err)
+						return
+					}
 					if !explicit {
 						break
 					}
@@ -537,8 +543,90 @@ func TestRowWriteLockStress(t *testing.T) {
 		}
 	}
 	check(db, "before the crash")
-	t.Logf("%d increments, %d deletes, %d row waits, %d lock waits, %d timeouts",
-		total, len(deleted), counter(t, db, "lock.row_waits"), counter(t, db, "lock.waits"), counter(t, db, "lock.timeouts"))
+	t.Logf("%d increments, %d deletes, %d row waits, %d lock waits, %d deadlocks",
+		total, len(deleted), counter(t, db, "lock.row_waits"), counter(t, db, "lock.waits"), counter(t, db, "lock.deadlocks"))
 	db.Crash()
 	check(openDB(t, Options{Dir: dir}), "after recovery")
+}
+
+// TestCrossedUpdatesDeadlock: two explicit transactions each update one of
+// two rows and then the other's. The second to wait would close a cycle: its
+// UPDATE fails at once with lock.ErrDeadlock, and its transaction is rolled
+// back whole, so the other transaction's UPDATE goes ahead at once and
+// commits. The victim's statements, a retry of the refused one included,
+// then fail with ErrTxnAborted until its client ends it: by ROLLBACK in one
+// arm, by a COMMIT that reports the abort in the other.
+func TestCrossedUpdatesDeadlock(t *testing.T) {
+	for _, end := range []string{"ROLLBACK", "COMMIT"} {
+		t.Run(end, func(t *testing.T) {
+			db := openDB(t, Options{})
+			mustExec(t, conn(t, db), "CREATE TABLE x (id INT, v INT)")
+			mustExec(t, conn(t, db), "INSERT INTO x VALUES (1, 0), (2, 0)")
+			a, b := conn(t, db), conn(t, db)
+			mustExec(t, a, "BEGIN")
+			mustExec(t, b, "BEGIN")
+			mustExec(t, a, "UPDATE x SET v = 1 WHERE id = 1")
+			mustExec(t, b, "UPDATE x SET v = 2 WHERE id = 2")
+			waits := counter(t, db, "lock.waits")
+			done := execAsync(a, "UPDATE x SET v = 1 WHERE id = 2")
+			mustBlock(t, db, waits, done, "a's UPDATE of b's row")
+
+			start := time.Now()
+			_, err := b.Exec("UPDATE x SET v = 2 WHERE id = 1")
+			if took := time.Since(start); !errors.Is(err, lock.ErrDeadlock) || !errors.Is(err, ErrTxnAborted) || took > 10*time.Millisecond {
+				t.Fatalf("b's UPDATE of a's row: %v after %v, want lock.ErrDeadlock and ErrTxnAborted within 10ms", err, took)
+			}
+			if got := counter(t, db, "lock.deadlocks"); got != 1 {
+				t.Fatalf("lock.deadlocks = %d, want 1", got)
+			}
+			if r := <-done; r.err != nil || r.res.RowsAffected != 1 {
+				t.Fatalf("a's UPDATE after b was refused: %+v, %v, want 1 row", r.res, r.err)
+			}
+			for _, sql := range []string{"UPDATE x SET v = 2 WHERE id = 1", "INSERT INTO x VALUES (3, 2)", "BEGIN"} {
+				if _, err := b.Exec(sql); !errors.Is(err, ErrTxnAborted) || errors.Is(err, lock.ErrDeadlock) {
+					t.Fatalf("b's %q after it was refused: %v, want ErrTxnAborted alone", sql, err)
+				}
+			}
+			if !b.InTxn() {
+				t.Fatal("the victim's connection reports no transaction before its client ended it")
+			}
+			_, err = b.Exec(end)
+			if end == "ROLLBACK" && err != nil || end == "COMMIT" && !errors.Is(err, ErrTxnAborted) {
+				t.Fatalf("b's %s: %v", end, err)
+			}
+			if b.InTxn() {
+				t.Fatalf("b's %s left the connection in a transaction", end)
+			}
+			mustExec(t, a, "COMMIT")
+			mustExec(t, b, "INSERT INTO x VALUES (3, 1)") // autocommit again
+			for _, r := range mustQuery(t, conn(t, db), "SELECT id, v FROM x").All() {
+				if r[1].I != 1 {
+					t.Fatalf("row %d has v = %d, want 1", r[0].I, r[1].I)
+				}
+			}
+		})
+	}
+}
+
+// TestLongRowWaitSucceeds: a row wait lasts as long as the row's holder
+// does. An UPDATE whose holder commits 2.5 s after it began waiting goes
+// ahead on the committed row.
+func TestLongRowWaitSucceeds(t *testing.T) {
+	db := openDB(t, Options{})
+	mustExec(t, conn(t, db), "CREATE TABLE x (id INT, v INT)")
+	mustExec(t, conn(t, db), "INSERT INTO x VALUES (1, 0)")
+	holder, waiter := conn(t, db), conn(t, db)
+	mustExec(t, holder, "BEGIN")
+	mustExec(t, holder, "UPDATE x SET v = v + 1 WHERE id = 1")
+	waits := counter(t, db, "lock.waits")
+	done := execAsync(waiter, "UPDATE x SET v = v + 10 WHERE id = 1")
+	mustBlock(t, db, waits, done, "the UPDATE of the held row")
+	time.Sleep(2500 * time.Millisecond)
+	mustExec(t, holder, "COMMIT")
+	if r := <-done; r.err != nil || r.res.RowsAffected != 1 {
+		t.Fatalf("the UPDATE after a 2.5 s wait: %+v, %v, want 1 row", r.res, r.err)
+	}
+	if rows := mustQuery(t, conn(t, db), "SELECT v FROM x").All(); len(rows) != 1 || rows[0][0].I != 11 {
+		t.Fatalf("v = %v, want 11", rows)
+	}
 }

@@ -270,7 +270,7 @@ func TestMVCCMixedStress(t *testing.T) {
 				_, err1 := wc.Exec("UPDATE acct SET bal = bal - 1 WHERE id = ?", val.NewInt(int64(a)))
 				_, err2 := wc.Exec("UPDATE acct SET bal = bal + 1 WHERE id = ?", val.NewInt(int64(b)))
 				if err1 != nil || err2 != nil {
-					// Lock timeout under heavy contention: roll back and
+					// A deadlock victim under heavy contention: roll back and
 					// keep going — the invariant must still hold.
 					_, _ = wc.Exec("ROLLBACK")
 					continue

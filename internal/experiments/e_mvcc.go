@@ -101,7 +101,7 @@ func mvccReadRate(writers int) (*mvccRun, error) {
 				_, err = wc.Exec("COMMIT")
 			}
 			if err != nil {
-				// Deadlock or lock timeout against a peer: shed and retry.
+				// A deadlock victim against a peer: shed and retry.
 				_, _ = wc.Exec("ROLLBACK")
 				continue
 			}

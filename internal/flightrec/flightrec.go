@@ -4,7 +4,7 @@
 //
 //  1. Statement spans — every statement through core.Conn records a Span
 //     with phase timings (parse, optimize, execute, commit/WAL-flush) and
-//     resource deltas (rows, batches, buffer hits/misses, bytes spilled).
+//     resource deltas (rows, batches, bytes spilled).
 //     The live span belongs to its connection and is reused statement after
 //     statement; a finished span is copied into a fixed-size ring of recent
 //     history whose slots own their records, dumpable on demand and on the
@@ -50,9 +50,9 @@ import (
 type WaitKind int
 
 const (
-	// WaitLock is time blocked in the lock manager: in Lock behind a
+	// WaitLock is time blocked in the lock manager: in LockCtx behind a
 	// conflicting table-lock holder, or in WaitFor behind the transaction
-	// that holds a row (including waits that end in a deadlock timeout).
+	// that holds a row. A deadlock victim never blocked and adds nothing.
 	WaitLock WaitKind = iota
 	// WaitWALFlush is time blocked in wal.Log.FlushTo for durability: a
 	// group-commit follower waiting on the leader, or the leader's own
@@ -132,12 +132,6 @@ type Span struct {
 	spill     atomic.Int64
 	waitCount [NumWaitKinds]atomic.Int64
 	waitUS    [NumWaitKinds]atomic.Int64
-
-	// Buffer-pool hit/miss movement over the span's window, from the
-	// engine-wide pool counters (set by Finish). Under concurrency the
-	// delta includes other statements' traffic; it is a window reading,
-	// not an exact per-statement charge.
-	BufferHits, BufferMisses int64
 }
 
 // AddPhase charges wall-clock microseconds to one phase.
@@ -185,7 +179,6 @@ func (s *Span) WaitCount(k WaitKind) int64 {
 func (s *Span) copyTo(d *Span) {
 	d.Seq, d.SQL, d.Fingerprint = s.Seq, s.SQL, s.Fingerprint
 	d.StartUS, d.TotalUS, d.Rows, d.Err = s.StartUS, s.TotalUS, s.Rows, s.Err
-	d.BufferHits, d.BufferMisses = s.BufferHits, s.BufferMisses
 	for p := range s.phases {
 		copyCounter(&d.phases[p], &s.phases[p])
 	}

@@ -45,9 +45,10 @@ func (m Mode) String() string {
 	return "X"
 }
 
-// ErrTimeout reports that a lock wait exceeded its deadline — the engine's
-// deadlock resolution policy.
-var ErrTimeout = errors.New("lock: wait timeout (possible deadlock)")
+// ErrDeadlock refuses a request whose wait would close a cycle of waits:
+// its requester is the victim. The manager takes none of its locks; its
+// caller ends its transaction, which releases them.
+var ErrDeadlock = errors.New("lock: deadlock: the wait would close a cycle; retry the transaction")
 
 // Manager is the lock manager. It is safe for concurrent use.
 type Manager struct {
@@ -60,25 +61,30 @@ type Manager struct {
 	// tables is the lock record of every table somebody holds or waits for
 	// a lock on.
 	tables map[uint64]tableLock
+	// waiting is what each blocked call waits for, by its transaction: the
+	// edges of the waits-for graph (with held and tables) that a call about
+	// to block walks for a cycle. walk and seen are that walk's scratch,
+	// reused under mu.
+	waiting map[uint64]request
+	walk    []uint64
+	seen    map[uint64]struct{}
 	// broadcast is closed by the next release. It is nil until a waiter
 	// asks for it, so a release with nobody waiting allocates nothing.
 	broadcast chan struct{}
-	// Timeout bounds lock waits; exceeded waits fail with ErrTimeout.
-	Timeout time.Duration
 
-	// waitObs, when set, is called once per Lock or WaitFor call that
+	// waitObs, when set, is called once per LockCtx or WaitFor call that
 	// blocked at least once, with the total blocked wall-clock
-	// microseconds (reported on every exit: grant, timeout, or error): the
+	// microseconds (reported on every exit: grant, refusal, or error): the
 	// engine-wide wait registry. The caller gets the same measurement back
 	// to charge its own statement.
 	waitObs atomic.Pointer[func(us int64)]
 
-	acquires atomic.Uint64 // granted lock requests (including re-entrant)
-	rowWaits atomic.Uint64 // WaitFor calls that found a live holder
-	waits    atomic.Uint64 // calls that blocked at least once
-	wakeups  atomic.Uint64 // times a blocked call was woken by a release to re-check
-	timeouts atomic.Uint64 // waits that expired (deadlock resolution)
-	releases atomic.Uint64 // ReleaseAll calls
+	acquires  atomic.Uint64 // granted lock requests (including re-entrant)
+	rowWaits  atomic.Uint64 // WaitFor calls that found a live holder
+	waits     atomic.Uint64 // calls that blocked at least once
+	wakeups   atomic.Uint64 // times a blocked call was woken by a release to re-check
+	deadlocks atomic.Uint64 // requests refused with ErrDeadlock
+	releases  atomic.Uint64 // ReleaseAll calls
 }
 
 // AttachTelemetry publishes the manager's counters into reg under "lock.".
@@ -87,37 +93,23 @@ func (m *Manager) AttachTelemetry(reg *telemetry.Registry) {
 	reg.GaugeFunc("lock.row_waits", func() int64 { return int64(m.rowWaits.Load()) })
 	reg.GaugeFunc("lock.waits", func() int64 { return int64(m.waits.Load()) })
 	reg.GaugeFunc("lock.wakeups", func() int64 { return int64(m.wakeups.Load()) })
-	reg.GaugeFunc("lock.timeouts", func() int64 { return int64(m.timeouts.Load()) })
+	reg.GaugeFunc("lock.deadlocks", func() int64 { return int64(m.deadlocks.Load()) })
 	reg.GaugeFunc("lock.releases", func() int64 { return int64(m.releases.Load()) })
 }
 
-// SetWaitObserver installs (or replaces) the blocked-wait observer. f is
-// called after a Lock or WaitFor call that blocked returns, with the total
-// blocked microseconds. A nil f uninstalls.
-func (m *Manager) SetWaitObserver(f func(us int64)) {
-	if f == nil {
-		m.waitObs.Store(nil)
-		return
-	}
-	m.waitObs.Store(&f)
-}
+// SetWaitObserver installs (or replaces) the blocked-wait observer f: it
+// is called after a LockCtx or WaitFor call that blocked returns, with the
+// total blocked microseconds.
+func (m *Manager) SetWaitObserver(f func(us int64)) { m.waitObs.Store(&f) }
 
 // NewManager creates an empty lock manager.
 func NewManager() *Manager {
 	return &Manager{
 		held:    make(map[uint64][]tableGrant),
 		tables:  make(map[uint64]tableLock),
-		Timeout: 2 * time.Second,
+		waiting: make(map[uint64]request),
+		seen:    make(map[uint64]struct{}),
 	}
-}
-
-// Holds reports whether txn holds any lock: whether a row's implicit
-// owner is still live. A writer holds its table's intent lock from its
-// first write until it settles.
-func (m *Manager) Holds(txn uint64) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.held[txn] != nil
 }
 
 // tableGrant is the mode a transaction holds on one table. Exclusive
@@ -245,26 +237,10 @@ func (m *Manager) putTable(obj uint64, tl tableLock) {
 	m.tables[obj] = tl
 }
 
-// newWaitTimer builds the single wait-deadline timer a blocked call uses.
-// A test seam: the regression test swaps it to count allocations and
-// observe Stop — the retry loop must create at most one timer per call,
-// not one per wake-up (time.After in the loop leaked a timer every
-// iteration, each lingering until the full Timeout elapsed), and the timer
-// must be stopped on every exit path, including a context cancellation
-// that lands between a wake-up and the re-check under the mutex.
-var newWaitTimer = time.NewTimer
-
-// Lock acquires (or upgrades to) the given mode on table obj for txn,
-// waiting up to Timeout for conflicting holders to release.
-func (m *Manager) Lock(txn, obj uint64, mode Mode) error {
-	_, err := m.LockCtx(context.Background(), txn, obj, mode)
-	return err
-}
-
-// LockCtx is Lock under a context: a cancelled or expired ctx aborts the
-// wait with ctx's error (the statement-deadline path of the network
-// server rides this). It also returns how long the call was blocked: zero
-// when it never was.
+// LockCtx acquires (or upgrades to) the given mode on table obj for txn,
+// waiting for conflicting holders to release until ctx ends, and returns
+// how long the call was blocked: zero when it never was. It fails at once
+// with ErrDeadlock when waiting would close a cycle.
 func (m *Manager) LockCtx(ctx context.Context, txn, obj uint64, mode Mode) (time.Duration, error) {
 	blocked, err := m.wait(ctx, txn, request{obj: obj, mode: mode})
 	if err == nil {
@@ -274,11 +250,10 @@ func (m *Manager) LockCtx(ctx context.Context, txn, obj uint64, mode Mode) (time
 }
 
 // WaitFor blocks txn until transaction holder holds no lock — until its
-// ReleaseAll — or Timeout passes (ErrTimeout), or ctx is cancelled, and
-// returns how long it was blocked. It returns at once when holder holds
-// nothing: a settled holder, a rolled-back one whose version entry is not
-// yet reclaimed, or one that never locked. Holder 0 names no transaction,
-// and txn does not wait for itself.
+// ReleaseAll — or ctx ends, as LockCtx waits. It returns at once when
+// holder holds nothing: a settled holder, a rolled-back one whose version
+// entry is not yet reclaimed, or one that never locked. Holder 0 names no
+// transaction, and txn does not wait for itself.
 func (m *Manager) WaitFor(ctx context.Context, txn, holder uint64) (time.Duration, error) {
 	if holder == 0 || holder == txn {
 		return 0, nil
@@ -294,24 +269,22 @@ type request struct {
 	holder uint64
 }
 
-// wait is the one wait loop of Lock and WaitFor. It uses one timer for
-// the whole call, stopped on return no matter how many times the waiter is
-// woken and re-blocked and no matter which path — grant, timeout, or
-// cancellation observed either in the select or at the re-check — exits
-// the loop. blocked is the time from the first block to the return, zero
-// for a call that never blocked.
+// wait is the one wait loop of LockCtx and WaitFor. Before each block it
+// looks for a cycle through what txn waits for, and then records that in
+// waiting until it is woken or returns. blocked is the time from the first
+// block to the return, zero for a call that never blocked.
 func (m *Manager) wait(ctx context.Context, txn uint64, r request) (blocked time.Duration, err error) {
-	var timer *time.Timer
-	var expired <-chan time.Time
-	var blockStart time.Time        // zero until the first block
-	queued, granted := false, false // a table-lock request queues when it first blocks
+	var blockStart time.Time // zero until the first block
+	// A table-lock request queues when it first blocks; settled is set once
+	// a grant or a refusal has left no record of the call behind.
+	queued, settled := false, false
 	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-		if queued && !granted {
+		if !settled && (queued || !blockStart.IsZero()) {
 			m.mu.Lock()
-			m.leaveQueue(txn, r.obj)
+			delete(m.waiting, txn)
+			if queued {
+				m.leaveQueue(txn, r.obj)
+			}
 			m.mu.Unlock()
 		}
 		if !blockStart.IsZero() {
@@ -321,18 +294,12 @@ func (m *Manager) wait(ctx context.Context, txn uint64, r request) (blocked time
 			}
 		}
 	}()
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
 	for {
 		// Re-check cancellation before taking the mutex: a waiter woken by
 		// a release races the canceller, and the statement must not acquire
 		// a lock its context has already abandoned.
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
+		if err := ctx.Err(); err != nil {
+			return 0, err
 		}
 		m.mu.Lock()
 		if !blockStart.IsZero() {
@@ -340,46 +307,104 @@ func (m *Manager) wait(ctx context.Context, txn uint64, r request) (blocked time
 			// channel: whoever sees the count move and then releases a lock
 			// wakes this waiter again.
 			m.wakeups.Add(1)
+			delete(m.waiting, txn) // back below if it blocks again
 		}
+		var granted bool
 		if r.holder != 0 {
 			granted = m.held[r.holder] == nil
 		} else if granted = m.tryTable(txn, r.obj, r.mode); !granted && !queued {
 			m.enqueue(txn, r.obj, r.mode)
 			queued = true
 		}
-		if granted {
-			m.mu.Unlock()
-			return 0, nil
+		var refusal error
+		if !granted && m.closesCycle(txn, r) {
+			refusal = ErrDeadlock
+			m.deadlocks.Add(1)
+			if queued {
+				m.leaveQueue(txn, r.obj) // before anyone can block behind it
+			}
 		}
+		if granted || refusal != nil {
+			settled = true
+			m.mu.Unlock()
+			return 0, refusal
+		}
+		m.waiting[txn] = r
 		if m.broadcast == nil {
 			m.broadcast = make(chan struct{})
 		}
 		ch := m.broadcast
 		m.mu.Unlock()
 
-		if timer == nil {
+		if blockStart.IsZero() {
 			if r.holder != 0 {
 				m.rowWaits.Add(1)
 			}
-			if m.Timeout <= 0 {
-				m.timeouts.Add(1)
-				return 0, ErrTimeout
-			}
-			timer = newWaitTimer(m.Timeout)
-			expired = timer.C
 			blockStart = time.Now()
 			m.waits.Add(1)
 		}
 		select {
 		case <-ch:
 			// Locks were released somewhere; retry.
-		case <-done:
+		case <-ctx.Done():
 			return 0, ctx.Err()
-		case <-expired:
-			m.timeouts.Add(1)
-			return 0, ErrTimeout
 		}
 	}
+}
+
+// closesCycle reports whether txn blocking on r would close a cycle of
+// waits: whether a transaction r waits for waits, directly or through
+// others, for txn. The graph has at most one node per open transaction.
+// Called with m.mu held.
+func (m *Manager) closesCycle(txn uint64, r request) bool {
+	next := m.blockers(m.walk[:0], txn, r)
+	clear(m.seen)
+	found := false
+	for len(next) > 0 && !found {
+		b := next[len(next)-1]
+		next = next[:len(next)-1]
+		found = b == txn
+		if _, done := m.seen[b]; !found && !done {
+			if w, ok := m.waiting[b]; ok {
+				m.seen[b] = struct{}{}
+				next = m.blockers(next, b, w)
+			}
+		}
+	}
+	m.walk = next[:0]
+	return found
+}
+
+// blockers appends to dst the transactions txn's request r waits for, as
+// tryTable decides it: the holder of a row wait while it still holds; for a
+// table request, every other transaction holding a conflicting grant on the
+// table, and, unless txn holds the table already, each conflicting request
+// queued ahead of txn's. Called with m.mu held.
+func (m *Manager) blockers(dst []uint64, txn uint64, r request) []uint64 {
+	if r.holder != 0 {
+		if m.held[r.holder] != nil {
+			dst = append(dst, r.holder)
+		}
+		return dst
+	}
+	for h, gs := range m.held {
+		for _, g := range gs {
+			if g.obj == r.obj && h != txn && !compatible(r.mode, g.mode) {
+				dst = append(dst, h)
+			}
+		}
+	}
+	if _, i := m.grantOf(txn, r.obj); i < 0 {
+		for _, w := range m.tables[r.obj].queue {
+			if w.txn == txn {
+				break
+			}
+			if !compatible(r.mode, w.mode) {
+				dst = append(dst, w.txn)
+			}
+		}
+	}
+	return dst
 }
 
 // ReleaseAll drops every lock held by txn (commit/rollback) and wakes the
@@ -413,7 +438,9 @@ func (m *Manager) wake() {
 	}
 }
 
-// HeldCount is the number of table locks txn holds.
+// HeldCount is the number of table locks txn holds. It is not zero while
+// a row's implicit owner is live: a writer holds its table's intent lock
+// from its first write until it settles.
 func (m *Manager) HeldCount(txn uint64) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()

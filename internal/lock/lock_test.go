@@ -12,18 +12,31 @@ import (
 	"anywheredb/internal/telemetry"
 )
 
+// Lock is LockCtx with no deadline: a request the tests expect granted,
+// or granted once another goroutine releases.
+func (m *Manager) Lock(txn, obj uint64, mode Mode) error {
+	_, err := m.LockCtx(context.Background(), txn, obj, mode)
+	return err
+}
+
+// mustBlock fails the test unless txn's request for mode on obj blocks: it
+// is made under a short statement context, which must end it.
+func mustBlock(t *testing.T, m *Manager, txn, obj uint64, mode Mode) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if waited, err := m.LockCtx(ctx, txn, obj, mode); err != context.DeadlineExceeded || waited <= 0 {
+		t.Fatalf("txn %d asking %v on %d: %v after %v, want to block until its context ends", txn, mode, obj, err, waited)
+	}
+}
+
 func TestExclusiveConflicts(t *testing.T) {
 	m := NewManager()
-	m.Timeout = 50 * time.Millisecond
 	if err := m.Lock(1, 10, Exclusive); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Lock(2, 10, IntentExclusive); err != ErrTimeout {
-		t.Fatalf("want timeout, got %v", err)
-	}
-	if err := m.Lock(2, 10, Exclusive); err != ErrTimeout {
-		t.Fatalf("want timeout, got %v", err)
-	}
+	mustBlock(t, m, 2, 10, IntentExclusive)
+	mustBlock(t, m, 2, 10, Exclusive)
 	// Different table: no conflict.
 	if err := m.Lock(2, 11, Exclusive); err != nil {
 		t.Fatal(err)
@@ -32,7 +45,6 @@ func TestExclusiveConflicts(t *testing.T) {
 
 func TestReacquireAndUpgrade(t *testing.T) {
 	m := NewManager()
-	m.Timeout = 50 * time.Millisecond
 	if err := m.Lock(1, 10, IntentExclusive); err != nil {
 		t.Fatal(err)
 	}
@@ -52,9 +64,7 @@ func TestReacquireAndUpgrade(t *testing.T) {
 		t.Fatalf("after upgrade txn1 holds %d entries, want 1", n)
 	}
 	// Now another writer's intent must block.
-	if err := m.Lock(2, 10, IntentExclusive); err != ErrTimeout {
-		t.Fatalf("want timeout after upgrade, got %v", err)
-	}
+	mustBlock(t, m, 2, 10, IntentExclusive)
 	m.ReleaseAll(1)
 	if len(m.held) != 0 || len(m.tables) != 0 {
 		t.Fatalf("%d held lists and %d table records left behind", len(m.held), len(m.tables))
@@ -63,7 +73,6 @@ func TestReacquireAndUpgrade(t *testing.T) {
 
 func TestWaiterWakesOnRelease(t *testing.T) {
 	m := NewManager()
-	m.Timeout = 5 * time.Second
 	m.Lock(1, 10, Exclusive)
 	got := make(chan error, 1)
 	go func() { got <- m.Lock(2, 10, Exclusive) }()
@@ -91,7 +100,7 @@ func TestUnlockSingle(t *testing.T) {
 
 // TestWaitForRules: WaitFor returns at once for a holder that holds
 // nothing and for the caller itself; otherwise it blocks until the
-// holder's ReleaseAll, its Timeout or its ctx, through the wait loop Lock
+// holder's ReleaseAll or the end of its ctx, through the wait loop Lock
 // uses — one observer call with the blocked microseconds, the time WaitFor
 // returns, and lock.row_waits and lock.waits moved by one — and leaves the
 // waiter holding nothing.
@@ -130,7 +139,6 @@ func TestWaitForRules(t *testing.T) {
 
 	// A holder that holds nothing — settled, rolled back, or never locked —
 	// and the caller itself are not waited for.
-	m.Timeout = 0
 	if waited, err := m.WaitFor(ctx, waiter, gone); err != nil || waited != 0 {
 		t.Fatalf("wait for a transaction that holds nothing: %v, blocked %v", err, waited)
 	}
@@ -145,7 +153,6 @@ func TestWaitForRules(t *testing.T) {
 
 	// A live holder is waited for until its ReleaseAll, and not a moment
 	// less: another transaction's release wakes the waiter, which waits on.
-	m.Timeout = 5 * time.Second
 	type result struct {
 		waited time.Duration
 		err    error
@@ -174,23 +181,24 @@ func TestWaitForRules(t *testing.T) {
 	if obs := observations(); len(obs) != 1 || obs[0] < held.Microseconds() || obs[0] != r.waited.Microseconds() {
 		t.Fatalf("observer saw %v, want one wait of at least %d µs, the %v WaitFor returned", obs, held.Microseconds(), r.waited)
 	}
-	if m.Holds(waiter) || m.HeldCount(waiter) != 0 {
+	if m.HeldCount(waiter) != 0 {
 		t.Fatal("a wait left the waiter holding a lock")
 	}
 
-	// The wait times out at Timeout.
-	m.Timeout = 20 * time.Millisecond
+	// A holder that never ends is waited for until the statement's
+	// deadline.
 	m.Lock(holder, 10, IntentExclusive)
-	if waited, err := m.WaitFor(ctx, waiter, holder); err != ErrTimeout || waited <= 0 {
-		t.Fatalf("WaitFor on a holder that never ends: %v after %v, want ErrTimeout after a block", err, waited)
+	dctx, dcancel := context.WithTimeout(ctx, 20*time.Millisecond)
+	waited, err := m.WaitFor(dctx, waiter, holder)
+	dcancel()
+	if err != context.DeadlineExceeded || waited <= 0 {
+		t.Fatalf("WaitFor on a holder that never ends: %v after %v, want the deadline after a block", err, waited)
 	}
-	if m.timeouts.Load() != 1 || rowWaits() != 2 || len(observations()) != 2 {
-		t.Fatalf("after the timeout: %d timeouts, %d row waits, %d observations; want 1, 2, 2",
-			m.timeouts.Load(), rowWaits(), len(observations()))
+	if rowWaits() != 2 || len(observations()) != 2 {
+		t.Fatalf("after the deadline: %d row waits, %d observations; want 2 and 2", rowWaits(), len(observations()))
 	}
 
-	// And it honours its context.
-	m.Timeout = 5 * time.Second
+	// And a cancel.
 	cctx, cancel := context.WithCancel(ctx)
 	go func() {
 		waited, err := m.WaitFor(cctx, waiter, holder)
@@ -208,7 +216,7 @@ func TestWaitForRules(t *testing.T) {
 		t.Fatalf("%d waits and %d observations, want 3 and 3", m.waits.Load(), len(observations()))
 	}
 	m.ReleaseAll(holder)
-	if m.Holds(holder) {
+	if m.HeldCount(holder) != 0 {
 		t.Fatal("a released holder still holds")
 	}
 }
@@ -286,10 +294,9 @@ func TestTableLocksPinNoPage(t *testing.T) {
 // TestTableXNotStarvedByIntents: a stream of writers' IX requests on a table
 // from four goroutines, each held briefly and always overlapping, must not
 // starve an X request (DDL's): once it waits, new intents queue behind it,
-// the current holders drain, and it is granted well inside its timeout.
+// the current holders drain, and it is granted.
 func TestTableXNotStarvedByIntents(t *testing.T) {
 	m := NewManager()
-	m.Timeout = 5 * time.Second
 	var next atomic.Uint64
 	next.Store(100)
 	var granted atomic.Int64
@@ -396,26 +403,13 @@ func spuriousWake(t *testing.T, m *Manager) {
 	m.ReleaseAll(3)
 }
 
-// TestLockWaitSingleTimer is the regression test for the wait-loop timer
-// leak: the old loop called time.After(remain) on every iteration, so a
-// waiter woken (and re-blocked) N times left N timers pending, each alive
-// until the full Timeout elapsed. The fixed loop must create exactly one
-// timer per blocked call, a table lock or a wait for a transaction, no
-// matter how many spurious wake-ups it absorbs.
+// TestLockWaitSingleTimer: a blocked call, a table lock or a wait for a
+// transaction, is one wait however many spurious wake-ups it absorbs, and
+// each wake-up is one re-check that blocks again.
 func TestLockWaitSingleTimer(t *testing.T) {
 	for _, arm := range waitArms {
 		t.Run(arm.name, func(t *testing.T) {
 			m := NewManager()
-			m.Timeout = 30 * time.Second // long enough that leaked timers would linger
-
-			var created atomic.Int64
-			orig := newWaitTimer
-			newWaitTimer = func(d time.Duration) *time.Timer {
-				created.Add(1)
-				return time.NewTimer(d)
-			}
-			defer func() { newWaitTimer = orig }()
-
 			if err := m.Lock(1, 10, Exclusive); err != nil {
 				t.Fatal(err)
 			}
@@ -447,9 +441,6 @@ func TestLockWaitSingleTimer(t *testing.T) {
 			if err := <-done; err != nil {
 				t.Fatalf("contender failed: %v", err)
 			}
-			if got := created.Load(); got != 1 {
-				t.Fatalf("blocked call created %d timers across %d wake-ups, want exactly 1", got, spuriousWakes)
-			}
 			// One blocked call, however often it was woken.
 			if w, k := m.waits.Load(), m.wakeups.Load(); w != 1 || k != spuriousWakes+1 {
 				t.Fatalf("lock.waits = %d, lock.wakeups = %d; want 1 and %d", w, k, spuriousWakes+1)
@@ -459,11 +450,10 @@ func TestLockWaitSingleTimer(t *testing.T) {
 }
 
 // TestLockContentionNoPileup hammers one hot table from many goroutines and
-// checks the process returns to its baseline goroutine count: no waiter,
-// timer goroutine, or broadcast listener may outlive the workload.
+// checks the process returns to its baseline goroutine count: no waiter
+// or broadcast listener may outlive the workload.
 func TestLockContentionNoPileup(t *testing.T) {
 	m := NewManager()
-	m.Timeout = 30 * time.Second
 	base := runtime.NumGoroutine()
 
 	const workers = 16
@@ -505,7 +495,6 @@ func TestLockContentionNoPileup(t *testing.T) {
 
 func TestIntentExclusiveMatrix(t *testing.T) {
 	m := NewManager()
-	m.Timeout = 50 * time.Millisecond
 	// Two writers declare intent on the same table: compatible.
 	if err := m.Lock(1, 10, IntentExclusive); err != nil {
 		t.Fatal(err)
@@ -514,49 +503,27 @@ func TestIntentExclusiveMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	// X blocks behind both intents.
-	if err := m.Lock(3, 10, Exclusive); err != ErrTimeout {
-		t.Fatalf("X vs IX: want timeout, got %v", err)
-	}
+	mustBlock(t, m, 3, 10, Exclusive)
 	// So does one intent's upgrade behind the other's.
-	if err := m.Lock(1, 10, Exclusive); err != ErrTimeout {
-		t.Fatalf("IX→X vs IX: want timeout, got %v", err)
-	}
+	mustBlock(t, m, 1, 10, Exclusive)
 	m.ReleaseAll(1)
 	m.ReleaseAll(2)
 	// With intents gone, X is granted, and a writer's intent blocks behind it.
 	if err := m.Lock(3, 10, Exclusive); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Lock(5, 10, IntentExclusive); err != ErrTimeout {
-		t.Fatalf("IX vs X: want timeout, got %v", err)
-	}
+	mustBlock(t, m, 5, 10, IntentExclusive)
 }
 
 // TestLockCtxCancelStopsTimer pins the context-cancellation exit paths of
 // the wait loop: a waiter whose context is cancelled — including the window
 // between a broadcast wake-up and the re-check under the mutex — must
 // return the context error without acquiring the lock or ending its wait,
-// and must stop its single wait timer on the way out (the seam would
-// otherwise leak one timer per cancelled waiter, each lingering until the
-// full Timeout).
+// and leave no record of its wait behind.
 func TestLockCtxCancelStopsTimer(t *testing.T) {
 	for _, arm := range waitArms {
 		t.Run(arm.name, func(t *testing.T) {
 			m := NewManager()
-			m.Timeout = 30 * time.Second
-
-			var mu sync.Mutex
-			var timers []*time.Timer
-			orig := newWaitTimer
-			newWaitTimer = func(d time.Duration) *time.Timer {
-				tm := time.NewTimer(d)
-				mu.Lock()
-				timers = append(timers, tm)
-				mu.Unlock()
-				return tm
-			}
-			defer func() { newWaitTimer = orig }()
-
 			waitForBlock := func(n uint64) {
 				deadline := time.Now().Add(10 * time.Second)
 				for m.waits.Load() < n {
@@ -598,22 +565,8 @@ func TestLockCtxCancelStopsTimer(t *testing.T) {
 					t.Fatalf("round %d: cancelled waiter holds %d locks", i, n)
 				}
 				m.ReleaseAll(1)
-				if len(m.tables) != 0 {
-					t.Fatalf("round %d: %d table records left behind", i, len(m.tables))
-				}
-			}
-
-			mu.Lock()
-			defer mu.Unlock()
-			if len(timers) != rounds {
-				t.Fatalf("created %d timers across %d cancelled waits, want exactly %d", len(timers), rounds, rounds)
-			}
-			for i, tm := range timers {
-				// Stop reports false when the timer was already stopped (it
-				// cannot have fired: the deadline was 30s away). A true return
-				// means the cancelled exit path left it running — the leak.
-				if tm.Stop() {
-					t.Fatalf("timer %d was still running after the wait returned: leaked on the cancellation path", i)
+				if len(m.tables) != 0 || len(m.waiting) != 0 {
+					t.Fatalf("round %d: %d table records and %d waits left behind", i, len(m.tables), len(m.waiting))
 				}
 			}
 		})
@@ -621,17 +574,9 @@ func TestLockCtxCancelStopsTimer(t *testing.T) {
 }
 
 // TestLockCtxAlreadyCancelled: a context cancelled before the call must
-// fail fast without creating a timer or blocking.
+// fail fast without blocking.
 func TestLockCtxAlreadyCancelled(t *testing.T) {
 	m := NewManager()
-	var created atomic.Int64
-	orig := newWaitTimer
-	newWaitTimer = func(d time.Duration) *time.Timer {
-		created.Add(1)
-		return time.NewTimer(d)
-	}
-	defer func() { newWaitTimer = orig }()
-
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := m.LockCtx(ctx, 1, 10, Exclusive); err != context.Canceled {
@@ -640,8 +585,143 @@ func TestLockCtxAlreadyCancelled(t *testing.T) {
 	if n := m.HeldCount(1); n != 0 {
 		t.Fatalf("cancelled call acquired %d locks", n)
 	}
-	if created.Load() != 0 {
-		t.Fatalf("cancelled call created %d timers", created.Load())
+	if m.waits.Load() != 0 {
+		t.Fatalf("cancelled call blocked %d times", m.waits.Load())
+	}
+}
+
+// blockedCall runs wait in a goroutine and returns once the manager has
+// counted it blocked; its error arrives on the returned channel.
+func blockedCall(t *testing.T, m *Manager, wait func() error) <-chan error {
+	t.Helper()
+	n := m.waits.Load()
+	done := make(chan error, 1)
+	go func() { done <- wait() }()
+	deadline := time.Now().Add(10 * time.Second)
+	for m.waits.Load() == n {
+		select {
+		case err := <-done:
+			t.Fatalf("the call returned %v without blocking", err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the call never blocked")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	return done
+}
+
+// mustRefuse fails the test unless wait is refused with ErrDeadlock at
+// once: it never blocks, so lock.waits and the wait observer do not move,
+// and lock.deadlocks moves by one.
+func mustRefuse(t *testing.T, m *Manager, what string, wait func() (time.Duration, error)) {
+	t.Helper()
+	waits, deadlocks := m.waits.Load(), m.deadlocks.Load()
+	if waited, err := wait(); err != ErrDeadlock || waited != 0 {
+		t.Fatalf("%s: %v after %v, want ErrDeadlock at once", what, err, waited)
+	}
+	if m.waits.Load() != waits || m.deadlocks.Load() != deadlocks+1 {
+		t.Fatalf("%s: lock.waits %d → %d, lock.deadlocks %d → %d; want unchanged and one more",
+			what, waits, m.waits.Load(), deadlocks, m.deadlocks.Load())
+	}
+}
+
+// TestRowCycleRefused: two writers each wait for the other's row. The
+// second to wait closes the cycle and is refused at once; it keeps what it
+// holds, and its end lets the first go on.
+func TestRowCycleRefused(t *testing.T) {
+	m := NewManager()
+	reg := telemetry.NewRegistry()
+	m.AttachTelemetry(reg)
+	var observed atomic.Int64
+	m.SetWaitObserver(func(int64) { observed.Add(1) })
+	ctx := context.Background()
+	m.Lock(1, 10, IntentExclusive)
+	m.Lock(2, 10, IntentExclusive)
+	first := blockedCall(t, m, func() error { _, err := m.WaitFor(ctx, 1, 2); return err })
+	mustRefuse(t, m, "the wait that closes the cycle", func() (time.Duration, error) { return m.WaitFor(ctx, 2, 1) })
+	if observed.Load() != 0 {
+		t.Fatalf("the refused call was observed as a wait")
+	}
+	if m.HeldCount(2) == 0 {
+		t.Fatal("the victim lost its locks")
+	}
+	if v, _ := reg.Value("lock.deadlocks"); v != 1 {
+		t.Fatalf("lock.deadlocks = %d, want 1", v)
+	}
+	m.ReleaseAll(2)
+	if err := <-first; err != nil {
+		t.Fatalf("the first waiter after the victim ended: %v", err)
+	}
+	m.ReleaseAll(1)
+	if len(m.waiting) != 0 || len(m.tables) != 0 {
+		t.Fatalf("%d waits and %d table records left behind", len(m.waiting), len(m.tables))
+	}
+}
+
+// TestThreeTransactionCycle: DDL's table X waits behind a writer's intent,
+// that writer waits for a second writer's row, and the second writer then
+// meets a row of the DDL's transaction. The last wait closes the cycle
+// through the table request and is refused; the others are granted in turn
+// once the victim ends.
+func TestThreeTransactionCycle(t *testing.T) {
+	m := NewManager()
+	ctx := context.Background()
+	const w1, w2, ddl = 1, 2, 3
+	m.Lock(w1, 10, IntentExclusive)
+	m.Lock(w2, 11, IntentExclusive)
+	m.Lock(ddl, 12, IntentExclusive)
+	x := blockedCall(t, m, func() error { return m.Lock(ddl, 10, Exclusive) })
+	row := blockedCall(t, m, func() error { _, err := m.WaitFor(ctx, w1, w2); return err })
+	mustRefuse(t, m, "w2 waiting for the DDL's transaction", func() (time.Duration, error) { return m.WaitFor(ctx, w2, ddl) })
+	m.ReleaseAll(w2)
+	if err := <-row; err != nil {
+		t.Fatalf("w1 after w2 ended: %v", err)
+	}
+	m.ReleaseAll(w1)
+	if err := <-x; err != nil {
+		t.Fatalf("the table X after w1 ended: %v", err)
+	}
+	m.ReleaseAll(ddl)
+}
+
+// TestTableCyclesRefused: cycles through table requests alone. Two intent
+// holders that both upgrade to X wait for each other's grant; and a new
+// intent queued behind a waiting X waits for that X, so the X's holder
+// waiting for the new intent's transaction closes a cycle.
+func TestTableCyclesRefused(t *testing.T) {
+	m := NewManager()
+	m.Lock(1, 10, IntentExclusive)
+	m.Lock(2, 10, IntentExclusive)
+	up := blockedCall(t, m, func() error { return m.Lock(1, 10, Exclusive) })
+	mustRefuse(t, m, "the second upgrade", func() (time.Duration, error) {
+		return m.LockCtx(context.Background(), 2, 10, Exclusive)
+	})
+	m.ReleaseAll(2)
+	if err := <-up; err != nil {
+		t.Fatalf("the first upgrade after the victim ended: %v", err)
+	}
+	m.ReleaseAll(1)
+
+	m.Lock(1, 10, IntentExclusive)
+	m.Lock(3, 11, IntentExclusive)
+	x := blockedCall(t, m, func() error { return m.Lock(2, 10, Exclusive) })
+	ix := blockedCall(t, m, func() error { return m.Lock(3, 10, IntentExclusive) })
+	mustRefuse(t, m, "the intent holder waiting behind the queue", func() (time.Duration, error) {
+		return m.WaitFor(context.Background(), 1, 3)
+	})
+	m.ReleaseAll(1)
+	if err := <-x; err != nil {
+		t.Fatalf("the X after its holder ended: %v", err)
+	}
+	m.ReleaseAll(2)
+	if err := <-ix; err != nil {
+		t.Fatalf("the queued intent after the X: %v", err)
+	}
+	m.ReleaseAll(3)
+	if len(m.waiting) != 0 || len(m.tables) != 0 {
+		t.Fatalf("%d waits and %d table records left behind", len(m.waiting), len(m.tables))
 	}
 }
 

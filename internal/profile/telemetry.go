@@ -7,7 +7,7 @@ import (
 )
 
 // AnalyzeTelemetry inspects an engine telemetry registry for server-side
-// symptoms the statement trace alone cannot show: lock waits timing out,
+// symptoms the statement trace alone cannot show: deadlocked transactions,
 // the memory governor refusing quota, the optimizer abandoning enumeration,
 // and a buffer pool thrashing under its working set. It complements
 // Analyze, which looks only at the application's statement stream (§5).
@@ -21,11 +21,11 @@ func AnalyzeTelemetry(reg *telemetry.Registry) []Finding {
 	}
 	var out []Finding
 
-	if t := v("lock.timeouts"); t > 0 {
+	if d := v("lock.deadlocks"); d > 0 {
 		out = append(out, Finding{
 			Kind:   "locks",
-			Detail: fmt.Sprintf("%d lock waits timed out; look for long transactions or missing commit points", t),
-			Count:  int(t),
+			Detail: fmt.Sprintf("%d statements were deadlock victims; look for transactions that write the same rows in different orders", d),
+			Count:  int(d),
 		})
 	}
 	if d := v("mem.denials"); d > 0 {

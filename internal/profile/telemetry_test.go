@@ -15,7 +15,7 @@ func TestAnalyzeTelemetry(t *testing.T) {
 		t.Fatalf("empty registry: got %v", got)
 	}
 
-	reg.Counter("lock.timeouts").Add(3)
+	reg.Counter("lock.deadlocks").Add(3)
 	reg.Counter("mem.denials").Add(2)
 	reg.Counter("opt.quota_exhausted").Inc()
 	reg.Counter("buffer.hits").Add(100)

@@ -123,7 +123,11 @@ func TestRepassSkipsASupersededCommit(t *testing.T) {
 // commitFrame is the log frame of txn's commit record.
 func commitFrame(t *testing.T, txn uint64) []byte {
 	t.Helper()
-	l, _ := wal.Open("")
+	l, err := wal.Open(filepath.Join(t.TempDir(), "commit.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
 	l.Append(&wal.Record{Type: wal.RecCommit, Txn: txn})
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)

@@ -462,10 +462,7 @@ func (c *srvConn) runStatement(m execMsg) error {
 	if m.StmtID == 0 {
 		st = s.db.Prepare(m.SQL) // ad hoc: the same read a prepare does
 	} else if st == nil {
-		if err := c.sendErr(CodeProtocol, fmt.Sprintf("unknown statement id %d", m.StmtID)); err != nil {
-			return err
-		}
-		return c.finish()
+		return c.refuse(CodeProtocol, fmt.Sprintf("unknown statement id %d", m.StmtID))
 	}
 
 	// The drain check and the in-flight registration are one atomic step
@@ -476,10 +473,7 @@ func (c *srvConn) runStatement(m execMsg) error {
 	if s.draining.Load() {
 		s.mu.Unlock()
 		s.stRetryable.Inc()
-		if err := c.sendErr(CodeRetry, "server draining"); err != nil {
-			return err
-		}
-		return c.finish()
+		return c.refuse(CodeRetry, "server draining")
 	}
 	s.inflight.Add(1)
 	s.mu.Unlock()
@@ -504,30 +498,37 @@ func (c *srvConn) runStatement(m execMsg) error {
 	}
 
 	// Admission: the self-managing gate queues or sheds when the memory
-	// governor's concurrency budget (MPL) is spoken for.
-	qStart := time.Now()
-	tk, err := s.gate.admit(ctx)
-	s.stQueueUS.Observe(time.Since(qStart).Microseconds())
-	if err != nil {
-		s.stShed.Inc()
-		code := byte(CodeRetry)
-		text := "admission control shed statement; retry"
-		if errors.Is(err, ErrShed) {
-			s.stRetryable.Inc()
-		} else {
-			// The statement's own deadline or cancel: retrying cannot help.
-			code = CodeCancel
-			text = "statement cancelled while queued: " + err.Error()
+	// governor's concurrency budget (MPL) is spoken for. It admits work,
+	// not steps of work begun: a statement of an open transaction passes,
+	// for the statements blocked on that transaction's locks may be what
+	// fills the gate, and they wait for its next statement or its end.
+	gated := !c.core.InTxn()
+	var tk ticket
+	if gated {
+		qStart := time.Now()
+		var err error
+		tk, err = s.gate.admit(ctx)
+		s.stQueueUS.Observe(time.Since(qStart).Microseconds())
+		if err != nil {
+			s.stShed.Inc()
+			code := byte(CodeRetry)
+			text := "admission control shed statement; retry"
+			if errors.Is(err, ErrShed) {
+				s.stRetryable.Inc()
+			} else {
+				// The statement's own deadline or cancel: retrying cannot help.
+				code = CodeCancel
+				text = "statement cancelled while queued: " + err.Error()
+			}
+			return c.refuse(code, text)
 		}
-		if werr := c.sendErr(code, text); werr != nil {
-			return werr
-		}
-		return c.finish()
 	}
 
 	start := time.Now()
 	res, rows, err := c.core.Run(ctx, st, m.Params)
-	s.gate.release(tk, time.Since(start).Microseconds())
+	if gated {
+		s.gate.release(tk, time.Since(start).Microseconds())
+	}
 	s.stStmts.Inc()
 	c.nRun.Add(1)
 
@@ -536,10 +537,7 @@ func (c *srvConn) runStatement(m execMsg) error {
 		if retry {
 			s.stRetryable.Inc()
 		}
-		if werr := c.sendErr(code, err.Error()); werr != nil {
-			return werr
-		}
-		return c.finish()
+		return c.refuse(code, err.Error())
 	}
 
 	var cols []string
@@ -549,6 +547,14 @@ func (c *srvConn) runStatement(m execMsg) error {
 		all = rows.All()
 	}
 	return c.streamResult(cols, all, res.RowsAffected)
+}
+
+// refuse answers a statement with an error status, its whole answer.
+func (c *srvConn) refuse(code byte, text string) error {
+	if err := c.sendErr(code, text); err != nil {
+		return err
+	}
+	return c.finish()
 }
 
 // finish flushes the last frame of a statement's answer. The connection is
@@ -590,12 +596,16 @@ func (c *srvConn) streamResult(cols []string, all [][]val.Value, affected int64)
 	return c.finish()
 }
 
-// classify maps an execution error to a wire status. Transient faults,
-// lock-wait timeouts (possible deadlocks), and admission sheds are
-// retryable; context expiry is a cancel; the rest are plain errors.
+// classify maps an execution error to a wire status. Transient faults and
+// deadlock victims in autocommit are retryable; a victim inside an explicit
+// transaction is a plain error, since its whole transaction was rolled back
+// and only a retry from BEGIN helps; context expiry is a cancel; the rest
+// are plain errors.
 func classify(err error) (code byte, retryable bool) {
 	switch {
-	case errors.Is(err, faultinject.ErrTransient), errors.Is(err, lock.ErrTimeout):
+	case errors.Is(err, core.ErrTxnAborted):
+		return CodeError, false
+	case errors.Is(err, faultinject.ErrTransient), errors.Is(err, lock.ErrDeadlock):
 		return CodeRetry, true
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled),
 		errors.Is(err, os.ErrDeadlineExceeded):

@@ -341,9 +341,9 @@ func (g *rowWaitRig) park(deadline time.Duration) <-chan error {
 }
 
 // TestServerCancelEndsARowWait: a cancel ends a statement parked in a row
-// wait at once, not at the lock timeout, and the statement after it on the
-// connection runs to completion — a write of the same row included, once
-// the holder is gone.
+// wait at once, not when the row's holder ends, and the statement after it
+// on the connection runs to completion — a write of the same row included,
+// once the holder is gone.
 func TestServerCancelEndsARowWait(t *testing.T) {
 	g := newRowWaitRig(t)
 	done := g.park(0)
@@ -772,6 +772,101 @@ func TestServerCancelledWhileQueuedIsNotRetryable(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatalf("slot holder: %v", err)
 		}
+	}
+}
+
+// TestServerTxnEndPassesAdmission: two statements parked on a row an open
+// transaction holds fill a width-2 gate. That transaction's COMMIT — or its
+// ROLLBACK, or its next statement before its COMMIT — is not queued behind
+// them, nor shed: it returns at once, and the parked statements go on.
+func TestServerTxnEndPassesAdmission(t *testing.T) {
+	for _, end := range []string{"commit", "rollback", "update"} {
+		t.Run(end, func(t *testing.T) {
+			db, srv := startServer(t, core.Options{MPL: 2}, server.Options{})
+			holder := dial(t, srv, client.Options{})
+			mustExec(t, holder, "create table kv (id int, v int)")
+			mustExec(t, holder, "insert into kv values (1, 1), (2, 2)")
+			mustExec(t, holder, "begin")
+			mustExec(t, holder, "update kv set v = 10 where id = 1")
+			waits := counterVal(db, "lock.row_waits")
+			done := make(chan error, 2)
+			for range 2 {
+				c := dial(t, srv, client.Options{})
+				go func() {
+					_, err := c.Exec("update kv set v = v + 1 where id = 1")
+					done <- err
+				}()
+			}
+			for start := time.Now(); counterVal(db, "lock.row_waits") < waits+2; time.Sleep(time.Millisecond) {
+				if time.Since(start) > 5*time.Second {
+					t.Fatal("the two UPDATEs never both waited for the row's holder")
+				}
+			}
+			stmt := end
+			if end == "update" {
+				stmt = "update kv set v = 20 where id = 2"
+			}
+			start := time.Now()
+			if _, err := holder.Exec(stmt); err != nil || time.Since(start) > 500*time.Millisecond {
+				t.Fatalf("%s with the gate full of its waiters: %v after %v, want success within 500ms", stmt, err, time.Since(start))
+			}
+			if end == "update" {
+				mustExec(t, holder, "commit")
+			}
+			for range 2 {
+				if err := <-done; err != nil {
+					t.Fatalf("a parked UPDATE after the holder's %s: %v", end, err)
+				}
+			}
+			want := int64(12)
+			if end == "rollback" {
+				want = 3
+			}
+			if rows, err := holder.Query("select v from kv where id = 1"); err != nil || len(rows.Data) != 1 || rows.Data[0][0].I != want {
+				t.Fatalf("v = %+v, %v; want %d", rows, err, want)
+			}
+		})
+	}
+}
+
+// TestServerDeadlockVictimEndsItsTransaction: two explicit transactions
+// update one of two rows each and then the other's, over the wire. The
+// second to wait is refused with a plain error, not a retryable one: its
+// transaction was rolled back whole, so the first one's UPDATE goes on at
+// once, and the victim's later statements fail until its ROLLBACK.
+func TestServerDeadlockVictimEndsItsTransaction(t *testing.T) {
+	db, srv := startServer(t, core.Options{}, server.Options{})
+	a, b := dial(t, srv, client.Options{}), dial(t, srv, client.Options{})
+	mustExec(t, a, "create table x (id int, v int)")
+	mustExec(t, a, "insert into x values (1, 0), (2, 0)")
+	mustExec(t, a, "begin")
+	mustExec(t, b, "begin")
+	mustExec(t, a, "update x set v = 1 where id = 1")
+	mustExec(t, b, "update x set v = 2 where id = 2")
+	waits := counterVal(db, "lock.row_waits")
+	done := make(chan error, 1)
+	go func() {
+		_, err := a.Exec("update x set v = 1 where id = 2")
+		done <- err
+	}()
+	for start := time.Now(); counterVal(db, "lock.row_waits") <= waits; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 5*time.Second {
+			t.Fatal("a's UPDATE never waited for b's row")
+		}
+	}
+	for i, stmt := range []string{"update x set v = 2 where id = 1", "update x set v = 3 where id = 2"} {
+		_, err := b.Exec(stmt)
+		if err == nil || errors.Is(err, client.ErrRetryable) || !strings.Contains(err.Error(), "deadlock victim") {
+			t.Fatalf("b's statement %d: %v, want a plain deadlock-victim error", i+1, err)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("a's UPDATE after b was refused: %v", err)
+	}
+	mustExec(t, b, "rollback")
+	mustExec(t, a, "commit")
+	if rows, err := b.Query("select v from x"); err != nil || len(rows.Data) != 2 || rows.Data[0][0].I != 1 || rows.Data[1][0].I != 1 {
+		t.Fatalf("v = %+v, %v; want a's 1 in both rows", rows, err)
 	}
 }
 

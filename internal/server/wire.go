@@ -56,8 +56,8 @@ const (
 )
 
 // Error status codes carried by MsgError. CodeRetry tells the client the
-// statement did not run (shed, draining, or a transient fault) and can be
-// retried safely; CodeCancel covers deadline expiry and explicit cancel;
+// statement did not run (shed, draining, a transient fault, or an
+// autocommit deadlock victim) and can be retried safely; CodeCancel covers deadline expiry and explicit cancel;
 // CodeProtocol precedes a server-side connection close.
 const (
 	CodeError    byte = 1

@@ -3,6 +3,7 @@ package table
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -32,7 +33,7 @@ func newApplySide(t *testing.T, indexFile store.FileID) applySide {
 	}
 	t.Cleanup(func() { st.Close() })
 	pool := buffer.New(st, 8, 256, 512)
-	log, err := wal.Open("")
+	log, err := wal.Open(filepath.Join(t.TempDir(), "anywhere.log"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -30,7 +31,6 @@ func newClaimSide(t *testing.T) claimSide {
 	t.Cleanup(func() { st.Close() })
 	pool := buffer.New(st, 8, 256, 512)
 	locks := lock.NewManager()
-	locks.Timeout = 50 * time.Millisecond
 	log, _ := wal.Open("")
 	tbl, err := Create(pool, st, store.MainFile, 100, "emp", []Column{
 		{Name: "id", Kind: val.KInt},
@@ -41,6 +41,16 @@ func newClaimSide(t *testing.T) claimSide {
 		t.Fatal(err)
 	}
 	return claimSide{tbl: tbl, tm: txn.NewManager(log, locks), log: log}
+}
+
+// briefly runs write as a statement of tx whose context ends after 20 ms:
+// a wait for a row that stays held ends there.
+func briefly(tx *txn.Txn, write func() error) error {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	tx.SetStatement(ctx, nil)
+	defer tx.SetStatement(nil, nil)
+	return write()
 }
 
 // raise is an UPDATE's compute: the salary one higher.
@@ -203,8 +213,8 @@ func TestIdenticalRewriteStillHolds(t *testing.T) {
 		t.Errorf("update under a live identical rewrite: %v, want errStale", err)
 	}
 	s.tbl.pool.Unpin(f, false)
-	if _, _, err := s.tbl.UpdateChecked(t1, rid, nil, raise); !errors.Is(err, lock.ErrTimeout) {
-		t.Errorf("UpdateChecked under a live identical rewrite: %v, want to wait and time out", err)
+	if err := briefly(t1, func() error { _, _, err := s.tbl.UpdateChecked(t1, rid, nil, raise); return err }); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("UpdateChecked under a live identical rewrite: %v, want to wait until its statement's deadline", err)
 	}
 	t1.Rollback()
 	t2.Rollback()
@@ -231,8 +241,8 @@ func TestUncommittedDeleteIsWaitedFor(t *testing.T) {
 		t.Fatal(err)
 	}
 	t1 := s.tm.Begin()
-	if _, _, err := s.tbl.UpdateChecked(t1, rid, nil, raise); !errors.Is(err, lock.ErrTimeout) {
-		t.Fatalf("update of a row under an uncommitted delete: %v, want to wait and time out", err)
+	if err := briefly(t1, func() error { _, _, err := s.tbl.UpdateChecked(t1, rid, nil, raise); return err }); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("update of a row under an uncommitted delete: %v, want to wait until its statement's deadline", err)
 	}
 	deleter.Rollback()
 	if _, ok, err := s.tbl.UpdateChecked(t1, rid, nil, raise); err != nil || !ok {

@@ -562,7 +562,7 @@ func (t *Txn) locks() *lock.Manager {
 // its context ctx ends the lock and row waits of Lock and WaitFor when it
 // is cancelled or expires, and its span sp (nil for none) is charged with
 // those waits and with Commit's or Rollback's flush. Nil, nil unbinds:
-// waits then only time out, and are charged to no statement.
+// waits then end only with what they wait for, charged to no statement.
 func (t *Txn) SetStatement(ctx context.Context, sp *flightrec.Span) { t.ctx, t.sp = ctx, sp }
 
 // context is the statement context waits observe.
@@ -613,7 +613,7 @@ func (t *Txn) chargeLock(d time.Duration, err error) error {
 // one WaitFor would wait for.
 func (t *Txn) Contends(holder uint64) bool {
 	lm := t.locks()
-	return holder != 0 && holder != t.id && lm != nil && lm.Holds(holder)
+	return holder != 0 && holder != t.id && lm != nil && lm.HeldCount(holder) > 0
 }
 
 // Commit makes the transaction durable: commit record, group flush, lock

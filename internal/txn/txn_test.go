@@ -1,6 +1,8 @@
 package txn
 
 import (
+	"context"
+	"path/filepath"
 	"slices"
 	"testing"
 	"time"
@@ -12,13 +14,12 @@ import (
 
 func setup(t *testing.T) (*Manager, *wal.Log) {
 	t.Helper()
-	log, err := wal.Open("")
+	log, err := wal.Open(filepath.Join(t.TempDir(), "anywhere.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	locks := lock.NewManager()
-	locks.Timeout = 100 * time.Millisecond
-	return NewManager(log, locks), log
+	t.Cleanup(func() { log.CloseNoFlush() })
+	return NewManager(log, lock.NewManager()), log
 }
 
 // undoFunc is an Undoer that runs a function of the compensation's LSN.
@@ -145,8 +146,13 @@ func TestLocksReleasedOnCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := m.Begin()
-	if err := b.Lock(7, lock.Exclusive); err != lock.ErrTimeout {
-		t.Fatalf("b should block: %v", err)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	b.SetStatement(ctx, nil)
+	err := b.Lock(7, lock.Exclusive)
+	cancel()
+	b.SetStatement(nil, nil)
+	if err != context.DeadlineExceeded {
+		t.Fatalf("b should block until its statement's deadline: %v", err)
 	}
 	if err := a.Commit(); err != nil {
 		t.Fatal(err)

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"hash/crc32"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 
@@ -136,9 +138,15 @@ func (f *flakyFlush) Crashpoint(string) error { return nil }
 // to the pending buffer — every end-LSN is the old encoder's running frame
 // total and the durable log is the old encoder's frames, byte for byte.
 func TestAppendFrameMatchesOldEncoder(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "anywhere.log")
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		l, _ := Open("")
+		os.Remove(path)
+		l, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.CloseNoFlush()
 		inj := &flakyFlush{fail: map[int]bool{}}
 		l.SetInjector(inj, faultinject.RetryPolicy{}, nil)
 		var want []byte
@@ -168,8 +176,8 @@ func TestAppendFrameMatchesOldEncoder(t *testing.T) {
 			t.Logf("seed %d: final flush: %v", seed, err)
 			return false
 		}
-		if !bytes.Equal(l.mem, want) {
-			t.Logf("seed %d: log bytes differ from the old encoder's (%d vs %d bytes)", seed, len(l.mem), len(want))
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Logf("seed %d: log bytes differ from the old encoder's (%d vs %d bytes, %v)", seed, len(got), len(want), err)
 			return false
 		}
 		return true

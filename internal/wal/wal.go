@@ -105,10 +105,9 @@ type Record struct {
 	LSN LSN
 }
 
-// ErrClosed is returned by flush paths once CloseNoFlush has run. Before
-// this sentinel existed, a flush racing Crash/Close could fall into the
-// memory-backed write path (l.f == nil looks exactly like mem mode), report
-// success, and acknowledge a commit whose bytes never reached disk.
+// ErrClosed is returned by flush paths once CloseNoFlush has run: a flush
+// racing Crash/Close must not report success and acknowledge a commit whose
+// bytes never reached disk.
 var ErrClosed = fmt.Errorf("wal: log is closed")
 
 // ErrTruncated is returned by ReadChunk and ScanFrom for a position below
@@ -146,16 +145,13 @@ type flushGroup struct {
 // instead of queueing behind the in-flight fsync.
 type Log struct {
 	mu     sync.Mutex
-	f      *os.File // nil when memory-backed
-	path   string   // f's path: Truncate renames a new file onto it
-	mem    []byte
-	memMu  sync.Mutex // guards mem (written outside mu by the flush leader)
-	memLog bool       // created memory-backed (empty path); f is nil by design
-	closed bool       // CloseNoFlush ran: every later flush fails with ErrClosed
-	tail   uint64     // durable end offset (advanced only after a synced flush)
-	end    uint64     // next append offset: tail + in-flight bytes + len(buffer)
-	buffer []byte     // active (unsealed) pending bytes; appends land here
-	spare  []byte     // the last successfully flushed buffer, emptied for reuse
+	f      *os.File // nil for a log with no file, and once closed
+	path   string   // f's path ("" for none): Truncate renames a new file onto it
+	closed bool     // CloseNoFlush ran: every later flush fails with ErrClosed
+	tail   uint64   // durable end offset (advanced only after a synced flush)
+	end    uint64   // next append offset: tail + in-flight bytes + len(buffer)
+	buffer []byte   // active (unsealed) pending bytes; appends land here
+	spare  []byte   // the last successfully flushed buffer, emptied for reuse
 
 	// A truncated log begins with a header, hdr bytes long: a RecCheckpoint
 	// whose After is start, the LSN its records begin after. File offset off
@@ -258,13 +254,13 @@ func (l *Log) AttachTelemetry(reg *telemetry.Registry) {
 	l.commitsPerFlush.Store(reg.Histogram("wal.commits_per_flush"))
 }
 
-// Open opens (or creates) the log file at path. An empty path yields a
-// memory-backed log for tests.
+// Open opens (or creates) the log file at path. An empty path yields a log
+// with no file, for a database that does not outlive its process: its
+// flushes write nowhere, and it keeps no byte to read back.
 func Open(path string) (*Log, error) {
 	l := &Log{logID: randomID()}
 	l.retired.L = &l.mu
 	if path == "" {
-		l.memLog = true
 		return l, nil
 	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
@@ -763,17 +759,10 @@ func (l *Log) writeRaw(base uint64, b []byte) error {
 		}
 		return nil
 	}
-	if !l.memLog {
+	if l.path != "" {
 		// File-backed log whose file is gone: the log was closed under us.
-		// Falling through to the memory buffer would fake durability.
 		return ErrClosed
 	}
-	l.memMu.Lock()
-	if need := int(base) + len(b); need > len(l.mem) {
-		l.mem = append(l.mem, make([]byte, need-len(l.mem))...)
-	}
-	copy(l.mem[base:], b)
-	l.memMu.Unlock()
 	return nil
 }
 
@@ -933,35 +922,27 @@ func (l *Log) ReadChunk(logID uint64, from LSN, max int) ([]byte, error) {
 }
 
 // readAt fills dst from offset off of f, the file that held the log while
-// its records began after LSN start (nil for a memory-backed log), below
-// its durable tail. A truncate that replaced the file since fails the read
-// with ErrTruncated: the new log starts at or past that tail, so the bytes
-// wanted are gone.
+// its records began after LSN start, below its durable tail. A truncate
+// that replaced the file since fails the read with ErrTruncated: the new
+// log starts at or past that tail, so the bytes wanted are gone. A log with
+// no file keeps no bytes, and fails every read the same way.
 func (l *Log) readAt(f *os.File, start LSN, dst []byte, off uint64) error {
-	var err error
-	if !l.memLog {
-		if _, err = f.ReadAt(dst, int64(off)); err == nil {
-			return nil
-		}
+	if l.path == "" {
+		return ErrTruncated
+	}
+	_, err := f.ReadAt(dst, int64(off))
+	if err == nil {
+		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	switch {
 	case l.start != start:
 		return ErrTruncated
-	case !l.memLog && l.closed:
+	case l.closed:
 		return ErrClosed
-	case !l.memLog:
-		return fmt.Errorf("wal: read: %w", err)
 	}
-	// Memory-backed: mem is the file, and under mu no truncate replaces it.
-	l.memMu.Lock()
-	defer l.memMu.Unlock()
-	if off+uint64(len(dst)) > uint64(len(l.mem)) {
-		return fmt.Errorf("wal: read past memory log end")
-	}
-	copy(dst, l.mem[off:])
-	return nil
+	return fmt.Errorf("wal: read: %w", err)
 }
 
 // DecodeFrames walks the whole frames at the start of b — a byte range
@@ -1148,9 +1129,6 @@ func (l *Log) Truncate() error {
 		l.f.Close()
 		l.f = f
 	}
-	l.memMu.Lock()
-	l.mem = hdr
-	l.memMu.Unlock()
 	l.start, l.hdr = start, uint64(len(hdr))
 	l.tail = l.hdr
 	l.end = l.tail + uint64(len(l.buffer))
@@ -1222,8 +1200,8 @@ func (l *Log) CloseNoFlush() error {
 	l.end = l.tail
 	// Latch closed before the file goes away: a commit racing this close
 	// must fail its flush (and ack nothing) rather than write into thin
-	// air. Applies to memory-backed logs too — a crashed instance must not
-	// keep acknowledging commits into its own vanishing heap.
+	// air. Applies to logs with no file too — a crashed instance must not
+	// keep acknowledging commits.
 	l.closed = true
 	l.tailBroadcastLocked()
 	if l.f != nil {

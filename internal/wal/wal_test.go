@@ -15,11 +15,50 @@ func flushedLSN(l *Log) LSN {
 	return durable
 }
 
-func TestAppendScanRoundTrip(t *testing.T) {
+// openFile opens a log in a file of its own under the test's temporary
+// directory: one whose flushed bytes can be read back.
+func openFile(t *testing.T) *Log {
+	t.Helper()
+	l, err := Open(filepath.Join(t.TempDir(), "anywhere.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.CloseNoFlush() })
+	return l
+}
+
+// TestLogWithNoFileKeepsNoBytes: a log opened with no path flushes
+// nowhere and keeps nothing it flushed: a read below its tail fails as on
+// a truncated log, a read at its tail is caught up, and a crash still
+// refuses later flushes.
+func TestLogWithNoFileKeepsNoBytes(t *testing.T) {
 	l, err := Open("")
 	if err != nil {
 		t.Fatal(err)
 	}
+	lsn := l.Append(&Record{Type: RecCommit, Txn: 1})
+	if err := l.FlushTo(lsn); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Scan(func(LSN, *Record) error { return nil }); err != ErrTruncated {
+		t.Fatalf("scan below the tail: %v, want ErrTruncated", err)
+	}
+	id, tail := l.Position()
+	if _, err := l.ReadChunk(id, 0, 1<<10); err != ErrTruncated {
+		t.Fatalf("ReadChunk below the tail: %v, want ErrTruncated", err)
+	}
+	if b, err := l.ReadChunk(id, tail, 1<<10); b != nil || err != nil {
+		t.Fatalf("ReadChunk at the tail: %d bytes, %v; want caught up", len(b), err)
+	}
+	l.CloseNoFlush()
+	l.Append(&Record{Type: RecCommit, Txn: 2})
+	if err := l.Flush(); err != ErrClosed {
+		t.Fatalf("flush after a crash: %v, want ErrClosed", err)
+	}
+}
+
+func TestAppendScanRoundTrip(t *testing.T) {
+	l := openFile(t)
 	recs := []*Record{
 		{Type: RecInsert, Txn: 1, Table: 7, Page: store.MakePageID(0, 3), Slot: 2, After: []byte("row")},
 		{Type: RecUpdate, Txn: 1, Table: 7, Page: store.MakePageID(0, 3), Slot: 2, Front: 3, Back: 300, Before: []byte("row"), After: []byte("row2")},
@@ -39,7 +78,7 @@ func TestAppendScanRoundTrip(t *testing.T) {
 	}
 
 	var got []*Record
-	err = l.Scan(func(lsn LSN, r *Record) error {
+	err := l.Scan(func(lsn LSN, r *Record) error {
 		got = append(got, r)
 		return nil
 	})
@@ -60,7 +99,7 @@ func TestAppendScanRoundTrip(t *testing.T) {
 }
 
 func TestUnflushedRecordsNotDurable(t *testing.T) {
-	l, _ := Open("")
+	l := openFile(t)
 	l.Append(&Record{Type: RecInsert, Txn: 1})
 	n := 0
 	l.Scan(func(LSN, *Record) error { n++; return nil })
@@ -80,7 +119,7 @@ func TestUnflushedRecordsNotDurable(t *testing.T) {
 // compensations of a commit whose flush failed — is left out. The
 // compensation flag survives the log.
 func TestAnalyzeKeepsTheTailToReplay(t *testing.T) {
-	l, _ := Open("")
+	l := openFile(t)
 	// Txn 1 commits, txn 2 is a loser, txn 3 rolled back, txn 4's commit is
 	// followed by its compensation and rollback record, txn 5 wrote nothing.
 	l.Append(&Record{Type: RecInsert, Txn: 1, Table: 11, After: []byte("a")})
@@ -268,7 +307,7 @@ func TestRecTypeString(t *testing.T) {
 }
 
 func TestAnalyzeKeepsNewestPageImage(t *testing.T) {
-	l, _ := Open("")
+	l := openFile(t)
 	p1 := store.MakePageID(0, 4)
 	p2 := store.MakePageID(0, 9)
 	l.Append(&Record{Type: RecPageImage, Page: p1, After: []byte("old-4")})

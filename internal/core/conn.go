@@ -17,6 +17,7 @@ import (
 	"anywheredb/internal/mvcc"
 	"anywheredb/internal/opt"
 	"anywheredb/internal/sqlparse"
+	"anywheredb/internal/table"
 	"anywheredb/internal/txn"
 	"anywheredb/internal/val"
 )
@@ -57,8 +58,9 @@ type Conn struct {
 	// statement snapshot of the statement running (the ring keeps a copy of
 	// a finished span; neither task nor snapshot holds a charge or a
 	// registration between statements); the vector a text's lifted literals
-	// are merged into; the rows an INSERT builds, and where each of its
-	// values goes; and the plans of the shapes it ran last.
+	// are merged into; the rows an INSERT or UPDATE builds, where each of
+	// an INSERT's values goes, and the targets of an UPDATE or DELETE; and
+	// the plans of the shapes it ran last.
 	ectx    exec.Ctx
 	batch   exec.Batch
 	scanObs func(tableName string, rows int64)
@@ -68,6 +70,7 @@ type Conn struct {
 	bound   []val.Value
 	rows    []val.Value
 	dest    []int
+	rids    []table.RID
 	kept    keptPlans
 }
 
@@ -181,7 +184,7 @@ func (c *Conn) Close() error {
 		c.tx.Rollback()
 		c.tx = nil
 	}
-	c.kept, c.ectx, c.batch, c.bound, c.rows, c.dest = keptPlans{}, exec.Ctx{}, exec.Batch{}, nil, nil, nil
+	c.kept, c.ectx, c.batch, c.bound, c.rows, c.dest, c.rids = keptPlans{}, exec.Ctx{}, exec.Batch{}, nil, nil, nil, nil
 	c.db.mu.Lock()
 	c.db.conns--
 	last := c.db.conns == 0

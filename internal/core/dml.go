@@ -251,8 +251,8 @@ func (c *Conn) execInsert(sh *Shape, s *sqlparse.Insert, params []val.Value) (Re
 	return Result{RowsAffected: n}, st.end(nil)
 }
 
-// keepValues caps, in values, the rows a connection keeps for its next
-// INSERT: a bulk INSERT's are let go.
+// keepValues caps, in values or RIDs, the rows and the targets a
+// connection keeps for its next write: a bulk write's are let go.
 const keepValues = 1024
 
 // execModify handles single-table UPDATE and DELETE on the plan of sh's
@@ -287,9 +287,21 @@ func (c *Conn) execModify(sh *Shape, stmt sqlparse.Statement, params []val.Value
 	// waited for, read again and checked again. The scan also stays out of
 	// the reorganizer's scan/write ratio (ScanObs).
 	ctx.Snap, ctx.ScanObs = nil, nil
-	rids, err := exec.DrainRIDs(ctx, plan.Root)
+	rids, err := exec.DrainRIDs(ctx, plan.Root, c.rids)
 	if err != nil {
 		return Result{}, nil, err
+	}
+	if cap(rids) <= keepValues {
+		c.rids = rids
+	}
+	// Each new row is built in the row the connection keeps: the table
+	// keeps nothing of it (the version entry holds the old row).
+	newRow := func(old []val.Value) ([]val.Value, error) {
+		row, err := d.NewRow(c.rows, old)
+		if cap(row) <= keepValues {
+			c.rows = row
+		}
+		return row, err
 	}
 	_, isUpdate := stmt.(*sqlparse.Update)
 	st := c.writeTxn()
@@ -305,7 +317,7 @@ func (c *Conn) execModify(sh *Shape, stmt sqlparse.Statement, params []val.Value
 		// lose concurrent committed updates.
 		var hit bool
 		if isUpdate {
-			_, hit, err = d.Table.UpdateChecked(tx, rid, d.Match, d.NewRow)
+			_, hit, err = d.Table.UpdateChecked(tx, rid, d.Match, newRow)
 		} else {
 			hit, err = d.Table.DeleteChecked(tx, rid, d.Match)
 		}

@@ -88,14 +88,28 @@ func TestStatementAllocationCeilings(t *testing.T) {
 		lookup(i)
 	}
 	insert := autocommitInsert(t, db, c, rows)
+	update := autocommitUpdate(t, db, c, rows)
 	for i := 0; i < 8; i++ {
 		insert(i)
+		update(i)
+	}
+	// The deletes take back the inserts: the first 8 warm the shape, the
+	// measured ones remove the ids the measured inserts added.
+	del, key := db.Prepare("DELETE FROM acct WHERE id = ?"), make([]val.Value, 1)
+	remove := func(id int64) {
+		key[0] = val.NewInt(id)
+		if res, _, err := c.Run(context.Background(), del, key); err != nil || res.RowsAffected != 1 {
+			t.Fatalf("delete id %d: %v, %v", id, res, err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		remove(int64(rows + i))
 	}
 
 	parses, misses := counter(t, db, "sqlparse.parses"), counter(t, db, "opt.plancache.misses")
 	// Every execution but a scheduled verification runs the plan its
 	// connection kept: the SELECT and the UPDATE of each transaction, each
-	// lookup and each insert.
+	// lookup, insert, update and delete.
 	retainedBy := func(what string, execs int, fn func()) {
 		t.Helper()
 		r, v := counter(t, db, "opt.plancache.retained"), counter(t, db, "opt.plancache.verifications")
@@ -104,26 +118,37 @@ func TestStatementAllocationCeilings(t *testing.T) {
 			t.Errorf("%s: %d executions, %d of them verifications, %d served by a kept plan", what, execs, dv, dr)
 		}
 	}
-	var perRMW, perLookup, perInsert float64
+	var perRMW, perLookup, perInsert, perUpdate, perDelete float64
 	retainedBy("rmw", 2*n, func() { perRMW = mallocs(n, func(i int) { rmw(t, c, int64(100+i)) }) })
 	retainedBy("lookup", n, func() { perLookup = mallocs(n, lookup) })
 	retainedBy("insert", n, func() { perInsert = mallocs(n, func(i int) { insert(8 + i) }) })
-	t.Logf("objects per op: rmw transaction %.1f, prepared point lookup %.1f, prepared autocommit insert %.1f", perRMW, perLookup, perInsert)
+	retainedBy("update", n, func() { perUpdate = mallocs(n, func(i int) { update(8 + i) }) })
+	retainedBy("delete", n, func() { perDelete = mallocs(n, func(i int) { remove(int64(rows + 8 + i)) }) })
+	t.Logf("objects per op: rmw transaction %.1f, prepared point lookup %.1f, prepared autocommit insert %.1f, update %.1f, delete %.1f",
+		perRMW, perLookup, perInsert, perUpdate, perDelete)
 	// Each ceiling is 1.1× the objects measured on linux/amd64 (go1.24)
-	// under -race, where sync.Pool drops some of what it is given back: 37.3
-	// for the rmw transaction (29.8 without), 6.6 for the lookup (6.4) and
-	// 2.1 for the insert (1.1: the version entry that is its row's lock).
-	if perRMW > 37.3*1.1 {
-		t.Errorf("the rmw transaction allocates %.1f objects, ceiling %.1f", perRMW, 37.3*1.1)
-	}
-	if perLookup > 6.6*1.1 {
-		t.Errorf("the prepared point lookup allocates %.1f objects, ceiling %.1f", perLookup, 6.6*1.1)
-	}
-	if perInsert > 2.1*1.1 {
-		t.Errorf("the prepared autocommit insert allocates %.1f objects, ceiling %.1f", perInsert, 2.1*1.1)
+	// under -race, where sync.Pool drops some of what it is given back: 24.4
+	// for the rmw transaction (17.8 without), 6.6 for the lookup (6.4), 2.1
+	// for the insert (1.1: the version entry that is its row's lock), and
+	// 4.3 for the update and for the delete (4.0 each: the version entry,
+	// the decoded pre-image it holds, a row and its pad, and the Rows that
+	// carries the plan).
+	for _, op := range []struct {
+		what             string
+		objects, ceiling float64
+	}{
+		{"rmw transaction", perRMW, 24.4 * 1.1},
+		{"prepared point lookup", perLookup, 6.6 * 1.1},
+		{"prepared autocommit insert", perInsert, 2.1 * 1.1},
+		{"prepared autocommit update", perUpdate, 4.3 * 1.1},
+		{"prepared autocommit delete", perDelete, 4.3 * 1.1},
+	} {
+		if op.objects > op.ceiling {
+			t.Errorf("the %s allocates %.1f objects, ceiling %.1f", op.what, op.objects, op.ceiling)
+		}
 	}
 	if p, m := counter(t, db, "sqlparse.parses")-parses, counter(t, db, "opt.plancache.misses")-misses; p != 0 || m != 0 {
-		t.Errorf("%d warm transactions, lookups and inserts: %d parses, %d plan-cache misses, want none", n, p, m)
+		t.Errorf("%d warm transactions, lookups, inserts, updates and deletes: %d parses, %d plan-cache misses, want none", n, p, m)
 	}
 }
 
@@ -179,6 +204,19 @@ func autocommitInsert(t testing.TB, db *DB, c *Conn, from int64) func(i int) {
 	}
 }
 
+// autocommitUpdate returns a prepared one-row autocommit UPDATE by key on
+// c: the i-th call sets v of id i % rows to i, so every call changes its row.
+func autocommitUpdate(t testing.TB, db *DB, c *Conn, rows int64) func(i int) {
+	st := db.Prepare("UPDATE acct SET v = ? WHERE id = ?")
+	params := make([]val.Value, 2)
+	return func(i int) {
+		params[0], params[1] = val.NewInt(int64(i)), val.NewInt(int64(i)%rows)
+		if res, _, err := c.Run(context.Background(), st, params); err != nil || res.RowsAffected != 1 {
+			t.Fatalf("update id %d: %v, %v", int64(i)%rows, res, err)
+		}
+	}
+}
+
 // BenchmarkAutocommitInsert runs the benchmark's insert_commit statement
 // through core.Conn, ids ascending past the loaded rows: -benchmem prints
 // the objects a durable one-row commit costs below the wire.
@@ -193,6 +231,23 @@ func BenchmarkAutocommitInsert(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		insert(8 + i)
+	}
+}
+
+// BenchmarkAutocommitUpdate runs a prepared one-row autocommit UPDATE by
+// key through core.Conn: -benchmem prints the objects a durable one-row
+// rewrite costs below the wire.
+func BenchmarkAutocommitUpdate(b *testing.B) {
+	const rows = 4000
+	db, c := acctDB(b, rows)
+	update := autocommitUpdate(b, db, c, rows)
+	for i := 0; i < 8; i++ {
+		update(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		update(8 + i)
 	}
 }
 

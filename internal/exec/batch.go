@@ -592,14 +592,14 @@ func Drain(ctx *Ctx, op Operator) ([]Row, error) {
 	return out, err
 }
 
-// DrainRIDs runs a DML target-collection tree to completion and returns
-// the heap addresses it produced: of every row a WithRIDs table scan read
-// and the Filter of the WHERE (if any) passed, or every RID a RIDsOnly
-// index probe found, unread. Either way each is a candidate whose claim
-// reads it again (table.UpdateChecked); for a probe's, that read is the
-// first.
-func DrainRIDs(ctx *Ctx, op Operator) ([]table.RID, error) {
-	var out []table.RID
+// DrainRIDs runs a DML target-collection tree to completion and appends
+// to dst[:0], a slice the caller keeps from one statement to the next, the
+// heap addresses it produced: of every row a WithRIDs table scan read and
+// the Filter of the WHERE (if any) passed, or every RID a RIDsOnly index
+// probe found, unread. Either way each is a candidate whose claim reads it
+// again (table.UpdateChecked); for a probe's, that read is the first.
+func DrainRIDs(ctx *Ctx, op Operator, dst []table.RID) ([]table.RID, error) {
+	out := dst[:0]
 	err := drainEach(ctx, op, func(b *Batch) { out = append(out, b.RIDs...) })
 	return out, err
 }

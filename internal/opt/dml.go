@@ -30,9 +30,10 @@ type Modify struct {
 }
 
 // NewRow applies UPDATE's SET clauses to old, every expression reading the
-// old image.
-func (m *Modify) NewRow(old []val.Value) ([]val.Value, error) {
-	row := append([]val.Value(nil), old...)
+// old image, and builds the new row in dst[:0], which must not share memory
+// with old: a caller may pass the row it keeps from one target to the next.
+func (m *Modify) NewRow(dst, old []val.Value) ([]val.Value, error) {
+	row := append(dst[:0], old...)
 	for i, e := range m.setExprs {
 		v, err := e.Eval(old)
 		if err != nil {

@@ -381,6 +381,32 @@ func (t *Table) keyOf(tx *txn.Txn, ix *Index, row []val.Value) []byte {
 	return *kb
 }
 
+// keysOf builds oldRow's and newRow's keys in ix back to back, in tx's key
+// scratch when there is a tx, as keyOf builds one: both are valid until the
+// next key is built under tx.
+func (t *Table) keysOf(tx *txn.Txn, ix *Index, oldRow, newRow []val.Value) (oldKey, newKey []byte) {
+	var kb []byte
+	if tx != nil {
+		kb = (*tx.KeyScratch())[:0]
+	}
+	kb = ix.AppendKey(kb, oldRow)
+	n := len(kb)
+	kb = ix.AppendKey(kb, newRow)
+	if tx != nil {
+		*tx.KeyScratch() = kb
+	}
+	return kb[:n:n], kb[n:]
+}
+
+// encodeRow encodes row in tx's scratch (see txn.Txn.Scratch), or on the
+// heap without a tx.
+func encodeRow(tx *txn.Txn, row []val.Value) []byte {
+	if tx == nil {
+		return val.EncodeRow(row)
+	}
+	return val.AppendRow(tx.Scratch(val.RowSize(row)), row)
+}
+
 // addKey enters rid under key in ix. checked, on a forward change, makes a
 // unique index refuse a key it already holds, with ErrUnique; the kernel
 // then still enters the row in its other indexes, so that the inverse it
@@ -621,7 +647,11 @@ func (t *Table) updateRow(tx *txn.Txn, rid RID, pinned *buffer.Frame, oldRow, ne
 	}
 	var refused error
 	for _, ix := range t.IndexList() {
-		oldKey, newKey := ix.Key(oldRow), ix.Key(newRow)
+		oldKey, newKey := t.keysOf(tx, ix, oldRow, newRow)
+		// The encodings decide, not the values: the tree holds encodings,
+		// and the two tests disagree. -0.0 and +0.0 compare equal but
+		// encode apart, and val.AppendKey takes an INT through its float64,
+		// so INTs past ±2^53 that differ can encode alike.
 		if string(oldKey) != string(newKey) {
 			if _, err := ix.Tree.Delete(oldKey, rid.Bytes()); err != nil {
 				return err
@@ -670,7 +700,7 @@ func (t *Table) deleteRow(tx *txn.Txn, rid RID, pinned *buffer.Frame, row []val.
 		h.NoteDelete(row[i])
 	}
 	for _, ix := range t.IndexList() {
-		if _, err := ix.Tree.Delete(ix.Key(row), rid.Bytes()); err != nil {
+		if _, err := ix.Tree.Delete(t.keyOf(tx, ix, row), rid.Bytes()); err != nil {
 			return err
 		}
 	}
@@ -838,7 +868,7 @@ func (t *Table) deleteLocked(tx *txn.Txn, rid RID, f *buffer.Frame, row []val.Va
 	var rec *wal.Record
 	var read []byte
 	if tx != nil {
-		read = val.EncodeRow(row)
+		read = encodeRow(tx, row)
 		rec = t.rowRecord(wal.RecDelete, rid, read, nil)
 	}
 	return t.deleteRow(tx, rid, f, row, read, rec)
@@ -850,14 +880,17 @@ func (t *Table) updateLocked(tx *txn.Txn, rid RID, f *buffer.Frame, oldRow, newR
 	if len(newRow) != len(t.Columns) {
 		return RID{}, fmt.Errorf("table %s: %d values for %d columns", t.Name, len(newRow), len(t.Columns))
 	}
-	newEnc := val.EncodeRow(newRow)
+	// Under tx both images live in its scratch: the page and the log copy
+	// them, and only the inverses tx registers read them after. The version
+	// entry holds oldRow, decoded on the heap, not oldEnc.
+	newEnc := encodeRow(tx, newRow)
 	if len(newEnc) > page.Size-page.HeaderSize-8 {
 		return RID{}, ErrRowTooLarge
 	}
 	var rec *wal.Record
 	var oldEnc []byte
 	if tx != nil {
-		oldEnc = val.EncodeRow(oldRow)
+		oldEnc = encodeRow(tx, oldRow)
 		front, back := changedSpan(oldEnc, newEnc)
 		rec = t.rowRecord(wal.RecUpdate, rid, oldEnc[front:len(oldEnc)-back], newEnc[front:len(newEnc)-back])
 		rec.Front, rec.Back = uint32(front), uint32(back)
@@ -873,7 +906,11 @@ func (t *Table) updateLocked(tx *txn.Txn, rid RID, f *buffer.Frame, oldRow, newR
 	// at the new location would leave the old cell's removal unlogged: if
 	// the old page never reached disk before a crash, redo would resurrect
 	// the original row beside the moved copy.
-	if err := t.deleteLocked(tx, rid, f, oldRow); err != nil {
+	rec = nil
+	if tx != nil {
+		rec = t.rowRecord(wal.RecDelete, rid, oldEnc, nil)
+	}
+	if err := t.deleteRow(tx, rid, f, oldRow, oldEnc, rec); err != nil {
 		return RID{}, err
 	}
 	rec = nil

@@ -130,10 +130,23 @@ func (c *Conn) SetStatementTimeout(d time.Duration) { c.stmtTimeout = d }
 // held at the admission gate.
 func (c *Conn) InTxn() bool { return c.tx != nil || c.victim }
 
-// Result reports a statement's effect.
+// Result reports a statement's effect: the rows it changed, or the rows a
+// query returned.
 type Result struct {
 	RowsAffected int64
+	// Plan is the plan the statement ran (the tree that found an UPDATE's
+	// or DELETE's targets), with per-node actuals; nil for a statement that
+	// ran none. The connection may keep the plan to run its shape again: it
+	// is valid until that connection's next execution of the same shape.
+	Plan *opt.Plan
 }
+
+// Sink receives a query's answer as its plan produces it: the result's
+// columns, and the rows of one batch a call. The rows are valid for the
+// call only — their producer writes its next batch over them — so a sink
+// that keeps a row copies it. A query that produces no row calls it once,
+// with none. An error from the sink ends the statement with it.
+type Sink func(cols []string, rows []exec.Row) error
 
 // Rows is a query cursor.
 type Rows struct {
@@ -241,7 +254,7 @@ func (c *Conn) ExecContext(ctx context.Context, sql string, params ...val.Value)
 // RunContext runs one statement and returns both its result and any rows:
 // Prepare + Run, as every entry that takes SQL text is.
 func (c *Conn) RunContext(ctx context.Context, sql string, params ...val.Value) (Result, *Rows, error) {
-	return c.Run(ctx, c.db.Prepare(sql), params)
+	return c.Run(ctx, c.db.Prepare(sql), params, nil)
 }
 
 // Query runs a statement returning rows.
@@ -249,14 +262,16 @@ func (c *Conn) Query(sql string, params ...val.Value) (*Rows, error) {
 	return c.QueryContext(context.Background(), sql, params...)
 }
 
-// QueryContext runs a statement returning rows under a context.
+// QueryContext runs a statement returning rows under a context. A
+// statement that returns none (an UPDATE, say) gets an empty cursor that
+// carries its plan.
 func (c *Conn) QueryContext(ctx context.Context, sql string, params ...val.Value) (*Rows, error) {
-	_, rows, err := c.RunContext(ctx, sql, params...)
+	res, rows, err := c.RunContext(ctx, sql, params...)
 	if err != nil {
 		return nil, err
 	}
 	if rows == nil {
-		rows = &Rows{}
+		rows = &Rows{plan: res.Plan}
 	}
 	return rows, nil
 }
@@ -272,8 +287,10 @@ func (c *Conn) interrupted() error {
 // Run is the one execution entry: it runs a prepared statement and returns
 // both its result and any rows (nil when the statement produced none). This
 // is the shape the network server needs — it holds statement handles and
-// cannot choose between Exec and Query up front.
-func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value) (res Result, rows *Rows, err error) {
+// cannot choose between Exec and Query up front. Given a sink, a SELECT
+// hands its answer to it a batch at a time instead, and returns no rows;
+// without one, the rows returned outlive the connection's next statement.
+func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value, sink Sink) (res Result, rows *Rows, err error) {
 	if c.closed {
 		return Result{}, nil, fmt.Errorf("core: connection closed")
 	}
@@ -362,6 +379,7 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value) (res Resul
 	defer c.endReadPath()
 
 	start := c.db.clk.Now()
+	var returned int64 // rows a query answered with
 	switch s := st.AST.(type) {
 	case *sqlparse.Begin:
 		if c.tx != nil {
@@ -416,20 +434,15 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value) (res Resul
 	case *sqlparse.Insert:
 		res, err = c.execInsert(st.Shape, s, params)
 	case *sqlparse.Update, *sqlparse.Delete:
-		var plan *opt.Plan
-		res, plan, err = c.execModify(st.Shape, s, params, planRun)
-		if err == nil {
-			rows = &Rows{plan: plan}
-		}
+		res, err = c.execModify(st.Shape, s, params, planRun)
 	case *sqlparse.Select:
-		rows, err = c.execSelect(st.Shape, s, params, planRun)
-		if rows != nil {
-			res.RowsAffected = int64(rows.Count())
-		}
+		res, rows, err = c.execSelect(st.Shape, s, params, planRun, sink)
+		returned = res.RowsAffected
 	case *sqlparse.Explain:
 		rows, err = c.execExplain(st.Shape, s, params)
 		if rows != nil {
-			res.RowsAffected = int64(rows.Count())
+			res = Result{RowsAffected: int64(rows.Count()), Plan: rows.plan}
+			returned = res.RowsAffected
 		}
 	default:
 		err = fmt.Errorf("core: unsupported statement %T", s)
@@ -453,9 +466,7 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value) (res Resul
 
 	c.db.statements.Inc()
 	c.db.statementUS.Observe(int64(c.db.clk.Now() - start))
-	if rows != nil {
-		c.db.rowsOut.Add(uint64(len(rows.rows)))
-	}
+	c.db.rowsOut.Add(uint64(returned))
 	return res, rows, nil
 }
 

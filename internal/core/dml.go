@@ -120,14 +120,15 @@ const (
 // execSelect runs a SELECT — the bare statement, EXPLAIN [ANALYZE]'s or the
 // source of an INSERT ... SELECT — on the plan of sh's slot. Each statement
 // runs under a memory-governor task whose quotas follow Eq. 4/5; exceeding
-// the hard limit terminates the statement.
-func (c *Conn) execSelect(sh *Shape, s *sqlparse.Select, params []val.Value, use planUse) (*Rows, error) {
+// the hard limit terminates the statement. The answer goes to sink, a batch
+// at a time, if there is one (and no Rows are returned), or else into Rows.
+func (c *Conn) execSelect(sh *Shape, s *sqlparse.Select, params []val.Value, use planUse, sink Sink) (Result, *Rows, error) {
 	task := c.db.memG.Begin(&c.task)
 	defer task.Finish()
 	ctx := c.execCtx(task)
 	plan, err := c.plan(sh, s, ctx, params, use)
 	if err != nil {
-		return nil, err
+		return Result{}, nil, err
 	}
 	if use != planRun {
 		// The estimates EXPLAIN prints are the ones made before the run
@@ -136,21 +137,38 @@ func (c *Conn) execSelect(sh *Shape, s *sqlparse.Select, params []val.Value, use
 	}
 
 	// Wrap every operator so the executed tree accrues per-node stats
-	// (EXPLAIN ANALYZE and Rows.Plan() introspection read them back); a
+	// (EXPLAIN ANALYZE and Result.Plan introspection read them back); a
 	// kept plan is wrapped already.
 	plan.Root = exec.Instrument(plan.Root)
+	res := Result{Plan: plan}
 	if use == planExplain {
-		return &Rows{plan: plan}, nil
+		return res, nil, nil
 	}
+	// One run, two consumers: a sink reads each batch in place, and
+	// anybody else keeps the rows.
+	var all []exec.Row
 	execStart := time.Now()
-	rows, err := exec.Drain(ctx, plan.Root)
+	err = exec.Stream(ctx, plan.Root, func(b *exec.Batch) error {
+		res.RowsAffected += int64(b.Len())
+		if sink != nil {
+			return sink(plan.Columns, b.View())
+		}
+		all = append(all, b.Rows()...)
+		return nil
+	})
+	if err == nil && sink != nil && res.RowsAffected == 0 {
+		err = sink(plan.Columns, nil)
+	}
 	if sp := c.curSpan; sp != nil {
 		sp.AddPhase(flightrec.PhaseExecute, time.Since(execStart).Microseconds())
 	}
 	if err != nil {
-		return nil, err
+		return Result{}, nil, err
 	}
-	return &Rows{cols: plan.Columns, rows: rows, plan: plan}, nil
+	if sink != nil {
+		return res, nil, nil
+	}
+	return res, &Rows{cols: plan.Columns, rows: all, plan: plan}, nil
 }
 
 // execInsert handles INSERT ... VALUES and INSERT ... SELECT. Every row is
@@ -182,15 +200,16 @@ func (c *Conn) execInsert(sh *Shape, s *sqlparse.Insert, params []val.Value) (Re
 
 	var source [][]val.Value
 	var values *exec.Values
+	var plan *opt.Plan
 	if s.Query != nil {
-		rows, err := c.execSelect(sh, s.Query, params, planRun)
+		res, rows, err := c.execSelect(sh, s.Query, params, planRun, nil)
 		if err != nil {
 			return Result{}, err
 		}
-		source = rows.rows
+		source, plan = rows.rows, res.Plan
 	} else {
-		plan, err := c.plan(sh, s, c.execCtx(nil), params, planRun)
-		if err != nil {
+		var err error
+		if plan, err = c.plan(sh, s, c.execCtx(nil), params, planRun); err != nil {
 			return Result{}, err
 		}
 		if values, ok = plan.Root.(*exec.Values); !ok {
@@ -248,7 +267,7 @@ func (c *Conn) execInsert(sh *Shape, s *sqlparse.Insert, params []val.Value) (Re
 		return Result{}, st.end(err)
 	}
 	c.db.flight.Access().NoteWrite(s.Table)
-	return Result{RowsAffected: n}, st.end(nil)
+	return Result{RowsAffected: n, Plan: plan}, st.end(nil)
 }
 
 // keepValues caps, in values or RIDs, the rows and the targets a
@@ -256,19 +275,19 @@ func (c *Conn) execInsert(sh *Shape, s *sqlparse.Insert, params []val.Value) (Re
 const keepValues = 1024
 
 // execModify handles single-table UPDATE and DELETE on the plan of sh's
-// slot. The returned plan is the instrumented tree that found the target
+// slot. The result's plan is the instrumented tree that found the target
 // rows; under plain EXPLAIN the statement is planned but not executed.
-func (c *Conn) execModify(sh *Shape, stmt sqlparse.Statement, params []val.Value, use planUse) (Result, *opt.Plan, error) {
+func (c *Conn) execModify(sh *Shape, stmt sqlparse.Statement, params []val.Value, use planUse) (Result, error) {
 	ctx := c.execCtx(nil)
 	plan, err := c.plan(sh, stmt, ctx, params, use)
 	if err != nil {
-		return Result{}, nil, err
+		return Result{}, err
 	}
 	if use != planRun {
 		plan.Estimate()
 	}
 	if use == planExplain {
-		return Result{}, plan, nil
+		return Result{Plan: plan}, nil
 	}
 	d := plan.Modify
 	plan.Root = exec.Instrument(plan.Root)
@@ -289,7 +308,7 @@ func (c *Conn) execModify(sh *Shape, stmt sqlparse.Statement, params []val.Value
 	ctx.Snap, ctx.ScanObs = nil, nil
 	rids, err := exec.DrainRIDs(ctx, plan.Root, c.rids)
 	if err != nil {
-		return Result{}, nil, err
+		return Result{}, err
 	}
 	if cap(rids) <= keepValues {
 		c.rids = rids
@@ -309,7 +328,7 @@ func (c *Conn) execModify(sh *Shape, stmt sqlparse.Statement, params []val.Value
 	var n int64
 	for _, rid := range rids {
 		if err := c.interrupted(); err != nil {
-			return Result{}, nil, st.end(err)
+			return Result{}, st.end(err)
 		}
 		// Check the predicate (and, for UPDATE, evaluate the SET
 		// expressions) against the row as it stands when it is written: a
@@ -325,12 +344,12 @@ func (c *Conn) execModify(sh *Shape, stmt sqlparse.Statement, params []val.Value
 			continue // gone: deleted, or moved, since the index named it
 		}
 		if err != nil {
-			return Result{}, nil, st.end(err)
+			return Result{}, st.end(err)
 		}
 		if hit {
 			n++
 		}
 	}
 	c.db.flight.Access().NoteWrite(d.Table.Name)
-	return Result{RowsAffected: n}, plan, st.end(nil)
+	return Result{RowsAffected: n, Plan: plan}, st.end(nil)
 }

@@ -34,17 +34,17 @@ func (c *Conn) execExplain(sh *Shape, s *sqlparse.Explain, params []val.Value) (
 	}
 	switch inner := bare.AST.(type) {
 	case *sqlparse.Select:
-		rows, err := c.execSelect(bare, inner, params, use)
+		res, _, err := c.execSelect(bare, inner, params, use, nil)
 		if err != nil {
 			return nil, err
 		}
-		return explainRows(rows.plan, s.Analyze), nil
+		return explainRows(res.Plan, s.Analyze), nil
 	case *sqlparse.Update, *sqlparse.Delete:
-		_, plan, err := c.execModify(bare, inner, params, use)
+		res, err := c.execModify(bare, inner, params, use)
 		if err != nil {
 			return nil, err
 		}
-		return explainRows(plan, s.Analyze), nil
+		return explainRows(res.Plan, s.Analyze), nil
 	}
 	return nil, fmt.Errorf("core: EXPLAIN does not support %T", bare.AST)
 }

@@ -114,7 +114,7 @@ func TestKeptScanAggReadsARecreatedTable(t *testing.T) {
 	check := func(what string, wantGroups, wantCount int64) {
 		t.Helper()
 		for i := 0; i < 6; i++ {
-			_, rows, err := c.Run(context.Background(), stmt, []val.Value{val.NewInt(1000)})
+			_, rows, err := c.Run(context.Background(), stmt, []val.Value{val.NewInt(1000)}, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
@@ -165,7 +165,7 @@ func TestScanAggAllocationCeiling(t *testing.T) {
 	mustExec(t, c, "ALTER TABLE fact STORE COLUMNAR")
 	stmt := db.Prepare("SELECT grp, COUNT(*), SUM(v) FROM fact WHERE v < ? GROUP BY grp")
 	run := func(bound int64) {
-		_, rows, err := c.Run(context.Background(), stmt, []val.Value{val.NewInt(bound)})
+		_, rows, err := c.Run(context.Background(), stmt, []val.Value{val.NewInt(bound)}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -307,7 +307,7 @@ func TestStmtTableByteBound(t *testing.T) {
 	if db.Prepare(held.Text) == held {
 		t.Fatal("the held statement was never evicted: the test did not fill the table")
 	}
-	_, rows, err := c.Run(context.Background(), held, nil)
+	_, rows, err := c.Run(context.Background(), held, nil, nil)
 	if err != nil || rows.Count() != 1 || rows.All()[0][0].S != "two" {
 		t.Errorf("running an evicted statement: %v, %v", rows, err)
 	}

@@ -79,13 +79,31 @@ func TestStatementAllocationCeilings(t *testing.T) {
 	}
 	point := db.Prepare("SELECT v FROM acct WHERE id = ?")
 	lookup := func(i int) {
-		_, rs, err := c.Run(context.Background(), point, []val.Value{val.NewInt(int64(i % rows))})
+		_, rs, err := c.Run(context.Background(), point, []val.Value{val.NewInt(int64(i % rows))}, nil)
 		if err != nil || rs.Count() != 1 {
 			t.Fatalf("id %d: %v, %v", i%rows, rs, err)
 		}
 	}
+	// The same lookup with its answer read where the plan left it, as the
+	// server's encoder reads it: the sink is built once.
+	var got int64
+	sink := func(cols []string, batch []exec.Row) error {
+		for _, r := range batch {
+			got = r[0].I
+		}
+		return nil
+	}
+	params := make([]val.Value, 1)
+	lookupToSink := func(i int) {
+		params[0] = val.NewInt(int64(i % rows))
+		got = -1
+		if res, rs, err := c.Run(context.Background(), point, params, sink); err != nil || rs != nil || res.RowsAffected != 1 || got < 0 {
+			t.Fatalf("id %d to a sink: %v, %v, %v, v = %d", i%rows, res, rs, err, got)
+		}
+	}
 	for i := 0; i < 8; i++ {
 		lookup(i)
+		lookupToSink(i)
 	}
 	insert := autocommitInsert(t, db, c, rows)
 	update := autocommitUpdate(t, db, c, rows)
@@ -98,7 +116,7 @@ func TestStatementAllocationCeilings(t *testing.T) {
 	del, key := db.Prepare("DELETE FROM acct WHERE id = ?"), make([]val.Value, 1)
 	remove := func(id int64) {
 		key[0] = val.NewInt(id)
-		if res, _, err := c.Run(context.Background(), del, key); err != nil || res.RowsAffected != 1 {
+		if res, _, err := c.Run(context.Background(), del, key, nil); err != nil || res.RowsAffected != 1 {
 			t.Fatalf("delete id %d: %v, %v", id, res, err)
 		}
 	}
@@ -118,30 +136,32 @@ func TestStatementAllocationCeilings(t *testing.T) {
 			t.Errorf("%s: %d executions, %d of them verifications, %d served by a kept plan", what, execs, dv, dr)
 		}
 	}
-	var perRMW, perLookup, perInsert, perUpdate, perDelete float64
+	var perRMW, perLookup, perSink, perInsert, perUpdate, perDelete float64
 	retainedBy("rmw", 2*n, func() { perRMW = mallocs(n, func(i int) { rmw(t, c, int64(100+i)) }) })
 	retainedBy("lookup", n, func() { perLookup = mallocs(n, lookup) })
+	retainedBy("lookup to a sink", n, func() { perSink = mallocs(n, lookupToSink) })
 	retainedBy("insert", n, func() { perInsert = mallocs(n, func(i int) { insert(8 + i) }) })
 	retainedBy("update", n, func() { perUpdate = mallocs(n, func(i int) { update(8 + i) }) })
 	retainedBy("delete", n, func() { perDelete = mallocs(n, func(i int) { remove(int64(rows + 8 + i)) }) })
-	t.Logf("objects per op: rmw transaction %.1f, prepared point lookup %.1f, prepared autocommit insert %.1f, update %.1f, delete %.1f",
-		perRMW, perLookup, perInsert, perUpdate, perDelete)
+	t.Logf("objects per op: rmw transaction %.1f, prepared point lookup %.1f, to a sink %.1f, prepared autocommit insert %.1f, update %.1f, delete %.1f",
+		perRMW, perLookup, perSink, perInsert, perUpdate, perDelete)
 	// Each ceiling is 1.1× the objects measured on linux/amd64 (go1.24)
-	// under -race, where sync.Pool drops some of what it is given back: 24.4
-	// for the rmw transaction (17.8 without), 6.6 for the lookup (6.4), 2.1
+	// under -race, where sync.Pool drops some of what it is given back: 22.4
+	// for the rmw transaction (15.8 without), 5.6 for the lookup (5.3), 1.3
+	// for the lookup to a sink (1.1: the pad string the probe decodes), 2.1
 	// for the insert (1.1: the version entry that is its row's lock), and
-	// 4.3 for the update and for the delete (4.0 each: the version entry,
-	// the decoded pre-image it holds, a row and its pad, and the Rows that
-	// carries the plan).
+	// 3.3 for the update and for the delete (3.0 each: the version entry,
+	// and the decoded pre-image it holds, a row and its pad).
 	for _, op := range []struct {
 		what             string
 		objects, ceiling float64
 	}{
-		{"rmw transaction", perRMW, 24.4 * 1.1},
-		{"prepared point lookup", perLookup, 6.6 * 1.1},
+		{"rmw transaction", perRMW, 22.4 * 1.1},
+		{"prepared point lookup", perLookup, 5.6 * 1.1},
+		{"prepared point lookup to a sink", perSink, 1.3 * 1.1},
 		{"prepared autocommit insert", perInsert, 2.1 * 1.1},
-		{"prepared autocommit update", perUpdate, 4.3 * 1.1},
-		{"prepared autocommit delete", perDelete, 4.3 * 1.1},
+		{"prepared autocommit update", perUpdate, 3.3 * 1.1},
+		{"prepared autocommit delete", perDelete, 3.3 * 1.1},
 	} {
 		if op.objects > op.ceiling {
 			t.Errorf("the %s allocates %.1f objects, ceiling %.1f", op.what, op.objects, op.ceiling)
@@ -173,7 +193,7 @@ func BenchmarkPreparedPointLookup(b *testing.B) {
 	db, c := acctDB(b, 4000)
 	st := db.Prepare("SELECT v FROM acct WHERE id = ?")
 	lookup := func(i int) {
-		if _, _, err := c.Run(context.Background(), st, []val.Value{val.NewInt(int64(i % 4000))}); err != nil {
+		if _, _, err := c.Run(context.Background(), st, []val.Value{val.NewInt(int64(i % 4000))}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -198,7 +218,7 @@ func autocommitInsert(t testing.TB, db *DB, c *Conn, from int64) func(i int) {
 	return func(i int) {
 		id := from + int64(i)
 		params[0], params[1], params[2], params[3] = val.NewInt(id), val.NewInt(id%16), val.NewInt(id%1000), pad
-		if res, _, err := c.Run(context.Background(), st, params); err != nil || res.RowsAffected != 1 {
+		if res, _, err := c.Run(context.Background(), st, params, nil); err != nil || res.RowsAffected != 1 {
 			t.Fatalf("insert id %d: %v, %v", id, res, err)
 		}
 	}
@@ -211,7 +231,7 @@ func autocommitUpdate(t testing.TB, db *DB, c *Conn, rows int64) func(i int) {
 	params := make([]val.Value, 2)
 	return func(i int) {
 		params[0], params[1] = val.NewInt(int64(i)), val.NewInt(int64(i)%rows)
-		if res, _, err := c.Run(context.Background(), st, params); err != nil || res.RowsAffected != 1 {
+		if res, _, err := c.Run(context.Background(), st, params, nil); err != nil || res.RowsAffected != 1 {
 			t.Fatalf("update id %d: %v, %v", int64(i)%rows, res, err)
 		}
 	}
@@ -468,8 +488,8 @@ func runOnce(c *Conn, sql string, params []val.Value, ordered bool) runOutcome {
 	if rows != nil && rows.Columns() != nil {
 		o.rows = renderRows(rows, ordered)
 	}
-	if rows != nil && rows.Plan() != nil {
-		o.stats = nodeStats(rows.Plan())
+	if res.Plan != nil {
+		o.stats = nodeStats(res.Plan)
 	}
 	return o
 }
@@ -767,7 +787,7 @@ func TestRetainedPlanSeesDDL(t *testing.T) {
 		t.Helper()
 		k = (k + 7) % 400
 		retained := counter(t, db, "opt.plancache.retained")
-		_, rows, err := c.Run(context.Background(), st, []val.Value{val.NewInt(k)})
+		_, rows, err := c.Run(context.Background(), st, []val.Value{val.NewInt(k)}, nil)
 		if err != nil {
 			t.Fatalf("%s: id %d: %v", what, k, err)
 		}
@@ -1033,7 +1053,7 @@ func TestDigestSampleOwnsItsParams(t *testing.T) {
 
 	st := db.Prepare("SELECT v FROM t WHERE id = ?")
 	params := []val.Value{val.NewInt(3)}
-	if _, _, err := c.Run(context.Background(), st, params); err != nil {
+	if _, _, err := c.Run(context.Background(), st, params, nil); err != nil {
 		t.Fatal(err)
 	}
 	params[0] = val.NewStr("overwritten")

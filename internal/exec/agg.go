@@ -291,6 +291,7 @@ type HashGroupBy struct {
 	acct      mem.Account
 	in        Batch       // the input batch being folded in
 	cols      []val.Value // column-major scratch: the evaluated key and aggregate-argument values of one batch
+	flat      []val.Value // the output rows of one batch, row-major, back to back
 	srcs      []colSource // per key, then per aggregate argument: where one batch's values are read
 	key       Row         // scratch: one row's key values
 	idx       chainIndex  // key hash → groups
@@ -607,16 +608,16 @@ func (g *HashGroupBy) decodeStored(b []byte) (Row, error) {
 }
 
 // NextBatch emits the next groups. The rows of one batch are carved from
-// one slab of values.
+// one slab of values, its scratch, rewritten at every call.
 func (g *HashGroupBy) NextBatch(ctx *Ctx, out *Batch) error {
 	out.Reset()
 	n := ctx.BatchSize()
 	w := len(g.Keys) + len(g.Aggs)
-	var flat []val.Value
+	flat := g.flat[:0]
 	rows := 0
 	if g.it == nil {
 		rows = min(n, g.nGroups-g.pos)
-		flat = make([]val.Value, 0, rows*w)
+		flat = slices.Grow(flat, rows*w)
 		for end := g.pos + rows; g.pos < end; g.pos++ {
 			flat = append(flat, g.groupKey(g.pos)...)
 			for a, spec := range g.Aggs {
@@ -641,10 +642,8 @@ func (g *HashGroupBy) NextBatch(ctx *Ctx, out *Batch) error {
 			return err
 		}
 	}
-	out.reserve(rows)
-	for r := 0; r < rows; r++ {
-		out.Add(flat[r*w : (r+1)*w : (r+1)*w])
-	}
+	g.flat = flat
+	out.carve(flat, rows, w)
 	return nil
 }
 
@@ -667,6 +666,7 @@ func (g *HashGroupBy) Close(ctx *Ctx) error {
 	clear(g.key)
 	width := len(g.Keys) + len(g.Aggs)
 	g.cols = retain(g.cols, width*DefaultBatchSize)
+	g.flat = retain(g.flat, width*DefaultBatchSize)
 	g.srcs = retain(g.srcs, width)
 	g.acct.Close()
 	if g.inputOpen {

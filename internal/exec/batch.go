@@ -66,20 +66,23 @@ func (c *Ctx) BatchSize() int {
 // in the batch, in order. A vector is typed: an INT or DOUBLE column is an
 // []int64 or []float64 with a NULL bitmap, and only strings and
 // mixed-kind columns are boxed values. A TableScan over segments produces
-// vector form, Filter narrows either form in place,
-// EvalBatch and TestBatch read either form, HashGroupBy reads a column of
-// it in place (colView), and everything else reaches rows through Rows,
-// which turns a vector-form batch into fresh rows for the selected
-// positions only. Rows and EvalBatch are where a typed value is boxed into
-// a val.Value slice.
+// vector form, Filter narrows either form in place, EvalBatch and TestBatch
+// read either form, HashGroupBy reads a column of it in place (colView),
+// and everything else reaches rows through View or Rows, which turn a
+// vector-form batch into rows for the selected positions only. They and
+// EvalBatch are where a typed value is boxed into a val.Value slice.
 //
 // Lifetime, the one rule. The Batch container belongs to the caller of
-// NextBatch, which recycles it from call to call. Rows are immutable and
-// garbage-collected: a consumer may keep a Row for as long as it likes (but
-// not the slice Rows returned, which is the container's). A vector-form
-// batch and everything reachable from it — vectors, selection — is the
-// producer's scratch and is valid only until the producer's next NextBatch
-// or Close; whoever keeps anything of it goes through Rows first.
+// NextBatch, which recycles it from call to call. What it holds — the rows
+// of a row-form batch as much as the vectors and selection of a vector-form
+// one — is valid until the producer's next NextBatch or Close: a producer
+// may write its next batch's rows over this one's (Project, HashGroupBy and
+// an index probe do). A reader that keeps nothing past the call reads in
+// place through View; a consumer that keeps rows takes them from Rows,
+// which copies only what the producer marked as its scratch. A row
+// returned by Rows is the consumer's for as long as it likes (the slice
+// holding the rows is still the container's), and no row is ever written
+// through by anybody but its producer.
 type Batch struct {
 	rows []Row
 	// RIDs holds the heap addresses of an UPDATE's or DELETE's targets, in
@@ -89,6 +92,13 @@ type Batch struct {
 	// From a RIDsOnly index probe it is the whole batch, with no rows: the
 	// places the index names, not yet read or checked (Len counts them).
 	RIDs []table.RID
+
+	// scratch marks row form whose rows' values their producer reuses at
+	// its next NextBatch or Close: Rows copies them.
+	scratch bool
+	// boxed is where View boxes a vector-form batch: the container's own,
+	// reused from batch to batch.
+	boxed []val.Value
 
 	vec *vectors // non-nil: vector form
 	sel []int32  // vector form: the selected window positions, ascending
@@ -276,7 +286,7 @@ func (c colView) box(r int, dst *val.Value) { c.col.box(c.pos[r], dst) }
 
 // Reset empties the batch into row form, keeping its capacity.
 func (b *Batch) Reset() {
-	b.rows, b.RIDs, b.sel, b.vec = b.rows[:0], b.RIDs[:0], b.sel[:0], nil
+	b.rows, b.RIDs, b.sel, b.vec, b.scratch = b.rows[:0], b.RIDs[:0], b.sel[:0], nil, false
 }
 
 // release empties the batch for its owner's next execution: like Reset,
@@ -286,12 +296,14 @@ func (b *Batch) release() {
 	b.rows = retain(b.rows, DefaultBatchSize)
 	b.RIDs = retain(b.RIDs, DefaultBatchSize)
 	b.sel = retain(b.sel, DefaultBatchSize)
-	b.vec = nil
+	b.boxed = retain(b.boxed, DefaultBatchSize)
+	b.vec, b.scratch = nil, false
 }
 
 // takeRows makes b the rows of in, without RIDs, if in is in row form and
 // every row of it is exactly width values wide, and reports whether it did.
-// The rows are shared, not copied: the row-form rule makes them immutable.
+// The rows are shared, not copied, and stay their producer's: b is scratch
+// if in was.
 func (b *Batch) takeRows(in *Batch, width int) bool {
 	if in.vec != nil {
 		return false
@@ -303,15 +315,27 @@ func (b *Batch) takeRows(in *Batch, width int) bool {
 	}
 	b.Reset()
 	b.rows = append(b.rows, in.rows...)
+	b.scratch = in.scratch
 	return true
 }
 
 // Add appends one row.
 func (b *Batch) Add(r Row) { b.rows = append(b.rows, r) }
 
-// reserve makes room for n more rows, so that the next n Adds do not grow
-// the row list.
-func (b *Batch) reserve(n int) { b.rows = slices.Grow(b.rows, n) }
+// lend marks the rows of b as its producer's scratch (see carve).
+func (b *Batch) lend() { b.scratch = true }
+
+// carve makes b, emptied, the n rows of flat, each w values wide, and
+// marks them its producer's scratch: the producer keeps flat and fills it
+// again for its next batch.
+func (b *Batch) carve(flat []val.Value, n, w int) {
+	b.Reset()
+	b.rows = slices.Grow(b.rows, n)
+	for r := 0; r < n; r++ {
+		b.rows = append(b.rows, flat[r*w:(r+1)*w:(r+1)*w])
+	}
+	b.lend()
+}
 
 // setVectors makes b the whole of window v, in vector form.
 func (b *Batch) setVectors(v *vectors) {
@@ -331,27 +355,58 @@ func (b *Batch) Len() int {
 	return max(len(b.rows), len(b.RIDs))
 }
 
-// Rows is the materialising accessor: the batch's rows, in row form. A
-// vector-form batch is turned into row form first — fresh rows, for the
-// selected positions only, every column decoded — so what is returned obeys
-// the row-form rule whatever the producer was.
-func (b *Batch) Rows() []Row {
+// View is the accessor for a reader that keeps nothing past the call: the
+// batch's rows, in row form, as they lie. A vector-form batch is boxed into
+// rows first, in the container's own buffer, and is then a row-form batch
+// of scratch rows. What View returns is valid until the producer's next
+// NextBatch or Close; a consumer that keeps a row goes through Rows.
+func (b *Batch) View() []Row {
 	if v := b.vec; v != nil {
-		w := len(v.cols)
-		flat := make([]val.Value, len(b.sel)*w)
-		for c := 0; c < w; c++ {
-			col := v.col(c)
-			for i, p := range b.sel {
-				col.box(p, &flat[i*w+c])
-			}
-		}
-		b.rows = b.rows[:0]
-		for i := range b.sel {
-			b.rows = append(b.rows, flat[i*w:(i+1)*w:(i+1)*w])
-		}
-		b.vec, b.sel = nil, b.sel[:0]
+		b.boxed = resize(b.boxed, len(b.sel)*len(v.cols))
+		b.box(b.boxed)
+		b.lend()
 	}
 	return b.rows
+}
+
+// Rows is the accessor for a consumer that keeps rows: the batch's rows, in
+// row form, each the consumer's to keep. Rows its producer marked as
+// scratch, and the rows of a vector-form batch, are copied into one fresh
+// slab first; rows that are not are returned as they are.
+func (b *Batch) Rows() []Row {
+	if v := b.vec; v != nil {
+		b.box(make([]val.Value, len(b.sel)*len(v.cols)))
+	} else if b.scratch {
+		n := 0
+		for _, r := range b.rows {
+			n += len(r)
+		}
+		flat := make([]val.Value, 0, n)
+		for i, r := range b.rows {
+			flat = append(flat, r...)
+			b.rows[i] = flat[len(flat)-len(r) : len(flat) : len(flat)]
+		}
+		b.scratch = false
+	}
+	return b.rows
+}
+
+// box turns a vector-form batch into row form: rows of flat, which holds
+// every column of every selected position.
+func (b *Batch) box(flat []val.Value) {
+	v := b.vec
+	w := len(v.cols)
+	for c := 0; c < w; c++ {
+		col := v.col(c)
+		for i, p := range b.sel {
+			col.box(p, &flat[i*w+c])
+		}
+	}
+	b.rows = b.rows[:0]
+	for i := range b.sel {
+		b.rows = append(b.rows, flat[i*w:(i+1)*w:(i+1)*w])
+	}
+	b.vec, b.sel, b.scratch = nil, b.sel[:0], false
 }
 
 // truncate drops every row after the first n.
@@ -453,7 +508,8 @@ func (q *rowQueue) popInto(out *Batch, target int) {
 // special-cased: over row form a projection of plain columns costs a bulk
 // copy instead of an interface call per row, over vector form it boxes the
 // selected values of the one column's vector and leaves the others
-// undecoded. Any other expression needs rows, and gets them from in.Rows.
+// undecoded. Any other expression needs rows, and reads them through
+// in.View.
 func EvalBatch(e Expr, in *Batch, dst []val.Value) ([]val.Value, error) {
 	switch x := e.(type) {
 	case Col:
@@ -465,7 +521,7 @@ func EvalBatch(e Expr, in *Batch, dst []val.Value) ([]val.Value, error) {
 			}
 			return dst, nil
 		}
-		for _, r := range in.Rows() {
+		for _, r := range in.View() {
 			if x.Idx < 0 || x.Idx >= len(r) {
 				v, err := x.Eval(r) // produces the standard range error
 				if err != nil {
@@ -484,7 +540,7 @@ func EvalBatch(e Expr, in *Batch, dst []val.Value) ([]val.Value, error) {
 		}
 		return dst, nil
 	}
-	for _, r := range in.Rows() {
+	for _, r := range in.View() {
 		v, err := e.Eval(r)
 		if err != nil {
 			return dst, err
@@ -521,7 +577,7 @@ func TestBatch(p Pred, in *Batch, dst []Bool3) ([]Bool3, error) {
 			}
 		}
 	}
-	for _, r := range in.Rows() {
+	for _, r := range in.View() {
 		v, err := p.Test(r)
 		if err != nil {
 			return dst, err
@@ -588,7 +644,10 @@ func testCmpColConst(c Cmp, idx int, k val.Value, in *Batch, dst []Bool3) ([]Boo
 // Drain runs an operator to completion, returning all rows.
 func Drain(ctx *Ctx, op Operator) ([]Row, error) {
 	var out []Row
-	err := drainEach(ctx, op, func(b *Batch) { out = append(out, b.Rows()...) })
+	err := Stream(ctx, op, func(b *Batch) error {
+		out = append(out, b.Rows()...)
+		return nil
+	})
 	return out, err
 }
 
@@ -600,22 +659,28 @@ func Drain(ctx *Ctx, op Operator) ([]Row, error) {
 // again (table.UpdateChecked); for a probe's, that read is the first.
 func DrainRIDs(ctx *Ctx, op Operator, dst []table.RID) ([]table.RID, error) {
 	out := dst[:0]
-	err := drainEach(ctx, op, func(b *Batch) { out = append(out, b.RIDs...) })
+	err := Stream(ctx, op, func(b *Batch) error {
+		out = append(out, b.RIDs...)
+		return nil
+	})
 	return out, err
 }
 
-// drainEach feeds every batch op produces to each. If Open fails partway
-// through a tree, Close still runs so operators release their buffer-pool
-// pins and temp pages. The batch is ctx.Out, which a drain nested in this
-// one (an operator that drains its inputs) does not share.
-func drainEach(ctx *Ctx, op Operator, each func(*Batch)) error {
+// Stream runs an operator to completion, handing each non-empty batch it
+// produces to each, in order; an error from each ends the run with it. The
+// batch is the producer's again once each returns (see Batch). If Open
+// fails partway through a tree, Close still runs so operators release
+// their buffer-pool pins and temp pages. The batch is ctx.Out, which a
+// drain nested in this one (an operator that drains its inputs) does not
+// share, and it keeps at most one batch of capacity afterwards.
+func Stream(ctx *Ctx, op Operator, each func(*Batch) error) error {
 	b := ctx.Out
 	if b == nil {
 		b = new(Batch)
 	}
 	ctx.Out = nil
 	defer func() {
-		b.Reset()
+		b.release()
 		ctx.Out = b
 	}()
 	if err := op.Open(ctx); err != nil {
@@ -625,8 +690,7 @@ func drainEach(ctx *Ctx, op Operator, each func(*Batch)) error {
 	defer op.Close(ctx)
 	return pull(ctx, op, b, func(b *Batch) error {
 		ctx.noteBatch(b.Len())
-		each(b)
-		return nil
+		return each(b)
 	})
 }
 

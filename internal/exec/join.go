@@ -154,7 +154,7 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 	}
 	// Build phase, one input batch at a time.
 	err := pull(ctx, j.Left, &j.inBuf, func(in *Batch) error {
-		for _, row := range in.Rows() {
+		for _, row := range in.View() {
 			if err := j.addBuildRow(row); err != nil {
 				return err
 			}
@@ -268,7 +268,7 @@ func (j *HashJoin) NextBatch(ctx *Ctx, out *Batch) error {
 				continue
 			}
 			ctx.ChargeRows(j.inBuf.Len())
-			if err := j.probeBatch(j.inBuf.Rows()); err != nil {
+			if err := j.probeBatch(j.inBuf.View()); err != nil {
 				return err
 			}
 			continue
@@ -705,7 +705,7 @@ func (n *IndexNLJoin) NextBatch(ctx *Ctx, out *Batch) error {
 // index, with one key prefix per left row whose key is not NULL.
 func (n *IndexNLJoin) joinBatch(ctx *Ctx) error {
 	n.ranges = n.ranges[:0]
-	left := n.in.Rows()
+	left := n.in.View()
 	for i, lrow := range left {
 		keys, ok, err := evalKeys(n.LeftKeys, lrow)
 		if err != nil {
@@ -744,6 +744,7 @@ func (n *IndexNLJoin) joinBatch(ctx *Ctx) error {
 }
 
 func (n *IndexNLJoin) Close(ctx *Ctx) error {
-	n.queue, n.ranges, n.probe.hits = rowQueue{}, nil, nil
+	n.queue, n.ranges = rowQueue{}, nil
+	n.probe.release()
 	return n.Left.Close(ctx)
 }

@@ -54,9 +54,9 @@ type Ctx struct {
 	// ScanObs, when set, receives per-table scan feedback (table name and
 	// rows produced) — the reorganizer's signal that a table is scan-heavy.
 	ScanObs func(tableName string, rows int64)
-	// Out, when set, is the batch Drain reads the plan's output into, kept
-	// by whoever owns the Ctx from statement to statement; nil, a drain
-	// brings its own.
+	// Out, when set, is the batch Stream (and Drain) reads the plan's
+	// output into, kept by whoever owns the Ctx from statement to
+	// statement; nil, a drain brings its own.
 	Out *Batch
 }
 
@@ -163,12 +163,14 @@ func (f *Filter) Close(ctx *Ctx) error {
 // Project evaluates expressions over input rows, one expression across the
 // whole batch at a time. An identity projection — Col 0, 1, …, n-1 over
 // row-form input exactly n wide — hands the input rows up as they are.
+// Otherwise its output rows are its scratch, rewritten at every call.
 type Project struct {
 	Input Operator
 	Exprs []Expr
 
 	in       Batch
 	cols     []val.Value // column-major scratch, len = exprs × batch rows
+	flat     []val.Value // the output rows, row-major, back to back
 	identity bool        // Exprs are Col 0, 1, …, len(Exprs)-1
 }
 
@@ -199,26 +201,23 @@ func (p *Project) NextBatch(ctx *Ctx, out *Batch) error {
 			return err
 		}
 	}
-	// Transpose the column-major scratch into fresh output rows (rows must
-	// stay valid after the scratch is recycled on the next call).
+	// Transpose the column-major scratch into the output rows.
 	w := len(p.Exprs)
-	flat := make([]val.Value, w*n)
+	p.flat = resize(p.flat, w*n)
 	for c := 0; c < w; c++ {
 		col := p.cols[c*n : (c+1)*n]
 		for r, v := range col {
-			flat[r*w+c] = v
+			p.flat[r*w+c] = v
 		}
 	}
-	out.reserve(n)
-	for r := 0; r < n; r++ {
-		out.Add(flat[r*w : (r+1)*w : (r+1)*w])
-	}
+	out.carve(p.flat, n, w)
 	return nil
 }
 
 func (p *Project) Close(ctx *Ctx) error {
 	p.in.release()
 	p.cols = retain(p.cols, len(p.Exprs)*DefaultBatchSize)
+	p.flat = retain(p.flat, len(p.Exprs)*DefaultBatchSize)
 	return p.Input.Close(ctx)
 }
 

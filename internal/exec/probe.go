@@ -6,6 +6,7 @@ import (
 
 	"anywheredb/internal/btree"
 	"anywheredb/internal/table"
+	"anywheredb/internal/val"
 )
 
 // keyRange is an interval of encoded index keys: from lo (nil = the first
@@ -43,12 +44,21 @@ type indexHit struct {
 }
 
 // probe is the scratch of the executor's one read path through an index,
-// kept by the operator that probes from call to call: the rows found, a key
-// buffer and the tree iterator.
+// kept by the operator that probes from call to call: the rows found, the
+// values of the rows the walks read, back to back, a key buffer and the
+// tree iterator. A row of a hit is valid until the next run or release.
 type probe struct {
 	hits []indexHit
+	vals []val.Value
 	key  []byte
 	it   btree.Iterator
+}
+
+// release empties the probe for its operator's next execution, keeping the
+// capacity of one batch.
+func (p *probe) release() {
+	p.hits = retain(p.hits, DefaultBatchSize)
+	p.vals = retain(p.vals, DefaultBatchSize)
 }
 
 // run sets p.hits to the rows of t whose ix keys fall in each of ranges, as
@@ -75,7 +85,7 @@ type probe struct {
 // A DML target found by a heap scan is read there, under a Filter, one
 // page pin for many rows; the claim's read is then its second.
 func (p *probe) run(ctx *Ctx, t *table.Table, ix *table.Index, ranges []keyRange, ridsOnly bool) (err error) {
-	p.hits = p.hits[:0]
+	p.hits, p.vals = p.hits[:0], p.vals[:0]
 	n := 0
 	it := &p.it
 	for _, r := range ranges {
@@ -93,16 +103,21 @@ func (p *probe) run(ctx *Ctx, t *table.Table, ix *table.Index, ranges []keyRange
 				p.hits = append(p.hits, indexHit{of: r.of, rid: rid})
 				continue
 			}
-			var row Row
+			// A row is read into the end of p.vals. A read that outgrows it
+			// moves it, and leaves the rows read before where they are.
+			start := len(p.vals)
 			var ok bool
-			if row, ok, err = t.Fetch(rid, ctx.Snap); err != nil {
+			if p.vals, ok, err = t.FetchAppend(p.vals, rid, ctx.Snap); err != nil {
 				break
 			}
 			if !ok {
 				continue
 			}
+			row := p.vals[start:len(p.vals):len(p.vals)]
 			if p.key = ix.AppendKey(p.key[:0], row); r.contains(p.key) {
 				p.hits = append(p.hits, indexHit{r.of, rid, row})
+			} else {
+				p.vals = p.vals[:start]
 			}
 		}
 		if err == nil {

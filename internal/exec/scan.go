@@ -258,9 +258,13 @@ func (s *IndexScan) NextBatch(ctx *Ctx, out *Batch) error {
 			out.Add(h.row)
 		}
 	}
+	out.lend() // the rows are the probe's
 	s.pos += n
 	ctx.ChargeRows(n)
 	return nil
 }
 
-func (s *IndexScan) Close(ctx *Ctx) error { return nil }
+func (s *IndexScan) Close(ctx *Ctx) error {
+	s.probe.release()
+	return nil
+}

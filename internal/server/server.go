@@ -218,6 +218,15 @@ type srvConn struct {
 	nRun  atomic.Int64
 	bytes atomic.Int64
 	fp    atomic.Pointer[string] // Stmt.Fingerprint of the current / last statement
+
+	// The answer being sent: sink is encodeBatch, bound once, the sink of
+	// every statement the connection runs; headed is set once its row
+	// header is buffered, unflushed counts the rows buffered since the last
+	// flush, and lost is the send failure that ended it, if any.
+	sink      core.Sink
+	headed    bool
+	unflushed int
+	lost      error
 }
 
 // cancelCurrent cancels the statement in flight, if any. It cancels under
@@ -281,6 +290,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		started: time.Now(),
 		stmts:   map[uint64]*core.Stmt{},
 	}
+	c.sink = c.encodeBatch
 	c.ctx, c.stop = context.WithCancel(context.Background())
 	defer func() { c.stop() }() // the connection's context as it is at teardown
 
@@ -493,7 +503,7 @@ func (c *srvConn) runStatement(m execMsg) error {
 		if rr, handled := rt(st, m.Params); handled {
 			s.stStmts.Inc()
 			c.nRun.Add(1)
-			return c.streamResult(rr.Cols, rr.Rows, rr.RowsAffected)
+			return c.sendResult(rr.Cols, rr.Rows, rr.RowsAffected)
 		}
 	}
 
@@ -524,29 +534,32 @@ func (c *srvConn) runStatement(m execMsg) error {
 		}
 	}
 
+	// A query's rows are encoded as its plan produces them (encodeBatch);
+	// what comes back as rows (an EXPLAIN's) is sent the same way after.
 	start := time.Now()
-	res, rows, err := c.core.Run(ctx, st, m.Params)
+	res, rows, err := c.core.Run(ctx, st, m.Params, c.sink)
 	if gated {
 		s.gate.release(tk, time.Since(start).Microseconds())
 	}
 	s.stStmts.Inc()
 	c.nRun.Add(1)
 
+	if c.lost != nil {
+		return c.lost
+	}
 	if err != nil {
+		// Whatever rows went ahead, the answer is the error: the client
+		// drops them.
 		code, retry := classify(err)
 		if retry {
 			s.stRetryable.Inc()
 		}
 		return c.refuse(code, err.Error())
 	}
-
-	var cols []string
-	var all [][]val.Value
 	if rows != nil {
-		cols = rows.Columns()
-		all = rows.All()
+		return c.sendResult(rows.Columns(), rows.All(), res.RowsAffected)
 	}
-	return c.streamResult(cols, all, res.RowsAffected)
+	return c.done(res.RowsAffected)
 }
 
 // refuse answers a statement with an error status, its whole answer.
@@ -566,30 +579,53 @@ func (c *srvConn) refuse(code byte, text string) error {
 func (c *srvConn) finish() error {
 	c.state.Store(int32(connIdle))
 	c.setCancel(nil)
+	c.headed, c.unflushed = false, 0
 	return c.flush()
 }
 
-// streamResult streams one statement result: header, then row batches
-// chunked at the engine's batch size, then done. Every batch but the last
-// is flushed under the slow-client write deadline as soon as it is
-// encoded; the last leaves with done, so a one-batch answer is one write.
-func (c *srvConn) streamResult(cols []string, all [][]val.Value, affected int64) error {
+// encodeBatch is the connection's Sink: it encodes one batch of a query's
+// answer into the send buffer, after the row header if this is the first.
+// The rows are read in place, during the call. Buffered rows are flushed
+// under the slow-client write deadline once a batch's worth
+// (exec.DefaultBatchSize) of them waits behind a new batch; the rest leave
+// with done, so a one-batch answer is one write. A failed send is the
+// connection's end, and ends the statement too.
+func (c *srvConn) encodeBatch(cols []string, rows []exec.Row) error {
+	var err error
+	switch {
+	case !c.headed:
+		c.headed = true
+		err = c.send(MsgRowHeader, func(b []byte) []byte { return appendRowHeader(b, cols) })
+	case c.unflushed >= exec.DefaultBatchSize && len(rows) > 0:
+		c.unflushed = 0
+		err = c.flush()
+	}
+	if err == nil && len(rows) > 0 {
+		c.unflushed += len(rows)
+		err = c.send(MsgRowBatch, func(b []byte) []byte { return appendRowBatch(b, rows) })
+	}
+	if err != nil {
+		c.lost = err
+	}
+	return err
+}
+
+// sendResult sends a statement result that is held whole (a routed read's,
+// an EXPLAIN's): its rows in batches of exec.DefaultBatchSize through
+// encodeBatch, then done.
+func (c *srvConn) sendResult(cols []string, all [][]val.Value, affected int64) error {
 	if len(cols) > 0 {
-		if err := c.send(MsgRowHeader, func(b []byte) []byte { return appendRowHeader(b, cols) }); err != nil {
-			return err
-		}
-		for pos := 0; pos < len(all); pos += exec.DefaultBatchSize {
-			batch := all[pos:min(pos+exec.DefaultBatchSize, len(all))]
-			if err := c.send(MsgRowBatch, func(b []byte) []byte { return appendRowBatch(b, batch) }); err != nil {
+		for pos := 0; pos == 0 || pos < len(all); pos += exec.DefaultBatchSize {
+			if err := c.encodeBatch(cols, all[pos:min(pos+exec.DefaultBatchSize, len(all))]); err != nil {
 				return err
-			}
-			if pos+len(batch) < len(all) {
-				if err := c.flush(); err != nil {
-					return err
-				}
 			}
 		}
 	}
+	return c.done(affected)
+}
+
+// done ends a statement's answer with its done frame, and sends it.
+func (c *srvConn) done(affected int64) error {
 	if err := c.send(MsgDone, func(b []byte) []byte { return appendVarint(b, affected) }); err != nil {
 		return err
 	}

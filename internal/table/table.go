@@ -766,7 +766,7 @@ func (t *Table) claimRow(tx *txn.Txn, rid RID, check func(row []val.Value) (bool
 	}
 	for first := true; ; first = false {
 		var holder uint64
-		f, row, ok, err := t.pinRow(rid, nil, &holder)
+		f, row, ok, err := t.pinRow(nil, rid, nil, &holder)
 		if err != nil {
 			return nil, nil, false, err
 		}
@@ -1072,33 +1072,42 @@ func copyRow(r []val.Value) []val.Value { return append([]val.Value(nil), r...) 
 // row — the cell is gone, or snap does not see it — which is not an error:
 // whoever named rid (an index entry, an earlier scan) may be out of date.
 func (t *Table) Fetch(rid RID, snap *mvcc.Snapshot) ([]val.Value, bool, error) {
-	f, row, ok, err := t.pinRow(rid, snap, nil)
+	return t.FetchAppend(nil, rid, snap)
+}
+
+// FetchAppend is Fetch into a slice the caller keeps: the row's values are
+// appended to dst, and the extended slice is returned (dst as it was when
+// there is no row).
+func (t *Table) FetchAppend(dst []val.Value, rid RID, snap *mvcc.Snapshot) ([]val.Value, bool, error) {
+	f, row, ok, err := t.pinRow(dst, rid, snap, nil)
 	if err != nil {
-		return nil, false, err
+		return dst, false, err
 	}
 	t.pool.Unpin(f, false)
 	return row, ok, nil
 }
 
-// pinRow is Fetch that leaves rid's page pinned (unless it fails): the row
-// is read under a shared latch, which it releases. A non-nil holder is set,
-// under the same latch, to the row's holder (see mvcc.Store.Holder).
-func (t *Table) pinRow(rid RID, snap *mvcc.Snapshot, holder *uint64) (*buffer.Frame, []val.Value, bool, error) {
+// pinRow is FetchAppend that leaves rid's page pinned (unless it fails):
+// the row is read under a shared latch, which it releases. A non-nil holder
+// is set, under the same latch, to the row's holder (see
+// mvcc.Store.Holder).
+func (t *Table) pinRow(dst []val.Value, rid RID, snap *mvcc.Snapshot, holder *uint64) (*buffer.Frame, []val.Value, bool, error) {
 	f, err := t.pool.Get(rid.Page)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, dst, false, err
 	}
 	f.RLock()
-	var row []val.Value
+	start, row := len(dst), dst
 	exists := false
 	if cell := f.Data.Cell(rid.Slot); cell != nil {
-		row, err = val.DecodeRow(cell)
+		row, _, err = val.AppendRowPrefix(dst, cell)
 		exists = err == nil
 	}
 	if err == nil && snap != nil && !t.versions.Empty() {
-		row, exists = t.versions.Resolve(mvcc.RowID{Page: rid.Page, Slot: rid.Slot}, row, exists, snap)
-		if exists {
-			row = copyRow(row)
+		var seen []val.Value
+		seen, exists = t.versions.Resolve(mvcc.RowID{Page: rid.Page, Slot: rid.Slot}, row[start:], exists, snap)
+		if exists { // an older version is the chain's: copy it out
+			row = append(row[:start], seen...)
 		}
 	}
 	if holder != nil {
@@ -1107,7 +1116,10 @@ func (t *Table) pinRow(rid RID, snap *mvcc.Snapshot, holder *uint64) (*buffer.Fr
 	f.RUnlock()
 	if err != nil {
 		t.pool.Unpin(f, false)
-		return nil, nil, false, err
+		return nil, dst, false, err
+	}
+	if !exists {
+		row = row[:start]
 	}
 	return f, row, exists, nil
 }

@@ -9,6 +9,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -288,15 +289,30 @@ func DecodeRow(data []byte) ([]Value, error) {
 // DecodeRowPrefix decodes one row from the front of data and returns the
 // remaining bytes.
 func DecodeRowPrefix(data []byte) ([]Value, []byte, error) {
+	return AppendRowPrefix(nil, data)
+}
+
+// AppendRowPrefix is DecodeRowPrefix into a slice the caller keeps: the
+// row's values are appended to dst, and the extended slice is returned (dst
+// as it was, on an error). A string is still a string of its own.
+func AppendRowPrefix(dst []Value, data []byte) ([]Value, []byte, error) {
 	n, sz := binary.Uvarint(data)
 	if sz <= 0 {
-		return nil, nil, fmt.Errorf("val: truncated row header")
+		return dst, nil, fmt.Errorf("val: truncated row header")
 	}
 	data = data[sz:]
-	row := make([]Value, n)
+	if n > uint64(len(data)) { // every value takes at least its kind byte
+		return dst, nil, fmt.Errorf("val: truncated value kind")
+	}
+	start := len(dst)
+	if dst == nil {
+		dst = make([]Value, 0, n)
+	}
+	dst = slices.Grow(dst, int(n))[:start+int(n)]
+	row := dst[start:]
 	for i := range row {
 		if len(data) == 0 {
-			return nil, nil, fmt.Errorf("val: truncated value kind")
+			return dst[:start], nil, fmt.Errorf("val: truncated value kind")
 		}
 		k := Kind(data[0])
 		data = data[1:]
@@ -306,30 +322,30 @@ func DecodeRowPrefix(data []byte) ([]Value, []byte, error) {
 		case KInt:
 			v, sz := binary.Varint(data)
 			if sz <= 0 {
-				return nil, nil, fmt.Errorf("val: truncated int")
+				return dst[:start], nil, fmt.Errorf("val: truncated int")
 			}
 			data = data[sz:]
 			row[i] = NewInt(v)
 		case KDouble:
 			v, sz := binary.Uvarint(data)
 			if sz <= 0 {
-				return nil, nil, fmt.Errorf("val: truncated double")
+				return dst[:start], nil, fmt.Errorf("val: truncated double")
 			}
 			data = data[sz:]
 			row[i] = NewDouble(math.Float64frombits(v))
 		case KStr:
 			l, sz := binary.Uvarint(data)
 			if sz <= 0 || uint64(len(data)-sz) < l {
-				return nil, nil, fmt.Errorf("val: truncated string")
+				return dst[:start], nil, fmt.Errorf("val: truncated string")
 			}
 			data = data[sz:]
 			row[i] = NewStr(string(data[:l]))
 			data = data[l:]
 		default:
-			return nil, nil, fmt.Errorf("val: bad kind %d", k)
+			return dst[:start], nil, fmt.Errorf("val: bad kind %d", k)
 		}
 	}
-	return row, data, nil
+	return dst, data, nil
 }
 
 // EncodeKey serializes values into a byte string whose bytewise order

@@ -167,7 +167,6 @@ var unsetOptions = map[string]string{
 	"CPURowCost":       "experiment input: the per-row CPU proxy the cost-model experiments charge",
 	"Clock":            "experiment input: the virtual clock a simulation advances",
 	"Device":           "experiment input: the simulated storage device (ROADMAP item 11)",
-	"ExecBatchSize":    "test instrument: the differential tests pin rows per batch",
 	"Injector":         "test instrument: fault injection and the torture tests",
 	"MPL":              "ROADMAP item 4: the admission width, for the runner to choose",
 	"ParanoidRecovery": "test instrument: torture runs verify that replay is idempotent",
@@ -176,7 +175,7 @@ var unsetOptions = map[string]string{
 }
 
 // maxUnsetOptions is the ceiling on unsetOptions.
-const maxUnsetOptions = 10
+const maxUnsetOptions = 9
 
 // unsetOptionReasons are the reasons a field of core.Options may be set by
 // no program: an instrument of tests, an input of the simulated machine
@@ -268,6 +267,38 @@ func TestNoNewUnsetOptions(t *testing.T) {
 		}
 	}
 	t.Logf("core.Options has %d fields, %d of them set by no program", len(fields), len(unsetOptions))
+}
+
+// TestExecImportsNoObservers is a layering ratchet, using only go/parser:
+// the executor counts what it did in its Ctx's tally and whoever owns the
+// Ctx publishes it, so it fails when a non-test file of internal/exec
+// imports a package that publishes — telemetry or the flight recorder.
+func TestExecImportsNoObservers(t *testing.T) {
+	banned := []string{`"anywheredb/internal/telemetry"`, `"anywheredb/internal/flightrec"`}
+	files, err := filepath.Glob("internal/exec/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	parsed := 0
+	for _, p := range files {
+		if strings.HasSuffix(p, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed++
+		for _, imp := range f.Imports {
+			if slices.Contains(banned, imp.Path.Value) {
+				t.Errorf("%s imports %s: count it in exec.Tally and let the Ctx's owner publish it", p, imp.Path.Value)
+			}
+		}
+	}
+	if parsed == 0 {
+		t.Fatal("found no non-test file in internal/exec")
+	}
 }
 
 // optionFields lists the field names of the struct named Options that f

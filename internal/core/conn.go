@@ -53,7 +53,7 @@ type Conn struct {
 
 	// What the connection keeps from statement to statement, so that a
 	// statement allocates little beyond its answer: the execution context,
-	// with the scan-feedback hook bound once, and the batch its plan drains
+	// whose tally keeps its list of scans, and the batch its plan drains
 	// into; the flight-recorder span, the memory-governor task and the
 	// statement snapshot of the statement running (the ring keeps a copy of
 	// a finished span; neither task nor snapshot holds a charge or a
@@ -61,17 +61,16 @@ type Conn struct {
 	// are merged into; the rows an INSERT or UPDATE builds, where each of
 	// an INSERT's values goes, and the targets of an UPDATE or DELETE; and
 	// the plans of the shapes it ran last.
-	ectx    exec.Ctx
-	batch   exec.Batch
-	scanObs func(tableName string, rows int64)
-	span    flightrec.Span
-	task    mem.Task
-	snap    mvcc.Snapshot
-	bound   []val.Value
-	rows    []val.Value
-	dest    []int
-	rids    []table.RID
-	kept    keptPlans
+	ectx  exec.Ctx
+	batch exec.Batch
+	span  flightrec.Span
+	task  mem.Task
+	snap  mvcc.Snapshot
+	bound []val.Value
+	rows  []val.Value
+	dest  []int
+	rids  []table.RID
+	kept  keptPlans
 }
 
 // planKeep is how many shapes' plans a connection keeps.
@@ -215,8 +214,9 @@ func (c *Conn) writeTxn() stmtTxn {
 	return c.db.autoTxn(c.stmtCtx, c.tx, &c.txn, c.curSpan)
 }
 
-// execCtx sets up the connection's execution context for one statement
-// under its memory-governor task (nil for DML, which runs ungoverned).
+// execCtx sets up the connection's execution context for one plan of the
+// statement running, under its memory-governor task (nil for DML, which
+// runs ungoverned). The tally goes on: it is the statement's.
 func (c *Conn) execCtx(task *mem.Task) *exec.Ctx {
 	c.ectx = exec.Ctx{
 		Pool:           c.db.pool,
@@ -226,15 +226,9 @@ func (c *Conn) execCtx(task *mem.Task) *exec.Ctx {
 		Task:           task,
 		Snap:           c.curSnap,
 		CPURowCost:     c.db.opts.CPURowCost,
-		ForceBatchSize: c.db.opts.ExecBatchSize,
-		Batches:        c.db.batches,
-		BatchRows:      c.db.batchRows,
-		Span:           c.curSpan,
-
-		ColSegSkipped:    c.db.colSkipped,
-		ColSegDecodeRows: c.db.colDecoded,
-		ScanObs:          c.scanObs,
-		Out:              &c.batch,
+		ForceBatchSize: c.db.batchSize,
+		Did:            c.ectx.Did,
+		Out:            &c.batch,
 	}
 	return &c.ectx
 }
@@ -311,30 +305,36 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value, sink Sink)
 	c.stmtCtx = ctx
 
 	// Flight-recorder span: opened even for malformed statements, so they
-	// too land in the digest table; sealed on every exit path. The text was
-	// read at Prepare: the first execution's span takes that time as its
-	// parse phase (and into its total), later ones have none. The digest
-	// table samples what the caller bound (bound), not the literals lifted
-	// from the text: text and bound together are the statement as
-	// submitted.
+	// too land in the digest table; sealed on every exit path, after what
+	// the statement's executor did is published. The text was read at
+	// Prepare: the first execution's span takes that time as its parse
+	// phase (and into its total), later ones have none. The digest table
+	// samples what the caller bound (bound), not the literals lifted from
+	// the text: text and bound together are the statement as submitted.
 	bound := params
+	c.ectx.Did.Reset()
 	sp := c.db.flight.Begin(&c.span, st.Text, st.Fingerprint)
 	c.curSpan = sp
 	var wallStart time.Time
+	var parseUS int64
 	if sp != nil {
 		wallStart = time.Now()
-		parseUS := st.parseUS.Swap(0)
+		parseUS = st.parseUS.Swap(0)
 		sp.AddPhase(flightrec.PhaseParse, parseUS)
-		defer func() {
-			c.curSpan = nil
-			errText := ""
-			if err != nil {
-				errText = err.Error()
-			}
-			c.db.flight.Finish(sp, parseUS+time.Since(wallStart).Microseconds(),
-				res.RowsAffected, errText, bound)
-		}()
 	}
+	defer func() {
+		c.db.publish(&c.ectx.Did, sp)
+		if sp == nil {
+			return
+		}
+		c.curSpan = nil
+		errText := ""
+		if err != nil {
+			errText = err.Error()
+		}
+		c.db.flight.Finish(sp, parseUS+time.Since(wallStart).Microseconds(),
+			res.RowsAffected, errText, bound)
+	}()
 
 	if st.Err != nil {
 		return Result{}, nil, st.Err

@@ -91,11 +91,6 @@ type Options struct {
 	MPL int
 	// CPURowCost is the virtual-microsecond CPU proxy charged per row.
 	CPURowCost int64
-	// ExecBatchSize pins the executor's rows-per-batch (0 = adaptive:
-	// derived from the memory governor between batches).
-	// Setting 1 degrades to row-at-a-time execution; the differential tests
-	// use this to cross-check the batch protocol.
-	ExecBatchSize int
 	// AutoShutdown closes the database when the last connection closes
 	// (the embedded-deployment behaviour of §1).
 	AutoShutdown bool
@@ -187,13 +182,18 @@ type DB struct {
 	faultStats faultinject.Stats
 	degraded   atomic.Bool
 
+	// batchSize pins the executor's rows per batch (0: adaptive, derived
+	// from the memory governor between batches). Only the differential
+	// tests set it, to cross-check the batch protocol; 1 is row-at-a-time
+	// execution.
+	batchSize int
+
 	// Executor-level counters (the component counters live on their
 	// components and are published as func-backed gauges).
 	statements  *telemetry.Counter
 	rowsOut     *telemetry.Counter
 	statementUS *telemetry.Histogram
 	batches     *telemetry.Counter
-	batchRows   *telemetry.Histogram
 	planEnums   *telemetry.Counter
 	planVisits  *telemetry.Counter
 	planPruned  *telemetry.Counter
@@ -471,7 +471,6 @@ func Open(opts Options) (*DB, error) {
 	db.rowsOut = db.reg.Counter("exec.rows_returned")
 	db.statementUS = db.reg.Histogram("exec.statement_us")
 	db.batches = db.reg.Counter("exec.batches")
-	db.batchRows = db.reg.Histogram("exec.batch_rows")
 	db.planEnums = db.reg.Counter("opt.enumerations")
 	db.planVisits = db.reg.Counter("opt.visits")
 	db.planPruned = db.reg.Counter("opt.pruned")
@@ -650,9 +649,19 @@ func (db *DB) ReorgOnce() int {
 	return promoted
 }
 
-// noteScan feeds executor scan feedback into the per-table access digests.
-func (db *DB) noteScan(name string, rows int64) {
-	db.flight.Access().NoteScan(name, rows)
+// publish hands what a statement's executor did to the engine's counters,
+// to the access table the storage reorganizer reads, and to the
+// statement's span (nil with the recorder off).
+func (db *DB) publish(did *exec.Tally, sp *flightrec.Span) {
+	db.batches.Add(uint64(did.Batches))
+	db.colSkipped.Add(uint64(did.SegsSkipped))
+	db.colDecoded.Add(uint64(did.DecodedRows))
+	for _, s := range did.Scans {
+		db.flight.Access().NoteScan(s.Table, s.Rows)
+	}
+	if sp != nil {
+		sp.Batches, sp.SpillBytes = did.Batches, did.SpillBytes
+	}
 }
 
 // Telemetry exposes the engine-wide metrics registry.
@@ -661,6 +670,19 @@ func (db *DB) Telemetry() *telemetry.Registry { return db.reg }
 // FlightRecorder exposes the observability collector (spans, wait events,
 // workload digests).
 func (db *DB) FlightRecorder() *flightrec.Collector { return db.flight }
+
+// ConnectionsColumns are the columns of sys.connections, one row per live
+// network client: the network server's answer and the zero-row answer of a
+// database it does not serve. Read-only.
+var ConnectionsColumns = []table.Column{
+	{Name: "id", Kind: val.KInt},
+	{Name: "remote_addr", Kind: val.KStr},
+	{Name: "state", Kind: val.KStr},
+	{Name: "statements", Kind: val.KInt},
+	{Name: "bytes_sent", Kind: val.KInt},
+	{Name: "fingerprint", Kind: val.KStr},
+	{Name: "age_us", Kind: val.KInt},
+}
 
 // VirtualRows implements opt.VirtualTables, snapshot at bind time:
 //
@@ -763,8 +785,8 @@ func (db *DB) VirtualRows(name string) ([]table.Column, []exec.Row, bool) {
 				val.NewInt(sp.PhaseUS(flightrec.PhaseOptimize)),
 				val.NewInt(sp.PhaseUS(flightrec.PhaseExecute)),
 				val.NewInt(sp.PhaseUS(flightrec.PhaseCommit)),
-				val.NewInt(sp.Rows), val.NewInt(sp.Batches()),
-				val.NewInt(sp.SpillBytes()),
+				val.NewInt(sp.Rows), val.NewInt(sp.Batches),
+				val.NewInt(sp.SpillBytes),
 				val.NewInt(sp.WaitUS(flightrec.WaitLock)),
 				val.NewInt(sp.WaitUS(flightrec.WaitWALFlush)),
 				val.NewInt(sp.WaitUS(flightrec.WaitBufferIO)),
@@ -815,15 +837,7 @@ func (db *DB) VirtualRows(name string) ([]table.Column, []exec.Row, bool) {
 		if cols, rows, ok := db.registeredVirtual(name); ok {
 			return cols, rows, true
 		}
-		return []table.Column{
-			{Name: "id", Kind: val.KInt},
-			{Name: "remote_addr", Kind: val.KStr},
-			{Name: "state", Kind: val.KStr},
-			{Name: "statements", Kind: val.KInt},
-			{Name: "bytes_sent", Kind: val.KInt},
-			{Name: "fingerprint", Kind: val.KStr},
-			{Name: "age_us", Kind: val.KInt},
-		}, nil, true
+		return ConnectionsColumns, nil, true
 	case "sys.transactions":
 		// Live transactions only. Free-standing statement snapshots are
 		// deliberately excluded — the query reading this table holds one
@@ -998,5 +1012,5 @@ func (db *DB) Connect() (*Conn, error) {
 		return nil, fmt.Errorf("core: database is closed")
 	}
 	db.conns++
-	return &Conn{db: db, scanObs: db.noteScan}, nil
+	return &Conn{db: db}, nil
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // The differential harness runs one seeded workload through several
-// executors that differ only in batch size — ExecBatchSize 1 degenerates
+// executors that differ only in batch size — a batch size of 1 degenerates
 // the vectored protocol to row-at-a-time, 7 exercises awkward partial
 // batches, 0 is the adaptive default — and asserts the engines remain
 // indistinguishable: same results, same row counts, same EXPLAIN ANALYZE
@@ -191,7 +191,8 @@ func TestDifferentialRowVsBatch(t *testing.T) {
 		{"batch=7", 7},
 		{"batch=adaptive", 0},
 	} {
-		db := openDB(t, Options{ExecBatchSize: cfg.size})
+		db := openDB(t, Options{})
+		db.batchSize = cfg.size
 		c := conn(t, db)
 		diffSeed(t, c)
 		engines = append(engines, engine{cfg.name, c})
@@ -310,7 +311,8 @@ func TestDifferentialSnapshotBesideWriter(t *testing.T) {
 // TestDifferentialParams re-checks the prepared-statement path: parameters
 // flow through plan-cache hits identically on both protocols.
 func TestDifferentialParams(t *testing.T) {
-	rowDB := openDB(t, Options{ExecBatchSize: 1})
+	rowDB := openDB(t, Options{})
+	rowDB.batchSize = 1
 	batchDB := openDB(t, Options{})
 	rc, bc := conn(t, rowDB), conn(t, batchDB)
 	diffSeed(t, rc)
@@ -446,17 +448,18 @@ func dmlDiffSeed(t *testing.T, c *Conn, indexed bool) {
 func TestDifferentialDMLVsSelect(t *testing.T) {
 	for _, cfg := range []struct {
 		name              string
-		opts              Options
+		batchSize         int
 		indexed, columnar bool
 	}{
-		{name: "row(batch=1)/indexed", opts: Options{ExecBatchSize: 1}, indexed: true},
-		{name: "batch=7/unindexed", opts: Options{ExecBatchSize: 7}},
+		{name: "row(batch=1)/indexed", batchSize: 1, indexed: true},
+		{name: "batch=7/unindexed", batchSize: 7},
 		{name: "adaptive/unindexed"},
 		{name: "adaptive/indexed", indexed: true},
 		{name: "columnar/indexed", indexed: true, columnar: true},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
-			db := openDB(t, cfg.opts)
+			db := openDB(t, Options{})
+			db.batchSize = cfg.batchSize
 			c := conn(t, db)
 			dmlDiffSeed(t, c, cfg.indexed)
 			all := renderRows(mustQuery(t, c, "SELECT id FROM tgt"), false)

@@ -304,9 +304,11 @@ func (c *Conn) execModify(sh *Shape, stmt sqlparse.Statement, params []val.Value
 	// claim's first read decides whether the row is a target (present, and
 	// matching the WHERE), and only a target another transaction holds is
 	// waited for, read again and checked again. The scan also stays out of
-	// the reorganizer's scan/write ratio (ScanObs).
-	ctx.Snap, ctx.ScanObs = nil, nil
+	// the reorganizer's scan/write ratio: its note is dropped from the tally.
+	ctx.Snap = nil
+	scans := len(ctx.Did.Scans)
 	rids, err := exec.DrainRIDs(ctx, plan.Root, c.rids)
+	ctx.Did.Scans = ctx.Did.Scans[:scans]
 	if err != nil {
 		return Result{}, err
 	}

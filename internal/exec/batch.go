@@ -447,20 +447,6 @@ func (b *Batch) keep(verdicts []Bool3) {
 	b.truncate(n)
 }
 
-// noteBatch records one produced batch in the engine telemetry (wired by
-// core; nil in bare operator rigs).
-func (c *Ctx) noteBatch(n int) {
-	if c.Batches != nil {
-		c.Batches.Inc()
-	}
-	if c.BatchRows != nil {
-		c.BatchRows.Observe(int64(n))
-	}
-	if c.Span != nil {
-		c.Span.AddBatches(1)
-	}
-}
-
 // copyChunk moves up to ctx.BatchSize() rows from a materialized slice into
 // out, advancing *pos. It is the shared emit path of every operator that
 // buffers its whole result (sort output, group-by output, recursive unions,
@@ -689,7 +675,7 @@ func Stream(ctx *Ctx, op Operator, each func(*Batch) error) error {
 	}
 	defer op.Close(ctx)
 	return pull(ctx, op, b, func(b *Batch) error {
-		ctx.noteBatch(b.Len())
+		ctx.Did.Batches++
 		return each(b)
 	})
 }

@@ -5,13 +5,11 @@ import (
 	"slices"
 
 	"anywheredb/internal/buffer"
-	"anywheredb/internal/flightrec"
 	"anywheredb/internal/heap"
 	"anywheredb/internal/mem"
 	"anywheredb/internal/mvcc"
 	"anywheredb/internal/page"
 	"anywheredb/internal/store"
-	"anywheredb/internal/telemetry"
 	"anywheredb/internal/val"
 	"anywheredb/internal/vclock"
 )
@@ -38,22 +36,9 @@ type Ctx struct {
 	// ForceBatchSize pins BatchSize to a fixed value (tests, benchmarks,
 	// the differential row-path harness). 0 = adaptive.
 	ForceBatchSize int
-	// Batches / BatchRows are optional engine telemetry for batches
-	// delivered at the plan root (wired by core; nil in bare rigs).
-	Batches   *telemetry.Counter
-	BatchRows *telemetry.Histogram
-	// Span is the statement's flight-recorder span (wired by core; nil in
-	// bare rigs or with the recorder disabled). Operators charge produced
-	// batches and spilled bytes to it.
-	Span *flightrec.Span
-	// ColSegSkipped / ColSegDecodeRows are optional engine telemetry for
-	// the columnar scan path: segments skipped via zone maps and rows
-	// decoded from segments (wired by core; nil in bare rigs).
-	ColSegSkipped    *telemetry.Counter
-	ColSegDecodeRows *telemetry.Counter
-	// ScanObs, when set, receives per-table scan feedback (table name and
-	// rows produced) — the reorganizer's signal that a table is scan-heavy.
-	ScanObs func(tableName string, rows int64)
+	// Did is what the executor did with this Ctx, counted as it goes; its
+	// owner reads it when the statement ends.
+	Did Tally
 	// Out, when set, is the batch Stream (and Drain) reads the plan's
 	// output into, kept by whoever owns the Ctx from statement to
 	// statement; nil, a drain brings its own.
@@ -87,10 +72,30 @@ func (c *Ctx) ChargeRows(n int) {
 // noteSpill records a heap its operator has finished writing and given
 // back to the buffer pool as bytes spilled by the statement.
 func (c *Ctx) noteSpill(h *heap.Heap) {
-	if c.Span != nil {
-		c.Span.AddSpill(int64(h.Pages()) * page.Size)
-	}
+	c.Did.SpillBytes += int64(h.Pages()) * page.Size
 }
+
+// Tally is what an executor did: operators add to it with plain +=, and
+// the zero value counts from nothing, so a bare Ctx needs no wiring. It
+// lasts across every plan run with its Ctx — a statement's subqueries,
+// its INSERT's source, a recursive union's rebuilt child — until its owner
+// resets it.
+type Tally struct {
+	Batches     int64      // non-empty batches Stream delivered
+	SpillBytes  int64      // bytes written to heaps that were then given back
+	SegsSkipped int64      // sealed segments a zone map refuted
+	DecodedRows int64      // rows of the windows somebody decoded a column of
+	Scans       []ScanNote // every TableScan execution, as it closed
+}
+
+// ScanNote is one TableScan execution: its table and the rows it produced.
+type ScanNote struct {
+	Table string
+	Rows  int64
+}
+
+// Reset empties the tally, keeping the capacity of Scans.
+func (t *Tally) Reset() { *t = Tally{Scans: t.Scans[:0]} }
 
 // Operator is a batch-at-a-time iterator (a vectored Volcano protocol).
 // NextBatch resets out, then fills it with up to ctx.BatchSize() rows; an

@@ -57,6 +57,7 @@ type TableScan struct {
 
 	open     bool
 	produced int64 // rows handed out since Open
+	decoded  int64 // rows of the windows since Open somebody decoded a column of
 	// Segment bookkeeping of the last execution; with seg and off it
 	// survives Close.
 	segsTotal, segsSkipped int
@@ -64,7 +65,7 @@ type TableScan struct {
 
 func (s *TableScan) Open(ctx *Ctx) error {
 	s.acct.Open(ctx.Task, nil, 0)
-	s.held, s.produced, s.open = 0, 0, true
+	s.held, s.produced, s.decoded, s.open = 0, 0, 0, true
 	s.segs, s.seg, s.off = nil, 0, 0
 	s.carry = nil
 	s.segsTotal, s.segsSkipped = 0, 0
@@ -96,7 +97,7 @@ func (s *TableScan) Open(ctx *Ctx) error {
 }
 
 func (s *TableScan) NextBatch(ctx *Ctx, out *Batch) error {
-	s.noteDecoded(ctx)
+	s.noteDecoded()
 	want := ctx.BatchSize()
 	held := s.nextWindow(ctx, out, want)
 	if held == 0 {
@@ -144,9 +145,6 @@ func (s *TableScan) nextWindow(ctx *Ctx, out *Batch, want int) int {
 		seg := s.segs[s.seg]
 		if s.off == 0 && s.ZoneCol >= 0 && s.ZoneOp != "" && !seg.MayMatch(s.ZoneCol, s.ZoneOp, s.zoneK) {
 			s.segsSkipped++
-			if ctx.ColSegSkipped != nil {
-				ctx.ColSegSkipped.Inc()
-			}
 			s.seg++
 			continue
 		}
@@ -163,11 +161,11 @@ func (s *TableScan) nextWindow(ctx *Ctx, out *Batch, want int) int {
 	return 0
 }
 
-// noteDecoded counts the window the scan is leaving behind, if anybody
-// decoded a column of it, into colseg.decode_rows.
-func (s *TableScan) noteDecoded(ctx *Ctx) {
-	if s.window.decoded && ctx.ColSegDecodeRows != nil {
-		ctx.ColSegDecodeRows.Add(uint64(s.window.n))
+// noteDecoded counts the window the scan is leaving behind into decoded,
+// if anybody decoded a column of it.
+func (s *TableScan) noteDecoded() {
+	if s.window.decoded {
+		s.decoded += int64(s.window.n)
 	}
 	s.window.decoded = false
 }
@@ -187,17 +185,18 @@ func (s *TableScan) SegmentStats() (total, skipped, unreached int) {
 // MemoryPeakPages reports the high-water mark of the last execution.
 func (s *TableScan) MemoryPeakPages() int { return s.acct.PeakPages() }
 
-// Close releases what the scan holds of the table and reports the rows it
-// actually produced — once per execution, however it ended — as scan
-// feedback. The window's typed vectors and the page buffer, at most one
-// batch each, stay for the next execution, emptied.
+// Close releases what the scan holds of the table and adds the execution
+// — the rows it actually produced, the segments it skipped and the rows it
+// decoded — to ctx.Did, once per execution, however it ended. The window's
+// typed vectors and the page buffer, at most one batch each, stay for the
+// next execution, emptied.
 func (s *TableScan) Close(ctx *Ctx) error {
 	if s.open {
 		s.open = false
-		s.noteDecoded(ctx)
-		if ctx.ScanObs != nil {
-			ctx.ScanObs(s.Table.Name, s.produced)
-		}
+		s.noteDecoded()
+		ctx.Did.SegsSkipped += int64(s.segsSkipped)
+		ctx.Did.DecodedRows += s.decoded
+		ctx.Did.Scans = append(ctx.Did.Scans, ScanNote{s.Table.Name, s.produced})
 	}
 	s.acct.Close()
 	s.segs, s.carry = nil, nil

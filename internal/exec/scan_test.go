@@ -338,8 +338,7 @@ func (c *vector) capacity() int { return max(cap(c.ints), cap(c.flts), cap(c.val
 func TestLimitDecodesOneColumnOfOneWindow(t *testing.T) {
 	ctx, _ := testCtx(t, 1024)
 	tbl := factTable(t, ctx, 5000, 100, 1000)
-	var reported []int64
-	ctx.ScanObs = func(_ string, rows int64) { reported = append(reported, rows) }
+	ctx.Did.Reset()
 	scan := &TableScan{Table: tbl, ZoneCol: -1}
 	op := &Limit{Input: &Project{Input: scan, Exprs: []Expr{Col{Idx: 2}}}, N: 3}
 	if err := op.Open(ctx); err != nil {
@@ -366,8 +365,8 @@ func TestLimitDecodesOneColumnOfOneWindow(t *testing.T) {
 	if total, skipped, unreached := scan.SegmentStats(); total != 5 || skipped != 0 || unreached != 4 {
 		t.Errorf("segments: %d total, %d skipped, %d unreached; want 5, 0, 4", total, skipped, unreached)
 	}
-	if len(reported) != 1 || reported[0] != 3 {
-		t.Errorf("scan feedback %v, want one report of 3 rows", reported)
+	if did := ctx.Did; len(did.Scans) != 1 || did.Scans[0].Rows != 3 || did.DecodedRows != 3 {
+		t.Errorf("tally: scans %v, %d rows decoded; want one scan of 3 rows, 3 decoded", did.Scans, did.DecodedRows)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"anywheredb/internal/exec"
 	"anywheredb/internal/table"
-	"anywheredb/internal/telemetry"
 	"anywheredb/internal/val"
 	"anywheredb/internal/workload"
 )
@@ -51,12 +50,10 @@ func e22Run(n, deltaN int) (*Report, error) {
 		return nil, err
 	}
 
-	// The acceptance criterion reads the skip count back through the same
-	// telemetry counter the engine publishes, so wire a registry here.
-	reg := telemetry.NewRegistry()
+	// The acceptance criterion reads the skip count back from the executor's
+	// tally, which the engine publishes as colseg.segments_skipped.
 	ctx := *r.ctx
-	ctx.ColSegSkipped = reg.Counter("colseg.segments_skipped")
-	ctx.ColSegDecodeRows = reg.Counter("colseg.decode_rows")
+	ctx.Did = exec.Tally{}
 
 	probe := val.NewInt(int64(n / 2))
 	mkScan := func(columnar, zone bool) *exec.TableScan {
@@ -120,8 +117,7 @@ func e22Run(n, deltaN int) (*Report, error) {
 		return nil, err
 	}
 
-	skipped, _ := reg.Value("colseg.segments_skipped")
-	decoded, _ := reg.Value("colseg.decode_rows")
+	skipped, decoded := ctx.Did.SegsSkipped, ctx.Did.DecodedRows
 	skipFrac := 0.0
 	if segsTotal > 0 {
 		skipFrac = float64(segsSkipped) / float64(segsTotal)
@@ -133,7 +129,7 @@ func e22Run(n, deltaN int) (*Report, error) {
 	fmt.Fprintf(&sb, "row heap           %9.1fms  %4d\n", ms(heapT), heapN)
 	fmt.Fprintf(&sb, "columnar (zone)    %9.1fms  %4d\n", ms(colT), colN)
 	fmt.Fprintf(&sb, "columnar (full)    %9.1fms  %4d\n", ms(decodeT), colN)
-	fmt.Fprintf(&sb, "zone maps skipped %d/%d segments (%.1f%%); telemetry skipped=%d decode_rows=%d\n",
+	fmt.Fprintf(&sb, "zone maps skipped %d/%d segments (%.1f%%); tally skipped=%d decode_rows=%d\n",
 		segsSkipped, segsTotal, 100*skipFrac, skipped, decoded)
 	fmt.Fprintf(&sb, "differential (filters, join, aggregate; delta tail live): %s\n", diffDetail)
 

@@ -4,7 +4,8 @@
 //
 //  1. Statement spans — every statement through core.Conn records a Span
 //     with phase timings (parse, optimize, execute, commit/WAL-flush) and
-//     resource deltas (rows, batches, bytes spilled).
+//     resource figures (rows, batches, bytes spilled), which are set once,
+//     when the statement finishes.
 //     The live span belongs to its connection and is reused statement after
 //     statement; a finished span is copied into a fixed-size ring of recent
 //     history whose slots own their records, dumpable on demand and on the
@@ -107,11 +108,11 @@ const (
 
 // Span is one statement's flight record. A connection owns one and reuses
 // it for each of its statements (Collector.Begin resets it in place). The
-// owning connection writes the identity fields; counters are atomic
-// because executor workers and wait observers add to a live span
-// concurrently. A span reaches the ring buffer and the digest table only
-// after Finish, which copies it into a ring slot: readers of the ring see
-// complete records that later statements do not change.
+// owning connection writes the identity fields and the resource figures;
+// the phase and wait counters are atomic because wait observers add to a
+// live span concurrently. A span reaches the ring buffer and the digest
+// table only after Finish, which copies it into a ring slot: readers of the
+// ring see complete records that later statements do not change.
 type Span struct {
 	Seq         uint64
 	SQL         string
@@ -126,10 +127,11 @@ type Span struct {
 	Rows int64
 	// Err is the statement's error text ("" on success, set by Finish).
 	Err string
+	// Batches and SpillBytes are the batches the statement's executor
+	// delivered and the bytes it spilled (set by the owner before Finish).
+	Batches, SpillBytes int64
 
 	phases    [numPhases]atomic.Int64
-	batches   atomic.Int64
-	spill     atomic.Int64
 	waitCount [NumWaitKinds]atomic.Int64
 	waitUS    [NumWaitKinds]atomic.Int64
 }
@@ -179,11 +181,10 @@ func (s *Span) WaitCount(k WaitKind) int64 {
 func (s *Span) copyTo(d *Span) {
 	d.Seq, d.SQL, d.Fingerprint = s.Seq, s.SQL, s.Fingerprint
 	d.StartUS, d.TotalUS, d.Rows, d.Err = s.StartUS, s.TotalUS, s.Rows, s.Err
+	d.Batches, d.SpillBytes = s.Batches, s.SpillBytes
 	for p := range s.phases {
 		copyCounter(&d.phases[p], &s.phases[p])
 	}
-	copyCounter(&d.batches, &s.batches)
-	copyCounter(&d.spill, &s.spill)
 	for k := range s.waitCount {
 		copyCounter(&d.waitCount[k], &s.waitCount[k])
 		copyCounter(&d.waitUS[k], &s.waitUS[k])
@@ -198,19 +199,6 @@ func copyCounter(d, s *atomic.Int64) {
 		d.Store(v)
 	}
 }
-
-// AddBatches charges produced executor batches to the span.
-func (s *Span) AddBatches(n int64) { s.batches.Add(n) }
-
-// Batches reads the span's executor batch count.
-func (s *Span) Batches() int64 { return s.batches.Load() }
-
-// AddSpill charges bytes written to spill runs (external sort / hash
-// partitioning) to the span.
-func (s *Span) AddSpill(n int64) { s.spill.Add(n) }
-
-// SpillBytes reads the span's spilled byte count.
-func (s *Span) SpillBytes() int64 { return s.spill.Load() }
 
 // Waits aggregates the engine-wide wait-event registry: one latency
 // histogram per kind, which also keeps the kind's count and total

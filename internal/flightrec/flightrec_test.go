@@ -34,8 +34,7 @@ func TestSpanLifecycle(t *testing.T) {
 	sp.AddPhase(PhaseParse, 5)
 	sp.AddPhase(PhaseExecute, 100)
 	sp.AddWait(WaitLock, 30)
-	sp.AddBatches(3)
-	sp.AddSpill(4096)
+	sp.Batches, sp.SpillBytes = 3, 4096
 	c.Finish(sp, 150, 7, "", nil)
 	if got := c.spans.Load(); got != 1 {
 		t.Fatalf("spans finished = %d", got)
@@ -47,7 +46,7 @@ func TestSpanLifecycle(t *testing.T) {
 	// The ring holds a copy of the sealed span, not the span itself.
 	if got := rec[0]; got == sp || got.Seq != sp.Seq || got.SQL != sp.SQL || got.Fingerprint != sp.Fingerprint ||
 		got.TotalUS != 150 || got.Rows != 7 || got.PhaseUS(PhaseParse) != 5 || got.PhaseUS(PhaseExecute) != 100 ||
-		got.WaitUS(WaitLock) != 30 || got.WaitCount(WaitLock) != 1 || got.Batches() != 3 || got.SpillBytes() != 4096 {
+		got.WaitUS(WaitLock) != 30 || got.WaitCount(WaitLock) != 1 || got.Batches != 3 || got.SpillBytes != 4096 {
 		t.Fatalf("recorded span = %+v, want a copy of the sealed %+v", got, sp)
 	}
 	ds := c.Digests().Snapshot()
@@ -99,13 +98,13 @@ func TestRecentIsACopy(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		sp := beginOn(c, &own, "UPDATE t SET a = 2")
 		sp.AddPhase(PhaseExecute, 99)
-		sp.AddBatches(5)
+		sp.Batches = 5
 		c.Finish(sp, 500, 9, "boom", nil)
 	}
 	check := func(what string, got *Span) {
 		t.Helper()
 		if got.Seq != 1 || got.Fingerprint != "SELECT a FROM t WHERE b = ?" || got.TotalUS != 20 || got.Rows != 1 ||
-			got.Err != "" || got.PhaseUS(PhaseExecute) != 11 || got.WaitUS(WaitLock) != 3 || got.Batches() != 0 {
+			got.Err != "" || got.PhaseUS(PhaseExecute) != 11 || got.WaitUS(WaitLock) != 3 || got.Batches != 0 {
 			t.Fatalf("%s changed by later statements: %+v", what, got)
 		}
 	}

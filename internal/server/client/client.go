@@ -132,15 +132,6 @@ func (c *Client) Prepare(sql string) (*Stmt, error) {
 	return &Stmt{c: c, id: id}, nil
 }
 
-// Close releases the prepared statement on the server.
-func (st *Stmt) Close() error {
-	if err := st.c.send(server.MsgCloseStmt, func(b []byte) []byte { return server.AppendUvarint(b, st.id) }); err != nil {
-		return err
-	}
-	_, _, err := st.c.readFrame() // done ack
-	return err
-}
-
 // Exec runs the prepared statement, discarding any rows.
 func (st *Stmt) Exec(params ...val.Value) (Result, error) {
 	res, _, err := st.c.roundTrip(st.id, "", 0, params)

@@ -708,15 +708,6 @@ func (c *srvConn) sendErr(code byte, text string) error {
 // --- sys.connections -------------------------------------------------------
 
 func (s *Server) connectionsTable() ([]table.Column, []exec.Row) {
-	cols := []table.Column{
-		{Name: "id", Kind: val.KInt},
-		{Name: "remote_addr", Kind: val.KStr},
-		{Name: "state", Kind: val.KStr},
-		{Name: "statements", Kind: val.KInt},
-		{Name: "bytes_sent", Kind: val.KInt},
-		{Name: "fingerprint", Kind: val.KStr},
-		{Name: "age_us", Kind: val.KInt},
-	}
 	s.mu.Lock()
 	list := make([]*srvConn, 0, len(s.conns))
 	for _, c := range s.conns {
@@ -744,7 +735,7 @@ func (s *Server) connectionsTable() ([]table.Column, []exec.Row) {
 			val.NewInt(time.Since(c.started).Microseconds()),
 		})
 	}
-	return cols, rows
+	return core.ConnectionsColumns, rows
 }
 
 // --- drain / close ---------------------------------------------------------

@@ -203,12 +203,26 @@ func TestServerPreparedStatements(t *testing.T) {
 	if rows.Data[0][0].I != 5 {
 		t.Fatalf("count = %v, want 5", rows.Data[0][0])
 	}
-	if err := ins.Close(); err != nil {
-		t.Fatal(err)
+
+	// A client may close a handle (the client here never does): the server
+	// acknowledges, and an exec of the closed id is a protocol error.
+	r := dialRaw(t, srv)
+	frame := func(typ byte, payload []byte, want byte) []byte {
+		t.Helper()
+		if err := r.send(typ, payload); err != nil {
+			t.Fatal(err)
+		}
+		got, reply, err := server.ReadFrame(r.br)
+		if err != nil || got != want {
+			t.Fatalf("message 0x%02x: reply 0x%02x, %v; want 0x%02x", typ, got, err, want)
+		}
+		return reply
 	}
-	// A closed statement id is a protocol error and ends the connection.
-	if _, err := ins.Exec(val.NewInt(99)); err == nil {
-		t.Fatal("exec of closed statement succeeded")
+	id, _ := binary.Uvarint(frame(server.MsgPrepare, server.AppendString(nil, "insert into p values (?)"), server.MsgPrepareOK))
+	frame(server.MsgCloseStmt, server.AppendUvarint(nil, id), server.MsgDone)
+	reply := frame(server.MsgExec, server.EncodeExec(id, "", 0, []val.Value{val.NewInt(99)}), server.MsgError)
+	if code, msg, err := server.DecodeError(reply); err != nil || code != server.CodeProtocol {
+		t.Fatalf("exec of a closed statement: code %d %q, %v; want a protocol error", code, msg, err)
 	}
 }
 

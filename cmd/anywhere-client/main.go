@@ -4,7 +4,8 @@
 // server draining) are retried with bounded exponential backoff before
 // giving up — the server sheds load precisely so that clients come back
 // a moment later, so a client that treats a shed as a hard failure
-// defeats the admission controller.
+// defeats the admission controller. Ctrl-C while a statement runs cancels
+// that statement and the prompt goes on; Ctrl-C at the prompt exits.
 //
 // Usage:
 //
@@ -18,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"strings"
 	"time"
 
@@ -50,9 +52,11 @@ func main() {
 			return true
 		}
 		start := time.Now()
+		stop := cancelOnInterrupt(c)
 		rows, err := queryWithRetry(c.Query, sql, *retries, retryBaseBackoff, func(attempt int, wait time.Duration, err error) {
 			fmt.Fprintf(os.Stderr, "retryable (attempt %d/%d, retrying in %s): %v\n", attempt, *retries, wait, err)
 		})
+		stop()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			return false
@@ -104,6 +108,24 @@ func main() {
 			run(strings.TrimSuffix(strings.TrimSpace(buf.String()), ";"))
 			buf.Reset()
 		}
+	}
+}
+
+// cancelOnInterrupt makes SIGINT cancel the statement c runs, until stop
+// is called; outside that window SIGINT ends the program as it always has.
+func cancelOnInterrupt(c *client.Client) (stop func()) {
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt)
+	go func() {
+		for range sigs {
+			if err := c.Cancel(); err != nil {
+				fmt.Fprintln(os.Stderr, "cancel:", err)
+			}
+		}
+	}()
+	return func() {
+		signal.Stop(sigs)
+		close(sigs)
 	}
 }
 

@@ -64,9 +64,7 @@ const (
 )
 
 func newGate(width int) *gate {
-	if width < 2 {
-		width = 2
-	}
+	width = max(width, 2)
 	return &gate{width: width, eff: width}
 }
 
@@ -104,28 +102,20 @@ func (g *gate) admit(ctx context.Context) (ticket, error) {
 
 	timer := time.NewTimer(wait)
 	defer timer.Stop()
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
+	var err error
 	select {
 	case <-ch:
 		// Slot transferred by a releaser: occupancy already counts us.
-		g.noteAdmitted()
-		return ticket{}, nil
 	case <-timer.C:
-		if g.abandon(ch) {
-			return ticket{}, ErrShed
-		}
-		g.noteAdmitted()
-		return ticket{}, nil
-	case <-done:
-		if g.abandon(ch) {
-			return ticket{}, ctx.Err()
-		}
-		g.noteAdmitted()
-		return ticket{}, nil
+		err = ErrShed
+	case <-ctx.Done():
+		err = ctx.Err()
 	}
+	if err != nil && g.abandon(ch) {
+		return ticket{}, err
+	}
+	g.noteAdmitted()
+	return ticket{}, nil
 }
 
 // abandon removes ch from the wait queue, returning true on success. False
@@ -134,12 +124,10 @@ func (g *gate) admit(ctx context.Context) (ticket, error) {
 func (g *gate) abandon(ch chan struct{}) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for i, w := range g.waiters {
-		if w == ch {
-			g.waiters = append(g.waiters[:i], g.waiters[i+1:]...)
-			g.shed++
-			return true
-		}
+	if i := slices.Index(g.waiters, ch); i >= 0 {
+		g.waiters = slices.Delete(g.waiters, i, i+1)
+		g.shed++
+		return true
 	}
 	return false
 }
@@ -160,14 +148,7 @@ func (g *gate) queueDeadlineLocked() time.Duration {
 		base = 5000 // 5ms: pre-calibration default
 	}
 	d := time.Duration(base*float64(queueFactor)) * time.Microsecond
-	const minWait, maxWait = 10 * time.Millisecond, 2 * time.Second
-	if d < minWait {
-		return minWait
-	}
-	if d > maxWait {
-		return maxWait
-	}
-	return d
+	return min(max(d, 10*time.Millisecond), 2*time.Second)
 }
 
 // release finishes one admitted statement: records its latency, updates
@@ -180,9 +161,7 @@ func (g *gate) release(tk ticket, latencyUS int64) {
 	if latencyUS >= 0 {
 		g.ring[g.ringPos] = latencyUS
 		g.ringPos = (g.ringPos + 1) % latWindow
-		if g.ringN < latWindow {
-			g.ringN++
-		}
+		g.ringN = min(g.ringN+1, latWindow)
 		// Solo from admit to release: no queueing, no concurrent
 		// statements, and nothing else was even admitted meanwhile —
 		// this is the idle-period latency the baseline calibrates
@@ -220,10 +199,7 @@ func (g *gate) recheckLocked() {
 	}
 	p99 := g.windowP99Locked()
 	if float64(p99) > degradeFactor*g.baseline {
-		half := g.width / 2
-		if half < 1 {
-			half = 1
-		}
+		half := max(g.width/2, 1)
 		if g.eff != half {
 			g.eff = half
 			g.shrinks++
@@ -237,11 +213,7 @@ func (g *gate) windowP99Locked() int64 {
 	buf := g.sorted[:g.ringN]
 	copy(buf, g.ring[:g.ringN])
 	slices.Sort(buf)
-	idx := (len(buf)*99 + 99) / 100
-	if idx >= len(buf) {
-		idx = len(buf) - 1
-	}
-	return buf[idx]
+	return buf[min((len(buf)*99+99)/100, len(buf)-1)]
 }
 
 // snapshot returns the gate's counters for telemetry.

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync/atomic"
 	"time"
 
 	"anywheredb/internal/server"
@@ -49,12 +50,21 @@ type Rows struct {
 	Data [][]val.Value
 }
 
-// Client is one server connection. A Client runs one statement at a time.
+// Client is one server connection. A Client runs one statement at a time;
+// Cancel may be called from another goroutine while it does.
 type Client struct {
 	nc   net.Conn
 	br   *bufio.Reader
 	rbuf []byte // storage of the last frame read; a payload is valid until the next read
 	bw   *bufio.Writer
+
+	// What a cancel request needs: where to dial, the connection's id and
+	// secret from its hello-ok, and the count of exec frames sent.
+	addr        string
+	dialTimeout time.Duration
+	id          uint64
+	secret      [8]byte
+	execs       atomic.Uint64
 
 	closed bool
 }
@@ -70,9 +80,11 @@ func Dial(addr string, opts Options) (*Client, error) {
 		return nil, err
 	}
 	c := &Client{
-		nc: nc,
-		br: bufio.NewReaderSize(nc, 64<<10),
-		bw: bufio.NewWriterSize(nc, 64<<10),
+		nc:          nc,
+		br:          bufio.NewReaderSize(nc, 64<<10),
+		bw:          bufio.NewWriterSize(nc, 64<<10),
+		addr:        addr,
+		dialTimeout: dt,
 	}
 	hello := server.EncodeHello(opts.Token, opts.Name, uint64(opts.StatementDeadline.Microseconds()))
 	if err := c.sendRaw(server.MsgHello, hello); err != nil {
@@ -82,19 +94,34 @@ func Dial(addr string, opts Options) (*Client, error) {
 	nc.SetReadDeadline(time.Now().Add(dt))
 	typ, payload, err := c.readFrame()
 	nc.SetReadDeadline(time.Time{})
+	switch {
+	case err != nil:
+	case typ == server.MsgError:
+		err = decodeWireError(payload)
+	case typ != server.MsgHelloOK:
+		err = fmt.Errorf("client: unexpected handshake reply 0x%02x", typ)
+	default:
+		c.id, c.secret, err = server.DecodeHelloOK(payload)
+	}
 	if err != nil {
 		nc.Close()
 		return nil, err
 	}
-	if typ == server.MsgError {
-		nc.Close()
-		return nil, decodeWireError(payload)
-	}
-	if typ != server.MsgHelloOK {
-		nc.Close()
-		return nil, fmt.Errorf("client: unexpected handshake reply 0x%02x", typ)
-	}
 	return c, nil
+}
+
+// Cancel asks the server, over a connection of its own, to cancel the
+// statement in flight on this one, and returns once the request is sent.
+// The Query or Exec waiting for that statement returns an error matching
+// ErrCancelled; with none in flight, nothing is cancelled, neither now
+// nor when the next one runs.
+func (c *Client) Cancel() error {
+	nc, err := net.DialTimeout("tcp", c.addr, c.dialTimeout)
+	if err != nil {
+		return err
+	}
+	defer nc.Close()
+	return server.WriteFrame(nc, server.MsgCancel, server.AppendCancel(nil, c.id, c.secret, c.execs.Load()))
 }
 
 // Close sends quit and closes the socket.
@@ -140,14 +167,7 @@ func (st *Stmt) Exec(params ...val.Value) (Result, error) {
 
 // Query runs the prepared statement and returns its rows.
 func (st *Stmt) Query(params ...val.Value) (*Rows, error) {
-	_, rows, err := st.c.roundTrip(st.id, "", 0, params)
-	if err != nil {
-		return nil, err
-	}
-	if rows == nil {
-		rows = &Rows{}
-	}
-	return rows, nil
+	return st.c.query(st.id, "", params)
 }
 
 // Exec runs one inline statement, discarding any rows.
@@ -158,19 +178,22 @@ func (c *Client) Exec(sql string, params ...val.Value) (Result, error) {
 
 // Query runs one inline statement and returns its rows.
 func (c *Client) Query(sql string, params ...val.Value) (*Rows, error) {
-	_, rows, err := c.roundTrip(0, sql, 0, params)
-	if err != nil {
-		return nil, err
-	}
-	if rows == nil {
+	return c.query(0, sql, params)
+}
+
+// query runs a statement and returns its rows, an empty set if it has none.
+func (c *Client) query(stmtID uint64, sql string, params []val.Value) (*Rows, error) {
+	_, rows, err := c.roundTrip(stmtID, sql, 0, params)
+	if err == nil && rows == nil {
 		rows = &Rows{}
 	}
-	return rows, nil
+	return rows, err
 }
 
 // roundTrip sends one exec and consumes frames through done/error.
 func (c *Client) roundTrip(stmtID uint64, sql string, deadlineUS uint64, params []val.Value) (Result, *Rows, error) {
 	exec := func(b []byte) []byte { return server.AppendExec(b, stmtID, sql, deadlineUS, params) }
+	c.execs.Add(1)
 	if err := c.send(server.MsgExec, exec); err != nil {
 		return Result{}, nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,10 +15,12 @@ import (
 	"anywheredb/internal/val"
 )
 
-// TestWireBytesUnchanged pins the server's frames byte for byte: the
-// hello answer, a prepare answer, a query's header, row batch and done, a
-// DML's done, and a protocol error. Each statement's answer must also be
-// exactly what server.bytes_sent grew by while it ran.
+// TestWireBytesUnchanged pins the server's frames byte for byte: a
+// prepare answer, a query's header, row batch and done, a DML's done, and
+// a protocol error. The hello answer is pinned up to its last 8 bytes, the
+// connection's random cancel secret, which another connection does not
+// share. Each statement's answer must also be exactly what
+// server.bytes_sent grew by while it ran.
 func TestWireBytesUnchanged(t *testing.T) {
 	db, srv := startServer(t, core.Options{}, server.Options{})
 	nc, err := net.DialTimeout("tcp", srv.Addr().String(), 5*time.Second)
@@ -61,13 +64,19 @@ func TestWireBytesUnchanged(t *testing.T) {
 		return answer(server.MsgExec, server.EncodeExec(stmtID, sql, 0, params))
 	}
 
+	// Version 2, connection 1, and the secret.
+	hello := answer(server.MsgHello, server.EncodeHello("", "golden", 0))
+	if h, want := hex.EncodeToString(hello), "0a00000081"+"0201"; len(hello) != 15 || !strings.HasPrefix(h, want) {
+		t.Errorf("hello: the server sent\n%s\nwant\n%s and 8 bytes", h, want)
+	} else if other := dialRaw(t, srv); bytes.Equal(other.secret[:], hello[7:]) {
+		t.Errorf("two connections got the same secret %x", other.secret)
+	}
+
 	for _, c := range []struct {
 		name string
 		got  []byte
 		want string
 	}{
-		{"hello", answer(server.MsgHello, server.EncodeHello("", "golden", 0)),
-			"0200000081" + "0101"},
 		{"create", exec(0, "CREATE TABLE g (a INT, b VARCHAR(8), d DOUBLE)"),
 			"0100000085" + "00"},
 		{"insert", exec(0, "INSERT INTO g VALUES (?, ?, ?), (?, ?, ?)",

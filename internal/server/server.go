@@ -3,6 +3,8 @@ package server
 import (
 	"bufio"
 	"context"
+	"crypto/rand"
+	"crypto/subtle"
 	"errors"
 	"fmt"
 	"net"
@@ -73,11 +75,6 @@ func (o *Options) fill() {
 		o.BufSize = 64 << 10
 	}
 }
-
-// recvQueue bounds the per-connection pipeline of decoded-but-unserved
-// requests. A client pipelining past it blocks in TCP backpressure — the
-// bounded receive side.
-const recvQueue = 16
 
 // Server is one network endpoint serving a core.DB.
 type Server struct {
@@ -179,20 +176,17 @@ func (s *Server) acceptLoop() {
 
 // --- connection ------------------------------------------------------------
 
-type connState int32
-
-const (
-	connIdle connState = iota
-	connActive
-)
-
+// srvConn is one client connection, served by one goroutine: it reads a
+// frame, serves it, writes the answer and reads the next. A client that
+// pipelines frames leaves them waiting in the socket and the bufio.Reader.
 type srvConn struct {
-	id   uint64
-	s    *Server
-	nc   net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
-	core *core.Conn
+	id     uint64
+	secret [8]byte // what a cancel request must present with id
+	s      *Server
+	nc     net.Conn
+	br     *bufio.Reader
+	bw     *bufio.Writer
+	core   *core.Conn
 
 	deadline time.Duration // connection-default statement deadline (0 = server default)
 	name     string        // client-reported name
@@ -207,17 +201,21 @@ type srvConn struct {
 
 	// ctx is the connection's statement context, reused statement after
 	// statement until a cancel fires on it (see beginStatement); stop
-	// cancels it. Both belong to the worker.
+	// cancels it. Both belong to the connection's goroutine.
 	ctx  context.Context
 	stop context.CancelFunc
+	// execs counts exec frames as the client does, each before anything
+	// can refuse it: a cancel request names a statement by this number.
+	execs uint64
 
-	curMu  sync.Mutex
-	cancel context.CancelFunc // cancel of the statement in flight, nil when idle
+	curMu   sync.Mutex
+	cancel  context.CancelFunc // cancel of the statement in flight, nil when idle
+	running uint64             // the number of the statement in flight
 
-	state atomic.Int32
-	nRun  atomic.Int64
-	bytes atomic.Int64
-	fp    atomic.Pointer[string] // Stmt.Fingerprint of the current / last statement
+	active atomic.Bool // a statement is running, for sys.connections
+	nRun   atomic.Int64
+	bytes  atomic.Int64
+	fp     atomic.Pointer[string] // Stmt.Fingerprint of the current / last statement
 
 	// The answer being sent: sink is encodeBatch, bound once, the sink of
 	// every statement the connection runs; headed is set once its row
@@ -241,10 +239,23 @@ func (c *srvConn) cancelCurrent() {
 	c.curMu.Unlock()
 }
 
+// cancelStatement is cancelCurrent for a cancel request: it cancels the
+// statement in flight only if it is statement n. A request that comes
+// after its statement answered, however late, names a number no later
+// statement has.
+func (c *srvConn) cancelStatement(n uint64) {
+	c.curMu.Lock()
+	if c.cancel != nil && c.running == n {
+		c.cancel()
+	}
+	c.curMu.Unlock()
+}
+
 // beginStatement returns the context of the statement starting on the
-// connection and makes it the one cancelCurrent cancels. The statement
-// runs on the connection's context, renewed only when a cancel has fired
-// on it. A statement with its own deadline runs on a child of it, and
+// connection, the one execs counted last, and makes it the one
+// cancelCurrent and cancelStatement cancel. The statement runs on the
+// connection's context, renewed only when a cancel has fired on it. A
+// statement with its own deadline runs on a child of it, and
 // beginStatement also returns the child's cancel, for endStatement.
 func (c *srvConn) beginStatement(deadline time.Duration) (context.Context, context.CancelFunc) {
 	if c.ctx.Err() != nil {
@@ -256,14 +267,16 @@ func (c *srvConn) beginStatement(deadline time.Duration) (context.Context, conte
 		ctx, child = context.WithTimeout(ctx, deadline)
 		cancel = child
 	}
-	c.setCancel(cancel)
+	c.curMu.Lock()
+	c.cancel, c.running = cancel, c.execs
+	c.curMu.Unlock()
 	return ctx, child
 }
 
-// setCancel makes cancel what cancelCurrent calls (nil: nothing).
-func (c *srvConn) setCancel(cancel context.CancelFunc) {
+// dropCancel puts the statement in flight out of every cancel's reach.
+func (c *srvConn) dropCancel() {
 	c.curMu.Lock()
-	c.cancel = cancel
+	c.cancel = nil
 	c.curMu.Unlock()
 }
 
@@ -272,7 +285,7 @@ func (c *srvConn) setCancel(cancel context.CancelFunc) {
 // stopped. (One that ended in an answer was out of reach once finish began
 // to write the answer's last frame.)
 func (c *srvConn) endStatement(child context.CancelFunc) {
-	c.setCancel(nil)
+	c.dropCancel()
 	if child != nil {
 		child()
 	}
@@ -281,6 +294,20 @@ func (c *srvConn) endStatement(child context.CancelFunc) {
 func (s *Server) serveConn(nc net.Conn) {
 	defer s.connWG.Done()
 	defer nc.Close()
+
+	// The first frame must be a valid, authenticated hello, or a cancel
+	// request, within a short deadline. It is read unbuffered, so a cancel
+	// request costs no receive buffer.
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	typ, payload, err := ReadFrame(nc)
+	if err != nil {
+		return
+	}
+	nc.SetReadDeadline(time.Time{})
+	if typ == MsgCancel {
+		s.cancelRequest(payload)
+		return
+	}
 
 	c := &srvConn{
 		s:       s,
@@ -294,14 +321,6 @@ func (s *Server) serveConn(nc net.Conn) {
 	c.ctx, c.stop = context.WithCancel(context.Background())
 	defer func() { c.stop() }() // the connection's context as it is at teardown
 
-	// Handshake: the first frame must be a valid, authenticated hello
-	// within a short deadline.
-	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	typ, payload, err := ReadFrame(c.br)
-	if err != nil {
-		return
-	}
-	nc.SetReadDeadline(time.Time{})
 	if typ != MsgHello {
 		c.protocolError("expected hello")
 		return
@@ -330,6 +349,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		conn.SetStatementTimeout(c.deadline)
 	}
 
+	rand.Read(c.secret[:])
 	s.mu.Lock()
 	s.nextID++
 	c.id = s.nextID
@@ -347,82 +367,40 @@ func (s *Server) serveConn(nc net.Conn) {
 		return
 	}
 
-	helloOK := func(b []byte) []byte { return AppendUvarint(AppendUvarint(b, ProtoVersion), c.id) }
+	helloOK := func(b []byte) []byte { return appendHelloOK(b, c.id, c.secret) }
 	if c.send(MsgHelloOK, helloOK) != nil || c.flush() != nil {
 		return
 	}
 
-	// Reader: pulls frames off the socket. Cancel is handled here, out of
-	// band, so it can interrupt the statement the worker is running.
-	// Everything else flows through the bounded request queue. Payloads
-	// are read into buffers the worker hands back through free once it
-	// has served the request (decoders copy what they keep), so a
-	// connection in its steady state reads without allocating.
-	type request struct {
-		typ     byte
-		payload []byte
-	}
-	reqs := make(chan request, recvQueue)
-	// As many spare buffers as the queue has requests: enough for a
-	// reader running a full queue ahead of the worker.
-	free := make(chan []byte, recvQueue)
-	readerDone := make(chan struct{})
-	go func() {
-		defer close(reqs)
-		defer close(readerDone)
-		var buf []byte
-		for {
-			if buf == nil {
-				select {
-				case buf = <-free:
-				default:
-				}
-			}
-			typ, payload, err := ReadFrameInto(c.br, buf)
-			if err != nil {
-				return
-			}
-			if typ == MsgCancel {
-				c.cancelCurrent()
-				buf = payload
-				continue
-			}
-			reqs <- request{typ, payload}
-			buf = nil
-			if typ == MsgQuit {
-				return
-			}
-		}
-	}()
-	// The worker owns the write side. When it exits, closing the socket
-	// unblocks a reader in ReadFrameInto, and draining the queue unblocks a
-	// reader parked on a full queue.
-	defer func() {
-		nc.Close()
-		go func() {
-			for range reqs {
-			}
-		}()
-		<-readerDone
-	}()
-
-	for req := range reqs {
-		if !c.serve(req.typ, req.payload) {
+	// Each frame is read into one receive buffer (decoders copy what they
+	// keep), so a connection in its steady state reads without allocating;
+	// one that outgrew the send/receive buffer size is left to the collector.
+	var buf []byte
+	for {
+		typ, payload, err := ReadFrameInto(c.br, buf)
+		if err != nil || !c.serve(typ, payload) {
 			return
 		}
-		// A buffer larger than the send/receive buffer size is left to
-		// the collector, which bounds what a connection keeps.
-		if cap(req.payload) <= s.opts.BufSize {
-			select {
-			case free <- req.payload:
-			default:
-			}
+		if cap(payload) <= s.opts.BufSize {
+			buf = payload
 		}
 	}
 }
 
-// serve answers one request from the queue, reporting whether the
-// connection lives on.
+// cancelRequest serves a connection whose first frame is a cancel request:
+// it cancels the statement named if the connection's id, its secret and
+// the statement's number all match. Whatever it finds, the cancel
+// connection is closed with no answer, so a prober learns nothing.
+func (s *Server) cancelRequest(payload []byte) {
+	id, secret, stmt, err := decodeCancel(payload)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if c := s.conns[id]; err == nil && c != nil && subtle.ConstantTimeCompare(c.secret[:], secret[:]) == 1 {
+		c.cancelStatement(stmt)
+	}
+}
+
+// serve answers one request, reporting whether the connection lives on.
 func (c *srvConn) serve(typ byte, payload []byte) bool {
 	switch typ {
 	case MsgQuit:
@@ -444,6 +422,7 @@ func (c *srvConn) serve(typ byte, payload []byte) bool {
 		delete(c.stmts, id)
 		return c.send(MsgDone, func(b []byte) []byte { return AppendUvarint(b, 0) }) == nil && c.flush() == nil
 	case MsgExec:
+		c.execs++
 		m, err := decodeExec(payload, c.params[:0])
 		if err != nil {
 			return c.protocolError("bad exec frame")
@@ -491,7 +470,7 @@ func (c *srvConn) runStatement(m execMsg) error {
 
 	ctx, child := c.beginStatement(time.Duration(m.DeadlineUS) * time.Microsecond)
 	defer c.endStatement(child)
-	c.state.Store(int32(connActive))
+	c.active.Store(true)
 
 	c.fp.Store(&st.Fingerprint)
 
@@ -577,8 +556,8 @@ func (c *srvConn) refuse(code byte, text string) error {
 // the answer would otherwise end the connection's context, which the next
 // statement would then have to renew.
 func (c *srvConn) finish() error {
-	c.state.Store(int32(connIdle))
-	c.setCancel(nil)
+	c.active.Store(false)
+	c.dropCancel()
 	c.headed, c.unflushed = false, 0
 	return c.flush()
 }
@@ -688,17 +667,10 @@ func (c *srvConn) write(frame []byte) error {
 	if fl := c.s.db.FlightRecorder(); fl.Enabled() {
 		fl.ObserveWait(flightrec.WaitNetSend, time.Since(start).Microseconds())
 	}
-	if err != nil {
-		c.noteSendFailure(err)
-	}
-	return err
-}
-
-func (c *srvConn) noteSendFailure(err error) {
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
+	if errors.Is(err, os.ErrDeadlineExceeded) {
 		c.s.stSlowKills.Inc()
 	}
+	return err
 }
 
 func (c *srvConn) sendErr(code byte, text string) error {
@@ -709,16 +681,11 @@ func (c *srvConn) sendErr(code byte, text string) error {
 
 func (s *Server) connectionsTable() ([]table.Column, []exec.Row) {
 	s.mu.Lock()
-	list := make([]*srvConn, 0, len(s.conns))
+	defer s.mu.Unlock()
+	rows := make([]exec.Row, 0, len(s.conns))
 	for _, c := range s.conns {
-		list = append(list, c)
-	}
-	s.mu.Unlock()
-	sort.Slice(list, func(i, j int) bool { return list[i].id < list[j].id })
-	rows := make([]exec.Row, 0, len(list))
-	for _, c := range list {
 		state := "idle"
-		if connState(c.state.Load()) == connActive {
+		if c.active.Load() {
 			state = "active"
 		}
 		fp := ""
@@ -735,6 +702,7 @@ func (s *Server) connectionsTable() ([]table.Column, []exec.Row) {
 			val.NewInt(time.Since(c.started).Microseconds()),
 		})
 	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i][0].I < rows[j][0].I })
 	return core.ConnectionsColumns, rows
 }
 
@@ -759,9 +727,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// flushes) under the drain deadline.
 	deadline := s.opts.DrainTimeout
 	if dl, ok := ctx.Deadline(); ok {
-		if d := time.Until(dl); d < deadline {
-			deadline = d
-		}
+		deadline = min(deadline, time.Until(dl))
 	}
 	done := make(chan struct{})
 	go func() {
@@ -806,22 +772,19 @@ func (s *Server) Close() error {
 
 func (s *Server) cancelAll() {
 	s.mu.Lock()
-	list := make([]*srvConn, 0, len(s.conns))
+	defer s.mu.Unlock()
 	for _, c := range s.conns {
-		list = append(list, c)
-	}
-	s.mu.Unlock()
-	for _, c := range list {
 		c.cancelCurrent()
 	}
 }
 
 // teardown ends every connection handler. Graceful mode half-closes the
-// read side only: the reader sees EOF and stops accepting frames, while
-// the worker drains its pending queue — each queued statement still gets
-// its clean "draining" refusal (or its already-produced response) flushed
-// before the socket closes. Abrupt mode resets the sockets outright.
-// Either way the write deadlines bound how long a handler can linger.
+// read side only: the handler serves the frames it has already received —
+// each statement among them still gets its clean "draining" refusal (or
+// its already-produced response) flushed before the socket closes — and
+// its next read after them ends it. Abrupt mode closes the sockets
+// outright. Either way the write deadlines bound how long a handler can
+// linger.
 func (s *Server) teardown(graceful bool) {
 	s.mu.Lock()
 	for _, c := range s.conns {

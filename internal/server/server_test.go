@@ -9,6 +9,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unicode/utf8"
@@ -53,14 +54,15 @@ func dial(t testing.TB, srv *server.Server, opts client.Options) *client.Client 
 }
 
 // rawConn speaks the protocol frame by frame through the exported codec,
-// for what the client does not do: cancel out of band, give one statement
-// its own deadline, send a malformed frame, or stop reading.
+// for what the client does not do: give one statement its own deadline,
+// send a malformed frame, or stop reading.
 type rawConn struct {
-	nc net.Conn
-	br *bufio.Reader
-	id uint64 // the server's connection id, from hello-ok
-
-	mu sync.Mutex // a cancel is sent while a statement is in flight
+	nc     net.Conn
+	br     *bufio.Reader
+	addr   string
+	id     uint64  // the server's connection id, from hello-ok
+	secret [8]byte // and its cancel secret
+	execs  atomic.Uint64
 }
 
 func dialRaw(t testing.TB, srv *server.Server) *rawConn {
@@ -70,7 +72,7 @@ func dialRaw(t testing.TB, srv *server.Server) *rawConn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { nc.Close() })
-	r := &rawConn{nc: nc, br: bufio.NewReader(nc)}
+	r := &rawConn{nc: nc, br: bufio.NewReader(nc), addr: srv.Addr().String()}
 	if err := r.send(server.MsgHello, server.EncodeHello("", "raw", 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -78,16 +80,31 @@ func dialRaw(t testing.TB, srv *server.Server) *rawConn {
 	if err != nil || typ != server.MsgHelloOK {
 		t.Fatalf("hello: reply 0x%02x, %v", typ, err)
 	}
-	_, n := binary.Uvarint(payload) // protocol version
-	r.id, _ = binary.Uvarint(payload[n:])
+	if r.id, r.secret, err = server.DecodeHelloOK(payload); err != nil {
+		t.Fatal(err)
+	}
 	return r
 }
 
-// send writes one frame.
+// send writes one frame, counting it if it is an exec.
 func (r *rawConn) send(typ byte, payload []byte) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	if typ == server.MsgExec {
+		r.execs.Add(1)
+	}
 	return server.WriteFrame(r.nc, typ, payload)
+}
+
+// cancel sends a cancel request for the raw connection's latest statement
+// on a connection of its own, and returns once it is sent: the server may
+// read it while that statement runs, after it answered, or while a later
+// one runs.
+func (r *rawConn) cancel() error {
+	nc, err := net.Dial("tcp", r.addr)
+	if err != nil {
+		return err
+	}
+	defer nc.Close()
+	return server.WriteFrame(nc, server.MsgCancel, server.AppendCancel(nil, r.id, r.secret, r.execs.Load()))
 }
 
 // exec runs one inline statement under deadline (0: the connection's) and
@@ -297,7 +314,7 @@ func TestServerCancel(t *testing.T) {
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond) // let the statement get in flight
-	if err := r.send(server.MsgCancel, nil); err != nil {
+	if err := r.cancel(); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -321,6 +338,7 @@ func TestServerCancel(t *testing.T) {
 type rowWaitRig struct {
 	t      *testing.T
 	db     *core.DB
+	srv    *server.Server
 	holder *client.Client
 	r      *rawConn
 }
@@ -332,7 +350,7 @@ func newRowWaitRig(t *testing.T) *rowWaitRig {
 	mustExec(t, holder, "insert into kv values (1, 1), (2, 2)")
 	mustExec(t, holder, "begin")
 	mustExec(t, holder, "update kv set v = 10 where id = 1")
-	return &rowWaitRig{t: t, db: db, holder: holder, r: dialRaw(t, srv)}
+	return &rowWaitRig{t: t, db: db, srv: srv, holder: holder, r: dialRaw(t, srv)}
 }
 
 // park runs an UPDATE of the held row on the raw connection under deadline
@@ -362,7 +380,7 @@ func TestServerCancelEndsARowWait(t *testing.T) {
 	g := newRowWaitRig(t)
 	done := g.park(0)
 	sent := time.Now()
-	if err := g.r.send(server.MsgCancel, nil); err != nil {
+	if err := g.r.cancel(); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -392,11 +410,11 @@ func TestServerCancelEndsARowWait(t *testing.T) {
 // runs to completion, even one that itself waits for a row.
 func TestServerStatementAfterCancelRuns(t *testing.T) {
 	g := newRowWaitRig(t)
-	if err := g.r.send(server.MsgCancel, nil); err != nil { // idle: a no-op
+	if err := g.r.cancel(); err != nil { // idle: a no-op
 		t.Fatal(err)
 	}
 	done := g.park(0)
-	if err := g.r.send(server.MsgCancel, nil); err != nil {
+	if err := g.r.cancel(); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; !cancelled(err) {
@@ -436,7 +454,7 @@ func TestServerCancelAfterAnswerSparesNextStatement(t *testing.T) {
 		if _, err := r.exec(fmt.Sprintf("insert into kv values (%d, %d)", i, i), 0); err != nil {
 			t.Fatalf("statement %d: %v", i, err)
 		}
-		if err := r.send(server.MsgCancel, nil); err != nil {
+		if err := r.cancel(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -35,19 +35,21 @@ import (
 const MaxFrame = 16 << 20
 
 // ProtoVersion is the protocol revision sent in hello / hello-ok.
-const ProtoVersion = 1
+const ProtoVersion = 2
 
 // Message types. Client→server types have the high bit clear,
-// server→client types have it set.
+// server→client types have it set. A cancel request is the one frame of a
+// connection of its own; the statement it names is the count of exec
+// frames its connection had sent up to and including it. It gets no answer.
 const (
 	MsgHello     byte = 0x01 // version, token, client name, default deadline µs
 	MsgPrepare   byte = 0x02 // sql
 	MsgExec      byte = 0x03 // stmt id (0 = inline sql), sql, deadline µs, params
-	MsgCancel    byte = 0x04 // out-of-band: cancel the statement in flight
+	MsgCancel    byte = 0x04 // cancel request, first frame only: connection id, secret, statement number
 	MsgCloseStmt byte = 0x05 // stmt id
 	MsgQuit      byte = 0x06 // orderly connection close
 
-	MsgHelloOK   byte = 0x81 // version, connection id
+	MsgHelloOK   byte = 0x81 // version, connection id, 8-byte cancel secret
 	MsgPrepareOK byte = 0x82 // stmt id
 	MsgRowHeader byte = 0x83 // column names
 	MsgRowBatch  byte = 0x84 // row count, rows
@@ -343,6 +345,44 @@ func decodeHello(b []byte) (m helloMsg, err error) {
 	}
 	m.DeadlineUS, _, err = ReadUvarint(b)
 	return m, err
+}
+
+// appendHelloOK appends a hello-ok payload: the protocol version, the
+// connection's id and its cancel secret.
+func appendHelloOK(b []byte, connID uint64, secret [8]byte) []byte {
+	return append(AppendUvarint(AppendUvarint(b, ProtoVersion), connID), secret[:]...)
+}
+
+// DecodeHelloOK returns the connection id and cancel secret of a hello-ok.
+func DecodeHelloOK(b []byte) (connID uint64, secret [8]byte, err error) {
+	if _, b, err = ReadUvarint(b); err == nil {
+		connID, secret, _, err = readCancelKey(b)
+	}
+	return connID, secret, err
+}
+
+// AppendCancel appends a cancel-request payload: a connection's id and
+// secret, and the number of the statement to cancel.
+func AppendCancel(b []byte, connID uint64, secret [8]byte, stmt uint64) []byte {
+	return AppendUvarint(append(AppendUvarint(b, connID), secret[:]...), stmt)
+}
+
+func decodeCancel(b []byte) (connID uint64, secret [8]byte, stmt uint64, err error) {
+	if connID, secret, b, err = readCancelKey(b); err == nil {
+		stmt, _, err = ReadUvarint(b)
+	}
+	return connID, secret, stmt, err
+}
+
+// readCancelKey reads a connection id and its cancel secret.
+func readCancelKey(b []byte) (connID uint64, secret [8]byte, rest []byte, err error) {
+	if connID, b, err = ReadUvarint(b); err == nil && len(b) < len(secret) {
+		err = errFrameTruncated
+	}
+	if err != nil {
+		return 0, secret, nil, err
+	}
+	return connID, [8]byte(b), b[len(secret):], nil
 }
 
 type execMsg struct {

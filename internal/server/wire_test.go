@@ -217,7 +217,9 @@ func sameValues(a, b []val.Value) bool {
 // both must return the same (typ, payload) or both an error, and an
 // accepted frame must re-encode to the bytes it consumed. A length prefix
 // past MaxFrame is refused by both before anything payload-sized is
-// allocated.
+// allocated. An accepted payload is also read as a cancel request, which
+// the server decodes from a connection's first frame: one that decodes
+// must re-encode to a request that decodes the same.
 func FuzzFrameDecode(f *testing.F) {
 	seed := func(typ byte, payload []byte) []byte {
 		var buf bytes.Buffer
@@ -228,6 +230,7 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(seed(MsgExec, execMsg{SQL: "select 1"}.encode()))
 	f.Add(seed(MsgRowBatch, encodeRowBatch([][]val.Value{{val.NewInt(1)}})))
 	f.Add(seed(MsgError, errMsg{Code: CodeRetry, Message: "x"}.encode()))
+	f.Add(seed(MsgCancel, AppendCancel(nil, 7, [8]byte{1, 2, 3, 4, 5, 6, 7, 8}, 300)))
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0x01})
 	f.Add([]byte{})
 	f.Add([]byte{0x03, 0x00, 0x00})
@@ -270,6 +273,12 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		if id, secret, stmt, err := decodeCancel(payload); err == nil {
+			id2, secret2, stmt2, err := decodeCancel(AppendCancel(nil, id, secret, stmt))
+			if err != nil || id2 != id || secret2 != secret || stmt2 != stmt {
+				t.Fatalf("cancel request (%d, %x, %d) re-decodes to (%d, %x, %d), %v", id, secret, stmt, id2, secret2, stmt2, err)
+			}
 		}
 		var buf bytes.Buffer
 		if err := WriteFrame(&buf, typ, payload); err != nil {

@@ -269,35 +269,78 @@ func TestNoNewUnsetOptions(t *testing.T) {
 	t.Logf("core.Options has %d fields, %d of them set by no program", len(fields), len(unsetOptions))
 }
 
-// TestExecImportsNoObservers is a layering ratchet, using only go/parser:
-// the executor counts what it did in its Ctx's tally and whoever owns the
-// Ctx publishes it, so it fails when a non-test file of internal/exec
-// imports a package that publishes — telemetry or the flight recorder.
-func TestExecImportsNoObservers(t *testing.T) {
-	banned := []string{`"anywheredb/internal/telemetry"`, `"anywheredb/internal/flightrec"`}
-	files, err := filepath.Glob("internal/exec/*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
+// observers are the packages that publish what the engine counts: the
+// telemetry registry and the flight recorder.
+var observers = []string{"anywheredb/internal/telemetry", "anywheredb/internal/flightrec"}
+
+// countingLayers are the packages below core. Each counts what it did in
+// plain values, and core publishes them, so none depends on an observer.
+var countingLayers = []string{
+	"table", "exec", "opt", "txn", "lock", "wal", "buffer", "mem",
+	"mvcc", "btree", "store", "heap", "colseg", "stats", "cachegov",
+}
+
+// TestNoLayerBelowCoreDependsOnObservers is a layering ratchet, using only
+// go/parser: it fails when a package of countingLayers depends on one of
+// observers through the imports of its non-test files, directly or through
+// other packages of this module.
+func TestNoLayerBelowCoreDependsOnObservers(t *testing.T) {
 	fset := token.NewFileSet()
-	parsed := 0
-	for _, p := range files {
-		if strings.HasSuffix(p, "_test.go") {
-			continue
+	imports := map[string][]string{} // package -> module packages its non-test files import
+	var load func(pkg string)
+	load = func(pkg string) {
+		if _, done := imports[pkg]; done {
+			return
 		}
-		f, err := parser.ParseFile(fset, p, nil, parser.ImportsOnly)
+		imports[pkg] = nil
+		files, err := filepath.Glob(filepath.Join(strings.TrimPrefix(pkg, "anywheredb/"), "*.go"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		parsed++
-		for _, imp := range f.Imports {
-			if slices.Contains(banned, imp.Path.Value) {
-				t.Errorf("%s imports %s: count it in exec.Tally and let the Ctx's owner publish it", p, imp.Path.Value)
+		for _, p := range files {
+			if strings.HasSuffix(p, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, p, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				dep := strings.Trim(imp.Path.Value, `"`)
+				if strings.HasPrefix(dep, "anywheredb/") && !slices.Contains(imports[pkg], dep) {
+					imports[pkg] = append(imports[pkg], dep)
+					load(dep)
+				}
 			}
 		}
+		if files == nil {
+			t.Fatalf("found no files of %s", pkg)
+		}
 	}
-	if parsed == 0 {
-		t.Fatal("found no non-test file in internal/exec")
+	for _, layer := range countingLayers {
+		pkg := "anywheredb/internal/" + layer
+		load(pkg)
+		// path records how each reached package was first reached.
+		path := map[string]string{pkg: ""}
+		queue := []string{pkg}
+		for len(queue) > 0 {
+			cur := queue[0]
+			queue = queue[1:]
+			if slices.Contains(observers, cur) {
+				chain := cur
+				for p := path[cur]; p != ""; p = path[p] {
+					chain = p + " -> " + chain
+				}
+				t.Errorf("%s depends on %s (%s): count in plain values and let core publish them", pkg, cur, chain)
+				continue
+			}
+			for _, dep := range imports[cur] {
+				if _, seen := path[dep]; !seen {
+					path[dep] = cur
+					queue = append(queue, dep)
+				}
+			}
+		}
 	}
 }
 

@@ -28,7 +28,6 @@ import (
 	"anywheredb/internal/faultinject"
 	"anywheredb/internal/page"
 	"anywheredb/internal/store"
-	"anywheredb/internal/telemetry"
 	"anywheredb/internal/wal"
 )
 
@@ -98,13 +97,17 @@ func (f *Frame) MarkDirty() { f.dirty.Store(true) }
 
 // Stats reports pool activity counters, aggregated across shards.
 type Stats struct {
-	Hits          uint64
-	Misses        uint64
-	Evictions     uint64
-	LookasideHits uint64
-	Writebacks    uint64
-	Steals        uint64 // frames taken away from the pool by a shrink
-	Contention    uint64 // shard-lock acquisitions that found the lock held
+	Hits            uint64
+	Misses          uint64
+	Evictions       uint64
+	LookasideHits   uint64
+	Writebacks      uint64
+	Steals          uint64 // frames taken away from the pool by a shrink
+	Contention      uint64 // shard-lock acquisitions that found the lock held
+	ImagesLogged    uint64 // page images logged ahead of write-backs
+	WritebackSyncs  uint64 // log syncs a write-back forced itself
+	Borrows         uint64
+	ShardContention []uint64 // Contention by shard: which stripes are hot
 }
 
 // shard is one stripe of the pool: its own page-table partition, frame
@@ -334,53 +337,21 @@ func (p *Pool) Bounds() (minFrames, maxFrames int) { return p.minSize, p.maxSize
 // snapshot is per-counter consistent but, unlike the pre-striping pool,
 // not tied to a single structural instant.
 func (p *Pool) Stats() Stats {
-	var st Stats
-	for _, s := range p.shards {
+	st := Stats{ShardContention: make([]uint64, len(p.shards))}
+	for i, s := range p.shards {
 		st.Hits += s.hits.Load()
 		st.Misses += s.misses.Load()
 		st.Evictions += s.evictions.Load()
 		st.LookasideHits += s.lookHits.Load()
 		st.Writebacks += s.writebacks.Load()
 		st.Steals += s.steals.Load()
-		st.Contention += s.contention.Load()
+		st.ShardContention[i] = s.contention.Load()
+		st.Contention += st.ShardContention[i]
+		st.ImagesLogged += s.images.Load()
+		st.WritebackSyncs += s.wbSyncs.Load()
+		st.Borrows += s.borrows.Load()
 	}
 	return st
-}
-
-// AttachTelemetry publishes the pool's counters into reg under the
-// "buffer." prefix. Func-backed gauges read the pool's own atomics, so the
-// hot paths stay exactly as cheap as before. Per-shard contention gauges
-// expose which stripes are hot.
-func (p *Pool) AttachTelemetry(reg *telemetry.Registry) {
-	sum := func(f func(*shard) *atomic.Uint64) func() int64 {
-		return func() int64 {
-			var n uint64
-			for _, s := range p.shards {
-				n += f(s).Load()
-			}
-			return int64(n)
-		}
-	}
-	reg.GaugeFunc("buffer.hits", sum(func(s *shard) *atomic.Uint64 { return &s.hits }))
-	reg.GaugeFunc("buffer.misses", sum(func(s *shard) *atomic.Uint64 { return &s.misses }))
-	reg.GaugeFunc("buffer.evictions", sum(func(s *shard) *atomic.Uint64 { return &s.evictions }))
-	reg.GaugeFunc("buffer.lookaside_hits", sum(func(s *shard) *atomic.Uint64 { return &s.lookHits }))
-	reg.GaugeFunc("buffer.writebacks", sum(func(s *shard) *atomic.Uint64 { return &s.writebacks }))
-	// Page images logged ahead of write-backs, and the log syncs the pool
-	// forced itself because no other flush had made an image durable yet.
-	reg.GaugeFunc("buffer.images_logged", sum(func(s *shard) *atomic.Uint64 { return &s.images }))
-	reg.GaugeFunc("buffer.writeback_syncs", sum(func(s *shard) *atomic.Uint64 { return &s.wbSyncs }))
-	reg.GaugeFunc("buffer.steals", sum(func(s *shard) *atomic.Uint64 { return &s.steals }))
-	reg.GaugeFunc("buffer.contention", sum(func(s *shard) *atomic.Uint64 { return &s.contention }))
-	reg.GaugeFunc("buffer.borrows", sum(func(s *shard) *atomic.Uint64 { return &s.borrows }))
-	reg.GaugeFunc("buffer.shards", func() int64 { return int64(len(p.shards)) })
-	reg.GaugeFunc("buffer.pool_pages", func() int64 { return p.limitAtom.Load() })
-	reg.GaugeFunc("buffer.pinned_frames", func() int64 { return int64(p.PinnedCount()) })
-	for i, s := range p.shards {
-		s := s
-		reg.GaugeFunc(fmt.Sprintf("buffer.shard%02d.contention", i),
-			func() int64 { return int64(s.contention.Load()) })
-	}
 }
 
 // SetFaultPolicy installs bounded-retry handling for transient I/O errors

@@ -25,7 +25,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"anywheredb/internal/telemetry"
 	"anywheredb/internal/vclock"
 )
 
@@ -124,25 +123,19 @@ type Governor struct {
 	lastMisses uint64
 	fastUntil  vclock.Micros
 
-	polls       atomic.Uint64 // control steps taken
-	resizes     atomic.Uint64 // steps that changed the pool size
-	grows       atomic.Uint64
-	shrinks     atomic.Uint64
-	lastIdeal   atomic.Int64 // raw target before damping, last poll
-	lastTarget  atomic.Int64 // damped, bounded target, last poll
-	lastApplied atomic.Int64 // achieved pool bytes, last poll
+	Counters
 }
 
-// AttachTelemetry publishes the controller's counters and the damped vs
-// ideal targets of its most recent step into reg under "cachegov.".
-func (g *Governor) AttachTelemetry(reg *telemetry.Registry) {
-	reg.GaugeFunc("cachegov.polls", func() int64 { return int64(g.polls.Load()) })
-	reg.GaugeFunc("cachegov.resizes", func() int64 { return int64(g.resizes.Load()) })
-	reg.GaugeFunc("cachegov.grows", func() int64 { return int64(g.grows.Load()) })
-	reg.GaugeFunc("cachegov.shrinks", func() int64 { return int64(g.shrinks.Load()) })
-	reg.GaugeFunc("cachegov.ideal_bytes", func() int64 { return g.lastIdeal.Load() })
-	reg.GaugeFunc("cachegov.target_bytes", func() int64 { return g.lastTarget.Load() })
-	reg.GaugeFunc("cachegov.applied_bytes", func() int64 { return g.lastApplied.Load() })
+// Counters is what a controller counts and the targets of its most recent
+// step, for its owner to publish.
+type Counters struct {
+	Polls        atomic.Uint64 // control steps taken
+	Resizes      atomic.Uint64 // steps that changed the pool size
+	Grows        atomic.Uint64
+	Shrinks      atomic.Uint64
+	IdealBytes   atomic.Int64 // raw target before damping, last poll
+	TargetBytes  atomic.Int64 // damped, bounded target, last poll
+	AppliedBytes atomic.Int64 // achieved pool bytes, last poll
 }
 
 // New builds a governor; sampling starts in the fast (20 s) regime, as at
@@ -254,24 +247,24 @@ func (g *Governor) Poll() Decision {
 	d.Changed = applied != cur
 	if target > cur {
 		d.Reason = "grow"
-		g.grows.Add(1)
+		g.Grows.Add(1)
 	} else {
 		d.Reason = "shrink"
-		g.shrinks.Add(1)
+		g.Shrinks.Add(1)
 	}
 	g.publish(d)
 	return d
 }
 
-// publish mirrors a decision into the telemetry atomics.
+// publish mirrors a decision into the controller's Counters.
 func (g *Governor) publish(d Decision) {
-	g.polls.Add(1)
+	g.Polls.Add(1)
 	if d.Changed {
-		g.resizes.Add(1)
+		g.Resizes.Add(1)
 	}
-	g.lastIdeal.Store(d.Ideal)
-	g.lastTarget.Store(d.Target)
-	g.lastApplied.Store(d.Applied)
+	g.IdealBytes.Store(d.Ideal)
+	g.TargetBytes.Store(d.Target)
+	g.AppliedBytes.Store(d.Applied)
 }
 
 func (g *Governor) noteMisses() uint64 {

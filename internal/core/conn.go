@@ -41,7 +41,9 @@ type Conn struct {
 	stmtCtx context.Context
 	// curSpan is the flight-recorder span of the statement currently
 	// running on this connection: &span, or nil with the recorder disabled.
-	curSpan *flightrec.Span
+	// curWaits is its transaction's wait tally, &waits while curSpan is set.
+	curSpan  *flightrec.Span
+	curWaits *txn.Waits
 	// curSnap is the MVCC snapshot of the statement currently running on
 	// this connection: reads under it resolve row versions and take no
 	// lock-manager locks. Nil for a statement that embeds no query.
@@ -54,9 +56,9 @@ type Conn struct {
 	// What the connection keeps from statement to statement, so that a
 	// statement allocates little beyond its answer: the execution context,
 	// whose tally keeps its list of scans, and the batch its plan drains
-	// into; the flight-recorder span, the memory-governor task and the
-	// statement snapshot of the statement running (the ring keeps a copy of
-	// a finished span; neither task nor snapshot holds a charge or a
+	// into; the flight-recorder span, its waits, the memory-governor task
+	// and the statement snapshot of the statement running (the ring keeps a
+	// copy of a finished span; neither task nor snapshot holds a charge or a
 	// registration between statements); the vector a text's lifted literals
 	// are merged into; the rows an INSERT or UPDATE builds, where each of
 	// an INSERT's values goes, and the targets of an UPDATE or DELETE; and
@@ -64,6 +66,7 @@ type Conn struct {
 	ectx  exec.Ctx
 	batch exec.Batch
 	span  flightrec.Span
+	waits txn.Waits
 	task  mem.Task
 	snap  mvcc.Snapshot
 	bound []val.Value
@@ -211,7 +214,7 @@ func (c *Conn) Close() error {
 // writeTxn is the transaction a write statement of the connection runs in
 // (see DB.autoTxn): the open one, or its own, begun for the statement.
 func (c *Conn) writeTxn() stmtTxn {
-	return c.db.autoTxn(c.stmtCtx, c.tx, &c.txn, c.curSpan)
+	return c.db.autoTxn(c.stmtCtx, c.tx, &c.txn, c.curSpan, c.curWaits)
 }
 
 // execCtx sets up the connection's execution context for one plan of the
@@ -313,6 +316,7 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value, sink Sink)
 	// the text: text and bound together are the statement as submitted.
 	bound := params
 	c.ectx.Did.Reset()
+	c.waits = txn.Waits{}
 	sp := c.db.flight.Begin(&c.span, st.Text, st.Fingerprint)
 	c.curSpan = sp
 	var wallStart time.Time
@@ -321,13 +325,14 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value, sink Sink)
 		wallStart = time.Now()
 		parseUS = st.parseUS.Swap(0)
 		sp.AddPhase(flightrec.PhaseParse, parseUS)
+		c.curWaits = &c.waits
 	}
 	defer func() {
-		c.db.publish(&c.ectx.Did, sp)
+		c.db.publish(&c.ectx.Did, &c.waits, sp)
 		if sp == nil {
 			return
 		}
-		c.curSpan = nil
+		c.curSpan, c.curWaits = nil, nil
 		errText := ""
 		if err != nil {
 			errText = err.Error()
@@ -398,7 +403,7 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value, sink Sink)
 			return Result{}, nil, fmt.Errorf("core: no open transaction")
 		}
 		commitStart := time.Now()
-		c.tx.SetStatement(ctx, sp) // the flush wait is this statement's
+		c.tx.SetStatement(ctx, c.curWaits) // the flush wait is this statement's
 		err = c.tx.Commit()
 		if sp != nil {
 			sp.AddPhase(flightrec.PhaseCommit, time.Since(commitStart).Microseconds())
@@ -409,7 +414,7 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value, sink Sink)
 			return Result{}, nil, fmt.Errorf("core: no open transaction")
 		}
 		commitStart := time.Now()
-		c.tx.SetStatement(ctx, sp)
+		c.tx.SetStatement(ctx, c.curWaits)
 		err = c.tx.Rollback()
 		if sp != nil {
 			sp.AddPhase(flightrec.PhaseCommit, time.Since(commitStart).Microseconds())
@@ -450,7 +455,7 @@ func (c *Conn) Run(ctx context.Context, st *Stmt, params []val.Value, sink Sink)
 	if err != nil && c.tx != nil && errors.Is(err, lock.ErrDeadlock) {
 		// A deadlock victim's transaction ends now, so those waiting for it
 		// go on: a retry of the statement alone would meet the same cycle.
-		c.tx.SetStatement(ctx, sp)
+		c.tx.SetStatement(ctx, c.curWaits)
 		if rerr := c.tx.Rollback(); rerr != nil {
 			err = errors.Join(err, rerr)
 		}

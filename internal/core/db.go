@@ -29,6 +29,7 @@ import (
 	"anywheredb/internal/exec"
 	"anywheredb/internal/faultinject"
 	"anywheredb/internal/flightrec"
+	"anywheredb/internal/hist"
 	"anywheredb/internal/lock"
 	"anywheredb/internal/mem"
 	"anywheredb/internal/opt"
@@ -192,7 +193,7 @@ type DB struct {
 	// components and are published as func-backed gauges).
 	statements  *telemetry.Counter
 	rowsOut     *telemetry.Counter
-	statementUS *telemetry.Histogram
+	statementUS *hist.Histogram
 	batches     *telemetry.Counter
 	planEnums   *telemetry.Counter
 	planVisits  *telemetry.Counter
@@ -416,16 +417,12 @@ func Open(opts Options) (*DB, error) {
 		opts.MPL,
 	)
 
-	// The engine-wide telemetry registry: every layer publishes its
-	// counters here, and SQL reads them back via PROPERTY() and
+	// The engine-wide telemetry registry: every layer counts, core
+	// publishes the counts here, and SQL reads them back via PROPERTY() and
 	// sys.properties.
 	db.reg = telemetry.NewRegistry()
 	db.setOptEnv(db.dttMod)
-	db.pool.AttachTelemetry(db.reg)
-	db.log.AttachTelemetry(db.reg)
-	db.locks.AttachTelemetry(db.reg)
-	db.memG.AttachTelemetry(db.reg)
-	db.cacheG.AttachTelemetry(db.reg)
+	PublishKernels(db.reg, db.pool, db.log, db.locks, db.memG, db.cacheG)
 	// The flight recorder: always allocated so the instrumentation cost is
 	// identical enabled or disabled (E21's baseline); wall-clock µs since
 	// open is the span/wait timebase.
@@ -435,8 +432,8 @@ func Open(opts Options) (*DB, error) {
 	})
 	db.flight.AttachTelemetry(db.reg)
 	// Wait-event observers feed the engine-wide registry. A statement's
-	// lock and flush waits reach its span through its transaction, which
-	// carries the span (txn.Txn.SetStatement); buffer read I/O belongs to
+	// lock and flush waits reach its span through the tally its
+	// transaction keeps (txn.Txn.SetStatement); buffer read I/O belongs to
 	// no transaction, so spans are charged only when exactly one statement
 	// is live (exact attribution) and the global registry always.
 	db.locks.SetWaitObserver(func(us int64) {
@@ -637,7 +634,7 @@ func (db *DB) ReorgOnce() int {
 		if float64(st.Scans)/float64(writes) < reorgScanWriteRatio {
 			continue
 		}
-		if err := db.schemaChange(context.Background(), nil, nil, st.Table, false, storeLayout(true)); err != nil {
+		if err := db.schemaChange(context.Background(), nil, nil, nil, st.Table, false, storeLayout(true)); err != nil {
 			continue // racing writer or I/O trouble; retry next pass
 		}
 		promoted++
@@ -651,8 +648,9 @@ func (db *DB) ReorgOnce() int {
 
 // publish hands what a statement's executor did to the engine's counters,
 // to the access table the storage reorganizer reads, and to the
-// statement's span (nil with the recorder off).
-func (db *DB) publish(did *exec.Tally, sp *flightrec.Span) {
+// statement's span (nil with the recorder off), and charges the span with
+// the waits w its transaction tallied.
+func (db *DB) publish(did *exec.Tally, w *txn.Waits, sp *flightrec.Span) {
 	db.batches.Add(uint64(did.Batches))
 	db.colSkipped.Add(uint64(did.SegsSkipped))
 	db.colDecoded.Add(uint64(did.DecodedRows))
@@ -661,6 +659,8 @@ func (db *DB) publish(did *exec.Tally, sp *flightrec.Span) {
 	}
 	if sp != nil {
 		sp.Batches, sp.SpillBytes = did.Batches, did.SpillBytes
+		sp.AddWaits(flightrec.WaitLock, w.Locks, w.LockUS)
+		sp.AddWaits(flightrec.WaitWALFlush, w.Flushes, w.FlushUS)
 	}
 }
 

@@ -39,16 +39,16 @@ type stmtTxn struct {
 // autoTxn returns the transaction a write statement runs in: inside an
 // explicit transaction (cur) it is that transaction; otherwise one begun in
 // own that end commits (or rolls back). Either way the transaction carries
-// the statement's context ctx and span sp until end: its lock and row waits
-// observe ctx, and its waits, the commit's (or rollback's) flush included,
-// are charged to sp.
-func (db *DB) autoTxn(ctx context.Context, cur, own *txn.Txn, sp *flightrec.Span) stmtTxn {
+// the statement's context ctx and wait tally w until end: its lock and row
+// waits observe ctx, and its waits, the commit's (or rollback's) flush
+// included, are added to w. The commit's time is charged to span sp.
+func (db *DB) autoTxn(ctx context.Context, cur, own *txn.Txn, sp *flightrec.Span, w *txn.Waits) stmtTxn {
 	st := stmtTxn{tx: cur, sp: sp}
 	if cur == nil {
 		st.tx, st.auto = db.txns.BeginIn(own, false), true
 	}
 	st.depth = st.tx.UndoDepth()
-	st.tx.SetStatement(ctx, sp)
+	st.tx.SetStatement(ctx, w)
 	return st
 }
 
@@ -91,14 +91,14 @@ func (st stmtTxn) end(err error) error {
 // writer can miss the new index; snapshot readers take no locks and keep
 // reading the objects they resolved. A crash at the crashpoint, between the
 // committed change and the checkpoint, must lose the change whole.
-func (db *DB) schemaChange(ctx context.Context, cur *txn.Txn, sp *flightrec.Span, name string, exclusive bool,
+func (db *DB) schemaChange(ctx context.Context, cur *txn.Txn, sp *flightrec.Span, w *txn.Waits, name string, exclusive bool,
 	change func(tx *txn.Txn, tbl *table.Table) error) error {
 	notFound := fmt.Errorf("core: table %q not found", name)
 	tbl, ok := db.Table(name)
 	if name != "" && !ok {
 		return notFound
 	}
-	st := db.autoTxn(ctx, cur, new(txn.Txn), sp)
+	st := db.autoTxn(ctx, cur, new(txn.Txn), sp, w)
 	tx := st.tx
 	var err error
 	if exclusive {
@@ -131,7 +131,7 @@ func (db *DB) SchemaChanged() { db.schemaVersion.Add(1) }
 
 // ddl runs a statement's schema change on the connection's transaction.
 func (c *Conn) ddl(name string, exclusive bool, change func(tx *txn.Txn, tbl *table.Table) error) error {
-	return c.db.schemaChange(c.stmtCtx, c.tx, c.curSpan, name, exclusive, change)
+	return c.db.schemaChange(c.stmtCtx, c.tx, c.curSpan, c.curWaits, name, exclusive, change)
 }
 
 func (c *Conn) createTable(s *sqlparse.CreateTable) error {

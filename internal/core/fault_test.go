@@ -19,7 +19,8 @@ import (
 // TestCrashRecoveryAtomicAndIdempotent crashes with a committed and an
 // uncommitted transaction in flight, then recovers with ParanoidRecovery
 // (which re-applies the whole recovery plan and fails if the second pass
-// changes anything — the replay-idempotency invariant).
+// changes anything — the replay-idempotency invariant). The log's
+// group-size histogram counts the replay's flushes from the start.
 func TestCrashRecoveryAtomicAndIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	// Schema first, checkpointed durably by the clean close (DDL lives in
@@ -45,6 +46,10 @@ func TestCrashRecoveryAtomicAndIdempotent(t *testing.T) {
 	db.Crash()
 
 	db2 := openDB(t, Options{Dir: dir, ParanoidRecovery: true})
+	// The group-size histogram sees every flush, the replay's own included.
+	if flushes, n := counter(t, db2, "wal.flushes"), counter(t, db2, "wal.commits_per_flush.count"); flushes == 0 || n != flushes {
+		t.Errorf("after the replay: wal.commits_per_flush.count = %d, want wal.flushes = %d (> 0)", n, flushes)
+	}
 	c2 := conn(t, db2)
 	rows := mustQuery(t, c2, "SELECT id, v FROM t")
 	got := map[int64]int64{}

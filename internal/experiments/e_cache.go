@@ -7,6 +7,7 @@ import (
 
 	"anywheredb/internal/buffer"
 	"anywheredb/internal/cachegov"
+	"anywheredb/internal/core"
 	"anywheredb/internal/osenv"
 	"anywheredb/internal/page"
 	"anywheredb/internal/store"
@@ -59,8 +60,7 @@ func newCacheRig(totalRAM int64, minP, initP, maxP int, ce, noDamping bool) (*ca
 		},
 	})
 	r.reg = telemetry.NewRegistry()
-	r.pool.AttachTelemetry(r.reg)
-	r.gov.AttachTelemetry(r.reg)
+	core.PublishKernels(r.reg, r.pool, nil, nil, nil, r.gov)
 	return r, nil
 }
 

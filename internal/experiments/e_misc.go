@@ -129,7 +129,7 @@ func E13Replacement() (*Report, error) {
 	defer st.Close()
 	pool := buffer.New(st, 8, frames, frames)
 	reg := telemetry.NewRegistry()
-	pool.AttachTelemetry(reg)
+	core.PublishKernels(reg, pool, nil, nil, nil, nil)
 
 	// Materialize pages: 32 hot, 176 cold (the scan is ~1.4x the pool: big
 	// enough to flush an LRU completely, small enough that a

@@ -4,7 +4,7 @@ import (
 	"sort"
 	"sync"
 
-	"anywheredb/internal/telemetry"
+	"anywheredb/internal/hist"
 	"anywheredb/internal/val"
 )
 
@@ -45,7 +45,7 @@ type DigestStat struct {
 // read (for quantiles) at snapshot time.
 type digest struct {
 	stat DigestStat
-	hist telemetry.Histogram
+	hist hist.Histogram
 }
 
 // DigestTable aggregates finished spans per fingerprint, bounded to cap

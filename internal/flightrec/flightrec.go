@@ -43,6 +43,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"anywheredb/internal/hist"
 	"anywheredb/internal/telemetry"
 	"anywheredb/internal/val"
 )
@@ -137,44 +138,26 @@ type Span struct {
 }
 
 // AddPhase charges wall-clock microseconds to one phase.
-func (s *Span) AddPhase(p Phase, us int64) {
-	if p >= 0 && p < numPhases {
-		s.phases[p].Add(us)
-	}
-}
+func (s *Span) AddPhase(p Phase, us int64) { s.phases[p].Add(us) }
 
 // PhaseUS reads one phase's accumulated microseconds.
-func (s *Span) PhaseUS(p Phase) int64 {
-	if p < 0 || p >= numPhases {
-		return 0
-	}
-	return s.phases[p].Load()
-}
+func (s *Span) PhaseUS(p Phase) int64 { return s.phases[p].Load() }
 
 // AddWait charges one wait event of the given kind to the span.
-func (s *Span) AddWait(k WaitKind, us int64) {
-	if k < 0 || k >= NumWaitKinds {
-		return
-	}
-	s.waitCount[k].Add(1)
+func (s *Span) AddWait(k WaitKind, us int64) { s.AddWaits(k, 1, us) }
+
+// AddWaits charges n wait events of the given kind, us microseconds in
+// all, to the span: the engine's waits tallied where they happened.
+func (s *Span) AddWaits(k WaitKind, n, us int64) {
+	s.waitCount[k].Add(n)
 	s.waitUS[k].Add(us)
 }
 
 // WaitUS reads the span's accumulated wait time for one kind.
-func (s *Span) WaitUS(k WaitKind) int64 {
-	if k < 0 || k >= NumWaitKinds {
-		return 0
-	}
-	return s.waitUS[k].Load()
-}
+func (s *Span) WaitUS(k WaitKind) int64 { return s.waitUS[k].Load() }
 
 // WaitCount reads the span's wait-event count for one kind.
-func (s *Span) WaitCount(k WaitKind) int64 {
-	if k < 0 || k >= NumWaitKinds {
-		return 0
-	}
-	return s.waitCount[k].Load()
-}
+func (s *Span) WaitCount(k WaitKind) int64 { return s.waitCount[k].Load() }
 
 // copyTo overwrites d with s, field by field: the counters are atomics and
 // are copied by value.
@@ -204,16 +187,11 @@ func copyCounter(d, s *atomic.Int64) {
 // histogram per kind, which also keeps the kind's count and total
 // microseconds. All methods are lock-free.
 type Waits struct {
-	hists [NumWaitKinds]telemetry.Histogram
+	hists [NumWaitKinds]hist.Histogram
 }
 
 // Observe records one wait of kind k lasting us microseconds.
-func (w *Waits) Observe(k WaitKind, us int64) {
-	if k < 0 || k >= NumWaitKinds {
-		return
-	}
-	w.hists[k].Observe(us)
-}
+func (w *Waits) Observe(k WaitKind, us int64) { w.hists[k].Observe(us) }
 
 // WaitStat is one wait event's aggregate.
 type WaitStat struct {

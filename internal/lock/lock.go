@@ -21,8 +21,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"anywheredb/internal/telemetry"
 )
 
 // Mode is a lock mode.
@@ -79,22 +77,17 @@ type Manager struct {
 	// to charge its own statement.
 	waitObs atomic.Pointer[func(us int64)]
 
-	acquires  atomic.Uint64 // granted lock requests (including re-entrant)
-	rowWaits  atomic.Uint64 // WaitFor calls that found a live holder
-	waits     atomic.Uint64 // calls that blocked at least once
-	wakeups   atomic.Uint64 // times a blocked call was woken by a release to re-check
-	deadlocks atomic.Uint64 // requests refused with ErrDeadlock
-	releases  atomic.Uint64 // ReleaseAll calls
+	Counters
 }
 
-// AttachTelemetry publishes the manager's counters into reg under "lock.".
-func (m *Manager) AttachTelemetry(reg *telemetry.Registry) {
-	reg.GaugeFunc("lock.acquires", func() int64 { return int64(m.acquires.Load()) })
-	reg.GaugeFunc("lock.row_waits", func() int64 { return int64(m.rowWaits.Load()) })
-	reg.GaugeFunc("lock.waits", func() int64 { return int64(m.waits.Load()) })
-	reg.GaugeFunc("lock.wakeups", func() int64 { return int64(m.wakeups.Load()) })
-	reg.GaugeFunc("lock.deadlocks", func() int64 { return int64(m.deadlocks.Load()) })
-	reg.GaugeFunc("lock.releases", func() int64 { return int64(m.releases.Load()) })
+// Counters is what a manager counts, for its owner to publish.
+type Counters struct {
+	Acquires  atomic.Uint64 // granted lock requests (including re-entrant)
+	RowWaits  atomic.Uint64 // WaitFor calls that found a live holder
+	Waits     atomic.Uint64 // calls that blocked at least once
+	Wakeups   atomic.Uint64 // times a blocked call was woken by a release to re-check
+	Deadlocks atomic.Uint64 // requests refused with ErrDeadlock
+	Releases  atomic.Uint64 // ReleaseAll calls
 }
 
 // SetWaitObserver installs (or replaces) the blocked-wait observer f: it
@@ -244,7 +237,7 @@ func (m *Manager) putTable(obj uint64, tl tableLock) {
 func (m *Manager) LockCtx(ctx context.Context, txn, obj uint64, mode Mode) (time.Duration, error) {
 	blocked, err := m.wait(ctx, txn, request{obj: obj, mode: mode})
 	if err == nil {
-		m.acquires.Add(1)
+		m.Acquires.Add(1)
 	}
 	return blocked, err
 }
@@ -306,7 +299,7 @@ func (m *Manager) wait(ctx context.Context, txn uint64, r request) (blocked time
 			// Counted under the mutex that also hands out the next broadcast
 			// channel: whoever sees the count move and then releases a lock
 			// wakes this waiter again.
-			m.wakeups.Add(1)
+			m.Wakeups.Add(1)
 			delete(m.waiting, txn) // back below if it blocks again
 		}
 		var granted bool
@@ -319,7 +312,7 @@ func (m *Manager) wait(ctx context.Context, txn uint64, r request) (blocked time
 		var refusal error
 		if !granted && m.closesCycle(txn, r) {
 			refusal = ErrDeadlock
-			m.deadlocks.Add(1)
+			m.Deadlocks.Add(1)
 			if queued {
 				m.leaveQueue(txn, r.obj) // before anyone can block behind it
 			}
@@ -338,10 +331,10 @@ func (m *Manager) wait(ctx context.Context, txn uint64, r request) (blocked time
 
 		if blockStart.IsZero() {
 			if r.holder != 0 {
-				m.rowWaits.Add(1)
+				m.RowWaits.Add(1)
 			}
 			blockStart = time.Now()
-			m.waits.Add(1)
+			m.Waits.Add(1)
 		}
 		select {
 		case <-ch:
@@ -412,7 +405,7 @@ func (m *Manager) blockers(dst []uint64, txn uint64, r request) []uint64 {
 func (m *Manager) ReleaseAll(txn uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.releases.Add(1)
+	m.Releases.Add(1)
 	gs, ok := m.held[txn]
 	if !ok {
 		return

@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"anywheredb/internal/telemetry"
 )
 
 // Lock is LockCtx with no deadline: a request the tests expect granted,
@@ -106,12 +104,7 @@ func TestUnlockSingle(t *testing.T) {
 // waiter holding nothing.
 func TestWaitForRules(t *testing.T) {
 	m := NewManager()
-	reg := telemetry.NewRegistry()
-	m.AttachTelemetry(reg)
-	rowWaits := func() int64 {
-		v, _ := reg.Value("lock.row_waits")
-		return v
-	}
+	rowWaits := m.RowWaits.Load
 	var mu sync.Mutex
 	var observed []int64
 	m.SetWaitObserver(func(us int64) {
@@ -127,9 +120,9 @@ func TestWaitForRules(t *testing.T) {
 	blocked := func(n uint64) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
-		for m.waits.Load() < n {
+		for m.Waits.Load() < n {
 			if time.Now().After(deadline) {
-				t.Fatalf("waiter reached %d waits, want %d", m.waits.Load(), n)
+				t.Fatalf("waiter reached %d waits, want %d", m.Waits.Load(), n)
 			}
 			time.Sleep(100 * time.Microsecond)
 		}
@@ -146,9 +139,9 @@ func TestWaitForRules(t *testing.T) {
 	if waited, err := m.WaitFor(ctx, holder, holder); err != nil || waited != 0 {
 		t.Fatalf("wait for itself: %v, blocked %v", err, waited)
 	}
-	if rowWaits() != 0 || m.waits.Load() != 0 || len(observations()) != 0 {
+	if rowWaits() != 0 || m.Waits.Load() != 0 || len(observations()) != 0 {
 		t.Fatalf("calls that did not wait counted %d row waits, %d waits, %d observations",
-			rowWaits(), m.waits.Load(), len(observations()))
+			rowWaits(), m.Waits.Load(), len(observations()))
 	}
 
 	// A live holder is waited for until its ReleaseAll, and not a moment
@@ -212,8 +205,8 @@ func TestWaitForRules(t *testing.T) {
 	if waited, err := m.WaitFor(cctx, waiter, holder); err != context.Canceled || waited != 0 {
 		t.Fatalf("WaitFor under a cancelled context: %v after %v, want context.Canceled at once", err, waited)
 	}
-	if m.waits.Load() != 3 || len(observations()) != 3 {
-		t.Fatalf("%d waits and %d observations, want 3 and 3", m.waits.Load(), len(observations()))
+	if m.Waits.Load() != 3 || len(observations()) != 3 {
+		t.Fatalf("%d waits and %d observations, want 3 and 3", m.Waits.Load(), len(observations()))
 	}
 	m.ReleaseAll(holder)
 	if m.HeldCount(holder) != 0 {
@@ -429,12 +422,12 @@ func TestLockWaitSingleTimer(t *testing.T) {
 					time.Sleep(100 * time.Microsecond)
 				}
 			}
-			waitFor(&m.waits, 1)
+			waitFor(&m.Waits, 1)
 			const spuriousWakes = 200
 			for i := 0; i < spuriousWakes; i++ {
-				target := m.wakeups.Load() + 1
+				target := m.Wakeups.Load() + 1
 				spuriousWake(t, m)
-				waitFor(&m.wakeups, target)
+				waitFor(&m.Wakeups, target)
 			}
 
 			m.ReleaseAll(1)
@@ -442,7 +435,7 @@ func TestLockWaitSingleTimer(t *testing.T) {
 				t.Fatalf("contender failed: %v", err)
 			}
 			// One blocked call, however often it was woken.
-			if w, k := m.waits.Load(), m.wakeups.Load(); w != 1 || k != spuriousWakes+1 {
+			if w, k := m.Waits.Load(), m.Wakeups.Load(); w != 1 || k != spuriousWakes+1 {
 				t.Fatalf("lock.waits = %d, lock.wakeups = %d; want 1 and %d", w, k, spuriousWakes+1)
 			}
 		})
@@ -480,7 +473,7 @@ func TestLockContentionNoPileup(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if m.waits.Load() == 0 {
+	if m.Waits.Load() == 0 {
 		t.Fatal("workload was never contended; test proves nothing")
 	}
 
@@ -526,9 +519,9 @@ func TestLockCtxCancelStopsTimer(t *testing.T) {
 			m := NewManager()
 			waitForBlock := func(n uint64) {
 				deadline := time.Now().Add(10 * time.Second)
-				for m.waits.Load() < n {
+				for m.Waits.Load() < n {
 					if time.Now().After(deadline) {
-						t.Fatalf("contender reached %d waits, want %d", m.waits.Load(), n)
+						t.Fatalf("contender reached %d waits, want %d", m.Waits.Load(), n)
 					}
 					time.Sleep(100 * time.Microsecond)
 				}
@@ -585,8 +578,8 @@ func TestLockCtxAlreadyCancelled(t *testing.T) {
 	if n := m.HeldCount(1); n != 0 {
 		t.Fatalf("cancelled call acquired %d locks", n)
 	}
-	if m.waits.Load() != 0 {
-		t.Fatalf("cancelled call blocked %d times", m.waits.Load())
+	if m.Waits.Load() != 0 {
+		t.Fatalf("cancelled call blocked %d times", m.Waits.Load())
 	}
 }
 
@@ -594,11 +587,11 @@ func TestLockCtxAlreadyCancelled(t *testing.T) {
 // counted it blocked; its error arrives on the returned channel.
 func blockedCall(t *testing.T, m *Manager, wait func() error) <-chan error {
 	t.Helper()
-	n := m.waits.Load()
+	n := m.Waits.Load()
 	done := make(chan error, 1)
 	go func() { done <- wait() }()
 	deadline := time.Now().Add(10 * time.Second)
-	for m.waits.Load() == n {
+	for m.Waits.Load() == n {
 		select {
 		case err := <-done:
 			t.Fatalf("the call returned %v without blocking", err)
@@ -617,13 +610,13 @@ func blockedCall(t *testing.T, m *Manager, wait func() error) <-chan error {
 // and lock.deadlocks moves by one.
 func mustRefuse(t *testing.T, m *Manager, what string, wait func() (time.Duration, error)) {
 	t.Helper()
-	waits, deadlocks := m.waits.Load(), m.deadlocks.Load()
+	waits, deadlocks := m.Waits.Load(), m.Deadlocks.Load()
 	if waited, err := wait(); err != ErrDeadlock || waited != 0 {
 		t.Fatalf("%s: %v after %v, want ErrDeadlock at once", what, err, waited)
 	}
-	if m.waits.Load() != waits || m.deadlocks.Load() != deadlocks+1 {
+	if m.Waits.Load() != waits || m.Deadlocks.Load() != deadlocks+1 {
 		t.Fatalf("%s: lock.waits %d → %d, lock.deadlocks %d → %d; want unchanged and one more",
-			what, waits, m.waits.Load(), deadlocks, m.deadlocks.Load())
+			what, waits, m.Waits.Load(), deadlocks, m.Deadlocks.Load())
 	}
 }
 
@@ -632,8 +625,6 @@ func mustRefuse(t *testing.T, m *Manager, what string, wait func() (time.Duratio
 // holds, and its end lets the first go on.
 func TestRowCycleRefused(t *testing.T) {
 	m := NewManager()
-	reg := telemetry.NewRegistry()
-	m.AttachTelemetry(reg)
 	var observed atomic.Int64
 	m.SetWaitObserver(func(int64) { observed.Add(1) })
 	ctx := context.Background()
@@ -647,7 +638,7 @@ func TestRowCycleRefused(t *testing.T) {
 	if m.HeldCount(2) == 0 {
 		t.Fatal("the victim lost its locks")
 	}
-	if v, _ := reg.Value("lock.deadlocks"); v != 1 {
+	if v := m.Deadlocks.Load(); v != 1 {
 		t.Fatalf("lock.deadlocks = %d, want 1", v)
 	}
 	m.ReleaseAll(2)
@@ -739,6 +730,6 @@ func (m *Manager) Unlock(txn, obj uint64) {
 			delete(m.held, txn)
 		}
 	}
-	m.releases.Add(1)
+	m.Releases.Add(1)
 	m.wake()
 }

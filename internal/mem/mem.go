@@ -17,8 +17,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"anywheredb/internal/hist"
 	"anywheredb/internal/page"
-	"anywheredb/internal/telemetry"
 )
 
 // ErrHardLimit is returned when a task exceeds its hard memory limit; the
@@ -47,25 +47,17 @@ type Governor struct {
 	mpl    int // server multiprogramming level
 	active int // currently active requests
 
-	tasks           atomic.Uint64 // tasks begun
-	grants          atomic.Uint64 // Alloc calls admitted within quota
-	denials         atomic.Uint64 // Alloc calls refused at the hard limit
-	releaseRequests atomic.Uint64 // top-down ReleaseMemory sweeps triggered
-	leaked          atomic.Uint64 // pages still charged to tasks at Finish
-	peakPages       telemetry.Histogram
+	Counters
 }
 
-// AttachTelemetry publishes the governor's counters into reg under "mem.".
-func (g *Governor) AttachTelemetry(reg *telemetry.Registry) {
-	reg.GaugeFunc("mem.tasks", func() int64 { return int64(g.tasks.Load()) })
-	reg.GaugeFunc("mem.grants", func() int64 { return int64(g.grants.Load()) })
-	reg.GaugeFunc("mem.denials", func() int64 { return int64(g.denials.Load()) })
-	reg.GaugeFunc("mem.release_requests", func() int64 { return int64(g.releaseRequests.Load()) })
-	reg.GaugeFunc("mem.active_tasks", func() int64 { return int64(g.ActiveRequests()) })
-	reg.GaugeFunc("mem.leaked_pages", func() int64 { return int64(g.leaked.Load()) })
-	// Each statement's high-water mark, observed once at Finish: how close
-	// statements run to their quota.
-	reg.RegisterHistogram("mem.peak_pages", &g.peakPages)
+// Counters is what a governor counts, for its owner to publish.
+type Counters struct {
+	Tasks           atomic.Uint64  // tasks begun
+	Grants          atomic.Uint64  // Alloc calls admitted within quota
+	Denials         atomic.Uint64  // Alloc calls refused at the hard limit
+	ReleaseRequests atomic.Uint64  // top-down ReleaseMemory sweeps triggered
+	Leaked          atomic.Uint64  // pages still charged to tasks at Finish
+	PeakPages       hist.Histogram // each task's high-water mark, at Finish
 }
 
 // NewGovernor builds a governor. mpl is the server multiprogramming level
@@ -109,7 +101,7 @@ func (g *Governor) Begin(t *Task) *Task {
 	g.mu.Lock()
 	g.active++
 	g.mu.Unlock()
-	g.tasks.Add(1)
+	g.Tasks.Add(1)
 	clear(t.consumers)
 	*t = Task{gov: g, consumers: t.consumers[:0]}
 	return t
@@ -141,9 +133,9 @@ func (t *Task) Finish() {
 	t.finished = true
 	used, peak := t.used, t.peak
 	t.mu.Unlock()
-	t.gov.peakPages.Observe(int64(peak))
+	t.gov.PeakPages.Observe(int64(peak))
 	if used > 0 {
-		t.gov.leaked.Add(uint64(used))
+		t.gov.Leaked.Add(uint64(used))
 	}
 	t.gov.mu.Lock()
 	t.gov.active--
@@ -227,7 +219,7 @@ func (t *Task) Alloc(n int) error {
 		soft = min(soft, hard)
 	}
 	if used > soft {
-		t.gov.releaseRequests.Add(1)
+		t.gov.ReleaseRequests.Add(1)
 		if err := t.requestRelease(used - soft); err != nil {
 			t.Free(n)
 			return err
@@ -241,10 +233,10 @@ func (t *Task) Alloc(n int) error {
 		// The request is refused: roll the accounting back so the caller
 		// (which will terminate the statement) does not leak quota.
 		t.Free(n)
-		t.gov.denials.Add(1)
+		t.gov.Denials.Add(1)
 		return ErrHardLimit
 	}
-	t.gov.grants.Add(1)
+	t.gov.Grants.Add(1)
 	return nil
 }
 

@@ -49,10 +49,8 @@ type gate struct {
 	sorted [latWindow]int64 // scratch the p99 recheck sorts a copy of ring in
 
 	// counters surfaced as server.* telemetry
-	admitted  int64
-	queuedTot int64
-	shed      int64
-	shrinks   int64
+	admitted int64
+	shrinks  int64
 }
 
 const (
@@ -90,13 +88,11 @@ func (g *gate) admit(ctx context.Context) (ticket, error) {
 		return tk, nil
 	}
 	if len(g.waiters) >= g.width*queueFactor {
-		g.shed++
 		g.mu.Unlock()
 		return ticket{}, ErrShed
 	}
 	ch := make(chan struct{})
 	g.waiters = append(g.waiters, ch)
-	g.queuedTot++
 	wait := g.queueDeadlineLocked()
 	g.mu.Unlock()
 
@@ -126,7 +122,6 @@ func (g *gate) abandon(ch chan struct{}) bool {
 	defer g.mu.Unlock()
 	if i := slices.Index(g.waiters, ch); i >= 0 {
 		g.waiters = slices.Delete(g.waiters, i, i+1)
-		g.shed++
 		return true
 	}
 	return false
@@ -217,8 +212,8 @@ func (g *gate) windowP99Locked() int64 {
 }
 
 // snapshot returns the gate's counters for telemetry.
-func (g *gate) snapshot() (admitted, queued, shed, shrinks int64, eff int, baselineUS int64) {
+func (g *gate) snapshot() (admitted, shrinks int64, eff int, baselineUS int64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.admitted, g.queuedTot, g.shed, g.shrinks, g.eff, int64(g.baseline)
+	return g.admitted, g.shrinks, g.eff, int64(g.baseline)
 }

@@ -17,7 +17,7 @@ func TestGateAdmitsUpToWidth(t *testing.T) {
 		}
 		tks = append(tks, tk)
 	}
-	admitted, _, _, _, eff, _ := g.snapshot()
+	admitted, _, eff, _ := g.snapshot()
 	if admitted != 3 || eff != 3 {
 		t.Fatalf("admitted=%d eff=%d", admitted, eff)
 	}
@@ -143,7 +143,7 @@ func TestGateBaselineCalibratesFromSoloStatements(t *testing.T) {
 		}
 		g.release(tk, 1000) // 1ms solo statements
 	}
-	_, _, _, _, _, base := g.snapshot()
+	_, _, _, base := g.snapshot()
 	if base < 500 || base > 1500 {
 		t.Fatalf("baseline = %dµs, want ≈1000", base)
 	}
@@ -153,7 +153,7 @@ func TestGateBaselineCalibratesFromSoloStatements(t *testing.T) {
 	tk2, _ := g.admit(context.Background())
 	g.release(tk2, 1_000_000)
 	g.release(tk1, 1_000_000)
-	_, _, _, _, _, after := g.snapshot()
+	_, _, _, after := g.snapshot()
 	if after > 10*base {
 		t.Fatalf("baseline moved from concurrent latencies: %d → %d", base, after)
 	}
@@ -183,7 +183,7 @@ func TestGateDegradationShrinksEffectiveWidth(t *testing.T) {
 		}
 		g.release(tk, 50_000)
 	}
-	_, _, _, shrinks, eff, _ := g.snapshot()
+	_, shrinks, eff, _ := g.snapshot()
 	if eff != g.width/2 || shrinks == 0 {
 		t.Fatalf("eff=%d shrinks=%d, want width/2=%d and ≥1", eff, shrinks, g.width/2)
 	}
@@ -198,7 +198,7 @@ func TestGateDegradationShrinksEffectiveWidth(t *testing.T) {
 		}
 		g.release(tk, 1000)
 	}
-	_, _, _, _, eff, _ = g.snapshot()
+	_, _, eff, _ = g.snapshot()
 	if eff != g.width {
 		t.Fatalf("eff=%d after recovery, want %d", eff, g.width)
 	}

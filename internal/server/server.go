@@ -18,6 +18,7 @@ import (
 	"anywheredb/internal/exec"
 	"anywheredb/internal/faultinject"
 	"anywheredb/internal/flightrec"
+	"anywheredb/internal/hist"
 	"anywheredb/internal/lock"
 	"anywheredb/internal/table"
 	"anywheredb/internal/telemetry"
@@ -100,7 +101,7 @@ type Server struct {
 	stBytes     *telemetry.Counter
 	stSlowKills *telemetry.Counter
 	stDrains    *telemetry.Counter
-	stQueueUS   *telemetry.Histogram
+	stQueueUS   *hist.Histogram
 }
 
 // Start opens the listener and begins serving in the background.
@@ -137,15 +138,15 @@ func serve(db *core.DB, opts Options, ln net.Listener) *Server {
 		return int64(len(s.conns))
 	})
 	reg.GaugeFunc("server.admission_width", func() int64 {
-		_, _, _, _, eff, _ := s.gate.snapshot()
+		_, _, eff, _ := s.gate.snapshot()
 		return int64(eff)
 	})
 	reg.GaugeFunc("server.baseline_p99_us", func() int64 {
-		_, _, _, _, _, base := s.gate.snapshot()
+		_, _, _, base := s.gate.snapshot()
 		return base
 	})
 	reg.GaugeFunc("server.admission_shrinks", func() int64 {
-		_, _, _, shrinks, _, _ := s.gate.snapshot()
+		_, shrinks, _, _ := s.gate.snapshot()
 		return shrinks
 	})
 	db.RegisterVirtualTable("sys.connections", s.connectionsTable)

@@ -1,18 +1,17 @@
 // Package telemetry is the engine-wide metrics registry: allocation-free
 // atomic counters, func-backed gauges, and fixed-bucket virtual-time
 // histograms, each registered once under a stable dotted name (e.g.
-// "buffer.misses", "exec.statement_us"). Every layer of the engine
-// publishes here, and the registry is surfaced through SQL via the
-// PROPERTY() builtin and the sys.properties virtual table, mirroring SQL
-// Anywhere's property model: the self-management loops of the paper (cache
+// "buffer.misses", "exec.statement_us"). Layers count; core publishes
+// here, and the registry is surfaced through SQL via the PROPERTY()
+// builtin and the sys.properties virtual table, mirroring SQL Anywhere's
+// property model: the self-management loops of the paper (cache
 // governor, statistics feedback, application profiling) all consume
 // measurements of the engine itself, so those measurements need one
 // uniform, cheap substrate.
 //
 // Hot-path cost is a single atomic add; registration (startup only) takes
-// a mutex. A gauge is a function, so components that already maintain
-// private atomics (the buffer pool, the plan cache) expose them without
-// double counting.
+// a mutex. A gauge is a function, so the atomics a layer keeps are
+// published without double counting.
 package telemetry
 
 import (
@@ -21,6 +20,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"anywheredb/internal/hist"
 )
 
 // Kind classifies a registered metric.
@@ -56,106 +57,13 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
 
-// HistBuckets is the number of power-of-two buckets in a Histogram.
-// Bucket i counts observations v with 2^i <= v+1 < 2^(i+1), so bucket 0
-// holds zeros and bucket 31 holds everything >= 2^31-1 µs of virtual time.
-const HistBuckets = 32
-
-// Histogram is a fixed-bucket power-of-two histogram of non-negative
-// observations (typically virtual-time microseconds). All methods are
-// lock-free.
-type Histogram struct {
-	buckets [HistBuckets]atomic.Uint64
-	count   atomic.Uint64
-	sum     atomic.Uint64
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	b := 0
-	for x := uint64(v) + 1; x > 1 && b < HistBuckets-1; x >>= 1 {
-		b++
-	}
-	h.buckets[b].Add(1)
-	h.count.Add(1)
-	h.sum.Add(uint64(v))
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() uint64 { return h.sum.Load() }
-
-// Buckets returns a snapshot of the bucket counts.
-func (h *Histogram) Buckets() [HistBuckets]uint64 {
-	var out [HistBuckets]uint64
-	for i := range h.buckets {
-		out[i] = h.buckets[i].Load()
-	}
-	return out
-}
-
-// bucketBounds returns the inclusive value range [lo, hi] bucket i holds:
-// Observe places v in bucket i when 2^i <= v+1 < 2^(i+1).
-func bucketBounds(i int) (lo, hi int64) {
-	if i == 0 {
-		return 0, 0
-	}
-	return (int64(1) << i) - 1, (int64(1) << (i + 1)) - 2
-}
-
-// Quantile estimates the q-quantile (0 <= q <= 1) of the observed values
-// by linear interpolation inside the power-of-two bucket containing the
-// target rank. The estimate's error is bounded by the bucket's width
-// (under 2x relative), which is enough for p50/p95/p99 health signals; an
-// empty histogram reports 0.
-func (h *Histogram) Quantile(q float64) int64 {
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	b := h.Buckets()
-	var total uint64
-	for _, n := range b {
-		total += n
-	}
-	if total == 0 {
-		return 0
-	}
-	target := q * float64(total)
-	if target < 1 {
-		target = 1 // rank of the first observation
-	}
-	var cum float64
-	for i, n := range b {
-		if n == 0 {
-			continue
-		}
-		next := cum + float64(n)
-		if next >= target {
-			lo, hi := bucketBounds(i)
-			frac := (target - cum) / float64(n)
-			return lo + int64(frac*float64(hi-lo)+0.5)
-		}
-		cum = next
-	}
-	_, hi := bucketBounds(HistBuckets - 1)
-	return hi
-}
-
 // metric is one registry entry.
 type metric struct {
 	name string
 	kind Kind
 	c    *Counter
 	fn   func() int64
-	h    *Histogram
+	h    *hist.Histogram
 }
 
 func (m *metric) value() int64 {
@@ -212,7 +120,7 @@ func (r *Registry) GaugeFunc(name string, f func() int64) {
 }
 
 // Histogram registers (or fetches) the histogram with the given name.
-func (r *Registry) Histogram(name string) *Histogram {
+func (r *Registry) Histogram(name string) *hist.Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m, ok := r.metrics[name]; ok {
@@ -221,7 +129,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 		}
 		return m.h
 	}
-	h := &Histogram{}
+	h := &hist.Histogram{}
 	r.metrics[name] = &metric{name: name, kind: KindHistogram, h: h}
 	return h
 }
@@ -231,7 +139,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 // events) publish through this so the registry never double-counts.
 // Re-registering replaces the histogram (last writer wins), mirroring
 // GaugeFunc's rebind semantics.
-func (r *Registry) RegisterHistogram(name string, h *Histogram) {
+func (r *Registry) RegisterHistogram(name string, h *hist.Histogram) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m, ok := r.metrics[name]; ok && m.h == nil {

@@ -37,24 +37,6 @@ func TestKindMismatchPanics(t *testing.T) {
 	r.GaugeFunc("x", func() int64 { return 0 })
 }
 
-func TestHistogramBuckets(t *testing.T) {
-	h := &Histogram{}
-	for _, v := range []int64{0, 1, 1, 3, 100, -5} {
-		h.Observe(v)
-	}
-	if h.Count() != 6 {
-		t.Fatalf("count = %d, want 6", h.Count())
-	}
-	if h.Sum() != 105 {
-		t.Fatalf("sum = %d, want 105", h.Sum())
-	}
-	b := h.Buckets()
-	// 0 and -5 land in bucket 0; 1,1 in bucket 1; 3 in bucket 2; 100 in bucket 6.
-	if b[0] != 2 || b[1] != 2 || b[2] != 1 || b[6] != 1 {
-		t.Fatalf("bucket layout wrong: %v", b[:8])
-	}
-}
-
 func TestSnapshotSortedAndDelta(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b.two").Add(2)

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"anywheredb/internal/faultinject"
-	"anywheredb/internal/flightrec"
 	"anywheredb/internal/lock"
 	"anywheredb/internal/mvcc"
 	"anywheredb/internal/wal"
@@ -112,7 +111,7 @@ func (m *Manager) BeginIn(t *Txn, ro bool) *Txn { return m.begin(t, 0, ro) }
 // last finished (see finish).
 func (m *Manager) begin(t *Txn, id uint64, ro bool) *Txn {
 	t.m, t.ro, t.began = m, ro, time.Now()
-	t.done, t.logged, t.intent, t.ctx, t.sp = false, false, 0, nil, nil
+	t.done, t.logged, t.intent, t.ctx, t.w = false, false, 0, nil, nil
 	t.undoBytes.Store(0)
 	m.mu.Lock()
 	if id == 0 {
@@ -353,12 +352,12 @@ type Txn struct {
 	// (object ids start at 1). Table locks are held until the transaction
 	// settles, so a row write's request for it again is answered here.
 	intent uint64
-	// ctx and sp are the context and flight-recorder span of the statement
-	// running in the transaction (SetStatement): its lock and row waits end
-	// when ctx is cancelled, and they and its flush waits are charged to
-	// sp. Nil between statements; sp is nil with the recorder off.
+	// ctx and w are the context and wait tally of the statement running in
+	// the transaction (SetStatement): its lock and row waits end when ctx
+	// is cancelled, and they and its flush waits are added to w. Nil
+	// between statements; w is nil when nobody reads the tally.
 	ctx context.Context
-	sp  *flightrec.Span
+	w   *Waits
 
 	// entries are the version-chain pre-images this transaction pushed;
 	// Commit stamps them all with one CSN, then eagerly reclaims the ones
@@ -558,12 +557,19 @@ func (t *Txn) locks() *lock.Manager {
 	return t.m.locks
 }
 
+// Waits is a statement's plain tally of its transaction's lock and row
+// waits and of its Commit's or Rollback's flush: counts and microseconds.
+type Waits struct {
+	Locks, LockUS    int64
+	Flushes, FlushUS int64
+}
+
 // SetStatement binds the transaction to the statement about to run in it:
 // its context ctx ends the lock and row waits of Lock and WaitFor when it
-// is cancelled or expires, and its span sp (nil for none) is charged with
-// those waits and with Commit's or Rollback's flush. Nil, nil unbinds:
-// waits then end only with what they wait for, charged to no statement.
-func (t *Txn) SetStatement(ctx context.Context, sp *flightrec.Span) { t.ctx, t.sp = ctx, sp }
+// is cancelled or expires, and its tally w (nil for none) gets those waits
+// and Commit's or Rollback's flush. Nil, nil unbinds: waits then end only
+// with what they wait for, tallied for no statement.
+func (t *Txn) SetStatement(ctx context.Context, w *Waits) { t.ctx, t.w = ctx, w }
 
 // context is the statement context waits observe.
 func (t *Txn) context() context.Context {
@@ -599,11 +605,12 @@ func (t *Txn) WaitFor(holder uint64) error {
 	return nil
 }
 
-// chargeLock charges a lock-manager call that was blocked for d to the
-// statement's span, and passes its error on.
+// chargeLock adds a lock-manager call that was blocked for d to the
+// statement's tally, and passes its error on.
 func (t *Txn) chargeLock(d time.Duration, err error) error {
-	if d > 0 && t.sp != nil {
-		t.sp.AddWait(flightrec.WaitLock, d.Microseconds())
+	if d > 0 && t.w != nil {
+		t.w.Locks++
+		t.w.LockUS += d.Microseconds()
 	}
 	return err
 }
@@ -675,15 +682,16 @@ func (t *Txn) Commit() error {
 }
 
 // flush waits until the log is durable through lsn. The wait is timed only
-// for a statement's span, and charged to it.
+// for a statement's tally, and added to it.
 func (t *Txn) flush(lsn wal.LSN) error {
-	if t.sp == nil {
+	if t.w == nil {
 		return t.m.log.FlushTo(lsn)
 	}
 	start := time.Now()
 	err := t.m.log.FlushTo(lsn)
 	if us := time.Since(start).Microseconds(); us > 0 {
-		t.sp.AddWait(flightrec.WaitWALFlush, us)
+		t.w.Flushes++
+		t.w.FlushUS += us
 	}
 	return err
 }

@@ -70,13 +70,13 @@ func TestFlushToAlreadyDurableIsFree(t *testing.T) {
 	if err := l.FlushTo(lsn); err != nil {
 		t.Fatal(err)
 	}
-	before := l.flushes.Load()
+	before := l.Flushes.Load()
 	for i := 0; i < 10; i++ {
 		if err := l.FlushTo(lsn); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := l.flushes.Load(); got != before {
+	if got := l.Flushes.Load(); got != before {
 		t.Fatalf("FlushTo below the durable tail performed %d extra flushes", got-before)
 	}
 }
@@ -112,11 +112,11 @@ func TestGroupCommitBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	flushes := l.flushes.Load()
+	flushes := l.Flushes.Load()
 	if flushes >= committers {
 		t.Fatalf("%d flushes for %d committers: no batching happened", flushes, committers)
 	}
-	if l.groupCommits.Load() == 0 {
+	if l.GroupCommits.Load() == 0 {
 		t.Fatal("no flush retired more than one committer")
 	}
 	n := 0
@@ -364,7 +364,7 @@ func TestFailedGroupErrorOutlivesItsRecycling(t *testing.T) {
 	for i := 1; i <= followers; i++ {
 		go func(lsn LSN) { got <- l.FlushTo(lsn) }(lsns[i])
 	}
-	for l.flushWaiters.Load() < followers {
+	for l.FlushWaiters.Load() < followers {
 		time.Sleep(100 * time.Microsecond)
 	}
 	close(inj.release)

@@ -20,8 +20,8 @@ import (
 	"time"
 
 	"anywheredb/internal/faultinject"
+	"anywheredb/internal/hist"
 	"anywheredb/internal/store"
-	"anywheredb/internal/telemetry"
 )
 
 // RecType enumerates log record kinds.
@@ -137,6 +137,18 @@ type flushGroup struct {
 	err     error
 }
 
+// Counters is what a log counts, for its owner to publish.
+type Counters struct {
+	Records         atomic.Uint64 // records appended
+	Checkpoints     atomic.Uint64 // checkpoint records appended
+	Flushes         atomic.Uint64 // non-empty flushes (one fsync each)
+	Truncates       atomic.Uint64
+	Bytes           atomic.Uint64  // payload+frame bytes appended
+	GroupCommits    atomic.Uint64  // flushes that retired more than one waiter
+	FlushWaiters    atomic.Uint64  // FlushTo calls that blocked as followers
+	CommitsPerFlush hist.Histogram // waiters each non-empty flush retired
+}
+
 // Log is an append-only transaction log. It is safe for concurrent use.
 //
 // Durability is group commit with a sealed-buffer swap: one leader writes
@@ -200,18 +212,7 @@ type Log struct {
 	pol   faultinject.RetryPolicy
 	stats *faultinject.Stats
 
-	records     atomic.Uint64 // records appended
-	checkpoints atomic.Uint64 // checkpoint records appended
-	flushes     atomic.Uint64 // non-empty flushes (one fsync each)
-	truncates   atomic.Uint64
-	bytes       atomic.Uint64 // payload+frame bytes appended
-
-	groupCommits atomic.Uint64 // flushes that retired more than one waiter
-	flushWaiters atomic.Uint64 // FlushTo calls that blocked as followers
-	// commitsPerFlush observes the number of waiters each non-empty flush
-	// retired; bound at AttachTelemetry time (observations before that are
-	// dropped, which only affects pre-registry startup flushes).
-	commitsPerFlush atomic.Pointer[telemetry.Histogram]
+	Counters
 
 	// flushWaitObs, when set, is called once per FlushTo call that blocked
 	// for durability — a follower's group wait or the leader's own
@@ -240,18 +241,6 @@ func (l *Log) SetInjector(inj faultinject.Injector, pol faultinject.RetryPolicy,
 	l.inj = inj
 	l.pol = pol
 	l.stats = stats
-}
-
-// AttachTelemetry publishes the log's counters into reg under "wal.".
-func (l *Log) AttachTelemetry(reg *telemetry.Registry) {
-	reg.GaugeFunc("wal.records", func() int64 { return int64(l.records.Load()) })
-	reg.GaugeFunc("wal.checkpoints", func() int64 { return int64(l.checkpoints.Load()) })
-	reg.GaugeFunc("wal.flushes", func() int64 { return int64(l.flushes.Load()) })
-	reg.GaugeFunc("wal.truncates", func() int64 { return int64(l.truncates.Load()) })
-	reg.GaugeFunc("wal.bytes_appended", func() int64 { return int64(l.bytes.Load()) })
-	reg.GaugeFunc("wal.group_commits", func() int64 { return int64(l.groupCommits.Load()) })
-	reg.GaugeFunc("wal.flush_waiters", func() int64 { return int64(l.flushWaiters.Load()) })
-	l.commitsPerFlush.Store(reg.Histogram("wal.commits_per_flush"))
 }
 
 // Open opens (or creates) the log file at path. An empty path yields a log
@@ -467,10 +456,10 @@ func (l *Log) appendLocked(r *Record) LSN {
 	l.buffer = appendFrame(l.buffer, r)
 	n := uint64(len(l.buffer) - before)
 	l.end += n
-	l.records.Add(1)
-	l.bytes.Add(n)
+	l.Records.Add(1)
+	l.Bytes.Add(n)
 	if r.Type == RecCheckpoint {
-		l.checkpoints.Add(1)
+		l.Checkpoints.Add(1)
 	}
 	return l.lsnOf(l.end)
 }
@@ -564,7 +553,7 @@ func (l *Log) FlushTo(lsn LSN) error {
 			// Follower: the group's flush covers our record and decides
 			// our fate.
 			g.members++
-			l.flushWaiters.Add(1)
+			l.FlushWaiters.Add(1)
 			err := l.awaitLocked(g)
 			l.mu.Unlock()
 			return err
@@ -603,13 +592,11 @@ func (l *Log) FlushTo(lsn LSN) error {
 	if err == nil {
 		l.tail = g.end
 		if len(sealed) > 0 {
-			l.flushes.Add(1)
+			l.Flushes.Add(1)
 			if g.members > 1 {
-				l.groupCommits.Add(1)
+				l.GroupCommits.Add(1)
 			}
-			if h := l.commitsPerFlush.Load(); h != nil {
-				h.Observe(int64(g.members))
-			}
+			l.CommitsPerFlush.Observe(int64(g.members))
 			l.tailBroadcastLocked()
 			callHook = true
 		}
@@ -998,8 +985,8 @@ func (l *Log) IngestRaw(frames []byte, nrecs int) (start LSN, err error) {
 	l.buffer = append(l.buffer, frames...)
 	l.end += uint64(len(frames))
 	l.mu.Unlock()
-	l.records.Add(uint64(nrecs))
-	l.bytes.Add(uint64(len(frames)))
+	l.Records.Add(uint64(nrecs))
+	l.Bytes.Add(uint64(len(frames)))
 	return start, l.FlushTo(start + uint64(len(frames)))
 }
 
@@ -1132,7 +1119,7 @@ func (l *Log) Truncate() error {
 	l.start, l.hdr = start, uint64(len(hdr))
 	l.tail = l.hdr
 	l.end = l.tail + uint64(len(l.buffer))
-	l.truncates.Add(1)
+	l.Truncates.Add(1)
 	l.tailBroadcastLocked()
 	return err
 }
